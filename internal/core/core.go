@@ -19,9 +19,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -823,6 +825,9 @@ func (x *XFTL) flushImage() error {
 	for _, e := range x.byLPN {
 		img = append(img, imageEntry{tid: e.tid, lpn: e.lpn, ppn: e.newPPN, status: e.status})
 	}
+	// Rows in LPN order (an LPN has at most one row), not map order: the
+	// image's bytes, and with them the run, repeat for the same seed.
+	slices.SortFunc(img, func(a, b imageEntry) int { return cmp.Compare(a.lpn, b.lpn) })
 	return x.writeImage(img)
 }
 

@@ -20,6 +20,7 @@ package simfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -837,6 +838,33 @@ func (f *File) Fsync() error {
 	return f.fsync()
 }
 
+// writeMetaTx writes the dirty metadata pages home under the file's
+// transaction id (OffXFTL): X-FTL makes them atomic with the data,
+// replacing the metadata journal. Ascending LPN order, not map order, so
+// the same seed programs the same flash pages on every run.
+func (f *File) writeMetaTx() error {
+	if len(f.fs.dirtyMeta) == 0 {
+		return nil
+	}
+	lpns := make([]int64, 0, len(f.fs.dirtyMeta))
+	for lpn := range f.fs.dirtyMeta {
+		lpns = append(lpns, lpn)
+	}
+	slices.Sort(lpns)
+	tid := f.tidFor()
+	blank := make([]byte, f.fs.PageSize())
+	for _, lpn := range lpns {
+		f.fs.noteWrite(trace.WFSMeta, lpn, tid)
+		if err := f.fs.dev.Queue().SubmitWait(&ncq.Request{
+			Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: blank,
+			Sess: f.fs.ioSess, Req: f.fs.ioReq, Origin: trace.OMeta,
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (f *File) fsync() error {
 	switch f.fs.cfg.Mode {
 	case Ordered:
@@ -866,18 +894,8 @@ func (f *File) fsync() error {
 		}
 		// Metadata home writes ride the same transaction: X-FTL makes
 		// them atomic with the data, replacing the metadata journal.
-		if len(f.fs.dirtyMeta) > 0 {
-			tid := f.tidFor()
-			blank := make([]byte, f.fs.PageSize())
-			for lpn := range f.fs.dirtyMeta {
-				f.fs.noteWrite(trace.WFSMeta, lpn, tid)
-				if err := f.fs.dev.Queue().SubmitWait(&ncq.Request{
-					Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: blank,
-					Sess: f.fs.ioSess, Req: f.fs.ioReq, Origin: trace.OMeta,
-				}); err != nil {
-					return err
-				}
-			}
+		if err := f.writeMetaTx(); err != nil {
+			return err
 		}
 		tid := f.tid
 		if tid == 0 {
@@ -928,18 +946,8 @@ func (f *File) Prepare(group ...string) (uint64, error) {
 	if _, err := f.flushDirty(); err != nil {
 		return 0, err
 	}
-	if len(f.fs.dirtyMeta) > 0 {
-		tid := f.tidFor()
-		blank := make([]byte, f.fs.PageSize())
-		for lpn := range f.fs.dirtyMeta {
-			f.fs.noteWrite(trace.WFSMeta, lpn, tid)
-			if err := f.fs.dev.Queue().SubmitWait(&ncq.Request{
-				Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: blank,
-				Sess: f.fs.ioSess, Req: f.fs.ioReq, Origin: trace.OMeta,
-			}); err != nil {
-				return 0, err
-			}
-		}
+	if err := f.writeMetaTx(); err != nil {
+		return 0, err
 	}
 	tid := f.tid
 	if tid == 0 {

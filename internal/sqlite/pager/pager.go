@@ -17,9 +17,11 @@
 package pager
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -971,7 +973,7 @@ func (p *Pager) commitRollback() error {
 func (p *Pager) commitWAL() error {
 	// Force: every dirty page becomes a WAL frame, then one commit
 	// record enumerating the transaction's frames, then one fsync.
-	for pgno := range p.dirty {
+	for _, pgno := range sortedPgnos(p.dirty) {
 		pg := p.cache[pgno]
 		if pg == nil || !pg.dirty {
 			continue
@@ -995,8 +997,8 @@ func (p *Pager) commitWAL() error {
 		frame int64
 	}
 	entries := make([]entry, 0, len(p.txFrames))
-	for pgno, frame := range p.txFrames {
-		entries = append(entries, entry{pgno, frame})
+	for _, pgno := range sortedPgnos(p.txFrames) {
+		entries = append(entries, entry{pgno, p.txFrames[pgno]})
 	}
 	perPage := (p.PageSize() - 8) / frameHdrSize
 	for start := 0; start < len(entries); start += perPage {
@@ -1053,9 +1055,13 @@ func (p *Pager) checkpointLocked() error {
 		p.ckptAccum = 0
 		return nil
 	}
+	// Copy back in log order (ascending frame), a fixed order like every
+	// other page loop; a frame belongs to exactly one page.
+	order := sortedPgnos(p.walIndex)
+	slices.SortFunc(order, func(a, b Pgno) int { return cmp.Compare(p.walIndex[a], p.walIndex[b]) })
 	buf := make([]byte, p.PageSize())
-	for pgno, frame := range p.walIndex {
-		if err := p.walFile.ReadPage(frame, buf); err != nil {
+	for _, pgno := range order {
+		if err := p.walFile.ReadPage(p.walIndex[pgno], buf); err != nil {
 			return err
 		}
 		if err := p.file.WritePage(int64(pgno-1), buf); err != nil {
@@ -1113,7 +1119,7 @@ func (p *Pager) commitOff() error {
 
 // flushDirtyToDB writes every dirty cached page to the database file.
 func (p *Pager) flushDirtyToDB() error {
-	for pgno := range p.dirty {
+	for _, pgno := range sortedPgnos(p.dirty) {
 		pg := p.cache[pgno]
 		if pg == nil || !pg.dirty {
 			continue
@@ -1137,7 +1143,8 @@ func (p *Pager) Rollback() error {
 	case Rollback:
 		// Playback: restore original images over cache and any stolen
 		// database writes.
-		for pgno, img := range p.journaled {
+		for _, pgno := range sortedPgnos(p.journaled) {
+			img := p.journaled[pgno]
 			if pg, ok := p.cache[pgno]; ok {
 				copy(pg.data, img)
 				pg.dirty = false
@@ -1210,6 +1217,19 @@ func (p *Pager) Rollback() error {
 // stable version.
 func (p *Pager) dropCached(pgno Pgno) {
 	delete(p.cache, pgno)
+}
+
+// sortedPgnos returns m's keys in ascending order. Every loop that
+// issues page I/O from one of the pager's maps walks this instead of the
+// map, so the same transaction stream reaches the device in the same
+// order on every run (same seed, same flash).
+func sortedPgnos[V any](m map[Pgno]V) []Pgno {
+	pgnos := make([]Pgno, 0, len(m))
+	for pgno := range m {
+		pgnos = append(pgnos, pgno)
+	}
+	slices.Sort(pgnos)
+	return pgnos
 }
 
 // recoverRollback plays back a hot journal left by a crash (§6.4).

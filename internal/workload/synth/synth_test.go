@@ -1,8 +1,12 @@
 package synth
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
+	"time"
 
+	"repro/internal/ftl"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/simfs"
@@ -12,6 +16,12 @@ import (
 )
 
 func smallDB(t *testing.T, mode pager.JournalMode) *sqlite.DB {
+	t.Helper()
+	db, _ := smallStack(t, mode)
+	return db
+}
+
+func smallStack(t *testing.T, mode pager.JournalMode) (*sqlite.DB, *storage.Device) {
 	t.Helper()
 	prof := storage.OpenSSD()
 	prof.Nand.Blocks = 512
@@ -34,7 +44,7 @@ func smallDB(t *testing.T, mode pager.JournalMode) *sqlite.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return db, dev
 }
 
 func smallConfig() Config {
@@ -104,9 +114,20 @@ func TestAborts(t *testing.T) {
 	}
 }
 
+// TestDeterminism: the same seed gives the same answer and — since the
+// pager, simfs and X-FTL issue their page lists in sorted rather than
+// map order — the same flash: every counter, the virtual clock and the
+// physical page of every logical page repeat exactly, in all three
+// journal modes.
 func TestDeterminism(t *testing.T) {
-	run := func() int64 {
-		db := smallDB(t, pager.WAL)
+	type outcome struct {
+		sum   int64
+		flash metrics.FlashSnapshot
+		virt  time.Duration
+		l2p   uint64 // FNV-1a over the whole logical-to-physical table
+	}
+	run := func(t *testing.T, mode pager.JournalMode) outcome {
+		db, dev := smallStack(t, mode)
 		defer db.Close()
 		cfg := smallConfig()
 		if err := Load(db, cfg); err != nil {
@@ -119,9 +140,25 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return int64(row[0].Real() * 100)
+		dev.Queue().Drain()
+		h := fnv.New64a()
+		var b [8]byte
+		for lpn := int64(0); lpn < dev.LogicalPages(); lpn++ {
+			binary.LittleEndian.PutUint64(b[:], uint64(dev.FTL().Mapping(ftl.LPN(lpn))))
+			h.Write(b[:])
+		}
+		return outcome{
+			sum:   int64(row[0].Real() * 100),
+			flash: dev.FlashStats().Snapshot(),
+			virt:  dev.Clock().Now(),
+			l2p:   h.Sum64(),
+		}
 	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("runs diverged: %d vs %d", a, b)
+	for _, mode := range []pager.JournalMode{pager.Rollback, pager.WAL, pager.Off} {
+		t.Run(mode.String(), func(t *testing.T) {
+			if a, b := run(t, mode), run(t, mode); a != b {
+				t.Errorf("runs diverged:\n%+v\n%+v", a, b)
+			}
+		})
 	}
 }
