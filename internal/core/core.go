@@ -177,6 +177,16 @@ type XFTL struct {
 	imageCommitted map[nand.PPN]int // ppn -> index into image
 	imagePrepared  map[nand.PPN]int // ppn -> index into image
 
+	// Storage reused from commit to commit, so the steady-state command
+	// path allocates nothing of its own: rows and per-transaction row
+	// lists retired by Commit/Abort/Trim, the previous image's backing
+	// array (flushImage builds the next one in it), and the buffer the
+	// image is encoded into (the FTL copies the payload it is handed).
+	freeEntries []*entry
+	freeLists   [][]*entry
+	imageSpare  []imageEntry
+	imageEnc    []byte
+
 	// Snapshot (MVCC) state. The paper's §5 observation — "readers are
 	// never blocked" because the old committed version stays reachable —
 	// is generalized here to long-lived read transactions: a snapshot
@@ -281,11 +291,39 @@ func (x *XFTL) WriteTx(tid TxID, lpn ftl.LPN, data []byte) error {
 	if err != nil {
 		return err
 	}
-	e := &entry{tid: tid, lpn: lpn, newPPN: newPPN, status: StatusActive}
+	e := x.newEntry()
+	*e = entry{tid: tid, lpn: lpn, newPPN: newPPN, status: StatusActive}
 	x.byLPN[lpn] = e
 	x.byPPN[newPPN] = e
-	x.byTx[tid] = append(x.byTx[tid], e)
+	list, ok := x.byTx[tid]
+	if !ok && len(x.freeLists) > 0 {
+		list = x.freeLists[len(x.freeLists)-1]
+		x.freeLists = x.freeLists[:len(x.freeLists)-1]
+	}
+	x.byTx[tid] = append(list, e)
 	return nil
+}
+
+// newEntry returns a row to fill in, a retired one when there is one.
+func (x *XFTL) newEntry() *entry {
+	if n := len(x.freeEntries); n > 0 {
+		e := x.freeEntries[n-1]
+		x.freeEntries = x.freeEntries[:n-1]
+		return e
+	}
+	return new(entry)
+}
+
+// retireTx forgets a finished transaction's row list and keeps the rows
+// and the list for reuse. The caller has already removed every row from
+// byLPN and byPPN, so nothing else references them.
+func (x *XFTL) retireTx(tid TxID, entries []*entry) {
+	delete(x.byTx, tid)
+	if len(entries) == 0 {
+		return
+	}
+	x.freeEntries = append(x.freeEntries, entries...)
+	x.freeLists = append(x.freeLists, entries[:0])
 }
 
 // ReadTx implements read(t,p): the updater sees its own uncommitted
@@ -448,7 +486,7 @@ func (x *XFTL) Commit(tid TxID) error {
 		delete(x.byPPN, e.newPPN)
 	}
 	x.bumpSeq()
-	delete(x.byTx, tid)
+	x.retireTx(tid, entries)
 	if x.cfg.CompactPinned > 0 && len(x.pinned) >= x.cfg.CompactPinned {
 		x.compact()
 	}
@@ -500,7 +538,7 @@ func (x *XFTL) Abort(tid TxID) error {
 			return err
 		}
 	}
-	delete(x.byTx, tid)
+	x.retireTx(tid, entries)
 	if prepared {
 		// A prepared transaction's rows are already durable in the
 		// flash-resident image; without a rewrite a crash would resurrect
@@ -780,6 +818,7 @@ func (x *XFTL) dropEntry(e *entry) {
 	} else {
 		x.byTx[e.tid] = rest
 	}
+	x.freeEntries = append(x.freeEntries, e)
 }
 
 // imagePages reports how many flash pages one table image occupies.
@@ -789,15 +828,14 @@ func (x *XFTL) imagePages() int {
 	return (bytes + ps - 1) / ps
 }
 
-// encodeImage serializes X-L2P rows in the paper's 16-byte format:
-// tid (u64), lpn with the status in its top bits (u32), ppn (u32).
-func encodeImage(img []imageEntry) []byte {
-	buf := make([]byte, len(img)*EntrySize)
-	for i, r := range img {
-		o := i * EntrySize
-		binary.LittleEndian.PutUint64(buf[o:], uint64(r.tid))
-		binary.LittleEndian.PutUint32(buf[o+8:], uint32(r.lpn)|uint32(r.status)<<30)
-		binary.LittleEndian.PutUint32(buf[o+12:], uint32(r.ppn))
+// appendImage serializes X-L2P rows onto buf in the paper's 16-byte
+// format: tid (u64), lpn with the status in its top bits (u32), ppn
+// (u32).
+func appendImage(buf []byte, img []imageEntry) []byte {
+	for _, r := range img {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.tid))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.lpn)|uint32(r.status)<<30)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.ppn))
 	}
 	return buf
 }
@@ -819,37 +857,41 @@ func decodeImage(payload []byte) []imageEntry {
 }
 
 // flushImage writes the entire X-L2P table to flash copy-on-write and
-// records the shadow the recovery path would read back.
+// records the shadow the recovery path would read back. The new image is
+// built beside the current shadow, which a failed write leaves in place.
 func (x *XFTL) flushImage() error {
-	img := make([]imageEntry, 0, len(x.byLPN))
+	img := x.imageSpare[:0]
 	for _, e := range x.byLPN {
 		img = append(img, imageEntry{tid: e.tid, lpn: e.lpn, ppn: e.newPPN, status: e.status})
 	}
 	// Rows in LPN order (an LPN has at most one row), not map order: the
 	// image's bytes, and with them the run, repeat for the same seed.
 	slices.SortFunc(img, func(a, b imageEntry) int { return cmp.Compare(a.lpn, b.lpn) })
-	return x.writeImage(img)
+	x.imageSpare = img[:0]
+	if err := x.writeImage(img); err != nil {
+		return err
+	}
+	x.image, x.imageSpare = img, x.image[:0]
+	return nil
 }
 
 // writeImage persists an X-L2P image (checksummed, recoverable) and
-// adopts it as the current shadow.
+// indexes its protected rows; the caller adopts img as the shadow.
 func (x *XFTL) writeImage(img []imageEntry) error {
-	if err := x.base.WriteMetaSlotData("xl2p", encodeImage(img), x.imagePages()); err != nil {
+	x.imageEnc = appendImage(x.imageEnc[:0], img)
+	if err := x.base.WriteMetaSlotData("xl2p", x.imageEnc, x.imagePages()); err != nil {
 		return err
 	}
-	committed := make(map[nand.PPN]int)
-	prepared := make(map[nand.PPN]int)
+	clear(x.imageCommitted)
+	clear(x.imagePrepared)
 	for i, r := range img {
 		switch r.status {
 		case StatusCommitted:
-			committed[r.ppn] = i
+			x.imageCommitted[r.ppn] = i
 		case StatusPrepared:
-			prepared[r.ppn] = i
+			x.imagePrepared[r.ppn] = i
 		}
 	}
-	x.image = img
-	x.imageCommitted = committed
-	x.imagePrepared = prepared
 	x.xstats.TableImages++
 	return nil
 }

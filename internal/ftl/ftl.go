@@ -153,14 +153,24 @@ type FTL struct {
 	tracer *trace.Tracer
 	inGC   bool // guards against re-entrant collection from relocate
 
+	// Page buffers the firmware owns, so neither a meta program nor a GC
+	// copy allocates; the chip copies whatever it is handed. metaBuf is
+	// where metaProgram renders a content-bearing page and zeroPage what
+	// it programs for a content-free pad (read-only, with zeroCRC its
+	// checksum). gcBuf is collectOnce's copy-back scratch (see relocate).
+	metaBuf  []byte
+	zeroPage []byte
+	zeroCRC  uint32
+	gcBuf    []byte
+
 	// Channel health / quarantine state (health.go). skipped counts, per
 	// data block, the frontier pages allocation steered past because
 	// their unit was quarantined; those pages stay free forever (until
 	// the block is erased), so GC victim eligibility must treat a block
 	// whose only free pages are skipped ones as fully written.
-	health       []unitHealth
-	healthCfg    HealthConfig
-	quarCount    int
+	health    []unitHealth
+	healthCfg HealthConfig
+	quarCount int
 	// quarGauge mirrors quarCount atomically so external observers (a
 	// serving tier's circuit breaker) can sample quarantine pressure
 	// without taking the device's command path lock.
@@ -225,6 +235,10 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 		skipped:    make(map[nand.BlockNum]int),
 		stats:      stats,
 	}
+	f.metaBuf = make([]byte, chipCfg.PageSize)
+	f.zeroPage = make([]byte, chipCfg.PageSize)
+	f.zeroCRC = crc32.ChecksumIEEE(f.zeroPage)
+	f.gcBuf = f.newCopyBuf()
 	f.healthCfg = HealthConfig{}.withDefaults()
 	f.health = make([]unitHealth, chipCfg.Units())
 	for i := range f.l2p {
@@ -343,7 +357,8 @@ func (f *FTL) writeData(lpn LPN, data []byte, state uint8, tid uint64) (nand.PPN
 	if err := f.checkLPN(lpn); err != nil {
 		return nand.InvalidPPN, err
 	}
-	ppn, err := f.programData(data, f.dataOOB(lpn, state, tid), false)
+	oob := f.dataOOB(lpn, state, tid)
+	ppn, err := f.programData(data, oob[:], false)
 	if err != nil {
 		return nand.InvalidPPN, err
 	}
@@ -420,7 +435,8 @@ func (f *FTL) retireDataBlock(blk nand.BlockNum) error {
 		f.haveCur = false // abandon the frontier; its free pages are lost
 	}
 	f.removeFreeBlock(blk)
-	buf := make([]byte, f.PageSize())
+	// Not gcBuf: a retirement can start inside a GC copy's program.
+	buf := f.newCopyBuf()
 	ppb := f.chip.Config().PagesPerBlock
 	for pi := 0; pi < ppb; pi++ {
 		ppn := f.chip.PPNOf(blk, pi)
@@ -722,7 +738,6 @@ func (f *FTL) collectOnce() error {
 		}
 	}
 
-	buf := make([]byte, f.PageSize())
 	for pi := 0; pi < ppb; pi++ {
 		ppn := f.chip.PPNOf(victim, pi)
 		st, err := f.chip.State(ppn)
@@ -741,7 +756,7 @@ func (f *FTL) collectOnce() error {
 			continue
 		}
 		f.gcValidCopied++
-		if err := f.relocate(ppn, buf); err != nil {
+		if err := f.relocate(ppn, f.gcBuf); err != nil {
 			return err
 		}
 	}
@@ -834,9 +849,12 @@ func (f *FTL) isLive(ppn nand.PPN) bool {
 // not outrank (or fall behind) the version it is a byte-for-byte copy
 // of in a later recovery scan. When the flash-resident mapping image
 // pointed at the old location, the affected map group is re-flushed so
-// a power cut never references an erased page.
-func (f *FTL) relocate(old nand.PPN, buf []byte) error {
-	oob := make([]byte, f.chip.Config().OOBSize)
+// a power cut never references an erased page. scratch is the caller's
+// copy-back buffer (newCopyBuf): relocate can nest — a failed program
+// retires its block, which relocates that block's pages — so each level
+// of the nest brings its own.
+func (f *FTL) relocate(old nand.PPN, scratch []byte) error {
+	buf, oob := scratch[:f.PageSize()], scratch[f.PageSize():]
 	// GC copy-back reads retry transient interface faults in place; the
 	// queue's retry plane only covers host commands, not firmware-
 	// internal reads.
@@ -878,6 +896,13 @@ func (f *FTL) relocate(old nand.PPN, buf []byte) error {
 		f.hook.Relocated(old, dst)
 	}
 	return f.chip.Invalidate(old)
+}
+
+// newCopyBuf allocates a copy-back scratch for relocate: room for one
+// page followed by its spare area.
+func (f *FTL) newCopyBuf() []byte {
+	cfg := f.chip.Config()
+	return make([]byte, cfg.PageSize+cfg.OOBSize)
 }
 
 // fullMapPages is how many flash pages the whole L2P table occupies.
@@ -980,7 +1005,7 @@ func (f *FTL) FlushDirtyGroups() (int, error) {
 // previous group image current.
 func (f *FTL) persistGroup(g int64) error {
 	tag := metaTag{state: metaStateGroup, group: g, seq: f.nextSeq(), payLen: f.PageSize()}
-	ppn, err := f.metaProgram(f.serializeGroup(f.l2p, g), tag)
+	ppn, err := f.metaProgram(tag, nil, f.l2p)
 	if err != nil {
 		return err
 	}
@@ -1045,7 +1070,7 @@ func (f *FTL) writeMetaSlot(name string, payload []byte, pages int) error {
 			idx: i, length: pages,
 			seq: baseSeq + uint64(i), payLen: len(piece),
 		}
-		ppn, err := f.metaProgram(piece, tag)
+		ppn, err := f.metaProgram(tag, piece, nil)
 		if err != nil {
 			return err
 		}
@@ -1089,10 +1114,19 @@ func (f *FTL) MetaRingBlocks() []nand.BlockNum {
 	return out
 }
 
-// metaProgram programs one page (payload plus checksummed spare record)
+// metaProgram programs one page (content plus checksummed spare record)
 // in the metadata ring and returns its address, advancing to the next
-// ring block as the frontier fills.
-func (f *FTL) metaProgram(payload []byte, tag metaTag) (nand.PPN, error) {
+// ring block as the frontier fills. The content is map group tag.group
+// rendered from groupSrc when that is non-nil, else payload zero-padded
+// to a page; an empty payload is a content-free pad.
+//
+// metaProgram is re-entrant — advancing the frontier re-homes pointed
+// pages, and retiring a failed ring block re-homes and persists the BBT,
+// all through nested metaProgram calls that render into the same
+// metaBuf. The page is therefore rendered inside the loop, after any
+// advance and immediately before its program; payload must not alias
+// metaBuf.
+func (f *FTL) metaProgram(tag metaTag, payload []byte, groupSrc []nand.PPN) (nand.PPN, error) {
 	if f.tracer != nil && f.tracer.FirmOrigin() == trace.OHost {
 		// Host-triggered metadata maintenance (map-group flushes on a
 		// barrier, BBT persists) attributes as meta work; inside a GC,
@@ -1100,9 +1134,6 @@ func (f *FTL) metaProgram(payload []byte, tag metaTag) (nand.PPN, error) {
 		// the write, so keep it.
 		defer f.tracer.SetFirmOrigin(f.tracer.SetFirmOrigin(trace.OMeta))
 	}
-	page := make([]byte, f.PageSize())
-	copy(page, payload)
-	oob := f.metaOOB(tag, crc32.ChecksumIEEE(page))
 	trans := 0
 	for attempt := 0; ; attempt++ {
 		// Loop, not if: re-homing during an advance can fill the fresh
@@ -1112,10 +1143,21 @@ func (f *FTL) metaProgram(payload []byte, tag metaTag) (nand.PPN, error) {
 				return nand.InvalidPPN, err
 			}
 		}
+		page, crc := f.zeroPage, f.zeroCRC
+		if groupSrc != nil || len(payload) > 0 {
+			page = f.metaBuf
+			if groupSrc != nil {
+				f.serializeGroup(page, groupSrc, tag.group)
+			} else {
+				clear(page[copy(page, payload):])
+			}
+			crc = crc32.ChecksumIEEE(page)
+		}
+		oob := f.metaOOB(tag, crc)
 		blk := f.metaBlocks[f.metaCur]
 		ppn := f.chip.PPNOf(blk, f.metaPage)
 		f.metaPage++
-		err := f.chip.ProgramPageOOBInternal(ppn, page, oob)
+		err := f.chip.ProgramPageOOBInternal(ppn, page, oob[:])
 		if err == nil {
 			f.metaTags[ppn] = tag
 			return ppn, nil
@@ -1221,13 +1263,13 @@ func (f *FTL) rehomePointed(blk nand.BlockNum) error {
 		// Regenerate the page content from the RAM mirrors; both are
 		// guaranteed byte-identical to what flash holds (pointers only
 		// flip after successful programs).
-		var payload []byte
+		var moved nand.PPN
+		var err error
 		if tag.state == metaStateGroup {
-			payload = f.serializeGroup(f.persisted, tag.group)
+			moved, err = f.metaProgram(tag, nil, f.persisted)
 		} else {
-			payload = f.slotPagePayload(tag.slot, tag.idx)
+			moved, err = f.metaProgram(tag, f.slotPagePayload(tag.slot, tag.idx), nil)
 		}
-		moved, err := f.metaProgram(payload, tag)
 		if err != nil {
 			return err
 		}

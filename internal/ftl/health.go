@@ -260,7 +260,7 @@ func (f *FTL) drainUnit(unit int) error {
 	chipCfg := f.chip.Config()
 	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
 	units := int64(chipCfg.Units())
-	buf := make([]byte, f.PageSize())
+	buf := f.newCopyBuf()
 	if f.tracer != nil {
 		defer f.tracer.SetFirmOrigin(f.tracer.SetFirmOrigin(trace.OGC))
 	}

@@ -61,17 +61,30 @@ type oobRec struct {
 	b     uint64
 }
 
-// encodeOOB serializes a record with its header CRC.
-func encodeOOB(r oobRec) []byte {
-	buf := make([]byte, oobRecSize)
+// encodeOOB serializes a record with its header CRC. It returns an
+// array so the record can live on the caller's stack: the chip copies
+// the spare bytes it is handed.
+func encodeOOB(r oobRec) [oobRecSize]byte {
+	var buf [oobRecSize]byte
 	binary.LittleEndian.PutUint16(buf[0:2], oobMagic)
 	buf[2] = r.kind
 	buf[3] = r.state
 	binary.LittleEndian.PutUint64(buf[4:12], r.seq)
 	binary.LittleEndian.PutUint64(buf[12:20], r.a)
 	binary.LittleEndian.PutUint64(buf[20:28], r.b)
-	binary.LittleEndian.PutUint32(buf[28:32], crc32.ChecksumIEEE(buf[:28]))
+	binary.LittleEndian.PutUint32(buf[28:32], headerCRC(buf[:28]))
 	return buf
+}
+
+// headerCRC is crc32.ChecksumIEEE for the record header, spelled out
+// bytewise: the library routine dispatches through a function variable,
+// which would force every record it is shown onto the heap.
+func headerCRC(b []byte) uint32 {
+	crc := ^uint32(0)
+	for _, v := range b {
+		crc = crc32.IEEETable[byte(crc)^v] ^ crc>>8
+	}
+	return ^crc
 }
 
 // decodeOOB parses and validates a spare-area record. It reports false
@@ -83,7 +96,7 @@ func decodeOOB(buf []byte) (oobRec, bool) {
 	if binary.LittleEndian.Uint16(buf[0:2]) != oobMagic {
 		return oobRec{}, false
 	}
-	if binary.LittleEndian.Uint32(buf[28:32]) != crc32.ChecksumIEEE(buf[:28]) {
+	if binary.LittleEndian.Uint32(buf[28:32]) != headerCRC(buf[:28]) {
 		return oobRec{}, false
 	}
 	r := oobRec{
@@ -100,7 +113,7 @@ func decodeOOB(buf []byte) (oobRec, bool) {
 }
 
 // dataOOB builds the spare-area record for a data-page program.
-func (f *FTL) dataOOB(lpn LPN, state uint8, tid uint64) []byte {
+func (f *FTL) dataOOB(lpn LPN, state uint8, tid uint64) [oobRecSize]byte {
 	return encodeOOB(oobRec{
 		kind:  oobKindData,
 		state: state,
@@ -125,7 +138,7 @@ type metaTag struct {
 
 // metaOOB builds the spare-area record for a metadata-page program.
 // payCRC covers the full padded flash page.
-func (f *FTL) metaOOB(t metaTag, payCRC uint32) []byte {
+func (f *FTL) metaOOB(t metaTag, payCRC uint32) [oobRecSize]byte {
 	r := oobRec{kind: oobKindMeta, state: t.state, seq: t.seq}
 	if t.state == metaStateGroup {
 		r.a = uint64(t.group)
@@ -158,13 +171,12 @@ func (f *FTL) slotID(name string) uint16 {
 	return f.nextSlotID
 }
 
-// serializeGroup renders one map group as a flash page: 4-byte little-
-// endian PPNs, 0xFFFFFFFF for unmapped entries (the erased-flash
+// serializeGroup renders one map group into buf as a flash page: 4-byte
+// little-endian PPNs, 0xFFFFFFFF for unmapped entries (the erased-flash
 // pattern, as real map pages use). src is f.l2p when persisting the
 // volatile state and f.persisted when regenerating what flash holds.
-func (f *FTL) serializeGroup(src []nand.PPN, g int64) []byte {
+func (f *FTL) serializeGroup(buf []byte, src []nand.PPN, g int64) {
 	per := mapEntriesPerPage(f.PageSize())
-	buf := make([]byte, f.PageSize())
 	lo := g * per
 	for i := int64(0); i < per; i++ {
 		v := uint32(0xFFFFFFFF)
@@ -173,7 +185,6 @@ func (f *FTL) serializeGroup(src []nand.PPN, g int64) []byte {
 		}
 		binary.LittleEndian.PutUint32(buf[i*4:], v)
 	}
-	return buf
 }
 
 // deserializeGroup applies one map-group page image to dst, validating

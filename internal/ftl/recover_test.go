@@ -2,7 +2,9 @@ package ftl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/nand"
@@ -19,7 +21,11 @@ func TestOOBRoundTrip(t *testing.T) {
 		{kind: oobKindMeta, state: metaStateChain, seq: 8, a: 5 | 2<<16 | 4<<32, b: 1},
 	}
 	for _, want := range recs {
-		buf := encodeOOB(want)
+		rec := encodeOOB(want)
+		buf := rec[:]
+		if got, want := binary.LittleEndian.Uint32(buf[28:]), crc32.ChecksumIEEE(buf[:28]); got != want {
+			t.Fatalf("header CRC %#x, want the IEEE checksum %#x", got, want)
+		}
 		got, ok := decodeOOB(buf)
 		if !ok {
 			t.Fatalf("decodeOOB rejected valid record %+v", want)
@@ -336,5 +342,109 @@ func TestRecoveryDurationUsesSimulatedTime(t *testing.T) {
 	scanDur := f.LastRecovery().Duration
 	if scanDur <= imageDur {
 		t.Errorf("scan duration %v not larger than image duration %v", scanDur, imageDur)
+	}
+}
+
+// TestRehomeMidChainKeepsEveryPageIntact pins metaProgram's re-entrancy
+// rule. A content-bearing chain is written so that the ring frontier
+// advances in the middle of it while the block the advance must clean
+// holds pointed pages: cleaning re-homes them through nested metaProgram
+// calls, which render into the same firmware-owned page the outer call
+// uses. Rendered before the advance, the outer chain page would reach
+// flash carrying a re-homed page's bytes under its own checksum. Both
+// mount paths then verify every page: the image path reads each pointed
+// page against its spare-record CRC, and a forced full scan re-derives
+// the chains from nothing but those records.
+func TestRehomeMidChainKeepsEveryPageIntact(t *testing.T) {
+	f, _ := newTestFTL(t)
+	ps, ppb := f.PageSize(), f.chip.Config().PagesPerBlock
+	pad := func(until func() bool) {
+		t.Helper()
+		for i := 0; !until(); i++ {
+			if i > 8*ppb {
+				t.Fatal("ring frontier never reached the wanted position")
+			}
+			if err := f.WriteMetaSlot("pad", 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	payload := func(pages int, salt byte) []byte {
+		p := make([]byte, pages*ps-ps/2)
+		for i := range p {
+			p[i] = byte(i/ps)*16 + salt + byte(i%7)
+		}
+		return p
+	}
+
+	// Pointed pages into ring block 2: a two-page slot chain and the map
+	// groups of a barrier.
+	pad(func() bool { return f.metaCur == 2 && f.metaPage >= 1 })
+	keep := payload(2, 0x40)
+	if err := f.WriteMetaSlotData("keep", keep, 1); err != nil {
+		t.Fatal(err)
+	}
+	lpns := []LPN{1, 5, 9, 200}
+	writeAndBarrier(t, f, lpns)
+	if f.metaCur != 2 {
+		t.Fatalf("set-up spilled out of ring block 2 (frontier in %d)", f.metaCur)
+	}
+	block2 := f.metaBlocks[2]
+	inBlock2 := func() (n int) {
+		for ppn := range f.metaTags {
+			if f.chip.BlockOf(ppn) == block2 {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Frontier to two pages before the end of ring block 0, then a
+	// four-page chain: pages 0-1 fill block 0, page 2 advances into block
+	// 1 and re-homes block 2's pointed pages ahead of itself.
+	pad(func() bool { return f.metaCur == 0 && f.metaPage == ppb-2 })
+	if inBlock2() < 3 {
+		t.Fatalf("only %d pointed pages left in ring block 2; the advance would re-home nothing", inBlock2())
+	}
+	big := payload(4, 0x80)
+	if err := f.WriteMetaSlotData("big", big, 1); err != nil {
+		t.Fatal(err)
+	}
+	if f.metaCur != 1 || inBlock2() != 0 {
+		t.Fatalf("frontier in ring block %d with %d pointed pages still in block 2: no mid-chain re-home happened", f.metaCur, inBlock2())
+	}
+
+	check := func(want RecoveryMode) {
+		t.Helper()
+		if err := f.Restart(); err != nil {
+			t.Fatalf("Restart: %v", err)
+		}
+		info := f.LastRecovery()
+		if info.Mode != want {
+			t.Fatalf("recovery mode %v, want %v (reason %q)", info.Mode, want, info.Reason)
+		}
+		if got := f.MetaSlotData("big"); !bytes.Equal(got, big) {
+			t.Errorf("%v mount: chain written across the advance reads back wrong", want)
+		}
+		if got := f.MetaSlotData("keep"); !bytes.Equal(got, keep) {
+			t.Errorf("%v mount: re-homed chain reads back wrong", want)
+		}
+		verifyPages(t, f, lpns)
+	}
+	f.PowerCut()
+	check(RecoveryImage) // every pointed page passed its payload CRC
+
+	// Force the scan with a casualty that is none of the pages under
+	// test; it must be the scan's only rejected page.
+	if err := f.WriteMetaSlotData("canary", []byte("canary"), 1); err != nil {
+		t.Fatal(err)
+	}
+	f.PowerCut()
+	if _, err := f.CorruptMeta("canary", false); err != nil {
+		t.Fatal(err)
+	}
+	check(RecoveryScan)
+	if info := f.LastRecovery(); info.CRCFailures > 2 { // once per mount path
+		t.Errorf("scan rejected %d pages, want only the canary", info.CRCFailures)
 	}
 }

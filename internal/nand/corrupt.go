@@ -47,7 +47,8 @@ func (c *Chip) CorruptOOB(p PPN, n int) error {
 		return nil
 	}
 	if b.oob[pi] == nil {
-		b.oob[pi] = make([]byte, c.cfg.OOBSize)
+		b.oob[pi] = c.takeBuf(&c.freeOOB, c.cfg.OOBSize)
+		clear(b.oob[pi])
 	}
 	step := len(b.oob[pi]) / n
 	if step == 0 {
@@ -74,8 +75,7 @@ func (c *Chip) DestroyPage(p PPN) error {
 		return fmt.Errorf("nand: destroying free ppn %d", p)
 	}
 	b.torn[pi] = true
-	b.data[pi] = nil
-	b.oob[pi] = nil
+	c.releasePage(b, pi)
 	return nil
 }
 
@@ -90,8 +90,7 @@ func (c *Chip) ZapBlock(blk BlockNum) error {
 	b := &c.blocks[blk]
 	for pi := range b.state {
 		b.state[pi] = PageFree
-		b.data[pi] = nil
-		b.oob[pi] = nil
+		c.releasePage(b, pi)
 		b.torn[pi] = false
 	}
 	b.freeHint = 0

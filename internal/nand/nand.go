@@ -75,9 +75,9 @@ const DefaultOOBSize = 32
 
 // Config describes chip geometry and operation latencies.
 type Config struct {
-	Blocks        int           // number of erase blocks
-	PagesPerBlock int           // pages per erase block
-	PageSize      int           // bytes per page
+	Blocks        int // number of erase blocks
+	PagesPerBlock int // pages per erase block
+	PageSize      int // bytes per page
 	// OOBSize is the per-page spare-area size in bytes. The spare area
 	// is programmed atomically with the page data (one program pulse
 	// covers both, as on real NAND) and read back with it; a torn page
@@ -198,11 +198,19 @@ type Chip struct {
 	opCount   atomic.Int64
 	cutAt     int64 // op index at which power fails; 0 = disarmed
 	powerLost bool
+
+	// Page and spare-area buffers not holding a programmed page: an
+	// erase hands a block's buffers here and a program takes one, so
+	// steady-state programming allocates nothing and the chip never owns
+	// more buffers than it has had pages programmed at once. New buffers
+	// are carved a block's worth at a time.
+	freeData [][]byte
+	freeOOB  [][]byte
 }
 
 type block struct {
-	data       [][]byte    // lazily allocated page payloads
-	oob        [][]byte    // lazily allocated spare-area contents
+	data       [][]byte    // page payloads; nil unless programmed and readable
+	oob        [][]byte    // spare-area contents; nil reads back as zeros
 	state      []PageState // per-page state
 	torn       []bool      // partially programmed/erased pages (never pass ECC)
 	eraseCount int64
@@ -240,6 +248,34 @@ func New(cfg Config, clock *simclock.Clock, stats *metrics.FlashCounters) (*Chip
 
 // Config returns the chip geometry and timing.
 func (c *Chip) Config() Config { return c.cfg }
+
+// takeBuf pops a buffer of the given size off a free list, carving a new
+// slab of one block's worth of buffers when the list is empty. The
+// buffer's content is whatever its last user left.
+func (c *Chip) takeBuf(free *[][]byte, size int) []byte {
+	if len(*free) == 0 {
+		slab := make([]byte, c.cfg.PagesPerBlock*size)
+		for off := len(slab) - size; off >= 0; off -= size {
+			*free = append(*free, slab[off:off+size:off+size])
+		}
+	}
+	buf := (*free)[len(*free)-1]
+	*free = (*free)[:len(*free)-1]
+	return buf
+}
+
+// releasePage takes a page's payload and spare area away (erase, or
+// damage to the medium) and keeps the buffers for the next program.
+func (c *Chip) releasePage(b *block, pi int) {
+	if b.data[pi] != nil {
+		c.freeData = append(c.freeData, b.data[pi])
+		b.data[pi] = nil
+	}
+	if b.oob[pi] != nil {
+		c.freeOOB = append(c.freeOOB, b.oob[pi])
+		b.oob[pi] = nil
+	}
+}
 
 // Clock returns the simulated clock the chip advances.
 func (c *Chip) Clock() *simclock.Clock { return c.clock }
@@ -529,14 +565,12 @@ func (c *Chip) programPage(p PPN, data, oob []byte, internal bool) error {
 		}
 		return fmt.Errorf("%w: ppn %d", ErrProgramFail, p)
 	}
-	if b.data[pi] == nil {
-		b.data[pi] = make([]byte, c.cfg.PageSize)
-	}
+	// A free page holds no buffers (releasePage took them at erase).
+	b.data[pi] = c.takeBuf(&c.freeData, c.cfg.PageSize)
 	copy(b.data[pi], data)
-	b.oob[pi] = nil
 	if len(oob) > 0 {
-		b.oob[pi] = make([]byte, c.cfg.OOBSize)
-		copy(b.oob[pi], oob)
+		b.oob[pi] = c.takeBuf(&c.freeOOB, c.cfg.OOBSize)
+		clear(b.oob[pi][copy(b.oob[pi], oob):])
 	}
 	b.state[pi] = PageValid
 	b.validCount++
@@ -615,8 +649,7 @@ func (c *Chip) EraseBlock(blk BlockNum) error {
 	}
 	for pi := range b.state {
 		b.state[pi] = PageFree
-		b.data[pi] = nil
-		b.oob[pi] = nil
+		c.releasePage(b, pi)
 		b.torn[pi] = false
 	}
 	b.freeHint = 0
@@ -637,8 +670,7 @@ func (c *Chip) EraseBlock(blk BlockNum) error {
 func (c *Chip) wreckBlock(b *block) {
 	for pi := range b.state {
 		b.state[pi] = PageInvalid
-		b.data[pi] = nil
-		b.oob[pi] = nil
+		c.releasePage(b, pi)
 		b.torn[pi] = true
 	}
 	b.freeHint = c.cfg.PagesPerBlock

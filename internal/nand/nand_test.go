@@ -342,3 +342,35 @@ func TestPropertyDataIntegrity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A recycled spare buffer must not leak its previous owner's bytes: a
+// program with a short (or no) spare record reads back zero-padded.
+func TestRecycledSpareReadsBackZeroPadded(t *testing.T) {
+	c, _, _ := newTestChip(t)
+	cfg := c.Config()
+	full := bytes.Repeat([]byte{0xFF}, cfg.OOBSize)
+	if err := c.ProgramPageOOB(0, pageData(cfg, 1), full); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Invalidate(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EraseBlock(0); err != nil {
+		t.Fatal(err)
+	}
+	buf, got := make([]byte, cfg.PageSize), make([]byte, cfg.OOBSize)
+	for pi, oob := range [][]byte{{7, 8}, nil} {
+		p := c.PPNOf(0, pi)
+		if err := c.ProgramPageOOB(p, pageData(cfg, 2), oob); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ReadPageOOB(p, buf, got); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, cfg.OOBSize)
+		copy(want, oob)
+		if !bytes.Equal(got, want) {
+			t.Errorf("page %d spare = %x, want %x", pi, got, want)
+		}
+	}
+}

@@ -20,6 +20,7 @@ package simfs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -105,11 +106,19 @@ type inode struct {
 	pages []int64 // file page index -> device LPN
 }
 
-// inodeImage is the durable snapshot of an inode taken at each
-// journal-commit (or X-FTL commit) point.
+// inodeImage is the durable snapshot of an inode taken at a
+// journal-commit (or X-FTL commit) point. Once published — in persisted,
+// a preparedTx or a Snapshot — an image is immutable, so all three share
+// it instead of copying page tables; imageOf is the only place one is
+// made.
 type inodeImage struct {
 	role  Role
 	pages []int64
+}
+
+// imageOf copies an inode's current state into a fresh image.
+func imageOf(ino *inode) inodeImage {
+	return inodeImage{role: ino.role, pages: slices.Clone(ino.pages)}
 }
 
 // preparedTx is the deferred commit point of a prepared (2PC phase-one)
@@ -141,6 +150,16 @@ type FS struct {
 	// opens may interleave with them freely.
 	mu sync.Mutex
 
+	// wmu serializes the writer path. A file handle has one mutating
+	// session at a time (SQLite's locking), but sessions on different
+	// database files share everything below — the allocator, the dirty
+	// metadata, the namespace images, the transaction-id counter, the I/O
+	// context, the recycled buffers — so every exported method that reads
+	// or writes that state holds wmu for its duration. Unexported helpers
+	// expect it held. Lock order: wmu, then mu, then imu, then the device
+	// queue. Snapshot and RawReader reads do not take it.
+	wmu sync.Mutex
+
 	// imu guards inode page tables and the files map against FileImage,
 	// the one reader-side consumer (WAL view capture) that walks them
 	// from a foreign goroutine. The writer goroutine is the sole
@@ -157,8 +176,12 @@ type FS struct {
 
 	files map[string]*inode
 	// persisted is what a remount after power loss recovers: the
-	// namespace and inodes as of the last metadata commit point.
+	// namespace and inodes as of the last metadata commit point. It is
+	// maintained incrementally: touched names the files whose live inode
+	// (or absence) may differ from persisted, and a commit point re-images
+	// exactly those — every other file's image is already current.
 	persisted map[string]inodeImage
+	touched   map[string]struct{}
 
 	// Data-page allocator over [dataStart, capacity).
 	dataStart int64
@@ -190,6 +213,14 @@ type FS struct {
 	ioSess uint64
 	ioReq  uint64
 	ioObs  []*metrics.IOStats
+	cmd    ncq.Request // the writer path's one command in flight (see submit)
+
+	// freeBufs holds write-back cache pages whose content has reached the
+	// device (or was aborted), for the next WritePage; zeroPage is the
+	// shared read-only payload of every content-free metadata write. The
+	// device copies what it is handed, so both are the file system's alone.
+	freeBufs [][]byte
+	zeroPage []byte
 }
 
 // New formats and mounts a file system on the device. The host counter
@@ -210,6 +241,8 @@ func New(dev *storage.Device, cfg Config, host *metrics.HostCounters) (*FS, erro
 		host:      host,
 		files:     make(map[string]*inode),
 		persisted: make(map[string]inodeImage),
+		touched:   make(map[string]struct{}),
+		zeroPage:  make([]byte, dev.PageSize()),
 		dataStart: metaRegionPages + journalRegionPages,
 		capacity:  dev.LogicalPages(),
 		dirtyMeta: make(map[int64]struct{}),
@@ -249,6 +282,8 @@ func (fs *FS) Tracer() *trace.Tracer { return fs.tracer }
 // session's own IOStats plus its role aggregate, typically). Call from
 // the goroutine holding the write turn; ClearIOContext when done.
 func (fs *FS) SetIOContext(sess uint64, obs ...*metrics.IOStats) {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	fs.ioSess = sess
 	fs.ioReq = 0
 	fs.ioObs = obs
@@ -256,17 +291,27 @@ func (fs *FS) SetIOContext(sess uint64, obs ...*metrics.IOStats) {
 
 // SetIOReq tags subsequent writer-path I/O with a serving-tier request
 // id (0 = none). Same single-writer discipline as SetIOContext.
-func (fs *FS) SetIOReq(req uint64) { fs.ioReq = req }
+func (fs *FS) SetIOReq(req uint64) {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
+	fs.ioReq = req
+}
 
 // ClearIOContext detaches the writer-path I/O attribution.
 func (fs *FS) ClearIOContext() {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	fs.ioSess = 0
 	fs.ioReq = 0
 	fs.ioObs = nil
 }
 
 // IOSession reports the session id of the current writer context.
-func (fs *FS) IOSession() uint64 { return fs.ioSess }
+func (fs *FS) IOSession() uint64 {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
+	return fs.ioSess
+}
 
 // noteRead counts one host page read — globally, into every attached
 // stat context (with the command's device latency), and as a trace
@@ -317,18 +362,32 @@ func (fs *FS) noteWrite(class int64, lpn int64, tid uint64) {
 		fs.tracer.Record(trace.Event{
 			Layer: trace.LFS, Kind: trace.KFSWrite,
 			Start: fs.tracer.Now(),
-			Addr: lpn, Aux: class, Sess: fs.ioSess, Req: fs.ioReq, TID: tid, Origin: origin,
+			Addr:  lpn, Aux: class, Sess: fs.ioSess, Req: fs.ioReq, TID: tid, Origin: origin,
 		})
 	}
 }
 
+// submit runs one writer-path command to completion, attributed to the
+// current I/O context, and returns it for its timings. The command lives
+// in the file system rather than on the heap: the writer path issues one
+// at a time (the single-writer discipline), and the queue keeps nothing
+// of a command once it has returned.
+func (fs *FS) submit(r ncq.Request) (*ncq.Request, error) {
+	r.Sess, r.Req = fs.ioSess, fs.ioReq
+	fs.cmd = r
+	return &fs.cmd, fs.dev.Queue().SubmitWait(&fs.cmd)
+}
+
 // barrier issues a session-attributed write barrier.
 func (fs *FS) barrier() error {
-	return fs.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpBarrier, Sess: fs.ioSess, Req: fs.ioReq})
+	_, err := fs.submit(ncq.Request{Op: ncq.OpBarrier})
+	return err
 }
 
 // FreePages reports how many data pages remain unallocated.
 func (fs *FS) FreePages() int64 {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	return (fs.capacity - fs.nextAlloc) + int64(len(fs.freeList))
 }
 
@@ -380,6 +439,8 @@ func (fs *FS) markMeta(lpns ...int64) {
 
 // Create makes a new empty file.
 func (fs *FS) Create(name string, role Role) (*File, error) {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	if err := fs.check(); err != nil {
 		return nil, err
 	}
@@ -390,12 +451,15 @@ func (fs *FS) Create(name string, role Role) (*File, error) {
 	fs.imu.Lock()
 	fs.files[name] = ino
 	fs.imu.Unlock()
+	fs.touch(name)
 	fs.markMeta(fs.dirPage(), fs.inodePage(name))
 	return fs.newFile(ino), nil
 }
 
 // Open returns a handle to an existing file.
 func (fs *FS) Open(name string) (*File, error) {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	if err := fs.check(); err != nil {
 		return nil, err
 	}
@@ -408,6 +472,8 @@ func (fs *FS) Open(name string) (*File, error) {
 
 // Exists reports whether a file is present in the namespace.
 func (fs *FS) Exists(name string) bool {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	_, ok := fs.files[name]
 	return ok
 }
@@ -417,6 +483,8 @@ func (fs *FS) Exists(name string) bool {
 // SQLite's rollback mode relies on deletion being atomic; the paper
 // notes this is guaranteed by metadata journaling (or, here, by X-FTL).
 func (fs *FS) Remove(name string) error {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	if err := fs.check(); err != nil {
 		return err
 	}
@@ -428,7 +496,7 @@ func (fs *FS) Remove(name string) error {
 		if lpn < 0 {
 			continue
 		}
-		if err := fs.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpTrim, LPN: lpn, Sess: fs.ioSess, Req: fs.ioReq}); err != nil {
+		if _, err := fs.submit(ncq.Request{Op: ncq.OpTrim, LPN: lpn}); err != nil {
 			return err
 		}
 		// The page becomes reusable only after the deletion is durable
@@ -440,6 +508,7 @@ func (fs *FS) Remove(name string) error {
 	fs.imu.Lock()
 	delete(fs.files, name)
 	fs.imu.Unlock()
+	fs.touch(name)
 	fs.markMeta(fs.dirPage(), fs.inodePage(name))
 	// Deletion durability rides the next journal commit; SQLite's
 	// correctness only needs atomicity, which the journal (or X-FTL
@@ -449,6 +518,8 @@ func (fs *FS) Remove(name string) error {
 
 // Files lists the current namespace in sorted order.
 func (fs *FS) Files() []string {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	names := make([]string, 0, len(fs.files))
 	for n := range fs.files {
 		names = append(names, n)
@@ -457,21 +528,25 @@ func (fs *FS) Files() []string {
 	return names
 }
 
-// namespaceImage snapshots every inode as a durable image set.
-func (fs *FS) namespaceImage() map[string]inodeImage {
-	img := make(map[string]inodeImage, len(fs.files))
-	for name, ino := range fs.files {
-		pages := make([]int64, len(ino.pages))
-		copy(pages, ino.pages)
-		img[name] = inodeImage{role: ino.role, pages: pages}
-	}
-	return img
-}
+// touch records that a file was created or removed, or that its page
+// table changed, since the last commit point. Every assignment to an
+// inode's pages (and every change to the files map) outside Remount
+// must be followed by one.
+func (fs *FS) touch(name string) { fs.touched[name] = struct{}{} }
 
-// commitPoint snapshots the namespace as the durable image a remount
-// would recover, and clears the dirty-metadata set.
+// commitPoint brings the durable image a remount would recover up to
+// the live namespace — re-imaging only the files touched since the last
+// commit point, so its cost does not grow with the file system — and
+// clears the dirty-metadata set.
 func (fs *FS) commitPoint() {
-	fs.persisted = fs.namespaceImage()
+	for name := range fs.touched {
+		if ino, ok := fs.files[name]; ok {
+			fs.persisted[name] = imageOf(ino)
+		} else {
+			delete(fs.persisted, name)
+		}
+	}
+	clear(fs.touched)
 	fs.freeList = append(fs.freeList, fs.pendingFree...)
 	fs.pendingFree = fs.pendingFree[:0]
 	clear(fs.dirtyMeta)
@@ -489,12 +564,10 @@ func (fs *FS) journalCommit(dataPages [][]byte) error {
 		lpn := metaRegionPages + fs.journalHead
 		fs.journalHead = (fs.journalHead + 1) % journalRegionPages
 		fs.noteWrite(trace.WFSMeta, lpn, 0)
-		return fs.dev.Queue().SubmitWait(&ncq.Request{
-			Op: ncq.OpWrite, LPN: lpn, Data: payload,
-			Sess: fs.ioSess, Req: fs.ioReq, Origin: trace.OMeta,
-		})
+		_, err := fs.submit(ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: payload, Origin: trace.OMeta})
+		return err
 	}
-	blank := make([]byte, fs.PageSize())
+	blank := fs.zeroPage
 	if err := writeJournalPage(blank); err != nil { // descriptor
 		return err
 	}
@@ -521,6 +594,8 @@ func (fs *FS) journalCommit(dataPages [][]byte) error {
 // PowerCut simulates power loss below the file system: caches vanish
 // and the device loses its volatile state.
 func (fs *FS) PowerCut() {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	fs.epoch.Add(1)
 	fs.mounted = false
 	fs.dev.PowerCut()
@@ -535,6 +610,8 @@ func (fs *FS) Epoch() uint64 { return fs.epoch.Load() }
 // last metadata commit point (journal replay). Unreferenced data pages
 // are returned to the allocator.
 func (fs *FS) Remount() error {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	if fs.mounted {
 		return nil
 	}
@@ -567,16 +644,15 @@ func (fs *FS) Remount() error {
 	fs.files = make(map[string]*inode)
 	used := make(map[int64]bool)
 	for name, img := range fs.persisted {
-		pages := make([]int64, len(img.pages))
-		copy(pages, img.pages)
-		fs.files[name] = &inode{name: name, role: img.role, pages: pages}
-		for _, l := range pages {
+		fs.files[name] = &inode{name: name, role: img.role, pages: slices.Clone(img.pages)}
+		for _, l := range img.pages {
 			if l >= 0 {
 				used[l] = true
 			}
 		}
 	}
 	fs.imu.Unlock()
+	clear(fs.touched) // every live inode was just rebuilt from its image
 	// Pages referenced only by a still-in-doubt prepared image must not
 	// be reallocated while the coordinator's decision is pending.
 	for _, prep := range fs.prepared {
@@ -661,6 +737,8 @@ func (f *File) AdoptTx(tid uint64) { f.tid = tid }
 // the file as needed. Content is cached; device writes happen on cache
 // pressure or fsync.
 func (f *File) WritePage(idx int64, data []byte) error {
+	f.fs.wmu.Lock()
+	defer f.fs.wmu.Unlock()
 	if err := f.check(); err != nil {
 		return err
 	}
@@ -674,23 +752,48 @@ func (f *File) WritePage(idx int64, data []byte) error {
 			f.fs.markMeta(f.fs.inodePage(f.ino.name)) // size change
 		}
 		f.fs.imu.Unlock()
+		f.fs.touch(f.ino.name)
 	}
-	if _, ok := f.dirty[idx]; !ok {
+	buf, ok := f.dirty[idx]
+	if !ok {
 		f.order = append(f.order, idx)
+		buf = f.fs.takeBuf()
+		f.dirty[idx] = buf
 	}
-	buf := make([]byte, f.fs.PageSize())
-	copy(buf, data)
-	f.dirty[idx] = buf
+	clear(buf[copy(buf, data):])
 	if len(f.dirty) > f.fs.cfg.MaxDirtyPages {
 		return f.writeBackSome(len(f.dirty) - f.fs.cfg.MaxDirtyPages)
 	}
 	return nil
 }
 
+// takeBuf returns a page buffer for the write-back cache, one released
+// by an earlier write-back when there is one. Content is unspecified.
+func (fs *FS) takeBuf() []byte {
+	if n := len(fs.freeBufs); n > 0 {
+		buf := fs.freeBufs[n-1]
+		fs.freeBufs = fs.freeBufs[:n-1]
+		return buf
+	}
+	return make([]byte, fs.PageSize())
+}
+
+// release drops a page from the file's write-back cache — its content
+// has reached the device, or is being discarded — and keeps the buffer
+// for a later WritePage.
+func (f *File) release(idx int64) {
+	if buf, ok := f.dirty[idx]; ok {
+		f.fs.freeBufs = append(f.fs.freeBufs, buf)
+		delete(f.dirty, idx)
+	}
+}
+
 // ReadPage fetches a full page, preferring the write-back cache, then
 // the device (with the file's transaction id in OffXFTL mode, so a
 // transaction reads its own stolen writes back).
 func (f *File) ReadPage(idx int64, buf []byte) error {
+	f.fs.wmu.Lock()
+	defer f.fs.wmu.Unlock()
 	if err := f.check(); err != nil {
 		return err
 	}
@@ -706,12 +809,12 @@ func (f *File) ReadPage(idx int64, buf []byte) error {
 		clear(buf[:min(len(buf), f.fs.PageSize())])
 		return nil
 	}
-	r := ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf, Sess: f.fs.ioSess, Req: f.fs.ioReq}
+	r := ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}
 	if f.fs.cfg.Mode == OffXFTL && f.tid != 0 {
 		r.Op, r.TID = ncq.OpReadTx, f.tid
 	}
-	err := f.fs.dev.Queue().SubmitWait(&r)
-	f.fs.noteRead(&r, f.fs.ioObs)
+	done, err := f.fs.submit(r)
+	f.fs.noteRead(done, f.fs.ioObs)
 	return err
 }
 
@@ -737,6 +840,7 @@ func (f *File) ensureLPN(idx int64) (int64, error) {
 	f.fs.imu.Lock()
 	f.ino.pages[idx] = lpn
 	f.fs.imu.Unlock()
+	f.fs.touch(f.ino.name)
 	f.fs.markMeta(f.fs.bitmapPage(lpn), f.fs.inodePage(f.ino.name))
 	return lpn, nil
 }
@@ -748,12 +852,13 @@ func (f *File) writeData(idx int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	r := ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: data, Sess: f.fs.ioSess, Req: f.fs.ioReq}
+	r := ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: data}
 	if f.fs.cfg.Mode == OffXFTL {
 		r.Op, r.TID = ncq.OpWriteTx, f.tidFor()
 	}
 	f.fs.noteWrite(f.writeClass(), lpn, r.TID)
-	return f.fs.dev.Queue().SubmitWait(&r)
+	_, err = f.fs.submit(r)
+	return err
 }
 
 // writeBackSome evicts the oldest n dirty pages (cache pressure). In
@@ -770,28 +875,30 @@ func (f *File) writeBackSome(n int) error {
 		if err := f.writeData(idx, data); err != nil {
 			return err
 		}
-		delete(f.dirty, idx)
+		f.release(idx)
 		n--
 	}
 	return nil
 }
 
-// flushDirty writes every cached page home in first-write order and
-// returns the flushed payloads (Full mode journals them first).
-func (f *File) flushDirty() ([][]byte, error) {
-	var payloads [][]byte
-	for _, idx := range f.order {
-		data, ok := f.dirty[idx]
-		if !ok {
-			continue
+// flushDirty writes every cached page home in first-write order; Full
+// mode journals the payloads first. A page's buffer is released only
+// after its home write, so the journal and the home write see the same
+// bytes.
+func (f *File) flushDirty() error {
+	if f.fs.cfg.Mode == Full {
+		var payloads [][]byte
+		for _, idx := range f.order {
+			if data, ok := f.dirty[idx]; ok {
+				payloads = append(payloads, data)
+			}
 		}
-		payloads = append(payloads, data)
-	}
-	if f.fs.cfg.Mode == Full && len(payloads) > 0 {
-		// Data journaling: the payloads go through the journal before
-		// the home-location writes.
-		if err := f.fs.journalCommit(payloads); err != nil {
-			return nil, err
+		if len(payloads) > 0 {
+			// Data journaling: the payloads go through the journal before
+			// the home-location writes.
+			if err := f.fs.journalCommit(payloads); err != nil {
+				return err
+			}
 		}
 	}
 	for _, idx := range f.order {
@@ -800,12 +907,12 @@ func (f *File) flushDirty() ([][]byte, error) {
 			continue
 		}
 		if err := f.writeData(idx, data); err != nil {
-			return nil, err
+			return err
 		}
-		delete(f.dirty, idx)
+		f.release(idx)
 	}
 	f.order = f.order[:0]
-	return payloads, nil
+	return nil
 }
 
 // Fsync makes the file's data and metadata durable according to the
@@ -818,6 +925,8 @@ func (f *File) flushDirty() ([][]byte, error) {
 //   - OffXFTL: transactional home writes followed by a single
 //     commit(t), which is simultaneously the write barrier.
 func (f *File) Fsync() error {
+	f.fs.wmu.Lock()
+	defer f.fs.wmu.Unlock()
 	if err := f.check(); err != nil {
 		return err
 	}
@@ -852,12 +961,10 @@ func (f *File) writeMetaTx() error {
 	}
 	slices.Sort(lpns)
 	tid := f.tidFor()
-	blank := make([]byte, f.fs.PageSize())
 	for _, lpn := range lpns {
 		f.fs.noteWrite(trace.WFSMeta, lpn, tid)
-		if err := f.fs.dev.Queue().SubmitWait(&ncq.Request{
-			Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: blank,
-			Sess: f.fs.ioSess, Req: f.fs.ioReq, Origin: trace.OMeta,
+		if _, err := f.fs.submit(ncq.Request{
+			Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: f.fs.zeroPage, Origin: trace.OMeta,
 		}); err != nil {
 			return err
 		}
@@ -868,7 +975,7 @@ func (f *File) writeMetaTx() error {
 func (f *File) fsync() error {
 	switch f.fs.cfg.Mode {
 	case Ordered:
-		if _, err := f.flushDirty(); err != nil {
+		if err := f.flushDirty(); err != nil {
 			return err
 		}
 		if err := f.fs.barrier(); err != nil {
@@ -882,18 +989,16 @@ func (f *File) fsync() error {
 		// above always ran, matching fdatasync-like behaviour.
 		return nil
 	case Full:
-		if _, err := f.flushDirty(); err != nil {
+		if err := f.flushDirty(); err != nil {
 			return err
 		}
 		// flushDirty journaled data (+ metadata) and barriered; if only
 		// metadata is pending (no data), commit it now.
 		return f.fs.journalCommit(nil)
 	case OffXFTL:
-		if _, err := f.flushDirty(); err != nil {
+		if err := f.flushDirty(); err != nil {
 			return err
 		}
-		// Metadata home writes ride the same transaction: X-FTL makes
-		// them atomic with the data, replacing the metadata journal.
 		if err := f.writeMetaTx(); err != nil {
 			return err
 		}
@@ -908,9 +1013,7 @@ func (f *File) fsync() error {
 		// pairing the new device state with the old namespace image.
 		f.fs.mu.Lock()
 		defer f.fs.mu.Unlock()
-		if err := f.fs.dev.Queue().SubmitWait(&ncq.Request{
-			Op: ncq.OpCommit, TID: tid, Sess: f.fs.ioSess, Req: f.fs.ioReq,
-		}); err != nil {
+		if _, err := f.fs.submit(ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
 			return err
 		}
 		f.tid = 0
@@ -937,13 +1040,15 @@ func (f *File) fsync() error {
 // across the window. Unrelated files on the same file system may commit
 // freely; their images are not captured.
 func (f *File) Prepare(group ...string) (uint64, error) {
+	f.fs.wmu.Lock()
+	defer f.fs.wmu.Unlock()
 	if err := f.check(); err != nil {
 		return 0, err
 	}
 	if f.fs.cfg.Mode != OffXFTL {
 		return 0, fmt.Errorf("simfs: Prepare requires OffXFTL mode, have %v", f.fs.cfg.Mode)
 	}
-	if _, err := f.flushDirty(); err != nil {
+	if err := f.flushDirty(); err != nil {
 		return 0, err
 	}
 	if err := f.writeMetaTx(); err != nil {
@@ -958,21 +1063,15 @@ func (f *File) Prepare(group ...string) (uint64, error) {
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if err := f.fs.dev.Queue().SubmitWait(&ncq.Request{
-		Op: ncq.OpPrepare, TID: tid, Sess: f.fs.ioSess, Req: f.fs.ioReq,
-	}); err != nil {
+	if _, err := f.fs.submit(ncq.Request{Op: ncq.OpPrepare, TID: tid}); err != nil {
 		return 0, err
 	}
 	names := append([]string{f.ino.name}, group...)
 	images := make(map[string]inodeImage, len(names))
 	for _, name := range names {
-		ino, ok := f.fs.files[name]
-		if !ok {
-			continue
+		if ino, ok := f.fs.files[name]; ok {
+			images[name] = imageOf(ino)
 		}
-		pages := make([]int64, len(ino.pages))
-		copy(pages, ino.pages)
-		images[name] = inodeImage{role: ino.role, pages: pages}
 	}
 	f.fs.prepared[tid] = &preparedTx{images: images}
 	clear(f.fs.dirtyMeta)
@@ -984,6 +1083,8 @@ func (f *File) Prepare(group ...string) (uint64, error) {
 // FinishPrepared applies the coordinator's decision to this handle's
 // prepared transaction and releases the handle's transaction id.
 func (f *File) FinishPrepared(commit bool) error {
+	f.fs.wmu.Lock()
+	defer f.fs.wmu.Unlock()
 	if err := f.check(); err != nil {
 		return err
 	}
@@ -992,7 +1093,7 @@ func (f *File) FinishPrepared(commit bool) error {
 	if tid == 0 {
 		return nil
 	}
-	return f.fs.ResolveInDoubt(tid, commit)
+	return f.fs.resolveInDoubt(tid, commit)
 }
 
 // ResolveInDoubt applies a coordinator decision to a prepared
@@ -1003,6 +1104,12 @@ func (f *File) FinishPrepared(commit bool) error {
 // retracts the prepare and reverts every inode to its last committed
 // image.
 func (fs *FS) ResolveInDoubt(tid uint64, commit bool) error {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
+	return fs.resolveInDoubt(tid, commit)
+}
+
+func (fs *FS) resolveInDoubt(tid uint64, commit bool) error {
 	if err := fs.check(); err != nil {
 		return err
 	}
@@ -1016,9 +1123,7 @@ func (fs *FS) ResolveInDoubt(tid uint64, commit bool) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.dev.Queue().SubmitWait(&ncq.Request{
-		Op: op, TID: tid, Sess: fs.ioSess, Req: fs.ioReq,
-	}); err != nil {
+	if _, err := fs.submit(ncq.Request{Op: op, TID: tid}); err != nil {
 		return err
 	}
 	delete(fs.prepared, tid)
@@ -1027,16 +1132,14 @@ func (fs *FS) ResolveInDoubt(tid uint64, commit bool) error {
 	fs.imu.Lock()
 	defer fs.imu.Unlock()
 	for name, img := range prep.images {
+		fs.touch(name)
 		if commit {
 			// Promote the prepared image to the durable commit point and
 			// make the live inode match (a no-op in the live path — the
 			// inode already holds the prepared state — and the real work
 			// after a remount rebuilt inodes from the old images).
-			pages := make([]int64, len(img.pages))
-			copy(pages, img.pages)
-			fs.persisted[name] = inodeImage{role: img.role, pages: pages}
-			live := make([]int64, len(img.pages))
-			copy(live, img.pages)
+			fs.persisted[name] = img
+			live := slices.Clone(img.pages)
 			if ino, ok := fs.files[name]; ok {
 				ino.role = img.role
 				ino.pages = live
@@ -1063,8 +1166,7 @@ func (fs *FS) ResolveInDoubt(tid uint64, commit bool) error {
 			delete(fs.files, name)
 			continue
 		}
-		pages := make([]int64, len(old.pages))
-		copy(pages, old.pages)
+		pages := slices.Clone(old.pages)
 		if ino, ok := fs.files[name]; ok {
 			ino.role = old.role
 			ino.pages = pages
@@ -1079,6 +1181,8 @@ func (fs *FS) ResolveInDoubt(tid uint64, commit bool) error {
 // unknown after a remount. Each must be resolved with ResolveInDoubt
 // before new writers are admitted.
 func (fs *FS) InDoubt() []uint64 {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	ids := make([]uint64, 0, len(fs.prepared))
 	for tid := range fs.prepared {
 		ids = append(ids, tid)
@@ -1092,23 +1196,24 @@ func (fs *FS) InDoubt() []uint64 {
 // rolled back inside the device via abort(t), and the inode reverts to
 // its last durable image.
 func (f *File) Abort() error {
+	f.fs.wmu.Lock()
+	defer f.fs.wmu.Unlock()
 	if err := f.check(); err != nil {
 		return err
 	}
-	f.dirty = make(map[int64][]byte)
+	for idx := range f.dirty {
+		f.release(idx)
+	}
 	f.order = f.order[:0]
 	if f.fs.cfg.Mode == OffXFTL && f.tid != 0 {
-		if err := f.fs.dev.Queue().SubmitWait(&ncq.Request{
-			Op: ncq.OpAbort, TID: f.tid, Sess: f.fs.ioSess, Req: f.fs.ioReq,
-		}); err != nil {
+		if _, err := f.fs.submit(ncq.Request{Op: ncq.OpAbort, TID: f.tid}); err != nil {
 			return err
 		}
 		f.tid = 0
 	}
 	// Revert inode growth performed by the aborted window.
 	if img, ok := f.fs.persisted[f.ino.name]; ok {
-		pages := make([]int64, len(img.pages))
-		copy(pages, img.pages)
+		pages := slices.Clone(img.pages)
 		// Return pages allocated after the snapshot to the allocator.
 		seen := make(map[int64]bool, len(pages))
 		for _, l := range pages {
@@ -1134,12 +1239,15 @@ func (f *File) Abort() error {
 		f.ino.pages = nil
 		f.fs.imu.Unlock()
 	}
+	f.fs.touch(f.ino.name)
 	return nil
 }
 
 // Truncate shrinks (or zero-extends) the file to n pages. Shrinking
 // trims the device pages; SQLite uses this to reset its WAL.
 func (f *File) Truncate(n int64) error {
+	f.fs.wmu.Lock()
+	defer f.fs.wmu.Unlock()
 	if err := f.check(); err != nil {
 		return err
 	}
@@ -1149,13 +1257,13 @@ func (f *File) Truncate(n int64) error {
 	for int64(len(f.ino.pages)) > n {
 		idx := int64(len(f.ino.pages)) - 1
 		if lpn := f.ino.pages[idx]; lpn >= 0 {
-			if err := f.fs.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpTrim, LPN: lpn, Sess: f.fs.ioSess, Req: f.fs.ioReq}); err != nil {
+			if _, err := f.fs.submit(ncq.Request{Op: ncq.OpTrim, LPN: lpn}); err != nil {
 				return err
 			}
 			f.fs.pendingFree = append(f.fs.pendingFree, lpn)
 			f.fs.markMeta(f.fs.bitmapPage(lpn))
 		}
-		delete(f.dirty, idx)
+		f.release(idx)
 		f.fs.imu.Lock()
 		f.ino.pages = f.ino.pages[:idx]
 		f.fs.imu.Unlock()
@@ -1167,6 +1275,7 @@ func (f *File) Truncate(n int64) error {
 		}
 		f.fs.imu.Unlock()
 	}
+	f.fs.touch(f.ino.name)
 	f.fs.markMeta(f.fs.inodePage(f.ino.name))
 	// Drop cached pages beyond the new end from the write order.
 	kept := f.order[:0]
@@ -1192,6 +1301,8 @@ func (f *File) Close() error {
 // under one shared transaction id before a single Fsync commits them
 // all (the multi-file atomic update of the paper's §4.3).
 func (f *File) FlushAll() error {
+	f.fs.wmu.Lock()
+	defer f.fs.wmu.Unlock()
 	if err := f.check(); err != nil {
 		return err
 	}
@@ -1201,9 +1312,9 @@ func (f *File) FlushAll() error {
 // Snapshot is a point-in-time read-only view of the file system: the
 // namespace and file extents as of the last commit point, with page
 // content served from the device versions pinned at open. A Snapshot
-// never blocks on — and is never changed by — the concurrent writer;
-// its methods are safe to call from any goroutine, as reads touch only
-// the handle's own copied inode images and the device queue.
+// never blocks on — and is never changed by — the concurrent writer:
+// reads touch only the handle's own fields, immutable inode images and
+// the device queue. One goroutine at a time may use a handle.
 type Snapshot struct {
 	fs        *FS
 	id        core.SnapID
@@ -1214,11 +1325,13 @@ type Snapshot struct {
 	closed    bool
 
 	// Reader-side I/O attribution, set by the owning session before
-	// first use (SetIOContext). Only this snapshot's goroutine reads
-	// them, so plain fields suffice.
+	// first use (SetIOContext), and the handle's one read command in
+	// flight. Only the goroutine that owns the snapshot touches them, so
+	// plain fields suffice.
 	sess uint64
 	req  uint64
 	obs  []*metrics.IOStats
+	cmd  ncq.Request
 }
 
 // OpenSnapshot pins the current committed state — device page versions
@@ -1238,17 +1351,11 @@ func (fs *FS) OpenSnapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Copy the persisted (committed) namespace, not the live one: the
-	// live inodes may carry uncommitted growth or truncation from the
-	// writer's open transaction, which the pinned device versions do not
-	// reflect.
-	img := make(map[string]inodeImage, len(fs.persisted))
-	for name, im := range fs.persisted {
-		pages := make([]int64, len(im.pages))
-		copy(pages, im.pages)
-		img[name] = inodeImage{role: im.role, pages: pages}
-	}
-	return &Snapshot{fs: fs, id: id, seq: seq, epoch: fs.epoch.Load(), inodes: img}, nil
+	// The persisted (committed) namespace, not the live one: the live
+	// inodes may carry uncommitted growth or truncation from the writer's
+	// open transaction, which the pinned device versions do not reflect.
+	// Only the name table is copied; the images are immutable and shared.
+	return &Snapshot{fs: fs, id: id, seq: seq, epoch: fs.epoch.Load(), inodes: maps.Clone(fs.persisted)}, nil
 }
 
 // SetPipelined selects asynchronous page reads: ReadPage submits
@@ -1310,17 +1417,18 @@ func (s *Snapshot) ReadPage(name string, idx int64, buf []byte) error {
 		clear(buf[:min(len(buf), s.fs.PageSize())])
 		return nil
 	}
-	r := ncq.Request{Op: ncq.OpSnapRead, TID: uint64(s.id), LPN: lpn, Buf: buf, Sess: s.sess, Req: s.req}
+	r := &s.cmd
+	*r = ncq.Request{Op: ncq.OpSnapRead, TID: uint64(s.id), LPN: lpn, Buf: buf, Sess: s.sess, Req: s.req}
 	var err error
 	if s.pipelined {
 		// Asynchronous submit: Done is still filled in (virtual
 		// completion is computed at submission), so the latency
 		// observation below sees the same window either way.
-		err = s.fs.dev.Queue().Submit(&r)
+		err = s.fs.dev.Queue().Submit(r)
 	} else {
-		err = s.fs.dev.Queue().SubmitWait(&r)
+		err = s.fs.dev.Queue().SubmitWait(r)
 	}
-	s.fs.noteRead(&r, s.obs)
+	s.fs.noteRead(r, s.obs)
 	return err
 }
 
@@ -1364,6 +1472,7 @@ type RawReader struct {
 	sess      uint64
 	req       uint64
 	obs       []*metrics.IOStats
+	cmd       ncq.Request // the reader's one command in flight
 }
 
 // NewRawReader returns a device-page reader for WAL view resolution.
@@ -1391,13 +1500,14 @@ func (r *RawReader) Session() uint64 { return r.sess }
 
 // ReadLPN reads one device page by LPN.
 func (r *RawReader) ReadLPN(lpn int64, buf []byte) error {
-	req := ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf, Sess: r.sess, Req: r.req}
+	req := &r.cmd
+	*req = ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf, Sess: r.sess, Req: r.req}
 	var err error
 	if r.pipelined {
-		err = r.fs.dev.Queue().Submit(&req)
+		err = r.fs.dev.Queue().Submit(req)
 	} else {
-		err = r.fs.dev.Queue().SubmitWait(&req)
+		err = r.fs.dev.Queue().SubmitWait(req)
 	}
-	r.fs.noteRead(&req, r.obs)
+	r.fs.noteRead(req, r.obs)
 	return err
 }

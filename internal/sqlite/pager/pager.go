@@ -98,6 +98,7 @@ type Page struct {
 	data  []byte
 	dirty bool
 	pins  int
+	slot  uint64 // which fifo entry is this page's (see Pager.fifo)
 	pager *Pager
 }
 
@@ -107,6 +108,12 @@ func (pg *Page) Pgno() Pgno { return pg.pgno }
 // Data returns the page payload. Mutating it without Write first is a
 // bug that the rollback path will not protect against.
 func (pg *Page) Data() []byte { return pg.data }
+
+// fifoEntry is one position in the eviction queue.
+type fifoEntry struct {
+	pgno Pgno
+	slot uint64
+}
 
 // Pager manages one database file. It is not safe for concurrent use —
 // SQLite serializes writers at database granularity (§6.2), and so do
@@ -124,7 +131,26 @@ type Pager struct {
 	readOnly bool
 
 	cache map[Pgno]*Page
-	clock []Pgno // second-chance eviction order
+
+	// fifo is the eviction queue: one entry per page load, oldest at
+	// fifo[head]. The victim is the oldest unpinned resident page (FIFO;
+	// pinned pages keep their place). An entry is live while the cache
+	// maps its pgno to a page carrying its slot number; eviction and
+	// rollback leave dead entries behind, which the hand skips. dropped
+	// remembers the slot of each page a rollback removed from the cache
+	// since the last eviction pass: reloaded before the next pass, such a
+	// page takes its old place in the queue back.
+	fifo     []fifoEntry
+	head     int
+	nextSlot uint64
+	dropped  map[Pgno]uint64
+
+	// spare is the frame buffer of the last evicted page, which the miss
+	// that caused the eviction reads into; scratch is a page for commit
+	// records and checkpoint copies (the file system copies what it is
+	// written).
+	spare   []byte
+	scratch []byte
 
 	nPages   Pgno   // database size in pages (>= 1 once open)
 	freelist []Pgno // reusable page numbers, persisted in page 1
@@ -522,10 +548,11 @@ func (p *Pager) Get(pgno Pgno) (*Page, error) {
 	if err := p.makeRoom(); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, p.PageSize())
+	buf := p.takeFrame()
 	tr := p.tracer()
 	rdStart := tr.Now()
 	if err := p.readDBPage(pgno, buf); err != nil {
+		p.spare = buf
 		return nil, err
 	}
 	if tr != nil {
@@ -538,10 +565,40 @@ func (p *Pager) Get(pgno Pgno) (*Page, error) {
 		// current in-memory header state.
 		p.encodeHeader(buf)
 	}
-	pg := &Page{pgno: pgno, data: buf, pins: 1, pager: p}
+	return p.install(pgno, buf), nil
+}
+
+// takeFrame returns a page buffer for a cache miss: the frame of the
+// page makeRoom just evicted when there is one. Content is unspecified.
+func (p *Pager) takeFrame() []byte {
+	if buf := p.spare; buf != nil {
+		p.spare = nil
+		return buf
+	}
+	return make([]byte, p.PageSize())
+}
+
+// install caches a freshly loaded page, pinned once, at the tail of the
+// eviction queue — or at its old place, if a rollback dropped it and no
+// eviction pass has run since.
+func (p *Pager) install(pgno Pgno, data []byte) *Page {
+	pg := &Page{pgno: pgno, data: data, pins: 1, pager: p}
+	if slot, ok := p.dropped[pgno]; ok {
+		delete(p.dropped, pgno)
+		pg.slot = slot
+	} else {
+		if p.head > len(p.fifo)/2 {
+			// More consumed than queued: slide the queue down rather
+			// than let the slice creep through memory.
+			p.fifo = p.fifo[:copy(p.fifo, p.fifo[p.head:])]
+			p.head = 0
+		}
+		p.nextSlot++
+		pg.slot = p.nextSlot
+		p.fifo = append(p.fifo, fifoEntry{pgno, pg.slot})
+	}
 	p.cache[pgno] = pg
-	p.clock = append(p.clock, pgno)
-	return pg, nil
+	return pg
 }
 
 // Release unpins a page obtained from Get or Allocate.
@@ -551,35 +608,53 @@ func (pg *Page) Release() {
 	}
 }
 
-// makeRoom evicts unpinned pages until the cache is under its limit.
-// Dirty evictions are the steal policy: uncommitted content reaches
-// storage under whatever protection the journal mode provides.
+// makeRoom evicts unpinned pages, oldest load first, until the cache is
+// under its limit. Dirty evictions are the steal policy: uncommitted
+// content reaches storage under whatever protection the journal mode
+// provides. An eviction costs O(1) amortised plus the pinned pages it
+// steps over.
 func (p *Pager) makeRoom() error {
 	for len(p.cache) >= p.cfg.CacheSize {
-		evicted := false
-		keep := p.clock[:0]
-		for i, pgno := range p.clock {
-			pg, ok := p.cache[pgno]
-			if !ok {
-				continue
+		// An eviction pass forgets the queue place of every page that
+		// is not resident when it runs.
+		clear(p.dropped)
+		var victim *Page
+		at := p.head
+		for ; at < len(p.fifo); at++ {
+			if pg := p.resident(p.fifo[at]); pg != nil && pg.pins == 0 {
+				victim = pg
+				break
 			}
-			if evicted || pg.pins > 0 {
-				keep = append(keep, pgno)
-				continue
-			}
-			if pg.dirty {
-				if err := p.stealOut(pg); err != nil {
-					return err
-				}
-			}
-			delete(p.cache, pgno)
-			evicted = true
-			_ = i
 		}
-		p.clock = keep
-		if !evicted {
+		if victim == nil {
 			return ErrPinned
 		}
+		if victim.dirty {
+			if err := p.stealOut(victim); err != nil {
+				return err
+			}
+		}
+		delete(p.cache, victim.pgno)
+		p.spare, victim.data = victim.data, nil
+		// Close the gap behind the hand: the pinned pages it stepped
+		// over keep their order, dead entries go.
+		w := at
+		for i := at - 1; i >= p.head; i-- {
+			if p.resident(p.fifo[i]) != nil {
+				p.fifo[w] = p.fifo[i]
+				w--
+			}
+		}
+		p.head = w + 1
+	}
+	return nil
+}
+
+// resident returns the cached page a queue entry stands for, or nil if
+// the entry is dead (its page was evicted, or dropped by a rollback).
+func (p *Pager) resident(e fifoEntry) *Page {
+	if pg := p.cache[e.pgno]; pg != nil && pg.slot == e.slot {
+		return pg
 	}
 	return nil
 }
@@ -717,9 +792,9 @@ func (p *Pager) Allocate() (*Page, error) {
 		}
 		return old, nil
 	}
-	pg := &Page{pgno: pgno, data: make([]byte, p.PageSize()), pins: 1, pager: p}
-	p.cache[pgno] = pg
-	p.clock = append(p.clock, pgno)
+	buf := p.takeFrame()
+	clear(buf)
+	pg := p.install(pgno, buf)
 	if err := p.Write(pg); err != nil {
 		pg.Release()
 		return nil, err
@@ -1003,7 +1078,8 @@ func (p *Pager) commitWAL() error {
 	perPage := (p.PageSize() - 8) / frameHdrSize
 	for start := 0; start < len(entries); start += perPage {
 		end := min(start+perPage, len(entries))
-		rec := make([]byte, p.PageSize())
+		rec := p.scratchPage()
+		clear(rec)
 		binary.BigEndian.PutUint32(rec[0:], walMagic)
 		count := uint32(end - start)
 		if end == len(entries) {
@@ -1059,7 +1135,7 @@ func (p *Pager) checkpointLocked() error {
 	// other page loop; a frame belongs to exactly one page.
 	order := sortedPgnos(p.walIndex)
 	slices.SortFunc(order, func(a, b Pgno) int { return cmp.Compare(p.walIndex[a], p.walIndex[b]) })
-	buf := make([]byte, p.PageSize())
+	buf := p.scratchPage()
 	for _, pgno := range order {
 		if err := p.walFile.ReadPage(p.walIndex[pgno], buf); err != nil {
 			return err
@@ -1216,7 +1292,21 @@ func (p *Pager) Rollback() error {
 // dropCached removes a page from the cache so the next Get re-reads the
 // stable version.
 func (p *Pager) dropCached(pgno Pgno) {
-	delete(p.cache, pgno)
+	if pg, ok := p.cache[pgno]; ok {
+		delete(p.cache, pgno)
+		if p.dropped == nil {
+			p.dropped = make(map[Pgno]uint64)
+		}
+		p.dropped[pgno] = pg.slot
+	}
+}
+
+// scratchPage returns the pager's one scratch page; content unspecified.
+func (p *Pager) scratchPage() []byte {
+	if p.scratch == nil {
+		p.scratch = make([]byte, p.PageSize())
+	}
+	return p.scratch
 }
 
 // sortedPgnos returns m's keys in ascending order. Every loop that

@@ -51,8 +51,12 @@ func TestConcurrentStressWithPowerCut(t *testing.T) {
 	}
 
 	// Arm the cut once the stream is flowing: worker 0 signals after
-	// enough ops that all workers are submitting.
+	// enough ops that all workers are submitting, then holds its own
+	// remaining 250 ops (more than enough NAND work to reach the cut)
+	// until the cut is armed, so a slow-to-schedule sampler cannot miss
+	// the stream. The other workers keep submitting meanwhile.
 	flowing := make(chan struct{})
+	armed := make(chan struct{})
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -68,6 +72,7 @@ func TestConcurrentStressWithPowerCut(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				if w == 0 && i == 50 {
 					close(flowing)
+					<-armed
 				}
 				lpn := base + rng.Int63n(lpnsPer)
 				var r ncq.Request
@@ -126,6 +131,7 @@ func TestConcurrentStressWithPowerCut(t *testing.T) {
 		_ = q.WriteLat.Snapshot()
 		_ = q.Depths.Mean()
 		d.PowerCutAfter(400)
+		close(armed)
 	}()
 	wg.Wait()
 
