@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate|mtenant|rwconc|fleet|perf}
+//	xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate|mtenant|rwconc|fleet}
 //	xftlbench [-quick] -torture
 //
 // -quick shrinks workloads for a fast smoke run; the published numbers
@@ -30,11 +30,9 @@
 // loads directly into Perfetto (ui.perfetto.dev) or chrome://tracing;
 // a per-layer flame summary is printed to stderr.
 //
-// perf is the wall-clock leg: it times the standard rwconc and mtenant
-// configurations with the host clock and reports simulator ops per
-// wall second (tracked across runs as BENCH_10.json). -profile PATH
-// writes a CPU profile of the whole invocation, viewable with
-// go tool pprof.
+// -profile PATH writes a CPU profile of the whole invocation, viewable
+// with go tool pprof. What the simulator itself costs to run is measured
+// by the fixed perf suite in benchmark/, not here.
 package main
 
 import (
@@ -70,7 +68,7 @@ func benchMain() int {
 	tracePath := flag.String("trace", "", "record cross-layer events and write Chrome trace-event JSON (Perfetto-loadable) to this path")
 	profilePath := flag.String("profile", "", "write a CPU profile of the whole invocation to this path (go tool pprof)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate|mtenant|rwconc|fleet|perf}\n")
+		fmt.Fprintf(os.Stderr, "usage: xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate|mtenant|rwconc|fleet}\n")
 		fmt.Fprintf(os.Stderr, "       xftlbench [-quick] [-seed N] -torture\n")
 		fmt.Fprintf(os.Stderr, "       xftlbench [-quick] [-seed N] -chaos\n")
 		fmt.Fprintf(os.Stderr, "       xftlbench [-quick] -recovery-scan\n")
@@ -376,20 +374,6 @@ func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
 			fmt.Println(t)
 			doc.Experiments = append(doc.Experiments, bench.JSONExperiment{
 				Name: "fleet", Tables: []*bench.Table{t}, Fleet: fb,
-			})
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := do("perf", func() error {
-			p, err := bench.RunPerf(opts)
-			if err != nil {
-				return err
-			}
-			t := p.Table()
-			fmt.Println(t)
-			doc.Experiments = append(doc.Experiments, bench.JSONExperiment{
-				Name: "perf", Tables: []*bench.Table{t}, Perf: p,
 			})
 			return nil
 		}); err != nil {

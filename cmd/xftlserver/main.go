@@ -115,7 +115,7 @@ func serve(addr, metricsAddr string, mode mvcc.Mode, channels, shards, readPool 
 }
 
 // loadtestDoc is the machine-readable report written by -json: one
-// trajectory point for the serving tier's SLO scenario (BENCH_7.json).
+// trajectory point for the serving tier's SLO scenario.
 type loadtestDoc struct {
 	Tool        string             `json:"tool"`
 	Quick       bool               `json:"quick"`

@@ -10,15 +10,14 @@ import (
 
 // JSONDoc is the top-level document written by xftlbench -json.
 type JSONDoc struct {
-	Tool        string           `json:"tool"`
-	Quick       bool             `json:"quick"`
+	Tool  string `json:"tool"`
+	Quick bool   `json:"quick"`
 	// Seed is the -seed override used for the run; 0 means every
 	// generator ran with its historical default seed.
 	Seed       int64   `json:"seed"`
 	FaultScale float64 `json:"fault_scale,omitempty"`
 	// WallSeconds is the real (host) time the whole invocation took —
-	// the simulator's cost, not the simulated device's. Tracked across
-	// runs as the wall-clock trajectory in BENCH_*.json.
+	// the simulator's cost, not the simulated device's.
 	WallSeconds float64          `json:"wall_seconds,omitempty"`
 	Experiments []JSONExperiment `json:"experiments"`
 }
@@ -32,7 +31,6 @@ type JSONExperiment struct {
 	MultiTenant *MT         `json:"multi_tenant,omitempty"`
 	RWConc      *RWC        `json:"rwconc,omitempty"`
 	Fleet       *FleetBench `json:"fleet,omitempty"`
-	Perf        *Perf       `json:"perf,omitempty"`
 }
 
 // WriteJSON writes the document, indented, to path.

@@ -236,7 +236,7 @@ func RunRWPoint(cfg RWConfig) (*RWPoint, error) {
 				// deadline/retry path riding out every stall.
 				st.Device.HangUnit(1, rwDegradedStall)
 			}
-			s, err := mgr.BeginWith(false, writerStats)
+			s, err := mgr.BeginWith(false, writerStats, mvcc.Unbounded)
 			if err != nil {
 				fail(err)
 				return
@@ -262,7 +262,7 @@ func RunRWPoint(cfg RWConfig) (*RWPoint, error) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
 			for t := 0; t < cfg.ReaderTx && !stop.Load(); t++ {
-				s, err := mgr.BeginWith(true, readerStats[r])
+				s, err := mgr.BeginWith(true, readerStats[r], mvcc.Unbounded)
 				if err != nil {
 					fail(err)
 					return
@@ -341,7 +341,7 @@ func RunRWPoint(cfg RWConfig) (*RWPoint, error) {
 				defer swg.Done()
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*104729))
 				for t := 0; t < steadyTx && !stop.Load(); t++ {
-					s, err := mgr.BeginWith(true, readerStats[r])
+					s, err := mgr.BeginWith(true, readerStats[r], mvcc.Unbounded)
 					if err != nil {
 						fail(err)
 						return

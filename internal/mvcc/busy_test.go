@@ -5,11 +5,13 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// BeginWithTimeout must poll through a writer's hold and acquire once
-// the lock frees, counting its misses but not a timeout.
-func TestBeginWithTimeoutAcquiresAfterRelease(t *testing.T) {
+// A budgeted BeginWith must poll through a writer's hold and acquire
+// once the lock frees, counting its misses but not a timeout.
+func TestBusyBudgetAcquiresAfterRelease(t *testing.T) {
 	m := newMVCCManager(t)
 	seed(t, m, 2, 0)
 	w1, err := m.Begin(false)
@@ -18,7 +20,7 @@ func TestBeginWithTimeoutAcquiresAfterRelease(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		w2, err := m.BeginWithTimeout(false, time.Hour)
+		w2, err := m.BeginWith(false, nil, time.Hour)
 		if err == nil {
 			err = w2.Commit()
 		}
@@ -33,7 +35,7 @@ func TestBeginWithTimeoutAcquiresAfterRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := <-got; err != nil {
-		t.Fatalf("BeginWithTimeout inside budget: %v", err)
+		t.Fatalf("BeginWith inside budget: %v", err)
 	}
 	if m.Stats.BusyRetries.Load() == 0 {
 		t.Error("no busy polls counted")
@@ -45,7 +47,7 @@ func TestBeginWithTimeoutAcquiresAfterRelease(t *testing.T) {
 
 // An expired budget returns ErrBusy (wrapped, still errors.Is-matchable)
 // after burning at least the budget in virtual time.
-func TestBeginWithTimeoutExpires(t *testing.T) {
+func TestBusyBudgetExpires(t *testing.T) {
 	m := newMVCCManager(t)
 	seed(t, m, 2, 0)
 	w1, err := m.Begin(false)
@@ -55,7 +57,7 @@ func TestBeginWithTimeoutExpires(t *testing.T) {
 	clock := m.fs.Device().Clock()
 	start := clock.Now()
 	const budget = 2 * time.Millisecond
-	_, err = m.BeginWithTimeout(false, budget)
+	_, err = m.BeginWith(false, nil, budget)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("expired busy timeout: got %v, want ErrBusy", err)
 	}
@@ -72,14 +74,14 @@ func TestBeginWithTimeoutExpires(t *testing.T) {
 
 // MVCC readers ignore the busy budget entirely: they snapshot and
 // return even while a writer holds the lock.
-func TestBeginWithTimeoutReaderNeverBlocks(t *testing.T) {
+func TestBusyBudgetReaderNeverBlocks(t *testing.T) {
 	m := newMVCCManager(t)
 	seed(t, m, 2, 7)
 	w1, err := m.Begin(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.BeginWithTimeout(true, 0) // zero budget: would expire instantly if it polled
+	r, err := m.BeginWith(true, nil, 0) // zero budget: would expire instantly if it polled
 	if err != nil {
 		t.Fatalf("reader blocked on the writer lock: %v", err)
 	}
@@ -92,10 +94,10 @@ func TestBeginWithTimeoutReaderNeverBlocks(t *testing.T) {
 	}
 }
 
-// TryBegin must respect the FIFO queue: with a writer active and
-// another already queued, it fails busy rather than jumping ahead, and
-// the queued writer still acquires in order.
-func TestTryBeginDoesNotJumpQueue(t *testing.T) {
+// A zero-budget begin must respect the FIFO queue: with a writer active
+// and another already queued, it fails busy rather than jumping ahead,
+// and the queued writer still acquires in order.
+func TestZeroBudgetDoesNotJumpQueue(t *testing.T) {
 	m := newMVCCManager(t)
 	seed(t, m, 2, 0)
 	w1, err := m.Begin(false)
@@ -113,8 +115,8 @@ func TestTryBeginDoesNotJumpQueue(t *testing.T) {
 	for m.Stats.WriterWaits.Load() == 0 {
 		runtime.Gosched()
 	}
-	if _, err := m.TryBegin(false); !errors.Is(err, ErrBusy) {
-		t.Fatalf("TryBegin with a queued writer: got %v, want ErrBusy", err)
+	if _, err := m.BeginWith(false, nil, 0); !errors.Is(err, ErrBusy) {
+		t.Fatalf("zero-budget begin with a queued writer: got %v, want ErrBusy", err)
 	}
 	if err := w1.Commit(); err != nil {
 		t.Fatal(err)
@@ -123,18 +125,60 @@ func TestTryBeginDoesNotJumpQueue(t *testing.T) {
 	if w2 == nil {
 		t.Fatal("queued writer never acquired")
 	}
-	// The queue is empty now; TryBegin succeeds only after w2 is done.
-	if _, err := m.TryBegin(false); !errors.Is(err, ErrBusy) {
-		t.Fatalf("TryBegin with active writer: got %v, want ErrBusy", err)
+	// The queue is empty now; a zero-budget begin succeeds only after w2
+	// is done.
+	if _, err := m.BeginWith(false, nil, 0); !errors.Is(err, ErrBusy) {
+		t.Fatalf("zero-budget begin with active writer: got %v, want ErrBusy", err)
 	}
 	if err := w2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	w3, err := m.TryBegin(false)
+	w3, err := m.BeginWith(false, nil, 0)
 	if err != nil {
-		t.Fatalf("TryBegin on idle queue: %v", err)
+		t.Fatalf("zero-budget begin on idle queue: %v", err)
 	}
 	if err := w3.Rollback(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A session begun with a busy budget — every serving-tier request that
+// carries a deadline — is attributed to its client's IOStats like any
+// other: the budget and the account are independent.
+func TestBusyBudgetSessionIsAttributed(t *testing.T) {
+	m := newMVCCManager(t)
+	seed(t, m, 2, 0)
+	var sc metrics.IOStats
+	w, err := m.BeginWith(false, &sc, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.ID == 0 || w.ID() != sc.ID {
+		t.Errorf("session id %d, client account id %d: want equal and non-zero", w.ID(), sc.ID)
+	}
+	if _, err := w.Exec("UPDATE kv SET v = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.Host.DBWrites.Load() == 0 || sc.Host.Fsyncs.Load() == 0 {
+		t.Errorf("budgeted writer's I/O not credited to its client: %d db writes, %d fsyncs",
+			sc.Host.DBWrites.Load(), sc.Host.Fsyncs.Load())
+	}
+}
+
+// A closed manager is not busy: a budgeted begin — zero budget included
+// — must fail with ErrClosed, which callers do not retry.
+func TestBusyBudgetOnClosedManager(t *testing.T) {
+	m := newMVCCManager(t)
+	seed(t, m, 1, 0)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []time.Duration{0, time.Millisecond, Unbounded} {
+		if _, err := m.BeginWith(false, nil, budget); !errors.Is(err, ErrClosed) || errors.Is(err, ErrBusy) {
+			t.Errorf("begin(budget %v) on a closed manager: got %v, want ErrClosed", budget, err)
+		}
 	}
 }

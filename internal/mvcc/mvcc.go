@@ -7,8 +7,8 @@
 // never block on the writer and never see a partially committed state.
 //
 // Writers keep SQLite's locking model: at most one write transaction at
-// a time, queued FIFO, with a non-blocking TryBegin returning ErrBusy
-// for SQLITE_BUSY-style abort-on-conflict callers.
+// a time, queued FIFO, or — for SQLITE_BUSY-style abort-on-conflict
+// callers — polled within a busy budget that ends in ErrBusy.
 //
 // The same API also runs in a Serialized mode that models the baseline
 // the paper compares against: a single rollback-journal connection
@@ -19,6 +19,7 @@ package mvcc
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,8 +104,8 @@ type Stats struct {
 	WriterWaits  atomic.Int64 // write-begins that queued behind another writer
 	SnapsOpen    atomic.Int64 // currently open reader snapshots
 	SnapsMax     atomic.Int64 // high-water mark of SnapsOpen
-	BusyRetries  atomic.Int64 // BeginWithTimeout lock polls that found the db busy
-	BusyTimeouts atomic.Int64 // BeginWithTimeout budgets that expired into ErrBusy
+	BusyRetries  atomic.Int64 // budgeted write-begin lock polls that found the db busy
+	BusyTimeouts atomic.Int64 // busy budgets that expired into ErrBusy
 }
 
 // Manager owns one database file and hands out sessions.
@@ -190,17 +191,24 @@ func (m *Manager) Close() error {
 // Mode reports the configured concurrency model.
 func (m *Manager) Mode() Mode { return m.opts.Mode }
 
-// Session is one transaction-scoped handle. Read sessions in MVCC mode
-// own a private snapshot connection; write sessions (and everything in
-// Serialized mode) borrow the shared connection under the lock.
+// Session is one transaction-scoped handle. Read sessions in MVCC and
+// WALConc mode own a private read-only connection; write sessions (and
+// everything in Serialized mode) borrow the shared connection under the
+// lock.
 type Session struct {
 	m        *Manager
 	db       *sqlite.DB
-	snap     *simfs.Snapshot
-	pc       *readpool.Conn // pool membership of (db, snap), if pooled
-	view     *pager.WALView // WALConc reader's captured log view
 	readonly bool
 	done     bool
+
+	// A private reader connection: rd is the reader its page reads go
+	// through (nil for a session on the shared connection, whose I/O
+	// context is the file system's writer side); pc is its pool
+	// membership, if pooled; pin is otherwise the snapshot or WAL view to
+	// release once the connection is closed.
+	rd  *simfs.Reader
+	pc  *readpool.Conn
+	pin io.Closer
 
 	id      uint64        // trace/attribution identity (stable per IOStats)
 	trStart time.Duration // virtual time of Begin, for the KSession span
@@ -212,17 +220,14 @@ func (s *Session) ID() uint64 { return s.id }
 
 // SetReq tags all I/O the session issues from here on with a
 // serving-tier request id (0 clears it): readers tag their private
-// snapshot or WAL-view handle, writers tag the shared writer context
-// they hold for the session's lifetime. The tag flows into every
-// ncq.Request and trace event the I/O produces, linking device work
-// back to the server request that caused it.
+// reader, writers tag the shared writer context they hold for the
+// session's lifetime. The tag flows into every ncq.Request and trace
+// event the I/O produces, linking device work back to the server
+// request that caused it.
 func (s *Session) SetReq(req uint64) {
-	switch {
-	case s.snap != nil:
-		s.snap.SetIOReq(req)
-	case s.view != nil:
-		s.view.SetIOReq(req)
-	default:
+	if s.rd != nil {
+		s.rd.SetIOReq(req)
+	} else {
 		s.m.fs.SetIOReq(req)
 	}
 }
@@ -240,170 +245,118 @@ func (m *Manager) sessionID(sc *metrics.IOStats) uint64 {
 	return m.nextSess.Add(1)
 }
 
+// Unbounded is the busy budget of a writer that takes a FIFO ticket and
+// waits for its turn however long that takes.
+const Unbounded time.Duration = -1
+
 // Begin starts a session, blocking writers until the queue drains.
 // Readers in MVCC mode never block: they pin a snapshot and return
 // immediately even while a write transaction is in flight.
 func (m *Manager) Begin(readonly bool) (*Session, error) {
-	return m.BeginWith(readonly, nil)
+	return m.BeginWith(readonly, nil, Unbounded)
 }
 
-// BeginWith is Begin with per-session I/O attribution: every host read
-// and write the session issues is credited to sc (counter split plus
-// read-latency histogram) in addition to the manager's role aggregate.
-// Reusing one sc across many sessions accumulates a per-client view —
-// sc keeps a stable identity, so the sessions share one trace lane.
-// sc may be nil.
-func (m *Manager) BeginWith(readonly bool, sc *metrics.IOStats) (*Session, error) {
-	if m.opts.Mode == MVCC && readonly {
-		return m.beginSnapshotReader(sc)
+// BeginWith is Begin for a caller with a per-client I/O account, a busy
+// budget, or both.
+//
+// Every host read and write the session issues is credited to sc
+// (counter split plus read-latency histogram) in addition to the
+// manager's role aggregate. Reusing one sc across many sessions
+// accumulates a per-client view — sc keeps a stable identity, so the
+// sessions share one trace lane. sc may be nil.
+//
+// budget is the sqlite3_busy_timeout analogue: a writer that finds the
+// database locked polls the lock with exponential virtual-time backoff
+// until it either acquires it or has burned the budget, and only then
+// returns ErrBusy (wrapped, so errors.Is still matches); a zero budget
+// is SQLite's immediate BUSY. A polling writer never jumps the FIFO
+// queue. The elapsed budget is measured on the device's virtual clock,
+// so concurrent sessions' own charges count against it exactly as wall
+// time would against a real busy_timeout. Unbounded queues instead, as
+// Begin does. Readers in MVCC and WALConc mode never block and ignore
+// the budget.
+func (m *Manager) BeginWith(readonly bool, sc *metrics.IOStats, budget time.Duration) (*Session, error) {
+	s := &Session{m: m, db: m.db, readonly: readonly}
+	// First the session's place in the concurrency model: the exclusive
+	// lock, or a pinned committed state to read beside the writer — a
+	// warm pooled connection, or src to open a cold one over.
+	var (
+		src  pager.PageSource
+		snap *simfs.Snapshot
+		err  error
+	)
+	switch {
+	case !readonly || m.opts.Mode == Serialized:
+		err = m.lockExclusive(budget)
+	case m.opts.Mode == WALConc:
+		// The capture is lock-free with respect to the writer queue —
+		// only the log mutex is taken, briefly — so readers proceed while
+		// a write transaction is in flight, and see exactly the last
+		// committed state.
+		var view *pager.WALView
+		if view, err = m.db.Pager().CaptureWALView(); err == nil {
+			src, s.pin, s.rd = view, view, view.Reader()
+		}
+	default:
+		if s.pc = m.checkoutWarm(); s.pc != nil {
+			s.db, s.rd = s.pc.DB, s.pc.Snap.Reader()
+		} else if snap, err = m.fs.OpenSnapshot(); err == nil {
+			src, s.pin, s.rd = pager.SnapshotSource(snap, m.name), snap, snap.Reader()
+		}
 	}
-	if m.opts.Mode == WALConc && readonly {
-		return m.beginWALReader(sc)
-	}
-	// Writer path, and every Serialized-mode transaction: take the
-	// exclusive lock in FIFO order.
-	if err := m.lockExclusive(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return m.beginLocked(readonly, sc)
-}
-
-// TryBegin is the non-blocking variant: a writer that would queue gets
-// ErrBusy instead, matching SQLite's immediate-BUSY behaviour.
-func (m *Manager) TryBegin(readonly bool) (*Session, error) {
-	if m.opts.Mode == MVCC && readonly {
-		return m.beginSnapshotReader(nil)
+	// Then who its I/O is charged to.
+	s.id = m.sessionID(sc)
+	s.trStart = m.fs.Tracer().Now()
+	role := &m.WriterIO
+	if readonly {
+		role = &m.ReaderIO
 	}
-	if m.opts.Mode == WALConc && readonly {
-		return m.beginWALReader(nil)
-	}
-	if !m.tryLockExclusive() {
-		return nil, ErrBusy
-	}
-	return m.beginLocked(readonly, nil)
-}
-
-// Busy-timeout backoff bounds: the poll interval starts at the minimum
-// and doubles per miss up to the cap, all in virtual time.
-const (
-	busyBackoffMin = 100 * time.Microsecond
-	busyBackoffMax = 10 * time.Millisecond
-)
-
-// BeginWithTimeout is the sqlite3_busy_timeout analogue of TryBegin: a
-// writer that finds the database locked does not fail immediately but
-// polls the lock with exponential virtual-time backoff until it either
-// acquires it or has burned the budget d, and only then returns ErrBusy
-// (wrapped, so errors.Is still matches). Readers in MVCC mode never
-// block and ignore the budget. The elapsed budget is measured on the
-// device's virtual clock, so concurrent sessions' own charges count
-// against it exactly as wall time would against a real busy_timeout.
-func (m *Manager) BeginWithTimeout(readonly bool, d time.Duration) (*Session, error) {
-	if m.opts.Mode == MVCC && readonly {
-		return m.beginSnapshotReader(nil)
-	}
-	if m.opts.Mode == WALConc && readonly {
-		return m.beginWALReader(nil)
-	}
-	clock := m.fs.Device().Clock()
-	start := clock.Now()
-	backoff := busyBackoffMin
-	for {
-		if m.tryLockExclusive() {
-			return m.beginLocked(readonly, nil)
-		}
-		m.mu.Lock()
-		closed := m.closed
-		m.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		m.Stats.BusyRetries.Add(1)
-		if clock.Now()-start >= d {
-			m.Stats.BusyTimeouts.Add(1)
-			return nil, fmt.Errorf("%w (busy timeout %v expired)", ErrBusy, d)
-		}
-		clock.Advance(backoff)
-		if backoff < busyBackoffMax {
-			backoff = min(backoff*2, busyBackoffMax)
-		}
-	}
-}
-
-func (m *Manager) beginSnapshotReader(sc *metrics.IOStats) (*Session, error) {
-	if m.pool != nil {
-		// A warm connection is only valid at the CURRENT committed
-		// generation. Reading the generation first and checking out
-		// second is race-free in the useful direction: a commit that
-		// lands in between just turns this checkout into a miss at the
-		// next reader, exactly as if the snapshot had opened a moment
-		// earlier.
-		dev := m.fs.Device()
-		if c := m.pool.Checkout(dev.CommitSeq(), m.fs.Epoch(), dev.Clock().Now()); c != nil {
-			s := &Session{m: m, db: c.DB, snap: c.Snap, pc: c, readonly: true,
-				id: m.sessionID(sc), trStart: m.fs.Tracer().Now()}
-			c.Snap.SetPipelined(m.opts.Pipelined)
-			if sc != nil {
-				c.Snap.SetIOContext(s.id, &m.ReaderIO, sc)
-			} else {
-				c.Snap.SetIOContext(s.id, &m.ReaderIO)
+	if s.rd == nil {
+		// Holding the exclusive lock is what makes setting the shared
+		// FS's I/O context safe: exactly one session touches the shared
+		// connection at a time.
+		m.fs.SetIOContext(s.id, role, sc)
+		if !readonly {
+			if err := m.db.Begin(); err != nil {
+				m.fs.ClearIOContext()
+				m.unlockExclusive()
+				return nil, err
 			}
-			m.noteSnapOpen()
-			return s, nil
 		}
+		return s, nil
 	}
-	snap, err := m.fs.OpenSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	snap.SetPipelined(m.opts.Pipelined)
-	s := &Session{m: m, snap: snap, readonly: true,
-		id: m.sessionID(sc), trStart: m.fs.Tracer().Now()}
-	if sc != nil {
-		snap.SetIOContext(s.id, &m.ReaderIO, sc)
-	} else {
-		snap.SetIOContext(s.id, &m.ReaderIO)
-	}
-	db, err := sqlite.OpenSnapshotDB(m.fs, m.name, snap, m.cfg)
-	if err != nil {
-		_ = snap.Close()
-		return nil, err
-	}
-	s.db = db
-	if m.pool != nil {
-		s.pc = readpool.NewConn(db, snap)
+	s.rd.SetPipelined(m.opts.Pipelined)
+	s.rd.SetIOContext(s.id, role, sc)
+	if src != nil {
+		// The cold open's catalog reads are the session's own I/O.
+		if s.db, err = sqlite.OpenReader(m.fs, m.name, src, m.cfg); err != nil {
+			_ = s.pin.Close()
+			return nil, err
+		}
+		if m.pool != nil {
+			s.pc = readpool.NewConn(s.db, snap)
+		}
 	}
 	m.noteSnapOpen()
 	return s, nil
 }
 
-// beginWALReader starts a WALConc read session: capture a consistent
-// view of the shared connection's (database file, published log index)
-// pair and open a private read-only connection over it. The capture is
-// lock-free with respect to the writer queue — only the log mutex is
-// taken, briefly — so readers proceed while a write transaction is in
-// flight, and see exactly the last committed state.
-func (m *Manager) beginWALReader(sc *metrics.IOStats) (*Session, error) {
-	view, err := m.db.Pager().CaptureWALView()
-	if err != nil {
-		return nil, err
+// checkoutWarm takes a warm snapshot connection at the current committed
+// generation from the reader pool, nil when there is none (or no pool).
+func (m *Manager) checkoutWarm() *readpool.Conn {
+	if m.pool == nil {
+		return nil
 	}
-	view.SetPipelined(m.opts.Pipelined)
-	s := &Session{m: m, view: view, readonly: true,
-		id: m.sessionID(sc), trStart: m.fs.Tracer().Now()}
-	if sc != nil {
-		view.SetIOContext(s.id, &m.ReaderIO, sc)
-	} else {
-		view.SetIOContext(s.id, &m.ReaderIO)
-	}
-	db, err := sqlite.OpenWALReaderDB(m.fs, m.name, view, m.cfg)
-	if err != nil {
-		view.Release()
-		return nil, err
-	}
-	s.db = db
-	m.noteSnapOpen()
-	return s, nil
+	// A warm connection is only valid at the CURRENT committed
+	// generation. Reading the generation first and checking out second
+	// is race-free in the useful direction: a commit that lands in
+	// between just turns this checkout into a miss at the next reader,
+	// exactly as if the snapshot had opened a moment earlier.
+	dev := m.fs.Device()
+	return m.pool.Checkout(dev.CommitSeq(), m.fs.Epoch(), dev.Clock().Now())
 }
 
 // noteSnapOpen counts a concurrent reader (snapshot or WAL view) in
@@ -418,59 +371,60 @@ func (m *Manager) noteSnapOpen() {
 	}
 }
 
-// beginLocked finishes Begin after the exclusive lock is held. Holding
-// the exclusive lock is what makes setting the shared FS's I/O context
-// safe: exactly one session touches the shared connection at a time.
-func (m *Manager) beginLocked(readonly bool, sc *metrics.IOStats) (*Session, error) {
-	s := &Session{m: m, db: m.db, readonly: readonly,
-		id: m.sessionID(sc), trStart: m.fs.Tracer().Now()}
-	role := &m.WriterIO
-	if readonly {
-		role = &m.ReaderIO
-	}
-	if sc != nil {
-		m.fs.SetIOContext(s.id, role, sc)
-	} else {
-		m.fs.SetIOContext(s.id, role)
-	}
-	if !readonly {
-		if err := m.db.Begin(); err != nil {
-			m.fs.ClearIOContext()
-			m.unlockExclusive()
-			return nil, err
-		}
-	}
-	return s, nil
-}
+// Busy-budget backoff bounds: the poll interval starts at the minimum
+// and doubles per miss up to the cap, all in virtual time.
+const (
+	busyBackoffMin = 100 * time.Microsecond
+	busyBackoffMax = 10 * time.Millisecond
+)
 
-func (m *Manager) lockExclusive() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	ticket := m.tail
-	m.tail++
-	if ticket != m.head {
-		m.Stats.WriterWaits.Add(1)
-	}
-	for ticket != m.head {
-		m.cond.Wait()
+// lockExclusive takes the writer lock: in FIFO ticket order with an
+// Unbounded budget, otherwise by polling — which succeeds only when
+// nobody holds or waits for the lock — until the budget is burned.
+func (m *Manager) lockExclusive(budget time.Duration) error {
+	if budget < 0 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 		if m.closed {
 			return ErrClosed
 		}
+		ticket := m.tail
+		m.tail++
+		if ticket != m.head {
+			m.Stats.WriterWaits.Add(1)
+		}
+		for ticket != m.head {
+			m.cond.Wait()
+			if m.closed {
+				return ErrClosed
+			}
+		}
+		return nil
 	}
-	return nil
-}
-
-func (m *Manager) tryLockExclusive() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed || m.tail != m.head {
-		return false
+	clock := m.fs.Device().Clock()
+	start := clock.Now()
+	backoff := busyBackoffMin
+	for {
+		m.mu.Lock()
+		closed, free := m.closed, m.tail == m.head
+		if free && !closed {
+			m.tail++
+		}
+		m.mu.Unlock()
+		if closed {
+			return ErrClosed
+		}
+		if free {
+			return nil
+		}
+		m.Stats.BusyRetries.Add(1)
+		if clock.Now()-start >= budget {
+			m.Stats.BusyTimeouts.Add(1)
+			return fmt.Errorf("%w (busy timeout %v expired)", ErrBusy, budget)
+		}
+		clock.Advance(backoff)
+		backoff = min(backoff*2, busyBackoffMax)
 	}
-	m.tail++
-	return true
 }
 
 func (m *Manager) unlockExclusive() {
@@ -502,7 +456,7 @@ func (s *Session) Exec(sql string, args ...any) (int64, error) {
 	if s.done {
 		return 0, ErrSessionDone
 	}
-	if s.readonly && (s.snap != nil || s.view != nil) {
+	if s.rd != nil {
 		return 0, pager.ErrReadOnly
 	}
 	return s.db.Exec(sql, args...)
@@ -511,71 +465,80 @@ func (s *Session) Exec(sql string, args ...any) (int64, error) {
 // Commit ends the session, making a writer's changes durable. For
 // readers it simply releases the snapshot (there is nothing to commit).
 func (s *Session) Commit() error {
-	return s.end(true)
+	return s.end(endCommit)
 }
 
 // Rollback ends the session, discarding a writer's changes.
 func (s *Session) Rollback() error {
-	return s.end(false)
+	return s.end(endRollback)
 }
 
 // endReader finishes a session that owns a private reader connection:
-// pooled snapshot readers park it warm for the next reader (the pool
-// closes it instead if the committed generation moved on), WAL readers
-// release their captured view so checkpointing can resume, and cold
-// snapshot readers tear the connection down.
+// a pooled snapshot reader parks it warm for the next reader (the pool
+// closes it instead if the committed generation moved on); any other
+// tears the connection down, then releases what it pinned — the
+// snapshot's versions so GC can reclaim them, or the WAL view so
+// checkpointing can resume.
 func (s *Session) endReader() error {
 	var err error
-	switch {
-	case s.view != nil:
-		err = s.db.Close()
-		s.view.Release()
-		s.m.Stats.WALReads.Add(1)
-	case s.pc != nil:
+	if s.pc != nil {
 		s.m.pool.Return(s.pc, s.m.fs.Device().Clock().Now())
-	default:
-		// Tear down the private connection, then release the pinned
-		// versions so GC can reclaim them.
+	} else {
 		err = s.db.Close()
-		if cerr := s.snap.Close(); err == nil {
+		if cerr := s.pin.Close(); err == nil {
 			err = cerr
 		}
 	}
+	if s.m.opts.Mode == WALConc {
+		s.m.Stats.WALReads.Add(1)
+	}
 	s.m.Stats.SnapsOpen.Add(-1)
-	s.m.Stats.ReadTx.Add(1)
-	s.noteSession(0)
 	return err
 }
 
-func (s *Session) end(commit bool) error {
+// How a session ends: its writer transaction commits, rolls back, or was
+// already finished by someone else.
+const (
+	endCommit = iota
+	endRollback
+	endExternal
+)
+
+// end finishes the session exactly once: a private reader connection is
+// parked or torn down; a session on the shared connection ends its
+// writer transaction as told, then gives up the I/O context and the
+// lock.
+func (s *Session) end(how int) error {
 	if s.done {
 		return ErrSessionDone
 	}
 	s.done = true
-	if s.snap != nil || s.view != nil {
-		return s.endReader()
-	}
 	var err error
-	if !s.readonly {
-		if commit {
-			err = s.db.Commit()
-			if err != nil {
-				// A failed commit (power cut, full device) leaves the
-				// pager transaction open; roll it back so the shared
-				// connection is reusable by the next queued writer.
-				_ = s.db.Rollback()
-			}
-		} else {
-			err = s.db.Rollback()
+	switch {
+	case s.rd != nil:
+		err = s.endReader()
+	case s.readonly:
+	case how == endCommit:
+		if err = s.db.Commit(); err != nil {
+			// A failed commit (power cut, full device) leaves the
+			// pager transaction open; roll it back so the shared
+			// connection is reusable by the next queued writer.
+			_ = s.db.Rollback()
 		}
-		s.m.Stats.WriteTx.Add(1)
-		s.noteSession(1)
-	} else {
+	case how == endRollback:
+		err = s.db.Rollback()
+	}
+	if s.readonly {
 		s.m.Stats.ReadTx.Add(1)
 		s.noteSession(0)
+	} else {
+		s.m.Stats.WriteTx.Add(1)
+		s.noteSession(1)
 	}
-	s.m.fs.ClearIOContext()
-	s.m.unlockExclusive()
+	if s.rd == nil {
+		s.m.fs.ClearIOContext()
+		s.m.unlockExclusive()
+	}
 	return err
 }
 
@@ -590,27 +553,9 @@ func (s *Session) DB() *sqlite.DB { return s.db }
 // FinishExternal ends a writer session whose transaction was already
 // committed or rolled back externally (through sqlite.FinishPrepared
 // after a 2PC decision): the session releases its writer ticket and
-// records its stats without touching the finished transaction. commit
-// only labels the stats; no database work happens here.
-func (s *Session) FinishExternal(commit bool) error {
-	if s.done {
-		return ErrSessionDone
-	}
-	_ = commit
-	s.done = true
-	if s.snap != nil || s.view != nil {
-		return s.endReader()
-	}
-	if !s.readonly {
-		s.m.Stats.WriteTx.Add(1)
-		s.noteSession(1)
-	} else {
-		s.m.Stats.ReadTx.Add(1)
-		s.noteSession(0)
-	}
-	s.m.fs.ClearIOContext()
-	s.m.unlockExclusive()
-	return nil
+// records its stats without touching the finished transaction.
+func (s *Session) FinishExternal() error {
+	return s.end(endExternal)
 }
 
 // FS exposes the manager's file system (each shard's managers share

@@ -163,66 +163,6 @@ func newWALConcManager(t *testing.T) *Manager {
 	return m
 }
 
-// The WAL concurrent-reader arm: a reader session proceeds without the
-// lock while a write transaction is open, sees only the last committed
-// state, and a view captured before a commit keeps reading its capture
-// afterwards.
-func TestWALConcReaderIsolation(t *testing.T) {
-	m := newWALConcManager(t)
-	seed(t, m, 4, 10)
-
-	w, err := m.Begin(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Exec("UPDATE kv SET v = 20"); err != nil {
-		t.Fatal(err)
-	}
-	// Reader begins while the write transaction is open — no blocking,
-	// no dirty reads.
-	r, err := m.Begin(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range readAll(t, r) {
-		if v != 10 {
-			t.Fatalf("WAL reader sees uncommitted write: %d", v)
-		}
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// The pre-commit view holds.
-	for _, v := range readAll(t, r) {
-		if v != 10 {
-			t.Fatalf("WAL reader after commit: got %d, want 10", v)
-		}
-	}
-	// Writes through a WAL reader must fail.
-	if _, err := r.Exec("UPDATE kv SET v = 99"); err == nil {
-		t.Fatal("write through WAL reader succeeded")
-	}
-	if err := r.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh reader sees the committed update.
-	r2, err := m.Begin(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range readAll(t, r2) {
-		if v != 20 {
-			t.Fatalf("fresh WAL reader: got %d, want 20", v)
-		}
-	}
-	if err := r2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats.WALReads.Load() != 2 {
-		t.Fatalf("WALReads = %d, want 2", m.Stats.WALReads.Load())
-	}
-}
-
 // WAL-journal gauges are exported for the serving tier.
 func TestWALConcGaugesExported(t *testing.T) {
 	m := newWALConcManager(t)

@@ -40,13 +40,13 @@ func newMultiUnitManager(t *testing.T) *Manager {
 	return m
 }
 
-// TestBeginWithTimeoutRacesQuarantine trips a unit quarantine while a
-// BeginWithTimeout poller is spinning on a held writer lock. The
+// TestBusyBudgetRacesQuarantine trips a unit quarantine while a
+// budgeted BeginWith poller is spinning on a held writer lock. The
 // firmware's quarantine drain (relocating live pages under the queue
 // lock) must not deadlock against the poller or the writer's commit,
 // the writer lock must come out of the race released exactly once, and
 // the manager must keep serving write transactions afterwards.
-func TestBeginWithTimeoutRacesQuarantine(t *testing.T) {
+func TestBusyBudgetRacesQuarantine(t *testing.T) {
 	m := newMultiUnitManager(t)
 	seed(t, m, 8, 0)
 	dev := m.fs.Device()
@@ -57,7 +57,7 @@ func TestBeginWithTimeoutRacesQuarantine(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		s, err := m.BeginWithTimeout(false, time.Hour)
+		s, err := m.BeginWith(false, nil, time.Hour)
 		if err == nil {
 			if _, err = s.Exec("UPDATE kv SET v = 1 WHERE k = 0"); err == nil {
 				err = s.Commit()
@@ -110,11 +110,11 @@ func TestBeginWithTimeoutRacesQuarantine(t *testing.T) {
 	}
 }
 
-// TestBeginWithTimeoutExpiresDuringQuarantine is the expired-budget
+// TestBusyBudgetExpiresDuringQuarantine is the expired-budget
 // leg: the budget burns out while the lock stays held across a
 // quarantine trip. The failed acquire must not release anything — the
 // holder's commit must still succeed, exactly once.
-func TestBeginWithTimeoutExpiresDuringQuarantine(t *testing.T) {
+func TestBusyBudgetExpiresDuringQuarantine(t *testing.T) {
 	m := newMultiUnitManager(t)
 	seed(t, m, 4, 0)
 	dev := m.fs.Device()
@@ -126,7 +126,7 @@ func TestBeginWithTimeoutExpiresDuringQuarantine(t *testing.T) {
 	if err := dev.QuarantineUnit(0); err != nil {
 		t.Fatalf("quarantine: %v", err)
 	}
-	_, err = m.BeginWithTimeout(false, 2*time.Millisecond)
+	_, err = m.BeginWith(false, nil, 2*time.Millisecond)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("expired acquire = %v, want ErrBusy", err)
 	}
@@ -141,7 +141,7 @@ func TestBeginWithTimeoutExpiresDuringQuarantine(t *testing.T) {
 	if err := w1.Commit(); err != nil {
 		t.Fatalf("holder commit: %v", err)
 	}
-	w2, err := m.BeginWithTimeout(false, time.Second)
+	w2, err := m.BeginWith(false, nil, time.Second)
 	if err != nil {
 		t.Fatalf("begin after expiry: %v", err)
 	}

@@ -87,7 +87,7 @@
 // rather than unbounded queueing and collective timeout. Slots are
 // held per request, not per transaction, so an interactive transaction
 // cannot starve the tier between statements; the mvcc layer's FIFO
-// writer lock (reached through BeginWithTimeout with the request's
+// writer lock (reached through mvcc.BeginWith with the request's
 // remaining budget) provides the transaction-level serialization.
 //
 // # Deadline propagation
@@ -95,7 +95,7 @@
 // Each request carries a wall-clock budget (deadline_ms, defaulted by
 // the server). The budget gates the admission wait, is re-checked
 // before execution, and the remaining portion is handed to
-// mvcc.BeginWithTimeout as its busy budget — virtual time advances no
+// mvcc.BeginWith as its busy budget — virtual time advances no
 // faster than device work, so the virtual budget is a conservative
 // bound. Below that, the stack's NCQ retry plane runs with per-attempt
 // command deadlines and bounded retries (see DESIGN.md §12 for the

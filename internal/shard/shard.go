@@ -246,12 +246,10 @@ func (f *Fleet) begin(db string, readonly bool, budget time.Duration) (*Session,
 	if writer {
 		f.gates[shard].RLock()
 	}
-	var s *mvcc.Session
-	if budget > 0 {
-		s, err = m.BeginWithTimeout(readonly, budget)
-	} else {
-		s, err = m.Begin(readonly)
+	if budget <= 0 {
+		budget = mvcc.Unbounded
 	}
+	s, err := m.BeginWith(readonly, nil, budget)
 	if err != nil {
 		if writer {
 			f.gates[shard].RUnlock()

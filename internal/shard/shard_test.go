@@ -322,7 +322,7 @@ func TestConcurrentClose(t *testing.T) {
 			defer wg.Done()
 			buf := make([]byte, st.Device.PageSize())
 			for i := int64(0); i < 200; i++ {
-				if err := st.Device.Write(i%64, buf); err != nil {
+				if err := st.Device.Queue().SubmitWait(&ncq.Request{Op: ncq.OpWrite, LPN: i % 64, Data: buf}); err != nil {
 					return // ErrQueueClosed once Close lands — expected
 				}
 			}
@@ -334,7 +334,7 @@ func TestConcurrentClose(t *testing.T) {
 	wg.Wait()
 	// Post-close submissions fail fast with the sentinel.
 	for i, st := range stacks {
-		err := st.Device.Write(0, make([]byte, st.Device.PageSize()))
+		err := st.Device.Queue().SubmitWait(&ncq.Request{Op: ncq.OpWrite, Data: make([]byte, st.Device.PageSize())})
 		if err == nil {
 			t.Fatalf("stack %d accepted a write after Close", i)
 		}

@@ -167,12 +167,11 @@ func (t *Tx) releaseGates() {
 // releaseSessions ends every open mvcc session without touching the
 // underlying transactions (already finished by the 2PC engine) when
 // external is true, or by rolling them back when false.
-func (t *Tx) releaseSessions(external bool, commit ...bool) {
-	decided := len(commit) > 0 && commit[0]
+func (t *Tx) releaseSessions(external bool) {
 	for _, p := range t.parts {
 		for _, s := range p.sessions {
 			if external {
-				_ = s.FinishExternal(decided)
+				_ = s.FinishExternal()
 			} else {
 				_ = s.Rollback()
 			}
@@ -198,7 +197,7 @@ func (t *Tx) Commit() error {
 	if len(t.parts) == 1 {
 		p := t.parts[0]
 		err := sqlite.CommitAtomic(p.sqldbs...)
-		t.releaseSessions(err == nil, err == nil)
+		t.releaseSessions(err == nil)
 		if err != nil {
 			return err
 		}
@@ -259,7 +258,7 @@ func (t *Tx) Commit() error {
 		}
 	}
 	t.f.CommitLat.Observe(time.Since(stage))
-	t.releaseSessions(true, firstErr == nil)
+	t.releaseSessions(true)
 	if firstErr != nil {
 		return firstErr
 	}
@@ -278,7 +277,7 @@ func (t *Tx) abortAfterFailure() {
 		if p.prepared {
 			_ = sqlite.FinishPrepared(false, p.sqldbs...)
 			for _, s := range p.sessions {
-				_ = s.FinishExternal(false)
+				_ = s.FinishExternal()
 			}
 		} else {
 			for _, s := range p.sessions {

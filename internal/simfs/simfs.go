@@ -157,7 +157,7 @@ type FS struct {
 	// context, the recycled buffers — so every exported method that reads
 	// or writes that state holds wmu for its duration. Unexported helpers
 	// expect it held. Lock order: wmu, then mu, then imu, then the device
-	// queue. Snapshot and RawReader reads do not take it.
+	// queue. Reader reads do not take it.
 	wmu sync.Mutex
 
 	// imu guards inode page tables and the files map against FileImage,
@@ -204,15 +204,11 @@ type FS struct {
 	nextTid uint64
 	mounted bool
 
-	// Writer-path I/O attribution. The single-writer discipline (one
-	// mutating session at a time, serialized by mvcc.Manager or the
-	// caller) makes these plain fields safe: they are set and read only
-	// by the goroutine currently holding the write turn. Snapshot
-	// readers carry their own context on the Snapshot handle.
+	// Writer-path I/O attribution, under wmu. One mutating session at a
+	// time (serialized by mvcc.Manager or the caller) sets it for its
+	// turn; readers carry their own context on their Reader.
 	tracer *trace.Tracer
-	ioSess uint64
-	ioReq  uint64
-	ioObs  []*metrics.IOStats
+	io     ioCtx
 	cmd    ncq.Request // the writer path's one command in flight (see submit)
 
 	// freeBufs holds write-back cache pages whose content has reached the
@@ -277,16 +273,33 @@ func (fs *FS) SetTracer(t *trace.Tracer) { fs.tracer = t }
 // reaches through this to emit its own events.
 func (fs *FS) Tracer() *trace.Tracer { return fs.tracer }
 
+// ioCtx is how a page I/O is attributed and issued: the session and
+// serving-tier request it is charged to, the stat sets it is credited
+// into (a role aggregate and a client's own; either may be nil), and
+// whether reads wait for their virtual completion. The writer path has
+// one (FS.io, under wmu); every Reader has its own.
+type ioCtx struct {
+	sess      uint64
+	req       uint64
+	obs       [2]*metrics.IOStats
+	pipelined bool
+}
+
+// attribute hands the context to a new owner. The previous owner's
+// request id goes with it.
+func (c *ioCtx) attribute(sess uint64, role, client *metrics.IOStats) {
+	c.sess, c.req = sess, 0
+	c.obs = [2]*metrics.IOStats{role, client}
+}
+
 // SetIOContext attributes subsequent writer-path I/O to the given
-// session id and credits it into each of the supplied stat sets (a
-// session's own IOStats plus its role aggregate, typically). Call from
-// the goroutine holding the write turn; ClearIOContext when done.
-func (fs *FS) SetIOContext(sess uint64, obs ...*metrics.IOStats) {
+// session id and credits it into the role aggregate and, when non-nil,
+// the client's own stat set. Call from the goroutine holding the write
+// turn; ClearIOContext when done.
+func (fs *FS) SetIOContext(sess uint64, role, client *metrics.IOStats) {
 	fs.wmu.Lock()
 	defer fs.wmu.Unlock()
-	fs.ioSess = sess
-	fs.ioReq = 0
-	fs.ioObs = obs
+	fs.io.attribute(sess, role, client)
 }
 
 // SetIOReq tags subsequent writer-path I/O with a serving-tier request
@@ -294,34 +307,44 @@ func (fs *FS) SetIOContext(sess uint64, obs ...*metrics.IOStats) {
 func (fs *FS) SetIOReq(req uint64) {
 	fs.wmu.Lock()
 	defer fs.wmu.Unlock()
-	fs.ioReq = req
+	fs.io.req = req
 }
 
 // ClearIOContext detaches the writer-path I/O attribution.
 func (fs *FS) ClearIOContext() {
 	fs.wmu.Lock()
 	defer fs.wmu.Unlock()
-	fs.ioSess = 0
-	fs.ioReq = 0
-	fs.ioObs = nil
+	fs.io = ioCtx{}
 }
 
 // IOSession reports the session id of the current writer context.
 func (fs *FS) IOSession() uint64 {
 	fs.wmu.Lock()
 	defer fs.wmu.Unlock()
-	return fs.ioSess
+	return fs.io.sess
 }
 
-// noteRead counts one host page read — globally, into every attached
-// stat context (with the command's device latency), and as a trace
-// event carrying the submit-to-completion window.
-func (fs *FS) noteRead(r *ncq.Request, obs []*metrics.IOStats) {
+// read issues one page read under a context — the writer's or a
+// Reader's — and counts it: globally, into the context's stat sets (with
+// the command's device latency), and as a trace event carrying the
+// submit-to-completion window. A pipelined read does not wait for its
+// virtual completion; Done is still filled in (completion is computed at
+// submission), so the latency observed is the same window either way.
+func (fs *FS) read(r *ncq.Request, io *ioCtx) error {
+	r.Sess, r.Req = io.sess, io.req
+	var err error
+	if io.pipelined {
+		err = fs.dev.Queue().Submit(r)
+	} else {
+		err = fs.dev.Queue().SubmitWait(r)
+	}
 	fs.host.Reads.Add(1)
 	lat := r.Done - r.Submitted
-	for _, o := range obs {
-		o.Host.Reads.Add(1)
-		o.ReadLat.Observe(lat)
+	for _, o := range io.obs {
+		if o != nil {
+			o.Host.Reads.Add(1)
+			o.ReadLat.Observe(lat)
+		}
 	}
 	if fs.tracer != nil {
 		fs.tracer.Record(trace.Event{
@@ -330,6 +353,7 @@ func (fs *FS) noteRead(r *ncq.Request, obs []*metrics.IOStats) {
 			Addr: r.LPN, Sess: r.Sess, Req: r.Req, TID: r.TID, Origin: r.Origin,
 		})
 	}
+	return err
 }
 
 // noteWrite counts one host page write of the given class (trace.WDB /
@@ -344,7 +368,10 @@ func (fs *FS) noteWrite(class int64, lpn int64, tid uint64) {
 	default:
 		fs.host.DBWrites.Add(1)
 	}
-	for _, o := range fs.ioObs {
+	for _, o := range fs.io.obs {
+		if o == nil {
+			continue
+		}
 		switch class {
 		case trace.WJournal:
 			o.Host.JournalWrites.Add(1)
@@ -362,26 +389,25 @@ func (fs *FS) noteWrite(class int64, lpn int64, tid uint64) {
 		fs.tracer.Record(trace.Event{
 			Layer: trace.LFS, Kind: trace.KFSWrite,
 			Start: fs.tracer.Now(),
-			Addr:  lpn, Aux: class, Sess: fs.ioSess, Req: fs.ioReq, TID: tid, Origin: origin,
+			Addr:  lpn, Aux: class, Sess: fs.io.sess, Req: fs.io.req, TID: tid, Origin: origin,
 		})
 	}
 }
 
 // submit runs one writer-path command to completion, attributed to the
-// current I/O context, and returns it for its timings. The command lives
-// in the file system rather than on the heap: the writer path issues one
-// at a time (the single-writer discipline), and the queue keeps nothing
-// of a command once it has returned.
-func (fs *FS) submit(r ncq.Request) (*ncq.Request, error) {
-	r.Sess, r.Req = fs.ioSess, fs.ioReq
+// current I/O context. The command lives in the file system rather than
+// on the heap: the writer path issues one at a time (the single-writer
+// discipline), and the queue keeps nothing of a command once it has
+// returned.
+func (fs *FS) submit(r ncq.Request) error {
+	r.Sess, r.Req = fs.io.sess, fs.io.req
 	fs.cmd = r
-	return &fs.cmd, fs.dev.Queue().SubmitWait(&fs.cmd)
+	return fs.dev.Queue().SubmitWait(&fs.cmd)
 }
 
 // barrier issues a session-attributed write barrier.
 func (fs *FS) barrier() error {
-	_, err := fs.submit(ncq.Request{Op: ncq.OpBarrier})
-	return err
+	return fs.submit(ncq.Request{Op: ncq.OpBarrier})
 }
 
 // FreePages reports how many data pages remain unallocated.
@@ -496,7 +522,7 @@ func (fs *FS) Remove(name string) error {
 		if lpn < 0 {
 			continue
 		}
-		if _, err := fs.submit(ncq.Request{Op: ncq.OpTrim, LPN: lpn}); err != nil {
+		if err := fs.submit(ncq.Request{Op: ncq.OpTrim, LPN: lpn}); err != nil {
 			return err
 		}
 		// The page becomes reusable only after the deletion is durable
@@ -564,8 +590,7 @@ func (fs *FS) journalCommit(dataPages [][]byte) error {
 		lpn := metaRegionPages + fs.journalHead
 		fs.journalHead = (fs.journalHead + 1) % journalRegionPages
 		fs.noteWrite(trace.WFSMeta, lpn, 0)
-		_, err := fs.submit(ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: payload, Origin: trace.OMeta})
-		return err
+		return fs.submit(ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: payload, Origin: trace.OMeta})
 	}
 	blank := fs.zeroPage
 	if err := writeJournalPage(blank); err != nil { // descriptor
@@ -813,9 +838,8 @@ func (f *File) ReadPage(idx int64, buf []byte) error {
 	if f.fs.cfg.Mode == OffXFTL && f.tid != 0 {
 		r.Op, r.TID = ncq.OpReadTx, f.tid
 	}
-	done, err := f.fs.submit(r)
-	f.fs.noteRead(done, f.fs.ioObs)
-	return err
+	f.fs.cmd = r
+	return f.fs.read(&f.fs.cmd, &f.fs.io)
 }
 
 // writeClass maps the file's role to a trace/counter write class.
@@ -857,8 +881,7 @@ func (f *File) writeData(idx int64, data []byte) error {
 		r.Op, r.TID = ncq.OpWriteTx, f.tidFor()
 	}
 	f.fs.noteWrite(f.writeClass(), lpn, r.TID)
-	_, err = f.fs.submit(r)
-	return err
+	return f.fs.submit(r)
 }
 
 // writeBackSome evicts the oldest n dirty pages (cache pressure). In
@@ -931,8 +954,10 @@ func (f *File) Fsync() error {
 		return err
 	}
 	f.fs.host.Fsyncs.Add(1)
-	for _, o := range f.fs.ioObs {
-		o.Host.Fsyncs.Add(1)
+	for _, o := range f.fs.io.obs {
+		if o != nil {
+			o.Host.Fsyncs.Add(1)
+		}
 	}
 	if tr := f.fs.tracer; tr != nil {
 		start := tr.Now()
@@ -940,7 +965,7 @@ func (f *File) Fsync() error {
 			tr.Record(trace.Event{
 				Layer: trace.LFS, Kind: trace.KFSync,
 				Start: start, Dur: tr.Now() - start,
-				Aux: int64(f.fs.cfg.Mode), Sess: f.fs.ioSess,
+				Aux: int64(f.fs.cfg.Mode), Sess: f.fs.io.sess,
 			})
 		}()
 	}
@@ -963,7 +988,7 @@ func (f *File) writeMetaTx() error {
 	tid := f.tidFor()
 	for _, lpn := range lpns {
 		f.fs.noteWrite(trace.WFSMeta, lpn, tid)
-		if _, err := f.fs.submit(ncq.Request{
+		if err := f.fs.submit(ncq.Request{
 			Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: f.fs.zeroPage, Origin: trace.OMeta,
 		}); err != nil {
 			return err
@@ -1013,7 +1038,7 @@ func (f *File) fsync() error {
 		// pairing the new device state with the old namespace image.
 		f.fs.mu.Lock()
 		defer f.fs.mu.Unlock()
-		if _, err := f.fs.submit(ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
+		if err := f.fs.submit(ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
 			return err
 		}
 		f.tid = 0
@@ -1063,7 +1088,7 @@ func (f *File) Prepare(group ...string) (uint64, error) {
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if _, err := f.fs.submit(ncq.Request{Op: ncq.OpPrepare, TID: tid}); err != nil {
+	if err := f.fs.submit(ncq.Request{Op: ncq.OpPrepare, TID: tid}); err != nil {
 		return 0, err
 	}
 	names := append([]string{f.ino.name}, group...)
@@ -1123,7 +1148,7 @@ func (fs *FS) resolveInDoubt(tid uint64, commit bool) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, err := fs.submit(ncq.Request{Op: op, TID: tid}); err != nil {
+	if err := fs.submit(ncq.Request{Op: op, TID: tid}); err != nil {
 		return err
 	}
 	delete(fs.prepared, tid)
@@ -1206,7 +1231,7 @@ func (f *File) Abort() error {
 	}
 	f.order = f.order[:0]
 	if f.fs.cfg.Mode == OffXFTL && f.tid != 0 {
-		if _, err := f.fs.submit(ncq.Request{Op: ncq.OpAbort, TID: f.tid}); err != nil {
+		if err := f.fs.submit(ncq.Request{Op: ncq.OpAbort, TID: f.tid}); err != nil {
 			return err
 		}
 		f.tid = 0
@@ -1257,7 +1282,7 @@ func (f *File) Truncate(n int64) error {
 	for int64(len(f.ino.pages)) > n {
 		idx := int64(len(f.ino.pages)) - 1
 		if lpn := f.ino.pages[idx]; lpn >= 0 {
-			if _, err := f.fs.submit(ncq.Request{Op: ncq.OpTrim, LPN: lpn}); err != nil {
+			if err := f.fs.submit(ncq.Request{Op: ncq.OpTrim, LPN: lpn}); err != nil {
 				return err
 			}
 			f.fs.pendingFree = append(f.fs.pendingFree, lpn)
@@ -1309,6 +1334,51 @@ func (f *File) FlushAll() error {
 	return f.writeBackSome(len(f.dirty))
 }
 
+// Reader issues device page reads on behalf of one read-only session
+// and owns how they are attributed and issued: the I/O context and the
+// one command in flight. A Snapshot reads through its own (pinned
+// versions, ncq.OpSnapRead under the snapshot id); a WAL-mode reader
+// view gets one from NewReader (current mappings, ncq.OpRead) and
+// resolves page numbers to LPNs itself. A Reader never touches the
+// writer's context or takes wmu. One goroutine at a time may use it.
+type Reader struct {
+	fs  *FS
+	op  ncq.Op
+	tid uint64 // the snapshot id, for OpSnapRead
+	io  ioCtx
+	cmd ncq.Request
+}
+
+// NewReader returns a reader of current (unpinned) device pages.
+func (fs *FS) NewReader() *Reader { return &Reader{fs: fs, op: ncq.OpRead} }
+
+// SetPipelined selects asynchronous page reads: a read submits through
+// the NCQ queue without waiting for virtual completion, so concurrent
+// readers keep the multi-channel scheduler busy. Page content is valid
+// on return either way; only the simulated completion time differs.
+func (r *Reader) SetPipelined(on bool) { r.io.pipelined = on }
+
+// SetIOContext attributes the reader's I/O to a session id and credits
+// it into the role aggregate and, when non-nil, the client's own stat
+// set. Call when the reader changes owner, before it issues reads; the
+// previous owner's request id is dropped.
+func (r *Reader) SetIOContext(sess uint64, role, client *metrics.IOStats) {
+	r.io.attribute(sess, role, client)
+}
+
+// SetIOReq tags the reader's I/O with a serving-tier request id
+// (0 = none).
+func (r *Reader) SetIOReq(req uint64) { r.io.req = req }
+
+// Session reports the session id the reader's I/O attributes to.
+func (r *Reader) Session() uint64 { return r.io.sess }
+
+// ReadLPN reads one device page by LPN.
+func (r *Reader) ReadLPN(lpn int64, buf []byte) error {
+	r.cmd = ncq.Request{Op: r.op, TID: r.tid, LPN: lpn, Buf: buf}
+	return r.fs.read(&r.cmd, &r.io)
+}
+
 // Snapshot is a point-in-time read-only view of the file system: the
 // namespace and file extents as of the last commit point, with page
 // content served from the device versions pinned at open. A Snapshot
@@ -1316,22 +1386,11 @@ func (f *File) FlushAll() error {
 // reads touch only the handle's own fields, immutable inode images and
 // the device queue. One goroutine at a time may use a handle.
 type Snapshot struct {
-	fs        *FS
-	id        core.SnapID
-	seq       uint64 // commit sequence the snapshot observed at open
-	epoch     uint64 // power-cut epoch at open
-	inodes    map[string]inodeImage
-	pipelined bool
-	closed    bool
-
-	// Reader-side I/O attribution, set by the owning session before
-	// first use (SetIOContext), and the handle's one read command in
-	// flight. Only the goroutine that owns the snapshot touches them, so
-	// plain fields suffice.
-	sess uint64
-	req  uint64
-	obs  []*metrics.IOStats
-	cmd  ncq.Request
+	rd     Reader // rd.tid is the device's snapshot id
+	seq    uint64 // commit sequence the snapshot observed at open
+	epoch  uint64 // power-cut epoch at open
+	inodes map[string]inodeImage
+	closed bool
 }
 
 // OpenSnapshot pins the current committed state — device page versions
@@ -1355,30 +1414,15 @@ func (fs *FS) OpenSnapshot() (*Snapshot, error) {
 	// inodes may carry uncommitted growth or truncation from the writer's
 	// open transaction, which the pinned device versions do not reflect.
 	// Only the name table is copied; the images are immutable and shared.
-	return &Snapshot{fs: fs, id: id, seq: seq, epoch: fs.epoch.Load(), inodes: maps.Clone(fs.persisted)}, nil
+	return &Snapshot{
+		rd:  Reader{fs: fs, op: ncq.OpSnapRead, tid: uint64(id)},
+		seq: seq, epoch: fs.epoch.Load(), inodes: maps.Clone(fs.persisted),
+	}, nil
 }
 
-// SetPipelined selects asynchronous page reads: ReadPage submits
-// through the NCQ queue without waiting for virtual completion, so
-// concurrent readers keep the multi-channel scheduler busy. Page
-// content is valid on return either way; only the simulated completion
-// time differs.
-func (s *Snapshot) SetPipelined(on bool) { s.pipelined = on }
-
-// SetIOContext attributes this snapshot's reads to a session id and
-// credits them into the supplied stat sets. Call before issuing reads.
-func (s *Snapshot) SetIOContext(sess uint64, obs ...*metrics.IOStats) {
-	s.sess = sess
-	s.req = 0
-	s.obs = obs
-}
-
-// SetIOReq tags this snapshot's reads with a serving-tier request id
-// (0 = none). Reset by SetIOContext when the handle changes owner.
-func (s *Snapshot) SetIOReq(req uint64) { s.req = req }
-
-// Session reports the session id the snapshot's reads attribute to.
-func (s *Snapshot) Session() uint64 { return s.sess }
+// Reader exposes the snapshot's reader, for the owning session to set
+// its I/O context on.
+func (s *Snapshot) Reader() *Reader { return &s.rd }
 
 // Seq reports the commit sequence the snapshot observed at open. Two
 // snapshots with equal Seq and Epoch pin identical committed states —
@@ -1414,22 +1458,10 @@ func (s *Snapshot) ReadPage(name string, idx int64, buf []byte) error {
 	}
 	lpn := img.pages[idx]
 	if lpn < 0 {
-		clear(buf[:min(len(buf), s.fs.PageSize())])
+		clear(buf[:min(len(buf), s.rd.fs.PageSize())])
 		return nil
 	}
-	r := &s.cmd
-	*r = ncq.Request{Op: ncq.OpSnapRead, TID: uint64(s.id), LPN: lpn, Buf: buf, Sess: s.sess, Req: s.req}
-	var err error
-	if s.pipelined {
-		// Asynchronous submit: Done is still filled in (virtual
-		// completion is computed at submission), so the latency
-		// observation below sees the same window either way.
-		err = s.fs.dev.Queue().Submit(r)
-	} else {
-		err = s.fs.dev.Queue().SubmitWait(r)
-	}
-	s.fs.noteRead(r, s.obs)
-	return err
+	return s.rd.ReadLPN(lpn, buf)
 }
 
 // Close releases the snapshot's device pins. Closing twice is a no-op.
@@ -1438,7 +1470,7 @@ func (s *Snapshot) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.fs.dev.SnapshotClose(s.id)
+	return s.rd.fs.dev.SnapshotClose(core.SnapID(s.rd.tid))
 }
 
 // FileImage copies a file's current device page table (file page index
@@ -1458,56 +1490,4 @@ func (fs *FS) FileImage(name string) ([]int64, bool) {
 	pages := make([]int64, len(ino.pages))
 	copy(pages, ino.pages)
 	return pages, true
-}
-
-// RawReader issues plain device page reads outside any file handle or
-// snapshot: WAL-mode reader views resolve their own file-page-to-LPN
-// mapping (a captured FileImage plus the pager's frame index) and only
-// need the device hop. Each reader carries its own I/O attribution, so
-// concurrent readers never touch the writer's context fields. Safe for
-// use by one goroutine at a time per reader; create one per session.
-type RawReader struct {
-	fs        *FS
-	pipelined bool
-	sess      uint64
-	req       uint64
-	obs       []*metrics.IOStats
-	cmd       ncq.Request // the reader's one command in flight
-}
-
-// NewRawReader returns a device-page reader for WAL view resolution.
-func (fs *FS) NewRawReader() *RawReader { return &RawReader{fs: fs} }
-
-// SetPipelined selects asynchronous reads (see Snapshot.SetPipelined):
-// content is valid on return either way, only the simulated completion
-// time differs.
-func (r *RawReader) SetPipelined(on bool) { r.pipelined = on }
-
-// SetIOContext attributes this reader's I/O to a session id and credits
-// the supplied stat sets.
-func (r *RawReader) SetIOContext(sess uint64, obs ...*metrics.IOStats) {
-	r.sess = sess
-	r.req = 0
-	r.obs = obs
-}
-
-// SetIOReq tags this reader's I/O with a serving-tier request id
-// (0 = none). Reset by SetIOContext when the handle changes owner.
-func (r *RawReader) SetIOReq(req uint64) { r.req = req }
-
-// Session reports the session id the reader's I/O attributes to.
-func (r *RawReader) Session() uint64 { return r.sess }
-
-// ReadLPN reads one device page by LPN.
-func (r *RawReader) ReadLPN(lpn int64, buf []byte) error {
-	req := &r.cmd
-	*req = ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf, Sess: r.sess, Req: r.req}
-	var err error
-	if r.pipelined {
-		err = r.fs.dev.Queue().Submit(req)
-	} else {
-		err = r.fs.dev.Queue().SubmitWait(req)
-	}
-	r.fs.noteRead(req, r.obs)
-	return err
 }

@@ -48,49 +48,31 @@ func Open(fsys *simfs.FS, name string, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat, err := newCatalog(p)
-	if err != nil {
-		_ = p.Close()
-		return nil, err
-	}
-	return &DB{fs: fsys, pg: p, cat: cat, name: name, rngState: 0x9E3779B97F4A7C15}, nil
+	return attach(fsys, name, p)
 }
 
-// OpenSnapshotDB opens a read-only connection backed by a file-system
-// snapshot: every page read resolves through the X-FTL version set
-// pinned at snapshot-open time, so the connection sees one committed
-// state of the database no matter what a concurrent writer commits
-// afterwards. The snapshot handle stays owned by the caller (close it
+// OpenReader opens a read-only connection over one pinned committed
+// state of the database — a file-system snapshot (pager.SnapshotSource:
+// page reads resolve through the X-FTL version set pinned at its open)
+// or a captured WAL view (the committed frame index at capture) — so
+// the connection sees that state no matter what a concurrent writer
+// commits afterwards. The source stays owned by the caller (close it
 // after closing the DB). Any write statement fails with
 // pager.ErrReadOnly.
-func OpenSnapshotDB(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (*DB, error) {
-	p, err := pager.OpenSnapshot(fsys, name, snap, pager.Config{
+func OpenReader(fsys *simfs.FS, name string, src pager.PageSource, cfg Config) (*DB, error) {
+	p, err := pager.OpenReader(fsys, name, src, pager.Config{
+		Mode:      cfg.JournalMode,
 		CacheSize: cfg.CacheSize,
 	})
 	if err != nil {
 		return nil, err
 	}
-	cat, err := newCatalog(p)
-	if err != nil {
-		_ = p.Close()
-		return nil, err
-	}
-	return &DB{fs: fsys, pg: p, cat: cat, name: name, rngState: 0x9E3779B97F4A7C15}, nil
+	return attach(fsys, name, p)
 }
 
-// OpenWALReaderDB opens a read-only connection over a captured WAL
-// view: page reads resolve through the committed frame index pinned at
-// capture time, so the connection sees one committed state while the
-// writer keeps appending to the live log. The view stays owned by the
-// caller (release it after closing the DB). Any write statement fails
-// with pager.ErrReadOnly.
-func OpenWALReaderDB(fsys *simfs.FS, name string, view *pager.WALView, cfg Config) (*DB, error) {
-	p, err := pager.OpenWALReader(fsys, name, view, pager.Config{
-		CacheSize: cfg.CacheSize,
-	})
-	if err != nil {
-		return nil, err
-	}
+// attach loads the catalog through a freshly opened pager and wraps the
+// pair in a connection.
+func attach(fsys *simfs.FS, name string, p *pager.Pager) (*DB, error) {
 	cat, err := newCatalog(p)
 	if err != nil {
 		_ = p.Close()

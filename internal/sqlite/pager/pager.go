@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/simfs"
 	"repro/internal/trace"
 )
@@ -121,14 +120,13 @@ type fifoEntry struct {
 type Pager struct {
 	fs   *simfs.FS
 	name string
-	file *simfs.File // nil in snapshot mode
+	file *simfs.File // nil for a read-only pager
 	cfg  Config
 
-	// snap, when set, serves every stable-storage read from a pinned
-	// file-system snapshot; the pager is then read-only (Write, Allocate
-	// and Free fail with ErrReadOnly) and file is nil.
-	snap     *simfs.Snapshot
-	readOnly bool
+	// src, when set, serves every stable-storage read from a pinned
+	// committed state; the pager is then read-only (Write, Allocate and
+	// Free fail with ErrReadOnly) and file is nil.
+	src PageSource
 
 	cache map[Pgno]*Page
 
@@ -186,11 +184,6 @@ type Pager struct {
 	walMu      sync.Mutex
 	walReaders int
 
-	// view, when set, serves every stable-storage read of this
-	// (read-only) pager from a captured WAL view: the committed frame
-	// index plus device page tables as of the capture.
-	view *WALView
-
 	// Stats.
 	Commits     int64
 	Rollbacks   int64
@@ -207,35 +200,37 @@ type Pager struct {
 func (p *Pager) tracer() *trace.Tracer { return p.fs.Tracer() }
 
 // sess reports the session id this pager's I/O is attributed to: the
-// file system's current context for a writer, the snapshot's for a
-// snapshot reader.
+// file system's current context for a writer, the source's reader's for
+// a read-only pager.
 func (p *Pager) sess() uint64 {
-	if p.snap != nil {
-		return p.snap.Session()
-	}
-	if p.view != nil {
-		return p.view.rd.Session()
+	if p.src != nil {
+		return p.src.Reader().Session()
 	}
 	return p.fs.IOSession()
 }
 
-// Open creates or opens a database file and runs crash recovery for the
-// configured journal mode (hot rollback journal playback, or WAL scan
-// and checkpoint).
-func Open(fsys *simfs.FS, name string, cfg Config) (*Pager, error) {
+// newPager fills in the configuration defaults and the empty cache.
+func newPager(fsys *simfs.FS, name string, cfg Config) *Pager {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 2000
 	}
 	if cfg.CheckpointPages <= 0 {
 		cfg.CheckpointPages = 1000
 	}
-	p := &Pager{
+	return &Pager{
 		fs:    fsys,
 		name:  name,
 		cfg:   cfg,
 		cache: make(map[Pgno]*Page),
 		dirty: make(map[Pgno]bool),
 	}
+}
+
+// Open creates or opens a database file and runs crash recovery for the
+// configured journal mode (hot rollback journal playback, or WAL scan
+// and checkpoint).
+func Open(fsys *simfs.FS, name string, cfg Config) (*Pager, error) {
+	p := newPager(fsys, name, cfg)
 	var err error
 	if fsys.Exists(name) {
 		p.file, err = fsys.Open(name)
@@ -264,32 +259,60 @@ func Open(fsys *simfs.FS, name string, cfg Config) (*Pager, error) {
 	return p, nil
 }
 
-// OpenSnapshot opens a read-only pager whose every stable-storage read
-// is served from a file-system snapshot: the database exactly as of the
-// snapshot's commit point, unaffected by any concurrent writer. The
-// journal mode is forced to Off (snapshots exist only over an X-FTL
-// device) and no recovery runs — a snapshot is committed state by
-// construction. The snapshot's lifetime is owned by the caller; Close
-// does not release it.
-func OpenSnapshot(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (*Pager, error) {
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 2000
-	}
-	cfg.Mode = Off
-	p := &Pager{
-		fs:       fsys,
-		name:     name,
-		cfg:      cfg,
-		cache:    make(map[Pgno]*Page),
-		dirty:    make(map[Pgno]bool),
-		snap:     snap,
-		readOnly: true,
-	}
+// PageSource is one committed state of a database, pinned for a
+// read-only pager: it hides how a page number resolves to a device page
+// — through a file-system snapshot's inode image (SnapshotSource) or a
+// captured WAL frame index (WALView) — and exposes the simfs.Reader its
+// reads go through, for the owning session's I/O context.
+type PageSource interface {
+	// ReadPage reads database page pgno into buf; pages the pinned state
+	// does not hold read as zeros.
+	ReadPage(pgno Pgno, buf []byte) error
+	// Empty reports that the pinned state holds no database at all.
+	Empty() bool
+	Reader() *simfs.Reader
+}
+
+// OpenReader opens a read-only pager whose every stable-storage read is
+// served from src: the database exactly as of the source's commit
+// point, unaffected by any concurrent writer, with the cache warming
+// against immutable state. No recovery runs — a source is committed
+// state by construction — and nothing is ever journaled; cfg.Mode only
+// labels the connection. The source's lifetime is owned by the caller;
+// Close does not release it.
+func OpenReader(fsys *simfs.FS, name string, src PageSource, cfg Config) (*Pager, error) {
+	p := newPager(fsys, name, cfg)
+	p.src = src
 	if err := p.loadHeader(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
+
+// snapSource serves a database file's pages from a file-system
+// snapshot.
+type snapSource struct {
+	snap *simfs.Snapshot
+	name string
+}
+
+// SnapshotSource is the named database file as of a file-system
+// snapshot: every page resolves through the X-FTL version set pinned at
+// the snapshot's open.
+func SnapshotSource(snap *simfs.Snapshot, name string) PageSource {
+	return &snapSource{snap: snap, name: name}
+}
+
+func (s *snapSource) ReadPage(pgno Pgno, buf []byte) error {
+	if int64(pgno-1) >= s.snap.Pages(s.name) {
+		clear(buf)
+		return nil
+	}
+	return s.snap.ReadPage(s.name, int64(pgno-1), buf)
+}
+
+func (s *snapSource) Empty() bool           { return s.snap.Pages(s.name) == 0 }
+func (s *snapSource) Reader() *simfs.Reader { return s.snap.Reader() }
 
 // WALView is an immutable committed snapshot of a WAL-mode database:
 // the committed frame index plus the device page tables of the
@@ -297,16 +320,16 @@ func OpenSnapshot(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config)
 // commit path. A view reads the last committed transaction as of its
 // capture — later commits only append frames and update the live
 // index, never touching what the view references — and it holds off
-// checkpoints (which WOULD touch them) until released. Views cost no
+// checkpoints (which WOULD touch them) until closed. Views cost no
 // device pinning: unlike X-FTL snapshots, the referenced pages stay
 // current mappings for the view's whole lifetime.
 type WALView struct {
-	pager    *Pager
-	db       []int64        // database file page table at capture
-	wal      []int64        // log file page table at capture
-	idx      map[Pgno]int64 // committed pgno -> wal frame at capture
-	rd       *simfs.RawReader
-	released bool
+	pager  *Pager
+	db     []int64        // database file page table at capture
+	wal    []int64        // log file page table at capture
+	idx    map[Pgno]int64 // committed pgno -> wal frame at capture
+	rd     *simfs.Reader
+	closed bool
 }
 
 // CaptureWALView pins the committed WAL state for a concurrent reader.
@@ -325,35 +348,27 @@ func (p *Pager) CaptureWALView() (*WALView, error) {
 	db, _ := p.fs.FileImage(p.name)
 	wal, _ := p.fs.FileImage(p.walName())
 	p.walReaders++
-	return &WALView{pager: p, db: db, wal: wal, idx: idx, rd: p.fs.NewRawReader()}, nil
+	return &WALView{pager: p, db: db, wal: wal, idx: idx, rd: p.fs.NewReader()}, nil
 }
 
-// Release lets the writer checkpoint again once no views remain.
-// Releasing twice is a no-op.
-func (v *WALView) Release() {
-	if v.released {
-		return
+// Close lets the writer checkpoint again once no views remain. Closing
+// twice is a no-op.
+func (v *WALView) Close() error {
+	if v.closed {
+		return nil
 	}
-	v.released = true
+	v.closed = true
 	v.pager.walMu.Lock()
 	v.pager.walReaders--
 	v.pager.walMu.Unlock()
+	return nil
 }
 
-// SetPipelined selects asynchronous device reads for the view.
-func (v *WALView) SetPipelined(on bool) { v.rd.SetPipelined(on) }
+// Reader exposes the reader the view's page reads go through.
+func (v *WALView) Reader() *simfs.Reader { return v.rd }
 
-// SetIOContext attributes the view's reads to a session id and stat
-// sets (see Snapshot.SetIOContext).
-func (v *WALView) SetIOContext(sess uint64, obs ...*metrics.IOStats) {
-	v.rd.SetIOContext(sess, obs...)
-}
-
-// SetIOReq tags the view's reads with a serving-tier request id.
-func (v *WALView) SetIOReq(req uint64) { v.rd.SetIOReq(req) }
-
-// empty reports whether the view holds no committed database at all.
-func (v *WALView) empty() bool {
+// Empty reports whether the view holds no committed database at all.
+func (v *WALView) Empty() bool {
 	if len(v.db) > 0 {
 		return false
 	}
@@ -361,10 +376,10 @@ func (v *WALView) empty() bool {
 	return !ok
 }
 
-// readPage serves one database page from the view: the committed WAL
+// ReadPage serves one database page from the view: the committed WAL
 // frame if the page was in the log at capture, the database file page
 // otherwise, zeros for holes.
-func (v *WALView) readPage(pgno Pgno, buf []byte) error {
+func (v *WALView) ReadPage(pgno Pgno, buf []byte) error {
 	if frame, ok := v.idx[pgno]; ok {
 		if frame >= int64(len(v.wal)) || v.wal[frame] < 0 {
 			return fmt.Errorf("%w: wal frame %d outside captured log (%d pages)", ErrCorrupt, frame, len(v.wal))
@@ -378,31 +393,6 @@ func (v *WALView) readPage(pgno Pgno, buf []byte) error {
 	}
 	clear(buf)
 	return nil
-}
-
-// OpenWALReader opens a read-only pager over a captured WAL view: the
-// reader's cache warms against immutable committed state while the
-// writer keeps appending to the live log. No recovery runs — the view
-// is committed state by construction. The view's lifetime is owned by
-// the caller; Close does not release it.
-func OpenWALReader(fsys *simfs.FS, name string, view *WALView, cfg Config) (*Pager, error) {
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 2000
-	}
-	cfg.Mode = WAL
-	p := &Pager{
-		fs:       fsys,
-		name:     name,
-		cfg:      cfg,
-		cache:    make(map[Pgno]*Page),
-		dirty:    make(map[Pgno]bool),
-		view:     view,
-		readOnly: true,
-	}
-	if err := p.loadHeader(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // Name returns the database file name.
@@ -439,22 +429,15 @@ func (p *Pager) walName() string { return p.name + "-wal" }
 // loadHeader reads page 1, initializing a fresh database if the file is
 // empty.
 func (p *Pager) loadHeader() error {
-	switch {
-	case p.view != nil:
-		if p.view.empty() {
-			p.nPages = 1
-			return nil
-		}
-	case p.snap != nil:
-		if p.snap.Pages(p.name) == 0 {
-			p.nPages = 1
-			return nil
-		}
-	default:
-		if p.file.Pages() == 0 {
-			p.nPages = 1
-			return nil
-		}
+	var fresh bool
+	if p.src != nil {
+		fresh = p.src.Empty()
+	} else {
+		fresh = p.file.Pages() == 0
+	}
+	if fresh {
+		p.nPages = 1
+		return nil
 	}
 	buf := make([]byte, p.PageSize())
 	if err := p.readDBPage(1, buf); err != nil {
@@ -511,8 +494,8 @@ func (p *Pager) dirtyHeader() error {
 // readDBPage fetches a page image from stable storage, consulting the
 // WAL first in WAL mode (the paper's "reading the two files" overhead).
 func (p *Pager) readDBPage(pgno Pgno, buf []byte) error {
-	if p.view != nil {
-		return p.view.readPage(pgno, buf)
+	if p.src != nil {
+		return p.src.ReadPage(pgno, buf)
 	}
 	if p.cfg.Mode == WAL {
 		if idx, ok := p.txFrames[pgno]; ok {
@@ -521,13 +504,6 @@ func (p *Pager) readDBPage(pgno Pgno, buf []byte) error {
 		if idx, ok := p.walIndex[pgno]; ok {
 			return p.walFile.ReadPage(idx, buf)
 		}
-	}
-	if p.snap != nil {
-		if int64(pgno-1) >= p.snap.Pages(p.name) {
-			clear(buf)
-			return nil
-		}
-		return p.snap.ReadPage(p.name, int64(pgno-1), buf)
 	}
 	if int64(pgno-1) >= p.file.Pages() {
 		clear(buf)
@@ -724,7 +700,7 @@ func (p *Pager) Write(pg *Page) error {
 	if !p.inTx {
 		return ErrNoTx
 	}
-	if p.readOnly {
+	if p.src != nil {
 		return ErrReadOnly
 	}
 	p.mutated = true
@@ -764,7 +740,7 @@ func (p *Pager) Allocate() (*Page, error) {
 	if !p.inTx {
 		return nil, ErrNoTx
 	}
-	if p.readOnly {
+	if p.src != nil {
 		return nil, ErrReadOnly
 	}
 	p.mutated = true
@@ -810,7 +786,7 @@ func (p *Pager) Free(pgno Pgno) error {
 	if pgno <= 1 || pgno > p.nPages {
 		return fmt.Errorf("%w: free %d", ErrBadPgno, pgno)
 	}
-	if p.readOnly {
+	if p.src != nil {
 		return ErrReadOnly
 	}
 	p.mutated = true
@@ -1264,8 +1240,8 @@ func (p *Pager) Rollback() error {
 		}
 	case Off:
 		// ioctl(abort): stolen pages roll back inside the device. A
-		// read-only snapshot session never staged anything to abort.
-		if p.snap == nil {
+		// read-only session never staged anything to abort.
+		if p.file != nil {
 			if err := p.file.Abort(); err != nil {
 				return err
 			}
@@ -1390,7 +1366,7 @@ func (p *Pager) Close() error {
 		_ = p.walFile.Close()
 	}
 	if p.file == nil {
-		return nil // snapshot session: the snapshot's owner closes it
+		return nil // read-only session: the source's owner closes it
 	}
 	return p.file.Close()
 }

@@ -9,77 +9,10 @@ import (
 func viewFill(t *testing.T, v *WALView, ps int, pgno Pgno) byte {
 	t.Helper()
 	buf := make([]byte, ps)
-	if err := v.readPage(pgno, buf); err != nil {
+	if err := v.ReadPage(pgno, buf); err != nil {
 		t.Fatalf("view read %d: %v", pgno, err)
 	}
 	return buf[64]
-}
-
-// A captured WAL view keeps reading the committed state of its capture
-// while the writer commits past it, both for pages whose committed
-// version sits in the log and for pages already checkpointed into the
-// database file.
-func TestWALViewIsolatesConcurrentCommits(t *testing.T) {
-	e := newEnv(t, WAL)
-	p := openPager(t, e, WAL, 100)
-	if err := p.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	pgnos := grow(t, p, 3)
-	for _, pgno := range pgnos {
-		setPage(t, p, pgno, 0xA1)
-	}
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Checkpoint so one page's committed home is the db file, then
-	// commit a log-resident version of another.
-	if err := p.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	setPage(t, p, pgnos[0], 0xB2)
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	v, err := p.CaptureWALView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	ps := p.PageSize()
-	if got := viewFill(t, v, ps, pgnos[0]); got != 0xB2 {
-		t.Fatalf("view log page: got %#x, want 0xB2", got)
-	}
-	if got := viewFill(t, v, ps, pgnos[1]); got != 0xA1 {
-		t.Fatalf("view db page: got %#x, want 0xA1", got)
-	}
-
-	// Writer moves on; the view must not.
-	for i := 0; i < 4; i++ {
-		if err := p.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		for _, pgno := range pgnos {
-			setPage(t, p, pgno, byte(0xC0+i))
-		}
-		if err := p.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := viewFill(t, v, ps, pgnos[0]); got != 0xB2 {
-		t.Fatalf("view after later commits: got %#x, want 0xB2", got)
-	}
-	if got := viewFill(t, v, ps, pgnos[1]); got != 0xA1 {
-		t.Fatalf("view after later commits: got %#x, want 0xA1", got)
-	}
-	// The live pager sees the newest committed state.
-	if got := getFill(t, p, pgnos[0]); got != 0xC3 {
-		t.Fatalf("live pager: got %#x, want 0xC3", got)
-	}
 }
 
 // Checkpoints defer while any view is live — a checkpoint would rewrite
@@ -126,7 +59,7 @@ func TestWALViewDefersCheckpoint(t *testing.T) {
 	if got := viewFill(t, v, p.PageSize(), pgnos[0]); got != 0x11 {
 		t.Fatalf("view tore during deferred checkpointing: got %#x", got)
 	}
-	v.Release()
+	_ = v.Close()
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

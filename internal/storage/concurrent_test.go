@@ -147,7 +147,7 @@ func TestConcurrentStressWithPowerCut(t *testing.T) {
 	}
 	buf := make([]byte, d.PageSize())
 	for lpn, want := range committed {
-		if err := d.Read(lpn, buf); err != nil {
+		if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}); err != nil {
 			t.Fatalf("Read(%d) after recovery: %v", lpn, err)
 		}
 		got := binary.LittleEndian.Uint64(buf)
@@ -166,7 +166,7 @@ func TestConcurrentStressWithPowerCut(t *testing.T) {
 			t.Fatalf("post-recovery write %d: %v", i, err)
 		}
 	}
-	if err := d.Barrier(); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpBarrier}); err != nil {
 		t.Fatalf("post-recovery barrier: %v", err)
 	}
 }

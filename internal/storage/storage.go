@@ -388,6 +388,8 @@ func (d *Device) execute(r *ncq.Request) error {
 		}
 		return d.lost(d.base.Unmap(ftl.LPN(r.LPN)))
 	case ncq.OpBarrier:
+		// Flush-cache: the mapping table becomes durable. On OpenSSD this
+		// is the expensive operation behind every fsync (§6.3.4).
 		d.chargeCmd(0)
 		d.barriers.Add(1)
 		d.sched.ChargeController(d.prof.BarrierOverhead)
@@ -411,6 +413,9 @@ func (d *Device) execute(r *ncq.Request) error {
 		if d.x == nil {
 			return ErrNotTransactional
 		}
+		// commit(t) doubles as the write barrier of the transaction's
+		// fsync ("X-FTL invokes a commit command once as part of a fsync
+		// system call, which plays the same role as a write barrier").
 		d.chargeCmd(0)
 		d.barriers.Add(1)
 		d.sched.ChargeController(d.prof.BarrierOverhead)
@@ -465,77 +470,6 @@ func (d *Device) powerCutFirmware() {
 func (d *Device) chargeCmd(pages int) {
 	d.cmds.Add(1)
 	d.sched.ChargeController(d.prof.CmdOverhead + time.Duration(pages)*d.prof.TransferPerPage)
-}
-
-// Read services a plain read command for the last committed version.
-func (d *Device) Read(lpn int64, buf []byte) error {
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf})
-}
-
-// Write services a plain (non-transactional) write command.
-func (d *Device) Write(lpn int64, data []byte) error {
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: data})
-}
-
-// Trim discards a logical page.
-func (d *Device) Trim(lpn int64) error {
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpTrim, LPN: lpn})
-}
-
-// Barrier services a write-barrier / flush-cache command: the mapping
-// table becomes durable. On OpenSSD this is the expensive operation
-// behind every fsync (§6.3.4). In the queue it is a full fence.
-func (d *Device) Barrier() error {
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpBarrier})
-}
-
-// ReadTx services read(t,p): the transaction sees its own uncommitted
-// version if it has one.
-func (d *Device) ReadTx(tid uint64, lpn int64, buf []byte) error {
-	if d.x == nil {
-		return ErrNotTransactional
-	}
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpReadTx, TID: tid, LPN: lpn, Buf: buf})
-}
-
-// WriteTx services write(t,p): a copy-on-write page update recorded in
-// the X-L2P table under the transaction id.
-func (d *Device) WriteTx(tid uint64, lpn int64, data []byte) error {
-	if d.x == nil {
-		return ErrNotTransactional
-	}
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: data})
-}
-
-// Commit services commit(t). It doubles as the write barrier for the
-// transaction's fsync ("X-FTL invokes a commit command once as part of
-// a fsync system call, which plays the same role as a write barrier"),
-// and fences the queue per §4.2.
-func (d *Device) Commit(tid uint64) error {
-	if d.x == nil {
-		return ErrNotTransactional
-	}
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpCommit, TID: tid})
-}
-
-// Abort services abort(t): the transaction's new versions are
-// abandoned inside the device. Like commit, it fences the queue.
-func (d *Device) Abort(tid uint64) error {
-	if d.x == nil {
-		return ErrNotTransactional
-	}
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpAbort, TID: tid})
-}
-
-// Prepare services prepare(t), phase one of a cross-device two-phase
-// commit: the transaction's page set becomes durable without becoming
-// visible, and the device guarantees a later Commit will succeed. Like
-// commit, it fences the queue and pays the barrier overhead.
-func (d *Device) Prepare(tid uint64) error {
-	if d.x == nil {
-		return ErrNotTransactional
-	}
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpPrepare, TID: tid})
 }
 
 // InDoubt lists prepared transactions the last Restart recovered whose
@@ -598,16 +532,6 @@ func (d *Device) SnapshotClose(id core.SnapID) error {
 		err = d.x.CloseSnapshot(id)
 	})
 	return err
-}
-
-// SnapshotRead reads a logical page as of the snapshot's open,
-// synchronously. Concurrent readers that want queue-depth overlap
-// submit ncq.OpSnapRead through Queue() instead.
-func (d *Device) SnapshotRead(id core.SnapID, lpn int64, buf []byte) error {
-	if d.x == nil {
-		return ErrNotTransactional
-	}
-	return d.q.SubmitWait(&ncq.Request{Op: ncq.OpSnapRead, TID: uint64(id), LPN: lpn, Buf: buf})
 }
 
 // PowerCut simulates pulling the plug at a command boundary: volatile

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ftl"
+	"repro/internal/ncq"
 	"repro/internal/simclock"
 )
 
@@ -18,6 +19,10 @@ func smallProfile() Profile {
 	p.Nand.PageSize = 512
 	return p
 }
+
+// do runs one command to completion at depth 1 — the one way tests
+// reach the device, same as every caller: through its queue.
+func do(d *Device, r ncq.Request) error { return d.Queue().SubmitWait(&r) }
 
 func newDev(t *testing.T, transactional bool) *Device {
 	t.Helper()
@@ -57,11 +62,11 @@ func TestBaselineReadWrite(t *testing.T) {
 	if d.Transactional() {
 		t.Fatal("baseline device claims to be transactional")
 	}
-	if err := d.Write(5, devPage(d, 0x33)); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpWrite, LPN: 5, Data: devPage(d, 0x33)}); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, d.PageSize())
-	if err := d.Read(5, buf); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: 5, Buf: buf}); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0x33 {
@@ -72,36 +77,36 @@ func TestBaselineReadWrite(t *testing.T) {
 func TestBaselineRejectsTransactionalCommands(t *testing.T) {
 	d := newDev(t, false)
 	buf := make([]byte, d.PageSize())
-	if err := d.WriteTx(1, 0, devPage(d, 1)); !errors.Is(err, ErrNotTransactional) {
+	if err := do(d, ncq.Request{Op: ncq.OpWriteTx, TID: 1, LPN: 0, Data: devPage(d, 1)}); !errors.Is(err, ErrNotTransactional) {
 		t.Errorf("WriteTx = %v, want ErrNotTransactional", err)
 	}
-	if err := d.ReadTx(1, 0, buf); !errors.Is(err, ErrNotTransactional) {
+	if err := do(d, ncq.Request{Op: ncq.OpReadTx, TID: 1, LPN: 0, Buf: buf}); !errors.Is(err, ErrNotTransactional) {
 		t.Errorf("ReadTx = %v, want ErrNotTransactional", err)
 	}
-	if err := d.Commit(1); !errors.Is(err, ErrNotTransactional) {
+	if err := do(d, ncq.Request{Op: ncq.OpCommit, TID: 1}); !errors.Is(err, ErrNotTransactional) {
 		t.Errorf("Commit = %v, want ErrNotTransactional", err)
 	}
-	if err := d.Abort(1); !errors.Is(err, ErrNotTransactional) {
+	if err := do(d, ncq.Request{Op: ncq.OpAbort, TID: 1}); !errors.Is(err, ErrNotTransactional) {
 		t.Errorf("Abort = %v, want ErrNotTransactional", err)
 	}
 }
 
 func TestTransactionalLifecycle(t *testing.T) {
 	d := newDev(t, true)
-	if err := d.WriteTx(7, 3, devPage(d, 1)); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpWriteTx, TID: 7, LPN: 3, Data: devPage(d, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, d.PageSize())
-	if err := d.Read(3, buf); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: 3, Buf: buf}); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0 {
 		t.Error("uncommitted write visible to plain read")
 	}
-	if err := d.Commit(7); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpCommit, TID: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Read(3, buf); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: 3, Buf: buf}); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 1 {
@@ -117,7 +122,7 @@ func TestCommandLatencyCharged(t *testing.T) {
 	}
 	p := d.Profile()
 	before := clk.Now()
-	if err := d.Write(0, devPage(d, 1)); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpWrite, LPN: 0, Data: devPage(d, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := clk.Now() - before
@@ -126,7 +131,7 @@ func TestCommandLatencyCharged(t *testing.T) {
 		t.Errorf("write cost %v, want %v", elapsed, want)
 	}
 	before = clk.Now()
-	if err := d.Barrier(); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpBarrier}); err != nil {
 		t.Fatal(err)
 	}
 	if got := clk.Now() - before; got < p.BarrierOverhead {
@@ -136,10 +141,10 @@ func TestCommandLatencyCharged(t *testing.T) {
 
 func TestBarrierDurability(t *testing.T) {
 	d := newDev(t, false)
-	if err := d.Write(9, devPage(d, 0x44)); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpWrite, LPN: 9, Data: devPage(d, 0x44)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Barrier(); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpBarrier}); err != nil {
 		t.Fatal(err)
 	}
 	d.PowerCut()
@@ -147,7 +152,7 @@ func TestBarrierDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, d.PageSize())
-	if err := d.Read(9, buf); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: 9, Buf: buf}); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0x44 {
@@ -158,7 +163,7 @@ func TestBarrierDurability(t *testing.T) {
 func TestTransactionalCrashAtomicity(t *testing.T) {
 	d := newDev(t, true)
 	for l := int64(0); l < 3; l++ {
-		if err := d.WriteTx(1, l, devPage(d, 9)); err != nil {
+		if err := do(d, ncq.Request{Op: ncq.OpWriteTx, TID: 1, LPN: l, Data: devPage(d, 9)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +173,7 @@ func TestTransactionalCrashAtomicity(t *testing.T) {
 	}
 	buf := make([]byte, d.PageSize())
 	for l := int64(0); l < 3; l++ {
-		if err := d.Read(l, buf); err != nil {
+		if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: l, Buf: buf}); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != 0 {
@@ -179,14 +184,14 @@ func TestTransactionalCrashAtomicity(t *testing.T) {
 
 func TestTrim(t *testing.T) {
 	d := newDev(t, true)
-	if err := d.Write(2, devPage(d, 5)); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpWrite, LPN: 2, Data: devPage(d, 5)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Trim(2); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpTrim, LPN: 2}); err != nil {
 		t.Fatal(err)
 	}
 	buf := devPage(d, 0xFF)
-	if err := d.Read(2, buf); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: 2, Buf: buf}); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0 {
@@ -197,9 +202,9 @@ func TestTrim(t *testing.T) {
 func TestCommandCounting(t *testing.T) {
 	d := newDev(t, false)
 	n0 := d.Commands()
-	_ = d.Write(0, devPage(d, 1))
-	_ = d.Read(0, make([]byte, d.PageSize()))
-	_ = d.Barrier()
+	_ = do(d, ncq.Request{Op: ncq.OpWrite, LPN: 0, Data: devPage(d, 1)})
+	_ = do(d, ncq.Request{Op: ncq.OpRead, LPN: 0, Buf: make([]byte, d.PageSize())})
+	_ = do(d, ncq.Request{Op: ncq.OpBarrier})
 	if got := d.Commands() - n0; got != 3 {
 		t.Errorf("commands = %d, want 3", got)
 	}
@@ -217,11 +222,11 @@ func TestS830IsFasterEndToEnd(t *testing.T) {
 		}
 		data := make([]byte, d.PageSize())
 		for i := int64(0); i < 50; i++ {
-			if err := d.Write(i, data); err != nil {
+			if err := do(d, ncq.Request{Op: ncq.OpWrite, LPN: i, Data: data}); err != nil {
 				t.Fatal(err)
 			}
 			if i%5 == 0 {
-				if err := d.Barrier(); err != nil {
+				if err := do(d, ncq.Request{Op: ncq.OpBarrier}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -247,7 +252,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				lpn := int64(w*per + i)
-				if err := d.Write(lpn, devPage(d, byte(w+1))); err != nil {
+				if err := do(d, ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: devPage(d, byte(w+1))}); err != nil {
 					errs <- err
 					return
 				}
@@ -263,7 +268,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 	buf := make([]byte, d.PageSize())
 	for w := 0; w < workers; w++ {
 		for i := 0; i < per; i++ {
-			if err := d.Read(int64(w*per+i), buf); err != nil {
+			if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: int64(w*per + i), Buf: buf}); err != nil {
 				t.Fatal(err)
 			}
 			if buf[0] != byte(w+1) {
@@ -295,10 +300,10 @@ func TestHealthReporting(t *testing.T) {
 
 func TestRecoveryModeSurfaced(t *testing.T) {
 	d := newDev(t, true)
-	if err := d.WriteTx(1, 3, devPage(d, 0xA1)); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpWriteTx, TID: 1, LPN: 3, Data: devPage(d, 0xA1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Commit(1); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpCommit, TID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	d.PowerCut()
@@ -326,7 +331,7 @@ func TestRecoveryModeSurfaced(t *testing.T) {
 		t.Fatalf("scan recovery info incomplete: %+v", ri)
 	}
 	buf := make([]byte, d.PageSize())
-	if err := d.Read(3, buf); err != nil {
+	if err := do(d, ncq.Request{Op: ncq.OpRead, LPN: 3, Buf: buf}); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 0xA1 {

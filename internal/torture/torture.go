@@ -31,6 +31,7 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/metrics"
 	"repro/internal/nand"
+	"repro/internal/ncq"
 	"repro/internal/storage"
 )
 
@@ -311,7 +312,7 @@ workload:
 		crashed := false
 		for _, lpn := range lpns {
 			data := pageContent(o.Seed, lpn, txn, dev.PageSize())
-			if err := s.dev.WriteTx(tid, lpn, data); err != nil {
+			if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: data}); err != nil {
 				if errors.Is(err, storage.ErrWornOut) {
 					// End of media life: writes are refused but every
 					// committed page must still read back (checked below).
@@ -332,7 +333,7 @@ workload:
 			continue
 		}
 		if o.AbortEvery > 0 && txn%o.AbortEvery == 0 {
-			if err := s.dev.Abort(tid); err != nil {
+			if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpAbort, TID: tid}); err != nil {
 				if errors.Is(err, storage.ErrWornOut) {
 					s.rep.WornOut++
 					break workload
@@ -345,7 +346,7 @@ workload:
 			s.rep.Aborted++
 			continue
 		}
-		if err := s.dev.Commit(tid); err != nil {
+		if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
 			if errors.Is(err, storage.ErrWornOut) {
 				s.rep.WornOut++
 				break workload
@@ -447,7 +448,7 @@ func (s *runState) crashRecoverVerify(cause error, indoubt, mustBeOld map[int64]
 	if indoubt != nil {
 		newN, oldN := 0, 0
 		for _, lpn := range sortedKeys(indoubt) {
-			if err := s.dev.Read(lpn, buf); err != nil {
+			if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}); err != nil {
 				return fmt.Errorf("in-doubt read lpn %d: %w", lpn, err)
 			}
 			switch {
@@ -470,7 +471,7 @@ func (s *runState) crashRecoverVerify(cause error, indoubt, mustBeOld map[int64]
 		s.rep.InDoubt++
 	}
 	for _, lpn := range sortedKeys(mustBeOld) {
-		if err := s.dev.Read(lpn, buf); err != nil {
+		if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}); err != nil {
 			return fmt.Errorf("uncommitted read lpn %d: %w", lpn, err)
 		}
 		if !bytes.Equal(buf, s.expectedOld(lpn)) {
@@ -488,7 +489,7 @@ func (s *runState) crashRecoverVerify(cause error, indoubt, mustBeOld map[int64]
 func (s *runState) verifyOracle() error {
 	buf := make([]byte, s.dev.PageSize())
 	for _, lpn := range sortedKeys(s.oracle) {
-		if err := s.dev.Read(lpn, buf); err != nil {
+		if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}); err != nil {
 			return fmt.Errorf("verify read lpn %d: %w", lpn, err)
 		}
 		if !bytes.Equal(buf, s.oracle[lpn]) {

@@ -79,7 +79,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 				// A reader session between writer transactions: snapshot
 				// reads in MVCC mode, lock-serialized reads in the control.
 				rdr = &metrics.IOStats{}
-				r, err := mgr.BeginWith(true, rdr)
+				r, err := mgr.BeginWith(true, rdr, mvcc.Unbounded)
 				if err != nil {
 					t.Fatal(err)
 				}

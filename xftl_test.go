@@ -8,6 +8,10 @@ import (
 	"repro/internal/ncq"
 )
 
+func modes() []xftl.Mode {
+	return []xftl.Mode{xftl.ModeRollback, xftl.ModeWAL, xftl.ModeXFTL}
+}
+
 // TestStackClose pins the graceful-shutdown contract: Close drains
 // every in-flight NCQ command to completion (advancing virtual time to
 // the last retire), leaves no goroutines behind (the stack owns none —
