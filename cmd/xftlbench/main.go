@@ -210,175 +210,97 @@ func writeTrace(path string, tr *trace.Tracer) error {
 	return nil
 }
 
+// experiment is one subcommand: its name, whether "all" runs it, and
+// the function producing its tables and typed points.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(bench.Options) (bench.JSONExperiment, error)
+}
+
+// tables adapts an experiment whose result only renders as tables.
+func tables[R any](run func(bench.Options) (R, error), render func(R) []*bench.Table) func(bench.Options) (bench.JSONExperiment, error) {
+	return func(o bench.Options) (bench.JSONExperiment, error) {
+		r, err := run(o)
+		if err != nil {
+			return bench.JSONExperiment{}, err
+		}
+		return bench.JSONExperiment{Tables: render(r)}, nil
+	}
+}
+
+// one adapts a single-table renderer to tables.
+func one[R any](render func(R) *bench.Table) func(R) []*bench.Table {
+	return func(r R) []*bench.Table { return []*bench.Table{render(r)} }
+}
+
 // run executes the requested experiment(s), printing each table and
 // appending it to doc for -json output. "all" reproduces the paper's
-// figures in order; mtenant is the beyond-the-paper NCQ sweep and must
-// be requested by name.
+// evaluation in paper order; mtenant, rwconc and fleet (the NCQ sweep,
+// the MVCC session layer and the shard fleet) are new work and must be
+// requested by name.
 func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
-	all := what == "all"
+	// fig7's replay feeds table2's measured row when both run ("all");
+	// table2 on its own prints the census-only view.
+	var fig7 *bench.Fig7
+	experiments := []experiment{
+		{"fig5", true, tables(bench.RunFig5, (*bench.Fig5).Tables)},
+		{"table1", true, tables(bench.RunTable1, one((*bench.Table1).Table))},
+		{"fig6", true, tables(bench.RunFig6, (*bench.Fig6).Tables)},
+		{"fig7", true, tables(bench.RunFig7, one(func(f *bench.Fig7) *bench.Table {
+			fig7 = f
+			return f.Table()
+		}))},
+		{"table2", true, func(bench.Options) (bench.JSONExperiment, error) {
+			return bench.JSONExperiment{Tables: []*bench.Table{bench.Table2(fig7)}}, nil
+		}},
+		{"table3", true, func(bench.Options) (bench.JSONExperiment, error) {
+			return bench.JSONExperiment{Tables: []*bench.Table{bench.Table3()}}, nil
+		}},
+		{"table4", true, tables(bench.RunTable4, func(t4 *bench.Table4) []*bench.Table {
+			return []*bench.Table{bench.Table3(), t4.Table()}
+		})},
+		{"fig8", true, tables(bench.RunFig8, one((*bench.Fig8).Table))},
+		{"fig9", true, tables(bench.RunFig9, one((*bench.Fig9).Table))},
+		{"table5", true, tables(bench.RunTable5, one(bench.Table5Table))},
+		{"ablate", true, tables(bench.Ablations, one(bench.AblationTable))},
+		{"mtenant", false, func(o bench.Options) (bench.JSONExperiment, error) {
+			mt, err := bench.RunMultiTenant(o)
+			if err != nil {
+				return bench.JSONExperiment{}, err
+			}
+			return bench.JSONExperiment{Tables: []*bench.Table{mt.Table()}, MultiTenant: mt}, nil
+		}},
+		{"rwconc", false, func(o bench.Options) (bench.JSONExperiment, error) {
+			rw, err := bench.RunRWConc(o)
+			if err != nil {
+				return bench.JSONExperiment{}, err
+			}
+			return bench.JSONExperiment{Tables: []*bench.Table{rw.Table()}, RWConc: rw}, nil
+		}},
+		{"fleet", false, func(o bench.Options) (bench.JSONExperiment, error) {
+			fb, err := bench.RunFleet(o, o.FleetShards)
+			if err != nil {
+				return bench.JSONExperiment{}, err
+			}
+			return bench.JSONExperiment{Tables: []*bench.Table{fb.Table()}, Fleet: fb}, nil
+		}},
+	}
 	did := false
-	do := func(name string, fn func() error) error {
-		if !all && what != name {
-			return nil
+	for _, e := range experiments {
+		if what != e.name && !(what == "all" && e.inAll) {
+			continue
 		}
 		did = true
-		return fn()
-	}
-	emit := func(name string, mt *bench.MT, rw *bench.RWC, tables ...*bench.Table) {
-		for _, t := range tables {
+		res, err := e.run(opts)
+		if err != nil {
+			return err
+		}
+		for _, t := range res.Tables {
 			fmt.Println(t)
 		}
-		doc.Experiments = append(doc.Experiments, bench.JSONExperiment{
-			Name: name, Tables: tables, MultiTenant: mt, RWConc: rw,
-		})
-	}
-	if err := do("fig5", func() error {
-		f, err := bench.RunFig5(opts)
-		if err != nil {
-			return err
-		}
-		emit("fig5", nil, nil, f.Tables()...)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("table1", func() error {
-		t1, err := bench.RunTable1(opts)
-		if err != nil {
-			return err
-		}
-		emit("table1", nil, nil, t1.Table())
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("fig6", func() error {
-		f, err := bench.RunFig6(opts)
-		if err != nil {
-			return err
-		}
-		emit("fig6", nil, nil, f.Tables()...)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var fig7 *bench.Fig7
-	if err := do("fig7", func() error {
-		f, err := bench.RunFig7(opts)
-		if err != nil {
-			return err
-		}
-		fig7 = f
-		emit("fig7", nil, nil, f.Table())
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("table2", func() error {
-		if fig7 == nil && !all {
-			// Census-only view; the measured row needs a fig7 replay.
-			emit("table2", nil, nil, bench.Table2(nil))
-			return nil
-		}
-		emit("table2", nil, nil, bench.Table2(fig7))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("table3", func() error {
-		emit("table3", nil, nil, bench.Table3())
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("table4", func() error {
-		t4, err := bench.RunTable4(opts)
-		if err != nil {
-			return err
-		}
-		emit("table4", nil, nil, bench.Table3(), t4.Table())
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("fig8", func() error {
-		f, err := bench.RunFig8(opts)
-		if err != nil {
-			return err
-		}
-		emit("fig8", nil, nil, f.Table())
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("fig9", func() error {
-		f, err := bench.RunFig9(opts)
-		if err != nil {
-			return err
-		}
-		emit("fig9", nil, nil, f.Table())
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("table5", func() error {
-		runs, err := bench.RunTable5(opts)
-		if err != nil {
-			return err
-		}
-		emit("table5", nil, nil, bench.Table5Table(runs))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := do("ablate", func() error {
-		runs, err := bench.Ablations(opts)
-		if err != nil {
-			return err
-		}
-		emit("ablate", nil, nil, bench.AblationTable(runs))
-		return nil
-	}); err != nil {
-		return err
-	}
-	// mtenant and rwconc are deliberately excluded from "all": "all"
-	// reproduces the paper's evaluation in paper order, and the NCQ
-	// sweep and MVCC session layer are new work.
-	if !all {
-		if err := do("mtenant", func() error {
-			mt, err := bench.RunMultiTenant(opts)
-			if err != nil {
-				return err
-			}
-			emit("mtenant", mt, nil, mt.Table())
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := do("rwconc", func() error {
-			rw, err := bench.RunRWConc(opts)
-			if err != nil {
-				return err
-			}
-			emit("rwconc", nil, rw, rw.Table())
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := do("fleet", func() error {
-			fb, err := bench.RunFleet(opts, opts.FleetShards)
-			if err != nil {
-				return err
-			}
-			t := fb.Table()
-			fmt.Println(t)
-			doc.Experiments = append(doc.Experiments, bench.JSONExperiment{
-				Name: "fleet", Tables: []*bench.Table{t}, Fleet: fb,
-			})
-			return nil
-		}); err != nil {
-			return err
-		}
+		res.Name = e.name
+		doc.Experiments = append(doc.Experiments, res)
 	}
 	if !did {
 		return fmt.Errorf("unknown experiment %q", what)

@@ -109,8 +109,7 @@ func serve(addr, metricsAddr string, mode mvcc.Mode, channels, shards, readPool 
 		fmt.Fprintf(os.Stderr, "xftlserver: shutdown: %v\n", err)
 		return 1
 	}
-	lat := srv.Latency()
-	fmt.Printf("xftlserver: drained cleanly (%d served, p99 %v)\n", lat.Count, lat.P99)
+	fmt.Printf("xftlserver: drained cleanly (%d served)\n", srv.WireStats().Served)
 	return 0
 }
 

@@ -13,12 +13,10 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	xftl "repro"
-	"repro/internal/ncq"
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -144,55 +142,16 @@ func RunFleetPoint(cfg FleetConfig) (*FleetPoint, error) {
 	return pt, nil
 }
 
-// runShardLoad drives one member: Tenants goroutines issue Ops
-// transactional random writes each into disjoint LPN regions, with a
-// commit every FsyncEvery writes; returns the member's virtual elapsed
-// time once its queue drained.
+// runShardLoad drives one member with the transactional tenant load
+// and returns its virtual elapsed time once its queue drained.
 func runShardLoad(st *xftl.Stack, cfg FleetConfig, shardSeed int64) (time.Duration, error) {
-	d := st.Device
-	q := d.Queue()
-	region := d.LogicalPages() / int64(cfg.Tenants)
-	if region > 4096 {
-		region = 4096
-	}
 	start := st.Clock.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Tenants)
-	for t := 0; t < cfg.Tenants; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + shardSeed*104729 + int64(t)*7919))
-			data := make([]byte, d.PageSize())
-			rng.Read(data)
-			base := int64(t) * region
-			tid := uint64(t + 1)
-			for i := 0; i < cfg.Ops; i++ {
-				r := ncq.Request{Op: ncq.OpWriteTx, TID: tid, LPN: base + rng.Int63n(region), Data: data}
-				if err := q.Submit(&r); err != nil {
-					errCh <- err
-					return
-				}
-				if (i+1)%cfg.FsyncEvery == 0 {
-					if err := q.Submit(&ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}
-			if cfg.Ops%cfg.FsyncEvery != 0 {
-				if err := q.Submit(&ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
-					errCh <- err
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	err := runTenants(st.Device, MTConfig{
+		Tenants: cfg.Tenants, Ops: cfg.Ops, FsyncEvery: cfg.FsyncEvery, Transactional: true,
+	}, cfg.Seed+shardSeed*104729)
+	if err != nil {
 		return 0, err
 	}
-	q.Drain()
 	return st.Clock.Now() - start, nil
 }
 

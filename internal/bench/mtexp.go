@@ -73,18 +73,55 @@ func RunMTPoint(cfg MTConfig) (*MTPoint, error) {
 		return nil, err
 	}
 	q := d.Queue()
+	start := clk.Now()
+	if err := runTenants(d, cfg, cfg.Seed); err != nil {
+		return nil, err
+	}
+	elapsed := clk.Now() - start
+	writes := int64(cfg.Tenants) * int64(cfg.Ops)
+	fs := d.FlashStats().Snapshot()
+	pt := &MTPoint{
+		Channels:   cfg.Profile.Nand.Channels,
+		Ways:       cfg.Profile.Nand.Ways,
+		Depth:      q.Depth(),
+		Tenants:    cfg.Tenants,
+		Writes:     writes,
+		Elapsed:    elapsed,
+		WriteLat:   q.WriteLat.Snapshot(),
+		ReadLat:    q.ReadLat.Snapshot(),
+		BarrierLat: q.BarrierLat.Snapshot(),
+		MeanDepth:  q.Depths.Mean(),
+		DepthHist:  q.Depths.Snapshot(),
+		PageWrites: fs.PageWrites,
+		PageReads:  fs.PageReads,
+		GCRuns:     fs.GCRuns,
+		Erases:     fs.BlockErases,
+	}
+	if elapsed > 0 {
+		pt.IOPS = float64(writes) / elapsed.Seconds()
+	}
+	return pt, nil
+}
+
+// runTenants is the tenant write loop both the multi-tenant and the
+// fleet bench drive a device with: cfg.Tenants goroutines each submit
+// cfg.Ops random 1-page writes into a disjoint LPN region (tenant t
+// seeded seedBase + t*7919), fencing every cfg.FsyncEvery writes with
+// a commit (transactional) or a barrier; it returns once the queue has
+// drained.
+func runTenants(d *storage.Device, cfg MTConfig, seedBase int64) error {
+	q := d.Queue()
 	region := d.LogicalPages() / int64(cfg.Tenants)
 	if region > 4096 {
 		region = 4096
 	}
-	start := clk.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, cfg.Tenants)
 	for t := 0; t < cfg.Tenants; t++ {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*7919))
+			rng := rand.New(rand.NewSource(seedBase + int64(t)*7919))
 			data := make([]byte, d.PageSize())
 			rng.Read(data)
 			base := int64(t) * region
@@ -124,33 +161,10 @@ func RunMTPoint(cfg MTConfig) (*MTPoint, error) {
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
-		return nil, err
+		return err
 	}
 	q.Drain()
-	elapsed := clk.Now() - start
-	writes := int64(cfg.Tenants) * int64(cfg.Ops)
-	fs := d.FlashStats().Snapshot()
-	pt := &MTPoint{
-		Channels:   cfg.Profile.Nand.Channels,
-		Ways:       cfg.Profile.Nand.Ways,
-		Depth:      q.Depth(),
-		Tenants:    cfg.Tenants,
-		Writes:     writes,
-		Elapsed:    elapsed,
-		WriteLat:   q.WriteLat.Snapshot(),
-		ReadLat:    q.ReadLat.Snapshot(),
-		BarrierLat: q.BarrierLat.Snapshot(),
-		MeanDepth:  q.Depths.Mean(),
-		DepthHist:  q.Depths.Snapshot(),
-		PageWrites: fs.PageWrites,
-		PageReads:  fs.PageReads,
-		GCRuns:     fs.GCRuns,
-		Erases:     fs.BlockErases,
-	}
-	if elapsed > 0 {
-		pt.IOPS = float64(writes) / elapsed.Seconds()
-	}
-	return pt, nil
+	return nil
 }
 
 // MT holds the multi-tenant sweep: random-write scaling across channel

@@ -99,8 +99,8 @@ type RWPoint struct {
 	// ReaderLats is the same broken out per reader client.
 	ReaderLat  metrics.LatencySnapshot   `json:"reader_read_latency"`
 	ReaderLats []metrics.LatencySnapshot `json:"per_reader_read_latency,omitempty"`
-	// Gauges samples the stack's health gauges after the run drains.
-	Gauges []trace.Stat `json:"gauges,omitempty"`
+	// Gauges samples the stack's metrics registry after the run drains.
+	Gauges []metrics.Sample `json:"gauges,omitempty"`
 }
 
 // Degraded-point sizing: the deadline is measured submit-to-complete,
@@ -158,10 +158,9 @@ func RunRWPoint(cfg RWConfig) (*RWPoint, error) {
 		return nil, err
 	}
 	defer mgr.Close()
-	// Session-layer gauges (reader pool, WAL checkpointing) ride the
-	// stack registry so they land in the point's gauge snapshot and,
-	// in the serving tier, on /metrics.
-	mgr.RegisterGauges(st.Gauges, "")
+	// The session layer (reader pool, WAL checkpointing) publishes into
+	// the stack's registry, so it lands in the point's gauge snapshot.
+	mgr.Register(st.Gauges, "0")
 
 	// Seed the table: fixed-width rows so every point SELECT costs a
 	// real page read once the cache is cold.

@@ -243,9 +243,6 @@ func New(base *ftl.FTL, cfg Config, stats *metrics.FlashCounters) (*XFTL, error)
 // SetTracer installs (or, with nil, removes) the event tracer.
 func (x *XFTL) SetTracer(t *trace.Tracer) { x.tracer = t }
 
-// Base returns the underlying baseline FTL.
-func (x *XFTL) Base() *ftl.FTL { return x.base }
-
 // Stats returns a copy of the transactional command counters.
 func (x *XFTL) Stats() Stats { return x.xstats }
 
@@ -412,22 +409,7 @@ func (x *XFTL) Commit(tid TxID) error {
 	}
 	x.xstats.Commits++
 	entries := x.byTx[tid]
-	if x.tracer != nil {
-		// The commit phases (image CoW flush, commit-log append, remap +
-		// map-group flushes, housekeeping pad) all run under this span
-		// with commit origin, so their NAND work attributes correctly.
-		start := x.tracer.Now()
-		prev := x.tracer.SetFirmOrigin(trace.OCommit)
-		defer func() {
-			x.tracer.SetFirmOrigin(prev)
-			x.tracer.Record(trace.Event{
-				Layer: trace.LXFTL, Kind: trace.KXCommit,
-				Start: start, Dur: x.tracer.Now() - start,
-				TID: uint64(tid), Aux: int64(len(entries)),
-				Sess: x.tracer.FirmSession(), Origin: trace.OCommit,
-			})
-		}()
-	}
+	defer x.traceTx(trace.KXCommit, tid, len(entries))()
 	if len(entries) == 0 {
 		return x.base.Barrier()
 	}
@@ -506,6 +488,28 @@ func (x *XFTL) Commit(tid TxID) error {
 	return nil
 }
 
+// traceTx opens the span of a commit, abort or prepare and returns the
+// function that closes it. Everything the command does (image CoW
+// flush, commit-log append, remap + map-group flushes, housekeeping
+// pad) runs under the span with commit origin, so its NAND work
+// attributes correctly. Untraced, it costs one pointer compare.
+func (x *XFTL) traceTx(kind trace.Kind, tid TxID, entries int) func() {
+	if x.tracer == nil {
+		return func() {}
+	}
+	start := x.tracer.Now()
+	prev := x.tracer.SetFirmOrigin(trace.OCommit)
+	return func() {
+		x.tracer.SetFirmOrigin(prev)
+		x.tracer.Record(trace.Event{
+			Layer: trace.LXFTL, Kind: kind,
+			Start: start, Dur: x.tracer.Now() - start,
+			TID: uint64(tid), Aux: int64(entries),
+			Sess: x.tracer.FirmSession(), Origin: trace.OCommit,
+		})
+	}
+}
+
 // Abort implements abort(t): the entries flip to aborted and the new
 // physical pages are invalidated so GC can reclaim them (§5.3). No
 // flash write is needed — a crash before the next table image is
@@ -516,19 +520,7 @@ func (x *XFTL) Abort(tid TxID) error {
 	}
 	x.xstats.Aborts++
 	entries := x.byTx[tid]
-	if x.tracer != nil {
-		start := x.tracer.Now()
-		prev := x.tracer.SetFirmOrigin(trace.OCommit)
-		defer func() {
-			x.tracer.SetFirmOrigin(prev)
-			x.tracer.Record(trace.Event{
-				Layer: trace.LXFTL, Kind: trace.KXAbort,
-				Start: start, Dur: x.tracer.Now() - start,
-				TID: uint64(tid), Aux: int64(len(entries)),
-				Sess: x.tracer.FirmSession(), Origin: trace.OCommit,
-			})
-		}()
-	}
+	defer x.traceTx(trace.KXAbort, tid, len(entries))()
 	prepared := len(entries) > 0 && entries[0].status == StatusPrepared
 	for _, e := range entries {
 		e.status = StatusAborted
@@ -567,19 +559,7 @@ func (x *XFTL) Prepare(tid TxID) error {
 	}
 	x.xstats.Prepares++
 	entries := x.byTx[tid]
-	if x.tracer != nil {
-		start := x.tracer.Now()
-		prev := x.tracer.SetFirmOrigin(trace.OCommit)
-		defer func() {
-			x.tracer.SetFirmOrigin(prev)
-			x.tracer.Record(trace.Event{
-				Layer: trace.LXFTL, Kind: trace.KXPrepare,
-				Start: start, Dur: x.tracer.Now() - start,
-				TID: uint64(tid), Aux: int64(len(entries)),
-				Sess: x.tracer.FirmSession(), Origin: trace.OCommit,
-			})
-		}()
-	}
+	defer x.traceTx(trace.KXPrepare, tid, len(entries))()
 	if len(entries) == 0 {
 		return x.base.Barrier()
 	}

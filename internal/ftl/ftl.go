@@ -13,6 +13,7 @@
 package ftl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -479,9 +480,6 @@ func (f *FTL) removeFreeBlock(blk nand.BlockNum) {
 // BadBlockCount reports how many blocks the FTL has retired.
 func (f *FTL) BadBlockCount() int { return len(f.bad) }
 
-// IsBad reports whether a block has been retired to the bad-block table.
-func (f *FTL) IsBad(blk nand.BlockNum) bool { return f.bad[blk] }
-
 // program pads short data to a full page and programs it with its
 // spare-area record.
 func (f *FTL) program(ppn nand.PPN, data, oob []byte) error {
@@ -732,7 +730,7 @@ func (f *FTL) collectOnce() error {
 			}
 		}
 	}
-	for _, g := range sortedGroups(staleGroups) {
+	for _, g := range sortedKeys(staleGroups) {
 		if err := f.persistGroup(g); err != nil {
 			return err
 		}
@@ -779,15 +777,15 @@ func (f *FTL) collectOnce() error {
 	return nil
 }
 
-// sortedGroups returns the keys of a group set in ascending order, so
-// flush sequences (and therefore fault injection) are deterministic.
-func sortedGroups(m map[int64]struct{}) []int64 {
-	gs := make([]int64, 0, len(m))
-	for g := range m {
-		gs = append(gs, g)
+// sortedKeys returns a map's keys in ascending order, so flush and
+// recovery sequences (and therefore fault injection) are deterministic.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	slices.Sort(gs)
-	return gs
+	slices.Sort(keys)
+	return keys
 }
 
 // pickVictim chooses the greedy GC victim among fully written data
@@ -959,7 +957,7 @@ func (f *FTL) Barrier() error {
 	if len(f.dirtyGroup) == 0 {
 		return nil
 	}
-	dirty := sortedGroups(f.dirtyGroup)
+	dirty := sortedKeys(f.dirtyGroup)
 	// Each dirty group is stored copy-on-write: the new group image is
 	// programmed first and its pointer flips only on success, so a power
 	// cut or program failure mid-barrier leaves the previous image — and
@@ -988,7 +986,7 @@ func (f *FTL) Barrier() error {
 // already makes the transaction durable.
 func (f *FTL) FlushDirtyGroups() (int, error) {
 	n := 0
-	for _, g := range sortedGroups(f.dirtyGroup) {
+	for _, g := range sortedKeys(f.dirtyGroup) {
 		if err := f.persistGroup(g); err != nil {
 			return n, err
 		}
@@ -1352,58 +1350,9 @@ func (f *FTL) GCStats() (victims int64, avgValidity float64) {
 	return f.gcVictims, float64(f.gcValidCopied) / (float64(f.gcVictims) * ppb)
 }
 
+// GCCopiedPages reports how many still-valid pages GC has relocated
+// out of victim blocks (the copy-backs behind write amplification).
+func (f *FTL) GCCopiedPages() int64 { return f.gcValidCopied }
+
 // ResetGCStats zeroes the GC observability counters.
 func (f *FTL) ResetGCStats() { f.gcVictims, f.gcValidCopied = 0, 0 }
-
-// AdvanceHost charges host-visible latency that is not tied to a NAND
-// operation (controller firmware time). Exposed for the storage layer.
-func (f *FTL) AdvanceHost(d time.Duration) { f.chip.Clock().Advance(d) }
-
-// DebugCounts classifies every valid flash page for diagnostics: how
-// many are referenced by the volatile map, only by the persistent
-// image, only by the transactional hook, or by nothing at all.
-func (f *FTL) DebugCounts() map[string]int {
-	out := map[string]int{}
-	chipCfg := f.chip.Config()
-	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
-	for b := 0; b < dataBlocks; b++ {
-		if f.bad[nand.BlockNum(b)] || f.metaSet[nand.BlockNum(b)] {
-			out["blk-bad-or-donated"]++
-			continue
-		}
-		freeP, _ := f.chip.FreePages(nand.BlockNum(b))
-		validP, _ := f.chip.ValidPages(nand.BlockNum(b))
-		switch {
-		case freeP == chipCfg.PagesPerBlock:
-			out["blk-erased"]++
-		case freeP > 0:
-			out["blk-partial"]++
-		case validP == chipCfg.PagesPerBlock:
-			out["blk-full-all-valid"]++
-		default:
-			out["blk-full-mixed"]++
-		}
-		for pi := 0; pi < chipCfg.PagesPerBlock; pi++ {
-			ppn := f.chip.PPNOf(nand.BlockNum(b), pi)
-			st, _ := f.chip.State(ppn)
-			if st != nand.PageValid {
-				continue
-			}
-			out["valid"]++
-			lpn := f.rmap[ppn]
-			switch {
-			case lpn < 0:
-				out["orphan-no-rmap"]++
-			case f.l2p[lpn] == ppn:
-				out["volatile-mapped"]++
-			case f.persisted[lpn] == ppn:
-				out["persisted-only"]++
-			case f.hook != nil && f.hook.Live(ppn):
-				out["hook-only"]++
-			default:
-				out["rmap-stale"]++
-			}
-		}
-	}
-	return out
-}

@@ -215,11 +215,7 @@ func (f *FTL) deserializeGroup(dst []nand.PPN, g int64, page []byte) error {
 // membership: u32 bad count, u32 ring count, then sorted bad block
 // numbers and the ring blocks in position order, all u32 LE.
 func (f *FTL) serializeBBT() []byte {
-	bad := make([]nand.BlockNum, 0, len(f.bad))
-	for b := range f.bad {
-		bad = append(bad, b)
-	}
-	sortBlocks(bad)
+	bad := sortedKeys(f.bad)
 	buf := make([]byte, 8+4*(len(bad)+len(f.metaBlocks)))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(bad)))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(f.metaBlocks)))
@@ -233,14 +229,6 @@ func (f *FTL) serializeBBT() []byte {
 		off += 4
 	}
 	return buf
-}
-
-func sortBlocks(s []nand.BlockNum) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // tidRange is one contiguous range of committed transaction ids.

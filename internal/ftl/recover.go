@@ -166,7 +166,7 @@ func (f *FTL) mountImage(info *RecoveryInfo) error {
 	for i := range newMap {
 		newMap[i] = nand.InvalidPPN
 	}
-	for _, g := range sortedGroupSlots(f.groupSlots) {
+	for _, g := range sortedKeys(f.groupSlots) {
 		rec, err := readMeta(f.groupSlots[g])
 		if err != nil {
 			return err
@@ -181,7 +181,7 @@ func (f *FTL) mountImage(info *RecoveryInfo) error {
 
 	// Slot chains: verify identity and sequence, reassemble payloads.
 	newData := make(map[string][]byte)
-	for _, name := range sortedSlotNames(f.metaSlots) {
+	for _, name := range sortedKeys(f.metaSlots) {
 		chain := f.metaSlots[name]
 		id := f.slotID(name)
 		var payload []byte
@@ -471,7 +471,7 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 			return err
 		}
 	}
-	for _, name := range sortedWinnerNames(winners) {
+	for _, name := range sortedKeys(winners) {
 		if name == "bbt" || name == "txlog" {
 			continue
 		}
@@ -561,51 +561,6 @@ func (f *FTL) sweepOrphans() {
 	}
 }
 
-// sortedGroupSlots returns the group keys in ascending order.
-func sortedGroupSlots(m map[int64]nand.PPN) []int64 {
-	gs := make([]int64, 0, len(m))
-	for g := range m {
-		gs = append(gs, g)
-	}
-	sortInt64s(gs)
-	return gs
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// sortedSlotNames returns the slot names in ascending order.
-func sortedSlotNames(m map[string][]nand.PPN) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	return names
-}
-
-func sortedWinnerNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	return names
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // PageSeq reports the version sequence number recorded in a page's
 // spare record, for layered recovery logic that must rank two versions
 // of the same logical content (e.g. a recovered X-L2P row against the
@@ -639,7 +594,7 @@ func (f *FTL) CorruptMeta(target string, erase bool) (int, error) {
 	var pages []nand.PPN
 	switch target {
 	case "map":
-		for _, g := range sortedGroupSlots(f.groupSlots) {
+		for _, g := range sortedKeys(f.groupSlots) {
 			pages = append(pages, f.groupSlots[g])
 		}
 	default:

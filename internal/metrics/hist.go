@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 	"time"
@@ -41,13 +40,6 @@ func (h *LatencyHist) Observe(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	h.mu.Unlock()
-}
-
-// Reset zeroes the histogram.
-func (h *LatencyHist) Reset() {
-	h.mu.Lock()
-	*h = LatencyHist{}
 	h.mu.Unlock()
 }
 
@@ -116,36 +108,20 @@ func bucketBounds(i int) (lo, hi time.Duration) {
 	return time.Microsecond << (i - 1), time.Microsecond << i
 }
 
-// CumBucket is one cumulative histogram bucket in Prometheus terms:
-// the count of observations at or below the upper bound.
-type CumBucket struct {
-	Upper time.Duration // inclusive upper bound; the last bucket is +Inf
-	Inf   bool          // true for the catch-all +Inf bucket
-	Count int64         // cumulative count ≤ Upper
-}
-
-// CumBuckets returns the histogram as cumulative Prometheus-style
-// buckets plus the total count and sum. The upper bound of log2 bucket
-// i is 1µs<<i (its exclusive limit, which cumulative ≤ semantics make
-// an inclusive bound one observable unit below); the final bucket is
-// +Inf and always equals the count. Trailing empty buckets above
-// maxUpper are trimmed — they carry no information and bloat the
-// exposition — but the +Inf bucket always remains.
-func (h *LatencyHist) CumBuckets(maxUpper time.Duration) (buckets []CumBucket, count int64, sum time.Duration) {
+// cumulative returns the histogram in Prometheus terms: per log2
+// bucket i the count of observations below 1µs<<i (its exclusive
+// limit, which cumulative ≤ semantics make an inclusive bound one
+// observable unit below), plus the total count and sum. The catch-all
+// last bucket is left out: it is the +Inf bucket, equal to the count.
+func (h *LatencyHist) cumulative() (buckets [latBuckets - 1]int64, count int64, sum time.Duration) {
 	h.mu.Lock()
-	raw, count, sum := h.buckets, h.count, h.sum
-	h.mu.Unlock()
+	defer h.mu.Unlock()
 	var cum int64
-	for i := 0; i < latBuckets-1; i++ {
-		cum += raw[i]
-		upper := time.Microsecond << i
-		if maxUpper > 0 && upper > maxUpper {
-			break
-		}
-		buckets = append(buckets, CumBucket{Upper: upper, Count: cum})
+	for i := range buckets {
+		cum += h.buckets[i]
+		buckets[i] = cum
 	}
-	buckets = append(buckets, CumBucket{Inf: true, Count: count})
-	return buckets, count, sum
+	return buckets, h.count, h.sum
 }
 
 // LatencySnapshot is an immutable summary of a LatencyHist.
@@ -156,14 +132,6 @@ type LatencySnapshot struct {
 	P95   time.Duration `json:"p95_ns"`
 	P99   time.Duration `json:"p99_ns"`
 	Max   time.Duration `json:"max_ns"`
-}
-
-func (s LatencySnapshot) String() string {
-	if s.Count == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max)
 }
 
 // IOStats bundles the per-context host I/O attribution a session (or a

@@ -21,11 +21,6 @@ type HostCounters struct {
 	Fsyncs        atomic.Int64 // fsync (and fsync-like barrier) system calls
 }
 
-// TotalWrites reports all host-side page writes regardless of target.
-func (h *HostCounters) TotalWrites() int64 {
-	return h.DBWrites.Load() + h.JournalWrites.Load() + h.FSMetaWrites.Load()
-}
-
 // Reset zeroes every counter.
 func (h *HostCounters) Reset() {
 	h.DBWrites.Store(0)
@@ -44,16 +39,6 @@ func (h *HostCounters) Snapshot() HostSnapshot {
 		Reads:         h.Reads.Load(),
 		Fsyncs:        h.Fsyncs.Load(),
 	}
-}
-
-// Add accumulates a snapshot's values into the counters — the way a
-// per-session window is folded into a role-level aggregate.
-func (h *HostCounters) Add(s HostSnapshot) {
-	h.DBWrites.Add(s.DBWrites)
-	h.JournalWrites.Add(s.JournalWrites)
-	h.FSMetaWrites.Add(s.FSMetaWrites)
-	h.Reads.Add(s.Reads)
-	h.Fsyncs.Add(s.Fsyncs)
 }
 
 // HostSnapshot is an immutable copy of HostCounters.
@@ -79,11 +64,6 @@ func (s HostSnapshot) Sub(o HostSnapshot) HostSnapshot {
 		Reads:         s.Reads - o.Reads,
 		Fsyncs:        s.Fsyncs - o.Fsyncs,
 	}
-}
-
-func (s HostSnapshot) String() string {
-	return fmt.Sprintf("db=%d journal=%d fsmeta=%d reads=%d fsyncs=%d",
-		s.DBWrites, s.JournalWrites, s.FSMetaWrites, s.Reads, s.Fsyncs)
 }
 
 // FlashCounters accumulates activity inside the flash device, matching

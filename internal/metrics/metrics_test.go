@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"testing"
-	"time"
 )
 
 func TestHostCounters(t *testing.T) {
@@ -12,9 +11,6 @@ func TestHostCounters(t *testing.T) {
 	h.FSMetaWrites.Add(1)
 	h.Reads.Add(5)
 	h.Fsyncs.Add(4)
-	if h.TotalWrites() != 6 {
-		t.Errorf("TotalWrites = %d", h.TotalWrites())
-	}
 	s := h.Snapshot()
 	if s.DBWrites != 3 || s.Fsyncs != 4 || s.TotalWrites() != 6 {
 		t.Errorf("snapshot = %+v", s)
@@ -27,9 +23,6 @@ func TestHostCounters(t *testing.T) {
 	h.Reset()
 	if h.Snapshot().TotalWrites() != 0 || h.Fsyncs.Load() != 0 {
 		t.Error("Reset left residue")
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
 	}
 }
 
@@ -54,63 +47,5 @@ func TestFlashCounters(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty String()")
-	}
-}
-
-// CumBuckets must render the log2 histogram as cumulative Prometheus
-// buckets: ascending bounds, monotone counts, +Inf equal to the total,
-// and trailing buckets above maxUpper trimmed.
-func TestCumBuckets(t *testing.T) {
-	var h LatencyHist
-	samples := []time.Duration{
-		500 * time.Nanosecond, // bucket 0 (< 1µs)
-		3 * time.Microsecond,
-		3 * time.Microsecond,
-		900 * time.Microsecond,
-		20 * time.Second, // beyond the trim bound
-	}
-	for _, d := range samples {
-		h.Observe(d)
-	}
-	buckets, count, sum := h.CumBuckets(16 * time.Second)
-	if count != int64(len(samples)) {
-		t.Fatalf("count = %d, want %d", count, len(samples))
-	}
-	var wantSum time.Duration
-	for _, d := range samples {
-		wantSum += d
-	}
-	if sum != wantSum {
-		t.Fatalf("sum = %v, want %v", sum, wantSum)
-	}
-	if len(buckets) < 2 {
-		t.Fatalf("only %d buckets", len(buckets))
-	}
-	last := buckets[len(buckets)-1]
-	if !last.Inf || last.Count != count {
-		t.Fatalf("final bucket %+v, want Inf with count %d", last, count)
-	}
-	prevUpper, prevCount := time.Duration(-1), int64(-1)
-	for _, b := range buckets[:len(buckets)-1] {
-		if b.Inf {
-			t.Fatalf("interior +Inf bucket")
-		}
-		if b.Upper <= prevUpper {
-			t.Fatalf("bucket bounds not ascending at %v", b.Upper)
-		}
-		if b.Count < prevCount {
-			t.Fatalf("bucket counts not cumulative at %v", b.Upper)
-		}
-		if b.Upper > 16*time.Second {
-			t.Fatalf("bucket %v above the trim bound survived", b.Upper)
-		}
-		prevUpper, prevCount = b.Upper, b.Count
-	}
-	// The 20s outlier lives only in +Inf: the widest finite bucket
-	// must hold one fewer observation than the total.
-	widest := buckets[len(buckets)-2]
-	if widest.Count != count-1 {
-		t.Fatalf("widest finite bucket holds %d, want %d (outlier only in +Inf)",
-			widest.Count, count-1)
 	}
 }

@@ -91,9 +91,6 @@ type Options struct {
 	// generation, up to this many idle connections. Zero disables
 	// pooling.
 	PoolCapacity int
-	// PoolIdleTTL expires pooled connections idle longer than this much
-	// virtual time (0 = never).
-	PoolIdleTTL time.Duration
 }
 
 // Stats are cumulative session-layer counters.
@@ -162,10 +159,7 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 	m := &Manager{fs: fsys, name: name, opts: opts, cfg: cfg, db: db}
 	m.cond = sync.NewCond(&m.mu)
 	if opts.Mode == MVCC && opts.PoolCapacity > 0 {
-		m.pool = readpool.New(readpool.Options{
-			Capacity: opts.PoolCapacity,
-			IdleTTL:  opts.PoolIdleTTL,
-		})
+		m.pool = readpool.New(opts.PoolCapacity)
 	}
 	return m, nil
 }
@@ -356,7 +350,7 @@ func (m *Manager) checkoutWarm() *readpool.Conn {
 	// between just turns this checkout into a miss at the next reader,
 	// exactly as if the snapshot had opened a moment earlier.
 	dev := m.fs.Device()
-	return m.pool.Checkout(dev.CommitSeq(), m.fs.Epoch(), dev.Clock().Now())
+	return m.pool.Checkout(dev.CommitSeq(), m.fs.Epoch())
 }
 
 // noteSnapOpen counts a concurrent reader (snapshot or WAL view) in
@@ -482,7 +476,7 @@ func (s *Session) Rollback() error {
 func (s *Session) endReader() error {
 	var err error
 	if s.pc != nil {
-		s.m.pool.Return(s.pc, s.m.fs.Device().Clock().Now())
+		s.m.pool.Return(s.pc)
 	} else {
 		err = s.db.Close()
 		if cerr := s.pin.Close(); err == nil {
@@ -571,30 +565,29 @@ func (m *Manager) PoolStats() (st readpool.Stats, ok bool) {
 	return m.pool.Stats(), true
 }
 
-// RegisterGauges publishes the manager's session-layer observability
-// into a gauge registry (typically the owning stack's, so the serving
-// tier's /metrics endpoint picks them up): reader-pool hit/miss/
-// eviction counters when pooling is on, and WAL checkpoint activity
-// when the writer journals through the log. prefix namespaces the
-// gauges when several managers share one registry (e.g. per-database
-// on a shard); "" registers the bare names.
-func (m *Manager) RegisterGauges(reg *trace.Registry, prefix string) {
+// Register publishes the manager's session-layer counters as metric
+// families labelled with the given shard and the manager's database:
+// writer-lock busy timeouts, the reader pool when pooling is on, and
+// WAL checkpoint activity when the writer journals through the log.
+func (m *Manager) Register(reg *metrics.Registry, shard string) {
+	kv := []string{"shard", shard, "db", m.name}
+	reg.Counter("xftl_busy_timeouts_total", "Sessions that timed out waiting for the writer lock.", m.Stats.BusyTimeouts.Load, kv...)
 	if m.pool != nil {
-		reg.Register(prefix+"readpool.hits", func() int64 { return m.pool.Stats().Hits })
-		reg.Register(prefix+"readpool.misses", func() int64 { return m.pool.Stats().Misses })
-		reg.Register(prefix+"readpool.evictions", func() int64 { return m.pool.Stats().Evictions })
-		reg.Register(prefix+"readpool.invalidations", func() int64 { return m.pool.Stats().Invalidations })
-		reg.Register(prefix+"readpool.idle", func() int64 { return int64(m.pool.Idle()) })
+		reg.Counter("xftl_readpool_hits_total", "Read sessions served from a warm pooled connection.", func() int64 { return m.pool.Stats().Hits }, kv...)
+		reg.Counter("xftl_readpool_misses_total", "Read sessions that had to cold-open.", func() int64 { return m.pool.Stats().Misses }, kv...)
+		reg.Counter("xftl_readpool_evictions_total", "Pooled connections dropped for capacity.", func() int64 { return m.pool.Stats().Evictions }, kv...)
+		reg.Counter("xftl_readpool_invalidations_total", "Pooled connections dropped because the committed generation moved.", func() int64 { return m.pool.Stats().Invalidations }, kv...)
+		reg.Gauge("xftl_readpool_idle", "Warm connections currently pooled.", func() int64 { return int64(m.pool.Idle()) }, kv...)
 	}
 	if m.opts.Journal == pager.WAL {
-		reg.Register(prefix+"wal.checkpoints", func() int64 {
+		reg.Counter("xftl_wal_checkpoints_total", "WAL checkpoints completed.", func() int64 {
 			ck, _ := m.db.Pager().WALStats()
 			return ck
-		})
-		reg.Register(prefix+"wal.ckpt_deferred", func() int64 {
+		}, kv...)
+		reg.Counter("xftl_wal_checkpoints_deferred_total", "WAL checkpoints deferred because a reader pinned the log.", func() int64 {
 			_, def := m.db.Pager().WALStats()
 			return def
-		})
+		}, kv...)
 	}
 }
 

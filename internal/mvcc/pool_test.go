@@ -1,10 +1,11 @@
 package mvcc
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sqlite/pager"
-	"repro/internal/trace"
 )
 
 func newPooledManager(t *testing.T, capacity int) *Manager {
@@ -128,24 +129,22 @@ func TestPooledReadersConcurrentSessions(t *testing.T) {
 func TestManagerGaugesExported(t *testing.T) {
 	m := newPooledManager(t, 4)
 	seed(t, m, 2, 1)
-	reg := trace.NewRegistry()
-	m.RegisterGauges(reg, "")
-	if missing := missingGauges(reg, "readpool.hits", "readpool.misses",
-		"readpool.evictions", "readpool.invalidations", "readpool.idle"); len(missing) > 0 {
+	reg := metrics.NewRegistry()
+	m.Register(reg, "3")
+	if missing := missingGauges(reg, "xftl_readpool_hits_total", "xftl_readpool_misses_total",
+		"xftl_readpool_evictions_total", "xftl_readpool_invalidations_total", "xftl_readpool_idle"); len(missing) > 0 {
 		t.Errorf("gauges not registered: %v", missing)
 	}
 }
 
-// missingGauges reports which of the wanted gauge names a registry
-// snapshot lacks.
-func missingGauges(reg *trace.Registry, want ...string) []string {
-	have := make(map[string]bool)
-	for _, st := range reg.Snapshot() {
-		have[st.Name] = true
-	}
+// missingGauges reports which of the wanted families a registry's
+// exposition lacks a {shard="3",db="test.db"} series of.
+func missingGauges(reg *metrics.Registry, want ...string) []string {
+	var b strings.Builder
+	_ = reg.WritePrometheus(&b)
 	var missing []string
 	for _, name := range want {
-		if !have[name] {
+		if !strings.Contains(b.String(), "\n"+name+`{shard="3",db="test.db"} `) {
 			missing = append(missing, name)
 		}
 	}
@@ -167,9 +166,9 @@ func newWALConcManager(t *testing.T) *Manager {
 func TestWALConcGaugesExported(t *testing.T) {
 	m := newWALConcManager(t)
 	seed(t, m, 2, 1)
-	reg := trace.NewRegistry()
-	m.RegisterGauges(reg, "")
-	if missing := missingGauges(reg, "wal.checkpoints", "wal.ckpt_deferred"); len(missing) > 0 {
+	reg := metrics.NewRegistry()
+	m.Register(reg, "3")
+	if missing := missingGauges(reg, "xftl_wal_checkpoints_total", "xftl_wal_checkpoints_deferred_total"); len(missing) > 0 {
 		t.Errorf("gauges not registered: %v", missing)
 	}
 }

@@ -78,24 +78,3 @@ func (c *Chip) DestroyPage(p PPN) error {
 	c.releasePage(b, pi)
 	return nil
 }
-
-// ZapBlock resets a whole block to the erased state regardless of
-// content, without charging time or ticking the operation counter. It
-// models the strongest metadata-loss scenario the torture harness
-// throws at recovery: an entire meta block silently gone.
-func (c *Chip) ZapBlock(blk BlockNum) error {
-	if blk < 0 || int(blk) >= c.cfg.Blocks {
-		return fmt.Errorf("%w: %d", ErrBadBlock, blk)
-	}
-	b := &c.blocks[blk]
-	for pi := range b.state {
-		b.state[pi] = PageFree
-		c.releasePage(b, pi)
-		b.torn[pi] = false
-	}
-	b.freeHint = 0
-	b.validCount = 0
-	b.freeCount = c.cfg.PagesPerBlock
-	b.eraseCount++
-	return nil
-}

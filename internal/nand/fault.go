@@ -200,10 +200,6 @@ func (c *Chip) ArmPowerCut(n int64) {
 	c.cutAt = c.opCount.Load() + n
 }
 
-// PowerLost reports whether the chip has lost power (an armed cut
-// tripped, or PowerOff was called).
-func (c *Chip) PowerLost() bool { return c.powerLost }
-
 // PowerOff drops power at an operation boundary (the legacy power-cut
 // behaviour); in-flight state is not torn.
 func (c *Chip) PowerOff() { c.powerLost = true }

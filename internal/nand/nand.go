@@ -470,24 +470,12 @@ func (c *Chip) ScanRead(p PPN, buf, oobBuf []byte) (PageState, error) {
 // firmware-internal ops (legacy scalar parallelism model).
 func (c *Chip) internalDiv() time.Duration { return time.Duration(c.cfg.Units()) }
 
-// ReadPageInternal is ReadPage for firmware-initiated transfers (GC
-// copy-back): the latency pipelines across the internal channels.
-func (c *Chip) ReadPageInternal(p PPN, buf []byte) error {
-	return c.readPage(p, buf, nil, false, true)
-}
-
 // ReadPageOOBInternal is ReadPageOOB at firmware-internal latency.
 func (c *Chip) ReadPageOOBInternal(p PPN, buf, oobBuf []byte) error {
 	if len(oobBuf) < c.cfg.OOBSize {
 		return ErrShortBuffer
 	}
 	return c.readPage(p, buf, oobBuf, false, true)
-}
-
-// ProgramPageInternal is ProgramPage for firmware-initiated writes
-// (mapping-table flushes, GC copy-back).
-func (c *Chip) ProgramPageInternal(p PPN, data []byte) error {
-	return c.programPage(p, data, nil, true)
 }
 
 // ProgramPageOOBInternal is ProgramPageOOB at firmware-internal latency.

@@ -12,31 +12,18 @@
 //
 // The shape follows the classic pinned-aware LRU buffer pool: a
 // bounded free stack, last-in-first-out so the warmest cache is reused
-// first, coldest-first eviction on capacity and idle-TTL expiry on
-// virtual time. Checked-out connections are owned by their session and
-// never tracked here — there is nothing to pin.
+// first, coldest-first eviction on capacity. Checked-out connections
+// are owned by their session and never tracked here — there is
+// nothing to pin.
 package readpool
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/simfs"
 	"repro/internal/sqlite"
 )
-
-// Options tunes a Pool.
-type Options struct {
-	// Capacity bounds the idle connections kept warm (default 8).
-	// Zero-or-negative values are replaced by the default; disable
-	// pooling by not constructing a pool.
-	Capacity int
-	// IdleTTL closes pooled connections idle longer than this much
-	// virtual time, bounding how long a quiet pool holds device
-	// snapshots (and their version pins) open. Zero disables expiry.
-	IdleTTL time.Duration
-}
 
 // Conn is one pooled reader connection: an open snapshot plus the
 // sqlite connection reading through it. While checked out it belongs
@@ -45,9 +32,8 @@ type Conn struct {
 	DB   *sqlite.DB
 	Snap *simfs.Snapshot
 
-	seq      uint64
-	epoch    uint64
-	lastUsed time.Duration
+	seq   uint64
+	epoch uint64
 }
 
 // NewConn wraps a freshly cold-opened reader for later Return. The
@@ -69,7 +55,7 @@ func (c *Conn) close() {
 type Stats struct {
 	Hits          int64 // checkouts served from a warm connection
 	Misses        int64 // checkouts the caller had to cold-open
-	Evictions     int64 // connections dropped for capacity or idle TTL
+	Evictions     int64 // connections dropped for capacity
 	Invalidations int64 // connections dropped because the generation moved
 	Idle          int   // warm connections currently pooled
 }
@@ -86,7 +72,7 @@ func (s Stats) HitRatio() float64 {
 // concurrent use.
 type Pool struct {
 	mu     sync.Mutex
-	opts   Options
+	limit  int    // idle connections kept warm at most
 	seq    uint64 // generation of every pooled connection
 	epoch  uint64
 	free   []*Conn // LIFO: the top entry has the warmest cache
@@ -98,18 +84,19 @@ type Pool struct {
 	invalidations atomic.Int64
 }
 
-// New builds a pool.
-func New(opts Options) *Pool {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 8
+// New builds a pool keeping at most capacity idle connections warm
+// (zero or negative: 8). Disable pooling by not constructing a pool.
+func New(capacity int) *Pool {
+	if capacity <= 0 {
+		capacity = 8
 	}
-	return &Pool{opts: opts, free: make([]*Conn, 0, opts.Capacity)}
+	return &Pool{limit: capacity, free: make([]*Conn, 0, capacity)}
 }
 
 // Checkout returns a warm connection valid for the given generation,
 // or nil when the caller must cold-open (pool empty, generation moved,
-// or pool closed). now is virtual time, used for idle expiry.
-func (p *Pool) Checkout(seq, epoch uint64, now time.Duration) *Conn {
+// or pool closed).
+func (p *Pool) Checkout(seq, epoch uint64) *Conn {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -126,18 +113,6 @@ func (p *Pool) Checkout(seq, epoch uint64, now time.Duration) *Conn {
 		p.invalidations.Add(int64(n))
 		p.misses.Add(1)
 		return nil
-	}
-	// Idle expiry from the cold end of the stack.
-	if ttl := p.opts.IdleTTL; ttl > 0 {
-		expired := 0
-		for expired < len(p.free) && now-p.free[expired].lastUsed > ttl {
-			p.free[expired].close()
-			expired++
-		}
-		if expired > 0 {
-			p.free = append(p.free[:0], p.free[expired:]...)
-			p.evictions.Add(int64(expired))
-		}
 	}
 	if len(p.free) == 0 {
 		p.mu.Unlock()
@@ -156,7 +131,7 @@ func (p *Pool) Checkout(seq, epoch uint64, now time.Duration) *Conn {
 // pool's generation flushes the pool and adopts its generation. The
 // coldest pooled connection is evicted when the pool is full. Reports
 // whether the connection was pooled.
-func (p *Pool) Return(c *Conn, now time.Duration) bool {
+func (p *Pool) Return(c *Conn) bool {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -178,14 +153,13 @@ func (p *Pool) Return(c *Conn, now time.Duration) bool {
 		p.seq = c.seq
 		p.invalidations.Add(int64(n))
 	}
-	if len(p.free) >= p.opts.Capacity {
+	if len(p.free) >= p.limit {
 		// Evict the coldest to make room for the warmer returner.
 		p.free[0].close()
 		copy(p.free, p.free[1:])
 		p.free = p.free[:len(p.free)-1]
 		p.evictions.Add(1)
 	}
-	c.lastUsed = now
 	p.free = append(p.free, c)
 	p.mu.Unlock()
 	return true

@@ -2,7 +2,6 @@ package readpool
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/simclock"
@@ -70,22 +69,20 @@ func (e *env) gen() (uint64, uint64) {
 	return e.fs.Device().CommitSeq(), e.fs.Epoch()
 }
 
-func (e *env) now() time.Duration { return e.fs.Device().Clock().Now() }
-
 func TestCheckoutReusesWarmConn(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(Options{Capacity: 4})
+	p := New(4)
 	defer p.Close()
 
 	seq, epoch := e.gen()
-	if c := p.Checkout(seq, epoch, e.now()); c != nil {
+	if c := p.Checkout(seq, epoch); c != nil {
 		t.Fatal("checkout from empty pool returned a connection")
 	}
 	c := e.coldOpen(t)
-	if !p.Return(c, e.now()) {
+	if !p.Return(c) {
 		t.Fatal("return to fresh pool rejected")
 	}
-	got := p.Checkout(seq, epoch, e.now())
+	got := p.Checkout(seq, epoch)
 	if got != c {
 		t.Fatalf("checkout returned %p, want the pooled conn %p", got, c)
 	}
@@ -101,20 +98,20 @@ func TestCheckoutReusesWarmConn(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	p.Return(got, e.now())
+	p.Return(got)
 }
 
 func TestCommitInvalidatesPool(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(Options{Capacity: 4})
+	p := New(4)
 	defer p.Close()
 
-	p.Return(e.coldOpen(t), e.now())
-	p.Return(e.coldOpen(t), e.now())
+	p.Return(e.coldOpen(t))
+	p.Return(e.coldOpen(t))
 	e.commit(t, 20)
 
 	seq, epoch := e.gen()
-	if c := p.Checkout(seq, epoch, e.now()); c != nil {
+	if c := p.Checkout(seq, epoch); c != nil {
 		t.Fatal("checkout after a commit returned a stale connection")
 	}
 	if st := p.Stats(); st.Invalidations != 2 {
@@ -126,8 +123,8 @@ func TestCommitInvalidatesPool(t *testing.T) {
 	// A reader opened at the new generation pools and reuses normally,
 	// and reads the new value.
 	c := e.coldOpen(t)
-	p.Return(c, e.now())
-	got := p.Checkout(seq, epoch, e.now())
+	p.Return(c)
+	got := p.Checkout(seq, epoch)
 	if got != c {
 		t.Fatal("fresh-generation conn not reused")
 	}
@@ -135,7 +132,7 @@ func TestCommitInvalidatesPool(t *testing.T) {
 	if err != nil || !ok || row[0].Int() != 20 {
 		t.Fatalf("fresh-generation read: %v %v %v, want 20", row, ok, err)
 	}
-	p.Return(got, e.now())
+	p.Return(got)
 }
 
 // A connection cold-opened after a commit outranks the pool's
@@ -143,43 +140,43 @@ func TestCommitInvalidatesPool(t *testing.T) {
 // old and new states mix.
 func TestNewerReturnFlushesStalePool(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(Options{Capacity: 4})
+	p := New(4)
 	defer p.Close()
 
 	stale := e.coldOpen(t)
-	p.Return(stale, e.now())
+	p.Return(stale)
 	// Prime the pool generation to the current seq.
 	seq, epoch := e.gen()
-	got := p.Checkout(seq, epoch, e.now())
-	p.Return(got, e.now())
+	got := p.Checkout(seq, epoch)
+	p.Return(got)
 
 	e.commit(t, 30)
 	fresh := e.coldOpen(t)
-	if !p.Return(fresh, e.now()) {
+	if !p.Return(fresh) {
 		t.Fatal("newer-generation return rejected")
 	}
 	if p.Idle() != 1 {
 		t.Fatalf("idle = %d, want only the fresh conn", p.Idle())
 	}
 	seq, epoch = e.gen()
-	if got := p.Checkout(seq, epoch, e.now()); got != fresh {
+	if got := p.Checkout(seq, epoch); got != fresh {
 		t.Fatal("checkout did not return the fresh connection")
 	}
-	p.Return(fresh, e.now())
+	p.Return(fresh)
 }
 
 func TestPowerCutEpochInvalidatesPool(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(Options{Capacity: 4})
+	p := New(4)
 	defer p.Close()
 
-	p.Return(e.coldOpen(t), e.now())
+	p.Return(e.coldOpen(t))
 	e.fs.PowerCut()
 	if err := e.fs.Remount(); err != nil {
 		t.Fatal(err)
 	}
 	seq, epoch := e.gen()
-	if c := p.Checkout(seq, epoch, e.now()); c != nil {
+	if c := p.Checkout(seq, epoch); c != nil {
 		t.Fatal("checkout across a power cut returned a pre-cut connection")
 	}
 	if st := p.Stats(); st.Invalidations != 1 {
@@ -189,59 +186,43 @@ func TestPowerCutEpochInvalidatesPool(t *testing.T) {
 
 func TestCapacityEvictsColdest(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(Options{Capacity: 2})
+	p := New(2)
 	defer p.Close()
 
 	c1, c2, c3 := e.coldOpen(t), e.coldOpen(t), e.coldOpen(t)
-	p.Return(c1, e.now())
-	p.Return(c2, e.now())
-	p.Return(c3, e.now()) // evicts c1, the coldest
+	p.Return(c1)
+	p.Return(c2)
+	p.Return(c3) // evicts c1, the coldest
 	if st := p.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	seq, epoch := e.gen()
-	if got := p.Checkout(seq, epoch, e.now()); got != c3 {
+	if got := p.Checkout(seq, epoch); got != c3 {
 		t.Fatal("first checkout is not the warmest connection")
 	}
-	if got := p.Checkout(seq, epoch, e.now()); got != c2 {
+	if got := p.Checkout(seq, epoch); got != c2 {
 		t.Fatal("second checkout is not the second-warmest connection")
 	}
 	if p.Idle() != 0 {
 		t.Fatalf("idle = %d, want 0", p.Idle())
 	}
-	p.Return(c2, e.now())
-	p.Return(c3, e.now())
-}
-
-func TestIdleTTLExpires(t *testing.T) {
-	e := newPoolEnv(t)
-	p := New(Options{Capacity: 4, IdleTTL: time.Second})
-	defer p.Close()
-
-	p.Return(e.coldOpen(t), e.now())
-	e.fs.Device().Clock().Advance(2 * time.Second)
-	seq, epoch := e.gen()
-	if c := p.Checkout(seq, epoch, e.now()); c != nil {
-		t.Fatal("checkout returned a TTL-expired connection")
-	}
-	if st := p.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
+	p.Return(c2)
+	p.Return(c3)
 }
 
 func TestCloseDrainsAndRejects(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(Options{Capacity: 4})
-	p.Return(e.coldOpen(t), e.now())
+	p := New(4)
+	p.Return(e.coldOpen(t))
 	p.Close()
 	if p.Idle() != 0 {
 		t.Fatal("close left connections pooled")
 	}
-	if p.Return(e.coldOpen(t), e.now()) {
+	if p.Return(e.coldOpen(t)) {
 		t.Fatal("return after close pooled a connection")
 	}
 	seq, epoch := e.gen()
-	if c := p.Checkout(seq, epoch, e.now()); c != nil {
+	if c := p.Checkout(seq, epoch); c != nil {
 		t.Fatal("checkout after close returned a connection")
 	}
 	p.Close() // idempotent
@@ -252,7 +233,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 // queue-layer zero-alloc guard up through the pool.
 func TestPooledReadHotPathNoAllocs(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(Options{Capacity: 4})
+	p := New(4)
 	defer p.Close()
 
 	seq, epoch := e.gen()
@@ -263,10 +244,10 @@ func TestPooledReadHotPathNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg.Release()
-	p.Return(c, 0)
+	p.Return(c)
 
 	allocs := testing.AllocsPerRun(100, func() {
-		conn := p.Checkout(seq, epoch, 0)
+		conn := p.Checkout(seq, epoch)
 		if conn == nil {
 			t.Fatal("warm checkout missed")
 		}
@@ -275,7 +256,7 @@ func TestPooledReadHotPathNoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		pg.Release()
-		if !p.Return(conn, 0) {
+		if !p.Return(conn) {
 			t.Fatal("warm return rejected")
 		}
 	})

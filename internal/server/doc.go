@@ -34,6 +34,16 @@
 // that sums to the request's wall latency. The same capture is served
 // as JSON at /debug/slow on the metrics listener (MetricsMux).
 //
+// /metrics on the same listener is the fleet's one metrics registry in
+// Prometheus text format: the tier's own families
+// (xftl_requests_served_total, xftl_shed_total, xftl_breaker_open{shard},
+// the xftl_stage_duration_seconds{stage} and xftl_op_duration_seconds{op}
+// histograms, ...) beside what every layer below publishes per shard —
+// xftl_flash_page_writes_total, xftl_gc_runs_total,
+// xftl_host_page_writes_total{class}, xftl_tx_commits_total,
+// xftl_ncq_command_seconds{class}, xftl_readpool_hits_total{db} and the
+// rest of the catalogue in DESIGN.md §11. A scrape is safe under load.
+//
 // # Error taxonomy
 //
 // Every failure the tier can produce maps onto one typed, errors.Is-

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -128,8 +129,9 @@ func TestDoRetrySucceedsFirstTry(t *testing.T) {
 	}
 }
 
-// TestWritePrometheus checks the exposition format carries the tier
-// counters, the latency summary and per-shard stack gauges.
+// TestWritePrometheus checks a 2-shard exposition carries the tier
+// counters, each member's device families under its shard label, the
+// default database's session layer, and the fleet's 2PC counters.
 func TestWritePrometheus(t *testing.T) {
 	srv, addr := startServer(t, Options{Shards: 2})
 	cl := dial(t, addr)
@@ -139,17 +141,20 @@ func TestWritePrometheus(t *testing.T) {
 	var b strings.Builder
 	srv.WritePrometheus(&b)
 	out := b.String()
+	home := fmt.Sprintf(`shard="%d",db="serve.db"`, srv.Fleet().Route("serve.db"))
 	for _, want := range []string{
 		"# TYPE xftl_requests_served_total counter",
-		"# TYPE xftl_request_latency_seconds summary",
-		"xftl_request_latency_seconds{quantile=\"0.99\"}",
-		"xftl_request_latency_seconds_count",
-		"# TYPE xftl_stack_gauge gauge",
-		`xftl_stack_gauge{shard="0",`,
-		`xftl_stack_gauge{shard="1",`,
-		`xftl_stack_gauge{shard="fleet",name="cross_tx"}`,
-		`name="serve.db.readpool.hits"`,
-		`name="serve.db.readpool.idle"`,
+		"# TYPE xftl_op_duration_seconds histogram",
+		`xftl_op_duration_seconds_count{op="exec"} 1`,
+		"# TYPE xftl_flash_page_writes_total counter",
+		`xftl_flash_page_writes_total{shard="0"}`,
+		`xftl_flash_page_writes_total{shard="1"}`,
+		"# TYPE xftl_ftl_free_blocks gauge",
+		`xftl_ncq_command_seconds_count{shard="1",class="barrier"}`,
+		`xftl_breaker_open{shard="1"} 0`,
+		"xftl_cross_tx_total 0",
+		"xftl_readpool_hits_total{" + home + "}",
+		"xftl_readpool_idle{" + home + "}",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)

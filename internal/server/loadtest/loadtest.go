@@ -50,8 +50,6 @@ type Config struct {
 	Duration time.Duration
 	// Clients is the connection-pool size (defaults to 32).
 	Clients int
-	// ThinkTime pauses each client between its completions (0: none).
-	ThinkTime time.Duration
 	// WriteFrac is the fraction of arrivals that are single-row UPDATE
 	// autocommits; the rest are point SELECTs.
 	WriteFrac float64
@@ -174,9 +172,6 @@ func Run(cfg Config) (*Result, error) {
 							firstFatal.CompareAndSwap(nil, resp.Code+": "+resp.Error)
 						}
 					}
-				}
-				if cfg.ThinkTime > 0 {
-					time.Sleep(cfg.ThinkTime)
 				}
 			}
 		}(i, cl)

@@ -1,144 +1,53 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"strings"
-	"time"
+	"strconv"
 
 	"repro/internal/metrics"
 )
 
-// WritePrometheus renders the tier's health as Prometheus text format
-// (version 0.0.4): tier counters, the served-request latency summary,
-// and every stack gauge from the fleet's registries. Gauge names keep
-// their dotted registry form in a label — Prometheus metric names
-// cannot contain dots, and a stable label survives gauge additions
-// without changing the exposition schema.
+// WritePrometheus renders the fleet's one metrics registry — the
+// tier's families registered below beside everything the stacks,
+// session managers and the fleet publish — as Prometheus text format
+// 0.0.4. The error of a scraper that went away is dropped.
 func (s *Server) WritePrometheus(w io.Writer) {
-	ws := s.WireStats()
+	_ = s.fleet.Metrics().WritePrometheus(w)
+}
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// register publishes the tier's own counters: request outcomes, the
+// admission gate, one write breaker per shard, and the wall-clock
+// stage and per-op latency histograms of served requests.
+func (s *Server) register(reg *metrics.Registry) {
+	reg.Counter("xftl_requests_served_total", "Data-path requests completed successfully.", s.served.Load)
+	reg.Counter("xftl_requests_failed_total", "Data-path requests failed (sheds, deadlines, errors).", s.failed.Load)
+	reg.Counter("xftl_admitted_total", "Requests admitted past the admission gate.", s.adm.stats.Admitted.Load)
+	reg.Counter("xftl_shed_total", "Requests shed by the admission gate.", s.adm.stats.Shed.Load)
+	reg.Counter("xftl_deadline_drops_total", "Requests dropped on deadline while queued.", s.adm.stats.DeadlineDrops.Load)
+	reg.Gauge("xftl_in_flight", "Requests holding an admission slot right now.", func() int64 { return int64(s.adm.inFlight()) })
+	reg.Gauge("xftl_open_txns", "Transactions currently open.", s.openTxns.Load)
+	for i, b := range s.brks {
+		shard := strconv.Itoa(i)
+		reg.Counter("xftl_degraded_sheds_total", "Writes shed by an open write breaker.", b.writeSheds.Load, "shard", shard)
+		reg.Counter("xftl_breaker_trips_total", "Write breaker closed-to-open transitions.", b.openTrips.Load, "shard", shard)
+		reg.Gauge("xftl_breaker_open", "1 while the shard's write breaker is open.", func() int64 {
+			if b.open.Load() {
+				return 1
+			}
+			return 0
+		}, "shard", shard)
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("xftl_requests_served_total", "Data-path requests completed successfully.", ws.Served)
-	counter("xftl_requests_failed_total", "Data-path requests failed (sheds, deadlines, errors).", ws.Failed)
-	counter("xftl_admitted_total", "Requests admitted past the admission gate.", ws.Admitted)
-	counter("xftl_shed_total", "Requests shed by the admission gate.", ws.Shed)
-	counter("xftl_deadline_drops_total", "Requests dropped on deadline while queued.", ws.DeadlineDrops)
-	counter("xftl_degraded_sheds_total", "Writes shed by open write breakers.", ws.DegradedSheds)
-	counter("xftl_breaker_trips_total", "Write breaker closed-to-open transitions.", ws.BreakerTrips)
-	counter("xftl_busy_timeouts_total", "Sessions that timed out waiting for the writer lock.", ws.BusyTimeouts)
-	counter("xftl_cmd_retries_total", "Device commands retried after a timeout.", ws.CmdRetries)
-	counter("xftl_cmd_timeouts_total", "Device command attempts that timed out.", ws.CmdTimeouts)
-	gauge("xftl_in_flight", "Requests holding an admission slot right now.", int64(ws.InFlight))
-	gauge("xftl_open_txns", "Transactions currently open.", ws.OpenTxns)
-	gauge("xftl_quarantined_units", "Flash units currently quarantined, fleet-wide.", int64(ws.Quarantined))
-	gauge("xftl_units", "Flash units total, fleet-wide.", int64(ws.Units))
-	open := int64(0)
-	if ws.BreakerOpen {
-		open = 1
-	}
-	gauge("xftl_breaker_open", "1 when any shard's write breaker is open.", open)
-
-	// Served-request wall latency as a summary: quantiles precomputed
-	// by the log2 histogram.
-	lat := s.Latency()
-	fmt.Fprintf(w, "# HELP xftl_request_latency_seconds Wall latency of served data-path requests.\n")
-	fmt.Fprintf(w, "# TYPE xftl_request_latency_seconds summary\n")
-	fmt.Fprintf(w, "xftl_request_latency_seconds{quantile=\"0.5\"} %g\n", lat.P50.Seconds())
-	fmt.Fprintf(w, "xftl_request_latency_seconds{quantile=\"0.95\"} %g\n", lat.P95.Seconds())
-	fmt.Fprintf(w, "xftl_request_latency_seconds{quantile=\"0.99\"} %g\n", lat.P99.Seconds())
-	fmt.Fprintf(w, "xftl_request_latency_seconds_sum %g\n", (time.Duration(lat.Count) * lat.Mean).Seconds())
-	fmt.Fprintf(w, "xftl_request_latency_seconds_count %d\n", lat.Count)
-
-	// Per-stage, per-op and 2PC stage wall latencies as real histogram
-	// families: cumulative le buckets derived from the log2 histograms.
-	stageSeries := make([]labeledHist, numStages)
 	for i := range s.stageLat {
-		stageSeries[i] = labeledHist{stageNames[i], &s.stageLat[i]}
+		reg.Histogram("xftl_stage_duration_seconds", "Wall time served requests spent per pipeline stage.",
+			&s.stageLat[i], "stage", stageNames[i])
 	}
-	writeHistFamily(w, "xftl_stage_duration_seconds",
-		"Wall time served requests spent per pipeline stage.", "stage", stageSeries)
-	opSeries := make([]labeledHist, len(opHistNames))
 	for i := range s.opLat {
-		opSeries[i] = labeledHist{opHistNames[i], &s.opLat[i]}
+		reg.Histogram("xftl_op_duration_seconds", "Wall latency of served data-path requests by op.",
+			&s.opLat[i], "op", opHistNames[i])
 	}
-	writeHistFamily(w, "xftl_op_duration_seconds",
-		"Wall latency of served data-path requests by op.", "op", opSeries)
-	writeHistFamily(w, "xftl_2pc_stage_duration_seconds",
-		"Wall time of cross-shard two-phase-commit stages.", "stage", []labeledHist{
-			{"prepare", &s.fleet.PrepareLat},
-			{"decide", &s.fleet.DecideLat},
-			{"commit", &s.fleet.CommitLat},
-		})
-
 	// Build and configuration identity, Prometheus-idiom: constant 1
 	// with the interesting facts as labels.
-	fmt.Fprintf(w, "# HELP xftl_build_info Build and configuration identity (value is always 1).\n")
-	fmt.Fprintf(w, "# TYPE xftl_build_info gauge\n")
-	fmt.Fprintf(w, "xftl_build_info{go_version=%q,shards=\"%d\",queue_depth=\"%d\"} 1\n",
-		runtime.Version(), s.fleet.Shards(), s.opts.QueueDepth)
-
-	// Stack gauges: one metric family, shard and dotted gauge name as
-	// labels, deterministic order.
-	stats := s.fleet.Gauges()
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Name < stats[j].Name })
-	fmt.Fprintf(w, "# HELP xftl_stack_gauge Point-in-time stack health gauges (per shard, dotted registry names).\n")
-	fmt.Fprintf(w, "# TYPE xftl_stack_gauge gauge\n")
-	for _, st := range stats {
-		shard, name := splitShard(st.Name)
-		fmt.Fprintf(w, "xftl_stack_gauge{shard=%q,name=%q} %d\n", shard, name, st.Value)
-	}
-}
-
-// histMaxBucket trims histogram buckets whose upper bound exceeds it:
-// they carry no information for a serving tier (the +Inf bucket still
-// catches outliers) and would bloat the exposition with 20+ empty
-// multi-hour buckets per series.
-const histMaxBucket = 16 * time.Second
-
-// labeledHist pairs one label value with its latency histogram inside
-// a histogram family.
-type labeledHist struct {
-	label string
-	hist  *metrics.LatencyHist
-}
-
-// writeHistFamily renders one Prometheus histogram family: HELP/TYPE
-// once, then per series the cumulative le buckets (seconds), _sum and
-// _count. The final bucket is always le="+Inf" and equals _count.
-func writeHistFamily(w io.Writer, name, help, labelKey string, series []labeledHist) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for _, s := range series {
-		buckets, count, sum := s.hist.CumBuckets(histMaxBucket)
-		for _, b := range buckets {
-			if b.Inf {
-				fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, labelKey, s.label, b.Count)
-			} else {
-				fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"%g\"} %d\n", name, labelKey, s.label, b.Upper.Seconds(), b.Count)
-			}
-		}
-		fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, labelKey, s.label, sum.Seconds())
-		fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, labelKey, s.label, count)
-	}
-}
-
-// splitShard peels the "shardN." prefix the fleet's Gauges() adds;
-// fleet-level counters ("fleet.*") report shard "fleet".
-func splitShard(name string) (shard, rest string) {
-	i := strings.IndexByte(name, '.')
-	if i < 0 {
-		return "", name
-	}
-	head := name[:i]
-	if head == "fleet" || strings.HasPrefix(head, "shard") {
-		return strings.TrimPrefix(head, "shard"), name[i+1:]
-	}
-	return "", name
+	reg.Gauge("xftl_build_info", "Build and configuration identity (value is always 1).", func() int64 { return 1 },
+		"go_version", runtime.Version(), "shards", strconv.Itoa(s.fleet.Shards()), "queue_depth", strconv.Itoa(s.opts.QueueDepth))
 }

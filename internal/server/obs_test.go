@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -357,17 +358,24 @@ func mixedWorkload(t *testing.T, cl *Client) (served int) {
 	return served
 }
 
-// TestPrometheusConformance parses the full exposition strictly and
-// checks the histogram families' internal consistency plus the
-// cross-family count invariants the stage-cut model promises.
-func TestPrometheusConformance(t *testing.T) {
-	srv, addr := startServer(t, Options{})
-	cl := dial(t, addr)
-	served := mixedWorkload(t, cl)
-
+// scrape parses one full exposition strictly.
+func scrape(t *testing.T, srv *Server) map[string]*promFamily {
+	t.Helper()
 	var b strings.Builder
 	srv.WritePrometheus(&b)
-	families := parseProm(t, b.String())
+	return parseProm(t, b.String())
+}
+
+// TestPrometheusConformance parses the full exposition of a 2-shard
+// tier strictly and checks the histogram families' internal
+// consistency, the cross-family count invariants the stage-cut model
+// promises, that the device families are typed, labelled per shard and
+// monotone, and that write amplification can be derived from a scrape.
+func TestPrometheusConformance(t *testing.T) {
+	srv, addr := startServer(t, Options{Shards: 2})
+	cl := dial(t, addr)
+	served := mixedWorkload(t, cl)
+	families := scrape(t, srv)
 
 	for name, f := range families {
 		if f.typ == "" {
@@ -381,6 +389,7 @@ func TestPrometheusConformance(t *testing.T) {
 		"xftl_stage_duration_seconds",
 		"xftl_op_duration_seconds",
 		"xftl_2pc_stage_duration_seconds",
+		"xftl_ncq_command_seconds",
 	} {
 		f, ok := families[name]
 		if !ok {
@@ -433,10 +442,134 @@ func TestPrometheusConformance(t *testing.T) {
 	if got := stageCount("other"); got != servedTotal {
 		t.Fatalf("other stage count %v, want %v (every served request)", got, servedTotal)
 	}
-	latCount := sampleValue(t, families, "xftl_request_latency_seconds",
-		"xftl_request_latency_seconds_count", nil)
-	if latCount != servedTotal {
-		t.Fatalf("latency summary count %v != served %v", latCount, servedTotal)
+
+	// The device and session layers arrive as typed families: every
+	// series of a family that is kept per shard says which shard, the
+	// families the paper's tables are made of cover both members, and
+	// nothing is squeezed through a dotted registry name any more.
+	for name, f := range families {
+		if f.typ == "summary" || strings.Contains(name, "stack_gauge") {
+			t.Errorf("family %s (%s) is still exposed: the histograms and the typed families replace it", name, f.typ)
+		}
+	}
+	perShard := map[string]string{
+		"xftl_flash_page_writes_total": "counter", "xftl_flash_page_reads_total": "counter",
+		"xftl_flash_block_erases_total": "counter", "xftl_gc_runs_total": "counter", "xftl_gc_copied_pages_total": "counter",
+		"xftl_host_page_writes_total": "counter", "xftl_host_page_reads_total": "counter", "xftl_host_fsyncs_total": "counter",
+		"xftl_tx_writes_total": "counter", "xftl_tx_commits_total": "counter", "xftl_tx_aborts_total": "counter",
+		"xftl_tx_prepares_total": "counter", "xftl_table_images_total": "counter", "xftl_snapshot_reads_total": "counter",
+		"xftl_xl2p_active_entries": "gauge", "xftl_pinned_pages": "gauge", "xftl_open_snapshots": "gauge",
+		"xftl_cmd_retries_total": "counter", "xftl_cmd_timeouts_total": "counter", "xftl_ncq_in_flight": "gauge",
+		"xftl_ncq_command_seconds": "histogram",
+		"xftl_ftl_free_blocks":     "gauge", "xftl_quarantined_units": "gauge", "xftl_wear_spread": "gauge",
+	}
+	for name, typ := range perShard {
+		f, ok := families[name]
+		if !ok || f.typ != typ {
+			t.Errorf("family %s: present=%v type %q, want %s", name, ok, f.typ, typ)
+			continue
+		}
+		for _, shard := range []string{"0", "1"} {
+			sampleValue(t, families, name, f.samples[0].name, map[string]string{"shard": shard})
+		}
+	}
+	for _, class := range []string{"db", "journal", "fsmeta"} {
+		sampleValue(t, families, "xftl_host_page_writes_total", "xftl_host_page_writes_total", map[string]string{"class": class})
+	}
+	for _, class := range []string{"read", "write", "barrier"} {
+		sampleValue(t, families, "xftl_ncq_command_seconds", "xftl_ncq_command_seconds_count", map[string]string{"class": class})
+	}
+	for _, name := range []string{"xftl_readpool_hits_total", "xftl_readpool_misses_total",
+		"xftl_readpool_evictions_total", "xftl_readpool_invalidations_total"} {
+		sampleValue(t, families, name, name, map[string]string{"db": "serve.db"})
+	}
+	dotted := []string{"ncq.", "ftl.", "nand.", "xftl.", "readpool.", "wal.", "fleet.", "shard0", "shard1"}
+	for name, f := range families {
+		sharded := 0
+		for _, s := range f.samples {
+			if _, ok := s.labels["shard"]; ok {
+				sharded++
+			}
+			for _, v := range s.labels {
+				for _, d := range dotted {
+					if strings.Contains(v, d) {
+						t.Errorf("%s: label value %q carries a dotted registry name", s.name, v)
+					}
+				}
+			}
+		}
+		if sharded != 0 && sharded != len(f.samples) {
+			t.Errorf("family %s: %d of %d series carry a shard label", name, sharded, len(f.samples))
+		}
+	}
+
+	// Counters are monotone: more load, a second scrape, and no counter
+	// series may have gone back — while the flash must have moved on.
+	ok := oker(t)
+	for i := 0; i < 20; i++ {
+		ok(cl.Exec("INSERT INTO obs (k, v) VALUES (?, ?)", int64(200+i), "more"))
+	}
+	again := scrape(t, srv)
+	home := map[string]string{"shard": strconv.Itoa(srv.Fleet().Route("serve.db"))}
+	for name, f := range families {
+		if f.typ != "counter" {
+			continue
+		}
+		for _, s := range f.samples {
+			if now := sampleValue(t, again, name, s.name, s.labels); now < s.value {
+				t.Errorf("counter %s%v went from %v to %v", s.name, s.labels, s.value, now)
+			}
+		}
+	}
+	const flashWrites = "xftl_flash_page_writes_total"
+	if sampleValue(t, again, flashWrites, flashWrites, home) <= sampleValue(t, families, flashWrites, flashWrites, home) {
+		t.Errorf("%s%v did not grow under 20 more INSERTs", flashWrites, home)
+	}
+
+	// Write amplification from the scrape equals the stack's own
+	// counters at quiescence: flash programs over host page writes.
+	var hostWrites float64
+	for _, class := range []string{"db", "journal", "fsmeta"} {
+		hostWrites += sampleValue(t, again, "xftl_host_page_writes_total", "xftl_host_page_writes_total",
+			map[string]string{"shard": home["shard"], "class": class})
+	}
+	st := srv.Stack()
+	want := float64(st.FlashStats().Snapshot().PageWrites) / float64(st.Host.Snapshot().TotalWrites())
+	if got := sampleValue(t, again, flashWrites, flashWrites, home) / hostWrites; hostWrites == 0 || got != want {
+		t.Errorf("write amplification from the scrape = %v (host writes %v), from the stack's counters %v", got, hostWrites, want)
+	}
+}
+
+// TestScrapeUnderLoad scrapes in a loop while a client writes: under
+// the race detector this fails unless every series that reads firmware
+// state samples it under the device's queue lock.
+func TestScrapeUnderLoad(t *testing.T) {
+	srv, addr := startServer(t, Options{})
+	cl := dial(t, addr)
+	ok := oker(t)
+	ok(cl.Exec("CREATE TABLE load (k INTEGER PRIMARY KEY, v TEXT)"))
+
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				scraped <- n
+				return
+			default:
+				srv.WritePrometheus(io.Discard)
+				n++
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		ok(cl.Exec("INSERT INTO load (k, v) VALUES (?, ?)", int64(i), "row"))
+	}
+	close(stop)
+	if n := <-scraped; n == 0 {
+		t.Fatal("no scrape completed while the client wrote")
 	}
 }
 

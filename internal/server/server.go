@@ -170,9 +170,6 @@ type Server struct {
 	served   atomic.Int64
 	failed   atomic.Int64
 	openTxns atomic.Int64
-	// lat is wall-clock latency of served (successful) data-path
-	// requests, admission wait included.
-	lat metrics.LatencyHist
 
 	// Per-request observability plane (obs.go): monotonic request ids,
 	// wall-clock stage and per-op histograms of served requests, and
@@ -228,14 +225,16 @@ func New(opts Options) (*Server, error) {
 	for i, st := range fleet.Stacks() {
 		brks[i] = &breaker{dev: st.Device, openFrac: opts.BreakerFraction}
 	}
-	return &Server{
+	s := &Server{
 		opts:  opts,
 		fleet: fleet,
 		adm:   newAdmission(opts.MaxConcurrent, opts.MaxQueue, opts.ShedRetryAfter),
 		brks:  brks,
 		conns: make(map[*conn]struct{}),
 		slow:  newSlowRing(opts.SlowCount),
-	}, nil
+	}
+	s.register(fleet.Metrics())
+	return s, nil
 }
 
 // Stack exposes the default database's underlying stack (chaos hooks,
@@ -545,7 +544,6 @@ func (s *Server) finish(rt *reqTrack, resp *Response) *Response {
 	wall := rt.mark.Sub(rt.start)
 	if resp.OK {
 		s.served.Add(1)
-		s.lat.Observe(wall)
 		if i := opIndex(rt.op); i >= 0 {
 			s.opLat[i].Observe(wall)
 		}
@@ -754,6 +752,3 @@ func (s *Server) WireStats() *WireStats {
 	}
 	return ws
 }
-
-// Latency snapshots the served-request wall latency histogram.
-func (s *Server) Latency() metrics.LatencySnapshot { return s.lat.Snapshot() }

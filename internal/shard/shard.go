@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	xftl "repro"
@@ -112,9 +114,9 @@ type Fleet struct {
 	crashHook func(stage string) bool
 
 	// Stats.
-	CrossTx     int64 // cross-shard transactions committed
-	CrossAborts int64 // cross-shard transactions aborted
-	Resolved    int64 // in-doubt participants resolved at Remount
+	CrossTx     atomic.Int64 // cross-shard transactions committed
+	CrossAborts atomic.Int64 // cross-shard transactions aborted
+	Resolved    atomic.Int64 // in-doubt participants resolved at Remount
 
 	// Wall-clock 2PC stage timing, observed by Tx.Commit: phase-one
 	// prepares, the coordinator decision append, and phase-two commits.
@@ -171,6 +173,7 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Mode == xftl.ModeXFTL {
 		f.coord = newCoordLog(stacks[0].FS)
 	}
+	f.register(f.Metrics())
 	return f, nil
 }
 
@@ -204,10 +207,7 @@ func (f *Fleet) Manager(db string) (*mvcc.Manager, int, error) {
 	if err != nil {
 		return nil, shard, err
 	}
-	// Session-layer gauges ride the owning stack's registry (prefixed
-	// per database), so Fleet.Gauges — and the serving tier's /metrics
-	// — report reader-pool and WAL-checkpoint health per shard.
-	m.RegisterGauges(f.stacks[shard].Gauges, db+".")
+	m.Register(f.Metrics(), strconv.Itoa(shard))
 	f.mgrs[shard][db] = m
 	return m, shard, nil
 }
@@ -372,7 +372,7 @@ func (f *Fleet) Remount() error {
 			if err := st.FS.ResolveInDoubt(tid, commit); err != nil {
 				return fmt.Errorf("shard %d tid %d: resolve: %w", shardID, tid, err)
 			}
-			f.Resolved++
+			f.Resolved.Add(1)
 		}
 	}
 	return nil
@@ -390,24 +390,20 @@ func (f *Fleet) InDoubt() map[int][]uint64 {
 	return out
 }
 
-// Gauges samples every member's gauge registry, prefixing each stat
-// with its shard id ("shard0.ftl.free_blocks", ...), plus fleet-level
-// 2PC counters.
-func (f *Fleet) Gauges() []trace.Stat {
-	var out []trace.Stat
-	for i, st := range f.stacks {
-		for _, s := range st.Gauges.Snapshot() {
-			out = append(out, trace.Stat{Name: fmt.Sprintf("shard%d.%s", i, s.Name), Value: s.Value})
-		}
-	}
-	f.mu.Lock()
-	out = append(out,
-		trace.Stat{Name: "fleet.cross_tx", Value: f.CrossTx},
-		trace.Stat{Name: "fleet.cross_aborts", Value: f.CrossAborts},
-		trace.Stat{Name: "fleet.indoubt_resolved", Value: f.Resolved},
-	)
-	f.mu.Unlock()
-	return out
+// Metrics is the registry every layer of the fleet publishes into:
+// the members' stacks (told apart by their shard label), each session
+// manager as it opens, and the fleet's own 2PC counters and stage
+// timing.
+func (f *Fleet) Metrics() *metrics.Registry { return f.stacks[0].Gauges }
+
+func (f *Fleet) register(reg *metrics.Registry) {
+	reg.Counter("xftl_cross_tx_total", "Cross-shard transactions committed.", f.CrossTx.Load)
+	reg.Counter("xftl_cross_aborts_total", "Cross-shard transactions aborted.", f.CrossAborts.Load)
+	reg.Counter("xftl_indoubt_resolved_total", "In-doubt 2PC participants resolved at remount.", f.Resolved.Load)
+	const help = "Wall time of cross-shard two-phase-commit stages."
+	reg.Histogram("xftl_2pc_stage_duration_seconds", help, &f.PrepareLat, "stage", "prepare")
+	reg.Histogram("xftl_2pc_stage_duration_seconds", help, &f.DecideLat, "stage", "decide")
+	reg.Histogram("xftl_2pc_stage_duration_seconds", help, &f.CommitLat, "stage", "commit")
 }
 
 // Close shuts the fleet down: managers close first (draining their

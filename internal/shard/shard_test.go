@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -134,8 +135,8 @@ func TestCrossShardCommitAndVisibility(t *testing.T) {
 			t.Fatalf("%s: v = %d, want %d", db, got, 100+i)
 		}
 	}
-	if f.CrossTx != 1 {
-		t.Fatalf("CrossTx = %d, want 1", f.CrossTx)
+	if n := f.CrossTx.Load(); n != 1 {
+		t.Fatalf("CrossTx = %d, want 1", n)
 	}
 }
 
@@ -350,21 +351,29 @@ func TestConcurrentClose(t *testing.T) {
 	}
 }
 
-// TestFleetGauges asserts per-shard prefixes and fleet counters appear.
-func TestFleetGauges(t *testing.T) {
+// TestFleetMetrics asserts one registry carries every member's device
+// families under its shard label, the session manager of an opened
+// database on its owning shard, and the fleet's 2PC counters.
+func TestFleetMetrics(t *testing.T) {
 	f := newTestFleet(t, 2)
 	mustExec(t, f, "g.db", "CREATE TABLE t (a INTEGER)")
-	stats := f.Gauges()
-	var sawShard, sawFleet bool
-	for _, s := range stats {
-		if strings.HasPrefix(s.Name, "shard1.") || strings.HasPrefix(s.Name, "shard0.") {
-			sawShard = true
-		}
-		if s.Name == "fleet.cross_tx" {
-			sawFleet = true
+	var b strings.Builder
+	if err := f.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	owner := strconv.Itoa(f.Route("g.db"))
+	for _, want := range []string{
+		`xftl_flash_page_writes_total{shard="0"} `,
+		`xftl_flash_page_writes_total{shard="1"} `,
+		`xftl_host_page_writes_total{shard="` + owner + `",class="db"} `,
+		`xftl_busy_timeouts_total{shard="` + owner + `",db="g.db"} 0`,
+		"xftl_cross_tx_total 0",
+	} {
+		if !strings.Contains(b.String(), "\n"+want) {
+			t.Errorf("no series %s in:\n%s", want, b.String())
 		}
 	}
-	if !sawShard || !sawFleet {
-		t.Fatalf("gauges missing shard or fleet stats: %+v", stats)
+	if strings.Contains(b.String(), `xftl_host_page_writes_total{shard="`+owner+`",class="db"} 0`) {
+		t.Errorf("shard %s took the CREATE TABLE but reports no database page write", owner)
 	}
 }

@@ -101,9 +101,6 @@ func (f *Fleet) BeginCross(dbs ...string) (*Tx, error) {
 	return tx, nil
 }
 
-// Gtid reports the transaction's fleet-global id.
-func (t *Tx) Gtid() uint64 { return t.gtid }
-
 // SetReq tags every participant session's I/O with a serving-tier
 // request id (0 clears it); see mvcc.Session.SetReq.
 func (t *Tx) SetReq(req uint64) {
@@ -201,9 +198,7 @@ func (t *Tx) Commit() error {
 		if err != nil {
 			return err
 		}
-		t.f.mu.Lock()
-		t.f.CrossTx++
-		t.f.mu.Unlock()
+		t.f.CrossTx.Add(1)
 		return nil
 	}
 
@@ -262,9 +257,7 @@ func (t *Tx) Commit() error {
 	if firstErr != nil {
 		return firstErr
 	}
-	t.f.mu.Lock()
-	t.f.CrossTx++
-	t.f.mu.Unlock()
+	t.f.CrossTx.Add(1)
 	return nil
 }
 
@@ -286,9 +279,7 @@ func (t *Tx) abortAfterFailure() {
 		}
 		p.sessions = nil
 	}
-	t.f.mu.Lock()
-	t.f.CrossAborts++
-	t.f.mu.Unlock()
+	t.f.CrossAborts.Add(1)
 }
 
 // Rollback aborts the whole transaction on every shard.

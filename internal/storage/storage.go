@@ -157,10 +157,6 @@ type Options struct {
 	// CmdRetries bounds execution attempts per command. Zero means
 	// ncq.DefaultMaxAttempts when CmdDeadline is set, else 1.
 	CmdRetries int
-	// CmdBackoff is the initial virtual-time backoff between command
-	// retry attempts, doubling per retry. Zero selects
-	// ncq.DefaultBackoff.
-	CmdBackoff time.Duration
 }
 
 // Device is a simulated flash storage device exposing the (extended)
@@ -235,7 +231,6 @@ func New(prof Profile, clock *simclock.Clock, opts Options) (*Device, error) {
 	d.q.SetRetryPolicy(ncq.RetryPolicy{
 		Deadline:    opts.CmdDeadline,
 		MaxAttempts: opts.CmdRetries,
-		Backoff:     opts.CmdBackoff,
 	})
 	return d, nil
 }
@@ -333,28 +328,75 @@ func (d *Device) SetTracer(t *trace.Tracer) {
 	}
 }
 
-// RegisterGauges publishes the device's live stat gauges into a
-// registry: free blocks, pinned snapshot pages (with peak), queue
-// depth, and wear spread. The providers read firmware state without
-// taking the queue lock; sample the registry while the device is
-// quiescent (after Queue().Drain()).
-func (d *Device) RegisterGauges(reg *trace.Registry) {
-	reg.Register("ftl.free_blocks", func() int64 { return int64(d.base.FreeBlockCount()) })
-	reg.Register("ncq.in_flight", func() int64 { return int64(d.q.InFlight()) })
-	reg.Register("ncq.retries", d.q.Retries)
-	reg.Register("ncq.timeouts", d.q.Timeouts)
-	reg.Register("ftl.quarantined_units", d.base.QuarantinedUnits)
-	reg.Register("ftl.quarantine_trips", d.base.QuarantineTrips)
-	reg.Register("ftl.degraded_ms", func() int64 { return d.base.DegradedTime().Milliseconds() })
-	reg.Register("nand.wear_spread", func() int64 { return d.base.Chip().WearSpread() })
-	reg.Register("nand.retired_blocks", func() int64 { return int64(d.base.BadBlockCount()) })
-	if d.x != nil {
-		reg.Register("xftl.pinned_pages", func() int64 { return int64(d.x.PinnedPages()) })
-		reg.Register("xftl.peak_pinned_pages", func() int64 { return int64(d.x.PeakPinnedPages()) })
-		reg.Register("xftl.active_entries", func() int64 { return int64(d.x.ActiveEntries()) })
-		reg.Register("xftl.open_snapshots", func() int64 { return int64(d.x.OpenSnapshots()) })
-		reg.Register("xftl.snap_evictions", func() int64 { return d.x.Stats().SnapEvictions })
+// Register publishes the device's counters as metric families with a
+// shard label. One collector samples the firmware under the queue lock
+// once per scrape — its state is not otherwise safe to read while
+// commands run — and every firmware series reads that sample, so a
+// scrape is race-free against a live device and consistent within
+// itself. The queue's own counters take that lock themselves.
+func (d *Device) Register(reg *metrics.Registry, shard string) {
+	var s struct {
+		flash                              metrics.FlashSnapshot
+		x                                  core.Stats
+		gcCopied, free, retired, wear      int64
+		quarantined, quarTrips, degradedMS int64
+		active, pinned, peakPinned, snaps  int64
 	}
+	reg.OnScrape(func() {
+		d.q.Exclusive(func() {
+			s.flash = d.flash.Snapshot()
+			s.gcCopied = d.base.GCCopiedPages()
+			s.free, s.retired = int64(d.base.FreeBlockCount()), int64(d.base.BadBlockCount())
+			s.wear = d.base.Chip().WearSpread()
+			s.quarantined, s.quarTrips = d.base.QuarantinedUnits(), d.base.QuarantineTrips()
+			s.degradedMS = d.base.DegradedTime().Milliseconds()
+			if d.x != nil {
+				s.x = d.x.Stats()
+				s.active, s.pinned = int64(d.x.ActiveEntries()), int64(d.x.PinnedPages())
+				s.peakPinned, s.snaps = int64(d.x.PeakPinnedPages()), int64(d.x.OpenSnapshots())
+			}
+		})
+	})
+	counter := func(name, help string, v *int64) {
+		reg.Counter(name, help, func() int64 { return *v }, "shard", shard)
+	}
+	gauge := func(name, help string, v *int64) {
+		reg.Gauge(name, help, func() int64 { return *v }, "shard", shard)
+	}
+	counter("xftl_flash_page_writes_total", "Flash page programs, GC copies and mapping flushes included.", &s.flash.PageWrites)
+	counter("xftl_flash_page_reads_total", "Flash page reads, GC copy-out reads included.", &s.flash.PageReads)
+	counter("xftl_flash_block_erases_total", "Flash block erases.", &s.flash.BlockErases)
+	counter("xftl_gc_runs_total", "Garbage-collection victim blocks collected.", &s.flash.GCRuns)
+	counter("xftl_gc_copied_pages_total", "Still-valid pages GC copied out of victim blocks.", &s.gcCopied)
+	gauge("xftl_ftl_free_blocks", "Erased blocks in the FTL's free pool.", &s.free)
+	gauge("xftl_retired_blocks", "Blocks retired to the bad-block table.", &s.retired)
+	gauge("xftl_wear_spread", "Highest minus lowest block erase count.", &s.wear)
+	gauge("xftl_quarantined_units", "Channel/way units currently quarantined.", &s.quarantined)
+	reg.Gauge("xftl_units", "Channel/way units in the flash array.",
+		func() int64 { return int64(d.prof.Nand.Units()) }, "shard", shard)
+	counter("xftl_quarantine_trips_total", "Quarantine episodes opened.", &s.quarTrips)
+	counter("xftl_degraded_virtual_ms_total", "Virtual milliseconds spent with a unit quarantined.", &s.degradedMS)
+	reg.Counter("xftl_cmd_retries_total", "Device command attempts reissued after a timeout or transient fault.", d.q.Retries, "shard", shard)
+	reg.Counter("xftl_cmd_timeouts_total", "Device command attempts that overran their deadline.", d.q.Timeouts, "shard", shard)
+	reg.Gauge("xftl_ncq_in_flight", "Commands outstanding in the NCQ queue.", func() int64 { return int64(d.q.InFlight()) }, "shard", shard)
+	for class, h := range map[string]*metrics.LatencyHist{"read": &d.q.ReadLat, "write": &d.q.WriteLat, "barrier": &d.q.BarrierLat} {
+		reg.Histogram("xftl_ncq_command_seconds", "Device command latency, submit to completion, in virtual seconds.",
+			h, "shard", shard, "class", class)
+	}
+	if d.x == nil {
+		return
+	}
+	counter("xftl_tx_writes_total", "X-FTL write(t,p) commands.", &s.x.TxWrites)
+	counter("xftl_tx_commits_total", "X-FTL commit(t) commands.", &s.x.Commits)
+	counter("xftl_tx_aborts_total", "X-FTL abort(t) commands.", &s.x.Aborts)
+	counter("xftl_tx_prepares_total", "X-FTL prepare(t) commands (2PC phase one).", &s.x.Prepares)
+	counter("xftl_table_images_total", "X-L2P table images programmed to flash.", &s.x.TableImages)
+	counter("xftl_snapshot_reads_total", "Reads served through a snapshot handle.", &s.x.SnapReads)
+	counter("xftl_snapshot_evictions_total", "Superseded versions reclaimed while other snapshots stayed open.", &s.x.SnapEvictions)
+	gauge("xftl_xl2p_active_entries", "X-L2P entries of transactions not yet retired.", &s.active)
+	gauge("xftl_pinned_pages", "Superseded pages pinned against GC for open snapshots.", &s.pinned)
+	gauge("xftl_peak_pinned_pages", "High-water mark of pinned pages.", &s.peakPinned)
+	gauge("xftl_open_snapshots", "Snapshot handles currently open.", &s.snaps)
 }
 
 // Queue returns the device's NCQ command queue for asynchronous

@@ -67,14 +67,13 @@ type Options struct {
 	// exhaustion).
 	Fault *nand.FaultModel
 
-	// Chaos (degraded-mode) knobs. CmdDeadline/CmdRetries/CmdBackoff
+	// Chaos (degraded-mode) knobs. CmdDeadline/CmdRetries
 	// configure the queue's timeout/retry plane (see storage.Options);
 	// TransientProb and HangProb inject seeded interface faults and die
 	// stalls at the chip; HangStall sizes both the chip's stalls and the
 	// harness's deterministic ones.
 	CmdDeadline   time.Duration
 	CmdRetries    int
-	CmdBackoff    time.Duration
 	TransientProb float64
 	HangProb      float64
 	HangStall     time.Duration
@@ -270,7 +269,6 @@ func newRunState(o Options) (*runState, error) {
 		Fault:         fault,
 		CmdDeadline:   o.CmdDeadline,
 		CmdRetries:    o.CmdRetries,
-		CmdBackoff:    o.CmdBackoff,
 	})
 	if err != nil {
 		return nil, err

@@ -54,26 +54,6 @@ func TestGenerations(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	v := int64(3)
-	r.Register("a.x", func() int64 { return v })
-	r.Register("b.y", func() int64 { return 7 })
-	got := r.Snapshot()
-	if len(got) != 2 || got[0] != (Stat{"a.x", 3}) || got[1] != (Stat{"b.y", 7}) {
-		t.Fatalf("snapshot %+v", got)
-	}
-	v = 5
-	if got := r.Snapshot()[0].Value; got != 5 {
-		t.Errorf("gauge not live: got %d, want 5", got)
-	}
-	var nilReg *Registry
-	nilReg.Register("c", func() int64 { return 0 })
-	if nilReg.Snapshot() != nil {
-		t.Error("nil registry snapshot not nil")
-	}
-}
-
 // goldenEvents is a fixed event sequence exercising every export path:
 // host events on two sessions, an NCQ command, NAND ops on two units,
 // and firmware spans across two generations.

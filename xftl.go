@@ -2,6 +2,7 @@ package xftl
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,10 +91,12 @@ type Stack struct {
 	FS     *simfs.FS
 	Host   *metrics.HostCounters
 
-	// Gauges samples named point-in-time health gauges across the stack
-	// (free blocks, queue depth, pinned snapshot pages, wear spread).
-	// Sample while the device is quiescent.
-	Gauges *trace.Registry
+	// Gauges is the metrics registry the stack's layers publish into
+	// (DESIGN.md §11 lists the families): flash, FTL, X-FTL and NCQ
+	// counters from the device, host I/O from the file system, all
+	// labelled with the stack's shard id ("0" outside a fleet, whose
+	// members share one registry). Safe to scrape while commands run.
+	Gauges *metrics.Registry
 
 	dbConfig sqlite.Config
 	closed   atomic.Bool
@@ -163,7 +166,12 @@ func NewStack(prof Profile, mode Mode) (*Stack, error) {
 
 // NewStackOptions is NewStack with tuning knobs.
 func NewStackOptions(prof Profile, mode Mode, opts StackOptions) (*Stack, error) {
-	devOpts := storage.Options{Transactional: mode == ModeXFTL}
+	return NewStackDevice(prof, mode, deviceOptions(opts), opts)
+}
+
+// deviceOptions translates the stack-level knobs into device options.
+func deviceOptions(opts StackOptions) storage.Options {
+	var devOpts storage.Options
 	if opts.FTLLogicalPages > 0 {
 		devOpts.FTL.LogicalPages = opts.FTLLogicalPages
 		devOpts.FTL.MetaBlocks = 4
@@ -174,13 +182,18 @@ func NewStackOptions(prof Profile, mode Mode, opts StackOptions) (*Stack, error)
 	devOpts.QueueDepth = opts.QueueDepth
 	devOpts.CmdDeadline = opts.CmdDeadline
 	devOpts.CmdRetries = opts.CmdRetries
-	return NewStackDevice(prof, mode, devOpts, opts)
+	return devOpts
 }
 
 // NewStackDevice is the fully explicit constructor: device options
 // (FTL and X-FTL configuration) are passed straight through. Used by
 // ablation studies that vary firmware policies.
 func NewStackDevice(prof Profile, mode Mode, devOpts storage.Options, opts StackOptions) (*Stack, error) {
+	return newStack(prof, mode, devOpts, opts, metrics.NewRegistry(), 0)
+}
+
+// newStack builds a stack publishing into reg as the given shard.
+func newStack(prof Profile, mode Mode, devOpts storage.Options, opts StackOptions, reg *metrics.Registry, shard int) (*Stack, error) {
 	clock := simclock.New()
 	devOpts.Transactional = mode == ModeXFTL
 	dev, err := storage.New(prof, clock, devOpts)
@@ -203,15 +216,21 @@ func NewStackDevice(prof Profile, mode Mode, devOpts storage.Options, opts Stack
 	case ModeXFTL:
 		jm = pager.Off
 	}
-	gauges := trace.NewRegistry()
-	dev.RegisterGauges(gauges)
+	sh := strconv.Itoa(shard)
+	dev.Register(reg, sh)
+	for class, c := range map[string]*atomic.Int64{"db": &host.DBWrites, "journal": &host.JournalWrites, "fsmeta": &host.FSMetaWrites} {
+		reg.Counter("xftl_host_page_writes_total", "Host page writes by target: database file, journal or WAL, file-system metadata.",
+			c.Load, "shard", sh, "class", class)
+	}
+	reg.Counter("xftl_host_page_reads_total", "Host page reads.", host.Reads.Load, "shard", sh)
+	reg.Counter("xftl_host_fsyncs_total", "fsync and fsync-like barrier calls.", host.Fsyncs.Load, "shard", sh)
 	return &Stack{
 		Mode:   mode,
 		Clock:  clock,
 		Device: dev,
 		FS:     fsys,
 		Host:   host,
-		Gauges: gauges,
+		Gauges: reg,
 		dbConfig: sqlite.Config{
 			JournalMode:     jm,
 			CacheSize:       opts.CacheSize,
@@ -266,12 +285,13 @@ func NewFleet(spec FleetSpec) ([]*Stack, []*trace.Tracer, error) {
 	}
 	stacks := make([]*Stack, spec.Shards)
 	tracers := make([]*trace.Tracer, spec.Shards)
+	reg := metrics.NewRegistry() // one exposition, members told apart by label
 	for i := range stacks {
 		opts := spec.Options
 		if spec.FaultSeed != 0 {
 			opts.Fault = nand.DefaultFaultModel(spec.FaultSeed + int64(i))
 		}
-		st, err := NewStackOptions(spec.Profile, spec.Mode, opts)
+		st, err := newStack(spec.Profile, spec.Mode, deviceOptions(opts), opts, reg, i)
 		if err != nil {
 			// Unwind the members already built so no queue outlives the
 			// failed constructor.
