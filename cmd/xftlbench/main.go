@@ -5,16 +5,17 @@
 // Usage:
 //
 //	xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate|mtenant|rwconc|fleet}
-//	xftlbench [-quick] -torture
+//	xftlbench [-quick] [-seed N] -torture
+//	xftlbench [-quick] [-seed N] -chaos
 //
 // -quick shrinks workloads for a fast smoke run; the published numbers
 // in EXPERIMENTS.md come from full runs (no -quick). -faults N runs the
 // chosen experiment on faulty flash (the wear-correlated NAND fault
 // model scaled by N; 1 = realistic MLC rates). -torture skips the paper
-// experiments and runs the crash/fault torture harness: a device-level
-// sweep of seeds x cut points x fault rates plus full-SQL runs in all
-// three journal modes, each checking committed-durable /
-// uncommitted-discarded after every recovery.
+// experiments and runs the torture leg table (internal/torture, DESIGN.md
+// §18): device, SQL, concurrent-session, fleet 2PC and metadata-corruption
+// schedules, every recovery judged by one model of the paper's §5.4
+// contract. -chaos runs the table's error-storm leg.
 //
 // mtenant and rwconc are the beyond-the-paper legs (not part of "all",
 // which reproduces the paper's figures only): mtenant is the NCQ
@@ -42,7 +43,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	xftl "repro"
 	"repro/internal/bench"
 	"repro/internal/torture"
 	"repro/internal/trace"
@@ -93,24 +93,19 @@ func benchMain() int {
 		}()
 	}
 	wallStart := time.Now()
-	if *tortureMode {
+	for _, mode := range []struct {
+		on   bool
+		name string
+	}{{*tortureMode, "torture"}, {*chaosMode, "chaos"}} {
+		if !mode.on {
+			continue
+		}
 		if flag.NArg() != 0 {
 			flag.Usage()
 			return 2
 		}
-		if err := runTorture(*quick, *faults, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "xftlbench -torture: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *chaosMode {
-		if flag.NArg() != 0 {
-			flag.Usage()
-			return 2
-		}
-		if err := runChaos(*quick, *quiet, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "xftlbench -chaos: %v\n", err)
+		if err := runLegs(mode.name, *quick, *quiet, *faults, *seed); err != nil {
+			fmt.Fprintf(os.Stderr, "xftlbench -%s: %v\n", mode.name, err)
 			return 1
 		}
 		return 0
@@ -308,164 +303,28 @@ func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
 	return nil
 }
 
-// runTorture runs the device-level acceptance sweep (seeds x cut
-// cadences x fault scales), then the full-stack SQL torture in every
-// journal mode. A non-zero faults value replaces the sweep's fault
-// column and the SQL runs' default scale; a non-zero seed replaces
-// every seed grid with that one seed (reproducing a failing summary
-// line), and every run summary records the seeds it used.
-func runTorture(quick bool, faults float64, seed int64) error {
-	sw := torture.DefaultSweep()
-	sw.Progress = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "[torture] "+format+"\n", args...)
-	}
-	if quick {
-		sw.Seeds = sw.Seeds[:2]
-	}
-	if seed != 0 {
-		sw.Seeds = []int64{seed}
-	}
-	if faults > 0 {
-		sw.FaultScale = []float64{0, faults}
-	}
-	rep, err := torture.Sweep(sw)
-	if err != nil {
-		return fmt.Errorf("device sweep: %w", err)
-	}
-	fmt.Printf("device sweep: %s\n", rep)
-
-	seeds := []int64{1, 2, 3, 4, 5, 6}
-	if quick {
-		seeds = seeds[:2]
-	}
-	if seed != 0 {
-		seeds = []int64{seed}
-	}
-	for _, mode := range []xftl.Mode{xftl.ModeRollback, xftl.ModeWAL, xftl.ModeXFTL} {
-		agg := &torture.Report{}
-		for _, seed := range seeds {
-			o := torture.DefaultSQLOptions(mode, seed)
-			if faults > 0 {
-				o.FaultScale = faults
-			}
-			r, err := torture.RunSQL(o)
-			if err != nil {
-				return fmt.Errorf("sql %s seed %d: %w", mode, seed, err)
-			}
-			agg.Add(r)
-		}
-		fmt.Printf("sql %-5s: %s\n", mode, agg)
-	}
-
-	// Concurrent-session torture: snapshot readers racing a writer on
-	// the MVCC session layer with a mid-run power cut; every snapshot
-	// must be uniform and recovery must land on the last committed (or
-	// in-doubt) generation.
-	mvccSeeds := []int64{1, 2, 3, 4, 5, 6}
-	if quick {
-		mvccSeeds = mvccSeeds[:2]
-	}
-	if seed != 0 {
-		mvccSeeds = []int64{seed}
-	}
-	magg := &torture.Report{}
-	for _, seed := range mvccSeeds {
-		r, err := torture.RunMVCC(torture.DefaultMVCCOptions(seed))
-		if err != nil {
-			return fmt.Errorf("mvcc seed %d: %w", seed, err)
-		}
-		magg.Add(r)
-	}
-	fmt.Printf("mvcc sessions: %s\n", magg)
-
-	// Pooled-reader torture: the same workload with readers served
-	// through the warm connection pool, and the manager kept alive
-	// across the power cut — the pool's epoch check must invalidate
-	// every pre-cut connection before serving a post-recovery read.
-	pagg := &torture.Report{}
-	for _, seed := range mvccSeeds {
-		r, err := torture.RunPooledCut(torture.DefaultMVCCOptions(seed))
-		if err != nil {
-			return fmt.Errorf("pooled mvcc seed %d: %w", seed, err)
-		}
-		pagg.Add(r)
-	}
-	fmt.Printf("mvcc pooled:   %s\n", pagg)
-
-	// WAL concurrent-reader torture: readers on captured log views
-	// racing the appending writer, recovery by log replay on reopen.
-	wagg := &torture.Report{}
-	for _, seed := range mvccSeeds {
-		r, err := torture.RunWALConcCut(torture.DefaultMVCCOptions(seed))
-		if err != nil {
-			return fmt.Errorf("walconc seed %d: %w", seed, err)
-		}
-		wagg.Add(r)
-	}
-	fmt.Printf("wal readers:   %s\n", wagg)
-
-	// Fleet 2PC torture: cross-shard transactions killed at every stage
-	// of the two-phase commit protocol; recovery must leave each one
-	// committed on all participants or on none.
-	fo := torture.DefaultFleetOptions()
-	fo.Progress = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "[torture] "+format+"\n", args...)
-	}
-	if quick {
-		fo.Seeds = fo.Seeds[:1]
-	}
-	if seed != 0 {
-		fo.Seeds = []int64{seed}
-	}
-	frep, err := torture.FleetSweep(fo)
-	if err != nil {
-		return fmt.Errorf("fleet 2pc: %w", err)
-	}
-	fmt.Printf("fleet 2pc:    %s\n", frep)
-
-	// Metadata-corruption sweep: destroy every persisted copy of the
-	// mapping table (and, separately, the bad-block table) after each
-	// crash and require full recovery from per-page OOB records.
-	ms := torture.DefaultMetaSweep()
-	ms.Progress = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "[torture] "+format+"\n", args...)
-	}
-	if quick {
-		ms.Seeds = ms.Seeds[:1]
-	}
-	if seed != 0 {
-		ms.Seeds = []int64{seed}
-	}
-	mrep, err := torture.MetaSweep(ms)
-	if err != nil {
-		return fmt.Errorf("meta sweep: %w", err)
-	}
-	fmt.Printf("meta sweep:   %s\n", mrep)
-	return nil
-}
-
-// runChaos runs the degraded-mode error-storm acceptance sweep: the
-// crash-torture workload under transient interface faults, die hangs,
-// command deadlines with bounded retry, channel quarantine and
-// mid-storm power cuts. A non-zero seed replaces the default seed grid.
-func runChaos(quick, quiet bool, seed int64) error {
-	o := torture.DefaultChaos()
-	if quick {
-		o.Seeds = o.Seeds[:1]
-		o.Transactions = 120
-	}
-	if seed != 0 {
-		o.Seeds = []int64{seed}
-	}
+// runLegs is the -torture and -chaos front end: one loop over the leg
+// table (torture.Legs; DESIGN.md §18 lists it), one summary line per leg
+// on stdout. A non-zero faults value replaces the device sweep's fault
+// column and the SQL legs' default scale; a non-zero seed replaces every
+// leg's seed axis with that one seed, which is how a violation — whose
+// message ends with this very command line — is replayed.
+func runLegs(mode string, quick, quiet bool, faults float64, seed int64) error {
+	r := torture.Runner{Quick: quick, Seed: seed}
 	if !quiet {
-		o.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "[chaos] "+format+"\n", args...)
+		r.Progress = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "["+mode+"] "+format+"\n", args...)
 		}
 	}
-	rep, err := torture.ChaosSweep(o)
-	if err != nil {
-		return fmt.Errorf("%w (report %s)", err, rep)
+	for _, l := range torture.Legs(faults) {
+		if l.Flag != mode {
+			continue
+		}
+		rep, err := r.Run(l)
+		if err != nil {
+			return fmt.Errorf("%w\n\t(report %s)", err, rep)
+		}
+		fmt.Printf("%-14s %s\n", l.Name+":", rep)
 	}
-	fmt.Printf("chaos sweep: %s\n", rep)
 	return nil
 }

@@ -188,6 +188,8 @@ type Pager struct {
 	Commits     int64
 	Rollbacks   int64
 	Checkpoints int64
+	// JournalPlaybacks counts hot rollback journals played back at Open.
+	JournalPlaybacks int64
 	// CkptDeferred counts checkpoints skipped because reader views were
 	// live; the trigger re-arms on the next commit. Guarded by walMu,
 	// like Checkpoints, so gauges can sample it mid-run.
@@ -1219,9 +1221,6 @@ func (p *Pager) Rollback() error {
 				return err
 			}
 		}
-		for pgno := range p.dirty {
-			p.dropCached(pgno)
-		}
 	case WAL:
 		// Own frames are simply forgotten; the log head rewinds.
 		if len(p.txFrames) > 0 {
@@ -1235,9 +1234,6 @@ func (p *Pager) Rollback() error {
 			_ = p.walFile.Truncate(lo)
 		}
 		p.txFrames = nil
-		for pgno := range p.dirty {
-			p.dropCached(pgno)
-		}
 	case Off:
 		// ioctl(abort): stolen pages roll back inside the device. A
 		// read-only session never staged anything to abort.
@@ -1246,12 +1242,21 @@ func (p *Pager) Rollback() error {
 				return err
 			}
 		}
-		for pgno := range p.dirty {
-			p.dropCached(pgno)
-		}
 		for pgno := range p.stolen {
 			p.dropCached(pgno)
 		}
+	}
+	p.unwindTx()
+	return nil
+}
+
+// unwindTx is the tail of every rollback, once stable storage holds the
+// pre-transaction state again: the pages the transaction left dirty leave
+// the cache, the allocator state rewinds to its Begin-time snapshot, and
+// the rollback is counted and traced.
+func (p *Pager) unwindTx() {
+	for pgno := range p.dirty {
+		p.dropCached(pgno)
 	}
 	clear(p.dirty)
 	p.nPages = p.txNPages
@@ -1262,7 +1267,6 @@ func (p *Pager) Rollback() error {
 	p.stolen = nil
 	p.Rollbacks++
 	p.noteTxn(trace.KTxn, 0)
-	return nil
 }
 
 // dropCached removes a page from the cache so the next Get re-reads the
@@ -1349,6 +1353,7 @@ func (p *Pager) recoverRollback() error {
 	if err := p.fs.Remove(name); err != nil {
 		return err
 	}
+	p.JournalPlaybacks++
 	return p.loadHeader()
 }
 
@@ -1421,21 +1426,10 @@ func (p *Pager) FinishPreparedTx(commit bool) {
 		p.Commits++
 		return
 	}
-	for pgno := range p.dirty {
-		p.dropCached(pgno)
-	}
 	for pgno := range p.stolen {
 		p.dropCached(pgno)
 	}
-	clear(p.dirty)
-	p.nPages = p.txNPages
-	p.freelist = p.txFreelist
-	p.schema = p.txSchema
-	p.inTx = false
-	p.journaled = nil
-	p.stolen = nil
-	p.Rollbacks++
-	p.noteTxn(trace.KTxn, 0)
+	p.unwindTx()
 }
 
 // finishTx clears per-transaction state after a successful commit.

@@ -7,63 +7,31 @@ import (
 
 // TestChaosSweep is the degraded-mode acceptance sweep: transient
 // interface faults, die hangs, command deadlines/retries, channel
-// quarantine and mid-storm power cuts, all at once, with the full
-// recovery invariants asserted after every crash. The sweep is
-// deterministic (all randomness seeded, all time virtual), so these
-// exact combinations pass or fail reproducibly.
+// quarantine and mid-storm power cuts, all at once, with the model
+// judging after every crash. The plane must be observable end to end —
+// faults injected, retries issued, deadlines tripped (Leg.Needs). The
+// sweep is deterministic (all randomness seeded, all time virtual), so
+// these exact combinations pass or fail reproducibly.
 func TestChaosSweep(t *testing.T) {
-	o := DefaultChaos()
-	if testing.Short() {
-		o.Seeds = o.Seeds[:1]
-		o.Transactions = 120
+	l := tableLeg(t, "chaos sweep")
+	if len(l.Seeds) != 3 || len(l.Cells) != 4 {
+		t.Fatalf("chaos grid is %d seeds x %d cells, want 3 x {0,60} x {quiet,hang}", len(l.Seeds), len(l.Cells))
 	}
-	rep, err := ChaosSweep(o)
-	if err != nil {
-		t.Fatalf("%v (report %s)", err, rep)
-	}
-	t.Logf("chaos sweep: %s", rep)
-
-	// The plane must be observable end to end: faults injected, retries
-	// issued, deadlines tripped.
-	if rep.Flash.TransientFaults == 0 {
-		t.Error("no transient faults injected")
-	}
-	if rep.Retries == 0 {
-		t.Error("no queue retries observed")
-	}
-	if rep.Timeouts == 0 {
-		t.Error("no command timeouts observed despite hang injection")
-	}
-	if rep.Crashes == 0 {
-		t.Error("no mid-storm power cuts tripped")
-	}
-	if len(rep.Seeds) != len(o.Seeds) {
-		t.Errorf("report records seeds %v, want all of %v", rep.Seeds, o.Seeds)
+	rep := runLeg(t, l)
+	if want := len(l.Seeds); !testing.Short() && len(rep.Seeds) != want {
+		t.Errorf("report records seeds %v, want all %d", rep.Seeds, want)
 	}
 }
 
 // TestChaosQuarantine drives a sustained one-die error storm hard
 // enough to trip quarantine, and requires the run to survive it with
-// the invariants intact and the episode visible in the counters.
+// the contract intact and the episode visible in the counters: a short
+// deterministic hang cadence piles read timeouts onto the same die
+// inside one health window.
 func TestChaosQuarantine(t *testing.T) {
-	ro := chaosOptions(7, 0, true, false)
-	ro.Transactions = 400
-	// Storm one unit relentlessly: short deterministic hang cadence so
-	// read timeouts pile onto the same die inside one health window.
-	ro.HangEvery = 5
-	ro.HangStall = 30 * time.Millisecond
-	rep, err := RunDevice(ro)
-	if err != nil {
-		t.Fatalf("%v (report %s)", err, rep)
-	}
-	t.Logf("quarantine storm: %s", rep)
-	if rep.Timeouts == 0 {
-		t.Fatal("storm produced no command timeouts")
-	}
-	if rep.QuarantineTrips == 0 {
-		t.Fatal("storm never tripped quarantine")
-	}
-	if rep.Committed == 0 {
-		t.Fatal("no transaction committed through the storm")
-	}
+	d := deviceRun{txns: 400, storm: &storm{hangEvery: 5, hangStall: 30 * time.Millisecond}}
+	runLeg(t, Leg{
+		Name: "quarantine storm", Seeds: []int64{7}, Cells: []Cell{{"hang every 5th txn", d.run}},
+		Needs: []string{"timeouts", "quarantines", "committed"},
+	})
 }

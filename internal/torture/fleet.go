@@ -1,99 +1,62 @@
-// Fleet 2PC torture: cross-shard transactions killed by power cuts at
-// every stage of the two-phase commit protocol, over a grid of seeds.
-// The invariant is atomicity across devices: after recovery, every
-// cross-shard transaction is visible on all of its participants or on
-// none of them — never a mix — and which of the two is dictated by
-// whether the coordinator record on shard 0 became durable before the
-// lights went out.
 package torture
 
 import (
 	"fmt"
+	"strings"
 
 	xftl "repro"
 	"repro/internal/shard"
 )
 
-// FleetOptions configures the fleet 2PC torture sweep.
-type FleetOptions struct {
-	Seeds  []int64
-	Shards int
-	// Warmup is the number of committed cross-shard transactions before
-	// the one that gets killed, so recovery must also preserve history.
-	Warmup   int
-	Progress func(format string, args ...any)
+const (
+	fleetShards = 3
+	fleetWarmup = 3 // committed transactions before the victim: recovery must keep history too
+)
+
+// fleetCells is one cell per crash point of a fleetShards-participant
+// two-phase commit, in protocol order. Each generates the schedule:
+// fleetWarmup committed cross-shard transactions, then one more killed by
+// a power cut at the cell's stage, then remount. Keys are participants
+// and a version is the value the transaction wrote to each, so "applied
+// whole or not at all" is atomicity across devices. The model follows
+// the protocol through the crash hook: a participant set that is only
+// prepared is in doubt, and once the coordinator record on shard 0 is
+// durable the transaction is committed — no other outcome is accepted.
+func fleetCells() []Cell {
+	var cells []Cell
+	add := func(stage string) {
+		cells = append(cells, Cell{"cut=" + stage, func(seed int64) (*Report, error) { return fleetRun(seed, stage) }})
+	}
+	for i := 0; i < fleetShards; i++ {
+		add(fmt.Sprintf("prepared:%d", i))
+	}
+	add("decision-logged")
+	for i := 0; i < fleetShards; i++ {
+		add(fmt.Sprintf("committed:%d", i))
+	}
+	return cells
 }
 
-// DefaultFleetOptions is the acceptance grid: 3-shard fleets, every
-// 2PC stage cut once per seed.
-func DefaultFleetOptions() FleetOptions {
-	return FleetOptions{
-		Seeds:  []int64{1, 2, 3, 4},
-		Shards: 3,
-		Warmup: 3,
-	}
-}
-
-// fleetStages enumerates every crash point of an n-participant commit,
-// in protocol order.
-func fleetStages(n int) []string {
-	var out []string
-	for i := 0; i < n; i++ {
-		out = append(out, fmt.Sprintf("prepared:%d", i))
-	}
-	out = append(out, "decision-logged")
-	for i := 0; i < n; i++ {
-		out = append(out, fmt.Sprintf("committed:%d", i))
-	}
-	return out
-}
-
-// FleetSweep runs the grid. Each run builds a fresh fleet, commits
-// Warmup cross-shard transactions, kills one more at the stage under
-// test, remounts, and verifies atomicity plus history.
-func FleetSweep(o FleetOptions) (*Report, error) {
+func fleetRun(seed int64, stage string) (*Report, error) {
 	rep := &Report{}
-	for _, seed := range o.Seeds {
-		for _, stage := range fleetStages(o.Shards) {
-			if o.Progress != nil {
-				o.Progress("fleet seed=%d cut=%s", seed, stage)
-			}
-			r, err := fleetRun(o, seed, stage)
-			if err != nil {
-				return rep, fmt.Errorf("seed %d cut %s: %w", seed, stage, err)
-			}
-			rep.Add(r)
-		}
-	}
-	return rep, nil
-}
-
-// fleetRun is one grid cell.
-func fleetRun(o FleetOptions, seed int64, stage string) (*Report, error) {
-	rep := &Report{Runs: 1}
-	rep.noteSeed(seed)
-	f, err := shard.New(shard.Options{
-		Shards:  o.Shards,
-		Profile: xftl.OpenSSD(),
-		Mode:    xftl.ModeXFTL,
-	})
+	m := newModel(false)
+	f, err := shard.New(shard.Options{Shards: fleetShards, Profile: xftl.OpenSSD(), Mode: xftl.ModeXFTL})
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = f.Close() }()
 
-	// One database per shard, spread by probing names off the seed so
-	// different seeds exercise different name→shard layouts.
-	dbs := make([]string, 0, o.Shards)
-	seen := make(map[int]bool)
-	for i := 0; len(dbs) < o.Shards; i++ {
+	// One database per shard, probing names off the seed: name→shard layouts vary.
+	var dbs []string
+	taken := make(map[int]bool)
+	for i := 0; len(dbs) < fleetShards; i++ {
 		db := fmt.Sprintf("t%d-%d.db", seed, i)
-		if s := f.Route(db); !seen[s] {
-			seen[s] = true
+		if s := f.Route(db); !taken[s] {
+			taken[s] = true
 			dbs = append(dbs, db)
 		}
 	}
-	for _, db := range dbs {
+	for i, db := range dbs {
 		s, err := f.Begin(db, false)
 		if err != nil {
 			return nil, err
@@ -107,57 +70,56 @@ func fleetRun(o FleetOptions, seed int64, stage string) (*Report, error) {
 		if err := s.Commit(); err != nil {
 			return nil, err
 		}
+		m.load(int64(i), 0)
 	}
 
-	// History: Warmup committed cross-shard transactions.
-	for n := 1; n <= o.Warmup; n++ {
+	// Transaction n writes n to every participant; the last is the victim.
+	for n := 1; n <= fleetWarmup+1; n++ {
+		tid := uint64(n)
 		tx, err := f.BeginCross(dbs...)
 		if err != nil {
 			return nil, err
 		}
-		for _, db := range dbs {
+		for i, db := range dbs {
 			if _, err := tx.Exec(db, fmt.Sprintf("UPDATE kv SET v = %d WHERE k = 1", n)); err != nil {
 				return nil, err
 			}
-		}
-		if err := tx.Commit(); err != nil {
-			return nil, err
+			m.write(tid, int64(i), int64(n))
 		}
 		rep.Transactions++
-		rep.Committed++
-	}
-
-	// The victim: killed at the stage under test.
-	const crashVal = 1 << 20
-	tx, err := f.BeginCross(dbs...)
-	if err != nil {
-		return nil, err
-	}
-	for _, db := range dbs {
-		if _, err := tx.Exec(db, fmt.Sprintf("UPDATE kv SET v = %d WHERE k = 1", crashVal)); err != nil {
-			return nil, err
+		if n <= fleetWarmup {
+			if err := tx.Commit(); err != nil {
+				return nil, err
+			}
+			m.commit(tid)
+			rep.Committed++
+			continue
 		}
+		f.SetCrashHook(func(at string) bool {
+			if strings.HasPrefix(at, "prepared:") {
+				m.prepare(tid)
+			} else if at == "decision-logged" {
+				m.commit(tid)
+			}
+			return at == stage
+		})
+		if err := tx.Commit(); err == nil {
+			return nil, fmt.Errorf("commit survived a power cut at %s", stage)
+		}
+		f.SetCrashHook(nil)
+		rep.InDoubt++
+		rep.Crashes++
 	}
-	f.SetCrashHook(func(s string) bool { return s == stage })
-	if err := tx.Commit(); err == nil {
-		return nil, fmt.Errorf("commit survived a power cut at %s", stage)
-	}
-	f.SetCrashHook(nil)
-	rep.Transactions++
-	rep.InDoubt++
-	rep.Crashes++
 
 	if err := f.Remount(); err != nil {
 		return nil, fmt.Errorf("remount: %w", err)
 	}
+	rep.Resolved = f.Resolved.Load()
 	if id := f.InDoubt(); len(id) != 0 {
 		return nil, fmt.Errorf("unresolved in-doubt after remount: %v", id)
 	}
-
-	// Verify: every participant shows either the full history (warmup
-	// value) or the victim — and all participants agree.
-	committed := 0
-	for _, db := range dbs {
+	got := make(map[int64]int64, len(dbs))
+	for i, db := range dbs {
 		s, err := f.Begin(db, true)
 		if err != nil {
 			return nil, err
@@ -167,21 +129,11 @@ func fleetRun(o FleetOptions, seed int64, stage string) (*Report, error) {
 			_ = s.Rollback()
 			return nil, fmt.Errorf("%s: read back: %v", db, err)
 		}
-		v := row[0].Int()
+		got[int64(i)] = row[0].Int()
 		if err := s.Commit(); err != nil {
 			return nil, err
 		}
-		switch v {
-		case crashVal:
-			committed++
-		case int64(o.Warmup):
-			// aborted: pre-victim history intact
-		default:
-			return nil, fmt.Errorf("%s: v = %d, want %d or %d", db, v, o.Warmup, crashVal)
-		}
 	}
-	if committed != 0 && committed != len(dbs) {
-		return nil, fmt.Errorf("cut at %s: %d/%d participants committed — mixed outcome", stage, committed, len(dbs))
-	}
-	return rep, nil
+	_, err = m.recover(0, lookup(got))
+	return rep, err
 }

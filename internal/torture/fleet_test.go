@@ -2,18 +2,15 @@ package torture
 
 import "testing"
 
-// TestFleetSweepQuick runs one seed of the fleet 2PC torture grid:
-// every crash stage of a 3-shard cross-shard commit, verified
-// all-or-nothing after recovery.
+// TestFleetSweepQuick runs one seed of the fleet 2PC grid: every crash
+// stage of a 3-shard cross-shard commit, judged all-or-nothing across
+// participants after recovery, with the in-doubt ones resolved from the
+// coordinator record.
 func TestFleetSweepQuick(t *testing.T) {
-	o := DefaultFleetOptions()
-	o.Seeds = o.Seeds[:1]
-	rep, err := FleetSweep(o)
-	if err != nil {
-		t.Fatalf("FleetSweep: %v (report %s)", err, rep)
+	l := tableLeg(t, "fleet 2pc")
+	if len(l.Cells) != 2*fleetShards+1 {
+		t.Fatalf("fleet grid has %d stages, want every one of a %d-shard commit", len(l.Cells), fleetShards)
 	}
-	if rep.Crashes == 0 || rep.InDoubt == 0 {
-		t.Fatalf("sweep tripped no crashes: %s", rep)
-	}
-	t.Logf("fleet 2pc: %s", rep)
+	l.Seeds = l.Seeds[:l.Quick]
+	runLeg(t, l)
 }

@@ -1,58 +1,45 @@
 package torture
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
 
 	xftl "repro"
-	"repro/internal/ftl"
 	"repro/internal/nand"
 	"repro/internal/sqlite"
 	"repro/internal/storage"
 )
 
-// SQLOptions parameterizes a full-stack torture run: the synth-style
-// update workload (partsupp table, supplycost updates) through SQLite,
-// the file system and the device, with mid-operation power cuts.
-type SQLOptions struct {
-	Mode xftl.Mode
-	Seed int64
-	// CutEvery arms a power cut 1..CutEvery NAND operations ahead,
-	// re-arming after every recovery; 0 disables cuts.
-	CutEvery int64
-	// FaultScale multiplies the default fault-model rates; 0 = ideal.
-	FaultScale float64
-	// Tuples is the table cardinality; Transactions the update-txn
-	// count; UpdatesPerTxn the keys rewritten per transaction.
-	Tuples        int
-	Transactions  int
-	UpdatesPerTxn int
-	// CorruptSlot / CorruptErase mirror Options: after every power cut,
-	// damage every persisted copy of the named metadata structure and
-	// require recovery to take the OOB scan path.
-	CorruptSlot  string
-	CorruptErase bool
+// sqlRun generates the full-stack schedule: the synth-style workload
+// (sqlUpdates supplycost updates per transaction on a sqlTuples-row
+// partsupp table) through SQLite, the file system and the device in one
+// journal mode. Keys are part keys, a version is the supplycost (no two
+// updates write the same one), and observe is a table scan after the
+// database reopened and ran its own recovery. Rollback mode runs the
+// model under the rollback-journal contract (model.rbj).
+type sqlRun struct {
+	mode xftl.Mode
+	// cut arms a power cut 1..cut NAND operations ahead, re-arming after
+	// every recovery; 0 = no cuts. Half the cuts are aimed into a commit
+	// window instead: armed at the entry of one of the next few Commits,
+	// 1..n operations ahead where n is what the previous commit cost. Cuts
+	// at random almost never land there, and it is the only place a valid
+	// hot journal, an unapplied WAL tail or a half-done X-L2P commit exists.
+	cut   int64
+	scale float64 // multiplies the default fault-model rates; 0 = ideal flash
+	corruption
 }
 
-// DefaultSQLOptions returns a run small enough for tests yet long
-// enough to cross several commits, checkpoints and crashes.
-func DefaultSQLOptions(mode xftl.Mode, seed int64) SQLOptions {
-	return SQLOptions{
-		Mode:          mode,
-		Seed:          seed,
-		CutEvery:      4000,
-		FaultScale:    20,
-		Tuples:        400,
-		Transactions:  40,
-		UpdatesPerTxn: 4,
-	}
-}
+const (
+	sqlTuples  = 400
+	sqlTxns    = 40
+	sqlUpdates = 4
+)
 
-// sqlProfile is a mid-size geometry: big enough for the simfs metadata
-// and journal regions plus a few thousand database pages, small enough
-// to keep a multi-crash run fast.
+// sqlProfile is a mid-size geometry: room for the simfs metadata and
+// journal regions plus a few thousand database pages, yet fast to crash.
 func sqlProfile() storage.Profile {
 	return storage.Profile{
 		Name: "torture-sql",
@@ -73,264 +60,152 @@ func sqlProfile() storage.Profile {
 	}
 }
 
-// RunSQL executes one full-stack torture run: after every injected
-// crash the stack is remounted, the database reopened (running its own
-// recovery), and every key's supplycost checked against the oracle of
-// committed updates. A transaction whose COMMIT was interrupted is
-// in-doubt and may land either way, but must be atomic across its keys.
-//
-// In rollback-journal mode one extra outcome is legal: the journal
-// deletion that commits a transaction is a metadata operation whose
-// durability lags until the next file-system metadata commit (the next
-// fsync), exactly as with SQLite's journal_mode=DELETE on a journaling
-// file system without a directory sync. A crash inside that window
-// resurrects the hot journal and recovery rolls the transaction back.
-// The harness therefore accepts the state just before the most recent
-// commit as well — but only as a complete, consistent snapshot; any
-// mix of states is still a corruption.
-func RunSQL(o SQLOptions) (*Report, error) {
-	rep, _, err := runSQL(o)
-	return rep, err
-}
-
-func runSQL(o SQLOptions) (*Report, *xftl.Stack, error) {
+func (s sqlRun) run(seed int64) (*Report, error) {
 	var fault *nand.FaultModel
-	if o.FaultScale > 0 {
-		fault = nand.DefaultFaultModel(o.Seed).Scale(o.FaultScale)
+	if s.scale > 0 {
+		fault = nand.DefaultFaultModel(seed).Scale(s.scale)
 	}
-	st, err := xftl.NewStackOptions(sqlProfile(), o.Mode, xftl.StackOptions{Fault: fault})
+	st, err := xftl.NewStackOptions(sqlProfile(), s.mode, xftl.StackOptions{Fault: fault})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rep := &Report{Runs: 1}
-	rep.noteSeed(o.Seed)
-	db, err := st.OpenDBWithCache("torture.db", 8)
-	if err != nil {
-		return nil, nil, err
+	rep := &Report{}
+	m := newModel(s.mode == xftl.ModeRollback)
+	dev := st.Device
+	var db *sqlite.DB
+	// open (re)opens the database — running the journal mode's own
+	// recovery — and counts the path that took.
+	open := func() error {
+		if db, err = st.OpenDBWithCache("torture.db", 8); err != nil {
+			return err
+		}
+		rep.JournalPlaybacks += db.Pager().JournalPlaybacks
+		replays, _ := db.Pager().WALStats()
+		rep.WALReplays += replays
+		return nil
 	}
-	// Load the table and capture the committed baseline.
-	if err := loadTable(db, o); err != nil {
-		return rep, st, fmt.Errorf("load: %w", err)
+	obs := func() (observe, error) {
+		rows, err := db.Query(`SELECT ps_partkey, ps_supplycost FROM partsupp`)
+		if err != nil {
+			return nil, err
+		}
+		got := make(map[int64]int64, rows.Len())
+		for _, r := range rows.Data {
+			got[r[0].Int()] = int64(r[1].Real())
+		}
+		return lookup(got), nil
 	}
-	oracle := make(map[int]float64, o.Tuples)
-	if err := scanInto(db, oracle); err != nil {
-		return rep, st, fmt.Errorf("baseline scan: %w", err)
+	if err := open(); err != nil {
+		return nil, err
+	}
+	if err := loadPartsupp(db, m); err != nil {
+		return rep, fmt.Errorf("load: %w", err)
 	}
 
-	rng := rand.New(rand.NewSource(o.Seed * 7919))
+	var (
+		rng       = rand.New(rand.NewSource(seed * 7919))
+		txn       = 0
+		commitOps = int64(0) // NAND operations the last completed commit cost
+		window    = 0        // the transaction whose Commit the next cut is aimed into; 0 = armed at random
+	)
 	arm := func() {
-		if o.CutEvery > 0 {
-			st.Device.PowerCutAfter(1 + rng.Int63n(o.CutEvery))
+		switch {
+		case s.cut == 0:
+		case rng.Intn(2) == 0:
+			window = txn + 1 + rng.Intn(3)
+		default:
+			window = 0
+			dev.PowerCutAfter(1 + rng.Int63n(s.cut))
 		}
 	}
-	// prevOracle, in rollback-journal mode, is the committed state just
-	// before the most recent successful commit: that commit stays
-	// revocable (hot-journal resurrection, see above) until the next
-	// fsync makes the journal deletion durable. nil = nothing revocable.
-	var prevOracle map[int]float64
-	// recoverCrash remounts, reopens and verifies that the recovered
-	// database equals exactly one of the consistent candidate states:
-	// the oracle, the pre-last-commit state (rollback mode only), or —
-	// when a commit command itself was interrupted — oracle+newVals.
-	recoverCrash := func(cause error, newVals map[int]float64) error {
-		if !errors.Is(cause, nand.ErrPowerLost) {
-			return fmt.Errorf("non-power fault escaped the stack: %w", cause)
+	// recoverCrash is the schedule's answer to any error: crash step,
+	// reopen, and the model judges the scan.
+	recoverCrash := func(cause error, indoubt uint64) error {
+		if err := crash(cause, fsRig{dev, st.FS}, s.corruption); err != nil {
+			return err
 		}
 		rep.Crashes++
-		st.FS.PowerCut() // align FS state with the already-dead device
-		damaged := 0
-		if o.CorruptSlot != "" {
-			n, err := st.Device.CorruptMeta(o.CorruptSlot, o.CorruptErase)
-			if err != nil && !errors.Is(err, ftl.ErrBadMetaSlot) {
-				return fmt.Errorf("corrupt meta %q: %w", o.CorruptSlot, err)
-			}
-			damaged = n
-		}
-		if err := st.Remount(); err != nil {
-			return fmt.Errorf("remount: %w", err)
-		}
-		if damaged > 0 {
-			ri := st.Device.LastRecovery()
-			if ri.Mode != ftl.RecoveryScan {
-				return fmt.Errorf("corrupted %d pages of %q yet recovery took the %v path (reason %q)",
-					damaged, o.CorruptSlot, ri.Mode, ri.Reason)
-			}
-			if !o.CorruptErase && ri.CRCFailures == 0 {
-				return fmt.Errorf("silent acceptance: %d pages of %q corrupted in place, zero CRC rejections", damaged, o.CorruptSlot)
-			}
-		}
-		db, err = st.OpenDBWithCache("torture.db", 8)
-		if err != nil {
-			return fmt.Errorf("reopen: %w", err)
-		}
-		got := make(map[int]float64, len(oracle))
-		if err := scanInto(db, got); err != nil {
-			return fmt.Errorf("post-recovery scan: %w", err)
-		}
-		type candidate struct {
-			name  string
-			state map[int]float64
-		}
-		cands := []candidate{{"committed", oracle}}
-		if prevOracle != nil {
-			cands = append(cands, candidate{"revoked", prevOracle})
-		}
-		if newVals != nil {
-			next := make(map[int]float64, len(oracle))
-			for k, v := range oracle {
-				next[k] = v
-			}
-			for k, v := range newVals {
-				next[k] = v
-			}
-			cands = append(cands, candidate{"indoubt-new", next})
+		if indoubt != 0 {
 			rep.InDoubt++
 		}
-		var mismatches []string
-		for _, c := range cands {
-			bad := ""
-			for k, want := range c.state {
-				if got[k] != want {
-					bad = fmt.Sprintf("%s: key %d = %v, want %v", c.name, k, got[k], want)
-					break
-				}
-			}
-			if bad == "" {
-				// Recovery landed on a consistent snapshot; it becomes
-				// the new oracle. Replay of a resurrected journal is
-				// idempotent and the pager fsyncs after playback, so the
-				// recovered state is durable — nothing stays revocable.
-				oracle = c.state
-				prevOracle = nil
-				if c.name == "revoked" {
-					rep.Revoked++
-				}
-				arm()
-				return nil
-			}
-			mismatches = append(mismatches, bad)
+		if err := open(); err != nil {
+			return fmt.Errorf("reopen: %w", err)
 		}
-		return fmt.Errorf("recovered state matches no consistent snapshot: %v", mismatches)
+		o, err := obs()
+		if err != nil {
+			return fmt.Errorf("post-recovery scan: %w", err)
+		}
+		outcome, err := m.recover(indoubt, o)
+		if outcome == "revoked" {
+			rep.Revoked++
+		}
+		arm()
+		return err
+	}
+
+	// transact runs transaction txn up to its commit point; an error comes
+	// with the stage it stopped in and, from Commit, the tid in doubt.
+	transact := func(tid uint64) (stage string, indoubt uint64, err error) {
+		if err := db.Begin(); err != nil {
+			return "begin", 0, err
+		}
+		for i, k := range rng.Perm(sqlTuples)[:sqlUpdates] {
+			version := int64(txn*1000 + i)
+			m.write(tid, int64(k+1), version)
+			if _, err := db.Exec(`UPDATE partsupp SET ps_supplycost = ? WHERE ps_partkey = ?`, float64(version), k+1); err != nil {
+				return "update", 0, err
+			}
+		}
+		if txn == window {
+			// Before any commit has completed, any distance is as good.
+			dev.PowerCutAfter(1 + rng.Int63n(cmp.Or(commitOps, s.cut)))
+		}
+		before := dev.NANDOps()
+		if err := db.Commit(); err != nil {
+			return "commit", tid, err
+		}
+		commitOps = dev.NANDOps() - before
+		return "", 0, nil
 	}
 
 	arm()
-	for txn := 1; txn <= o.Transactions; txn++ {
+	for txn = 1; txn <= sqlTxns; txn++ {
 		rep.Transactions++
-		keys := make([]int, 0, o.UpdatesPerTxn)
-		seen := map[int]bool{}
-		for len(keys) < o.UpdatesPerTxn {
-			k := rng.Intn(o.Tuples) + 1
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-		if err := db.Begin(); err != nil {
-			if err := recoverCrash(err, nil); err != nil {
-				return rep, st, fmt.Errorf("txn %d begin: %w", txn, err)
+		if stage, indoubt, cause := transact(uint64(txn)); cause != nil {
+			if err := recoverCrash(cause, indoubt); err != nil {
+				return rep, fmt.Errorf("txn %d %s: %w", txn, stage, err)
 			}
 			continue
 		}
-		newVals := make(map[int]float64, len(keys))
-		crashed := false
-		for i, k := range keys {
-			nv := float64(txn*1000 + i)
-			if _, err := db.Exec(`UPDATE partsupp SET ps_supplycost = ? WHERE ps_partkey = ?`, nv, k); err != nil {
-				// Uncommitted: recovery must discard every new value.
-				if err := recoverCrash(err, nil); err != nil {
-					return rep, st, fmt.Errorf("txn %d update: %w", txn, err)
-				}
-				crashed = true
-				break
-			}
-			newVals[k] = nv
-		}
-		if crashed {
-			continue
-		}
-		if err := db.Commit(); err != nil {
-			if err := recoverCrash(err, newVals); err != nil {
-				return rep, st, fmt.Errorf("txn %d commit: %w", txn, err)
-			}
-			continue
-		}
-		next := make(map[int]float64, len(oracle))
-		for k, v := range oracle {
-			next[k] = v
-		}
-		for k, v := range newVals {
-			next[k] = v
-		}
-		if o.Mode == xftl.ModeRollback {
-			// This commit is revocable until the journal deletion is
-			// made durable by the next fsync.
-			prevOracle = oracle
-		}
-		oracle = next
+		m.commit(uint64(txn))
 		rep.Committed++
 	}
-	// Final verification with the cut disarmed.
-	st.Device.PowerCutAfter(0)
-	got := make(map[int]float64, len(oracle))
-	if err := scanInto(db, got); err != nil {
-		return rep, st, fmt.Errorf("final scan: %w", err)
+	dev.PowerCutAfter(0)
+	o, err := obs()
+	if err != nil {
+		return rep, fmt.Errorf("final scan: %w", err)
 	}
-	for k, want := range oracle {
-		if got[k] != want {
-			return rep, st, fmt.Errorf("final durability violation: key %d = %v, committed value %v", k, got[k], want)
-		}
+	if err := m.verify(o); err != nil {
+		return rep, err
 	}
-	rep.Flash = st.FlashStats().Snapshot()
-	if rep.Flash.UncorrectableReads > 0 {
-		return rep, st, fmt.Errorf("uncorrectable-error escapes: %d", rep.Flash.UncorrectableReads)
-	}
-	return rep, st, nil
+	return rep, rep.finish(dev)
 }
 
-// loadTable creates and fills partsupp with deterministic supplycosts.
-func loadTable(db *sqlite.DB, o SQLOptions) error {
-	if err := db.ExecScript(`
-		CREATE TABLE partsupp (
-			ps_partkey   INTEGER PRIMARY KEY,
-			ps_supplycost REAL,
-			ps_comment   TEXT
-		);
-	`); err != nil {
+// loadPartsupp creates partsupp, fills it with deterministic
+// supplycosts and seeds the model with them.
+func loadPartsupp(db *sqlite.DB, m *model) error {
+	if _, err := db.Exec(`CREATE TABLE partsupp (ps_partkey INTEGER PRIMARY KEY, ps_supplycost REAL, ps_comment TEXT)`); err != nil {
 		return err
 	}
-	const batch = 200
 	if err := db.Begin(); err != nil {
 		return err
 	}
-	ins, err := db.Prepare(`INSERT INTO partsupp VALUES (?, ?, ?)`)
-	if err != nil {
-		return err
-	}
-	for k := 1; k <= o.Tuples; k++ {
-		if _, err := ins.Exec(k, float64(k), fmt.Sprintf("torture-%d", k)); err != nil {
+	for k := 1; k <= sqlTuples; k++ {
+		if _, err := db.Exec(`INSERT INTO partsupp VALUES (?, ?, ?)`, k, float64(k), fmt.Sprintf("torture-%d", k)); err != nil {
 			_ = db.Rollback()
 			return err
 		}
-		if k%batch == 0 && k < o.Tuples {
-			if err := db.Commit(); err != nil {
-				return err
-			}
-			if err := db.Begin(); err != nil {
-				return err
-			}
-		}
+		m.load(int64(k), int64(k))
 	}
 	return db.Commit()
-}
-
-// scanInto reads every (partkey, supplycost) pair into m.
-func scanInto(db *sqlite.DB, m map[int]float64) error {
-	rows, err := db.Query(`SELECT ps_partkey, ps_supplycost FROM partsupp`)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows.Data {
-		m[int(r[0].Int())] = r[1].Real()
-	}
-	return nil
 }

@@ -1,29 +1,22 @@
-// Package torture is the crash/fault torture harness: it drives
-// transactional workloads against devices with fault injection enabled
-// (wear-correlated bit errors, program/erase status fails, torn pages
-// from mid-operation power cuts) and asserts the two recovery
-// invariants of the paper's §5.4 after every injected crash:
+// Package torture checks the whole stack against the paper's §5.4
+// recovery contract — after a power cut at any point every committed
+// transaction is durable, every uncommitted one is gone, and one whose
+// commit was interrupted landed all-or-nothing — on faulty flash.
 //
-//  1. every committed transaction is fully durable, and
-//  2. every uncommitted transaction is fully discarded.
-//
-// A transaction whose commit command was interrupted by the power cut
-// is in-doubt: the harness accepts either outcome but requires it to be
-// atomic (all-old or all-new, never a mix).
-//
-// Two drivers exist: RunDevice exercises the device command set
-// directly against a byte-exact page oracle, and RunSQL (sql.go) runs
-// the synth-style SQL workload through the full stack. Sweep fans
-// RunDevice out over seeds x cut cadences x fault-rate scales.
+// It has one judge and many schedule generators. The judge is the
+// reference model of model.go. A leg (device.go, sql.go, session.go,
+// fleet.go) only generates a seeded schedule — writes, commits, aborts,
+// prepares, power cuts, injected faults — drives the real stack and the
+// model with it, and hands the model an observe function over its keys:
+// LPNs, rows, generations, per-shard values. Every crash goes through
+// the one crash step and every grid through the one runner (Runner.Run);
+// Legs is the table xftlbench and the package tests both walk.
+// DESIGN.md §18 has the candidate rule, the leg and the mutant tables.
 package torture
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
-	"slices"
 	"time"
 
 	xftl "repro"
@@ -31,72 +24,11 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/metrics"
 	"repro/internal/nand"
-	"repro/internal/ncq"
+	"repro/internal/simfs"
 	"repro/internal/storage"
 )
 
-// Options parameterizes one device-level torture run.
-type Options struct {
-	// Seed drives the workload RNG and the fault model.
-	Seed int64
-	// CutEvery arms a power cut a pseudo-random 1..CutEvery NAND
-	// operations ahead, re-arming after every recovery; 0 disables
-	// power cuts (pure fault-rate run).
-	CutEvery int64
-	// FaultScale multiplies the default fault-model rates; 0 runs on
-	// ideal flash (power cuts only).
-	FaultScale float64
-	// Transactions is how many transactions the workload attempts.
-	Transactions int
-	// PagesPerTx is how many distinct pages each transaction writes.
-	PagesPerTx int
-	// AbortEvery aborts every n-th transaction deliberately; 0 = never.
-	AbortEvery int
-	// CorruptSlot, when non-empty, names a persisted metadata structure
-	// ("map" for the mapping-table pages, or a meta slot such as "bbt")
-	// that is corrupted after every power cut, before recovery runs. The
-	// harness then requires recovery to take the full-device OOB scan
-	// path and (for in-place corruption) to detect every damaged page by
-	// CRC — silent acceptance is an invariant violation.
-	CorruptSlot string
-	// CorruptErase erases the targeted pages outright instead of
-	// flipping bytes in place (a torn/lost write rather than bit rot).
-	CorruptErase bool
-	// Fault, when non-nil, overrides the FaultScale-derived fault model
-	// entirely (e.g. an erase-fail-only model to force spare
-	// exhaustion).
-	Fault *nand.FaultModel
-
-	// Chaos (degraded-mode) knobs. CmdDeadline/CmdRetries
-	// configure the queue's timeout/retry plane (see storage.Options);
-	// TransientProb and HangProb inject seeded interface faults and die
-	// stalls at the chip; HangStall sizes both the chip's stalls and the
-	// harness's deterministic ones.
-	CmdDeadline   time.Duration
-	CmdRetries    int
-	TransientProb float64
-	HangProb      float64
-	HangStall     time.Duration
-	// HangEvery, when > 0, makes the harness stall one unit (rotating
-	// round-robin) for HangStall before every HangEvery-th transaction —
-	// a deterministic error storm on top of the probabilistic one.
-	HangEvery int
-}
-
-// DefaultOptions returns a run that exercises cuts, retirements and ECC
-// on a small device in well under a second.
-func DefaultOptions(seed int64) Options {
-	return Options{
-		Seed:         seed,
-		CutEvery:     160,
-		FaultScale:   60,
-		Transactions: 320,
-		PagesPerTx:   6,
-		AbortEvery:   5,
-	}
-}
-
-// Report aggregates what one run (or a whole sweep) observed.
+// Report aggregates what one run (or a whole leg) observed.
 type Report struct {
 	Transactions int
 	Committed    int
@@ -104,12 +36,19 @@ type Report struct {
 	InDoubt      int // commit interrupted; outcome verified atomic
 	Revoked      int // rollback-journal commits undone by the DELETE-mode durability window
 	Crashes      int // injected power cuts that tripped
-	Runs         int // sweep combinations executed
+	Runs         int // grid cells executed (set by Runner.Run)
 	WornOut      int // runs stopped early because the spare reserve ran out
 
-	// Seeds records every workload/fault seed that contributed to this
-	// report, so a failing sweep line is reproducible from its summary.
+	// Seeds records every seed that contributed (set by Runner.Run), so a
+	// summary line is reproducible from itself.
 	Seeds []int64
+
+	// Recovery paths taken, read from the counters the layers keep. The
+	// image and scan paths are Flash.ImageRecoveries / ScanRecoveries.
+	JournalPlaybacks int64 // hot rollback journals played back at open (pager)
+	WALReplays       int64 // committed WAL frames replayed at open (pager)
+	Resolved         int64 // in-doubt 2PC participants resolved at remount (fleet)
+	SnapOldHits      int64 // snapshot reads served a superseded version (X-FTL)
 
 	// Degraded-mode counters (chaos runs; zero elsewhere).
 	Retries         int64 // queue command attempts reissued
@@ -121,11 +60,8 @@ type Report struct {
 }
 
 func (r *Report) String() string {
-	s := fmt.Sprintf("txns=%d committed=%d aborted=%d indoubt=%d revoked=%d crashes=%d runs=%d",
-		r.Transactions, r.Committed, r.Aborted, r.InDoubt, r.Revoked, r.Crashes, r.Runs)
-	if r.WornOut > 0 {
-		s += fmt.Sprintf(" wornout=%d", r.WornOut)
-	}
+	s := fmt.Sprintf("txns=%d committed=%d aborted=%d indoubt=%d revoked=%d crashes=%d wornout=%d runs=%d",
+		r.Transactions, r.Committed, r.Aborted, r.InDoubt, r.Revoked, r.Crashes, r.WornOut, r.Runs)
 	if len(r.Seeds) > 0 {
 		s += fmt.Sprintf(" seeds=%v", r.Seeds)
 	}
@@ -133,518 +69,306 @@ func (r *Report) String() string {
 		s += fmt.Sprintf(" retries=%d timeouts=%d quarantines=%d readmits=%d",
 			r.Retries, r.Timeouts, r.QuarantineTrips, r.Readmits)
 	}
-	if r.Flash.ImageRecoveries+r.Flash.ScanRecoveries > 0 {
-		s += fmt.Sprintf(" recovery=image:%d/scan:%d", r.Flash.ImageRecoveries, r.Flash.ScanRecoveries)
-	}
+	s += fmt.Sprintf(" paths=journal:%d/wal:%d/image:%d/scan:%d/resolved:%d/snapold:%d",
+		r.JournalPlaybacks, r.WALReplays, r.Flash.ImageRecoveries, r.Flash.ScanRecoveries, r.Resolved, r.SnapOldHits)
 	return s + " [" + r.Flash.String() + "]"
 }
 
-// noteSeed records a contributing seed, deduplicated.
-func (r *Report) noteSeed(seed int64) {
-	if !slices.Contains(r.Seeds, seed) {
-		r.Seeds = append(r.Seeds, seed)
+// counts names the counters Leg.Needs may require.
+func (r *Report) counts() map[string]int64 {
+	return map[string]int64{
+		"committed": int64(r.Committed), "crashes": int64(r.Crashes),
+		"indoubt": int64(r.InDoubt), "revoked": int64(r.Revoked),
+		"journal": r.JournalPlaybacks, "wal": r.WALReplays, "resolved": r.Resolved, "snapold": r.SnapOldHits,
+		"image": r.Flash.ImageRecoveries, "scan": r.Flash.ScanRecoveries, "metacrc": r.Flash.MetaCRCFailures,
+		"gc": r.Flash.GCRuns, "retired": r.Flash.RetiredBlocks, "transient": r.Flash.TransientFaults,
+		"retries": r.Retries, "timeouts": r.Timeouts, "quarantines": r.QuarantineTrips,
 	}
 }
 
-// add folds one run's counts into an aggregate report.
-func (r *Report) Add(o *Report) {
+// add folds one cell's counts into the leg's report.
+func (r *Report) add(o *Report) {
+	r.Runs++
 	r.Transactions += o.Transactions
 	r.Committed += o.Committed
 	r.Aborted += o.Aborted
 	r.InDoubt += o.InDoubt
 	r.Revoked += o.Revoked
 	r.Crashes += o.Crashes
-	r.Runs += o.Runs
 	r.WornOut += o.WornOut
-	for _, s := range o.Seeds {
-		r.noteSeed(s)
-	}
+	r.JournalPlaybacks += o.JournalPlaybacks
+	r.WALReplays += o.WALReplays
+	r.Resolved += o.Resolved
+	r.SnapOldHits += o.SnapOldHits
 	r.Retries += o.Retries
 	r.Timeouts += o.Timeouts
 	r.QuarantineTrips += o.QuarantineTrips
 	r.Readmits += o.Readmits
-	r.Flash.PageWrites += o.Flash.PageWrites
-	r.Flash.PageReads += o.Flash.PageReads
-	r.Flash.GCRuns += o.Flash.GCRuns
-	r.Flash.BlockErases += o.Flash.BlockErases
-	r.Flash.CorrectedBits += o.Flash.CorrectedBits
-	r.Flash.ReadRetries += o.Flash.ReadRetries
-	r.Flash.UncorrectableReads += o.Flash.UncorrectableReads
-	r.Flash.ProgramFails += o.Flash.ProgramFails
-	r.Flash.EraseFails += o.Flash.EraseFails
-	r.Flash.RetiredBlocks += o.Flash.RetiredBlocks
-	r.Flash.MetaCRCFailures += o.Flash.MetaCRCFailures
-	r.Flash.ImageRecoveries += o.Flash.ImageRecoveries
-	r.Flash.ScanRecoveries += o.Flash.ScanRecoveries
-	r.Flash.ScanPages += o.Flash.ScanPages
-	r.Flash.TransientFaults += o.Flash.TransientFaults
-	r.Flash.UnitHangs += o.Flash.UnitHangs
+	r.addFlash(o.Flash)
 }
 
-// deviceProfile is the small geometry the device-level torture runs on:
-// enough blocks for GC, retirement and meta-ring churn, small enough
-// that thousands of transactions simulate in milliseconds.
-func deviceProfile() storage.Profile {
-	return storage.Profile{
-		Name: "torture-small",
-		Nand: nand.Config{
-			Blocks:        48,
-			PagesPerBlock: 32,
-			PageSize:      1024,
-			ReadLatency:   50 * time.Microsecond,
-			ProgLatency:   300 * time.Microsecond,
-			EraseLatency:  1500 * time.Microsecond,
-			Channels:      2,
-			Ways:          1,
-		},
-		CmdOverhead:     20 * time.Microsecond,
-		TransferPerPage: 5 * time.Microsecond,
-		BarrierOverhead: 100 * time.Microsecond,
-		Channels:        2,
-	}
+// addFlash adds a flash snapshot: a − (0 − b), FlashSnapshot having Sub
+// and no Add.
+func (r *Report) addFlash(s metrics.FlashSnapshot) {
+	r.Flash = r.Flash.Sub(metrics.FlashSnapshot{}.Sub(s))
 }
 
-// pageContent generates the byte-exact payload for (lpn, version): the
-// oracle compares full pages, so any torn, stale or cross-wired read is
-// caught, not just flipped status bits.
-func pageContent(seed, lpn int64, version, size int) []byte {
-	buf := make([]byte, size)
-	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(lpn))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(version))
-	// Fill the body from a cheap xorshift so every byte is versioned.
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(lpn)<<32 + uint64(version)
-	for i := 24; i+8 <= size; i += 8 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		binary.LittleEndian.PutUint64(buf[i:], x)
+// finish closes a run's report over its device: flash counters, and no
+// read may ever have exceeded the ECC threshold.
+func (r *Report) finish(dev *storage.Device) error {
+	r.addFlash(dev.FlashStats().Snapshot())
+	if x := dev.XFTL(); x != nil {
+		r.SnapOldHits += x.Stats().SnapOldHits
 	}
-	return buf
-}
-
-// runState carries one run's mutable harness state.
-type runState struct {
-	o      Options
-	dev    *storage.Device
-	rng    *rand.Rand
-	oracle map[int64][]byte // lpn -> committed content
-	rep    *Report
-	zero   []byte
-}
-
-// RunDevice executes one device-level torture run and returns its
-// report; any invariant violation is an error.
-func RunDevice(o Options) (*Report, error) {
-	s, err := newRunState(o)
-	if err != nil {
-		return nil, err
-	}
-	return s.rep, s.run()
-}
-
-func newRunState(o Options) (*runState, error) {
-	fault := o.Fault
-	if fault == nil && (o.FaultScale > 0 || o.TransientProb > 0 || o.HangProb > 0) {
-		fault = nand.DefaultFaultModel(o.Seed).Scale(o.FaultScale)
-		fault.TransientProb = o.TransientProb
-		fault.HangProb = o.HangProb
-		if o.HangStall > 0 {
-			fault.HangStall = o.HangStall
-		}
-	}
-	prof := deviceProfile()
-	// Half the data blocks exported: retirements eat physical blocks at
-	// scaled fault rates, and GC must keep its headroom through them.
-	ftlCfg := ftl.Config{
-		LogicalPages: int64(prof.Nand.Blocks-4) * int64(prof.Nand.PagesPerBlock) / 2,
-		MetaBlocks:   4,
-		GCLowWater:   3,
-		SpareBlocks:  3,
-	}
-	dev, err := storage.New(prof, nil, storage.Options{
-		Transactional: true,
-		FTL:           ftlCfg,
-		XFTL:          core.Config{TableEntries: 128, CommitMapPages: 0},
-		Fault:         fault,
-		CmdDeadline:   o.CmdDeadline,
-		CmdRetries:    o.CmdRetries,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &runState{
-		o:      o,
-		dev:    dev,
-		rng:    rand.New(rand.NewSource(o.Seed * 1000003)),
-		oracle: make(map[int64][]byte),
-		rep:    &Report{Runs: 1},
-		zero:   make([]byte, dev.PageSize()),
-	}
-	s.rep.noteSeed(o.Seed)
-	return s, nil
-}
-
-func (s *runState) run() error {
-	o := s.o
-	dev := s.dev
-	// Keep the working set well under capacity so GC has slack even
-	// after retirements eat into overprovisioning.
-	span := dev.LogicalPages() / 2
-	units := dev.Profile().Nand.Units()
-
-	s.arm()
-workload:
-	for txn := 1; txn <= o.Transactions; txn++ {
-		if o.HangEvery > 0 && txn%o.HangEvery == 0 {
-			stall := o.HangStall
-			if stall <= 0 {
-				stall = 10 * time.Millisecond
-			}
-			dev.HangUnit((txn/o.HangEvery)%units, stall)
-		}
-		s.rep.Transactions++
-		tid := uint64(txn)
-		lpns := s.pickDistinct(span, o.PagesPerTx)
-		writes := make(map[int64][]byte, len(lpns))
-		crashed := false
-		for _, lpn := range lpns {
-			data := pageContent(o.Seed, lpn, txn, dev.PageSize())
-			if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: data}); err != nil {
-				if errors.Is(err, storage.ErrWornOut) {
-					// End of media life: writes are refused but every
-					// committed page must still read back (checked below).
-					s.rep.WornOut++
-					break workload
-				}
-				// Uncommitted: every page of this transaction must
-				// read back its pre-transaction content.
-				if err := s.crashRecoverVerify(err, nil, writes); err != nil {
-					return fmt.Errorf("txn %d (write): %w", txn, err)
-				}
-				crashed = true
-				break
-			}
-			writes[lpn] = data
-		}
-		if crashed {
-			continue
-		}
-		if o.AbortEvery > 0 && txn%o.AbortEvery == 0 {
-			if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpAbort, TID: tid}); err != nil {
-				if errors.Is(err, storage.ErrWornOut) {
-					s.rep.WornOut++
-					break workload
-				}
-				if err := s.crashRecoverVerify(err, nil, writes); err != nil {
-					return fmt.Errorf("txn %d (abort): %w", txn, err)
-				}
-				continue
-			}
-			s.rep.Aborted++
-			continue
-		}
-		if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
-			if errors.Is(err, storage.ErrWornOut) {
-				s.rep.WornOut++
-				break workload
-			}
-			// In-doubt: the durable commit point may or may not have
-			// been reached; the outcome must be atomic.
-			if err := s.crashRecoverVerify(err, writes, nil); err != nil {
-				return fmt.Errorf("txn %d (commit): %w", txn, err)
-			}
-			continue
-		}
-		for lpn, d := range writes {
-			s.oracle[lpn] = d
-		}
-		s.rep.Committed++
-	}
-	// Final verification with the cut disarmed.
-	s.dev.PowerCutAfter(0)
-	if err := s.verifyOracle(); err != nil {
-		return fmt.Errorf("final verify: %w", err)
-	}
-	s.rep.Flash = dev.FlashStats().Snapshot()
-	s.rep.Retries = dev.Queue().Retries()
-	s.rep.Timeouts = dev.Queue().Timeouts()
-	s.rep.QuarantineTrips = dev.FTL().QuarantineTrips()
-	s.rep.Readmits = dev.FTL().QuarantineReadmits()
-	if s.rep.Flash.UncorrectableReads > 0 {
-		return fmt.Errorf("uncorrectable-error escapes: %d reads exceeded the ECC threshold", s.rep.Flash.UncorrectableReads)
+	if r.Flash.UncorrectableReads > 0 {
+		return fmt.Errorf("uncorrectable-error escapes: %d reads exceeded the ECC threshold", r.Flash.UncorrectableReads)
 	}
 	return nil
 }
 
-// arm schedules the next power cut a pseudo-random distance ahead.
-func (s *runState) arm() {
-	if s.o.CutEvery > 0 {
-		s.dev.PowerCutAfter(1 + s.rng.Int63n(s.o.CutEvery))
-	}
+// rig is the stack under test as the crash step sees it: its persisted
+// metadata can be damaged while the power is off, it can be power-cycled,
+// and it says which recovery path brought it back. *storage.Device is
+// one; fsRig puts a file system on top.
+type rig interface {
+	CorruptMeta(slot string, erase bool) (int, error)
+	Restart() error
+	LastRecovery() ftl.RecoveryInfo
 }
 
-// pickDistinct draws n distinct lpns from [0, span).
-func (s *runState) pickDistinct(span int64, n int) []int64 {
-	seen := make(map[int64]bool, n)
-	out := make([]int64, 0, n)
-	for len(out) < n {
-		lpn := s.rng.Int63n(span)
-		if !seen[lpn] {
-			seen[lpn] = true
-			out = append(out, lpn)
-		}
-	}
-	return out
+// fsRig power-cycles a device together with the file system mounted on it.
+type fsRig struct {
+	*storage.Device
+	fs *simfs.FS
 }
 
-// expectedOld is the committed content of lpn per the oracle (zeros for
-// a never-written page, as the device returns for unmapped reads).
-func (s *runState) expectedOld(lpn int64) []byte {
-	if d, ok := s.oracle[lpn]; ok {
-		return d
-	}
-	return s.zero
+func (r fsRig) Restart() error {
+	r.fs.PowerCut() // align the file system with the already-dead device
+	return r.fs.Remount()
 }
 
-// crashRecoverVerify handles a command error during the workload. Only
-// power-cut errors are survivable: the device is restarted and the
-// recovery invariants checked. indoubt holds the writes of a commit
-// that was interrupted (either outcome, atomically); mustBeOld holds
-// writes of a transaction that never reached commit (old content
-// required).
-func (s *runState) crashRecoverVerify(cause error, indoubt, mustBeOld map[int64][]byte) error {
-	if !errors.Is(cause, nand.ErrPowerLost) {
-		return fmt.Errorf("non-power fault escaped firmware: %w", cause)
+// corruption names a persisted metadata structure ("map" for the
+// mapping-table pages, or a meta slot such as "bbt") whose every copy is
+// damaged after each power cut: flipped in place (CRC must catch it) or,
+// with erase, erased outright (a lost write). Zero damages nothing.
+type corruption struct {
+	slot  string
+	erase bool
+}
+
+// powerLost reports whether err is the injected power cut surfacing
+// through any layer of the stack.
+func powerLost(err error) bool {
+	return errors.Is(err, nand.ErrPowerLost) || errors.Is(err, core.ErrPowerCut)
+}
+
+// crash is the one crash step. cause is the error the schedule stopped
+// on: only a power cut is survivable, anything else escaped the
+// firmware. With the power off it damages the metadata c names,
+// power-cycles the rig, and holds recovery to the hierarchy: damage must
+// send it down the full-device OOB scan path, and in-place damage must
+// have been rejected by CRC, never silently accepted.
+func crash(cause error, r rig, c corruption) error {
+	if !powerLost(cause) {
+		return fmt.Errorf("non-power fault escaped the stack: %w", cause)
 	}
-	s.rep.Crashes++
-	// Metadata-corruption sweep: damage every persisted copy of the
-	// targeted structure while the power is still off, so recovery has
-	// nothing to mount but the per-page OOB records.
 	damaged := 0
-	if s.o.CorruptSlot != "" {
-		n, err := s.dev.CorruptMeta(s.o.CorruptSlot, s.o.CorruptErase)
+	if c.slot != "" {
+		n, err := r.CorruptMeta(c.slot, c.erase)
+		// ErrBadMetaSlot: the slot is not persisted yet, nothing to damage.
 		if err != nil && !errors.Is(err, ftl.ErrBadMetaSlot) {
-			return fmt.Errorf("corrupt meta %q: %w", s.o.CorruptSlot, err)
+			return fmt.Errorf("corrupt meta %q: %w", c.slot, err)
 		}
-		damaged = n // ErrBadMetaSlot: slot not persisted yet, nothing to damage
+		damaged = n
 	}
-	if err := s.dev.Restart(); err != nil {
+	if err := r.Restart(); err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
-	if damaged > 0 {
-		ri := s.dev.LastRecovery()
-		if ri.Mode != ftl.RecoveryScan {
-			return fmt.Errorf("corrupted %d pages of %q yet recovery took the %v path (reason %q)",
-				damaged, s.o.CorruptSlot, ri.Mode, ri.Reason)
-		}
-		if !s.o.CorruptErase && ri.CRCFailures == 0 {
-			return fmt.Errorf("silent acceptance: %d pages of %q corrupted in place, zero CRC rejections", damaged, s.o.CorruptSlot)
-		}
+	if damaged == 0 {
+		return nil
 	}
-	buf := make([]byte, s.dev.PageSize())
-	if indoubt != nil {
-		newN, oldN := 0, 0
-		for _, lpn := range sortedKeys(indoubt) {
-			if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}); err != nil {
-				return fmt.Errorf("in-doubt read lpn %d: %w", lpn, err)
-			}
-			switch {
-			case bytes.Equal(buf, indoubt[lpn]):
-				newN++
-			case bytes.Equal(buf, s.expectedOld(lpn)):
-				oldN++
-			default:
-				return fmt.Errorf("in-doubt lpn %d: content is neither old nor new version", lpn)
-			}
-		}
-		if newN > 0 && oldN > 0 {
-			return fmt.Errorf("atomicity violation: in-doubt commit recovered %d new and %d old pages", newN, oldN)
-		}
-		if newN > 0 {
-			for lpn, d := range indoubt {
-				s.oracle[lpn] = d
-			}
-		}
-		s.rep.InDoubt++
+	ri := r.LastRecovery()
+	if ri.Mode != ftl.RecoveryScan {
+		return fmt.Errorf("corrupted %d pages of %q yet recovery took the %v path (reason %q)", damaged, c.slot, ri.Mode, ri.Reason)
 	}
-	for _, lpn := range sortedKeys(mustBeOld) {
-		if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}); err != nil {
-			return fmt.Errorf("uncommitted read lpn %d: %w", lpn, err)
-		}
-		if !bytes.Equal(buf, s.expectedOld(lpn)) {
-			return fmt.Errorf("durability violation: uncommitted write to lpn %d survived recovery", lpn)
-		}
-	}
-	if err := s.verifyOracle(); err != nil {
-		return err
-	}
-	s.arm()
-	return nil
-}
-
-// verifyOracle checks every committed page byte-for-byte.
-func (s *runState) verifyOracle() error {
-	buf := make([]byte, s.dev.PageSize())
-	for _, lpn := range sortedKeys(s.oracle) {
-		if err := s.dev.Queue().SubmitWait(&ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}); err != nil {
-			return fmt.Errorf("verify read lpn %d: %w", lpn, err)
-		}
-		if !bytes.Equal(buf, s.oracle[lpn]) {
-			return fmt.Errorf("durability violation: committed lpn %d lost its content", lpn)
-		}
+	if !c.erase && ri.CRCFailures == 0 {
+		return fmt.Errorf("silent acceptance: %d pages of %q corrupted in place, zero CRC rejections", damaged, c.slot)
 	}
 	return nil
 }
 
-func sortedKeys(m map[int64][]byte) []int64 {
-	ks := make([]int64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// Cell is one grid cell: a schedule generator with all but the seed bound.
+type Cell struct {
+	Label string
+	Run   func(seed int64) (*Report, error)
+}
+
+// Leg is one row of the leg table: a named grid of seeds x cells, and the
+// counters a whole-grid run must leave non-zero: the leg's own recovery path.
+type Leg struct {
+	Name  string
+	Flag  string  // the xftlbench mode that runs it: "torture" or "chaos"
+	Seeds []int64 // the acceptance grid's seed axis
+	Quick int     // how many of them a quick run keeps
+	Cells []Cell
+	Needs []string
+
+	faults float64 // the -faults value the table was built with, for the replay line
+}
+
+// Runner is the one grid runner: it owns the seed axis, quick trimming,
+// the one-seed replay, progress and aggregation for every leg.
+type Runner struct {
+	Quick bool
+	// Seed, when non-zero, replaces the leg's seed axis with that one
+	// seed: the replay of a violation. Needs are not enforced then — one
+	// seed need not reach every path.
+	Seed     int64
+	Progress func(format string, args ...any) // one line per cell, when non-nil
+}
+
+// Run executes the leg's grid, seed-major, up to the first violation, whose
+// error ends with the grid position and the command line that replays it.
+func (o Runner) Run(l Leg) (*Report, error) {
+	seeds := l.Seeds
+	if o.Quick {
+		seeds = seeds[:l.Quick]
 	}
-	slices.Sort(ks)
-	return ks
-}
-
-// SweepOptions spans the (seed, cut cadence, fault scale) grid.
-type SweepOptions struct {
-	Seeds      []int64
-	CutEvery   []int64
-	FaultScale []float64
-	// Per-combination workload size (zero: DefaultOptions values).
-	Transactions int
-	PagesPerTx   int
-	// Progress, when non-nil, receives one line per combination.
-	Progress func(format string, args ...any)
-}
-
-// DefaultSweep returns the acceptance grid: 6 seeds x 3 cut cadences x
-// 3 fault scales = 54 combinations, including cut-only and fault-only
-// columns.
-func DefaultSweep() SweepOptions {
-	return SweepOptions{
-		Seeds:      []int64{1, 2, 3, 4, 5, 6},
-		CutEvery:   []int64{0, 90, 230},
-		FaultScale: []float64{0, 60, 150},
+	if o.Seed != 0 {
+		seeds = []int64{o.Seed}
 	}
-}
-
-// Sweep runs RunDevice across the whole grid, failing on the first
-// invariant violation.
-func Sweep(o SweepOptions) (*Report, error) {
 	agg := &Report{}
-	for _, seed := range o.Seeds {
-		for _, cut := range o.CutEvery {
-			for _, scale := range o.FaultScale {
-				ro := DefaultOptions(seed)
-				ro.CutEvery = cut
-				ro.FaultScale = scale
-				if o.Transactions > 0 {
-					ro.Transactions = o.Transactions
-				}
-				if o.PagesPerTx > 0 {
-					ro.PagesPerTx = o.PagesPerTx
-				}
-				rep, err := RunDevice(ro)
-				if rep != nil {
-					agg.Add(rep)
-				}
-				if err != nil {
-					return agg, fmt.Errorf("seed=%d cut=%d scale=%g: %w", seed, cut, scale, err)
-				}
-				if o.Progress != nil {
-					o.Progress("torture: seed=%d cut=%d scale=%g %s", seed, cut, scale, rep)
-				}
+	for _, seed := range seeds {
+		agg.Seeds = append(agg.Seeds, seed)
+		for _, c := range l.Cells {
+			rep, err := c.Run(seed)
+			if rep != nil {
+				agg.add(rep)
 			}
+			if err != nil {
+				err = fmt.Errorf("%w\n\tleg=%s cell=%s seed=%d", err, l.Name, c.Label, seed)
+				if l.Flag != "" {
+					err = fmt.Errorf("%w%s", err, l.replay(o.Quick, seed))
+				}
+				return agg, err
+			}
+			if o.Progress != nil {
+				o.Progress("%s: %s seed=%d %s", l.Name, c.Label, seed, rep)
+			}
+		}
+	}
+	if o.Seed != 0 {
+		return agg, nil
+	}
+	counts := agg.counts()
+	for _, n := range l.Needs {
+		if v, ok := counts[n]; !ok {
+			panic("torture: no counter named " + n)
+		} else if v == 0 {
+			return agg, fmt.Errorf("leg %q never exercised %q: %s", l.Name, n, agg)
 		}
 	}
 	return agg, nil
 }
 
-// MetaSweepOptions spans the metadata-corruption grid: after every
-// injected power cut, every persisted copy of one metadata structure is
-// corrupted or erased, and recovery must still restore all committed
-// transactions from the per-page OOB records alone.
-type MetaSweepOptions struct {
-	Seeds []int64
-	// Slots are the structures to destroy per combination ("map" = the
-	// mapping-table pages, "bbt" = the bad-block table chain).
-	Slots []string
-	// Erase selects damage styles: false = in-place corruption (must be
-	// caught by CRC), true = outright erasure (torn/lost writes).
-	Erase []bool
-	// SQL additionally runs the full SQLite stack in all three journal
-	// modes per combination.
-	SQL bool
-	// Per-combination workload size (zero: DefaultOptions values).
-	Transactions int
-	PagesPerTx   int
-	// Progress, when non-nil, receives one line per combination.
-	Progress func(format string, args ...any)
-}
-
-// DefaultMetaSweep returns the acceptance grid for self-healing
-// recovery: 3 seeds x {map, bbt} x {corrupt, erase}, each combination
-// run against the raw device command set and (SQL=true) through SQLite
-// in all three journal modes.
-func DefaultMetaSweep() MetaSweepOptions {
-	return MetaSweepOptions{
-		Seeds: []int64{1, 2, 3},
-		Slots: []string{"map", "bbt"},
-		Erase: []bool{false, true},
-		SQL:   true,
+// replay is the xftlbench line that re-runs one seed of a table leg.
+func (l Leg) replay(quick bool, seed int64) string {
+	flags := ""
+	if quick {
+		flags += " -quick"
 	}
+	if l.faults > 0 {
+		flags += fmt.Sprintf(" -faults %g", l.faults)
+	}
+	return fmt.Sprintf("\n\treplay: xftlbench%s -%s -seed %d", flags, l.Flag, seed)
 }
 
-// MetaSweep runs the metadata-corruption grid, failing on the first
-// invariant violation (committed-data loss, silent CRC acceptance, or
-// recovery not taking the scan path after injected damage).
-func MetaSweep(o MetaSweepOptions) (*Report, error) {
-	agg := &Report{}
-	for _, seed := range o.Seeds {
-		for _, slot := range o.Slots {
-			for _, erase := range o.Erase {
-				ro := DefaultOptions(seed)
-				// Ideal flash: isolate metadata destruction from media
-				// faults so every scan fallback is attributable.
-				ro.FaultScale = 0
-				ro.CorruptSlot, ro.CorruptErase = slot, erase
-				if o.Transactions > 0 {
-					ro.Transactions = o.Transactions
-				}
-				if o.PagesPerTx > 0 {
-					ro.PagesPerTx = o.PagesPerTx
-				}
-				rep, err := RunDevice(ro)
-				if rep != nil {
-					agg.Add(rep)
-				}
-				if err != nil {
-					return agg, fmt.Errorf("meta seed=%d slot=%s erase=%v: %w", seed, slot, erase, err)
-				}
-				if o.Progress != nil {
-					o.Progress("meta-torture: seed=%d slot=%s erase=%v %s", seed, slot, erase, rep)
-				}
-				if !o.SQL {
-					continue
-				}
-				for _, mode := range []xftl.Mode{xftl.ModeRollback, xftl.ModeWAL, xftl.ModeXFTL} {
-					so := DefaultSQLOptions(mode, seed)
-					so.FaultScale = 0
-					so.CorruptSlot, so.CorruptErase = slot, erase
-					rep, err := RunSQL(so)
-					if rep != nil {
-						agg.Add(rep)
-					}
-					if err != nil {
-						return agg, fmt.Errorf("meta-sql mode=%v seed=%d slot=%s erase=%v: %w", mode, seed, slot, erase, err)
-					}
-					if o.Progress != nil {
-						o.Progress("meta-torture: mode=%v seed=%d slot=%s erase=%v %s", mode, seed, slot, erase, rep)
-					}
-				}
+// Legs is the leg table: every grid `xftlbench -torture` and `-chaos`
+// run and the package tests assert. faults > 0 replaces the device
+// sweep's fault-scale column and the SQL legs' default scale.
+func Legs(faults float64) []Leg {
+	scales, sqlScale := []float64{0, 60, 150}, 20.0
+	if faults > 0 {
+		scales, sqlScale = []float64{0, faults}, faults
+	}
+	modes := []struct {
+		mode xftl.Mode
+		path string // the recovery path a crash in this journal mode takes
+	}{{xftl.ModeRollback, "journal"}, {xftl.ModeWAL, "wal"}, {xftl.ModeXFTL, "image"}}
+	six := []int64{1, 2, 3, 4, 5, 6}
+
+	var sweep []Cell
+	for _, cut := range []int64{0, 90, 230} {
+		for _, scale := range scales {
+			sweep = append(sweep, Cell{fmt.Sprintf("cut=%d scale=%g", cut, scale), deviceRun{cut: cut, scale: scale}.run})
+		}
+	}
+	legs := []Leg{{
+		Name: "device sweep", Seeds: six, Quick: 2, Cells: sweep,
+		Needs: []string{"crashes", "indoubt", "image", "gc", "retired"},
+	}}
+	for _, m := range modes {
+		legs = append(legs, Leg{
+			Name: "sql " + m.mode.String(), Seeds: six, Quick: 2,
+			Cells: []Cell{{fmt.Sprintf("cut=4000 scale=%g", sqlScale), sqlRun{mode: m.mode, cut: 4000, scale: sqlScale}.run}},
+			Needs: []string{"crashes", "indoubt", m.path},
+		})
+	}
+	for _, s := range []struct {
+		name string
+		run  sessionRun
+		path string // what the leg's readers, or its recovery, must have gone through
+	}{
+		{"mvcc sessions", sessionRun{cut: sessionCut}, "snapold"},
+		{"mvcc pooled", sessionRun{cut: sessionCut, pooled: true}, "snapold"},
+		{"wal readers", sessionRun{cut: sessionCut, wal: true}, "wal"},
+	} {
+		s.run.txns = 60
+		legs = append(legs, Leg{
+			Name: s.name, Seeds: six, Quick: 2, Cells: []Cell{{fmt.Sprintf("cut=%d", sessionCut), s.run.run}},
+			Needs: []string{"crashes", "committed", s.path},
+		})
+	}
+	legs = append(legs, Leg{
+		Name: "fleet 2pc", Seeds: []int64{1, 2, 3, 4}, Quick: 1, Cells: fleetCells(),
+		Needs: []string{"crashes", "indoubt", "resolved"},
+	})
+	// Metadata corruption on ideal flash, so every scan fallback is
+	// attributable to the injected damage.
+	var meta []Cell
+	for _, slot := range []string{"map", "bbt"} {
+		for _, erase := range []bool{false, true} {
+			c, label := corruption{slot, erase}, fmt.Sprintf("%s erase=%v", slot, erase)
+			meta = append(meta, Cell{"device " + label, deviceRun{cut: 160, corruption: c}.run})
+			for _, m := range modes {
+				meta = append(meta, Cell{"sql " + m.mode.String() + " " + label, sqlRun{mode: m.mode, cut: 4000, corruption: c}.run})
 			}
 		}
 	}
-	return agg, nil
+	legs = append(legs, Leg{
+		Name: "meta sweep", Seeds: []int64{1, 2, 3}, Quick: 1, Cells: meta,
+		Needs: []string{"crashes", "scan", "metacrc"},
+	})
+	var storms []Cell
+	for _, scale := range []float64{0, 60} {
+		for _, hang := range []bool{false, true} {
+			d := deviceRun{cut: 160, scale: scale, storm: &storm{}}
+			if hang {
+				d.storm = &storm{hangEvery: 40, hangStall: 20 * time.Millisecond}
+			}
+			storms = append(storms, Cell{fmt.Sprintf("scale=%g hang=%v", scale, hang), d.run})
+		}
+	}
+	legs = append(legs, Leg{
+		Name: "chaos sweep", Flag: "chaos", Seeds: []int64{1, 2, 3}, Quick: 1, Cells: storms,
+		// The storm must actually have stormed: faults injected with no
+		// retries would mean the plane is wired to nothing.
+		Needs: []string{"crashes", "transient", "retries", "timeouts"},
+	})
+	for i := range legs {
+		if legs[i].faults = faults; legs[i].Flag == "" {
+			legs[i].Flag = "torture"
+		}
+	}
+	return legs
 }

@@ -1,126 +1,95 @@
 package torture
 
-import "testing"
-
 import (
-	xftl "repro"
+	"testing"
 
+	xftl "repro"
 	"repro/internal/nand"
 )
+
+// tableLeg returns the leg table's row of that name.
+func tableLeg(t *testing.T, name string) Leg {
+	t.Helper()
+	for _, l := range Legs(0) {
+		if l.Name == name {
+			return l
+		}
+	}
+	t.Fatalf("no leg named %q in the table", name)
+	return Leg{}
+}
+
+// runLeg runs a leg's grid (the quick one under -short) and fails the
+// test on a violation or on a path in Leg.Needs the grid never took.
+func runLeg(t *testing.T, l Leg) *Report {
+	t.Helper()
+	rep, err := Runner{Quick: testing.Short() && l.Quick > 0}.Run(l)
+	if err != nil {
+		t.Fatalf("%v\n(report %s)", err, rep)
+	}
+	t.Logf("%s: %s", l.Name, rep)
+	return rep
+}
 
 // TestDeviceSweep is the acceptance sweep: >= 50 (seed, cut-point,
 // fault-rate) combinations at the device command level, with zero
 // uncorrectable-error escapes at the default ECC threshold.
 func TestDeviceSweep(t *testing.T) {
-	o := DefaultSweep()
-	if combos := len(o.Seeds) * len(o.CutEvery) * len(o.FaultScale); combos < 50 {
+	l := tableLeg(t, "device sweep")
+	if combos := len(l.Seeds) * len(l.Cells); combos < 50 {
 		t.Fatalf("sweep covers only %d combos, want >= 50", combos)
 	}
-	rep, err := Sweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Flash.UncorrectableReads > 0 {
-		t.Fatalf("uncorrectable-error escapes: %d", rep.Flash.UncorrectableReads)
-	}
-	if rep.Crashes == 0 || rep.InDoubt == 0 {
-		t.Fatalf("sweep exercised no crashes or no in-doubt commits: %s", rep)
-	}
-	if rep.Flash.GCRuns == 0 || rep.Flash.RetiredBlocks == 0 {
-		t.Fatalf("sweep exercised no GC or no block retirement: %s", rep)
-	}
-	t.Log(rep.String())
+	runLeg(t, l)
 }
 
 // TestSQLTorture runs the full-stack workload (SQLite -> simfs ->
 // device) under injected crashes and faults in all three journal
-// modes, checking committed-durable / uncommitted-discarded through
-// SQL queries after every recovery.
+// modes; each mode's own recovery path — hot-journal playback, WAL
+// replay, the image path — must have been taken (Leg.Needs), and over
+// the full grid the rollback journal's rarest outcome too: a commit that
+// had returned, revoked whole by a resurrected hot journal.
 func TestSQLTorture(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
 	for _, mode := range []xftl.Mode{xftl.ModeRollback, xftl.ModeWAL, xftl.ModeXFTL} {
-		agg := &Report{}
-		for _, seed := range seeds {
-			o := DefaultSQLOptions(mode, seed)
-			if testing.Short() {
-				// X-FTL issues so few NAND ops per transaction that the
-				// default cut cadence rarely trips in a two-seed run.
-				o.CutEvery = 600
-			}
-			rep, err := RunSQL(o)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", mode, seed, err)
-			}
-			agg.Add(rep)
+		rep := runLeg(t, tableLeg(t, "sql "+mode.String()))
+		if mode == xftl.ModeRollback && !testing.Short() && rep.Revoked == 0 {
+			t.Errorf("%s: no commit was ever revoked: %s", mode, rep)
 		}
-		if agg.Crashes == 0 {
-			t.Errorf("%s: no crashes injected across %d seeds", mode, len(seeds))
-		}
-		t.Logf("%s: %s", mode, agg)
 	}
 }
 
 // TestSQLTortureCutsOnly isolates the power-cut machinery from the
 // fault model: ideal flash, aggressive cut cadence.
 func TestSQLTortureCutsOnly(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		o := DefaultSQLOptions(xftl.ModeRollback, seed)
-		o.FaultScale = 0
-		o.CutEvery = 1500
-		rep, err := RunSQL(o)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if rep.Crashes == 0 {
-			t.Errorf("seed %d: no crashes injected", seed)
-		}
-	}
+	s := sqlRun{mode: xftl.ModeRollback, cut: 1500}
+	runLeg(t, Leg{
+		Name: "sql RBJ cuts only", Seeds: []int64{1, 2, 3}, Cells: []Cell{{"cut=1500 scale=0", s.run}},
+		Needs: []string{"crashes", "journal"},
+	})
 }
 
 // TestMetaCorruptionSweep is the self-healing acceptance sweep: after
 // every injected power cut, every persisted copy of the mapping table
 // (or, separately, the bad-block table) is corrupted or erased, and
 // recovery must restore all committed transactions from per-page OOB
-// records alone — in the raw device harness and through SQLite in all
+// records alone — in the raw device schedule and through SQLite in all
 // three journal modes.
 func TestMetaCorruptionSweep(t *testing.T) {
-	o := DefaultMetaSweep()
-	if testing.Short() {
-		o.Seeds = o.Seeds[:1]
-		o.Transactions = 120
+	l := tableLeg(t, "meta sweep")
+	if len(l.Seeds) != 3 || len(l.Cells) != 2*2*4 {
+		t.Fatalf("meta grid is %d seeds x %d cells, want 3 x {map,bbt} x {corrupt,erase} x {device + 3 SQL modes}", len(l.Seeds), len(l.Cells))
 	}
-	rep, err := MetaSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Crashes == 0 {
-		t.Fatalf("meta sweep injected no crashes: %s", rep)
-	}
-	if rep.Flash.ScanRecoveries == 0 {
-		t.Fatalf("meta sweep never took the scan path: %s", rep)
-	}
-	if rep.Flash.MetaCRCFailures == 0 {
-		t.Fatalf("meta sweep never tripped a CRC rejection: %s", rep)
-	}
-	t.Log(rep.String())
+	runLeg(t, l)
 }
 
 // TestWornOutStopsGracefully drives a device into spare exhaustion
 // with an erase-fail-heavy fault model (every failed erase retires a
 // block against the 3-block spare reserve) and checks the run ends
-// with the typed worn-out signal rather than an invariant violation,
-// with every committed page still readable.
+// with the typed worn-out signal rather than a violation, with every
+// committed page still readable.
 func TestWornOutStopsGracefully(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		o := DefaultOptions(seed)
-		o.CutEvery = 0
-		o.FaultScale = 0
-		o.Transactions = 4000
-		o.Fault = &nand.FaultModel{Seed: seed, EraseFailProb: 0.05, ECCBits: 8}
-		rep, err := RunDevice(o)
+		d := deviceRun{txns: 4000, fault: &nand.FaultModel{Seed: seed, EraseFailProb: 0.05, ECCBits: 8}}
+		rep, err := d.run(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
