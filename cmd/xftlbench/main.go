@@ -271,7 +271,7 @@ func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
 			if err != nil {
 				return bench.JSONExperiment{}, err
 			}
-			return bench.JSONExperiment{Tables: []*bench.Table{rw.Table()}, RWConc: rw}, nil
+			return bench.JSONExperiment{Tables: []*bench.Table{rw.Table(), rw.WritersTable()}, RWConc: rw}, nil
 		}},
 		{"fleet", false, func(o bench.Options) (bench.JSONExperiment, error) {
 			fb, err := bench.RunFleet(o, o.FleetShards)

@@ -32,6 +32,7 @@ type RWConfig struct {
 	Mode    mvcc.Mode
 
 	Readers      int // concurrent reader sessions
+	Writers      int // concurrent writer sessions, each streaming WriterTx transactions (0 = one)
 	ReaderTx     int // transactions per reader
 	SelectsPerTx int // point SELECTs per reader transaction
 	Rows         int // table cardinality
@@ -77,6 +78,12 @@ type RWPoint struct {
 	SnapReads   int64 `json:"snap_reads"`
 	SnapOldHits int64 `json:"snap_old_hits"`
 	WriterWaits int64 `json:"writer_waits"`
+	// Writers is how many writers streamed; FlashPerTx the flash pages
+	// programmed per write transaction and GroupSize the mean transactions
+	// per commit(t) (MVCC arm) over the measurement window.
+	Writers    int     `json:"writers"`
+	FlashPerTx float64 `json:"flash_per_tx"`
+	GroupSize  float64 `json:"group_size,omitempty"`
 	// Journal is the arm's writer journal mode (off, rollback, wal).
 	Journal string `json:"journal,omitempty"`
 
@@ -209,7 +216,8 @@ func RunRWPoint(cfg RWConfig) (*RWPoint, error) {
 		readerStats[r] = &metrics.IOStats{}
 	}
 
-	start := st.Clock.Now()
+	start, flash0 := st.Clock.Now(), st.FlashStats().Snapshot()
+	groups0, members0 := mgr.Stats.GroupCommits.Load(), mgr.Stats.GroupMembers.Load()
 	var (
 		wg       sync.WaitGroup
 		stop     atomic.Bool
@@ -222,39 +230,46 @@ func RunRWPoint(cfg RWConfig) (*RWPoint, error) {
 			stop.Store(true)
 		}
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
-		for g := int64(1); g <= int64(cfg.WriterTx) && !stop.Load(); g++ {
-			if cfg.Degraded && g%rwDegradedHangEvery == 0 && units > 1 {
-				// Deterministic error storm: one sick die (unit 1) stalls
-				// repeatedly mid-stream. Its timeouts trip quarantine too,
-				// so the point exercises the full plane: the forced fence
-				// on unit 0, a storm-tripped fence on unit 1, and the
-				// deadline/retry path riding out every stall.
-				st.Device.HangUnit(1, rwDegradedStall)
-			}
-			s, err := mgr.BeginWith(false, writerStats, mvcc.Unbounded)
-			if err != nil {
-				fail(err)
-				return
-			}
-			for i := 0; i < cfg.WriterRows; i++ {
-				k := rng.Int63n(int64(cfg.Rows))
-				if _, err := s.Exec("UPDATE kv SET v = ? WHERE k = ?", g, k); err != nil {
+	// Writers start together: a goroutine that got going first would
+	// otherwise stream half its transactions before the next one exists.
+	gate := make(chan struct{})
+	for w := 0; w < max(cfg.Writers, 1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D + int64(w)*7919))
+			<-gate
+			for g := int64(1); g <= int64(cfg.WriterTx) && !stop.Load(); g++ {
+				if cfg.Degraded && g%rwDegradedHangEvery == 0 && units > 1 {
+					// Deterministic error storm: one sick die (unit 1) stalls
+					// repeatedly mid-stream. Its timeouts trip quarantine too,
+					// so the point exercises the full plane: the forced fence
+					// on unit 0, a storm-tripped fence on unit 1, and the
+					// deadline/retry path riding out every stall.
+					st.Device.HangUnit(1, rwDegradedStall)
+				}
+				s, err := mgr.BeginWith(false, writerStats, mvcc.Unbounded)
+				if err != nil {
 					fail(err)
-					_ = s.Rollback()
 					return
 				}
+				for i := 0; i < cfg.WriterRows; i++ {
+					k := rng.Int63n(int64(cfg.Rows))
+					if _, err := s.Exec("UPDATE kv SET v = ? WHERE k = ?", g, k); err != nil {
+						fail(err)
+						_ = s.Rollback()
+						return
+					}
+				}
+				if err := s.Commit(); err != nil {
+					fail(err)
+					return
+				}
+				writerTx.Add(1)
 			}
-			if err := s.Commit(); err != nil {
-				fail(err)
-				return
-			}
-			writerTx.Add(1)
-		}
-	}()
+		}()
+	}
+	close(gate)
 	for r := 0; r < cfg.Readers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -296,6 +311,13 @@ func RunRWPoint(cfg RWConfig) (*RWPoint, error) {
 		WriterTx:    writerTx.Load(),
 		Elapsed:     elapsed,
 		WriterWaits: mgr.Stats.WriterWaits.Load(),
+		Writers:     max(cfg.Writers, 1),
+	}
+	if pt.WriterTx > 0 {
+		pt.FlashPerTx = float64(st.FlashStats().Snapshot().Sub(flash0).PageWrites) / float64(pt.WriterTx)
+	}
+	if groups := mgr.Stats.GroupCommits.Load() - groups0; groups > 0 {
+		pt.GroupSize = float64(mgr.Stats.GroupMembers.Load()-members0) / float64(groups)
 	}
 	if x := st.Device.XFTL(); x != nil {
 		xs := x.Stats()
@@ -388,11 +410,7 @@ const (
 // root reads from the device on every transaction, a warm checkout
 // reuses them from the pooled pager cache.
 func runShortRead(opts Options, pooled bool) (time.Duration, error) {
-	prof := storage.OpenSSD()
-	prof.Nand.Channels = 8
-	prof.Nand.Ways = 1
-	prof.Channels = 8
-	st, err := xftl.NewStackDevice(prof, XFTL, storage.Options{QueueDepth: 32},
+	st, err := xftl.NewStackDevice(rwProfile(8), XFTL, storage.Options{QueueDepth: 32},
 		xftl.StackOptions{CacheSize: 64})
 	if err != nil {
 		return 0, err
@@ -446,10 +464,23 @@ func runShortRead(opts Options, pooled bool) (time.Duration, error) {
 	return durs[len(durs)/2], nil
 }
 
+// rwProfile is the sweep's device: the OpenSSD profile with that many
+// channels of one way each.
+func rwProfile(channels int) storage.Profile {
+	prof := storage.OpenSSD()
+	prof.Nand.Channels = channels
+	prof.Nand.Ways = 1
+	prof.Channels = channels
+	return prof
+}
+
 // RWC holds the reader/writer concurrency sweep.
 type RWC struct {
 	Quick  bool       `json:"quick"`
 	Points []*RWPoint `json:"points"`
+	// Writers is the writers x channels sweep of the MVCC arm: no readers,
+	// 4 single-row UPDATEs per transaction.
+	Writers []*RWPoint `json:"writers"`
 	// Journal records the -journal selection; Baseline is the label of
 	// the arm the speedup notes compare against.
 	Journal  string `json:"journal"`
@@ -503,12 +534,8 @@ func RunRWConc(opts Options) (*RWC, error) {
 		channels = []int{2, 8}
 	}
 	for _, ch := range channels {
-		prof := storage.OpenSSD()
-		prof.Nand.Channels = ch
-		prof.Nand.Ways = 1
-		prof.Channels = ch
 		cfg := base
-		cfg.Profile = prof
+		cfg.Profile = rwProfile(ch)
 		cfg.Mode = mvcc.MVCC
 		if err := run(fmt.Sprintf("mvcc ch=%d", ch), cfg); err != nil {
 			return nil, err
@@ -517,12 +544,8 @@ func RunRWConc(opts Options) (*RWC, error) {
 	// Pooled leg: the top MVCC configuration with the warm reader pool
 	// on, plus a steady-state read phase measuring the pool hit ratio.
 	{
-		prof := storage.OpenSSD()
-		prof.Nand.Channels = 8
-		prof.Nand.Ways = 1
-		prof.Channels = 8
 		cfg := base
-		cfg.Profile = prof
+		cfg.Profile = rwProfile(8)
 		cfg.Mode = mvcc.MVCC
 		cfg.Pooled = true
 		if err := run("mvcc ch=8 pooled", cfg); err != nil {
@@ -535,12 +558,8 @@ func RunRWConc(opts Options) (*RWC, error) {
 	// for reader/writer concurrency, on the same hardware as the top
 	// MVCC point.
 	{
-		prof := storage.OpenSSD()
-		prof.Nand.Channels = 8
-		prof.Nand.Ways = 1
-		prof.Channels = 8
 		cfg := base
-		cfg.Profile = prof
+		cfg.Profile = rwProfile(8)
 		cfg.Mode = mvcc.WALConc
 		if err := run("wal ch=8", cfg); err != nil {
 			return nil, err
@@ -551,12 +570,8 @@ func RunRWConc(opts Options) (*RWC, error) {
 	// retries absorbing both. Quantifies what degraded mode costs and
 	// shows the reader tail stays bounded by the retry budget.
 	{
-		prof := storage.OpenSSD()
-		prof.Nand.Channels = 8
-		prof.Nand.Ways = 1
-		prof.Channels = 8
 		cfg := base
-		cfg.Profile = prof
+		cfg.Profile = rwProfile(8)
 		cfg.Mode = mvcc.MVCC
 		cfg.Degraded = true
 		if err := run("mvcc ch=8 degraded", cfg); err != nil {
@@ -565,15 +580,31 @@ func RunRWConc(opts Options) (*RWC, error) {
 	}
 	// Control arm: same hardware as the top MVCC point, but SQLite's
 	// rollback journal with the one database lock.
-	prof := storage.OpenSSD()
-	prof.Nand.Channels = 8
-	prof.Nand.Ways = 1
-	prof.Channels = 8
 	cfg := base
-	cfg.Profile = prof
+	cfg.Profile = rwProfile(8)
 	cfg.Mode = mvcc.Serialized
 	if err := run("serialized-rbj ch=8", cfg); err != nil {
 		return nil, err
+	}
+	// Writers x channels on the MVCC arm: what queued commit-time writes
+	// and group commit buy as writers and flash units are added.
+	wchannels, wtxEach := []int{1, 2, 4, 8}, 64
+	if opts.Quick {
+		wchannels, wtxEach = []int{2, 8}, 32
+	}
+	for _, writers := range []int{1, 2, 4} {
+		for _, ch := range wchannels {
+			label := fmt.Sprintf("writers=%d ch=%d", writers, ch)
+			opts.progress("rwconc: %s", label)
+			pt, err := RunRWPoint(RWConfig{
+				Profile: rwProfile(ch), Depth: 32, Mode: mvcc.MVCC, Label: label,
+				Writers: writers, WriterTx: wtxEach, WriterRows: 4, Rows: rows, CacheSize: 32, Seed: base.Seed,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("rwconc %s: %w", label, err)
+			}
+			out.Writers = append(out.Writers, pt)
+		}
 	}
 	// Short-read micro-leg: what the warm pool saves on the
 	// open-read-close path, pooled versus cold-open p50.
@@ -620,6 +651,21 @@ func (r *RWC) ReaderSpeedup(channels int) float64 {
 		return 0
 	}
 	return hi.ReaderTPS / lo.ReaderTPS
+}
+
+// WritersTable renders the writers x channels sweep.
+func (r *RWC) WritersTable() *Table {
+	t := &Table{
+		Title:  "Group commit: writers x channels on the MVCC arm (4 single-row UPDATEs per transaction, no readers)",
+		Header: []string{"writers", "channels", "writer tx", "writer tx/s", "flash pages/tx", "mean group size"},
+	}
+	for _, p := range r.Writers {
+		t.AddRow(fmt.Sprint(p.Writers), fmt.Sprint(p.Channels), fmt.Sprint(p.WriterTx),
+			fmt.Sprintf("%.0f", p.WriterTPS), fmt.Sprintf("%.1f", p.FlashPerTx), fmt.Sprintf("%.2f", p.GroupSize))
+	}
+	t.Notes = append(t.Notes,
+		"Writers queue on the FIFO ticket lock; one that reaches commit with a successor queued leaves its pages in the file-system cache and the last of the group issues the one commit(t). Group sizes depend on host scheduling, so these figures repeat only approximately.")
+	return t
 }
 
 // Table renders the sweep.

@@ -46,6 +46,31 @@ func TestRWConcQuick(t *testing.T) {
 		t.Fatalf("short-read speedup %.1fx (pooled p50 %v vs cold %v), want >= 2x",
 			res.ShortReadSpeedup, res.ShortPooledP50, res.ShortColdP50)
 	}
+	// The writers x channels sweep. How large the groups get is the
+	// scheduler's business (mvcc's own tests force them); what always
+	// holds: one writer is a group of one, a group never exceeds the
+	// writers there are, and company costs a writer neither flash pages
+	// nor — beyond queueing noise — throughput.
+	if len(res.Writers) != 3*2 {
+		t.Fatalf("writers sweep: got %d cells, want 3 writer counts x 2 channel counts", len(res.Writers))
+	}
+	alone := map[int]*RWPoint{}
+	for _, p := range res.Writers {
+		if p.Writers == 1 {
+			alone[p.Channels] = p
+		}
+	}
+	for _, p := range res.Writers {
+		one := alone[p.Channels]
+		if p.WriterTx != int64(p.Writers)*one.WriterTx || p.GroupSize < 1 || p.GroupSize > float64(p.Writers) ||
+			p.FlashPerTx > 1.05*one.FlashPerTx || p.WriterTPS < 0.9*one.WriterTPS {
+			t.Fatalf("%s: %d tx, %.0f tx/s, %.1f pages/tx, groups of %.2f; alone: %d tx, %.0f tx/s, %.1f pages/tx",
+				p.Label, p.WriterTx, p.WriterTPS, p.FlashPerTx, p.GroupSize, one.WriterTx, one.WriterTPS, one.FlashPerTx)
+		}
+	}
+	if tbl := res.WritersTable(); len(tbl.RowData) != len(res.Writers) {
+		t.Fatalf("writers table: %d rows for %d cells", len(tbl.RowData), len(res.Writers))
+	}
 	// Rendering must not panic and should report the speedup note.
 	if tbl := res.Table(); len(tbl.RowData) != 6 || len(tbl.Notes) == 0 {
 		t.Fatalf("table: %d rows, %d notes", len(tbl.RowData), len(tbl.Notes))

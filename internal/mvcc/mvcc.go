@@ -8,7 +8,11 @@
 //
 // Writers keep SQLite's locking model: at most one write transaction at
 // a time, queued FIFO, or — for SQLITE_BUSY-style abort-on-conflict
-// callers — polled within a busy budget that ends in ErrBusy.
+// callers — polled within a busy budget that ends in ErrBusy. Queued
+// writers commit in groups: one that reaches Commit with a successor
+// already holding a ticket leaves its pages with the file system, hands
+// the ticket on and waits, and the last of them commits the whole group
+// with one fsync — one commit(t) — before any member is acknowledged.
 //
 // The same API also runs in a Serialized mode that models the baseline
 // the paper compares against: a single rollback-journal connection
@@ -20,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,8 +87,10 @@ type Options struct {
 	CacheSize int
 	// Pipelined routes snapshot page reads through the async NCQ
 	// submission path so concurrent readers overlap in virtual time
-	// across channels. Reads are still synchronous from the caller's
-	// point of view.
+	// across channels, and queues the writer's commit-time page writes
+	// the same way behind the commit(t) that fences them. Both are still
+	// synchronous from the caller's point of view; the writer's reads
+	// always wait.
 	Pipelined bool
 	// PoolCapacity enables the warm reader pool in MVCC mode: finished
 	// read sessions park their snapshot connection (pager cache and
@@ -103,6 +110,8 @@ type Stats struct {
 	SnapsMax     atomic.Int64 // high-water mark of SnapsOpen
 	BusyRetries  atomic.Int64 // budgeted write-begin lock polls that found the db busy
 	BusyTimeouts atomic.Int64 // busy budgets that expired into ErrBusy
+	GroupCommits atomic.Int64 // MVCC writer commit(t)s issued, whatever their outcome
+	GroupMembers atomic.Int64 // write transactions those carried (mean group size = the ratio)
 }
 
 // Manager owns one database file and hands out sessions.
@@ -127,6 +136,15 @@ type Manager struct {
 	head   uint64
 	tail   uint64
 	closed bool
+
+	// Group commit (MVCC mode), under mu. waiters are the sessions whose
+	// commit was deferred and awaits the group's fsync; groupEnd is the
+	// first ticket outside the open group — the tickets outstanding when
+	// its first member reached Commit — so a group is bounded however many
+	// writers keep arriving.
+	waiters  []*Session
+	groupEnd uint64
+	yield    bool // the lock holder acknowledged waiters (see unlockExclusive)
 
 	Stats Stats
 
@@ -158,6 +176,9 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 	}
 	m := &Manager{fs: fsys, name: name, opts: opts, cfg: cfg, db: db}
 	m.cond = sync.NewCond(&m.mu)
+	if opts.Mode == MVCC {
+		db.Pager().OnGroupSync = m.groupSynced
+	}
 	if opts.Mode == MVCC && opts.PoolCapacity > 0 {
 		m.pool = readpool.New(opts.PoolCapacity)
 	}
@@ -206,6 +227,12 @@ type Session struct {
 
 	id      uint64        // trace/attribution identity (stable per IOStats)
 	trStart time.Duration // virtual time of Begin, for the KSession span
+
+	// Group commit. solo keeps the session out of it (see Solo); acked and
+	// ackErr, under Manager.mu, are a deferred commit's outcome.
+	solo   bool
+	acked  bool
+	ackErr error
 }
 
 // ID reports the session's attribution identity — the id its trace
@@ -313,6 +340,7 @@ func (m *Manager) BeginWith(readonly bool, sc *metrics.IOStats, budget time.Dura
 		// FS's I/O context safe: exactly one session touches the shared
 		// connection at a time.
 		m.fs.SetIOContext(s.id, role, sc)
+		m.fs.SetPipelined(m.opts.Pipelined)
 		if !readonly {
 			if err := m.db.Begin(); err != nil {
 				m.fs.ClearIOContext()
@@ -424,6 +452,60 @@ func (m *Manager) lockExclusive(budget time.Duration) error {
 func (m *Manager) unlockExclusive() {
 	m.mu.Lock()
 	m.head++
+	yield := m.yield
+	m.yield = false
+	m.cond.Broadcast()
+	m.mu.Unlock()
+	if yield {
+		// The members this writer just acknowledged are callers about to
+		// begin again; let them reach the queue before it runs ahead and
+		// commits a group of one. A scheduling hint, nothing depends on it.
+		runtime.Gosched()
+	}
+}
+
+// successorInGroup reports whether the lock holder, about to commit, may
+// defer to the next ticket: one is outstanding inside the open group. The
+// first member to ask fixes the group's bound; the holder of the last
+// ticket inside it gets false and commits the group.
+func (m *Manager) successorInGroup() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.waiters) == 0 {
+		m.groupEnd = m.tail
+	}
+	return m.head+1 < m.groupEnd
+}
+
+// awaitGroup is unlockExclusive for a session whose commit was deferred:
+// it hands the ticket on and returns only once the group's commit(t) has
+// — with that commit's outcome. Every way the successor's session can
+// end settles the group (Commit fsyncs it or defers onward inside the
+// bound, Rollback and Solo fsync it first), so the wait ends.
+func (m *Manager) awaitGroup(s *Session) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.waiters = append(m.waiters, s)
+	m.head++
+	m.cond.Broadcast()
+	for !s.acked {
+		m.cond.Wait()
+	}
+	return s.ackErr
+}
+
+// groupSynced is the writer pager's OnGroupSync: a commit(t) carrying
+// members transactions ended with err. Every deferred session is in it
+// and learns its outcome here; it runs on the goroutine holding the lock.
+func (m *Manager) groupSynced(members int, err error) {
+	m.Stats.GroupCommits.Add(1)
+	m.Stats.GroupMembers.Add(int64(members))
+	m.mu.Lock()
+	m.yield = len(m.waiters) > 0
+	for _, s := range m.waiters {
+		s.acked, s.ackErr = true, err
+	}
+	m.waiters = m.waiters[:0]
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
@@ -507,18 +589,21 @@ func (s *Session) end(how int) error {
 		return ErrSessionDone
 	}
 	s.done = true
-	var err error
+	var (
+		err      error
+		deferred bool
+	)
 	switch {
 	case s.rd != nil:
 		err = s.endReader()
 	case s.readonly:
+	case how == endCommit && s.m.opts.Mode == MVCC && !s.solo && s.m.successorInGroup():
+		// The successor's commit carries this one; a failed commit of
+		// either kind leaves the shared connection rolled back and
+		// reusable by the next queued writer.
+		deferred, err = s.db.CommitDeferred()
 	case how == endCommit:
-		if err = s.db.Commit(); err != nil {
-			// A failed commit (power cut, full device) leaves the
-			// pager transaction open; roll it back so the shared
-			// connection is reusable by the next queued writer.
-			_ = s.db.Rollback()
-		}
+		err = s.db.Commit()
 	case how == endRollback:
 		err = s.db.Rollback()
 	}
@@ -531,18 +616,46 @@ func (s *Session) end(how int) error {
 	}
 	if s.rd == nil {
 		s.m.fs.ClearIOContext()
-		s.m.unlockExclusive()
+		if deferred {
+			err = s.m.awaitGroup(s)
+		} else {
+			s.m.unlockExclusive()
+		}
 	}
 	return err
+}
+
+// Solo takes a writer session out of group commit, for a transaction
+// whose ending is not the session's to time: one a coordinator finishes
+// (DB), or one that stays open across a remote client's think time. The
+// pending group is committed now — its members' acknowledgement must not
+// wait on this session, nor their fate ride a tid this session may abort
+// or prepare — and the session's own Commit will not defer. If that
+// group commit fails the error is returned and this transaction, begun
+// on the group's pages, is unwound with it: roll the session back. A
+// no-op for readers and outside MVCC mode.
+func (s *Session) Solo() error {
+	if s.done {
+		return ErrSessionDone
+	}
+	if s.rd != nil || s.m.opts.Mode != MVCC {
+		return nil
+	}
+	s.solo = true
+	return s.db.Pager().SyncDeferred()
 }
 
 // DB exposes the session's underlying database connection so a
 // coordination layer can drive the transaction's ending itself — the
 // shard coordinator stages and prepares writer transactions through
-// sqlite.PrepareAtomic rather than Session.Commit. Valid only while the
-// session is open; the caller must finish with Commit, Rollback, or
-// FinishExternal exactly once.
-func (s *Session) DB() *sqlite.DB { return s.db }
+// sqlite.PrepareAtomic rather than Session.Commit. The session goes Solo
+// first; should that fail, every use of the connection reports the
+// unwound transaction. Valid only while the session is open; the caller
+// must finish with Commit, Rollback, or FinishExternal exactly once.
+func (s *Session) DB() *sqlite.DB {
+	_ = s.Solo()
+	return s.db
+}
 
 // FinishExternal ends a writer session whose transaction was already
 // committed or rolled back externally (through sqlite.FinishPrepared
@@ -567,11 +680,14 @@ func (m *Manager) PoolStats() (st readpool.Stats, ok bool) {
 
 // Register publishes the manager's session-layer counters as metric
 // families labelled with the given shard and the manager's database:
-// writer-lock busy timeouts, the reader pool when pooling is on, and
-// WAL checkpoint activity when the writer journals through the log.
+// writer-lock busy timeouts, group commits and their members, the reader
+// pool when pooling is on, and WAL checkpoint activity when the writer
+// journals through the log.
 func (m *Manager) Register(reg *metrics.Registry, shard string) {
 	kv := []string{"shard", shard, "db", m.name}
 	reg.Counter("xftl_busy_timeouts_total", "Sessions that timed out waiting for the writer lock.", m.Stats.BusyTimeouts.Load, kv...)
+	reg.Counter("xftl_group_commits_total", "Writer commit(t)s issued, each carrying a group of one or more write transactions.", m.Stats.GroupCommits.Load, kv...)
+	reg.Counter("xftl_group_members_total", "Write transactions those commits carried (mean group size = members / commits).", m.Stats.GroupMembers.Load, kv...)
 	if m.pool != nil {
 		reg.Counter("xftl_readpool_hits_total", "Read sessions served from a warm pooled connection.", func() int64 { return m.pool.Stats().Hits }, kv...)
 		reg.Counter("xftl_readpool_misses_total", "Read sessions that had to cold-open.", func() int64 { return m.pool.Stats().Misses }, kv...)

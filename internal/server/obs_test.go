@@ -483,6 +483,12 @@ func TestPrometheusConformance(t *testing.T) {
 		"xftl_readpool_evictions_total", "xftl_readpool_invalidations_total"} {
 		sampleValue(t, families, name, name, map[string]string{"db": "serve.db"})
 	}
+	// One connection: every write transaction that changed a page was a
+	// group of one, and the load made some.
+	groups := sampleValue(t, families, "xftl_group_commits_total", "xftl_group_commits_total", map[string]string{"db": "serve.db"})
+	if members := sampleValue(t, families, "xftl_group_members_total", "xftl_group_members_total", map[string]string{"db": "serve.db"}); groups == 0 || members != groups {
+		t.Errorf("group commits %v carrying %v members, want equal and non-zero on one connection", groups, members)
+	}
 	dotted := []string{"ncq.", "ftl.", "nand.", "xftl.", "readpool.", "wal.", "fleet.", "shard0", "shard1"}
 	for name, f := range families {
 		sharded := 0

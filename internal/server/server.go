@@ -617,6 +617,13 @@ func (c *conn) beginTxn(req *Request, rt *reqTrack, deadline time.Time) *Respons
 		}
 	}
 	sess, err := c.srv.beginSession(rt.db, req.Readonly, deadline)
+	if err == nil {
+		// The transaction spans wire requests: this client's think time
+		// must never sit inside another client's commit.
+		if err = sess.Solo(); err != nil {
+			_ = sess.Rollback()
+		}
+	}
 	rt.cut(stageBegin)
 	if err != nil {
 		return failure(req.ID, err)

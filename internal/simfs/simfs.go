@@ -207,9 +207,10 @@ type FS struct {
 	// Writer-path I/O attribution, under wmu. One mutating session at a
 	// time (serialized by mvcc.Manager or the caller) sets it for its
 	// turn; readers carry their own context on their Reader.
-	tracer *trace.Tracer
-	io     ioCtx
-	cmd    ncq.Request // the writer path's one command in flight (see submit)
+	tracer   *trace.Tracer
+	io       ioCtx
+	cmd      ncq.Request // the writer path's one command in flight (see submit)
+	queueing bool        // inside a pipelined writer's fsync write-back (see submit)
 
 	// freeBufs holds write-back cache pages whose content has reached the
 	// device (or was aborted), for the next WritePage; zeroPage is the
@@ -276,8 +277,10 @@ func (fs *FS) Tracer() *trace.Tracer { return fs.tracer }
 // ioCtx is how a page I/O is attributed and issued: the session and
 // serving-tier request it is charged to, the stat sets it is credited
 // into (a role aggregate and a client's own; either may be nil), and
-// whether reads wait for their virtual completion. The writer path has
-// one (FS.io, under wmu); every Reader has its own.
+// whether page I/O is queued rather than waited for: a Reader's reads,
+// and the page writes of the writer's fsync (its reads always wait — a
+// B-tree descent is a dependency chain). The writer path has one (FS.io,
+// under wmu); every Reader has its own.
 type ioCtx struct {
 	sess      uint64
 	req       uint64
@@ -310,6 +313,18 @@ func (fs *FS) SetIOReq(req uint64) {
 	fs.io.req = req
 }
 
+// SetPipelined selects queued commit-time writes for the writer context:
+// inside an OffXFTL fsync the data and metadata page writes are submitted
+// without waiting for their virtual completion, so they overlap across
+// flash units, and the commit(t) that ends the fsync fences them. The
+// command stream is the same either way; only its timing differs.
+// ClearIOContext resets it.
+func (fs *FS) SetPipelined(on bool) {
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
+	fs.io.pipelined = on
+}
+
 // ClearIOContext detaches the writer-path I/O attribution.
 func (fs *FS) ClearIOContext() {
 	fs.wmu.Lock()
@@ -327,13 +342,13 @@ func (fs *FS) IOSession() uint64 {
 // read issues one page read under a context — the writer's or a
 // Reader's — and counts it: globally, into the context's stat sets (with
 // the command's device latency), and as a trace event carrying the
-// submit-to-completion window. A pipelined read does not wait for its
+// submit-to-completion window. A queued read does not wait for its
 // virtual completion; Done is still filled in (completion is computed at
 // submission), so the latency observed is the same window either way.
-func (fs *FS) read(r *ncq.Request, io *ioCtx) error {
+func (fs *FS) read(r *ncq.Request, io *ioCtx, queued bool) error {
 	r.Sess, r.Req = io.sess, io.req
 	var err error
-	if io.pipelined {
+	if queued {
 		err = fs.dev.Queue().Submit(r)
 	} else {
 		err = fs.dev.Queue().SubmitWait(r)
@@ -394,14 +409,20 @@ func (fs *FS) noteWrite(class int64, lpn int64, tid uint64) {
 	}
 }
 
-// submit runs one writer-path command to completion, attributed to the
-// current I/O context. The command lives in the file system rather than
-// on the heap: the writer path issues one at a time (the single-writer
-// discipline), and the queue keeps nothing of a command once it has
-// returned.
+// submit runs one writer-path command, attributed to the current I/O
+// context: to completion, or — a page write of a pipelined writer's
+// fsync (queueing) — only into the queue, where the commit that ends the
+// fsync fences it. The command lives in the file system rather than on
+// the heap: the writer path issues one at a time (the single-writer
+// discipline), and the queue keeps nothing of a command — not its Data
+// either — once Submit or SubmitWait has returned, so a queued write's
+// buffer is released exactly as a waited one's.
 func (fs *FS) submit(r ncq.Request) error {
 	r.Sess, r.Req = fs.io.sess, fs.io.req
 	fs.cmd = r
+	if fs.queueing {
+		return fs.dev.Queue().Submit(&fs.cmd)
+	}
 	return fs.dev.Queue().SubmitWait(&fs.cmd)
 }
 
@@ -839,7 +860,7 @@ func (f *File) ReadPage(idx int64, buf []byte) error {
 		r.Op, r.TID = ncq.OpReadTx, f.tid
 	}
 	f.fs.cmd = r
-	return f.fs.read(&f.fs.cmd, &f.fs.io)
+	return f.fs.read(&f.fs.cmd, &f.fs.io, false)
 }
 
 // writeClass maps the file's role to a trace/counter write class.
@@ -1021,10 +1042,15 @@ func (f *File) fsync() error {
 		// metadata is pending (no data), commit it now.
 		return f.fs.journalCommit(nil)
 	case OffXFTL:
-		if err := f.flushDirty(); err != nil {
-			return err
+		// A pipelined writer only queues its page writes; the commit (or
+		// barrier) below is the fence they complete behind.
+		f.fs.queueing = f.fs.io.pipelined
+		err := f.flushDirty()
+		if err == nil {
+			err = f.writeMetaTx()
 		}
-		if err := f.writeMetaTx(); err != nil {
+		f.fs.queueing = false
+		if err != nil {
 			return err
 		}
 		tid := f.tid
@@ -1376,7 +1402,7 @@ func (r *Reader) Session() uint64 { return r.io.sess }
 // ReadLPN reads one device page by LPN.
 func (r *Reader) ReadLPN(lpn int64, buf []byte) error {
 	r.cmd = ncq.Request{Op: r.op, TID: r.tid, LPN: lpn, Buf: buf}
-	return r.fs.read(&r.cmd, &r.io)
+	return r.fs.read(&r.cmd, &r.io, r.io.pipelined)
 }
 
 // Snapshot is a point-in-time read-only view of the file system: the

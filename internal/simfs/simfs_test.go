@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/ncq"
 	"repro/internal/simclock"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 func smallProfile() storage.Profile {
@@ -554,5 +556,79 @@ func TestConcurrentWritersOnDifferentFiles(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// A pipelined writer's fsync only queues its page writes — they overlap,
+// and the commit that ends the fsync starts behind all of them — while its
+// reads still wait. The command stream itself (op, LPN, tid, in order) is
+// the unpipelined writer's, whose commands run strictly one by one.
+func TestPipelinedFsyncQueuesItsWrites(t *testing.T) {
+	run := func(pipelined bool) []trace.Event {
+		fs, _ := newFS(t, OffXFTL)
+		tr := trace.New()
+		tr.Attach(fs.Device().Clock(), t.Name())
+		fs.Device().SetTracer(tr)
+		fs.SetPipelined(pipelined)
+		f, err := fs.Create("a.db", RoleData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			for idx := int64(0); idx < 6; idx++ {
+				if err := f.WritePage(idx, fsPage(fs, byte(round))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.Fsync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.ReadPage(3, make([]byte, fs.PageSize())); err != nil {
+			t.Fatal(err)
+		}
+		var cmds []trace.Event
+		for _, ev := range tr.Events() {
+			if ev.Kind == trace.KCmd {
+				cmds = append(cmds, ev)
+			}
+		}
+		if read := cmds[len(cmds)-1]; ncq.Op(read.Op) != ncq.OpReadTx && ncq.Op(read.Op) != ncq.OpRead || fs.Device().Clock().Now() < read.Start+read.Dur {
+			t.Fatalf("pipelined=%v: the writer's read (%+v) was not waited for", pipelined, read)
+		}
+		return cmds
+	}
+	waited, queued := run(false), run(true)
+	if len(waited) != len(queued) {
+		t.Fatalf("%d commands unpipelined, %d pipelined", len(waited), len(queued))
+	}
+	var inFlight []trace.Event // the current fsync's writes
+	overlaps := 0
+	for i, q := range queued {
+		w := waited[i]
+		if w.Op != q.Op || w.Addr != q.Addr || w.TID != q.TID {
+			t.Fatalf("command %d: unpipelined %v lpn %d tid %d, pipelined %v lpn %d tid %d",
+				i, ncq.Op(w.Op), w.Addr, w.TID, ncq.Op(q.Op), q.Addr, q.TID)
+		}
+		if i > 0 && w.Start < waited[i-1].Start+waited[i-1].Dur {
+			t.Fatalf("unpipelined command %d was submitted before command %d completed", i, i-1)
+		}
+		switch ncq.Op(q.Op) {
+		case ncq.OpWriteTx:
+			if n := len(inFlight); n > 0 && inFlight[n-1].Start+inFlight[n-1].Dur > q.Start {
+				overlaps++
+			}
+			inFlight = append(inFlight, q)
+		case ncq.OpCommit:
+			for _, wr := range inFlight {
+				if q.Disp < wr.Start+wr.Dur {
+					t.Fatalf("commit started at %v, before its fsync's write of lpn %d completed at %v", q.Disp, wr.Addr, wr.Start+wr.Dur)
+				}
+			}
+			inFlight = inFlight[:0]
+		}
+	}
+	if overlaps < 3*5 {
+		t.Fatalf("%d of the pipelined fsyncs' writes overlapped their predecessor, want all but each fsync's first", overlaps)
 	}
 }

@@ -72,6 +72,7 @@ type catalog struct {
 	master  *btree.Tree
 	tables  map[string]*Table // keys lower-cased
 	indexes map[string]*Index
+	stale   bool // the last reset could not reload the schema (see fresh)
 }
 
 func newCatalog(pg *pager.Pager) (*catalog, error) {
@@ -421,9 +422,23 @@ func (c *catalog) reset() error {
 	c.master = nil
 	if root := c.pg.SchemaRoot(); root != 0 {
 		c.master = btree.OpenTable(c.pg, pager.Pgno(root))
-		return c.load()
+		err := c.load()
+		c.stale = err != nil
+		return err
 	}
+	c.stale = false
 	return nil
+}
+
+// fresh reloads, before the next statement consults it, a catalog whose
+// last reset failed — the device was gone under a rollback or a failed
+// commit. A half-loaded schema must answer with the device's error, not
+// with "no such table".
+func (c *catalog) fresh() error {
+	if !c.stale {
+		return nil
+	}
+	return c.reset()
 }
 
 // fillRowidAlias substitutes the stored NULL of an INTEGER PRIMARY KEY

@@ -119,18 +119,51 @@ func (db *DB) Commit() error {
 		return fmt.Errorf("%w: no transaction open", ErrTxState)
 	}
 	db.explicitTx = false
-	return db.pg.Commit()
+	return db.failedCommit(db.pg.Commit())
+}
+
+// CommitDeferred ends the explicit transaction as a member of a group
+// commit (pager.DeferCommit): deferred reports that its durability now
+// rides the next Commit on this connection, whose outcome the pager's
+// OnGroupSync delivers; otherwise it was committed the ordinary way.
+func (db *DB) CommitDeferred() (deferred bool, err error) {
+	if !db.explicitTx {
+		return false, fmt.Errorf("%w: no transaction open", ErrTxState)
+	}
+	db.explicitTx = false
+	deferred, err = db.pg.DeferCommit()
+	return deferred, db.failedCommit(err)
+}
+
+// failedCommit leaves the connection rolled back and reusable after a
+// commit that failed with err (nil: nothing to do). In Off mode the
+// pager has already rewound itself, to the base of the whole group the
+// commit carried; the journal modes roll back here. Either way the
+// catalog reloads from what is now on storage.
+func (db *DB) failedCommit(err error) error {
+	if err == nil {
+		return nil
+	}
+	if db.pg.InTx() {
+		_ = db.pg.Rollback() // the commit's error is the one to report
+	}
+	_ = db.cat.reset()
+	return err
 }
 
 // Rollback aborts the explicit transaction. In X-FTL mode this is the
-// path that reaches the device's abort(t) command via ioctl.
+// path that reaches the device's abort(t) command via ioctl. A
+// transaction the pager already unwound — it read the pages of a commit
+// group whose fsync failed under it — only has its catalog reloaded.
 func (db *DB) Rollback() error {
 	if !db.explicitTx {
 		return fmt.Errorf("%w: no transaction open", ErrTxState)
 	}
 	db.explicitTx = false
-	if err := db.pg.Rollback(); err != nil {
-		return err
+	if db.pg.InTx() {
+		if err := db.pg.Rollback(); err != nil && db.pg.InTx() {
+			return err
+		}
 	}
 	return db.cat.reset()
 }
@@ -282,7 +315,7 @@ func (db *DB) execStmt(st sqlparse.Stmt, args []any) (int64, error) {
 		return 0, err
 	}
 	if auto {
-		if err := db.pg.Commit(); err != nil {
+		if err := db.failedCommit(db.pg.Commit()); err != nil {
 			return 0, err
 		}
 	}
@@ -290,6 +323,9 @@ func (db *DB) execStmt(st sqlparse.Stmt, args []any) (int64, error) {
 }
 
 func (db *DB) execWrite(st sqlparse.Stmt, params []Value) (int64, error) {
+	if err := db.cat.fresh(); err != nil {
+		return 0, err
+	}
 	switch x := st.(type) {
 	case *sqlparse.CreateTable:
 		cols := make([]Column, len(x.Columns))

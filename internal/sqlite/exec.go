@@ -730,6 +730,9 @@ type outputCol struct {
 }
 
 func (db *DB) runSelect(sel *sqlparse.Select, params []Value) (*Rows, error) {
+	if err := db.cat.fresh(); err != nil {
+		return nil, err
+	}
 	// Bind sources.
 	var srcs []*source
 	var leftFlags []bool

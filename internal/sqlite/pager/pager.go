@@ -168,6 +168,24 @@ type Pager struct {
 	txFreelist []Pgno
 	txSchema   uint32
 
+	// Group commit (Off mode). A transaction ended by DeferCommit is
+	// finished here but not yet durable: its pages wait in the file's
+	// write-back cache, under the file's one open tid, for the next Fsync,
+	// which commits every deferred member and the transaction that issues
+	// it as one commit(t). groupPages lists every page the pending group
+	// dirtied and groupBase the allocator state its first member began
+	// from — what a failed Fsync rewinds to, a lone commit being a group
+	// of one. OnGroupSync, when set, is told each time a group settles:
+	// how many transactions rode the Fsync and how it ended.
+	deferred   int
+	groupPages []Pgno
+	groupBase  struct {
+		nPages   Pgno
+		freelist []Pgno
+		schema   uint32
+	}
+	OnGroupSync func(members int, err error)
+
 	// WAL state.
 	walFile   *simfs.File
 	walIndex  map[Pgno]int64 // pgno -> wal file page of latest committed version
@@ -654,6 +672,11 @@ func (p *Pager) stealOut(pg *Page) error {
 			return err
 		}
 	case Off:
+		// A stolen page must stay revocable on its own: deferred members
+		// sharing the file's tid are committed before it joins one.
+		if err := p.SyncDeferred(); err != nil {
+			return err
+		}
 		// The file system forwards this as write(t,p); the device keeps
 		// it invisible and revocable.
 		if err := p.file.WritePage(int64(pg.pgno-1), pg.data); err != nil {
@@ -958,11 +981,12 @@ func (p *Pager) Commit() error {
 		return ErrNoTx
 	}
 	if !p.mutated {
-		// Read-only transaction: no journal, no force, no fsync.
-		p.inTx = false
-		p.journaled = nil
-		p.stolen = nil
-		p.txFrames = nil
+		// Read-only transaction: no journal, no force, no fsync of its
+		// own — but deferred members waiting on this commit get theirs.
+		if err := p.SyncDeferred(); err != nil {
+			return err
+		}
+		p.finishTx()
 		p.noteTxn(trace.KTxn, 1)
 		return nil
 	}
@@ -1163,12 +1187,115 @@ func (p *Pager) WALStats() (checkpoints, deferred int64) {
 }
 
 func (p *Pager) commitOff() error {
-	// Force all dirty pages through the file system (write(t,p)) and
-	// commit with the single fsync (commit(t)).
-	if err := p.flushDirtyToDB(); err != nil {
-		return err
+	if p.deferred > 0 && p.groupFull() {
+		if err := p.SyncDeferred(); err != nil {
+			return err
+		}
 	}
-	return p.file.Fsync()
+	// Force all dirty pages through the file system (write(t,p)) and
+	// commit with the single fsync (commit(t)) — which carries every
+	// deferred member's pages with it.
+	p.joinGroup()
+	err := p.flushDirtyToDB()
+	if err == nil {
+		err = p.file.Fsync()
+	}
+	return p.groupSynced(1, err)
+}
+
+// maxGroupPages bounds the pages one commit(t) carries on behalf of a
+// group: far under any device's X-L2P capacity (500 rows by default, 128
+// on the smallest test device), so joining a group never costs a
+// transaction that fits on its own an ErrTableFull.
+const maxGroupPages = 64
+
+// groupFull reports that the open transaction's pages do not fit the
+// pending group's page budget.
+func (p *Pager) groupFull() bool {
+	return len(p.groupPages)+len(p.dirty)+len(p.stolen) > maxGroupPages
+}
+
+// joinGroup adds the open transaction's pages to the pending group; the
+// first member's Begin-time snapshot becomes the group's base.
+func (p *Pager) joinGroup() {
+	if p.deferred == 0 {
+		p.groupBase.nPages, p.groupBase.freelist, p.groupBase.schema = p.txNPages, p.txFreelist, p.txSchema
+	}
+	for pgno := range p.dirty {
+		p.groupPages = append(p.groupPages, pgno)
+	}
+	for pgno := range p.stolen {
+		p.groupPages = append(p.groupPages, pgno)
+	}
+}
+
+// groupSynced settles the pending group after its Fsync (or the failed
+// flush that stood in for it); self is 1 when the open transaction rode
+// it. On failure nothing of the group is durable and the connection
+// rewinds to the group's base: staged pages are aborted in the file
+// system and the device, every page the group dirtied leaves the cache,
+// the allocator state returns to the first member's Begin-time snapshot
+// and the open transaction, member or not, is unwound with it — it read
+// the group's pages. The connection is then usable by the next writer.
+func (p *Pager) groupSynced(self int, err error) error {
+	members := p.deferred + self
+	if err != nil {
+		// Best effort: after a power cut the device discards the tid by
+		// itself, and the error to report is the commit's.
+		_ = p.file.Abort()
+		for _, pgno := range p.groupPages {
+			p.dropCached(pgno)
+		}
+		p.Commits -= int64(p.deferred)
+		p.txNPages, p.txFreelist, p.txSchema = p.groupBase.nPages, p.groupBase.freelist, p.groupBase.schema
+		p.unwindTx()
+	}
+	p.deferred = 0
+	p.groupPages = p.groupPages[:0]
+	if p.OnGroupSync != nil {
+		p.OnGroupSync(members, err)
+	}
+	return err
+}
+
+// SyncDeferred commits the pending group of deferred transactions, if
+// there is one, with one Fsync. The open transaction is not part of it:
+// its pages have not left the pager (stealOut syncs before the first one
+// does). Called wherever the open transaction cannot join the group.
+func (p *Pager) SyncDeferred() error {
+	if p.deferred == 0 {
+		return nil
+	}
+	return p.groupSynced(0, p.file.Fsync())
+}
+
+// DeferCommit ends the transaction as one member of a group commit: its
+// dirty pages go to the file's write-back cache — where a page an earlier
+// member also wrote coalesces into one write — and the transaction is
+// finished, but durable only once a later Commit or SyncDeferred on this
+// pager has fsynced the file; the caller must not acknowledge it before
+// OnGroupSync reports that. It reports false when nothing was deferred:
+// a read-only transaction, or one too large for the group's page budget,
+// was committed the ordinary way (after the pending group). Off mode only.
+func (p *Pager) DeferCommit() (bool, error) {
+	if !p.inTx {
+		return false, ErrNoTx
+	}
+	if p.cfg.Mode != Off {
+		return false, fmt.Errorf("pager: group commit requires journal mode off, have %v", p.cfg.Mode)
+	}
+	if !p.mutated || p.groupFull() {
+		return false, p.Commit()
+	}
+	p.joinGroup()
+	if err := p.flushDirtyToDB(); err != nil {
+		return false, p.groupSynced(1, err)
+	}
+	p.deferred++
+	p.finishTx()
+	p.Commits++
+	p.noteTxn(trace.KTxn, 1)
+	return true, nil
 }
 
 // flushDirtyToDB writes every dirty cached page to the database file.
@@ -1235,6 +1362,11 @@ func (p *Pager) Rollback() error {
 		}
 		p.txFrames = nil
 	case Off:
+		// The file's tid may carry deferred members: they are committed
+		// first, so the abort takes back this transaction alone.
+		if err := p.SyncDeferred(); err != nil {
+			return err
+		}
 		// ioctl(abort): stolen pages roll back inside the device. A
 		// read-only session never staged anything to abort.
 		if p.file != nil {

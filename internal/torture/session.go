@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,22 +54,14 @@ func (s sessionRun) run(seed int64) (*Report, error) {
 	if s.pooled {
 		opts.PoolCapacity = sessionReaders
 	}
-	dev, err := storage.New(sqlProfile(), simclock.New(), storage.Options{Transactional: !s.wal, QueueDepth: 16})
-	if err != nil {
-		return nil, err
-	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: fsMode}, &metrics.HostCounters{})
-	if err != nil {
-		return nil, err
-	}
-	mgr, err := mvcc.NewManager(fsys, "kv.db", opts)
+	dev, fsys, mgr, err := sessionStack(fsMode, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = mgr.Close() }() // whichever manager is current
 	rep := &Report{}
 	m := newModel(false)
-	if err := loadKV(mgr, m); err != nil {
+	if err := loadKV(mgr, m, sessionRows, sessionLeaves); err != nil {
 		return nil, err
 	}
 	arm := func() {
@@ -137,10 +130,26 @@ func (s sessionRun) run(seed int64) (*Report, error) {
 	return rep, rep.finish(dev)
 }
 
-// loadKV creates the kv table at generation 0 and requires it, by the
-// pager's own page count, to span sessionLeaves leaf pages: a one-level
-// tree of n >= 2 leaves is its root plus n pages allocated after it.
-func loadKV(mgr *mvcc.Manager, m *model) error {
+// sessionStack is what the session and group legs run on: the SQL legs'
+// device, a file system in that mode and a session manager over kv.db.
+func sessionStack(fsMode simfs.JournalMode, opts mvcc.Options) (*storage.Device, *simfs.FS, *mvcc.Manager, error) {
+	dev, err := storage.New(sqlProfile(), simclock.New(), storage.Options{Transactional: fsMode == simfs.OffXFTL, QueueDepth: 16})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	fsys, err := simfs.New(dev, simfs.Config{Mode: fsMode}, &metrics.HostCounters{})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	mgr, err := mvcc.NewManager(fsys, "kv.db", opts)
+	return dev, fsys, mgr, err
+}
+
+// loadKV creates the kv table of that many rows at generation 0 and
+// requires it, by the pager's own page count, to span so many leaf pages:
+// a one-level tree of n >= 2 leaves is its root plus n pages allocated
+// after it.
+func loadKV(mgr *mvcc.Manager, m *model, rows int64, minLeaves int) error {
 	w, err := mgr.Begin(false)
 	if err != nil {
 		return err
@@ -149,14 +158,14 @@ func loadKV(mgr *mvcc.Manager, m *model) error {
 		return err
 	}
 	empty := w.DB().Pager().NPages()
-	for k := int64(0); k < sessionRows; k++ {
+	for k := int64(0); k < rows; k++ {
 		if _, err := w.Exec("INSERT INTO kv (k, v) VALUES (?, 0)", k); err != nil {
 			return err
 		}
 		m.load(k, 0)
 	}
-	if leaves := int(w.DB().Pager().NPages() - empty); leaves < sessionLeaves {
-		return fmt.Errorf("kv table spans %d leaf pages, want >= %d: a snapshot of it cannot tear", leaves, sessionLeaves)
+	if leaves := int(w.DB().Pager().NPages() - empty); leaves < minLeaves {
+		return fmt.Errorf("kv table spans %d leaf pages, want >= %d", leaves, minLeaves)
 	}
 	return w.Commit()
 }
@@ -247,6 +256,9 @@ func race(mgr *mvcc.Manager, m *model, txns int, arm func(), rep *Report) (indou
 				default:
 				}
 			}
+			// On one processor the writer would otherwise stream to the cut
+			// before any reader it just released gets to read.
+			runtime.Gosched()
 		}
 	}()
 	for i := 0; i < sessionReaders; i++ {

@@ -31,3 +31,16 @@ func TestPooledTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "mvcc poole
 // Power cut with WAL readers live: log replay on reopen must land on
 // the last committed (or in-doubt) generation.
 func TestWALConcTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "wal readers")) }
+
+// Writers committing in groups, rollbacks and a page-stealing writer among
+// them: without a cut every acknowledged transaction is there at the end;
+// with one aimed into a shared flush, the interrupted group recovers whole
+// or absent and every acknowledged member whole.
+func TestGroupCommitTortureNoCut(t *testing.T) {
+	rep := runLeg(t, Leg{Name: "group commit, no cut", Seeds: []int64{1},
+		Cells: []Cell{{"writers=3", groupRun{writers: 3, txns: 20}.run}}, Needs: []string{"committed", "groups"}})
+	if rep.Crashes != 0 || rep.Committed != rep.Transactions {
+		t.Fatalf("unexpected report: %s", rep)
+	}
+}
+func TestGroupCommitTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "group commit")) }

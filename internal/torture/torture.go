@@ -5,7 +5,7 @@
 //
 // It has one judge and many schedule generators. The judge is the
 // reference model of model.go. A leg (device.go, sql.go, session.go,
-// fleet.go) only generates a seeded schedule — writes, commits, aborts,
+// group.go, fleet.go) only generates a seeded schedule — writes, commits, aborts,
 // prepares, power cuts, injected faults — drives the real stack and the
 // model with it, and hands the model an observe function over its keys:
 // LPNs, rows, generations, per-shard values. Every crash goes through
@@ -36,6 +36,8 @@ type Report struct {
 	InDoubt      int // commit interrupted; outcome verified atomic
 	Revoked      int // rollback-journal commits undone by the DELETE-mode durability window
 	Crashes      int // injected power cuts that tripped
+	Groups       int // commit(t)s that carried two or more transactions
+	GroupCuts    int // power cuts that landed inside such a shared flush
 	Runs         int // grid cells executed (set by Runner.Run)
 	WornOut      int // runs stopped early because the spare reserve ran out
 
@@ -65,6 +67,9 @@ func (r *Report) String() string {
 	if len(r.Seeds) > 0 {
 		s += fmt.Sprintf(" seeds=%v", r.Seeds)
 	}
+	if r.Groups > 0 {
+		s += fmt.Sprintf(" groups=%d groupcuts=%d", r.Groups, r.GroupCuts)
+	}
 	if r.Retries+r.Timeouts+r.QuarantineTrips > 0 {
 		s += fmt.Sprintf(" retries=%d timeouts=%d quarantines=%d readmits=%d",
 			r.Retries, r.Timeouts, r.QuarantineTrips, r.Readmits)
@@ -79,6 +84,7 @@ func (r *Report) counts() map[string]int64 {
 	return map[string]int64{
 		"committed": int64(r.Committed), "crashes": int64(r.Crashes),
 		"indoubt": int64(r.InDoubt), "revoked": int64(r.Revoked),
+		"groups": int64(r.Groups), "groupcuts": int64(r.GroupCuts),
 		"journal": r.JournalPlaybacks, "wal": r.WALReplays, "resolved": r.Resolved, "snapold": r.SnapOldHits,
 		"image": r.Flash.ImageRecoveries, "scan": r.Flash.ScanRecoveries, "metacrc": r.Flash.MetaCRCFailures,
 		"gc": r.Flash.GCRuns, "retired": r.Flash.RetiredBlocks, "transient": r.Flash.TransientFaults,
@@ -95,6 +101,8 @@ func (r *Report) add(o *Report) {
 	r.InDoubt += o.InDoubt
 	r.Revoked += o.Revoked
 	r.Crashes += o.Crashes
+	r.Groups += o.Groups
+	r.GroupCuts += o.GroupCuts
 	r.WornOut += o.WornOut
 	r.JournalPlaybacks += o.JournalPlaybacks
 	r.WALReplays += o.WALReplays
@@ -329,6 +337,14 @@ func Legs(faults float64) []Leg {
 			Needs: []string{"crashes", "committed", s.path},
 		})
 	}
+	var groups []Cell
+	for _, writers := range []int{2, 3} {
+		groups = append(groups, Cell{fmt.Sprintf("writers=%d", writers), groupRun{writers: writers, txns: 40, cut: true}.run})
+	}
+	legs = append(legs, Leg{
+		Name: "group commit", Seeds: six, Quick: 2, Cells: groups,
+		Needs: []string{"crashes", "committed", "groups", "groupcuts"},
+	})
 	legs = append(legs, Leg{
 		Name: "fleet 2pc", Seeds: []int64{1, 2, 3, 4}, Quick: 1, Cells: fleetCells(),
 		Needs: []string{"crashes", "indoubt", "resolved"},
