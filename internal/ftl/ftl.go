@@ -927,16 +927,16 @@ func (f *FTL) barrierPadPages(dirty int) int {
 // volatile table, resolving deferred invalidations.
 func (f *FTL) syncGroup(g int64) {
 	per := mapEntriesPerPage(f.chip.Config().PageSize)
-	lo := LPN(g * per)
-	hi := min(int64(lo)+per, f.cfg.LogicalPages)
-	for lpn := lo; int64(lpn) < hi; lpn++ {
-		old := f.persisted[lpn]
-		now := f.l2p[lpn]
+	lo := g * per
+	hi := min(lo+per, f.cfg.LogicalPages)
+	persisted := f.persisted[lo:hi]
+	for i, now := range f.l2p[lo:hi] {
+		old := persisted[i]
 		if old == now {
 			continue
 		}
-		f.persisted[lpn] = now
-		if old != nand.InvalidPPN && f.rmap[old] == lpn && now != old {
+		persisted[i] = now
+		if old != nand.InvalidPPN && f.rmap[old] == LPN(lo)+LPN(i) {
 			// The page lost its last L2P reference; unless the
 			// transactional layer holds it, it is garbage now.
 			if f.hook == nil || !f.hook.Live(old) {

@@ -178,12 +178,14 @@ func (f *FTL) slotID(name string) uint16 {
 func (f *FTL) serializeGroup(buf []byte, src []nand.PPN, g int64) {
 	per := mapEntriesPerPage(f.PageSize())
 	lo := g * per
-	for i := int64(0); i < per; i++ {
-		v := uint32(0xFFFFFFFF)
-		if lpn := lo + i; lpn < f.cfg.LogicalPages && src[lpn] != nand.InvalidPPN {
-			v = uint32(src[lpn])
-		}
-		binary.LittleEndian.PutUint32(buf[i*4:], v)
+	buf = buf[:4*per]
+	// InvalidPPN is -1: truncated to 32 bits it is the erased pattern.
+	for _, ppn := range src[lo:min(lo+per, f.cfg.LogicalPages)] {
+		binary.LittleEndian.PutUint32(buf, uint32(ppn))
+		buf = buf[4:]
+	}
+	for i := range buf { // entries past LogicalPages, in the last group
+		buf[i] = 0xFF
 	}
 }
 

@@ -9,6 +9,11 @@ import (
 	"repro/internal/metrics"
 )
 
+// longBudget is a busy budget the host cannot spin through: a poller
+// alone on the one CPU of `go test -cpu 1` burns a virtual hour in ~20 ms,
+// sooner than the scheduler's preemption lets the lock holder release.
+const longBudget = 365 * 24 * time.Hour
+
 // A budgeted BeginWith must poll through a writer's hold and acquire
 // once the lock frees, counting its misses but not a timeout.
 func TestBusyBudgetAcquiresAfterRelease(t *testing.T) {
@@ -20,14 +25,14 @@ func TestBusyBudgetAcquiresAfterRelease(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		w2, err := m.BeginWith(false, nil, time.Hour)
+		w2, err := m.BeginWith(false, nil, longBudget)
 		if err == nil {
 			err = w2.Commit()
 		}
 		got <- err
 	}()
 	// Wait until the poller has observed the busy lock at least once,
-	// then release; it must acquire well inside the (virtual) hour budget.
+	// then release; it must acquire well inside the budget.
 	for m.Stats.BusyRetries.Load() == 0 {
 		runtime.Gosched()
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -115,6 +116,58 @@ func TestGroupOfTwoSharesOneCommit(t *testing.T) {
 		t.Fatalf("snapshot opened after the group's commit misses a member: %v", got)
 	}
 	_, _ = before.Commit(), after.Commit()
+}
+
+// Two closed-loop writers stay paired whatever the scheduler does: the
+// closer waits out its member's wake-up before it asks for a successor, so
+// with one CPU — where an acknowledged member runs only once the closer
+// blocks — every commit(t) after the first still carries both. (Without
+// the handshake the closer's next transaction commits alone: ~590.)
+func TestGroupsStayPairedOnOneCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := newMVCCManager(t)
+	seed(t, m, 8, 0)
+	const txns = 300
+	w1, err := m.Begin(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	turn := queueWriter(t, m) // the first pair, queued before either commits
+	groups0 := m.Stats.GroupCommits.Load()
+	var wg sync.WaitGroup
+	writer := func(s *Session, k int64) {
+		defer wg.Done()
+		for i := 0; i < txns && s != nil; i++ {
+			if _, err := s.Exec("UPDATE kv SET v = v + 1 WHERE k = ?", k); err != nil {
+				t.Error(err)
+			}
+			if err := s.Commit(); err != nil {
+				t.Error(err)
+			}
+			if i+1 < txns {
+				if s, err = m.Begin(false); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	wg.Add(2)
+	go writer(w1, 1)
+	go func() { writer(<-turn, 2) }()
+	wg.Wait()
+	got := m.Stats.GroupCommits.Load() - groups0
+	t.Logf("%d commit(t)s for 2 x %d transactions", got, txns)
+	if got > txns+5 {
+		t.Errorf("the writers did not stay paired")
+	}
+	r, err := m.Begin(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, r); got[1] != txns || got[2] != txns {
+		t.Errorf("after 2 x %d increments: %v", txns, got)
+	}
+	_ = r.Commit()
 }
 
 // A member that cannot join closes the group first: the successor's

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,10 +140,11 @@ type Manager struct {
 	// commit was deferred and awaits the group's fsync; groupEnd is the
 	// first ticket outside the open group — the tickets outstanding when
 	// its first member reached Commit — so a group is bounded however many
-	// writers keep arriving.
+	// writers keep arriving; waking counts the members acknowledged and
+	// not yet out of awaitGroup (see successorInGroup).
 	waiters  []*Session
 	groupEnd uint64
-	yield    bool // the lock holder acknowledged waiters (see unlockExclusive)
+	waking   int
 
 	Stats Stats
 
@@ -452,25 +452,25 @@ func (m *Manager) lockExclusive(budget time.Duration) error {
 func (m *Manager) unlockExclusive() {
 	m.mu.Lock()
 	m.head++
-	yield := m.yield
-	m.yield = false
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	if yield {
-		// The members this writer just acknowledged are callers about to
-		// begin again; let them reach the queue before it runs ahead and
-		// commits a group of one. A scheduling hint, nothing depends on it.
-		runtime.Gosched()
-	}
 }
 
 // successorInGroup reports whether the lock holder, about to commit, may
 // defer to the next ticket: one is outstanding inside the open group. The
 // first member to ask fixes the group's bound; the holder of the last
 // ticket inside it gets false and commits the group.
+//
+// It first waits out the members of the last group still waking up: they
+// are callers about to begin again, and whether they have is what the
+// answer turns on. The holder's whole transaction has run since they
+// were acknowledged, so only a member slower than that is waited for.
 func (m *Manager) successorInGroup() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for m.waking > 0 {
+		m.cond.Wait()
+	}
 	if len(m.waiters) == 0 {
 		m.groupEnd = m.tail
 	}
@@ -481,7 +481,9 @@ func (m *Manager) successorInGroup() bool {
 // it hands the ticket on and returns only once the group's commit(t) has
 // — with that commit's outcome. Every way the successor's session can
 // end settles the group (Commit fsyncs it or defers onward inside the
-// bound, Rollback and Solo fsync it first), so the wait ends.
+// bound, Rollback and Solo fsync it first), so the wait ends. On its way
+// out it takes itself off waking — whatever let it out, so the count a
+// closer waits on in successorInGroup cannot stay raised.
 func (m *Manager) awaitGroup(s *Session) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -490,6 +492,9 @@ func (m *Manager) awaitGroup(s *Session) error {
 	m.cond.Broadcast()
 	for !s.acked {
 		m.cond.Wait()
+	}
+	if m.waking--; m.waking == 0 {
+		m.cond.Broadcast()
 	}
 	return s.ackErr
 }
@@ -501,7 +506,7 @@ func (m *Manager) groupSynced(members int, err error) {
 	m.Stats.GroupCommits.Add(1)
 	m.Stats.GroupMembers.Add(int64(members))
 	m.mu.Lock()
-	m.yield = len(m.waiters) > 0
+	m.waking += len(m.waiters)
 	for _, s := range m.waiters {
 		s.acked, s.ackErr = true, err
 	}

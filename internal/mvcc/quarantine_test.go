@@ -57,7 +57,7 @@ func TestBusyBudgetRacesQuarantine(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		s, err := m.BeginWith(false, nil, time.Hour)
+		s, err := m.BeginWith(false, nil, longBudget)
 		if err == nil {
 			if _, err = s.Exec("UPDATE kv SET v = 1 WHERE k = 0"); err == nil {
 				err = s.Commit()

@@ -1,0 +1,63 @@
+//go:build !race
+
+package btree
+
+import "testing"
+
+// The read path works in place over the pinned page: descending the
+// interior levels of a three-level tree allocates nothing, and a point Get
+// allocates the payload copy it returns and nothing else. (Not under
+// -race: the race runtime allocates.)
+func TestPointReadAllocs(t *testing.T) {
+	ps := newPagerSized(t, 1000) // the whole tree stays cached: a miss allocates its Page
+	ps.begin()
+	root, err := CreateTable(ps.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := OpenTable(ps.p, root)
+	const rows = 6000
+	for i := int64(1); i <= rows; i++ {
+		if err := tr.Insert(i, payloadFor(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps.commit()
+	levels := 1
+	for pgno := root; ; levels++ {
+		pg, err := ps.p.Get(pgno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := isLeaf(pg.Data())
+		pgno = 0
+		if !leaf {
+			pgno, err = tr.interiorChild(pg.Data(), 1, nil)
+		}
+		pg.Release()
+		if leaf || err != nil {
+			break
+		}
+	}
+	if levels < 3 {
+		t.Fatalf("tree of %d rows has %d levels, want 3", rows, levels)
+	}
+	rowid := int64(0)
+	next := func() int64 { rowid = rowid%rows + 1; return rowid }
+	if allocs := testing.AllocsPerRun(rows, func() {
+		pg, err := tr.leafFor(next(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Release()
+	}); allocs != 0 {
+		t.Errorf("an interior descent allocates %.1f objects, want none", allocs)
+	}
+	if allocs := testing.AllocsPerRun(rows, func() {
+		if _, ok, err := tr.Get(next()); err != nil || !ok {
+			t.Fatalf("Get(%d): ok %v err %v", rowid, ok, err)
+		}
+	}); allocs > 1 {
+		t.Errorf("a point Get allocates %.1f objects, want only the payload it returns", allocs)
+	}
+}

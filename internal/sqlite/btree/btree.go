@@ -11,10 +11,11 @@ package btree
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/sqlite/pager"
 )
@@ -121,7 +122,6 @@ func nCells(d []byte) int { return int(getU16(d, offNCells)) }
 func cellPtr(d []byte, i int) int {
 	return int(getU16(d, hdrSize+ptrSize*i))
 }
-func cellBytes(d []byte, i int) []byte { return d[cellPtr(d, i):] }
 func isLeaf(d []byte) bool {
 	return d[offType] == typeTableLeaf || d[offType] == typeIndexLeaf
 }
@@ -155,65 +155,118 @@ type cell struct {
 
 func uvarint(d []byte) (uint64, int) { return binary.Uvarint(d) }
 
-func (t *Tree) parseCell(d []byte, i int) (cell, error) {
-	b := cellBytes(d, i)
-	var c cell
-	switch d[offType] {
-	case typeTableLeaf:
-		rid, n1 := uvarint(b)
-		total, n2 := uvarint(b[n1:])
-		if n1 <= 0 || n2 <= 0 {
-			return c, ErrCorrupt
-		}
-		c.rowid = int64(rid)
-		c.total = int(total)
-		inline := c.total
-		if inline > maxLocal(len(d)) {
-			inline = minLocal(len(d))
-		}
-		c.payload = b[n1+n2 : n1+n2+inline]
-		end := n1 + n2 + inline
-		if inline < c.total {
-			c.ovfl = pager.Pgno(getU32(b, end))
-			end += 4
-		}
-		c.raw = b[:end]
-	case typeTableInterior:
-		c.child = pager.Pgno(getU32(b, 0))
-		rid, n := uvarint(b[4:])
-		if n <= 0 {
-			return c, ErrCorrupt
-		}
-		c.rowid = int64(rid)
-		c.raw = b[:4+n]
-	case typeIndexLeaf:
-		total, n1 := uvarint(b)
-		if n1 <= 0 {
-			return c, ErrCorrupt
-		}
-		c.total = int(total)
-		inline := c.total
-		if inline > maxLocal(len(d)) {
-			inline = minLocal(len(d))
-		}
-		c.key = b[n1 : n1+inline]
-		end := n1 + inline
-		if inline < c.total {
-			c.ovfl = pager.Pgno(getU32(b, end))
-			end += 4
-		}
-		c.raw = b[:end]
-	case typeIndexInterior:
-		c.child = pager.Pgno(getU32(b, 0))
-		klen, n := uvarint(b[4:])
-		if n <= 0 {
-			return c, ErrCorrupt
-		}
-		c.key = b[4+n : 4+n+int(klen)]
-		c.raw = b[:4+n+int(klen)]
-	default:
-		return c, fmt.Errorf("%w: type %d", ErrCorrupt, d[offType])
+// In-place access. The read path never builds a cell: a search step reads
+// the one field it compares straight from the pinned page. Every access
+// is bounds-checked — a pointer slot or a cell running past the page is
+// ErrCorrupt, not a slice panic — and every slice handed back aliases the
+// page, dead after Release.
+
+// cellAt returns the page from the first byte of cell i on.
+func cellAt(d []byte, i int) ([]byte, error) {
+	slot := hdrSize + ptrSize*i
+	if slot+ptrSize > len(d) {
+		return nil, ErrCorrupt
 	}
+	off := int(getU16(d, slot))
+	if off >= len(d) {
+		return nil, ErrCorrupt
+	}
+	return d[off:], nil
+}
+
+// rowidOf reads a table cell's key: the leading varint of a leaf cell, the
+// one after the child of an interior cell.
+func rowidOf(b []byte) (int64, int, error) {
+	rid, n := uvarint(b)
+	if n <= 0 {
+		return 0, 0, ErrCorrupt
+	}
+	return int64(rid), n, nil
+}
+
+// childOf splits an interior cell into its left child and the key after.
+func childOf(b []byte) (pager.Pgno, []byte, error) {
+	if len(b) < 4 {
+		return 0, nil, ErrCorrupt
+	}
+	return pager.Pgno(getU32(b, 0)), b[4:], nil
+}
+
+// sepOf reads an index-interior cell's separator from the bytes after its
+// child, and how many of them it spans.
+func sepOf(b []byte) ([]byte, int, error) {
+	klen, n := uvarint(b)
+	if n <= 0 || klen > uint64(len(b)-n) {
+		return nil, 0, ErrCorrupt
+	}
+	return b[n : n+int(klen)], n + int(klen), nil
+}
+
+// leafBody reads what table- and index-leaf cells share — varint total
+// length, the inline bytes, the first overflow page when they are not all
+// of it — and how many bytes that spans.
+func leafBody(b []byte, pageSize int) (inline []byte, total int, ovfl pager.Pgno, n int, err error) {
+	tot, n := uvarint(b)
+	if n <= 0 || tot > math.MaxInt32 {
+		return nil, 0, 0, 0, ErrCorrupt
+	}
+	total = int(tot)
+	if total <= maxLocal(pageSize) {
+		if n+total > len(b) {
+			return nil, 0, 0, 0, ErrCorrupt
+		}
+		return b[n : n+total], total, 0, n + total, nil
+	}
+	end := n + minLocal(pageSize)
+	if end+4 > len(b) {
+		return nil, 0, 0, 0, ErrCorrupt
+	}
+	if ovfl = pager.Pgno(getU32(b, end)); ovfl == 0 {
+		return nil, 0, 0, 0, fmt.Errorf("%w: spilled cell without overflow page", ErrCorrupt)
+	}
+	return b[n:end], total, ovfl, end + 4, nil
+}
+
+// parseCell decodes cell i whole, for the paths that change it.
+func (t *Tree) parseCell(d []byte, i int) (cell, error) {
+	b, err := cellAt(d, i)
+	if err != nil {
+		return cell{}, err
+	}
+	return decodeCell(d[offType], len(d), b)
+}
+
+// decodeCell decodes the cell that starts b, on a page of the given type
+// and size.
+func decodeCell(pageType byte, pageSize int, b []byte) (cell, error) {
+	var c cell
+	var key []byte // an interior cell past its child
+	var err error
+	n, m := 0, 0 // encoded length, in two parts
+	switch pageType {
+	case typeTableLeaf:
+		if c.rowid, n, err = rowidOf(b); err == nil {
+			c.payload, c.total, c.ovfl, m, err = leafBody(b[n:], pageSize)
+		}
+	case typeTableInterior:
+		if c.child, key, err = childOf(b); err == nil {
+			c.rowid, m, err = rowidOf(key)
+			n = 4
+		}
+	case typeIndexLeaf:
+		c.key, c.total, c.ovfl, m, err = leafBody(b, pageSize)
+	case typeIndexInterior:
+		if c.child, key, err = childOf(b); err == nil {
+			c.key, m, err = sepOf(key)
+			n = 4
+		}
+	default:
+		err = fmt.Errorf("%w: type %d", ErrCorrupt, pageType)
+	}
+	if err != nil {
+		return c, err
+	}
+	c.raw = b[:n+m]
 	return c, nil
 }
 
@@ -465,146 +518,152 @@ func (t *Tree) buildLeafCell(pageType byte, rowid int64, key, payload []byte) (c
 	return c, nil
 }
 
-// fullKey materializes an index cell's complete key, following the
-// overflow chain when needed.
-func (t *Tree) fullKey(c cell) ([]byte, error) {
-	if c.ovfl == 0 {
-		return c.key, nil
-	}
-	out := append([]byte(nil), c.key...)
-	return t.readOverflow(c.ovfl, out, c.total)
+// owned materializes a leaf cell's complete key or payload in a fresh
+// buffer, following the overflow chain of one that spills.
+func (t *Tree) owned(inline []byte, total int, ovfl pager.Pgno) ([]byte, error) {
+	return t.readOverflow(ovfl, append([]byte(nil), inline...), total)
 }
 
-// fullPayload materializes a table cell's complete payload.
-func (t *Tree) fullPayload(c cell) ([]byte, error) {
-	if c.ovfl == 0 {
-		return c.payload, nil
+// whole is owned without the copy where nothing spills: the inline bytes
+// themselves, aliasing the page.
+func (t *Tree) whole(inline []byte, total int, ovfl pager.Pgno) ([]byte, error) {
+	if ovfl == 0 {
+		return inline, nil
 	}
-	out := append([]byte(nil), c.payload...)
-	return t.readOverflow(c.ovfl, out, c.total)
+	return t.owned(inline, total, ovfl)
 }
 
 // ---- search ----
 
-// leafFind locates the slot for a key within a leaf page: the first
-// slot whose key is >= the probe, with found=true on equality.
-func (t *Tree) leafFind(d []byte, rowid int64, key []byte) (int, bool, error) {
-	n := nCells(d)
-	var cmpAt func(i int) (int, error)
-	if d[offType] == typeTableLeaf {
-		cmpAt = func(i int) (int, error) {
-			c, err := t.parseCell(d, i)
-			if err != nil {
-				return 0, err
-			}
-			switch {
-			case rowid < c.rowid:
-				return -1, nil
-			case rowid > c.rowid:
-				return 1, nil
-			default:
-				return 0, nil
-			}
-		}
-	} else {
-		cmpAt = func(i int) (int, error) {
-			c, err := t.parseCell(d, i)
-			if err != nil {
-				return 0, err
-			}
-			k, err := t.fullKey(c)
-			if err != nil {
-				return 0, err
-			}
-			return t.cmp(key, k), nil
-		}
+// compareAt orders the probe against the key of cell i, on any page type.
+func (t *Tree) compareAt(d []byte, i int, rowid int64, key []byte) (int, error) {
+	b, err := cellAt(d, i)
+	if err == nil && !isLeaf(d) {
+		_, b, err = childOf(b)
 	}
-	var ferr error
-	idx := sort.Search(n, func(i int) bool {
-		if ferr != nil {
-			return true
-		}
-		r, err := cmpAt(i)
-		if err != nil {
-			ferr = err
-			return true
-		}
-		return r <= 0
-	})
-	if ferr != nil {
-		return 0, false, ferr
+	if err != nil {
+		return 0, err
 	}
-	if idx < n {
-		r, err := cmpAt(idx)
+	var k []byte
+	switch d[offType] {
+	case typeTableLeaf, typeTableInterior:
+		rid, _, err := rowidOf(b)
+		return cmp.Compare(rowid, rid), err
+	case typeIndexLeaf:
+		var total int
+		var ovfl pager.Pgno
+		if k, total, ovfl, _, err = leafBody(b, len(d)); err == nil {
+			k, err = t.whole(k, total, ovfl)
+		}
+	case typeIndexInterior:
+		k, _, err = sepOf(b)
+	default:
+		err = fmt.Errorf("%w: type %d", ErrCorrupt, d[offType])
+	}
+	if err != nil {
+		return 0, err
+	}
+	return t.cmp(key, k), nil
+}
+
+// search locates a key within a page: the first slot whose key is >= the
+// probe (nCells when none is), with found=true on equality. Cells are
+// sorted on every page type — an interior cell's key is the greatest in
+// its child — so one binary search serves leaves and interiors alike.
+func (t *Tree) search(d []byte, rowid int64, key []byte) (int, bool, error) {
+	lo, hi, found := 0, nCells(d), false
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		r, err := t.compareAt(d, mid, rowid, key)
 		if err != nil {
 			return 0, false, err
 		}
-		return idx, r == 0, nil
-	}
-	return idx, false, nil
-}
-
-// interiorChild chooses which child to descend for a key.
-func (t *Tree) interiorChild(d []byte, rowid int64, key []byte) (pager.Pgno, error) {
-	n := nCells(d)
-	for i := 0; i < n; i++ {
-		c, err := t.parseCell(d, i)
-		if err != nil {
-			return 0, err
-		}
-		if d[offType] == typeTableInterior {
-			if rowid <= c.rowid {
-				return c.child, nil
-			}
+		if r > 0 {
+			lo = mid + 1
 		} else {
-			if t.cmp(key, c.key) <= 0 {
-				return c.child, nil
-			}
+			hi, found = mid, r == 0
 		}
 	}
-	return pager.Pgno(getU32(d, offRight)), nil
+	return lo, found, nil
 }
 
-// Get fetches a table row's payload by rowid.
-func (t *Tree) Get(rowid int64) ([]byte, bool, error) {
-	if t.kind != KindTable {
-		return nil, false, ErrWrongKind
+// interiorChild chooses which child to descend for a key: that of the
+// first cell whose key is >= the probe, else the right-most.
+func (t *Tree) interiorChild(d []byte, rowid int64, key []byte) (pager.Pgno, error) {
+	idx, _, err := t.search(d, rowid, key)
+	if err != nil {
+		return 0, err
 	}
+	if idx == nCells(d) {
+		return pager.Pgno(getU32(d, offRight)), nil
+	}
+	b, err := cellAt(d, idx)
+	if err != nil {
+		return 0, err
+	}
+	child, _, err := childOf(b)
+	return child, err
+}
+
+// leafFor descends to the leaf that holds, or would hold, a key and
+// returns it pinned.
+func (t *Tree) leafFor(rowid int64, key []byte) (*pager.Page, error) {
 	pgno := t.root
 	for {
 		pg, err := t.pg.Get(pgno)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		d := pg.Data()
-		if isLeaf(d) {
-			idx, found, err := t.leafFind(d, rowid, nil)
-			if err != nil || !found {
-				pg.Release()
-				return nil, false, err
-			}
-			c, err := t.parseCell(d, idx)
-			if err != nil {
-				pg.Release()
-				return nil, false, err
-			}
-			out, err := t.fullPayload(c)
-			if c.ovfl == 0 {
-				out = append([]byte(nil), out...)
-			}
-			pg.Release()
-			return out, err == nil, err
+		if isLeaf(pg.Data()) {
+			return pg, nil
 		}
-		next, err := t.interiorChild(d, rowid, nil)
+		next, err := t.interiorChild(pg.Data(), rowid, key)
 		pg.Release()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if next == 0 {
-			return nil, false, fmt.Errorf("%w: nil child", ErrCorrupt)
+			return nil, fmt.Errorf("%w: nil child", ErrCorrupt)
 		}
 		pgno = next
 	}
+}
+
+// View calls fn with a table row's payload while its page is pinned:
+// the bytes alias the page (a spilled row's, a buffer of this call) and
+// are dead once fn returns. ok reports whether the row exists.
+func (t *Tree) View(rowid int64, fn func(payload []byte) error) (bool, error) {
+	if t.kind != KindTable {
+		return false, ErrWrongKind
+	}
+	pg, err := t.leafFor(rowid, nil)
+	if err != nil {
+		return false, err
+	}
+	defer pg.Release()
+	d := pg.Data()
+	idx, found, err := t.search(d, rowid, nil)
+	if err != nil || !found {
+		return false, err
+	}
+	c, err := t.parseCell(d, idx)
+	if err == nil {
+		c.payload, err = t.whole(c.payload, c.total, c.ovfl)
+	}
+	if err != nil {
+		return false, err
+	}
+	return true, fn(c.payload)
+}
+
+// Get fetches a copy of a table row's payload by rowid.
+func (t *Tree) Get(rowid int64) ([]byte, bool, error) {
+	var out []byte
+	ok, err := t.View(rowid, func(payload []byte) error {
+		out = append([]byte(nil), payload...)
+		return nil
+	})
+	return out, ok, err
 }
 
 // splitResult propagates a page split upward.
@@ -698,7 +757,7 @@ func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte) (*splitResult, er
 		if err := t.pg.Write(pg); err != nil {
 			return nil, err
 		}
-		idx, found, err := t.leafFind(d, c.rowid, key)
+		idx, found, err := t.search(d, c.rowid, key)
 		if err != nil {
 			return nil, err
 		}
@@ -834,11 +893,9 @@ func (t *Tree) splitLeaf(pg *pager.Page, idx int, raw []byte) (*splitResult, err
 	if pageType == typeTableLeaf {
 		res.sepRowid = last.rowid
 	} else {
-		k, err := t.fullKey(last)
-		if err != nil {
+		if res.sepKey, err = t.owned(last.key, last.total, last.ovfl); err != nil {
 			return nil, err
 		}
-		res.sepKey = append([]byte(nil), k...)
 	}
 	return res, nil
 }
@@ -854,7 +911,7 @@ func (t *Tree) splitInterior(pg *pager.Page, idx int, raw []byte) (*splitResult,
 	mid := len(cells) / 2
 
 	// Parse the middle cell for promotion.
-	midCell, err := t.parseRaw(pageType, cells[mid])
+	midCell, err := decodeCell(pageType, len(d), cells[mid])
 	if err != nil {
 		return nil, err
 	}
@@ -886,19 +943,6 @@ func (t *Tree) splitInterior(pg *pager.Page, idx int, raw []byte) (*splitResult,
 		res.sepKey = append([]byte(nil), midCell.key...)
 	}
 	return res, nil
-}
-
-// parseRaw decodes a standalone raw cell of a given page type.
-func (t *Tree) parseRaw(pageType byte, raw []byte) (cell, error) {
-	// Build a minimal fake page around the raw cell.
-	scratch := make([]byte, t.pg.PageSize())
-	scratch[offType] = pageType
-	putU16(scratch, offNCells, 1)
-	off := len(scratch) - len(raw)
-	copy(scratch[off:], raw)
-	putU16(scratch, hdrSize, uint16(off))
-	putU16(scratch, offContent, uint16(off))
-	return t.parseCell(scratch, 0)
 }
 
 // Delete removes a table row by rowid; ok reports whether it existed.
@@ -934,7 +978,7 @@ func (t *Tree) deleteFrom(pgno pager.Pgno, rowid int64, key []byte) (bool, error
 		}
 		return t.deleteFrom(child, rowid, key)
 	}
-	idx, found, err := t.leafFind(d, rowid, key)
+	idx, found, err := t.search(d, rowid, key)
 	if err != nil || !found {
 		return false, err
 	}

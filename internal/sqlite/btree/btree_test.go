@@ -14,7 +14,9 @@ import (
 	"repro/internal/storage"
 )
 
-func newPager(t *testing.T) *Pagers {
+func newPager(t testing.TB) *Pagers { return newPagerSized(t, 200) }
+
+func newPagerSized(t testing.TB, cacheSize int) *Pagers {
 	t.Helper()
 	prof := storage.OpenSSD()
 	prof.Nand.Blocks = 256
@@ -28,7 +30,7 @@ func newPager(t *testing.T) *Pagers {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pager.Open(fsys, "bt.db", pager.Config{Mode: pager.Rollback, CacheSize: 200})
+	p, err := pager.Open(fsys, "bt.db", pager.Config{Mode: pager.Rollback, CacheSize: cacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func newPager(t *testing.T) *Pagers {
 // Pagers wraps a pager with transaction helpers for tests.
 type Pagers struct {
 	p *pager.Pager
-	t *testing.T
+	t testing.TB
 }
 
 func (ps *Pagers) begin() {

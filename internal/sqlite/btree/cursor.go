@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sqlite/pager"
 )
@@ -17,37 +18,11 @@ type Cursor struct {
 	valid bool
 }
 
-// SeekFirst positions a cursor on the smallest entry.
+// SeekFirst positions a cursor on the smallest entry: the seek for a key
+// below every other (no rowid is smaller; the empty key is a prefix of
+// all, which Compare orders first).
 func (t *Tree) SeekFirst() (*Cursor, error) {
-	pgno := t.root
-	for {
-		pg, err := t.pg.Get(pgno)
-		if err != nil {
-			return nil, err
-		}
-		d := pg.Data()
-		if isLeaf(d) {
-			pg.Release()
-			c := &Cursor{t: t, pgno: pgno, idx: 0, valid: true}
-			return c, c.skipEmpty()
-		}
-		var next pager.Pgno
-		if nCells(d) > 0 {
-			c0, err := t.parseCell(d, 0)
-			if err != nil {
-				pg.Release()
-				return nil, err
-			}
-			next = c0.child
-		} else {
-			next = pager.Pgno(getU32(d, offRight))
-		}
-		pg.Release()
-		if next == 0 {
-			return nil, fmt.Errorf("%w: empty interior", ErrCorrupt)
-		}
-		pgno = next
-	}
+	return t.seek(math.MinInt64, nil)
 }
 
 // Seek positions a table cursor on the first entry with rowid >= the
@@ -69,32 +44,18 @@ func (t *Tree) SeekKey(key []byte) (*Cursor, error) {
 }
 
 func (t *Tree) seek(rowid int64, key []byte) (*Cursor, error) {
-	pgno := t.root
-	for {
-		pg, err := t.pg.Get(pgno)
-		if err != nil {
-			return nil, err
-		}
-		d := pg.Data()
-		if isLeaf(d) {
-			idx, _, err := t.leafFind(d, rowid, key)
-			pg.Release()
-			if err != nil {
-				return nil, err
-			}
-			c := &Cursor{t: t, pgno: pgno, idx: idx, valid: true}
-			return c, c.skipEmpty()
-		}
-		next, err := t.interiorChild(d, rowid, key)
-		pg.Release()
-		if err != nil {
-			return nil, err
-		}
-		if next == 0 {
-			return nil, fmt.Errorf("%w: nil child in seek", ErrCorrupt)
-		}
-		pgno = next
+	pg, err := t.leafFor(rowid, key)
+	if err != nil {
+		return nil, err
 	}
+	idx, _, err := t.search(pg.Data(), rowid, key)
+	pgno := pg.Pgno()
+	pg.Release()
+	if err != nil {
+		return nil, err
+	}
+	c := &Cursor{t: t, pgno: pgno, idx: idx, valid: true}
+	return c, c.skipEmpty()
 }
 
 // Valid reports whether the cursor points at an entry.
@@ -134,62 +95,58 @@ func (c *Cursor) Next() error {
 	return c.skipEmpty()
 }
 
-// cell fetches the decoded cell under the cursor.
-func (c *Cursor) cell() (cell, error) {
+// cell pins the leaf under the cursor and decodes the entry there; its
+// byte fields alias the page until the caller releases it.
+func (c *Cursor) cell(kind Kind) (*pager.Page, cell, error) {
+	if c.t.kind != kind {
+		return nil, cell{}, ErrWrongKind
+	}
 	if !c.valid {
-		return cell{}, ErrNotFound
+		return nil, cell{}, ErrNotFound
 	}
 	pg, err := c.t.pg.Get(c.pgno)
 	if err != nil {
-		return cell{}, err
+		return nil, cell{}, err
 	}
-	defer pg.Release()
 	d := pg.Data()
 	if c.idx >= nCells(d) {
-		return cell{}, fmt.Errorf("%w: cursor past end", ErrCorrupt)
+		pg.Release()
+		return nil, cell{}, fmt.Errorf("%w: cursor past end", ErrCorrupt)
 	}
 	cl, err := c.t.parseCell(d, c.idx)
 	if err != nil {
-		return cell{}, err
+		pg.Release()
+		return nil, cell{}, err
 	}
-	// Copy byte fields out of the shared page buffer.
-	cl.key = append([]byte(nil), cl.key...)
-	cl.payload = append([]byte(nil), cl.payload...)
-	return cl, nil
+	return pg, cl, nil
 }
 
 // Rowid reports the current table entry's rowid.
 func (c *Cursor) Rowid() (int64, error) {
-	if c.t.kind != KindTable {
-		return 0, ErrWrongKind
-	}
-	cl, err := c.cell()
+	pg, cl, err := c.cell(KindTable)
 	if err != nil {
 		return 0, err
 	}
+	pg.Release()
 	return cl.rowid, nil
 }
 
 // Payload materializes the current table entry's full payload.
 func (c *Cursor) Payload() ([]byte, error) {
-	if c.t.kind != KindTable {
-		return nil, ErrWrongKind
-	}
-	cl, err := c.cell()
+	pg, cl, err := c.cell(KindTable)
 	if err != nil {
 		return nil, err
 	}
-	return c.t.fullPayload(cl)
+	defer pg.Release()
+	return c.t.owned(cl.payload, cl.total, cl.ovfl)
 }
 
 // Key materializes the current index entry's full key.
 func (c *Cursor) Key() ([]byte, error) {
-	if c.t.kind != KindIndex {
-		return nil, ErrWrongKind
-	}
-	cl, err := c.cell()
+	pg, cl, err := c.cell(KindIndex)
 	if err != nil {
 		return nil, err
 	}
-	return c.t.fullKey(cl)
+	defer pg.Release()
+	return c.t.owned(cl.key, cl.total, cl.ovfl)
 }

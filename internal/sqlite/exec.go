@@ -184,48 +184,55 @@ func splitConjuncts(e sqlparse.Expr, out *[]sqlparse.Expr) {
 	*out = append(*out, e)
 }
 
-// exprTables lists the (lower-cased) alias qualifiers and bare columns
-// an expression references.
-func exprRefs(e sqlparse.Expr, refs map[string]bool, bare *[]string) {
+// eachColumnRef calls fn for every column reference in an expression.
+func eachColumnRef(e sqlparse.Expr, fn func(*sqlparse.ColumnRef)) {
 	switch x := e.(type) {
 	case *sqlparse.ColumnRef:
+		fn(x)
+	case *sqlparse.Unary:
+		eachColumnRef(x.X, fn)
+	case *sqlparse.Binary:
+		eachColumnRef(x.L, fn)
+		eachColumnRef(x.R, fn)
+	case *sqlparse.IsNull:
+		eachColumnRef(x.X, fn)
+	case *sqlparse.InList:
+		eachColumnRef(x.X, fn)
+		for _, i := range x.List {
+			eachColumnRef(i, fn)
+		}
+	case *sqlparse.Between:
+		eachColumnRef(x.X, fn)
+		eachColumnRef(x.Lo, fn)
+		eachColumnRef(x.Hi, fn)
+	case *sqlparse.Call:
+		for _, a := range x.Args {
+			eachColumnRef(a, fn)
+		}
+	case *sqlparse.CaseExpr:
+		if x.Operand != nil {
+			eachColumnRef(x.Operand, fn)
+		}
+		for _, w := range x.Whens {
+			eachColumnRef(w.Cond, fn)
+			eachColumnRef(w.Then, fn)
+		}
+		if x.Else != nil {
+			eachColumnRef(x.Else, fn)
+		}
+	}
+}
+
+// exprRefs lists the (lower-cased) alias qualifiers and bare columns an
+// expression references.
+func exprRefs(e sqlparse.Expr, refs map[string]bool, bare *[]string) {
+	eachColumnRef(e, func(x *sqlparse.ColumnRef) {
 		if x.Table != "" {
 			refs[strings.ToLower(x.Table)] = true
 		} else {
 			*bare = append(*bare, x.Column)
 		}
-	case *sqlparse.Unary:
-		exprRefs(x.X, refs, bare)
-	case *sqlparse.Binary:
-		exprRefs(x.L, refs, bare)
-		exprRefs(x.R, refs, bare)
-	case *sqlparse.IsNull:
-		exprRefs(x.X, refs, bare)
-	case *sqlparse.InList:
-		exprRefs(x.X, refs, bare)
-		for _, i := range x.List {
-			exprRefs(i, refs, bare)
-		}
-	case *sqlparse.Between:
-		exprRefs(x.X, refs, bare)
-		exprRefs(x.Lo, refs, bare)
-		exprRefs(x.Hi, refs, bare)
-	case *sqlparse.Call:
-		for _, a := range x.Args {
-			exprRefs(a, refs, bare)
-		}
-	case *sqlparse.CaseExpr:
-		if x.Operand != nil {
-			exprRefs(x.Operand, refs, bare)
-		}
-		for _, w := range x.Whens {
-			exprRefs(w.Cond, refs, bare)
-			exprRefs(w.Then, refs, bare)
-		}
-		if x.Else != nil {
-			exprRefs(x.Else, refs, bare)
-		}
-	}
+	})
 }
 
 // earliestLevel determines the first join level at which a conjunct can
@@ -421,15 +428,31 @@ func plan(conjs []sqlparse.Expr, srcs []*source, level int) accessPath {
 // iterate drives one access path, invoking fn for every candidate row.
 func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid int64, vals []Value) (bool, error)) error {
 	t := s.tbl
+	decode := func(rowid int64, payload []byte) ([]Value, error) {
+		vals, err := decodeRecord(payload, len(t.Columns), s.skip)
+		if err == nil {
+			fillRowidAlias(t, vals, rowid)
+		}
+		return vals, err
+	}
 	emit := func(rowid int64, payload []byte) (bool, error) {
-		vals, err := DecodeRecord(payload)
+		vals, err := decode(rowid, payload)
 		if err != nil {
 			return false, err
 		}
-		for len(vals) < len(t.Columns) {
-			vals = append(vals, Null) // rows written before ALTER-like growth
+		return fn(rowid, vals)
+	}
+	// get is a point lookup: the row is decoded once, under its page's pin,
+	// and fn runs after the pin is dropped. No such row is nothing to emit.
+	get := func(rowid int64) (bool, error) {
+		var vals []Value
+		ok, err := t.tree.View(rowid, func(payload []byte) (err error) {
+			vals, err = decode(rowid, payload)
+			return err
+		})
+		if err != nil || !ok {
+			return true, err
 		}
-		fillRowidAlias(t, vals, rowid)
 		return fn(rowid, vals)
 	}
 	switch path.kind {
@@ -441,11 +464,7 @@ func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid in
 		if v.IsNull() {
 			return nil
 		}
-		payload, ok, err := t.tree.Get(v.Int())
-		if err != nil || !ok {
-			return err
-		}
-		_, err = emit(v.Int(), payload)
+		_, err = get(v.Int())
 		return err
 	case scanRowidRange:
 		lo := int64(1)
@@ -533,16 +552,8 @@ func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid in
 			if !match {
 				return nil
 			}
-			rowid := kv[len(kv)-1].Int()
-			payload, ok, err := t.tree.Get(rowid)
-			if err != nil {
+			if cont, err := get(kv[len(kv)-1].Int()); err != nil || !cont {
 				return err
-			}
-			if ok {
-				cont, err := emit(rowid, payload)
-				if err != nil || !cont {
-					return err
-				}
 			}
 			if err := cur.Next(); err != nil {
 				return err
@@ -605,9 +616,7 @@ func (db *DB) collectMatches(t *Table, where sqlparse.Expr, params []Value) ([]m
 				return true, nil
 			}
 		}
-		cp := make([]Value, len(vals))
-		copy(cp, vals)
-		out = append(out, matchedRow{rowid: rowid, vals: cp})
+		out = append(out, matchedRow{rowid: rowid, vals: vals}) // decoded for this row alone
 		return true, nil
 	})
 	s.bound = false
@@ -766,6 +775,8 @@ func (db *DB) runSelect(sel *sqlparse.Select, params []Value) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
+
+	pruneColumns(sel, cols, srcs)
 
 	// Gather predicate conjuncts and assign each to its earliest level.
 	// ON conjuncts are tracked separately from WHERE conjuncts: a LEFT
@@ -1110,6 +1121,39 @@ func (db *DB) runSelect(sel *sqlparse.Select, params []Value) (*Rows, error) {
 		out.Data = append(out.Data, rr.vals)
 	}
 	return out, nil
+}
+
+// pruneColumns sets each source's skip mask: every column is skipped but
+// those some expression of the statement may read. A reference marks its
+// column in every source it could name, so the masks err towards decoding.
+func pruneColumns(sel *sqlparse.Select, cols []outputCol, srcs []*source) {
+	for _, s := range srcs {
+		s.skip = ^uint64(0)
+	}
+	read := func(x *sqlparse.ColumnRef) {
+		for _, s := range srcs {
+			if x.Table != "" && strings.ToLower(x.Table) != s.alias && !strings.EqualFold(x.Table, s.tbl.Name) {
+				continue
+			}
+			if i := s.tbl.ColumnIndex(x.Column); i >= 0 {
+				s.skip &^= 1 << uint(i)
+			}
+		}
+	}
+	for _, oc := range cols {
+		eachColumnRef(oc.expr, read)
+	}
+	eachColumnRef(sel.Where, read)
+	for _, j := range sel.Joins {
+		eachColumnRef(j.On, read)
+	}
+	for _, e := range sel.GroupBy {
+		eachColumnRef(e, read)
+	}
+	eachColumnRef(sel.Having, read)
+	for _, ot := range sel.OrderBy {
+		eachColumnRef(ot.Expr, read)
+	}
 }
 
 // compileOutputs expands stars and names the result columns.

@@ -15,6 +15,9 @@ type source struct {
 	vals  []Value
 	rowid int64
 	bound bool // vals are valid
+	// skip has a bit set for each of the table's first 64 columns that no
+	// expression of the statement reads: its rows decode those as NULL.
+	skip uint64
 }
 
 // evalCtx carries everything an expression evaluation can reference.

@@ -76,96 +76,158 @@ func encodeInt(v int64) (uint64, []byte) {
 	}
 }
 
-// DecodeRecord parses a record into values.
-func DecodeRecord(data []byte) ([]Value, error) {
+// splitRecord separates a record's header — its serial types — from its
+// body.
+func splitRecord(data []byte) (hdr, body []byte, ok bool) {
 	hdrLen, n := binary.Uvarint(data)
-	if n <= 0 || uint64(n)+hdrLen > uint64(len(data)) {
+	if n <= 0 || hdrLen > uint64(len(data)-n) {
+		return nil, nil, false
+	}
+	return data[n : n+int(hdrLen)], data[n+int(hdrLen):], true
+}
+
+// nextColumn takes one column off a record: its serial type from the
+// header, the bytes that hold it from the body, and what is left of both.
+func nextColumn(hdr, body []byte) (st uint64, col, hdrRest, bodyRest []byte, err error) {
+	st, m := binary.Uvarint(hdr)
+	if m <= 0 {
+		return 0, nil, nil, nil, errBadRecord
+	}
+	var ln uint64
+	switch {
+	case st <= 2:
+		ln = st
+	case st == 3:
+		ln = 4
+	case st == 4, st == 7:
+		ln = 8
+	case st >= 12:
+		ln = (st - 12) / 2
+	default:
+		return 0, nil, nil, nil, fmt.Errorf("%w: serial type %d", errBadRecord, st)
+	}
+	if ln > uint64(len(body)) {
+		return 0, nil, nil, nil, errBadRecord
+	}
+	return st, body[:ln], hdr[m:], body[ln:], nil
+}
+
+// columnValue materializes one column; text and blob bytes are copied out
+// of col.
+func columnValue(st uint64, col []byte) Value {
+	switch {
+	case st == 0:
+		return Null
+	case st == 1:
+		return Int(int64(int8(col[0])))
+	case st == 2:
+		return Int(int64(int16(binary.BigEndian.Uint16(col))))
+	case st == 3:
+		return Int(int64(int32(binary.BigEndian.Uint32(col))))
+	case st == 4:
+		return Int(int64(binary.BigEndian.Uint64(col)))
+	case st == 7:
+		return Real(math.Float64frombits(binary.BigEndian.Uint64(col)))
+	case st%2 == 0:
+		return Blob(append([]byte{}, col...))
+	default:
+		return Text(string(col))
+	}
+}
+
+// DecodeRecord parses a record into values.
+func DecodeRecord(data []byte) ([]Value, error) { return decodeRecord(data, 0, 0) }
+
+// decodeRecord parses a record into at least ncols values — a row stored
+// with fewer columns than its table has now reads NULL in the rest —
+// leaving NULL too in each of the first 64 columns whose bit is set in
+// skip: a column no expression reads is stepped over, not materialized.
+func decodeRecord(data []byte, ncols int, skip uint64) ([]Value, error) {
+	hdr, body, ok := splitRecord(data)
+	if !ok {
 		return nil, errBadRecord
 	}
-	hdr := data[n : n+int(hdrLen)]
-	body := data[n+int(hdrLen):]
-	var vals []Value
-	for len(hdr) > 0 {
-		st, m := binary.Uvarint(hdr)
-		if m <= 0 {
-			return nil, errBadRecord
+	n := 0 // serial types in the header: a varint ends in its one byte below 0x80
+	for _, b := range hdr {
+		if b < 0x80 {
+			n++
 		}
-		hdr = hdr[m:]
-		switch {
-		case st == 0:
-			vals = append(vals, Null)
-		case st == 1:
-			if len(body) < 1 {
-				return nil, errBadRecord
-			}
-			vals = append(vals, Int(int64(int8(body[0]))))
-			body = body[1:]
-		case st == 2:
-			if len(body) < 2 {
-				return nil, errBadRecord
-			}
-			vals = append(vals, Int(int64(int16(binary.BigEndian.Uint16(body)))))
-			body = body[2:]
-		case st == 3:
-			if len(body) < 4 {
-				return nil, errBadRecord
-			}
-			vals = append(vals, Int(int64(int32(binary.BigEndian.Uint32(body)))))
-			body = body[4:]
-		case st == 4:
-			if len(body) < 8 {
-				return nil, errBadRecord
-			}
-			vals = append(vals, Int(int64(binary.BigEndian.Uint64(body))))
-			body = body[8:]
-		case st == 7:
-			if len(body) < 8 {
-				return nil, errBadRecord
-			}
-			vals = append(vals, Real(math.Float64frombits(binary.BigEndian.Uint64(body))))
-			body = body[8:]
-		case st >= 12 && st%2 == 0:
-			ln := int((st - 12) / 2)
-			if len(body) < ln {
-				return nil, errBadRecord
-			}
-			b := make([]byte, ln)
-			copy(b, body[:ln])
-			vals = append(vals, Blob(b))
-			body = body[ln:]
-		case st >= 13:
-			ln := int((st - 13) / 2)
-			if len(body) < ln {
-				return nil, errBadRecord
-			}
-			vals = append(vals, Text(string(body[:ln])))
-			body = body[ln:]
-		default:
-			return nil, fmt.Errorf("%w: serial type %d", errBadRecord, st)
+	}
+	vals := make([]Value, max(n, ncols))
+	for i := 0; len(hdr) > 0; i++ {
+		st, col, h, b, err := nextColumn(hdr, body)
+		if err != nil {
+			return nil, err
 		}
+		if skip&(1<<uint(i)) == 0 {
+			vals[i] = columnValue(st, col)
+		}
+		hdr, body = h, b
 	}
 	return vals, nil
 }
 
+// wellFormed reports whether every column of a split record parses.
+func wellFormed(hdr, body []byte) bool {
+	for len(hdr) > 0 {
+		var err error
+		if _, _, hdr, body, err = nextColumn(hdr, body); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// serialRank is rank of the type a well-formed serial type encodes.
+func serialRank(st uint64) int {
+	switch {
+	case st == 0:
+		return rank(TypeNull)
+	case st < 12:
+		return rank(TypeInt)
+	case st%2 == 1:
+		return rank(TypeText)
+	default:
+		return rank(TypeBlob)
+	}
+}
+
 // CompareRecords orders two encoded records column-wise with SQLite
 // value semantics; shorter records order before longer ones when equal
-// on the shared prefix. Used as the index-tree comparator.
+// on the shared prefix. Used as the index-tree comparator, so it compares
+// in place: each record is first walked to see that it parses — one that
+// does not degrades the pair to byte order, still a total order — then
+// the two headers are walked in step.
 func CompareRecords(a, b []byte) int {
-	av, errA := DecodeRecord(a)
-	bv, errB := DecodeRecord(b)
-	if errA != nil || errB != nil {
-		return compareBytes(a, b) // degraded but total order
+	ah, ab, okA := splitRecord(a)
+	bh, bb, okB := splitRecord(b)
+	if !okA || !okB || !wellFormed(ah, ab) || !wellFormed(bh, bb) {
+		return compareBytes(a, b)
 	}
-	n := min(len(av), len(bv))
-	for i := 0; i < n; i++ {
-		if c := Compare(av[i], bv[i]); c != 0 {
+	for len(ah) > 0 && len(bh) > 0 {
+		var sa, sb uint64
+		var ca, cb []byte
+		sa, ca, ah, ab, _ = nextColumn(ah, ab)
+		sb, cb, bh, bb, _ = nextColumn(bh, bb)
+		c := 0
+		switch ra, rb := serialRank(sa), serialRank(sb); {
+		case ra < rb:
+			c = -1
+		case ra > rb:
+			c = 1
+		case ra == rank(TypeInt):
+			c = Compare(columnValue(sa, ca), columnValue(sb, cb)) // numeric: nothing is copied
+		case ra > rank(TypeInt):
+			c = compareBytes(ca, cb)
+		}
+		if c != 0 {
 			return c
 		}
 	}
 	switch {
-	case len(av) < len(bv):
+	case len(bh) > 0:
 		return -1
-	case len(av) > len(bv):
+	case len(ah) > 0:
 		return 1
 	default:
 		return 0
