@@ -170,7 +170,6 @@ type FTL struct {
 	// the block is erased), so GC victim eligibility must treat a block
 	// whose only free pages are skipped ones as fully written.
 	health    []unitHealth
-	healthCfg HealthConfig
 	quarCount int
 	// quarGauge mirrors quarCount atomically so external observers (a
 	// serving tier's circuit breaker) can sample quarantine pressure
@@ -240,7 +239,6 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 	f.zeroPage = make([]byte, chipCfg.PageSize)
 	f.zeroCRC = crc32.ChecksumIEEE(f.zeroPage)
 	f.gcBuf = f.newCopyBuf()
-	f.healthCfg = HealthConfig{}.withDefaults()
 	f.health = make([]unitHealth, chipCfg.Units())
 	for i := range f.l2p {
 		f.l2p[i] = nand.InvalidPPN

@@ -22,45 +22,14 @@ import (
 	"repro/internal/trace"
 )
 
-// HealthConfig tunes the channel-health tracker. The zero value selects
-// the defaults below.
-type HealthConfig struct {
-	// TimeoutThreshold quarantines a unit after this many command
-	// timeouts inside one window. Zero selects 3.
-	TimeoutThreshold int
-	// FaultThreshold quarantines a unit after this many transient-fault
-	// attempts inside one window. Zero selects 12.
-	FaultThreshold int
-	// Window is the sliding virtual-time window error counts live in;
-	// counts reset when a fault arrives after the window expired. Zero
-	// selects 500ms.
-	Window time.Duration
-	// MinQuarantine is the minimum virtual-time dwell before a
-	// quarantined unit may be probed for re-admission. Zero selects 250ms.
-	MinQuarantine time.Duration
-	// ProbeOKs is how many clean post-dwell observations re-admit a
-	// quarantined unit. Zero selects 3.
-	ProbeOKs int
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.TimeoutThreshold <= 0 {
-		c.TimeoutThreshold = 3
-	}
-	if c.FaultThreshold <= 0 {
-		c.FaultThreshold = 12
-	}
-	if c.Window <= 0 {
-		c.Window = 500 * time.Millisecond
-	}
-	if c.MinQuarantine <= 0 {
-		c.MinQuarantine = 250 * time.Millisecond
-	}
-	if c.ProbeOKs <= 0 {
-		c.ProbeOKs = 3
-	}
-	return c
-}
+// The channel-health tracker's tuning.
+const (
+	healthTimeouts      = 3                      // command timeouts inside one window that quarantine a unit
+	healthFaults        = 12                     // transient-fault attempts inside one window that do
+	healthWindow        = 500 * time.Millisecond // sliding virtual-time window the counts live in; a fault after it expired resets them
+	healthMinQuarantine = 250 * time.Millisecond // minimum dwell before a quarantined unit may be probed for re-admission
+	healthProbeOKs      = 3                      // clean post-dwell observations that re-admit a quarantined unit
+)
 
 // unitHealth is one channel/way unit's error-tracking state.
 type unitHealth struct {
@@ -72,9 +41,8 @@ type unitHealth struct {
 	probes      int           // clean post-dwell observations
 }
 
-// SetHealthConfig replaces the health tracker's tuning. Counts reset.
-func (f *FTL) SetHealthConfig(cfg HealthConfig) {
-	f.healthCfg = cfg.withDefaults()
+// ResetHealth clears the health tracker: every count, every quarantine.
+func (f *FTL) ResetHealth() {
 	f.health = make([]unitHealth, f.chip.Config().Units())
 	f.quarCount = 0
 	f.quarGauge.Store(0)
@@ -144,7 +112,7 @@ func (f *FTL) NoteCommandFault(unit int, timedOut bool) {
 		h.since = now // still sick: restart the dwell
 		return
 	}
-	if now-h.windowStart > f.healthCfg.Window {
+	if now-h.windowStart > healthWindow {
 		h.timeouts, h.faults = 0, 0
 		h.windowStart = now
 	}
@@ -153,7 +121,7 @@ func (f *FTL) NoteCommandFault(unit int, timedOut bool) {
 	} else {
 		h.faults++
 	}
-	if h.timeouts >= f.healthCfg.TimeoutThreshold || h.faults >= f.healthCfg.FaultThreshold {
+	if h.timeouts >= healthTimeouts || h.faults >= healthFaults {
 		_ = f.quarantine(unit)
 	}
 }
@@ -164,11 +132,11 @@ func (f *FTL) NoteCommandFault(unit int, timedOut bool) {
 func (f *FTL) maybeProbe(unit int) {
 	h := &f.health[unit]
 	now := f.chip.Clock().Now()
-	if now-h.since < f.healthCfg.MinQuarantine {
+	if now-h.since < healthMinQuarantine {
 		return
 	}
 	h.probes++
-	if h.probes < f.healthCfg.ProbeOKs {
+	if h.probes < healthProbeOKs {
 		return
 	}
 	h.quarantined = false

@@ -670,10 +670,6 @@ func (s *Session) FinishExternal() error {
 	return s.end(endExternal)
 }
 
-// FS exposes the manager's file system (each shard's managers share
-// one), letting coordination layers reach simfs.ResolveInDoubt.
-func (m *Manager) FS() *simfs.FS { return m.fs }
-
 // PoolStats copies the warm reader pool's counters. ok is false when
 // pooling is disabled.
 func (m *Manager) PoolStats() (st readpool.Stats, ok bool) {

@@ -279,10 +279,7 @@ func (q *Queue) submitLocked(r *Request) error {
 		// Barriers fence arbitrary amounts of queued work; exempt.
 		deadline = 0
 	}
-	backoff := q.policy.Backoff
-	if backoff <= 0 {
-		backoff = DefaultBackoff
-	}
+	backoff := DefaultBackoff
 	for attempt := 1; ; attempt++ {
 		start := q.clock.Now()
 		if r.Op.targetsLPN() {

@@ -44,11 +44,13 @@ var (
 // is package-level so the rejection path never allocates.
 var errAbandonedPower = fmt.Errorf("%w: %w", ErrAbandoned, nand.ErrPowerLost)
 
-// Retry policy defaults, used when RetryPolicy enables retries but
-// leaves a knob zero.
 const (
+	// DefaultMaxAttempts bounds the retry loop when RetryPolicy sets a
+	// deadline but no attempt count.
 	DefaultMaxAttempts = 8
-	DefaultBackoff     = 250 * time.Microsecond
+	// DefaultBackoff is the initial virtual-time backoff between
+	// attempts, doubling per retry.
+	DefaultBackoff = 250 * time.Microsecond
 )
 
 // RetryPolicy configures per-command deadlines and the retry loop. The
@@ -66,9 +68,6 @@ type RetryPolicy struct {
 	// (no retries) unless Deadline is set, in which case it means
 	// DefaultMaxAttempts.
 	MaxAttempts int
-	// Backoff is the initial virtual-time backoff between attempts,
-	// doubling per retry. Zero selects DefaultBackoff.
-	Backoff time.Duration
 }
 
 // HealthSink receives per-unit command outcomes from the queue. The

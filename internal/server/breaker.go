@@ -24,11 +24,13 @@ type breaker struct {
 	writeSheds atomic.Int64 // writes shed while open
 }
 
+// breakerRetryAfter is the retry-after attached to degraded write sheds:
+// breaker state changes on firmware probe timescales, much longer than
+// the overload hint.
+const breakerRetryAfter = 100 * time.Millisecond
+
 // allowWrite samples pressure and either admits the write or sheds it.
-// hint is the retry-after attached to sheds: breaker state changes on
-// firmware probe timescales, so it should be much longer than the
-// overload hint.
-func (b *breaker) allowWrite(hint time.Duration) error {
+func (b *breaker) allowWrite() error {
 	if b.openFrac <= 0 {
 		return nil
 	}
@@ -41,5 +43,5 @@ func (b *breaker) allowWrite(hint time.Duration) error {
 		return nil
 	}
 	b.writeSheds.Add(1)
-	return WithRetryAfter(ErrDegraded, hint)
+	return WithRetryAfter(ErrDegraded, breakerRetryAfter)
 }

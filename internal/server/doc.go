@@ -116,7 +116,7 @@
 // Shutdown stops accepting, closes idle connections, lets in-flight
 // requests and open transactions finish (commit/rollback stay
 // admissible while draining; new work is refused with ErrShuttingDown),
-// force-closes stragglers after DrainTimeout, then closes the mvcc
+// force-closes stragglers after five seconds, then closes the mvcc
 // manager and the stack — which drains every in-flight NCQ command.
 // After Shutdown returns no server goroutine remains.
 package server

@@ -56,13 +56,6 @@ type Options struct {
 	// channel/way units is quarantined (default 0.5; <= 0 after
 	// withDefaults disables the breaker only if set negative).
 	BreakerFraction float64
-	// BreakerRetryAfter is the hint attached to degraded write sheds
-	// (default 100ms — breaker state changes on firmware timescales).
-	BreakerRetryAfter time.Duration
-	// DrainTimeout bounds the graceful drain: connections still holding
-	// open transactions past it are force-closed and rolled back
-	// (default 5s).
-	DrainTimeout time.Duration
 	// ServiceFloor adds a wall-clock floor to every admitted data-path
 	// request while it holds its admission slot. The flash device below
 	// simulates in virtual time at near-zero wall cost, so on a small
@@ -98,6 +91,10 @@ type Options struct {
 	Trace bool
 }
 
+// drainTimeout bounds the graceful drain: connections still holding open
+// transactions past it are force-closed and rolled back.
+const drainTimeout = 5 * time.Second
+
 func (o Options) withDefaults() Options {
 	if o.Channels <= 0 {
 		o.Channels = 8
@@ -128,12 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerFraction == 0 {
 		o.BreakerFraction = 0.5
-	}
-	if o.BreakerRetryAfter <= 0 {
-		o.BreakerRetryAfter = 100 * time.Millisecond
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 5 * time.Second
 	}
 	if o.CmdDeadline == 0 {
 		o.CmdDeadline = 10 * time.Millisecond
@@ -321,7 +312,7 @@ func (s *Server) removeConn(c *conn) {
 // Shutdown drains the tier gracefully: stop accepting, close idle
 // connections, let in-flight requests and open transactions finish
 // (refusing new work with ErrShuttingDown), force-close stragglers
-// after DrainTimeout, then close the session manager and the stack —
+// after drainTimeout, then close the session manager and the stack —
 // draining every in-flight NCQ command. Idempotent.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
@@ -357,7 +348,7 @@ func (s *Server) Shutdown() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(s.opts.DrainTimeout):
+	case <-time.After(drainTimeout):
 		s.mu.Lock()
 		for c := range s.conns {
 			c.nc.Close()
@@ -612,7 +603,7 @@ func (c *conn) beginTxn(req *Request, rt *reqTrack, deadline time.Time) *Respons
 		return failure(req.ID, fmt.Errorf("%w: transaction already open", ErrBadRequest))
 	}
 	if !req.Readonly {
-		if err := c.srv.brkFor(rt.db).allowWrite(c.srv.opts.BreakerRetryAfter); err != nil {
+		if err := c.srv.brkFor(rt.db).allowWrite(); err != nil {
 			return failure(req.ID, err)
 		}
 	}
@@ -687,7 +678,7 @@ func (c *conn) exec(req *Request, rt *reqTrack, deadline time.Time) *Response {
 		return &Response{ID: req.ID, OK: true, Affected: n}
 	}
 	// Autocommit write: breaker, begin, exec, commit.
-	if err := c.srv.brkFor(rt.db).allowWrite(c.srv.opts.BreakerRetryAfter); err != nil {
+	if err := c.srv.brkFor(rt.db).allowWrite(); err != nil {
 		return failure(req.ID, err)
 	}
 	s, err := c.srv.beginSession(rt.db, false, deadline)

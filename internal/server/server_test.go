@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ftl"
 	"repro/internal/mvcc"
 	"repro/internal/ncq"
 	"repro/internal/storage"
@@ -337,8 +336,8 @@ func TestBreakerDegradesWrites(t *testing.T) {
 	}
 
 	// Pressure clearing closes the breaker on the next admission: the
-	// health config reset below re-admits every unit.
-	dev.Queue().Exclusive(func() { dev.FTL().SetHealthConfig(ftl.HealthConfig{}) })
+	// health reset below re-admits every unit.
+	dev.Queue().Exclusive(func() { dev.FTL().ResetHealth() })
 	ok(cl.Exec("UPDATE t SET v = 3 WHERE k = 1"))
 	st, err = cl.Stats()
 	if err != nil {

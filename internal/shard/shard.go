@@ -5,7 +5,7 @@
 // so shards simulate in parallel without serializing on any shared
 // state, which is exactly how real fleets scale: by adding devices.
 //
-// A pluggable Router maps database names to shards. Transactions that
+// A hash of the database name picks its shard. Transactions that
 // touch one shard pass straight through to the owning stack's
 // mvcc.Manager and pay nothing for the fleet. Transactions that span
 // shards run two-phase commit built on the trim-encoded prepare /
@@ -41,19 +41,10 @@ var (
 	ErrCrashPoint = errors.New("shard: power cut at injected crash point")
 )
 
-// Router maps a database name to one of n shards. Implementations must
-// be deterministic and total: the same name always routes to the same
-// shard for a given n.
-type Router interface {
-	Route(db string, n int) int
-}
-
-// HashRouter is the default router: FNV-1a of the database name modulo
-// the shard count. Stateless, uniform for realistic name sets.
-type HashRouter struct{}
-
-// Route implements Router.
-func (HashRouter) Route(db string, n int) int {
+// route maps a database name to one of n shards: FNV-1a of the name
+// modulo the shard count. Stateless, deterministic and total, uniform
+// for realistic name sets.
+func route(db string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(db))
 	return int(h.Sum32() % uint32(n))
@@ -74,8 +65,6 @@ type Options struct {
 	// FaultSeed, when non-zero, gives each member an independent NAND
 	// fault model seeded FaultSeed+shard.
 	FaultSeed int64
-	// Router overrides the database→shard mapping (default HashRouter).
-	Router Router
 	// Session configures the per-database session managers. Zero value
 	// means MVCC over journal-mode Off for ModeXFTL, Serialized over
 	// Rollback otherwise.
@@ -88,7 +77,6 @@ type Options struct {
 // Fleet is a set of independent X-FTL stacks with a router in front.
 type Fleet struct {
 	opts    Options
-	router  Router
 	stacks  []*xftl.Stack
 	tracers []*trace.Tracer
 	sessOpt mvcc.Options
@@ -132,9 +120,6 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	if opts.Router == nil {
-		opts.Router = HashRouter{}
-	}
 	stacks, tracers, err := xftl.NewFleet(xftl.FleetSpec{
 		Shards:    opts.Shards,
 		Profile:   opts.Profile,
@@ -158,7 +143,6 @@ func New(opts Options) (*Fleet, error) {
 	}
 	f := &Fleet{
 		opts:     opts,
-		router:   opts.Router,
 		stacks:   stacks,
 		tracers:  tracers,
 		sessOpt:  sessOpt,
@@ -189,7 +173,7 @@ func (f *Fleet) Stacks() []*xftl.Stack { return f.stacks }
 func (f *Fleet) Tracers() []*trace.Tracer { return f.tracers }
 
 // Route reports which shard owns a database name.
-func (f *Fleet) Route(db string) int { return f.router.Route(db, len(f.stacks)) }
+func (f *Fleet) Route(db string) int { return route(db, len(f.stacks)) }
 
 // Manager returns (creating on first use) the session manager for a
 // database on its owning shard.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	xftl "repro"
+	"repro/internal/core"
+	"repro/internal/ftl"
 	"repro/internal/ncq"
 )
 
@@ -58,11 +61,10 @@ func queryInt(t *testing.T, f *Fleet, db, sql string) int64 {
 }
 
 func TestHashRouterDeterministicAndTotal(t *testing.T) {
-	r := HashRouter{}
 	for n := 1; n <= 8; n++ {
 		for i := 0; i < 100; i++ {
 			db := fmt.Sprintf("tenant-%d.db", i)
-			s1, s2 := r.Route(db, n), r.Route(db, n)
+			s1, s2 := route(db, n), route(db, n)
 			if s1 != s2 {
 				t.Fatalf("nondeterministic route for %s/%d", db, n)
 			}
@@ -74,7 +76,7 @@ func TestHashRouterDeterministicAndTotal(t *testing.T) {
 	// With enough names, every shard of a 4-way fleet gets some.
 	hit := make(map[int]bool)
 	for i := 0; i < 64; i++ {
-		hit[r.Route(fmt.Sprintf("t%d.db", i), 4)] = true
+		hit[route(fmt.Sprintf("t%d.db", i), 4)] = true
 	}
 	if len(hit) != 4 {
 		t.Fatalf("64 names hit only %d of 4 shards", len(hit))
@@ -162,6 +164,68 @@ func TestCrossShardRollback(t *testing.T) {
 	for _, db := range dbs {
 		if got := queryInt(t, f, db, "SELECT v FROM kv WHERE k = 1"); got != 7 {
 			t.Fatalf("%s: v = %d after rollback, want 7", db, got)
+		}
+	}
+}
+
+// A cross-shard commit whose last participant cannot prepare — its X-L2P
+// table is full under a foreign tid, no power is cut — aborts the
+// participants already prepared, and not only on flash: the writer
+// connections that staged the transaction must forget it too, or the next
+// transaction computes from the aborted value.
+func TestLiveAbortAfterPrepareLeavesNoTrace(t *testing.T) {
+	f := newTestFleet(t, 2)
+	dbs := pickSpread(f, 2)
+	for _, db := range dbs {
+		mustExec(t, f, db, "CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)")
+		mustExec(t, f, db, "INSERT INTO kv VALUES (1, 7)")
+	}
+	update := func(sql string) *Tx {
+		t.Helper()
+		tx, err := f.BeginCross(dbs...)
+		if err != nil {
+			t.Fatalf("BeginCross: %v", err)
+		}
+		for _, db := range dbs {
+			if _, err := tx.Exec(db, sql); err != nil {
+				t.Fatalf("tx.Exec(%s): %v", db, err)
+			}
+		}
+		return tx
+	}
+	tx := update("UPDATE kv SET v = 999 WHERE k = 1")
+	// Shard 1 prepares second: leave it no X-L2P row to stage into.
+	dev := f.Stacks()[1].Device
+	x, page := dev.XFTL(), make([]byte, dev.PageSize())
+	const foreign = 1 << 40
+	for lpn := ftl.LPN(dev.LogicalPages() - 1); ; lpn-- {
+		if err := x.WriteTx(foreign, lpn, page); err != nil {
+			if !errors.Is(err, core.ErrTableFull) {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if err := tx.Commit(); !errors.Is(err, core.ErrTableFull) {
+		t.Fatalf("Commit with shard 1's X-L2P table full: %v, want ErrTableFull", err)
+	}
+	if err := x.Abort(foreign); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.CrossAborts.Load(); n != 1 {
+		t.Fatalf("CrossAborts = %d, want 1", n)
+	}
+	for _, db := range dbs {
+		if got := queryInt(t, f, db, "SELECT v FROM kv WHERE k = 1"); got != 7 {
+			t.Fatalf("%s: v = %d after the aborted commit, want 7", db, got)
+		}
+	}
+	if err := update("UPDATE kv SET v = v + 1 WHERE k = 1").Commit(); err != nil {
+		t.Fatalf("next cross-shard commit: %v", err)
+	}
+	for _, db := range dbs {
+		if got := queryInt(t, f, db, "SELECT v FROM kv WHERE k = 1"); got != 8 {
+			t.Fatalf("%s: v = %d after v = v + 1 on top of the aborted commit, want 8", db, got)
 		}
 	}
 }

@@ -28,7 +28,6 @@ type part struct {
 	sessions []*mvcc.Session
 	sqldbs   []*sqlite.DB
 	tid      uint64 // device transaction id after prepare (0 = read-only)
-	prepared bool
 }
 
 // Tx is a cross-shard transaction. Statements route to the owning
@@ -80,15 +79,12 @@ func (f *Fleet) BeginCross(dbs ...string) (*Tx, error) {
 	for _, p := range parts {
 		for _, db := range p.dbs {
 			m, _, err := f.Manager(db)
-			if err != nil {
-				tx.releaseSessions(false)
-				tx.releaseGates()
-				tx.done = true
-				return nil, err
+			var s *mvcc.Session
+			if err == nil {
+				s, err = m.Begin(false)
 			}
-			s, err := m.Begin(false)
 			if err != nil {
-				tx.releaseSessions(false)
+				tx.abort()
 				tx.releaseGates()
 				tx.done = true
 				return nil, err
@@ -161,17 +157,14 @@ func (t *Tx) releaseGates() {
 	}
 }
 
-// releaseSessions ends every open mvcc session without touching the
-// underlying transactions (already finished by the 2PC engine) when
-// external is true, or by rolling them back when false.
-func (t *Tx) releaseSessions(external bool) {
+// releaseSessions ends every mvcc session once its transaction is over.
+// Every ending of the 2PC engine settles the transactions themselves —
+// committed, or rolled back by the one rewind — so a session only has its
+// writer ticket and its stats left to hand in.
+func (t *Tx) releaseSessions() {
 	for _, p := range t.parts {
 		for _, s := range p.sessions {
-			if external {
-				_ = s.FinishExternal()
-			} else {
-				_ = s.Rollback()
-			}
+			_ = s.FinishExternal()
 		}
 		p.sessions = nil
 	}
@@ -194,7 +187,7 @@ func (t *Tx) Commit() error {
 	if len(t.parts) == 1 {
 		p := t.parts[0]
 		err := sqlite.CommitAtomic(p.sqldbs...)
-		t.releaseSessions(err == nil)
+		t.releaseSessions()
 		if err != nil {
 			return err
 		}
@@ -207,11 +200,11 @@ func (t *Tx) Commit() error {
 	for _, p := range t.parts {
 		tid, err := sqlite.PrepareAtomic(p.sqldbs...)
 		if err != nil {
-			t.abortAfterFailure()
+			t.abort()
+			t.f.CrossAborts.Add(1)
 			return fmt.Errorf("shard %d: prepare: %w", p.shard, err)
 		}
 		p.tid = tid
-		p.prepared = true
 		if t.f.crash(fmt.Sprintf("prepared:%d", p.shard)) {
 			return fmt.Errorf("%w (after prepare of shard %d)", ErrCrashPoint, p.shard)
 		}
@@ -230,7 +223,8 @@ func (t *Tx) Commit() error {
 	if len(named) > 0 {
 		stage = time.Now()
 		if err := t.f.coord.append(t.gtid, named); err != nil {
-			t.abortAfterFailure()
+			t.abort()
+			t.f.CrossAborts.Add(1)
 			return fmt.Errorf("coordinator record: %w", err)
 		}
 		t.f.DecideLat.Observe(time.Since(stage))
@@ -253,7 +247,7 @@ func (t *Tx) Commit() error {
 		}
 	}
 	t.f.CommitLat.Observe(time.Since(stage))
-	t.releaseSessions(true)
+	t.releaseSessions()
 	if firstErr != nil {
 		return firstErr
 	}
@@ -261,25 +255,16 @@ func (t *Tx) Commit() error {
 	return nil
 }
 
-// abortAfterFailure rolls the transaction back mid-protocol: prepared
-// parts durably retract their prepare, unprepared parts roll back
-// normally. Secondary errors are swallowed — the caller already has the
-// primary cause, and Remount re-resolves anything left in doubt.
-func (t *Tx) abortAfterFailure() {
+// abort takes the transaction back on every shard, whatever each part
+// has reached: a prepared part durably retracts its prepare, an open one
+// rolls back, one whose prepare failed is rolled back already. Secondary
+// errors are swallowed — the caller already has the primary cause, and
+// Remount re-resolves anything left in doubt.
+func (t *Tx) abort() {
 	for _, p := range t.parts {
-		if p.prepared {
-			_ = sqlite.FinishPrepared(false, p.sqldbs...)
-			for _, s := range p.sessions {
-				_ = s.FinishExternal()
-			}
-		} else {
-			for _, s := range p.sessions {
-				_ = s.Rollback()
-			}
-		}
-		p.sessions = nil
+		_ = sqlite.FinishPrepared(false, p.sqldbs...)
 	}
-	t.f.CrossAborts.Add(1)
+	t.releaseSessions()
 }
 
 // Rollback aborts the whole transaction on every shard.
@@ -289,6 +274,7 @@ func (t *Tx) Rollback() error {
 	}
 	t.done = true
 	defer t.releaseGates()
-	t.abortAfterFailure()
+	t.abort()
+	t.f.CrossAborts.Add(1)
 	return nil
 }

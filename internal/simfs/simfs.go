@@ -779,6 +779,10 @@ func (f *File) TxID() uint64 { return f.tid }
 // multi-file update commits atomically under one tid (§4.3).
 func (f *File) AdoptTx(tid uint64) { f.tid = tid }
 
+// Pending reports whether the handle holds anything Abort would take
+// back: pages in its write-back cache, or on the device under its tid.
+func (f *File) Pending() bool { return f.tid != 0 || len(f.dirty) > 0 }
+
 // WritePage stores a full page at the given file page index, extending
 // the file as needed. Content is cached; device writes happen on cache
 // pressure or fsync.
@@ -1018,6 +1022,22 @@ func (f *File) writeMetaTx() error {
 	return nil
 }
 
+// flushTx is the first half of an OffXFTL commit point, whether it ends
+// in commit(t) or prepare(t): the cached data pages, then the dirty
+// metadata pages, go home under the file's transaction id, which it
+// returns (0: nothing transactional was written). A pipelined writer only
+// queues these writes; the command that follows is the fence they
+// complete behind.
+func (f *File) flushTx() (uint64, error) {
+	f.fs.queueing = f.fs.io.pipelined
+	err := f.flushDirty()
+	if err == nil {
+		err = f.writeMetaTx()
+	}
+	f.fs.queueing = false
+	return f.tid, err
+}
+
 func (f *File) fsync() error {
 	switch f.fs.cfg.Mode {
 	case Ordered:
@@ -1042,18 +1062,10 @@ func (f *File) fsync() error {
 		// metadata is pending (no data), commit it now.
 		return f.fs.journalCommit(nil)
 	case OffXFTL:
-		// A pipelined writer only queues its page writes; the commit (or
-		// barrier) below is the fence they complete behind.
-		f.fs.queueing = f.fs.io.pipelined
-		err := f.flushDirty()
-		if err == nil {
-			err = f.writeMetaTx()
-		}
-		f.fs.queueing = false
+		tid, err := f.flushTx()
 		if err != nil {
 			return err
 		}
-		tid := f.tid
 		if tid == 0 {
 			// Nothing transactional was written; a pure barrier
 			// suffices for durability.
@@ -1076,15 +1088,14 @@ func (f *File) fsync() error {
 }
 
 // Prepare runs phase one of a cross-device two-phase commit on this
-// file's transaction: it does everything the OffXFTL fsync does —
-// flush dirty data and metadata home writes under the transaction id —
-// but ends with prepare(t) instead of commit(t), so the page set is
-// durable yet invisible, and records the inode images the eventual
-// commit would promote. group names every file that shares the
-// transaction id (a multi-database group commit); the lead file itself
-// is always included. The returned tid identifies the participant
-// transaction to the coordinator; it is 0 when nothing transactional
-// was written (a read-only participant, trivially prepared).
+// file's transaction: the OffXFTL fsync's own first half (flushTx), ended
+// with prepare(t) instead of commit(t), so the page set is durable yet
+// invisible, and the inode images the eventual commit would promote are
+// recorded. group names every file that shares the transaction id (a
+// multi-database group commit); the lead file itself is always included.
+// The returned tid identifies the participant transaction to the
+// coordinator; it is 0 when nothing transactional was written (a
+// read-only participant, trivially prepared).
 //
 // The caller must exclude commits of the group's files between Prepare
 // and ResolveInDoubt — the shard coordinator holds a per-shard gate
@@ -1099,13 +1110,10 @@ func (f *File) Prepare(group ...string) (uint64, error) {
 	if f.fs.cfg.Mode != OffXFTL {
 		return 0, fmt.Errorf("simfs: Prepare requires OffXFTL mode, have %v", f.fs.cfg.Mode)
 	}
-	if err := f.flushDirty(); err != nil {
+	tid, err := f.flushTx()
+	if err != nil {
 		return 0, err
 	}
-	if err := f.writeMetaTx(); err != nil {
-		return 0, err
-	}
-	tid := f.tid
 	if tid == 0 {
 		// Read-only participant: a barrier orders whatever non-
 		// transactional writes preceded it, and there is nothing to
@@ -1131,8 +1139,9 @@ func (f *File) Prepare(group ...string) (uint64, error) {
 	return tid, nil
 }
 
-// FinishPrepared applies the coordinator's decision to this handle's
-// prepared transaction and releases the handle's transaction id.
+// FinishPrepared applies the coordinator's decision to the transaction
+// this handle prepared and releases the handle's transaction id. A handle
+// whose transaction is not prepared has nothing to resolve and keeps it.
 func (f *File) FinishPrepared(commit bool) error {
 	f.fs.wmu.Lock()
 	defer f.fs.wmu.Unlock()
@@ -1140,10 +1149,10 @@ func (f *File) FinishPrepared(commit bool) error {
 		return err
 	}
 	tid := f.tid
-	f.tid = 0
-	if tid == 0 {
+	if _, ok := f.fs.prepared[tid]; !ok {
 		return nil
 	}
+	f.tid = 0
 	return f.fs.resolveInDoubt(tid, commit)
 }
 
@@ -1199,33 +1208,34 @@ func (fs *FS) resolveInDoubt(tid uint64, commit bool) error {
 			}
 			continue
 		}
-		// Abort: the inode reverts to its last committed image, and pages
-		// only the prepared image referenced go back to the allocator.
-		old, existed := fs.persisted[name]
-		keep := make(map[int64]bool, len(old.pages))
-		for _, l := range old.pages {
-			if l >= 0 {
-				keep[l] = true
-			}
-		}
-		for _, l := range img.pages {
-			if l >= 0 && !keep[l] {
-				fs.freeList = append(fs.freeList, l)
-			}
-		}
-		if !existed {
-			delete(fs.files, name)
-			continue
-		}
-		pages := slices.Clone(old.pages)
-		if ino, ok := fs.files[name]; ok {
-			ino.role = old.role
-			ino.pages = pages
-		} else {
-			fs.files[name] = &inode{name: name, role: old.role, pages: pages}
-		}
+		// Abort. After a remount the live inode was rebuilt from the old
+		// image; the pages to give back are the prepared image's.
+		fs.revert(name, img.pages)
 	}
 	return nil
+}
+
+// revert takes a file back to its last durable image — the tail of every
+// abort, live or resolved after a remount. gone is the page table being
+// given up: the pages only it refers to return to the allocator. A file
+// that has no durable image yet is empty again. Caller holds imu and
+// records the touch.
+func (fs *FS) revert(name string, gone []int64) {
+	old := fs.persisted[name]
+	keep := make(map[int64]bool, len(old.pages))
+	for _, l := range old.pages {
+		if l >= 0 {
+			keep[l] = true
+		}
+	}
+	for _, l := range gone {
+		if l >= 0 && !keep[l] {
+			fs.freeList = append(fs.freeList, l)
+		}
+	}
+	if ino, ok := fs.files[name]; ok {
+		ino.pages = slices.Clone(old.pages)
+	}
 }
 
 // InDoubt lists prepared transactions whose coordinator decision is
@@ -1263,33 +1273,9 @@ func (f *File) Abort() error {
 		f.tid = 0
 	}
 	// Revert inode growth performed by the aborted window.
-	if img, ok := f.fs.persisted[f.ino.name]; ok {
-		pages := slices.Clone(img.pages)
-		// Return pages allocated after the snapshot to the allocator.
-		seen := make(map[int64]bool, len(pages))
-		for _, l := range pages {
-			if l >= 0 {
-				seen[l] = true
-			}
-		}
-		for _, l := range f.ino.pages {
-			if l >= 0 && !seen[l] {
-				f.fs.freeList = append(f.fs.freeList, l)
-			}
-		}
-		f.fs.imu.Lock()
-		f.ino.pages = pages
-		f.fs.imu.Unlock()
-	} else {
-		for _, l := range f.ino.pages {
-			if l >= 0 {
-				f.fs.freeList = append(f.fs.freeList, l)
-			}
-		}
-		f.fs.imu.Lock()
-		f.ino.pages = nil
-		f.fs.imu.Unlock()
-	}
+	f.fs.imu.Lock()
+	f.fs.revert(f.ino.name, f.ino.pages)
+	f.fs.imu.Unlock()
 	f.fs.touch(f.ino.name)
 	return nil
 }

@@ -136,16 +136,16 @@ func (db *DB) CommitDeferred() (deferred bool, err error) {
 }
 
 // failedCommit leaves the connection rolled back and reusable after a
-// commit that failed with err (nil: nothing to do). In Off mode the
-// pager has already rewound itself, to the base of the whole group the
-// commit carried; the journal modes roll back here. Either way the
-// catalog reloads from what is now on storage.
+// commit — or an autocommit statement — that failed with err (nil:
+// nothing to do). An Off-mode commit has already rewound the pager, to
+// the base of the whole group it carried; whatever is still open rolls
+// back here. Either way the catalog reloads from what is now on storage.
 func (db *DB) failedCommit(err error) error {
 	if err == nil {
 		return nil
 	}
 	if db.pg.InTx() {
-		_ = db.pg.Rollback() // the commit's error is the one to report
+		_ = db.pg.Rollback() // err is the one to report
 	}
 	_ = db.cat.reset()
 	return err
@@ -309,8 +309,7 @@ func (db *DB) execStmt(st sqlparse.Stmt, args []any) (int64, error) {
 	n, err := db.execWrite(st, params)
 	if err != nil {
 		if auto {
-			_ = db.pg.Rollback()
-			_ = db.cat.reset()
+			_ = db.failedCommit(err)
 		}
 		return 0, err
 	}
@@ -386,7 +385,8 @@ func (db *DB) execPragma(x *sqlparse.Pragma) error {
 // simply carry the same transaction id in the X-L2P table and one
 // commit(t) makes them all durable together. Requires every database to
 // be in Off (X-FTL) mode with an open transaction on the same file
-// system.
+// system. On return no database is in its transaction any more: all
+// committed, or — the error says why — all rolled back.
 func CommitAtomic(dbs ...*DB) error {
 	if len(dbs) == 0 {
 		return nil
@@ -394,69 +394,77 @@ func CommitAtomic(dbs ...*DB) error {
 	if len(dbs) == 1 {
 		return dbs[0].Commit()
 	}
-	// Stage every database's dirty pages: first into the file-system
-	// cache, then to the device as write(t,p) under the lead file's
-	// transaction id, so the whole group rides one X-L2P transaction.
-	lead, err := stageGroup(dbs)
-	if err != nil {
-		return err
+	lead := dbs[0].pg.File()
+	err := stageGroup(dbs)
+	tid := lead.TxID()
+	if err == nil {
+		// One fsync on the lead commits the shared transaction, carrying
+		// every file's data (and metadata) atomically.
+		err = lead.Fsync()
 	}
-	// One fsync on the lead commits the shared transaction, carrying
-	// every file's data (and metadata) atomically.
-	if err := lead.Fsync(); err != nil {
-		return err
-	}
-	for _, db := range dbs {
-		db.pg.FinishGroupCommit()
-		db.explicitTx = false
-	}
-	return nil
+	settleGroup(dbs, tid, err)
+	return err
 }
 
 // stageGroup pushes every database's dirty pages to the device under
-// one shared transaction id (the staging half of CommitAtomic, reused
-// by PrepareAtomic). Returns the lead file; its TxID after staging is
-// the group's tid (0 if nothing was written).
-func stageGroup(dbs []*DB) (*simfs.File, error) {
+// one shared transaction id (the staging half of CommitAtomic and
+// PrepareAtomic): the lead file's — dbs[0]'s — whose TxID after staging
+// is the group's tid (0 if nothing was written).
+func stageGroup(dbs []*DB) error {
 	for _, db := range dbs {
 		if !db.explicitTx {
-			return nil, fmt.Errorf("%w: group commit requires an open transaction on every database", ErrTxState)
+			return fmt.Errorf("%w: group commit requires an open transaction on every database", ErrTxState)
 		}
 		if db.pg.Mode() != pager.Off {
-			return nil, fmt.Errorf("%w: group commit requires X-FTL (journal mode off)", ErrUnsupported)
+			return fmt.Errorf("%w: group commit requires X-FTL (journal mode off)", ErrUnsupported)
 		}
 		if db.fs != dbs[0].fs {
-			return nil, fmt.Errorf("%w: group commit requires one shared file system", ErrMisuse)
+			return fmt.Errorf("%w: group commit requires one shared file system", ErrMisuse)
 		}
 	}
-	lead := dbs[0].pg.File()
 	for _, db := range dbs {
-		if err := db.pg.FlushForGroupCommit(); err != nil {
-			return nil, err
+		if err := db.pg.Stage(); err != nil {
+			return err
 		}
 	}
-	if err := lead.FlushAll(); err != nil {
-		return nil, err
-	}
-	tid := lead.TxID()
-	for _, db := range dbs[1:] {
+	// The first file that has anything to write names the tid; every
+	// later one adopts it, and so at last does the lead.
+	var tid uint64
+	for _, db := range dbs {
 		f := db.pg.File()
-		if own := f.TxID(); own != 0 && own != tid {
-			return nil, fmt.Errorf("%w: database %s has stolen writes under a different device transaction",
+		if own := f.TxID(); own != 0 && tid != 0 && own != tid {
+			return fmt.Errorf("%w: database %s has stolen writes under a different device transaction",
 				ErrTxState, db.name)
 		}
 		if tid != 0 {
 			f.AdoptTx(tid)
 		}
 		if err := f.FlushAll(); err != nil {
-			return nil, err
+			return err
 		}
-		if tid == 0 {
-			tid = f.TxID()
-			lead.AdoptTx(tid)
+		tid = f.TxID()
+	}
+	dbs[0].pg.File().AdoptTx(tid)
+	return nil
+}
+
+// settleGroup ends every database's transaction with the outcome of the
+// one commit(t), prepare(t) or coordinator decision that stood for them
+// all (pager.Settle); one with no transaction open, because an earlier
+// settle ended it, is left alone. tid is the device transaction the
+// group shared: once the lead has finished it, the followers that
+// adopted it let go too.
+func settleGroup(dbs []*DB, tid uint64, err error) {
+	finished := tid != 0 && dbs[0].pg.File().TxID() == 0
+	for _, db := range dbs {
+		if f := db.pg.File(); finished && f.TxID() == tid {
+			f.AdoptTx(0)
+		}
+		if db.explicitTx {
+			db.explicitTx = false
+			_ = db.failedCommit(db.pg.Settle(err))
 		}
 	}
-	return lead, nil
 }
 
 // PrepareAtomic runs phase one of a cross-shard two-phase commit for
@@ -466,42 +474,45 @@ func stageGroup(dbs []*DB) (*simfs.File, error) {
 // making it visible. The returned tid names the participant to the
 // fleet coordinator; 0 means the group wrote nothing and is trivially
 // prepared. The transactions stay open until FinishPrepared delivers
-// the coordinator's decision.
+// the coordinator's decision; a failed prepare rolls every one back.
 func PrepareAtomic(dbs ...*DB) (uint64, error) {
 	if len(dbs) == 0 {
 		return 0, nil
 	}
-	lead, err := stageGroup(dbs)
+	err := stageGroup(dbs)
+	var tid uint64
+	if err == nil {
+		group := make([]string, 0, len(dbs))
+		for _, db := range dbs[1:] {
+			group = append(group, db.pg.File().Name())
+		}
+		tid, err = dbs[0].pg.File().Prepare(group...)
+	}
 	if err != nil {
-		return 0, err
+		settleGroup(dbs, 0, err)
 	}
-	group := make([]string, 0, len(dbs))
-	for _, db := range dbs[1:] {
-		group = append(group, db.pg.File().Name())
-	}
-	return lead.Prepare(group...)
+	return tid, err
 }
 
 // FinishPrepared applies the coordinator's commit/abort decision to a
 // group previously staged with PrepareAtomic. The lead file resolves
 // the shared device transaction (and the file-system namespace) once;
-// each pager then reconciles its cache with the outcome.
+// each database is then settled with the outcome. An abort decision
+// takes any open transaction: one never prepared simply rolls back. On
+// return no database is in its transaction any more.
 func FinishPrepared(commit bool, dbs ...*DB) error {
 	if len(dbs) == 0 {
 		return nil
 	}
 	lead := dbs[0].pg.File()
-	if err := lead.FinishPrepared(commit); err != nil {
-		return err
+	tid := lead.TxID()
+	err := lead.FinishPrepared(commit)
+	if err == nil && !commit {
+		err = pager.ErrAborted
 	}
-	for _, db := range dbs {
-		// Followers shared the lead's tid; clear their handles without a
-		// second device resolution.
-		if f := db.pg.File(); f != lead && f.TxID() != 0 {
-			f.AdoptTx(0)
-		}
-		db.pg.FinishPreparedTx(commit)
-		db.explicitTx = false
+	settleGroup(dbs, tid, err)
+	if err == pager.ErrAborted {
+		return nil
 	}
-	return nil
+	return err
 }

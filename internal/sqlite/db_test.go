@@ -3,6 +3,7 @@ package sqlite
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -382,6 +383,46 @@ func TestExplicitTransactions(t *testing.T) {
 			row, _, _ = db.QueryRow(`SELECT v FROM t WHERE id = 1`)
 			if row[0].Int() != 3 {
 				t.Errorf("v = %d after commit, want 3", row[0].Int())
+			}
+		})
+	}
+}
+
+// A transaction wider than the cache steals its own pages out and reads
+// some back before it rolls back: those copies must leave the cache with
+// the rest. Point reads, because a scan of a table six times the cache
+// re-reads every page from storage and would not see a stale one.
+func TestRollbackOfStolenPages(t *testing.T) {
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			db, err := Open(newEnv(t, mode).fs, "test.db", Config{JournalMode: mode, CacheSize: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, pad TEXT)`)
+			mustExec(t, db, `BEGIN`)
+			for id := 1; id <= 400; id++ {
+				mustExec(t, db, `INSERT INTO t VALUES (?, 1, ?)`, id, strings.Repeat("x", 100))
+			}
+			mustExec(t, db, `COMMIT`)
+			if n := db.Pager().NPages(); n < 6*8 {
+				t.Fatalf("table of %d pages is not six times the cache", n)
+			}
+			mustExec(t, db, `BEGIN`)
+			mustExec(t, db, `UPDATE t SET v = 7`)
+			if row, _, err := db.QueryRow(`SELECT SUM(v) FROM t`); err != nil || row[0].Int() != 7*400 {
+				t.Fatalf("inside the transaction: SUM(v) = %v, err %v", row, err)
+			}
+			mustExec(t, db, `ROLLBACK`)
+			for _, id := range []int{400, 399, 390, 380} {
+				row, ok, err := db.QueryRow(`SELECT v FROM t WHERE id = ?`, id)
+				if err != nil || !ok {
+					t.Fatalf("id %d: ok=%v err=%v", id, ok, err)
+				}
+				if row[0].Int() != 1 {
+					t.Errorf("id %d reads %d after the rollback, want 1", id, row[0].Int())
+				}
 			}
 		})
 	}

@@ -1,10 +1,13 @@
 package sqlite
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ftl"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/simfs"
@@ -312,18 +315,11 @@ func TestCommitAtomicMultiFile(t *testing.T) {
 	mustExec(t, b, `UPDATE tb SET v = 99 WHERE id = 1`)
 	// Stage everything to the device under one tid, but crash before
 	// the committing fsync.
-	if err := a.pg.FlushForGroupCommit(); err != nil {
+	if err := stageGroup([]*DB{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.pg.FlushForGroupCommit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.pg.File().FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	b.pg.File().AdoptTx(a.pg.File().TxID())
-	if err := b.pg.File().FlushAll(); err != nil {
-		t.Fatal(err)
+	if tid := a.pg.File().TxID(); tid == 0 || b.pg.File().TxID() != tid {
+		t.Fatalf("staged under tids %d / %d, want one shared tid", tid, b.pg.File().TxID())
 	}
 	e.fs.PowerCut()
 	if err := e.fs.Remount(); err != nil {
@@ -337,6 +333,153 @@ func TestCommitAtomicMultiFile(t *testing.T) {
 	if ra[0].Int() != 20 || rb[0].Int() != 20 {
 		t.Errorf("crash mid-group: want both 20, got %v / %v", ra[0].Int(), rb[0].Int())
 	}
+}
+
+// twoFiles opens a.db and b.db on one X-FTL file system, each holding the
+// row (1, 10).
+func twoFiles(t *testing.T) (e *env, a, b *DB) {
+	t.Helper()
+	e = newEnv(t, pager.Off)
+	for i, name := range []string{"a.db", "b.db"} {
+		db, err := Open(e.fs, name, Config{JournalMode: pager.Off})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = db.Close() })
+		mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`)
+		mustExec(t, db, `INSERT INTO t VALUES (1, 10)`)
+		if i == 0 {
+			a = db
+		} else {
+			b = db
+		}
+	}
+	return e, a, b
+}
+
+// wantV requires every connection to read v for row 1.
+func wantV(t *testing.T, when string, v int64, dbs ...*DB) {
+	t.Helper()
+	for _, db := range dbs {
+		row, ok, err := db.QueryRow(`SELECT v FROM t WHERE id = 1`)
+		if err != nil || !ok {
+			t.Fatalf("%s: %s: read back: ok=%v err=%v", when, db.name, ok, err)
+		}
+		if got := row[0].Int(); got != v {
+			t.Errorf("%s: %s reads %d, want %d", when, db.name, got, v)
+		}
+	}
+}
+
+// fillXL2P fills the device's X-L2P table under a foreign tid, so that
+// the next transactional write fails with core.ErrTableFull — a commit
+// refused without a power cut. The returned function aborts the tid.
+func fillXL2P(t *testing.T, fsys *simfs.FS) (free func()) {
+	t.Helper()
+	x := fsys.Device().XFTL()
+	page := make([]byte, fsys.PageSize())
+	const foreign = 1 << 40
+	for lpn := ftl.LPN(fsys.Device().LogicalPages() - 1); ; lpn-- {
+		if err := x.WriteTx(foreign, lpn, page); err != nil {
+			if !errors.Is(err, core.ErrTableFull) {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	return func() {
+		t.Helper()
+		if err := x.Abort(foreign); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A multi-file commit the device refuses leaves no trace on the
+// connections that tried it: both are out of their transactions, read
+// what was committed before, and commit again — more than once, so a
+// follower does not keep the tid its lead has finished.
+func TestFailedCommitAtomicRewinds(t *testing.T) {
+	e, a, b := twoFiles(t)
+	mustExec(t, a, `BEGIN`)
+	mustExec(t, b, `BEGIN`)
+	mustExec(t, a, `UPDATE t SET v = 99 WHERE id = 1`)
+	mustExec(t, b, `UPDATE t SET v = 99 WHERE id = 1`)
+	free := fillXL2P(t, e.fs)
+	if err := CommitAtomic(a, b); !errors.Is(err, core.ErrTableFull) {
+		t.Fatalf("CommitAtomic on a full X-L2P table: %v, want ErrTableFull", err)
+	}
+	free()
+	if a.InTx() || b.InTx() || a.pg.InTx() || b.pg.InTx() {
+		t.Fatalf("after the failed commit: in transaction a=%v b=%v", a.InTx(), b.InTx())
+	}
+	wantV(t, "after the failed commit", 10, a, b)
+	for want := int64(11); want <= 12; want++ {
+		mustExec(t, a, `BEGIN`)
+		mustExec(t, b, `BEGIN`)
+		mustExec(t, a, `UPDATE t SET v = v + 1 WHERE id = 1`)
+		mustExec(t, b, `UPDATE t SET v = v + 1 WHERE id = 1`)
+		if err := CommitAtomic(a, b); err != nil {
+			t.Fatalf("retry: %v", err)
+		}
+		wantV(t, "after the retry", want, a, b)
+	}
+}
+
+// A coordinator's abort after a successful prepare rewinds the very
+// connections that prepared: what they cached of the aborted transaction
+// — rows, and a table it created — is gone, not just what is on flash.
+func TestPreparedAbortRewindsTheConnection(t *testing.T) {
+	t.Run("rows", func(t *testing.T) {
+		e, a, b := twoFiles(t)
+		mustExec(t, a, `BEGIN`)
+		mustExec(t, b, `BEGIN`)
+		mustExec(t, a, `UPDATE t SET v = 99 WHERE id = 1`)
+		mustExec(t, b, `UPDATE t SET v = 99 WHERE id = 1`)
+		if _, err := PrepareAtomic(a, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := FinishPrepared(false, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if a.InTx() || b.InTx() {
+			t.Fatalf("after the abort: in transaction a=%v b=%v", a.InTx(), b.InTx())
+		}
+		wantV(t, "after the abort", 10, a, b)
+		mustExec(t, a, `UPDATE t SET v = v + 1 WHERE id = 1`)
+		mustExec(t, b, `UPDATE t SET v = v + 1 WHERE id = 1`)
+		wantV(t, "after the next update", 11, a, b)
+		e.fs.PowerCut()
+		if err := e.fs.Remount(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a.db", "b.db"} {
+			db, err := Open(e.fs, name, Config{JournalMode: pager.Off})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			wantV(t, "after power cut and remount", 11, db)
+		}
+	})
+	t.Run("ddl", func(t *testing.T) {
+		_, a, b := twoFiles(t)
+		mustExec(t, a, `BEGIN`)
+		mustExec(t, b, `BEGIN`)
+		mustExec(t, a, `CREATE TABLE made (id INTEGER PRIMARY KEY)`)
+		mustExec(t, a, `INSERT INTO made VALUES (1)`)
+		mustExec(t, b, `UPDATE t SET v = 99 WHERE id = 1`)
+		if _, err := PrepareAtomic(a, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := FinishPrepared(false, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := a.Query(`SELECT id FROM made`); !errors.Is(err, ErrNoSuchTable) {
+			t.Fatalf("table created by the aborted transaction: %v rows, err %v, want ErrNoSuchTable", rows, err)
+		}
+		wantV(t, "after the abort", 10, a, b)
+	})
 }
 
 // TestCommitAtomicValidation checks the API misuse guards.

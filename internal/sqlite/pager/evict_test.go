@@ -53,16 +53,14 @@ func (r *refCache) makeRoom() {
 	}
 }
 
-// rollback drops what Pager.Rollback drops: the dirty pages, and in Off
-// mode the stolen ones too.
-func (r *refCache) rollback(mode JournalMode) {
+// rollback drops what Pager.Rollback drops: every page the transaction
+// wrote, dirty still or stolen and read back since.
+func (r *refCache) rollback() {
 	for pgno := range r.dirty {
 		delete(r.in, pgno)
 	}
-	if mode == Off {
-		for pgno := range r.stolen {
-			delete(r.in, pgno)
-		}
+	for pgno := range r.stolen {
+		delete(r.in, pgno)
 	}
 	clear(r.dirty)
 	clear(r.stolen)
@@ -155,7 +153,7 @@ func TestEvictionOrderMatchesReference(t *testing.T) {
 					if err := p.Rollback(); err != nil {
 						t.Fatal(err)
 					}
-					ref.rollback(mode)
+					ref.rollback()
 					inTx = false
 				default:
 					continue

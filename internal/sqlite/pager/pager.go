@@ -57,14 +57,14 @@ func (m JournalMode) String() string {
 
 // Errors returned by the pager.
 var (
-	ErrNoTx       = errors.New("pager: no transaction is active")
-	ErrInTx       = errors.New("pager: a transaction is already active")
-	ErrBadPgno    = errors.New("pager: page number out of range")
-	ErrPinned     = errors.New("pager: all cache pages are pinned")
-	ErrNotDirty   = errors.New("pager: page was not made writable")
-	ErrCorrupt    = errors.New("pager: file is corrupt")
-	ErrClosedPage = errors.New("pager: page used after release")
-	ErrReadOnly   = errors.New("pager: read-only snapshot session")
+	ErrNoTx     = errors.New("pager: no transaction is active")
+	ErrInTx     = errors.New("pager: a transaction is already active")
+	ErrBadPgno  = errors.New("pager: page number out of range")
+	ErrPinned   = errors.New("pager: all cache pages are pinned")
+	ErrCorrupt  = errors.New("pager: file is corrupt")
+	ErrReadOnly = errors.New("pager: read-only snapshot session")
+	// ErrAborted settles a transaction whose coordinator decided abort.
+	ErrAborted = errors.New("pager: transaction aborted by its coordinator")
 )
 
 // Config tunes the pager.
@@ -114,6 +114,14 @@ type fifoEntry struct {
 	slot uint64
 }
 
+// allocState is the allocator state page 1 persists, as a transaction
+// found it.
+type allocState struct {
+	nPages   Pgno
+	freelist []Pgno
+	schema   uint32
+}
+
 // Pager manages one database file. It is not safe for concurrent use —
 // SQLite serializes writers at database granularity (§6.2), and so do
 // the workloads in this repository.
@@ -155,35 +163,31 @@ type Pager struct {
 	schema   uint32 // engine-owned root pointer persisted in page 1
 
 	inTx      bool
-	mutated   bool // any Write/Allocate/Free this transaction
-	dirty     map[Pgno]bool
 	journaled map[Pgno][]byte // RBJ: original images of this tx
 	jOrder    []Pgno
 	jFile     *simfs.File
-	jSynced   int // journal images already synced to storage
-	stolen    map[Pgno]bool
+	jSynced   int           // journal images already synced to storage
+	stolen    map[Pgno]bool // RBJ: pages this tx already wrote over in the database file
 
-	// Begin-time snapshot for rollback of allocator state.
-	txNPages   Pgno
-	txFreelist []Pgno
-	txSchema   uint32
+	// The write set: every page the pending group wrote, recorded when
+	// Write first dirties it — in Off mode the deferred members' pages and
+	// after them, from written[txFirst], the open transaction's; in the
+	// journal modes the open transaction's alone. The force at commit walks
+	// it, rewind drops it from the cache. txBase is the allocator state the
+	// open transaction began from.
+	written []Pgno
+	txFirst int
+	txBase  allocState
 
 	// Group commit (Off mode). A transaction ended by DeferCommit is
 	// finished here but not yet durable: its pages wait in the file's
 	// write-back cache, under the file's one open tid, for the next Fsync,
 	// which commits every deferred member and the transaction that issues
-	// it as one commit(t). groupPages lists every page the pending group
-	// dirtied and groupBase the allocator state its first member began
-	// from — what a failed Fsync rewinds to, a lone commit being a group
-	// of one. OnGroupSync, when set, is told each time a group settles:
-	// how many transactions rode the Fsync and how it ended.
-	deferred   int
-	groupPages []Pgno
-	groupBase  struct {
-		nPages   Pgno
-		freelist []Pgno
-		schema   uint32
-	}
+	// it as one commit(t). groupBase is the allocator state the group's
+	// first member began from. OnGroupSync, when set, is told each time a
+	// group settles: how many transactions it ended and how.
+	deferred    int
+	groupBase   allocState
 	OnGroupSync func(members int, err error)
 
 	// WAL state.
@@ -242,7 +246,6 @@ func newPager(fsys *simfs.FS, name string, cfg Config) *Pager {
 		name:  name,
 		cfg:   cfg,
 		cache: make(map[Pgno]*Page),
-		dirty: make(map[Pgno]bool),
 	}
 }
 
@@ -667,6 +670,7 @@ func (p *Pager) stealOut(pg *Page) error {
 		if err := p.file.WritePage(int64(pg.pgno-1), pg.data); err != nil {
 			return err
 		}
+		p.stolen[pg.pgno] = true
 	case WAL:
 		if err := p.appendFrame(pg.pgno, pg.data); err != nil {
 			return err
@@ -683,12 +687,7 @@ func (p *Pager) stealOut(pg *Page) error {
 			return err
 		}
 	}
-	if p.stolen == nil {
-		p.stolen = make(map[Pgno]bool)
-	}
-	p.stolen[pg.pgno] = true
 	pg.dirty = false
-	delete(p.dirty, pg.pgno)
 	return nil
 }
 
@@ -698,16 +697,16 @@ func (p *Pager) Begin() error {
 		return ErrInTx
 	}
 	p.inTx = true
-	p.mutated = false
 	p.txStart = p.tracer().Now()
-	p.txNPages = p.nPages
-	p.txFreelist = append([]Pgno(nil), p.freelist...)
-	p.txSchema = p.schema
-	p.journaled = make(map[Pgno][]byte)
-	p.jOrder = p.jOrder[:0]
-	p.jSynced = 0
-	p.stolen = make(map[Pgno]bool)
-	if p.cfg.Mode == WAL {
+	p.txFirst = len(p.written)
+	p.txBase = allocState{p.nPages, append([]Pgno(nil), p.freelist...), p.schema}
+	switch p.cfg.Mode {
+	case Rollback:
+		p.journaled = make(map[Pgno][]byte)
+		p.jOrder = p.jOrder[:0]
+		p.jSynced = 0
+		p.stolen = make(map[Pgno]bool)
+	case WAL:
 		p.txFrames = make(map[Pgno]int64)
 	}
 	return nil
@@ -718,7 +717,7 @@ func (p *Pager) InTx() bool { return p.inTx }
 
 // Write declares intent to modify a pinned page. In rollback mode the
 // original image is captured for the journal on first touch; in every
-// mode the page joins the dirty set. SQLite's rollback mode also
+// mode the page joins the write set. SQLite's rollback mode also
 // touches the header page each transaction (change counter), which is
 // reproduced here.
 func (p *Pager) Write(pg *Page) error {
@@ -728,37 +727,46 @@ func (p *Pager) Write(pg *Page) error {
 	if p.src != nil {
 		return ErrReadOnly
 	}
-	p.mutated = true
 	if p.cfg.Mode == Rollback {
-		if _, ok := p.journaled[pg.pgno]; !ok {
-			orig := make([]byte, len(pg.data))
-			copy(orig, pg.data)
-			p.journaled[pg.pgno] = orig
-			p.jOrder = append(p.jOrder, pg.pgno)
-		}
+		p.journal(pg)
 		if pg.pgno != 1 {
 			if hdr, err := p.Get(1); err == nil {
-				if _, ok := p.journaled[1]; !ok {
-					orig := make([]byte, len(hdr.data))
-					copy(orig, hdr.data)
-					p.journaled[1] = orig
-					p.jOrder = append(p.jOrder, 1)
-				}
-				hdr.dirty = true
-				p.dirty[1] = true
+				p.journal(hdr)
+				p.markDirty(hdr)
 				hdr.Release()
 			}
 		}
 	}
-	if tr := p.tracer(); tr != nil && !p.dirty[pg.pgno] {
+	if tr := p.tracer(); tr != nil && !pg.dirty {
 		// First dirty touch this transaction: one point event per page.
 		tr.Record(trace.Event{Layer: trace.LPager, Kind: trace.KPageWrite,
 			Start: tr.Now(), Addr: int64(pg.pgno), Sess: p.sess()})
 	}
-	pg.dirty = true
-	p.dirty[pg.pgno] = true
+	p.markDirty(pg)
 	return nil
 }
+
+// journal captures a page's original image for the rollback journal, the
+// first time the transaction touches it.
+func (p *Pager) journal(pg *Page) {
+	if _, ok := p.journaled[pg.pgno]; !ok {
+		p.journaled[pg.pgno] = slices.Clone(pg.data)
+		p.jOrder = append(p.jOrder, pg.pgno)
+	}
+}
+
+// markDirty is the one place a page becomes dirty, so the one place the
+// write set grows: once per clean-to-dirty turn (again after a steal, and
+// per member of a group — walks of the set tolerate the repeats).
+func (p *Pager) markDirty(pg *Page) {
+	if !pg.dirty {
+		pg.dirty = true
+		p.written = append(p.written, pg.pgno)
+	}
+}
+
+// mutated reports whether the open transaction has written anything.
+func (p *Pager) mutated() bool { return len(p.written) > p.txFirst }
 
 // Allocate produces a fresh writable page, reusing the freelist first.
 func (p *Pager) Allocate() (*Page, error) {
@@ -768,7 +776,6 @@ func (p *Pager) Allocate() (*Page, error) {
 	if p.src != nil {
 		return nil, ErrReadOnly
 	}
-	p.mutated = true
 	var pgno Pgno
 	if n := len(p.freelist); n > 0 {
 		pgno = p.freelist[n-1]
@@ -814,7 +821,6 @@ func (p *Pager) Free(pgno Pgno) error {
 	if p.src != nil {
 		return ErrReadOnly
 	}
-	p.mutated = true
 	if len(p.freelist) < maxFreelist {
 		p.freelist = append(p.freelist, pgno)
 	}
@@ -840,7 +846,7 @@ func (p *Pager) ensureJournal() error {
 	p.jFile = f
 	hdr := make([]byte, p.PageSize())
 	binary.BigEndian.PutUint32(hdr[0:], jnlMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(p.txNPages))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(p.txBase.nPages))
 	binary.BigEndian.PutUint32(hdr[8:], 0) // image count, updated at sync
 	return f.WritePage(0, hdr)
 }
@@ -874,7 +880,7 @@ func (p *Pager) syncJournalImages() error {
 	// Header rewrite with the image count and pgno directory.
 	hdr := make([]byte, p.PageSize())
 	binary.BigEndian.PutUint32(hdr[0:], jnlMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(p.txNPages))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(p.txBase.nPages))
 	binary.BigEndian.PutUint32(hdr[8:], uint32(len(p.jOrder)))
 	for i, pgno := range p.jOrder {
 		if 12+4*i+4 > len(hdr) {
@@ -980,48 +986,45 @@ func (p *Pager) Commit() error {
 	if !p.inTx {
 		return ErrNoTx
 	}
-	if !p.mutated {
-		// Read-only transaction: no journal, no force, no fsync of its
-		// own — but deferred members waiting on this commit get theirs.
-		if err := p.SyncDeferred(); err != nil {
-			return err
-		}
-		p.finishTx()
-		p.noteTxn(trace.KTxn, 1)
-		return nil
+	var err error
+	switch {
+	case !p.mutated():
+		// Read-only transaction: no journal, no force, no fsync of its own
+		// — but deferred members waiting on this commit get theirs.
+		err = p.SyncDeferred()
+	case p.cfg.Mode == Off:
+		return p.commitOff()
+	case p.cfg.Mode == Rollback:
+		err = p.commitRollback()
+	case p.cfg.Mode == WAL:
+		err = p.commitWAL()
 	}
-	switch p.cfg.Mode {
-	case Rollback:
-		if err := p.commitRollback(); err != nil {
-			return err
-		}
-	case WAL:
-		if err := p.commitWAL(); err != nil {
-			return err
-		}
-	case Off:
-		if err := p.commitOff(); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	p.inTx = false
-	p.journaled = nil
-	p.stolen = nil
-	p.Commits++
-	p.noteTxn(trace.KTxn, 1)
+	p.written = p.written[:0]
+	p.endTx(1)
 	return nil
 }
 
-// noteTxn records the transaction span that started at Begin. aux is 1
-// for a commit, 0 for a rollback.
-func (p *Pager) noteTxn(k trace.Kind, aux int64) {
-	tr := p.tracer()
-	if tr == nil {
-		return
+// endTx closes the open transaction — every ending passes through here
+// exactly once, to be counted and to record the span that started at
+// Begin. aux is 1 for a commit, 0 for a rollback.
+func (p *Pager) endTx(aux int64) {
+	p.inTx = false
+	p.journaled = nil
+	p.stolen = nil
+	p.txFrames = nil
+	if aux == 1 {
+		p.Commits++
+	} else {
+		p.Rollbacks++
 	}
-	tr.Record(trace.Event{Layer: trace.LSQL, Kind: k,
-		Start: p.txStart, Dur: tr.Now() - p.txStart,
-		Aux: aux, Sess: p.sess()})
+	if tr := p.tracer(); tr != nil {
+		tr.Record(trace.Event{Layer: trace.LSQL, Kind: trace.KTxn,
+			Start: p.txStart, Dur: tr.Now() - p.txStart,
+			Aux: aux, Sess: p.sess()})
+	}
 }
 
 func (p *Pager) commitRollback() error {
@@ -1030,7 +1033,7 @@ func (p *Pager) commitRollback() error {
 		return err
 	}
 	// 2. Force: all dirty pages into the database file, then fsync.
-	if err := p.flushDirtyToDB(); err != nil {
+	if err := p.force(); err != nil {
 		return err
 	}
 	if err := p.file.Fsync(); err != nil {
@@ -1050,20 +1053,8 @@ func (p *Pager) commitRollback() error {
 func (p *Pager) commitWAL() error {
 	// Force: every dirty page becomes a WAL frame, then one commit
 	// record enumerating the transaction's frames, then one fsync.
-	for _, pgno := range sortedPgnos(p.dirty) {
-		pg := p.cache[pgno]
-		if pg == nil || !pg.dirty {
-			continue
-		}
-		if err := p.appendFrame(pgno, pg.data); err != nil {
-			return err
-		}
-		pg.dirty = false
-	}
-	clear(p.dirty)
-	if len(p.txFrames) == 0 {
-		p.txFrames = nil
-		return nil // read-only transaction
+	if err := p.force(); err != nil {
+		return err
 	}
 	// The commit record enumerates every frame of the transaction. A
 	// large transaction spans several record pages, chained so that
@@ -1195,12 +1186,10 @@ func (p *Pager) commitOff() error {
 	// Force all dirty pages through the file system (write(t,p)) and
 	// commit with the single fsync (commit(t)) — which carries every
 	// deferred member's pages with it.
-	p.joinGroup()
-	err := p.flushDirtyToDB()
-	if err == nil {
-		err = p.file.Fsync()
+	if err := p.stage(); err != nil {
+		return err
 	}
-	return p.groupSynced(1, err)
+	return p.settle(1, p.file.Fsync())
 }
 
 // maxGroupPages bounds the pages one commit(t) carries on behalf of a
@@ -1211,51 +1200,100 @@ const maxGroupPages = 64
 
 // groupFull reports that the open transaction's pages do not fit the
 // pending group's page budget.
-func (p *Pager) groupFull() bool {
-	return len(p.groupPages)+len(p.dirty)+len(p.stolen) > maxGroupPages
+func (p *Pager) groupFull() bool { return len(p.written) > maxGroupPages }
+
+// Every Off-mode write transaction ends in the same two steps (DESIGN.md
+// §5). stage: its dirty pages go to the file's write-back cache, beside
+// the deferred members' — a page two members wrote coalesces into one
+// write. settle: whoever issued the commit(t) that carried them says how
+// it ended, and the pending group — the deferred members plus, with self
+// 1, the open transaction — finishes or rewinds as one. A failed stage
+// settles at once: nothing of the group is durable.
+func (p *Pager) stage() error {
+	if err := p.force(); err != nil {
+		return p.settle(1, err)
+	}
+	return nil
 }
 
-// joinGroup adds the open transaction's pages to the pending group; the
-// first member's Begin-time snapshot becomes the group's base.
-func (p *Pager) joinGroup() {
-	if p.deferred == 0 {
-		p.groupBase.nPages, p.groupBase.freelist, p.groupBase.schema = p.txNPages, p.txFreelist, p.txSchema
-	}
-	for pgno := range p.dirty {
-		p.groupPages = append(p.groupPages, pgno)
-	}
-	for pgno := range p.stolen {
-		p.groupPages = append(p.groupPages, pgno)
-	}
-}
-
-// groupSynced settles the pending group after its Fsync (or the failed
-// flush that stood in for it); self is 1 when the open transaction rode
-// it. On failure nothing of the group is durable and the connection
-// rewinds to the group's base: staged pages are aborted in the file
-// system and the device, every page the group dirtied leaves the cache,
-// the allocator state returns to the first member's Begin-time snapshot
-// and the open transaction, member or not, is unwound with it — it read
-// the group's pages. The connection is then usable by the next writer.
-func (p *Pager) groupSynced(self int, err error) error {
+func (p *Pager) settle(self int, err error) error {
 	members := p.deferred + self
-	if err != nil {
-		// Best effort: after a power cut the device discards the tid by
-		// itself, and the error to report is the commit's.
-		_ = p.file.Abort()
-		for _, pgno := range p.groupPages {
-			p.dropCached(pgno)
-		}
+	switch {
+	case err != nil:
+		// The open transaction goes even if it was no member: it read the
+		// group's pages.
 		p.Commits -= int64(p.deferred)
-		p.txNPages, p.txFreelist, p.txSchema = p.groupBase.nPages, p.groupBase.freelist, p.groupBase.schema
-		p.unwindTx()
+		p.rewind()
+	case self == 1:
+		p.written = p.written[:0]
+		p.endTx(1)
+	default:
+		// What is left of the write set is the open transaction's.
+		p.written = p.written[:copy(p.written, p.written[p.txFirst:])]
+		p.txFirst = 0
 	}
 	p.deferred = 0
-	p.groupPages = p.groupPages[:0]
 	if p.OnGroupSync != nil {
 		p.OnGroupSync(members, err)
 	}
 	return err
+}
+
+// rewind is the one way out for writes that will not commit — a failed
+// stage, commit(t) or prepare(t), a coordinator's abort, Rollback. What
+// the file still holds of them, cached or on the device under its tid, is
+// aborted there; every page of the write set leaves the cache, so the
+// next Get re-reads the stable version; the allocator state returns to
+// where the pending group began; the open transaction is closed as rolled
+// back. The connection is then usable by the next writer. The error is
+// the abort's: after a power cut the device discards the tid by itself.
+func (p *Pager) rewind() error {
+	var err error
+	if p.cfg.Mode == Off && p.file != nil && p.file.Pending() {
+		err = p.file.Abort()
+	}
+	for _, pgno := range p.written {
+		p.dropCached(pgno)
+	}
+	p.written = p.written[:0]
+	base := p.txBase
+	if p.deferred > 0 {
+		base = p.groupBase
+	}
+	p.nPages, p.freelist, p.schema = base.nPages, base.freelist, base.schema
+	p.endTx(0)
+	return err
+}
+
+// Stage is the first half of an ending whose commit(t) is issued
+// elsewhere, for several files or in two phases; the caller owes the
+// pager one Settle. Deferred members are committed first: their fate
+// must not ride a tid that a coordinator may yet abort. Off mode only
+// (the caller checks).
+func (p *Pager) Stage() error {
+	if !p.inTx {
+		return ErrNoTx
+	}
+	if err := p.SyncDeferred(); err != nil {
+		return err
+	}
+	return p.stage()
+}
+
+// Settle is the second half: err is how the commit(t) that carried the
+// staged pages ended — nil, the failure that kept it from being issued,
+// or ErrAborted once the file system has taken a prepared transaction
+// back. On nil the transaction is committed; otherwise the connection is
+// rewound and err returned (in a journal mode that cannot stage, the
+// transaction is left open for Rollback).
+func (p *Pager) Settle(err error) error {
+	if !p.inTx {
+		return ErrNoTx
+	}
+	if p.cfg.Mode != Off {
+		return err
+	}
+	return p.settle(1, err)
 }
 
 // SyncDeferred commits the pending group of deferred transactions, if
@@ -1266,17 +1304,16 @@ func (p *Pager) SyncDeferred() error {
 	if p.deferred == 0 {
 		return nil
 	}
-	return p.groupSynced(0, p.file.Fsync())
+	return p.settle(0, p.file.Fsync())
 }
 
-// DeferCommit ends the transaction as one member of a group commit: its
-// dirty pages go to the file's write-back cache — where a page an earlier
-// member also wrote coalesces into one write — and the transaction is
-// finished, but durable only once a later Commit or SyncDeferred on this
-// pager has fsynced the file; the caller must not acknowledge it before
-// OnGroupSync reports that. It reports false when nothing was deferred:
-// a read-only transaction, or one too large for the group's page budget,
-// was committed the ordinary way (after the pending group). Off mode only.
+// DeferCommit ends the transaction as one member of a group commit: it
+// is staged and finished, but durable only once a later Commit or
+// SyncDeferred on this pager has fsynced the file; the caller must not
+// acknowledge it before OnGroupSync reports that. It reports false when
+// nothing was deferred: a read-only transaction, or one too large for the
+// group's page budget, was committed the ordinary way (after the pending
+// group). Off mode only.
 func (p *Pager) DeferCommit() (bool, error) {
 	if !p.inTx {
 		return false, ErrNoTx
@@ -1284,56 +1321,60 @@ func (p *Pager) DeferCommit() (bool, error) {
 	if p.cfg.Mode != Off {
 		return false, fmt.Errorf("pager: group commit requires journal mode off, have %v", p.cfg.Mode)
 	}
-	if !p.mutated || p.groupFull() {
+	if !p.mutated() || p.groupFull() {
 		return false, p.Commit()
 	}
-	p.joinGroup()
-	if err := p.flushDirtyToDB(); err != nil {
-		return false, p.groupSynced(1, err)
+	if err := p.stage(); err != nil {
+		return false, err
+	}
+	if p.deferred == 0 {
+		p.groupBase = p.txBase
 	}
 	p.deferred++
-	p.finishTx()
-	p.Commits++
-	p.noteTxn(trace.KTxn, 1)
+	p.endTx(1)
 	return true, nil
 }
 
-// flushDirtyToDB writes every dirty cached page to the database file.
-func (p *Pager) flushDirtyToDB() error {
-	for _, pgno := range sortedPgnos(p.dirty) {
+// force applies the force policy: every page the open transaction leaves
+// dirty in the cache goes to the database file — to the log in WAL mode —
+// in ascending page order, so the same transaction stream reaches the
+// device in the same order on every run (same seed, same flash).
+func (p *Pager) force() error {
+	own := p.written[p.txFirst:]
+	slices.Sort(own)
+	for _, pgno := range own {
 		pg := p.cache[pgno]
 		if pg == nil || !pg.dirty {
-			continue
+			continue // stolen since, or a repeat
 		}
-		if err := p.file.WritePage(int64(pgno-1), pg.data); err != nil {
+		var err error
+		if p.cfg.Mode == WAL {
+			err = p.appendFrame(pgno, pg.data)
+		} else {
+			err = p.file.WritePage(int64(pgno-1), pg.data)
+		}
+		if err != nil {
 			return err
 		}
 		pg.dirty = false
 	}
-	clear(p.dirty)
 	return nil
 }
 
-// Rollback aborts the transaction, undoing cached changes and any
-// stolen writes per the journal mode.
+// Rollback aborts the transaction: stable storage is made to hold the
+// pre-transaction state again, per the journal mode, and the connection
+// rewinds to it.
 func (p *Pager) Rollback() error {
 	if !p.inTx {
 		return ErrNoTx
 	}
 	switch p.cfg.Mode {
 	case Rollback:
-		// Playback: restore original images over cache and any stolen
-		// database writes.
-		for _, pgno := range sortedPgnos(p.journaled) {
-			img := p.journaled[pgno]
-			if pg, ok := p.cache[pgno]; ok {
-				copy(pg.data, img)
-				pg.dirty = false
-			}
-			if p.stolen[pgno] {
-				if err := p.file.WritePage(int64(pgno-1), img); err != nil {
-					return err
-				}
+		// Playback: the original image goes back over every page the
+		// transaction already wrote into the database file.
+		for _, pgno := range sortedPgnos(p.stolen) {
+			if err := p.file.WritePage(int64(pgno-1), p.journaled[pgno]); err != nil {
+				return err
 			}
 		}
 		if len(p.stolen) > 0 {
@@ -1360,45 +1401,15 @@ func (p *Pager) Rollback() error {
 			p.walHead = lo
 			_ = p.walFile.Truncate(lo)
 		}
-		p.txFrames = nil
 	case Off:
 		// The file's tid may carry deferred members: they are committed
-		// first, so the abort takes back this transaction alone.
+		// first, so the abort(t) rewind issues through the file (ioctl)
+		// takes back this transaction alone.
 		if err := p.SyncDeferred(); err != nil {
 			return err
 		}
-		// ioctl(abort): stolen pages roll back inside the device. A
-		// read-only session never staged anything to abort.
-		if p.file != nil {
-			if err := p.file.Abort(); err != nil {
-				return err
-			}
-		}
-		for pgno := range p.stolen {
-			p.dropCached(pgno)
-		}
 	}
-	p.unwindTx()
-	return nil
-}
-
-// unwindTx is the tail of every rollback, once stable storage holds the
-// pre-transaction state again: the pages the transaction left dirty leave
-// the cache, the allocator state rewinds to its Begin-time snapshot, and
-// the rollback is counted and traced.
-func (p *Pager) unwindTx() {
-	for pgno := range p.dirty {
-		p.dropCached(pgno)
-	}
-	clear(p.dirty)
-	p.nPages = p.txNPages
-	p.freelist = p.txFreelist
-	p.schema = p.txSchema
-	p.inTx = false
-	p.journaled = nil
-	p.stolen = nil
-	p.Rollbacks++
-	p.noteTxn(trace.KTxn, 0)
+	return p.rewind()
 }
 
 // dropCached removes a page from the cache so the next Get re-reads the
@@ -1511,63 +1522,3 @@ func (p *Pager) Close() error {
 // File exposes the pager's underlying database file for cross-database
 // transaction coordination (the X-FTL multi-file commit of §4.3).
 func (p *Pager) File() *simfs.File { return p.file }
-
-// FlushForGroupCommit pushes every dirty page to the file system
-// without issuing the commit fsync, so that several databases' updates
-// can ride one shared device transaction. Valid only in Off mode; the
-// caller completes the group with one Fsync on the shared tid and then
-// FinishGroupCommit on each participant.
-func (p *Pager) FlushForGroupCommit() error {
-	if !p.inTx {
-		return ErrNoTx
-	}
-	if p.cfg.Mode != Off {
-		return fmt.Errorf("pager: group commit requires journal mode off, have %v", p.cfg.Mode)
-	}
-	if !p.mutated {
-		p.finishTx()
-		return nil
-	}
-	return p.flushDirtyToDB()
-}
-
-// FinishGroupCommit concludes a transaction whose durability was
-// established by the group's shared commit.
-func (p *Pager) FinishGroupCommit() {
-	if !p.inTx {
-		return
-	}
-	p.finishTx()
-	p.Commits++
-}
-
-// FinishPreparedTx concludes a transaction whose fate a fleet
-// coordinator decided after a group prepare. The device-side commit or
-// abort — and the file-system image promotion or revert — already
-// happened via simfs.ResolveInDoubt, so this only reconciles the
-// pager's cached state with the decision: a commit keeps the cache, an
-// abort drops the transaction's pages and rewinds the header snapshot
-// exactly as Rollback does (minus the device abort, which must not be
-// issued twice for the shared transaction id).
-func (p *Pager) FinishPreparedTx(commit bool) {
-	if !p.inTx {
-		return
-	}
-	if commit {
-		p.finishTx()
-		p.Commits++
-		return
-	}
-	for pgno := range p.stolen {
-		p.dropCached(pgno)
-	}
-	p.unwindTx()
-}
-
-// finishTx clears per-transaction state after a successful commit.
-func (p *Pager) finishTx() {
-	p.inTx = false
-	p.journaled = nil
-	p.stolen = nil
-	p.txFrames = nil
-}

@@ -16,9 +16,17 @@ import (
 // (sqlUpdates supplycost updates per transaction on a sqlTuples-row
 // partsupp table) through SQLite, the file system and the device in one
 // journal mode. Keys are part keys, a version is the supplycost (no two
-// updates write the same one), and observe is a table scan after the
+// transactions write the same one), and observe is a table scan after the
 // database reopened and ran its own recovery. Rollback mode runs the
 // model under the rollback-journal contract (model.rbj).
+//
+// About one transaction in sqlRollbackEvery ends in a live ROLLBACK
+// instead and is judged at once, power still on. The first of a run
+// updates every row: wider than the cache, it steals its own pages out.
+// What such a transaction wrote is observed by point reads — served from
+// whatever the rollback left in the 8-page cache, the only place a page
+// it wrote could survive. A scan cannot stand in: walking a table wider
+// than a FIFO cache re-reads every page from storage, stale copy or not.
 type sqlRun struct {
 	mode xftl.Mode
 	// cut arms a power cut 1..cut NAND operations ahead, re-arming after
@@ -33,9 +41,10 @@ type sqlRun struct {
 }
 
 const (
-	sqlTuples  = 400
-	sqlTxns    = 40
-	sqlUpdates = 4
+	sqlTuples        = 400
+	sqlTxns          = 40
+	sqlUpdates       = 4
+	sqlRollbackEvery = 5
 )
 
 // sqlProfile is a mid-size geometry: room for the simfs metadata and
@@ -84,14 +93,27 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 		rep.WALReplays += replays
 		return nil
 	}
-	obs := func() (observe, error) {
+	// obs observes the table: the keys in first by point reads, in that
+	// order, then every other row by one scan.
+	obs := func(first []int) (observe, error) {
+		got := make(map[int64]int64, sqlTuples)
+		for _, k := range first {
+			row, ok, err := db.QueryRow(`SELECT ps_supplycost FROM partsupp WHERE ps_partkey = ?`, k)
+			if err != nil {
+				return nil, err
+			}
+			if got[int64(k)] = noVersion; ok {
+				got[int64(k)] = int64(row[0].Real())
+			}
+		}
 		rows, err := db.Query(`SELECT ps_partkey, ps_supplycost FROM partsupp`)
 		if err != nil {
 			return nil, err
 		}
-		got := make(map[int64]int64, rows.Len())
 		for _, r := range rows.Data {
-			got[r[0].Int()] = int64(r[1].Real())
+			if _, seen := got[r[0].Int()]; !seen {
+				got[r[0].Int()] = int64(r[1].Real())
+			}
 		}
 		return lookup(got), nil
 	}
@@ -104,9 +126,11 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 
 	var (
 		rng       = rand.New(rand.NewSource(seed * 7919))
+		ends      = rand.New(rand.NewSource(seed)) // which transactions roll back
 		txn       = 0
 		commitOps = int64(0) // NAND operations the last completed commit cost
 		window    = 0        // the transaction whose Commit the next cut is aimed into; 0 = armed at random
+		wide      = true     // the next live rollback is the wide one
 	)
 	arm := func() {
 		switch {
@@ -131,7 +155,7 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 		if err := open(); err != nil {
 			return fmt.Errorf("reopen: %w", err)
 		}
-		o, err := obs()
+		o, err := obs(nil)
 		if err != nil {
 			return fmt.Errorf("post-recovery scan: %w", err)
 		}
@@ -142,19 +166,61 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 		arm()
 		return err
 	}
+	// crashed recovers from an error met in stage, tid indoubt (0: none).
+	crashed := func(stage string, cause error, indoubt uint64) error {
+		if err := recoverCrash(cause, indoubt); err != nil {
+			return fmt.Errorf("%s: %w", stage, err)
+		}
+		return nil
+	}
 
-	// transact runs transaction txn up to its commit point; an error comes
-	// with the stage it stopped in and, from Commit, the tid in doubt.
-	transact := func(tid uint64) (stage string, indoubt uint64, err error) {
+	// transact runs transaction txn to its end: Commit, or with rollback
+	// set a live ROLLBACK judged at once. What it returns is a violation;
+	// an error from the stack is a crash to recover from.
+	transact := func(tid uint64, rollback bool) error {
 		if err := db.Begin(); err != nil {
-			return "begin", 0, err
+			return crashed("begin", err, 0)
+		}
+		var keys []int
+		if rollback && wide {
+			// One statement moves every row to one version; reading the
+			// stolen pages back is the only way a clean copy of an
+			// uncommitted page gets into the cache.
+			version := txn*1000 + sqlUpdates
+			for k := sqlTuples; k >= 1; k-- { // the table's end first: what a scan leaves cached
+				keys = append(keys, k)
+				m.write(tid, int64(k), int64(version))
+			}
+			if _, err := db.Exec(`UPDATE partsupp SET ps_supplycost = ?`, float64(version)); err != nil {
+				return crashed("update", err, 0)
+			}
+			if _, err := db.Query(`SELECT SUM(ps_supplycost) FROM partsupp`); err != nil {
+				return crashed("read back", err, 0)
+			}
 		}
 		for i, k := range rng.Perm(sqlTuples)[:sqlUpdates] {
 			version := int64(txn*1000 + i)
+			keys = append(keys, k+1)
 			m.write(tid, int64(k+1), version)
 			if _, err := db.Exec(`UPDATE partsupp SET ps_supplycost = ? WHERE ps_partkey = ?`, float64(version), k+1); err != nil {
-				return "update", 0, err
+				return crashed("update", err, 0)
 			}
+		}
+		if rollback {
+			if err := db.Rollback(); err != nil {
+				return crashed("rollback", err, 0)
+			}
+			m.abort(tid)
+			o, err := obs(keys)
+			if err != nil {
+				return crashed("read after rollback", err, 0)
+			}
+			wide = false
+			rep.Aborted++
+			if err := m.verify(o); err != nil {
+				return fmt.Errorf("rolled back live: %w", err)
+			}
+			return nil
 		}
 		if txn == window {
 			// Before any commit has completed, any distance is as good.
@@ -162,26 +228,23 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 		}
 		before := dev.NANDOps()
 		if err := db.Commit(); err != nil {
-			return "commit", tid, err
+			return crashed("commit", err, tid)
 		}
 		commitOps = dev.NANDOps() - before
-		return "", 0, nil
+		m.commit(tid)
+		rep.Committed++
+		return nil
 	}
 
 	arm()
 	for txn = 1; txn <= sqlTxns; txn++ {
 		rep.Transactions++
-		if stage, indoubt, cause := transact(uint64(txn)); cause != nil {
-			if err := recoverCrash(cause, indoubt); err != nil {
-				return rep, fmt.Errorf("txn %d %s: %w", txn, stage, err)
-			}
-			continue
+		if err := transact(uint64(txn), txn != window && ends.Intn(sqlRollbackEvery) == 0); err != nil {
+			return rep, fmt.Errorf("txn %d %w", txn, err)
 		}
-		m.commit(uint64(txn))
-		rep.Committed++
 	}
 	dev.PowerCutAfter(0)
-	o, err := obs()
+	o, err := obs(nil)
 	if err != nil {
 		return rep, fmt.Errorf("final scan: %w", err)
 	}

@@ -82,7 +82,7 @@ func (r *Report) String() string {
 // counts names the counters Leg.Needs may require.
 func (r *Report) counts() map[string]int64 {
 	return map[string]int64{
-		"committed": int64(r.Committed), "crashes": int64(r.Crashes),
+		"committed": int64(r.Committed), "aborted": int64(r.Aborted), "crashes": int64(r.Crashes),
 		"indoubt": int64(r.InDoubt), "revoked": int64(r.Revoked),
 		"groups": int64(r.Groups), "groupcuts": int64(r.GroupCuts),
 		"journal": r.JournalPlaybacks, "wal": r.WALReplays, "resolved": r.Resolved, "snapold": r.SnapOldHits,
@@ -319,7 +319,7 @@ func Legs(faults float64) []Leg {
 		legs = append(legs, Leg{
 			Name: "sql " + m.mode.String(), Seeds: six, Quick: 2,
 			Cells: []Cell{{fmt.Sprintf("cut=4000 scale=%g", sqlScale), sqlRun{mode: m.mode, cut: 4000, scale: sqlScale}.run}},
-			Needs: []string{"crashes", "indoubt", m.path},
+			Needs: []string{"crashes", "indoubt", "aborted", m.path},
 		})
 	}
 	for _, s := range []struct {
@@ -347,7 +347,7 @@ func Legs(faults float64) []Leg {
 	})
 	legs = append(legs, Leg{
 		Name: "fleet 2pc", Seeds: []int64{1, 2, 3, 4}, Quick: 1, Cells: fleetCells(),
-		Needs: []string{"crashes", "indoubt", "resolved"},
+		Needs: []string{"crashes", "indoubt", "resolved", "aborted"},
 	})
 	// Metadata corruption on ideal flash, so every scan fallback is
 	// attributable to the injected damage.

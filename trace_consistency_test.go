@@ -7,6 +7,7 @@ import (
 	"repro"
 	"repro/internal/metrics"
 	"repro/internal/mvcc"
+	"repro/internal/sqlite"
 	"repro/internal/sqlite/pager"
 	"repro/internal/trace"
 )
@@ -153,6 +154,107 @@ func TestTraceMatchesCounters(t *testing.T) {
 			}
 			if withSess == 0 {
 				t.Error("no NCQ command carries a session id")
+			}
+		})
+	}
+}
+
+// Every way a write transaction can end on X-FTL — alone, deferred to a
+// group, across files, in two phases, committed or taken back — is one
+// ending: each pager counts it once, as a commit or a rollback, and
+// records exactly one KTxn span saying which (Aux 1 or 0).
+func TestEveryEndingIsOneTxnSpan(t *testing.T) {
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(t *testing.T, dbs ...*sqlite.DB) {
+		t.Helper()
+		for _, db := range dbs {
+			must(t, db.Begin())
+			_, err := db.Exec("UPDATE t SET v = v + 1 WHERE id = 1")
+			must(t, err)
+		}
+	}
+	cases := []struct {
+		name               string
+		end                func(t *testing.T, a, b *sqlite.DB)
+		commits, rollbacks int64
+	}{
+		{"solo commit", func(t *testing.T, a, _ *sqlite.DB) {
+			write(t, a)
+			must(t, a.Commit())
+		}, 1, 0},
+		{"solo rollback", func(t *testing.T, a, _ *sqlite.DB) {
+			write(t, a)
+			must(t, a.Rollback())
+		}, 0, 1},
+		{"deferred, then the closer", func(t *testing.T, a, _ *sqlite.DB) {
+			write(t, a)
+			if deferred, err := a.CommitDeferred(); err != nil || !deferred {
+				t.Fatalf("CommitDeferred: deferred=%v err=%v", deferred, err)
+			}
+			write(t, a)
+			must(t, a.Commit())
+		}, 2, 0},
+		{"multi-file commit", func(t *testing.T, a, b *sqlite.DB) {
+			write(t, a, b)
+			must(t, sqlite.CommitAtomic(a, b))
+		}, 2, 0},
+		{"two-phase commit", func(t *testing.T, a, b *sqlite.DB) {
+			write(t, a, b)
+			_, err := sqlite.PrepareAtomic(a, b)
+			must(t, err)
+			must(t, sqlite.FinishPrepared(true, a, b))
+		}, 2, 0},
+		{"two-phase abort", func(t *testing.T, a, b *sqlite.DB) {
+			write(t, a, b)
+			_, err := sqlite.PrepareAtomic(a, b)
+			must(t, err)
+			must(t, sqlite.FinishPrepared(false, a, b))
+		}, 0, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := xftl.NewStack(xftl.OpenSSD(), xftl.ModeXFTL)
+			must(t, err)
+			var dbs []*sqlite.DB
+			for _, name := range []string{"a.db", "b.db"} {
+				db, err := st.OpenDB(name)
+				must(t, err)
+				defer db.Close()
+				must(t, db.ExecScript("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER); INSERT INTO t VALUES (1, 0)"))
+				dbs = append(dbs, db)
+			}
+			tr := trace.New()
+			tr.Attach(st.Clock, tc.name)
+			st.SetTracer(tr)
+			var commits, rollbacks int64
+			for _, db := range dbs {
+				commits -= db.Pager().Commits
+				rollbacks -= db.Pager().Rollbacks
+			}
+			tc.end(t, dbs[0], dbs[1])
+			for _, db := range dbs {
+				commits += db.Pager().Commits
+				rollbacks += db.Pager().Rollbacks
+				if db.InTx() || db.Pager().InTx() {
+					t.Errorf("%s is still in a transaction", db.Pager().Name())
+				}
+			}
+			var spans [2]int64
+			for _, ev := range tr.Events() {
+				if ev.Kind == trace.KTxn {
+					spans[ev.Aux]++
+				}
+			}
+			if commits != tc.commits || rollbacks != tc.rollbacks {
+				t.Errorf("counted %d commits and %d rollbacks, want %d and %d", commits, rollbacks, tc.commits, tc.rollbacks)
+			}
+			if spans[1] != commits || spans[0] != rollbacks {
+				t.Errorf("%d commit and %d rollback KTxn spans for %d commits and %d rollbacks", spans[1], spans[0], commits, rollbacks)
 			}
 		})
 	}
