@@ -2,48 +2,40 @@
 
 package ftl
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
-// bytesPerRun reports the mean heap bytes one call of f allocates.
-func bytesPerRun(runs int, f func()) float64 {
-	f() // warm up
-	var a, b runtime.MemStats
-	runtime.ReadMemStats(&a)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&b)
-	return float64(b.TotalAlloc-a.TotalAlloc) / float64(runs)
-}
-
-// Meta programs render into firmware-owned pages and spare records live
-// on the stack, so neither a content-free pad nor a map-group flush
-// allocates anything page-sized — across ring advances, block erases and
-// re-homing too (the runs below lap the ring several times). (Not under
-// -race: the race runtime allocates.)
+// Meta programs take a map group's page from the table, render slot
+// payload into a firmware-owned page, keep spare records on the stack and
+// build chains and payload mirrors in the spare storage, so in steady
+// state the commit path's meta writes allocate nothing — across ring
+// advances, block erases and re-homing too (each measurement laps the
+// ring several times; what a re-home allocates rounds to nothing per
+// call). (Not under -race: the race runtime allocates.)
 func TestMetaProgramsAllocateNoPages(t *testing.T) {
 	f, _ := newTestFTL(t)
 	lap := f.chip.Config().PagesPerBlock * len(f.metaBlocks)
 	if err := f.Write(3, page(f, 3)); err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string]func(){
-		"WriteMetaSlot pad": func() {
-			if err := f.WriteMetaSlot("xl2p-housekeeping", 1); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"persistGroup": func() {
-			if err := f.persistGroup(0); err != nil {
-				t.Fatal(err)
-			}
-		},
+	image := page(f, 0x5A)[:f.PageSize()/3]
+	tid := uint64(0)
+	for _, tc := range []struct {
+		name string
+		max  float64
+		body func() error
+	}{
+		{"WriteMetaSlot pad", 0, func() error { return f.WriteMetaSlot("xl2p-housekeeping", 1) }},
+		{"persistGroup", 0, func() error { return f.persistGroup(0) }},
+		{"WriteMetaSlotData", 0, func() error { return f.WriteMetaSlotData("xl2p", image, 2) }},
+		{"NoteCommittedTx", 1, func() error { tid++; return f.NoteCommittedTx(tid) }},
 	} {
-		if got := bytesPerRun(3*lap, body); got >= float64(f.PageSize()) {
-			t.Errorf("%s allocates %.0f bytes per call, want less than a page (%d)", name, got, f.PageSize())
+		run := func() {
+			if err := tc.body(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(3*lap, run); got > tc.max {
+			t.Errorf("%s allocates %.0f objects per call, want at most %.0f", tc.name, got, tc.max)
 		}
 	}
 }

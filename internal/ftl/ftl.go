@@ -13,6 +13,7 @@
 package ftl
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -100,15 +101,15 @@ type FTL struct {
 	cfg  Config
 
 	// Volatile (DRAM) mapping state.
-	l2p  []nand.PPN // logical -> physical, InvalidPPN if unmapped
-	rmap []LPN      // physical -> logical for data pages, -1 if none
+	l2p  mapTable // logical -> physical, InvalidPPN if unmapped
+	rmap []LPN    // physical -> logical for data pages, -1 if none
 
 	// Persistent-image mapping state: what the flash-resident mapping
 	// table says. Updated when dirty map groups are flushed by a write
 	// barrier (or by GC relocating a persisted page). On power loss the
 	// volatile state is rebuilt from this image.
-	persisted  []nand.PPN
-	dirtyGroup map[int64]struct{} // map-page groups with volatile != persisted
+	persisted  mapTable
+	dirtyGroup []bool // per map-page group: volatile != persisted
 
 	// Data-block management.
 	freeBlocks []nand.BlockNum
@@ -122,7 +123,7 @@ type FTL struct {
 	metaCur    int // index into metaBlocks
 	metaPage   int
 	metaSlots  map[string][]nand.PPN // slot name -> current page chain
-	groupSlots map[int64]nand.PPN    // map group -> current ppn
+	groupSlots []nand.PPN            // map group -> current ppn, InvalidPPN before its first flush
 
 	// Metadata integrity state. Every programmed page carries a
 	// checksummed spare-area record stamped with a sequence number from
@@ -135,11 +136,20 @@ type FTL struct {
 	slotIDs    map[string]uint16
 	slotNames  map[uint16]string
 	nextSlotID uint16
+	// Spare storage: writeMetaSlot builds a slot's next chain, and
+	// WriteMetaSlotData its payload mirror, in these and leaves the
+	// superseded ones here after the pointer flip. They are taken (nil)
+	// while a call runs: metaProgram re-enters writeMetaSlot when it
+	// retires a ring block and persists the BBT.
+	spareChain []nand.PPN
+	spareData  []byte
 
 	// Committed-transaction log ("txlog" slot): the durable commit
 	// point for the transactional layer, kept as merged tid ranges.
 	committed    []tidRange
 	maxCommitted uint64
+	savedTids    []tidRange // NoteCommittedTx's rollback copy and
+	txlogBuf     []byte     // encoded log, reused from call to call
 
 	// Bad-block management: blocks retired after program/erase status
 	// fails (persisted via the "bbt" meta slot) and the current
@@ -156,9 +166,10 @@ type FTL struct {
 
 	// Page buffers the firmware owns, so neither a meta program nor a GC
 	// copy allocates; the chip copies whatever it is handed. metaBuf is
-	// where metaProgram renders a content-bearing page and zeroPage what
-	// it programs for a content-free pad (read-only, with zeroCRC its
-	// checksum). gcBuf is collectOnce's copy-back scratch (see relocate).
+	// where metaProgram renders a page of slot payload (a map group's page
+	// is the table's own) and zeroPage what it programs for a content-free
+	// pad (read-only, with zeroCRC its checksum). gcBuf is collectOnce's
+	// copy-back scratch (see relocate).
 	metaBuf  []byte
 	zeroPage []byte
 	zeroCRC  uint32
@@ -216,15 +227,19 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 	if cfg.LogicalPages <= 0 || cfg.LogicalPages > maxLogical {
 		return nil, fmt.Errorf("ftl: LogicalPages %d outside (0, %d]", cfg.LogicalPages, maxLogical)
 	}
+	if err := checkMapFormat(chipCfg); err != nil {
+		return nil, err
+	}
+	groups := mapPages(cfg.LogicalPages, chipCfg.PageSize)
 	f := &FTL{
 		chip:       chip,
 		cfg:        cfg,
-		l2p:        make([]nand.PPN, cfg.LogicalPages),
-		persisted:  make([]nand.PPN, cfg.LogicalPages),
+		l2p:        newMapTable(groups, chipCfg.PageSize),
+		persisted:  newMapTable(groups, chipCfg.PageSize),
 		rmap:       make([]LPN, chipCfg.TotalPages()),
-		dirtyGroup: make(map[int64]struct{}),
+		dirtyGroup: make([]bool, groups),
 		metaSlots:  make(map[string][]nand.PPN),
-		groupSlots: make(map[int64]nand.PPN),
+		groupSlots: make([]nand.PPN, groups),
 		bad:        make(map[nand.BlockNum]bool),
 		metaSet:    make(map[nand.BlockNum]bool, cfg.MetaBlocks),
 		seq:        1,
@@ -240,9 +255,8 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 	f.zeroCRC = crc32.ChecksumIEEE(f.zeroPage)
 	f.gcBuf = f.newCopyBuf()
 	f.health = make([]unitHealth, chipCfg.Units())
-	for i := range f.l2p {
-		f.l2p[i] = nand.InvalidPPN
-		f.persisted[i] = nand.InvalidPPN
+	for g := range f.groupSlots {
+		f.groupSlots[g] = nand.InvalidPPN
 	}
 	for i := range f.rmap {
 		f.rmap[i] = -1
@@ -288,7 +302,7 @@ func (f *FTL) Mapping(lpn LPN) nand.PPN {
 	if lpn < 0 || int64(lpn) >= f.cfg.LogicalPages {
 		return nand.InvalidPPN
 	}
-	return f.l2p[lpn]
+	return f.l2p.get(lpn)
 }
 
 // checkLPN validates a logical page number.
@@ -312,7 +326,7 @@ func (f *FTL) Read(lpn LPN, buf []byte) error {
 	if err := f.checkLPN(lpn); err != nil {
 		return err
 	}
-	ppn := f.l2p[lpn]
+	ppn := f.l2p.get(lpn)
 	if ppn == nand.InvalidPPN {
 		clear(buf[:min(len(buf), f.PageSize())])
 		return nil
@@ -502,15 +516,15 @@ func (f *FTL) Map(lpn LPN, ppn nand.PPN) error {
 	if err := f.checkLPN(lpn); err != nil {
 		return err
 	}
-	old := f.l2p[lpn]
+	old := f.l2p.get(lpn)
 	if old == ppn {
 		return nil
 	}
-	f.l2p[lpn] = ppn
+	f.l2p.set(lpn, ppn)
 	if ppn != nand.InvalidPPN {
 		f.rmap[ppn] = lpn
 	}
-	f.dirtyGroup[f.group(lpn)] = struct{}{}
+	f.dirtyGroup[f.group(lpn)] = true
 	if old != nand.InvalidPPN {
 		f.retire(lpn, old)
 	}
@@ -522,12 +536,12 @@ func (f *FTL) Unmap(lpn LPN) error {
 	if err := f.checkLPN(lpn); err != nil {
 		return err
 	}
-	old := f.l2p[lpn]
+	old := f.l2p.get(lpn)
 	if old == nand.InvalidPPN {
 		return nil
 	}
-	f.l2p[lpn] = nand.InvalidPPN
-	f.dirtyGroup[f.group(lpn)] = struct{}{}
+	f.l2p.set(lpn, nand.InvalidPPN)
+	f.dirtyGroup[f.group(lpn)] = true
 	f.retire(lpn, old)
 	return nil
 }
@@ -537,7 +551,7 @@ func (f *FTL) Unmap(lpn LPN) error {
 // deferred to the next barrier (or to GC); otherwise the chip page is
 // invalidated now.
 func (f *FTL) retire(lpn LPN, old nand.PPN) {
-	if f.persisted[lpn] == old {
+	if f.persisted.get(lpn) == old {
 		return // still needed for crash recovery until next barrier
 	}
 	if f.hook != nil && f.hook.Live(old) {
@@ -554,7 +568,7 @@ func (f *FTL) InvalidatePPN(ppn nand.PPN) error {
 		return nil
 	}
 	lpn := f.rmap[ppn]
-	if lpn >= 0 && (f.l2p[lpn] == ppn || f.persisted[lpn] == ppn) {
+	if lpn >= 0 && (f.l2p.get(lpn) == ppn || f.persisted.get(lpn) == ppn) {
 		return fmt.Errorf("ftl: refusing to invalidate mapped ppn %d", ppn)
 	}
 	f.rmap[ppn] = -1
@@ -722,7 +736,7 @@ func (f *FTL) collectOnce() error {
 			continue
 		}
 		lpn := f.rmap[ppn]
-		if lpn >= 0 && f.persisted[lpn] == ppn && f.l2p[lpn] != ppn {
+		if lpn >= 0 && f.persisted.get(lpn) == ppn && f.l2p.get(lpn) != ppn {
 			if f.hook == nil || !f.hook.Live(ppn) {
 				staleGroups[f.group(lpn)] = struct{}{}
 			}
@@ -832,7 +846,7 @@ func (f *FTL) isFree(blk nand.BlockNum) bool {
 // layer's table references it.
 func (f *FTL) isLive(ppn nand.PPN) bool {
 	if lpn := f.rmap[ppn]; lpn >= 0 {
-		if f.l2p[lpn] == ppn || f.persisted[lpn] == ppn {
+		if f.l2p.get(lpn) == ppn || f.persisted.get(lpn) == ppn {
 			return true
 		}
 	}
@@ -872,11 +886,11 @@ func (f *FTL) relocate(old nand.PPN, scratch []byte) error {
 	f.rmap[dst] = lpn
 	f.rmap[old] = -1
 	if lpn >= 0 {
-		if f.l2p[lpn] == old {
-			f.l2p[lpn] = dst
-			f.dirtyGroup[f.group(lpn)] = struct{}{}
+		if f.l2p.get(lpn) == old {
+			f.l2p.set(lpn, dst)
+			f.dirtyGroup[f.group(lpn)] = true
 		}
-		if f.persisted[lpn] == old {
+		if f.persisted.get(lpn) == old {
 			// The flash-resident map image must cover the new location
 			// before the victim block is erased. persistGroup programs
 			// the fresh group image first and then reconciles the whole
@@ -901,11 +915,14 @@ func (f *FTL) newCopyBuf() []byte {
 	return make([]byte, cfg.PageSize+cfg.OOBSize)
 }
 
-// fullMapPages is how many flash pages the whole L2P table occupies.
-func (f *FTL) fullMapPages() int {
-	per := mapEntriesPerPage(f.chip.Config().PageSize)
-	return int((f.cfg.LogicalPages + per - 1) / per)
+// mapPages is how many flash pages an L2P table of n entries occupies.
+func mapPages(n int64, pageSize int) int {
+	per := mapEntriesPerPage(pageSize)
+	return int((n + per - 1) / per)
 }
+
+// fullMapPages is how many flash pages the whole L2P table occupies.
+func (f *FTL) fullMapPages() int { return len(f.groupSlots) }
 
 // barrierPadPages is how many extra (content-free) meta pages a
 // barrier programs beyond the dirty group images, modeling firmware
@@ -922,24 +939,31 @@ func (f *FTL) barrierPadPages(dirty int) int {
 }
 
 // syncGroup reconciles one map group's persistent image with the
-// volatile table, resolving deferred invalidations.
+// volatile table, resolving deferred invalidations. A flush usually
+// changes a handful of a page's entries, so the two pages are compared a
+// cache line at a time and only lines that differ are decoded.
 func (f *FTL) syncGroup(g int64) {
-	per := mapEntriesPerPage(f.chip.Config().PageSize)
-	lo := g * per
-	hi := min(lo+per, f.cfg.LogicalPages)
-	persisted := f.persisted[lo:hi]
-	for i, now := range f.l2p[lo:hi] {
-		old := persisted[i]
-		if old == now {
+	const line = 64
+	now, persisted := f.l2p.page(g), f.persisted.page(g)
+	first := LPN(g * mapEntriesPerPage(len(now)))
+	for lo := 0; lo < len(now); lo += line {
+		hi := min(lo+line, len(now))
+		if bytes.Equal(now[lo:hi], persisted[lo:hi]) {
 			continue
 		}
-		persisted[i] = now
-		if old != nand.InvalidPPN && f.rmap[old] == LPN(lo)+LPN(i) {
-			// The page lost its last L2P reference; unless the
-			// transactional layer holds it, it is garbage now.
-			if f.hook == nil || !f.hook.Live(old) {
-				f.rmap[old] = -1
-				_ = f.chip.Invalidate(old)
+		for lpn := first + LPN(lo/4); lpn < first+LPN(hi/4); lpn++ {
+			old, cur := f.persisted.get(lpn), f.l2p.get(lpn)
+			if old == cur {
+				continue
+			}
+			f.persisted.set(lpn, cur)
+			if old != nand.InvalidPPN && f.rmap[old] == lpn {
+				// The page lost its last L2P reference; unless the
+				// transactional layer holds it, it is garbage now.
+				if f.hook == nil || !f.hook.Live(old) {
+					f.rmap[old] = -1
+					_ = f.chip.Invalidate(old)
+				}
 			}
 		}
 	}
@@ -952,28 +976,19 @@ func (f *FTL) syncGroup(g int64) {
 // persistently", §6.3.4). By default the whole table image is stored,
 // which is what makes fsync so expensive on the baseline firmware.
 func (f *FTL) Barrier() error {
-	if len(f.dirtyGroup) == 0 {
-		return nil
-	}
-	dirty := sortedKeys(f.dirtyGroup)
 	// Each dirty group is stored copy-on-write: the new group image is
 	// programmed first and its pointer flips only on success, so a power
 	// cut or program failure mid-barrier leaves the previous image — and
 	// its shadow — both current. Clean groups keep their existing flash
 	// images; the pad pages model the firmware's fixed-size full-table
 	// store without carrying content.
-	pad := f.barrierPadPages(len(dirty))
-	for _, g := range dirty {
-		if err := f.persistGroup(g); err != nil {
-			return err
-		}
+	dirty, err := f.FlushDirtyGroups()
+	if err != nil || dirty == 0 {
+		return err
 	}
-	if pad > 0 {
-		if err := f.WriteMetaSlot("l2pmap-pad", pad); err != nil {
-			return err
-		}
+	if pad := f.barrierPadPages(dirty); pad > 0 {
+		return f.WriteMetaSlot("l2pmap-pad", pad)
 	}
-	clear(f.dirtyGroup)
 	return nil
 }
 
@@ -984,8 +999,11 @@ func (f *FTL) Barrier() error {
 // already makes the transaction durable.
 func (f *FTL) FlushDirtyGroups() (int, error) {
 	n := 0
-	for _, g := range sortedKeys(f.dirtyGroup) {
-		if err := f.persistGroup(g); err != nil {
+	for g, dirty := range f.dirtyGroup {
+		if !dirty {
+			continue
+		}
+		if err := f.persistGroup(int64(g)); err != nil {
 			return n, err
 		}
 		n++
@@ -993,25 +1011,25 @@ func (f *FTL) FlushDirtyGroups() (int, error) {
 	return n, nil
 }
 
-// persistGroup makes one map group durable: the new group image — real
-// serialized content, checksummed in its spare record — is programmed
-// first, and only then is the in-memory shadow reconciled and the group
-// pointer flipped — modeling the atomic pointer flip of a copy-on-write
-// firmware, so a power cut or program failure mid-flush leaves the
-// previous group image current.
+// persistGroup makes one map group durable: the new group image — the
+// volatile table's own page, checksummed in its spare record — is
+// programmed first, and only then is the in-memory shadow reconciled and
+// the group pointer flipped — modeling the atomic pointer flip of a
+// copy-on-write firmware, so a power cut or program failure mid-flush
+// leaves the previous group image current.
 func (f *FTL) persistGroup(g int64) error {
 	tag := metaTag{state: metaStateGroup, group: g, seq: f.nextSeq(), payLen: f.PageSize()}
-	ppn, err := f.metaProgram(tag, nil, f.l2p)
+	ppn, err := f.metaProgram(tag, nil, &f.l2p)
 	if err != nil {
 		return err
 	}
 	f.syncGroup(g)
-	if old, ok := f.groupSlots[g]; ok {
+	if old := f.groupSlots[g]; old != nand.InvalidPPN {
 		delete(f.metaTags, old)
 		_ = f.chip.Invalidate(old)
 	}
 	f.groupSlots[g] = ppn
-	delete(f.dirtyGroup, g)
+	f.dirtyGroup[g] = false
 	return nil
 }
 
@@ -1040,9 +1058,12 @@ func (f *FTL) WriteMetaSlot(name string, pages int) error {
 func (f *FTL) WriteMetaSlotData(name string, payload []byte, minPages int) error {
 	ps := f.PageSize()
 	pages := max((len(payload)+ps-1)/ps, minPages, 1)
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	return f.writeMetaSlot(name, p, pages)
+	mirror := append(f.spareData[:0], payload...)
+	f.spareData = nil
+	if mirror == nil {
+		mirror = []byte{} // empty is still content-bearing; nil is a pad chain
+	}
+	return f.writeMetaSlot(name, mirror, pages)
 }
 
 // writeMetaSlot programs a slot's new chain and then flips the slot
@@ -1050,12 +1071,16 @@ func (f *FTL) WriteMetaSlotData(name string, payload []byte, minPages int) error
 // the old chain pointed-at and intact, while the half-written new chain
 // is garbage the scan path can identify (incomplete, lower sequence).
 // The whole chain shares a contiguous sequence range so any complete
-// copy can be ranked by its base sequence number.
+// copy can be ranked by its base sequence number. A non-nil payload is
+// the caller's to give away: it becomes the slot's mirror. The chain is
+// built in the spare, so the one the slot points at stays whole for a
+// re-home until the flip.
 func (f *FTL) writeMetaSlot(name string, payload []byte, pages int) error {
 	ps := f.PageSize()
 	baseSeq := f.seq
 	f.seq += uint64(pages)
-	chain := make([]nand.PPN, 0, pages)
+	chain := f.spareChain[:0]
+	f.spareChain = nil
 	for i := 0; i < pages; i++ {
 		var piece []byte
 		if lo := i * ps; lo < len(payload) {
@@ -1072,13 +1097,14 @@ func (f *FTL) writeMetaSlot(name string, payload []byte, pages int) error {
 		}
 		chain = append(chain, ppn)
 	}
-	for _, old := range f.metaSlots[name] {
+	prev := f.metaSlots[name]
+	for _, old := range prev {
 		delete(f.metaTags, old)
 		_ = f.chip.Invalidate(old)
 	}
-	f.metaSlots[name] = chain
+	f.spareChain, f.metaSlots[name] = prev, chain
 	if payload != nil {
-		f.metaData[name] = payload
+		f.spareData, f.metaData[name] = f.metaData[name], payload
 	} else {
 		delete(f.metaData, name)
 	}
@@ -1112,17 +1138,17 @@ func (f *FTL) MetaRingBlocks() []nand.BlockNum {
 
 // metaProgram programs one page (content plus checksummed spare record)
 // in the metadata ring and returns its address, advancing to the next
-// ring block as the frontier fills. The content is map group tag.group
-// rendered from groupSrc when that is non-nil, else payload zero-padded
+// ring block as the frontier fills. The content is groupSrc's own page
+// of map group tag.group when that is non-nil, else payload zero-padded
 // to a page; an empty payload is a content-free pad.
 //
 // metaProgram is re-entrant — advancing the frontier re-homes pointed
 // pages, and retiring a failed ring block re-homes and persists the BBT,
 // all through nested metaProgram calls that render into the same
-// metaBuf. The page is therefore rendered inside the loop, after any
-// advance and immediately before its program; payload must not alias
+// metaBuf. The page is therefore taken or rendered inside the loop, after
+// any advance and immediately before its program; payload must not alias
 // metaBuf.
-func (f *FTL) metaProgram(tag metaTag, payload []byte, groupSrc []nand.PPN) (nand.PPN, error) {
+func (f *FTL) metaProgram(tag metaTag, payload []byte, groupSrc *mapTable) (nand.PPN, error) {
 	if f.tracer != nil && f.tracer.FirmOrigin() == trace.OHost {
 		// Host-triggered metadata maintenance (map-group flushes on a
 		// barrier, BBT persists) attributes as meta work; inside a GC,
@@ -1140,13 +1166,12 @@ func (f *FTL) metaProgram(tag metaTag, payload []byte, groupSrc []nand.PPN) (nan
 			}
 		}
 		page, crc := f.zeroPage, f.zeroCRC
-		if groupSrc != nil || len(payload) > 0 {
+		if groupSrc != nil {
+			page = groupSrc.page(tag.group)
+			crc = crc32.ChecksumIEEE(page)
+		} else if len(payload) > 0 {
 			page = f.metaBuf
-			if groupSrc != nil {
-				f.serializeGroup(page, groupSrc, tag.group)
-			} else {
-				clear(page[copy(page, payload):])
-			}
+			clear(page[copy(page, payload):])
 			crc = crc32.ChecksumIEEE(page)
 		}
 		oob := f.metaOOB(tag, crc)
@@ -1262,7 +1287,7 @@ func (f *FTL) rehomePointed(blk nand.BlockNum) error {
 		var moved nand.PPN
 		var err error
 		if tag.state == metaStateGroup {
-			moved, err = f.metaProgram(tag, nil, f.persisted)
+			moved, err = f.metaProgram(tag, nil, &f.persisted)
 		} else {
 			moved, err = f.metaProgram(tag, f.slotPagePayload(tag.slot, tag.idx), nil)
 		}

@@ -171,45 +171,79 @@ func (f *FTL) slotID(name string) uint16 {
 	return f.nextSlotID
 }
 
-// serializeGroup renders one map group into buf as a flash page: 4-byte
-// little-endian PPNs, 0xFFFFFFFF for unmapped entries (the erased-flash
-// pattern, as real map pages use). src is f.l2p when persisting the
-// volatile state and f.persisted when regenerating what flash holds.
-func (f *FTL) serializeGroup(buf []byte, src []nand.PPN, g int64) {
-	per := mapEntriesPerPage(f.PageSize())
-	lo := g * per
-	buf = buf[:4*per]
-	// InvalidPPN is -1: truncated to 32 bits it is the erased pattern.
-	for _, ppn := range src[lo:min(lo+per, f.cfg.LogicalPages)] {
-		binary.LittleEndian.PutUint32(buf, uint32(ppn))
-		buf = buf[4:]
-	}
-	for i := range buf { // entries past LogicalPages, in the last group
-		buf[i] = 0xFF
+// mapTable is a logical-to-physical table held in the format of the
+// flash pages that persist it: 4-byte little-endian PPNs, 0xFFFFFFFF for
+// an unmapped entry (InvalidPPN truncated to 32 bits, and the erased-flash
+// pattern, as real map pages use), padded with 0xFF to whole pages. A
+// map-group flush programs page(g) as it stands.
+type mapTable struct {
+	b        []byte
+	pageSize int
+}
+
+const unmappedEntry = 0xFFFFFFFF
+
+// newMapTable returns a table of the given number of map pages with every
+// entry unmapped.
+func newMapTable(pages, pageSize int) mapTable {
+	t := mapTable{b: make([]byte, pages*pageSize), pageSize: pageSize}
+	t.reset()
+	return t
+}
+
+func (t mapTable) reset() {
+	for i := range t.b {
+		t.b[i] = 0xFF
 	}
 }
 
-// deserializeGroup applies one map-group page image to dst, validating
-// every entry. It reports an error on a PPN outside the device.
-func (f *FTL) deserializeGroup(dst []nand.PPN, g int64, page []byte) error {
-	per := mapEntriesPerPage(f.PageSize())
-	total := f.chip.Config().TotalPages()
-	lo := g * per
-	for i := int64(0); i < per; i++ {
-		lpn := lo + i
-		if lpn >= f.cfg.LogicalPages {
-			break
-		}
-		v := binary.LittleEndian.Uint32(page[i*4:])
-		if v == 0xFFFFFFFF {
-			dst[lpn] = nand.InvalidPPN
-			continue
-		}
-		if int64(v) >= total {
-			return fmt.Errorf("ftl: map group %d entry %d references ppn %d beyond device", g, i, v)
-		}
-		dst[lpn] = nand.PPN(v)
+func (t mapTable) get(lpn LPN) nand.PPN {
+	if v := binary.LittleEndian.Uint32(t.b[4*lpn:]); v != unmappedEntry {
+		return nand.PPN(v)
 	}
+	return nand.InvalidPPN
+}
+
+func (t mapTable) set(lpn LPN, ppn nand.PPN) {
+	binary.LittleEndian.PutUint32(t.b[4*lpn:], uint32(ppn))
+}
+
+// page returns map group g's flash page, aliasing the table.
+func (t mapTable) page(g int64) []byte {
+	lo := int(g) * t.pageSize
+	return t.b[lo : lo+t.pageSize]
+}
+
+// checkMapFormat reports whether a table over the chip fits the map-page
+// format: every PPN must be distinct from unmappedEntry in four bytes, and
+// entries must not straddle pages.
+func checkMapFormat(c nand.Config) error {
+	if c.TotalPages() >= unmappedEntry {
+		return fmt.Errorf("ftl: %d physical pages, a 4-byte map entry addresses at most 2^32-2", c.TotalPages())
+	}
+	if c.PageSize%4 != 0 {
+		return fmt.Errorf("ftl: page size %d is not a whole number of 4-byte map entries", c.PageSize)
+	}
+	return nil
+}
+
+// loadMapGroup adopts one map-group page image read from flash into
+// dst, after validating every entry below LogicalPages: it reports an
+// error, dst untouched, on a PPN outside the device.
+func (f *FTL) loadMapGroup(dst mapTable, g int64, page []byte) error {
+	per := mapEntriesPerPage(f.PageSize())
+	n := min(per, f.cfg.LogicalPages-g*per)
+	if g < 0 || n <= 0 || int64(len(page)) < 4*n {
+		return fmt.Errorf("ftl: map group %d: %d-byte image, table of %d entries", g, len(page), f.cfg.LogicalPages)
+	}
+	page = page[:4*n]
+	total := f.chip.Config().TotalPages()
+	for i := 0; i < len(page); i += 4 {
+		if v := binary.LittleEndian.Uint32(page[i:]); v != unmappedEntry && int64(v) >= total {
+			return fmt.Errorf("ftl: map group %d entry %d references ppn %d beyond device", g, i/4, v)
+		}
+	}
+	copy(dst.page(g), page)
 	return nil
 }
 
@@ -236,16 +270,13 @@ func (f *FTL) serializeBBT() []byte {
 // tidRange is one contiguous range of committed transaction ids.
 type tidRange struct{ lo, hi uint64 }
 
-// encodeTidRanges renders the committed-transaction log: u32 range
-// count, then lo/hi u64 pairs.
-func encodeTidRanges(rs []tidRange) []byte {
-	buf := make([]byte, 4+16*len(rs))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(rs)))
-	off := 4
+// appendTidRanges renders the committed-transaction log onto buf: u32
+// range count, then lo/hi u64 pairs.
+func appendTidRanges(buf []byte, rs []tidRange) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rs)))
 	for _, r := range rs {
-		binary.LittleEndian.PutUint64(buf[off:], r.lo)
-		binary.LittleEndian.PutUint64(buf[off+8:], r.hi)
-		off += 16
+		buf = binary.LittleEndian.AppendUint64(buf, r.lo)
+		buf = binary.LittleEndian.AppendUint64(buf, r.hi)
 	}
 	return buf
 }
@@ -325,15 +356,15 @@ func (f *FTL) NoteCommittedTx(tid uint64) error {
 	if tid == 0 || f.TxCommitted(tid) {
 		return nil
 	}
-	saved := make([]tidRange, len(f.committed))
-	copy(saved, f.committed)
+	f.savedTids = append(f.savedTids[:0], f.committed...)
 	savedMax := f.maxCommitted
 	f.committed = insertTid(f.committed, tid)
 	if tid > f.maxCommitted {
 		f.maxCommitted = tid
 	}
-	if err := f.WriteMetaSlotData("txlog", encodeTidRanges(f.committed), 1); err != nil {
-		f.committed, f.maxCommitted = saved, savedMax
+	f.txlogBuf = appendTidRanges(f.txlogBuf[:0], f.committed)
+	if err := f.WriteMetaSlotData("txlog", f.txlogBuf, 1); err != nil {
+		f.committed, f.maxCommitted = append(f.committed[:0], f.savedTids...), savedMax
 		return err
 	}
 	return nil

@@ -30,6 +30,7 @@
 package ftl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -162,19 +163,19 @@ func (f *FTL) mountImage(info *RecoveryInfo) error {
 	}
 
 	// Map groups: decode every pointed group image into a fresh table.
-	newMap := make([]nand.PPN, f.cfg.LogicalPages)
-	for i := range newMap {
-		newMap[i] = nand.InvalidPPN
-	}
-	for _, g := range sortedKeys(f.groupSlots) {
-		rec, err := readMeta(f.groupSlots[g])
+	newMap := newMapTable(f.fullMapPages(), chipCfg.PageSize)
+	for g, ppn := range f.groupSlots {
+		if ppn == nand.InvalidPPN {
+			continue
+		}
+		rec, err := readMeta(ppn)
 		if err != nil {
 			return err
 		}
 		if rec.state != metaStateGroup || rec.a != uint64(g) {
-			return f.metaIntegrityErr(info, "meta page %d is not the image of map group %d", f.groupSlots[g], g)
+			return f.metaIntegrityErr(info, "meta page %d is not the image of map group %d", ppn, g)
 		}
-		if err := f.deserializeGroup(newMap, g, buf); err != nil {
+		if err := f.loadMapGroup(newMap, int64(g), buf); err != nil {
 			return f.metaIntegrityErr(info, "map group %d: %v", g, err)
 		}
 	}
@@ -214,8 +215,8 @@ func (f *FTL) mountImage(info *RecoveryInfo) error {
 	}
 
 	// Everything verified: adopt.
-	copy(f.l2p, newMap)
-	copy(f.persisted, newMap)
+	copy(f.l2p.b, newMap.b)
+	f.persisted = newMap
 	clear(f.dirtyGroup)
 	f.metaData = newData
 	if txlog, ok := newData["txlog"]; ok {
@@ -273,7 +274,9 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 	// referenced become unpointed garbage that the ring advance and the
 	// orphan sweep clean up lazily.
 	f.metaSlots = make(map[string][]nand.PPN)
-	f.groupSlots = make(map[int64]nand.PPN)
+	for g := range f.groupSlots {
+		f.groupSlots[g] = nand.InvalidPPN
+	}
 	f.metaTags = make(map[nand.PPN]metaTag)
 	f.metaData = make(map[string][]byte)
 	clear(f.dirtyGroup)
@@ -438,13 +441,11 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 			bestPPN[d.lpn] = d.ppn
 		}
 	}
-	for i := range f.l2p {
-		f.l2p[i] = nand.InvalidPPN
-		f.persisted[i] = nand.InvalidPPN
-	}
+	f.l2p.reset()
+	f.persisted.reset()
 	for lpn, ppn := range bestPPN {
-		f.l2p[lpn] = ppn
-		f.persisted[lpn] = ppn
+		f.l2p.set(lpn, ppn)
+		f.persisted.set(lpn, ppn)
 	}
 	if maxSeq >= f.seq {
 		f.seq = maxSeq + 1
@@ -454,20 +455,12 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 	// valid pages again and the next mount takes the fast path. The
 	// bad-block table and txlog are regenerated from the recovered RAM
 	// state rather than replayed from their winning chains.
-	per := mapEntriesPerPage(chipCfg.PageSize)
-	for g := int64(0); g < int64(f.fullMapPages()); g++ {
-		lo, hi := g*per, min((g+1)*per, f.cfg.LogicalPages)
-		mapped := false
-		for lpn := lo; lpn < hi; lpn++ {
-			if f.persisted[lpn] != nand.InvalidPPN {
-				mapped = true
-				break
-			}
+	for g := range f.groupSlots {
+		page := f.persisted.page(int64(g))
+		if bytes.Count(page, []byte{0xFF}) == len(page) {
+			continue // nothing mapped in this group
 		}
-		if !mapped {
-			continue
-		}
-		if err := f.persistGroup(g); err != nil {
+		if err := f.persistGroup(int64(g)); err != nil {
 			return err
 		}
 	}
@@ -488,7 +481,7 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 		}
 	}
 	if len(f.committed) > 0 {
-		if err := f.WriteMetaSlotData("txlog", encodeTidRanges(f.committed), 1); err != nil {
+		if err := f.WriteMetaSlotData("txlog", appendTidRanges(nil, f.committed), 1); err != nil {
 			return err
 		}
 	}
@@ -530,9 +523,9 @@ func (f *FTL) rebuildRmap() {
 	for i := range f.rmap {
 		f.rmap[i] = -1
 	}
-	for lpn, ppn := range f.l2p {
-		if ppn != nand.InvalidPPN {
-			f.rmap[ppn] = LPN(lpn)
+	for lpn := range LPN(f.cfg.LogicalPages) {
+		if ppn := f.l2p.get(lpn); ppn != nand.InvalidPPN {
+			f.rmap[ppn] = lpn
 		}
 	}
 }
@@ -594,8 +587,10 @@ func (f *FTL) CorruptMeta(target string, erase bool) (int, error) {
 	var pages []nand.PPN
 	switch target {
 	case "map":
-		for _, g := range sortedKeys(f.groupSlots) {
-			pages = append(pages, f.groupSlots[g])
+		for _, ppn := range f.groupSlots {
+			if ppn != nand.InvalidPPN {
+				pages = append(pages, ppn)
+			}
 		}
 	default:
 		chain := f.metaSlots[target]

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+	"time"
 
 	"repro/internal/nand"
 )
@@ -446,5 +447,127 @@ func TestRehomeMidChainKeepsEveryPageIntact(t *testing.T) {
 	check(RecoveryScan)
 	if info := f.LastRecovery(); info.CRCFailures > 2 { // once per mount path
 		t.Errorf("scan rejected %d pages, want only the canary", info.CRCFailures)
+	}
+}
+
+// failNth is a chip charger that turns the n-th page operation charged
+// after it is installed into a program status fail, and only that one.
+type failNth struct {
+	chip *nand.Chip
+	n    int
+}
+
+func (c *failNth) ChargeUnit(unit int, d time.Duration) (start, end time.Duration) {
+	c.n--
+	switch c.n {
+	case 1:
+		c.chip.SetFaultModel(&nand.FaultModel{ProgramFailProb: 1})
+	case 0:
+		c.chip.SetFaultModel(nil)
+	}
+	end = c.chip.Clock().Advance(d)
+	return end - d, end
+}
+
+func (c *failNth) ChargeAll(d time.Duration) (start, end time.Duration) {
+	end = c.chip.Clock().Advance(d)
+	return end - d, end
+}
+
+// TestRingRetirementMidChainKeepsTheChainUnderConstruction is the other
+// way metaProgram re-enters: the third page of a four-page chain fails
+// its program, the ring block is retired, and persisting the bad-block
+// table runs a whole nested writeMetaSlot — chain, payload mirror, flip —
+// before the outer chain's remaining pages are programmed. The outer
+// call builds its chain and mirror in the spare storage; the nested one
+// must not build in the same arrays, nor may the spare it leaves behind
+// be anything a slot still points at.
+func TestRingRetirementMidChainKeepsTheChainUnderConstruction(t *testing.T) {
+	f, stats := newTestFTL(t)
+	ps := f.PageSize()
+	payload := func(pages int, salt byte) []byte {
+		p := make([]byte, pages*ps-ps/2)
+		for i := range p {
+			p[i] = byte(i/ps)*16 + salt + byte(i%7)
+		}
+		return p
+	}
+	keep := payload(2, 0x40)
+	if err := f.WriteMetaSlotData("keep", keep, 1); err != nil {
+		t.Fatal(err)
+	}
+	lpns := []LPN{1, 5, 9, 200}
+	writeAndBarrier(t, f, lpns)
+	for f.metaPage != 2 { // room for three chains in this ring block
+		if err := f.WriteMetaSlot("pad", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Spare chain and mirror in place, big enough for what follows: a
+	// slot's second write leaves its first chain and mirror there.
+	for _, salt := range []byte{0x10, 0x20} {
+		if err := f.WriteMetaSlotData("big", payload(4, salt), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(f.spareChain) < 4 || cap(f.spareData) < 3*ps {
+		t.Fatalf("spare storage not in place (chain cap %d, mirror cap %d)", cap(f.spareChain), cap(f.spareData))
+	}
+	if f.metaPage+4 > f.chip.Config().PagesPerBlock {
+		t.Fatalf("frontier at page %d: the chain would advance the ring before its third page", f.metaPage)
+	}
+
+	ring, retired := f.metaBlocks[f.metaCur], stats.RetiredBlocks.Load()
+	f.chip.SetCharger(&failNth{chip: f.chip, n: 3})
+	big := payload(4, 0x80)
+	if err := f.WriteMetaSlotData("big", big, 1); err != nil {
+		t.Fatal(err)
+	}
+	f.chip.SetCharger(nil)
+	if !f.bad[ring] || stats.RetiredBlocks.Load() != retired+1 {
+		t.Fatalf("ring block %d not retired mid-chain (retired %d -> %d)", ring, retired, stats.RetiredBlocks.Load())
+	}
+
+	check := func(when string) {
+		t.Helper()
+		if got := f.MetaSlotData("big"); !bytes.Equal(got, big) {
+			t.Errorf("%s: chain written across the retirement reads back wrong", when)
+		}
+		if got := f.MetaSlotData("keep"); !bytes.Equal(got, keep) {
+			t.Errorf("%s: re-homed chain reads back wrong", when)
+		}
+		if !f.bad[ring] {
+			t.Errorf("%s: retired ring block %d forgotten", when, ring)
+		}
+		chains := map[*nand.PPN]string{}
+		for name, chain := range f.metaSlots {
+			if len(chain) == 0 {
+				continue
+			}
+			if other, dup := chains[&chain[0]]; dup {
+				t.Errorf("%s: slots %q and %q share a chain array", when, name, other)
+			}
+			chains[&chain[0]] = name
+			if cap(f.spareChain) > 0 && &chain[0] == &f.spareChain[:1][0] {
+				t.Errorf("%s: slot %q points at the spare chain", when, name)
+			}
+		}
+		verifyPages(t, f, lpns)
+	}
+	check("after the write")
+	// The pages programmed before the failure sit, invalidated, in the
+	// retired block, so this mount may have to scan; either way every
+	// slot must come back whole.
+	f.PowerCut()
+	if err := f.Restart(); err != nil {
+		t.Fatalf("Restart: %v", err)
+	}
+	check("after " + f.LastRecovery().Mode.String() + " recovery")
+	// And the spare left by all that is usable.
+	if err := f.WriteMetaSlotData("big", keep, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.MetaSlotData("keep"); !bytes.Equal(got, keep) {
+		t.Error("writing through the spare left by the retirement damaged another slot's mirror")
 	}
 }

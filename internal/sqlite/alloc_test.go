@@ -12,9 +12,11 @@ import (
 // The synthetic workload's two prepared statements against its table: a
 // point SELECT decodes its row once, under the page's pin, into a slice
 // sized from the record header, and never materializes the comment it does
-// not read; an UPDATE decodes the whole row the same way. The bounds are
-// what the statements allocate today (26 and 23 before the in-place
-// decode); most of what is left is the executor's per-statement planning.
+// not read; an UPDATE decodes the whole row the same way, encodes the new
+// one in one allocation and writes its same-size cell over the old one.
+// The bounds are what the statements allocate today (26 and 23 before the
+// in-place decode, 18 and 18 before the one-pass encoder); most of what is
+// left is the executor's per-statement planning.
 // (Not under -race: the race runtime allocates.)
 func TestPointStatementAllocs(t *testing.T) {
 	db := newEnv(t, pager.Off).open(t)
@@ -55,8 +57,16 @@ func TestPointStatementAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(rows, selectOne); allocs > 18 {
 		t.Errorf("prepared point SELECT allocates %.1f objects, want at most 18", allocs)
 	}
-	if allocs := testing.AllocsPerRun(rows, updateOne); allocs > 18 {
-		t.Errorf("prepared point UPDATE allocates %.1f objects, want at most 18", allocs)
+	if allocs := testing.AllocsPerRun(rows, updateOne); allocs > 14 {
+		t.Errorf("prepared point UPDATE allocates %.1f objects, want at most 14", allocs)
+	}
+}
+
+// A row is sized before it is written: the record is the one allocation.
+func TestEncodeRecordAllocs(t *testing.T) {
+	row := []Value{Int(4711), Int(63), Int(12), Real(47.11), Text(strings.Repeat("c", 199))}
+	if allocs := testing.AllocsPerRun(1000, func() { _ = EncodeRecord(row) }); allocs != 1 {
+		t.Errorf("EncodeRecord allocates %.1f objects for a partsupp row, want 1", allocs)
 	}
 }
 

@@ -449,19 +449,25 @@ func (t *Tree) writeOverflow(data []byte) (pager.Pgno, error) {
 	}
 }
 
+// errChain is what both chain walks below return for a chain that cannot
+// be one: a page of another type, a length past the page, or more links
+// than the file has pages — a cycle, which would otherwise spin the read
+// (a zero-length page pointing at itself) or free its pages twice.
+var errChain = fmt.Errorf("%w: overflow chain", ErrCorrupt)
+
 // readOverflow appends a chain's contents to dst.
 func (t *Tree) readOverflow(first pager.Pgno, dst []byte, want int) ([]byte, error) {
-	for pgno := first; pgno != 0 && len(dst) < want; {
+	for pgno, left := first, t.pg.NPages(); pgno != 0 && len(dst) < want; left-- {
 		pg, err := t.pg.Get(pgno)
 		if err != nil {
 			return nil, err
 		}
 		d := pg.Data()
-		if d[offType] != typeOverflow {
-			pg.Release()
-			return nil, fmt.Errorf("%w: overflow chain", ErrCorrupt)
-		}
 		n := int(getU16(d, 5))
+		if left == 0 || d[offType] != typeOverflow || ovflHdrSize+n > len(d) {
+			pg.Release()
+			return nil, errChain
+		}
 		dst = append(dst, d[ovflHdrSize:ovflHdrSize+n]...)
 		pgno = pager.Pgno(getU32(d, 1))
 		pg.Release()
@@ -471,7 +477,10 @@ func (t *Tree) readOverflow(first pager.Pgno, dst []byte, want int) ([]byte, err
 
 // freeOverflow releases a chain back to the pager.
 func (t *Tree) freeOverflow(first pager.Pgno) error {
-	for pgno := first; pgno != 0; {
+	for pgno, left := first, t.pg.NPages(); pgno != 0; left-- {
+		if left == 0 {
+			return errChain
+		}
 		pg, err := t.pg.Get(pgno)
 		if err != nil {
 			return err
@@ -754,6 +763,10 @@ func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte) (*splitResult, er
 	d := pg.Data()
 
 	if isLeaf(d) {
+		raw := encodeCell(d[offType], c)
+		if len(raw)+ptrSize > len(d)-hdrSize {
+			return nil, ErrTooLarge
+		}
 		if err := t.pg.Write(pg); err != nil {
 			return nil, err
 		}
@@ -771,11 +784,14 @@ func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte) (*splitResult, er
 					return nil, err
 				}
 			}
+			if len(old.raw) == len(raw) {
+				// A replacement of the same encoded size (an UPDATE of a
+				// fixed-width column) goes over the old cell where it lies;
+				// remove + insert on a full leaf would defragment the page.
+				copy(old.raw, raw)
+				return nil, nil
+			}
 			removeCellAt(d, idx, len(old.raw))
-		}
-		raw := encodeCell(d[offType], c)
-		if len(raw)+ptrSize > len(d)-hdrSize {
-			return nil, ErrTooLarge
 		}
 		if insertCellAt(d, idx, raw) {
 			return nil, nil

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -449,4 +450,167 @@ func TestPropertyTableMatchesMap(t *testing.T) {
 		t.Error(err)
 	}
 	ps.commit()
+}
+
+// chainOf lists the overflow pages of the table row, first to last.
+func chainOf(t *testing.T, tr *Tree, rowid int64) []pager.Pgno {
+	t.Helper()
+	pg, err := tr.leafFor(rowid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, found, err := tr.search(pg.Data(), rowid, nil)
+	if err != nil || !found {
+		t.Fatalf("row %d: found=%v err=%v", rowid, found, err)
+	}
+	c, err := tr.parseCell(pg.Data(), idx)
+	pg.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain []pager.Pgno
+	for pgno := c.ovfl; pgno != 0; {
+		chain = append(chain, pgno)
+		op, err := tr.pg.Get(pgno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pgno = pager.Pgno(getU32(op.Data(), 1))
+		op.Release()
+	}
+	return chain
+}
+
+// A replacement whose cell encodes to the size of the one it replaces —
+// an UPDATE of a fixed-width column — is written over the old cell: no
+// other byte of the leaf moves, nothing is fragmented or compacted, and a
+// spilled row's old chain goes back to the freelist.
+func TestSameSizeReplaceOverwritesInPlace(t *testing.T) {
+	ps := newPager(t)
+	ps.begin()
+	root, _ := CreateTable(ps.p)
+	tr := OpenTable(ps.p, root)
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	spilled := maxLocal(ps.p.PageSize())*3 + 17 // inline part plus a two-page chain
+	for i := int64(1); i <= 9; i++ {
+		if err := tr.Insert(i, fill(40+int(i), byte('a'+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Insert(5, fill(spilled, 'S')); err != nil { // a different size: leaves a fragment behind
+		t.Fatal(err)
+	}
+	ps.commit()
+
+	for _, tc := range []struct {
+		name  string
+		rowid int64
+		with  []byte
+	}{
+		{"inline", 3, fill(43, 'X')},
+		{"spilled to spilled", 5, fill(spilled, 'Y')},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps.begin()
+			defer ps.commit()
+			pg, err := ps.p.Get(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pg.Release()
+			d := pg.Data()
+			if !isLeaf(d) || getU16(d, offFrag) == 0 {
+				t.Fatalf("set-up: want a one-leaf tree with a fragment (leaf=%v frag=%d)", isLeaf(d), getU16(d, offFrag))
+			}
+			before := append([]byte(nil), d...)
+			idx, _, _ := tr.search(d, tc.rowid, nil)
+			old, err := tr.parseCell(d, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo := cellPtr(d, idx)
+			oldChain := chainOf(t, tr, tc.rowid)
+			nPages := ps.p.NPages()
+
+			if err := tr.Insert(tc.rowid, tc.with); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := tr.Get(tc.rowid); err != nil || !ok || !bytes.Equal(got, tc.with) {
+				t.Fatalf("row reads back wrong after the replace (ok=%v err=%v)", ok, err)
+			}
+			hi := lo + len(old.raw)
+			if !bytes.Equal(d[:lo], before[:lo]) || !bytes.Equal(d[hi:], before[hi:]) {
+				t.Error("bytes outside the replaced cell changed: header, pointer array or another cell")
+			}
+			if bytes.Equal(d[lo:hi], before[lo:hi]) {
+				t.Error("the cell itself did not change")
+			}
+			if freeSpace(d) != freeSpace(before) {
+				t.Errorf("freeSpace %d -> %d", freeSpace(before), freeSpace(d))
+			}
+			// The old chain is what the allocator hands out next, last
+			// freed first; the file has grown only by the new chain.
+			if want := nPages + pager.Pgno(len(oldChain)); ps.p.NPages() != want {
+				t.Errorf("file is %d pages after the replace, want %d", ps.p.NPages(), want)
+			}
+			for i := len(oldChain) - 1; i >= 0; i-- {
+				fresh, err := ps.p.Allocate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fresh.Pgno() != oldChain[i] {
+					t.Errorf("allocator handed out page %d, want old chain page %d", fresh.Pgno(), oldChain[i])
+				}
+				fresh.Release()
+				defer func(pgno pager.Pgno) { _ = ps.p.Free(pgno) }(fresh.Pgno())
+			}
+		})
+	}
+}
+
+// An overflow chain is read from pages nothing has checked: each of these
+// hand-built pages must end in ErrCorrupt — not a spin, a slice panic, or
+// a page freed twice.
+func TestCorruptOverflowChainIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(d []byte, self, first pager.Pgno)
+		walk    func(tr *Tree) error
+	}{
+		{"empty page that points at itself",
+			func(d []byte, self, _ pager.Pgno) { putU16(d, 5, 0); putU32(d, 1, uint32(self)) },
+			func(tr *Tree) error { _, _, err := tr.Get(1); return err }},
+		{"length past the page end",
+			func(d []byte, _, _ pager.Pgno) { putU16(d, 5, uint16(len(d)-ovflHdrSize+1)) },
+			func(tr *Tree) error { _, _, err := tr.Get(1); return err }},
+		{"cycle under free",
+			func(d []byte, _, first pager.Pgno) { putU32(d, 1, uint32(first)) },
+			func(tr *Tree) error { _, err := tr.Delete(1); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := newPager(t)
+			ps.begin()
+			root, _ := CreateTable(ps.p)
+			tr := OpenTable(ps.p, root)
+			if err := tr.Insert(1, bytes.Repeat([]byte("v"), 4000)); err != nil {
+				t.Fatal(err)
+			}
+			chain := chainOf(t, tr, 1)
+			if len(chain) < 3 {
+				t.Fatalf("set-up: chain of %d pages", len(chain))
+			}
+			pg, err := ps.p.Get(chain[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.p.Write(pg); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(pg.Data(), chain[1], chain[0])
+			pg.Release()
+			if err := tc.walk(tr); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Record encoding follows the shape of SQLite's record format: a header
@@ -18,63 +19,68 @@ import (
 //	>=13 odd   TEXT of (st-13)/2 bytes
 var errBadRecord = errors.New("sqlite: corrupt record")
 
-// EncodeRecord serializes values into the record format.
+// EncodeRecord serializes values into the record format. A first pass
+// sizes header and body, so the record is the one allocation and the
+// second pass writes both parts where they belong.
 func EncodeRecord(vals []Value) []byte {
-	var hdr, body []byte
-	var tmp [binary.MaxVarintLen64]byte
+	hdrLen, bodyLen := 0, 0
 	for _, v := range vals {
-		switch v.typ {
-		case TypeNull:
-			hdr = append(hdr, 0)
-		case TypeInt:
-			st, enc := encodeInt(v.i)
-			n := binary.PutUvarint(tmp[:], st)
-			hdr = append(hdr, tmp[:n]...)
-			body = append(body, enc...)
-		case TypeReal:
-			n := binary.PutUvarint(tmp[:], 7)
-			hdr = append(hdr, tmp[:n]...)
-			var f [8]byte
-			binary.BigEndian.PutUint64(f[:], math.Float64bits(v.f))
-			body = append(body, f[:]...)
-		case TypeText:
-			st := uint64(13 + 2*len(v.s))
-			n := binary.PutUvarint(tmp[:], st)
-			hdr = append(hdr, tmp[:n]...)
+		st, n := serialType(v)
+		hdrLen += uvarintLen(st)
+		bodyLen += n
+	}
+	out := make([]byte, uvarintLen(uint64(hdrLen))+hdrLen+bodyLen)
+	hdr := binary.AppendUvarint(out[:0], uint64(hdrLen))
+	body := out[len(hdr)+hdrLen:][:0]
+	for _, v := range vals {
+		st, _ := serialType(v)
+		hdr = binary.AppendUvarint(hdr, st)
+		switch {
+		case v.typ == TypeText:
 			body = append(body, v.s...)
-		case TypeBlob:
-			st := uint64(12 + 2*len(v.b))
-			n := binary.PutUvarint(tmp[:], st)
-			hdr = append(hdr, tmp[:n]...)
+		case v.typ == TypeBlob:
 			body = append(body, v.b...)
+		case st == 1:
+			body = append(body, byte(v.i))
+		case st == 2:
+			body = binary.BigEndian.AppendUint16(body, uint16(v.i))
+		case st == 3:
+			body = binary.BigEndian.AppendUint32(body, uint32(v.i))
+		case st == 4:
+			body = binary.BigEndian.AppendUint64(body, uint64(v.i))
+		case st == 7:
+			body = binary.BigEndian.AppendUint64(body, math.Float64bits(v.f))
 		}
 	}
-	n := binary.PutUvarint(tmp[:], uint64(len(hdr)))
-	out := make([]byte, 0, n+len(hdr)+len(body))
-	out = append(out, tmp[:n]...)
-	out = append(out, hdr...)
-	out = append(out, body...)
 	return out
 }
 
-func encodeInt(v int64) (uint64, []byte) {
-	switch {
-	case v >= math.MinInt8 && v <= math.MaxInt8:
-		return 1, []byte{byte(v)}
-	case v >= math.MinInt16 && v <= math.MaxInt16:
-		var b [2]byte
-		binary.BigEndian.PutUint16(b[:], uint16(v))
-		return 2, b[:]
-	case v >= math.MinInt32 && v <= math.MaxInt32:
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(v))
-		return 3, b[:]
-	default:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v))
-		return 4, b[:]
+// serialType is the serial type a value encodes as and the body bytes it
+// takes: an integer gets the narrowest of the four widths that holds it.
+func serialType(v Value) (st uint64, n int) {
+	switch v.typ {
+	case TypeInt:
+		switch {
+		case v.i >= math.MinInt8 && v.i <= math.MaxInt8:
+			return 1, 1
+		case v.i >= math.MinInt16 && v.i <= math.MaxInt16:
+			return 2, 2
+		case v.i >= math.MinInt32 && v.i <= math.MaxInt32:
+			return 3, 4
+		}
+		return 4, 8
+	case TypeReal:
+		return 7, 8
+	case TypeText:
+		return uint64(13 + 2*len(v.s)), len(v.s)
+	case TypeBlob:
+		return uint64(12 + 2*len(v.b)), len(v.b)
 	}
+	return 0, 0 // NULL
 }
+
+// uvarintLen is how many bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // splitRecord separates a record's header — its serial types — from its
 // body.
