@@ -6,8 +6,9 @@ import "testing"
 
 // The read path works in place over the pinned page: descending the
 // interior levels of a three-level tree allocates nothing, and a point Get
-// allocates the payload copy it returns and nothing else. (Not under
-// -race: the race runtime allocates.)
+// allocates the payload copy it returns and nothing else; a point write
+// that fits where the old row lay allocates its cell. (Not under -race:
+// the race runtime allocates.)
 func TestPointReadAllocs(t *testing.T) {
 	ps := newPagerSized(t, 1000) // the whole tree stays cached: a miss allocates its Page
 	ps.begin()
@@ -59,5 +60,23 @@ func TestPointReadAllocs(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Errorf("a point Get allocates %.1f objects, want only the payload it returns", allocs)
+	}
+	// Replacing a row by one of the same size — an UPDATE of a fixed-width
+	// column — allocates its cell, sized once, and writes it over the old.
+	ps.begin()
+	defer ps.commit()
+	payloads := make([][]byte, rows+1)
+	for i := int64(1); i <= rows; i++ {
+		payloads[i] = payloadFor(i)
+		if err := tr.Insert(i, payloads[i]); err != nil { // every leaf journalled before the count
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(rows, func() {
+		if err := tr.Insert(next(), payloads[rowid]); err != nil {
+			t.Fatalf("Insert(%d): %v", rowid, err)
+		}
+	}); allocs > 1 {
+		t.Errorf("a same-size replace allocates %.1f objects, want only its cell", allocs)
 	}
 }

@@ -270,43 +270,30 @@ func decodeCell(pageType byte, pageSize int, b []byte) (cell, error) {
 	return c, nil
 }
 
-// encode produces the raw bytes of a cell for a page of the given type.
+// encode produces the raw bytes of a cell for a page of the given type, in
+// one allocation sized for the longest form the cell can take.
 func encodeCell(pageType byte, c cell) []byte {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
+	buf := make([]byte, 0, 2*binary.MaxVarintLen64+4+len(c.payload)+len(c.key))
 	switch pageType {
 	case typeTableLeaf:
-		n := binary.PutUvarint(tmp[:], uint64(c.rowid))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(c.total))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(c.rowid))
+		buf = binary.AppendUvarint(buf, uint64(c.total))
 		buf = append(buf, c.payload...)
 		if c.ovfl != 0 {
-			var o [4]byte
-			binary.BigEndian.PutUint32(o[:], uint32(c.ovfl))
-			buf = append(buf, o[:]...)
+			buf = binary.BigEndian.AppendUint32(buf, uint32(c.ovfl))
 		}
 	case typeTableInterior:
-		var o [4]byte
-		binary.BigEndian.PutUint32(o[:], uint32(c.child))
-		buf = append(buf, o[:]...)
-		n := binary.PutUvarint(tmp[:], uint64(c.rowid))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(c.child))
+		buf = binary.AppendUvarint(buf, uint64(c.rowid))
 	case typeIndexLeaf:
-		n := binary.PutUvarint(tmp[:], uint64(c.total))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(c.total))
 		buf = append(buf, c.key...)
 		if c.ovfl != 0 {
-			var o [4]byte
-			binary.BigEndian.PutUint32(o[:], uint32(c.ovfl))
-			buf = append(buf, o[:]...)
+			buf = binary.BigEndian.AppendUint32(buf, uint32(c.ovfl))
 		}
 	case typeIndexInterior:
-		var o [4]byte
-		binary.BigEndian.PutUint32(o[:], uint32(c.child))
-		buf = append(buf, o[:]...)
-		n := binary.PutUvarint(tmp[:], uint64(len(c.key)))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(c.child))
+		buf = binary.AppendUvarint(buf, uint64(len(c.key)))
 		buf = append(buf, c.key...)
 	}
 	return buf

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/sqlite/btree"
 	"repro/internal/sqlite/pager"
+	"repro/internal/sqlite/sqlparse"
 )
 
 // Schema errors.
@@ -73,6 +74,10 @@ type catalog struct {
 	tables  map[string]*Table // keys lower-cased
 	indexes map[string]*Index
 	stale   bool // the last reset could not reload the schema (see fresh)
+	// gen is the schema's generation: every schema statement and every
+	// reset moves it on, and a statement compiled under another generation
+	// — against Tables that may be gone — compiles again before it runs.
+	gen uint64
 }
 
 func newCatalog(pg *pager.Pager) (*catalog, error) {
@@ -80,6 +85,7 @@ func newCatalog(pg *pager.Pager) (*catalog, error) {
 		pg:      pg,
 		tables:  make(map[string]*Table),
 		indexes: make(map[string]*Index),
+		gen:     1,
 	}
 	if root := pg.SchemaRoot(); root != 0 {
 		c.master = btree.OpenTable(pg, pager.Pgno(root))
@@ -254,6 +260,27 @@ func (c *catalog) addMasterRow(kind, name, tbl string, root pager.Pgno, spec str
 	return rowid, c.master.Insert(rowid, rec)
 }
 
+// define applies one schema statement (inside a transaction).
+func (c *catalog) define(st sqlparse.Stmt) error {
+	c.gen++
+	var err error
+	switch x := st.(type) {
+	case *sqlparse.CreateTable:
+		cols := make([]Column, len(x.Columns))
+		for i, cd := range x.Columns {
+			cols[i] = Column{Name: cd.Name, Affinity: cd.Type, PK: cd.PrimaryKey}
+		}
+		_, err = c.createTable(x.Name, cols, x.IfNotExists)
+	case *sqlparse.CreateIndex:
+		_, err = c.createIndex(x.Name, x.Table, x.Columns, x.Unique, x.IfNotExists)
+	case *sqlparse.DropTable:
+		err = c.dropTable(x.Name, x.IfExists)
+	case *sqlparse.DropIndex:
+		err = c.dropIndex(x.Name, x.IfExists)
+	}
+	return err
+}
+
 // createTable adds a table to the schema (inside a transaction).
 func (c *catalog) createTable(name string, cols []Column, ifNotExists bool) (*Table, error) {
 	if _, ok := c.tables[strings.ToLower(name)]; ok {
@@ -417,6 +444,7 @@ func (c *catalog) dropIndex(name string, ifExists bool) error {
 // reset drops cached schema state after a rollback (roots or rows may
 // have been undone) and reloads from storage.
 func (c *catalog) reset() error {
+	c.gen++
 	c.tables = make(map[string]*Table)
 	c.indexes = make(map[string]*Index)
 	c.master = nil

@@ -33,8 +33,7 @@ type DB struct {
 	explicitTx bool
 	rngState   uint64
 
-	// Stats.
-	Statements int64
+	stmts map[string]*Stmt // Exec, Query and QueryRow's statements, by text (see cached)
 }
 
 // Open creates or opens a database file on the file system and runs the
@@ -78,7 +77,7 @@ func attach(fsys *simfs.FS, name string, p *pager.Pager) (*DB, error) {
 		_ = p.Close()
 		return nil, err
 	}
-	return &DB{fs: fsys, pg: p, cat: cat, name: name, rngState: 0x9E3779B97F4A7C15}, nil
+	return &DB{fs: fsys, pg: p, cat: cat, name: name, rngState: 0x9E3779B97F4A7C15, stmts: map[string]*Stmt{}}, nil
 }
 
 // Close releases the connection, rolling back any open transaction.
@@ -168,14 +167,38 @@ func (db *DB) Rollback() error {
 	return db.cat.reset()
 }
 
+// stmtCacheSize bounds the connection's statement cache. A workload's
+// statements are a handful of parameterised texts; one that builds its
+// texts from literals fills the cache with statements it never runs again,
+// and a full cache is dropped whole.
+const stmtCacheSize = 128
+
+// cached is the prepared statement for a text: Exec, Query and QueryRow
+// parse and compile what they are handed once per connection. A text that
+// does not parse is not remembered.
+func (db *DB) cached(sql string) (*Stmt, error) {
+	if st, ok := db.stmts[sql]; ok {
+		return st, nil
+	}
+	st, err := db.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	if len(db.stmts) >= stmtCacheSize {
+		clear(db.stmts)
+	}
+	db.stmts[sql] = st
+	return st, nil
+}
+
 // Exec runs one statement that returns no rows, binding positional
 // parameters. It returns the number of rows affected.
 func (db *DB) Exec(sql string, args ...any) (int64, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := db.cached(sql)
 	if err != nil {
 		return 0, err
 	}
-	return db.execStmt(st, args)
+	return st.Exec(args...)
 }
 
 // ExecScript runs a semicolon-separated list of statements.
@@ -185,7 +208,7 @@ func (db *DB) ExecScript(sql string) error {
 		return err
 	}
 	for _, st := range stmts {
-		if _, err := db.execStmt(st, nil); err != nil {
+		if _, err := (&Stmt{db: db, ast: st}).Exec(); err != nil {
 			return err
 		}
 	}
@@ -194,19 +217,11 @@ func (db *DB) ExecScript(sql string) error {
 
 // Query runs a SELECT and returns the materialized result set.
 func (db *DB) Query(sql string, args ...any) (*Rows, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := db.cached(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*sqlparse.Select)
-	if !ok {
-		return nil, fmt.Errorf("%w: Query requires SELECT", ErrMisuse)
-	}
-	params, err := bindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return db.runSelect(sel, params)
+	return st.Query(args...)
 }
 
 // QueryRow runs a SELECT expected to return one row; ok=false when the
@@ -222,11 +237,21 @@ func (db *DB) QueryRow(sql string, args ...any) ([]Value, bool, error) {
 	return rows.Data[0], true, nil
 }
 
-// Stmt is a prepared statement: parse once, run many times.
+// Stmt is a prepared statement: parsed once, compiled once per schema,
+// run many times. It belongs to its connection and, like it, is not safe
+// for concurrent use.
 type Stmt struct {
 	db  *DB
 	ast sqlparse.Stmt
-	sql string
+
+	// The compiled form of a SELECT (sel) or an INSERT, UPDATE or DELETE
+	// (wr), and the catalog generation it was compiled against; a run under
+	// any other generation compiles again first. 0 is no generation.
+	gen uint64
+	sel *selectPlan
+	wr  *writePlan
+	// params is the run's bound parameters, overwritten by the next run.
+	params []Value
 }
 
 // Prepare parses a statement for repeated execution.
@@ -235,57 +260,59 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, ast: st, sql: sql}, nil
+	return &Stmt{db: db, ast: st}, nil
 }
 
-// Exec runs the prepared statement with the given parameters.
-func (s *Stmt) Exec(args ...any) (int64, error) {
-	return s.db.execStmt(s.ast, args)
-}
-
-// Query runs the prepared SELECT with the given parameters.
-func (s *Stmt) Query(args ...any) (*Rows, error) {
-	sel, ok := s.ast.(*sqlparse.Select)
-	if !ok {
-		return nil, fmt.Errorf("%w: Query requires SELECT", ErrMisuse)
-	}
-	params, err := bindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return s.db.runSelect(sel, params)
-}
-
-// Rows is a fully materialized result set.
-type Rows struct {
-	Columns []string
-	Data    [][]Value
-}
-
-// Len reports the number of result rows.
-func (r *Rows) Len() int { return len(r.Data) }
-
-func bindArgs(args []any) ([]Value, error) {
-	out := make([]Value, len(args))
-	for i, a := range args {
+// bind converts a run's arguments into the statement's parameters.
+func (s *Stmt) bind(args []any) error {
+	s.params = s.params[:0]
+	for _, a := range args {
 		v, err := FromGo(a)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = v
+		s.params = append(s.params, v)
 	}
-	return out, nil
+	return nil
 }
 
-// execStmt dispatches one statement, wrapping it in an automatic
-// transaction when no explicit one is open (SQLite autocommit).
-func (db *DB) execStmt(st sqlparse.Stmt, args []any) (int64, error) {
-	db.Statements++
-	params, err := bindArgs(args)
-	if err != nil {
+// compile makes the statement's compiled form current: a SELECT, INSERT,
+// UPDATE or DELETE never compiled, or compiled before the schema last
+// changed — a DDL statement, or a rollback, which replaces every Table —
+// is compiled against the catalog as it is now.
+func (s *Stmt) compile() error {
+	cat := s.db.cat
+	if err := cat.fresh(); err != nil {
+		return err
+	}
+	if s.gen == cat.gen {
+		return nil
+	}
+	var err error
+	s.gen, s.sel, s.wr = 0, nil, nil
+	switch x := s.ast.(type) {
+	case *sqlparse.Select:
+		s.sel, err = s.db.compileSelect(x)
+	case *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete:
+		s.wr, err = s.db.compileWrite(x)
+	default:
+		err = fmt.Errorf("%w: %T", ErrUnsupported, s.ast)
+	}
+	if err == nil {
+		s.gen = cat.gen
+	}
+	return err
+}
+
+// Exec runs the prepared statement with the given parameters, wrapping it
+// in an automatic transaction when no explicit one is open (SQLite
+// autocommit).
+func (s *Stmt) Exec(args ...any) (int64, error) {
+	db := s.db
+	if err := s.bind(args); err != nil {
 		return 0, err
 	}
-	switch x := st.(type) {
+	switch x := s.ast.(type) {
 	case *sqlparse.Begin:
 		return 0, db.Begin()
 	case *sqlparse.Commit:
@@ -296,7 +323,7 @@ func (db *DB) execStmt(st sqlparse.Stmt, args []any) (int64, error) {
 		return 0, db.execPragma(x)
 	case *sqlparse.Select:
 		// Exec on a SELECT: run it for side-effect-free parity.
-		_, err := db.runSelect(x, params)
+		_, err := s.query()
 		return 0, err
 	}
 
@@ -306,7 +333,7 @@ func (db *DB) execStmt(st sqlparse.Stmt, args []any) (int64, error) {
 			return 0, err
 		}
 	}
-	n, err := db.execWrite(st, params)
+	n, err := s.write()
 	if err != nil {
 		if auto {
 			_ = db.failedCommit(err)
@@ -321,35 +348,51 @@ func (db *DB) execStmt(st sqlparse.Stmt, args []any) (int64, error) {
 	return n, nil
 }
 
-func (db *DB) execWrite(st sqlparse.Stmt, params []Value) (int64, error) {
-	if err := db.cat.fresh(); err != nil {
-		return 0, err
+// Query runs the prepared SELECT with the given parameters.
+func (s *Stmt) Query(args ...any) (*Rows, error) {
+	if _, ok := s.ast.(*sqlparse.Select); !ok {
+		return nil, fmt.Errorf("%w: Query requires SELECT", ErrMisuse)
 	}
-	switch x := st.(type) {
-	case *sqlparse.CreateTable:
-		cols := make([]Column, len(x.Columns))
-		for i, cd := range x.Columns {
-			cols[i] = Column{Name: cd.Name, Affinity: cd.Type, PK: cd.PrimaryKey}
-		}
-		_, err := db.cat.createTable(x.Name, cols, x.IfNotExists)
-		return 0, err
-	case *sqlparse.CreateIndex:
-		_, err := db.cat.createIndex(x.Name, x.Table, x.Columns, x.Unique, x.IfNotExists)
-		return 0, err
-	case *sqlparse.DropTable:
-		return 0, db.cat.dropTable(x.Name, x.IfExists)
-	case *sqlparse.DropIndex:
-		return 0, db.cat.dropIndex(x.Name, x.IfExists)
-	case *sqlparse.Insert:
-		return db.execInsert(x, params)
-	case *sqlparse.Update:
-		return db.execUpdate(x, params)
-	case *sqlparse.Delete:
-		return db.execDelete(x, params)
-	default:
-		return 0, fmt.Errorf("%w: %T", ErrUnsupported, st)
+	if err := s.bind(args); err != nil {
+		return nil, err
 	}
+	return s.query()
 }
+
+func (s *Stmt) query() (*Rows, error) {
+	if err := s.compile(); err != nil {
+		return nil, err
+	}
+	return s.sel.run(s.params)
+}
+
+// write runs a schema change, or compiles and runs an INSERT, UPDATE or
+// DELETE, inside the transaction Exec opened or found open.
+func (s *Stmt) write() (int64, error) {
+	cat := s.db.cat
+	switch x := s.ast.(type) {
+	case *sqlparse.CreateTable, *sqlparse.CreateIndex, *sqlparse.DropTable, *sqlparse.DropIndex:
+		if err := cat.fresh(); err != nil {
+			return 0, err
+		}
+		return 0, cat.define(x)
+	}
+	if err := s.compile(); err != nil {
+		return 0, err
+	}
+	s.wr.ctx.params = s.params
+	return s.wr.run()
+}
+
+// Rows is a fully materialized result set. Columns is shared by every
+// result of one statement: read it, do not write to it.
+type Rows struct {
+	Columns []string
+	Data    [][]Value
+}
+
+// Len reports the number of result rows.
+func (r *Rows) Len() int { return len(r.Data) }
 
 func (db *DB) execPragma(x *sqlparse.Pragma) error {
 	switch x.Name {

@@ -2,55 +2,157 @@ package sqlite
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
 	"repro/internal/sqlite/sqlparse"
 )
 
-// ---- INSERT ----
+// A statement compiles once per catalog generation (DESIGN.md §5): compile
+// resolves every name, files every conjunct under its join level and picks
+// every access path; a run takes bound parameters and nothing else. The
+// compiled form owns the run's scratch — each source's decoded row, a
+// written row and its record — so what a run returns (Rows, its row slices,
+// TEXT and BLOB values) is allocated fresh and never aliases it.
 
-func (db *DB) execInsert(x *sqlparse.Insert, params []Value) (int64, error) {
-	t, err := db.cat.table(x.Table)
+// newSource binds a catalogued table under an alias (its own name without
+// one).
+func (db *DB) newSource(name, alias string) (*source, error) {
+	t, err := db.cat.table(name)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	// Map statement columns to table positions.
-	var positions []int
-	if len(x.Columns) == 0 {
-		positions = make([]int, len(t.Columns))
-		for i := range positions {
-			positions[i] = i
+	if alias == "" {
+		alias = name
+	}
+	return &source{alias: strings.ToLower(alias), tbl: t}, nil
+}
+
+// ---- INSERT / UPDATE / DELETE ----
+
+// writePlan is a compiled INSERT, UPDATE or DELETE.
+type writePlan struct {
+	ctx evalCtx // UPDATE and DELETE: the table is its one source
+	t   *Table
+	run func() (int64, error)
+
+	// INSERT: table positions of the statement's columns, and the rows.
+	positions []int
+	rows      [][]sqlparse.Expr
+
+	// UPDATE and DELETE: the WHERE's conjuncts and how to find the rows.
+	conjs []sqlparse.Expr
+	path  accessPath
+	// UPDATE: the assigned positions and their expressions.
+	setPos []int
+	set    []sqlparse.Expr
+
+	// Scratch: the row being written and its record (the tree copies what
+	// Insert hands it), and room for the one match of a rowid probe.
+	row []Value
+	rec []byte
+	one [1]matchedRow
+	// matches is live during a run only.
+	matches []matchedRow
+}
+
+type matchedRow struct {
+	rowid int64
+	vals  []Value
+}
+
+func (db *DB) compileWrite(st sqlparse.Stmt) (*writePlan, error) {
+	w := &writePlan{}
+	w.ctx.rng = db.rand
+	var err error
+	switch x := st.(type) {
+	case *sqlparse.Insert:
+		if w.t, err = db.cat.table(x.Table); err != nil {
+			return nil, err
 		}
-	} else {
-		positions = make([]int, len(x.Columns))
-		for i, cn := range x.Columns {
-			pos := t.ColumnIndex(cn)
-			if pos < 0 {
-				return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, cn)
+		// Map statement columns to table positions.
+		if len(x.Columns) == 0 {
+			w.positions = make([]int, len(w.t.Columns))
+			for i := range w.positions {
+				w.positions[i] = i
 			}
-			positions[i] = pos
 		}
+		for _, cn := range x.Columns {
+			pos := w.t.ColumnIndex(cn)
+			if pos < 0 {
+				return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, w.t.Name, cn)
+			}
+			w.positions = append(w.positions, pos)
+		}
+		for _, row := range x.Rows {
+			bound := make([]sqlparse.Expr, len(row))
+			for i, e := range row {
+				bound[i] = bindExpr(e, nil)
+			}
+			w.rows = append(w.rows, bound)
+		}
+		w.run = w.insert
+	case *sqlparse.Update:
+		if err = w.target(db, x.Table); err != nil {
+			return nil, err
+		}
+		for _, a := range x.Set {
+			pos := w.t.ColumnIndex(a.Column)
+			if pos < 0 {
+				return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, w.t.Name, a.Column)
+			}
+			w.setPos = append(w.setPos, pos)
+			w.set = append(w.set, bindExpr(a.Value, w.ctx.sources))
+		}
+		w.where(x.Where)
+		w.run = w.update
+	case *sqlparse.Delete:
+		if err = w.target(db, x.Table); err != nil {
+			return nil, err
+		}
+		w.where(x.Where)
+		w.run = w.delete
 	}
-	ctx := &evalCtx{params: params, rng: db.rand}
+	return w, nil
+}
+
+// target makes the written table the plan's one source.
+func (w *writePlan) target(db *DB, table string) error {
+	s, err := db.newSource(table, "")
+	if err != nil {
+		return err
+	}
+	w.t, w.ctx.sources = s.tbl, []*source{s}
+	return nil
+}
+
+// where compiles a single-table WHERE: its conjuncts and the access path
+// they allow.
+func (w *writePlan) where(e sqlparse.Expr) {
+	if e != nil {
+		splitConjuncts(bindExpr(e, w.ctx.sources), &w.conjs)
+	}
+	w.path = choosePath(w.conjs, 0, w.t)
+}
+
+func (w *writePlan) insert() (int64, error) {
+	t := w.t
 	var affected int64
-	for _, rowExprs := range x.Rows {
-		if len(rowExprs) != len(positions) {
-			return 0, fmt.Errorf("%w: %d values for %d columns", ErrMisuse, len(rowExprs), len(positions))
+	for _, rowExprs := range w.rows {
+		if len(rowExprs) != len(w.positions) {
+			return 0, fmt.Errorf("%w: %d values for %d columns", ErrMisuse, len(rowExprs), len(w.positions))
 		}
-		vals := make([]Value, len(t.Columns))
-		for i := range vals {
-			vals[i] = Null
-		}
+		w.row = nullRow(w.row, len(t.Columns))
 		for i, e := range rowExprs {
-			v, err := ctx.eval(e)
+			v, err := w.ctx.eval(e)
 			if err != nil {
 				return 0, err
 			}
-			pos := positions[i]
-			vals[pos] = applyAffinity(v, t.Columns[pos].Affinity)
+			pos := w.positions[i]
+			w.row[pos] = applyAffinity(v, t.Columns[pos].Affinity)
 		}
-		if err := db.insertRow(t, vals); err != nil {
+		if err := w.insertRow(w.row); err != nil {
 			return 0, err
 		}
 		affected++
@@ -58,8 +160,19 @@ func (db *DB) execInsert(x *sqlparse.Insert, params []Value) (int64, error) {
 	return affected, nil
 }
 
+// nullRow is row resized to n NULLs.
+func nullRow(row []Value, n int) []Value {
+	if cap(row) < n {
+		return make([]Value, n)
+	}
+	row = row[:n]
+	clear(row) // the zero Value is NULL
+	return row
+}
+
 // insertRow stores one row, assigning a rowid and maintaining indexes.
-func (db *DB) insertRow(t *Table, vals []Value) error {
+func (w *writePlan) insertRow(vals []Value) error {
+	t := w.t
 	var rowid int64
 	if t.RowidAlias >= 0 && !vals[t.RowidAlias].IsNull() {
 		rowid = vals[t.RowidAlias].Int()
@@ -90,7 +203,7 @@ func (db *DB) insertRow(t *Table, vals []Value) error {
 		if !idx.Unique {
 			continue
 		}
-		dup, err := db.uniqueExists(idx, vals)
+		dup, err := uniqueExists(idx, vals)
 		if err != nil {
 			return err
 		}
@@ -98,12 +211,7 @@ func (db *DB) insertRow(t *Table, vals []Value) error {
 			return fmt.Errorf("%w: unique index %s", ErrConstraint, idx.Name)
 		}
 	}
-	stored := make([]Value, len(vals))
-	copy(stored, vals)
-	if t.RowidAlias >= 0 {
-		stored[t.RowidAlias] = Null // the rowid column is implicit, as in SQLite
-	}
-	if err := t.tree.Insert(rowid, EncodeRecord(stored)); err != nil {
+	if err := w.store(rowid, vals); err != nil {
 		return err
 	}
 	for _, idx := range t.Indexes {
@@ -114,8 +222,24 @@ func (db *DB) insertRow(t *Table, vals []Value) error {
 	return nil
 }
 
+// store writes vals as the table's row rowid, encoding into the plan's
+// record buffer. The rowid column is implicit, as in SQLite: it is stored
+// NULL.
+func (w *writePlan) store(rowid int64, vals []Value) error {
+	a := w.t.RowidAlias
+	var kept Value
+	if a >= 0 {
+		kept, vals[a] = vals[a], Null
+	}
+	w.rec = appendRecord(w.rec[:0], vals)
+	if a >= 0 {
+		vals[a] = kept
+	}
+	return w.t.tree.Insert(rowid, w.rec)
+}
+
 // uniqueExists probes a unique index for a duplicate of vals' key.
-func (db *DB) uniqueExists(idx *Index, vals []Value) (bool, error) {
+func uniqueExists(idx *Index, vals []Value) (bool, error) {
 	prefix := make([]Value, len(idx.Cols))
 	for i, pos := range idx.Cols {
 		if vals[pos].IsNull() {
@@ -147,6 +271,119 @@ func (db *DB) uniqueExists(idx *Index, vals []Value) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// collect materializes the rows the WHERE selects before any is changed,
+// so mutation never races the scan cursor. A rowid probe yields at most one
+// row, which stays where it was decoded; any other path decodes the next
+// candidate over it, so a match is copied out.
+func (w *writePlan) collect() ([]matchedRow, error) {
+	s := w.ctx.sources[0]
+	w.matches = w.one[:0]
+	err := s.iterate(&w.path, &w.ctx, w.match)
+	s.bound = false
+	matches := w.matches
+	w.matches = nil
+	return matches, err
+}
+
+func (w *writePlan) match() error {
+	ok, err := w.ctx.all(w.conjs)
+	if err != nil || !ok {
+		return err
+	}
+	s := w.ctx.sources[0]
+	vals := s.vals
+	if w.path.kind != scanRowidEq {
+		vals = append([]Value(nil), vals...)
+	}
+	w.matches = append(w.matches, matchedRow{rowid: s.rowid, vals: vals})
+	return nil
+}
+
+func (w *writePlan) update() (int64, error) {
+	matches, err := w.collect()
+	if err != nil {
+		return 0, err
+	}
+	t, s := w.t, w.ctx.sources[0]
+	for _, m := range matches {
+		s.vals, s.rowid, s.bound = m.vals, m.rowid, true
+		newVals := append(w.row[:0], m.vals...)
+		w.row = newVals
+		for i, e := range w.set {
+			v, err := w.ctx.eval(e)
+			if err != nil {
+				return 0, err
+			}
+			newVals[w.setPos[i]] = applyAffinity(v, t.Columns[w.setPos[i]].Affinity)
+		}
+		newRowid := m.rowid
+		if t.RowidAlias >= 0 {
+			newRowid = newVals[t.RowidAlias].Int()
+		}
+		// Maintain indexes whose key actually changed.
+		for _, idx := range t.Indexes {
+			changed := newRowid != m.rowid
+			for _, pos := range idx.Cols {
+				if Compare(m.vals[pos], newVals[pos]) != 0 {
+					changed = true
+					break
+				}
+			}
+			if !changed {
+				continue
+			}
+			if idx.Unique {
+				dup, err := uniqueExists(idx, newVals)
+				if err != nil {
+					return 0, err
+				}
+				if dup {
+					return 0, fmt.Errorf("%w: unique index %s", ErrConstraint, idx.Name)
+				}
+			}
+			if err := deleteIndexEntry(idx, m.vals, m.rowid); err != nil {
+				return 0, err
+			}
+			if err := insertIndexEntry(idx, newVals, newRowid); err != nil {
+				return 0, err
+			}
+		}
+		if newRowid != m.rowid {
+			if _, exists, err := t.tree.Get(newRowid); err != nil {
+				return 0, err
+			} else if exists {
+				return 0, fmt.Errorf("%w: %s primary key %d", ErrConstraint, t.Name, newRowid)
+			}
+			if _, err := t.tree.Delete(m.rowid); err != nil {
+				return 0, err
+			}
+		}
+		if err := w.store(newRowid, newVals); err != nil {
+			return 0, err
+		}
+	}
+	s.bound = false
+	return int64(len(matches)), nil
+}
+
+func (w *writePlan) delete() (int64, error) {
+	matches, err := w.collect()
+	if err != nil {
+		return 0, err
+	}
+	for _, m := range matches {
+		for _, idx := range w.t.Indexes {
+			if err := deleteIndexEntry(idx, m.vals, m.rowid); err != nil {
+				return 0, err
+			}
+		}
+		if _, err := w.t.tree.Delete(m.rowid); err != nil {
+			return 0, err
+		}
+	}
+	return int64(len(matches)), nil
 }
 
 // ---- access planning ----
@@ -184,165 +421,51 @@ func splitConjuncts(e sqlparse.Expr, out *[]sqlparse.Expr) {
 	*out = append(*out, e)
 }
 
-// eachColumnRef calls fn for every column reference in an expression.
-func eachColumnRef(e sqlparse.Expr, fn func(*sqlparse.ColumnRef)) {
-	switch x := e.(type) {
-	case *sqlparse.ColumnRef:
-		fn(x)
-	case *sqlparse.Unary:
-		eachColumnRef(x.X, fn)
-	case *sqlparse.Binary:
-		eachColumnRef(x.L, fn)
-		eachColumnRef(x.R, fn)
-	case *sqlparse.IsNull:
-		eachColumnRef(x.X, fn)
-	case *sqlparse.InList:
-		eachColumnRef(x.X, fn)
-		for _, i := range x.List {
-			eachColumnRef(i, fn)
-		}
-	case *sqlparse.Between:
-		eachColumnRef(x.X, fn)
-		eachColumnRef(x.Lo, fn)
-		eachColumnRef(x.Hi, fn)
-	case *sqlparse.Call:
-		for _, a := range x.Args {
-			eachColumnRef(a, fn)
-		}
-	case *sqlparse.CaseExpr:
-		if x.Operand != nil {
-			eachColumnRef(x.Operand, fn)
-		}
-		for _, w := range x.Whens {
-			eachColumnRef(w.Cond, fn)
-			eachColumnRef(w.Then, fn)
-		}
-		if x.Else != nil {
-			eachColumnRef(x.Else, fn)
-		}
-	}
-}
-
-// exprRefs lists the (lower-cased) alias qualifiers and bare columns an
-// expression references.
-func exprRefs(e sqlparse.Expr, refs map[string]bool, bare *[]string) {
-	eachColumnRef(e, func(x *sqlparse.ColumnRef) {
-		if x.Table != "" {
-			refs[strings.ToLower(x.Table)] = true
-		} else {
-			*bare = append(*bare, x.Column)
-		}
-	})
-}
-
-// earliestLevel determines the first join level at which a conjunct can
-// be evaluated: all referenced aliases bound, bare columns resolvable.
-func earliestLevel(e sqlparse.Expr, srcs []*source) int {
-	refs := map[string]bool{}
-	var bare []string
-	exprRefs(e, refs, &bare)
-	level := 0
-	for alias := range refs {
-		found := false
-		for i, s := range srcs {
-			if s.alias == alias || strings.EqualFold(s.tbl.Name, alias) {
-				if i+1 > level {
-					level = i + 1
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return len(srcs) // unresolvable here; surfaces as an error later
-		}
-	}
-	for _, col := range bare {
-		for i, s := range srcs {
-			if s.tbl.ColumnIndex(col) >= 0 || strings.EqualFold(col, "rowid") {
-				if i+1 > level {
-					level = i + 1
-				}
-				break
-			}
-		}
-	}
-	if level == 0 {
-		level = 1 // constant predicates run at the first level
-	}
+// earliestLevel determines the first join level at which a bound conjunct
+// can be evaluated: every source it reads is bound. Constant predicates
+// run at the first level.
+func earliestLevel(e sqlparse.Expr) int {
+	level := 1
+	eachRef(e, func(r *colRef) { level = max(level, r.src+1) })
 	return level
 }
 
-// columnOf matches an expression against "a column of table s", given
-// that everything below level is bound.
-func columnOf(e sqlparse.Expr, s *source) (int, bool) {
-	cr, ok := e.(*sqlparse.ColumnRef)
-	if !ok {
+// columnOf matches a bound expression against "a column of table t, the
+// source at level": its position, -1 for the rowid under any of its names
+// (the INTEGER PRIMARY KEY's included).
+func columnOf(e sqlparse.Expr, level int, t *Table) (int, bool) {
+	r, ok := e.(*colRef)
+	if !ok || r.err != nil || r.src != level {
 		return 0, false
 	}
-	if cr.Table != "" && strings.ToLower(cr.Table) != s.alias && !strings.EqualFold(cr.Table, s.tbl.Name) {
-		return 0, false
+	if r.col == t.RowidAlias {
+		return -1, true
 	}
-	if strings.EqualFold(cr.Column, "rowid") || (s.tbl.RowidAlias >= 0 && strings.EqualFold(cr.Column, s.tbl.Columns[s.tbl.RowidAlias].Name)) {
-		return -1, true // -1 denotes the rowid
-	}
-	if i := s.tbl.ColumnIndex(cr.Column); i >= 0 {
-		return i, true
-	}
-	return 0, false
+	return r.col, true
 }
 
-// outerOnly reports whether e references nothing from source s (so it
-// can be evaluated before s is bound).
-func outerOnly(e sqlparse.Expr, s *source, srcs []*source, level int) bool {
-	refs := map[string]bool{}
-	var bare []string
-	exprRefs(e, refs, &bare)
-	if refs[s.alias] || refs[strings.ToLower(s.tbl.Name)] {
-		return false
-	}
-	for alias := range refs {
-		ok := false
-		for i := 0; i < level; i++ {
-			if srcs[i].alias == alias || strings.EqualFold(srcs[i].tbl.Name, alias) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	for _, col := range bare {
-		ok := false
-		for i := 0; i < level; i++ {
-			if srcs[i].tbl.ColumnIndex(col) >= 0 {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+// outerOnly reports whether e reads only sources below level (so it can
+// be evaluated before the source at level is bound).
+func outerOnly(e sqlparse.Expr, level int) bool {
+	ok := true
+	eachRef(e, func(r *colRef) { ok = ok && r.src >= 0 && r.src < level })
+	return ok
 }
 
-// plan picks the cheapest access path for srcs[level] from the
-// conjuncts assigned to that level.
-func plan(conjs []sqlparse.Expr, srcs []*source, level int) accessPath {
-	s := srcs[level]
+// choosePath picks the cheapest access path for table t, the source at
+// level, from the conjuncts assigned to that level.
+func choosePath(conjs []sqlparse.Expr, level int, t *Table) accessPath {
 	eqByCol := map[int]sqlparse.Expr{} // column position (or -1 = rowid) -> probe expr
 	var loE, hiE sqlparse.Expr
 	var loStrict, hiStrict bool
 	for _, cj := range conjs {
 		switch x := cj.(type) {
 		case *sqlparse.Binary:
-			col, colOK := columnOf(x.L, s)
+			col, colOK := columnOf(x.L, level, t)
 			probe := x.R
 			op := x.Op
 			if !colOK {
-				if col2, ok2 := columnOf(x.R, s); ok2 {
+				if col2, ok2 := columnOf(x.R, level, t); ok2 {
 					col, colOK, probe = col2, true, x.L
 					switch op {
 					case "<":
@@ -356,7 +479,7 @@ func plan(conjs []sqlparse.Expr, srcs []*source, level int) accessPath {
 					}
 				}
 			}
-			if !colOK || !outerOnly(probe, s, srcs, level) {
+			if !colOK || !outerOnly(probe, level) {
 				continue
 			}
 			switch op {
@@ -382,8 +505,8 @@ func plan(conjs []sqlparse.Expr, srcs []*source, level int) accessPath {
 				}
 			}
 		case *sqlparse.Between:
-			if col, ok := columnOf(x.X, s); ok && col == -1 && !x.Not &&
-				outerOnly(x.Lo, s, srcs, level) && outerOnly(x.Hi, s, srcs, level) {
+			if col, ok := columnOf(x.X, level, t); ok && col == -1 && !x.Not &&
+				outerOnly(x.Lo, level) && outerOnly(x.Hi, level) {
 				if loE == nil {
 					loE = x.Lo
 				}
@@ -399,7 +522,7 @@ func plan(conjs []sqlparse.Expr, srcs []*source, level int) accessPath {
 	// Longest equality prefix over any index.
 	var best *Index
 	bestLen := 0
-	for _, idx := range s.tbl.Indexes {
+	for _, idx := range t.Indexes {
 		n := 0
 		for _, pos := range idx.Cols {
 			if _, ok := eqByCol[pos]; ok {
@@ -425,36 +548,38 @@ func plan(conjs []sqlparse.Expr, srcs []*source, level int) accessPath {
 	return accessPath{kind: scanFull}
 }
 
-// iterate drives one access path, invoking fn for every candidate row.
-func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid int64, vals []Value) (bool, error)) error {
+// decode makes a stored row the source's current one, decoding it over the
+// scratch row; s.rowid is already the row's.
+func (s *source) decode(payload []byte) (err error) {
+	s.row, err = decodeRecord(payload, len(s.tbl.Columns), s.skip, s.row)
+	if err == nil {
+		fillRowidAlias(s.tbl, s.row, s.rowid)
+		s.vals, s.bound = s.row, true
+	}
+	return err
+}
+
+// get is a point lookup: the row is decoded once, under its page's pin,
+// and fn runs after the pin is dropped. No such row is nothing to emit.
+func (s *source) get(rowid int64, fn func() error) error {
+	s.rowid = rowid
+	ok, err := s.tbl.tree.View(rowid, s.decode)
+	if err != nil || !ok {
+		return err
+	}
+	return fn()
+}
+
+// bindNulls makes an all-NULL row the source's current one.
+func (s *source) bindNulls() {
+	s.row = nullRow(s.row, len(s.tbl.Columns))
+	s.vals, s.rowid, s.bound = s.row, 0, true
+}
+
+// iterate drives one access path, binding every candidate row in turn and
+// invoking fn for it.
+func (s *source) iterate(path *accessPath, ctx *evalCtx, fn func() error) error {
 	t := s.tbl
-	decode := func(rowid int64, payload []byte) ([]Value, error) {
-		vals, err := decodeRecord(payload, len(t.Columns), s.skip)
-		if err == nil {
-			fillRowidAlias(t, vals, rowid)
-		}
-		return vals, err
-	}
-	emit := func(rowid int64, payload []byte) (bool, error) {
-		vals, err := decode(rowid, payload)
-		if err != nil {
-			return false, err
-		}
-		return fn(rowid, vals)
-	}
-	// get is a point lookup: the row is decoded once, under its page's pin,
-	// and fn runs after the pin is dropped. No such row is nothing to emit.
-	get := func(rowid int64) (bool, error) {
-		var vals []Value
-		ok, err := t.tree.View(rowid, func(payload []byte) (err error) {
-			vals, err = decode(rowid, payload)
-			return err
-		})
-		if err != nil || !ok {
-			return true, err
-		}
-		return fn(rowid, vals)
-	}
 	switch path.kind {
 	case scanRowidEq:
 		v, err := ctx.eval(path.eq[0])
@@ -464,56 +589,7 @@ func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid in
 		if v.IsNull() {
 			return nil
 		}
-		_, err = get(v.Int())
-		return err
-	case scanRowidRange:
-		lo := int64(1)
-		if path.lo != nil {
-			v, err := ctx.eval(path.lo)
-			if err != nil {
-				return err
-			}
-			lo = v.Int()
-			if path.loStrict {
-				lo++
-			}
-		}
-		var hi int64 = 1<<63 - 1
-		if path.hi != nil {
-			v, err := ctx.eval(path.hi)
-			if err != nil {
-				return err
-			}
-			hi = v.Int()
-			if path.hiStrict {
-				hi--
-			}
-		}
-		cur, err := t.tree.SeekRowid(lo)
-		if err != nil {
-			return err
-		}
-		for cur.Valid() {
-			rowid, err := cur.Rowid()
-			if err != nil {
-				return err
-			}
-			if rowid > hi {
-				return nil
-			}
-			payload, err := cur.Payload()
-			if err != nil {
-				return err
-			}
-			cont, err := emit(rowid, payload)
-			if err != nil || !cont {
-				return err
-			}
-			if err := cur.Next(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return s.get(v.Int(), fn)
 	case scanIndexEq:
 		prefix := make([]Value, len(path.eq))
 		for i, e := range path.eq {
@@ -552,7 +628,7 @@ func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid in
 			if !match {
 				return nil
 			}
-			if cont, err := get(kv[len(kv)-1].Int()); err != nil || !cont {
+			if err := s.get(kv[len(kv)-1].Int(), fn); err != nil {
 				return err
 			}
 			if err := cur.Next(); err != nil {
@@ -560,8 +636,32 @@ func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid in
 			}
 		}
 		return nil
-	default: // full scan
-		cur, err := t.tree.SeekFirst()
+	default: // a rowid range; a full scan is the one without bounds
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if path.kind == scanRowidRange {
+			lo = 1
+		}
+		if path.lo != nil {
+			v, err := ctx.eval(path.lo)
+			if err != nil {
+				return err
+			}
+			lo = v.Int()
+			if path.loStrict {
+				lo++
+			}
+		}
+		if path.hi != nil {
+			v, err := ctx.eval(path.hi)
+			if err != nil {
+				return err
+			}
+			hi = v.Int()
+			if path.hiStrict {
+				hi--
+			}
+		}
+		cur, err := t.tree.SeekRowid(lo)
 		if err != nil {
 			return err
 		}
@@ -570,12 +670,18 @@ func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid in
 			if err != nil {
 				return err
 			}
+			if rowid > hi {
+				return nil
+			}
 			payload, err := cur.Payload()
 			if err != nil {
 				return err
 			}
-			cont, err := emit(rowid, payload)
-			if err != nil || !cont {
+			s.rowid = rowid
+			if err := s.decode(payload); err != nil {
+				return err
+			}
+			if err := fn(); err != nil {
 				return err
 			}
 			if err := cur.Next(); err != nil {
@@ -586,176 +692,68 @@ func (db *DB) iterate(s *source, path accessPath, ctx *evalCtx, fn func(rowid in
 	}
 }
 
-// ---- UPDATE / DELETE ----
-
-type matchedRow struct {
-	rowid int64
-	vals  []Value
-}
-
-// collectMatches materializes the rows a single-table WHERE selects,
-// so mutation never races the scan cursor.
-func (db *DB) collectMatches(t *Table, where sqlparse.Expr, params []Value) ([]matchedRow, error) {
-	s := &source{alias: strings.ToLower(t.Name), tbl: t}
-	srcs := []*source{s}
-	ctx := &evalCtx{sources: srcs, params: params, rng: db.rand}
-	var conjs []sqlparse.Expr
-	if where != nil {
-		splitConjuncts(where, &conjs)
-	}
-	path := plan(conjs, srcs, 0)
-	var out []matchedRow
-	err := db.iterate(s, path, ctx, func(rowid int64, vals []Value) (bool, error) {
-		s.vals, s.rowid, s.bound = vals, rowid, true
-		for _, cj := range conjs {
-			v, err := ctx.eval(cj)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() || !v.Truthy() {
-				return true, nil
-			}
-		}
-		out = append(out, matchedRow{rowid: rowid, vals: vals}) // decoded for this row alone
-		return true, nil
-	})
-	s.bound = false
-	return out, err
-}
-
-func (db *DB) execUpdate(x *sqlparse.Update, params []Value) (int64, error) {
-	t, err := db.cat.table(x.Table)
-	if err != nil {
-		return 0, err
-	}
-	setPos := make([]int, len(x.Set))
-	for i, a := range x.Set {
-		pos := t.ColumnIndex(a.Column)
-		if pos < 0 {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, a.Column)
-		}
-		setPos[i] = pos
-	}
-	matches, err := db.collectMatches(t, x.Where, params)
-	if err != nil {
-		return 0, err
-	}
-	s := &source{alias: strings.ToLower(t.Name), tbl: t}
-	ctx := &evalCtx{sources: []*source{s}, params: params, rng: db.rand}
-	for _, m := range matches {
-		s.vals, s.rowid, s.bound = m.vals, m.rowid, true
-		newVals := make([]Value, len(m.vals))
-		copy(newVals, m.vals)
-		for i, a := range x.Set {
-			v, err := ctx.eval(a.Value)
-			if err != nil {
-				return 0, err
-			}
-			newVals[setPos[i]] = applyAffinity(v, t.Columns[setPos[i]].Affinity)
-		}
-		newRowid := m.rowid
-		if t.RowidAlias >= 0 {
-			newRowid = newVals[t.RowidAlias].Int()
-		}
-		// Maintain indexes whose key actually changed.
-		for _, idx := range t.Indexes {
-			changed := newRowid != m.rowid
-			for _, pos := range idx.Cols {
-				if Compare(m.vals[pos], newVals[pos]) != 0 {
-					changed = true
-					break
-				}
-			}
-			if !changed {
-				continue
-			}
-			if idx.Unique {
-				dup, err := db.uniqueExists(idx, newVals)
-				if err != nil {
-					return 0, err
-				}
-				if dup {
-					return 0, fmt.Errorf("%w: unique index %s", ErrConstraint, idx.Name)
-				}
-			}
-			if err := deleteIndexEntry(idx, m.vals, m.rowid); err != nil {
-				return 0, err
-			}
-			if err := insertIndexEntry(idx, newVals, newRowid); err != nil {
-				return 0, err
-			}
-		}
-		stored := make([]Value, len(newVals))
-		copy(stored, newVals)
-		if t.RowidAlias >= 0 {
-			stored[t.RowidAlias] = Null
-		}
-		if newRowid != m.rowid {
-			if _, exists, err := t.tree.Get(newRowid); err != nil {
-				return 0, err
-			} else if exists {
-				return 0, fmt.Errorf("%w: %s primary key %d", ErrConstraint, t.Name, newRowid)
-			}
-			if _, err := t.tree.Delete(m.rowid); err != nil {
-				return 0, err
-			}
-		}
-		if err := t.tree.Insert(newRowid, EncodeRecord(stored)); err != nil {
-			return 0, err
-		}
-	}
-	s.bound = false
-	return int64(len(matches)), nil
-}
-
-func (db *DB) execDelete(x *sqlparse.Delete, params []Value) (int64, error) {
-	t, err := db.cat.table(x.Table)
-	if err != nil {
-		return 0, err
-	}
-	matches, err := db.collectMatches(t, x.Where, params)
-	if err != nil {
-		return 0, err
-	}
-	for _, m := range matches {
-		for _, idx := range t.Indexes {
-			if err := deleteIndexEntry(idx, m.vals, m.rowid); err != nil {
-				return 0, err
-			}
-		}
-		if _, err := t.tree.Delete(m.rowid); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(matches)), nil
-}
-
 // ---- SELECT ----
 
-// outputCol is one compiled result column.
-type outputCol struct {
-	name string
-	expr sqlparse.Expr
+// selectPlan is a compiled SELECT.
+type selectPlan struct {
+	distinct bool
+	ctx      evalCtx
+	levels   []joinLevel     // one per source, in join order
+	noFrom   []sqlparse.Expr // the WHERE of a SELECT without FROM
+	names    []string        // result column names: every Rows of the statement shares them
+	outs     []sqlparse.Expr
+	groupBy  []sqlparse.Expr
+	having   sqlparse.Expr
+	order    []orderTerm
+	aggs     []*sqlparse.Call
+	grouped  bool
+	limit    sqlparse.Expr // nil = none
+	offset   sqlparse.Expr
+
+	// Live during a run only: result rows — each with its sort keys behind
+	// its output values until the ordering is done — and the groups.
+	rows       [][]Value
+	groups     map[string]*group
+	groupOrder []string
 }
 
-func (db *DB) runSelect(sel *sqlparse.Select, params []Value) (*Rows, error) {
-	if err := db.cat.fresh(); err != nil {
-		return nil, err
-	}
+// joinLevel is one level of the nested-loop join.
+type joinLevel struct {
+	src  *source
+	left bool
+	// conjs is the ON conjuncts, then the WHERE conjuncts, first evaluable
+	// once src is bound; where is the WHERE ones alone, which a LEFT
+	// JOIN's null-extended row must still satisfy though it bypasses ON.
+	conjs, where []sqlparse.Expr
+	path         accessPath
+	visit        func() error // iterate's callback at this level
+	matched      bool         // some row of the current scan passed conjs
+}
+
+// orderTerm is one compiled ORDER BY term.
+type orderTerm struct {
+	expr sqlparse.Expr
+	col  int // the output column it names, -1 to evaluate expr
+	desc bool
+}
+
+// group is the accumulator state of one GROUP BY group.
+type group struct {
+	states   []*aggState
+	snapshot []*source // deep copy of the first contributing row
+}
+
+func (db *DB) compileSelect(sel *sqlparse.Select) (*selectPlan, error) {
+	p := &selectPlan{distinct: sel.Distinct}
+	p.ctx.rng = db.rand
 	// Bind sources.
-	var srcs []*source
-	var leftFlags []bool
 	addSource := func(tr sqlparse.TableRef, left bool) error {
-		t, err := db.cat.table(tr.Name)
+		s, err := db.newSource(tr.Name, tr.Alias)
 		if err != nil {
 			return err
 		}
-		alias := strings.ToLower(tr.Alias)
-		if alias == "" {
-			alias = strings.ToLower(tr.Name)
-		}
-		srcs = append(srcs, &source{alias: alias, tbl: t})
-		leftFlags = append(leftFlags, left)
+		p.ctx.sources = append(p.ctx.sources, s)
+		p.levels = append(p.levels, joinLevel{src: s, left: left})
 		return nil
 	}
 	if sel.From != nil {
@@ -768,341 +766,232 @@ func (db *DB) runSelect(sel *sqlparse.Select, params []Value) (*Rows, error) {
 			}
 		}
 	}
-	ctx := &evalCtx{sources: srcs, params: params, rng: db.rand}
-
-	// Compile the output list.
-	cols, err := db.compileOutputs(sel, srcs)
-	if err != nil {
+	srcs := p.ctx.sources
+	if err := p.compileOutputs(sel); err != nil {
 		return nil, err
 	}
 
-	pruneColumns(sel, cols, srcs)
-
-	// Gather predicate conjuncts and assign each to its earliest level.
-	// ON conjuncts are tracked separately from WHERE conjuncts: a LEFT
-	// JOIN's null-extended row bypasses the ON predicates but must
-	// still satisfy WHERE.
-	nLevels := len(srcs)
-	if nLevels == 0 {
-		nLevels = 1
-	}
-	perLevelWhere := make([][]sqlparse.Expr, nLevels+1)
-	perLevelOn := make([][]sqlparse.Expr, nLevels+1)
-	assign := func(pool [][]sqlparse.Expr, e sqlparse.Expr, minLevel int) {
-		lv := earliestLevel(e, srcs)
-		if lv < minLevel {
-			lv = minLevel
+	// Gather predicate conjuncts and file each under its earliest level,
+	// WHERE's from the first on, the ON of join i once its table is bound.
+	file := func(e sqlparse.Expr, minLevel int, on bool) {
+		var cj []sqlparse.Expr
+		splitConjuncts(bindExpr(e, srcs), &cj)
+		for _, e := range cj {
+			switch lv := min(max(earliestLevel(e), minLevel), len(srcs)); {
+			case lv == 0:
+				p.noFrom = append(p.noFrom, e)
+			case on:
+				p.levels[lv-1].conjs = append(p.levels[lv-1].conjs, e)
+			default:
+				p.levels[lv-1].where = append(p.levels[lv-1].where, e)
+			}
 		}
-		if lv > nLevels {
-			lv = nLevels
-		}
-		pool[lv] = append(pool[lv], e)
 	}
 	if sel.Where != nil {
-		var cj []sqlparse.Expr
-		splitConjuncts(sel.Where, &cj)
-		for _, e := range cj {
-			assign(perLevelWhere, e, 1)
-		}
+		file(sel.Where, 1, false)
 	}
 	for ji, j := range sel.Joins {
-		if j.On == nil {
-			continue
+		if j.On != nil {
+			file(j.On, ji+2, true)
 		}
-		var cj []sqlparse.Expr
-		splitConjuncts(j.On, &cj)
-		for _, e := range cj {
-			assign(perLevelOn, e, ji+2) // ON of join i runs once srcs[i+1] is bound
+	}
+	for i := range p.levels {
+		lv := &p.levels[i]
+		lv.conjs = append(lv.conjs, lv.where...)
+		lv.path = choosePath(lv.conjs, i, lv.src.tbl)
+		lv.visit = func() error {
+			ok, err := p.ctx.all(lv.conjs)
+			if err != nil || !ok {
+				return err
+			}
+			lv.matched = true
+			return p.loop(i + 1)
 		}
 	}
 
-	// Aggregation setup.
-	var aggCalls []*sqlparse.Call
-	for _, oc := range cols {
-		collectAggregates(oc.expr, &aggCalls)
+	for _, e := range sel.GroupBy {
+		p.groupBy = append(p.groupBy, bindExpr(e, srcs))
 	}
-	if sel.Having != nil {
-		collectAggregates(sel.Having, &aggCalls)
-	}
+	p.having = bindExpr(sel.Having, srcs)
+	p.limit, p.offset = bindExpr(sel.Limit, srcs), bindExpr(sel.Offset, srcs)
+	// An ORDER BY term that names an output column — by ordinal, or by a
+	// bare name — sorts by that column's value.
 	for _, ot := range sel.OrderBy {
-		collectAggregates(ot.Expr, &aggCalls)
-	}
-	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
-
-	out := &Rows{}
-	for _, oc := range cols {
-		out.Columns = append(out.Columns, oc.name)
-	}
-
-	type resultRow struct {
-		vals []Value
-		sort []Value
-	}
-	var results []resultRow
-
-	// Pre-resolve ORDER BY terms that name output columns.
-	orderColIdx := make([]int, len(sel.OrderBy)) // -1 means evaluate expr
-	for i, ot := range sel.OrderBy {
-		orderColIdx[i] = -1
+		term := orderTerm{expr: bindExpr(ot.Expr, srcs), col: -1, desc: ot.Desc}
 		switch x := ot.Expr.(type) {
 		case *sqlparse.IntLit:
-			if x.Value >= 1 && int(x.Value) <= len(cols) {
-				orderColIdx[i] = int(x.Value) - 1
+			if x.Value >= 1 && int(x.Value) <= len(p.outs) {
+				term.col = int(x.Value) - 1
 			}
 		case *sqlparse.ColumnRef:
 			if x.Table == "" {
-				for ci, oc := range cols {
-					if strings.EqualFold(oc.name, x.Column) {
-						orderColIdx[i] = ci
+				for ci, name := range p.names {
+					if strings.EqualFold(name, x.Column) {
+						term.col = ci
 						break
 					}
 				}
 			}
 		}
+		p.order = append(p.order, term)
 	}
 
-	evalRow := func() (resultRow, error) {
-		var rr resultRow
-		rr.vals = make([]Value, len(cols))
-		for i, oc := range cols {
-			v, err := ctx.eval(oc.expr)
-			if err != nil {
-				return rr, err
-			}
-			rr.vals[i] = v
-		}
-		for i, ot := range sel.OrderBy {
-			if ci := orderColIdx[i]; ci >= 0 {
-				rr.sort = append(rr.sort, rr.vals[ci])
-				continue
-			}
-			v, err := ctx.eval(ot.Expr)
-			if err != nil {
-				return rr, err
-			}
-			rr.sort = append(rr.sort, v)
-		}
-		return rr, nil
+	// Aggregation setup.
+	for _, e := range p.outs {
+		collectAggregates(e, &p.aggs)
 	}
-
-	// Group accumulator state.
-	type group struct {
-		states   []*aggState
-		snapshot []*source // deep copy of the first contributing row
+	collectAggregates(p.having, &p.aggs)
+	for _, ot := range p.order {
+		collectAggregates(ot.expr, &p.aggs)
 	}
-	groups := map[string]*group{}
-	var groupOrder []string
+	p.grouped = len(p.groupBy) > 0 || len(p.aggs) > 0
 
-	snapshotSources := func() []*source {
-		cp := make([]*source, len(srcs))
-		for i, s := range srcs {
-			ns := &source{alias: s.alias, tbl: s.tbl, rowid: s.rowid, bound: s.bound}
-			ns.vals = make([]Value, len(s.vals))
-			copy(ns.vals, s.vals)
-			cp[i] = ns
-		}
-		return cp
-	}
+	p.pruneColumns()
+	return p, nil
+}
 
-	onRow := func() error {
-		if !grouped {
-			rr, err := evalRow()
-			if err != nil {
-				return err
-			}
-			results = append(results, rr)
-			return nil
-		}
-		keyVals := make([]Value, len(sel.GroupBy))
-		for i, ge := range sel.GroupBy {
-			v, err := ctx.eval(ge)
-			if err != nil {
-				return err
-			}
-			keyVals[i] = v
-		}
-		key := string(EncodeRecord(keyVals))
-		g, ok := groups[key]
-		if !ok {
-			g = &group{snapshot: snapshotSources()}
-			for _, call := range aggCalls {
-				g.states = append(g.states, newAggState(call))
-			}
-			groups[key] = g
-			groupOrder = append(groupOrder, key)
-		}
-		for _, st := range g.states {
-			if err := st.step(ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	evalAll := func(conjs []sqlparse.Expr) (bool, error) {
-		for _, cj := range conjs {
-			v, err := ctx.eval(cj)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() || !v.Truthy() {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-
-	// Nested-loop join (SQLite's only join algorithm, §6.3.3).
-	var loop func(level int) error
-	loop = func(level int) error {
-		if level == len(srcs) {
-			return onRow()
-		}
-		s := srcs[level]
-		both := append(append([]sqlparse.Expr(nil), perLevelOn[level+1]...), perLevelWhere[level+1]...)
-		path := plan(both, srcs, level)
-		matched := false
-		err := db.iterate(s, path, ctx, func(rowid int64, vals []Value) (bool, error) {
-			s.vals, s.rowid, s.bound = vals, rowid, true
-			ok, err := evalAll(both)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return true, nil
-			}
-			matched = true
-			if err := loop(level + 1); err != nil {
-				return false, err
-			}
-			return true, nil
-		})
-		s.bound = false
-		if err != nil {
-			return err
-		}
-		if !matched && leftFlags[level] {
-			// LEFT JOIN: emit one null-extended row, bypassing the ON
-			// predicates but honouring WHERE.
-			s.vals = make([]Value, len(s.tbl.Columns))
-			for i := range s.vals {
-				s.vals[i] = Null
-			}
-			s.rowid, s.bound = 0, true
-			ok, err := evalAll(perLevelWhere[level+1])
-			if err == nil && ok {
-				err = loop(level + 1)
-			}
-			s.bound = false
-			return err
-		}
-		return nil
-	}
-
-	if len(srcs) == 0 {
-		ok := true
-		if sel.Where != nil {
-			var err error
-			ok, err = evalAll(perLevelWhere[1])
-			if err != nil {
-				return nil, err
-			}
-		}
-		if ok {
-			if err := onRow(); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := loop(0); err != nil {
-		return nil, err
-	}
-
-	// Finalize groups.
-	if grouped {
-		if len(groups) == 0 && len(sel.GroupBy) == 0 {
-			// Aggregate over an empty input still yields one row.
-			g := &group{snapshot: snapshotSources()}
-			for _, call := range aggCalls {
-				g.states = append(g.states, newAggState(call))
-			}
-			groups[""] = g
-			groupOrder = append(groupOrder, "")
-			for _, s := range g.snapshot {
-				s.vals = make([]Value, len(s.tbl.Columns))
-				for i := range s.vals {
-					s.vals[i] = Null
-				}
-				s.bound = true
-			}
-		}
-		for _, key := range groupOrder {
-			g := groups[key]
-			gctx := &evalCtx{sources: g.snapshot, params: params, rng: db.rand,
-				agg: make(map[*sqlparse.Call]Value)}
-			for i, call := range aggCalls {
-				gctx.agg[call] = g.states[i].final()
-			}
-			if sel.Having != nil {
-				hv, err := gctx.eval(sel.Having)
-				if err != nil {
-					return nil, err
-				}
-				if hv.IsNull() || !hv.Truthy() {
+// compileOutputs expands stars, names the result columns and binds their
+// expressions.
+func (p *selectPlan) compileOutputs(sel *sqlparse.Select) error {
+	srcs := p.ctx.sources
+	for _, rc := range sel.Columns {
+		if rc.Star {
+			matched := false
+			for _, s := range srcs {
+				if rc.Table != "" && !s.named(rc.Table) {
 					continue
 				}
+				matched = true
+				for _, c := range s.tbl.Columns {
+					p.names = append(p.names, c.Name)
+					p.outs = append(p.outs, bindExpr(&sqlparse.ColumnRef{Table: s.alias, Column: c.Name}, srcs))
+				}
 			}
-			saved := ctx
-			ctx = gctx
-			rr, err := evalRow()
-			ctx = saved
-			if err != nil {
-				return nil, err
+			if !matched {
+				return fmt.Errorf("%w: %s.*", ErrNoSuchTable, rc.Table)
 			}
-			results = append(results, rr)
+			continue
+		}
+		name := rc.Alias
+		if name == "" {
+			if cr, ok := rc.Expr.(*sqlparse.ColumnRef); ok {
+				name = cr.Column
+			} else {
+				name = fmt.Sprintf("column%d", len(p.outs)+1)
+			}
+		}
+		p.names = append(p.names, name)
+		p.outs = append(p.outs, bindExpr(rc.Expr, srcs))
+	}
+	if len(p.outs) == 0 {
+		return fmt.Errorf("%w: empty select list", ErrMisuse)
+	}
+	p.names = p.names[:len(p.names):len(p.names)] // shared with every Rows: an append must copy
+	return nil
+}
+
+// pruneColumns sets each source's skip mask: every column is skipped but
+// those some expression of the statement reads.
+func (p *selectPlan) pruneColumns() {
+	srcs := p.ctx.sources
+	for _, s := range srcs {
+		s.skip = ^uint64(0)
+	}
+	read := func(e sqlparse.Expr) {
+		eachRef(e, func(r *colRef) {
+			if r.err == nil && r.col >= 0 {
+				srcs[r.src].skip &^= 1 << uint(r.col)
+			}
+		})
+	}
+	for _, lists := range [][]sqlparse.Expr{p.outs, p.groupBy, {p.having}} {
+		for _, e := range lists {
+			read(e)
 		}
 	}
+	for _, lv := range p.levels {
+		for _, e := range lv.conjs {
+			read(e)
+		}
+	}
+	for _, ot := range p.order {
+		read(ot.expr)
+	}
+}
+
+// run executes the plan with the given parameters.
+func (p *selectPlan) run(params []Value) (*Rows, error) {
+	p.ctx.params = params
+	out, err := p.collect()
+	p.rows, p.groups, p.groupOrder = nil, nil, nil
+	return out, err
+}
+
+func (p *selectPlan) collect() (*Rows, error) {
+	ctx := &p.ctx
+	if len(p.levels) == 0 {
+		ok, err := ctx.all(p.noFrom)
+		if err == nil && ok {
+			err = p.onRow()
+		}
+		if err != nil {
+			return nil, err
+		}
+	} else if err := p.loop(0); err != nil {
+		return nil, err
+	}
+	if p.grouped {
+		if err := p.finishGroups(); err != nil {
+			return nil, err
+		}
+	}
+	n := len(p.outs)
+	results := p.rows
 
 	// DISTINCT.
-	if sel.Distinct {
+	if p.distinct {
 		seen := map[string]bool{}
 		kept := results[:0]
-		for _, rr := range results {
-			k := string(EncodeRecord(rr.vals))
+		for _, row := range results {
+			k := string(EncodeRecord(row[:n]))
 			if !seen[k] {
 				seen[k] = true
-				kept = append(kept, rr)
+				kept = append(kept, row)
 			}
 		}
 		results = kept
 	}
 
 	// ORDER BY.
-	if len(sel.OrderBy) > 0 {
+	if len(p.order) > 0 {
 		sort.SliceStable(results, func(i, j int) bool {
-			for k, ot := range sel.OrderBy {
-				c := Compare(results[i].sort[k], results[j].sort[k])
+			for k, ot := range p.order {
+				c := Compare(results[i][n+k], results[j][n+k])
 				if c == 0 {
 					continue
 				}
-				if ot.Desc {
+				if ot.desc {
 					return c > 0
 				}
 				return c < 0
 			}
 			return false
 		})
+		for i, row := range results {
+			results[i] = row[:n:n]
+		}
 	}
 
 	// LIMIT / OFFSET.
-	if sel.Limit != nil {
-		lv, err := ctx.eval(sel.Limit)
+	if p.limit != nil {
+		lv, err := ctx.eval(p.limit)
 		if err != nil {
 			return nil, err
 		}
 		limit := int(lv.Int())
 		offset := 0
-		if sel.Offset != nil {
-			ov, err := ctx.eval(sel.Offset)
+		if p.offset != nil {
+			ov, err := ctx.eval(p.offset)
 			if err != nil {
 				return nil, err
 			}
@@ -1116,81 +1005,141 @@ func (db *DB) runSelect(sel *sqlparse.Select, params []Value) (*Rows, error) {
 			results = results[:limit]
 		}
 	}
-
-	for _, rr := range results {
-		out.Data = append(out.Data, rr.vals)
-	}
-	return out, nil
+	return &Rows{Columns: p.names, Data: results}, nil
 }
 
-// pruneColumns sets each source's skip mask: every column is skipped but
-// those some expression of the statement may read. A reference marks its
-// column in every source it could name, so the masks err towards decoding.
-func pruneColumns(sel *sqlparse.Select, cols []outputCol, srcs []*source) {
-	for _, s := range srcs {
-		s.skip = ^uint64(0)
+// loop is the nested-loop join (SQLite's only join algorithm, §6.3.3)
+// from level on: every combination of rows that passes its conjuncts
+// reaches onRow.
+func (p *selectPlan) loop(level int) error {
+	if level == len(p.levels) {
+		return p.onRow()
 	}
-	read := func(x *sqlparse.ColumnRef) {
-		for _, s := range srcs {
-			if x.Table != "" && strings.ToLower(x.Table) != s.alias && !strings.EqualFold(x.Table, s.tbl.Name) {
-				continue
-			}
-			if i := s.tbl.ColumnIndex(x.Column); i >= 0 {
-				s.skip &^= 1 << uint(i)
-			}
+	lv := &p.levels[level]
+	s := lv.src
+	lv.matched = false
+	err := s.iterate(&lv.path, &p.ctx, lv.visit)
+	s.bound = false
+	if err != nil {
+		return err
+	}
+	if !lv.matched && lv.left {
+		// LEFT JOIN: emit one null-extended row, bypassing the ON
+		// predicates but honouring WHERE.
+		s.bindNulls()
+		ok, err := p.ctx.all(lv.where)
+		if err == nil && ok {
+			err = p.loop(level + 1)
 		}
+		s.bound = false
+		return err
 	}
-	for _, oc := range cols {
-		eachColumnRef(oc.expr, read)
-	}
-	eachColumnRef(sel.Where, read)
-	for _, j := range sel.Joins {
-		eachColumnRef(j.On, read)
-	}
-	for _, e := range sel.GroupBy {
-		eachColumnRef(e, read)
-	}
-	eachColumnRef(sel.Having, read)
-	for _, ot := range sel.OrderBy {
-		eachColumnRef(ot.Expr, read)
-	}
+	return nil
 }
 
-// compileOutputs expands stars and names the result columns.
-func (db *DB) compileOutputs(sel *sqlparse.Select, srcs []*source) ([]outputCol, error) {
-	var cols []outputCol
-	for _, rc := range sel.Columns {
-		if rc.Star {
-			matched := false
-			for _, s := range srcs {
-				if rc.Table != "" && strings.ToLower(rc.Table) != s.alias && !strings.EqualFold(rc.Table, s.tbl.Name) {
-					continue
-				}
-				matched = true
-				for _, c := range s.tbl.Columns {
-					cols = append(cols, outputCol{
-						name: c.Name,
-						expr: &sqlparse.ColumnRef{Table: s.alias, Column: c.Name},
-					})
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("%w: %s.*", ErrNoSuchTable, rc.Table)
-			}
+// evalRow computes one result row in ctx's scope: the output values, then
+// the sort keys in the same allocation.
+func (p *selectPlan) evalRow(ctx *evalCtx) ([]Value, error) {
+	row := make([]Value, len(p.outs), len(p.outs)+len(p.order))
+	for i, e := range p.outs {
+		v, err := ctx.eval(e)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	for _, ot := range p.order {
+		if ot.col >= 0 {
+			row = append(row, row[ot.col])
 			continue
 		}
-		name := rc.Alias
-		if name == "" {
-			if cr, ok := rc.Expr.(*sqlparse.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = fmt.Sprintf("column%d", len(cols)+1)
+		v, err := ctx.eval(ot.expr)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, v)
+	}
+	return row, nil
+}
+
+// onRow takes one joined row: a result row, or a step of its group's
+// aggregates.
+func (p *selectPlan) onRow() error {
+	ctx := &p.ctx
+	if !p.grouped {
+		row, err := p.evalRow(ctx)
+		if err == nil {
+			p.rows = append(p.rows, row)
+		}
+		return err
+	}
+	keyVals := make([]Value, len(p.groupBy))
+	for i, ge := range p.groupBy {
+		v, err := ctx.eval(ge)
+		if err != nil {
+			return err
+		}
+		keyVals[i] = v
+	}
+	g := p.group(string(EncodeRecord(keyVals)))
+	for _, st := range g.states {
+		if err := st.step(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// group finds a group by key, opening it on the current row if it is new.
+func (p *selectPlan) group(key string) *group {
+	if g, ok := p.groups[key]; ok {
+		return g
+	}
+	g := &group{snapshot: make([]*source, len(p.ctx.sources))}
+	for i, s := range p.ctx.sources {
+		g.snapshot[i] = &source{alias: s.alias, tbl: s.tbl, rowid: s.rowid, bound: s.bound,
+			vals: append([]Value(nil), s.vals...)}
+	}
+	for _, call := range p.aggs {
+		g.states = append(g.states, newAggState(call))
+	}
+	if p.groups == nil {
+		p.groups = map[string]*group{}
+	}
+	p.groups[key] = g
+	p.groupOrder = append(p.groupOrder, key)
+	return g
+}
+
+// finishGroups turns every group that passes HAVING into a result row.
+func (p *selectPlan) finishGroups() error {
+	if len(p.groups) == 0 && len(p.groupBy) == 0 {
+		// Aggregate over an empty input still yields one row.
+		for _, s := range p.group("").snapshot {
+			s.bindNulls()
+		}
+	}
+	for _, key := range p.groupOrder {
+		g := p.groups[key]
+		gctx := &evalCtx{sources: g.snapshot, params: p.ctx.params, rng: p.ctx.rng,
+			agg: make(map[*sqlparse.Call]Value)}
+		for i, call := range p.aggs {
+			gctx.agg[call] = g.states[i].final()
+		}
+		if p.having != nil {
+			hv, err := gctx.eval(p.having)
+			if err != nil {
+				return err
+			}
+			if hv.IsNull() || !hv.Truthy() {
+				continue
 			}
 		}
-		cols = append(cols, outputCol{name: name, expr: rc.Expr})
+		row, err := p.evalRow(gctx)
+		if err != nil {
+			return err
+		}
+		p.rows = append(p.rows, row)
 	}
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("%w: empty select list", ErrMisuse)
-	}
-	return cols, nil
+	return nil
 }

@@ -12,12 +12,16 @@ import (
 type source struct {
 	alias string // lower-cased alias or table name
 	tbl   *Table
-	vals  []Value
+	vals  []Value // the current row: what a column reference reads
 	rowid int64
 	bound bool // vals are valid
 	// skip has a bit set for each of the table's first 64 columns that no
 	// expression of the statement reads: its rows decode those as NULL.
 	skip uint64
+	// row is the decode scratch (DESIGN.md §17): every candidate of a scan
+	// is decoded over the one before, so a row kept past the next decode is
+	// copied out first.
+	row []Value
 }
 
 // evalCtx carries everything an expression evaluation can reference.
@@ -30,27 +34,151 @@ type evalCtx struct {
 	rng func() int64 // deterministic RANDOM()
 }
 
-func (c *evalCtx) resolve(table, column string) (Value, error) {
-	col := strings.ToLower(column)
-	tbl := strings.ToLower(table)
-	for _, s := range c.sources {
-		if !s.bound {
+// colRef is a column reference after name resolution: the node bindExpr
+// puts where the parser left a ColumnRef (embedded, so it stands in the
+// same tree). Evaluating one is two index steps, no name is compared.
+type colRef struct {
+	sqlparse.ColumnRef
+	src int   // the source it reads, by join level; -1 when it names nothing
+	col int   // the column's position there; -1 is the rowid
+	err error // set when the name does not resolve: what evaluating it returns
+}
+
+// named reports whether a table qualifier means this source.
+func (s *source) named(table string) bool {
+	return strings.ToLower(table) == s.alias || strings.EqualFold(table, s.tbl.Name)
+}
+
+// resolveRef is the one place that says what a column name refers to: the
+// first source the qualifier admits (any, without one) that has the
+// column, where the rowid's three names come before a user column spelled
+// the same. A name that does not resolve still gets the level the planner
+// files its conjunct under — the qualifier's source, the last level for an
+// unknown qualifier, none for a bare name — and the error its evaluation
+// returns, so a statement that never evaluates it (an empty table) runs.
+func resolveRef(srcs []*source, table, column string) (src, col int, err error) {
+	for i, s := range srcs {
+		if table != "" && !s.named(table) {
 			continue
 		}
-		if tbl != "" && s.alias != tbl && !strings.EqualFold(s.tbl.Name, table) {
-			continue
+		switch strings.ToLower(column) {
+		case "rowid", "_rowid_", "oid":
+			return i, -1, nil
 		}
-		if col == "rowid" || col == "_rowid_" || col == "oid" {
-			return Int(s.rowid), nil
+		if c := s.tbl.ColumnIndex(column); c >= 0 {
+			return i, c, nil
 		}
-		if i := s.tbl.ColumnIndex(column); i >= 0 {
-			return s.vals[i], nil
-		}
-		if tbl != "" {
-			return Null, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, column)
+		if table != "" {
+			return i, 0, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, column)
 		}
 	}
-	return Null, fmt.Errorf("%w: %s", ErrNoSuchColumn, column)
+	src = -1
+	if table != "" {
+		src = len(srcs) - 1
+	}
+	return src, 0, fmt.Errorf("%w: %s", ErrNoSuchColumn, column)
+}
+
+// bindExpr copies an expression with every column reference resolved
+// against srcs. Literals and parameters are shared with the original.
+func bindExpr(e sqlparse.Expr, srcs []*source) sqlparse.Expr {
+	bind := func(e sqlparse.Expr) sqlparse.Expr { return bindExpr(e, srcs) }
+	bindAll := func(es []sqlparse.Expr) []sqlparse.Expr {
+		out := make([]sqlparse.Expr, len(es))
+		for i, e := range es {
+			out[i] = bind(e)
+		}
+		return out
+	}
+	switch x := e.(type) {
+	case *sqlparse.ColumnRef:
+		r := &colRef{ColumnRef: *x}
+		r.src, r.col, r.err = resolveRef(srcs, x.Table, x.Column)
+		return r
+	case *sqlparse.Unary:
+		return &sqlparse.Unary{Op: x.Op, X: bind(x.X)}
+	case *sqlparse.Binary:
+		return &sqlparse.Binary{Op: x.Op, L: bind(x.L), R: bind(x.R)}
+	case *sqlparse.IsNull:
+		return &sqlparse.IsNull{X: bind(x.X), Not: x.Not}
+	case *sqlparse.InList:
+		return &sqlparse.InList{X: bind(x.X), Not: x.Not, List: bindAll(x.List)}
+	case *sqlparse.Between:
+		return &sqlparse.Between{X: bind(x.X), Not: x.Not, Lo: bind(x.Lo), Hi: bind(x.Hi)}
+	case *sqlparse.Call:
+		c := *x
+		c.Args = bindAll(x.Args)
+		return &c
+	case *sqlparse.CaseExpr:
+		c := &sqlparse.CaseExpr{Operand: bind(x.Operand), Else: bind(x.Else), Whens: make([]sqlparse.When, len(x.Whens))}
+		for i, w := range x.Whens {
+			c.Whens[i] = sqlparse.When{Cond: bind(w.Cond), Then: bind(w.Then)}
+		}
+		return c
+	}
+	return e
+}
+
+// walkExpr calls fn for e and, where fn returns true, for every expression
+// directly beneath it.
+func walkExpr(e sqlparse.Expr, fn func(sqlparse.Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *sqlparse.Unary:
+		walkExpr(x.X, fn)
+	case *sqlparse.Binary:
+		walkExpr(x.L, fn)
+		walkExpr(x.R, fn)
+	case *sqlparse.IsNull:
+		walkExpr(x.X, fn)
+	case *sqlparse.InList:
+		walkExpr(x.X, fn)
+		for _, i := range x.List {
+			walkExpr(i, fn)
+		}
+	case *sqlparse.Between:
+		walkExpr(x.X, fn)
+		walkExpr(x.Lo, fn)
+		walkExpr(x.Hi, fn)
+	case *sqlparse.Call:
+		for _, a := range x.Args {
+			walkExpr(a, fn)
+		}
+	case *sqlparse.CaseExpr:
+		walkExpr(x.Operand, fn)
+		for _, w := range x.Whens {
+			walkExpr(w.Cond, fn)
+			walkExpr(w.Then, fn)
+		}
+		walkExpr(x.Else, fn)
+	}
+}
+
+// eachRef calls fn for every column reference in a bound expression.
+func eachRef(e sqlparse.Expr, fn func(*colRef)) {
+	walkExpr(e, func(e sqlparse.Expr) bool {
+		if r, ok := e.(*colRef); ok {
+			fn(r)
+		}
+		return true
+	})
+}
+
+// all reports whether every conjunct holds (NULL does not) in the current
+// row scope.
+func (c *evalCtx) all(conjs []sqlparse.Expr) (bool, error) {
+	for _, cj := range conjs {
+		v, err := c.eval(cj)
+		if err != nil {
+			return false, err
+		}
+		if v.IsNull() || !v.Truthy() {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // eval computes an expression against the current row scope.
@@ -71,8 +199,18 @@ func (c *evalCtx) eval(e sqlparse.Expr) (Value, error) {
 			return Null, fmt.Errorf("%w: parameter %d not bound", ErrParamMismatch, x.Index+1)
 		}
 		return c.params[x.Index], nil
-	case *sqlparse.ColumnRef:
-		return c.resolve(x.Table, x.Column)
+	case *colRef:
+		if x.err != nil {
+			return Null, x.err
+		}
+		s := c.sources[x.src]
+		if !s.bound {
+			return Null, fmt.Errorf("%w: %s", ErrNoSuchColumn, x.Column)
+		}
+		if x.col < 0 {
+			return Int(s.rowid), nil
+		}
+		return s.vals[x.col], nil
 	case *sqlparse.Unary:
 		return c.evalUnary(x)
 	case *sqlparse.Binary:
@@ -498,45 +636,16 @@ func isAggregate(call *sqlparse.Call) bool {
 	}
 }
 
-// collectAggregates gathers aggregate calls appearing in an expression.
+// collectAggregates gathers aggregate calls appearing in an expression
+// (not the ones inside another's argument).
 func collectAggregates(e sqlparse.Expr, out *[]*sqlparse.Call) {
-	switch x := e.(type) {
-	case *sqlparse.Call:
-		if isAggregate(x) {
-			*out = append(*out, x)
-			return
+	walkExpr(e, func(e sqlparse.Expr) bool {
+		if c, ok := e.(*sqlparse.Call); ok && isAggregate(c) {
+			*out = append(*out, c)
+			return false
 		}
-		for _, a := range x.Args {
-			collectAggregates(a, out)
-		}
-	case *sqlparse.Unary:
-		collectAggregates(x.X, out)
-	case *sqlparse.Binary:
-		collectAggregates(x.L, out)
-		collectAggregates(x.R, out)
-	case *sqlparse.IsNull:
-		collectAggregates(x.X, out)
-	case *sqlparse.InList:
-		collectAggregates(x.X, out)
-		for _, i := range x.List {
-			collectAggregates(i, out)
-		}
-	case *sqlparse.Between:
-		collectAggregates(x.X, out)
-		collectAggregates(x.Lo, out)
-		collectAggregates(x.Hi, out)
-	case *sqlparse.CaseExpr:
-		if x.Operand != nil {
-			collectAggregates(x.Operand, out)
-		}
-		for _, w := range x.Whens {
-			collectAggregates(w.Cond, out)
-			collectAggregates(w.Then, out)
-		}
-		if x.Else != nil {
-			collectAggregates(x.Else, out)
-		}
-	}
+		return true
+	})
 }
 
 // aggState accumulates one aggregate over a group.

@@ -19,17 +19,24 @@ import (
 //	>=13 odd   TEXT of (st-13)/2 bytes
 var errBadRecord = errors.New("sqlite: corrupt record")
 
-// EncodeRecord serializes values into the record format. A first pass
-// sizes header and body, so the record is the one allocation and the
-// second pass writes both parts where they belong.
-func EncodeRecord(vals []Value) []byte {
+// EncodeRecord serializes values into the record format.
+func EncodeRecord(vals []Value) []byte { return appendRecord(nil, vals) }
+
+// appendRecord appends the record of vals to dst. A first pass sizes header
+// and body, so the record is at most the one allocation — none when dst has
+// the room — and the second pass writes both parts where they belong.
+func appendRecord(dst []byte, vals []Value) []byte {
 	hdrLen, bodyLen := 0, 0
 	for _, v := range vals {
 		st, n := serialType(v)
 		hdrLen += uvarintLen(st)
 		bodyLen += n
 	}
-	out := make([]byte, uvarintLen(uint64(hdrLen))+hdrLen+bodyLen)
+	size := uvarintLen(uint64(hdrLen)) + hdrLen + bodyLen
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	out := dst[len(dst) : len(dst)+size]
 	hdr := binary.AppendUvarint(out[:0], uint64(hdrLen))
 	body := out[len(hdr)+hdrLen:][:0]
 	for _, v := range vals {
@@ -52,7 +59,7 @@ func EncodeRecord(vals []Value) []byte {
 			body = binary.BigEndian.AppendUint64(body, math.Float64bits(v.f))
 		}
 	}
-	return out
+	return dst[:len(dst)+size]
 }
 
 // serialType is the serial type a value encodes as and the body bytes it
@@ -142,13 +149,15 @@ func columnValue(st uint64, col []byte) Value {
 }
 
 // DecodeRecord parses a record into values.
-func DecodeRecord(data []byte) ([]Value, error) { return decodeRecord(data, 0, 0) }
+func DecodeRecord(data []byte) ([]Value, error) { return decodeRecord(data, 0, 0, nil) }
 
 // decodeRecord parses a record into at least ncols values — a row stored
 // with fewer columns than its table has now reads NULL in the rest —
 // leaving NULL too in each of the first 64 columns whose bit is set in
 // skip: a column no expression reads is stepped over, not materialized.
-func decodeRecord(data []byte, ncols int, skip uint64) ([]Value, error) {
+// The values overwrite into where it has the room (its old content is
+// gone either way); text and blob bytes are always fresh copies.
+func decodeRecord(data []byte, ncols int, skip uint64, into []Value) ([]Value, error) {
 	hdr, body, ok := splitRecord(data)
 	if !ok {
 		return nil, errBadRecord
@@ -159,7 +168,7 @@ func decodeRecord(data []byte, ncols int, skip uint64) ([]Value, error) {
 			n++
 		}
 	}
-	vals := make([]Value, max(n, ncols))
+	vals := nullRow(into, max(n, ncols))
 	for i := 0; len(hdr) > 0; i++ {
 		st, col, h, b, err := nextColumn(hdr, body)
 		if err != nil {

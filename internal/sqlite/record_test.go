@@ -281,6 +281,7 @@ func randomRecords(rng *rand.Rand, n int) [][]byte {
 func TestDecodeRecordMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	accepted := 0
+	var scratch []Value
 	for _, rec := range randomRecords(rng, 4000) {
 		want, werr := refDecodeRecord(rec)
 		got, gerr := DecodeRecord(rec)
@@ -291,13 +292,15 @@ func TestDecodeRecordMatchesReference(t *testing.T) {
 			continue
 		}
 		accepted++
-		// The executor's decode: at least ncols values, and NULL in the
-		// columns the mask skips.
+		// The executor's decode: at least ncols values, NULL in the columns
+		// the mask skips,
 		ncols, skip := rng.Intn(8), rng.Uint64()
 		if rng.Intn(4) == 0 {
 			skip = 0
 		}
-		got, err := decodeRecord(rec, ncols, skip)
+		// over the row decoded before it, as a scan's scratch row is.
+		got, err := decodeRecord(rec, ncols, skip, scratch)
+		scratch = got
 		if err != nil || len(got) != max(len(want), ncols) {
 			t.Fatalf("% x into %d columns: %v (%v)", rec, ncols, got, err)
 		}
@@ -380,6 +383,63 @@ func FuzzDecodeRecord(f *testing.F) {
 func TestPrunedSelectMatchesFullDecode(t *testing.T) {
 	db := newEnv(t, pager.Off).open(t)
 	defer db.Close()
+	loadCorpus(t, db)
+	for _, q := range selectCorpus {
+		st, err := sqlparse.Parse(q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		sel := st.(*sqlparse.Select)
+		pruned, err := (&Stmt{db: db, ast: sel}).Query(q.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		// AND (c IS NULL OR c IS NOT NULL) for every column of every source.
+		full := *sel
+		sources := []sqlparse.TableRef{}
+		if sel.From != nil {
+			sources = append(sources, *sel.From)
+		}
+		for _, j := range sel.Joins {
+			sources = append(sources, j.Table)
+		}
+		for _, src := range sources {
+			tbl, err := db.cat.table(src.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qual := src.Alias
+			if qual == "" {
+				qual = src.Name
+			}
+			for _, c := range tbl.Columns {
+				ref := &sqlparse.ColumnRef{Table: qual, Column: c.Name}
+				var always sqlparse.Expr = &sqlparse.Binary{Op: "OR",
+					L: &sqlparse.IsNull{X: ref}, R: &sqlparse.IsNull{X: ref, Not: true}}
+				if full.Where != nil {
+					always = &sqlparse.Binary{Op: "AND", L: full.Where, R: always}
+				}
+				full.Where = always
+			}
+		}
+		want, err := (&Stmt{db: db, ast: &full}).Query(q.args...)
+		if err != nil {
+			t.Fatalf("%s, reading every column: %v", q.sql, err)
+		}
+		if len(pruned.Data) != len(want.Data) || (len(sources) > 0 && len(want.Data) == 0) {
+			t.Fatalf("%s: %d rows, %d reading every column", q.sql, len(pruned.Data), len(want.Data))
+		}
+		for i := range want.Data {
+			if !sameValues(pruned.Data[i], want.Data[i]) {
+				t.Fatalf("%s: row %d is %v, %v reading every column", q.sql, i, pruned.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
+// loadCorpus creates and fills the tables selectCorpus reads.
+func loadCorpus(t *testing.T, db *DB) {
+	t.Helper()
 	for _, ddl := range []string{
 		`CREATE TABLE dept (id INTEGER PRIMARY KEY, name TEXT, floor INTEGER)`,
 		`CREATE TABLE emp (id INTEGER PRIMARY KEY, name TEXT, dept TEXT, dept_id INTEGER, salary REAL, note TEXT, badge BLOB)`,
@@ -416,107 +476,54 @@ func TestPrunedSelectMatchesFullDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `COMMIT`)
+}
 
-	corpus := []struct {
-		sql  string
-		args []any
-	}{
-		{`SELECT * FROM emp`, nil},
-		{`SELECT * FROM emp WHERE id = ?`, []any{77}},
-		{`SELECT * FROM thumbs`, nil},
-		{`SELECT id FROM emp`, nil},
-		{`SELECT rowid, name FROM emp WHERE rowid > 35`, nil},
-		{`SELECT id, salary FROM emp ORDER BY id`, nil},
-		{`SELECT name FROM emp WHERE id = ?`, []any{7}},
-		{`SELECT name, salary FROM emp WHERE id = 77`, nil},
-		{`SELECT name, note, badge FROM emp WHERE id = ?`, []any{4}},
-		{`SELECT COUNT(*) FROM emp WHERE salary < ?`, []any{30}},
-		{`SELECT COUNT(*), SUM(salary) FROM emp`, nil},
-		{`SELECT COUNT(note), COUNT(*) FROM emp`, nil},
-		{`SELECT COUNT(*) FROM emp WHERE dept = 'ops'`, nil},
-		{`SELECT id FROM emp WHERE dept = 'ops'`, nil},
-		{`SELECT id, note FROM emp WHERE dept = 'lab' AND salary > 20`, nil},
-		{`SELECT COUNT(*) FROM emp WHERE id > 10 AND id <= 20`, nil},
-		{`SELECT COUNT(*) FROM emp WHERE id BETWEEN 5 AND 7`, nil},
-		{`SELECT id FROM emp ORDER BY id DESC LIMIT 3`, nil},
-		{`SELECT id FROM emp ORDER BY salary DESC LIMIT 5 OFFSET 10`, nil},
-		{`SELECT id FROM emp WHERE note LIKE 'hello-1%'`, nil},
-		{`SELECT id FROM emp WHERE note IS NULL`, nil},
-		{`SELECT id FROM emp WHERE note IS NOT NULL`, nil},
-		{`SELECT id FROM emp WHERE dept IN ('ops','lab') ORDER BY id`, nil},
-		{`SELECT id FROM emp WHERE dept NOT IN ('ops','lab') ORDER BY id`, nil},
-		{`SELECT DISTINCT dept FROM emp ORDER BY dept`, nil},
-		{`SELECT salary * 2 + 1, UPPER(name), LENGTH(note), name || '!' FROM emp`, nil},
-		{`SELECT CASE WHEN salary > 30 THEN 'big' ELSE name END FROM emp`, nil},
-		{`SELECT COALESCE(note, name) FROM emp`, nil},
-		{`SELECT 1 + 1, 'x' || 'y'`, nil},
-		{`SELECT img, LENGTH(img) FROM thumbs WHERE id = 1`, nil},
-		{`SELECT tag FROM thumbs ORDER BY id`, nil},
-		{`SELECT COUNT(*), SUM(amount) FROM sales WHERE region = 'west'`, nil},
-		{`SELECT COUNT(DISTINCT region) FROM sales`, nil},
-		{`SELECT region FROM sales GROUP BY region HAVING COUNT(*) > 2`, nil},
-		{`SELECT region, SUM(amount) FROM sales GROUP BY region ORDER BY SUM(amount) DESC`, nil},
-		{`SELECT COUNT(*) FROM emp GROUP BY dept ORDER BY COUNT(*), MIN(salary)`, nil},
-		{`SELECT region FROM sales GROUP BY region HAVING SUM(amount) > 2700`, nil},
-		{`SELECT COUNT(*) FROM emp, dept WHERE emp.dept_id = dept.id`, nil},
-		{`SELECT e.name, d.name FROM emp e JOIN dept d ON e.dept_id = d.id ORDER BY e.id`, nil},
-		{`SELECT e.name, d.floor FROM emp e JOIN dept d ON e.dept_id = d.id WHERE d.name = 'lab' ORDER BY e.salary`, nil},
-		{`SELECT d.name, COUNT(e.id) FROM dept d LEFT JOIN emp e ON e.dept_id = d.id GROUP BY d.id ORDER BY d.id`, nil},
-		{`SELECT d.name, e.note FROM dept d LEFT JOIN emp e ON e.dept_id = d.id AND e.salary > 55 ORDER BY d.id, e.id`, nil},
-	}
-	for _, q := range corpus {
-		st, err := sqlparse.Parse(q.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", q.sql, err)
-		}
-		sel := st.(*sqlparse.Select)
-		params, err := bindArgs(q.args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned, err := db.runSelect(sel, params)
-		if err != nil {
-			t.Fatalf("%s: %v", q.sql, err)
-		}
-		// AND (c IS NULL OR c IS NOT NULL) for every column of every source.
-		full := *sel
-		sources := []sqlparse.TableRef{}
-		if sel.From != nil {
-			sources = append(sources, *sel.From)
-		}
-		for _, j := range sel.Joins {
-			sources = append(sources, j.Table)
-		}
-		for _, src := range sources {
-			tbl, err := db.cat.table(src.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qual := src.Alias
-			if qual == "" {
-				qual = src.Name
-			}
-			for _, c := range tbl.Columns {
-				ref := &sqlparse.ColumnRef{Table: qual, Column: c.Name}
-				var always sqlparse.Expr = &sqlparse.Binary{Op: "OR",
-					L: &sqlparse.IsNull{X: ref}, R: &sqlparse.IsNull{X: ref, Not: true}}
-				if full.Where != nil {
-					always = &sqlparse.Binary{Op: "AND", L: full.Where, R: always}
-				}
-				full.Where = always
-			}
-		}
-		want, err := db.runSelect(&full, params)
-		if err != nil {
-			t.Fatalf("%s, reading every column: %v", q.sql, err)
-		}
-		if len(pruned.Data) != len(want.Data) || (len(sources) > 0 && len(want.Data) == 0) {
-			t.Fatalf("%s: %d rows, %d reading every column", q.sql, len(pruned.Data), len(want.Data))
-		}
-		for i := range want.Data {
-			if !sameValues(pruned.Data[i], want.Data[i]) {
-				t.Fatalf("%s: row %d is %v, %v reading every column", q.sql, i, pruned.Data[i], want.Data[i])
-			}
-		}
-	}
+// selectCorpus is the SELECT shapes of integration_test.go and db_test.go
+// over the tables of loadCorpus.
+var selectCorpus = []struct {
+	sql  string
+	args []any
+}{
+	{`SELECT * FROM emp`, nil},
+	{`SELECT * FROM emp WHERE id = ?`, []any{77}},
+	{`SELECT * FROM thumbs`, nil},
+	{`SELECT id FROM emp`, nil},
+	{`SELECT rowid, name FROM emp WHERE rowid > 35`, nil},
+	{`SELECT id, salary FROM emp ORDER BY id`, nil},
+	{`SELECT name FROM emp WHERE id = ?`, []any{7}},
+	{`SELECT name, salary FROM emp WHERE id = 77`, nil},
+	{`SELECT name, note, badge FROM emp WHERE id = ?`, []any{4}},
+	{`SELECT COUNT(*) FROM emp WHERE salary < ?`, []any{30}},
+	{`SELECT COUNT(*), SUM(salary) FROM emp`, nil},
+	{`SELECT COUNT(note), COUNT(*) FROM emp`, nil},
+	{`SELECT COUNT(*) FROM emp WHERE dept = 'ops'`, nil},
+	{`SELECT id FROM emp WHERE dept = 'ops'`, nil},
+	{`SELECT id, note FROM emp WHERE dept = 'lab' AND salary > 20`, nil},
+	{`SELECT COUNT(*) FROM emp WHERE id > 10 AND id <= 20`, nil},
+	{`SELECT COUNT(*) FROM emp WHERE id BETWEEN 5 AND 7`, nil},
+	{`SELECT id FROM emp ORDER BY id DESC LIMIT 3`, nil},
+	{`SELECT id FROM emp ORDER BY salary DESC LIMIT 5 OFFSET 10`, nil},
+	{`SELECT id FROM emp WHERE note LIKE 'hello-1%'`, nil},
+	{`SELECT id FROM emp WHERE note IS NULL`, nil},
+	{`SELECT id FROM emp WHERE note IS NOT NULL`, nil},
+	{`SELECT id FROM emp WHERE dept IN ('ops','lab') ORDER BY id`, nil},
+	{`SELECT id FROM emp WHERE dept NOT IN ('ops','lab') ORDER BY id`, nil},
+	{`SELECT DISTINCT dept FROM emp ORDER BY dept`, nil},
+	{`SELECT salary * 2 + 1, UPPER(name), LENGTH(note), name || '!' FROM emp`, nil},
+	{`SELECT CASE WHEN salary > 30 THEN 'big' ELSE name END FROM emp`, nil},
+	{`SELECT COALESCE(note, name) FROM emp`, nil},
+	{`SELECT 1 + 1, 'x' || 'y'`, nil},
+	{`SELECT img, LENGTH(img) FROM thumbs WHERE id = 1`, nil},
+	{`SELECT tag FROM thumbs ORDER BY id`, nil},
+	{`SELECT COUNT(*), SUM(amount) FROM sales WHERE region = 'west'`, nil},
+	{`SELECT COUNT(DISTINCT region) FROM sales`, nil},
+	{`SELECT region FROM sales GROUP BY region HAVING COUNT(*) > 2`, nil},
+	{`SELECT region, SUM(amount) FROM sales GROUP BY region ORDER BY SUM(amount) DESC`, nil},
+	{`SELECT COUNT(*) FROM emp GROUP BY dept ORDER BY COUNT(*), MIN(salary)`, nil},
+	{`SELECT region FROM sales GROUP BY region HAVING SUM(amount) > 2700`, nil},
+	{`SELECT COUNT(*) FROM emp, dept WHERE emp.dept_id = dept.id`, nil},
+	{`SELECT e.name, d.name FROM emp e JOIN dept d ON e.dept_id = d.id ORDER BY e.id`, nil},
+	{`SELECT e.name, d.floor FROM emp e JOIN dept d ON e.dept_id = d.id WHERE d.name = 'lab' ORDER BY e.salary`, nil},
+	{`SELECT d.name, COUNT(e.id) FROM dept d LEFT JOIN emp e ON e.dept_id = d.id GROUP BY d.id ORDER BY d.id`, nil},
+	{`SELECT d.name, e.note FROM dept d LEFT JOIN emp e ON e.dept_id = d.id AND e.salary > 55 ORDER BY d.id, e.id`, nil},
 }

@@ -137,8 +137,10 @@ func (p *parser) statement() (Stmt, error) {
 		}
 		pr := &Pragma{Name: strings.ToLower(name)}
 		if p.accept(TokSymbol, "=") {
-			v := p.next()
-			pr.Value = v.Text
+			if p.at(TokEOF, "") {
+				return nil, p.errf("expected a value for pragma %s", name)
+			}
+			pr.Value = p.next().Text
 		}
 		return pr, nil
 	default:
@@ -264,6 +266,9 @@ func (p *parser) columnDef() (ColumnDef, error) {
 		}
 		if p.accept(TokSymbol, "(") {
 			for !p.accept(TokSymbol, ")") {
+				if p.at(TokEOF, "") {
+					return cd, p.errf("unterminated type arguments")
+				}
 				p.pos++
 			}
 		}

@@ -89,14 +89,15 @@ func fleetRun(seed int64, cut string, failPrepare int) (*Report, error) {
 		}
 		m.load(int64(i), 0)
 	}
-	// update opens transaction tid: set writes version to every participant.
-	update := func(tid uint64, set string, version int64) (*shard.Tx, error) {
+	// update opens transaction tid: set, with arg bound to its parameter,
+	// writes version to every participant.
+	update := func(tid uint64, set string, arg, version int64) (*shard.Tx, error) {
 		tx, err := f.BeginCross(dbs...)
 		if err != nil {
 			return nil, err
 		}
 		for i, db := range dbs {
-			if _, err := tx.Exec(db, "UPDATE kv SET v = "+set+" WHERE k = 1"); err != nil {
+			if _, err := tx.Exec(db, "UPDATE kv SET v = "+set+" WHERE k = 1", arg); err != nil {
 				return nil, err
 			}
 			m.write(tid, int64(i), version)
@@ -125,8 +126,8 @@ func fleetRun(seed int64, cut string, failPrepare int) (*Report, error) {
 	}
 
 	// commit runs update to its end.
-	commit := func(tid uint64, set string, version int64) error {
-		tx, err := update(tid, set, version)
+	commit := func(tid uint64, set string, arg, version int64) error {
+		tx, err := update(tid, set, arg, version)
 		if err == nil {
 			err = tx.Commit()
 		}
@@ -140,11 +141,11 @@ func fleetRun(seed int64, cut string, failPrepare int) (*Report, error) {
 	// Transaction n writes n to every participant; the last is the victim.
 	const last = fleetWarmup + 1
 	for n := 1; n <= fleetWarmup; n++ {
-		if err := commit(uint64(n), fmt.Sprint(n), int64(n)); err != nil {
+		if err := commit(uint64(n), "?", int64(n), int64(n)); err != nil {
 			return nil, err
 		}
 	}
-	tx, err := update(last, fmt.Sprint(last), last)
+	tx, err := update(last, "?", last, last)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +166,7 @@ func fleetRun(seed int64, cut string, failPrepare int) (*Report, error) {
 		rep.Aborted++
 		// On top of the committed fleetWarmup that is last — and last + 1
 		// wherever the victim's write is still to be found.
-		if err := commit(last+1, "v + 1", last); err != nil {
+		if err := commit(last+1, "v + ?", 1, last); err != nil {
 			return nil, fmt.Errorf("after the live abort: %w", err)
 		}
 		o, err := readBack()
