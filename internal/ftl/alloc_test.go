@@ -2,7 +2,12 @@
 
 package ftl
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/nand"
+)
 
 // Meta programs take a map group's page from the table, render slot
 // payload into a firmware-owned page, keep spare records on the stack and
@@ -41,8 +46,10 @@ func TestMetaProgramsAllocateNoPages(t *testing.T) {
 }
 
 // A steady-state overwrite, garbage collection included, allocates
-// nothing: the copy-back buffer is the FTL's and the chip recycles the
-// victim's page buffers.
+// nothing: a GC copy is programmed straight from the victim's cell and
+// the chip recycles the victim's page buffers. So do the other two
+// callers of that copy-back, a unit drain and a data-block retirement —
+// except for the retirement's bad-block table, a few small objects.
 func TestOverwriteWithGCNoAllocs(t *testing.T) {
 	f, _ := newTestFTL(t)
 	data := page(f, 9)
@@ -58,5 +65,80 @@ func TestOverwriteWithGCNoAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(2000, write); allocs > 0.05 {
 		t.Errorf("steady-state Write allocates %.2f objects per call, want ~0", allocs)
+	}
+
+	// Not a quarantine: the frontier keeps programming the unit, so every
+	// drain finds pages to move.
+	drain := func() {
+		if err := f.drainUnit(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, drain); allocs != 0 {
+		t.Errorf("a unit drain allocates %.2f objects per call, want 0", allocs)
+	}
+
+	// A retired block keeps its page buffers, so the chip needs slack in
+	// its buffer pool, or the copies' programs carve new ones: trim most
+	// of the working set and collect the blocks it leaves empty.
+	for l := LPN(32); l < 64; l++ {
+		if err := f.Unmap(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	for range 8 {
+		if err := f.collectOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := int64(0)
+	retire := func() {
+		for b := range nand.BlockNum(f.chip.Config().Blocks - f.cfg.MetaBlocks) {
+			if live, _ := f.chip.ValidPages(b); live > 0 && !f.bad[b] && !(f.haveCur && f.cur == b) {
+				before := f.stats.PageWrites.Load()
+				if err := f.retireDataBlock(b); err != nil {
+					t.Fatal(err)
+				}
+				moved += f.stats.PageWrites.Load() - before
+				return
+			}
+		}
+		t.Fatal("no data block holds live pages")
+	}
+	const retirements = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range retirements {
+		retire()
+	}
+	runtime.ReadMemStats(&after)
+	if moved < retirements {
+		t.Fatalf("%d retirements relocated %d pages", retirements, moved)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / retirements; per >= uint64(f.PageSize()) {
+		t.Errorf("a data-block retirement allocates %d bytes, want less than a page (%d)", per, f.PageSize())
+	}
+}
+
+var oobSink [oobRecSize]byte
+
+// A spare record is built on the caller's stack: headerCRC does not make
+// it escape.
+func TestSpareRecordsAllocateNothing(t *testing.T) {
+	f, _ := newTestFTL(t)
+	chain := metaTag{state: metaStateChain, slot: "xl2p", idx: 1, length: 3, seq: 9, payLen: 100}
+	group := metaTag{state: metaStateGroup, group: 2, seq: 10, payLen: f.PageSize()}
+	f.slotID(chain.slot)
+	for name, build := range map[string]func(){
+		"encodeOOB":     func() { oobSink = encodeOOB(oobRec{kind: oobKindData, state: dataStateTx, seq: 7, a: 3, b: 5}) },
+		"metaOOB chain": func() { oobSink = f.metaOOB(chain, 0xDEADBEEF) },
+		"metaOOB group": func() { oobSink = f.metaOOB(group, 0x12345678) },
+	} {
+		if allocs := testing.AllocsPerRun(100, build); allocs != 0 {
+			t.Errorf("%s allocates %.0f objects per record, want 0", name, allocs)
+		}
 	}
 }

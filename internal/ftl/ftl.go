@@ -13,11 +13,11 @@
 package ftl
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -94,6 +94,10 @@ func DefaultConfig(chip nand.Config) Config {
 // page; it defines the granularity of mapping-table persistence.
 func mapEntriesPerPage(pageSize int) int64 { return int64(pageSize) / 4 }
 
+// mapLine is how many bytes of a map page (16 entries) one dirty bit
+// covers: a cache line.
+const mapLine = 64
+
 // FTL is a page-mapping flash translation layer over a NAND chip array.
 // It is not safe for concurrent use.
 type FTL struct {
@@ -108,8 +112,12 @@ type FTL struct {
 	// table says. Updated when dirty map groups are flushed by a write
 	// barrier (or by GC relocating a persisted page). On power loss the
 	// volatile state is rebuilt from this image.
-	persisted  mapTable
-	dirtyGroup []bool // per map-page group: volatile != persisted
+	persisted mapTable
+	// dirty has one bit per mapLine bytes of l2p written since its group
+	// was last persisted, as many words per group; a group is dirty iff
+	// one of its bits is set. setL2P sets them and syncGroup clears them,
+	// so every line where l2p and persisted differ has its bit set.
+	dirty []uint64
 
 	// Data-block management.
 	freeBlocks []nand.BlockNum
@@ -159,21 +167,20 @@ type FTL struct {
 	metaSet     map[nand.BlockNum]bool
 	retireDepth int // guards cascading retirements
 
-	hook   Hook
-	stats  *metrics.FlashCounters
-	tracer *trace.Tracer
-	inGC   bool // guards against re-entrant collection from relocate
+	hook     Hook
+	stats    *metrics.FlashCounters
+	tracer   *trace.Tracer
+	inGC     bool          // guards against re-entrant collection from relocate
+	draining nand.BlockNum // the block drainUnit is emptying, never a GC victim; -1 when none
 
-	// Page buffers the firmware owns, so neither a meta program nor a GC
-	// copy allocates; the chip copies whatever it is handed. metaBuf is
-	// where metaProgram renders a page of slot payload (a map group's page
-	// is the table's own) and zeroPage what it programs for a content-free
-	// pad (read-only, with zeroCRC its checksum). gcBuf is collectOnce's
-	// copy-back scratch (see relocate).
+	// Page buffers the firmware owns, so a meta program does not
+	// allocate; the chip copies whatever it is handed. metaBuf is where
+	// metaProgram renders a page of slot payload (a map group's page is
+	// the table's own) and zeroPage what it programs for a content-free
+	// pad (read-only, with zeroCRC its checksum).
 	metaBuf  []byte
 	zeroPage []byte
 	zeroCRC  uint32
-	gcBuf    []byte
 
 	// Channel health / quarantine state (health.go). skipped counts, per
 	// data block, the frontier pages allocation steered past because
@@ -231,13 +238,15 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 		return nil, err
 	}
 	groups := mapPages(cfg.LogicalPages, chipCfg.PageSize)
+	lineWords := ((chipCfg.PageSize+mapLine-1)/mapLine + 63) / 64
 	f := &FTL{
 		chip:       chip,
 		cfg:        cfg,
 		l2p:        newMapTable(groups, chipCfg.PageSize),
 		persisted:  newMapTable(groups, chipCfg.PageSize),
 		rmap:       make([]LPN, chipCfg.TotalPages()),
-		dirtyGroup: make([]bool, groups),
+		dirty:      make([]uint64, groups*lineWords),
+		draining:   -1,
 		metaSlots:  make(map[string][]nand.PPN),
 		groupSlots: make([]nand.PPN, groups),
 		bad:        make(map[nand.BlockNum]bool),
@@ -253,7 +262,6 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 	f.metaBuf = make([]byte, chipCfg.PageSize)
 	f.zeroPage = make([]byte, chipCfg.PageSize)
 	f.zeroCRC = crc32.ChecksumIEEE(f.zeroPage)
-	f.gcBuf = f.newCopyBuf()
 	f.health = make([]unitHealth, chipCfg.Units())
 	for g := range f.groupSlots {
 		f.groupSlots[g] = nand.InvalidPPN
@@ -448,8 +456,6 @@ func (f *FTL) retireDataBlock(blk nand.BlockNum) error {
 		f.haveCur = false // abandon the frontier; its free pages are lost
 	}
 	f.removeFreeBlock(blk)
-	// Not gcBuf: a retirement can start inside a GC copy's program.
-	buf := f.newCopyBuf()
 	ppb := f.chip.Config().PagesPerBlock
 	for pi := 0; pi < ppb; pi++ {
 		ppn := f.chip.PPNOf(blk, pi)
@@ -461,7 +467,7 @@ func (f *FTL) retireDataBlock(blk nand.BlockNum) error {
 			_ = f.chip.Invalidate(ppn)
 			continue
 		}
-		if err := f.relocate(ppn, buf); err != nil {
+		if err := f.relocate(ppn); err != nil {
 			return err
 		}
 	}
@@ -520,11 +526,10 @@ func (f *FTL) Map(lpn LPN, ppn nand.PPN) error {
 	if old == ppn {
 		return nil
 	}
-	f.l2p.set(lpn, ppn)
+	f.setL2P(lpn, ppn)
 	if ppn != nand.InvalidPPN {
 		f.rmap[ppn] = lpn
 	}
-	f.dirtyGroup[f.group(lpn)] = true
 	if old != nand.InvalidPPN {
 		f.retire(lpn, old)
 	}
@@ -540,10 +545,23 @@ func (f *FTL) Unmap(lpn LPN) error {
 	if old == nand.InvalidPPN {
 		return nil
 	}
-	f.l2p.set(lpn, nand.InvalidPPN)
-	f.dirtyGroup[f.group(lpn)] = true
+	f.setL2P(lpn, nand.InvalidPPN)
 	f.retire(lpn, old)
 	return nil
+}
+
+// setL2P is the one writer of the volatile table outside recovery: it
+// maps lpn to ppn and sets the dirty bit of the entry's line.
+func (f *FTL) setL2P(lpn LPN, ppn nand.PPN) {
+	f.l2p.set(lpn, ppn)
+	line := int64(lpn) % mapEntriesPerPage(f.PageSize()) / (mapLine / 4)
+	f.groupLines(f.group(lpn))[line/64] |= 1 << (line % 64)
+}
+
+// groupLines returns map group g's words of the dirty-line mask.
+func (f *FTL) groupLines(g int64) []uint64 {
+	w := int64(len(f.dirty) / len(f.groupSlots))
+	return f.dirty[g*w : (g+1)*w]
 }
 
 // retire handles an old physical page that just lost its volatile
@@ -766,7 +784,7 @@ func (f *FTL) collectOnce() error {
 			continue
 		}
 		f.gcValidCopied++
-		if err := f.relocate(ppn, f.gcBuf); err != nil {
+		if err := f.relocate(ppn); err != nil {
 			return err
 		}
 	}
@@ -811,7 +829,7 @@ func (f *FTL) pickVictim() nand.BlockNum {
 	bestValid := chipCfg.PagesPerBlock + 1
 	for b := 0; b < dataBlocks; b++ {
 		blk := nand.BlockNum(b)
-		if f.haveCur && blk == f.cur {
+		if f.haveCur && blk == f.cur || blk == f.draining {
 			continue
 		}
 		if f.bad[blk] || f.metaSet[blk] {
@@ -854,23 +872,25 @@ func (f *FTL) isLive(ppn nand.PPN) bool {
 }
 
 // relocate copies one live page to the write frontier and fixes every
-// table that referenced it. The spare-area record is copied verbatim —
-// the sequence number is version identity, so the relocated copy must
-// not outrank (or fall behind) the version it is a byte-for-byte copy
-// of in a later recovery scan. When the flash-resident mapping image
-// pointed at the old location, the affected map group is re-flushed so
-// a power cut never references an erased page. scratch is the caller's
-// copy-back buffer (newCopyBuf): relocate can nest — a failed program
-// retires its block, which relocates that block's pages — so each level
-// of the nest brings its own.
-func (f *FTL) relocate(old nand.PPN, scratch []byte) error {
-	buf, oob := scratch[:f.PageSize()], scratch[f.PageSize():]
-	// GC copy-back reads retry transient interface faults in place; the
+// table that referenced it. The copy is a NAND copy-back: the
+// destination is programmed straight from the source cell, page and
+// spare-area record verbatim — the sequence number is version identity,
+// so the relocated copy must not outrank (or fall behind) the version it
+// is a byte-for-byte copy of in a later recovery scan. The source cell
+// stays valid until the program is done: it can nest a retirement (a
+// failed program retires its block, which relocates that block's pages)
+// but no erase of the source's block — GC does not re-enter, and a block
+// being retired or drained is never a GC victim. When the flash-resident
+// mapping image pointed at the old location, the affected map group is
+// re-flushed so a power cut never references an erased page.
+func (f *FTL) relocate(old nand.PPN) error {
+	// Copy-back reads retry transient interface faults in place; the
 	// queue's retry plane only covers host commands, not firmware-
 	// internal reads.
+	var data, oob []byte
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = f.chip.ReadPageOOBInternal(old, buf, oob)
+		data, oob, err = f.chip.ReadCopyBack(old)
 		if err == nil || !errors.Is(err, nand.ErrTransient) || attempt >= maxTransientRetries {
 			break
 		}
@@ -878,7 +898,7 @@ func (f *FTL) relocate(old nand.PPN, scratch []byte) error {
 	if err != nil {
 		return err
 	}
-	dst, err := f.programData(buf, oob, true)
+	dst, err := f.programData(data, oob, true)
 	if err != nil {
 		return err
 	}
@@ -887,15 +907,14 @@ func (f *FTL) relocate(old nand.PPN, scratch []byte) error {
 	f.rmap[old] = -1
 	if lpn >= 0 {
 		if f.l2p.get(lpn) == old {
-			f.l2p.set(lpn, dst)
-			f.dirtyGroup[f.group(lpn)] = true
+			f.setL2P(lpn, dst)
 		}
 		if f.persisted.get(lpn) == old {
 			// The flash-resident map image must cover the new location
 			// before the victim block is erased. persistGroup programs
-			// the fresh group image first and then reconciles the whole
-			// group — so the other entries' deferred invalidations are
-			// not dropped when the dirty flag clears, and an
+			// the fresh group image first and then reconciles every dirty
+			// line of the group — so the other entries' deferred
+			// invalidations are not dropped when the bits clear, and an
 			// interrupted flush leaves the previous image current.
 			if err := f.persistGroup(f.group(lpn)); err != nil {
 				return err
@@ -906,13 +925,6 @@ func (f *FTL) relocate(old nand.PPN, scratch []byte) error {
 		f.hook.Relocated(old, dst)
 	}
 	return f.chip.Invalidate(old)
-}
-
-// newCopyBuf allocates a copy-back scratch for relocate: room for one
-// page followed by its spare area.
-func (f *FTL) newCopyBuf() []byte {
-	cfg := f.chip.Config()
-	return make([]byte, cfg.PageSize+cfg.OOBSize)
 }
 
 // mapPages is how many flash pages an L2P table of n entries occupies.
@@ -939,30 +951,31 @@ func (f *FTL) barrierPadPages(dirty int) int {
 }
 
 // syncGroup reconciles one map group's persistent image with the
-// volatile table, resolving deferred invalidations. A flush usually
-// changes a handful of a page's entries, so the two pages are compared a
-// cache line at a time and only lines that differ are decoded.
+// volatile table, resolving deferred invalidations, and clears the
+// group's dirty bits. A flush usually changes a handful of a page's
+// entries, and only a line whose bit is set can differ, so only those
+// lines are decoded.
 func (f *FTL) syncGroup(g int64) {
-	const line = 64
-	now, persisted := f.l2p.page(g), f.persisted.page(g)
-	first := LPN(g * mapEntriesPerPage(len(now)))
-	for lo := 0; lo < len(now); lo += line {
-		hi := min(lo+line, len(now))
-		if bytes.Equal(now[lo:hi], persisted[lo:hi]) {
-			continue
-		}
-		for lpn := first + LPN(lo/4); lpn < first+LPN(hi/4); lpn++ {
-			old, cur := f.persisted.get(lpn), f.l2p.get(lpn)
-			if old == cur {
-				continue
-			}
-			f.persisted.set(lpn, cur)
-			if old != nand.InvalidPPN && f.rmap[old] == lpn {
-				// The page lost its last L2P reference; unless the
-				// transactional layer holds it, it is garbage now.
-				if f.hook == nil || !f.hook.Live(old) {
-					f.rmap[old] = -1
-					_ = f.chip.Invalidate(old)
+	per := mapEntriesPerPage(f.PageSize())
+	first, end := LPN(g*per), LPN((g+1)*per)
+	mask := f.groupLines(g)
+	for i, w := range mask {
+		mask[i] = 0
+		for ; w != 0; w &= w - 1 {
+			lo := first + LPN((i*64+bits.TrailingZeros64(w))*mapLine/4)
+			for lpn := lo; lpn < min(lo+mapLine/4, end); lpn++ {
+				old, cur := f.persisted.get(lpn), f.l2p.get(lpn)
+				if old == cur {
+					continue
+				}
+				f.persisted.set(lpn, cur)
+				if old != nand.InvalidPPN && f.rmap[old] == lpn {
+					// The page lost its last L2P reference; unless the
+					// transactional layer holds it, it is garbage now.
+					if f.hook == nil || !f.hook.Live(old) {
+						f.rmap[old] = -1
+						_ = f.chip.Invalidate(old)
+					}
 				}
 			}
 		}
@@ -999,11 +1012,11 @@ func (f *FTL) Barrier() error {
 // already makes the transaction durable.
 func (f *FTL) FlushDirtyGroups() (int, error) {
 	n := 0
-	for g, dirty := range f.dirtyGroup {
-		if !dirty {
+	for g := range int64(len(f.groupSlots)) {
+		if !slices.ContainsFunc(f.groupLines(g), func(w uint64) bool { return w != 0 }) {
 			continue
 		}
-		if err := f.persistGroup(int64(g)); err != nil {
+		if err := f.persistGroup(g); err != nil {
 			return n, err
 		}
 		n++
@@ -1029,7 +1042,6 @@ func (f *FTL) persistGroup(g int64) error {
 		_ = f.chip.Invalidate(old)
 	}
 	f.groupSlots[g] = ppn
-	f.dirtyGroup[g] = false
 	return nil
 }
 

@@ -581,3 +581,74 @@ func TestPowerCutDuringGCRelocation(t *testing.T) {
 		}
 	}
 }
+
+// A GC copy whose destination program fails retires the frontier block
+// while the copy is in flight: the retirement relocates that block's live
+// pages — copy-backs nested inside the outer one — and the outer copy
+// then retries from the same source cell. Every page, moved at either
+// level or not at all, must read back byte-identical with its original
+// spare record, sequence number included.
+func TestGCCopyProgramFailKeepsPagesAndRecords(t *testing.T) {
+	f, stats := newTestFTL(t)
+	ppb := f.chip.Config().PagesPerBlock
+	lpns := LPN(3 * ppb)
+	for l := range lpns {
+		if err := f.Write(l, page(f, byte(l))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Overwrite most of the first block: it becomes the greedy victim, and
+	// the new versions sit live in the frontier block.
+	for l := range LPN(ppb - 6) {
+		if err := f.Write(l, page(f, ^byte(l))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Barrier(); err != nil { // no stale group for GC to flush first
+		t.Fatal(err)
+	}
+	frontier, victim := f.cur, f.pickVictim()
+	if live, _ := f.chip.ValidPages(frontier); victim < 0 || live == 0 {
+		t.Fatalf("set-up: victim %d, %d live pages in the frontier block", victim, live)
+	}
+	type version struct{ data, oob []byte }
+	read := func(lpn LPN) version {
+		v := version{make([]byte, f.PageSize()), make([]byte, f.chip.Config().OOBSize)}
+		if err := f.chip.ReadPageOOB(f.Mapping(lpn), v.data, v.oob); err != nil {
+			t.Fatalf("lpn %d: %v", lpn, err)
+		}
+		return v
+	}
+	want := map[LPN]version{}
+	for l := range lpns {
+		want[l] = read(l)
+	}
+
+	// The collection's first charged operation is its first copy's read,
+	// the second that copy's program: fail the program.
+	f.chip.SetCharger(&failNth{chip: f.chip, n: 2})
+	err := f.collectOnce()
+	f.chip.SetCharger(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ProgramFails.Load() != 1 || !f.bad[frontier] {
+		t.Fatalf("%d program fails, frontier block %d retired %v", stats.ProgramFails.Load(), frontier, f.bad[frontier])
+	}
+	if live, _ := f.chip.ValidPages(frontier); live != 0 {
+		t.Fatalf("retired block %d still holds %d live pages", frontier, live)
+	}
+	if free, _ := f.chip.FreePages(victim); free != ppb {
+		t.Fatalf("victim %d not collected", victim)
+	}
+	for l, w := range want {
+		got := read(l)
+		if !bytes.Equal(got.data, w.data) || !bytes.Equal(got.oob, w.oob) {
+			t.Errorf("lpn %d: relocated page or spare record differs from the original", l)
+		}
+		rec, _ := decodeOOB(w.oob)
+		if seq, ok := f.PageSeq(f.Mapping(l)); !ok || seq != rec.seq {
+			t.Errorf("lpn %d: sequence %d after the move, want %d", l, seq, rec.seq)
+		}
+	}
+}

@@ -228,15 +228,16 @@ func (f *FTL) drainUnit(unit int) error {
 	chipCfg := f.chip.Config()
 	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
 	units := int64(chipCfg.Units())
-	buf := f.newCopyBuf()
 	if f.tracer != nil {
 		defer f.tracer.SetFirmOrigin(f.tracer.SetFirmOrigin(trace.OGC))
 	}
+	defer func() { f.draining = -1 }()
 	for b := 0; b < dataBlocks; b++ {
 		blk := nand.BlockNum(b)
 		if f.bad[blk] || f.metaSet[blk] {
 			continue
 		}
+		f.draining = blk // relocate copies back from its cells
 		for pi := 0; pi < chipCfg.PagesPerBlock; pi++ {
 			ppn := f.chip.PPNOf(blk, pi)
 			if int64(ppn)%units != int64(unit) {
@@ -248,7 +249,7 @@ func (f *FTL) drainUnit(unit int) error {
 			if !f.isLive(ppn) {
 				continue // normal GC reclaims it
 			}
-			if err := f.relocate(ppn, buf); err != nil {
+			if err := f.relocate(ppn); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -134,11 +135,11 @@ func syncGroupRef(l2p, persisted []nand.PPN, rmap []LPN, hook Hook, lo, hi int64
 	}
 }
 
-// Comparing the two pages a cache line at a time changes nothing a flush
-// does: over random old and new group pages, with some pages pinned by
-// the transactional layer, syncGroup leaves the same persisted table and
+// Decoding only the lines setL2P marked changes nothing a flush does:
+// over random old and new group pages, with some pages pinned by the
+// transactional layer, syncGroup leaves the same persisted table and
 // reverse map and invalidates the same pages in the same order as the
-// entry walk it replaced.
+// entry walk it replaced, and clears the group's bits.
 func TestSyncGroupMatchesEntryWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 30; round++ {
@@ -169,11 +170,15 @@ func TestSyncGroupMatchesEntryWalk(t *testing.T) {
 		for lpn := range l2p {
 			persisted[lpn] = pick()
 			l2p[lpn] = persisted[lpn]
+			// The tables agree, with no dirty bit, as a flush leaves them;
+			// what changes after it goes through the volatile table's one
+			// writer.
+			f.persisted.set(LPN(lpn), persisted[lpn])
+			f.l2p.set(LPN(lpn), persisted[lpn])
 			if rng.Intn(8) == 0 {
 				l2p[lpn] = pick()
+				f.setL2P(LPN(lpn), l2p[lpn])
 			}
-			f.l2p.set(LPN(lpn), l2p[lpn])
-			f.persisted.set(LPN(lpn), persisted[lpn])
 			if old := persisted[lpn]; old != nand.InvalidPPN {
 				if rng.Intn(4) > 0 {
 					f.rmap[old] = LPN(lpn)
@@ -189,6 +194,9 @@ func TestSyncGroupMatchesEntryWalk(t *testing.T) {
 			syncGroupRef(l2p, persisted, rmap, refHook, lo, hi, func(p nand.PPN) { want = append(want, p) })
 			hook.asked = hook.asked[:0]
 			f.syncGroup(g)
+			if slices.ContainsFunc(f.groupLines(g), nonzero) {
+				t.Fatalf("round %d group %d: dirty bits left after the sync: %x", round, g, f.groupLines(g))
+			}
 			var got []nand.PPN
 			for _, p := range hook.asked {
 				if !hook.pinned[p] {
@@ -212,6 +220,102 @@ func TestSyncGroupMatchesEntryWalk(t *testing.T) {
 				t.Fatalf("round %d lpn %d: persisted %d (l2p %d), the entry walk %d (%d)",
 					round, lpn, got, f.l2p.get(LPN(lpn)), want, l2p[lpn])
 			}
+		}
+	}
+}
+
+func nonzero(w uint64) bool { return w != 0 }
+
+// checkDirtyCovers fails unless every line where the volatile and the
+// flash-resident tables differ has its dirty bit set: a flush decodes
+// only those lines.
+func checkDirtyCovers(t *testing.T, f *FTL, when string) {
+	t.Helper()
+	ps := f.PageSize()
+	for g := range int64(f.fullMapPages()) {
+		now, persisted, mask := f.l2p.page(g), f.persisted.page(g), f.groupLines(g)
+		for line := 0; line*mapLine < ps; line++ {
+			lo, hi := line*mapLine, min((line+1)*mapLine, ps)
+			if !bytes.Equal(now[lo:hi], persisted[lo:hi]) && mask[line/64]&(1<<(line%64)) == 0 {
+				t.Fatalf("%s: group %d line %d differs from the flash-resident table with no dirty bit", when, g, line)
+			}
+		}
+	}
+}
+
+// Over random sequences of the volatile table's writers — Map (a
+// Write), Unmap, GC relocation — and map-group flushes, a dirty bit
+// covers every line the two tables disagree on, and a flush leaves its
+// group's page equal to the volatile one's with none of its bits set.
+func TestPropertyDirtyLinesCoverEveryChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 10; round++ {
+		f, stats := newTestFTL(t)
+		for op := 0; op < 600; op++ {
+			lpn := LPN(rng.Int63n(f.LogicalPages()))
+			var what string
+			var err error
+			switch rng.Intn(6) {
+			case 0, 1, 2:
+				what, err = "write", f.Write(lpn, page(f, byte(op)))
+			case 3:
+				what, err = "unmap", f.Unmap(lpn)
+			case 4:
+				if what = "collect"; f.pickVictim() >= 0 {
+					err = f.collectOnce()
+				}
+			case 5:
+				g := rng.Int63n(int64(f.fullMapPages()))
+				what, err = fmt.Sprintf("persistGroup(%d)", g), f.persistGroup(g)
+				if err == nil && !bytes.Equal(f.persisted.page(g), f.l2p.page(g)) {
+					t.Fatalf("round %d op %d: group %d's flash-resident page differs from the volatile one after its flush", round, op, g)
+				}
+				if slices.ContainsFunc(f.groupLines(g), nonzero) {
+					t.Fatalf("round %d op %d: group %d's flush left dirty bits %x", round, op, g, f.groupLines(g))
+				}
+			}
+			if err != nil {
+				t.Fatalf("round %d op %d (%s): %v", round, op, what, err)
+			}
+			checkDirtyCovers(t, f, fmt.Sprintf("round %d op %d (%s)", round, op, what))
+		}
+		if stats.GCRuns.Load() == 0 || f.GCCopiedPages() == 0 {
+			t.Fatalf("round %d: no GC relocation ran", round)
+		}
+	}
+}
+
+// Recovery adopts equal tables on either mount path, so it leaves the
+// mask empty.
+func TestRestartLeavesNoDirtyLines(t *testing.T) {
+	for _, want := range []RecoveryMode{RecoveryImage, RecoveryScan} {
+		f, _ := newTestFTL(t)
+		writeAndBarrier(t, f, []LPN{1, 130, 300})
+		for _, lpn := range []LPN{2, 131, 301} {
+			if err := f.Write(lpn, page(f, byte(lpn))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.ContainsFunc(f.dirty, nonzero) {
+			t.Fatal("no dirty line before the cut")
+		}
+		f.PowerCut()
+		if want == RecoveryScan {
+			if _, err := f.CorruptMeta("map", true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.LastRecovery().Mode; got != want {
+			t.Fatalf("recovered by %v, want %v", got, want)
+		}
+		if slices.ContainsFunc(f.dirty, nonzero) {
+			t.Errorf("%v mount left dirty bits", want)
+		}
+		if !bytes.Equal(f.l2p.b, f.persisted.b) {
+			t.Errorf("%v mount left the volatile and flash-resident tables different", want)
 		}
 	}
 }

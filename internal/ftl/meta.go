@@ -77,15 +77,40 @@ func encodeOOB(r oobRec) [oobRecSize]byte {
 }
 
 // headerCRC is crc32.ChecksumIEEE for the record header, spelled out
-// bytewise: the library routine dispatches through a function variable,
-// which would force every record it is shown onto the heap.
+// slicing-by-8, eight and then four bytes a step: the library routine
+// dispatches through a function variable, which would force every
+// record it is shown onto the heap.
 func headerCRC(b []byte) uint32 {
+	t := &crcSlicing8
 	crc := ^uint32(0)
+	for ; len(b) >= 8; b = b[8:] {
+		crc ^= binary.LittleEndian.Uint32(b)
+		crc = t[0][b[7]] ^ t[1][b[6]] ^ t[2][b[5]] ^ t[3][b[4]] ^
+			t[4][crc>>24] ^ t[5][crc>>16&0xFF] ^ t[6][crc>>8&0xFF] ^ t[7][crc&0xFF]
+	}
+	for ; len(b) >= 4; b = b[4:] { // the header's last four bytes
+		crc ^= binary.LittleEndian.Uint32(b)
+		crc = t[0][crc>>24] ^ t[1][crc>>16&0xFF] ^ t[2][crc>>8&0xFF] ^ t[3][crc&0xFF]
+	}
 	for _, v := range b {
-		crc = crc32.IEEETable[byte(crc)^v] ^ crc>>8
+		crc = t[0][byte(crc)^v] ^ crc>>8
 	}
 	return ^crc
 }
+
+// crcSlicing8[k][v] is the IEEE CRC register after byte v is followed by
+// k zero bytes.
+var crcSlicing8 = func() (t [8]crc32.Table) {
+	t[0] = *crc32.IEEETable
+	for v := range 256 {
+		crc := t[0][v]
+		for k := 1; k < 8; k++ {
+			crc = t[0][byte(crc)] ^ crc>>8
+			t[k][v] = crc
+		}
+	}
+	return t
+}()
 
 // decodeOOB parses and validates a spare-area record. It reports false
 // for a bad magic, an unknown kind, or a header CRC mismatch.

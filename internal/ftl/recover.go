@@ -217,7 +217,7 @@ func (f *FTL) mountImage(info *RecoveryInfo) error {
 	// Everything verified: adopt.
 	copy(f.l2p.b, newMap.b)
 	f.persisted = newMap
-	clear(f.dirtyGroup)
+	clear(f.dirty)
 	f.metaData = newData
 	if txlog, ok := newData["txlog"]; ok {
 		ranges, err := decodeTidRanges(txlog)
@@ -279,7 +279,7 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 	}
 	f.metaTags = make(map[nand.PPN]metaTag)
 	f.metaData = make(map[string][]byte)
-	clear(f.dirtyGroup)
+	clear(f.dirty) // the tables are rebuilt equal below
 
 	var (
 		data      []scanDataPage

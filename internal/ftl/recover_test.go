@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -45,6 +46,24 @@ func TestOOBRoundTrip(t *testing.T) {
 	}
 	if _, ok := decodeOOB(make([]byte, oobRecSize)); ok {
 		t.Error("decodeOOB accepted an all-zero (never written) spare area")
+	}
+}
+
+// The header checksum is a format on flash, the IEEE CRC-32 of the
+// header bytes, not a convention encodeOOB and decodeOOB merely share
+// (FuzzDecodeOOB would not see the two drift together): over random
+// bytes of every length and alignment headerCRC is crc32.ChecksumIEEE.
+func TestHeaderCRCIsIEEE(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	buf := make([]byte, 72)
+	for n := 0; n <= 64; n++ {
+		for round := 0; round < 16; round++ {
+			rng.Read(buf)
+			b := buf[round%8:][:n]
+			if got, want := headerCRC(b), crc32.ChecksumIEEE(b); got != want {
+				t.Fatalf("%d bytes at offset %d: headerCRC %#x, IEEE %#x", n, round%8, got, want)
+			}
+		}
 	}
 }
 

@@ -364,66 +364,40 @@ func (c *Chip) BlockOf(p PPN) BlockNum {
 // near the ECC threshold; past the threshold it returns
 // ErrUncorrectable and buf is untouched.
 func (c *Chip) ReadPage(p PPN, buf []byte) error {
-	return c.readPage(p, buf, nil, false, false)
+	if len(buf) < c.cfg.PageSize {
+		return ErrShortBuffer
+	}
+	data, _, _, err := c.readCell(p, readHost)
+	if err == nil {
+		copy(buf, data)
+	}
+	return err
 }
 
 // ReadPageOOB is ReadPage plus the page's spare area: one read command
 // transfers both (the spare bytes ride in the same page register), so it
 // charges a single read. oobBuf must be at least OOBSize bytes.
 func (c *Chip) ReadPageOOB(p PPN, buf, oobBuf []byte) error {
-	if len(oobBuf) < c.cfg.OOBSize {
+	if len(buf) < c.cfg.PageSize || len(oobBuf) < c.cfg.OOBSize {
 		return ErrShortBuffer
 	}
-	return c.readPage(p, buf, oobBuf, false, false)
+	data, oob, _, err := c.readCell(p, readHost)
+	if err == nil {
+		copy(buf, data)
+		clear(oobBuf[copy(oobBuf, oob):c.cfg.OOBSize])
+	}
+	return err
 }
 
-// readPage implements ReadPage and ReadPageOOB. quiet selects scan
-// semantics: expected failures (torn pages, ECC overflow) do not bump
-// the UncorrectableReads/ReadRetries escape counters — a recovery scan
-// deliberately reads pages that normal firmware would never touch.
-// internal marks firmware-initiated transfers (GC copy-back).
-func (c *Chip) readPage(p PPN, buf, oobBuf []byte, quiet, internal bool) error {
-	bi, pi, err := c.split(p)
-	if err != nil {
-		return err
-	}
-	if len(buf) < c.cfg.PageSize {
-		return ErrShortBuffer
-	}
-	b := &c.blocks[bi]
-	if b.state[pi] == PageFree {
-		return fmt.Errorf("%w: ppn %d", ErrReadFree, p)
-	}
-	if cut, err := c.opTick(); err != nil {
-		return err
-	} else if cut {
-		// Power died mid-read: no data transferred, no cell change.
-		return ErrPowerLost
-	}
-	c.unitHangs(p, b)
-	if c.transientFails(int64(p), b) {
-		// Interface fault: the read command ran (and took its time) but
-		// the transfer came back garbled. Nothing was copied; reissuing
-		// the command succeeds once the burst clears.
-		c.chargeOp(p, c.cfg.ReadLatency, internal)
-		return fmt.Errorf("%w: read ppn %d", ErrTransient, p)
-	}
-	st, en := c.chargeOp(p, c.cfg.ReadLatency, internal)
-	if c.stats != nil {
-		c.stats.PageReads.Add(1)
-	}
-	c.note(trace.KNandRead, int64(p), c.Unit(p), st, en)
-	if err := c.readFaults(p, b, pi, quiet); err != nil {
-		return fmt.Errorf("%w: ppn %d", err, p)
-	}
-	copy(buf, b.data[pi])
-	if oobBuf != nil {
-		for i := 0; i < c.cfg.OOBSize && i < len(oobBuf); i++ {
-			oobBuf[i] = 0
-		}
-		copy(oobBuf, b.oob[pi])
-	}
-	return nil
+// ReadCopyBack is the read half of a NAND copy-back: a firmware-internal
+// read, charged, counted and faulted as one, that leaves the page in the
+// chip. It returns the cell's own payload and spare area (nil if never
+// written) for the copy's program to take straight from the cell. They
+// alias the array: the caller must not modify them, and they stay valid
+// only until the page is erased or destroyed.
+func (c *Chip) ReadCopyBack(p PPN) (data, oob []byte, err error) {
+	data, oob, _, err = c.readCell(p, readCopyBack)
+	return data, oob, err
 }
 
 // ScanRead is the recovery-scan read: firmware-internal latency, data
@@ -433,50 +407,78 @@ func (c *Chip) readPage(p PPN, buf, oobBuf []byte, quiet, internal bool) error {
 // page returns (PageFree, nil) with nothing copied: the scan still
 // issued the read and found the all-ones erased pattern.
 func (c *Chip) ScanRead(p PPN, buf, oobBuf []byte) (PageState, error) {
-	bi, pi, err := c.split(p)
-	if err != nil {
-		return PageFree, err
-	}
 	if len(buf) < c.cfg.PageSize || len(oobBuf) < c.cfg.OOBSize {
 		return PageFree, ErrShortBuffer
 	}
-	b := &c.blocks[bi]
-	st := b.state[pi]
-	if cut, err := c.opTick(); err != nil {
-		return st, err
-	} else if cut {
-		return st, ErrPowerLost
+	data, oob, st, err := c.readCell(p, readScan)
+	if err == nil && st != PageFree {
+		copy(buf, data)
+		clear(oobBuf[copy(oobBuf, oob):c.cfg.OOBSize])
 	}
-	cs, ce := c.chargeOp(p, c.cfg.ReadLatency, true)
+	return st, err
+}
+
+// readMode is what a page read is for.
+type readMode uint8
+
+const (
+	readHost     readMode = iota
+	readCopyBack          // firmware-internal latency
+	// readScan is internal and quiet: expected failures (torn pages, ECC
+	// overflow) do not bump the UncorrectableReads/ReadRetries escape
+	// counters, interface faults and hangs are not sampled, and a free
+	// page reads as erased instead of failing.
+	readScan
+)
+
+// readCell is the chip's one read path: it charges, counts and faults one
+// page read and returns the cell's own payload and spare slices (nil,
+// nil for a scanned free page) and the page's state. Every caller but a
+// copy-back copies out of them.
+func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, err error) {
+	bi, pi, err := c.split(p)
+	if err != nil {
+		return nil, nil, PageFree, err
+	}
+	b := &c.blocks[bi]
+	st = b.state[pi]
+	if st == PageFree && mode != readScan {
+		return nil, nil, st, fmt.Errorf("%w: ppn %d", ErrReadFree, p)
+	}
+	if cut, err := c.opTick(); err != nil {
+		return nil, nil, st, err
+	} else if cut {
+		// Power died mid-read: no data transferred, no cell change.
+		return nil, nil, st, ErrPowerLost
+	}
+	internal := mode != readHost
+	if mode != readScan {
+		c.unitHangs(p, b)
+		if c.transientFails(int64(p), b) {
+			// Interface fault: the read command ran (and took its time) but
+			// the transfer came back garbled. Nothing was transferred;
+			// reissuing the command succeeds once the burst clears.
+			c.chargeOp(p, c.cfg.ReadLatency, internal)
+			return nil, nil, st, fmt.Errorf("%w: read ppn %d", ErrTransient, p)
+		}
+	}
+	start, end := c.chargeOp(p, c.cfg.ReadLatency, internal)
 	if c.stats != nil {
 		c.stats.PageReads.Add(1)
 	}
-	c.note(trace.KNandRead, int64(p), c.Unit(p), cs, ce)
+	c.note(trace.KNandRead, int64(p), c.Unit(p), start, end)
 	if st == PageFree {
-		return PageFree, nil
+		return nil, nil, st, nil
 	}
-	if err := c.readFaults(p, b, pi, true); err != nil {
-		return st, fmt.Errorf("%w: ppn %d", err, p)
+	if err := c.readFaults(p, b, pi, mode == readScan); err != nil {
+		return nil, nil, st, fmt.Errorf("%w: ppn %d", err, p)
 	}
-	copy(buf, b.data[pi])
-	for i := range oobBuf[:c.cfg.OOBSize] {
-		oobBuf[i] = 0
-	}
-	copy(oobBuf, b.oob[pi])
-	return st, nil
+	return b.data[pi], b.oob[pi], st, nil
 }
 
 // internalDiv returns the charger-less latency divisor for
 // firmware-internal ops (legacy scalar parallelism model).
 func (c *Chip) internalDiv() time.Duration { return time.Duration(c.cfg.Units()) }
-
-// ReadPageOOBInternal is ReadPageOOB at firmware-internal latency.
-func (c *Chip) ReadPageOOBInternal(p PPN, buf, oobBuf []byte) error {
-	if len(oobBuf) < c.cfg.OOBSize {
-		return ErrShortBuffer
-	}
-	return c.readPage(p, buf, oobBuf, false, true)
-}
 
 // ProgramPageOOBInternal is ProgramPageOOB at firmware-internal latency.
 func (c *Chip) ProgramPageOOBInternal(p PPN, data, oob []byte) error {
