@@ -52,14 +52,14 @@ type FleetShard struct {
 
 // FleetPoint is one measured fleet configuration.
 type FleetPoint struct {
-	Label   string        `json:"label"`
-	Shards  int           `json:"shards"`
-	Tenants int           `json:"tenants_per_shard"`
-	Depth   int           `json:"depth"`
-	Writes  int64         `json:"writes"`
-	Elapsed time.Duration `json:"elapsed_ns"` // slowest member's window
-	AggIOPS float64       `json:"aggregate_iops"`
-	PerShard []FleetShard `json:"per_shard"`
+	Label    string        `json:"label"`
+	Shards   int           `json:"shards"`
+	Tenants  int           `json:"tenants_per_shard"`
+	Depth    int           `json:"depth"`
+	Writes   int64         `json:"writes"`
+	Elapsed  time.Duration `json:"elapsed_ns"` // slowest member's window
+	AggIOPS  float64       `json:"aggregate_iops"`
+	PerShard []FleetShard  `json:"per_shard"`
 }
 
 // FleetCrossPoint measures cross-shard 2PC transaction throughput.

@@ -49,11 +49,11 @@ type MTPoint struct {
 	MeanDepth  float64                 `json:"mean_queue_depth"`
 	// DepthHist is the full queue-occupancy histogram: DepthHist[d-1]
 	// counts submissions that found d commands in flight.
-	DepthHist []int64 `json:"depth_hist"`
-	PageWrites int64                   `json:"nand_page_writes"`
-	PageReads  int64                   `json:"nand_page_reads"`
-	GCRuns     int64                   `json:"nand_gc_runs"`
-	Erases     int64                   `json:"nand_block_erases"`
+	DepthHist  []int64 `json:"depth_hist"`
+	PageWrites int64   `json:"nand_page_writes"`
+	PageReads  int64   `json:"nand_page_reads"`
+	GCRuns     int64   `json:"nand_gc_runs"`
+	Erases     int64   `json:"nand_block_erases"`
 }
 
 // RunMTPoint measures one configuration: tenant goroutines submit

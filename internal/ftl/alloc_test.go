@@ -67,6 +67,36 @@ func TestOverwriteWithGCNoAllocs(t *testing.T) {
 		t.Errorf("steady-state Write allocates %.2f objects per call, want ~0", allocs)
 	}
 
+	// Once the empty blocks are collected, the victims hold live pages,
+	// and after a barrier those are the ones the flash-resident map points
+	// at: each collection holds their group and settles it, reusing the
+	// held list.
+	for live := 0; live == 0; live, _ = f.chip.ValidPages(f.pickVictim()) {
+		if err := f.collectOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled := 0
+	collect := func() {
+		write()
+		if err := f.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		image := f.groupSlots[0]
+		if err := f.collectOnce(); err != nil {
+			t.Fatal(err)
+		}
+		if f.groupSlots[0] != image {
+			settled++
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, collect); allocs != 0 {
+		t.Errorf("a steady-state barrier and collection allocate %.2f objects, want 0", allocs)
+	}
+	if settled == 0 {
+		t.Fatal("no collection settled a held map group")
+	}
+
 	// Not a quarantine: the frontier keeps programming the unit, so every
 	// drain finds pages to move.
 	drain := func() {

@@ -172,6 +172,10 @@ type FTL struct {
 	tracer   *trace.Tracer
 	inGC     bool          // guards against re-entrant collection from relocate
 	draining nand.BlockNum // the block drainUnit is emptying, never a GC victim; -1 when none
+	// held lists the map groups whose flash-resident image still points
+	// at a page being evacuated; the page stays valid until settleHeld
+	// persists its group.
+	held []int64
 
 	// Page buffers the firmware owns, so a meta program does not
 	// allocate; the chip copies whatever it is handed. metaBuf is where
@@ -456,20 +460,13 @@ func (f *FTL) retireDataBlock(blk nand.BlockNum) error {
 		f.haveCur = false // abandon the frontier; its free pages are lost
 	}
 	f.removeFreeBlock(blk)
-	ppb := f.chip.Config().PagesPerBlock
-	for pi := 0; pi < ppb; pi++ {
-		ppn := f.chip.PPNOf(blk, pi)
-		if st, _ := f.chip.State(ppn); st != nand.PageValid {
-			continue
-		}
-		if !f.isLive(ppn) {
-			f.rmap[ppn] = -1
-			_ = f.chip.Invalidate(ppn)
-			continue
-		}
-		if err := f.relocate(ppn); err != nil {
+	for pi := 0; pi < f.chip.Config().PagesPerBlock; pi++ {
+		if _, err := f.evacuate(f.chip.PPNOf(blk, pi)); err != nil {
 			return err
 		}
+	}
+	if err := f.settleHeld(); err != nil {
+		return err
 	}
 	if f.stats != nil {
 		f.stats.RetiredBlocks.Add(1)
@@ -711,7 +708,7 @@ func (f *FTL) ensureFreeBlocks() error {
 }
 
 // collectOnce picks the data block with the fewest valid pages (greedy),
-// copies its live pages to the frontier, and erases it.
+// evacuates its pages, settles the map groups that held, and erases it.
 func (f *FTL) collectOnce() error {
 	victim := f.pickVictim()
 	if victim < 0 {
@@ -741,52 +738,17 @@ func (f *FTL) collectOnce() error {
 		}()
 	}
 
-	ppb := f.chip.Config().PagesPerBlock
-	// Pass 1: resolve deferred invalidations touching this victim. A
-	// page whose volatile mapping moved on but whose flash-resident map
-	// image still references it is garbage, not data — persist its map
-	// group (one meta page) instead of copying the page forward, or the
-	// zombies would accumulate until every victim looks fully live.
-	staleGroups := make(map[int64]struct{})
-	for pi := 0; pi < ppb; pi++ {
-		ppn := f.chip.PPNOf(victim, pi)
-		if st, _ := f.chip.State(ppn); st != nand.PageValid {
-			continue
-		}
-		lpn := f.rmap[ppn]
-		if lpn >= 0 && f.persisted.get(lpn) == ppn && f.l2p.get(lpn) != ppn {
-			if f.hook == nil || !f.hook.Live(ppn) {
-				staleGroups[f.group(lpn)] = struct{}{}
-			}
-		}
-	}
-	for _, g := range sortedKeys(staleGroups) {
-		if err := f.persistGroup(g); err != nil {
-			return err
-		}
-	}
-
-	for pi := 0; pi < ppb; pi++ {
-		ppn := f.chip.PPNOf(victim, pi)
-		st, err := f.chip.State(ppn)
+	for pi := 0; pi < f.chip.Config().PagesPerBlock; pi++ {
+		copied, err := f.evacuate(f.chip.PPNOf(victim, pi))
 		if err != nil {
 			return err
 		}
-		if st != nand.PageValid {
-			continue
+		if copied {
+			f.gcValidCopied++
 		}
-		if !f.isLive(ppn) {
-			// Deferred garbage: no table references it any more.
-			f.rmap[ppn] = -1
-			if err := f.chip.Invalidate(ppn); err != nil {
-				return err
-			}
-			continue
-		}
-		f.gcValidCopied++
-		if err := f.relocate(ppn); err != nil {
-			return err
-		}
+	}
+	if err := f.settleHeld(); err != nil {
+		return err
 	}
 	if err := f.eraseBlock(victim); err != nil {
 		if errors.Is(err, nand.ErrEraseFail) {
@@ -881,8 +843,10 @@ func (f *FTL) isLive(ppn nand.PPN) bool {
 // failed program retires its block, which relocates that block's pages)
 // but no erase of the source's block — GC does not re-enter, and a block
 // being retired or drained is never a GC victim. When the flash-resident
-// mapping image pointed at the old location, the affected map group is
-// re-flushed so a power cut never references an erased page.
+// mapping image pointed at the old location, the old page stays valid
+// and its group is held for settleHeld, so a power cut before the group
+// is persisted recovers a page that was never invalidated, let alone
+// erased.
 func (f *FTL) relocate(old nand.PPN) error {
 	// Copy-back reads retry transient interface faults in place; the
 	// queue's retry plane only covers host commands, not firmware-
@@ -904,27 +868,54 @@ func (f *FTL) relocate(old nand.PPN) error {
 	}
 	lpn := f.rmap[old]
 	f.rmap[dst] = lpn
-	f.rmap[old] = -1
-	if lpn >= 0 {
-		if f.l2p.get(lpn) == old {
-			f.setL2P(lpn, dst)
-		}
-		if f.persisted.get(lpn) == old {
-			// The flash-resident map image must cover the new location
-			// before the victim block is erased. persistGroup programs
-			// the fresh group image first and then reconciles every dirty
-			// line of the group — so the other entries' deferred
-			// invalidations are not dropped when the bits clear, and an
-			// interrupted flush leaves the previous image current.
-			if err := f.persistGroup(f.group(lpn)); err != nil {
-				return err
-			}
-		}
+	if lpn >= 0 && f.l2p.get(lpn) == old {
+		f.setL2P(lpn, dst)
 	}
 	if f.hook != nil {
 		f.hook.Relocated(old, dst)
 	}
+	if lpn >= 0 && f.persisted.get(lpn) == old {
+		f.held = append(f.held, f.group(lpn))
+		return nil
+	}
+	f.rmap[old] = -1
 	return f.chip.Invalidate(old)
+}
+
+// evacuate empties one valid page of a block being collected, retired
+// or drained, and reports whether it copied the page. Garbage is
+// invalidated; a page only the flash-resident image still points at is
+// not copied but its group is held; any other live page is relocated.
+func (f *FTL) evacuate(ppn nand.PPN) (bool, error) {
+	if st, err := f.chip.State(ppn); err != nil || st != nand.PageValid {
+		return false, err
+	}
+	lpn := f.rmap[ppn]
+	if lpn >= 0 && f.l2p.get(lpn) == ppn || f.hook != nil && f.hook.Live(ppn) {
+		return true, f.relocate(ppn)
+	}
+	if lpn >= 0 && f.persisted.get(lpn) == ppn {
+		f.held = append(f.held, f.group(lpn))
+		return false, nil
+	}
+	f.rmap[ppn] = -1
+	return false, f.chip.Invalidate(ppn)
+}
+
+// settleHeld persists every held map group once, in ascending order.
+// Each group's sync invalidates the sources its flash-resident image
+// stopped pointing at, so only then may their block be erased — and the
+// chip refuses an erase over a valid page.
+func (f *FTL) settleHeld() error {
+	slices.Sort(f.held)
+	f.held = slices.Compact(f.held)
+	for _, g := range f.held {
+		if err := f.persistGroup(g); err != nil {
+			return err
+		}
+	}
+	f.held = f.held[:0]
+	return nil
 }
 
 // mapPages is how many flash pages an L2P table of n entries occupies.

@@ -652,3 +652,142 @@ func TestGCCopyProgramFailKeepsPagesAndRecords(t *testing.T) {
 		}
 	}
 }
+
+// imagedVictim builds a chip whose greedy GC victim holds twelve live
+// pages spread over all three map groups, every one of them still the
+// page the flash-resident map image points at. want is the last content
+// written to every logical page, all of it durable.
+func imagedVictim(t *testing.T) (*FTL, map[LPN]byte) {
+	t.Helper()
+	f, _ := newTestFTL(t)
+	per := LPN(mapEntriesPerPage(f.PageSize()))
+	ppb := LPN(f.chip.Config().PagesPerBlock)
+	want := map[LPN]byte{}
+	write := func(lpn LPN, b byte) {
+		if err := f.Write(lpn, page(f, b)); err != nil {
+			t.Fatal(err)
+		}
+		want[lpn] = b
+	}
+	for i := range ppb {
+		write(i%3*per+i, byte(i)) // the victim: groups 0, 1 and 2 in turn
+	}
+	for i := range ppb {
+		write(ppb+i, byte(ppb+i)) // a fully valid block
+	}
+	for i := range LPN(4) {
+		write(i%3*per+i, ^byte(i)) // four of the victim's pages go stale
+	}
+	if err := f.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	return f, want
+}
+
+// GC persists each map group its victim's imaged pages live in once, not
+// once per copied page: the copies only hold their groups, and the
+// settle after the last copy persists each of them.
+func TestGCPersistsEachGroupOnce(t *testing.T) {
+	f, _ := imagedVictim(t)
+	victim := f.pickVictim()
+	k, groups := 0, map[int64]bool{}
+	for pi := range f.chip.Config().PagesPerBlock {
+		ppn := f.chip.PPNOf(victim, pi)
+		if st, _ := f.chip.State(ppn); st == nand.PageValid && f.persisted.get(f.rmap[ppn]) == ppn {
+			k++
+			groups[f.group(f.rmap[ppn])] = true
+		}
+	}
+	if g := len(groups); g < 2 || g >= k {
+		t.Fatalf("set-up: victim %d holds %d imaged pages in %d map groups", victim, k, g)
+	}
+	writes, copied := f.stats.PageWrites.Load(), f.GCCopiedPages()
+	if err := f.collectOnce(); err != nil {
+		t.Fatal(err)
+	}
+	copies := f.GCCopiedPages() - copied
+	if maps := f.stats.PageWrites.Load() - writes - copies; copies != int64(k) || maps != int64(len(groups)) {
+		t.Errorf("collection copied %d pages and programmed %d map pages, want %d and %d", copies, maps, k, len(groups))
+	}
+	if free, _ := f.chip.FreePages(victim); free != f.chip.Config().PagesPerBlock {
+		t.Errorf("victim %d not erased", victim)
+	}
+}
+
+// cutAfter is a chip charger that drops power on the boundary after the
+// n-th operation charged once it is installed: that operation completes,
+// and every later one finds the power gone.
+type cutAfter struct {
+	chip *nand.Chip
+	n    int64
+}
+
+func (c *cutAfter) ChargeUnit(unit int, d time.Duration) (start, end time.Duration) {
+	return c.ChargeAll(d)
+}
+
+func (c *cutAfter) ChargeAll(d time.Duration) (start, end time.Duration) {
+	if c.n--; c.n == 0 {
+		c.chip.PowerOff()
+	}
+	end = c.chip.Clock().Advance(d)
+	return end - d, end
+}
+
+// Every NAND op of one collection is a crash point: the victim's imaged
+// pages are copied, their three groups persisted and the victim erased,
+// and power is cut after each op in turn, and again tearing it. After a
+// restart every logical page reads its last-written content from a valid
+// page, and every valid data page is one the map points at.
+func TestPowerCutAtEveryOpOfOneGC(t *testing.T) {
+	f, _ := imagedVictim(t)
+	before := f.chip.OpCount()
+	if err := f.collectOnce(); err != nil {
+		t.Fatal(err)
+	}
+	n := f.chip.OpCount() - before
+	buf := make([]byte, testChipConfig().PageSize)
+	for k := int64(1); k <= n; k++ {
+		for _, torn := range []bool{false, true} {
+			f, want := imagedVictim(t)
+			if torn {
+				f.chip.ArmPowerCut(k)
+			} else {
+				f.chip.SetCharger(&cutAfter{chip: f.chip, n: k})
+			}
+			// A cut after the last map program loses the invalidations
+			// that follow it, so the chip refuses the erase before it
+			// finds the power gone.
+			err := f.collectOnce()
+			f.chip.SetCharger(nil)
+			lost := errors.Is(err, nand.ErrPowerLost) || errors.Is(err, nand.ErrEraseValidPage)
+			if err != nil && !lost || err == nil && (torn || k < n) {
+				t.Fatalf("op %d/%d torn=%v: collection returned %v, want power loss", k, n, torn, err)
+			}
+			f.PowerCut()
+			if err := f.Restart(); err != nil {
+				t.Fatalf("op %d/%d torn=%v: Restart: %v", k, n, torn, err)
+			}
+			for lpn, b := range want {
+				ppn := f.Mapping(lpn)
+				if st, _ := f.chip.State(ppn); st != nand.PageValid {
+					t.Fatalf("op %d/%d torn=%v: lpn %d maps to ppn %d, which is %v", k, n, torn, lpn, ppn, st)
+				}
+				if err := f.Read(lpn, buf); err != nil || buf[0] != b {
+					t.Fatalf("op %d/%d torn=%v: lpn %d reads %d (%v), want %d", k, n, torn, lpn, buf[0], err, b)
+				}
+			}
+			for b := range nand.BlockNum(testChipConfig().Blocks) {
+				if f.metaSet[b] {
+					continue
+				}
+				for pi := range testChipConfig().PagesPerBlock {
+					ppn := f.chip.PPNOf(b, pi)
+					if st, _ := f.chip.State(ppn); st == nand.PageValid && f.Mapping(f.rmap[ppn]) != ppn {
+						t.Fatalf("op %d/%d torn=%v: valid data page %d is not mapped", k, n, torn, ppn)
+					}
+				}
+			}
+		}
+	}
+}

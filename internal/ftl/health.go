@@ -219,11 +219,11 @@ func (f *FTL) resetHealth() {
 	f.quarGauge.Store(0)
 }
 
-// drainUnit relocates every live data page living on a quarantined
-// unit to the (steered) write frontier, so reads stop depending on the
-// sick die. Meta-ring pages are left alone: the ring's sequential-
-// program invariant must hold across all units, and its pages are
-// re-homed by the ring's own rotation.
+// drainUnit evacuates every data page living on a quarantined unit,
+// copying the live ones to the (steered) write frontier, so reads stop
+// depending on the sick die. Meta-ring pages are left alone: the ring's
+// sequential-program invariant must hold across all units, and its
+// pages are re-homed by the ring's own rotation.
 func (f *FTL) drainUnit(unit int) error {
 	chipCfg := f.chip.Config()
 	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
@@ -243,16 +243,10 @@ func (f *FTL) drainUnit(unit int) error {
 			if int64(ppn)%units != int64(unit) {
 				continue
 			}
-			if st, _ := f.chip.State(ppn); st != nand.PageValid {
-				continue
-			}
-			if !f.isLive(ppn) {
-				continue // normal GC reclaims it
-			}
-			if err := f.relocate(ppn); err != nil {
+			if _, err := f.evacuate(ppn); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return f.settleHeld()
 }

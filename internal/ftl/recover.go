@@ -70,10 +70,10 @@ func (m RecoveryMode) String() string {
 // scan was needed, what it cost in pages and simulated time.
 type RecoveryInfo struct {
 	Mode        RecoveryMode
-	Reason      string // first integrity failure that forced the scan
-	ScanPages   int64  // physical pages visited by the scan pass
-	TornSkipped int64  // unreadable (torn/destroyed) pages skipped
-	CRCFailures int64  // pages rejected by CRC/identity checks
+	Reason      string        // first integrity failure that forced the scan
+	ScanPages   int64         // physical pages visited by the scan pass
+	TornSkipped int64         // unreadable (torn/destroyed) pages skipped
+	CRCFailures int64         // pages rejected by CRC/identity checks
 	Duration    time.Duration // simulated time the mount took
 }
 
@@ -90,6 +90,7 @@ func (f *FTL) Restart() error {
 		return nil
 	}
 	f.powerFailed = false
+	f.held = f.held[:0]
 	f.resetHealth()
 	start := f.chip.Clock().Now()
 	info := RecoveryInfo{Mode: RecoveryImage}

@@ -140,7 +140,7 @@ type Queue struct {
 	exec  Executor
 	depth int
 
-	outstanding []pending // in-flight commands, at most depth
+	outstanding []pending               // in-flight commands, at most depth
 	byLPN       map[int64]time.Duration // LPN -> completion gate
 
 	// tracer, when non-nil, receives one KCmd event per submitted
@@ -367,7 +367,7 @@ func (q *Queue) submitLocked(r *Request) error {
 			q.tracer.Record(trace.Event{
 				Layer: trace.LNCQ, Kind: trace.KRetry,
 				Start: q.clock.Now(),
-				Sess: r.Sess, Req: r.Req, TID: r.TID, Addr: r.LPN,
+				Sess:  r.Sess, Req: r.Req, TID: r.TID, Addr: r.LPN,
 				Aux: int64(attempt), Unit: int32(unit),
 				Origin: r.Origin, Op: uint8(r.Op),
 			})

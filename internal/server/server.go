@@ -726,12 +726,12 @@ func (s *Server) WireStats() *WireStats {
 	for i, st := range s.fleet.Stacks() {
 		quar, units := st.Device.QuarantinePressure()
 		sh := WireShard{
-			Shard:        i,
-			Quarantined:  quar,
-			Units:        units,
-			CmdRetries:   st.Device.Queue().Retries(),
-			CmdTimeouts:  st.Device.Queue().Timeouts(),
-			BusyTimeouts: busyByShard[i],
+			Shard:         i,
+			Quarantined:   quar,
+			Units:         units,
+			CmdRetries:    st.Device.Queue().Retries(),
+			CmdTimeouts:   st.Device.Queue().Timeouts(),
+			BusyTimeouts:  busyByShard[i],
 			DegradedSheds: s.brks[i].writeSheds.Load(),
 			BreakerTrips:  s.brks[i].openTrips.Load(),
 			BreakerOpen:   s.brks[i].open.Load(),
