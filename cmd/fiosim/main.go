@@ -4,14 +4,7 @@
 //
 // Usage:
 //
-//	fiosim [-profile openssd|s830] [-fsmode ordered|full|xftl]
-//	       [-fsync N] [-seconds S] [-pages P] [-threads T]
-//	fiosim -tenants N [-depth D] [-profile ...] [-fsync N] [-tx]
-//
-// With -tenants > 0 the file-system model is bypassed: N concurrent
-// tenants submit random writes straight into the device's NCQ queue
-// (depth -depth, default 32), and per-command latency percentiles are
-// reported alongside IOPS.
+//	fiosim [-profile openssd|s830] [-fsmode ordered|full|xftl] [-fsync N] [-threads T]
 package main
 
 import (
@@ -30,10 +23,6 @@ func main() {
 	modeFlag := flag.String("fsmode", "xftl", "file system mode: ordered, full or xftl")
 	fsync := flag.Int("fsync", 5, "page writes per fsync")
 	threads := flag.Int("threads", 1, "concurrent writer threads (throughput model)")
-	tenants := flag.Int("tenants", 0, "concurrent tenants sharing the device via the NCQ queue (0 = classic fio mode)")
-	depth := flag.Int("depth", 32, "NCQ queue depth for -tenants mode")
-	ops := flag.Int("ops", 12000, "random writes per tenant in -tenants mode")
-	tx := flag.Bool("tx", false, "use transactional writes with commit as the fsync in -tenants mode")
 	flag.Parse()
 
 	var prof storage.Profile
@@ -60,36 +49,6 @@ func main() {
 	}
 
 	start := time.Now()
-	if *tenants > 0 {
-		fsyncEvery := *fsync
-		if !*tx {
-			// Pure random write unless an explicit cadence was given.
-			if !flagWasSet("fsync") {
-				fsyncEvery = 0
-			}
-		}
-		pt, err := bench.RunMTPoint(bench.MTConfig{
-			Profile:       prof,
-			Tenants:       *tenants,
-			Depth:         *depth,
-			Ops:           *ops,
-			FsyncEvery:    fsyncEvery,
-			Transactional: *tx,
-			Seed:          42,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("profile=%s tenants=%d depth=%d channels=%dx%d tx=%v fsync-every=%d\n",
-			prof.Name, pt.Tenants, pt.Depth, pt.Channels, pt.Ways, *tx, fsyncEvery)
-		fmt.Printf("IOPS (8 KB random writes, simulated): %.0f\n", pt.IOPS)
-		fmt.Printf("write latency: %v\n", pt.WriteLat)
-		fmt.Printf("mean queue depth: %.1f  NAND writes=%d reads=%d gc=%d erases=%d\n",
-			pt.MeanDepth, pt.PageWrites, pt.PageReads, pt.GCRuns, pt.Erases)
-		fmt.Printf("wall time: %v\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
 	pt, err := bench.RunFioPoint(prof, mode, *fsync, *threads, bench.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fiosim: %v\n", err)
@@ -99,15 +58,4 @@ func main() {
 		pt.Profile, pt.FSMode, pt.FsyncEvery, pt.Threads)
 	fmt.Printf("IOPS (8 KB random writes, simulated): %.0f\n", pt.IOPS)
 	fmt.Printf("wall time: %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// flagWasSet reports whether the named flag appeared on the command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

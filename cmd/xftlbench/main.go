@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate|mtenant|rwconc|fleet}
+//	xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate}
 //	xftlbench [-quick] [-seed N] -torture
 //	xftlbench [-quick] [-seed N] -chaos
 //
@@ -17,26 +17,24 @@
 // schedules, every recovery judged by one model of the paper's §5.4
 // contract. -chaos runs the table's error-storm leg.
 //
-// mtenant and rwconc are the beyond-the-paper legs (not part of "all",
-// which reproduces the paper's figures only): mtenant is the NCQ
-// multi-tenant sweep across channel counts and queue depths; rwconc
-// runs MVCC snapshot readers against a streaming writer and compares
-// reader throughput with the serialized rollback-journal baseline.
 // -seed N overrides every workload generator's RNG seed (0 keeps the
 // published defaults); the seed is recorded in the -json document.
-// -json PATH additionally writes every table that was printed — plus
-// the typed multi-tenant and rwconc points — as indented JSON.
-// -trace PATH records cross-layer events during the experiments that
-// support it (rwconc) and writes a Chrome trace-event JSON file that
-// loads directly into Perfetto (ui.perfetto.dev) or chrome://tracing;
-// a per-layer flame summary is printed to stderr.
+// -json PATH additionally writes every table that was printed as
+// indented JSON.
+// -trace PATH records cross-layer events in the synthetic workload's
+// measurement windows (fig5, table1, fig6) and writes a Chrome
+// trace-event JSON file that loads directly into Perfetto
+// (ui.perfetto.dev) or chrome://tracing; a per-layer flame summary is
+// printed to stderr. Tracing does not change the printed tables.
 //
 // -profile PATH writes a CPU profile of the whole invocation, viewable
-// with go tool pprof. What the simulator itself costs to run is measured
-// by the fixed perf suite in benchmark/, not here.
+// with go tool pprof. What the simulator itself costs to run, and the
+// post-paper workloads (multi-tenant NCQ, group commit, snapshot
+// readers), are measured by the fixed perf suite in benchmark/.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -61,17 +59,13 @@ func benchMain() int {
 	tortureMode := flag.Bool("torture", false, "run the crash/fault torture harness instead of an experiment")
 	chaosMode := flag.Bool("chaos", false, "run the degraded-mode error-storm sweep: transient faults, die hangs, command deadlines, quarantine and mid-storm power cuts")
 	seed := flag.Int64("seed", 0, "workload RNG seed override (0 = per-generator defaults)")
-	shards := flag.Int("shards", 4, "maximum shard count for the fleet experiment (swept in powers of two from 1)")
-	journal := flag.String("journal", "rbj", "rwconc baseline arm for the speedup comparison: rbj (serialized rollback journal) or wal (concurrent WAL readers)")
-	recoveryScan := flag.Bool("recovery-scan", false, "run the recovery-hierarchy experiment: image fast path vs full-device OOB scan with the mapping image destroyed")
-	jsonPath := flag.String("json", "", "also write machine-readable results (tables, ops, NAND counts, latency percentiles) to this path")
+	jsonPath := flag.String("json", "", "also write the printed tables as machine-readable JSON to this path")
 	tracePath := flag.String("trace", "", "record cross-layer events and write Chrome trace-event JSON (Perfetto-loadable) to this path")
 	profilePath := flag.String("profile", "", "write a CPU profile of the whole invocation to this path (go tool pprof)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate|mtenant|rwconc|fleet}\n")
+		fmt.Fprintf(os.Stderr, "usage: xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate}\n")
 		fmt.Fprintf(os.Stderr, "       xftlbench [-quick] [-seed N] -torture\n")
 		fmt.Fprintf(os.Stderr, "       xftlbench [-quick] [-seed N] -chaos\n")
-		fmt.Fprintf(os.Stderr, "       xftlbench [-quick] -recovery-scan\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -110,37 +104,6 @@ func benchMain() int {
 		}
 		return 0
 	}
-	if *recoveryScan {
-		if flag.NArg() != 0 {
-			flag.Usage()
-			return 2
-		}
-		opts := bench.Options{Quick: *quick, FaultScale: *faults, Seed: *seed}
-		if !*quiet {
-			opts.Progress = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "[xftlbench] "+format+"\n", args...)
-			}
-		}
-		runs, err := bench.RunRecoveryScan(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xftlbench -recovery-scan: %v\n", err)
-			return 1
-		}
-		t := bench.RecoveryScanTable(runs)
-		fmt.Println(t)
-		if *jsonPath != "" {
-			doc := &bench.JSONDoc{Tool: "xftlbench", Quick: *quick, Seed: *seed, FaultScale: *faults}
-			doc.Experiments = append(doc.Experiments, bench.JSONExperiment{
-				Name: "recovery-scan", Tables: []*bench.Table{t},
-			})
-			doc.WallSeconds = time.Since(wallStart).Seconds()
-			if err := bench.WriteJSON(*jsonPath, doc); err != nil {
-				fmt.Fprintf(os.Stderr, "xftlbench -json: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
 	if flag.NArg() != 1 {
 		flag.Usage()
 		return 2
@@ -156,14 +119,11 @@ func benchMain() int {
 	}
 	what := flag.Arg(0)
 	doc := &bench.JSONDoc{Tool: "xftlbench", Quick: *quick, Seed: *seed, FaultScale: *faults}
-	opts.FleetShards = *shards
-	if *journal != "rbj" && *journal != "wal" {
-		fmt.Fprintf(os.Stderr, "xftlbench: -journal must be rbj or wal, got %q\n", *journal)
-		return 2
-	}
-	opts.Journal = *journal
 	if err := run(what, opts, doc); err != nil {
 		fmt.Fprintf(os.Stderr, "xftlbench %s: %v\n", what, err)
+		if errors.Is(err, errUnknownExperiment) {
+			return 2
+		}
 		return 1
 	}
 	if *jsonPath != "" {
@@ -184,10 +144,11 @@ func benchMain() int {
 
 // writeTrace dumps the recorded events as Chrome trace-event JSON and
 // prints the flame summary. A run that recorded nothing (an experiment
-// without trace support) still produces a valid, empty trace file.
+// outside the synthetic workload) still produces a valid, empty trace
+// file.
 func writeTrace(path string, tr *trace.Tracer) error {
 	if tr.Len() == 0 {
-		fmt.Fprintf(os.Stderr, "[xftlbench] warning: no trace events recorded (only rwconc emits traces today)\n")
+		fmt.Fprintf(os.Stderr, "[xftlbench] warning: no trace events recorded (only fig5, table1 and fig6 emit traces)\n")
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -205,22 +166,21 @@ func writeTrace(path string, tr *trace.Tracer) error {
 	return nil
 }
 
-// experiment is one subcommand: its name, whether "all" runs it, and
-// the function producing its tables and typed points.
+// experiment is one subcommand: its name and the function producing its
+// tables.
 type experiment struct {
-	name  string
-	inAll bool
-	run   func(bench.Options) (bench.JSONExperiment, error)
+	name string
+	run  func(bench.Options) ([]*bench.Table, error)
 }
 
-// tables adapts an experiment whose result only renders as tables.
-func tables[R any](run func(bench.Options) (R, error), render func(R) []*bench.Table) func(bench.Options) (bench.JSONExperiment, error) {
-	return func(o bench.Options) (bench.JSONExperiment, error) {
+// tables adapts an experiment driver and its renderer to one subcommand.
+func tables[R any](run func(bench.Options) (R, error), render func(R) []*bench.Table) func(bench.Options) ([]*bench.Table, error) {
+	return func(o bench.Options) ([]*bench.Table, error) {
 		r, err := run(o)
 		if err != nil {
-			return bench.JSONExperiment{}, err
+			return nil, err
 		}
-		return bench.JSONExperiment{Tables: render(r)}, nil
+		return render(r), nil
 	}
 }
 
@@ -229,76 +189,56 @@ func one[R any](render func(R) *bench.Table) func(R) []*bench.Table {
 	return func(r R) []*bench.Table { return []*bench.Table{render(r)} }
 }
 
+// errUnknownExperiment is a usage error: the subcommand names no
+// experiment.
+var errUnknownExperiment = errors.New("unknown experiment")
+
 // run executes the requested experiment(s), printing each table and
 // appending it to doc for -json output. "all" reproduces the paper's
-// evaluation in paper order; mtenant, rwconc and fleet (the NCQ sweep,
-// the MVCC session layer and the shard fleet) are new work and must be
-// requested by name.
+// evaluation in paper order.
 func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
 	// fig7's replay feeds table2's measured row when both run ("all");
 	// table2 on its own prints the census-only view.
 	var fig7 *bench.Fig7
 	experiments := []experiment{
-		{"fig5", true, tables(bench.RunFig5, (*bench.Fig5).Tables)},
-		{"table1", true, tables(bench.RunTable1, one((*bench.Table1).Table))},
-		{"fig6", true, tables(bench.RunFig6, (*bench.Fig6).Tables)},
-		{"fig7", true, tables(bench.RunFig7, one(func(f *bench.Fig7) *bench.Table {
+		{"fig5", tables(bench.RunFig5, (*bench.Fig5).Tables)},
+		{"table1", tables(bench.RunTable1, one((*bench.Table1).Table))},
+		{"fig6", tables(bench.RunFig6, (*bench.Fig6).Tables)},
+		{"fig7", tables(bench.RunFig7, one(func(f *bench.Fig7) *bench.Table {
 			fig7 = f
 			return f.Table()
 		}))},
-		{"table2", true, func(bench.Options) (bench.JSONExperiment, error) {
-			return bench.JSONExperiment{Tables: []*bench.Table{bench.Table2(fig7)}}, nil
+		{"table2", func(bench.Options) ([]*bench.Table, error) {
+			return []*bench.Table{bench.Table2(fig7)}, nil
 		}},
-		{"table3", true, func(bench.Options) (bench.JSONExperiment, error) {
-			return bench.JSONExperiment{Tables: []*bench.Table{bench.Table3()}}, nil
+		{"table3", func(bench.Options) ([]*bench.Table, error) {
+			return []*bench.Table{bench.Table3()}, nil
 		}},
-		{"table4", true, tables(bench.RunTable4, func(t4 *bench.Table4) []*bench.Table {
+		{"table4", tables(bench.RunTable4, func(t4 *bench.Table4) []*bench.Table {
 			return []*bench.Table{bench.Table3(), t4.Table()}
 		})},
-		{"fig8", true, tables(bench.RunFig8, one((*bench.Fig8).Table))},
-		{"fig9", true, tables(bench.RunFig9, one((*bench.Fig9).Table))},
-		{"table5", true, tables(bench.RunTable5, one(bench.Table5Table))},
-		{"ablate", true, tables(bench.Ablations, one(bench.AblationTable))},
-		{"mtenant", false, func(o bench.Options) (bench.JSONExperiment, error) {
-			mt, err := bench.RunMultiTenant(o)
-			if err != nil {
-				return bench.JSONExperiment{}, err
-			}
-			return bench.JSONExperiment{Tables: []*bench.Table{mt.Table()}, MultiTenant: mt}, nil
-		}},
-		{"rwconc", false, func(o bench.Options) (bench.JSONExperiment, error) {
-			rw, err := bench.RunRWConc(o)
-			if err != nil {
-				return bench.JSONExperiment{}, err
-			}
-			return bench.JSONExperiment{Tables: []*bench.Table{rw.Table(), rw.WritersTable()}, RWConc: rw}, nil
-		}},
-		{"fleet", false, func(o bench.Options) (bench.JSONExperiment, error) {
-			fb, err := bench.RunFleet(o, o.FleetShards)
-			if err != nil {
-				return bench.JSONExperiment{}, err
-			}
-			return bench.JSONExperiment{Tables: []*bench.Table{fb.Table()}, Fleet: fb}, nil
-		}},
+		{"fig8", tables(bench.RunFig8, one((*bench.Fig8).Table))},
+		{"fig9", tables(bench.RunFig9, one((*bench.Fig9).Table))},
+		{"table5", tables(bench.RunTable5, one(bench.Table5Table))},
+		{"ablate", tables(bench.Ablations, one(bench.AblationTable))},
 	}
 	did := false
 	for _, e := range experiments {
-		if what != e.name && !(what == "all" && e.inAll) {
+		if what != e.name && what != "all" {
 			continue
 		}
 		did = true
-		res, err := e.run(opts)
+		ts, err := e.run(opts)
 		if err != nil {
 			return err
 		}
-		for _, t := range res.Tables {
+		for _, t := range ts {
 			fmt.Println(t)
 		}
-		res.Name = e.name
-		doc.Experiments = append(doc.Experiments, res)
+		doc.Experiments = append(doc.Experiments, bench.JSONExperiment{Name: e.name, Tables: ts})
 	}
 	if !did {
-		return fmt.Errorf("unknown experiment %q", what)
+		return fmt.Errorf("%w %q", errUnknownExperiment, what)
 	}
 	return nil
 }

@@ -47,21 +47,13 @@ type Options struct {
 	// xftlbench's -seed flag. Zero keeps each generator's historical
 	// default (the published tables).
 	Seed int64
-	// Trace, when set, records cross-layer events for the experiments
-	// that support it (rwconc); each measured point attaches as its own
-	// tracer generation. Set from xftlbench's -trace flag.
+	// Trace, when set, records cross-layer events in the synthetic
+	// workload's measurement windows (fig5, table1, fig6); each run
+	// attaches as its own tracer generation. Set from xftlbench's -trace
+	// flag.
 	Trace *trace.Tracer
 	// Out receives progress lines; nil silences them.
 	Progress func(format string, args ...any)
-	// FleetShards caps the fleet experiment's shard sweep (powers of
-	// two from 1; 0 means the default of 4). Set from xftlbench's
-	// -shards flag.
-	FleetShards int
-	// Journal selects the rwconc baseline arm the speedup notes compare
-	// against: "rbj" (default) is the serialized rollback-journal
-	// control, "wal" the WAL concurrent-reader arm. Both arms run
-	// either way. Set from xftlbench's -journal flag.
-	Journal string
 }
 
 // seedOr resolves the effective seed: the -seed override when set,
@@ -150,7 +142,7 @@ func stackForValidity(mode Mode, validity float64, opts Options) (*xftl.Stack, e
 // Under uniform random overwrites with greedy GC, victim validity
 // tracks space utilization, so the utilization fraction is the knob;
 // the measured validity is reported by MeasuredValidity.
-func AgeDevice(st *xftl.Stack, utilization float64, churn float64, seed int64) (*simfs.File, error) {
+func AgeDevice(st *xftl.Stack, utilization float64, seed int64) (*simfs.File, error) {
 	if utilization <= 0 {
 		return nil, nil
 	}
@@ -185,7 +177,6 @@ func AgeDevice(st *xftl.Stack, utilization float64, churn float64, seed int64) (
 	// Churn with random overwrites until garbage collection has cycled
 	// enough victims to reach steady state, so the measurement window
 	// sees the target validity ratio from its first transaction.
-	_ = churn // retained knob: the GC-count criterion supersedes it
 	stats := st.FlashStats()
 	maxWrites := 3 * st.Device.Profile().Nand.TotalPages()
 	const steadyVictims = 40

@@ -149,25 +149,3 @@ func TestAblationsQuick(t *testing.T) {
 		t.Error("idealized commit slower than calibrated commit")
 	}
 }
-
-func TestRecoveryScanQuick(t *testing.T) {
-	runs, err := RunRecoveryScan(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println(RecoveryScanTable(runs))
-	if len(runs) != 2 {
-		t.Fatalf("want 2 legs, got %d", len(runs))
-	}
-	img, scan := runs[0], runs[1]
-	if img.Leg != "image" || scan.Leg != "scan" {
-		t.Fatalf("leg order wrong: %q, %q", img.Leg, scan.Leg)
-	}
-	if scan.DeviceRestart <= img.DeviceRestart {
-		t.Errorf("scan recovery (%v) should be slower than image recovery (%v)",
-			scan.DeviceRestart, img.DeviceRestart)
-	}
-	if scan.ScanPages == 0 || img.ScanPages != 0 {
-		t.Errorf("scan pages: image=%d scan=%d", img.ScanPages, scan.ScanPages)
-	}
-}

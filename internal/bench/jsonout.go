@@ -1,6 +1,6 @@
 // Machine-readable results: xftlbench -json serializes every table it
-// printed plus the typed multi-tenant points, so result trajectories
-// can accumulate across runs without scraping the text tables.
+// printed, so result trajectories can accumulate across runs without
+// scraping the text tables.
 package bench
 
 import (
@@ -22,15 +22,11 @@ type JSONDoc struct {
 	Experiments []JSONExperiment `json:"experiments"`
 }
 
-// JSONExperiment is one experiment's results: the formatted tables
-// (title, header, rows, notes) and, for the multi-tenant sweep, the
-// typed points with ops, NAND counts and latency percentiles.
+// JSONExperiment is one experiment's results: its formatted tables
+// (title, header, rows, notes).
 type JSONExperiment struct {
-	Name        string      `json:"name"`
-	Tables      []*Table    `json:"tables,omitempty"`
-	MultiTenant *MT         `json:"multi_tenant,omitempty"`
-	RWConc      *RWC        `json:"rwconc,omitempty"`
-	Fleet       *FleetBench `json:"fleet,omitempty"`
+	Name   string   `json:"name"`
+	Tables []*Table `json:"tables,omitempty"`
 }
 
 // WriteJSON writes the document, indented, to path.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ftl"
-	"repro/internal/storage"
 	"repro/internal/workload/synth"
 )
 
@@ -99,132 +97,6 @@ func RunTable5(opts Options) (map[Mode]RecoveryRun, error) {
 		out[mode] = run
 	}
 	return out, nil
-}
-
-// ScanRecoveryRun is one leg of the scan-recovery experiment: restart
-// after the same mid-transaction crash as Table 5, with the persisted
-// mapping metadata either intact (image fast path) or destroyed (full
-// device OOB scan).
-type ScanRecoveryRun struct {
-	Leg           string // "image" or "scan"
-	Mode          ftl.RecoveryMode
-	DeviceRestart time.Duration
-	DBOpen        time.Duration
-	ScanPages     int64 // physical pages visited by the OOB scan
-	CRCFailures   int64 // meta pages rejected during the mount attempt
-	Health        storage.Health
-}
-
-// RunRecoveryScan extends the Table 5 experiment to the self-healing
-// path: crash the X-FTL stack in the middle of a transaction, then
-// measure restart twice on identically-prepared devices — once with
-// metadata intact (the mapping-image fast path) and once after
-// destroying every persisted copy of the mapping table, which forces
-// firmware to rebuild the L2P state from per-page OOB records alone.
-// Both legs must recover the same committed database state; the
-// difference is recovery time, which is what the table reports.
-func RunRecoveryScan(opts Options) ([]ScanRecoveryRun, error) {
-	txnsBefore := 120
-	if opts.Quick {
-		txnsBefore = 30
-	}
-	var out []ScanRecoveryRun
-	for _, leg := range []string{"image", "scan"} {
-		opts.progress("recovery-scan: leg %s", leg)
-		st, err := newStack(XFTL, opts)
-		if err != nil {
-			return nil, err
-		}
-		db, err := st.OpenDBWithCache("synth.db", 64)
-		if err != nil {
-			return nil, err
-		}
-		cfg := synth.DefaultConfig()
-		cfg.Seed = opts.seedOr(cfg.Seed)
-		cfg.Tuples = 20000
-		cfg.UpdatesPerTxn = 5
-		cfg.Transactions = txnsBefore
-		if err := synth.Load(db, cfg); err != nil {
-			return nil, fmt.Errorf("recovery-scan load: %w", err)
-		}
-		if _, err := synth.Run(db, cfg); err != nil {
-			return nil, fmt.Errorf("recovery-scan run: %w", err)
-		}
-		if err := db.Begin(); err != nil {
-			return nil, err
-		}
-		for k := 1; k <= 10; k++ {
-			if _, err := db.Exec(
-				`UPDATE partsupp SET ps_supplycost = ps_supplycost + 1 WHERE ps_partkey = ?`,
-				k*37); err != nil {
-				return nil, err
-			}
-		}
-		st.PowerCut()
-		if leg == "scan" {
-			n, err := st.Device.CorruptMeta("map", true)
-			if err != nil {
-				return nil, fmt.Errorf("recovery-scan corrupt: %w", err)
-			}
-			opts.progress("recovery-scan: destroyed %d mapping pages", n)
-		}
-
-		t0 := st.Clock.Now()
-		if err := st.Remount(); err != nil {
-			return nil, fmt.Errorf("recovery-scan remount (%s): %w", leg, err)
-		}
-		t1 := st.Clock.Now()
-		db2, err := st.OpenDB("synth.db")
-		if err != nil {
-			return nil, fmt.Errorf("recovery-scan reopen (%s): %w", leg, err)
-		}
-		t2 := st.Clock.Now()
-		row, ok, err := db2.QueryRow(`SELECT COUNT(*) FROM partsupp`)
-		if err != nil || !ok || row[0].Int() != int64(cfg.Tuples) {
-			return nil, fmt.Errorf("recovery-scan %s: post-recovery count %v (%v)", leg, row, err)
-		}
-		_ = db2.Close()
-
-		ri := st.Device.LastRecovery()
-		want := ftl.RecoveryImage
-		if leg == "scan" {
-			want = ftl.RecoveryScan
-		}
-		if ri.Mode != want {
-			return nil, fmt.Errorf("recovery-scan %s: recovery took the %v path (reason %q)", leg, ri.Mode, ri.Reason)
-		}
-		out = append(out, ScanRecoveryRun{
-			Leg:           leg,
-			Mode:          ri.Mode,
-			DeviceRestart: t1 - t0,
-			DBOpen:        t2 - t1,
-			ScanPages:     int64(ri.ScanPages),
-			CRCFailures:   ri.CRCFailures,
-			Health:        st.Device.Health(),
-		})
-	}
-	return out, nil
-}
-
-// RecoveryScanTable renders the image-vs-scan recovery comparison.
-func RecoveryScanTable(runs []ScanRecoveryRun) *Table {
-	t := &Table{
-		Title:  "Recovery hierarchy: mapping-image fast path vs full-device OOB scan (msec)",
-		Header: []string{"Leg", "path taken", "device recovery", "db open", "pages scanned", "CRC rejects", "health"},
-	}
-	for _, r := range runs {
-		t.AddRow(r.Leg, r.Mode.String(),
-			fmt.Sprintf("%.1f", float64(r.DeviceRestart.Microseconds())/1000),
-			fmt.Sprintf("%.1f", float64(r.DBOpen.Microseconds())/1000),
-			fmt.Sprintf("%d", r.ScanPages),
-			fmt.Sprintf("%d", r.CRCFailures),
-			r.Health.String())
-	}
-	t.Notes = append(t.Notes,
-		"scan leg: every persisted copy of the mapping table destroyed before restart;",
-		"recovery rebuilds the L2P table from per-page OOB records (no analogue in the paper,",
-		"which assumes the mapping image survives; the scan is the self-healing fallback)")
-	return t
 }
 
 // Table5Table renders Table 5.

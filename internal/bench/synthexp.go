@@ -38,7 +38,7 @@ func RunSynth(mode Mode, validity float64, updates, txns int, opts Options) (Syn
 		cfg.Tuples = 3000
 	}
 	// Fill all non-reserved logical space and churn to GC steady state.
-	if _, err := AgeDevice(st, 1.0, 0.6, opts.seedOr(42)); err != nil {
+	if _, err := AgeDevice(st, 1.0, opts.seedOr(42)); err != nil {
 		return res, fmt.Errorf("aging: %w", err)
 	}
 	db, err := st.OpenDB("synth.db")
@@ -49,7 +49,9 @@ func RunSynth(mode Mode, validity float64, updates, txns int, opts Options) (Syn
 	if err := synth.Load(db, cfg); err != nil {
 		return res, fmt.Errorf("load: %w", err)
 	}
-	// Measurement window starts here.
+	// Measurement window starts here; with -trace it is one tracer
+	// generation, so aging and load stay out of the trace.
+	st.AttachTracer(opts.Trace, fmt.Sprintf("%s v=%.0f%% u=%d", mode, validity*100, updates))
 	st.Host.Reset()
 	st.FlashStats().Reset()
 	st.Device.FTL().ResetGCStats()

@@ -43,24 +43,6 @@ func (h *LatencyHist) Observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// Merge folds o's samples into h (per-reader histograms into a role
-// aggregate). o must not be h.
-func (h *LatencyHist) Merge(o *LatencyHist) {
-	o.mu.Lock()
-	buckets, count, sum, omax := o.buckets, o.count, o.sum, o.max
-	o.mu.Unlock()
-	h.mu.Lock()
-	for i, n := range buckets {
-		h.buckets[i] += n
-	}
-	h.count += count
-	h.sum += sum
-	if omax > h.max {
-		h.max = omax
-	}
-	h.mu.Unlock()
-}
-
 // Snapshot returns the count, mean, max and the standard reporting
 // percentiles. Percentiles are estimated by linear interpolation
 // within the matching log2 bucket (at most 2x resolution error).
@@ -178,15 +160,6 @@ func (h *DepthHist) Observe(d int) {
 	}
 	h.counts[d-1]++
 	h.mu.Unlock()
-}
-
-// Snapshot returns per-depth submission counts (index 0 = depth 1).
-func (h *DepthHist) Snapshot() []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
-	return out
 }
 
 // Mean reports the average observed occupancy, or 0 with no samples.

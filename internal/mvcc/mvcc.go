@@ -17,7 +17,7 @@
 // The same API also runs in a Serialized mode that models the baseline
 // the paper compares against: a single rollback-journal connection
 // where every transaction — read or write — takes the one database
-// lock. That mode is the control arm of the rwconc benchmark.
+// lock. The serving tier runs it for rollback-journal stacks.
 package mvcc
 
 import (

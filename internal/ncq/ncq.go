@@ -186,9 +186,6 @@ func New(clock *simclock.Clock, sched *Scheduler, depth int, exec Executor) *Que
 	}
 }
 
-// Depth reports the configured queue depth.
-func (q *Queue) Depth() int { return q.depth }
-
 // SetTracer installs (or, with nil, removes) the event tracer.
 func (q *Queue) SetTracer(t *trace.Tracer) {
 	q.mu.Lock()

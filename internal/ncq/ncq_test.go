@@ -137,20 +137,30 @@ func TestPerLPNOrdering(t *testing.T) {
 	}
 }
 
+// Throughput scales with units at a deep queue, and with queue depth on
+// many units: depth 1 serialises the eight units a deep queue overlaps.
 func TestThroughputScalesWithUnits(t *testing.T) {
-	elapsed := func(units int) time.Duration {
-		clk, q := newQueue(units, 32)
+	run := func(units, depth int) (time.Duration, float64) {
+		clk, q := newQueue(units, depth)
 		for i := 0; i < 64; i++ {
 			if err := q.Submit(&Request{Op: OpWrite, LPN: int64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		q.Drain()
-		return clk.Now()
+		return clk.Now(), q.Depths.Mean()
 	}
-	one, eight := elapsed(1), elapsed(8)
+	one, _ := run(1, 32)
+	eight, deepMean := run(8, 32)
 	if ratio := float64(one) / float64(eight); ratio < 3 {
 		t.Errorf("8-unit speedup %.2fx, want >= 3x (1 unit: %v, 8 units: %v)", ratio, one, eight)
+	}
+	shallow, shallowMean := run(8, 1)
+	if ratio := float64(shallow) / float64(eight); ratio < 3 {
+		t.Errorf("8-unit depth-32 speedup over depth 1 %.2fx, want >= 3x (qd1: %v, qd32: %v)", ratio, shallow, eight)
+	}
+	if deepMean <= shallowMean {
+		t.Errorf("mean occupancy did not grow with depth: qd1 %.1f, qd32 %.1f", shallowMean, deepMean)
 	}
 }
 

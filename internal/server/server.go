@@ -68,8 +68,7 @@ type Options struct {
 
 	// CmdDeadline / CmdRetries configure the stack's NCQ retry plane.
 	// The per-attempt deadline must clear healthy per-unit queueing
-	// (DESIGN.md §12); the defaults (10ms, 8 attempts) match the
-	// degraded rwconc leg's sizing.
+	// (DESIGN.md §12); the defaults are 10ms and 8 attempts.
 	CmdDeadline time.Duration
 	CmdRetries  int
 

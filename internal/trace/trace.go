@@ -240,9 +240,6 @@ func (t *Tracer) Attach(clock *simclock.Clock, label string) {
 	t.gen = uint16(len(t.labels))
 }
 
-// Enabled reports whether the tracer records (non-nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Now reads the attached virtual clock; 0 when disabled or unattached.
 func (t *Tracer) Now() time.Duration {
 	if t == nil {
@@ -329,29 +326,6 @@ func Merge(ts ...*Tracer) *Tracer {
 	}
 	out.gen = uint16(len(out.labels))
 	return out
-}
-
-// Absorb appends other tracers' recorded events into t, each source
-// generation becoming a new generation of t (Merge semantics, but
-// accumulating into a caller-owned tracer — the shape the bench driver
-// needs when -trace hands it one tracer and a fleet run produces one
-// per member).
-func (t *Tracer) Absorb(others ...*Tracer) {
-	merged := Merge(others...)
-	if t == nil || len(merged.events) == 0 && len(merged.labels) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	base := uint16(len(t.labels))
-	t.labels = append(t.labels, merged.labels...)
-	for _, ev := range merged.events {
-		if ev.Gen > 0 {
-			ev.Gen += base
-		}
-		t.events = append(t.events, ev)
-	}
-	t.gen = uint16(len(t.labels))
 }
 
 // SetFirmSession sets the firmware-context session id and returns the
