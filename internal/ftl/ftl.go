@@ -177,14 +177,13 @@ type FTL struct {
 	// persists its group.
 	held []int64
 
-	// Page buffers the firmware owns, so a meta program does not
-	// allocate; the chip copies whatever it is handed. metaBuf is where
-	// metaProgram renders a page of slot payload (a map group's page is
-	// the table's own) and zeroPage what it programs for a content-free
-	// pad (read-only, with zeroCRC its checksum).
-	metaBuf  []byte
-	zeroPage []byte
-	zeroCRC  uint32
+	// metaBuf is where metaProgram renders a page of slot payload (a map
+	// group's page is the table's own), so a meta program does not
+	// allocate; the chip copies whatever it is handed. A content-free pad
+	// is a blank program (nil payload) whose checksum is zeroCRC, that of
+	// an all-zero page.
+	metaBuf []byte
+	zeroCRC uint32
 
 	// Channel health / quarantine state (health.go). skipped counts, per
 	// data block, the frontier pages allocation steered past because
@@ -262,10 +261,9 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 		slotNames:  make(map[uint16]string),
 		skipped:    make(map[nand.BlockNum]int),
 		stats:      stats,
+		metaBuf:    make([]byte, chipCfg.PageSize),
+		zeroCRC:    crc32.ChecksumIEEE(make([]byte, chipCfg.PageSize)),
 	}
-	f.metaBuf = make([]byte, chipCfg.PageSize)
-	f.zeroPage = make([]byte, chipCfg.PageSize)
-	f.zeroCRC = crc32.ChecksumIEEE(f.zeroPage)
 	f.health = make([]unitHealth, chipCfg.Units())
 	for g := range f.groupSlots {
 		f.groupSlots[g] = nand.InvalidPPN
@@ -1143,7 +1141,7 @@ func (f *FTL) MetaRingBlocks() []nand.BlockNum {
 // in the metadata ring and returns its address, advancing to the next
 // ring block as the frontier fills. The content is groupSrc's own page
 // of map group tag.group when that is non-nil, else payload zero-padded
-// to a page; an empty payload is a content-free pad.
+// to a page; an empty payload is a content-free pad, programmed blank.
 //
 // metaProgram is re-entrant — advancing the frontier re-homes pointed
 // pages, and retiring a failed ring block re-homes and persists the BBT,
@@ -1168,7 +1166,8 @@ func (f *FTL) metaProgram(tag metaTag, payload []byte, groupSrc *mapTable) (nand
 				return nand.InvalidPPN, err
 			}
 		}
-		page, crc := f.zeroPage, f.zeroCRC
+		var page []byte
+		crc := f.zeroCRC
 		if groupSrc != nil {
 			page = groupSrc.page(tag.group)
 			crc = crc32.ChecksumIEEE(page)

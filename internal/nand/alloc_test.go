@@ -31,3 +31,23 @@ func TestProgramAfterEraseNoAllocs(t *testing.T) {
 		t.Errorf("program/erase cycle of a recycled block allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// A blank program points the cell at the shared zero page: even on a
+// chip whose free list is empty it takes no payload buffer and carves no
+// slab.
+func TestBlankProgramTakesNoBuffer(t *testing.T) {
+	c, _, _ := newTestChip(t)
+	pi := 0
+	program := func() {
+		if err := c.ProgramPage(c.PPNOf(0, pi), nil); err != nil {
+			t.Fatal(err)
+		}
+		pi++
+	}
+	if allocs := testing.AllocsPerRun(10, program); allocs != 0 {
+		t.Errorf("blank program allocates %.1f objects, want 0", allocs)
+	}
+	if n := len(c.freeData); n != 0 {
+		t.Errorf("free list holds %d buffers after blank programs, want 0", n)
+	}
+}

@@ -14,7 +14,8 @@ import "fmt"
 // ECC (the flips model corruption beyond what ECC can even see, e.g. a
 // firmware bug or a write to the wrong page), so only a content checksum
 // in the layer above can catch it. No-op counts as success on pages
-// without payload (free, torn).
+// without payload (free, torn). A blank page first gets a private zeroed
+// copy, so the damage stays in this one page.
 func (c *Chip) CorruptPage(p PPN, n int) error {
 	bi, pi, err := c.split(p)
 	if err != nil {
@@ -23,6 +24,10 @@ func (c *Chip) CorruptPage(p PPN, n int) error {
 	b := &c.blocks[bi]
 	if b.data[pi] == nil || n <= 0 {
 		return nil
+	}
+	if c.blank(b.data[pi]) {
+		b.data[pi] = c.takeBuf(&c.freeData, c.cfg.PageSize)
+		clear(b.data[pi])
 	}
 	step := len(b.data[pi]) / n
 	if step == 0 {

@@ -206,10 +206,18 @@ type Chip struct {
 	// are carved a block's worth at a time.
 	freeData [][]byte
 	freeOOB  [][]byte
+
+	// zero is the one read-only all-zero page every blank cell shares: a
+	// program handed a nil payload points the cell here instead of taking
+	// a buffer. releasePage never puts it on freeData, and CorruptPage
+	// gives a blank cell a private copy before damaging it.
+	zero []byte
+	// units caches cfg.Units() for Unit.
+	units int64
 }
 
 type block struct {
-	data       [][]byte    // page payloads; nil unless programmed and readable
+	data       [][]byte    // page payloads; nil unless programmed and readable, Chip.zero if blank
 	oob        [][]byte    // spare-area contents; nil reads back as zeros
 	state      []PageState // per-page state
 	torn       []bool      // partially programmed/erased pages (never pass ECC)
@@ -232,7 +240,7 @@ func New(cfg Config, clock *simclock.Clock, stats *metrics.FlashCounters) (*Chip
 	if cfg.OOBSize == 0 {
 		cfg.OOBSize = DefaultOOBSize
 	}
-	c := &Chip{cfg: cfg, clock: clock, stats: stats}
+	c := &Chip{cfg: cfg, clock: clock, stats: stats, zero: make([]byte, cfg.PageSize), units: int64(cfg.Units())}
 	c.blocks = make([]block, cfg.Blocks)
 	for i := range c.blocks {
 		c.blocks[i] = block{
@@ -264,11 +272,18 @@ func (c *Chip) takeBuf(free *[][]byte, size int) []byte {
 	return buf
 }
 
+// blank reports whether a cell's payload is the shared zero page.
+func (c *Chip) blank(data []byte) bool { return len(data) > 0 && &data[0] == &c.zero[0] }
+
 // releasePage takes a page's payload and spare area away (erase, or
-// damage to the medium) and keeps the buffers for the next program.
+// damage to the medium) and keeps the buffers for the next program. The
+// shared zero page is not the page's to give: recycled, the next program
+// would write into every blank cell at once.
 func (c *Chip) releasePage(b *block, pi int) {
-	if b.data[pi] != nil {
-		c.freeData = append(c.freeData, b.data[pi])
+	if d := b.data[pi]; d != nil {
+		if !c.blank(d) {
+			c.freeData = append(c.freeData, d)
+		}
 		b.data[pi] = nil
 	}
 	if b.oob[pi] != nil {
@@ -288,10 +303,15 @@ func (c *Chip) SetTracer(t *trace.Tracer) { c.tracer = t }
 
 // note records one flash-operation event over the charged interval,
 // attributed to the firmware context (session + origin) current when
-// the operation ran. unit is -1 for erases, which occupy all units.
-func (c *Chip) note(k trace.Kind, addr int64, unit int, st, en time.Duration) {
+// the operation ran. addr is a PPN for page operations and a block
+// number for erases, whose unit is -1: they occupy all units.
+func (c *Chip) note(k trace.Kind, addr int64, st, en time.Duration) {
 	if c.tracer == nil {
 		return
+	}
+	unit := -1
+	if k != trace.KNandErase {
+		unit = c.Unit(PPN(addr))
 	}
 	c.tracer.Record(trace.Event{
 		Layer: trace.LNAND, Kind: k,
@@ -303,7 +323,7 @@ func (c *Chip) note(k trace.Kind, addr int64, unit int, st, en time.Duration) {
 }
 
 // Unit reports which channel/way unit a physical page lives on.
-func (c *Chip) Unit(p PPN) int { return int(int64(p) % int64(c.cfg.Units())) }
+func (c *Chip) Unit(p PPN) int { return int(int64(p) % c.units) }
 
 // chargeOp charges one page operation's latency. With a charger
 // installed the cost occupies the page's channel/way unit; otherwise
@@ -393,8 +413,9 @@ func (c *Chip) ReadPageOOB(p PPN, buf, oobBuf []byte) error {
 // read, charged, counted and faulted as one, that leaves the page in the
 // chip. It returns the cell's own payload and spare area (nil if never
 // written) for the copy's program to take straight from the cell. They
-// alias the array: the caller must not modify them, and they stay valid
-// only until the page is erased or destroyed.
+// alias the array (a blank page's payload is the chip's shared zero
+// page): the caller must not modify them, and they stay valid only until
+// the page is erased or destroyed.
 func (c *Chip) ReadCopyBack(p PPN) (data, oob []byte, err error) {
 	data, oob, _, err = c.readCell(p, readCopyBack)
 	return data, oob, err
@@ -466,7 +487,7 @@ func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, e
 	if c.stats != nil {
 		c.stats.PageReads.Add(1)
 	}
-	c.note(trace.KNandRead, int64(p), c.Unit(p), start, end)
+	c.note(trace.KNandRead, int64(p), start, end)
 	if st == PageFree {
 		return nil, nil, st, nil
 	}
@@ -478,7 +499,7 @@ func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, e
 
 // internalDiv returns the charger-less latency divisor for
 // firmware-internal ops (legacy scalar parallelism model).
-func (c *Chip) internalDiv() time.Duration { return time.Duration(c.cfg.Units()) }
+func (c *Chip) internalDiv() time.Duration { return time.Duration(c.units) }
 
 // ProgramPageOOBInternal is ProgramPageOOB at firmware-internal latency.
 func (c *Chip) ProgramPageOOBInternal(p PPN, data, oob []byte) error {
@@ -486,8 +507,10 @@ func (c *Chip) ProgramPageOOBInternal(p PPN, data, oob []byte) error {
 }
 
 // ProgramPage writes data into an erased page and marks it valid. The
-// data length must equal PageSize. Programming a non-free page fails,
-// enforcing the erase-before-write rule.
+// data length must equal PageSize, or data is nil: a blank program, which
+// reads back as zeros and is checked, faulted, charged, counted and
+// traced like any other but stores no bytes of its own. Programming a
+// non-free page fails, enforcing the erase-before-write rule.
 func (c *Chip) ProgramPage(p PPN, data []byte) error {
 	return c.ProgramPageOOB(p, data, nil)
 }
@@ -506,7 +529,7 @@ func (c *Chip) programPage(p PPN, data, oob []byte, internal bool) error {
 	if err != nil {
 		return err
 	}
-	if len(data) != c.cfg.PageSize {
+	if data != nil && len(data) != c.cfg.PageSize {
 		return fmt.Errorf("%w: got %d want %d", ErrWrongDataSize, len(data), c.cfg.PageSize)
 	}
 	if len(oob) > c.cfg.OOBSize {
@@ -555,24 +578,30 @@ func (c *Chip) programPage(p PPN, data, oob []byte, internal bool) error {
 		}
 		return fmt.Errorf("%w: ppn %d", ErrProgramFail, p)
 	}
-	// A free page holds no buffers (releasePage took them at erase).
-	b.data[pi] = c.takeBuf(&c.freeData, c.cfg.PageSize)
-	copy(b.data[pi], data)
-	if len(oob) > 0 {
-		b.oob[pi] = c.takeBuf(&c.freeOOB, c.cfg.OOBSize)
-		clear(b.oob[pi][copy(b.oob[pi], oob):])
-	}
 	b.state[pi] = PageValid
 	b.validCount++
 	b.freeCount--
 	if pi == b.freeHint {
 		b.freeHint++
 	}
+	// Charged, counted and traced before the payload copy, so the
+	// counter's locked add does not wait out the copy's stores.
 	st, en := c.chargeOp(p, c.cfg.ProgLatency, internal)
 	if c.stats != nil {
 		c.stats.PageWrites.Add(1)
 	}
-	c.note(trace.KNandProg, int64(p), c.Unit(p), st, en)
+	c.note(trace.KNandProg, int64(p), st, en)
+	// A free page holds no buffers (releasePage took them at erase).
+	if data == nil {
+		b.data[pi] = c.zero
+	} else {
+		b.data[pi] = c.takeBuf(&c.freeData, c.cfg.PageSize)
+		copy(b.data[pi], data)
+	}
+	if len(oob) > 0 {
+		b.oob[pi] = c.takeBuf(&c.freeOOB, c.cfg.OOBSize)
+		clear(b.oob[pi][copy(b.oob[pi], oob):])
+	}
 	return nil
 }
 
@@ -650,7 +679,7 @@ func (c *Chip) EraseBlock(blk BlockNum) error {
 	if c.stats != nil {
 		c.stats.BlockErases.Add(1)
 	}
-	c.note(trace.KNandErase, int64(blk), -1, st, en)
+	c.note(trace.KNandErase, int64(blk), st, en)
 	return nil
 }
 

@@ -125,6 +125,10 @@ func TestWrongDataSize(t *testing.T) {
 	if err := c.ProgramPage(0, make([]byte, 10)); !errors.Is(err, ErrWrongDataSize) {
 		t.Errorf("short program = %v, want ErrWrongDataSize", err)
 	}
+	// Only nil is a blank program; an empty payload is a short one.
+	if err := c.ProgramPage(0, []byte{}); !errors.Is(err, ErrWrongDataSize) {
+		t.Errorf("empty program = %v, want ErrWrongDataSize", err)
+	}
 	if err := c.ReadPage(0, make([]byte, 10)); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("short read buffer = %v, want ErrShortBuffer", err)
 	}

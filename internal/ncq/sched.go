@@ -160,9 +160,7 @@ func (s *Scheduler) ChargeAll(d time.Duration) (time.Duration, time.Duration) {
 	for i := range s.units {
 		s.units[i] = e
 	}
-	if e > s.end {
-		s.end = e
-	}
+	s.end = max(s.end, e)
 	return st, e
 }
 

@@ -2,7 +2,7 @@
 # Paired measurement of a claimed gain (choosing-metrics §8), from the
 # repository root:
 #
-#   bash scripts/benchpair.sh REV WORKLOAD N
+#   bash scripts/benchpair.sh REV WORKLOAD N [SEED]
 #
 # 1. Builds REV (exported into a temporary directory with `git archive`)
 #    and the working tree, each with benchmark/run.sh.
@@ -12,20 +12,22 @@
 #    the calibrator (0 vs 32 moves host_ops_per_s by tens of percent), so
 #    a pair of builds in different classes measures the layout, not the
 #    change.
-# 3. Runs N alternating pairs of `--workload WORKLOAD` at the benchmark's
-#    own seed and length, switching which side goes first, and prints per
-#    pair both sides' eight end-to-end metrics and their change/parent
-#    ratio, then each side's median and quartiles and the change's wins
-#    per metric (ties count for neither side).
+# 3. Runs N alternating pairs of `--workload WORKLOAD --seed SEED` (SEED
+#    defaults to 1, the benchmark's own) at the benchmark's own length,
+#    switching which side goes first, and prints per pair both sides'
+#    eight end-to-end metrics and their change/parent ratio, then each
+#    side's median and quartiles and the change's wins per metric (ties
+#    count for neither side). A seed other than 1 is the held-out-seed
+#    check of a claimed gain.
 #
 # Temporary files go under $TMPDIR (default /tmp) and are removed on exit.
 set -euo pipefail
 
-if [ $# -ne 3 ]; then
-	echo "usage: bash scripts/benchpair.sh REV WORKLOAD N" >&2
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+	echo "usage: bash scripts/benchpair.sh REV WORKLOAD N [SEED]" >&2
 	exit 2
 fi
-rev=$1 workload=$2 pairs=$3
+rev=$1 workload=$2 pairs=$3 seed=${4:-1}
 root=$PWD
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -49,6 +51,7 @@ pinfo=$(class "$tmp/parent")
 cinfo=$(class "$root")
 read -r paddr pclass <<<"$pinfo"
 read -r caddr cclass <<<"$cinfo"
+echo "workload $workload seed $seed pairs $pairs"
 echo "calibrator.pass  parent $rev 0x$paddr class $pclass  change 0x$caddr class $cclass"
 if [ "$pclass" != "$cclass" ]; then
 	echo "benchpair: calibrator classes differ; host figures would compare link layouts" >&2
@@ -58,7 +61,7 @@ fi
 run() { # dir label pair: appends "label pair JSON" to the results
 	local json
 	# A failed output check exits non-zero; the result line still says so.
-	json=$(cd "$1" && ./.bench_build/benchmark --workload "$workload" --trace 0 | tail -n 1) || true
+	json=$(cd "$1" && ./.bench_build/benchmark --workload "$workload" --seed "$seed" --trace 0 | tail -n 1) || true
 	echo "$2 $3 $json" >>"$tmp/results"
 }
 for ((i = 1; i <= pairs; i++)); do
