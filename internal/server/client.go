@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -18,7 +17,8 @@ type Client struct {
 	mu     sync.Mutex
 	nc     net.Conn
 	br     *bufio.Reader
-	enc    *json.Encoder
+	out    []byte // the request line being sent
+	long   []byte // a response line longer than br's buffer
 	nextID uint64
 }
 
@@ -28,7 +28,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), enc: json.NewEncoder(nc)}, nil
+	return &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}, nil
 }
 
 // Close tears the connection down. A transaction left open server-side
@@ -44,15 +44,21 @@ func (c *Client) Do(req Request) (*Response, error) {
 		c.nextID++
 		req.ID = c.nextID
 	}
-	if err := c.enc.Encode(&req); err != nil {
+	out, err := appendRequest(c.out[:0], &req)
+	if err != nil {
 		return nil, err
 	}
-	line, err := c.br.ReadBytes('\n')
+	c.out = out
+	if _, err := c.nc.Write(out); err != nil {
+		return nil, err
+	}
+	// A result set may be large: the client reads its line whole.
+	line, err := readLine(c.br, &c.long, 0)
 	if err != nil {
 		return nil, err
 	}
 	resp := &Response{}
-	if err := json.Unmarshal(line, resp); err != nil {
+	if err := decodeResponse(line, resp); err != nil {
 		return nil, fmt.Errorf("server: bad response: %w", err)
 	}
 	return resp, nil

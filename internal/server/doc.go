@@ -20,6 +20,27 @@
 // typed failure ({"ok":false,"code":"overload","retryable":true,
 // "retry_after_ms":5,...}).
 //
+// The server and Client read and write these lines with a hand-written
+// codec (wire.go), not reflection, held to encoding/json by two
+// contracts that FuzzWireRequest and FuzzWireResponse check:
+//
+//   - decode: a line is accepted if and only if json.Unmarshal into
+//     Request (or Response) accepts it, and the two values are
+//     reflect.DeepEqual. Keys match case-insensitively, the last of a
+//     duplicated key wins, null leaves a field as it was (a slice
+//     nil), a number in args is a float64, [] is an empty slice,
+//     invalid UTF-8 and lone surrogates read as U+FFFD, and a
+//     top-level null is the zero request;
+//   - encode: what the codec writes for a value reads back under
+//     json.Unmarshal exactly as json.Marshal's encoding of it does.
+//     Numbers are formatted as encoding/json formats them.
+//
+// A line that fails to decode is answered bad_request with id 0, and
+// the connection serves on. A request line may be at most 1 MiB: a
+// longer one is answered bad_request with id 0 and the connection is
+// closed, since its framing is lost. A query whose result holds an
+// infinite or NaN REAL, which JSON cannot spell, fails with code sql.
+//
 // Every data-path response also carries req_id, the server-minted
 // monotonic request id. The same id tags the request's device I/O all
 // the way down (mvcc session → file system → NCQ → NAND trace events),

@@ -117,26 +117,31 @@ func newSlowRing(size int) *slowRing {
 	if size <= 0 {
 		size = 32
 	}
-	return &slowRing{size: size}
+	return &slowRing{size: size, ents: make([]SlowEntry, 0, size)}
 }
 
-// offer records a finished request if it ranks among the slowest.
-func (r *slowRing) offer(e SlowEntry) {
+// offer records a finished request if it ranks among the slowest. It
+// decides first and builds the entry only for a request that ranks: on
+// a full ring of slower requests an offer allocates nothing.
+func (r *slowRing) offer(rt *reqTrack, ok bool, code string, wall time.Duration) {
+	us := wall.Microseconds()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ents) < r.size {
-		r.ents = append(r.ents, e)
-		return
-	}
-	mi := 0
-	for i := range r.ents {
-		if r.ents[i].WallUS < r.ents[mi].WallUS {
-			mi = i
+	i := len(r.ents)
+	if i < r.size {
+		r.ents = r.ents[:i+1]
+	} else {
+		i = 0
+		for j := range r.ents {
+			if r.ents[j].WallUS < r.ents[i].WallUS {
+				i = j
+			}
+		}
+		if us <= r.ents[i].WallUS {
+			return
 		}
 	}
-	if e.WallUS > r.ents[mi].WallUS {
-		r.ents[mi] = e
-	}
+	r.ents[i] = rt.entry(ok, code, us)
 }
 
 // snapshot returns the captured requests, slowest first.
@@ -155,14 +160,14 @@ func (r *slowRing) snapshot() []SlowEntry {
 }
 
 // entry converts a finished track into its slow-ring form.
-func (rt *reqTrack) entry(ok bool, code string, wall time.Duration) SlowEntry {
+func (rt *reqTrack) entry(ok bool, code string, wallUS int64) SlowEntry {
 	e := SlowEntry{
 		ReqID:  rt.id,
 		Op:     rt.op,
 		DB:     rt.db,
 		OK:     ok,
 		Code:   code,
-		WallUS: wall.Microseconds(),
+		WallUS: wallUS,
 	}
 	for i, d := range rt.stages {
 		if rt.touched[i] {

@@ -719,7 +719,7 @@ func TestPerfettoReqIDLink(t *testing.T) {
 func TestSlowRing(t *testing.T) {
 	r := newSlowRing(4)
 	for i := 1; i <= 10; i++ {
-		r.offer(SlowEntry{ReqID: uint64(i), WallUS: int64(i * 100)})
+		r.offer(&reqTrack{id: uint64(i)}, true, "", time.Duration(i*100)*time.Microsecond)
 	}
 	got := r.snapshot()
 	if len(got) != 4 {
@@ -727,13 +727,33 @@ func TestSlowRing(t *testing.T) {
 	}
 	for i, e := range got {
 		want := int64((10 - i) * 100)
-		if e.WallUS != want {
-			t.Fatalf("entry %d: wall %d, want %d (slowest retained, descending)", i, e.WallUS, want)
+		if e.WallUS != want || e.ReqID != uint64(10-i) {
+			t.Fatalf("entry %d: req %d wall %d, want req %d wall %d (slowest retained, descending)",
+				i, e.ReqID, e.WallUS, 10-i, want)
 		}
 	}
 	// A faster newcomer must not displace anything.
-	r.offer(SlowEntry{ReqID: 99, WallUS: 1})
+	r.offer(&reqTrack{id: 99}, true, "", time.Microsecond)
 	if got := r.snapshot(); len(got) != 4 || got[3].WallUS != 700 {
 		t.Fatalf("fast newcomer displaced a slow entry: %+v", got)
+	}
+}
+
+// TestSlowRingFastOfferAllocatesNothing: once the ring is full of slower
+// requests, offering a fast one builds no entry.
+func TestSlowRingFastOfferAllocatesNothing(t *testing.T) {
+	r := newSlowRing(4)
+	rt := &reqTrack{id: 1}
+	for i := range rt.touched {
+		rt.touched[i] = true
+	}
+	for i := 0; i < 4; i++ {
+		r.offer(rt, true, "", time.Second)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.offer(rt, true, "", time.Millisecond) }); n != 0 {
+		t.Fatalf("a fast offer to a full ring allocates %v times, want 0", n)
+	}
+	if got := r.snapshot(); len(got) != 4 || got[3].WallUS != time.Second.Microseconds() {
+		t.Fatalf("fast offer changed the ring: %+v", got)
 	}
 }

@@ -68,6 +68,10 @@ type Response struct {
 	// Slow is the slow-request capture returned by the slow op,
 	// slowest first.
 	Slow []SlowEntry `json:"slow,omitempty"`
+
+	// result is a query's result set on the server side: the codec
+	// writes it as columns and rows in place of Columns and Rows.
+	result *sqlite.Rows
 }
 
 // WireStats is the server health snapshot returned by the stats op.
@@ -130,34 +134,4 @@ func normalizeArgs(args []any) []any {
 		}
 	}
 	return args
-}
-
-// rowsToWire converts a materialized result set to JSON-friendly rows.
-func rowsToWire(rows *sqlite.Rows) ([]string, [][]any) {
-	out := make([][]any, len(rows.Data))
-	for i, r := range rows.Data {
-		row := make([]any, len(r))
-		for j, v := range r {
-			row[j] = valueToWire(v)
-		}
-		out[i] = row
-	}
-	return rows.Columns, out
-}
-
-func valueToWire(v sqlite.Value) any {
-	switch v.Type() {
-	case sqlite.TypeNull:
-		return nil
-	case sqlite.TypeInt:
-		return v.Int()
-	case sqlite.TypeReal:
-		return v.Real()
-	case sqlite.TypeText:
-		return v.Text()
-	case sqlite.TypeBlob:
-		return v.Blob() // encoding/json base64-encodes []byte
-	default:
-		return v.String()
-	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -419,28 +418,41 @@ func (c *conn) serve() {
 	defer c.srv.wg.Done()
 	defer c.cleanup()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
-	enc := json.NewEncoder(c.nc)
+	var long, out []byte
+	var req Request
 	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
+		line, err := readLine(br, &long, maxLine)
+		lost := err == errLongLine // the framing is gone: answer, then close
+		if err != nil && !lost {
 			return
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
+		if !lost && len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var resp *Response
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		req = Request{}
+		if !lost {
+			err = decodeRequest(line, &req)
+		}
+		if err != nil {
 			resp = failure(0, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		} else {
 			c.busy.Store(true)
 			resp = c.handle(&req)
 			c.busy.Store(false)
 		}
-		if err := enc.Encode(resp); err != nil {
+		if out, err = appendResponse(out[:0], resp); err != nil {
+			// query refuses rows the wire cannot carry, so this is a
+			// bug; the client still gets a typed answer.
+			out, _ = appendResponse(out[:0], failure(resp.ID, err))
+		}
+		if _, err := c.nc.Write(out); err != nil {
 			return
 		}
-		if c.srv.isDraining() && !c.txnOpen() {
+		if cap(out) > maxLine {
+			out = nil // one huge result does not pin its buffer for the connection's life
+		}
+		if lost || c.srv.isDraining() && !c.txnOpen() {
 			return
 		}
 	}
@@ -545,7 +557,7 @@ func (s *Server) finish(rt *reqTrack, resp *Response) *Response {
 	} else {
 		s.failed.Add(1)
 	}
-	s.slow.offer(rt.entry(resp.OK, resp.Code, wall))
+	s.slow.offer(rt, resp.OK, resp.Code, wall)
 	if tr := s.tracerFor(rt.db); tr != nil {
 		aux := int64(0)
 		if resp.OK {
@@ -659,11 +671,13 @@ func (c *conn) query(req *Request, rt *reqTrack, deadline time.Time) *Response {
 	sess.SetReq(rt.id)
 	rows, err := sess.Query(req.SQL, normalizeArgs(req.Args)...)
 	rt.cut(stageExec)
+	if err == nil {
+		err = rowsFinite(rows)
+	}
 	if err != nil {
 		return failure(req.ID, err)
 	}
-	cols, data := rowsToWire(rows)
-	return &Response{ID: req.ID, OK: true, Columns: cols, Rows: data}
+	return &Response{ID: req.ID, OK: true, result: rows}
 }
 
 func (c *conn) exec(req *Request, rt *reqTrack, deadline time.Time) *Response {

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,8 +137,81 @@ func TestBadRequests(t *testing.T) {
 	if resp.OK || resp.Code != "sql" || resp.Retryable {
 		t.Fatalf("bad sql => %+v, want non-retryable sql", resp)
 	}
+	// A result JSON cannot carry (an infinite REAL) is a typed, counted
+	// failure, not a dropped connection.
+	before, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	resp, err = cl.Do(Request{ID: 77, Op: OpQuery, SQL: "SELECT 1e308*10"})
+	if err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	if resp.OK || resp.Code != "sql" || resp.ID != 77 || resp.ReqID == 0 || !strings.Contains(resp.Error, "JSON cannot carry") {
+		t.Fatalf("infinite result => %+v, want sql failure with id 77 and a req_id", resp)
+	}
+	after, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if after.Failed != before.Failed+1 {
+		t.Fatalf("failed went %d -> %d, want one more", before.Failed, after.Failed)
+	}
 	// The connection survives failures.
 	ok(cl.Ping())
+
+	// Raw lines: a malformed one is answered and the connection serves
+	// on; one longer than the read buffer is gathered; one past the cap
+	// is answered, and then the connection closes.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatalf("deadline: %v", err)
+	}
+	br := bufio.NewReader(nc)
+	reply := func() (r Response) {
+		t.Helper()
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("read reply: %v", err)
+		}
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("reply %q: %v", line, err)
+		}
+		return r
+	}
+	send := func(line string) Response {
+		t.Helper()
+		if _, err := io.WriteString(nc, line); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		return reply()
+	}
+	if r := send(`{"op":"ping","id":` + "\n"); r.OK || r.Code != "bad_request" || r.ID != 0 {
+		t.Fatalf("malformed line => %+v, want bad_request with id 0", r)
+	}
+	if r := send(`{"op":"ping","id":7}` + "\n"); !r.OK || r.ID != 7 {
+		t.Fatalf("ping after a malformed line => %+v", r)
+	}
+	long := `{"op":"ping","id":8,"sql":"` + strings.Repeat("x", 200<<10) + `"}` + "\n"
+	if r := send(long); !r.OK || r.ID != 8 {
+		t.Fatalf("200 KiB line => %+v, want ok with id 8", r)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := io.WriteString(nc, `{"op":"ping","id":9,"sql":"`+strings.Repeat("x", maxLine)+`"}`+"\n")
+		wrote <- err
+	}()
+	if r := reply(); r.OK || r.Code != "bad_request" || r.ID != 0 {
+		t.Fatalf("over-long line => %+v, want bad_request with id 0", r)
+	}
+	if line, err := br.ReadBytes('\n'); err == nil {
+		t.Fatalf("connection still open after an over-long line: read %q", line)
+	}
+	<-wrote // the server may close before taking the whole line: any outcome
 }
 
 // TestSnapshotIsolation: a readonly transaction pins its snapshot while

@@ -1,0 +1,264 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/sqlite"
+)
+
+// checkLine holds one line to the codec's two contracts, with
+// encoding/json as the reference. Decode: decode accepts the line iff
+// json.Unmarshal does, into a DeepEqual value. Encode: what encode
+// writes for that value reads as json.Marshal's encoding of it does,
+// and decode reads it back the same.
+func checkLine[T any](t *testing.T, line []byte, decode func([]byte, *T) error, encode func([]byte, *T) ([]byte, error)) {
+	t.Helper()
+	var want, got T
+	wantErr := json.Unmarshal(line, &want)
+	gotErr := decode(line, &got)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%q: encoding/json says %v, the codec says %v", line, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: decoded\n%#v\nencoding/json\n%#v", line, got, want)
+	}
+
+	out, err := encode(nil, &got)
+	if err != nil {
+		t.Fatalf("%q: encode %#v: %v", line, got, err)
+	}
+	viaJSON := readsAsMarshal(t, out, &got)
+	var back T
+	if err := decode(out, &back); err != nil || !reflect.DeepEqual(back, viaJSON) {
+		t.Fatalf("%q: the codec reads its own %q as %#v (%v)", line, out, back, err)
+	}
+}
+
+// readsAsMarshal checks that out is one line json.Unmarshal reads as it
+// reads json.Marshal(ref), and returns that value.
+func readsAsMarshal[T any](t *testing.T, out []byte, ref *T) T {
+	t.Helper()
+	if bytes.IndexByte(out, '\n') != len(out)-1 {
+		t.Fatalf("encoded %q is not one line", out)
+	}
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatalf("json.Marshal: %v", err)
+	}
+	var viaCodec, viaJSON T
+	if err := json.Unmarshal(out, &viaCodec); err != nil {
+		t.Fatalf("encoded %q is not JSON: %v", out, err)
+	}
+	if err := json.Unmarshal(want, &viaJSON); err != nil {
+		t.Fatalf("json.Marshal's %q does not read back: %v", want, err)
+	}
+	if !reflect.DeepEqual(viaCodec, viaJSON) {
+		t.Fatalf("encoded %q reads as\n%#v\njson.Marshal's %q as\n%#v", out, viaCodec, want, viaJSON)
+	}
+	return viaJSON
+}
+
+// wireRequestCases and wireResponseCases are lines both codecs must
+// agree on, accepted or not; they seed the fuzz targets.
+var wireRequestCases = []string{
+	// The protocol reference (doc.go).
+	`{"id":1,"op":"query","sql":"SELECT v FROM kv WHERE k = ?","args":[7]}`,
+	`{"id":2,"op":"exec","sql":"UPDATE kv SET v = ? WHERE k = ?","args":[1,7],"deadline_ms":100}`,
+	`{"op":"begin"}`, `{"op":"begin","readonly":true}`, `{"op":"commit"}`, `{"op":"rollback"}`,
+	`{"op":"ping"}`, `{"op":"stats"}`, `{"op":"slow"}`, `{"op":"mystery","db":"other.db"}`,
+	// Keys match case-insensitively, after unescaping, folded per rune.
+	`{"op":"exec","Args":[1],"SQL":"x","Deadline_MS":3,"ReadOnly":true,"iD":4,"DB":"d"}`,
+	`{"op":"ping","ſql":"long s","ſql":"long s again"}`,
+	"{\"op\":\"ping\",\"\u0131d\":5,\"\u0130d\":6,\"\u212aEY\":7}", `{"op":"ping","\u0131d":5,"I\u0044":6}`,
+	// null leaves a scalar as it was and a slice nil; the last duplicate wins.
+	`{"op":"ping","id":5,"id":null,"sql":"a","sql":null,"readonly":true,"readonly":null}`,
+	`{"op":"exec","args":[1,2],"args":null}`, `{"op":"ping","op":"query","args":[1],"args":[[2]]}`,
+	`{"op":"query","args":[]}`, `{"op":"query","args":[[],{}]}`,
+	// Numbers: float64 inside args, exact integers elsewhere.
+	`{"op":"exec","args":[1.5,-0,0,1e3,1E-400,12345678901234567890,-1.25e+2]}`,
+	`{"op":"exec","args":[1e400]}`, `{"op":"exec","args":[-1e400]}`,
+	`{"id":18446744073709551615}`, `{"id":18446744073709551616}`, `{"id":-1}`, `{"id":-0}`,
+	`{"id":1.0}`, `{"id":1e2}`, `{"deadline_ms":-0}`, `{"deadline_ms":-9223372036854775808}`,
+	`{"deadline_ms":9223372036854775808}`,
+	// Strings: escapes, invalid UTF-8 and lone surrogates become U+FFFD.
+	"{\"sql\":\"\xff\xfe ok \xe2\x82\"}", `{"sql":"\ud800"}`, `{"sql":"\udc00😀"}`,
+	`{"sql":"\ud800A\ud800\\u0041"}`, `{"sql":"a\"b\\c\/d\b\f\n\r\t\u0000é"}`,
+	"{\"sql\":\"\xed\xa0\x80\"}", "{\"sql\":\"tab\there\"}", `{"sql":"\x"}`, `{"sql":"\u12"}`,
+	`{"sql":"\u12g4"}`, "{\"sql\":\"<>&\u2028\u2029\"}",
+	// Nested args, unknown members of every shape.
+	`{"op":"exec","args":[[1,[2,{"a":null,"a":[3]}]],{"b":[true,false]},"s",null]}`,
+	`{"op":"ping","extra":{"a":[1,2,{"b":"c"}],"A":{}},"x":-1.5e-3,"y":null,"z":true}`,
+	// The top level: null is the zero request; anything after the value is garbage.
+	`null`, ` null `, `null x`, `{}`, `{} {}`, `[]`, `"x"`, `1`, ``, ` `, "\t{ \"op\" : \"ping\" }\r\n",
+	// Type mismatches.
+	`{"op":1}`, `{"readonly":"true"}`, `{"readonly":1}`, `{"args":{}}`, `{"args":"x"}`,
+	`{"args":1}`, `{"sql":["x"]}`, `{"id":"1"}`, `{"id":true}`, `{"deadline_ms":{}}`,
+	// Syntax.
+	`{"op":"ping",}`, `{"op" "ping"}`, `{'op':1}`, `{"op":"ping"`, `{"args":[1,]}`, `{"args":[01]}`,
+	`{"args":[1.]}`, `{"args":[.5]}`, `{"args":[-]}`, `{"args":[1e]}`, `{"args":[1e+]}`,
+	`{"args":[tru]}`, `{"args":[nul]}`, `{"args":[nulll]}`, `{"op":"ping"}}`, `{,}`, `{"a"}`,
+	`{"x":[1 2]}`, `{"x":{"a":1 "b":2}}`, `{"x":+1}`, `{"x":0x1}`, `{"x":NaN}`, `{"x":Infinity}`,
+}
+
+var wireResponseCases = []string{
+	`{"id":1,"ok":true,"affected":1,"req_id":9}`,
+	`{"id":2,"ok":true,"columns":["v"],"rows":[["x"]]}`,
+	`{"ok":false,"code":"overload","retryable":true,"retry_after_ms":5,"error":"server: overloaded, request shed (retry after 5ms)"}`,
+	`{"ok":true,"columns":["k","v"],"rows":[[1,-0],[2.5,"t"],[null,true],[],null,[[1],{"a":[]}]]}`,
+	`{"ok":true,"rows":[]}`, `{"ok":true,"columns":[]}`, `{"ok":true,"rows":[1]}`, `{"ok":true,"rows":{}}`,
+	`{"columns":["a","b"],"columns":["c",null]}`, `{"columns":["a","b"],"columns":["x"],"columns":["c",null]}`,
+	`{"columns":["a","b"],"columns":[],"columns":["c",null]}`, `{"columns":[null]}`, `{"columns":[1]}`,
+	`{"rows":[[1,2]],"rows":[[3]]}`, `{"rows":[[1]],"rows":null}`,
+	// The stats and slow replies, handed to encoding/json as nested values.
+	`{"ok":true,"stats":{"served":3,"failed":1,"breaker_open":true,"shards":[{"shard":1,"units":4}]}}`,
+	`{"ok":true,"slow":[{"req_id":1,"op":"query","db":"serve.db","ok":true,"wall_us":5,"stages":[{"stage":"exec","us":4}]}]}`,
+	`{"ok":true,"stats":null}`, `{"stats":{"served":1},"stats":{"failed":2}}`, `{"stats":{"served":1},"stats":null}`,
+	`{"stats":5}`, `{"stats":{"served":"x"}}`, `{"slow":{}}`, `{"slow":[{"req_id":-1}]}`,
+	`{"slow":[{"op":"a","wall_us":3}],"slow":[{"wall_us":4},{"op":"b"}]}`,
+	// Folded keys: Kelvin sign for k, long s for s.
+	"{\"O\u212a\":true,\"REQ_ID\":4,\"\u017flow\":[],\"Retry_After_MS\":2,\"CODE\":\"busy\"}",
+	`{"o\u212a":true,"\u0063ode":"busy","c\u006fde":"sql"}`,
+	`{"ok":1}`, `{"ok":"true"}`, `{"affected":1.5}`, `{"req_id":-2}`, `{"error":null,"code":null}`,
+}
+
+func FuzzWireRequest(f *testing.F) {
+	for _, c := range wireRequestCases {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkLine(t, line, decodeRequest, appendRequest)
+	})
+}
+
+func FuzzWireResponse(f *testing.F) {
+	for _, c := range wireResponseCases {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkLine(t, line, decodeResponse, appendResponse)
+	})
+}
+
+// TestWireNestingLimit: both codecs stop at encoding/json's limit of
+// 10000 open objects and arrays. (Lines this deep would slow the fuzz
+// targets, so they are not among their seeds.)
+func TestWireNestingLimit(t *testing.T) {
+	for _, n := range []int{9999, 10000} {
+		for _, key := range []string{"args", "unknown", "rows", "stats"} {
+			line := []byte(`{"` + key + `":` + strings.Repeat("[", n) + strings.Repeat("]", n) + "}")
+			checkLine(t, line, decodeRequest, appendRequest)
+			checkLine(t, line, decodeResponse, appendResponse)
+		}
+	}
+}
+
+// TestWireEncodesArgs holds appendRequest to the encode contract for
+// every argument type a client binds, and refuses what JSON cannot
+// carry.
+func TestWireEncodesArgs(t *testing.T) {
+	req := Request{ID: 3, Op: OpExec, SQL: "INSERT \"q\"\n", DB: "x.db", DeadlineMS: -1, Readonly: true, Args: []any{
+		nil, true, false, "héllo \x00\x1f\"\\ <>&   \xff\xc3", int(-7), int32(8), int64(math.MaxInt64),
+		uint32(math.MaxUint32), float32(0.1), float32(1e21), float32(1e-7), 0.1, 1e21, 1e20, 1e-6, 1e-7,
+		math.Copysign(0, -1), 5e-324, math.MaxFloat64, 123456789.0, []byte(nil), []byte{}, []byte{0, 1, 254, 255},
+		[]any{1.5, []any(nil), map[string]any{"k": []any{}}}, map[string]any(nil),
+	}}
+	out, err := appendRequest(nil, &req)
+	if err != nil {
+		t.Fatalf("appendRequest: %v", err)
+	}
+	readsAsMarshal(t, out, &req)
+	for _, bad := range []any{math.Inf(1), math.NaN(), float32(math.Inf(-1)), struct{}{}, uint64(1), []any{1, make(chan int)}} {
+		if out, err := appendRequest(nil, &Request{Op: OpExec, Args: []any{bad}}); err == nil {
+			t.Errorf("arg %#v encoded as %q, want an error", bad, out)
+		}
+	}
+}
+
+// TestWireEncodesRows holds appendResponse to the encode contract for a
+// result written straight from its rows, against the rows as the server
+// used to hand them to encoding/json.
+func TestWireEncodesRows(t *testing.T) {
+	rows := &sqlite.Rows{Columns: []string{"n", "i", "r", "t", "b"}}
+	vals := []sqlite.Value{
+		sqlite.Null, sqlite.Int(-5), sqlite.Int(math.MinInt64), sqlite.Real(0.1), sqlite.Real(1e21),
+		sqlite.Real(1e-7), sqlite.Real(math.Copysign(0, -1)), sqlite.Real(5e-324), sqlite.Real(-123456789.5),
+		sqlite.Text("héllo\x00\"\\\n<>& \xff"), sqlite.Text(""), sqlite.Blob(nil), sqlite.Blob([]byte{}),
+		sqlite.Blob([]byte{0, 1, 2, 255}),
+	}
+	for i := 0; i < len(vals); i += 5 {
+		rows.Data = append(rows.Data, vals[i:min(i+5, len(vals))])
+	}
+	ref := Response{ID: 4, OK: true, ReqID: 7, Columns: rows.Columns}
+	for _, r := range rows.Data {
+		row := []any{}
+		for _, v := range r {
+			switch v.Type() {
+			case sqlite.TypeNull:
+				row = append(row, nil)
+			case sqlite.TypeInt:
+				row = append(row, v.Int())
+			case sqlite.TypeReal:
+				row = append(row, v.Real())
+			case sqlite.TypeBlob:
+				row = append(row, v.Blob())
+			default:
+				row = append(row, v.Text())
+			}
+		}
+		ref.Rows = append(ref.Rows, row)
+	}
+	for _, res := range []*sqlite.Rows{rows, {Columns: rows.Columns}} {
+		if len(res.Data) == 0 {
+			ref.Rows = nil
+		}
+		out, err := appendResponse(nil, &Response{ID: 4, OK: true, ReqID: 7, result: res})
+		if err != nil {
+			t.Fatalf("appendResponse: %v", err)
+		}
+		readsAsMarshal(t, out, &ref)
+	}
+
+	inf := &sqlite.Rows{Columns: []string{"x"}, Data: [][]sqlite.Value{{sqlite.Text("1e999")}, {sqlite.Real(math.Inf(-1))}}}
+	if err := rowsFinite(inf); err == nil {
+		t.Fatalf("rowsFinite accepted -Inf")
+	}
+	if err := rowsFinite(rows); err != nil {
+		t.Fatalf("rowsFinite: %v", err)
+	}
+}
+
+// TestWireAllocs pins what the codec allocates on the data path: keys
+// and op names are matched in place, and a message is appended to a
+// warm buffer without allocating.
+func TestWireAllocs(t *testing.T) {
+	ping := []byte(`{"op":"ping","id":12,"DEADLINE_MS":5}` + "\n")
+	query := []byte(`{"op":"query","id":13,"sql":"SELECT k, v FROM kv WHERE k = ?","args":[4242]}` + "\n")
+	var req Request
+	if n := testing.AllocsPerRun(100, func() { req = Request{}; _ = decodeRequest(ping, &req) }); n != 0 {
+		t.Errorf("decoding a ping allocates %v times, want 0", n)
+	}
+	// The SQL text, the args slice and the boxed number.
+	if n := testing.AllocsPerRun(100, func() { req = Request{}; _ = decodeRequest(query, &req) }); n > 3 {
+		t.Errorf("decoding a query allocates %v times, want at most 3", n)
+	}
+	resp := &Response{ID: 13, OK: true, ReqID: 99, result: &sqlite.Rows{
+		Columns: []string{"k", "v"},
+		Data:    [][]sqlite.Value{{sqlite.Int(4242), sqlite.Text("value")}},
+	}}
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = appendResponse(buf[:0], resp) }); n != 0 {
+		t.Errorf("encoding a query response allocates %v times, want 0", n)
+	}
+	req = Request{ID: 13, Op: OpQuery, SQL: "SELECT k, v FROM kv WHERE k = ?", Args: []any{int64(4242)}}
+	if n := testing.AllocsPerRun(100, func() { buf, _ = appendRequest(buf[:0], &req) }); n != 0 {
+		t.Errorf("encoding a query allocates %v times, want 0", n)
+	}
+}
