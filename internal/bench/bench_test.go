@@ -5,9 +5,12 @@ import (
 	"testing"
 )
 
+// quick is shared by tests that run in parallel: each experiment builds its
+// own seeded stacks, so they have nothing else in common.
 var quick = Options{Quick: true}
 
 func TestFig5Quick(t *testing.T) {
+	t.Parallel()
 	f, err := RunFig5(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -28,6 +31,7 @@ func TestFig5Quick(t *testing.T) {
 }
 
 func TestTable1Quick(t *testing.T) {
+	t.Parallel()
 	t1, err := RunTable1(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +50,7 @@ func TestTable1Quick(t *testing.T) {
 }
 
 func TestFig6Quick(t *testing.T) {
+	t.Parallel()
 	f, err := RunFig6(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +67,7 @@ func TestFig6Quick(t *testing.T) {
 }
 
 func TestFig7Table2Quick(t *testing.T) {
+	t.Parallel()
 	f, err := RunFig7(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +82,7 @@ func TestFig7Table2Quick(t *testing.T) {
 }
 
 func TestTable4Quick(t *testing.T) {
+	t.Parallel()
 	t4, err := RunTable4(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +96,7 @@ func TestTable4Quick(t *testing.T) {
 }
 
 func TestFig8Quick(t *testing.T) {
+	t.Parallel()
 	f, err := RunFig8(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +112,7 @@ func TestFig8Quick(t *testing.T) {
 }
 
 func TestFig9Quick(t *testing.T) {
+	t.Parallel()
 	f, err := RunFig9(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +128,7 @@ func TestFig9Quick(t *testing.T) {
 }
 
 func TestTable5Quick(t *testing.T) {
+	t.Parallel()
 	runs, err := RunTable5(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +141,7 @@ func TestTable5Quick(t *testing.T) {
 }
 
 func TestAblationsQuick(t *testing.T) {
+	t.Parallel()
 	runs, err := Ablations(quick)
 	if err != nil {
 		t.Fatal(err)

@@ -116,21 +116,6 @@ type LatencySnapshot struct {
 	Max   time.Duration `json:"max_ns"`
 }
 
-// IOStats bundles the per-context host I/O attribution a session (or a
-// role aggregate) accumulates: the counter split plus a read-latency
-// histogram of the device commands issued on its behalf. simfs
-// observes into every IOStats attached to the current I/O context, so
-// one read can credit both its session and its role.
-type IOStats struct {
-	// ID is a stable identity for the accumulating context (assigned by
-	// mvcc.Manager on first use); it doubles as the trace session id.
-	ID   uint64
-	Host HostCounters
-	// ReadLat is the device-command latency (submit to virtual
-	// completion) of reads issued by this context.
-	ReadLat LatencyHist
-}
-
 // DepthHist counts how many commands were in flight (including the new
 // arrival) each time a command was submitted, bucketed exactly per
 // depth 1..cap.

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // longBudget is a busy budget the host cannot spin through: a poller
@@ -25,7 +25,7 @@ func TestBusyBudgetAcquiresAfterRelease(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		w2, err := m.BeginWith(false, nil, longBudget)
+		w2, err := m.BeginWith(false, longBudget)
 		if err == nil {
 			err = w2.Commit()
 		}
@@ -62,7 +62,7 @@ func TestBusyBudgetExpires(t *testing.T) {
 	clock := m.fs.Device().Clock()
 	start := clock.Now()
 	const budget = 2 * time.Millisecond
-	_, err = m.BeginWith(false, nil, budget)
+	_, err = m.BeginWith(false, budget)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("expired busy timeout: got %v, want ErrBusy", err)
 	}
@@ -86,7 +86,7 @@ func TestBusyBudgetReaderNeverBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.BeginWith(true, nil, 0) // zero budget: would expire instantly if it polled
+	r, err := m.BeginWith(true, 0) // zero budget: would expire instantly if it polled
 	if err != nil {
 		t.Fatalf("reader blocked on the writer lock: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestZeroBudgetDoesNotJumpQueue(t *testing.T) {
 	for m.Stats.WriterWaits.Load() == 0 {
 		runtime.Gosched()
 	}
-	if _, err := m.BeginWith(false, nil, 0); !errors.Is(err, ErrBusy) {
+	if _, err := m.BeginWith(false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("zero-budget begin with a queued writer: got %v, want ErrBusy", err)
 	}
 	if err := w1.Commit(); err != nil {
@@ -132,13 +132,13 @@ func TestZeroBudgetDoesNotJumpQueue(t *testing.T) {
 	}
 	// The queue is empty now; a zero-budget begin succeeds only after w2
 	// is done.
-	if _, err := m.BeginWith(false, nil, 0); !errors.Is(err, ErrBusy) {
+	if _, err := m.BeginWith(false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("zero-budget begin with active writer: got %v, want ErrBusy", err)
 	}
 	if err := w2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	w3, err := m.BeginWith(false, nil, 0)
+	w3, err := m.BeginWith(false, 0)
 	if err != nil {
 		t.Fatalf("zero-budget begin on idle queue: %v", err)
 	}
@@ -148,18 +148,20 @@ func TestZeroBudgetDoesNotJumpQueue(t *testing.T) {
 }
 
 // A session begun with a busy budget — every serving-tier request that
-// carries a deadline — is attributed to its client's IOStats like any
-// other: the budget and the account are independent.
+// carries a deadline — is attributed like any other: its page writes and
+// its fsync carry its session id.
 func TestBusyBudgetSessionIsAttributed(t *testing.T) {
 	m := newMVCCManager(t)
 	seed(t, m, 2, 0)
-	var sc metrics.IOStats
-	w, err := m.BeginWith(false, &sc, time.Second)
+	tr := trace.New()
+	tr.Attach(m.fs.Device().Clock(), t.Name())
+	m.fs.SetTracer(tr)
+	w, err := m.BeginWith(false, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.ID == 0 || w.ID() != sc.ID {
-		t.Errorf("session id %d, client account id %d: want equal and non-zero", w.ID(), sc.ID)
+	if w.ID() == 0 {
+		t.Fatal("budgeted writer has session id 0")
 	}
 	if _, err := w.Exec("UPDATE kv SET v = 1"); err != nil {
 		t.Fatal(err)
@@ -167,9 +169,18 @@ func TestBusyBudgetSessionIsAttributed(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if sc.Host.DBWrites.Load() == 0 || sc.Host.Fsyncs.Load() == 0 {
-		t.Errorf("budgeted writer's I/O not credited to its client: %d db writes, %d fsyncs",
-			sc.Host.DBWrites.Load(), sc.Host.Fsyncs.Load())
+	attributed := map[trace.Kind]int{}
+	for _, ev := range tr.Events() {
+		if ev.Kind != trace.KFSWrite && ev.Kind != trace.KFSync {
+			continue
+		}
+		if ev.Sess != w.ID() {
+			t.Errorf("%v event carries session %d, want the budgeted writer's %d", ev.Kind, ev.Sess, w.ID())
+		}
+		attributed[ev.Kind]++
+	}
+	if attributed[trace.KFSWrite] == 0 || attributed[trace.KFSync] == 0 {
+		t.Errorf("budgeted writer issued %d page writes and %d fsyncs, want both", attributed[trace.KFSWrite], attributed[trace.KFSync])
 	}
 }
 
@@ -182,7 +193,7 @@ func TestBusyBudgetOnClosedManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []time.Duration{0, time.Millisecond, Unbounded} {
-		if _, err := m.BeginWith(false, nil, budget); !errors.Is(err, ErrClosed) || errors.Is(err, ErrBusy) {
+		if _, err := m.BeginWith(false, budget); !errors.Is(err, ErrClosed) || errors.Is(err, ErrBusy) {
 			t.Errorf("begin(budget %v) on a closed manager: got %v, want ErrClosed", budget, err)
 		}
 	}

@@ -23,7 +23,6 @@ package mvcc
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,24 +55,13 @@ const (
 	// Serialized models the rollback-journal baseline: one connection,
 	// one lock, every transaction exclusive.
 	Serialized
-	// WALConc is the write-ahead-log concurrent-reader baseline: the
-	// writer commits through the WAL while readers capture a consistent
-	// (database file, log index) view and read it without taking the
-	// lock. It is the journal-level analogue of the MVCC snapshot arm,
-	// runnable on a plain (non-transactional) device. Requires journal
-	// mode WAL.
-	WALConc
 )
 
 func (m Mode) String() string {
-	switch m {
-	case MVCC:
+	if m == MVCC {
 		return "mvcc"
-	case WALConc:
-		return "walconc"
-	default:
-		return "serialized"
 	}
+	return "serialized"
 }
 
 // Options configures a Manager.
@@ -103,7 +91,6 @@ type Options struct {
 type Stats struct {
 	ReadTx       atomic.Int64 // read sessions ended
 	WriteTx      atomic.Int64 // write sessions ended
-	WALReads     atomic.Int64 // WALConc reader sessions ended
 	WriterWaits  atomic.Int64 // write-begins that queued behind another writer
 	SnapsOpen    atomic.Int64 // currently open reader snapshots
 	SnapsMax     atomic.Int64 // high-water mark of SnapsOpen
@@ -148,16 +135,9 @@ type Manager struct {
 
 	Stats Stats
 
-	// nextSess hands out session (and IOStats) identities; id 0 means
-	// "unattributed" in traces, so the counter starts at 1.
+	// nextSess hands out session identities; id 0 means "unattributed"
+	// in traces, so the counter starts at 1.
 	nextSess atomic.Uint64
-
-	// Role-level I/O aggregates. Every session's host I/O is credited
-	// both to its own IOStats (when the caller passed one to BeginWith)
-	// and to the matching role aggregate here, so a benchmark can report
-	// the writer-vs-reader split without tracking individual sessions.
-	ReaderIO metrics.IOStats
-	WriterIO metrics.IOStats
 }
 
 // NewManager opens (or creates) the database and runs the journal-mode
@@ -165,9 +145,6 @@ type Manager struct {
 func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 	if opts.Mode == MVCC && opts.Journal != pager.Off {
 		return nil, fmt.Errorf("mvcc: MVCC mode requires journal mode Off, got %v", opts.Journal)
-	}
-	if opts.Mode == WALConc && opts.Journal != pager.WAL {
-		return nil, fmt.Errorf("mvcc: WALConc mode requires journal mode WAL, got %v", opts.Journal)
 	}
 	cfg := sqlite.Config{JournalMode: opts.Journal, CacheSize: opts.CacheSize}
 	db, err := sqlite.Open(fsys, name, cfg)
@@ -206,26 +183,23 @@ func (m *Manager) Close() error {
 // Mode reports the configured concurrency model.
 func (m *Manager) Mode() Mode { return m.opts.Mode }
 
-// Session is one transaction-scoped handle. Read sessions in MVCC and
-// WALConc mode own a private read-only connection; write sessions (and
-// everything in Serialized mode) borrow the shared connection under the
-// lock.
+// Session is one transaction-scoped handle. Read sessions in MVCC mode
+// own a private read-only connection; write sessions (and everything in
+// Serialized mode) borrow the shared connection under the lock.
 type Session struct {
 	m        *Manager
 	db       *sqlite.DB
 	readonly bool
 	done     bool
 
-	// A private reader connection: rd is the reader its page reads go
-	// through (nil for a session on the shared connection, whose I/O
-	// context is the file system's writer side); pc is its pool
-	// membership, if pooled; pin is otherwise the snapshot or WAL view to
-	// release once the connection is closed.
-	rd  *simfs.Reader
-	pc  *readpool.Conn
-	pin io.Closer
+	// A private reader connection: snap is the snapshot its page reads go
+	// through, and its I/O context (nil for a session on the shared
+	// connection, whose I/O context is the file system's writer side); pc
+	// is its pool membership, if pooled.
+	snap *simfs.Snapshot
+	pc   *readpool.Conn
 
-	id      uint64        // trace/attribution identity (stable per IOStats)
+	id      uint64        // trace identity
 	trStart time.Duration // virtual time of Begin, for the KSession span
 
 	// Group commit. solo keeps the session out of it (see Solo); acked and
@@ -235,35 +209,22 @@ type Session struct {
 	ackErr error
 }
 
-// ID reports the session's attribution identity — the id its trace
-// events and per-session counters are tagged with.
+// ID reports the session's identity — the id its trace events and
+// device commands are tagged with.
 func (s *Session) ID() uint64 { return s.id }
 
 // SetReq tags all I/O the session issues from here on with a
-// serving-tier request id (0 clears it): readers tag their private
-// reader, writers tag the shared writer context they hold for the
-// session's lifetime. The tag flows into every ncq.Request and trace
-// event the I/O produces, linking device work back to the server
-// request that caused it.
+// serving-tier request id (0 clears it): readers tag their snapshot,
+// writers tag the shared writer context they hold for the session's
+// lifetime. The tag flows into every ncq.Request and trace event the
+// I/O produces, linking device work back to the server request that
+// caused it.
 func (s *Session) SetReq(req uint64) {
-	if s.rd != nil {
-		s.rd.SetIOReq(req)
+	if s.snap != nil {
+		s.snap.SetIOReq(req)
 	} else {
 		s.m.fs.SetIOReq(req)
 	}
-}
-
-// sessionID resolves the identity for a new session: a caller-supplied
-// IOStats keeps one stable id across all its sessions (assigned on
-// first use); an anonymous session gets a fresh id.
-func (m *Manager) sessionID(sc *metrics.IOStats) uint64 {
-	if sc != nil {
-		if sc.ID == 0 {
-			sc.ID = m.nextSess.Add(1)
-		}
-		return sc.ID
-	}
-	return m.nextSess.Add(1)
 }
 
 // Unbounded is the busy budget of a writer that takes a FIFO ticket and
@@ -274,73 +235,47 @@ const Unbounded time.Duration = -1
 // Readers in MVCC mode never block: they pin a snapshot and return
 // immediately even while a write transaction is in flight.
 func (m *Manager) Begin(readonly bool) (*Session, error) {
-	return m.BeginWith(readonly, nil, Unbounded)
+	return m.BeginWith(readonly, Unbounded)
 }
 
-// BeginWith is Begin for a caller with a per-client I/O account, a busy
-// budget, or both.
-//
-// Every host read and write the session issues is credited to sc
-// (counter split plus read-latency histogram) in addition to the
-// manager's role aggregate. Reusing one sc across many sessions
-// accumulates a per-client view — sc keeps a stable identity, so the
-// sessions share one trace lane. sc may be nil.
-//
-// budget is the sqlite3_busy_timeout analogue: a writer that finds the
-// database locked polls the lock with exponential virtual-time backoff
-// until it either acquires it or has burned the budget, and only then
-// returns ErrBusy (wrapped, so errors.Is still matches); a zero budget
-// is SQLite's immediate BUSY. A polling writer never jumps the FIFO
-// queue. The elapsed budget is measured on the device's virtual clock,
-// so concurrent sessions' own charges count against it exactly as wall
+// BeginWith is Begin for a caller with a busy budget, the
+// sqlite3_busy_timeout analogue: a writer that finds the database locked
+// polls the lock with exponential virtual-time backoff until it either
+// acquires it or has burned the budget, and only then returns ErrBusy
+// (wrapped, so errors.Is still matches); a zero budget is SQLite's
+// immediate BUSY. A polling writer never jumps the FIFO queue. The
+// elapsed budget is measured on the device's virtual clock, so
+// concurrent sessions' own charges count against it exactly as wall
 // time would against a real busy_timeout. Unbounded queues instead, as
-// Begin does. Readers in MVCC and WALConc mode never block and ignore
-// the budget.
-func (m *Manager) BeginWith(readonly bool, sc *metrics.IOStats, budget time.Duration) (*Session, error) {
+// Begin does. Readers in MVCC mode never block and ignore the budget.
+func (m *Manager) BeginWith(readonly bool, budget time.Duration) (*Session, error) {
 	s := &Session{m: m, db: m.db, readonly: readonly}
 	// First the session's place in the concurrency model: the exclusive
-	// lock, or a pinned committed state to read beside the writer — a
-	// warm pooled connection, or src to open a cold one over.
-	var (
-		src  pager.PageSource
-		snap *simfs.Snapshot
-		err  error
-	)
+	// lock, or a snapshot of the committed state to read beside the
+	// writer — a warm pooled connection's, or a fresh one to open a cold
+	// connection over.
+	var err error
 	switch {
 	case !readonly || m.opts.Mode == Serialized:
 		err = m.lockExclusive(budget)
-	case m.opts.Mode == WALConc:
-		// The capture is lock-free with respect to the writer queue —
-		// only the log mutex is taken, briefly — so readers proceed while
-		// a write transaction is in flight, and see exactly the last
-		// committed state.
-		var view *pager.WALView
-		if view, err = m.db.Pager().CaptureWALView(); err == nil {
-			src, s.pin, s.rd = view, view, view.Reader()
-		}
 	default:
 		if s.pc = m.checkoutWarm(); s.pc != nil {
-			s.db, s.rd = s.pc.DB, s.pc.Snap.Reader()
-		} else if snap, err = m.fs.OpenSnapshot(); err == nil {
-			src, s.pin, s.rd = pager.SnapshotSource(snap, m.name), snap, snap.Reader()
+			s.db, s.snap = s.pc.DB, s.pc.Snap
+		} else {
+			s.snap, err = m.fs.OpenSnapshot()
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	// Then who its I/O is charged to.
-	s.id = m.sessionID(sc)
+	s.id = m.nextSess.Add(1)
 	s.trStart = m.fs.Tracer().Now()
-	role := &m.WriterIO
-	if readonly {
-		role = &m.ReaderIO
-	}
-	if s.rd == nil {
+	if s.snap == nil {
 		// Holding the exclusive lock is what makes setting the shared
 		// FS's I/O context safe: exactly one session touches the shared
 		// connection at a time.
-		m.fs.SetIOContext(s.id, role, sc)
-		m.fs.SetPipelined(m.opts.Pipelined)
+		m.fs.SetIOContext(s.id, m.opts.Pipelined)
 		if !readonly {
 			if err := m.db.Begin(); err != nil {
 				m.fs.ClearIOContext()
@@ -350,16 +285,15 @@ func (m *Manager) BeginWith(readonly bool, sc *metrics.IOStats, budget time.Dura
 		}
 		return s, nil
 	}
-	s.rd.SetPipelined(m.opts.Pipelined)
-	s.rd.SetIOContext(s.id, role, sc)
-	if src != nil {
+	s.snap.SetIOContext(s.id, m.opts.Pipelined)
+	if s.pc == nil {
 		// The cold open's catalog reads are the session's own I/O.
-		if s.db, err = sqlite.OpenReader(m.fs, m.name, src, m.cfg); err != nil {
-			_ = s.pin.Close()
+		if s.db, err = sqlite.OpenReader(m.fs, m.name, s.snap, m.cfg); err != nil {
+			_ = s.snap.Close()
 			return nil, err
 		}
 		if m.pool != nil {
-			s.pc = readpool.NewConn(s.db, snap)
+			s.pc = readpool.NewConn(s.db, s.snap)
 		}
 	}
 	m.noteSnapOpen()
@@ -381,8 +315,8 @@ func (m *Manager) checkoutWarm() *readpool.Conn {
 	return m.pool.Checkout(dev.CommitSeq(), m.fs.Epoch())
 }
 
-// noteSnapOpen counts a concurrent reader (snapshot or WAL view) in
-// and maintains the high-water mark.
+// noteSnapOpen counts a snapshot reader in and maintains the high-water
+// mark.
 func (m *Manager) noteSnapOpen() {
 	n := m.Stats.SnapsOpen.Add(1)
 	for {
@@ -537,7 +471,7 @@ func (s *Session) Exec(sql string, args ...any) (int64, error) {
 	if s.done {
 		return 0, ErrSessionDone
 	}
-	if s.rd != nil {
+	if s.snap != nil {
 		return 0, pager.ErrReadOnly
 	}
 	return s.db.Exec(sql, args...)
@@ -555,23 +489,19 @@ func (s *Session) Rollback() error {
 }
 
 // endReader finishes a session that owns a private reader connection:
-// a pooled snapshot reader parks it warm for the next reader (the pool
-// closes it instead if the committed generation moved on); any other
-// tears the connection down, then releases what it pinned — the
-// snapshot's versions so GC can reclaim them, or the WAL view so
-// checkpointing can resume.
+// a pooled reader parks it warm for the next reader (the pool closes it
+// instead if the committed generation moved on); any other tears the
+// connection down, then closes its snapshot so GC can reclaim the
+// versions it pinned.
 func (s *Session) endReader() error {
 	var err error
 	if s.pc != nil {
 		s.m.pool.Return(s.pc)
 	} else {
 		err = s.db.Close()
-		if cerr := s.pin.Close(); err == nil {
+		if cerr := s.snap.Close(); err == nil {
 			err = cerr
 		}
-	}
-	if s.m.opts.Mode == WALConc {
-		s.m.Stats.WALReads.Add(1)
 	}
 	s.m.Stats.SnapsOpen.Add(-1)
 	return err
@@ -599,7 +529,7 @@ func (s *Session) end(how int) error {
 		deferred bool
 	)
 	switch {
-	case s.rd != nil:
+	case s.snap != nil:
 		err = s.endReader()
 	case s.readonly:
 	case how == endCommit && s.m.opts.Mode == MVCC && !s.solo && s.m.successorInGroup():
@@ -619,7 +549,7 @@ func (s *Session) end(how int) error {
 		s.m.Stats.WriteTx.Add(1)
 		s.noteSession(1)
 	}
-	if s.rd == nil {
+	if s.snap == nil {
 		s.m.fs.ClearIOContext()
 		if deferred {
 			err = s.m.awaitGroup(s)
@@ -643,7 +573,7 @@ func (s *Session) Solo() error {
 	if s.done {
 		return ErrSessionDone
 	}
-	if s.rd != nil || s.m.opts.Mode != MVCC {
+	if s.snap != nil || s.m.opts.Mode != MVCC {
 		return nil
 	}
 	s.solo = true
@@ -697,14 +627,7 @@ func (m *Manager) Register(reg *metrics.Registry, shard string) {
 		reg.Gauge("xftl_readpool_idle", "Warm connections currently pooled.", func() int64 { return int64(m.pool.Idle()) }, kv...)
 	}
 	if m.opts.Journal == pager.WAL {
-		reg.Counter("xftl_wal_checkpoints_total", "WAL checkpoints completed.", func() int64 {
-			ck, _ := m.db.Pager().WALStats()
-			return ck
-		}, kv...)
-		reg.Counter("xftl_wal_checkpoints_deferred_total", "WAL checkpoints deferred because a reader pinned the log.", func() int64 {
-			_, def := m.db.Pager().WALStats()
-			return def
-		}, kv...)
+		reg.Counter("xftl_wal_checkpoints_total", "WAL checkpoints completed.", m.db.Pager().Checkpoints.Load, kv...)
 	}
 }
 

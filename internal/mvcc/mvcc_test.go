@@ -78,88 +78,79 @@ func readAll(t *testing.T, s *Session) []int64 {
 	return out
 }
 
-// The stack-level acceptance test, for both concurrent-reader arms — X-FTL
-// snapshots and WAL views: a reader session begun while a write
-// transaction is open does not block and sees nothing of it, keeps
-// reading the pre-commit state after that commit lands, and cannot
-// write; a request id set on it tags its page reads and does not outlive
-// it; a reader begun afterwards sees the commit — all the way through
-// the SQL layer.
+// The stack-level acceptance test for X-FTL snapshot readers: a reader
+// session begun while a write transaction is open does not block and
+// sees nothing of it, keeps reading the pre-commit state after that
+// commit lands, and cannot write; a request id set on it tags its page
+// reads and does not outlive it; a reader begun afterwards sees the
+// commit — all the way through the SQL layer.
 func TestReaderIsolation(t *testing.T) {
-	for _, mode := range []Mode{MVCC, WALConc} {
-		t.Run(mode.String(), func(t *testing.T) {
-			m := newMVCCManager(t)
-			if mode == WALConc {
-				m = newWALConcManager(t)
-			}
-			seed(t, m, 4, 10)
-			tr := trace.New()
-			tr.Attach(m.fs.Device().Clock(), mode.String())
-			m.fs.SetTracer(tr)
+	t.Run(MVCC.String(), func(t *testing.T) {
+		m := newMVCCManager(t)
+		seed(t, m, 4, 10)
+		tr := trace.New()
+		tr.Attach(m.fs.Device().Clock(), t.Name())
+		m.fs.SetTracer(tr)
 
-			w, err := m.Begin(false)
-			if err != nil {
+		w, err := m.Begin(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Exec("UPDATE kv SET v = 20"); err != nil {
+			t.Fatal(err)
+		}
+		r, err := m.Begin(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetReq(4242)
+		for _, v := range readAll(t, r) {
+			if v != 10 {
+				t.Fatalf("reader sees uncommitted write: %d", v)
+			}
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range readAll(t, r) {
+			if v != 10 {
+				t.Fatalf("reader after writer commit: got %d, want 10", v)
+			}
+		}
+		if _, err := r.Exec("UPDATE kv SET v = 99"); !errors.Is(err, pager.ErrReadOnly) {
+			t.Fatalf("write through a reader: got %v, want ErrReadOnly", err)
+		}
+		r2, err := m.Begin(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range readAll(t, r2) {
+			if v != 20 {
+				t.Fatalf("fresh reader: got %d, want 20", v)
+			}
+		}
+		for _, s := range []*Session{r, r2} {
+			if err := s.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.Exec("UPDATE kv SET v = 20"); err != nil {
-				t.Fatal(err)
+		}
+		if got := m.Stats.SnapsOpen.Load(); got != 0 {
+			t.Fatalf("reader leak: %d open", got)
+		}
+		tagged := 0
+		for _, ev := range tr.Events() {
+			switch {
+			case ev.Kind != trace.KFSRead:
+			case ev.Sess == r.ID() && ev.Req == 4242:
+				tagged++
+			case ev.Sess != r.ID() && ev.Req != 0:
+				t.Errorf("page read of session %d carries request %d (only session %d was tagged)", ev.Sess, ev.Req, r.ID())
 			}
-			r, err := m.Begin(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.SetReq(4242)
-			for _, v := range readAll(t, r) {
-				if v != 10 {
-					t.Fatalf("reader sees uncommitted write: %d", v)
-				}
-			}
-			if err := w.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range readAll(t, r) {
-				if v != 10 {
-					t.Fatalf("reader after writer commit: got %d, want 10", v)
-				}
-			}
-			if _, err := r.Exec("UPDATE kv SET v = 99"); !errors.Is(err, pager.ErrReadOnly) {
-				t.Fatalf("write through a reader: got %v, want ErrReadOnly", err)
-			}
-			r2, err := m.Begin(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range readAll(t, r2) {
-				if v != 20 {
-					t.Fatalf("fresh reader: got %d, want 20", v)
-				}
-			}
-			for _, s := range []*Session{r, r2} {
-				if err := s.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := m.Stats.SnapsOpen.Load(); got != 0 {
-				t.Fatalf("reader leak: %d open", got)
-			}
-			if got, want := m.Stats.WALReads.Load(), int64(2); mode == WALConc && got != want {
-				t.Fatalf("WALReads = %d, want %d", got, want)
-			}
-			tagged := 0
-			for _, ev := range tr.Events() {
-				switch {
-				case ev.Kind != trace.KFSRead:
-				case ev.Sess == r.ID() && ev.Req == 4242:
-					tagged++
-				case ev.Sess != r.ID() && ev.Req != 0:
-					t.Errorf("page read of session %d carries request %d (only session %d was tagged)", ev.Sess, ev.Req, r.ID())
-				}
-			}
-			if tagged == 0 {
-				t.Error("none of the tagged reader's page reads carry its request id")
-			}
-		})
-	}
+		}
+		if tagged == 0 {
+			t.Error("none of the tagged reader's page reads carry its request id")
+		}
+	})
 }
 
 // Readers must begin and run while a write transaction is in flight —
@@ -211,11 +202,11 @@ func TestWriterQueueAndBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.BeginWith(false, nil, 0); !errors.Is(err, ErrBusy) {
+	if _, err := m.BeginWith(false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("zero-budget begin with active writer: got %v, want ErrBusy", err)
 	}
 	// Readers are unaffected by the writer lock.
-	if r, err := m.BeginWith(true, nil, 0); err != nil {
+	if r, err := m.BeginWith(true, 0); err != nil {
 		t.Fatalf("zero-budget begin(readonly): %v", err)
 	} else {
 		_ = r.Commit()
@@ -304,7 +295,7 @@ func TestSerializedMode(t *testing.T) {
 		}
 	}
 	// While the read session holds the lock, a writer cannot start.
-	if _, err := m.BeginWith(false, nil, 0); !errors.Is(err, ErrBusy) {
+	if _, err := m.BeginWith(false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("serialized zero-budget begin during read: got %v, want ErrBusy", err)
 	}
 	if err := r.Commit(); err != nil {

@@ -151,24 +151,22 @@ func missingGauges(reg *metrics.Registry, want ...string) []string {
 	return missing
 }
 
-func newWALConcManager(t *testing.T) *Manager {
-	t.Helper()
-	m, err := NewManager(newStack(t, false), "test.db",
-		Options{Mode: WALConc, Journal: pager.WAL, CacheSize: 200})
+// A manager whose writer journals through the WAL exports its checkpoint
+// count for the serving tier; no reader defers a checkpoint, so there is
+// no deferred-checkpoint family.
+func TestWALCheckpointGaugesExported(t *testing.T) {
+	m, err := NewManager(newStack(t, false), "test.db", Options{Mode: Serialized, Journal: pager.WAL, CacheSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = m.Close() })
-	return m
-}
-
-// WAL-journal gauges are exported for the serving tier.
-func TestWALConcGaugesExported(t *testing.T) {
-	m := newWALConcManager(t)
+	defer m.Close()
 	seed(t, m, 2, 1)
 	reg := metrics.NewRegistry()
 	m.Register(reg, "3")
-	if missing := missingGauges(reg, "xftl_wal_checkpoints_total", "xftl_wal_checkpoints_deferred_total"); len(missing) > 0 {
+	if missing := missingGauges(reg, "xftl_wal_checkpoints_total"); len(missing) > 0 {
 		t.Errorf("gauges not registered: %v", missing)
+	}
+	if missing := missingGauges(reg, "xftl_wal_checkpoints_deferred_total"); len(missing) == 0 {
+		t.Error("xftl_wal_checkpoints_deferred_total is still exported")
 	}
 }

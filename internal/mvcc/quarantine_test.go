@@ -57,7 +57,7 @@ func TestBusyBudgetRacesQuarantine(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		s, err := m.BeginWith(false, nil, longBudget)
+		s, err := m.BeginWith(false, longBudget)
 		if err == nil {
 			if _, err = s.Exec("UPDATE kv SET v = 1 WHERE k = 0"); err == nil {
 				err = s.Commit()
@@ -126,7 +126,7 @@ func TestBusyBudgetExpiresDuringQuarantine(t *testing.T) {
 	if err := dev.QuarantineUnit(0); err != nil {
 		t.Fatalf("quarantine: %v", err)
 	}
-	_, err = m.BeginWith(false, nil, 2*time.Millisecond)
+	_, err = m.BeginWith(false, 2*time.Millisecond)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("expired acquire = %v, want ErrBusy", err)
 	}
@@ -141,7 +141,7 @@ func TestBusyBudgetExpiresDuringQuarantine(t *testing.T) {
 	if err := w1.Commit(); err != nil {
 		t.Fatalf("holder commit: %v", err)
 	}
-	w2, err := m.BeginWith(false, nil, time.Second)
+	w2, err := m.BeginWith(false, time.Second)
 	if err != nil {
 		t.Fatalf("begin after expiry: %v", err)
 	}

@@ -57,7 +57,7 @@ func (e *env) coldOpen(t *testing.T) *Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := sqlite.OpenReader(e.fs, "test.db", pager.SnapshotSource(snap, "test.db"), sqlite.Config{JournalMode: pager.Off, CacheSize: 100})
+	db, err := sqlite.OpenReader(e.fs, "test.db", snap, sqlite.Config{JournalMode: pager.Off, CacheSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,7 +233,7 @@ func (f *Fleet) begin(db string, readonly bool, budget time.Duration) (*Session,
 	if budget <= 0 {
 		budget = mvcc.Unbounded
 	}
-	s, err := m.BeginWith(readonly, nil, budget)
+	s, err := m.BeginWith(readonly, budget)
 	if err != nil {
 		if writer {
 			f.gates[shard].RUnlock()

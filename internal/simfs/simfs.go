@@ -156,16 +156,9 @@ type FS struct {
 	// metadata, the namespace images, the transaction-id counter, the I/O
 	// context, the recycled buffers — so every exported method that reads
 	// or writes that state holds wmu for its duration. Unexported helpers
-	// expect it held. Lock order: wmu, then mu, then imu, then the device
-	// queue. Reader reads do not take it.
+	// expect it held. Lock order: wmu, then mu, then the device queue.
+	// Snapshot reads do not take it: they never touch a live inode.
 	wmu sync.Mutex
-
-	// imu guards inode page tables and the files map against FileImage,
-	// the one reader-side consumer (WAL view capture) that walks them
-	// from a foreign goroutine. The writer goroutine is the sole
-	// mutator, so its own reads stay lock-free; only mutations and
-	// FileImage's copies take the lock.
-	imu sync.Mutex
 
 	// epoch counts power cuts. Pooled snapshot readers key their
 	// generation on (commit sequence, epoch): the sequence alone is not
@@ -206,7 +199,7 @@ type FS struct {
 
 	// Writer-path I/O attribution, under wmu. One mutating session at a
 	// time (serialized by mvcc.Manager or the caller) sets it for its
-	// turn; readers carry their own context on their Reader.
+	// turn; readers carry their own context on their Snapshot.
 	tracer   *trace.Tracer
 	io       ioCtx
 	cmd      ncq.Request // the writer path's one command in flight (see submit)
@@ -275,34 +268,29 @@ func (fs *FS) SetTracer(t *trace.Tracer) { fs.tracer = t }
 func (fs *FS) Tracer() *trace.Tracer { return fs.tracer }
 
 // ioCtx is how a page I/O is attributed and issued: the session and
-// serving-tier request it is charged to, the stat sets it is credited
-// into (a role aggregate and a client's own; either may be nil), and
-// whether page I/O is queued rather than waited for: a Reader's reads,
-// and the page writes of the writer's fsync (its reads always wait — a
-// B-tree descent is a dependency chain). The writer path has one (FS.io,
-// under wmu); every Reader has its own.
+// serving-tier request it is charged to, and whether page I/O is queued
+// rather than waited for: a Snapshot's reads, and the page writes of the
+// writer's fsync (its reads always wait — a B-tree descent is a
+// dependency chain). The writer path has one (FS.io, under wmu); every
+// Snapshot has its own.
 type ioCtx struct {
 	sess      uint64
 	req       uint64
-	obs       [2]*metrics.IOStats
 	pipelined bool
 }
 
-// attribute hands the context to a new owner. The previous owner's
-// request id goes with it.
-func (c *ioCtx) attribute(sess uint64, role, client *metrics.IOStats) {
-	c.sess, c.req = sess, 0
-	c.obs = [2]*metrics.IOStats{role, client}
-}
-
-// SetIOContext attributes subsequent writer-path I/O to the given
-// session id and credits it into the role aggregate and, when non-nil,
-// the client's own stat set. Call from the goroutine holding the write
-// turn; ClearIOContext when done.
-func (fs *FS) SetIOContext(sess uint64, role, client *metrics.IOStats) {
+// SetIOContext hands the writer-path I/O context to a session: its I/O
+// is attributed to sess (the previous owner's request id is dropped),
+// and pipelined selects queued commit-time writes — inside an OffXFTL
+// fsync the data and metadata page writes are submitted without waiting
+// for their virtual completion, so they overlap across flash units, and
+// the commit(t) that ends the fsync fences them. The command stream is
+// the same either way; only its timing differs. Call from the goroutine
+// holding the write turn; ClearIOContext when done.
+func (fs *FS) SetIOContext(sess uint64, pipelined bool) {
 	fs.wmu.Lock()
 	defer fs.wmu.Unlock()
-	fs.io.attribute(sess, role, client)
+	fs.io = ioCtx{sess: sess, pipelined: pipelined}
 }
 
 // SetIOReq tags subsequent writer-path I/O with a serving-tier request
@@ -313,24 +301,8 @@ func (fs *FS) SetIOReq(req uint64) {
 	fs.io.req = req
 }
 
-// SetPipelined selects queued commit-time writes for the writer context:
-// inside an OffXFTL fsync the data and metadata page writes are submitted
-// without waiting for their virtual completion, so they overlap across
-// flash units, and the commit(t) that ends the fsync fences them. The
-// command stream is the same either way; only its timing differs.
-// ClearIOContext resets it.
-func (fs *FS) SetPipelined(on bool) {
-	fs.wmu.Lock()
-	defer fs.wmu.Unlock()
-	fs.io.pipelined = on
-}
-
 // ClearIOContext detaches the writer-path I/O attribution.
-func (fs *FS) ClearIOContext() {
-	fs.wmu.Lock()
-	defer fs.wmu.Unlock()
-	fs.io = ioCtx{}
-}
+func (fs *FS) ClearIOContext() { fs.SetIOContext(0, false) }
 
 // IOSession reports the session id of the current writer context.
 func (fs *FS) IOSession() uint64 {
@@ -340,11 +312,10 @@ func (fs *FS) IOSession() uint64 {
 }
 
 // read issues one page read under a context — the writer's or a
-// Reader's — and counts it: globally, into the context's stat sets (with
-// the command's device latency), and as a trace event carrying the
-// submit-to-completion window. A queued read does not wait for its
+// Snapshot's — and counts it: globally, and as a trace event carrying
+// the submit-to-completion window. A queued read does not wait for its
 // virtual completion; Done is still filled in (completion is computed at
-// submission), so the latency observed is the same window either way.
+// submission), so the window recorded is the same either way.
 func (fs *FS) read(r *ncq.Request, io *ioCtx, queued bool) error {
 	r.Sess, r.Req = io.sess, io.req
 	var err error
@@ -354,17 +325,10 @@ func (fs *FS) read(r *ncq.Request, io *ioCtx, queued bool) error {
 		err = fs.dev.Queue().SubmitWait(r)
 	}
 	fs.host.Reads.Add(1)
-	lat := r.Done - r.Submitted
-	for _, o := range io.obs {
-		if o != nil {
-			o.Host.Reads.Add(1)
-			o.ReadLat.Observe(lat)
-		}
-	}
 	if fs.tracer != nil {
 		fs.tracer.Record(trace.Event{
 			Layer: trace.LFS, Kind: trace.KFSRead,
-			Start: r.Submitted, Dur: lat,
+			Start: r.Submitted, Dur: r.Done - r.Submitted,
 			Addr: r.LPN, Sess: r.Sess, Req: r.Req, TID: r.TID, Origin: r.Origin,
 		})
 	}
@@ -372,8 +336,8 @@ func (fs *FS) read(r *ncq.Request, io *ioCtx, queued bool) error {
 }
 
 // noteWrite counts one host page write of the given class (trace.WDB /
-// WJournal / WFSMeta) — globally, into every attached stat context,
-// and as a trace event. Writer path only.
+// WJournal / WFSMeta) — globally, and as a trace event. Writer path
+// only.
 func (fs *FS) noteWrite(class int64, lpn int64, tid uint64) {
 	switch class {
 	case trace.WJournal:
@@ -382,19 +346,6 @@ func (fs *FS) noteWrite(class int64, lpn int64, tid uint64) {
 		fs.host.FSMetaWrites.Add(1)
 	default:
 		fs.host.DBWrites.Add(1)
-	}
-	for _, o := range fs.io.obs {
-		if o == nil {
-			continue
-		}
-		switch class {
-		case trace.WJournal:
-			o.Host.JournalWrites.Add(1)
-		case trace.WFSMeta:
-			o.Host.FSMetaWrites.Add(1)
-		default:
-			o.Host.DBWrites.Add(1)
-		}
 	}
 	if fs.tracer != nil {
 		origin := trace.OHost
@@ -495,9 +446,7 @@ func (fs *FS) Create(name string, role Role) (*File, error) {
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
 	ino := &inode{name: name, role: role}
-	fs.imu.Lock()
 	fs.files[name] = ino
-	fs.imu.Unlock()
 	fs.touch(name)
 	fs.markMeta(fs.dirPage(), fs.inodePage(name))
 	return fs.newFile(ino), nil
@@ -552,9 +501,7 @@ func (fs *FS) Remove(name string) error {
 		fs.pendingFree = append(fs.pendingFree, lpn)
 		fs.markMeta(fs.bitmapPage(lpn))
 	}
-	fs.imu.Lock()
 	delete(fs.files, name)
-	fs.imu.Unlock()
 	fs.touch(name)
 	fs.markMeta(fs.dirPage(), fs.inodePage(name))
 	// Deletion durability rides the next journal commit; SQLite's
@@ -686,7 +633,6 @@ func (fs *FS) Remount() error {
 		}
 		delete(fs.prepared, tid)
 	}
-	fs.imu.Lock()
 	fs.files = make(map[string]*inode)
 	used := make(map[int64]bool)
 	for name, img := range fs.persisted {
@@ -697,7 +643,6 @@ func (fs *FS) Remount() error {
 			}
 		}
 	}
-	fs.imu.Unlock()
 	clear(fs.touched) // every live inode was just rebuilt from its image
 	// Pages referenced only by a still-in-doubt prepared image must not
 	// be reallocated while the coordinator's decision is pending.
@@ -796,12 +741,10 @@ func (f *File) WritePage(idx int64, data []byte) error {
 		return fmt.Errorf("%w: %d", ErrOutOfBounds, idx)
 	}
 	if int64(len(f.ino.pages)) <= idx {
-		f.fs.imu.Lock()
 		for int64(len(f.ino.pages)) <= idx {
 			f.ino.pages = append(f.ino.pages, -1)
 			f.fs.markMeta(f.fs.inodePage(f.ino.name)) // size change
 		}
-		f.fs.imu.Unlock()
 		f.fs.touch(f.ino.name)
 	}
 	buf, ok := f.dirty[idx]
@@ -886,9 +829,7 @@ func (f *File) ensureLPN(idx int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.fs.imu.Lock()
 	f.ino.pages[idx] = lpn
-	f.fs.imu.Unlock()
 	f.fs.touch(f.ino.name)
 	f.fs.markMeta(f.fs.bitmapPage(lpn), f.fs.inodePage(f.ino.name))
 	return lpn, nil
@@ -979,11 +920,6 @@ func (f *File) Fsync() error {
 		return err
 	}
 	f.fs.host.Fsyncs.Add(1)
-	for _, o := range f.fs.io.obs {
-		if o != nil {
-			o.Host.Fsyncs.Add(1)
-		}
-	}
 	if tr := f.fs.tracer; tr != nil {
 		start := tr.Now()
 		defer func() {
@@ -1189,8 +1125,6 @@ func (fs *FS) resolveInDoubt(tid uint64, commit bool) error {
 	delete(fs.prepared, tid)
 	// Reconcile exactly the prepared group's files; every other file on
 	// this file system keeps whatever state its own commits established.
-	fs.imu.Lock()
-	defer fs.imu.Unlock()
 	for name, img := range prep.images {
 		fs.touch(name)
 		if commit {
@@ -1218,8 +1152,8 @@ func (fs *FS) resolveInDoubt(tid uint64, commit bool) error {
 // revert takes a file back to its last durable image — the tail of every
 // abort, live or resolved after a remount. gone is the page table being
 // given up: the pages only it refers to return to the allocator. A file
-// that has no durable image yet is empty again. Caller holds imu and
-// records the touch.
+// that has no durable image yet is empty again. The caller records the
+// touch.
 func (fs *FS) revert(name string, gone []int64) {
 	old := fs.persisted[name]
 	keep := make(map[int64]bool, len(old.pages))
@@ -1273,9 +1207,7 @@ func (f *File) Abort() error {
 		f.tid = 0
 	}
 	// Revert inode growth performed by the aborted window.
-	f.fs.imu.Lock()
 	f.fs.revert(f.ino.name, f.ino.pages)
-	f.fs.imu.Unlock()
 	f.fs.touch(f.ino.name)
 	return nil
 }
@@ -1301,16 +1233,10 @@ func (f *File) Truncate(n int64) error {
 			f.fs.markMeta(f.fs.bitmapPage(lpn))
 		}
 		f.release(idx)
-		f.fs.imu.Lock()
 		f.ino.pages = f.ino.pages[:idx]
-		f.fs.imu.Unlock()
 	}
-	if int64(len(f.ino.pages)) < n {
-		f.fs.imu.Lock()
-		for int64(len(f.ino.pages)) < n {
-			f.ino.pages = append(f.ino.pages, -1)
-		}
-		f.fs.imu.Unlock()
+	for int64(len(f.ino.pages)) < n {
+		f.ino.pages = append(f.ino.pages, -1)
 	}
 	f.fs.touch(f.ino.name)
 	f.fs.markMeta(f.fs.inodePage(f.ino.name))
@@ -1346,62 +1272,21 @@ func (f *File) FlushAll() error {
 	return f.writeBackSome(len(f.dirty))
 }
 
-// Reader issues device page reads on behalf of one read-only session
-// and owns how they are attributed and issued: the I/O context and the
-// one command in flight. A Snapshot reads through its own (pinned
-// versions, ncq.OpSnapRead under the snapshot id); a WAL-mode reader
-// view gets one from NewReader (current mappings, ncq.OpRead) and
-// resolves page numbers to LPNs itself. A Reader never touches the
-// writer's context or takes wmu. One goroutine at a time may use it.
-type Reader struct {
-	fs  *FS
-	op  ncq.Op
-	tid uint64 // the snapshot id, for OpSnapRead
-	io  ioCtx
-	cmd ncq.Request
-}
-
-// NewReader returns a reader of current (unpinned) device pages.
-func (fs *FS) NewReader() *Reader { return &Reader{fs: fs, op: ncq.OpRead} }
-
-// SetPipelined selects asynchronous page reads: a read submits through
-// the NCQ queue without waiting for virtual completion, so concurrent
-// readers keep the multi-channel scheduler busy. Page content is valid
-// on return either way; only the simulated completion time differs.
-func (r *Reader) SetPipelined(on bool) { r.io.pipelined = on }
-
-// SetIOContext attributes the reader's I/O to a session id and credits
-// it into the role aggregate and, when non-nil, the client's own stat
-// set. Call when the reader changes owner, before it issues reads; the
-// previous owner's request id is dropped.
-func (r *Reader) SetIOContext(sess uint64, role, client *metrics.IOStats) {
-	r.io.attribute(sess, role, client)
-}
-
-// SetIOReq tags the reader's I/O with a serving-tier request id
-// (0 = none).
-func (r *Reader) SetIOReq(req uint64) { r.io.req = req }
-
-// Session reports the session id the reader's I/O attributes to.
-func (r *Reader) Session() uint64 { return r.io.sess }
-
-// ReadLPN reads one device page by LPN.
-func (r *Reader) ReadLPN(lpn int64, buf []byte) error {
-	r.cmd = ncq.Request{Op: r.op, TID: r.tid, LPN: lpn, Buf: buf}
-	return r.fs.read(&r.cmd, &r.io, r.io.pipelined)
-}
-
 // Snapshot is a point-in-time read-only view of the file system: the
 // namespace and file extents as of the last commit point, with page
 // content served from the device versions pinned at open. A Snapshot
 // never blocks on — and is never changed by — the concurrent writer:
-// reads touch only the handle's own fields, immutable inode images and
-// the device queue. One goroutine at a time may use a handle.
+// reads touch only the handle's own fields (its I/O context and its one
+// command in flight), immutable inode images and the device queue; never
+// a live inode, nor wmu. One goroutine at a time may use a handle.
 type Snapshot struct {
-	rd     Reader // rd.tid is the device's snapshot id
-	seq    uint64 // commit sequence the snapshot observed at open
-	epoch  uint64 // power-cut epoch at open
+	fs     *FS
+	id     core.SnapID // the device's snapshot id, for OpSnapRead
+	seq    uint64      // commit sequence the snapshot observed at open
+	epoch  uint64      // power-cut epoch at open
 	inodes map[string]inodeImage
+	io     ioCtx
+	cmd    ncq.Request
 	closed bool
 }
 
@@ -1427,14 +1312,27 @@ func (fs *FS) OpenSnapshot() (*Snapshot, error) {
 	// open transaction, which the pinned device versions do not reflect.
 	// Only the name table is copied; the images are immutable and shared.
 	return &Snapshot{
-		rd:  Reader{fs: fs, op: ncq.OpSnapRead, tid: uint64(id)},
-		seq: seq, epoch: fs.epoch.Load(), inodes: maps.Clone(fs.persisted),
+		fs: fs, id: id, seq: seq, epoch: fs.epoch.Load(), inodes: maps.Clone(fs.persisted),
 	}, nil
 }
 
-// Reader exposes the snapshot's reader, for the owning session to set
-// its I/O context on.
-func (s *Snapshot) Reader() *Reader { return &s.rd }
+// SetIOContext hands the snapshot's I/O to a session: its reads are
+// attributed to sess (the previous owner's request id is dropped), and
+// pipelined selects asynchronous page reads — a read submits through the
+// NCQ queue without waiting for virtual completion, so concurrent readers
+// keep the multi-channel scheduler busy. Page content is valid on return
+// either way; only the simulated completion time differs. Call when the
+// snapshot changes owner, before it issues reads.
+func (s *Snapshot) SetIOContext(sess uint64, pipelined bool) {
+	s.io = ioCtx{sess: sess, pipelined: pipelined}
+}
+
+// SetIOReq tags the snapshot's I/O with a serving-tier request id
+// (0 = none).
+func (s *Snapshot) SetIOReq(req uint64) { s.io.req = req }
+
+// Session reports the session id the snapshot's I/O attributes to.
+func (s *Snapshot) Session() uint64 { return s.io.sess }
 
 // Seq reports the commit sequence the snapshot observed at open. Two
 // snapshots with equal Seq and Epoch pin identical committed states —
@@ -1470,10 +1368,11 @@ func (s *Snapshot) ReadPage(name string, idx int64, buf []byte) error {
 	}
 	lpn := img.pages[idx]
 	if lpn < 0 {
-		clear(buf[:min(len(buf), s.rd.fs.PageSize())])
+		clear(buf[:min(len(buf), s.fs.PageSize())])
 		return nil
 	}
-	return s.rd.ReadLPN(lpn, buf)
+	s.cmd = ncq.Request{Op: ncq.OpSnapRead, TID: uint64(s.id), LPN: lpn, Buf: buf}
+	return s.fs.read(&s.cmd, &s.io, s.io.pipelined)
 }
 
 // Close releases the snapshot's device pins. Closing twice is a no-op.
@@ -1482,24 +1381,5 @@ func (s *Snapshot) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.rd.fs.dev.SnapshotClose(core.SnapID(s.rd.tid))
-}
-
-// FileImage copies a file's current device page table (file page index
-// → LPN, -1 for holes). Unlike OpenSnapshot it reads the LIVE inode,
-// not the persisted image, and pins nothing on the device: WAL-mode
-// reader views use it, where the WAL file's committed frames are
-// durable device pages already and the view's consistency comes from
-// the pager's frame index, not from device version pinning. Safe to
-// call from any goroutine.
-func (fs *FS) FileImage(name string) ([]int64, bool) {
-	fs.imu.Lock()
-	defer fs.imu.Unlock()
-	ino, ok := fs.files[name]
-	if !ok {
-		return nil, false
-	}
-	pages := make([]int64, len(ino.pages))
-	copy(pages, ino.pages)
-	return pages, true
+	return s.fs.dev.SnapshotClose(s.id)
 }

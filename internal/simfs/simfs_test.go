@@ -569,7 +569,7 @@ func TestPipelinedFsyncQueuesItsWrites(t *testing.T) {
 		tr := trace.New()
 		tr.Attach(fs.Device().Clock(), t.Name())
 		fs.Device().SetTracer(tr)
-		fs.SetPipelined(pipelined)
+		fs.SetIOContext(0, pipelined)
 		f, err := fs.Create("a.db", RoleData)
 		if err != nil {
 			t.Fatal(err)

@@ -50,16 +50,14 @@ func Open(fsys *simfs.FS, name string, cfg Config) (*DB, error) {
 	return attach(fsys, name, p)
 }
 
-// OpenReader opens a read-only connection over one pinned committed
-// state of the database — a file-system snapshot (pager.SnapshotSource:
-// page reads resolve through the X-FTL version set pinned at its open)
-// or a captured WAL view (the committed frame index at capture) — so
-// the connection sees that state no matter what a concurrent writer
-// commits afterwards. The source stays owned by the caller (close it
-// after closing the DB). Any write statement fails with
-// pager.ErrReadOnly.
-func OpenReader(fsys *simfs.FS, name string, src pager.PageSource, cfg Config) (*DB, error) {
-	p, err := pager.OpenReader(fsys, name, src, pager.Config{
+// OpenReader opens a read-only connection over the committed state of
+// the database a file-system snapshot pinned — page reads resolve
+// through the X-FTL version set pinned at its open — so the connection
+// sees that state no matter what a concurrent writer commits afterwards.
+// The snapshot stays owned by the caller (close it after closing the
+// DB). Any write statement fails with pager.ErrReadOnly.
+func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (*DB, error) {
+	p, err := pager.OpenReader(fsys, name, snap, pager.Config{
 		Mode:      cfg.JournalMode,
 		CacheSize: cfg.CacheSize,
 	})

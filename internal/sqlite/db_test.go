@@ -658,7 +658,7 @@ func TestPragmas(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1)`)
 	mustExec(t, db, `PRAGMA wal_checkpoint`)
-	if db.Pager().Checkpoints == 0 {
+	if db.Pager().Checkpoints.Load() == 0 {
 		t.Error("manual checkpoint did not run")
 	}
 }
@@ -702,7 +702,7 @@ func TestWALCheckpointDuringLoad(t *testing.T) {
 	for i := 1; i <= 200; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, 'value')`, i)
 	}
-	if db.Pager().Checkpoints == 0 {
+	if db.Pager().Checkpoints.Load() == 0 {
 		t.Error("no automatic checkpoint despite small threshold")
 	}
 	rows := mustQuery(t, db, `SELECT COUNT(*) FROM t`)

@@ -22,7 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/simfs"
@@ -131,10 +131,10 @@ type Pager struct {
 	file *simfs.File // nil for a read-only pager
 	cfg  Config
 
-	// src, when set, serves every stable-storage read from a pinned
-	// committed state; the pager is then read-only (Write, Allocate and
-	// Free fail with ErrReadOnly) and file is nil.
-	src PageSource
+	// snap, when set, serves every stable-storage read from the committed
+	// state a file-system snapshot pinned; the pager is then read-only
+	// (Write, Allocate and Free fail with ErrReadOnly) and file is nil.
+	snap *simfs.Snapshot
 
 	cache map[Pgno]*Page
 
@@ -197,25 +197,13 @@ type Pager struct {
 	walHead   int64          // next wal file page to write
 	ckptAccum int64          // wal pages since last checkpoint
 
-	// WAL concurrent-reader state. walMu makes the committed frame
-	// index (and the checkpoint that rewrites what it points at) atomic
-	// with respect to CaptureWALView, the one consumer on a foreign
-	// goroutine; walReaders counts live views, which veto checkpoints —
-	// a checkpoint overwrites database pages in place and truncates the
-	// log, either of which would tear a captured view.
-	walMu      sync.Mutex
-	walReaders int
-
 	// Stats.
-	Commits     int64
-	Rollbacks   int64
-	Checkpoints int64
+	Commits   int64
+	Rollbacks int64
+	// Checkpoints is atomic so a metrics scrape can sample it mid-run.
+	Checkpoints atomic.Int64
 	// JournalPlaybacks counts hot rollback journals played back at Open.
 	JournalPlaybacks int64
-	// CkptDeferred counts checkpoints skipped because reader views were
-	// live; the trigger re-arms on the next commit. Guarded by walMu,
-	// like Checkpoints, so gauges can sample it mid-run.
-	CkptDeferred int64
 
 	txStart time.Duration // virtual time of Begin, for the KTxn span
 }
@@ -224,11 +212,11 @@ type Pager struct {
 func (p *Pager) tracer() *trace.Tracer { return p.fs.Tracer() }
 
 // sess reports the session id this pager's I/O is attributed to: the
-// file system's current context for a writer, the source's reader's for
-// a read-only pager.
+// file system's current context for a writer, the snapshot's for a
+// read-only pager.
 func (p *Pager) sess() uint64 {
-	if p.src != nil {
-		return p.src.Reader().Session()
+	if p.snap != nil {
+		return p.snap.Session()
 	}
 	return p.fs.IOSession()
 }
@@ -282,140 +270,21 @@ func Open(fsys *simfs.FS, name string, cfg Config) (*Pager, error) {
 	return p, nil
 }
 
-// PageSource is one committed state of a database, pinned for a
-// read-only pager: it hides how a page number resolves to a device page
-// — through a file-system snapshot's inode image (SnapshotSource) or a
-// captured WAL frame index (WALView) — and exposes the simfs.Reader its
-// reads go through, for the owning session's I/O context.
-type PageSource interface {
-	// ReadPage reads database page pgno into buf; pages the pinned state
-	// does not hold read as zeros.
-	ReadPage(pgno Pgno, buf []byte) error
-	// Empty reports that the pinned state holds no database at all.
-	Empty() bool
-	Reader() *simfs.Reader
-}
-
 // OpenReader opens a read-only pager whose every stable-storage read is
-// served from src: the database exactly as of the source's commit
-// point, unaffected by any concurrent writer, with the cache warming
-// against immutable state. No recovery runs — a source is committed
+// served from snap: the database exactly as of the snapshot's commit
+// point — every page resolves through the X-FTL version set pinned at
+// its open — unaffected by any concurrent writer, with the cache warming
+// against immutable state. No recovery runs — a snapshot is committed
 // state by construction — and nothing is ever journaled; cfg.Mode only
-// labels the connection. The source's lifetime is owned by the caller;
+// labels the connection. The snapshot's lifetime is owned by the caller;
 // Close does not release it.
-func OpenReader(fsys *simfs.FS, name string, src PageSource, cfg Config) (*Pager, error) {
+func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (*Pager, error) {
 	p := newPager(fsys, name, cfg)
-	p.src = src
+	p.snap = snap
 	if err := p.loadHeader(); err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// snapSource serves a database file's pages from a file-system
-// snapshot.
-type snapSource struct {
-	snap *simfs.Snapshot
-	name string
-}
-
-// SnapshotSource is the named database file as of a file-system
-// snapshot: every page resolves through the X-FTL version set pinned at
-// the snapshot's open.
-func SnapshotSource(snap *simfs.Snapshot, name string) PageSource {
-	return &snapSource{snap: snap, name: name}
-}
-
-func (s *snapSource) ReadPage(pgno Pgno, buf []byte) error {
-	if int64(pgno-1) >= s.snap.Pages(s.name) {
-		clear(buf)
-		return nil
-	}
-	return s.snap.ReadPage(s.name, int64(pgno-1), buf)
-}
-
-func (s *snapSource) Empty() bool           { return s.snap.Pages(s.name) == 0 }
-func (s *snapSource) Reader() *simfs.Reader { return s.snap.Reader() }
-
-// WALView is an immutable committed snapshot of a WAL-mode database:
-// the committed frame index plus the device page tables of the
-// database and log files, captured atomically against the writer's
-// commit path. A view reads the last committed transaction as of its
-// capture — later commits only append frames and update the live
-// index, never touching what the view references — and it holds off
-// checkpoints (which WOULD touch them) until closed. Views cost no
-// device pinning: unlike X-FTL snapshots, the referenced pages stay
-// current mappings for the view's whole lifetime.
-type WALView struct {
-	pager  *Pager
-	db     []int64        // database file page table at capture
-	wal    []int64        // log file page table at capture
-	idx    map[Pgno]int64 // committed pgno -> wal frame at capture
-	rd     *simfs.Reader
-	closed bool
-}
-
-// CaptureWALView pins the committed WAL state for a concurrent reader.
-// Safe to call from any goroutine while the writer runs; only the
-// short index-copy critical section serializes with commits.
-func (p *Pager) CaptureWALView() (*WALView, error) {
-	if p.cfg.Mode != WAL {
-		return nil, fmt.Errorf("pager: WAL views need WAL mode, have %v", p.cfg.Mode)
-	}
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	idx := make(map[Pgno]int64, len(p.walIndex))
-	for pgno, frame := range p.walIndex {
-		idx[pgno] = frame
-	}
-	db, _ := p.fs.FileImage(p.name)
-	wal, _ := p.fs.FileImage(p.walName())
-	p.walReaders++
-	return &WALView{pager: p, db: db, wal: wal, idx: idx, rd: p.fs.NewReader()}, nil
-}
-
-// Close lets the writer checkpoint again once no views remain. Closing
-// twice is a no-op.
-func (v *WALView) Close() error {
-	if v.closed {
-		return nil
-	}
-	v.closed = true
-	v.pager.walMu.Lock()
-	v.pager.walReaders--
-	v.pager.walMu.Unlock()
-	return nil
-}
-
-// Reader exposes the reader the view's page reads go through.
-func (v *WALView) Reader() *simfs.Reader { return v.rd }
-
-// Empty reports whether the view holds no committed database at all.
-func (v *WALView) Empty() bool {
-	if len(v.db) > 0 {
-		return false
-	}
-	_, ok := v.idx[1]
-	return !ok
-}
-
-// ReadPage serves one database page from the view: the committed WAL
-// frame if the page was in the log at capture, the database file page
-// otherwise, zeros for holes.
-func (v *WALView) ReadPage(pgno Pgno, buf []byte) error {
-	if frame, ok := v.idx[pgno]; ok {
-		if frame >= int64(len(v.wal)) || v.wal[frame] < 0 {
-			return fmt.Errorf("%w: wal frame %d outside captured log (%d pages)", ErrCorrupt, frame, len(v.wal))
-		}
-		return v.rd.ReadLPN(v.wal[frame], buf)
-	}
-	if int64(pgno-1) < int64(len(v.db)) {
-		if lpn := v.db[pgno-1]; lpn >= 0 {
-			return v.rd.ReadLPN(lpn, buf)
-		}
-	}
-	clear(buf)
-	return nil
 }
 
 // Name returns the database file name.
@@ -453,8 +322,8 @@ func (p *Pager) walName() string { return p.name + "-wal" }
 // empty.
 func (p *Pager) loadHeader() error {
 	var fresh bool
-	if p.src != nil {
-		fresh = p.src.Empty()
+	if p.snap != nil {
+		fresh = p.snap.Pages(p.name) == 0
 	} else {
 		fresh = p.file.Pages() == 0
 	}
@@ -514,11 +383,17 @@ func (p *Pager) dirtyHeader() error {
 	return nil
 }
 
-// readDBPage fetches a page image from stable storage, consulting the
-// WAL first in WAL mode (the paper's "reading the two files" overhead).
+// readDBPage fetches a page image from stable storage: as the snapshot
+// pinned it for a read-only pager, else consulting the WAL first in WAL
+// mode (the paper's "reading the two files" overhead). Pages past the
+// end of the file read as zeros.
 func (p *Pager) readDBPage(pgno Pgno, buf []byte) error {
-	if p.src != nil {
-		return p.src.ReadPage(pgno, buf)
+	if p.snap != nil {
+		if int64(pgno-1) >= p.snap.Pages(p.name) {
+			clear(buf)
+			return nil
+		}
+		return p.snap.ReadPage(p.name, int64(pgno-1), buf)
 	}
 	if p.cfg.Mode == WAL {
 		if idx, ok := p.txFrames[pgno]; ok {
@@ -724,7 +599,7 @@ func (p *Pager) Write(pg *Page) error {
 	if !p.inTx {
 		return ErrNoTx
 	}
-	if p.src != nil {
+	if p.snap != nil {
 		return ErrReadOnly
 	}
 	if p.cfg.Mode == Rollback {
@@ -773,7 +648,7 @@ func (p *Pager) Allocate() (*Page, error) {
 	if !p.inTx {
 		return nil, ErrNoTx
 	}
-	if p.src != nil {
+	if p.snap != nil {
 		return nil, ErrReadOnly
 	}
 	var pgno Pgno
@@ -818,7 +693,7 @@ func (p *Pager) Free(pgno Pgno) error {
 	if pgno <= 1 || pgno > p.nPages {
 		return fmt.Errorf("%w: free %d", ErrBadPgno, pgno)
 	}
-	if p.src != nil {
+	if p.snap != nil {
 		return ErrReadOnly
 	}
 	if len(p.freelist) < maxFreelist {
@@ -960,9 +835,8 @@ func (p *Pager) attachWAL() error {
 			}
 		}
 		// The paper measures WAL restart time as the cost of copying
-		// the committed pages back into the database (§6.4). No views
-		// can exist at open, so the checkpoint runs unguarded.
-		if err := p.checkpointLocked(); err != nil {
+		// the committed pages back into the database (§6.4).
+		if err := p.checkpoint(); err != nil {
 			return err
 		}
 	}
@@ -1092,34 +966,20 @@ func (p *Pager) commitWAL() error {
 	if err := p.walFile.Fsync(); err != nil {
 		return err
 	}
-	// The committed-index publish and the checkpoint decision run under
-	// walMu: a concurrent view capture sees the whole commit or none of
-	// it, and never runs during a checkpoint's in-place rewrites. The
-	// frames are device-durable before the index update (the Fsync
-	// above), so every indexed frame a view copies is safely readable.
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
 	for pgno, frame := range p.txFrames {
 		p.walIndex[pgno] = frame
 	}
 	p.ckptAccum += int64(len(p.txFrames)) + 1
 	p.txFrames = nil
 	if p.ckptAccum >= p.cfg.CheckpointPages {
-		if p.walReaders > 0 {
-			// A live view still references pre-checkpoint database pages
-			// and log frames; retry at the next commit.
-			p.CkptDeferred++
-			return nil
-		}
-		return p.checkpointLocked()
+		return p.checkpoint()
 	}
 	return nil
 }
 
-// checkpointLocked copies the latest committed version of every page in
-// the WAL into the database file, fsyncs it, and resets the log. Caller
-// holds walMu (or is single-threaded at open) with no views live.
-func (p *Pager) checkpointLocked() error {
+// checkpoint copies the latest committed version of every page in the
+// WAL into the database file, fsyncs it, and resets the log.
+func (p *Pager) checkpoint() error {
 	if len(p.walIndex) == 0 {
 		p.ckptAccum = 0
 		return nil
@@ -1149,32 +1009,24 @@ func (p *Pager) checkpointLocked() error {
 	p.walIndex = make(map[Pgno]int64)
 	p.walHead = 0
 	p.ckptAccum = 0
-	p.Checkpoints++
+	p.Checkpoints.Add(1)
 	return nil
 }
 
 // Checkpoint forces a WAL checkpoint outside the automatic threshold.
-// Call from the writer's goroutine; with reader views live it defers,
-// like the automatic trigger.
+// Call from the writer's goroutine.
 func (p *Pager) Checkpoint() error {
 	if p.cfg.Mode != WAL {
 		return nil
 	}
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	if p.walReaders > 0 {
-		p.CkptDeferred++
-		return nil
-	}
-	return p.checkpointLocked()
+	return p.checkpoint()
 }
 
-// WALStats samples the checkpoint counters (walMu-consistent, safe
-// mid-run from any goroutine).
+// WALStats samples the checkpoint count; safe mid-run from any
+// goroutine. The second result is always 0: no reader defers a
+// checkpoint any more.
 func (p *Pager) WALStats() (checkpoints, deferred int64) {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	return p.Checkpoints, p.CkptDeferred
+	return p.Checkpoints.Load(), 0
 }
 
 func (p *Pager) commitOff() error {

@@ -443,7 +443,7 @@ func TestWALCheckpointMovesPagesToDB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.Checkpoints == 0 {
+	if p.Checkpoints.Load() == 0 {
 		t.Error("no checkpoint occurred despite exceeding the threshold")
 	}
 	if got := e.host.Snapshot().DBWrites; got == 0 {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mvcc"
-	"repro/internal/simfs"
 	"repro/internal/sqlite/pager"
 )
 
@@ -47,7 +46,7 @@ const (
 
 func (g groupRun) run(seed int64) (*Report, error) {
 	opts := mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off, CacheSize: groupCache, Pipelined: true}
-	dev, fsys, mgr, err := sessionStack(simfs.OffXFTL, opts)
+	dev, fsys, mgr, err := sessionStack(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -23,18 +23,16 @@ import (
 // the model's snapshot rule is "never a torn snapshot" — which takes a
 // table of several leaf pages to be observable at all.
 //
-// Three legs share it. The MVCC leg reads through X-FTL snapshots and
+// Two legs share it. The MVCC leg reads through X-FTL snapshots and
 // reopens the database after the cut. The pooled leg serves readers from
 // the warm connection pool and keeps the SAME manager across the
 // remount: the pool's power-cut epoch must invalidate every pre-cut
 // connection on the first post-recovery checkout, or a reader is served
-// a pre-crash cache. The WAL leg is the concurrent-reader baseline:
-// captured log views live when power dies, recovery by log replay.
+// a pre-crash cache.
 type sessionRun struct {
 	txns   int   // generations the writer tries to commit
 	cut    int64 // one power cut 1..cut NAND operations ahead; 0 = none
 	pooled bool
-	wal    bool
 }
 
 const (
@@ -46,15 +44,11 @@ const (
 )
 
 func (s sessionRun) run(seed int64) (*Report, error) {
-	// The WAL baseline runs on a plain ordered-mode stack.
-	fsMode, opts := simfs.OffXFTL, mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off, CacheSize: 32}
-	if s.wal {
-		fsMode, opts = simfs.Ordered, mvcc.Options{Mode: mvcc.WALConc, Journal: pager.WAL, CacheSize: 32}
-	}
+	opts := mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off, CacheSize: 32}
 	if s.pooled {
 		opts.PoolCapacity = sessionReaders
 	}
-	dev, fsys, mgr, err := sessionStack(fsMode, opts)
+	dev, fsys, mgr, err := sessionStack(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -93,17 +87,6 @@ func (s sessionRun) run(seed int64) (*Report, error) {
 		}
 		mgr = reopened
 	}
-	if s.wal {
-		// The writer connection's pager is the one that replayed the log.
-		w, err := mgr.Begin(false)
-		if err != nil {
-			return rep, fmt.Errorf("post-recovery begin: %w", err)
-		}
-		rep.WALReplays, _ = w.DB().Pager().WALStats()
-		if err := w.Rollback(); err != nil {
-			return rep, err
-		}
-	}
 	got, err := readKV(mgr, nil)
 	if err != nil {
 		return rep, fmt.Errorf("post-recovery read: %w", err)
@@ -131,13 +114,14 @@ func (s sessionRun) run(seed int64) (*Report, error) {
 }
 
 // sessionStack is what the session and group legs run on: the SQL legs'
-// device, a file system in that mode and a session manager over kv.db.
-func sessionStack(fsMode simfs.JournalMode, opts mvcc.Options) (*storage.Device, *simfs.FS, *mvcc.Manager, error) {
-	dev, err := storage.New(sqlProfile(), simclock.New(), storage.Options{Transactional: fsMode == simfs.OffXFTL, QueueDepth: 16})
+// transactional device, an X-FTL file system and a session manager over
+// kv.db.
+func sessionStack(opts mvcc.Options) (*storage.Device, *simfs.FS, *mvcc.Manager, error) {
+	dev, err := storage.New(sqlProfile(), simclock.New(), storage.Options{Transactional: true, QueueDepth: 16})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: fsMode}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.OffXFTL}, &metrics.HostCounters{})
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -15,9 +15,8 @@ func noCut(t *testing.T, s sessionRun) {
 	}
 }
 
-func TestMVCCTortureNoCut(t *testing.T)    { noCut(t, sessionRun{}) }
-func TestPooledTortureNoCut(t *testing.T)  { noCut(t, sessionRun{pooled: true}) }
-func TestWALConcTortureNoCut(t *testing.T) { noCut(t, sessionRun{wal: true}) }
+func TestMVCCTortureNoCut(t *testing.T)   { noCut(t, sessionRun{}) }
+func TestPooledTortureNoCut(t *testing.T) { noCut(t, sessionRun{pooled: true}) }
 
 // Mid-run power cuts across seeds: after recovery the database must
 // read as the last committed or the in-doubt generation, whole.
@@ -27,10 +26,6 @@ func TestMVCCTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "mvcc session
 // remount and every pre-cut pooled connection must be invalidated on
 // the first post-recovery checkout.
 func TestPooledTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "mvcc pooled")) }
-
-// Power cut with WAL readers live: log replay on reopen must land on
-// the last committed (or in-doubt) generation.
-func TestWALConcTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "wal readers")) }
 
 // Writers committing in groups, rollbacks and a page-stealing writer among
 // them: without a cut every acknowledged transaction is there at the end;

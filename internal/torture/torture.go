@@ -323,18 +323,13 @@ func Legs(faults float64) []Leg {
 		})
 	}
 	for _, s := range []struct {
-		name string
-		run  sessionRun
-		path string // what the leg's readers, or its recovery, must have gone through
-	}{
-		{"mvcc sessions", sessionRun{cut: sessionCut}, "snapold"},
-		{"mvcc pooled", sessionRun{cut: sessionCut, pooled: true}, "snapold"},
-		{"wal readers", sessionRun{cut: sessionCut, wal: true}, "wal"},
-	} {
-		s.run.txns = 60
+		name   string
+		pooled bool
+	}{{"mvcc sessions", false}, {"mvcc pooled", true}} {
+		run := sessionRun{txns: 60, cut: sessionCut, pooled: s.pooled}
 		legs = append(legs, Leg{
-			Name: s.name, Seeds: six, Quick: 2, Cells: []Cell{{fmt.Sprintf("cut=%d", sessionCut), s.run.run}},
-			Needs: []string{"crashes", "committed", s.path},
+			Name: s.name, Seeds: six, Quick: 2, Cells: []Cell{{fmt.Sprintf("cut=%d", sessionCut), run.run}},
+			Needs: []string{"crashes", "committed", "snapold"},
 		})
 	}
 	var groups []Cell

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/metrics"
 	"repro/internal/mvcc"
 	"repro/internal/sqlite"
 	"repro/internal/sqlite/pager"
@@ -62,7 +61,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 			if err := w.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			var rdr *metrics.IOStats
+			readers := map[uint64]bool{}
 			for i := 0; i < 4; i++ {
 				w, err := mgr.Begin(false)
 				if err != nil {
@@ -79,11 +78,14 @@ func TestTraceMatchesCounters(t *testing.T) {
 				}
 				// A reader session between writer transactions: snapshot
 				// reads in MVCC mode, lock-serialized reads in the control.
-				rdr = &metrics.IOStats{}
-				r, err := mgr.BeginWith(true, rdr, mvcc.Unbounded)
+				r, err := mgr.Begin(true)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if r.ID() == 0 {
+					t.Error("reader session was not assigned a session id")
+				}
+				readers[r.ID()] = true
 				if _, _, err := r.QueryRow("SELECT v FROM t WHERE k = ?", int64(i)); err != nil {
 					t.Fatal(err)
 				}
@@ -99,8 +101,12 @@ func TestTraceMatchesCounters(t *testing.T) {
 
 			counts := map[trace.Kind]int64{}
 			writeClass := map[int64]int64{}
+			var readerReads int64
 			for _, ev := range tr.Events() {
 				counts[ev.Kind]++
+				if ev.Kind == trace.KFSRead && readers[ev.Sess] {
+					readerReads++
+				}
 				if ev.Kind == trace.KFSWrite {
 					writeClass[ev.Aux]++
 				}
@@ -128,15 +134,12 @@ func TestTraceMatchesCounters(t *testing.T) {
 					t.Errorf("no %v events recorded", k)
 				}
 			}
-			// Per-session attribution reached the reader's IOStats. Only
+			// The reader sessions' page reads carry their session ids. Only
 			// the snapshot arm is guaranteed device reads: the serialized
 			// control shares the writer's page cache, so its SELECT may
 			// be served without touching storage.
-			if tc.mvcc == mvcc.MVCC && rdr.Host.Reads.Load() == 0 {
-				t.Error("reader session recorded no attributed reads")
-			}
-			if rdr.ID == 0 {
-				t.Error("reader IOStats was not assigned a session id")
+			if tc.mvcc == mvcc.MVCC && readerReads == 0 {
+				t.Error("no page read carries a reader session's id")
 			}
 			// Every NCQ command carries a complete lifecycle: dispatch
 			// inside the submit..complete span.
