@@ -81,8 +81,8 @@ type Options struct {
 	Pipelined bool
 	// PoolCapacity enables the warm reader pool in MVCC mode: finished
 	// read sessions park their snapshot connection (pager cache and
-	// catalog intact) for reuse by the next reader at the same committed
-	// generation, up to this many idle connections. Zero disables
+	// catalog intact) for reuse by the next reader, advanced past the
+	// commits in between, up to this many idle connections. Zero disables
 	// pooling.
 	PoolCapacity int
 }
@@ -250,69 +250,81 @@ func (m *Manager) Begin(readonly bool) (*Session, error) {
 // Begin does. Readers in MVCC mode never block and ignore the budget.
 func (m *Manager) BeginWith(readonly bool, budget time.Duration) (*Session, error) {
 	s := &Session{m: m, db: m.db, readonly: readonly}
-	// First the session's place in the concurrency model: the exclusive
-	// lock, or a snapshot of the committed state to read beside the
-	// writer — a warm pooled connection's, or a fresh one to open a cold
-	// connection over.
-	var err error
-	switch {
-	case !readonly || m.opts.Mode == Serialized:
-		err = m.lockExclusive(budget)
-	default:
-		if s.pc = m.checkoutWarm(); s.pc != nil {
-			s.db, s.snap = s.pc.DB, s.pc.Snap
-		} else {
-			s.snap, err = m.fs.OpenSnapshot()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Then who its I/O is charged to.
-	s.id = m.nextSess.Add(1)
-	s.trStart = m.fs.Tracer().Now()
-	if s.snap == nil {
-		// Holding the exclusive lock is what makes setting the shared
-		// FS's I/O context safe: exactly one session touches the shared
-		// connection at a time.
-		m.fs.SetIOContext(s.id, m.opts.Pipelined)
-		if !readonly {
-			if err := m.db.Begin(); err != nil {
-				m.fs.ClearIOContext()
-				m.unlockExclusive()
-				return nil, err
-			}
-		}
-		return s, nil
-	}
-	s.snap.SetIOContext(s.id, m.opts.Pipelined)
-	if s.pc == nil {
-		// The cold open's catalog reads are the session's own I/O.
-		if s.db, err = sqlite.OpenReader(m.fs, m.name, s.snap, m.cfg); err != nil {
-			_ = s.snap.Close()
+	if readonly && m.opts.Mode == MVCC {
+		// A snapshot of the committed state to read beside the writer, its
+		// I/O charged to the session from the first page.
+		s.begin()
+		if err := m.openReader(s); err != nil {
 			return nil, err
 		}
-		if m.pool != nil {
-			s.pc = readpool.NewConn(s.db, s.snap)
+		m.noteSnapOpen()
+		return s, nil
+	}
+	if err := m.lockExclusive(budget); err != nil {
+		return nil, err
+	}
+	// Holding the exclusive lock is what makes setting the shared FS's I/O
+	// context safe: exactly one session touches the shared connection at a
+	// time.
+	s.begin()
+	m.fs.SetIOContext(s.id, m.opts.Pipelined)
+	if !readonly {
+		if err := m.db.Begin(); err != nil {
+			m.fs.ClearIOContext()
+			m.unlockExclusive()
+			return nil, err
 		}
 	}
-	m.noteSnapOpen()
 	return s, nil
 }
 
-// checkoutWarm takes a warm snapshot connection at the current committed
-// generation from the reader pool, nil when there is none (or no pool).
-func (m *Manager) checkoutWarm() *readpool.Conn {
-	if m.pool == nil {
+// begin gives the session its identity and the start of its trace span.
+func (s *Session) begin() {
+	s.id = s.m.nextSess.Add(1)
+	s.trStart = s.m.fs.Tracer().Now()
+}
+
+// openReader gives a read session its private connection: the reader
+// pool's warmest — advanced past the commits that landed since it was
+// parked, if any — or a cold one opened over a fresh snapshot.
+func (m *Manager) openReader(s *Session) error {
+	// A reader must see every commit that has returned, so the sequence is
+	// read before the checkout. A commit landing in between leaves the
+	// checkout one commit behind, exactly as if the reader had come a
+	// moment earlier.
+	var seq uint64
+	if m.pool != nil {
+		seq = m.fs.Device().CommitSeq()
+		s.pc = m.pool.Checkout(seq, m.fs.Epoch(), m.fs.AdvanceFloor())
+	}
+	if s.pc != nil && s.pc.Snap.Seq() >= seq {
+		s.db, s.snap = s.pc.DB, s.pc.Snap
+		s.snap.SetIOContext(s.id, m.opts.Pipelined)
 		return nil
 	}
-	// A warm connection is only valid at the CURRENT committed
-	// generation. Reading the generation first and checking out second
-	// is race-free in the useful direction: a commit that lands in
-	// between just turns this checkout into a miss at the next reader,
-	// exactly as if the snapshot had opened a moment earlier.
-	dev := m.fs.Device()
-	return m.pool.Checkout(dev.CommitSeq(), m.fs.Epoch())
+	snap, err := m.fs.OpenSnapshot()
+	if err != nil {
+		if s.pc != nil {
+			m.pool.Return(s.pc)
+		}
+		return err
+	}
+	snap.SetIOContext(s.id, m.opts.Pipelined)
+	s.snap = snap
+	if s.pc != nil && m.pool.Advance(s.pc, m.fs, snap) {
+		s.db = s.pc.DB
+		return nil
+	}
+	s.pc = nil
+	// The cold open's catalog reads are the session's own I/O.
+	if s.db, err = sqlite.OpenReader(m.fs, m.name, snap, m.cfg); err != nil {
+		_ = snap.Close()
+		return err
+	}
+	if m.pool != nil {
+		s.pc = readpool.NewConn(s.db, snap)
+	}
+	return nil
 }
 
 // noteSnapOpen counts a snapshot reader in and maintains the high-water
@@ -490,7 +502,7 @@ func (s *Session) Rollback() error {
 
 // endReader finishes a session that owns a private reader connection:
 // a pooled reader parks it warm for the next reader (the pool closes it
-// instead if the committed generation moved on); any other tears the
+// instead once the change log can no longer advance it); any other tears the
 // connection down, then closes its snapshot so GC can reclaim the
 // versions it pinned.
 func (s *Session) endReader() error {
@@ -622,8 +634,9 @@ func (m *Manager) Register(reg *metrics.Registry, shard string) {
 	if m.pool != nil {
 		reg.Counter("xftl_readpool_hits_total", "Read sessions served from a warm pooled connection.", func() int64 { return m.pool.Stats().Hits }, kv...)
 		reg.Counter("xftl_readpool_misses_total", "Read sessions that had to cold-open.", func() int64 { return m.pool.Stats().Misses }, kv...)
+		reg.Counter("xftl_readpool_advances_total", "Warm connections advanced past later commits instead of cold-opened.", func() int64 { return m.pool.Stats().Advances }, kv...)
 		reg.Counter("xftl_readpool_evictions_total", "Pooled connections dropped for capacity.", func() int64 { return m.pool.Stats().Evictions }, kv...)
-		reg.Counter("xftl_readpool_invalidations_total", "Pooled connections dropped because the committed generation moved.", func() int64 { return m.pool.Stats().Invalidations }, kv...)
+		reg.Counter("xftl_readpool_invalidations_total", "Pooled connections closed because the change log could not advance them (power cut, file resized, or older than the log).", func() int64 { return m.pool.Stats().Invalidations }, kv...)
 		reg.Gauge("xftl_readpool_idle", "Warm connections currently pooled.", func() int64 { return int64(m.pool.Idle()) }, kv...)
 	}
 	if m.opts.Journal == pager.WAL {

@@ -1,7 +1,10 @@
 package mvcc
 
 import (
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/metrics"
@@ -52,48 +55,156 @@ func TestPooledReadersReuseWarmConnection(t *testing.T) {
 	}
 }
 
-// A commit between reads invalidates the pooled connection: the next
-// reader cold-opens and sees the new state — a warm hit must never
-// serve a stale generation.
-func TestPooledReaderInvalidatedByCommit(t *testing.T) {
-	m := newPooledManager(t, 4)
-	seed(t, m, 4, 10)
-
+// readOnce runs one read session and returns every value it saw.
+func readOnce(t *testing.T, m *Manager) []int64 {
+	t.Helper()
 	r, err := m.Begin(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	readAll(t, r)
+	vs := readAll(t, r)
 	if err := r.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	return vs
+}
 
+// write runs one write session.
+func write(t *testing.T, m *Manager, sql string, args ...any) {
+	t.Helper()
 	w, err := m.Begin(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Exec("UPDATE kv SET v = 20"); err != nil {
+	if _, err := w.Exec(sql, args...); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	r2, err := m.Begin(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range readAll(t, r2) {
+// A commit between reads does not cost the pooled connection: the next
+// reader gets it advanced past the commit and sees the new state — a warm
+// hit must never serve a stale generation.
+func TestPooledReaderAdvancedByCommit(t *testing.T) {
+	m := newPooledManager(t, 4)
+	seed(t, m, 4, 10)
+
+	readOnce(t, m)
+	write(t, m, "UPDATE kv SET v = 20")
+	for _, v := range readOnce(t, m) {
 		if v != 20 {
 			t.Fatalf("post-commit pooled reader: got %d, want 20", v)
 		}
 	}
-	if err := r2.Commit(); err != nil {
+	if st, _ := m.PoolStats(); st.Hits != 1 || st.Misses != 1 || st.Advances != 1 || st.Invalidations != 0 {
+		t.Fatalf("pool stats = %+v, want the second reader advanced (1 hit, 1 advance), nothing closed", st)
+	}
+}
+
+// A commit that grows the file is one the change log cannot advance a
+// connection past: the pooled connection is closed and the next reader
+// cold-opens, seeing every new row.
+func TestPooledReaderColdOpensAfterGrowth(t *testing.T) {
+	m := newPooledManager(t, 4)
+	seed(t, m, 4, 10)
+
+	readOnce(t, m)
+	pages := m.db.Pager().NPages()
+	w, err := m.Begin(false)
+	if err != nil {
 		t.Fatal(err)
 	}
+	want := 4
+	for ; m.db.Pager().NPages() == pages; want++ {
+		if _, err := w.Exec("INSERT INTO kv (k, v) VALUES (?, 10)", want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readOnce(t, m); len(got) != want {
+		t.Fatalf("reader after growth saw %d rows, want %d", len(got), want)
+	}
+	if st, _ := m.PoolStats(); st.Misses != 2 || st.Invalidations != 1 || st.Advances != 0 {
+		t.Fatalf("pool stats = %+v, want the grown file cold-opened (2 misses, 1 invalidation)", st)
+	}
+}
+
+// Readers advancing pooled connections while a writer commits beside
+// them: no reader sees a torn table or one older than the last commit
+// that returned before it began. Run it under -race: the change log is
+// written at the writer's commit point and read by every advance.
+func TestPooledReadersAdvanceBesideWriter(t *testing.T) {
+	m := newPooledManager(t, 4)
+	const rows, gens, readers = 200, 60, 4 // a few leaves of 1 KB
+	seed(t, m, rows, 0)
+	var committed atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for g := int64(1); g <= gens; g++ {
+			w, err := m.Begin(false)
+			if err == nil {
+				_, err = w.Exec("UPDATE kv SET v = ?", g)
+				if err == nil {
+					err = w.Commit()
+				} else {
+					_ = w.Rollback()
+				}
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			committed.Store(g)
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for committed.Load() < gens {
+				floor := committed.Load()
+				r, err := m.Begin(true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rs, err := r.Query("SELECT v FROM kv")
+				_ = r.Commit()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rs.Len() != rows {
+					t.Errorf("reader saw %d rows, want %d", rs.Len(), rows)
+					return
+				}
+				g := rs.Data[0][0].Int()
+				for _, row := range rs.Data {
+					if row[0].Int() != g {
+						t.Errorf("torn read: generations %d and %d in one snapshot", g, row[0].Int())
+						return
+					}
+				}
+				if g < floor {
+					t.Errorf("reader saw generation %d after %d had committed", g, floor)
+					return
+				}
+				runtime.Gosched() // on one processor the writer must get its turn
+			}
+		}()
+	}
+	wg.Wait()
 	st, _ := m.PoolStats()
-	if st.Invalidations == 0 {
-		t.Fatalf("commit did not invalidate the pool: %+v", st)
+	t.Logf("pool stats %+v", st)
+	if st.Advances == 0 {
+		t.Error("no reader was advanced past a commit")
 	}
 }
 
@@ -132,7 +243,7 @@ func TestManagerGaugesExported(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m.Register(reg, "3")
 	if missing := missingGauges(reg, "xftl_readpool_hits_total", "xftl_readpool_misses_total",
-		"xftl_readpool_evictions_total", "xftl_readpool_invalidations_total", "xftl_readpool_idle"); len(missing) > 0 {
+		"xftl_readpool_advances_total", "xftl_readpool_evictions_total", "xftl_readpool_invalidations_total", "xftl_readpool_idle"); len(missing) > 0 {
 		t.Errorf("gauges not registered: %v", missing)
 	}
 }

@@ -20,6 +20,39 @@ func allocsAndBytesPerRun(runs int, f func()) (allocs, bytes float64) {
 	return float64(b.Mallocs-a.Mallocs) / float64(runs), float64(b.TotalAlloc-a.TotalAlloc) / float64(runs)
 }
 
+// Logging a commit's pages for ChangesSince costs the commit path
+// nothing: an OffXFTL overwrite of five pages and its fsync allocate no
+// object, as before the log existed — the log is two fixed rings. (Not
+// under -race: the race runtime allocates.)
+func TestLoggedCommitAllocs(t *testing.T) {
+	fs, _ := newFS(t, OffXFTL)
+	f, err := fs.Create("hot.db", RoleData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := fsPage(fs, 2)
+	round := func() {
+		for idx := int64(0); idx < 5; idx++ {
+			if err := f.WritePage(idx, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Fsync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(300, round); allocs != 0 {
+		t.Errorf("overwrite + fsync allocates %.1f objects, want 0", allocs)
+	}
+	seq := fs.Device().CommitSeq()
+	if got, ok := fs.ChangesSince(nil, "hot.db", seq-1, seq); !ok || len(got) != 5 {
+		t.Errorf("the measured commits were not logged: %v, %v", got, ok)
+	}
+}
+
 // The commit point re-images only files whose page table changed, and
 // the write-back cache recycles its pages: five overwrites and an fsync
 // cost the same allocations whether the file system also holds a

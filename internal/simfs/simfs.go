@@ -197,6 +197,9 @@ type FS struct {
 	nextTid uint64
 	mounted bool
 
+	// log names the file pages each OffXFTL commit wrote (changelog.go).
+	log changeLog
+
 	// Writer-path I/O attribution, under wmu. One mutating session at a
 	// time (serialized by mvcc.Manager or the caller) sets it for its
 	// turn; readers carry their own context on their Snapshot.
@@ -591,6 +594,7 @@ func (fs *FS) PowerCut() {
 	defer fs.wmu.Unlock()
 	fs.epoch.Add(1)
 	fs.mounted = false
+	fs.clearLog()
 	fs.dev.PowerCut()
 }
 
@@ -847,7 +851,11 @@ func (f *File) writeData(idx int64, data []byte) error {
 		r.Op, r.TID = ncq.OpWriteTx, f.tidFor()
 	}
 	f.fs.noteWrite(f.writeClass(), lpn, r.TID)
-	return f.fs.submit(r)
+	err = f.fs.submit(r)
+	if err == nil && r.TID != 0 {
+		f.fs.noteTxWrite(r.TID, f.ino.name, idx)
+	}
+	return err
 }
 
 // writeBackSome evicts the oldest n dirty pages (cache pressure). In
@@ -1007,15 +1015,18 @@ func (f *File) fsync() error {
 			// suffices for durability.
 			return f.fs.barrier()
 		}
-		// The device commit and the persisted-image update form the
-		// commit point; fs.mu keeps a concurrent OpenSnapshot from
-		// pairing the new device state with the old namespace image.
+		// The device commit, its change record and the persisted-image
+		// update form the commit point; fs.mu keeps a concurrent
+		// OpenSnapshot from pairing the new device state with the old
+		// namespace image, or ChangesSince from missing the record.
 		f.fs.mu.Lock()
 		defer f.fs.mu.Unlock()
+		before := f.fs.dev.CommitSeq()
 		if err := f.fs.submit(ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
 			return err
 		}
 		f.tid = 0
+		f.fs.logCommit(tid, before)
 		f.fs.commitPoint()
 		return nil
 	default:
@@ -1123,6 +1134,7 @@ func (fs *FS) resolveInDoubt(tid uint64, commit bool) error {
 		return err
 	}
 	delete(fs.prepared, tid)
+	fs.takeTxWrites(tid, false) // a resolution logs no record
 	// Reconcile exactly the prepared group's files; every other file on
 	// this file system keeps whatever state its own commits established.
 	for name, img := range prep.images {
@@ -1204,6 +1216,7 @@ func (f *File) Abort() error {
 		if err := f.fs.submit(ncq.Request{Op: ncq.OpAbort, TID: f.tid}); err != nil {
 			return err
 		}
+		f.fs.takeTxWrites(f.tid, false)
 		f.tid = 0
 	}
 	// Revert inode growth performed by the aborted window.

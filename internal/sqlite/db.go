@@ -67,6 +67,20 @@ func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (
 	return attach(fsys, name, p)
 }
 
+// Advance moves a read-only connection on to snap, a later snapshot of its
+// database at the same size, keeping what the commits in between did not
+// change: changed lists the file pages they wrote (simfs.FS.ChangesSince),
+// and only those leave the pager cache. Every schema statement writes page
+// 1, so only when page 1 is among them does the catalog reload and every
+// statement compile again.
+func (db *DB) Advance(snap *simfs.Snapshot, changed []int64) error {
+	header, err := db.pg.Advance(snap, changed)
+	if header && err == nil {
+		err = db.cat.reset()
+	}
+	return err
+}
+
 // attach loads the catalog through a freshly opened pager and wraps the
 // pair in a connection.
 func attach(fsys *simfs.FS, name string, p *pager.Pager) (*DB, error) {

@@ -287,6 +287,35 @@ func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (
 	return p, nil
 }
 
+// Advance moves a read-only pager on to snap, a later snapshot of the same
+// database at the same size, keeping its cache: changed lists the file
+// pages (0-based, as simfs.FS.ChangesSince names them) the commits in
+// between wrote, and only those leave the cache — every other page reads
+// the same in both snapshots. If page 1 is among them the header is read
+// again, and header reports it. The pager must hold no page pinned.
+func (p *Pager) Advance(snap *simfs.Snapshot, changed []int64) (header bool, err error) {
+	p.snap = snap
+	for _, idx := range changed {
+		pgno := Pgno(idx + 1)
+		header = header || pgno == 1
+		if pg := p.cache[pgno]; pg != nil {
+			if p.spare == nil {
+				p.spare = pg.data
+			}
+			p.dropCached(pgno)
+		}
+	}
+	if !header {
+		return false, nil
+	}
+	pg, err := p.Get(1)
+	if err == nil {
+		err = p.decodeHeader(pg.data)
+		pg.Release()
+	}
+	return true, err
+}
+
 // Name returns the database file name.
 func (p *Pager) Name() string { return p.name }
 
