@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ftl"
+	"repro/internal/nand"
 )
 
 func snapReadByte(t *testing.T, x *XFTL, id SnapID, lpn ftl.LPN) byte {
@@ -147,6 +148,38 @@ func TestSnapshotSurvivesTrim(t *testing.T) {
 	}
 	if err := x.CloseSnapshot(snap); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A superseded version gives its payload back to the chip only when no
+// snapshot can read it: while the snapshot that pins it is open it still
+// reads through SnapshotRead after the commit, and only the close's
+// compaction (ReleaseOrphan) discards it.
+func TestPinnedVersionDiscardedOnlyAfterClose(t *testing.T) {
+	x, _ := newTestXFTL(t)
+	commitPage(t, x, 1, 5, 0xAA)
+	old := x.base.Mapping(5)
+	snap, err := x.OpenSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPage(t, x, 2, 5, 0xBB)
+	if got := snapReadByte(t, x, snap, 5); got != 0xAA {
+		t.Fatalf("snapshot read after commit: got %#x, want 0xAA", got)
+	}
+	chip := x.base.Chip()
+	buf := make([]byte, x.PageSize())
+	if err := chip.ReadPage(old, buf); err != nil || buf[0] != 0xAA {
+		t.Fatalf("pinned ppn %d reads %#x, %v; want 0xAA", old, buf[0], err)
+	}
+	if err := x.CloseSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := chip.State(old); st != nand.PageInvalid {
+		t.Fatalf("released ppn %d is %v, want invalid", old, st)
+	}
+	if err := chip.ReadPage(old, buf); !errors.Is(err, nand.ErrDiscarded) {
+		t.Fatalf("read of released ppn %d = %v, want ErrDiscarded", old, err)
 	}
 }
 

@@ -570,8 +570,18 @@ func (f *FTL) retire(lpn LPN, old nand.PPN) {
 	if f.hook != nil && f.hook.Live(old) {
 		return // transactional layer still references it
 	}
-	f.rmap[old] = -1
-	_ = f.chip.Invalidate(old)
+	_ = f.discard(old)
+}
+
+// discard invalidates a data page nothing references any more and gives
+// its payload back to the chip at once: no read of a superseded data
+// page is ever issued, and the recovery scan wants only its spare
+// record. Every data-page invalidation goes through here. Meta pages
+// use plain Invalidate and keep their bytes until erase, because the
+// scan arbitrates between superseded slot chains by their payload CRC.
+func (f *FTL) discard(ppn nand.PPN) error {
+	f.rmap[ppn] = -1
+	return f.chip.Discard(ppn)
 }
 
 // InvalidatePPN abandons a raw physical page that was produced by
@@ -584,8 +594,7 @@ func (f *FTL) InvalidatePPN(ppn nand.PPN) error {
 	if lpn >= 0 && (f.l2p.get(lpn) == ppn || f.persisted.get(lpn) == ppn) {
 		return fmt.Errorf("ftl: refusing to invalidate mapped ppn %d", ppn)
 	}
-	f.rmap[ppn] = -1
-	return f.chip.Invalidate(ppn)
+	return f.discard(ppn)
 }
 
 // ReleaseOrphan invalidates a physical page whose last reference (a
@@ -604,8 +613,7 @@ func (f *FTL) ReleaseOrphan(ppn nand.PPN) {
 	if f.isLive(ppn) {
 		return
 	}
-	f.rmap[ppn] = -1
-	_ = f.chip.Invalidate(ppn)
+	_ = f.discard(ppn)
 }
 
 // allocPage returns the next free physical page at the write frontier,
@@ -876,8 +884,7 @@ func (f *FTL) relocate(old nand.PPN) error {
 		f.held = append(f.held, f.group(lpn))
 		return nil
 	}
-	f.rmap[old] = -1
-	return f.chip.Invalidate(old)
+	return f.discard(old)
 }
 
 // evacuate empties one valid page of a block being collected, retired
@@ -896,8 +903,7 @@ func (f *FTL) evacuate(ppn nand.PPN) (bool, error) {
 		f.held = append(f.held, f.group(lpn))
 		return false, nil
 	}
-	f.rmap[ppn] = -1
-	return false, f.chip.Invalidate(ppn)
+	return false, f.discard(ppn)
 }
 
 // settleHeld persists every held map group once, in ascending order.
@@ -962,8 +968,7 @@ func (f *FTL) syncGroup(g int64) {
 					// The page lost its last L2P reference; unless the
 					// transactional layer holds it, it is garbage now.
 					if f.hook == nil || !f.hook.Live(old) {
-						f.rmap[old] = -1
-						_ = f.chip.Invalidate(old)
+						_ = f.discard(old)
 					}
 				}
 			}

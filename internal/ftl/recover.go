@@ -549,7 +549,7 @@ func (f *FTL) sweepOrphans() {
 				continue
 			}
 			if f.rmap[ppn] == -1 && (f.hook == nil || !f.hook.Live(ppn)) {
-				_ = f.chip.Invalidate(ppn)
+				_ = f.discard(ppn)
 			}
 		}
 	}

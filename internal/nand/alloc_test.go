@@ -51,3 +51,35 @@ func TestBlankProgramTakesNoBuffer(t *testing.T) {
 		t.Errorf("free list holds %d buffers after blank programs, want 0", n)
 	}
 }
+
+// On a young chip, where no block has been erased yet, a page that is
+// programmed and then discarded hands its payload buffer to the next
+// program: after the first slab, program/discard cycles over fresh pages
+// allocate nothing; an invalidated page keeps its buffer until erase, so
+// the same cycles with Invalidate carve a slab per block's worth of
+// programs. The programs carry no spare record: a discarded page keeps
+// its spare area until erase.
+func TestProgramDiscardOnYoungChipNoAllocs(t *testing.T) {
+	cfg := testConfig()
+	cfg.Blocks = 64
+	c, err := New(cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pageData(cfg, 0x5A)
+	p := PPN(0)
+	batch := func() {
+		for range 256 {
+			if err := c.ProgramPage(p, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Discard(p); err != nil {
+				t.Fatal(err)
+			}
+			p++
+		}
+	}
+	if allocs := testing.AllocsPerRun(2, batch); allocs != 0 {
+		t.Errorf("256 program/discard cycles on fresh pages allocate %.1f objects, want 0", allocs)
+	}
+}

@@ -12,6 +12,8 @@ import (
 // Blank and data programs interleaved over several erase cycles of the
 // same blocks: a blank page reads back zeros, a data page its own bytes,
 // and no data cell shares a buffer with the zero page or another cell.
+// Half the pages are discarded rather than invalidated, blank ones
+// included, and the zero page never reaches the free list.
 func TestBlankAndDataProgramsAcrossErases(t *testing.T) {
 	c, _, _ := newTestChip(t)
 	cfg := c.Config()
@@ -57,9 +59,18 @@ func TestBlankAndDataProgramsAcrossErases(t *testing.T) {
 				if !bytes.Equal(buf, want) {
 					t.Fatalf("cycle %d ppn %d (data %v) reads back %x..., want %x...", cycle, p, isData, buf[:4], want[:4])
 				}
-				if err := c.Invalidate(p); err != nil {
+				retire := c.Invalidate
+				if (pi+cycle)%2 == 0 {
+					retire = c.Discard
+				}
+				if err := retire(p); err != nil {
 					t.Fatal(err)
 				}
+			}
+		}
+		for _, d := range c.freeData {
+			if c.blank(d) {
+				t.Fatalf("cycle %d: the zero page is on the free list", cycle)
 			}
 		}
 		for blk := BlockNum(0); blk < blocks; blk++ {

@@ -66,6 +66,7 @@ var (
 	ErrShortBuffer    = errors.New("nand: buffer shorter than page size")
 	ErrWrongDataSize  = errors.New("nand: data length does not match page size")
 	ErrEraseValidPage = errors.New("nand: erasing a block that still holds valid pages")
+	ErrDiscarded      = errors.New("nand: reading a page whose payload was discarded")
 )
 
 // DefaultOOBSize is the per-page spare (out-of-band) area used when
@@ -200,10 +201,11 @@ type Chip struct {
 	powerLost bool
 
 	// Page and spare-area buffers not holding a programmed page: an
-	// erase hands a block's buffers here and a program takes one, so
-	// steady-state programming allocates nothing and the chip never owns
-	// more buffers than it has had pages programmed at once. New buffers
-	// are carved a block's worth at a time.
+	// erase hands a block's buffers here, Discard a superseded page's
+	// payload, and a program takes one, so steady-state programming
+	// allocates nothing and the chip never owns more payload buffers than
+	// it has had readable pages at once. New buffers are carved a block's
+	// worth at a time.
 	freeData [][]byte
 	freeOOB  [][]byte
 
@@ -217,7 +219,7 @@ type Chip struct {
 }
 
 type block struct {
-	data       [][]byte    // page payloads; nil unless programmed and readable, Chip.zero if blank
+	data       [][]byte    // page payloads; nil unless programmed, readable and not discarded, Chip.zero if blank
 	oob        [][]byte    // spare-area contents; nil reads back as zeros
 	state      []PageState // per-page state
 	torn       []bool      // partially programmed/erased pages (never pass ECC)
@@ -276,19 +278,24 @@ func (c *Chip) takeBuf(free *[][]byte, size int) []byte {
 func (c *Chip) blank(data []byte) bool { return len(data) > 0 && &data[0] == &c.zero[0] }
 
 // releasePage takes a page's payload and spare area away (erase, or
-// damage to the medium) and keeps the buffers for the next program. The
-// shared zero page is not the page's to give: recycled, the next program
-// would write into every blank cell at once.
+// damage to the medium) and keeps the buffers for the next program.
 func (c *Chip) releasePage(b *block, pi int) {
+	c.releaseData(b, pi)
+	if b.oob[pi] != nil {
+		c.freeOOB = append(c.freeOOB, b.oob[pi])
+		b.oob[pi] = nil
+	}
+}
+
+// releaseData takes a page's payload away and keeps its buffer for the
+// next program. The shared zero page is not the page's to give:
+// recycled, the next program would write into every blank cell at once.
+func (c *Chip) releaseData(b *block, pi int) {
 	if d := b.data[pi]; d != nil {
 		if !c.blank(d) {
 			c.freeData = append(c.freeData, d)
 		}
 		b.data[pi] = nil
-	}
-	if b.oob[pi] != nil {
-		c.freeOOB = append(c.freeOOB, b.oob[pi])
-		b.oob[pi] = nil
 	}
 }
 
@@ -415,7 +422,7 @@ func (c *Chip) ReadPageOOB(p PPN, buf, oobBuf []byte) error {
 // written) for the copy's program to take straight from the cell. They
 // alias the array (a blank page's payload is the chip's shared zero
 // page): the caller must not modify them, and they stay valid only until
-// the page is erased or destroyed.
+// the page is erased, destroyed or discarded.
 func (c *Chip) ReadCopyBack(p PPN) (data, oob []byte, err error) {
 	data, oob, _, err = c.readCell(p, readCopyBack)
 	return data, oob, err
@@ -426,7 +433,8 @@ func (c *Chip) ReadCopyBack(p PPN) (data, oob []byte, err error) {
 // ECC-dead page returns ErrUncorrectable without counting as an escaped
 // uncorrectable read — the scan expects to trip over such pages). A free
 // page returns (PageFree, nil) with nothing copied: the scan still
-// issued the read and found the all-ones erased pattern.
+// issued the read and found the all-ones erased pattern. A discarded
+// page returns PageInvalid, its spare area and a zeroed payload.
 func (c *Chip) ScanRead(p PPN, buf, oobBuf []byte) (PageState, error) {
 	if len(buf) < c.cfg.PageSize || len(oobBuf) < c.cfg.OOBSize {
 		return PageFree, ErrShortBuffer
@@ -454,8 +462,11 @@ const (
 
 // readCell is the chip's one read path: it charges, counts and faults one
 // page read and returns the cell's own payload and spare slices (nil,
-// nil for a scanned free page) and the page's state. Every caller but a
-// copy-back copies out of them.
+// nil for a scanned free page; the zero page and the spare area for a
+// scanned discarded one) and the page's state. Every caller but a
+// copy-back copies out of them. Only the scan may read a discarded page:
+// anyone else gets ErrDiscarded, after the read was charged like any
+// other.
 func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, err error) {
 	bi, pi, err := c.split(p)
 	if err != nil {
@@ -491,7 +502,16 @@ func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, e
 	if st == PageFree {
 		return nil, nil, st, nil
 	}
-	if err := c.readFaults(p, b, pi, mode == readScan); err != nil {
+	err = c.readFaults(p, b, pi, mode == readScan)
+	// A torn page failed ECC above, so a payload missing here was
+	// discarded.
+	if err == nil && b.data[pi] == nil {
+		if mode == readScan {
+			return c.zero, b.oob[pi], st, nil
+		}
+		err = ErrDiscarded
+	}
+	if err != nil {
 		return nil, nil, st, fmt.Errorf("%w: ppn %d", err, p)
 	}
 	return b.data[pi], b.oob[pi], st, nil
@@ -625,6 +645,22 @@ func (c *Chip) Invalidate(p PPN) error {
 		b.validCount--
 	}
 	b.state[pi] = PageInvalid
+	return nil
+}
+
+// Discard is Invalidate for a page whose content nothing will read
+// again: the page's payload buffer goes back to the chip for the next
+// program at once rather than at erase. The spare area stays (a recovery
+// scan still reads every programmed page's record), and so does the
+// page's state: a discarded page is invalid, and reads of it fail with
+// ErrDiscarded, except the scan's, which sees a zeroed payload. Nothing
+// is charged, counted or traced, as for Invalidate.
+func (c *Chip) Discard(p PPN) error {
+	if err := c.Invalidate(p); err != nil {
+		return err
+	}
+	bi, pi, _ := c.split(p)
+	c.releaseData(&c.blocks[bi], pi)
 	return nil
 }
 
