@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// AdmissionStats are the admission gate's cumulative counters.
-type AdmissionStats struct {
+// admissionStats are the admission gate's cumulative counters.
+type admissionStats struct {
 	Admitted      atomic.Int64 // requests that got an execution slot
 	Shed          atomic.Int64 // requests shed with ErrOverload (queue full)
 	DeadlineDrops atomic.Int64 // requests whose budget expired while queued
-	QueueWaits    atomic.Int64 // requests that had to wait for a slot
 }
 
 // admission is the bounded front door: MaxConcurrent execution slots,
@@ -22,18 +21,13 @@ type admission struct {
 	slots    chan struct{}
 	queued   atomic.Int64
 	maxQueue int64
-	// shedHint is the retry-after hint attached to overload sheds: the
-	// order of one service time, so a polite client retries when a slot
-	// has plausibly freed.
-	shedHint time.Duration
-	stats    AdmissionStats
+	stats    admissionStats
 }
 
-func newAdmission(maxConcurrent, maxQueue int, shedHint time.Duration) *admission {
+func newAdmission(maxConcurrent, maxQueue int) *admission {
 	return &admission{
 		slots:    make(chan struct{}, maxConcurrent),
 		maxQueue: int64(maxQueue),
-		shedHint: shedHint,
 	}
 }
 
@@ -50,10 +44,9 @@ func (a *admission) acquire(deadline time.Time) error {
 	if a.queued.Add(1) > a.maxQueue {
 		a.queued.Add(-1)
 		a.stats.Shed.Add(1)
-		return WithRetryAfter(ErrOverload, a.shedHint)
+		return WithRetryAfter(ErrOverload, shedRetryAfter)
 	}
 	defer a.queued.Add(-1)
-	a.stats.QueueWaits.Add(1)
 	wait := time.Until(deadline)
 	if wait <= 0 {
 		a.stats.DeadlineDrops.Add(1)

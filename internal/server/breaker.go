@@ -9,16 +9,13 @@ import (
 
 // breaker is the write circuit breaker: it samples the FTL's quarantine
 // pressure (a lock-free atomic gauge) on every write admission and, past
-// the configured fraction of fenced units, sheds writes with ErrDegraded
+// breakerFraction of fenced units, sheds writes with ErrDegraded
 // while reads keep flowing — the firmware is busy draining and probing
 // sick dies, and piling writes onto the reduced array would turn one bad
 // unit into whole-tier timeouts. The breaker closes by itself when the
 // firmware re-admits units and pressure drops back under the threshold.
 type breaker struct {
-	dev *storage.Device
-	// openFrac is the quarantined-unit fraction at which writes shed.
-	// <= 0 disables the breaker.
-	openFrac   float64
+	dev        *storage.Device
 	open       atomic.Bool
 	openTrips  atomic.Int64 // closed -> open transitions
 	writeSheds atomic.Int64 // writes shed while open
@@ -31,11 +28,8 @@ const breakerRetryAfter = 100 * time.Millisecond
 
 // allowWrite samples pressure and either admits the write or sheds it.
 func (b *breaker) allowWrite() error {
-	if b.openFrac <= 0 {
-		return nil
-	}
 	q, units := b.dev.QuarantinePressure()
-	open := units > 0 && float64(q) >= b.openFrac*float64(units)
+	open := units > 0 && float64(q) >= breakerFraction*float64(units)
 	if b.open.Swap(open) != open && open {
 		b.openTrips.Add(1)
 	}

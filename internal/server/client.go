@@ -3,10 +3,8 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // Client is a minimal protocol client: one TCP connection, serialized
@@ -62,83 +60,6 @@ func (c *Client) Do(req Request) (*Response, error) {
 		return nil, fmt.Errorf("server: bad response: %w", err)
 	}
 	return resp, nil
-}
-
-// RetryPolicy bounds DoRetry: how many attempts, how the backoff
-// grows, and the total wall budget across attempts. The zero value
-// selects the noted defaults.
-type RetryPolicy struct {
-	// MaxAttempts caps total sends, first try included (default 5).
-	MaxAttempts int
-	// BaseBackoff is the first retry's nominal wait (default 2ms); it
-	// doubles per attempt up to MaxBackoff (default 250ms). The server's
-	// retry_after_ms hint raises the nominal wait when larger, and the
-	// actual sleep is jittered uniformly over [nominal/2, nominal] so a
-	// shed burst does not resynchronize into the next burst.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Budget is the total wall budget across attempts and waits
-	// (default 2s). A wait that would overrun it ends the retry loop
-	// and surfaces the last failure instead.
-	Budget time.Duration
-	// Sleep stubs time.Sleep in tests; nil uses the real clock.
-	Sleep func(time.Duration)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 5
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 2 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 250 * time.Millisecond
-	}
-	if p.Budget <= 0 {
-		p.Budget = 2 * time.Second
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	return p
-}
-
-// DoRetry sends a request, retrying failures the server marked
-// retryable (overload sheds, degraded-mode sheds, busy timeouts — all
-// refused before execution, so a retry never doubles a write). Backoff
-// is exponential with full jitter, floored by the server's
-// retry_after_ms hint, and the whole loop is bounded by the policy's
-// attempt and wall budgets. Transport errors are returned immediately:
-// the connection's framing is gone and a retry on it cannot succeed.
-func (c *Client) DoRetry(req Request, pol RetryPolicy) (*Response, error) {
-	pol = pol.withDefaults()
-	deadline := time.Now().Add(pol.Budget)
-	backoff := pol.BaseBackoff
-	var resp *Response
-	for attempt := 0; ; attempt++ {
-		var err error
-		req.ID = 0 // fresh id per attempt
-		resp, err = c.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.OK || !resp.Retryable || attempt+1 >= pol.MaxAttempts {
-			return resp, nil
-		}
-		nominal := backoff
-		if hint := time.Duration(resp.RetryAfterMS) * time.Millisecond; hint > nominal {
-			nominal = hint
-		}
-		wait := nominal/2 + time.Duration(rand.Int63n(int64(nominal/2)+1))
-		if time.Now().Add(wait).After(deadline) {
-			return resp, nil // budget exhausted: surface the last failure
-		}
-		pol.Sleep(wait)
-		if backoff *= 2; backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
-	}
 }
 
 // Query runs a SELECT (autocommit outside a transaction).

@@ -14,28 +14,37 @@
 //	{"id":2,"op":"exec","sql":"UPDATE kv SET v = ? WHERE k = ?","args":[1,7],"deadline_ms":100}
 //	{"op":"begin"} {"op":"begin","readonly":true} {"op":"commit"} {"op":"rollback"}
 //	{"op":"ping"} {"op":"stats"} {"op":"slow"}
+//	{"op":"exec","db":"b.db","sql":"INSERT INTO t VALUES (?, ?, ?)","args":["x",null,true]}
 //
 // query/exec outside an explicit transaction autocommit. Responses echo
-// the id and carry either the result ({"ok":true,"rows":...}) or a
-// typed failure ({"ok":false,"code":"overload","retryable":true,
-// "retry_after_ms":5,...}).
+// the id and carry either the result or a typed failure:
 //
-// The server and Client read and write these lines with a hand-written
-// codec (wire.go), not reflection, held to encoding/json by two
-// contracts that FuzzWireRequest and FuzzWireResponse check:
+//	{"ok":true,"id":1,"columns":["v"],"rows":[["x"]],"req_id":41}
+//	{"ok":true,"id":2,"affected":1,"req_id":42}
+//	{"ok":false,"id":3,"req_id":43,"error":"server: overloaded","code":"overload","retryable":true,"retry_after_ms":5}
 //
-//   - decode: a line is accepted if and only if json.Unmarshal into
-//     Request (or Response) accepts it, and the two values are
-//     reflect.DeepEqual. Keys match case-insensitively, the last of a
-//     duplicated key wins, null leaves a field as it was (a slice
-//     nil), a number in args is a float64, [] is an empty slice,
-//     invalid UTF-8 and lone surrogates read as U+FFFD, and a
-//     top-level null is the zero request;
-//   - encode: what the codec writes for a value reads back under
-//     json.Unmarshal exactly as json.Marshal's encoding of it does.
-//     Numbers are formatted as encoding/json formats them.
+// Both directions keep to one grammar, which the server and Client read
+// and write with a hand-written codec (wire.go), not reflection:
 //
-// A line that fails to decode is answered bad_request with id 0, and
+//   - a line is one object;
+//   - its keys are the json names of Request's (or Response's) fields,
+//     in exact case, each at most once; an unknown key is an error;
+//   - each value has its field's JSON type. null is allowed only as an
+//     element of args or of a rows row;
+//   - args and each rows row hold flat scalars: string, number (read
+//     as a float64), bool or null;
+//   - strings are valid UTF-8, and a \u surrogate escape is one half
+//     of a valid pair;
+//   - deadline_ms is an integer in [0, math.MaxInt64/1e6], the most
+//     milliseconds a time.Duration holds;
+//   - stats and slow are nested values that encoding/json decodes.
+//
+// encoding/json is the reference: a line the codec accepts,
+// json.Unmarshal accepts too, into the same value, and what the codec
+// writes reads back under json.Unmarshal as json.Marshal's encoding
+// does. FuzzWireRequest and FuzzWireResponse check both.
+//
+// A line outside the grammar is answered bad_request with id 0, and
 // the connection serves on. A request line may be at most 1 MiB: a
 // longer one is answered bad_request with id 0 and the connection is
 // closed, since its framing is lost. A query whose result holds an
@@ -49,7 +58,7 @@
 // server side can find everything that request did.
 //
 // The slow op returns the server's slow-request capture: the N slowest
-// requests seen so far (Options.SlowCount), each with its req_id, op,
+// requests seen so far (32), each with its req_id, op,
 // database, outcome and a per-stage wall-time breakdown (admission
 // wait, service-floor pacing, session begin, execution, commit, other)
 // that sums to the request's wall latency. The same capture is served
@@ -79,8 +88,8 @@
 //   - ErrDeadline ("deadline") — the request's wall-clock budget
 //     expired while it waited for an execution slot or the write lock.
 //   - ErrDegraded ("degraded") — the write circuit breaker is open:
-//     quarantine pressure on the flash array crossed the configured
-//     fraction, so writes are shed while reads keep flowing. Carries a
+//     quarantine pressure on the flash array crossed half the units,
+//     so writes are shed while reads keep flowing. Carries a
 //     longer retry-after hint (breaker state changes on firmware
 //     timescales).
 //   - mvcc.ErrBusy ("busy") — the write lock could not be acquired
@@ -123,8 +132,8 @@
 //
 // # Deadline propagation
 //
-// Each request carries a wall-clock budget (deadline_ms, defaulted by
-// the server). The budget gates the admission wait, is re-checked
+// Each request carries a wall-clock budget (deadline_ms; 0 or absent
+// selects 500 ms). The budget gates the admission wait, is re-checked
 // before execution, and the remaining portion is handed to
 // mvcc.BeginWith as its busy budget — virtual time advances no
 // faster than device work, so the virtual budget is a conservative

@@ -3,9 +3,7 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestFleetRouting serves two databases from a 2-shard tier and checks
@@ -60,72 +58,6 @@ func TestFleetRouting(t *testing.T) {
 	}
 	if sum != stats.Units || stats.Units == 0 {
 		t.Fatalf("per-shard units %d do not sum to total %d", sum, stats.Units)
-	}
-}
-
-// TestDoRetryBacksOff feeds DoRetry a retryable failure stream and
-// checks it honors the retry_after hint, jitters within bounds, and
-// stops at the attempt cap.
-func TestDoRetryBacksOff(t *testing.T) {
-	srv, addr := startServer(t, Options{
-		MaxConcurrent: 1, MaxQueue: 1,
-		ShedRetryAfter: 4 * time.Millisecond,
-		ServiceFloor:   30 * time.Millisecond,
-	})
-	_ = srv
-
-	// Saturate the single slot + single queue entry so a third request
-	// sheds with ErrOverload (retryable + retry-after hint).
-	hold := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		blk := dial(t, addr)
-		go func() {
-			_, _ = blk.Do(Request{Op: OpQuery, SQL: "SELECT 1", DeadlineMS: 2000})
-			hold <- struct{}{}
-		}()
-	}
-	time.Sleep(10 * time.Millisecond) // let both occupy slot + queue
-
-	var waits []time.Duration
-	var slept atomic.Int64
-	cl := dial(t, addr)
-	resp, err := cl.DoRetry(Request{Op: OpQuery, SQL: "SELECT 1", DeadlineMS: 1}, RetryPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: 2 * time.Millisecond,
-		Budget:      10 * time.Second,
-		Sleep: func(d time.Duration) {
-			waits = append(waits, d)
-			slept.Add(1)
-		},
-	})
-	if err != nil {
-		t.Fatalf("DoRetry transport error: %v", err)
-	}
-	<-hold
-	<-hold
-	if resp.OK {
-		t.Skip("request was admitted — host too fast to saturate; retry path not exercised")
-	}
-	if !resp.Retryable {
-		t.Fatalf("final failure not retryable: %s (code %s)", resp.Error, resp.Code)
-	}
-	if got := int(slept.Load()); got != 2 {
-		t.Fatalf("slept %d times, want 2 (3 attempts)", got)
-	}
-	for i, w := range waits {
-		if w <= 0 || w > 250*time.Millisecond {
-			t.Fatalf("wait %d = %v out of bounds", i, w)
-		}
-	}
-}
-
-// TestDoRetrySucceedsFirstTry is the no-retry fast path.
-func TestDoRetrySucceedsFirstTry(t *testing.T) {
-	_, addr := startServer(t, Options{})
-	cl := dial(t, addr)
-	resp, err := cl.DoRetry(Request{Op: OpPing}, RetryPolicy{})
-	if err != nil || !resp.OK {
-		t.Fatalf("DoRetry ping: resp=%+v err=%v", resp, err)
 	}
 }
 

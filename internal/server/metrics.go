@@ -49,5 +49,5 @@ func (s *Server) register(reg *metrics.Registry) {
 	// Build and configuration identity, Prometheus-idiom: constant 1
 	// with the interesting facts as labels.
 	reg.Gauge("xftl_build_info", "Build and configuration identity (value is always 1).", func() int64 { return 1 },
-		"go_version", runtime.Version(), "shards", strconv.Itoa(s.fleet.Shards()), "queue_depth", strconv.Itoa(s.opts.QueueDepth))
+		"go_version", runtime.Version(), "shards", strconv.Itoa(s.fleet.Shards()), "queue_depth", strconv.Itoa(queueDepth))
 }

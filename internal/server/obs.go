@@ -104,20 +104,16 @@ type StageUS struct {
 	US    int64  `json:"us"`
 }
 
-// slowRing keeps the slowest N requests seen so far. N is small (32 by
-// default), so eviction scans instead of maintaining a heap; offers on
+// slowRing keeps the slowest N requests seen so far. N is small
+// (slowCount), so eviction scans instead of maintaining a heap; offers on
 // the request path cost one short critical section.
 type slowRing struct {
 	mu   sync.Mutex
-	size int
-	ents []SlowEntry
+	ents []SlowEntry // capacity N
 }
 
 func newSlowRing(size int) *slowRing {
-	if size <= 0 {
-		size = 32
-	}
-	return &slowRing{size: size, ents: make([]SlowEntry, 0, size)}
+	return &slowRing{ents: make([]SlowEntry, 0, size)}
 }
 
 // offer records a finished request if it ranks among the slowest. It
@@ -128,7 +124,7 @@ func (r *slowRing) offer(rt *reqTrack, ok bool, code string, wall time.Duration)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	i := len(r.ents)
-	if i < r.size {
+	if i < cap(r.ents) {
 		r.ents = r.ents[:i+1]
 	} else {
 		i = 0

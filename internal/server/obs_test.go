@@ -584,12 +584,12 @@ func TestScrapeUnderLoad(t *testing.T) {
 // least 90% of its wall latency (the cut model makes it exact; the
 // slack only absorbs microsecond truncation).
 func TestSlowCapture(t *testing.T) {
-	_, addr := startServer(t, Options{ServiceFloor: 2 * time.Millisecond, SlowCount: 8})
+	_, addr := startServer(t, Options{ServiceFloor: 2 * time.Millisecond})
 	cl := dial(t, addr)
 	ok := oker(t)
 
 	ok(cl.Exec("CREATE TABLE slow (k INTEGER PRIMARY KEY)"))
-	for i := 0; i < 12; i++ {
+	for i := 0; i < slowCount+4; i++ { // more requests than the ring holds
 		ok(cl.Exec("INSERT INTO slow (k) VALUES (?)", int64(i)))
 	}
 	resp := ok(cl.Query("SELECT COUNT(*) FROM slow"))
@@ -605,8 +605,8 @@ func TestSlowCapture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("slow op: %v", err)
 	}
-	if len(entries) == 0 || len(entries) > 8 {
-		t.Fatalf("slow capture has %d entries, want 1..8", len(entries))
+	if len(entries) != slowCount {
+		t.Fatalf("slow capture has %d entries, want %d", len(entries), slowCount)
 	}
 	for i, e := range entries {
 		if e.ReqID == 0 {

@@ -34,8 +34,9 @@ type Request struct {
 	// INTEGER keys match.
 	Args []any `json:"args,omitempty"`
 	// DeadlineMS is this request's end-to-end wall-clock budget in
-	// milliseconds; 0 selects the server's default. The budget gates
-	// the admission wait and is propagated to the mvcc busy timeout.
+	// milliseconds, at most maxDeadlineMS; 0 selects the server's
+	// default. The budget gates the admission wait and is propagated to
+	// the mvcc busy timeout.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Readonly marks a begin as a snapshot-read transaction (MVCC mode:
 	// never blocks, never sheds on the write breaker).

@@ -27,10 +27,6 @@ type Options struct {
 	Mode mvcc.Mode
 	// Channels is the flash array's channel count (default 8).
 	Channels int
-	// QueueDepth is the NCQ depth (default 32).
-	QueueDepth int
-	// CacheSize is the SQLite page cache per connection (default 64).
-	CacheSize int
 	// DBName is the default database served — requests that name no DB
 	// go here (default "serve.db").
 	DBName string
@@ -45,16 +41,6 @@ type Options struct {
 	// MaxQueue bounds requests waiting for an execution slot; arrivals
 	// past it are shed with ErrOverload (default 2 x MaxConcurrent).
 	MaxQueue int
-	// DefaultDeadline is the per-request wall budget when the client
-	// sends none (default 500ms).
-	DefaultDeadline time.Duration
-	// ShedRetryAfter is the hint attached to overload sheds (default
-	// 5ms — the order of one service time).
-	ShedRetryAfter time.Duration
-	// BreakerFraction opens the write breaker when this fraction of
-	// channel/way units is quarantined (default 0.5; <= 0 after
-	// withDefaults disables the breaker only if set negative).
-	BreakerFraction float64
 	// ServiceFloor adds a wall-clock floor to every admitted data-path
 	// request while it holds its admission slot. The flash device below
 	// simulates in virtual time at near-zero wall cost, so on a small
@@ -65,12 +51,6 @@ type Options struct {
 	// harnesses set it.
 	ServiceFloor time.Duration
 
-	// CmdDeadline / CmdRetries configure the stack's NCQ retry plane.
-	// The per-attempt deadline must clear healthy per-unit queueing
-	// (DESIGN.md §12); the defaults are 10ms and 8 attempts.
-	CmdDeadline time.Duration
-	CmdRetries  int
-
 	// ReadPool is the warm snapshot reader-pool capacity per database
 	// manager in MVCC mode: a finished read request parks its snapshot
 	// connection (pager cache and catalog hot) for the next reader at
@@ -79,15 +59,35 @@ type Options struct {
 	// pooling. Ignored outside MVCC mode.
 	ReadPool int
 
-	// SlowCount is how many of the slowest requests the server keeps
-	// with their per-stage breakdowns, served by the slow op and
-	// /debug/slow (default 32).
-	SlowCount int
 	// Trace attaches a virtual-time tracer to every shard and records a
 	// KRequest span per data-path request, linked to its device work by
 	// ReqID. Off by default: tracing grows unboundedly with traffic.
 	Trace bool
 }
+
+// The tier's fixed settings.
+const (
+	queueDepth = 32 // the NCQ depth
+	cacheSize  = 64 // the SQLite page cache per connection, in pages
+	// defaultDeadline is the per-request wall budget when the client
+	// sends none.
+	defaultDeadline = 500 * time.Millisecond
+	// shedRetryAfter is the hint attached to overload sheds: the order
+	// of one service time.
+	shedRetryAfter = 5 * time.Millisecond
+	// breakerFraction opens the write breaker when this fraction of
+	// channel/way units is quarantined.
+	breakerFraction = 0.5
+	// cmdDeadline and cmdRetries configure the stack's NCQ retry plane.
+	// The per-attempt deadline must clear healthy per-unit queueing
+	// (DESIGN.md §12).
+	cmdDeadline = 10 * time.Millisecond
+	cmdRetries  = 8
+	// slowCount is how many of the slowest requests the server keeps
+	// with their per-stage breakdowns, served by the slow op and
+	// /debug/slow.
+	slowCount = 32
+)
 
 // drainTimeout bounds the graceful drain: connections still holding open
 // transactions past it are force-closed and rolled back.
@@ -96,12 +96,6 @@ const drainTimeout = 5 * time.Second
 func (o Options) withDefaults() Options {
 	if o.Channels <= 0 {
 		o.Channels = 8
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 32
-	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 64
 	}
 	if o.DBName == "" {
 		o.DBName = "serve.db"
@@ -115,26 +109,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 2 * o.MaxConcurrent
 	}
-	if o.DefaultDeadline <= 0 {
-		o.DefaultDeadline = 500 * time.Millisecond
-	}
-	if o.ShedRetryAfter <= 0 {
-		o.ShedRetryAfter = 5 * time.Millisecond
-	}
-	if o.BreakerFraction == 0 {
-		o.BreakerFraction = 0.5
-	}
-	if o.CmdDeadline == 0 {
-		o.CmdDeadline = 10 * time.Millisecond
-	}
-	if o.CmdRetries == 0 {
-		o.CmdRetries = 8
-	}
 	if o.ReadPool == 0 {
 		o.ReadPool = 8
-	}
-	if o.SlowCount <= 0 {
-		o.SlowCount = 32
 	}
 	return o
 }
@@ -188,15 +164,15 @@ func New(opts Options) (*Server, error) {
 		Mode:    mode,
 		Trace:   opts.Trace,
 		Stack: xftl.StackOptions{
-			CacheSize:   opts.CacheSize,
-			QueueDepth:  opts.QueueDepth,
-			CmdDeadline: opts.CmdDeadline,
-			CmdRetries:  opts.CmdRetries,
+			CacheSize:   cacheSize,
+			QueueDepth:  queueDepth,
+			CmdDeadline: cmdDeadline,
+			CmdRetries:  cmdRetries,
 		},
 		Session: &mvcc.Options{
 			Mode:         opts.Mode,
 			Journal:      journal,
-			CacheSize:    opts.CacheSize,
+			CacheSize:    cacheSize,
 			Pipelined:    opts.Mode == mvcc.MVCC,
 			PoolCapacity: max(opts.ReadPool, 0),
 		},
@@ -212,15 +188,15 @@ func New(opts Options) (*Server, error) {
 	}
 	brks := make([]*breaker, fleet.Shards())
 	for i, st := range fleet.Stacks() {
-		brks[i] = &breaker{dev: st.Device, openFrac: opts.BreakerFraction}
+		brks[i] = &breaker{dev: st.Device}
 	}
 	s := &Server{
 		opts:  opts,
 		fleet: fleet,
-		adm:   newAdmission(opts.MaxConcurrent, opts.MaxQueue, opts.ShedRetryAfter),
+		adm:   newAdmission(opts.MaxConcurrent, opts.MaxQueue),
 		brks:  brks,
 		conns: make(map[*conn]struct{}),
-		slow:  newSlowRing(opts.SlowCount),
+		slow:  newSlowRing(slowCount),
 	}
 	s.register(fleet.Metrics())
 	return s, nil
@@ -492,7 +468,7 @@ func (c *conn) handle(req *Request) *Response {
 	}
 	rt := c.srv.track(req.Op, db)
 	rt.vt = c.srv.tracerFor(db).Now()
-	deadline := rt.start.Add(c.srv.opts.DefaultDeadline)
+	deadline := rt.start.Add(defaultDeadline)
 	if req.DeadlineMS > 0 {
 		deadline = rt.start.Add(time.Duration(req.DeadlineMS) * time.Millisecond)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -196,6 +197,33 @@ func TestBadRequests(t *testing.T) {
 	if r := send(`{"op":"ping","id":7}` + "\n"); !r.OK || r.ID != 7 {
 		t.Fatalf("ping after a malformed line => %+v", r)
 	}
+	// Each line below breaks the grammar (doc.go) and is refused before
+	// it runs, and the connection serves on.
+	for _, line := range []string{
+		`{"OP":"ping","id":3}`,
+		`{"op":"ping","id":3,"op":"ping"}`,
+		`{"op":"query","id":3,"sql":"SELECT 1","deadlinems":5}`,
+		`null`,
+		`{"op":"ping","id":null}`,
+		`{"op":"query","id":3,"sql":"SELECT ?","args":[[1]]}`,
+		`{"op":"query","id":3,"sql":"SELECT ?","args":[{}]}`,
+		`{"op":"query","id":3,"sql":"SELECT '\ud800'"}`,
+		"{\"op\":\"query\",\"id\":3,\"sql\":\"SELECT '\xff'\"}",
+		`{"op":"query","id":3,"sql":"SELECT 1","deadline_ms":-5}`,
+		`{"op":"query","id":3,"sql":"SELECT 1","deadline_ms":10000000000000}`,
+		`{"op":"query","id":3,"sql":"SELECT 1","deadline_ms":` + strconv.FormatInt(maxDeadlineMS+1, 10) + `}`,
+	} {
+		if r := send(line + "\n"); r.OK || r.Code != "bad_request" || r.Retryable || r.ID != 0 {
+			t.Fatalf("%q => %+v, want bad_request with id 0", line, r)
+		}
+		if r := send(`{"op":"ping","id":7}` + "\n"); !r.OK || r.ID != 7 {
+			t.Fatalf("ping after %q => %+v", line, r)
+		}
+	}
+	// deadline_ms runs up to the most milliseconds a time.Duration holds.
+	if r := send(`{"op":"query","id":8,"sql":"SELECT 1","deadline_ms":` + strconv.FormatInt(maxDeadlineMS, 10) + "}\n"); !r.OK || r.ID != 8 {
+		t.Fatalf("deadline_ms at its bound => %+v, want ok", r)
+	}
 	long := `{"op":"ping","id":8,"sql":"` + strings.Repeat("x", 200<<10) + `"}` + "\n"
 	if r := send(long); !r.OK || r.ID != 8 {
 		t.Fatalf("200 KiB line => %+v, want ok with id 8", r)
@@ -249,7 +277,7 @@ func TestSnapshotIsolation(t *testing.T) {
 // TestAdmissionQueue exercises the gate directly: slots, bounded queue,
 // shed past the bound, deadline expiry while queued.
 func TestAdmissionQueue(t *testing.T) {
-	a := newAdmission(1, 1, 5*time.Millisecond)
+	a := newAdmission(1, 1)
 	far := time.Now().Add(time.Minute)
 
 	if err := a.acquire(far); err != nil {
@@ -267,8 +295,8 @@ func TestAdmissionQueue(t *testing.T) {
 	if !errors.Is(err, ErrOverload) {
 		t.Fatalf("over-queue acquire = %v, want ErrOverload", err)
 	}
-	if hint, ok := RetryAfterHint(err); !ok || hint != 5*time.Millisecond {
-		t.Fatalf("retry-after hint = %v/%v, want 5ms", hint, ok)
+	if hint, ok := RetryAfterHint(err); !ok || hint != shedRetryAfter {
+		t.Fatalf("retry-after hint = %v/%v, want %v", hint, ok, shedRetryAfter)
 	}
 	if got := a.stats.Shed.Load(); got != 1 {
 		t.Fatalf("shed count = %d, want 1", got)
@@ -376,7 +404,7 @@ func TestBusySurfacesRetryable(t *testing.T) {
 // flowing, and the breaker closes again when pressure clears.
 func TestBreakerDegradesWrites(t *testing.T) {
 	ok := oker(t)
-	srv, addr := startServer(t, Options{Channels: 4, BreakerFraction: 0.5})
+	srv, addr := startServer(t, Options{Channels: 4})
 	cl := dial(t, addr)
 	ok(cl.Exec("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)"))
 	ok(cl.Exec("INSERT INTO t (k, v) VALUES (1, 1)"))

@@ -1,24 +1,15 @@
-// The wire codec: one JSON object per line, written and read by hand on
-// the data path.
-//
-// Encoding appends a message to a buffer its connection reuses. Decoding
-// makes one pass over a line, with no reflection: keys and op names are
-// matched in place, and only what the decoded value keeps (strings, the
-// args and rows) is allocated. Both sides are held to encoding/json,
-// which stays the reference:
-//
-//   - decode: decodeX accepts a line if and only if json.Unmarshal into
-//     the same type accepts it, and the two values are reflect.DeepEqual;
-//   - encode: json.Unmarshal(appendX(v)) equals
-//     json.Unmarshal(json.Marshal(v)) for every value sent.
-//
-// FuzzWireRequest and FuzzWireResponse check both. The stats and slow
-// payloads are not per request: they are handed to encoding/json as
-// nested values.
+// The wire codec: the grammar doc.go states, written and read by hand
+// on the data path. Encoding appends a message to a buffer its
+// connection reuses. Decoding makes one pass over a line with no
+// reflection: keys and op names are matched in place, and only what the
+// decoded value keeps (strings, the args and rows) is allocated. The
+// stats and slow payloads are not per request: encoding/json writes and
+// reads them as nested values.
 package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -26,6 +17,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"time"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -39,6 +31,10 @@ import (
 const maxLine = 1 << 20
 
 var errLongLine = errors.New("request line longer than 1 MiB")
+
+// maxDeadlineMS is the largest deadline_ms a request may carry: the
+// most milliseconds a time.Duration holds.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
 // readLine returns the next line. It is read in place when it fits br's
 // buffer and gathered in *long otherwise, up to limit bytes (0: no
@@ -81,10 +77,17 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 		b = appendString(b, r.DB)
 	}
 	if len(r.Args) > 0 {
-		var err error
-		if b, err = appendArray(append(b, `,"args":`...), r.Args); err != nil {
-			return b, err
+		b = append(b, `,"args":[`...)
+		for i, a := range r.Args {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = appendArg(b, a); err != nil {
+				return b, err
+			}
 		}
+		b = append(b, ']')
 	}
 	if r.DeadlineMS != 0 {
 		b = append(b, `,"deadline_ms":`...)
@@ -106,13 +109,10 @@ func appendResponse(b []byte, r *Response) ([]byte, error) {
 		b = append(b, `,"id":`...)
 		b = strconv.AppendUint(b, r.ID, 10)
 	}
-	cols := r.Columns
-	if r.result != nil {
-		cols = r.result.Columns
-	}
-	if len(cols) > 0 {
+	res := r.result
+	if res != nil && len(res.Columns) > 0 {
 		b = append(b, `,"columns":[`...)
-		for i, c := range cols {
+		for i, c := range res.Columns {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -120,10 +120,9 @@ func appendResponse(b []byte, r *Response) ([]byte, error) {
 		}
 		b = append(b, ']')
 	}
-	switch {
-	case r.result != nil && len(r.result.Data) > 0:
+	if res != nil && len(res.Data) > 0 {
 		b = append(b, `,"rows":[`...)
-		for i, row := range r.result.Data {
+		for i, row := range res.Data {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -137,17 +136,6 @@ func appendResponse(b []byte, r *Response) ([]byte, error) {
 				}
 			}
 			b = append(b, ']')
-		}
-		b = append(b, ']')
-	case r.result == nil && len(r.Rows) > 0:
-		b = append(b, `,"rows":[`...)
-		for i, row := range r.Rows {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if b, err = appendArray(b, row); err != nil {
-				return b, err
-			}
 		}
 		b = append(b, ']')
 	}
@@ -209,10 +197,9 @@ func appendValue(b []byte, v sqlite.Value) ([]byte, error) {
 	}
 }
 
-// appendAny appends a bind argument, or a value a decoder produced: the
-// types sqlite.FromGo binds, and JSON's arrays and objects.
-func appendAny(b []byte, v any) ([]byte, error) {
-	var err error
+// appendArg appends a bind argument: one of the scalar types
+// sqlite.FromGo binds.
+func appendArg(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(b, "null"...), nil
@@ -234,45 +221,8 @@ func appendAny(b []byte, v any) ([]byte, error) {
 		return strconv.AppendUint(b, uint64(x), 10), nil
 	case []byte:
 		return appendBytes(b, x), nil
-	case []any:
-		return appendArray(b, x)
-	case map[string]any:
-		if x == nil {
-			return append(b, "null"...), nil
-		}
-		b = append(b, '{')
-		first := true
-		for k, e := range x {
-			if !first {
-				b = append(b, ',')
-			}
-			first = false
-			b = append(appendString(b, k), ':')
-			if b, err = appendAny(b, e); err != nil {
-				return b, err
-			}
-		}
-		return append(b, '}'), nil
 	}
 	return b, fmt.Errorf("server: cannot send a %T on the wire", v)
-}
-
-// appendArray appends a as encoding/json does: null for nil.
-func appendArray(b []byte, a []any) ([]byte, error) {
-	if a == nil {
-		return append(b, "null"...), nil
-	}
-	var err error
-	b = append(b, '[')
-	for i, e := range a {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if b, err = appendAny(b, e); err != nil {
-			return b, err
-		}
-	}
-	return append(b, ']'), nil
 }
 
 // appendBytes appends p as encoding/json does: base64, or null for nil.
@@ -376,24 +326,24 @@ var (
 // decodeRequest decodes one request line into r, which is zero.
 func decodeRequest(line []byte, r *Request) error {
 	d := decoder{b: line}
-	for n := 0; d.top(n); n++ {
+	for n := 0; d.next('{', '}', n); n++ {
 		switch d.field(requestFields) {
 		case "id":
-			d.uint(&r.ID)
+			r.ID = d.uint()
 		case "op":
-			d.str(&r.Op, wireOps)
+			r.Op = d.str(wireOps)
 		case "sql":
-			d.str(&r.SQL, nil)
+			r.SQL = d.str(nil)
 		case "db":
-			d.str(&r.DB, nil)
+			r.DB = d.str(nil)
 		case "args":
-			d.anys(&r.Args)
+			r.Args = d.scalars()
 		case "deadline_ms":
-			d.int(&r.DeadlineMS)
+			if r.DeadlineMS = d.int(); r.DeadlineMS < 0 || r.DeadlineMS > maxDeadlineMS {
+				d.fail("deadline_ms out of range")
+			}
 		case "readonly":
-			d.bool(&r.Readonly)
-		default:
-			d.any()
+			r.Readonly = d.bool()
 		}
 	}
 	return d.end()
@@ -402,34 +352,32 @@ func decodeRequest(line []byte, r *Request) error {
 // decodeResponse decodes one response line into r, which is zero.
 func decodeResponse(line []byte, r *Response) error {
 	d := decoder{b: line}
-	for n := 0; d.top(n); n++ {
+	for n := 0; d.next('{', '}', n); n++ {
 		switch d.field(responseFields) {
 		case "id":
-			d.uint(&r.ID)
+			r.ID = d.uint()
 		case "ok":
-			d.bool(&r.OK)
+			r.OK = d.bool()
 		case "columns":
-			d.strs(&r.Columns)
+			r.Columns = d.strs()
 		case "rows":
-			d.rows(&r.Rows)
+			r.Rows = d.rows()
 		case "affected":
-			d.int(&r.Affected)
+			r.Affected = d.int()
 		case "req_id":
-			d.uint(&r.ReqID)
+			r.ReqID = d.uint()
 		case "error":
-			d.str(&r.Error, nil)
+			r.Error = d.str(nil)
 		case "code":
-			d.str(&r.Code, nil)
+			r.Code = d.str(nil)
 		case "retryable":
-			d.bool(&r.Retryable)
+			r.Retryable = d.bool()
 		case "retry_after_ms":
-			d.int(&r.RetryAfterMS)
+			r.RetryAfterMS = d.int()
 		case "stats":
 			d.nested(&r.Stats)
 		case "slow":
 			d.nested(&r.Slow)
-		default:
-			d.any()
 		}
 	}
 	return d.end()
@@ -438,13 +386,11 @@ func decodeResponse(line []byte, r *Response) error {
 // decoder walks one line. Its first error sticks: later steps do
 // nothing, and end reports it.
 type decoder struct {
-	b     []byte
-	i     int
-	depth int // open objects and arrays; encoding/json allows maxDepth
-	err   error
+	b    []byte
+	i    int
+	seen uint16 // the fields read so far, by index in their names list
+	err  error
 }
-
-const maxDepth = 10000
 
 func (d *decoder) fail(what string) {
 	if d.err == nil {
@@ -455,50 +401,31 @@ func (d *decoder) fail(what string) {
 // ws skips whitespace and returns the next byte, 0 at the end.
 func (d *decoder) ws() byte {
 	for ; d.i < len(d.b); d.i++ {
-		switch c := d.b[d.i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
+		if c := d.b[d.i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return c
 		}
 	}
 	return 0
 }
 
-// end requires nothing but whitespace after the value.
+// end requires nothing but whitespace after the object.
 func (d *decoder) end() error {
 	if d.ws(); d.i < len(d.b) {
-		d.fail("data after the value")
+		d.fail("data after the object")
 	}
 	return d.err
 }
 
-// top steps through the members of the top-level object as next does.
-// A top-level null has none: it decodes to the zero value.
-func (d *decoder) top(n int) bool {
-	if n > 0 {
-		return d.next('}', n)
-	}
-	switch d.ws() {
-	case '{':
-		return d.next('}', 0)
-	case 'n':
-		d.literal("null")
-	default:
-		d.fail("expected an object")
-	}
-	return false
-}
-
-// next steps through the members of the object or array the decoder is
-// at, called with n = 0, 1, 2, … in turn. It consumes the opening byte,
-// the commas and the closing byte, and reports whether member n follows.
-func (d *decoder) next(close byte, n int) bool {
+// next steps through the members of an object or array, called with
+// n = 0, 1, 2, … in turn. It consumes the open byte, the commas and
+// the close byte, and reports whether member n follows.
+func (d *decoder) next(open, close byte, n int) bool {
 	if d.err != nil {
 		return false
 	}
 	if n == 0 {
-		if d.depth++; d.depth > maxDepth {
-			d.fail("nesting too deep")
+		if d.ws() != open {
+			d.fail("expected " + string(open))
 			return false
 		}
 		if d.i++; d.ws() != close {
@@ -516,30 +443,26 @@ func (d *decoder) next(close byte, n int) bool {
 		}
 	}
 	d.i++
-	d.depth--
 	return false
 }
 
-// key reads an object member's key and its colon.
-func (d *decoder) key() []byte {
+// field reads a member's key and its colon, and returns the one of
+// names the key spells exactly. An unknown or repeated key fails the
+// line.
+func (d *decoder) field(names []string) string {
 	k := d.text()
 	if d.ws() != ':' {
 		d.fail("expected :")
+		return ""
 	}
 	d.i++
-	return k
-}
-
-// field reads a member's key and returns the name in names it matches,
-// "" if none. encoding/json matches keys by bytes.EqualFold: "ARGS" and
-// "ſql" (long s) are args and sql.
-func (d *decoder) field(names []string) string {
-	k := d.key()
-	for _, name := range names {
-		if strings.EqualFold(string(k), name) {
+	for i, name := range names {
+		if string(k) == name && d.seen&(1<<i) == 0 {
+			d.seen |= 1 << i
 			return name
 		}
 	}
+	d.fail(fmt.Sprintf("unknown or repeated key %.40q", k))
 	return ""
 }
 
@@ -553,7 +476,8 @@ func (d *decoder) literal(word string) {
 }
 
 // text reads a string token and returns its text: the line's own bytes,
-// or a decoded copy when the token holds an escape or invalid UTF-8.
+// or a decoded copy when the token holds an escape. The token must be
+// valid UTF-8.
 func (d *decoder) text() []byte {
 	if d.ws() != '"' {
 		d.fail("expected a string")
@@ -563,12 +487,16 @@ func (d *decoder) text() []byte {
 	for d.i = start; d.i < len(d.b); d.i++ {
 		switch c := d.b[d.i]; {
 		case c == '"':
+			raw := d.b[start:d.i]
 			d.i++
-			if raw := d.b[start : d.i-1]; esc || !utf8.Valid(raw) {
-				return appendUnquoted(nil, raw)
-			} else {
-				return raw
+			if !utf8.Valid(raw) {
+				d.fail("invalid UTF-8 in a string")
+				return nil
 			}
+			if esc {
+				return d.unquote(raw)
+			}
+			return raw
 		case c < 0x20:
 			d.fail("control character in a string")
 			return nil
@@ -597,251 +525,138 @@ func hex4(b []byte) rune {
 	return -1
 }
 
-// appendUnquoted appends the text of a string token text has checked, as
-// encoding/json decodes it: invalid UTF-8 and lone surrogates become
-// U+FFFD.
-func appendUnquoted(dst, raw []byte) []byte {
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRune(raw[i:])
-			dst = utf8.AppendRune(dst, r)
-			i += size
+// unquote decodes the escapes of a string token text has checked. A
+// \u surrogate must be half of a pair: high, then low.
+func (d *decoder) unquote(raw []byte) []byte {
+	dst := make([]byte, 0, len(raw))
+	for i := 0; i < len(raw); i++ {
+		if raw[i] != '\\' {
+			dst = append(dst, raw[i])
 			continue
 		}
-		if c != '\\' {
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		switch c = raw[i+1]; c {
-		case 'b', 'f', 'n', 'r', 't':
-			c = "\b\f\n\r\t"[strings.IndexByte("bfnrt", c)]
+		i++ // to the escape's letter
+		switch c := raw[i]; c {
 		case 'u':
-			r := hex4(raw[i+2:])
-			i += 6
+			r := hex4(raw[i+1:])
+			i += 4
 			if utf16.IsSurrogate(r) {
 				r2 := rune(-1)
-				if len(raw)-i >= 6 && raw[i] == '\\' && raw[i+1] == 'u' {
-					r2 = hex4(raw[i+2:])
+				if len(raw)-i > 6 && raw[i+1] == '\\' && raw[i+2] == 'u' {
+					r2 = hex4(raw[i+3:])
 				}
-				if r = utf16.DecodeRune(r, r2); r != unicode.ReplacementChar {
-					i += 6
+				if r = utf16.DecodeRune(r, r2); r == unicode.ReplacementChar {
+					d.fail("unpaired surrogate in a string")
+					return nil
 				}
+				i += 6
 			}
 			dst = utf8.AppendRune(dst, r)
-			continue
+		case 'b', 'f', 'n', 'r', 't':
+			dst = append(dst, "\b\f\n\r\t"[strings.IndexByte("bfnrt", c)])
+		default:
+			dst = append(dst, c)
 		}
-		dst = append(dst, c)
-		i += 2
 	}
 	return dst
 }
 
 // number reads a number token, checked against JSON's grammar.
 func (d *decoder) number() []byte {
-	b, i := d.b, d.i
-	digits := func() bool {
-		start := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
+	d.ws()
+	start := d.i
+	next := func(set string) bool {
+		if d.i < len(d.b) && strings.IndexByte(set, d.b[d.i]) >= 0 {
+			d.i++
+			return true
 		}
-		return i > start
+		return false
 	}
-	if i < len(b) && b[i] == '-' {
-		i++
+	digits := func() bool {
+		n := 0
+		for ; next("0123456789"); n++ {
+		}
+		return n > 0
 	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		d.fail("invalid value")
+	next("-")
+	ok := next("0") || digits()
+	if ok && next(".") {
+		ok = digits()
+	}
+	if ok && next("eE") {
+		next("+-")
+		ok = digits()
+	}
+	if !ok {
+		d.fail("invalid number")
 		return nil
 	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			d.fail("invalid number")
-			return nil
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			d.fail("invalid number")
-			return nil
-		}
-	}
-	num := b[d.i:i]
-	d.i = i
-	return num
+	return d.b[start:d.i]
 }
 
-// The typed readers match encoding/json field by field: null leaves a
-// string, number or bool as it was and sets a slice or pointer to nil,
-// and a value of another JSON type than the field's rejects the line.
+// The typed readers take exactly their field's JSON type: null, or a
+// value of another type, fails the line.
 
-func (d *decoder) str(dst *string, known []string) {
-	if d.ws() == 'n' {
-		d.literal("null")
-		return
-	}
+func (d *decoder) str(known []string) string {
 	t := d.text()
 	for _, k := range known {
 		if string(t) == k {
-			*dst = k
-			return
+			return k
 		}
 	}
-	*dst = string(t)
+	return string(t)
 }
 
-func (d *decoder) bool(dst *bool) {
+func (d *decoder) bool() bool {
 	switch d.ws() {
-	case 'n':
-		d.literal("null")
-	case 't':
-		d.literal("true")
-		*dst = true
-	case 'f':
-		d.literal("false")
-		*dst = false
-	default:
-		d.fail("expected a bool")
-	}
-}
-
-// integer reads the token of an integer field: nil for null.
-func (d *decoder) integer() []byte {
-	switch c := d.ws(); {
-	case c == 'n':
-		d.literal("null")
-	case c == '-' || '0' <= c && c <= '9':
-		return d.number()
-	default:
-		d.fail("expected a number")
-	}
-	return nil
-}
-
-func (d *decoder) uint(dst *uint64) {
-	if num := d.integer(); num != nil {
-		if n, err := strconv.ParseUint(string(num), 10, 64); err == nil {
-			*dst = n
-		} else {
-			d.fail("expected an unsigned integer")
-		}
-	}
-}
-
-func (d *decoder) int(dst *int64) {
-	if num := d.integer(); num != nil {
-		if n, err := strconv.ParseInt(string(num), 10, 64); err == nil {
-			*dst = n
-		} else {
-			d.fail("expected an integer")
-		}
-	}
-}
-
-// array reports whether an array follows; false after a null.
-func (d *decoder) array() bool {
-	switch d.ws() {
-	case '[':
-		return true
-	case 'n':
-		d.literal("null")
-	default:
-		d.fail("expected an array")
-	}
-	return false
-}
-
-// anys decodes a []any: [] is empty, not nil.
-func (d *decoder) anys(dst *[]any) {
-	if *dst = nil; d.array() {
-		a := make([]any, 0)
-		for n := 0; d.next(']', n); n++ {
-			a = append(a, d.any())
-		}
-		*dst = a
-	}
-}
-
-func (d *decoder) rows(dst *[][]any) {
-	if *dst = nil; d.array() {
-		rows := make([][]any, 0)
-		for n := 0; d.next(']', n); n++ {
-			var row []any
-			d.anys(&row)
-			rows = append(rows, row)
-		}
-		*dst = rows
-	}
-}
-
-// strs decodes a []string into *dst's storage as encoding/json does.
-// A null element leaves its slot as it was, and within the slice's
-// capacity that can be what an earlier duplicate key put there.
-func (d *decoder) strs(dst *[]string) {
-	s, n := *dst, 0
-	if *dst = nil; !d.array() {
-		return
-	}
-	for ; d.next(']', n); n++ {
-		if n == len(s) {
-			if n < cap(s) {
-				s = s[:n+1]
-			} else {
-				s = append(s, "")
-			}
-		}
-		d.str(&s[n], nil)
-	}
-	if n == 0 {
-		s = make([]string, 0)
-	}
-	*dst = s[:n]
-}
-
-// nested hands a member that is not per request to encoding/json.
-func (d *decoder) nested(dst any) {
-	d.ws()
-	start := d.i
-	if d.any(); d.err == nil {
-		if err := json.Unmarshal(d.b[start:d.i], dst); err != nil {
-			d.err = err
-		}
-	}
-}
-
-// any decodes a value into what encoding/json puts in an interface:
-// nil, bool, float64, string, []any or map[string]any. It also steps
-// over members nobody reads.
-func (d *decoder) any() any {
-	switch d.ws() {
-	case '{':
-		m := map[string]any{}
-		for n := 0; d.next('}', n); n++ {
-			k := string(d.key())
-			m[k] = d.any()
-		}
-		return m
-	case '[':
-		var a []any
-		d.anys(&a)
-		return a
-	case '"':
-		return string(d.text())
 	case 't':
 		d.literal("true")
 		return true
 	case 'f':
 		d.literal("false")
 		return false
-	case 'n':
+	}
+	d.fail("expected a bool")
+	return false
+}
+
+func (d *decoder) uint() uint64 {
+	n, err := strconv.ParseUint(string(d.number()), 10, 64)
+	if err != nil {
+		d.fail("expected an unsigned integer")
+	}
+	return n
+}
+
+func (d *decoder) int() int64 {
+	n, err := strconv.ParseInt(string(d.number()), 10, 64)
+	if err != nil {
+		d.fail("expected an integer")
+	}
+	return n
+}
+
+// scalars decodes args or a row of rows: [] is empty, not nil.
+func (d *decoder) scalars() []any {
+	a := make([]any, 0)
+	for n := 0; d.next('[', ']', n); n++ {
+		a = append(a, d.scalar())
+	}
+	return a
+}
+
+// scalar decodes a string, number, bool or null as encoding/json
+// decodes it into an interface: a number is a float64.
+func (d *decoder) scalar() any {
+	switch c := d.ws(); {
+	case c == '"':
+		return string(d.text())
+	case c == 't' || c == 'f':
+		return d.bool()
+	case c == 'n':
 		d.literal("null")
+		return nil
+	case c != '-' && (c < '0' || c > '9'):
+		d.fail("expected a string, number, bool or null")
 		return nil
 	}
 	f, err := strconv.ParseFloat(string(d.number()), 64)
@@ -849,4 +664,35 @@ func (d *decoder) any() any {
 		d.fail("number out of range")
 	}
 	return f
+}
+
+func (d *decoder) rows() [][]any {
+	rows := make([][]any, 0)
+	for n := 0; d.next('[', ']', n); n++ {
+		rows = append(rows, d.scalars())
+	}
+	return rows
+}
+
+func (d *decoder) strs() []string {
+	s := make([]string, 0)
+	for n := 0; d.next('[', ']', n); n++ {
+		s = append(s, d.str(nil))
+	}
+	return s
+}
+
+// nested hands a member that is not per request to encoding/json, which
+// reads one value and reports where it ended.
+func (d *decoder) nested(dst any) {
+	if d.ws() == 'n' {
+		d.fail("null outside args and rows")
+		return
+	}
+	dec := json.NewDecoder(bytes.NewReader(d.b[d.i:]))
+	if err := dec.Decode(dst); err != nil {
+		d.fail(err.Error())
+		return
+	}
+	d.i += int(dec.InputOffset())
 }
