@@ -35,7 +35,7 @@ func runVariant(name string, mode Mode, txns int, opts Options,
 	if dbTune != nil {
 		dbTune(&stOpts)
 	}
-	st, err := buildStack(prof, mode, clockOpts, stOpts)
+	st, err := xftl.NewStackDevice(prof, mode, clockOpts, stOpts)
 	if err != nil {
 		return res, err
 	}
@@ -148,15 +148,4 @@ func AblationTable(runs []AblationRun) *Table {
 			fmt.Sprintf("%.1f", float64(r.FlashW)/float64(r.Txns)))
 	}
 	return t
-}
-
-// buildStack assembles a stack with explicit device options (the
-// facade's NewStackOptions covers only logical capacity).
-func buildStack(prof storage.Profile, mode Mode, devOpts storage.Options, stOpts xftl.StackOptions) (*xftl.Stack, error) {
-	// Reuse the facade for everything it can configure, then rebuild
-	// with the extra device options when they differ from the default.
-	if devOpts.FTL == (ftl.Config{}) && devOpts.XFTL == (core.Config{}) {
-		return xftl.NewStackOptions(prof, mode, stOpts)
-	}
-	return xftl.NewStackDevice(prof, mode, devOpts, stOpts)
 }

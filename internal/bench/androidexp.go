@@ -27,7 +27,7 @@ func ReplayTrace(name string, mode Mode, scale float64, opts Options) (TraceRun,
 	if err != nil {
 		return res, err
 	}
-	st, err := newStack(mode, opts)
+	st, err := newStack(mode, opts, 0)
 	if err != nil {
 		return res, err
 	}

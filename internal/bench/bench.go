@@ -91,12 +91,14 @@ func (o Options) spares(prof storage.Profile) int {
 }
 
 // newStack builds a stack whose FTL exports enough logical space for
-// the aging fill plus the experiment's database.
-func newStack(mode Mode, opts Options) (*xftl.Stack, error) {
+// the aging fill plus the experiment's database, whose page cache holds
+// cacheSize pages (0: the SQLite default).
+func newStack(mode Mode, opts Options, cacheSize int) (*xftl.Stack, error) {
 	prof := storage.OpenSSD()
 	return xftl.NewStackOptions(prof, mode, xftl.StackOptions{
 		Fault:          opts.fault(),
 		FTLSpareBlocks: opts.spares(prof),
+		CacheSize:      cacheSize,
 	})
 }
 

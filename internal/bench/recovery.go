@@ -33,16 +33,16 @@ func RunTable5(opts Options) (map[Mode]RecoveryRun, error) {
 	}
 	for _, mode := range AllModes() {
 		opts.progress("table5: mode %s", mode)
-		st, err := newStack(mode, opts)
-		if err != nil {
-			return nil, err
-		}
 		// Small cache so uncommitted pages steal to storage: the crash
 		// interrupts a transaction whose journal is hot (RBJ), whose
 		// WAL holds committed frames (WAL), or whose X-L2P rows are
 		// active (X-FTL). ~10 pages end up needing repair in rollback
 		// mode, matching the paper's setup.
-		db, err := st.OpenDBWithCache("synth.db", 64)
+		st, err := newStack(mode, opts, 64)
+		if err != nil {
+			return nil, err
+		}
+		db, err := st.OpenDB("synth.db")
 		if err != nil {
 			return nil, err
 		}

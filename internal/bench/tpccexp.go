@@ -64,7 +64,7 @@ func RunTable4(opts Options) (*Table4, error) {
 	}
 	for _, mode := range AllModes() {
 		opts.progress("table4: loading TPC-C for %s", mode)
-		st, err := newStack(mode, opts)
+		st, err := newStack(mode, opts, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -26,6 +26,7 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/ftl"
 	"repro/internal/metrics"
@@ -409,7 +410,7 @@ func (x *XFTL) Commit(tid TxID) error {
 	}
 	x.xstats.Commits++
 	entries := x.byTx[tid]
-	defer x.traceTx(trace.KXCommit, tid, len(entries))()
+	defer x.closeTx(x.openTx(), trace.KXCommit, tid, len(entries))
 	if len(entries) == 0 {
 		return x.base.Barrier()
 	}
@@ -488,24 +489,35 @@ func (x *XFTL) Commit(tid TxID) error {
 	return nil
 }
 
-// traceTx opens the span of a commit, abort or prepare and returns the
-// function that closes it. Everything the command does (image CoW
+// txSpan is an open commit, abort or prepare: when it began and the
+// chip origin it displaced.
+type txSpan struct {
+	start time.Duration
+	prev  trace.Origin
+}
+
+// openTx opens the span of a commit, abort or prepare; closeTx, deferred
+// by the command, closes it. Everything the command does (image CoW
 // flush, commit-log append, remap + map-group flushes, housekeeping
-// pad) runs under the span with commit origin, so its NAND work
-// attributes correctly. Untraced, it costs one pointer compare.
-func (x *XFTL) traceTx(kind trace.Kind, tid TxID, entries int) func() {
-	if x.tracer == nil {
-		return func() {}
+// pad) runs with commit origin, so its NAND work attributes correctly.
+// Untraced, the pair costs two plain stores and a pointer compare.
+func (x *XFTL) openTx() txSpan {
+	s := txSpan{prev: x.base.Chip().SetOrigin(trace.OCommit)}
+	if x.tracer != nil {
+		s.start = x.tracer.Now()
 	}
-	start := x.tracer.Now()
-	prev := x.tracer.SetFirmOrigin(trace.OCommit)
-	return func() {
-		x.tracer.SetFirmOrigin(prev)
+	return s
+}
+
+func (x *XFTL) closeTx(s txSpan, kind trace.Kind, tid TxID, entries int) {
+	chip := x.base.Chip()
+	chip.SetOrigin(s.prev)
+	if x.tracer != nil {
 		x.tracer.Record(trace.Event{
 			Layer: trace.LXFTL, Kind: kind,
-			Start: start, Dur: x.tracer.Now() - start,
+			Start: s.start, Dur: x.tracer.Now() - s.start,
 			TID: uint64(tid), Aux: int64(entries),
-			Sess: x.tracer.FirmSession(), Origin: trace.OCommit,
+			Sess: chip.Session(), Origin: trace.OCommit,
 		})
 	}
 }
@@ -520,8 +532,8 @@ func (x *XFTL) Abort(tid TxID) error {
 	}
 	x.xstats.Aborts++
 	entries := x.byTx[tid]
-	defer x.traceTx(trace.KXAbort, tid, len(entries))()
 	prepared := len(entries) > 0 && entries[0].status == StatusPrepared
+	defer x.closeTx(x.openTx(), trace.KXAbort, tid, len(entries))
 	for _, e := range entries {
 		e.status = StatusAborted
 		delete(x.byLPN, e.lpn)
@@ -559,7 +571,7 @@ func (x *XFTL) Prepare(tid TxID) error {
 	}
 	x.xstats.Prepares++
 	entries := x.byTx[tid]
-	defer x.traceTx(trace.KXPrepare, tid, len(entries))()
+	defer x.closeTx(x.openTx(), trace.KXPrepare, tid, len(entries))
 	if len(entries) == 0 {
 		return x.base.Barrier()
 	}

@@ -284,8 +284,7 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 }
 
 // SetTracer installs (or, with nil, removes) the event tracer. GC
-// episodes record as spans; meta-ring programs retag the firmware
-// origin so NAND events attribute to metadata instead of host I/O.
+// episodes and quarantines record as spans.
 func (f *FTL) SetTracer(t *trace.Tracer) { f.tracer = t }
 
 // SetHook installs the transactional-layer GC hook. Pass nil to remove.
@@ -726,20 +725,18 @@ func (f *FTL) collectOnce() error {
 	f.gcVictims++
 	f.inGC = true
 	defer func() { f.inGC = false }()
+	// Everything the episode does — copies, map flushes, the erase — is
+	// GC work, whatever command (or idle-path allocation) triggered it.
+	defer f.chip.SetOrigin(f.chip.SetOrigin(trace.OGC))
 	if f.tracer != nil {
-		// Span the whole episode and retag everything it does — copies,
-		// map flushes, the erase — as GC work, whatever command (or
-		// idle-path allocation) triggered it.
 		gcStart := f.tracer.Now()
 		copiedBefore := f.gcValidCopied
-		prevOrigin := f.tracer.SetFirmOrigin(trace.OGC)
 		defer func() {
-			f.tracer.SetFirmOrigin(prevOrigin)
 			f.tracer.Record(trace.Event{
 				Layer: trace.LFTL, Kind: trace.KGC,
 				Start: gcStart, Dur: f.tracer.Now() - gcStart,
 				Addr: int64(victim), Aux: f.gcValidCopied - copiedBefore,
-				Sess: f.tracer.FirmSession(), Origin: trace.OGC,
+				Sess: f.chip.Session(), Origin: trace.OGC,
 			})
 		}()
 	}
@@ -1117,11 +1114,6 @@ func (f *FTL) writeMetaSlot(name string, payload []byte, pages int) error {
 	return nil
 }
 
-// MetaSlotPages reports whether a named slot currently exists.
-func (f *FTL) MetaSlotPages(name string) bool {
-	return len(f.metaSlots[name]) > 0
-}
-
 // MetaSlotData returns a copy of a content-bearing slot's payload, or
 // nil when the slot does not exist or was written content-free.
 func (f *FTL) MetaSlotData(name string) []byte {
@@ -1131,14 +1123,6 @@ func (f *FTL) MetaSlotData(name string) []byte {
 	}
 	out := make([]byte, len(p))
 	copy(out, p)
-	return out
-}
-
-// MetaRingBlocks returns the current metadata ring membership (for
-// tests and the recovery benchmark's worst-case corruption).
-func (f *FTL) MetaRingBlocks() []nand.BlockNum {
-	out := make([]nand.BlockNum, len(f.metaBlocks))
-	copy(out, f.metaBlocks)
 	return out
 }
 
@@ -1155,12 +1139,12 @@ func (f *FTL) MetaRingBlocks() []nand.BlockNum {
 // any advance and immediately before its program; payload must not alias
 // metaBuf.
 func (f *FTL) metaProgram(tag metaTag, payload []byte, groupSrc *mapTable) (nand.PPN, error) {
-	if f.tracer != nil && f.tracer.FirmOrigin() == trace.OHost {
+	if f.chip.Origin() == trace.OHost {
 		// Host-triggered metadata maintenance (map-group flushes on a
 		// barrier, BBT persists) attributes as meta work; inside a GC,
 		// commit or recovery episode the outer origin already explains
 		// the write, so keep it.
-		defer f.tracer.SetFirmOrigin(f.tracer.SetFirmOrigin(trace.OMeta))
+		defer f.chip.SetOrigin(f.chip.SetOrigin(trace.OMeta))
 	}
 	trans := 0
 	for attempt := 0; ; attempt++ {

@@ -348,13 +348,13 @@ func TestMetaSlotRoundTrip(t *testing.T) {
 	if d := stats.Snapshot().Sub(before); d.PageWrites != 2 {
 		t.Errorf("meta slot write cost %d pages, want 2", d.PageWrites)
 	}
-	if !f.MetaSlotPages("xl2p") {
+	if len(f.metaSlots["xl2p"]) == 0 {
 		t.Error("slot not recorded")
 	}
 	if err := f.WriteMetaSlot("xl2p", 0); err != nil {
 		t.Fatal(err)
 	}
-	if f.MetaSlotPages("xl2p") {
+	if len(f.metaSlots["xl2p"]) > 0 {
 		t.Error("slot not dropped")
 	}
 }
@@ -370,7 +370,7 @@ func TestMetaRingRecycles(t *testing.T) {
 			t.Fatalf("meta write %d: %v", i, err)
 		}
 	}
-	if !f.MetaSlotPages("xl2p") {
+	if len(f.metaSlots["xl2p"]) == 0 {
 		t.Error("slot lost during ring recycling")
 	}
 }
@@ -614,8 +614,8 @@ func TestGCCopyProgramFailKeepsPagesAndRecords(t *testing.T) {
 	type version struct{ data, oob []byte }
 	read := func(lpn LPN) version {
 		v := version{make([]byte, f.PageSize()), make([]byte, f.chip.Config().OOBSize)}
-		if err := f.chip.ReadPageOOB(f.Mapping(lpn), v.data, v.oob); err != nil {
-			t.Fatalf("lpn %d: %v", lpn, err)
+		if st, err := f.chip.ScanRead(f.Mapping(lpn), v.data, v.oob); err != nil || st != nand.PageValid {
+			t.Fatalf("lpn %d: %v, %v", lpn, st, err)
 		}
 		return v
 	}

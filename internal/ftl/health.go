@@ -152,7 +152,7 @@ func (f *FTL) maybeProbe(unit int) {
 			Layer: trace.LFTL, Kind: trace.KQuarantine,
 			Start: h.since, Dur: now - h.since,
 			Unit: int32(unit), Aux: 0,
-			Sess: f.tracer.FirmSession(), Origin: f.tracer.FirmOrigin(),
+			Sess: f.chip.Session(), Origin: f.chip.Origin(),
 		})
 	}
 }
@@ -179,7 +179,7 @@ func (f *FTL) quarantine(unit int) error {
 		f.tracer.Record(trace.Event{
 			Layer: trace.LFTL, Kind: trace.KQuarantine,
 			Start: now, Unit: int32(unit), Aux: 1,
-			Sess: f.tracer.FirmSession(), Origin: f.tracer.FirmOrigin(),
+			Sess: f.chip.Session(), Origin: f.chip.Origin(),
 		})
 	}
 	return f.drainUnit(unit)
@@ -228,9 +228,7 @@ func (f *FTL) drainUnit(unit int) error {
 	chipCfg := f.chip.Config()
 	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
 	units := int64(chipCfg.Units())
-	if f.tracer != nil {
-		defer f.tracer.SetFirmOrigin(f.tracer.SetFirmOrigin(trace.OGC))
-	}
+	defer f.chip.SetOrigin(f.chip.SetOrigin(trace.OGC))
 	defer func() { f.draining = -1 }()
 	for b := 0; b < dataBlocks; b++ {
 		blk := nand.BlockNum(b)

@@ -294,7 +294,7 @@ func TestScanSurvivesTotalMetaAnnihilation(t *testing.T) {
 	writeAndBarrier(t, f, lpns)
 	f.PowerCut()
 	chip := f.Chip()
-	for _, blk := range f.MetaRingBlocks() {
+	for _, blk := range f.metaBlocks {
 		for pi := 0; pi < chip.Config().PagesPerBlock; pi++ {
 			ppn := chip.PPNOf(blk, pi)
 			if st, _ := chip.State(ppn); st != nand.PageFree {

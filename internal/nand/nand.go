@@ -185,6 +185,14 @@ type Chip struct {
 	// occupied (see internal/trace).
 	tracer *trace.Tracer
 
+	// Whose work the chip is doing: the host session and serving-tier
+	// request of the executing command (set by the device per attempt,
+	// zero between commands) and why (host unless a GC, metadata, commit
+	// or recovery episode is running). Written only while firmware
+	// execution is serialized, so plain fields suffice.
+	sess, req uint64
+	origin    trace.Origin
+
 	// Fault injection (fault.go). fault == nil models ideal flash.
 	fault *FaultModel
 	frng  *rand.Rand
@@ -224,7 +232,6 @@ type block struct {
 	state      []PageState // per-page state
 	torn       []bool      // partially programmed/erased pages (never pass ECC)
 	eraseCount int64
-	freeHint   int // index of first possibly-free page (sequential-program hint)
 	validCount int // pages in PageValid, maintained incrementally
 	freeCount  int // pages in PageFree, maintained incrementally
 }
@@ -308,9 +315,28 @@ func (c *Chip) SetCharger(ch Charger) { c.charger = ch }
 // SetTracer installs (or, with nil, removes) the event tracer.
 func (c *Chip) SetTracer(t *trace.Tracer) { c.tracer = t }
 
+// SetCommand attributes the chip's work to a host session and
+// serving-tier request until the next call; (0, 0) attributes it to
+// neither.
+func (c *Chip) SetCommand(sess, req uint64) { c.sess, c.req = sess, req }
+
+// Session reports the host session the chip is working for.
+func (c *Chip) Session() uint64 { return c.sess }
+
+// SetOrigin sets why the chip is working and returns the previous
+// origin, for the episode that sets it to restore on its way out.
+func (c *Chip) SetOrigin(o trace.Origin) trace.Origin {
+	prev := c.origin
+	c.origin = o
+	return prev
+}
+
+// Origin reports why the chip is working.
+func (c *Chip) Origin() trace.Origin { return c.origin }
+
 // note records one flash-operation event over the charged interval,
-// attributed to the firmware context (session + origin) current when
-// the operation ran. addr is a PPN for page operations and a block
+// attributed to the chip's session, request and origin when the
+// operation ran. addr is a PPN for page operations and a block
 // number for erases, whose unit is -1: they occupy all units.
 func (c *Chip) note(k trace.Kind, addr int64, st, en time.Duration) {
 	if c.tracer == nil {
@@ -324,8 +350,7 @@ func (c *Chip) note(k trace.Kind, addr int64, st, en time.Duration) {
 		Layer: trace.LNAND, Kind: k,
 		Start: st, Dur: en - st,
 		Addr: addr, Unit: int32(unit),
-		Sess: c.tracer.FirmSession(), Req: c.tracer.FirmReq(),
-		Origin: c.tracer.FirmOrigin(),
+		Sess: c.sess, Req: c.req, Origin: c.origin,
 	})
 }
 
@@ -397,21 +422,6 @@ func (c *Chip) ReadPage(p PPN, buf []byte) error {
 	data, _, _, err := c.readCell(p, readHost)
 	if err == nil {
 		copy(buf, data)
-	}
-	return err
-}
-
-// ReadPageOOB is ReadPage plus the page's spare area: one read command
-// transfers both (the spare bytes ride in the same page register), so it
-// charges a single read. oobBuf must be at least OOBSize bytes.
-func (c *Chip) ReadPageOOB(p PPN, buf, oobBuf []byte) error {
-	if len(buf) < c.cfg.PageSize || len(oobBuf) < c.cfg.OOBSize {
-		return ErrShortBuffer
-	}
-	data, oob, _, err := c.readCell(p, readHost)
-	if err == nil {
-		copy(buf, data)
-		clear(oobBuf[copy(oobBuf, oob):c.cfg.OOBSize])
 	}
 	return err
 }
@@ -569,9 +579,6 @@ func (c *Chip) programPage(p PPN, data, oob []byte, internal bool) error {
 		b.torn[pi] = true
 		b.validCount++
 		b.freeCount--
-		if pi == b.freeHint {
-			b.freeHint++
-		}
 		return ErrPowerLost
 	}
 	c.unitHangs(p, b)
@@ -589,9 +596,6 @@ func (c *Chip) programPage(p PPN, data, oob []byte, internal bool) error {
 		b.state[pi] = PageInvalid
 		b.torn[pi] = true
 		b.freeCount--
-		if pi == b.freeHint {
-			b.freeHint++
-		}
 		c.chargeOp(p, c.cfg.ProgLatency, internal)
 		if c.stats != nil {
 			c.stats.ProgramFails.Add(1)
@@ -601,9 +605,6 @@ func (c *Chip) programPage(p PPN, data, oob []byte, internal bool) error {
 	b.state[pi] = PageValid
 	b.validCount++
 	b.freeCount--
-	if pi == b.freeHint {
-		b.freeHint++
-	}
 	// Charged, counted and traced before the payload copy, so the
 	// counter's locked add does not wait out the copy's stores.
 	st, en := c.chargeOp(p, c.cfg.ProgLatency, internal)
@@ -707,7 +708,6 @@ func (c *Chip) EraseBlock(blk BlockNum) error {
 		c.releasePage(b, pi)
 		b.torn[pi] = false
 	}
-	b.freeHint = 0
 	b.validCount = 0
 	b.freeCount = c.cfg.PagesPerBlock
 	b.eraseCount++
@@ -728,23 +728,8 @@ func (c *Chip) wreckBlock(b *block) {
 		c.releasePage(b, pi)
 		b.torn[pi] = true
 	}
-	b.freeHint = c.cfg.PagesPerBlock
 	b.validCount = 0
 	b.freeCount = 0
-}
-
-// ForceEraseBlock wipes a block even if it contains valid pages. It
-// exists for tests and for simulating factory reset; FTLs must use
-// EraseBlock.
-func (c *Chip) ForceEraseBlock(blk BlockNum) error {
-	if blk < 0 || int(blk) >= c.cfg.Blocks {
-		return fmt.Errorf("%w: %d", ErrBadBlock, blk)
-	}
-	b := &c.blocks[blk]
-	for pi := range b.state {
-		b.state[pi] = PageInvalid
-	}
-	return c.EraseBlock(blk)
 }
 
 // State reports the lifecycle state of a physical page.
@@ -754,14 +739,6 @@ func (c *Chip) State(p PPN) (PageState, error) {
 		return PageFree, err
 	}
 	return c.blocks[bi].state[pi], nil
-}
-
-// EraseCount reports how many times a block has been erased (wear).
-func (c *Chip) EraseCount(blk BlockNum) (int64, error) {
-	if blk < 0 || int(blk) >= c.cfg.Blocks {
-		return 0, fmt.Errorf("%w: %d", ErrBadBlock, blk)
-	}
-	return c.blocks[blk].eraseCount, nil
 }
 
 // ValidPages reports how many valid pages a block holds. O(1).
@@ -778,23 +755,6 @@ func (c *Chip) FreePages(blk BlockNum) (int, error) {
 		return 0, fmt.Errorf("%w: %d", ErrBadBlock, blk)
 	}
 	return c.blocks[blk].freeCount, nil
-}
-
-// NextFreePage returns the lowest free page index in a block, or -1 if
-// the block is fully programmed. NAND requires in-order programming
-// within a block; FTLs use this to maintain a write frontier.
-func (c *Chip) NextFreePage(blk BlockNum) (int, error) {
-	if blk < 0 || int(blk) >= c.cfg.Blocks {
-		return -1, fmt.Errorf("%w: %d", ErrBadBlock, blk)
-	}
-	b := &c.blocks[blk]
-	for pi := b.freeHint; pi < c.cfg.PagesPerBlock; pi++ {
-		if b.state[pi] == PageFree {
-			b.freeHint = pi
-			return pi, nil
-		}
-	}
-	return -1, nil
 }
 
 // WearSpread reports max minus min per-block erase count — the
@@ -814,13 +774,4 @@ func (c *Chip) WearSpread() int64 {
 		}
 	}
 	return hi - lo
-}
-
-// TotalWear sums erase counts over all blocks.
-func (c *Chip) TotalWear() int64 {
-	var total int64
-	for i := range c.blocks {
-		total += c.blocks[i].eraseCount
-	}
-	return total
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 )
 
 func testConfig() Config {
@@ -161,19 +162,6 @@ func TestInvalidateFreePageFails(t *testing.T) {
 	}
 }
 
-func TestForceEraseBlock(t *testing.T) {
-	c, _, _ := newTestChip(t)
-	if err := c.ProgramPage(0, pageData(c.Config(), 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ForceEraseBlock(0); err != nil {
-		t.Fatalf("ForceEraseBlock: %v", err)
-	}
-	if st, _ := c.State(0); st != PageFree {
-		t.Errorf("state after force erase = %v, want free", st)
-	}
-}
-
 func TestLatencyAccounting(t *testing.T) {
 	c, clk, _ := newTestChip(t)
 	cfg := c.Config()
@@ -262,22 +250,6 @@ func TestCountersMatchScan(t *testing.T) {
 	}
 }
 
-func TestNextFreePage(t *testing.T) {
-	c, _, _ := newTestChip(t)
-	cfg := c.Config()
-	if pi, err := c.NextFreePage(1); err != nil || pi != 0 {
-		t.Fatalf("NextFreePage on erased block = %d, %v; want 0, nil", pi, err)
-	}
-	for i := 0; i < cfg.PagesPerBlock; i++ {
-		if err := c.ProgramPage(c.PPNOf(1, i), pageData(cfg, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pi, err := c.NextFreePage(1); err != nil || pi != -1 {
-		t.Fatalf("NextFreePage on full block = %d, %v; want -1, nil", pi, err)
-	}
-}
-
 func TestWearCounting(t *testing.T) {
 	c, _, _ := newTestChip(t)
 	for i := 0; i < 5; i++ {
@@ -285,11 +257,11 @@ func TestWearCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := c.EraseCount(3); n != 5 {
-		t.Errorf("EraseCount = %d, want 5", n)
+	if n := c.blocks[3].eraseCount; n != 5 {
+		t.Errorf("erase count = %d, want 5", n)
 	}
-	if c.TotalWear() != 5 {
-		t.Errorf("TotalWear = %d, want 5", c.TotalWear())
+	if c.WearSpread() != 5 {
+		t.Errorf("WearSpread = %d, want 5", c.WearSpread())
 	}
 }
 
@@ -316,18 +288,19 @@ func TestPropertyDataIntegrity(t *testing.T) {
 		if len(fills) > cfg.PagesPerBlock {
 			fills = fills[:cfg.PagesPerBlock]
 		}
-		// Fresh block each run not needed: find free pages in block 7.
+		// Fresh block each run not needed: block 7 programs in order, so
+		// its next free page follows the programmed ones.
 		written := map[int]byte{}
-		for i, fill := range fills {
-			pi, err := c.NextFreePage(7)
-			if err != nil || pi < 0 {
+		for _, fill := range fills {
+			free, err := c.FreePages(7)
+			if err != nil || free == 0 {
 				break
 			}
+			pi := cfg.PagesPerBlock - free
 			if err := c.ProgramPage(c.PPNOf(7, pi), pageData(cfg, fill)); err != nil {
 				return false
 			}
 			written[pi] = fill
-			_ = i
 		}
 		buf := make([]byte, cfg.PageSize)
 		for pi, fill := range written {
@@ -368,7 +341,7 @@ func TestRecycledSpareReadsBackZeroPadded(t *testing.T) {
 		if err := c.ProgramPageOOB(p, pageData(cfg, 2), oob); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ReadPageOOB(p, buf, got); err != nil {
+		if _, err := c.ScanRead(p, buf, got); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]byte, cfg.OOBSize)
@@ -376,5 +349,30 @@ func TestRecycledSpareReadsBackZeroPadded(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("page %d spare = %x, want %x", pi, got, want)
 		}
+	}
+}
+
+// The chip's work starts as the host's; an episode sets its origin and
+// restores the previous one on the way out, so nested episodes unwind
+// to the outer one's origin and the last to host.
+func TestOriginNestsAndUnwinds(t *testing.T) {
+	c, _, _ := newTestChip(t)
+	if c.Origin() != trace.OHost {
+		t.Fatalf("fresh chip origin %v, want host", c.Origin())
+	}
+	outer := c.SetOrigin(trace.OCommit)
+	inner := c.SetOrigin(trace.OGC)
+	if c.Origin() != trace.OGC {
+		t.Errorf("nested origin %v, want gc", c.Origin())
+	}
+	if prev := c.SetOrigin(inner); prev != trace.OGC || c.Origin() != trace.OCommit {
+		t.Errorf("inner restore: returned %v, origin %v; want gc, commit", prev, c.Origin())
+	}
+	if c.SetOrigin(outer); c.Origin() != trace.OHost {
+		t.Errorf("outer restore: origin %v, want host", c.Origin())
+	}
+	c.SetCommand(9, 7)
+	if c.Session() != 9 || c.req != 7 {
+		t.Errorf("command attribution sess %d req %d, want 9 7", c.Session(), c.req)
 	}
 }

@@ -29,8 +29,8 @@ func TestSubmitNoAllocsWhenTracingDisabled(t *testing.T) {
 }
 
 // Request-id attribution rides the same disabled-tracing fast path:
-// carrying a ReqID must not reintroduce allocations (the firmware
-// context update is gated behind the nil-tracer check).
+// carrying a Sess and Req must not reintroduce allocations (the device
+// hands them to the chip as plain stores; the queue only carries them).
 func TestSubmitNoAllocsWithReqID(t *testing.T) {
 	_, q := newQueue(4, 8)
 	r := &Request{Op: OpWrite, LPN: 3, Sess: 9, Req: 7}

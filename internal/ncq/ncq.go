@@ -100,17 +100,14 @@ type Request struct {
 	Data []byte // page payload for writes; owned by the queue until return
 	Buf  []byte // destination for reads
 
-	// Sess, Req and Origin attribute the command for tracing: the host
-	// session (mvcc.Session or raw I/O context) that issued it, the
-	// serving-tier request it serves, and why. All are zero-valued (no
-	// session, no request, host origin) when untraced.
+	// Sess, Req and Origin attribute the command: the host session
+	// (mvcc.Session or raw I/O context) that issued it, the serving-tier
+	// request it serves, and why. The executor hands Sess and Req on to
+	// the firmware's NAND work. All are zero-valued (no session, no
+	// request, host origin) when untraced.
 	Sess   uint64
 	Req    uint64
 	Origin trace.Origin
-
-	// Deadline, when positive, overrides the queue policy's per-attempt
-	// deadline for this command (see RetryPolicy.Deadline).
-	Deadline time.Duration
 
 	Err       error
 	Submitted time.Duration // virtual time the request entered the queue
@@ -261,9 +258,6 @@ func (q *Queue) submitLocked(r *Request) error {
 		}
 	}
 	deadline := q.policy.Deadline
-	if r.Deadline > 0 {
-		deadline = r.Deadline
-	}
 	maxAttempts := q.policy.MaxAttempts
 	if maxAttempts < 1 {
 		if deadline > 0 {
@@ -287,17 +281,7 @@ func (q *Queue) submitLocked(r *Request) error {
 			}
 		}
 		q.sched.Begin(start)
-		if q.tracer != nil {
-			// Firmware about to run on this session's behalf: NAND events
-			// it emits inherit the command's attribution.
-			q.tracer.SetFirmSession(r.Sess)
-			q.tracer.SetFirmReq(r.Req)
-		}
 		r.Err = q.exec(r)
-		if q.tracer != nil {
-			q.tracer.SetFirmSession(0)
-			q.tracer.SetFirmReq(0)
-		}
 		r.Started = start
 		r.Done = q.sched.End()
 		if r.Err != nil && errors.Is(r.Err, nand.ErrPowerLost) {

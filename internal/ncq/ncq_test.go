@@ -175,8 +175,8 @@ func TestChargeAllOccupiesEveryUnit(t *testing.T) {
 		t.Errorf("erase after busy unit completed at %v, want %v", end, want)
 	}
 	for u := 0; u < 4; u++ {
-		if sched.BusyUntil(u) != end {
-			t.Errorf("unit %d busy-until %v, want %v", u, sched.BusyUntil(u), end)
+		if sched.units[u] != end {
+			t.Errorf("unit %d busy-until %v, want %v", u, sched.units[u], end)
 		}
 	}
 }

@@ -163,8 +163,3 @@ func (s *Scheduler) ChargeAll(d time.Duration) (time.Duration, time.Duration) {
 	s.end = max(s.end, e)
 	return st, e
 }
-
-// BusyUntil reports a unit's busy-until timestamp (tests and metrics).
-func (s *Scheduler) BusyUntil(unit int) time.Duration {
-	return s.units[unit%len(s.units)]
-}

@@ -152,7 +152,6 @@ func New(opts Options) (*Server, error) {
 	prof := storage.OpenSSD()
 	prof.Nand.Channels = opts.Channels
 	prof.Nand.Ways = 1
-	prof.Channels = opts.Channels
 
 	mode, journal := xftl.ModeRollback, pager.Rollback
 	if opts.Mode == mvcc.MVCC {

@@ -60,11 +60,8 @@ type Options struct {
 	// ModeXFTL.
 	Mode xftl.Mode
 	// Stack tunes each member (cache, capacity, spares...). A non-nil
-	// Stack.Fault is rejected for Shards > 1; use FaultSeed.
+	// Stack.Fault is rejected for Shards > 1.
 	Stack xftl.StackOptions
-	// FaultSeed, when non-zero, gives each member an independent NAND
-	// fault model seeded FaultSeed+shard.
-	FaultSeed int64
 	// Session configures the per-database session managers. Zero value
 	// means MVCC over journal-mode Off for ModeXFTL, Serialized over
 	// Rollback otherwise.
@@ -121,12 +118,11 @@ func New(opts Options) (*Fleet, error) {
 		opts.Shards = 1
 	}
 	stacks, tracers, err := xftl.NewFleet(xftl.FleetSpec{
-		Shards:    opts.Shards,
-		Profile:   opts.Profile,
-		Mode:      opts.Mode,
-		Options:   opts.Stack,
-		FaultSeed: opts.FaultSeed,
-		Trace:     opts.Trace,
+		Shards:  opts.Shards,
+		Profile: opts.Profile,
+		Mode:    opts.Mode,
+		Options: opts.Stack,
+		Trace:   opts.Trace,
 	})
 	if err != nil {
 		return nil, err

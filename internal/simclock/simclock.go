@@ -52,28 +52,3 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	}
 	return c.now
 }
-
-// Reset rewinds the clock to zero. Intended for reusing a simulation
-// environment between benchmark iterations.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-}
-
-// Stopwatch measures spans of simulated time on a parent clock.
-type Stopwatch struct {
-	clock *Clock
-	start time.Duration
-}
-
-// NewStopwatch starts a stopwatch at the clock's current time.
-func NewStopwatch(c *Clock) *Stopwatch {
-	return &Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed reports the simulated time since the stopwatch started.
-func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Now() - s.start }
-
-// Restart resets the stopwatch's start point to now.
-func (s *Stopwatch) Restart() { s.start = s.clock.Now() }

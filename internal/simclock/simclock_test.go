@@ -35,29 +35,6 @@ func TestAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New()
-	c.Advance(time.Second)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Error("Reset did not zero the clock")
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	c := New()
-	c.Advance(time.Millisecond)
-	sw := NewStopwatch(c)
-	c.Advance(7 * time.Millisecond)
-	if sw.Elapsed() != 7*time.Millisecond {
-		t.Errorf("Elapsed = %v", sw.Elapsed())
-	}
-	sw.Restart()
-	if sw.Elapsed() != 0 {
-		t.Errorf("after Restart Elapsed = %v", sw.Elapsed())
-	}
-}
-
 func TestConcurrentAdvance(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup

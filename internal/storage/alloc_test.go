@@ -67,3 +67,32 @@ func TestYoungDeviceOverwriteRoundsAllocateNoPages(t *testing.T) {
 		})
 	}
 }
+
+// Untraced, the attribution of a command's NAND work costs only plain
+// stores: a write carrying a session and request, and a barrier whose
+// map-group flush runs through metaProgram with its origin set and
+// restored on the chip, allocate nothing.
+func TestUntracedAttributionAllocatesNothing(t *testing.T) {
+	d := newDev(t, false)
+	w := &ncq.Request{Op: ncq.OpWrite, Data: devPage(d, 0x7E), Sess: 9, Req: 7}
+	b := &ncq.Request{Op: ncq.OpBarrier, Sess: 9, Req: 7}
+	flushes := d.FlashStats().Snapshot().PageWrites
+	round := func() {
+		w.LPN = (w.LPN + 1) % 8
+		if err := d.Queue().SubmitWait(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Queue().SubmitWait(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 64 {
+		round()
+	}
+	if d.FlashStats().Snapshot().PageWrites-flushes <= 64 {
+		t.Fatal("set-up: the barriers flushed no map groups")
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Errorf("a write and a barrier allocate %.1f objects per round, want 0", allocs)
+	}
+}

@@ -11,11 +11,11 @@
 // §6.3.4). Two Profiles reproduce the paper's hardware: the OpenSSD
 // Barefoot board and the Samsung S830 used for Figure 9.
 //
-// Commands flow through an NCQ-style queue (internal/ncq): Queue()
-// exposes asynchronous submission at the configured depth, while the
-// classic synchronous methods are depth-1 wrappers that wait for their
-// own completion. The queue also makes the Device safe for concurrent
-// use by multiple submitters.
+// Commands flow through an NCQ-style queue (internal/ncq), the device's
+// one command path: Queue() exposes asynchronous submission at the
+// configured depth, and SubmitWait waits for a command's own completion.
+// The queue also makes the Device safe for concurrent use by multiple
+// submitters.
 package storage
 
 import (
@@ -93,9 +93,9 @@ type Profile struct {
 	// BarrierOverhead is the flat extra cost of a write barrier beyond
 	// the mapping-table flush it triggers (cache drain, FUA handling).
 	BarrierOverhead time.Duration
-	// Channels is the internal flash parallelism available to queued
-	// I/O. Single-stream latency is unaffected; multi-threaded
-	// workloads (Figure 9) scale throughput by up to this factor.
+	// Channels names the device's channel count. Nothing in the
+	// simulation reads it: the scheduler's parallelism is Nand.Channels
+	// × Nand.Ways units.
 	Channels int
 }
 
@@ -147,8 +147,8 @@ type Options struct {
 	// nand.DefaultFaultModel for realistic MLC rates.
 	Fault *nand.FaultModel
 	// QueueDepth is the NCQ command-queue depth; 0 selects
-	// ncq.DefaultDepth (32). The synchronous methods behave the same at
-	// any depth; Queue() submitters share the configured slots.
+	// ncq.DefaultDepth (32). Queue() submitters share the configured
+	// slots; a SubmitWait caller sees the same result at any depth.
 	QueueDepth int
 	// CmdDeadline is the per-attempt virtual-time deadline for data-path
 	// commands. Zero disables timeout detection entirely (one attempt,
@@ -405,11 +405,21 @@ func (d *Device) Register(reg *metrics.Registry, shard string) {
 // virtual time before reading the clock.
 func (d *Device) Queue() *ncq.Queue { return d.q }
 
-// execute runs one queued command against the firmware. The queue
-// serializes calls under its lock with a scheduler command open, so
-// the firmware state mutates in submission order while the latency
-// charges land on the contended channel/way resources.
+// execute runs one attempt of a queued command against the firmware,
+// with the chip attributing its NAND work to the command's session and
+// request. The queue serializes calls under its lock with a scheduler
+// command open, so the firmware state mutates in submission order while
+// the latency charges land on the contended channel/way resources.
 func (d *Device) execute(r *ncq.Request) error {
+	chip := d.base.Chip()
+	chip.SetCommand(r.Sess, r.Req)
+	err := d.run(r)
+	chip.SetCommand(0, 0)
+	return err
+}
+
+// run dispatches one command to the firmware.
+func (d *Device) run(r *ncq.Request) error {
 	switch r.Op {
 	case ncq.OpRead:
 		d.chargeCmd(1)
@@ -493,12 +503,12 @@ func (d *Device) execute(r *ncq.Request) error {
 // Restart before issuing further commands.
 func (d *Device) lost(err error) error {
 	if err != nil && errors.Is(err, nand.ErrPowerLost) {
-		d.powerCutFirmware()
+		d.dropVolatileState()
 	}
 	return err
 }
 
-func (d *Device) powerCutFirmware() {
+func (d *Device) dropVolatileState() {
 	if d.x != nil {
 		d.x.PowerCut()
 	} else {
@@ -582,7 +592,7 @@ func (d *Device) SnapshotClose(id core.SnapID) error {
 func (d *Device) PowerCut() {
 	d.q.Exclusive(func() {
 		d.base.Chip().PowerOff()
-		d.powerCutFirmware()
+		d.dropVolatileState()
 	})
 	d.q.Abandon()
 }
@@ -614,8 +624,8 @@ func (d *Device) Restart() error {
 	var err error
 	d.q.Exclusive(func() {
 		start := d.tracer.Now()
-		prevOrigin := d.tracer.SetFirmOrigin(trace.ORecovery)
 		chip := d.base.Chip()
+		prevOrigin := chip.SetOrigin(trace.ORecovery)
 		chip.Restore()
 		chip.SetCharger(nil)
 		if d.x != nil {
@@ -625,7 +635,7 @@ func (d *Device) Restart() error {
 		}
 		chip.SetCharger(d.sched)
 		d.sched.Reset()
-		d.tracer.SetFirmOrigin(prevOrigin)
+		chip.SetOrigin(prevOrigin)
 		if d.tracer != nil && err == nil {
 			info := d.base.LastRecovery()
 			d.tracer.Record(trace.Event{

@@ -74,7 +74,7 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 	if s.scale > 0 {
 		fault = nand.DefaultFaultModel(seed).Scale(s.scale)
 	}
-	st, err := xftl.NewStackOptions(sqlProfile(), s.mode, xftl.StackOptions{Fault: fault})
+	st, err := xftl.NewStackOptions(sqlProfile(), s.mode, xftl.StackOptions{Fault: fault, CacheSize: 8})
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 	// open (re)opens the database — running the journal mode's own
 	// recovery — and counts the path that took.
 	open := func() error {
-		if db, err = st.OpenDBWithCache("torture.db", 8); err != nil {
+		if db, err = st.OpenDB("torture.db"); err != nil {
 			return err
 		}
 		rep.JournalPlaybacks += db.Pager().JournalPlaybacks

@@ -21,7 +21,7 @@ import (
 
 // Thread ids inside a device process.
 const (
-	tidFirmware = 1   // FTL/X-FTL firmware spans (GC, commit, recovery)
+	tidEpisodes = 1   // FTL/X-FTL firmware spans (GC, commit, recovery)
 	tidUnitBase = 100 // NAND unit u renders as tid 100+u
 )
 
@@ -90,7 +90,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		} else if ev.Kind == KNandRead || ev.Kind == KNandProg {
 			name(devPid, tidUnitBase+int(ev.Unit), fmt.Sprintf("nand unit %d", ev.Unit))
 		} else {
-			name(devPid, tidFirmware, "firmware")
+			name(devPid, tidEpisodes, "firmware")
 		}
 	}
 	for g := uint16(1); g <= maxGen; g++ {
@@ -109,7 +109,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	for i := range events {
 		ev := &events[i]
 		hostPid, devPid := genPids(ev.Gen)
-		pid, tid := devPid, tidFirmware
+		pid, tid := devPid, tidEpisodes
 		if ev.Layer == LServer {
 			pid, tid = hostPid, tidServer
 		} else if ev.Layer.host() {

@@ -14,12 +14,9 @@
 //
 // Identity propagation: host-side events carry the session id of the
 // mvcc.Session (or raw I/O context) that issued them, threaded down
-// through simfs into each device command. Firmware-side events (NAND
-// ops, meta writes, GC copies) cannot see the host context directly —
-// they run under the device queue lock — so the tracer keeps a small
-// "firmware context" (current session + origin) that the queue and the
-// FTL layers set while firmware code runs. Firmware execution is
-// serialized under that lock, which makes the plain fields race-free.
+// through simfs into each device command. Events the firmware raises take
+// theirs from the NAND chip, which knows the executing command's
+// session, request and origin (nand.Chip.SetCommand, SetOrigin).
 package trace
 
 import (
@@ -212,14 +209,6 @@ type Tracer struct {
 	events []Event
 	gen    uint16   // current attach generation
 	labels []string // label per generation, index gen-1
-
-	// Firmware context: which host session, serving-tier request and
-	// origin the serialized firmware path is currently working for.
-	// Written only while the device queue lock (or the exclusive
-	// control plane) is held, so plain fields suffice.
-	firmSess   uint64
-	firmReq    uint64
-	firmOrigin Origin
 }
 
 // New creates an empty tracer. Attach a clock before recording.
@@ -326,62 +315,4 @@ func Merge(ts ...*Tracer) *Tracer {
 	}
 	out.gen = uint16(len(out.labels))
 	return out
-}
-
-// SetFirmSession sets the firmware-context session id and returns the
-// previous value. Call only while firmware execution is serialized.
-func (t *Tracer) SetFirmSession(sess uint64) uint64 {
-	if t == nil {
-		return 0
-	}
-	old := t.firmSess
-	t.firmSess = sess
-	return old
-}
-
-// SetFirmReq sets the firmware-context serving-tier request id and
-// returns the previous value. Call only while firmware execution is
-// serialized.
-func (t *Tracer) SetFirmReq(req uint64) uint64 {
-	if t == nil {
-		return 0
-	}
-	old := t.firmReq
-	t.firmReq = req
-	return old
-}
-
-// FirmReq reads the firmware-context serving-tier request id.
-func (t *Tracer) FirmReq() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.firmReq
-}
-
-// SetFirmOrigin sets the firmware-context origin and returns the
-// previous value. Call only while firmware execution is serialized.
-func (t *Tracer) SetFirmOrigin(o Origin) Origin {
-	if t == nil {
-		return OHost
-	}
-	old := t.firmOrigin
-	t.firmOrigin = o
-	return old
-}
-
-// FirmSession reads the firmware-context session id.
-func (t *Tracer) FirmSession() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.firmSess
-}
-
-// FirmOrigin reads the firmware-context origin.
-func (t *Tracer) FirmOrigin() Origin {
-	if t == nil {
-		return OHost
-	}
-	return t.firmOrigin
 }

@@ -24,12 +24,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Now() != 0 || tr.Len() != 0 || tr.Events() != nil {
 		t.Error("nil tracer retained state")
 	}
-	if tr.SetFirmSession(9) != 0 || tr.FirmSession() != 0 {
-		t.Error("nil tracer firmware session not zero")
-	}
-	if tr.SetFirmOrigin(OGC) != OHost || tr.FirmOrigin() != OHost {
-		t.Error("nil tracer firmware origin not host")
-	}
 	if tr.GenLabel(1) != "" {
 		t.Error("nil tracer has a generation label")
 	}

@@ -252,20 +252,13 @@ func (s *Stack) AttachTracer(t *trace.Tracer, label string) {
 
 // FleetSpec configures a fleet of independent stacks — the shard
 // substrate. Every member shares one hardware profile, mode and tuning
-// options but owns its device, clock, file system and (derived) fault
-// model, so members simulate in parallel without serializing on any
-// shared state.
+// options but owns its device, clock and file system, so members
+// simulate in parallel without serializing on any shared state.
 type FleetSpec struct {
 	Shards  int
 	Profile Profile
 	Mode    Mode
 	Options StackOptions
-
-	// FaultSeed, when non-zero, installs an independent NAND fault model
-	// on each member, seeded FaultSeed+shard — the same fault class
-	// everywhere, different outcome streams. A shared Options.Fault would
-	// couple the members' RNG state and is rejected for Shards > 1.
-	FaultSeed int64
 
 	// Trace attaches a private tracer per member, labeled "shard N".
 	Trace bool
@@ -281,17 +274,14 @@ func NewFleet(spec FleetSpec) ([]*Stack, []*trace.Tracer, error) {
 		spec.Shards = 1
 	}
 	if spec.Options.Fault != nil && spec.Shards > 1 {
-		return nil, nil, fmt.Errorf("xftl: a shared fault model cannot serve %d shards; use FleetSpec.FaultSeed", spec.Shards)
+		return nil, nil, fmt.Errorf("xftl: one fault model cannot serve %d shards: members run in parallel and would share its random state", spec.Shards)
 	}
 	stacks := make([]*Stack, spec.Shards)
 	tracers := make([]*trace.Tracer, spec.Shards)
 	reg := metrics.NewRegistry() // one exposition, members told apart by label
+	devOpts := deviceOptions(spec.Options)
 	for i := range stacks {
-		opts := spec.Options
-		if spec.FaultSeed != 0 {
-			opts.Fault = nand.DefaultFaultModel(spec.FaultSeed + int64(i))
-		}
-		st, err := newStack(spec.Profile, spec.Mode, deviceOptions(opts), opts, reg, i)
+		st, err := newStack(spec.Profile, spec.Mode, devOpts, spec.Options, reg, i)
 		if err != nil {
 			// Unwind the members already built so no queue outlives the
 			// failed constructor.
@@ -339,14 +329,6 @@ func CloseFleet(stacks []*Stack) error {
 // the journal mode the stack was built for.
 func (s *Stack) OpenDB(name string) (*sqlite.DB, error) {
 	return sqlite.Open(s.FS, name, s.dbConfig)
-}
-
-// OpenDBWithCache is OpenDB with an explicit page-cache size, used by
-// experiments that need the steal path exercised aggressively.
-func (s *Stack) OpenDBWithCache(name string, cacheSize int) (*sqlite.DB, error) {
-	cfg := s.dbConfig
-	cfg.CacheSize = cacheSize
-	return sqlite.Open(s.FS, name, cfg)
 }
 
 // Elapsed reports total simulated time since the stack was created.
