@@ -1,13 +1,31 @@
 package bench
 
 import (
-	"fmt"
+	"os"
+	"strings"
 	"testing"
 )
 
 // quick is shared by tests that run in parallel: each experiment builds its
-// own seeded stacks, so they have nothing else in common.
+// own seeded stacks, so they have nothing else in common. They are the
+// options `xftlbench -quick` runs with.
 var quick = Options{Quick: true}
+
+// checkGolden fails the test unless every table is a verbatim block of
+// the committed `xftlbench -quick -quiet all` output: a change that
+// moves a paper table fails here, not only in a diff against the file.
+func checkGolden(t *testing.T, tbls ...*Table) {
+	t.Helper()
+	golden, err := os.ReadFile("../../results_quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range tbls {
+		if !strings.Contains("\n"+string(golden), "\n"+tbl.String()+"\n") {
+			t.Errorf("table is not a block of results_quick.txt:\n%s", tbl)
+		}
+	}
+}
 
 func TestFig5Quick(t *testing.T) {
 	t.Parallel()
@@ -15,9 +33,7 @@ func TestFig5Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tbl := range f.Tables() {
-		fmt.Println(tbl)
-	}
+	checkGolden(t, f.Tables()...)
 	// Shape assertions: X-FTL fastest, RBJ slowest, for every point.
 	for _, v := range f.Validities {
 		for _, u := range f.Updates {
@@ -36,7 +52,7 @@ func TestTable1Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(t1.Table())
+	checkGolden(t, t1.Table())
 	rbj, wal, xf := t1.Runs[RBJ], t1.Runs[WAL], t1.Runs[XFTL]
 	if xf.Host.JournalWrites != 0 {
 		t.Error("X-FTL wrote journal pages")
@@ -55,9 +71,7 @@ func TestFig6Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tbl := range f.Tables() {
-		fmt.Println(tbl)
-	}
+	checkGolden(t, f.Tables()...)
 	lo, hi := f.Validities[0], f.Validities[len(f.Validities)-1]
 	for _, mode := range AllModes() {
 		if !(f.Cells[hi][mode].Flash.PageWrites > f.Cells[lo][mode].Flash.PageWrites) {
@@ -72,8 +86,7 @@ func TestFig7Table2Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(f.Table())
-	fmt.Println(Table2(f))
+	checkGolden(t, f.Table(), Table2(f))
 	for name, runs := range f.Runs {
 		if !(runs[XFTL].Elapsed < runs[WAL].Elapsed) {
 			t.Errorf("%s: X-FTL (%v) not faster than WAL (%v)", name, runs[XFTL].Elapsed, runs[WAL].Elapsed)
@@ -87,8 +100,7 @@ func TestTable4Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(Table3())
-	fmt.Println(t4.Table())
+	checkGolden(t, Table3(), t4.Table())
 	wi := t4.Results["write-intensive"]
 	if !(wi[XFTL].Rate > wi[WAL].Rate) {
 		t.Error("X-FTL should beat WAL on write-intensive TPC-C")
@@ -101,7 +113,7 @@ func TestFig8Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(f.Table())
+	checkGolden(t, f.Table())
 	for _, iv := range f.Intervals {
 		p := f.Points[iv]
 		if !(p[FSXFTL].IOPS > p[FSOrdered].IOPS && p[FSOrdered].IOPS > p[FSFull].IOPS) {
@@ -117,7 +129,7 @@ func TestFig9Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(f.Table())
+	checkGolden(t, f.Table())
 	for _, iv := range f.Intervals {
 		p := f.Points[iv]
 		if !(p[0].IOPS > p[1].IOPS && p[1].IOPS > p[2].IOPS) {
@@ -133,7 +145,7 @@ func TestTable5Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(Table5Table(runs))
+	checkGolden(t, Table5Table(runs))
 	if !(runs[XFTL].Restart < runs[RBJ].Restart && runs[RBJ].Restart < runs[WAL].Restart) {
 		t.Errorf("recovery ordering broken: xftl=%v rbj=%v wal=%v",
 			runs[XFTL].Restart, runs[RBJ].Restart, runs[WAL].Restart)
@@ -146,7 +158,7 @@ func TestAblationsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(AblationTable(runs))
+	checkGolden(t, AblationTable(runs))
 	byName := map[string]AblationRun{}
 	for _, r := range runs {
 		byName[r.Name] = r

@@ -75,7 +75,6 @@ func RunFioPoint(prof storage.Profile, mode FSMode, fsyncEvery, threads int, opt
 	cfg := fio.DefaultConfig()
 	cfg.Seed = opts.seedOr(cfg.Seed)
 	cfg.FsyncEvery = fsyncEvery
-	cfg.Threads = threads
 	if opts.Quick {
 		cfg.Duration = 3 * time.Second
 		cfg.FilePages = 4096
@@ -84,7 +83,7 @@ func RunFioPoint(prof storage.Profile, mode FSMode, fsyncEvery, threads int, opt
 	if err != nil {
 		return pt, err
 	}
-	pt.IOPS = res.IOPS * concurrencyFactor(prof, mode, threads)
+	pt.IOPS = res.IOPS * concurrencyFactor(mode, threads)
 	return pt, nil
 }
 
@@ -99,7 +98,7 @@ func RunFioPoint(prof storage.Profile, mode FSMode, fsyncEvery, threads int, opt
 // rather than a measured one; the reproduced claim is Figure 9's
 // ordering (S830-ordered > OpenSSD-X-FTL > S830-full), which is robust
 // to the exact values.
-func concurrencyFactor(prof storage.Profile, mode FSMode, threads int) float64 {
+func concurrencyFactor(mode FSMode, threads int) float64 {
 	if threads <= 1 {
 		return 1
 	}

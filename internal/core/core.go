@@ -77,7 +77,6 @@ const EntrySize = 16
 var (
 	ErrTableFull       = errors.New("xftl: X-L2P table is full")
 	ErrConflict        = errors.New("xftl: page has an uncommitted update by another transaction")
-	ErrUnknownTx       = errors.New("xftl: unknown transaction id")
 	ErrPowerCut        = errors.New("xftl: device is powered off; call Restart")
 	ErrNilBaseFTL      = errors.New("xftl: nil base FTL")
 	ErrUnknownSnapshot = errors.New("xftl: unknown snapshot id")

@@ -34,7 +34,6 @@ type LPN int64
 var (
 	ErrLPNRange    = errors.New("ftl: logical page out of range")
 	ErrDeviceFull  = errors.New("ftl: no free blocks available (device full)")
-	ErrUnmapped    = errors.New("ftl: logical page has no mapping")
 	ErrBadMetaSlot = errors.New("ftl: unknown metadata slot")
 )
 

@@ -93,7 +93,6 @@ type Stats struct {
 	WriteTx      atomic.Int64 // write sessions ended
 	WriterWaits  atomic.Int64 // write-begins that queued behind another writer
 	SnapsOpen    atomic.Int64 // currently open reader snapshots
-	SnapsMax     atomic.Int64 // high-water mark of SnapsOpen
 	BusyRetries  atomic.Int64 // budgeted write-begin lock polls that found the db busy
 	BusyTimeouts atomic.Int64 // busy budgets that expired into ErrBusy
 	GroupCommits atomic.Int64 // MVCC writer commit(t)s issued, whatever their outcome
@@ -257,7 +256,7 @@ func (m *Manager) BeginWith(readonly bool, budget time.Duration) (*Session, erro
 		if err := m.openReader(s); err != nil {
 			return nil, err
 		}
-		m.noteSnapOpen()
+		m.Stats.SnapsOpen.Add(1)
 		return s, nil
 	}
 	if err := m.lockExclusive(budget); err != nil {
@@ -325,18 +324,6 @@ func (m *Manager) openReader(s *Session) error {
 		s.pc = readpool.NewConn(s.db, snap)
 	}
 	return nil
-}
-
-// noteSnapOpen counts a snapshot reader in and maintains the high-water
-// mark.
-func (m *Manager) noteSnapOpen() {
-	n := m.Stats.SnapsOpen.Add(1)
-	for {
-		max := m.Stats.SnapsMax.Load()
-		if n <= max || m.Stats.SnapsMax.CompareAndSwap(max, n) {
-			break
-		}
-	}
 }
 
 // Busy-budget backoff bounds: the poll interval starts at the minimum

@@ -50,8 +50,8 @@ func TestPooledReadersReuseWarmConnection(t *testing.T) {
 	if st.Hits != reads-1 || st.Misses != 1 {
 		t.Fatalf("pool stats = %+v, want %d hits / 1 miss", st, reads-1)
 	}
-	if st.HitRatio() < 0.9 {
-		t.Fatalf("steady-state hit ratio %.2f < 0.9", st.HitRatio())
+	if ratio := float64(st.Hits) / float64(st.Hits+st.Misses); ratio < 0.9 {
+		t.Fatalf("steady-state hit ratio %.2f < 0.9", ratio)
 	}
 }
 

@@ -65,14 +65,6 @@ type Stats struct {
 	Idle          int   // warm connections currently pooled
 }
 
-// HitRatio reports hits/(hits+misses), 0 when idle.
-func (s Stats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // Pool is a warm reader-connection pool. All methods are safe for
 // concurrent use.
 type Pool struct {

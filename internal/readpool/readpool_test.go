@@ -18,8 +18,9 @@ import (
 // env is a transactional stack with a seeded database, the substrate a
 // pool manages connections over.
 type env struct {
-	fs *simfs.FS
-	w  *sqlite.DB // shared writer connection
+	fs   *simfs.FS
+	host *metrics.HostCounters // fs's host-side I/O counters
+	w    *sqlite.DB            // shared writer connection
 }
 
 func newPoolEnv(t *testing.T) *env {
@@ -32,7 +33,8 @@ func newPoolEnv(t *testing.T) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.OffXFTL}, &metrics.HostCounters{})
+	host := &metrics.HostCounters{}
+	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.OffXFTL}, host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func newPoolEnv(t *testing.T) *env {
 	if err := w.ExecScript("CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER); INSERT INTO kv VALUES (1, 10);"); err != nil {
 		t.Fatal(err)
 	}
-	return &env{fs: fsys, w: w}
+	return &env{fs: fsys, host: host, w: w}
 }
 
 // commit moves the committed state on with one writer transaction that
@@ -143,7 +145,7 @@ func TestCommitAdvancesPooledConn(t *testing.T) {
 	p.Return(warm)
 	e.commit(t, 20)
 
-	reads := e.fs.Host().Reads.Load()
+	reads := e.host.Reads.Load()
 	got := e.checkout(t, p)
 	if got != warm {
 		t.Fatal("checkout after a commit did not hand back the warmest connection")
@@ -154,7 +156,7 @@ func TestCommitAdvancesPooledConn(t *testing.T) {
 	if v := readV(t, got); v != 20 {
 		t.Fatalf("advanced read %d, want 20", v)
 	}
-	if n := e.fs.Host().Reads.Load() - reads; n != 1 {
+	if n := e.host.Reads.Load() - reads; n != 1 {
 		t.Errorf("advance and point read cost %d page reads, want 1: the leaf the commit rewrote", n)
 	}
 	if st := p.Stats(); st.Hits != 1 || st.Advances != 1 || st.Invalidations != 0 || st.Idle != 1 {

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // --- Strict Prometheus text-format (0.0.4) parser ------------------
@@ -631,23 +633,82 @@ func TestSlowCapture(t *testing.T) {
 	}
 }
 
-// TestPerfettoReqIDLink drives writes with tracing on and asserts the
-// exported Chrome trace links a server request span to the NAND
-// programs it caused via the shared req id — the cross-layer
+// TestPerfettoReqIDLink drives writes on a stack with a tracer attached
+// and asserts the exported Chrome trace links a server request span to
+// the NAND programs it caused via the shared req id — the cross-layer
 // attribution the request-id plumbing exists for.
 func TestPerfettoReqIDLink(t *testing.T) {
-	srv, addr := startServer(t, Options{Trace: true})
+	srv, addr := startServer(t, Options{})
+	tr := trace.New()
+	srv.Stack().AttachTracer(tr, "served")
 	cl := dial(t, addr)
 	ok := oker(t)
 	ok(cl.Exec("CREATE TABLE tr (k INTEGER PRIMARY KEY, v TEXT)"))
 	for i := 0; i < 8; i++ {
 		ok(cl.Exec("INSERT INTO tr (k, v) VALUES (?, ?)", int64(i), strings.Repeat("x", 64)))
 	}
-
-	tr := srv.Tracer()
-	if tr == nil {
-		t.Fatalf("Options.Trace set but Tracer() is nil")
+	serverReqs, progReqs := exportReqLinks(t, tr)
+	if len(linkedReqs(serverReqs, progReqs)) == 0 {
+		t.Fatalf("no NAND program shares a req id with a server span (server %d ids, prog %d ids)",
+			len(serverReqs), len(progReqs))
 	}
+}
+
+// TestPerfettoReqIDLinkPerShard gives each member of a 2-shard tier its
+// own tracer and writes to one database routed to each shard: every
+// export links its own requests' spans to that shard's NAND programs,
+// and no request appears in the other shard's export.
+func TestPerfettoReqIDLinkPerShard(t *testing.T) {
+	srv, addr := startServer(t, Options{Shards: 2})
+	f := srv.Fleet()
+	var dbs [2]string
+	for i := 0; dbs[0] == "" || dbs[1] == ""; i++ {
+		db := fmt.Sprintf("t%d.db", i)
+		if sh := f.Route(db); dbs[sh] == "" {
+			dbs[sh] = db
+		}
+	}
+	var trs [2]*trace.Tracer
+	for i := range trs {
+		trs[i] = trace.New()
+		f.Stacks()[i].AttachTracer(trs[i], fmt.Sprintf("shard %d", i))
+	}
+	cl := dial(t, addr)
+	ok := oker(t)
+	sent := [2]map[uint64]bool{{}, {}}
+	for i, db := range dbs {
+		r := ok(cl.Do(Request{Op: OpExec, DB: db, SQL: "CREATE TABLE tr (k INTEGER PRIMARY KEY, v TEXT)"}))
+		sent[i][r.ReqID] = true
+		for k := 0; k < 8; k++ {
+			r := ok(cl.Do(Request{Op: OpExec, DB: db, SQL: "INSERT INTO tr (k, v) VALUES (?, ?)",
+				Args: []any{int64(k), strings.Repeat("x", 64)}}))
+			sent[i][r.ReqID] = true
+		}
+	}
+	for i, tr := range trs {
+		serverReqs, progReqs := exportReqLinks(t, tr)
+		linked := linkedReqs(serverReqs, progReqs)
+		if len(linked) == 0 {
+			t.Fatalf("shard %d: no NAND program shares a req id with a server span", i)
+		}
+		for r := range linked {
+			if !sent[i][r] {
+				t.Fatalf("shard %d: linked req %d was not sent to %s", i, r, dbs[i])
+			}
+		}
+		for r := range sent[1-i] {
+			if serverReqs[r] || progReqs[r] {
+				t.Fatalf("shard %d export carries req %d of the other shard's %s", i, r, dbs[1-i])
+			}
+		}
+	}
+}
+
+// exportReqLinks exports tr as a Chrome trace and returns the req ids of
+// its server request spans and of its NAND programs. The request spans
+// must sit on one lane named "server requests".
+func exportReqLinks(t *testing.T, tr *trace.Tracer) (serverReqs, progReqs map[uint64]bool) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
@@ -672,8 +733,7 @@ func TestPerfettoReqIDLink(t *testing.T) {
 		}
 		return uint64(v), true
 	}
-	serverReqs := map[uint64]bool{}
-	progReqs := map[uint64]bool{}
+	serverReqs, progReqs = map[uint64]bool{}, map[uint64]bool{}
 	serverLane := map[[2]int]bool{} // pid/tid of request spans
 	laneNamed := false
 	for _, ev := range doc.TraceEvents {
@@ -702,16 +762,19 @@ func TestPerfettoReqIDLink(t *testing.T) {
 	if len(serverLane) != 1 {
 		t.Fatalf("request spans scattered over %d lanes, want 1", len(serverLane))
 	}
-	linked := 0
+	return serverReqs, progReqs
+}
+
+// linkedReqs returns the req ids carried by both a server span and a
+// NAND program.
+func linkedReqs(serverReqs, progReqs map[uint64]bool) map[uint64]bool {
+	linked := map[uint64]bool{}
 	for r := range progReqs {
 		if serverReqs[r] {
-			linked++
+			linked[r] = true
 		}
 	}
-	if linked == 0 {
-		t.Fatalf("no NAND program shares a req id with a server span (server %d ids, prog %d ids)",
-			len(serverReqs), len(progReqs))
-	}
+	return linked
 }
 
 // TestSlowRing exercises the ring's eviction directly: offers past

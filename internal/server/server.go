@@ -58,11 +58,6 @@ type Options struct {
 	// the cold-open cost. 0 takes the default (8); negative disables
 	// pooling. Ignored outside MVCC mode.
 	ReadPool int
-
-	// Trace attaches a virtual-time tracer to every shard and records a
-	// KRequest span per data-path request, linked to its device work by
-	// ReqID. Off by default: tracing grows unboundedly with traffic.
-	Trace bool
 }
 
 // The tier's fixed settings.
@@ -161,9 +156,7 @@ func New(opts Options) (*Server, error) {
 		Shards:  opts.Shards,
 		Profile: prof,
 		Mode:    mode,
-		Trace:   opts.Trace,
 		Stack: xftl.StackOptions{
-			CacheSize:   cacheSize,
 			QueueDepth:  queueDepth,
 			CmdDeadline: cmdDeadline,
 			CmdRetries:  cmdRetries,
@@ -547,29 +540,11 @@ func (s *Server) finish(rt *reqTrack, resp *Response) *Response {
 	return resp
 }
 
-// tracerFor returns the tracer of the shard owning db (nil unless
-// Options.Trace; nil tracers are safe to call).
+// tracerFor returns the tracer attached to the stack owning db (nil
+// unless Stack.AttachTracer installed one; nil tracers are safe to
+// call).
 func (s *Server) tracerFor(db string) *trace.Tracer {
-	trs := s.fleet.Tracers()
-	if len(trs) == 0 {
-		return nil
-	}
-	return trs[s.fleet.Route(db)]
-}
-
-// Tracer merges every shard's recorded events into one snapshot for
-// export (see trace.Merge); nil unless Options.Trace was set.
-func (s *Server) Tracer() *trace.Tracer {
-	var live []*trace.Tracer
-	for _, t := range s.fleet.Tracers() {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	return trace.Merge(live...)
+	return s.fleet.Stacks()[s.fleet.Route(db)].FS.Tracer()
 }
 
 // beginSession routes to db's shard and propagates the request's

@@ -29,7 +29,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mvcc"
 	"repro/internal/sqlite/pager"
-	"repro/internal/trace"
 )
 
 // Errors returned by the fleet.
@@ -66,16 +65,12 @@ type Options struct {
 	// means MVCC over journal-mode Off for ModeXFTL, Serialized over
 	// Rollback otherwise.
 	Session *mvcc.Options
-	// Trace attaches a private tracer per member ("shard N" labels);
-	// retrieve them with Tracers and combine with trace.Merge.
-	Trace bool
 }
 
 // Fleet is a set of independent X-FTL stacks with a router in front.
 type Fleet struct {
 	opts    Options
 	stacks  []*xftl.Stack
-	tracers []*trace.Tracer
 	sessOpt mvcc.Options
 
 	mu       sync.Mutex
@@ -117,13 +112,7 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	stacks, tracers, err := xftl.NewFleet(xftl.FleetSpec{
-		Shards:  opts.Shards,
-		Profile: opts.Profile,
-		Mode:    opts.Mode,
-		Options: opts.Stack,
-		Trace:   opts.Trace,
-	})
+	stacks, err := xftl.NewFleet(opts.Shards, opts.Profile, opts.Mode, opts.Stack)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +129,6 @@ func New(opts Options) (*Fleet, error) {
 	f := &Fleet{
 		opts:     opts,
 		stacks:   stacks,
-		tracers:  tracers,
 		sessOpt:  sessOpt,
 		mgrs:     make([]map[string]*mvcc.Manager, opts.Shards),
 		gates:    make([]*sync.RWMutex, opts.Shards),
@@ -163,10 +151,6 @@ func (f *Fleet) Shards() int { return len(f.stacks) }
 // Stacks exposes the member stacks (index = shard id) for benches and
 // gauges. Callers must not close them individually; use Fleet.Close.
 func (f *Fleet) Stacks() []*xftl.Stack { return f.stacks }
-
-// Tracers returns the per-member tracers (nil entries unless
-// Options.Trace was set). Combine with trace.Merge for export.
-func (f *Fleet) Tracers() []*trace.Tracer { return f.tracers }
 
 // Route reports which shard owns a database name.
 func (f *Fleet) Route(db string) int { return route(db, len(f.stacks)) }
@@ -265,9 +249,6 @@ func (f *Fleet) EachManager(fn func(shard int, db string, m *mvcc.Manager)) {
 		fn(e.shard, e.db, e.m)
 	}
 }
-
-// Shard reports the session's owning shard.
-func (s *Session) Shard() int { return s.shard }
 
 func (s *Session) release() {
 	if s.writer && !s.released {
@@ -417,8 +398,22 @@ func (f *Fleet) Close() error {
 			}
 		}
 	}
-	if err := xftl.CloseFleet(f.stacks); err != nil && firstErr == nil {
-		firstErr = err
+	// Members close concurrently: each queue drain touches only its own
+	// member's mutex and clock.
+	errs := make([]error, len(f.stacks))
+	var wg sync.WaitGroup
+	for i, st := range f.stacks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = st.Close()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	return firstErr
 }

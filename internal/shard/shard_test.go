@@ -375,10 +375,11 @@ func TestConcurrentSingleShardWriters(t *testing.T) {
 // drain, and stragglers fail fast with ErrQueueClosed instead of
 // touching a closed device.
 func TestConcurrentClose(t *testing.T) {
-	stacks, _, err := xftl.NewFleet(xftl.FleetSpec{Shards: 4, Profile: xftl.OpenSSD(), Mode: xftl.ModeXFTL})
+	f, err := New(Options{Shards: 4, Profile: xftl.OpenSSD(), Mode: xftl.ModeXFTL})
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("New: %v", err)
 	}
+	stacks := f.Stacks()
 	var wg sync.WaitGroup
 	// Writers hammer each stack while Close runs concurrently.
 	for _, st := range stacks {
@@ -393,8 +394,8 @@ func TestConcurrentClose(t *testing.T) {
 			}
 		}(st)
 	}
-	if err := xftl.CloseFleet(stacks); err != nil {
-		t.Fatalf("CloseFleet: %v", err)
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	wg.Wait()
 	// Post-close submissions fail fast with the sentinel.

@@ -97,25 +97,6 @@ func (f *Fleet) BeginCross(dbs ...string) (*Tx, error) {
 	return tx, nil
 }
 
-// SetReq tags every participant session's I/O with a serving-tier
-// request id (0 clears it); see mvcc.Session.SetReq.
-func (t *Tx) SetReq(req uint64) {
-	for _, p := range t.parts {
-		for _, s := range p.sessions {
-			s.SetReq(req)
-		}
-	}
-}
-
-// Shards reports the participating shard ids in ascending order.
-func (t *Tx) Shards() []int {
-	out := make([]int, len(t.parts))
-	for i, p := range t.parts {
-		out[i] = p.shard
-	}
-	return out
-}
-
 func (t *Tx) session(db string) (*mvcc.Session, error) {
 	s, ok := t.bySh[db]
 	if !ok {

@@ -253,14 +253,8 @@ func New(dev *storage.Device, cfg Config, host *metrics.HostCounters) (*FS, erro
 // Device returns the underlying storage device.
 func (fs *FS) Device() *storage.Device { return fs.dev }
 
-// Mode returns the journaling mode.
-func (fs *FS) Mode() JournalMode { return fs.cfg.Mode }
-
 // PageSize reports the file-system page size (same as the device's).
 func (fs *FS) PageSize() int { return fs.dev.PageSize() }
-
-// Host returns the host-side I/O counters.
-func (fs *FS) Host() *metrics.HostCounters { return fs.host }
 
 // SetTracer installs (or, with nil, removes) the event tracer for
 // file-system-level events (page reads/writes by class, fsync spans).
@@ -511,18 +505,6 @@ func (fs *FS) Remove(name string) error {
 	// correctness only needs atomicity, which the journal (or X-FTL
 	// commit) provides.
 	return nil
-}
-
-// Files lists the current namespace in sorted order.
-func (fs *FS) Files() []string {
-	fs.wmu.Lock()
-	defer fs.wmu.Unlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // touch records that a file was created or removed, or that its page
@@ -1356,13 +1338,6 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 // open; a pooled snapshot from an older epoch is dead regardless of
 // its sequence.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
-
-// Exists reports whether the file existed at the snapshot's commit
-// point.
-func (s *Snapshot) Exists(name string) bool {
-	_, ok := s.inodes[name]
-	return ok
-}
 
 // Pages reports the file's committed length in pages (0 if absent).
 func (s *Snapshot) Pages(name string) int64 {

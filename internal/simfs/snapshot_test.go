@@ -154,7 +154,8 @@ func readSnapshot(s *Snapshot, want committedFS, buf []byte) error {
 	}
 	for name, pages := range want {
 		if got := s.Pages(name); got != int64(len(pages)) {
-			return fmt.Errorf("%s: %d pages (present=%v), committed %d", name, got, s.Exists(name), len(pages))
+			_, present := s.inodes[name]
+			return fmt.Errorf("%s: %d pages (present=%v), committed %d", name, got, present, len(pages))
 		}
 		for idx, fill := range pages {
 			if err := s.ReadPage(name, int64(idx), buf); err != nil {

@@ -101,9 +101,6 @@ func OpenIndex(p *pager.Pager, root pager.Pgno, cmp Compare) *Tree {
 	return &Tree{pg: p, root: root, kind: KindIndex, cmp: cmp}
 }
 
-// Root returns the tree's root page number.
-func (t *Tree) Root() pager.Pgno { return t.root }
-
 func initPage(d []byte, pageType byte) {
 	clear(d)
 	d[offType] = pageType

@@ -10,6 +10,7 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/simfs"
 	"repro/internal/sqlite/pager"
+	"repro/internal/sqlite/sqlparse"
 	"repro/internal/storage"
 )
 
@@ -199,6 +200,32 @@ func TestUniqueIndex(t *testing.T) {
 	if _, err := db.Exec(`UPDATE t SET email = 'b@x.com' WHERE id = 1`); err != nil {
 		t.Errorf("legitimate update failed: %v", err)
 	}
+}
+
+// TestUnenforcedColumnConstraintsRefused: the catalog keeps no column
+// constraint but the INTEGER PRIMARY KEY rowid alias, so CREATE TABLE
+// refuses the others, naming the one it refused, instead of storing a
+// table that would accept rows breaking them.
+func TestUnenforcedColumnConstraintsRefused(t *testing.T) {
+	db := newEnv(t, pager.Rollback).open(t)
+	defer db.Close()
+	for _, c := range []struct{ col, name string }{
+		{"a INTEGER NOT NULL", "NOT NULL"},
+		{"b INTEGER DEFAULT 5", "DEFAULT"},
+		{"c TEXT UNIQUE", "UNIQUE"},
+		{"d TEXT PRIMARY KEY", "PRIMARY KEY"},
+		{"e PRIMARY KEY", "PRIMARY KEY"},
+	} {
+		_, err := db.Exec(`CREATE TABLE t (id INTEGER, ` + c.col + `)`)
+		var perr *sqlparse.Error
+		if !errors.As(err, &perr) || !strings.Contains(err.Error(), "constraint "+c.name+" is not enforced") {
+			t.Errorf("column %q: CREATE TABLE err = %v, want a parse error refusing %s", c.col, err, c.name)
+		}
+		if _, err := db.Query(`SELECT * FROM t`); !errors.Is(err, ErrNoSuchTable) {
+			t.Fatalf("column %q: refused table exists: %v", c.col, err)
+		}
+	}
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, a TEXT)`)
 }
 
 func TestCompositeIndexPrefix(t *testing.T) {

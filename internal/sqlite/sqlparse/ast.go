@@ -8,7 +8,6 @@ type ColumnDef struct {
 	Name       string
 	Type       string // declared affinity: INTEGER, TEXT, REAL, BLOB, ""
 	PrimaryKey bool
-	Unique     bool
 }
 
 // CreateTable is CREATE TABLE [IF NOT EXISTS] name (cols...).

@@ -37,12 +37,14 @@ func FuzzParse(f *testing.F) {
 		`UPDATE emp SET salary = salary + ?, note = ? WHERE id BETWEEN ? AND ?`,
 		`UPDATE kv SET v = v + 1 WHERE k = ?`,
 		`DELETE FROM sales WHERE region = ? AND amount > ?`,
-		`CREATE TABLE IF NOT EXISTS t (id INTEGER PRIMARY KEY, a REAL, b TEXT UNIQUE, c BLOB)`,
+		`CREATE TABLE IF NOT EXISTS t (id INTEGER PRIMARY KEY, a REAL, b TEXT, c BLOB)`,
 		`CREATE UNIQUE INDEX IF NOT EXISTS t_a ON t (a, b)`,
 		`DROP TABLE IF EXISTS t`, `DROP INDEX t_a`,
 		`BEGIN TRANSACTION`, `COMMIT`, `ROLLBACK`, `PRAGMA journal_mode = wal`,
 		`SELECT 1; SELECT 2`, `SELEC 1`, `'`, ``, `-- only a comment`,
-		`CREATE TABLE A(A INT PRIMARY KEY,A TEXT UNIQUE,A A(`, // ran the type-argument skip past the end
+		`CREATE TABLE A(A INTEGER PRIMARY KEY,A TEXT,A A(`,    // ran the type-argument skip past the end
+		`CREATE TABLE A(A INT PRIMARY KEY,A TEXT UNIQUE,A A(`, // refused at UNIQUE
+		`CREATE TABLE t (a TEXT PRIMARY KEY, b INT NOT NULL DEFAULT 0)`,
 		`PRAGMA A=`, // took the end of input for the value
 	} {
 		f.Add(s)

@@ -273,23 +273,23 @@ func (p *parser) columnDef() (ColumnDef, error) {
 			}
 		}
 	}
+	// The catalog enforces one column constraint, INTEGER PRIMARY KEY
+	// (the rowid alias); the rest are refused rather than kept unenforced.
+	// CREATE UNIQUE INDEX is the enforced form of UNIQUE.
 	for {
 		switch {
 		case p.acceptKw("PRIMARY"):
 			if err := p.expectKw("KEY"); err != nil {
 				return cd, err
 			}
+			if cd.Type != "INTEGER" {
+				return cd, p.errf("column constraint PRIMARY KEY is not enforced on a %q column", cd.Type)
+			}
 			cd.PrimaryKey = true
-		case p.acceptKw("UNIQUE"):
-			cd.Unique = true
-		case p.acceptKw("NOT"):
-			if err := p.expectKw("NULL"); err != nil {
-				return cd, err
-			}
-		case p.acceptKw("DEFAULT"):
-			if _, err := p.exprPrimary(); err != nil {
-				return cd, err
-			}
+		case p.atKw("NOT"):
+			return cd, p.errf("column constraint NOT NULL is not enforced")
+		case p.atKw("UNIQUE"), p.atKw("DEFAULT"):
+			return cd, p.errf("column constraint %s is not enforced", p.cur().Text)
 		default:
 			return cd, nil
 		}

@@ -37,7 +37,7 @@ func TestParseCreateTable(t *testing.T) {
 }
 
 func TestParseCreateTableExoticTypes(t *testing.T) {
-	st := mustParse(t, `CREATE TABLE t (a VARCHAR(24), b NUMERIC(12,2), c INT NOT NULL DEFAULT 0)`)
+	st := mustParse(t, `CREATE TABLE t (a VARCHAR(24), b NUMERIC(12,2), c INT)`)
 	ct := st.(*CreateTable)
 	if ct.Columns[0].Type != "TEXT" {
 		t.Errorf("VARCHAR -> %q, want TEXT", ct.Columns[0].Type)

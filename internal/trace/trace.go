@@ -289,30 +289,3 @@ func (t *Tracer) Events() []Event {
 	copy(out, t.events)
 	return out
 }
-
-// Merge combines several tracers' recorded events into one snapshot
-// tracer for export: each source generation becomes a distinct
-// generation of the result (labels preserved), so per-shard tracers —
-// one per fleet member, each on its own virtual clock — render side by
-// side in one Chrome trace. The result is detached from any clock and
-// must not be used for further recording.
-func Merge(ts ...*Tracer) *Tracer {
-	out := New()
-	for _, t := range ts {
-		if t == nil {
-			continue
-		}
-		t.mu.Lock()
-		base := uint16(len(out.labels))
-		out.labels = append(out.labels, t.labels...)
-		for _, ev := range t.events {
-			if ev.Gen > 0 {
-				ev.Gen += base
-			}
-			out.events = append(out.events, ev)
-		}
-		t.mu.Unlock()
-	}
-	out.gen = uint16(len(out.labels))
-	return out
-}

@@ -25,11 +25,7 @@ type Config struct {
 	// FsyncEvery issues an fsync after this many page writes — the
 	// x-axis of Figures 8 and 9.
 	FsyncEvery int
-	// Threads models concurrent writers. Simulated I/O is serialized,
-	// so throughput scales by min(Threads, Channels) with the device's
-	// internal parallelism, as the caller computes via Result.
-	Threads int
-	Seed    int64
+	Seed       int64
 }
 
 // DefaultConfig is a single-threaded Figure 8 point.
@@ -38,7 +34,6 @@ func DefaultConfig() Config {
 		FilePages:  16384, // 128 MB of 8 KB pages
 		Duration:   30 * time.Second,
 		FsyncEvery: 5,
-		Threads:    1,
 		Seed:       1,
 	}
 }
@@ -50,19 +45,6 @@ type Result struct {
 	Elapsed      time.Duration // simulated
 	// IOPS is single-stream page writes per simulated second.
 	IOPS float64
-}
-
-// ScaledIOPS applies the queue-depth throughput model for multi-thread
-// runs: parallel commands overlap across the device's flash channels.
-func (r Result) ScaledIOPS(threads, channels int) float64 {
-	if threads <= 1 {
-		return r.IOPS
-	}
-	p := threads
-	if channels < p {
-		p = channels
-	}
-	return r.IOPS * float64(p)
 }
 
 // Run executes the random-write phase on a fresh file.

@@ -29,7 +29,7 @@ func testFS(t *testing.T, mode simfs.JournalMode) *simfs.FS {
 
 func TestRunBasics(t *testing.T) {
 	fsys := testFS(t, simfs.OffXFTL)
-	cfg := Config{FilePages: 512, Duration: 2 * time.Second, FsyncEvery: 5, Threads: 1, Seed: 1}
+	cfg := Config{FilePages: 512, Duration: 2 * time.Second, FsyncEvery: 5, Seed: 1}
 	res, err := Run(fsys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestRunBasics(t *testing.T) {
 func TestFsyncIntervalRaisesIOPS(t *testing.T) {
 	iops := func(every int) float64 {
 		fsys := testFS(t, simfs.Ordered)
-		res, err := Run(fsys, Config{FilePages: 512, Duration: 2 * time.Second, FsyncEvery: every, Threads: 1, Seed: 2})
+		res, err := Run(fsys, Config{FilePages: 512, Duration: 2 * time.Second, FsyncEvery: every, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,23 +70,10 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestScaledIOPS(t *testing.T) {
-	r := Result{IOPS: 100}
-	if r.ScaledIOPS(1, 8) != 100 {
-		t.Error("single thread should not scale")
-	}
-	if r.ScaledIOPS(16, 4) != 400 {
-		t.Errorf("ScaledIOPS(16,4) = %f", r.ScaledIOPS(16, 4))
-	}
-	if r.ScaledIOPS(2, 8) != 200 {
-		t.Errorf("ScaledIOPS(2,8) = %f", r.ScaledIOPS(2, 8))
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() int64 {
 		fsys := testFS(t, simfs.OffXFTL)
-		res, err := Run(fsys, Config{FilePages: 256, Duration: time.Second, FsyncEvery: 5, Threads: 1, Seed: 9})
+		res, err := Run(fsys, Config{FilePages: 256, Duration: time.Second, FsyncEvery: 5, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -327,7 +327,6 @@ func lastName(n int) string {
 type Result struct {
 	Mix       Mix
 	Completed int64
-	Aborted   int64
 	PerType   [numTxTypes]int64
 }
 

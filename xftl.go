@@ -3,7 +3,6 @@ package xftl
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -241,88 +240,44 @@ func newStack(prof Profile, mode Mode, devOpts storage.Options, opts StackOption
 
 // AttachTracer gives the stack its own tracer generation: the tracer is
 // bound to this stack's clock under the given label and installed on
-// every layer. Fleet members each call this on a private tracer (one
-// tracer cannot serve two concurrently running stacks — the generation
-// is stamped at record time from tracer-global state); trace.Merge
-// combines the per-member tracers for one side-by-side export.
+// every layer, the serving tier's request spans included. One tracer
+// cannot serve two concurrently running stacks (the generation is
+// stamped at record time from tracer-global state), so each fleet
+// member gets its own.
 func (s *Stack) AttachTracer(t *trace.Tracer, label string) {
 	t.Attach(s.Clock, label)
 	s.SetTracer(t)
 }
 
-// FleetSpec configures a fleet of independent stacks — the shard
-// substrate. Every member shares one hardware profile, mode and tuning
-// options but owns its device, clock and file system, so members
-// simulate in parallel without serializing on any shared state.
-type FleetSpec struct {
-	Shards  int
-	Profile Profile
-	Mode    Mode
-	Options StackOptions
-
-	// Trace attaches a private tracer per member, labeled "shard N".
-	Trace bool
-}
-
-// NewFleet builds N independent stacks. Construction is cheap — pure
+// NewFleet builds n independent stacks — the shard substrate. Every
+// member shares one hardware profile, mode and tuning options but owns
+// its device, clock and file system, so members simulate in parallel
+// without serializing on any shared state. Construction is cheap: pure
 // struct wiring, no goroutines, no preallocation beyond each device's
-// page store — so fleets are sized by the experiment, not the
-// constructor. The returned tracers are nil unless spec.Trace is set
-// (index-aligned with the stacks; merge with trace.Merge for export).
-func NewFleet(spec FleetSpec) ([]*Stack, []*trace.Tracer, error) {
-	if spec.Shards <= 0 {
-		spec.Shards = 1
+// page store.
+func NewFleet(n int, prof Profile, mode Mode, opts StackOptions) ([]*Stack, error) {
+	if n <= 0 {
+		n = 1
 	}
-	if spec.Options.Fault != nil && spec.Shards > 1 {
-		return nil, nil, fmt.Errorf("xftl: one fault model cannot serve %d shards: members run in parallel and would share its random state", spec.Shards)
+	if opts.Fault != nil && n > 1 {
+		return nil, fmt.Errorf("xftl: one fault model cannot serve %d shards: members run in parallel and would share its random state", n)
 	}
-	stacks := make([]*Stack, spec.Shards)
-	tracers := make([]*trace.Tracer, spec.Shards)
+	stacks := make([]*Stack, n)
 	reg := metrics.NewRegistry() // one exposition, members told apart by label
-	devOpts := deviceOptions(spec.Options)
+	devOpts := deviceOptions(opts)
 	for i := range stacks {
-		st, err := newStack(spec.Profile, spec.Mode, devOpts, spec.Options, reg, i)
+		st, err := newStack(prof, mode, devOpts, opts, reg, i)
 		if err != nil {
 			// Unwind the members already built so no queue outlives the
 			// failed constructor.
 			for _, prev := range stacks[:i] {
 				_ = prev.Close()
 			}
-			return nil, nil, fmt.Errorf("xftl: fleet shard %d: %w", i, err)
-		}
-		if spec.Trace {
-			tracers[i] = trace.New()
-			st.AttachTracer(tracers[i], fmt.Sprintf("shard %d", i))
+			return nil, fmt.Errorf("xftl: fleet shard %d: %w", i, err)
 		}
 		stacks[i] = st
 	}
-	return stacks, tracers, nil
-}
-
-// CloseFleet closes every member concurrently and returns the first
-// error. Concurrency is safe — each member's queue drain touches only
-// that member's mutex and clock — and it is the natural shutdown shape
-// for a fleet whose members are independent simulations.
-func CloseFleet(stacks []*Stack) error {
-	errs := make([]error, len(stacks))
-	var wg sync.WaitGroup
-	for i, st := range stacks {
-		if st == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, st *Stack) {
-			defer wg.Done()
-			errs[i] = st.Close()
-		}(i, st)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return stacks, nil
 }
 
 // OpenDB opens (or creates) a database on the stack's file system with
