@@ -7,8 +7,9 @@ import "testing"
 // The read path works in place over the pinned page: descending the
 // interior levels of a three-level tree allocates nothing, and a point Get
 // allocates the payload copy it returns and nothing else; a point write
-// that fits where the old row lay allocates its cell. (Not under -race:
-// the race runtime allocates.)
+// that fits where the old row lay is encoded over it and allocates
+// nothing, and neither does a SELECT-then-UPDATE pair on the hinted leaf.
+// (Not under -race: the race runtime allocates.)
 func TestPointReadAllocs(t *testing.T) {
 	ps := newPagerSized(t, 1000) // the whole tree stays cached: a miss allocates its Page
 	ps.begin()
@@ -62,7 +63,7 @@ func TestPointReadAllocs(t *testing.T) {
 		t.Errorf("a point Get allocates %.1f objects, want only the payload it returns", allocs)
 	}
 	// Replacing a row by one of the same size — an UPDATE of a fixed-width
-	// column — allocates its cell, sized once, and writes it over the old.
+	// column — encodes the new cell straight over the old.
 	ps.begin()
 	defer ps.commit()
 	payloads := make([][]byte, rows+1)
@@ -76,7 +77,25 @@ func TestPointReadAllocs(t *testing.T) {
 		if err := tr.Insert(next(), payloads[rowid]); err != nil {
 			t.Fatalf("Insert(%d): %v", rowid, err)
 		}
-	}); allocs > 1 {
-		t.Errorf("a same-size replace allocates %.1f objects, want only its cell", allocs)
+	}); allocs != 0 {
+		t.Errorf("a same-size replace allocates %.1f objects, want none", allocs)
+	}
+	// A lookup then an overwrite of the same row: the second finds its leaf
+	// by the hint the first left.
+	view := func([]byte) error { return nil }
+	if allocs := testing.AllocsPerRun(rows, func() {
+		if ok, err := tr.View(next(), view); err != nil || !ok {
+			t.Fatalf("View(%d): ok %v err %v", rowid, ok, err)
+		}
+		if pg := tr.hinted(rowid); pg == nil {
+			t.Fatalf("View(%d) leaves no usable hint", rowid)
+		} else {
+			pg.Release()
+		}
+		if err := tr.Insert(rowid, payloads[rowid]); err != nil {
+			t.Fatalf("Insert(%d): %v", rowid, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a hinted lookup and overwrite allocate %.1f objects, want none", allocs)
 	}
 }

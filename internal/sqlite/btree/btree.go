@@ -69,6 +69,13 @@ type Tree struct {
 	root pager.Pgno
 	kind Kind
 	cmp  Compare
+	// The hint: path is the last descent's pages from the root to the
+	// leaf, and pathGen the pager generation it is good for (see stamp).
+	// They are page numbers; pins holds the path's pages pinned for the
+	// length of one write and is empty between calls.
+	path    []pager.Pgno
+	pathGen uint64
+	pins    []*pager.Page
 }
 
 // CreateTable allocates an empty table tree and returns its root page.
@@ -267,10 +274,40 @@ func decodeCell(pageType byte, pageSize int, b []byte) (cell, error) {
 	return c, nil
 }
 
-// encode produces the raw bytes of a cell for a page of the given type, in
-// one allocation sized for the longest form the cell can take.
+// encodeCell produces the raw bytes of a cell for a page of the given type,
+// in one allocation of its size.
 func encodeCell(pageType byte, c cell) []byte {
-	buf := make([]byte, 0, 2*binary.MaxVarintLen64+4+len(c.payload)+len(c.key))
+	return appendCell(make([]byte, 0, cellSize(pageType, c)), pageType, c)
+}
+
+// cellSize is the encoded length of a cell on a page of the given type.
+func cellSize(pageType byte, c cell) int {
+	n := 0
+	switch pageType {
+	case typeTableLeaf:
+		n = uvarintLen(uint64(c.rowid)) + uvarintLen(uint64(c.total)) + len(c.payload)
+	case typeTableInterior:
+		return 4 + uvarintLen(uint64(c.rowid))
+	case typeIndexLeaf:
+		n = uvarintLen(uint64(c.total)) + len(c.key)
+	case typeIndexInterior:
+		return 4 + uvarintLen(uint64(len(c.key))) + len(c.key)
+	}
+	if c.ovfl != 0 {
+		n += 4
+	}
+	return n
+}
+
+// uvarintLen is the length of v's varint encoding.
+func uvarintLen(v uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], v)
+}
+
+// appendCell appends a cell's encoding for a page of the given type to buf:
+// over an old cell of the same size where buf is that cell cut to length 0.
+func appendCell(buf []byte, pageType byte, c cell) []byte {
 	switch pageType {
 	case typeTableLeaf:
 		buf = binary.AppendUvarint(buf, uint64(c.rowid))
@@ -306,9 +343,17 @@ func freeSpace(d []byte) int {
 // insertCellAt places raw cell bytes at slot i, defragmenting if the
 // contiguous gap is too small. Returns false if the page cannot hold it.
 func insertCellAt(d []byte, i int, raw []byte) bool {
-	need := len(raw) + ptrSize
+	dst := reserveCellAt(d, i, len(raw))
+	copy(dst, raw)
+	return dst != nil
+}
+
+// reserveCellAt gives slot i a cell of size bytes and returns them, to be
+// encoded in place; nil if the page cannot hold it.
+func reserveCellAt(d []byte, i, size int) []byte {
+	need := size + ptrSize
 	if freeSpace(d) < need {
-		return false
+		return nil
 	}
 	content := int(getU16(d, offContent))
 	top := hdrSize + ptrSize*nCells(d)
@@ -316,15 +361,14 @@ func insertCellAt(d []byte, i int, raw []byte) bool {
 		defragment(d)
 		content = int(getU16(d, offContent))
 	}
-	content -= len(raw)
-	copy(d[content:], raw)
+	content -= size
 	// Shift pointer array.
 	n := nCells(d)
 	copy(d[hdrSize+ptrSize*(i+1):hdrSize+ptrSize*(n+1)], d[hdrSize+ptrSize*i:hdrSize+ptrSize*n])
 	putU16(d, hdrSize+ptrSize*i, uint16(content))
 	putU16(d, offNCells, uint16(n+1))
 	putU16(d, offContent, uint16(content))
-	return true
+	return d[content : content+size]
 }
 
 // removeCellAt drops slot i, leaving its content bytes fragmented.
@@ -599,15 +643,20 @@ func (t *Tree) interiorChild(d []byte, rowid int64, key []byte) (pager.Pgno, err
 }
 
 // leafFor descends to the leaf that holds, or would hold, a key and
-// returns it pinned.
+// returns it pinned, releasing each interior page before it gets the next.
+// The path it took becomes the hint.
 func (t *Tree) leafFor(rowid int64, key []byte) (*pager.Page, error) {
+	began := t.pg.Gen()
+	t.path = t.path[:0]
 	pgno := t.root
 	for {
 		pg, err := t.pg.Get(pgno)
 		if err != nil {
 			return nil, err
 		}
+		t.path = append(t.path, pgno)
 		if isLeaf(pg.Data()) {
+			t.stamp(began)
 			return pg, nil
 		}
 		next, err := t.interiorChild(pg.Data(), rowid, key)
@@ -622,6 +671,124 @@ func (t *Tree) leafFor(rowid int64, key []byte) (*pager.Page, error) {
 	}
 }
 
+// stamp makes the path just descended the hint, good for the current
+// pager generation if every page on it is still cached. The descent began
+// at generation began; unless it evicted, it can have evicted none of its
+// own. A path that lost a page keeps began, which the generation has left
+// for good.
+func (t *Tree) stamp(began uint64) {
+	if t.pathGen = t.pg.Gen(); t.pathGen == began {
+		return
+	}
+	for _, pgno := range t.path {
+		pg := t.pg.Cached(pgno)
+		if pg == nil {
+			t.pathGen = began
+			return
+		}
+		pg.Release()
+	}
+}
+
+// hinted returns, pinned, the leaf of the last descent's path if a point
+// access for rowid may skip its descent; nil otherwise. The path must be
+// good for the current pager generation: every page on it was cached when
+// it was stamped, and since then no page has left the cache, been freed or
+// been allocated, so every page on it is still cached and it is still the
+// tree's path to that leaf — skipping the descent skips only cache hits,
+// and a hit changes nothing. And the leaf must cover rowid (see covers).
+func (t *Tree) hinted(rowid int64) *pager.Page {
+	if len(t.path) == 0 || t.pathGen != t.pg.Gen() {
+		return nil
+	}
+	pg := t.pg.Cached(t.path[len(t.path)-1])
+	if pg != nil && !covers(pg.Data(), rowid) {
+		pg.Release()
+		pg = nil
+	}
+	return pg
+}
+
+// rowLeaf returns, pinned, the table leaf that holds rowid or would hold
+// it, for a read: the hinted leaf, else the one leafFor reaches.
+func (t *Tree) rowLeaf(rowid int64) (*pager.Page, error) {
+	if pg := t.hinted(rowid); pg != nil {
+		return pg, nil
+	}
+	return t.leafFor(rowid, nil)
+}
+
+// pinPath pins into t.pins the path from the root to the leaf that holds,
+// or would hold, a key, as a write holds it: every page stays pinned until
+// unpin. The hinted path is pinned as it lies; otherwise a descent gets
+// each page while holding the one above, and records the path it took.
+// The leaf is t.pins' last page.
+func (t *Tree) pinPath(rowid int64, key []byte) error {
+	if leaf := t.hinted(rowid); leaf != nil {
+		for _, pgno := range t.path[:len(t.path)-1] {
+			t.pins = append(t.pins, t.pg.Cached(pgno))
+		}
+		t.pins = append(t.pins, leaf)
+		return nil
+	}
+	began := t.pg.Gen()
+	t.path = t.path[:0]
+	for pgno := t.root; ; {
+		pg, err := t.pg.Get(pgno)
+		if err != nil {
+			t.unpin()
+			return err
+		}
+		t.pins, t.path = append(t.pins, pg), append(t.path, pgno)
+		if isLeaf(pg.Data()) {
+			t.stamp(began)
+			return nil
+		}
+		if pgno, err = t.interiorChild(pg.Data(), rowid, key); err == nil && pgno == 0 {
+			err = fmt.Errorf("%w: nil child", ErrCorrupt)
+		}
+		if err != nil {
+			t.unpin()
+			return err
+		}
+	}
+}
+
+// unpin releases what pinPath pinned.
+func (t *Tree) unpin() {
+	for _, pg := range t.pins {
+		pg.Release()
+	}
+	clear(t.pins)
+	t.pins = t.pins[:0]
+}
+
+// covers reports whether d is the leaf a descent for rowid reaches: a
+// non-empty table leaf whose first cell <= rowid <= its last, or the last
+// leaf, rowid past its last cell (SQLite's append bias).
+func covers(d []byte, rowid int64) bool {
+	n := nCells(d)
+	if d[offType] != typeTableLeaf || n == 0 {
+		return false
+	}
+	first, err := rowidAt(d, 0)
+	if err != nil || rowid < first {
+		return false
+	}
+	last, err := rowidAt(d, n-1)
+	return err == nil && (rowid <= last || getU32(d, offRight) == 0)
+}
+
+// rowidAt reads the rowid of table leaf cell i.
+func rowidAt(d []byte, i int) (int64, error) {
+	b, err := cellAt(d, i)
+	if err != nil {
+		return 0, err
+	}
+	rid, _, err := rowidOf(b)
+	return rid, err
+}
+
 // View calls fn with a table row's payload while its page is pinned:
 // the bytes alias the page (a spilled row's, a buffer of this call) and
 // are dead once fn returns. ok reports whether the row exists.
@@ -629,7 +796,7 @@ func (t *Tree) View(rowid int64, fn func(payload []byte) error) (bool, error) {
 	if t.kind != KindTable {
 		return false, ErrWrongKind
 	}
-	pg, err := t.leafFor(rowid, nil)
+	pg, err := t.rowLeaf(rowid)
 	if err != nil {
 		return false, err
 	}
@@ -666,7 +833,9 @@ type splitResult struct {
 	right    pager.Pgno
 }
 
-// Insert adds or replaces a table row.
+// Insert adds or replaces a table row. A row that fits its leaf is stored
+// there; one that does not descends again from the root, all hits, to
+// split on the way back up.
 func (t *Tree) Insert(rowid int64, payload []byte) error {
 	if t.kind != KindTable {
 		return ErrWrongKind
@@ -675,7 +844,30 @@ func (t *Tree) Insert(rowid int64, payload []byte) error {
 	if err != nil {
 		return err
 	}
+	if err := t.pinPath(rowid, nil); err != nil {
+		return err
+	}
+	stored, err := t.storeAtLeaf(c)
+	t.unpin()
+	if err != nil || stored {
+		return err
+	}
 	return t.insertCell(c, nil)
+}
+
+// storeAtLeaf stores c in the leaf pinPath pinned if it fits there without
+// a split, reporting whether it did.
+func (t *Tree) storeAtLeaf(c cell) (bool, error) {
+	pg := t.pins[len(t.pins)-1]
+	d := pg.Data()
+	idx, old, err := t.slot(d, c.rowid, nil)
+	if err != nil || !fits(d, old, cellSize(d[offType], c)) {
+		return false, err
+	}
+	if err := t.pg.Write(pg); err != nil {
+		return false, err
+	}
+	return t.store(d, idx, old, c)
 }
 
 // InsertKey adds an index entry (keys must be unique; the engine
@@ -747,40 +939,20 @@ func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte) (*splitResult, er
 	d := pg.Data()
 
 	if isLeaf(d) {
-		raw := encodeCell(d[offType], c)
-		if len(raw)+ptrSize > len(d)-hdrSize {
+		if cellSize(d[offType], c)+ptrSize > len(d)-hdrSize {
 			return nil, ErrTooLarge
 		}
 		if err := t.pg.Write(pg); err != nil {
 			return nil, err
 		}
-		idx, found, err := t.search(d, c.rowid, key)
+		idx, old, err := t.slot(d, c.rowid, key)
 		if err != nil {
 			return nil, err
 		}
-		if found {
-			old, err := t.parseCell(d, idx)
-			if err != nil {
-				return nil, err
-			}
-			if old.ovfl != 0 {
-				if err := t.freeOverflow(old.ovfl); err != nil {
-					return nil, err
-				}
-			}
-			if len(old.raw) == len(raw) {
-				// A replacement of the same encoded size (an UPDATE of a
-				// fixed-width column) goes over the old cell where it lies;
-				// remove + insert on a full leaf would defragment the page.
-				copy(old.raw, raw)
-				return nil, nil
-			}
-			removeCellAt(d, idx, len(old.raw))
+		if ok, err := t.store(d, idx, old, c); ok || err != nil {
+			return nil, err
 		}
-		if insertCellAt(d, idx, raw) {
-			return nil, nil
-		}
-		return t.splitLeaf(pg, idx, raw)
+		return t.splitLeaf(pg, idx, encodeCell(d[offType], c))
 	}
 
 	child, err := t.interiorChild(d, c.rowid, key)
@@ -835,6 +1007,83 @@ func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte) (*splitResult, er
 		return nil, nil
 	}
 	return t.splitInterior(pg, pos, raw)
+}
+
+// slot finds the probe's place in leaf d: its slot, and the cell there if
+// that holds the probe's key (raw nil if none does).
+func (t *Tree) slot(d []byte, rowid int64, key []byte) (int, cell, error) {
+	idx, found, err := t.search(d, rowid, key)
+	if err != nil || !found {
+		return idx, cell{}, err
+	}
+	old, err := t.parseCell(d, idx)
+	return idx, old, err
+}
+
+// fits reports whether a cell of size bytes goes into leaf d in place of
+// old (raw nil: none) without a split.
+func fits(d []byte, old cell, size int) bool {
+	if old.raw != nil && len(old.raw) == size {
+		return true
+	}
+	free := freeSpace(d)
+	if old.raw != nil {
+		free += len(old.raw) + ptrSize
+	}
+	return free >= size+ptrSize
+}
+
+// store puts c at slot idx of leaf d, which the caller has made writable,
+// in place of old (raw nil: none), freeing what old spilled. A cell of
+// old's encoded size — an UPDATE of a fixed-width column — is encoded
+// straight over it, so a full leaf is not defragmented; otherwise old goes
+// and c is encoded into the slot. It reports false, old already gone, when
+// c does not fit: the caller splits.
+func (t *Tree) store(d []byte, idx int, old, c cell) (bool, error) {
+	pageType, size := d[offType], cellSize(d[offType], c)
+	if old.raw != nil {
+		if old.ovfl != 0 {
+			if err := t.freeOverflow(old.ovfl); err != nil {
+				return false, err
+			}
+		}
+		if len(old.raw) == size {
+			appendCell(old.raw[:0], pageType, c)
+			return true, nil
+		}
+		removeCellAt(d, idx, len(old.raw))
+	}
+	dst := reserveCellAt(d, idx, size)
+	if dst == nil {
+		return false, nil
+	}
+	appendCell(dst[:0], pageType, c)
+	return true, nil
+}
+
+// remove deletes the probe's cell from the leaf pinPath pinned, freeing
+// what it spilled; ok reports whether there was one.
+func (t *Tree) remove(rowid int64, key []byte) (bool, error) {
+	pg := t.pins[len(t.pins)-1]
+	d := pg.Data()
+	idx, found, err := t.search(d, rowid, key)
+	if err != nil || !found {
+		return false, err
+	}
+	if err := t.pg.Write(pg); err != nil {
+		return false, err
+	}
+	c, err := t.parseCell(d, idx)
+	if err != nil {
+		return false, err
+	}
+	if c.ovfl != 0 {
+		if err := t.freeOverflow(c.ovfl); err != nil {
+			return false, err
+		}
+	}
+	removeCellAt(d, idx, len(c.raw))
+	return true, nil
 }
 
 // collectCells decodes every raw cell on a page.
@@ -950,7 +1199,7 @@ func (t *Tree) Delete(rowid int64) (bool, error) {
 	if t.kind != KindTable {
 		return false, ErrWrongKind
 	}
-	return t.deleteFrom(t.root, rowid, nil)
+	return t.deleteKey(rowid, nil)
 }
 
 // DeleteKey removes an index entry; ok reports whether it existed.
@@ -958,44 +1207,17 @@ func (t *Tree) DeleteKey(key []byte) (bool, error) {
 	if t.kind != KindIndex {
 		return false, ErrWrongKind
 	}
-	return t.deleteFrom(t.root, 0, key)
+	return t.deleteKey(0, key)
 }
 
-func (t *Tree) deleteFrom(pgno pager.Pgno, rowid int64, key []byte) (bool, error) {
-	pg, err := t.pg.Get(pgno)
-	if err != nil {
+// deleteKey finds the leaf and removes the cell: a delete never changes an
+// interior page.
+func (t *Tree) deleteKey(rowid int64, key []byte) (bool, error) {
+	if err := t.pinPath(rowid, key); err != nil {
 		return false, err
 	}
-	defer pg.Release()
-	d := pg.Data()
-	if !isLeaf(d) {
-		child, err := t.interiorChild(d, rowid, key)
-		if err != nil {
-			return false, err
-		}
-		if child == 0 {
-			return false, nil
-		}
-		return t.deleteFrom(child, rowid, key)
-	}
-	idx, found, err := t.search(d, rowid, key)
-	if err != nil || !found {
-		return false, err
-	}
-	if err := t.pg.Write(pg); err != nil {
-		return false, err
-	}
-	c, err := t.parseCell(d, idx)
-	if err != nil {
-		return false, err
-	}
-	if c.ovfl != 0 {
-		if err := t.freeOverflow(c.ovfl); err != nil {
-			return false, err
-		}
-	}
-	removeCellAt(d, idx, len(c.raw))
-	return true, nil
+	defer t.unpin()
+	return t.remove(rowid, key)
 }
 
 // MaxRowid reports the largest rowid in a table tree (0 when empty).

@@ -151,6 +151,13 @@ type Pager struct {
 	nextSlot uint64
 	dropped  map[Pgno]uint64
 
+	// gen moves whenever a page leaves the cache — evicted, or dropped by a
+	// rewind or an Advance — and whenever one is freed or allocated. While
+	// it stands still, every page loaded since a reading of it is still
+	// cached, and no page has changed owner or been added to a B-tree: what
+	// a tree's hinted path rests on.
+	gen uint64
+
 	// spare is the frame buffer of the last evicted page, which the miss
 	// that caused the eviction reads into; scratch is a page for commit
 	// records and checkpoint copies (the file system copies what it is
@@ -471,6 +478,18 @@ func (p *Pager) Get(pgno Pgno) (*Page, error) {
 	return p.install(pgno, buf), nil
 }
 
+// Cached pins pgno if it is in the cache, without I/O; nil if it is not.
+func (p *Pager) Cached(pgno Pgno) *Page {
+	pg := p.cache[pgno]
+	if pg != nil {
+		pg.pins++
+	}
+	return pg
+}
+
+// Gen reports the cache generation (see Pager.gen).
+func (p *Pager) Gen() uint64 { return p.gen }
+
 // takeFrame returns a page buffer for a cache miss: the frame of the
 // page makeRoom just evicted when there is one. Content is unspecified.
 func (p *Pager) takeFrame() []byte {
@@ -538,6 +557,7 @@ func (p *Pager) makeRoom() error {
 			}
 		}
 		delete(p.cache, victim.pgno)
+		p.gen++
 		p.spare, victim.data = victim.data, nil
 		// Close the gap behind the hand: the pinned pages it stepped
 		// over keep their order, dead entries go.
@@ -680,6 +700,7 @@ func (p *Pager) Allocate() (*Page, error) {
 	if p.snap != nil {
 		return nil, ErrReadOnly
 	}
+	p.gen++
 	var pgno Pgno
 	if n := len(p.freelist); n > 0 {
 		pgno = p.freelist[n-1]
@@ -725,6 +746,7 @@ func (p *Pager) Free(pgno Pgno) error {
 	if p.snap != nil {
 		return ErrReadOnly
 	}
+	p.gen++
 	if len(p.freelist) < maxFreelist {
 		p.freelist = append(p.freelist, pgno)
 	}
@@ -749,16 +771,15 @@ func (p *Pager) ensureJournal() error {
 	}
 	p.jFile = f
 	hdr := make([]byte, p.PageSize())
-	binary.BigEndian.PutUint32(hdr[0:], jnlMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(p.txBase.nPages))
-	binary.BigEndian.PutUint32(hdr[8:], 0) // image count, updated at sync
+	jnlEncodeHeader(hdr, p.txBase.nPages, nil) // no images until the first sync
 	return f.WritePage(0, hdr)
 }
 
 // syncJournalImages makes every captured original image durable: the
 // undo data is written and fsynced, then the header (with the final
 // image count) is written and fsynced separately — the paper's two
-// journal fsyncs per transaction (§6.3.1).
+// journal fsyncs per transaction (§6.3.1). Directory pages the new images
+// need go with the first fsync.
 func (p *Pager) syncJournalImages() error {
 	if len(p.jOrder) == 0 {
 		return nil
@@ -766,36 +787,123 @@ func (p *Pager) syncJournalImages() error {
 	if err := p.ensureJournal(); err != nil {
 		return err
 	}
+	ps := p.PageSize()
+	from := p.jSynced
 	for ; p.jSynced < len(p.jOrder); p.jSynced++ {
 		pgno := p.jOrder[p.jSynced]
 		img := p.journaled[pgno]
-		page := make([]byte, p.PageSize())
+		page := make([]byte, ps)
 		copy(page, img)
 		// Journal image pages carry their pgno in the first bytes of a
 		// trailer-free simulation: recovery reads pgnos from the header
 		// page instead, so the payload is stored verbatim.
-		if err := p.jFile.WritePage(int64(1+p.jSynced), page); err != nil {
+		if err := p.jFile.WritePage(jnlImagePage(p.jSynced, ps), page); err != nil {
+			return err
+		}
+	}
+	hdr := make([]byte, ps)
+	// The directory pages naming the new images: from the one naming image
+	// from, which may name older ones too, to the last.
+	for seg := max(jnlDirPages(from+1, ps)-1, 0); from < len(p.jOrder) && seg < jnlDirPages(len(p.jOrder), ps); seg++ {
+		jnlEncodeDir(hdr, seg, p.jOrder)
+		if err := p.jFile.WritePage(jnlDirPage(seg, ps), hdr); err != nil {
 			return err
 		}
 	}
 	if err := p.jFile.Fsync(); err != nil {
 		return err
 	}
-	// Header rewrite with the image count and pgno directory.
-	hdr := make([]byte, p.PageSize())
-	binary.BigEndian.PutUint32(hdr[0:], jnlMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(p.txBase.nPages))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(p.jOrder)))
-	for i, pgno := range p.jOrder {
-		if 12+4*i+4 > len(hdr) {
-			break
-		}
-		binary.BigEndian.PutUint32(hdr[12+4*i:], uint32(pgno))
-	}
+	jnlEncodeHeader(hdr, p.txBase.nPages, p.jOrder)
 	if err := p.jFile.WritePage(0, hdr); err != nil {
 		return err
 	}
 	return p.jFile.Fsync()
+}
+
+// A rollback journal is a header page followed by the original images of
+// the pages the transaction wrote, in the order it first wrote them. The
+// header holds the magic, the database size the transaction began from,
+// the image count and the first jnlHdrEntries entries of the directory
+// that names each image's page. A longer directory goes on in directory
+// pages, each placed before the run of jnlDirEntries images it names, so
+// no image or directory page moves as the journal grows between syncs.
+func jnlHdrEntries(ps int) int { return (ps - 12) / 4 }
+func jnlDirEntries(ps int) int { return ps / 4 }
+
+// jnlDirPages is how many directory pages a journal of n images has.
+func jnlDirPages(n, ps int) int {
+	return max(0, n-jnlHdrEntries(ps)+jnlDirEntries(ps)-1) / jnlDirEntries(ps)
+}
+
+// jnlDirPage is the journal page of directory segment seg.
+func jnlDirPage(seg, ps int) int64 {
+	return int64(1 + jnlHdrEntries(ps) + seg*(1+jnlDirEntries(ps)))
+}
+
+// jnlImagePage is the journal page of image i.
+func jnlImagePage(i, ps int) int64 {
+	h := jnlHdrEntries(ps)
+	if i < h {
+		return int64(1 + i)
+	}
+	d := jnlDirEntries(ps)
+	return jnlDirPage((i-h)/d, ps) + 1 + int64((i-h)%d)
+}
+
+// jnlEncodeHeader fills buf with a journal header for a transaction that
+// began at origSize pages and has journaled pgnos.
+func jnlEncodeHeader(buf []byte, origSize Pgno, pgnos []Pgno) {
+	clear(buf)
+	binary.BigEndian.PutUint32(buf[0:], jnlMagic)
+	binary.BigEndian.PutUint32(buf[4:], uint32(origSize))
+	binary.BigEndian.PutUint32(buf[8:], uint32(len(pgnos)))
+	for i, pgno := range pgnos[:min(len(pgnos), jnlHdrEntries(len(buf)))] {
+		binary.BigEndian.PutUint32(buf[12+4*i:], uint32(pgno))
+	}
+}
+
+// jnlEncodeDir fills buf with directory page seg of pgnos.
+func jnlEncodeDir(buf []byte, seg int, pgnos []Pgno) {
+	clear(buf)
+	first := jnlHdrEntries(len(buf)) + seg*jnlDirEntries(len(buf))
+	for i, pgno := range pgnos[first:min(len(pgnos), first+jnlDirEntries(len(buf)))] {
+		binary.BigEndian.PutUint32(buf[4*i:], uint32(pgno))
+	}
+}
+
+// jnlDecode decodes the header page buf of a journal of pages pages, and
+// the directory pages it needs, which read fetches into buf. It refuses a
+// header without the magic, an original size of 0, an image count the
+// journal has no room for, and page number 0.
+func jnlDecode(buf []byte, pages int64, read func(idx int64, buf []byte) error) (origSize Pgno, pgnos []Pgno, err error) {
+	ps := len(buf)
+	origSize = Pgno(binary.BigEndian.Uint32(buf[4:]))
+	count := int64(binary.BigEndian.Uint32(buf[8:]))
+	switch {
+	case binary.BigEndian.Uint32(buf[0:]) != jnlMagic:
+		return 0, nil, fmt.Errorf("%w: journal magic", ErrCorrupt)
+	case origSize == 0:
+		return 0, nil, fmt.Errorf("%w: journal of an empty database", ErrCorrupt)
+	case count > 0 && jnlImagePage(int(count-1), ps) >= pages:
+		return 0, nil, fmt.Errorf("%w: journal names %d images in %d pages", ErrCorrupt, count, pages)
+	}
+	pgnos = make([]Pgno, count)
+	for i := range pgnos {
+		off := 12 + 4*i
+		if i >= jnlHdrEntries(ps) {
+			j := i - jnlHdrEntries(ps)
+			if j%jnlDirEntries(ps) == 0 {
+				if err := read(jnlDirPage(j/jnlDirEntries(ps), ps), buf); err != nil {
+					return 0, nil, err
+				}
+			}
+			off = 4 * (j % jnlDirEntries(ps))
+		}
+		if pgnos[i] = Pgno(binary.BigEndian.Uint32(buf[off:])); pgnos[i] == 0 {
+			return 0, nil, fmt.Errorf("%w: journal names page 0", ErrCorrupt)
+		}
+	}
+	return origSize, pgnos, nil
 }
 
 // attachWAL opens (or creates) the log file and recovers committed
@@ -1298,6 +1406,7 @@ func (p *Pager) Rollback() error {
 func (p *Pager) dropCached(pgno Pgno) {
 	if pg, ok := p.cache[pgno]; ok {
 		delete(p.cache, pgno)
+		p.gen++
 		if p.dropped == nil {
 			p.dropped = make(map[Pgno]uint64)
 		}
@@ -1350,25 +1459,24 @@ func (p *Pager) recoverRollback() error {
 		_ = j.Close()
 		return p.fs.Remove(name)
 	}
-	origSize := Pgno(binary.BigEndian.Uint32(hdr[4:]))
-	count := int(binary.BigEndian.Uint32(hdr[8:]))
+	origSize, pgnos, err := jnlDecode(hdr, j.Pages(), j.ReadPage)
+	if err != nil {
+		return err
+	}
 	img := make([]byte, p.PageSize())
-	for i := 0; i < count; i++ {
-		pgno := Pgno(binary.BigEndian.Uint32(hdr[12+4*i:]))
-		if int64(1+i) >= j.Pages() {
-			break
+	for i, pgno := range pgnos {
+		if pgno > origSize {
+			continue // a page the transaction allocated: the truncation below removes it
 		}
-		if err := j.ReadPage(int64(1+i), img); err != nil {
+		if err := j.ReadPage(jnlImagePage(i, p.PageSize()), img); err != nil {
 			return err
 		}
 		if err := p.file.WritePage(int64(pgno-1), img); err != nil {
 			return err
 		}
 	}
-	if origSize >= 1 {
-		if err := p.file.Truncate(int64(origSize)); err != nil {
-			return err
-		}
+	if err := p.file.Truncate(int64(origSize)); err != nil {
+		return err
 	}
 	if err := p.file.Fsync(); err != nil {
 		return err

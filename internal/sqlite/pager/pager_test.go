@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -237,6 +238,110 @@ func TestCrashMidTransactionRecoversAtomically(t *testing.T) {
 			_ = p2.Close()
 		})
 	}
+}
+
+// A rollback-mode transaction that journals more pages than the header
+// page's directory can name (253 on 1 KB pages) and is cut plays back
+// whole: the directory goes on in pages of its own. Pages the transaction
+// allocated are journaled too; playback leaves them to the truncation.
+func TestCrashPastJournalDirectoryRecoversAtomically(t *testing.T) {
+	e := newEnv(t, Rollback)
+	p := openPager(t, e, Rollback, 100)
+	if err := p.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	pgnos := grow(t, p, 300)
+	for _, pgno := range pgnos {
+		setPage(t, p, pgno, 1)
+	}
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	size := p.NPages()
+	_ = p.Close()
+
+	p = openPager(t, e, Rollback, 4) // every page steals, so every image syncs
+	if err := p.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	grow(t, p, 5)
+	for _, pgno := range pgnos {
+		setPage(t, p, pgno, 2)
+	}
+	if p.jSynced <= jnlHdrEntries(p.PageSize()) {
+		t.Fatalf("%d images synced: the directory fits the header page", p.jSynced)
+	}
+	e.fs.PowerCut()
+	if err := e.fs.Remount(); err != nil {
+		t.Fatal(err)
+	}
+	p2 := openPager(t, e, Rollback, 100) // runs recovery
+	defer p2.Close()
+	if p2.JournalPlaybacks != 1 || p2.NPages() != size {
+		t.Fatalf("recovery: %d playbacks, %d pages; want 1 and %d", p2.JournalPlaybacks, p2.NPages(), size)
+	}
+	for _, pgno := range pgnos {
+		if got := getFill(t, p2, pgno); got != 1 {
+			t.Fatalf("page %d = %d after crash recovery, want 1", pgno, got)
+		}
+	}
+}
+
+// The journal decoder never panics, whatever the journal holds, and a
+// header and directory it accepts encode back to the same bytes.
+func FuzzJournalHeader(f *testing.F) {
+	const ps = 64 // 13 entries in the header, 16 per directory page
+	enc := func(origSize Pgno, pgnos []Pgno) []byte {
+		n := int64(1)
+		if len(pgnos) > 0 {
+			n = jnlImagePage(len(pgnos)-1, ps) + 1
+		}
+		b := make([]byte, n*ps)
+		jnlEncodeHeader(b[:ps], origSize, pgnos)
+		for seg := 0; seg < jnlDirPages(len(pgnos), ps); seg++ {
+			at := jnlDirPage(seg, ps) * ps
+			jnlEncodeDir(b[at:at+ps], seg, pgnos)
+		}
+		return b
+	}
+	seq := func(n int) []Pgno {
+		out := make([]Pgno, n)
+		for i := range out {
+			out[i] = Pgno(n - i)
+		}
+		return out
+	}
+	f.Add(enc(7, nil))
+	f.Add(enc(40, seq(13)))
+	f.Add(enc(40, seq(14)))
+	f.Add(enc(90, seq(61)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		pages := int64(len(b) / ps)
+		read := func(idx int64, buf []byte) error {
+			copy(buf, b[idx*ps:(idx+1)*ps])
+			return nil
+		}
+		if pages == 0 {
+			return
+		}
+		hdr := make([]byte, ps)
+		_ = read(0, hdr)
+		origSize, pgnos, err := jnlDecode(hdr, pages, read)
+		if err != nil {
+			return
+		}
+		re := enc(origSize, pgnos)
+		used := func(page int64, n int) { // the first n bytes of page must round-trip
+			at := page * ps
+			if !bytes.Equal(re[at:at+int64(n)], b[at:at+int64(n)]) {
+				t.Fatalf("journal page %d re-encodes as %x, was %x", page, re[at:at+int64(n)], b[at:at+int64(n)])
+			}
+		}
+		used(0, 12+4*min(len(pgnos), jnlHdrEntries(ps)))
+		for seg := 0; seg < jnlDirPages(len(pgnos), ps); seg++ {
+			used(jnlDirPage(seg, ps), 4*min(len(pgnos)-jnlHdrEntries(ps)-seg*jnlDirEntries(ps), jnlDirEntries(ps)))
+		}
+	})
 }
 
 func TestCrashAfterCommitKeepsChanges(t *testing.T) {
