@@ -379,7 +379,7 @@ func (f *FTL) writeData(lpn LPN, data []byte, state uint8, tid uint64) (nand.PPN
 		return nand.InvalidPPN, err
 	}
 	oob := f.dataOOB(lpn, state, tid)
-	ppn, err := f.programData(data, oob[:], false)
+	ppn, err := f.programData(data, oob[:], nand.InvalidPPN)
 	if err != nil {
 		return nand.InvalidPPN, err
 	}
@@ -402,16 +402,17 @@ const maxRetireDepth = 3
 // failures. A transient interface fault instead retries the SAME page
 // in place (the cell was never touched, so the frontier unwinds one
 // step and reissues) — transients must not burn blocks or leak free
-// pages. internal selects the GC datapath (no host-transfer charge).
-func (f *FTL) programData(data, oob []byte, internal bool) (nand.PPN, error) {
+// pages. A valid src selects the GC datapath: a copy-back program of
+// src's page and spare record, with no host transfer.
+func (f *FTL) programData(data, oob []byte, src nand.PPN) (nand.PPN, error) {
 	trans := 0
 	for attempt := 0; ; attempt++ {
 		ppn, err := f.allocPage()
 		if err != nil {
 			return nand.InvalidPPN, err
 		}
-		if internal {
-			err = f.chip.ProgramPageOOBInternal(ppn, data, oob)
+		if src != nand.InvalidPPN {
+			err = f.chip.ProgramCopyBack(ppn, src)
 		} else {
 			err = f.program(ppn, data, oob)
 		}
@@ -837,8 +838,8 @@ func (f *FTL) isLive(ppn nand.PPN) bool {
 
 // relocate copies one live page to the write frontier and fixes every
 // table that referenced it. The copy is a NAND copy-back: the
-// destination is programmed straight from the source cell, page and
-// spare-area record verbatim — the sequence number is version identity,
+// destination is programmed from the source cell, page and spare-area
+// record verbatim — the sequence number is version identity,
 // so the relocated copy must not outrank (or fall behind) the version it
 // is a byte-for-byte copy of in a later recovery scan. The source cell
 // stays valid until the program is done: it can nest a retirement (a
@@ -853,10 +854,9 @@ func (f *FTL) relocate(old nand.PPN) error {
 	// Copy-back reads retry transient interface faults in place; the
 	// queue's retry plane only covers host commands, not firmware-
 	// internal reads.
-	var data, oob []byte
 	var err error
 	for attempt := 0; ; attempt++ {
-		data, oob, err = f.chip.ReadCopyBack(old)
+		err = f.chip.ReadCopyBack(old)
 		if err == nil || !errors.Is(err, nand.ErrTransient) || attempt >= maxTransientRetries {
 			break
 		}
@@ -864,7 +864,7 @@ func (f *FTL) relocate(old nand.PPN) error {
 	if err != nil {
 		return err
 	}
-	dst, err := f.programData(data, oob, true)
+	dst, err := f.programData(nil, nil, old)
 	if err != nil {
 		return err
 	}
@@ -1022,7 +1022,7 @@ func (f *FTL) FlushDirtyGroups() (int, error) {
 // leaves the previous group image current.
 func (f *FTL) persistGroup(g int64) error {
 	tag := metaTag{state: metaStateGroup, group: g, seq: f.nextSeq(), payLen: f.PageSize()}
-	ppn, err := f.metaProgram(tag, nil, &f.l2p)
+	ppn, err := f.metaProgram(tag, f.l2p.page(g), nand.InvalidPPN)
 	if err != nil {
 		return err
 	}
@@ -1093,7 +1093,7 @@ func (f *FTL) writeMetaSlot(name string, payload []byte, pages int) error {
 			idx: i, length: pages,
 			seq: baseSeq + uint64(i), payLen: len(piece),
 		}
-		ppn, err := f.metaProgram(tag, piece, nil)
+		ppn, err := f.metaProgram(tag, piece, nand.InvalidPPN)
 		if err != nil {
 			return err
 		}
@@ -1127,17 +1127,19 @@ func (f *FTL) MetaSlotData(name string) []byte {
 
 // metaProgram programs one page (content plus checksummed spare record)
 // in the metadata ring and returns its address, advancing to the next
-// ring block as the frontier fills. The content is groupSrc's own page
-// of map group tag.group when that is non-nil, else payload zero-padded
-// to a page; an empty payload is a content-free pad, programmed blank.
+// ring block as the frontier fills. The page is src's, copied back with
+// its spare record, when src is a valid PPN; else payload: a whole page
+// as it stands (a map group's page of the table), a shorter one
+// zero-padded in metaBuf, an empty one a content-free pad, programmed
+// blank.
 //
 // metaProgram is re-entrant — advancing the frontier re-homes pointed
 // pages, and retiring a failed ring block re-homes and persists the BBT,
 // all through nested metaProgram calls that render into the same
-// metaBuf. The page is therefore taken or rendered inside the loop, after
-// any advance and immediately before its program; payload must not alias
+// metaBuf. The page is therefore rendered inside the loop, after any
+// advance and immediately before its program; payload must not alias
 // metaBuf.
-func (f *FTL) metaProgram(tag metaTag, payload []byte, groupSrc *mapTable) (nand.PPN, error) {
+func (f *FTL) metaProgram(tag metaTag, payload []byte, src nand.PPN) (nand.PPN, error) {
 	if f.chip.Origin() == trace.OHost {
 		// Host-triggered metadata maintenance (map-group flushes on a
 		// barrier, BBT persists) attributes as meta work; inside a GC,
@@ -1154,21 +1156,24 @@ func (f *FTL) metaProgram(tag metaTag, payload []byte, groupSrc *mapTable) (nand
 				return nand.InvalidPPN, err
 			}
 		}
-		var page []byte
-		crc := f.zeroCRC
-		if groupSrc != nil {
-			page = groupSrc.page(tag.group)
-			crc = crc32.ChecksumIEEE(page)
-		} else if len(payload) > 0 {
-			page = f.metaBuf
-			clear(page[copy(page, payload):])
-			crc = crc32.ChecksumIEEE(page)
-		}
-		oob := f.metaOOB(tag, crc)
 		blk := f.metaBlocks[f.metaCur]
 		ppn := f.chip.PPNOf(blk, f.metaPage)
 		f.metaPage++
-		err := f.chip.ProgramPageOOBInternal(ppn, page, oob[:])
+		var err error
+		if src != nand.InvalidPPN {
+			err = f.chip.ProgramCopyBack(ppn, src)
+		} else {
+			page, crc := payload, f.zeroCRC
+			if len(page) > 0 {
+				if len(page) < len(f.metaBuf) {
+					page = f.metaBuf
+					clear(page[copy(page, payload):])
+				}
+				crc = crc32.ChecksumIEEE(page)
+			}
+			oob := f.metaOOB(tag, crc)
+			err = f.chip.ProgramPageOOBInternal(ppn, page, oob[:])
+		}
 		if err == nil {
 			f.metaTags[ppn] = tag
 			return ppn, nil
@@ -1235,31 +1240,36 @@ func (f *FTL) advanceMetaFrontier() error {
 
 // cleanNextMetaBlock re-homes every live meta page out of the ring
 // block that will be erased next, re-establishing the advance
-// invariant. A live page is reprogrammed from its RAM mirror with its
-// original spare record (same sequence number: the copy is the same
-// version), the pointer flips to the copy, and the original is
-// invalidated. At most one block's worth of pages is moved and the
-// frontier block is fresh, so the copies always fit. A cut mid-way is
-// harmless: every page is either still pointed at its old home or
-// already pointed at its copy, and Restart finishes the job.
+// invariant. A live page is programmed again from its own cell, page and
+// spare record (same sequence number: the copy is the same version), the
+// pointer flips to the copy, and the original is invalidated. At most one
+// block's worth of pages is moved and the frontier block is fresh, so the
+// copies always fit. A cut mid-way is harmless: every page is either
+// still pointed at its old home or already pointed at its copy, and
+// Restart finishes the job.
 func (f *FTL) cleanNextMetaBlock() error {
 	next := (f.metaCur + 1) % len(f.metaBlocks)
 	return f.rehomePointed(f.metaBlocks[next])
 }
 
 // rehomePointed moves the live meta pages found in blk to the current
-// frontier. Tagged pages that are no longer pointed at (their slot was
-// rewritten mid-crash) are invalidated as garbage instead.
+// frontier, in PPN order. Tagged pages that are no longer pointed at
+// (their slot was rewritten mid-crash) are invalidated as garbage
+// instead.
+//
+// The copy is the modelled firmware's reprogram of the page from its RAM
+// mirror — the table or the slot's payload — which is charged like any
+// meta program and no read. The simulator programs it from the cell
+// instead, which holds the same bytes and record: pointers only flip
+// after successful programs, and a mount adopts what the pointed pages
+// hold (TestPointedMetaPagesMatchTheirMirrors).
 func (f *FTL) rehomePointed(blk nand.BlockNum) error {
-	var ppns []nand.PPN
-	for ppn := range f.metaTags {
-		if f.chip.BlockOf(ppn) == blk {
-			ppns = append(ppns, ppn)
+	for pi := range f.chip.Config().PagesPerBlock {
+		old := f.chip.PPNOf(blk, pi)
+		tag, ok := f.metaTags[old]
+		if !ok {
+			continue
 		}
-	}
-	slices.Sort(ppns)
-	for _, old := range ppns {
-		tag := f.metaTags[old]
 		pointed := false
 		if tag.state == metaStateGroup {
 			pointed = f.groupSlots[tag.group] == old
@@ -1271,16 +1281,7 @@ func (f *FTL) rehomePointed(blk nand.BlockNum) error {
 			_ = f.chip.Invalidate(old)
 			continue
 		}
-		// Regenerate the page content from the RAM mirrors; both are
-		// guaranteed byte-identical to what flash holds (pointers only
-		// flip after successful programs).
-		var moved nand.PPN
-		var err error
-		if tag.state == metaStateGroup {
-			moved, err = f.metaProgram(tag, nil, &f.persisted)
-		} else {
-			moved, err = f.metaProgram(tag, f.slotPagePayload(tag.slot, tag.idx), nil)
-		}
+		moved, err := f.metaProgram(tag, nil, old)
 		if err != nil {
 			return err
 		}
@@ -1293,18 +1294,6 @@ func (f *FTL) rehomePointed(blk nand.BlockNum) error {
 		_ = f.chip.Invalidate(old)
 	}
 	return nil
-}
-
-// slotPagePayload returns the idx-th page's worth of a slot's payload
-// mirror (nil for content-free chains or pages past the payload).
-func (f *FTL) slotPagePayload(name string, idx int) []byte {
-	payload := f.metaData[name]
-	ps := f.PageSize()
-	lo := idx * ps
-	if lo >= len(payload) {
-		return nil
-	}
-	return payload[lo:min(lo+ps, len(payload))]
 }
 
 // retireCurrentMetaBlock handles a program failure in the metadata

@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/nand"
@@ -102,6 +103,103 @@ func FuzzLoadMapGroup(f *testing.F) {
 		copy(got, blank.b) // the rest of the table is untouched
 		if !bytes.Equal(dst.b, blank.b) {
 			t.Fatalf("group %d: loading it changed another group's page", g)
+		}
+	})
+}
+
+// chainPageSize is FuzzSlotChain's page size: small, so the fuzzer's
+// bytes go into records and payloads rather than padding.
+const chainPageSize = 64
+
+// chainUnit is one page of FuzzSlotChain's input: a control byte, a
+// spare record and a page. Control bit 0 seals the page: its payload
+// checksum and header CRC are recomputed, so the fuzzer explores records
+// that pass the checksums as well as ones that do not.
+const chainUnit = 1 + oobRecSize + chainPageSize
+
+// encodeChain writes payload as writeMetaSlot does, as slot id's chain of
+// length pages from base sequence number base: each page its piece of the
+// payload zero-padded, under a record carrying the page's checksum. It
+// returns one spare record and page per index.
+func encodeChain(id uint16, base uint64, payload []byte, length int) (oobs [][oobRecSize]byte, pages [][]byte) {
+	for i := range length {
+		page := make([]byte, chainPageSize)
+		n := copy(page, payload[min(i*chainPageSize, len(payload)):])
+		rec := oobRec{
+			kind: oobKindMeta, state: metaStateChain, seq: base + uint64(i),
+			a: uint64(id) | uint64(i)<<16 | uint64(length)<<32,
+			b: uint64(crc32.ChecksumIEEE(page)) | uint64(n)<<32,
+		}
+		oobs, pages = append(oobs, encodeOOB(rec)), append(pages, page)
+	}
+	return oobs, pages
+}
+
+// FuzzSlotChain feeds the recovery scan's chain path — decodeOOB,
+// readChainPage (payload checksum and padding), assembleChain — the
+// pages a scan might find: whatever they hold it must not panic, and a
+// chain it accepts must re-encode identically: writing the accepted
+// payload as a chain of the accepted length, from the chain's base
+// sequence number, gives back every page that went into it, record and
+// bytes.
+func FuzzSlotChain(f *testing.F) {
+	units := func(sealed bool, oobs [][oobRecSize]byte, pages [][]byte) []byte {
+		var in []byte
+		for i := range oobs {
+			ctl := byte(0)
+			if sealed {
+				ctl = 1
+			}
+			in = append(append(append(in, ctl), oobs[i][:]...), pages[i]...)
+		}
+		return in
+	}
+	payload := bytes.Repeat([]byte("chain!"), 25) // 150 bytes: two whole pages and a partial one
+	oobs, pages := encodeChain(3, 40, payload, 4)
+	f.Add(units(false, oobs, pages))
+	f.Add(units(false, oobs[:3], pages[:3]))                             // incomplete
+	f.Add(units(false, append(oobs, oobs[1]), append(pages, pages[1])))  // a re-home's duplicate
+	f.Add(units(true, [][oobRecSize]byte{oobs[1], oobs[0]}, pages[:2]))  // records swapped, resealed
+	f.Add(units(false, oobs[:1], [][]byte{bytes.Repeat([]byte{1}, 64)})) // checksum mismatch
+	oobs, pages = encodeChain(7, 9, nil, 2)                              // a pad chain
+	f.Add(units(false, oobs, pages))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		type key struct {
+			slot uint16
+			base uint64
+		}
+		found := map[key][]scanChainPage{}
+		raw := map[key][][]byte{} // the units behind each candidate chain's pages
+		for ; len(in) >= chainUnit; in = in[chainUnit:] {
+			unit := bytes.Clone(in[1:chainUnit])
+			oob, page := unit[:oobRecSize], unit[oobRecSize:]
+			if in[0]&1 != 0 {
+				binary.LittleEndian.PutUint32(oob[20:], crc32.ChecksumIEEE(page))
+				binary.LittleEndian.PutUint32(oob[28:], crc32.ChecksumIEEE(oob[:28]))
+			}
+			rec, ok := decodeOOB(oob)
+			if !ok {
+				continue
+			}
+			cp, err := readChainPage(rec, page)
+			if err != nil {
+				continue
+			}
+			k := key{cp.slot, cp.baseSeq}
+			found[k], raw[k] = append(found[k], cp), append(raw[k], unit)
+		}
+		for k, cps := range found {
+			payload, length, ok := assembleChain(cps, chainPageSize)
+			if !ok {
+				continue
+			}
+			oobs, pages := encodeChain(k.slot, k.base, payload, length)
+			for i, cp := range cps {
+				want := append(oobs[cp.idx][:], pages[cp.idx]...)
+				if !bytes.Equal(raw[k][i], want) {
+					t.Fatalf("slot %d base %d: accepted page %d/%d\n% x\nre-encodes to\n% x", k.slot, k.base, cp.idx, length, raw[k][i], want)
+				}
+			}
 		}
 	})
 }

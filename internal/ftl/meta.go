@@ -149,8 +149,8 @@ func (f *FTL) dataOOB(lpn LPN, state uint8, tid uint64) [oobRecSize]byte {
 }
 
 // metaTag is the RAM bookkeeping for one live (pointed-at) metadata
-// page: enough to re-encode its spare record and regenerate its payload
-// when the ring re-homes it.
+// page: what its spare record says, so the ring can tell whether the
+// page is still pointed at when it re-homes it.
 type metaTag struct {
 	state  uint8 // metaStateGroup or metaStateChain
 	group  int64 // group pages: which map group

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"repro/internal/nand"
@@ -248,9 +249,43 @@ func (f *FTL) adoptCommitted(ranges []tidRange) {
 
 // scanChainPage is one slot-chain page found by the scan.
 type scanChainPage struct {
+	slot        uint16
+	baseSeq     uint64 // the chain's: the page's sequence number less idx
 	idx, length int
-	payLen      int
-	payload     []byte
+	payload     []byte // the page's payload bytes, a copy
+}
+
+// Why readChainPage turned a scanned page down.
+var (
+	errNotChain    = errors.New("ftl: not a slot-chain page")
+	errCorruptPage = errors.New("ftl: slot-chain page fails its payload checksum or padding")
+)
+
+// readChainPage reads one scanned meta page as a page of a slot chain.
+// It fails with errNotChain for a record that is no chain page's, or
+// whose fields no chain page's can be: a chain of length 0, an index
+// past its length, a payload longer than the page, bits set past the
+// length in field A. It fails with errCorruptPage for a page that does
+// not match its record's payload checksum, or is not zero past its
+// payload: a chain page is written as its piece of the payload,
+// zero-padded.
+func readChainPage(rec oobRec, page []byte) (scanChainPage, error) {
+	if rec.kind != oobKindMeta || rec.state != metaStateChain {
+		return scanChainPage{}, errNotChain
+	}
+	idx := int(rec.a>>16) & 0xFFFF
+	length := int(rec.a>>32) & 0xFFFF
+	payLen := int(rec.b >> 32)
+	if length == 0 || idx >= length || payLen > len(page) || rec.a>>48 != 0 {
+		return scanChainPage{}, errNotChain
+	}
+	if crc32.ChecksumIEEE(page) != uint32(rec.b) || slices.ContainsFunc(page[payLen:], func(b byte) bool { return b != 0 }) {
+		return scanChainPage{}, errCorruptPage
+	}
+	return scanChainPage{
+		slot: uint16(rec.a), baseSeq: rec.seq - uint64(idx),
+		idx: idx, length: length, payload: bytes.Clone(page[:payLen]),
+	}, nil
 }
 
 // scanDataPage is one valid data page found by the scan.
@@ -345,21 +380,9 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 		// the OLD (already invalidated... not yet) or the NEW chain as
 		// the newest complete copy, and sequence arbitration below picks
 		// the right one either way.
-		if rec.state != metaStateChain {
-			continue
-		}
-		id := uint16(rec.a)
-		idx := int(rec.a>>16) & 0xFFFF
-		length := int(rec.a>>32) & 0xFFFF
-		if length == 0 || idx >= length {
-			continue
-		}
-		payLen := int(rec.b >> 32)
-		if payLen > chipCfg.PageSize {
-			continue
-		}
-		if crc32.ChecksumIEEE(buf[:chipCfg.PageSize]) != uint32(rec.b) {
-			if st == nand.PageValid {
+		cp, err := readChainPage(rec, buf[:chipCfg.PageSize])
+		if err != nil {
+			if err == errCorruptPage && st == nand.PageValid {
 				info.CRCFailures++
 				if f.stats != nil {
 					f.stats.MetaCRCFailures.Add(1)
@@ -367,15 +390,10 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 			}
 			continue
 		}
-		baseSeq := rec.seq - uint64(idx)
-		if chains[id] == nil {
-			chains[id] = make(map[uint64][]scanChainPage)
+		if chains[cp.slot] == nil {
+			chains[cp.slot] = make(map[uint64][]scanChainPage)
 		}
-		piece := make([]byte, payLen)
-		copy(piece, buf[:payLen])
-		chains[id][baseSeq] = append(chains[id][baseSeq], scanChainPage{
-			idx: idx, length: length, payLen: payLen, payload: piece,
-		})
+		chains[cp.slot][cp.baseSeq] = append(chains[cp.slot][cp.baseSeq], cp)
 	}
 
 	// Arbitrate slot chains: per slot, the complete chain with the
@@ -394,7 +412,7 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 		found := false
 		var best slotWinner
 		for baseSeq, pages := range byBase {
-			payload, length, ok := assembleChain(pages)
+			payload, length, ok := assembleChain(pages, chipCfg.PageSize)
 			if !ok {
 				continue
 			}
@@ -470,7 +488,6 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 			continue
 		}
 		w := winners[name]
-		f.metaData[name] = w.payload // pre-adopt so ring re-homes mid-write stay consistent
 		var err error
 		if w.payload != nil {
 			err = f.WriteMetaSlotData(name, w.payload, w.length)
@@ -490,8 +507,11 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 }
 
 // assembleChain checks one candidate chain for completeness and
-// reassembles its payload in page order.
-func assembleChain(pages []scanChainPage) (payload []byte, length int, ok bool) {
+// reassembles its payload in page order. The chain must be one a write
+// of its payload makes: every page agrees on the length, every index is
+// there, and the payload tiles the pages as writeMetaSlot cuts it — whole
+// pages, then at most one partial page, then empty ones.
+func assembleChain(pages []scanChainPage, pageSize int) (payload []byte, length int, ok bool) {
 	if len(pages) == 0 {
 		return nil, 0, false
 	}
@@ -507,13 +527,19 @@ func assembleChain(pages []scanChainPage) (payload []byte, length int, ok bool) 
 		}
 		// Duplicates are legitimate: a cut between a ring re-home's copy
 		// and the invalidation of its source leaves two identical pages
-		// with the same sequence number. Either serves.
+		// with the same sequence number. Either serves; two that differ
+		// are corrupt, as above.
+		if q := byIdx[p.idx]; q != nil && !bytes.Equal(q.payload, p.payload) {
+			return nil, 0, false
+		}
 		byIdx[p.idx] = p
 	}
+	short := false
 	for _, p := range byIdx {
-		if p == nil {
-			return nil, 0, false // incomplete chain (torn tail, destroyed page)
+		if p == nil || short && len(p.payload) > 0 {
+			return nil, 0, false // incomplete chain (torn tail, destroyed page), or not one a write makes
 		}
+		short = len(p.payload) < pageSize
 		payload = append(payload, p.payload...)
 	}
 	return payload, length, true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -589,4 +590,189 @@ func TestRingRetirementMidChainKeepsTheChainUnderConstruction(t *testing.T) {
 	if got := f.MetaSlotData("keep"); !bytes.Equal(got, keep) {
 		t.Error("writing through the spare left by the retirement damaged another slot's mirror")
 	}
+}
+
+// checkMirrors holds every pointed meta page to the RAM mirror the
+// modelled firmware re-homes it from: the cell is the mirror's page,
+// zero-padded — a map group's page of the flash-resident table, a chain
+// page its piece of the slot's payload, a pad blank — and its spare
+// record is the one metaOOB encodes for the page's tag and checksum. A
+// re-home programs the cell it moves, so this is what makes that the
+// same program as one rendered from the mirror.
+func checkMirrors(t *testing.T, f *FTL, when string) {
+	t.Helper()
+	ps := f.PageSize()
+	buf, oob := make([]byte, ps), make([]byte, f.chip.Config().OOBSize)
+	check := func(ppn nand.PPN, mirror []byte, what string) {
+		t.Helper()
+		tag, ok := f.metaTags[ppn]
+		if !ok {
+			t.Fatalf("%s: %s at ppn %d has no tag", when, what, ppn)
+		}
+		want := make([]byte, ps)
+		copy(want, mirror)
+		if _, err := f.chip.ScanRead(ppn, buf, oob); err != nil {
+			t.Fatalf("%s: %s at ppn %d: %v", when, what, ppn, err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("%s: %s at ppn %d holds %x..., its mirror %x...", when, what, ppn, buf[:16], want[:16])
+		}
+		if rec := f.metaOOB(tag, crc32.ChecksumIEEE(want)); !bytes.Equal(oob[:oobRecSize], rec[:]) {
+			t.Fatalf("%s: %s at ppn %d has spare record %x, want %x", when, what, ppn, oob[:oobRecSize], rec)
+		}
+	}
+	for g, ppn := range f.groupSlots {
+		if ppn != nand.InvalidPPN {
+			check(ppn, f.persisted.page(int64(g)), fmt.Sprintf("map group %d", g))
+		}
+	}
+	for name, chain := range f.metaSlots {
+		payload := f.metaData[name]
+		for i, ppn := range chain {
+			var piece []byte
+			if lo := i * ps; lo < len(payload) {
+				piece = payload[lo:min(lo+ps, len(payload))]
+			}
+			check(ppn, piece, fmt.Sprintf("slot %q page %d/%d", name, i, len(chain)))
+		}
+	}
+}
+
+// TestPointedMetaPagesMatchTheirMirrors checks the mirror invariant
+// (checkMirrors) after every round of a churn of writes, barriers (whose
+// pads lap the ring), content-bearing and pad slot writes and GC; right
+// after a ring block is retired by a program fail, which re-homes its
+// pointed pages out of a bad block; and after Restart down the image and
+// the scan path alike.
+func TestPointedMetaPagesMatchTheirMirrors(t *testing.T) {
+	f, stats := newTestFTL(t)
+	ps := f.PageSize()
+	rng := rand.New(rand.NewSource(11))
+	type version struct {
+		ppn nand.PPN
+		seq uint64
+	}
+	// pointed names every pointed page by what it is, with its address
+	// and version: a page at a new address with the same sequence number
+	// was re-homed.
+	pointed := func() map[string]version {
+		m := map[string]version{}
+		for g, ppn := range f.groupSlots {
+			if ppn != nand.InvalidPPN {
+				m[fmt.Sprint("group ", g)] = version{ppn, f.metaTags[ppn].seq}
+			}
+		}
+		for name, chain := range f.metaSlots {
+			for i, ppn := range chain {
+				m[fmt.Sprint(name, " ", i)] = version{ppn, f.metaTags[ppn].seq}
+			}
+		}
+		return m
+	}
+	laps, rehomed := 0, 0
+	churn := func(rounds int, when string) {
+		t.Helper()
+		for r := 0; r < rounds; r++ {
+			cur, before := f.metaCur, pointed()
+			for range 24 {
+				lpn := LPN(rng.Int63n(f.LogicalPages()))
+				if err := f.Write(lpn, page(f, byte(rng.Intn(256)))); err != nil {
+					t.Fatal(err)
+				}
+				if rng.Intn(6) == 0 {
+					if err := f.Barrier(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			switch r % 3 {
+			case 0:
+				blob := make([]byte, rng.Intn(3*ps))
+				rng.Read(blob)
+				if err := f.WriteMetaSlotData("blob", blob, 1+rng.Intn(2)); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				if err := f.WriteMetaSlot("pad", 1+rng.Intn(3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if f.metaCur < cur {
+				laps++
+			}
+			after := pointed()
+			for page, v := range before {
+				if w, ok := after[page]; ok && w.ppn != v.ppn && w.seq == v.seq {
+					rehomed++
+				}
+			}
+			checkMirrors(t, f, fmt.Sprintf("%s, round %d", when, r))
+		}
+	}
+
+	churn(60, "churn")
+	if victims, _ := f.GCStats(); laps < 3 || rehomed == 0 || victims == 0 {
+		t.Fatalf("churn lapped the ring %d times, re-homed %d pages, collected %d victims", laps, rehomed, victims)
+	}
+	t.Logf("churn lapped the ring %d times and re-homed %d pages", laps, rehomed)
+
+	// A program fail on the ring retires the frontier block and re-homes
+	// its pointed pages into a block drafted from the data pool. The
+	// chain's first program fails: a later one would leave the chain
+	// pointing at pages the retirement invalidated as garbage, untagged
+	// (TestRingRetirementMidChainKeepsTheChainUnderConstruction). The
+	// page is short, so metaProgram renders it in metaBuf, where the
+	// retirement renders the bad-block table before the retry.
+	ring, retired := f.metaBlocks[f.metaCur], stats.RetiredBlocks.Load()
+	inRing := func() (n int) {
+		for _, v := range pointed() {
+			if f.chip.BlockOf(v.ppn) == ring {
+				n++
+			}
+		}
+		return n
+	}
+	if inRing() == 0 {
+		t.Fatalf("ring block %d holds no pointed page to re-home", ring)
+	}
+	f.chip.SetFaultModel(&nand.FaultModel{ProgramFailProb: 1})
+	f.chip.SetCharger(&failNth{chip: f.chip, n: 1})
+	if err := f.WriteMetaSlotData("blob", bytes.Repeat([]byte{0x5C}, ps/2), 1); err != nil {
+		t.Fatal(err)
+	}
+	f.chip.SetCharger(nil)
+	if !f.bad[ring] || stats.RetiredBlocks.Load() != retired+1 {
+		t.Fatalf("ring block %d not retired (retired %d -> %d)", ring, retired, stats.RetiredBlocks.Load())
+	}
+	if n := inRing(); n != 0 {
+		t.Fatalf("%d pointed pages left in retired ring block %d", n, ring)
+	}
+	checkMirrors(t, f, "after the ring retirement")
+	churn(12, "after the retirement")
+
+	f.PowerCut()
+	if err := f.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if info := f.LastRecovery(); info.Mode != RecoveryImage {
+		t.Fatalf("recovery mode %v, want image (reason %q)", info.Mode, info.Reason)
+	}
+	checkMirrors(t, f, "after an image mount")
+	churn(12, "after the image mount")
+
+	if err := f.WriteMetaSlotData("canary", []byte("canary"), 1); err != nil {
+		t.Fatal(err)
+	}
+	f.PowerCut()
+	if _, err := f.CorruptMeta("canary", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if info := f.LastRecovery(); info.Mode != RecoveryScan {
+		t.Fatalf("recovery mode %v, want scan", info.Mode)
+	}
+	checkMirrors(t, f, "after a scan mount")
+	churn(12, "after the scan mount")
 }

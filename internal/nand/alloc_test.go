@@ -83,3 +83,44 @@ func TestProgramDiscardOnYoungChipNoAllocs(t *testing.T) {
 		t.Errorf("256 program/discard cycles on fresh pages allocate %.1f objects, want 0", allocs)
 	}
 }
+
+// A copy-back moves no bytes and takes no payload buffer: the destination
+// holds the source's. Discarding the source leaves the buffer with the
+// copy, and erasing the copy's block returns it to the free list, so
+// copy-back, discard and erase cycles allocate nothing once the first has
+// carved the buffers.
+func TestCopyBackDiscardEraseNoAllocs(t *testing.T) {
+	c, _, _ := newTestChip(t)
+	cfg := c.Config()
+	data, oob := pageData(cfg, 0x3C), []byte{4, 5, 6}
+	cycle := func() {
+		for pi := 0; pi < cfg.PagesPerBlock; pi++ {
+			src, dst := c.PPNOf(0, pi), c.PPNOf(1, pi)
+			if err := c.ProgramPageOOB(src, data, oob); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ProgramCopyBack(dst, src); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Discard(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Invalidate(dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for blk := BlockNum(0); blk < 2; blk++ {
+			if err := c.EraseBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle()
+	free := len(c.freeData)
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("copy-back/discard/erase cycle allocates %.1f objects, want 0", allocs)
+	}
+	if len(c.freeData) != free || free != cfg.PagesPerBlock {
+		t.Errorf("free list holds %d buffers after a cycle (%d after the first), want %d: one per source page", len(c.freeData), free, cfg.PagesPerBlock)
+	}
+}

@@ -36,7 +36,7 @@ func TestBlankAndDataProgramsAcrossErases(t *testing.T) {
 				}
 			}
 		}
-		owner := map[*byte]PPN{}
+		owner := map[*payload]PPN{}
 		for blk := BlockNum(0); blk < blocks; blk++ {
 			for pi := 0; pi < cfg.PagesPerBlock; pi++ {
 				p := c.PPNOf(blk, pi)
@@ -48,13 +48,13 @@ func TestBlankAndDataProgramsAcrossErases(t *testing.T) {
 				if isData {
 					want = pageData(cfg, fill)
 					cell := c.blocks[blk].data[pi]
-					if c.blank(cell) {
+					if cell == &c.zero {
 						t.Fatalf("cycle %d: data ppn %d aliases the zero page", cycle, p)
 					}
-					if q, ok := owner[&cell[0]]; ok {
+					if q, ok := owner[cell]; ok {
 						t.Fatalf("cycle %d: data ppns %d and %d share a buffer", cycle, q, p)
 					}
-					owner[&cell[0]] = p
+					owner[cell] = p
 				}
 				if !bytes.Equal(buf, want) {
 					t.Fatalf("cycle %d ppn %d (data %v) reads back %x..., want %x...", cycle, p, isData, buf[:4], want[:4])
@@ -69,7 +69,7 @@ func TestBlankAndDataProgramsAcrossErases(t *testing.T) {
 			}
 		}
 		for _, d := range c.freeData {
-			if c.blank(d) {
+			if d == &c.zero {
 				t.Fatalf("cycle %d: the zero page is on the free list", cycle)
 			}
 		}
@@ -79,7 +79,7 @@ func TestBlankAndDataProgramsAcrossErases(t *testing.T) {
 			}
 		}
 	}
-	if !bytes.Equal(c.zero, zeros) {
+	if !bytes.Equal(c.zero.b, zeros) {
 		t.Error("the shared zero page was written")
 	}
 }

@@ -14,8 +14,10 @@ import "fmt"
 // ECC (the flips model corruption beyond what ECC can even see, e.g. a
 // firmware bug or a write to the wrong page), so only a content checksum
 // in the layer above can catch it. No-op counts as success on pages
-// without payload (free, torn). A blank page first gets a private zeroed
-// copy, so the damage stays in this one page.
+// without payload (free, torn). A page sharing its buffer — a blank page
+// the zero page, a copy-back and its source one buffer — first gets a
+// private copy, so the damage stays in this one page and an older copy a
+// recovery scan may fall back to stays intact.
 func (c *Chip) CorruptPage(p PPN, n int) error {
 	bi, pi, err := c.split(p)
 	if err != nil {
@@ -25,16 +27,19 @@ func (c *Chip) CorruptPage(p PPN, n int) error {
 	if b.data[pi] == nil || n <= 0 {
 		return nil
 	}
-	if c.blank(b.data[pi]) {
-		b.data[pi] = c.takeBuf(&c.freeData, c.cfg.PageSize)
-		clear(b.data[pi])
+	if d := b.data[pi]; d == &c.zero || d.held > 1 {
+		own := c.takeData()
+		copy(own.b, d.b)
+		c.releaseData(b, pi)
+		b.data[pi] = own
 	}
-	step := len(b.data[pi]) / n
+	page := b.data[pi].b
+	step := len(page) / n
 	if step == 0 {
 		step = 1
 	}
-	for i := 0; i < n && i*step < len(b.data[pi]); i++ {
-		b.data[pi][i*step] ^= 0xA5
+	for i := 0; i < n && i*step < len(page); i++ {
+		page[i*step] ^= 0xA5
 	}
 	return nil
 }
@@ -52,7 +57,7 @@ func (c *Chip) CorruptOOB(p PPN, n int) error {
 		return nil
 	}
 	if b.oob[pi] == nil {
-		b.oob[pi] = c.takeBuf(&c.freeOOB, c.cfg.OOBSize)
+		b.oob[pi] = c.takeOOB()
 		clear(b.oob[pi])
 	}
 	step := len(b.oob[pi]) / n

@@ -28,7 +28,7 @@ func TestDiscardedPageReadsFailTyped(t *testing.T) {
 	if err := c.ReadPage(2, buf); !errors.Is(err, ErrDiscarded) {
 		t.Errorf("ReadPage = %v, want ErrDiscarded", err)
 	}
-	if _, _, err := c.ReadCopyBack(2); !errors.Is(err, ErrDiscarded) {
+	if err := c.ReadCopyBack(2); !errors.Is(err, ErrDiscarded) {
 		t.Errorf("ReadCopyBack = %v, want ErrDiscarded", err)
 	}
 	if got := stats.Snapshot().PageReads - reads; got != 2 {
@@ -69,7 +69,7 @@ func TestDiscardGivesBackOnlyOwnedPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range c.freeData {
-		if c.blank(d) {
+		if d == &c.zero {
 			t.Fatal("discarding a blank page put the zero page on the free list")
 		}
 	}
@@ -98,11 +98,15 @@ func TestDiscardGivesBackOnlyOwnedPayloads(t *testing.T) {
 	}
 }
 
-// cell is FuzzCellLifecycle's model of one programmed page.
+// cell is FuzzCellLifecycle's model of one programmed page. lineage
+// names the program whose bytes the cell holds: a copy-back inherits its
+// source's, and damage gives the cell a fresh one.
 type cell struct {
 	state     PageState
 	discarded bool
 	content   []byte
+	spare     byte
+	lineage   int
 }
 
 // scanned is what a recovery scan of the page must return: its state and
@@ -118,16 +122,21 @@ func (m *cell) scanned(pageSize int) ([]byte, PageState) {
 	}
 }
 
-// FuzzCellLifecycle runs random programs (data or blank), invalidations,
-// discards, erases, corruptions and reads over a four-block chip against
-// a map model: a valid page, or an invalidated one not discarded, reads
-// back exactly what was programmed (and corrupted); a discarded page
-// fails typed; and no two readable cells share a buffer other than the
-// zero page.
+// FuzzCellLifecycle runs random programs (data or blank), copy-backs,
+// invalidations, discards, erases, corruptions and reads over a
+// four-block chip against a map model: a valid page, or an invalidated
+// one not discarded, reads back exactly what was programmed (and
+// corrupted) and its spare record; a discarded page fails typed. After
+// every operation the buffers obey the ownership invariant: cells share
+// a payload only through copy-back, every buffer's holder count is the
+// number of cells holding it, no buffer on the free list is held, and
+// every cell holds its model's bytes — so damage to one holder never
+// reaches the others.
 func FuzzCellLifecycle(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 0, 2, 0, 0, 6, 0, 0, 6, 0, 1, 4, 0, 0, 0, 1, 2})
 	f.Add([]byte{1, 3, 0, 2, 3, 0, 0, 4, 9, 5, 4, 3, 6, 4, 2, 3, 0, 0, 0, 0, 7})
 	f.Add([]byte{0, 8, 5, 1, 9, 0, 5, 9, 2, 2, 8, 0, 2, 9, 0, 4, 1, 0, 0, 8, 6, 6, 8, 0})
+	f.Add([]byte{0, 0, 3, 7, 9, 0, 7, 17, 9, 5, 9, 2, 6, 17, 1, 3, 0, 0, 4, 0, 0, 6, 9, 0, 2, 17, 0, 4, 17, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		cfg := testConfig()
 		cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize = 4, 8, 64
@@ -136,11 +145,12 @@ func FuzzCellLifecycle(f *testing.F) {
 			t.Fatal(err)
 		}
 		model := map[PPN]*cell{} // programmed pages; absent means free
+		programs := 0
 		cfg = c.Config()
 		buf, oobBuf := make([]byte, cfg.PageSize), make([]byte, cfg.OOBSize)
 		total := PPN(cfg.TotalPages())
 		for i := 0; i+2 < len(ops); i += 3 {
-			kind, p, arg := ops[i]%7, PPN(ops[i+1])%total, ops[i+2]
+			kind, p, arg := ops[i]%8, PPN(ops[i+1])%total, ops[i+2]
 			m := model[p]
 			switch kind {
 			case 0, 1: // program with data, or blank
@@ -155,7 +165,19 @@ func FuzzCellLifecycle(f *testing.F) {
 					t.Fatalf("op %d: program ppn %d (programmed %v) = %v", i, p, m != nil, err)
 				}
 				if m == nil {
-					model[p] = &cell{state: PageValid, content: content}
+					programs++
+					model[p] = &cell{state: PageValid, content: content, spare: arg, lineage: programs}
+				}
+			case 7: // copy-back program of p from src
+				src := PPN(arg) % total
+				sm := model[src]
+				ok := m == nil && sm != nil && !sm.discarded
+				err := c.ProgramCopyBack(p, src)
+				if ok != (err == nil) {
+					t.Fatalf("op %d: copy-back ppn %d from %d (dst programmed %v, src %+v) = %v", i, p, src, m != nil, sm, err)
+				}
+				if ok {
+					model[p] = &cell{state: PageValid, content: bytes.Clone(sm.content), spare: sm.spare, lineage: sm.lineage}
 				}
 			case 2, 3: // invalidate, or discard
 				op := c.Invalidate
@@ -194,6 +216,8 @@ func FuzzCellLifecycle(f *testing.F) {
 					for j := 0; j < n && j*step < len(m.content); j++ {
 						m.content[j*step] ^= 0xA5
 					}
+					programs++
+					m.lineage = programs
 				}
 			case 6: // read
 				if arg%3 == 2 {
@@ -202,14 +226,16 @@ func FuzzCellLifecycle(f *testing.F) {
 					if err != nil || st != wantSt || want != nil && !bytes.Equal(buf, want) {
 						t.Fatalf("op %d: scan of ppn %d = %v, %v, %x; want %v, %x", i, p, st, err, buf, wantSt, want)
 					}
+					if m != nil && oobBuf[0] != m.spare {
+						t.Fatalf("op %d: scan of ppn %d reads spare %x, want %x", i, p, oobBuf[0], m.spare)
+					}
 					break
 				}
 				var err error
-				got := buf
 				if arg%3 == 0 {
 					err = c.ReadPage(p, buf)
 				} else {
-					got, _, err = c.ReadCopyBack(p)
+					err = c.ReadCopyBack(p)
 				}
 				switch {
 				case m == nil:
@@ -222,24 +248,52 @@ func FuzzCellLifecycle(f *testing.F) {
 					}
 				case err != nil:
 					t.Fatalf("op %d: read of ppn %d: %v", i, p, err)
-				case !bytes.Equal(got[:cfg.PageSize], m.content):
-					t.Fatalf("op %d: ppn %d reads %x, want %x", i, p, got[:cfg.PageSize], m.content)
+				case arg%3 == 0 && !bytes.Equal(buf, m.content):
+					t.Fatalf("op %d: ppn %d reads %x, want %x", i, p, buf, m.content)
 				}
 			}
-			owner := map[*byte]PPN{}
-			for q := PPN(0); q < total; q++ {
-				d := c.blocks[c.BlockOf(q)].data[int(q)%cfg.PagesPerBlock]
-				if d == nil || c.blank(d) {
-					continue
-				}
-				if o, ok := owner[&d[0]]; ok {
-					t.Fatalf("op %d: ppns %d and %d share a buffer", i, o, q)
-				}
-				owner[&d[0]] = q
-			}
+			checkOwnership(t, c, model, i)
 		}
-		if !bytes.Equal(c.zero, make([]byte, cfg.PageSize)) {
+		if !bytes.Equal(c.zero.b, make([]byte, cfg.PageSize)) {
 			t.Fatal("the shared zero page was written")
 		}
 	})
+}
+
+// checkOwnership holds the chip's payload buffers to FuzzCellLifecycle's
+// model after operation i.
+func checkOwnership(t *testing.T, c *Chip, model map[PPN]*cell, i int) {
+	t.Helper()
+	cfg := c.Config()
+	holders := map[*payload][]PPN{}
+	for q := PPN(0); q < PPN(cfg.TotalPages()); q++ {
+		d := c.blocks[c.BlockOf(q)].data[int(q)%cfg.PagesPerBlock]
+		if d == nil {
+			continue
+		}
+		m := model[q]
+		if m == nil || m.discarded {
+			t.Fatalf("op %d: ppn %d holds a payload, model %+v", i, q, m)
+		}
+		if !bytes.Equal(d.b, m.content) {
+			t.Fatalf("op %d: ppn %d holds %x, want %x", i, q, d.b, m.content)
+		}
+		if d == &c.zero {
+			continue
+		}
+		if hs := holders[d]; len(hs) > 0 && model[hs[0]].lineage != m.lineage {
+			t.Fatalf("op %d: ppns %d and %d share a buffer but no copy-back made one of the other", i, hs[0], q)
+		}
+		holders[d] = append(holders[d], q)
+	}
+	for d, hs := range holders {
+		if int(d.held) != len(hs) {
+			t.Fatalf("op %d: buffer held by ppns %v counts %d holders", i, hs, d.held)
+		}
+	}
+	for _, d := range c.freeData {
+		if d == &c.zero || holders[d] != nil {
+			t.Fatalf("op %d: a buffer on the free list is held (zero page %v, by %v)", i, d == &c.zero, holders[d])
+		}
+	}
 }

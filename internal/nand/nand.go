@@ -67,6 +67,7 @@ var (
 	ErrWrongDataSize  = errors.New("nand: data length does not match page size")
 	ErrEraseValidPage = errors.New("nand: erasing a block that still holds valid pages")
 	ErrDiscarded      = errors.New("nand: reading a page whose payload was discarded")
+	ErrNoPayload      = errors.New("nand: copy-back source holds no payload")
 )
 
 // DefaultOOBSize is the per-page spare (out-of-band) area used when
@@ -210,24 +211,35 @@ type Chip struct {
 
 	// Page and spare-area buffers not holding a programmed page: an
 	// erase hands a block's buffers here, Discard a superseded page's
-	// payload, and a program takes one, so steady-state programming
-	// allocates nothing and the chip never owns more payload buffers than
-	// it has had readable pages at once. New buffers are carved a block's
-	// worth at a time.
-	freeData [][]byte
+	// payload (once no other cell holds it), and a program takes one, so
+	// steady-state programming allocates nothing and the chip never owns
+	// more payload buffers than it has had readable pages at once. New
+	// buffers are carved a block's worth at a time.
+	freeData []*payload
 	freeOOB  [][]byte
 
 	// zero is the one read-only all-zero page every blank cell shares: a
 	// program handed a nil payload points the cell here instead of taking
-	// a buffer. releasePage never puts it on freeData, and CorruptPage
+	// a buffer. The chip holds it, once, for good: no cell takes or drops
+	// a hold on it, releaseData never puts it on freeData, and CorruptPage
 	// gives a blank cell a private copy before damaging it.
-	zero []byte
+	zero payload
 	// units caches cfg.Units() for Unit.
 	units int64
 }
 
+// payload is one page-sized buffer and the number of cells holding it.
+// A program gives its cell a buffer of its own; a copy-back points the
+// destination at the source's buffer, one holder more. A cell lets go at
+// erase, Discard or damage, and the last holder to let go returns the
+// buffer to the free list.
+type payload struct {
+	b    []byte
+	held int32
+}
+
 type block struct {
-	data       [][]byte    // page payloads; nil unless programmed, readable and not discarded, Chip.zero if blank
+	data       []*payload  // page payloads; nil unless programmed, readable and not discarded, &Chip.zero if blank
 	oob        [][]byte    // spare-area contents; nil reads back as zeros
 	state      []PageState // per-page state
 	torn       []bool      // partially programmed/erased pages (never pass ECC)
@@ -249,11 +261,11 @@ func New(cfg Config, clock *simclock.Clock, stats *metrics.FlashCounters) (*Chip
 	if cfg.OOBSize == 0 {
 		cfg.OOBSize = DefaultOOBSize
 	}
-	c := &Chip{cfg: cfg, clock: clock, stats: stats, zero: make([]byte, cfg.PageSize), units: int64(cfg.Units())}
+	c := &Chip{cfg: cfg, clock: clock, stats: stats, zero: payload{b: make([]byte, cfg.PageSize), held: 1}, units: int64(cfg.Units())}
 	c.blocks = make([]block, cfg.Blocks)
 	for i := range c.blocks {
 		c.blocks[i] = block{
-			data:      make([][]byte, cfg.PagesPerBlock),
+			data:      make([]*payload, cfg.PagesPerBlock),
 			oob:       make([][]byte, cfg.PagesPerBlock),
 			state:     make([]PageState, cfg.PagesPerBlock),
 			torn:      make([]bool, cfg.PagesPerBlock),
@@ -266,23 +278,40 @@ func New(cfg Config, clock *simclock.Clock, stats *metrics.FlashCounters) (*Chip
 // Config returns the chip geometry and timing.
 func (c *Chip) Config() Config { return c.cfg }
 
-// takeBuf pops a buffer of the given size off a free list, carving a new
-// slab of one block's worth of buffers when the list is empty. The
-// buffer's content is whatever its last user left.
-func (c *Chip) takeBuf(free *[][]byte, size int) []byte {
-	if len(*free) == 0 {
+// takeOOB pops a spare-area buffer off the free list, carving a new slab
+// of one block's worth when the list is empty. The buffer's content is
+// whatever its last user left.
+func (c *Chip) takeOOB() []byte {
+	size := c.cfg.OOBSize
+	if len(c.freeOOB) == 0 {
 		slab := make([]byte, c.cfg.PagesPerBlock*size)
 		for off := len(slab) - size; off >= 0; off -= size {
-			*free = append(*free, slab[off:off+size:off+size])
+			c.freeOOB = append(c.freeOOB, slab[off:off+size:off+size])
 		}
 	}
-	buf := (*free)[len(*free)-1]
-	*free = (*free)[:len(*free)-1]
+	buf := c.freeOOB[len(c.freeOOB)-1]
+	c.freeOOB = c.freeOOB[:len(c.freeOOB)-1]
 	return buf
 }
 
-// blank reports whether a cell's payload is the shared zero page.
-func (c *Chip) blank(data []byte) bool { return len(data) > 0 && &data[0] == &c.zero[0] }
+// takeData pops a payload buffer off the free list for one holder,
+// carving a new slab of one block's worth when the list is empty. The
+// buffer's content is whatever its last user left.
+func (c *Chip) takeData() *payload {
+	if len(c.freeData) == 0 {
+		size := c.cfg.PageSize
+		slab := make([]byte, c.cfg.PagesPerBlock*size)
+		bufs := make([]payload, c.cfg.PagesPerBlock)
+		for i := len(bufs) - 1; i >= 0; i-- {
+			bufs[i].b = slab[i*size : (i+1)*size : (i+1)*size]
+			c.freeData = append(c.freeData, &bufs[i])
+		}
+	}
+	d := c.freeData[len(c.freeData)-1]
+	c.freeData = c.freeData[:len(c.freeData)-1]
+	d.held = 1
+	return d
+}
 
 // releasePage takes a page's payload and spare area away (erase, or
 // damage to the medium) and keeps the buffers for the next program.
@@ -294,16 +323,23 @@ func (c *Chip) releasePage(b *block, pi int) {
 	}
 }
 
-// releaseData takes a page's payload away and keeps its buffer for the
-// next program. The shared zero page is not the page's to give:
-// recycled, the next program would write into every blank cell at once.
+// releaseData takes a page's payload away and, if the page was its last
+// holder, keeps the buffer for the next program. A buffer another cell
+// still holds (a copy-back shares its source's) is not the page's to
+// give, and neither is the shared zero page: recycled, the next program
+// would write into every cell holding it at once.
 func (c *Chip) releaseData(b *block, pi int) {
-	if d := b.data[pi]; d != nil {
-		if !c.blank(d) {
-			c.freeData = append(c.freeData, d)
-		}
-		b.data[pi] = nil
+	d := b.data[pi]
+	b.data[pi] = nil
+	if d != nil && d != &c.zero && c.unhold(d) {
+		c.freeData = append(c.freeData, d)
 	}
+}
+
+// unhold drops one holder of d and reports whether it was the last.
+func (c *Chip) unhold(d *payload) bool {
+	d.held--
+	return d.held == 0
 }
 
 // Clock returns the simulated clock the chip advances.
@@ -428,14 +464,10 @@ func (c *Chip) ReadPage(p PPN, buf []byte) error {
 
 // ReadCopyBack is the read half of a NAND copy-back: a firmware-internal
 // read, charged, counted and faulted as one, that leaves the page in the
-// chip. It returns the cell's own payload and spare area (nil if never
-// written) for the copy's program to take straight from the cell. They
-// alias the array (a blank page's payload is the chip's shared zero
-// page): the caller must not modify them, and they stay valid only until
-// the page is erased, destroyed or discarded.
-func (c *Chip) ReadCopyBack(p PPN) (data, oob []byte, err error) {
-	data, oob, _, err = c.readCell(p, readCopyBack)
-	return data, oob, err
+// chip for ProgramCopyBack to program from. Nothing is transferred.
+func (c *Chip) ReadCopyBack(p PPN) error {
+	_, _, _, err := c.readCell(p, readCopyBack)
+	return err
 }
 
 // ScanRead is the recovery-scan read: firmware-internal latency, data
@@ -473,8 +505,8 @@ const (
 // readCell is the chip's one read path: it charges, counts and faults one
 // page read and returns the cell's own payload and spare slices (nil,
 // nil for a scanned free page; the zero page and the spare area for a
-// scanned discarded one) and the page's state. Every caller but a
-// copy-back copies out of them. Only the scan may read a discarded page:
+// scanned discarded one) and the page's state. Callers copy out of them
+// or, a copy-back, ignore them. Only the scan may read a discarded page:
 // anyone else gets ErrDiscarded, after the read was charged like any
 // other.
 func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, err error) {
@@ -517,14 +549,14 @@ func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, e
 	// discarded.
 	if err == nil && b.data[pi] == nil {
 		if mode == readScan {
-			return c.zero, b.oob[pi], st, nil
+			return c.zero.b, b.oob[pi], st, nil
 		}
 		err = ErrDiscarded
 	}
 	if err != nil {
 		return nil, nil, st, fmt.Errorf("%w: ppn %d", err, p)
 	}
-	return b.data[pi], b.oob[pi], st, nil
+	return b.data[pi].b, b.oob[pi], st, nil
 }
 
 // internalDiv returns the charger-less latency divisor for
@@ -533,7 +565,30 @@ func (c *Chip) internalDiv() time.Duration { return time.Duration(c.units) }
 
 // ProgramPageOOBInternal is ProgramPageOOB at firmware-internal latency.
 func (c *Chip) ProgramPageOOBInternal(p PPN, data, oob []byte) error {
-	return c.programPage(p, data, oob, true)
+	return c.programPage(p, data, nil, oob, true)
+}
+
+// ProgramCopyBack is the program half of a NAND copy-back: it programs
+// dst with src's payload and spare record, checked, faulted, charged,
+// counted and traced exactly as ProgramPageOOBInternal. The copy moves
+// no bytes: dst becomes one more holder of src's payload buffer (a blank
+// source's stays the zero page), and only the spare record is copied. A
+// source without a payload — free, torn, destroyed or discarded — fails
+// with ErrNoPayload before anything is charged.
+func (c *Chip) ProgramCopyBack(dst, src PPN) error {
+	bi, pi, err := c.split(src)
+	if err != nil {
+		return err
+	}
+	sb := &c.blocks[bi]
+	d := sb.data[pi]
+	if d == nil {
+		return fmt.Errorf("%w: ppn %d", ErrNoPayload, src)
+	}
+	if d == &c.zero {
+		d = nil
+	}
+	return c.programPage(dst, nil, d, sb.oob[pi], true)
 }
 
 // ProgramPage writes data into an erased page and marks it valid. The
@@ -551,10 +606,12 @@ func (c *Chip) ProgramPage(p PPN, data []byte) error {
 // oob leaves the spare area all-zero; a torn or failed program consumes
 // data and spare alike.
 func (c *Chip) ProgramPageOOB(p PPN, data, oob []byte) error {
-	return c.programPage(p, data, oob, false)
+	return c.programPage(p, data, nil, oob, false)
 }
 
-func (c *Chip) programPage(p PPN, data, oob []byte, internal bool) error {
+// programPage programs p from data, or from shared, another cell's
+// payload, when that is non-nil; with neither the page is blank.
+func (c *Chip) programPage(p PPN, data []byte, shared *payload, oob []byte, internal bool) error {
 	bi, pi, err := c.split(p)
 	if err != nil {
 		return err
@@ -613,14 +670,18 @@ func (c *Chip) programPage(p PPN, data, oob []byte, internal bool) error {
 	}
 	c.note(trace.KNandProg, int64(p), st, en)
 	// A free page holds no buffers (releasePage took them at erase).
-	if data == nil {
-		b.data[pi] = c.zero
-	} else {
-		b.data[pi] = c.takeBuf(&c.freeData, c.cfg.PageSize)
-		copy(b.data[pi], data)
+	switch {
+	case shared != nil:
+		shared.held++
+		b.data[pi] = shared
+	case data == nil:
+		b.data[pi] = &c.zero
+	default:
+		b.data[pi] = c.takeData()
+		copy(b.data[pi].b, data)
 	}
 	if len(oob) > 0 {
-		b.oob[pi] = c.takeBuf(&c.freeOOB, c.cfg.OOBSize)
+		b.oob[pi] = c.takeOOB()
 		clear(b.oob[pi][copy(b.oob[pi], oob):])
 	}
 	return nil
