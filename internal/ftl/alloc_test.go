@@ -162,13 +162,12 @@ var oobSink [oobRecSize]byte
 // it escape.
 func TestSpareRecordsAllocateNothing(t *testing.T) {
 	f, _ := newTestFTL(t)
-	chain := metaTag{state: metaStateChain, slot: "xl2p", idx: 1, length: 3, seq: 9, payLen: 100}
-	group := metaTag{state: metaStateGroup, group: 2, seq: 10, payLen: f.PageSize()}
-	f.slotID(chain.slot)
+	chain := metaTag{state: metaStateChain, slot: f.slotID("xl2p"), idx: 1, length: 3, seq: 9, payLen: 100}
+	group := metaTag{state: metaStateGroup, group: 2, seq: 10, payLen: uint32(f.PageSize())}
 	for name, build := range map[string]func(){
 		"encodeOOB":     func() { oobSink = encodeOOB(oobRec{kind: oobKindData, state: dataStateTx, seq: 7, a: 3, b: 5}) },
-		"metaOOB chain": func() { oobSink = f.metaOOB(chain, 0xDEADBEEF) },
-		"metaOOB group": func() { oobSink = f.metaOOB(group, 0x12345678) },
+		"metaOOB chain": func() { oobSink = metaOOB(chain, 0xDEADBEEF) },
+		"metaOOB group": func() { oobSink = metaOOB(group, 0x12345678) },
 	} {
 		if allocs := testing.AllocsPerRun(100, build); allocs != 0 {
 			t.Errorf("%s allocates %.0f objects per record, want 0", name, allocs)

@@ -348,13 +348,13 @@ func TestMetaSlotRoundTrip(t *testing.T) {
 	if d := stats.Snapshot().Sub(before); d.PageWrites != 2 {
 		t.Errorf("meta slot write cost %d pages, want 2", d.PageWrites)
 	}
-	if len(f.metaSlots["xl2p"]) == 0 {
+	if len(f.metaSlots[f.slotIDs["xl2p"]]) == 0 {
 		t.Error("slot not recorded")
 	}
 	if err := f.WriteMetaSlot("xl2p", 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.metaSlots["xl2p"]) > 0 {
+	if len(f.metaSlots[f.slotIDs["xl2p"]]) > 0 {
 		t.Error("slot not dropped")
 	}
 }
@@ -370,7 +370,7 @@ func TestMetaRingRecycles(t *testing.T) {
 			t.Fatalf("meta write %d: %v", i, err)
 		}
 	}
-	if len(f.metaSlots["xl2p"]) == 0 {
+	if len(f.metaSlots[f.slotIDs["xl2p"]]) == 0 {
 		t.Error("slot lost during ring recycling")
 	}
 }

@@ -148,27 +148,29 @@ func (f *FTL) dataOOB(lpn LPN, state uint8, tid uint64) [oobRecSize]byte {
 	})
 }
 
-// metaTag is the RAM bookkeeping for one live (pointed-at) metadata
-// page: what its spare record says, so the ring can tell whether the
-// page is still pointed at when it re-homes it.
+// metaTag is the RAM bookkeeping for one meta page of the ring: what
+// its spare record says, so the ring can tell whether the page is still
+// pointed at when it re-homes it. Narrow fields keep a ring block's
+// tags small: a map group number fits 32 bits, as a PPN does.
 type metaTag struct {
-	state  uint8 // metaStateGroup or metaStateChain
-	group  int64 // group pages: which map group
-	slot   string
-	idx    int // chain pages: position and total length
-	length int
 	seq    uint64 // version identity; preserved across re-homing
-	payLen int    // meaningful payload bytes in the page (0 for pads)
+	group  int32  // group pages: which map group
+	payLen uint32 // meaningful payload bytes in the page (0 for pads)
+	slot   uint16 // chain pages: slot id, position and total length
+	idx    uint16
+	length uint16
+	state  uint8 // metaStateGroup or metaStateChain
+	live   bool  // programmed and not yet superseded, re-homed or erased
 }
 
 // metaOOB builds the spare-area record for a metadata-page program.
 // payCRC covers the full padded flash page.
-func (f *FTL) metaOOB(t metaTag, payCRC uint32) [oobRecSize]byte {
+func metaOOB(t metaTag, payCRC uint32) [oobRecSize]byte {
 	r := oobRec{kind: oobKindMeta, state: t.state, seq: t.seq}
 	if t.state == metaStateGroup {
 		r.a = uint64(t.group)
 	} else {
-		r.a = uint64(f.slotID(t.slot)) | uint64(t.idx)<<16 | uint64(t.length)<<32
+		r.a = uint64(t.slot) | uint64(t.idx)<<16 | uint64(t.length)<<32
 	}
 	r.b = uint64(payCRC) | uint64(t.payLen)<<32
 	return encodeOOB(r)
@@ -183,17 +185,24 @@ func (f *FTL) nextSeq() uint64 {
 
 // slotID returns the stable numeric id of a named slot, assigning the
 // next one on first use. Ids are what chain pages carry in their spare
-// records; the name <-> id binding is part of the firmware (the set of
-// slot names is fixed per software version), so it survives power loss
-// without being persisted.
+// records and what the slot tables are indexed by; the name <-> id
+// binding is part of the firmware (the set of slot names is fixed per
+// software version), so it survives power loss without being persisted.
 func (f *FTL) slotID(name string) uint16 {
 	if id, ok := f.slotIDs[name]; ok {
 		return id
 	}
-	f.nextSlotID++
-	f.slotIDs[name] = f.nextSlotID
-	f.slotNames[f.nextSlotID] = name
-	return f.nextSlotID
+	return f.newSlot(name)
+}
+
+// newSlot binds the next id to name, with no chain and no payload.
+func (f *FTL) newSlot(name string) uint16 {
+	id := uint16(len(f.slotNames))
+	f.slotIDs[name] = id
+	f.slotNames = append(f.slotNames, name)
+	f.metaSlots = append(f.metaSlots, nil)
+	f.metaData = append(f.metaData, nil)
+	return id
 }
 
 // mapTable is a logical-to-physical table held in the format of the

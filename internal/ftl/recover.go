@@ -54,17 +54,13 @@ const (
 	RecoveryScan
 )
 
+var recoveryModeNames = [...]string{RecoveryNone: "none", RecoveryImage: "image", RecoveryScan: "scan"}
+
 func (m RecoveryMode) String() string {
-	switch m {
-	case RecoveryNone:
-		return "none"
-	case RecoveryImage:
-		return "image"
-	case RecoveryScan:
-		return "scan"
-	default:
-		return fmt.Sprintf("RecoveryMode(%d)", uint8(m))
+	if int(m) < len(recoveryModeNames) {
+		return recoveryModeNames[m]
 	}
+	return fmt.Sprintf("RecoveryMode(%d)", uint8(m))
 }
 
 // RecoveryInfo describes the last Restart: which path ran, why the
@@ -183,10 +179,13 @@ func (f *FTL) mountImage(info *RecoveryInfo) error {
 	}
 
 	// Slot chains: verify identity and sequence, reassemble payloads.
-	newData := make(map[string][]byte)
-	for _, name := range sortedKeys(f.metaSlots) {
-		chain := f.metaSlots[name]
-		id := f.slotID(name)
+	newData := make([][]byte, len(f.metaData))
+	for _, name := range sortedKeys(f.slotIDs) {
+		id := f.slotIDs[name]
+		chain := f.metaSlots[id]
+		if len(chain) == 0 {
+			continue
+		}
 		var payload []byte
 		baseSeq := uint64(0)
 		for i, ppn := range chain {
@@ -212,7 +211,7 @@ func (f *FTL) mountImage(info *RecoveryInfo) error {
 			payload = append(payload, buf[:payLen]...)
 		}
 		if len(payload) > 0 {
-			newData[name] = payload
+			newData[id] = payload
 		}
 	}
 
@@ -221,8 +220,8 @@ func (f *FTL) mountImage(info *RecoveryInfo) error {
 	f.persisted = newMap
 	clear(f.dirty)
 	f.metaData = newData
-	if txlog, ok := newData["txlog"]; ok {
-		ranges, err := decodeTidRanges(txlog)
+	if id, ok := f.slotIDs["txlog"]; ok && newData[id] != nil {
+		ranges, err := decodeTidRanges(newData[id])
 		if err != nil {
 			return f.metaIntegrityErr(info, "txlog payload: %v", err)
 		}
@@ -309,12 +308,14 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 	// The old pointers are untrusted; drop them. Whatever pages they
 	// referenced become unpointed garbage that the ring advance and the
 	// orphan sweep clean up lazily.
-	f.metaSlots = make(map[string][]nand.PPN)
+	clear(f.metaSlots)
 	for g := range f.groupSlots {
 		f.groupSlots[g] = nand.InvalidPPN
 	}
-	f.metaTags = make(map[nand.PPN]metaTag)
-	f.metaData = make(map[string][]byte)
+	for _, tags := range f.metaTags {
+		clear(tags)
+	}
+	clear(f.metaData)
 	clear(f.dirty) // the tables are rebuilt equal below
 
 	var (
@@ -404,10 +405,10 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 	}
 	winners := make(map[string]slotWinner)
 	for id, byBase := range chains {
-		name, known := f.slotNames[id]
-		if !known {
-			continue
+		if id == 0 || int(id) >= len(f.slotNames) {
+			continue // no slot this firmware knows
 		}
+		name := f.slotNames[id]
 		bestSeq := uint64(0)
 		found := false
 		var best slotWinner
@@ -492,7 +493,7 @@ func (f *FTL) mountScan(info *RecoveryInfo) error {
 		if w.payload != nil {
 			err = f.WriteMetaSlotData(name, w.payload, w.length)
 		} else {
-			err = f.writeMetaSlot(name, nil, w.length)
+			err = f.writeMetaSlot(f.slotIDs[name], nil, w.length)
 		}
 		if err != nil {
 			return err
@@ -620,7 +621,10 @@ func (f *FTL) CorruptMeta(target string, erase bool) (int, error) {
 			}
 		}
 	default:
-		chain := f.metaSlots[target]
+		var chain []nand.PPN
+		if id, ok := f.slotIDs[target]; ok {
+			chain = f.metaSlots[id]
+		}
 		if chain == nil {
 			return 0, fmt.Errorf("%w: no pages to corrupt for %q", ErrBadMetaSlot, target)
 		}

@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/simfs"
@@ -67,6 +68,18 @@ func (c *coordLog) append(gtid uint64, parts []participantKey) error {
 	}
 	defer f.Close()
 	page := make([]byte, c.fs.PageSize())
+	if err := encodeCoordRecord(page, gtid, parts); err != nil {
+		return err
+	}
+	if err := f.WritePage(f.Pages(), page); err != nil {
+		return err
+	}
+	return f.Fsync()
+}
+
+// encodeCoordRecord renders the commit record of gtid over parts into
+// page, which must be zero.
+func encodeCoordRecord(page []byte, gtid uint64, parts []participantKey) error {
 	if 16+12*len(parts) > len(page) {
 		return fmt.Errorf("shard: %d participants overflow one coordinator record page", len(parts))
 	}
@@ -80,16 +93,41 @@ func (c *coordLog) append(gtid uint64, parts []participantKey) error {
 		binary.LittleEndian.PutUint32(page[o:], uint32(p.shard))
 		binary.LittleEndian.PutUint64(page[o+4:], p.tid)
 	}
-	if err := f.WritePage(f.Pages(), page); err != nil {
-		return err
+	return nil
+}
+
+// decodeCoordRecord reads one log page as the commit record append
+// wrote. It reports false for any other page: no magic or another
+// version (the unwritten tail after a torn append), another record type,
+// a participant count that overruns the page, or bytes set past the
+// participants.
+func decodeCoordRecord(page []byte) (gtid uint64, parts []participantKey, ok bool) {
+	if len(page) < 16 || binary.LittleEndian.Uint32(page[0:]) != coordMagic ||
+		page[4] != coordVersion || page[5] != recCommit {
+		return 0, nil, false
 	}
-	return f.Fsync()
+	n := int(binary.LittleEndian.Uint16(page[6:]))
+	end := 16 + 12*n
+	if end > len(page) || slices.ContainsFunc(page[end:], func(b byte) bool { return b != 0 }) {
+		return 0, nil, false
+	}
+	parts = make([]participantKey, n)
+	for j := range parts {
+		o := 16 + 12*j
+		parts[j] = participantKey{
+			shard: int(binary.LittleEndian.Uint32(page[o:])),
+			tid:   binary.LittleEndian.Uint64(page[o+4:]),
+		}
+	}
+	return binary.LittleEndian.Uint64(page[8:]), parts, true
 }
 
 // replay scans the log and returns the set of committed participants
-// plus the highest gtid seen (0 if none). Pages that fail the magic
-// check — an unwritten tail after a torn append — end the scan: records
-// are appended strictly in order, each made durable before the next.
+// plus the highest gtid seen (0 if none). The first page that is not a
+// record as append wrote it — the unwritten tail after a torn append, or
+// a page damaged since — ends the scan: records are appended strictly in
+// order, each made durable before the next, and a record that cannot be
+// read whole must not commit part of its participants.
 func (c *coordLog) replay() (map[participantKey]bool, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -108,23 +146,13 @@ func (c *coordLog) replay() (map[participantKey]bool, uint64, error) {
 		if err := f.ReadPage(i, page); err != nil {
 			return nil, 0, err
 		}
-		if binary.LittleEndian.Uint32(page[0:]) != coordMagic || page[4] != coordVersion {
+		gtid, parts, ok := decodeCoordRecord(page)
+		if !ok {
 			break
 		}
-		if page[5] != recCommit {
-			continue
-		}
-		n := int(binary.LittleEndian.Uint16(page[6:]))
-		gtid := binary.LittleEndian.Uint64(page[8:])
-		if gtid > maxGtid {
-			maxGtid = gtid
-		}
-		for j := 0; j < n && 16+12*j+12 <= len(page); j++ {
-			o := 16 + 12*j
-			decided[participantKey{
-				shard: int(binary.LittleEndian.Uint32(page[o:])),
-				tid:   binary.LittleEndian.Uint64(page[o+4:]),
-			}] = true
+		maxGtid = max(maxGtid, gtid)
+		for _, p := range parts {
+			decided[p] = true
 		}
 	}
 	return decided, maxGtid, nil

@@ -209,11 +209,9 @@ type FS struct {
 	queueing bool        // inside a pipelined writer's fsync write-back (see submit)
 
 	// freeBufs holds write-back cache pages whose content has reached the
-	// device (or was aborted), for the next WritePage; zeroPage is the
-	// shared read-only payload of every content-free metadata write. The
-	// device copies what it is handed, so both are the file system's alone.
+	// device (or was aborted), for the next WritePage. The device copies
+	// what it is handed, so they are the file system's alone.
 	freeBufs [][]byte
-	zeroPage []byte
 }
 
 // New formats and mounts a file system on the device. The host counter
@@ -235,7 +233,6 @@ func New(dev *storage.Device, cfg Config, host *metrics.HostCounters) (*FS, erro
 		files:     make(map[string]*inode),
 		persisted: make(map[string]inodeImage),
 		touched:   make(map[string]struct{}),
-		zeroPage:  make([]byte, dev.PageSize()),
 		dataStart: metaRegionPages + journalRegionPages,
 		capacity:  dev.LogicalPages(),
 		dirtyMeta: make(map[int64]struct{}),
@@ -545,8 +542,9 @@ func (fs *FS) journalCommit(dataPages [][]byte) error {
 		fs.noteWrite(trace.WFSMeta, lpn, 0)
 		return fs.submit(ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: payload, Origin: trace.OMeta})
 	}
-	blank := fs.zeroPage
-	if err := writeJournalPage(blank); err != nil { // descriptor
+	// Descriptor, metadata and commit-record pages carry no content: nil
+	// data is a blank program, which reads back as zeros.
+	if err := writeJournalPage(nil); err != nil { // descriptor
 		return err
 	}
 	for _, d := range dataPages {
@@ -554,12 +552,12 @@ func (fs *FS) journalCommit(dataPages [][]byte) error {
 			return err
 		}
 	}
-	for range fs.dirtyMeta {
-		if err := writeJournalPage(blank); err != nil {
+	for range nMeta {
+		if err := writeJournalPage(nil); err != nil {
 			return err
 		}
 	}
-	if err := writeJournalPage(blank); err != nil { // commit record
+	if err := writeJournalPage(nil); err != nil { // commit record
 		return err
 	}
 	if err := fs.barrier(); err != nil {
@@ -925,22 +923,24 @@ func (f *File) Fsync() error {
 
 // writeMetaTx writes the dirty metadata pages home under the file's
 // transaction id (OffXFTL): X-FTL makes them atomic with the data,
-// replacing the metadata journal. Ascending LPN order, not map order, so
-// the same seed programs the same flash pages on every run.
+// replacing the metadata journal. The pages carry no content: nil Data
+// is a blank program. Ascending LPN order, not map order, so the same
+// seed programs the same flash pages on every run.
 func (f *File) writeMetaTx() error {
-	if len(f.fs.dirtyMeta) == 0 {
+	fs := f.fs
+	if len(fs.dirtyMeta) == 0 {
 		return nil
 	}
-	lpns := make([]int64, 0, len(f.fs.dirtyMeta))
-	for lpn := range f.fs.dirtyMeta {
+	lpns := make([]int64, 0, len(fs.dirtyMeta))
+	for lpn := range fs.dirtyMeta {
 		lpns = append(lpns, lpn)
 	}
 	slices.Sort(lpns)
 	tid := f.tidFor()
 	for _, lpn := range lpns {
-		f.fs.noteWrite(trace.WFSMeta, lpn, tid)
-		if err := f.fs.submit(ncq.Request{
-			Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Data: f.fs.zeroPage, Origin: trace.OMeta,
+		fs.noteWrite(trace.WFSMeta, lpn, tid)
+		if err := fs.submit(ncq.Request{
+			Op: ncq.OpWriteTx, TID: tid, LPN: lpn, Origin: trace.OMeta,
 		}); err != nil {
 			return err
 		}

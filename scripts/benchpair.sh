@@ -19,6 +19,9 @@
 #    side's median and quartiles and the change's wins per metric (ties
 #    count for neither side). A seed other than 1 is the held-out-seed
 #    check of a claimed gain.
+# 4. Says whether the deterministic columns, virt_ops_per_s and
+#    flash_writes_per_op, were identical in every pair, or lists the
+#    pairs where they differ: a host-side change must not move them.
 #
 # Temporary files go under $TMPDIR (default /tmp) and are removed on exit.
 set -euo pipefail
@@ -107,4 +110,12 @@ for m in spec:
     pm, cm = statistics.median(par), statistics.median(chg)
     ratio = f"{cm / pm:.3f}" if pm else "-"
     print(f"{n:22}{summary(par):>36}{summary(chg):>36}{ratio:>8}{wins:>5}/{len(pairs)}")
+
+print()
+for n in ("virt_ops_per_s", "flash_writes_per_op"):
+    moved = [p for p in pairs if runs["parent"][p][n] != runs["change"][p][n]]
+    if moved:
+        print(f"{n}: differs in pairs {' '.join(map(str, moved))}")
+    else:
+        print(f"{n}: identical in every pair")
 EOF
