@@ -193,14 +193,13 @@ func one[R any](render func(R) *bench.Table) func(R) []*bench.Table {
 // experiment.
 var errUnknownExperiment = errors.New("unknown experiment")
 
-// run executes the requested experiment(s), printing each table and
-// appending it to doc for -json output. "all" reproduces the paper's
-// evaluation in paper order.
-func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
+// experiments lists the subcommands in paper order, the order "all"
+// runs them in.
+func experiments() []experiment {
 	// fig7's replay feeds table2's measured row when both run ("all");
 	// table2 on its own prints the census-only view.
 	var fig7 *bench.Fig7
-	experiments := []experiment{
+	return []experiment{
 		{"fig5", tables(bench.RunFig5, (*bench.Fig5).Tables)},
 		{"table1", tables(bench.RunTable1, one((*bench.Table1).Table))},
 		{"fig6", tables(bench.RunFig6, (*bench.Fig6).Tables)},
@@ -222,8 +221,14 @@ func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
 		{"table5", tables(bench.RunTable5, one(bench.Table5Table))},
 		{"ablate", tables(bench.Ablations, one(bench.AblationTable))},
 	}
+}
+
+// run executes the requested experiment(s), printing each table and
+// appending it to doc for -json output. "all" reproduces the paper's
+// evaluation in paper order.
+func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
 	did := false
-	for _, e := range experiments {
+	for _, e := range experiments() {
 		if what != e.name && what != "all" {
 			continue
 		}

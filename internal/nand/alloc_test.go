@@ -88,15 +88,20 @@ func TestProgramDiscardOnYoungChipNoAllocs(t *testing.T) {
 // holds the source's. Discarding the source leaves the buffer with the
 // copy, and erasing the copy's block returns it to the free list, so
 // copy-back, discard and erase cycles allocate nothing once the first has
-// carved the buffers.
+// carved the buffers. Each source page has bytes of its own, so each
+// program takes a buffer.
 func TestCopyBackDiscardEraseNoAllocs(t *testing.T) {
 	c, _, _ := newTestChip(t)
 	cfg := c.Config()
-	data, oob := pageData(cfg, 0x3C), []byte{4, 5, 6}
+	oob := []byte{4, 5, 6}
+	data := make([][]byte, cfg.PagesPerBlock)
+	for pi := range data {
+		data[pi] = pageData(cfg, byte(pi))
+	}
 	cycle := func() {
 		for pi := 0; pi < cfg.PagesPerBlock; pi++ {
 			src, dst := c.PPNOf(0, pi), c.PPNOf(1, pi)
-			if err := c.ProgramPageOOB(src, data, oob); err != nil {
+			if err := c.ProgramPageOOB(src, data[pi], oob); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.ProgramCopyBack(dst, src); err != nil {

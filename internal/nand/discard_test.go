@@ -98,15 +98,12 @@ func TestDiscardGivesBackOnlyOwnedPayloads(t *testing.T) {
 	}
 }
 
-// cell is FuzzCellLifecycle's model of one programmed page. lineage
-// names the program whose bytes the cell holds: a copy-back inherits its
-// source's, and damage gives the cell a fresh one.
+// cell is FuzzCellLifecycle's model of one programmed page.
 type cell struct {
 	state     PageState
 	discarded bool
 	content   []byte
 	spare     byte
-	lineage   int
 }
 
 // scanned is what a recovery scan of the page must return: its state and
@@ -122,51 +119,58 @@ func (m *cell) scanned(pageSize int) ([]byte, PageState) {
 	}
 }
 
-// FuzzCellLifecycle runs random programs (data or blank), copy-backs,
-// invalidations, discards, erases, corruptions and reads over a
-// four-block chip against a map model: a valid page, or an invalidated
+// FuzzCellLifecycle runs random programs (data, blank, or the last data
+// program's bytes again, whole or with the final byte changed),
+// copy-backs, invalidations, discards, erases, corruptions and reads over
+// a four-block chip against a map model: a valid page, or an invalidated
 // one not discarded, reads back exactly what was programmed (and
 // corrupted) and its spare record; a discarded page fails typed. After
-// every operation the buffers obey the ownership invariant: cells share
-// a payload only through copy-back, every buffer's holder count is the
-// number of cells holding it, no buffer on the free list is held, and
-// every cell holds its model's bytes — so damage to one holder never
-// reaches the others.
+// every operation the buffers obey the ownership invariant: every cell
+// holds its model's bytes, so cells that share a buffer hold equal bytes
+// and damage to one never reaches another; every buffer's holder count is
+// the number of cells holding it; and no buffer on the free list is held.
 func FuzzCellLifecycle(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 0, 2, 0, 0, 6, 0, 0, 6, 0, 1, 4, 0, 0, 0, 1, 2})
 	f.Add([]byte{1, 3, 0, 2, 3, 0, 0, 4, 9, 5, 4, 3, 6, 4, 2, 3, 0, 0, 0, 0, 7})
 	f.Add([]byte{0, 8, 5, 1, 9, 0, 5, 9, 2, 2, 8, 0, 2, 9, 0, 4, 1, 0, 0, 8, 6, 6, 8, 0})
 	f.Add([]byte{0, 0, 3, 7, 9, 0, 7, 17, 9, 5, 9, 2, 6, 17, 1, 3, 0, 0, 4, 0, 0, 6, 9, 0, 2, 17, 0, 4, 17, 0})
+	f.Add([]byte{0, 0, 4, 8, 1, 0, 8, 9, 0, 5, 1, 1, 3, 0, 0, 8, 2, 0, 8, 10, 1, 0, 3, 5, 6, 2, 0, 6, 9, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		cfg := testConfig()
-		cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize = 4, 8, 64
+		cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize = 4, 8, 128 // pages past the chip's 64-byte head copy
 		c, err := New(cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		model := map[PPN]*cell{} // programmed pages; absent means free
-		programs := 0
+		var last []byte          // the last data program's bytes
 		cfg = c.Config()
 		buf, oobBuf := make([]byte, cfg.PageSize), make([]byte, cfg.OOBSize)
 		total := PPN(cfg.TotalPages())
 		for i := 0; i+2 < len(ops); i += 3 {
-			kind, p, arg := ops[i]%8, PPN(ops[i+1])%total, ops[i+2]
+			kind, p, arg := ops[i]%9, PPN(ops[i+1])%total, ops[i+2]
 			m := model[p]
 			switch kind {
-			case 0, 1: // program with data, or blank
+			case 0, 1, 8: // program with data, blank, or the last data again
 				var data []byte
 				content := make([]byte, cfg.PageSize)
-				if kind == 0 {
+				switch {
+				case kind == 0 || kind == 8 && last == nil:
 					data = pageData(cfg, arg)
-					copy(content, data)
+				case kind == 8:
+					data = bytes.Clone(last)
+					data[len(data)-1] ^= arg % 2 // odd: differs at the end only
 				}
+				copy(content, data)
 				err := c.ProgramPageOOB(p, data, []byte{arg})
 				if (m == nil) != (err == nil) {
 					t.Fatalf("op %d: program ppn %d (programmed %v) = %v", i, p, m != nil, err)
 				}
 				if m == nil {
-					programs++
-					model[p] = &cell{state: PageValid, content: content, spare: arg, lineage: programs}
+					model[p] = &cell{state: PageValid, content: content, spare: arg}
+					if data != nil {
+						last = data
+					}
 				}
 			case 7: // copy-back program of p from src
 				src := PPN(arg) % total
@@ -177,7 +181,7 @@ func FuzzCellLifecycle(f *testing.F) {
 					t.Fatalf("op %d: copy-back ppn %d from %d (dst programmed %v, src %+v) = %v", i, p, src, m != nil, sm, err)
 				}
 				if ok {
-					model[p] = &cell{state: PageValid, content: bytes.Clone(sm.content), spare: sm.spare, lineage: sm.lineage}
+					model[p] = &cell{state: PageValid, content: bytes.Clone(sm.content), spare: sm.spare}
 				}
 			case 2, 3: // invalidate, or discard
 				op := c.Invalidate
@@ -216,8 +220,6 @@ func FuzzCellLifecycle(f *testing.F) {
 					for j := 0; j < n && j*step < len(m.content); j++ {
 						m.content[j*step] ^= 0xA5
 					}
-					programs++
-					m.lineage = programs
 				}
 			case 6: // read
 				if arg%3 == 2 {
@@ -278,13 +280,9 @@ func checkOwnership(t *testing.T, c *Chip, model map[PPN]*cell, i int) {
 		if !bytes.Equal(d.b, m.content) {
 			t.Fatalf("op %d: ppn %d holds %x, want %x", i, q, d.b, m.content)
 		}
-		if d == &c.zero {
-			continue
+		if d != &c.zero {
+			holders[d] = append(holders[d], q)
 		}
-		if hs := holders[d]; len(hs) > 0 && model[hs[0]].lineage != m.lineage {
-			t.Fatalf("op %d: ppns %d and %d share a buffer but no copy-back made one of the other", i, hs[0], q)
-		}
-		holders[d] = append(holders[d], q)
 	}
 	for d, hs := range holders {
 		if int(d.held) != len(hs) {

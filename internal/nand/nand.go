@@ -12,6 +12,7 @@
 package nand
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -217,6 +218,13 @@ type Chip struct {
 	// buffers are carved a block's worth at a time.
 	freeData []*payload
 	freeOOB  [][]byte
+	// last is the buffer the latest data program took. A data program of
+	// the same bytes holds it too instead of taking one of its own, while
+	// some cell still holds it: a released buffer is the next program's
+	// to write into. An aged chip's filler pages are then one buffer.
+	// lastHead is a copy of its first bytes (see repeatsLast).
+	last     *payload
+	lastHead [64]byte
 
 	// zero is the one read-only all-zero page every blank cell shares: a
 	// program handed a nil payload points the cell here instead of taking
@@ -229,8 +237,9 @@ type Chip struct {
 }
 
 // payload is one page-sized buffer and the number of cells holding it.
-// A program gives its cell a buffer of its own; a copy-back points the
-// destination at the source's buffer, one holder more. A cell lets go at
+// A program gives its cell a buffer of its own unless it repeats the last
+// program's bytes; a copy-back points the destination at the source's
+// buffer. Either way the cell is one holder more. A cell lets go at
 // erase, Discard or damage, and the last holder to let go returns the
 // buffer to the free list.
 type payload struct {
@@ -676,15 +685,33 @@ func (c *Chip) programPage(p PPN, data []byte, shared *payload, oob []byte, inte
 		b.data[pi] = shared
 	case data == nil:
 		b.data[pi] = &c.zero
+	case c.repeatsLast(data):
+		c.last.held++
+		b.data[pi] = c.last
 	default:
-		b.data[pi] = c.takeData()
-		copy(b.data[pi].b, data)
+		c.last = c.takeData()
+		copy(c.last.b, data)
+		copy(c.lastHead[:], data)
+		b.data[pi] = c.last
 	}
 	if len(oob) > 0 {
 		b.oob[pi] = c.takeOOB()
 		clear(b.oob[pi][copy(b.oob[pi], oob):])
 	}
 	return nil
+}
+
+// repeatsLast reports whether data is the last data program's bytes and
+// some cell still holds them. The head is compared with the chip's own
+// copy first, so a program that differs early, as most do, leaves the
+// held buffer's cache lines alone.
+func (c *Chip) repeatsLast(data []byte) bool {
+	d := c.last
+	if d == nil || d.held == 0 {
+		return false
+	}
+	n := min(len(c.lastHead), len(data))
+	return bytes.Equal(data[:n], c.lastHead[:n]) && bytes.Equal(d.b, data)
 }
 
 // Invalidate marks a programmed page as superseded, making its block a

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -21,7 +22,9 @@ import (
 // queue, every deviceAbortEvery-th aborted, the rest committed, with
 // power cuts and flash faults landing anywhere. Keys are LPNs, a
 // version is the number of the transaction that wrote it, and observe
-// compares whole pages byte for byte.
+// compares whole pages byte for byte. Before the schedule an ideal chip
+// is aged as the paper's experiments are: every LPN outside the
+// schedule's span holds one filler page, checked again at the end.
 type deviceRun struct {
 	// cut arms a power cut a pseudo-random 1..cut NAND operations ahead,
 	// re-arming after every recovery; 0 = a pure fault-rate run.
@@ -63,21 +66,27 @@ func deviceProfile() storage.Profile {
 	}
 }
 
-// pageContent generates the byte-exact payload for (lpn, version), so any
-// torn, stale or cross-wired read is caught, not just flipped status bits.
+// fillVersion is the filler page's version: no transaction's.
+const fillVersion = math.MaxInt64
+
+// pageContent generates the byte-exact payload for (lpn, version): one
+// body per seed, stamped with (seed, lpn, version) in its last 24 bytes.
+// Any torn, stale or cross-wired read is caught, not just flipped status
+// bits, and two versions differ only at the end of the page, where a
+// chip that shares one payload among equal programs must still look.
 func pageContent(seed, lpn, version int64, size int) []byte {
 	buf := make([]byte, size)
-	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(lpn))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(version))
-	// Fill the body from a cheap xorshift so every byte is versioned.
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(lpn)<<32 + uint64(version)
-	for i := 24; i+8 <= size; i += 8 {
+	x := uint64(seed)*0x9e3779b97f4a7c15 + 1
+	for i := 0; i+8 <= size-24; i += 8 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 		binary.LittleEndian.PutUint64(buf[i:], x)
 	}
+	stamp := buf[size-24:]
+	binary.LittleEndian.PutUint64(stamp[0:], uint64(seed))
+	binary.LittleEndian.PutUint64(stamp[8:], uint64(lpn))
+	binary.LittleEndian.PutUint64(stamp[16:], uint64(version))
 	return buf
 }
 
@@ -130,7 +139,7 @@ func (d deviceRun) run(seed int64) (*Report, error) {
 		}
 		// The version whose exact bytes the page holds; 0 for a page never
 		// written, which reads as zeros.
-		v := int64(binary.LittleEndian.Uint64(buf[16:]))
+		v := int64(binary.LittleEndian.Uint64(buf[len(buf)-8:]))
 		switch {
 		case bytes.Equal(buf, zero):
 			return 0, nil
@@ -167,6 +176,24 @@ func (d deviceRun) run(seed int64) (*Report, error) {
 		}
 		arm()
 		return errCrashed
+	}
+
+	// Only ideal flash is aged. The fill would move every fault draw of a
+	// faulty run, whose cells are there for retirement and storms, and a
+	// storm's quarantine takes half this chip's blocks.
+	aged := span
+	if fault == nil {
+		aged = dev.LogicalPages()
+		filler := pageContent(seed, -1, fillVersion, dev.PageSize())
+		for lpn := span; lpn < aged; lpn++ {
+			written[[2]int64{lpn, fillVersion}] = filler
+			if err := submit(&ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: filler}); err != nil {
+				return rep, fmt.Errorf("aging fill, lpn %d: %w", lpn, err)
+			}
+		}
+		if err := submit(&ncq.Request{Op: ncq.OpBarrier}); err != nil {
+			return rep, fmt.Errorf("aging fill: %w", err)
+		}
 	}
 
 	arm()
@@ -215,6 +242,11 @@ schedule:
 	dev.PowerCutAfter(0)
 	if err := m.verify(obs); err != nil {
 		return rep, err
+	}
+	for lpn := span; lpn < aged; lpn++ {
+		if v, err := obs(lpn); err != nil || v != fillVersion {
+			return rep, fmt.Errorf("filler lpn %d reads version %d (%v), want the filler", lpn, v, err)
+		}
 	}
 	rep.Retries = dev.Queue().Retries()
 	rep.Timeouts = dev.Queue().Timeouts()
