@@ -12,11 +12,11 @@ type admissionStats struct {
 	DeadlineDrops atomic.Int64 // requests whose budget expired while queued
 }
 
-// admission is the bounded front door: MaxConcurrent execution slots,
-// at most maxQueue requests waiting for one, everything past that shed
-// immediately. The wait is bounded by the request's own deadline, so a
-// queued request can never outlive its budget — excess load turns into
-// fast typed rejections, not a growing queue.
+// admission is the bounded front door: a fixed number of execution
+// slots, at most maxQueue requests waiting for one, everything past
+// that shed immediately. The wait is bounded by the request's own
+// deadline, so a queued request can never outlive its budget — excess
+// load turns into fast typed rejections, not a growing queue.
 type admission struct {
 	slots    chan struct{}
 	queued   atomic.Int64

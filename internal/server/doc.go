@@ -58,11 +58,11 @@
 // server side can find everything that request did.
 //
 // The slow op returns the server's slow-request capture: the N slowest
-// requests seen so far (32), each with its req_id, op,
-// database, outcome and a per-stage wall-time breakdown (admission
-// wait, service-floor pacing, session begin, execution, commit, other)
-// that sums to the request's wall latency. The same capture is served
-// as JSON at /debug/slow on the metrics listener (MetricsMux).
+// requests seen so far (32), each with its req_id, op, database,
+// outcome and a per-stage wall-time breakdown (admission wait, session
+// begin, execution, commit, other) whose microseconds sum to the
+// request's wall_us exactly. The same capture is served as JSON at
+// /debug/slow on the metrics listener (MetricsMux).
 //
 // /metrics on the same listener is the fleet's one metrics registry in
 // Prometheus text format: the tier's own families
@@ -119,12 +119,12 @@
 //
 // # Admission control and backpressure
 //
-// MaxConcurrent execution slots bound how many requests touch the
-// stack at once; up to MaxQueue more may wait for a slot, each bounded
-// by its own request deadline. A request that arrives with the wait
-// queue full is shed immediately with ErrOverload — load past the
-// tier's capacity turns into fast, explicit rejections (with hints)
-// rather than unbounded queueing and collective timeout. Slots are
+// Sixteen execution slots bound how many requests touch the stack at
+// once; up to 32 more may wait for a slot, each bounded by its own
+// request deadline. A request that arrives with the wait queue full is
+// shed immediately with ErrOverload — load past the tier's capacity
+// turns into fast, explicit rejections (with hints) rather than
+// unbounded queueing and collective timeout. Slots are
 // held per request, not per transaction, so an interactive transaction
 // cannot starve the tier between statements; the mvcc layer's FIFO
 // writer lock (reached through mvcc.BeginWith with the request's

@@ -26,7 +26,6 @@ import (
 // Stage indexes for reqTrack.stages; stageNames must match.
 const (
 	stageAdmission = iota // waiting for an execution slot
-	stageFloor            // ServiceFloor pacing sleep
 	stageBegin            // session begin: routing, locks, snapshot open
 	stageExec             // statement execution
 	stageCommit           // commit / rollback, including 2PC stages
@@ -34,7 +33,7 @@ const (
 	numStages
 )
 
-var stageNames = [numStages]string{"admission", "floor", "begin", "exec", "commit", "other"}
+var stageNames = [numStages]string{"admission", "begin", "exec", "commit", "other"}
 
 // opIndex maps a data-path op to its per-op histogram slot (-1: none).
 func opIndex(op string) int {
@@ -165,9 +164,16 @@ func (rt *reqTrack) entry(ok bool, code string, wallUS int64) SlowEntry {
 		Code:   code,
 		WallUS: wallUS,
 	}
+	// Round the running sum, not each stage: the stages then add up to
+	// the wall latency's microseconds exactly, however short they are.
+	var sum time.Duration
+	var done int64
 	for i, d := range rt.stages {
+		sum += d
 		if rt.touched[i] {
-			e.Stages = append(e.Stages, StageUS{Stage: stageNames[i], US: d.Microseconds()})
+			us := sum.Microseconds()
+			e.Stages = append(e.Stages, StageUS{Stage: stageNames[i], US: us - done})
+			done = us
 		}
 	}
 	return e

@@ -413,8 +413,8 @@ func TestPrometheusConformance(t *testing.T) {
 	}
 
 	// Count invariants. Every served data-path request lands in exactly
-	// one op histogram; commit/rollback bypass admission and the floor,
-	// so those two stage counts equal served minus finished-txn ops.
+	// one op histogram; commit/rollback bypass admission, so its stage
+	// count equals served minus finished-txn ops.
 	servedTotal := sampleValue(t, families, "xftl_requests_served_total", "xftl_requests_served_total", nil)
 	if servedTotal != float64(served) {
 		t.Fatalf("xftl_requests_served_total = %v, want %d", servedTotal, served)
@@ -437,9 +437,6 @@ func TestPrometheusConformance(t *testing.T) {
 	wantAdm := servedTotal - opCount(OpCommit) - opCount(OpRollback)
 	if got := stageCount("admission"); got != wantAdm {
 		t.Fatalf("admission stage count %v, want %v", got, wantAdm)
-	}
-	if got := stageCount("floor"); got != wantAdm {
-		t.Fatalf("floor stage count %v, want %v", got, wantAdm)
 	}
 	if got := stageCount("other"); got != servedTotal {
 		t.Fatalf("other stage count %v, want %v (every served request)", got, servedTotal)
@@ -582,11 +579,10 @@ func TestScrapeUnderLoad(t *testing.T) {
 }
 
 // TestSlowCapture checks the slow op end to end: entries come back
-// slowest-first with monotonic ids, and each breakdown sums to at
-// least 90% of its wall latency (the cut model makes it exact; the
-// slack only absorbs microsecond truncation).
+// slowest-first with monotonic ids, and each breakdown sums to its wall
+// latency to the microsecond.
 func TestSlowCapture(t *testing.T) {
-	_, addr := startServer(t, Options{ServiceFloor: 2 * time.Millisecond})
+	_, addr := startServer(t, Options{})
 	cl := dial(t, addr)
 	ok := oker(t)
 
@@ -617,17 +613,12 @@ func TestSlowCapture(t *testing.T) {
 		if i > 0 && e.WallUS > entries[i-1].WallUS {
 			t.Errorf("entries not sorted slowest-first at %d: %d > %d", i, e.WallUS, entries[i-1].WallUS)
 		}
-		// ServiceFloor guarantees multi-millisecond walls, so µs
-		// truncation noise cannot explain a breakdown below 90%.
-		if e.WallUS < 2000 {
-			t.Errorf("entry %d: wall %dµs below the 2ms service floor", i, e.WallUS)
-		}
 		var sum int64
 		for _, st := range e.Stages {
 			sum += st.US
 		}
-		if float64(sum) < 0.9*float64(e.WallUS) {
-			t.Errorf("entry %d (req %d): stage sum %dµs < 90%% of wall %dµs (stages %v)",
+		if sum != e.WallUS {
+			t.Errorf("entry %d (req %d): stage sum %dµs != wall %dµs (stages %v)",
 				i, e.ReqID, sum, e.WallUS, e.Stages)
 		}
 	}
@@ -799,6 +790,20 @@ func TestSlowRing(t *testing.T) {
 	r.offer(&reqTrack{id: 99}, true, "", time.Microsecond)
 	if got := r.snapshot(); len(got) != 4 || got[3].WallUS != 700 {
 		t.Fatalf("fast newcomer displaced a slow entry: %+v", got)
+	}
+
+	// Sub-microsecond stages still add up to the wall: each stage gets
+	// the microseconds its cut carried the running sum across.
+	rt := &reqTrack{id: 100}
+	for i, ns := range []time.Duration{600, 0, 700, 800, 0} {
+		rt.stages[i], rt.touched[i] = ns, ns > 0 || i == stageOther
+	}
+	r = newSlowRing(1)
+	r.offer(rt, true, "", 2100*time.Nanosecond)
+	e := r.snapshot()[0]
+	want := []StageUS{{"admission", 0}, {"exec", 1}, {"commit", 1}, {"other", 0}}
+	if e.WallUS != 2 || fmt.Sprint(e.Stages) != fmt.Sprint(want) {
+		t.Fatalf("sub-µs stages => wall %dµs stages %v, want 2µs %v", e.WallUS, e.Stages, want)
 	}
 }
 

@@ -34,23 +34,6 @@ type Options struct {
 	// and routes requests to shards by database name (default 1). Each
 	// shard gets its own device, queue and write breaker.
 	Shards int
-
-	// MaxConcurrent bounds requests executing on the stack at once
-	// (default 16).
-	MaxConcurrent int
-	// MaxQueue bounds requests waiting for an execution slot; arrivals
-	// past it are shed with ErrOverload (default 2 x MaxConcurrent).
-	MaxQueue int
-	// ServiceFloor adds a wall-clock floor to every admitted data-path
-	// request while it holds its admission slot. The flash device below
-	// simulates in virtual time at near-zero wall cost, so on a small
-	// host the CPU saturates before the admission gate ever sees
-	// concurrent requests; the floor restores a realistic wall service
-	// time so overload dynamics — queue growth, shedding, deadline
-	// expiry — are observable. 0 (the default) disables it; load-test
-	// harnesses set it.
-	ServiceFloor time.Duration
-
 	// ReadPool is the warm snapshot reader-pool capacity per database
 	// manager in MVCC mode: a finished read request parks its snapshot
 	// connection (pager cache and catalog hot) for the next reader at
@@ -64,6 +47,11 @@ type Options struct {
 const (
 	queueDepth = 32 // the NCQ depth
 	cacheSize  = 64 // the SQLite page cache per connection, in pages
+	// maxConcurrent bounds requests executing on the stack at once;
+	// maxQueue bounds requests waiting for an execution slot, and
+	// arrivals past it are shed with ErrOverload.
+	maxConcurrent = 16
+	maxQueue      = 2 * maxConcurrent
 	// defaultDeadline is the per-request wall budget when the client
 	// sends none.
 	defaultDeadline = 500 * time.Millisecond
@@ -97,12 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
-	}
-	if o.MaxConcurrent <= 0 {
-		o.MaxConcurrent = 16
-	}
-	if o.MaxQueue <= 0 {
-		o.MaxQueue = 2 * o.MaxConcurrent
 	}
 	if o.ReadPool == 0 {
 		o.ReadPool = 8
@@ -185,7 +167,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:  opts,
 		fleet: fleet,
-		adm:   newAdmission(opts.MaxConcurrent, opts.MaxQueue),
+		adm:   newAdmission(maxConcurrent, maxQueue),
 		brks:  brks,
 		conns: make(map[*conn]struct{}),
 		slow:  newSlowRing(slowCount),
@@ -195,7 +177,7 @@ func New(opts Options) (*Server, error) {
 }
 
 // Stack exposes the default database's underlying stack (chaos hooks,
-// gauges; loadtest harnesses use it to force-quarantine units mid-run).
+// gauges, forced quarantines).
 func (s *Server) Stack() *xftl.Stack {
 	return s.fleet.Stacks()[s.fleet.Route(s.opts.DBName)]
 }
@@ -488,10 +470,6 @@ func (c *conn) handle(req *Request) *Response {
 	if !time.Now().Before(deadline) {
 		return c.srv.finish(rt, failure(req.ID, ErrDeadline))
 	}
-	if d := c.srv.opts.ServiceFloor; d > 0 {
-		time.Sleep(d)
-	}
-	rt.cut(stageFloor)
 	var resp *Response
 	switch req.Op {
 	case OpBegin:

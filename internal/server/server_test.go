@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -322,13 +325,26 @@ func TestAdmissionQueue(t *testing.T) {
 // TestOverloadEndToEnd saturates a 1-slot/1-queue server's admission
 // gate and requires that a wire request is shed with an explicit,
 // retryable overload response — then served normally once the gate
-// frees up. The gate is occupied from inside the package so the test is
-// deterministic on any core count (natural bursts fully serialize on a
-// single CPU).
+// frees up. The small gate is installed, and occupied, from inside the
+// package so the test is deterministic on any core count (natural
+// bursts fully serialize on a single CPU).
 func TestOverloadEndToEnd(t *testing.T) {
 	ok := oker(t)
-	srv, addr := startServer(t, Options{MaxConcurrent: 1, MaxQueue: 1})
-	cl := dial(t, addr)
+	srv, err := New(Options{Channels: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv.adm = newAdmission(1, 1)
+	lis, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Shutdown(); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	cl := dial(t, lis.String())
 	ok(cl.Exec("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)"))
 	ok(cl.Exec("INSERT INTO t (k, v) VALUES (1, 0)"))
 
@@ -454,8 +470,12 @@ func TestBreakerDegradesWrites(t *testing.T) {
 	}
 }
 
-// TestGracefulDrain: shutdown refuses new connections, lets the open
-// transaction run to commit, then drains without leaking goroutines.
+// TestGracefulDrain: the tier serves several clients' mixed point reads
+// and updates while a flash unit is quarantined under them and the
+// metrics listener is scraped, answering every request OK or with a
+// typed retryable code; then shutdown refuses new connections, lets the
+// open transaction run to commit, and drains without leaking
+// goroutines.
 func TestGracefulDrain(t *testing.T) {
 	ok := oker(t)
 	baseline := runtime.NumGoroutine()
@@ -467,15 +487,100 @@ func TestGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
+	mlis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("metrics listen: %v", err)
+	}
+	msrv := &http.Server{Handler: srv.MetricsMux()}
+	go func() { _ = msrv.Serve(mlis) }() // returns ErrServerClosed at msrv.Close
 
 	cl, err := Dial(addr.String())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer cl.Close()
+	const rows = 64
 	ok(cl.Exec("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)"))
 	ok(cl.Begin(false))
-	ok(cl.Exec("INSERT INTO t (k, v) VALUES (1, 1)"))
+	for k := 0; k < rows; k++ {
+		ok(cl.Exec("INSERT INTO t (k, v) VALUES (?, 0)", int64(k)))
+	}
+	ok(cl.Commit())
+
+	// Traffic: a quarter of the requests are autocommit UPDATEs. The
+	// request that completes half the total quarantines unit 0.
+	const clients, perClient = 4, 50
+	var (
+		wg      sync.WaitGroup
+		answers atomic.Int64
+		served  atomic.Int64
+	)
+	retryable := map[string]bool{"overload": true, "degraded": true, "deadline": true, "busy": true}
+	var pool [clients]*Client
+	for i := range pool {
+		if pool[i], err = Dial(addr.String()); err != nil {
+			t.Fatalf("Dial client %d: %v", i, err)
+		}
+		defer pool[i].Close()
+	}
+	for i, c := range pool {
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			for n := 0; n < perClient; n++ {
+				k := int64((i*perClient + n*7) % rows)
+				var resp *Response
+				var err error
+				if n%4 == 3 {
+					resp, err = c.Exec("UPDATE t SET v = v + 1 WHERE k = ?", k)
+				} else {
+					resp, err = c.Query("SELECT v FROM t WHERE k = ?", k)
+				}
+				switch {
+				case err != nil:
+					t.Errorf("client %d request %d: %v", i, n, err)
+					return
+				case resp.OK:
+					served.Add(1)
+				case !resp.Retryable || !retryable[resp.Code]:
+					t.Errorf("client %d request %d: fatal %s (%s)", i, n, resp.Error, resp.Code)
+				}
+				if answers.Add(1) == clients*perClient/2 {
+					if err := srv.Stack().Device.QuarantineUnit(0); err != nil {
+						t.Errorf("quarantine unit 0: %v", err)
+					}
+					if q, _ := srv.Stack().Device.QuarantinePressure(); q == 0 {
+						t.Errorf("quarantine of unit 0 did not register")
+					}
+				}
+			}
+		}(i, c)
+	}
+	// Scrape while the clients run; no kept-alive connection may
+	// outlive the scrape and count as a leak.
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for _, path := range []string{"/metrics", "/debug/slow"} {
+		r, err := hc.Get("http://" + mlis.Addr().String() + path)
+		if err != nil {
+			t.Errorf("GET %s: %v", path, err)
+			continue
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: %s", path, r.Status)
+		}
+	}
+	wg.Wait()
+	if got := answers.Load(); got != clients*perClient {
+		t.Fatalf("%d of %d requests answered", got, clients*perClient)
+	}
+	if served.Load() == 0 {
+		t.Fatalf("no request served")
+	}
+
+	ok(cl.Begin(false))
+	ok(cl.Exec("INSERT INTO t (k, v) VALUES (?, 1)", int64(rows)))
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Shutdown() }()
@@ -493,7 +598,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// The in-flight transaction still runs statements and commits.
-	ok(cl.Exec("INSERT INTO t (k, v) VALUES (2, 2)"))
+	ok(cl.Exec("INSERT INTO t (k, v) VALUES (?, 2)", int64(rows+1)))
 	ok(cl.Commit())
 
 	if err := <-done; err != nil {
@@ -505,6 +610,11 @@ func TestGracefulDrain(t *testing.T) {
 	// Second shutdown is a no-op.
 	if err := srv.Shutdown(); err != nil {
 		t.Fatalf("second Shutdown: %v", err)
+	}
+	// The metrics listener is not part of the tier's drain guarantee:
+	// it goes down before the leak check.
+	if err := msrv.Close(); err != nil {
+		t.Fatalf("metrics close: %v", err)
 	}
 
 	deadline := time.Now().Add(3 * time.Second)
