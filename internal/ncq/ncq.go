@@ -140,6 +140,13 @@ type Queue struct {
 	outstanding []pending               // in-flight commands, at most depth
 	byLPN       map[int64]time.Duration // LPN -> completion gate
 
+	// slot is the command being run: Submit and SubmitWait copy the
+	// caller's Request in and the outcome back out, so a Request never
+	// escapes its caller (the executor and the unit hint are func
+	// values, which would move it to the heap), and clear it afterwards,
+	// so the queue keeps no Data.
+	slot Request
+
 	// tracer, when non-nil, receives one KCmd event per submitted
 	// command. A nil tracer costs one pointer compare on the submit
 	// path and zero allocations (guarded by TestSubmitNoAllocs...).
@@ -205,7 +212,7 @@ func (q *Queue) InFlight() int {
 func (q *Queue) Submit(r *Request) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.submitLocked(r)
+	return q.runLocked(r)
 }
 
 // SubmitWait queues one command and waits for its completion in
@@ -214,7 +221,7 @@ func (q *Queue) Submit(r *Request) error {
 func (q *Queue) SubmitWait(r *Request) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	err := q.submitLocked(r)
+	err := q.runLocked(r)
 	q.clock.AdvanceTo(r.Done)
 	// The command is no longer outstanding; retire its slot.
 	for i := range q.outstanding {
@@ -225,6 +232,14 @@ func (q *Queue) SubmitWait(r *Request) error {
 		}
 	}
 	q.pruneLPNLocked()
+	return err
+}
+
+// runLocked submits *r from the queue's slot and copies the outcome back.
+func (q *Queue) runLocked(r *Request) error {
+	q.slot = *r
+	err := q.submitLocked(&q.slot)
+	*r, q.slot = q.slot, Request{}
 	return err
 }
 

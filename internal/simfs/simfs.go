@@ -110,15 +110,18 @@ type inode struct {
 // journal-commit (or X-FTL commit) point. Once published — in persisted,
 // a preparedTx or a Snapshot — an image is immutable, so all three share
 // it instead of copying page tables; imageOf is the only place one is
-// made.
+// made. Only OffXFTL mode has prepared transactions and snapshots, so
+// only there is an image shared: in the journal modes a commit point
+// re-images a file over the page table of the image it replaces.
 type inodeImage struct {
 	role  Role
 	pages []int64
 }
 
-// imageOf copies an inode's current state into a fresh image.
-func imageOf(ino *inode) inodeImage {
-	return inodeImage{role: ino.role, pages: slices.Clone(ino.pages)}
+// imageOf copies an inode's current state into an image, over the room
+// of reuse (nil for a fresh one).
+func imageOf(ino *inode, reuse []int64) inodeImage {
+	return inodeImage{role: ino.role, pages: append(reuse[:0], ino.pages...)}
 }
 
 // preparedTx is the deferred commit point of a prepared (2PC phase-one)
@@ -205,8 +208,7 @@ type FS struct {
 	// turn; readers carry their own context on their Snapshot.
 	tracer   *trace.Tracer
 	io       ioCtx
-	cmd      ncq.Request // the writer path's one command in flight (see submit)
-	queueing bool        // inside a pipelined writer's fsync write-back (see submit)
+	queueing bool // inside a pipelined writer's fsync write-back (see submit)
 
 	// freeBufs holds write-back cache pages whose content has reached the
 	// device (or was aborted), for the next WritePage. The device copies
@@ -357,18 +359,15 @@ func (fs *FS) noteWrite(class int64, lpn int64, tid uint64) {
 // submit runs one writer-path command, attributed to the current I/O
 // context: to completion, or — a page write of a pipelined writer's
 // fsync (queueing) — only into the queue, where the commit that ends the
-// fsync fences it. The command lives in the file system rather than on
-// the heap: the writer path issues one at a time (the single-writer
-// discipline), and the queue keeps nothing of a command — not its Data
+// fsync fences it. The queue keeps nothing of a command — not its Data
 // either — once Submit or SubmitWait has returned, so a queued write's
 // buffer is released exactly as a waited one's.
 func (fs *FS) submit(r ncq.Request) error {
 	r.Sess, r.Req = fs.io.sess, fs.io.req
-	fs.cmd = r
 	if fs.queueing {
-		return fs.dev.Queue().Submit(&fs.cmd)
+		return fs.dev.Queue().Submit(&r)
 	}
-	return fs.dev.Queue().SubmitWait(&fs.cmd)
+	return fs.dev.Queue().SubmitWait(&r)
 }
 
 // barrier issues a session-attributed write barrier.
@@ -517,7 +516,11 @@ func (fs *FS) touch(name string) { fs.touched[name] = struct{}{} }
 func (fs *FS) commitPoint() {
 	for name := range fs.touched {
 		if ino, ok := fs.files[name]; ok {
-			fs.persisted[name] = imageOf(ino)
+			var reuse []int64
+			if fs.cfg.Mode != OffXFTL {
+				reuse = fs.persisted[name].pages
+			}
+			fs.persisted[name] = imageOf(ino, reuse)
 		} else {
 			delete(fs.persisted, name)
 		}
@@ -790,8 +793,7 @@ func (f *File) ReadPage(idx int64, buf []byte) error {
 	if f.fs.cfg.Mode == OffXFTL && f.tid != 0 {
 		r.Op, r.TID = ncq.OpReadTx, f.tid
 	}
-	f.fs.cmd = r
-	return f.fs.read(&f.fs.cmd, &f.fs.io, false)
+	return f.fs.read(&r, &f.fs.io, false)
 }
 
 // writeClass maps the file's role to a trace/counter write class.
@@ -1058,7 +1060,7 @@ func (f *File) Prepare(group ...string) (uint64, error) {
 	images := make(map[string]inodeImage, len(names))
 	for _, name := range names {
 		if ino, ok := f.fs.files[name]; ok {
-			images[name] = imageOf(ino)
+			images[name] = imageOf(ino, nil)
 		}
 	}
 	f.fs.prepared[tid] = &preparedTx{images: images}
@@ -1271,9 +1273,9 @@ func (f *File) FlushAll() error {
 // namespace and file extents as of the last commit point, with page
 // content served from the device versions pinned at open. A Snapshot
 // never blocks on — and is never changed by — the concurrent writer:
-// reads touch only the handle's own fields (its I/O context and its one
-// command in flight), immutable inode images and the device queue; never
-// a live inode, nor wmu. One goroutine at a time may use a handle.
+// reads touch only the handle's own I/O context, immutable inode images
+// and the device queue; never a live inode, nor wmu. One goroutine at a
+// time may use a handle.
 type Snapshot struct {
 	fs     *FS
 	id     core.SnapID // the device's snapshot id, for OpSnapRead
@@ -1281,7 +1283,6 @@ type Snapshot struct {
 	epoch  uint64      // power-cut epoch at open
 	inodes map[string]inodeImage
 	io     ioCtx
-	cmd    ncq.Request
 	closed bool
 }
 
@@ -1359,8 +1360,8 @@ func (s *Snapshot) ReadPage(name string, idx int64, buf []byte) error {
 		clear(buf[:min(len(buf), s.fs.PageSize())])
 		return nil
 	}
-	s.cmd = ncq.Request{Op: ncq.OpSnapRead, TID: uint64(s.id), LPN: lpn, Buf: buf}
-	return s.fs.read(&s.cmd, &s.io, s.io.pipelined)
+	r := ncq.Request{Op: ncq.OpSnapRead, TID: uint64(s.id), LPN: lpn, Buf: buf}
+	return s.fs.read(&r, &s.io, s.io.pipelined)
 }
 
 // Close releases the snapshot's device pins. Closing twice is a no-op.

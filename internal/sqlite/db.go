@@ -401,6 +401,7 @@ func (s *Stmt) write() (int64, error) {
 type Rows struct {
 	Columns []string
 	Data    [][]Value
+	one     [1][]Value // Data's room when it is one row
 }
 
 // Len reports the number of result rows.

@@ -13,8 +13,9 @@ import (
 // resolves every name, files every conjunct under its join level and picks
 // every access path; a run takes bound parameters and nothing else. The
 // compiled form owns the run's scratch — each source's decoded row, a
-// written row and its record — so what a run returns (Rows, its row slices,
-// TEXT and BLOB values) is allocated fresh and never aliases it.
+// written row and its record, an updated row's stored record — so what a
+// run returns (Rows, its row slices, TEXT and BLOB values) is allocated
+// fresh and never aliases it.
 
 // newSource binds a catalogued table under an alias (its own name without
 // one).
@@ -44,9 +45,11 @@ type writePlan struct {
 	// UPDATE and DELETE: the WHERE's conjuncts and how to find the rows.
 	conjs []sqlparse.Expr
 	path  accessPath
-	// UPDATE: the assigned positions and their expressions.
+	// UPDATE: the assigned positions and their expressions, and which
+	// columns they assign (isSet, by position).
 	setPos []int
 	set    []sqlparse.Expr
+	isSet  []bool
 
 	// Scratch: the row being written and its record (the tree copies what
 	// Insert hands it), and room for the one match of a rowid probe.
@@ -60,6 +63,7 @@ type writePlan struct {
 type matchedRow struct {
 	rowid int64
 	vals  []Value
+	rec   []byte // UPDATE: the row's stored record, which its new one is spliced from
 }
 
 func (db *DB) compileWrite(st sqlparse.Stmt) (*writePlan, error) {
@@ -97,6 +101,7 @@ func (db *DB) compileWrite(st sqlparse.Stmt) (*writePlan, error) {
 		if err = w.target(db, x.Table); err != nil {
 			return nil, err
 		}
+		w.isSet = make([]bool, len(w.t.Columns))
 		for _, a := range x.Set {
 			pos := w.t.ColumnIndex(a.Column)
 			if pos < 0 {
@@ -104,8 +109,10 @@ func (db *DB) compileWrite(st sqlparse.Stmt) (*writePlan, error) {
 			}
 			w.setPos = append(w.setPos, pos)
 			w.set = append(w.set, bindExpr(a.Value, w.ctx.sources))
+			w.isSet[pos] = true
 		}
 		w.where(x.Where)
+		w.ctx.sources[0].keep = true
 		w.run = w.update
 	case *sqlparse.Delete:
 		if err = w.target(db, x.Table); err != nil {
@@ -127,13 +134,27 @@ func (w *writePlan) target(db *DB, table string) error {
 	return nil
 }
 
-// where compiles a single-table WHERE: its conjuncts and the access path
-// they allow.
+// where compiles a single-table WHERE: its conjuncts, the access path
+// they allow, and the source's skip mask — a row decodes only the columns
+// the WHERE and the SET expressions read and those the table's indexes
+// key on.
 func (w *writePlan) where(e sqlparse.Expr) {
+	srcs := w.ctx.sources
 	if e != nil {
-		splitConjuncts(bindExpr(e, w.ctx.sources), &w.conjs)
+		splitConjuncts(bindExpr(e, srcs), &w.conjs)
 	}
 	w.path = choosePath(w.conjs, 0, w.t)
+	srcs[0].skip = ^uint64(0)
+	for _, list := range [][]sqlparse.Expr{w.conjs, w.set} {
+		for _, e := range list {
+			unskip(srcs, e)
+		}
+	}
+	for _, idx := range w.t.Indexes {
+		for _, pos := range idx.Cols {
+			srcs[0].skip &^= 1 << uint(pos)
+		}
+	}
 }
 
 func (w *writePlan) insert() (int64, error) {
@@ -275,8 +296,9 @@ func uniqueExists(idx *Index, vals []Value) (bool, error) {
 
 // collect materializes the rows the WHERE selects before any is changed,
 // so mutation never races the scan cursor. A rowid probe yields at most one
-// row, which stays where it was decoded; any other path decodes the next
-// candidate over it, so a match is copied out.
+// row, which stays where it was decoded, its record where the source kept
+// it; any other path decodes the next candidate over them, so a match is
+// copied out.
 func (w *writePlan) collect() ([]matchedRow, error) {
 	s := w.ctx.sources[0]
 	w.matches = w.one[:0]
@@ -293,11 +315,11 @@ func (w *writePlan) match() error {
 		return err
 	}
 	s := w.ctx.sources[0]
-	vals := s.vals
+	m := matchedRow{rowid: s.rowid, vals: s.vals, rec: s.rec}
 	if w.path.kind != scanRowidEq {
-		vals = append([]Value(nil), vals...)
+		m.vals, m.rec = append([]Value(nil), m.vals...), append([]byte(nil), m.rec...)
 	}
-	w.matches = append(w.matches, matchedRow{rowid: s.rowid, vals: vals})
+	w.matches = append(w.matches, m)
 	return nil
 }
 
@@ -360,7 +382,12 @@ func (w *writePlan) update() (int64, error) {
 				return 0, err
 			}
 		}
-		if err := w.store(newRowid, newVals); err != nil {
+		// The new record is the old one with the SET columns encoded in:
+		// what the row keeps is copied as it lies, never decoded.
+		if w.rec, err = spliceRecord(w.rec[:0], m.rec, newVals, w.isSet, t.RowidAlias); err != nil {
+			return 0, err
+		}
+		if err := t.tree.Insert(newRowid, w.rec); err != nil {
 			return 0, err
 		}
 	}
@@ -549,8 +576,12 @@ func choosePath(conjs []sqlparse.Expr, level int, t *Table) accessPath {
 }
 
 // decode makes a stored row the source's current one, decoding it over the
-// scratch row; s.rowid is already the row's.
+// scratch row (and, for an UPDATE's source, copying its record over the
+// kept one); s.rowid is already the row's.
 func (s *source) decode(payload []byte) (err error) {
+	if s.keep {
+		s.rec = append(s.rec[:0], payload...)
+	}
 	s.row, err = decodeRecord(payload, len(s.tbl.Columns), s.skip, s.row)
 	if err == nil {
 		fillRowidAlias(s.tbl, s.row, s.rowid)
@@ -897,37 +928,46 @@ func (p *selectPlan) pruneColumns() {
 	for _, s := range srcs {
 		s.skip = ^uint64(0)
 	}
-	read := func(e sqlparse.Expr) {
-		eachRef(e, func(r *colRef) {
-			if r.err == nil && r.col >= 0 {
-				srcs[r.src].skip &^= 1 << uint(r.col)
-			}
-		})
-	}
 	for _, lists := range [][]sqlparse.Expr{p.outs, p.groupBy, {p.having}} {
 		for _, e := range lists {
-			read(e)
+			unskip(srcs, e)
 		}
 	}
 	for _, lv := range p.levels {
 		for _, e := range lv.conjs {
-			read(e)
+			unskip(srcs, e)
 		}
 	}
 	for _, ot := range p.order {
-		read(ot.expr)
+		unskip(srcs, ot.expr)
 	}
 }
 
-// run executes the plan with the given parameters.
-func (p *selectPlan) run(params []Value) (*Rows, error) {
-	p.ctx.params = params
-	out, err := p.collect()
-	p.rows, p.groups, p.groupOrder = nil, nil, nil
-	return out, err
+// unskip clears the skip bit of every column e reads.
+func unskip(srcs []*source, e sqlparse.Expr) {
+	eachRef(e, func(r *colRef) {
+		if r.err == nil && r.col >= 0 {
+			srcs[r.src].skip &^= 1 << uint(r.col)
+		}
+	})
 }
 
-func (p *selectPlan) collect() (*Rows, error) {
+// run executes the plan with the given parameters. The result rows are
+// gathered in the Rows they are returned in, a one-row result in the row
+// list the Rows carries inline.
+func (p *selectPlan) run(params []Value) (*Rows, error) {
+	p.ctx.params = params
+	out := &Rows{Columns: p.names}
+	p.rows = out.one[:0]
+	err := p.collect(out)
+	p.rows, p.groups, p.groupOrder = nil, nil, nil
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func (p *selectPlan) collect(out *Rows) error {
 	ctx := &p.ctx
 	if len(p.levels) == 0 {
 		ok, err := ctx.all(p.noFrom)
@@ -935,14 +975,14 @@ func (p *selectPlan) collect() (*Rows, error) {
 			err = p.onRow()
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	} else if err := p.loop(0); err != nil {
-		return nil, err
+		return err
 	}
 	if p.grouped {
 		if err := p.finishGroups(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	n := len(p.outs)
@@ -986,14 +1026,14 @@ func (p *selectPlan) collect() (*Rows, error) {
 	if p.limit != nil {
 		lv, err := ctx.eval(p.limit)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		limit := int(lv.Int())
 		offset := 0
 		if p.offset != nil {
 			ov, err := ctx.eval(p.offset)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			offset = int(ov.Int())
 		}
@@ -1005,7 +1045,8 @@ func (p *selectPlan) collect() (*Rows, error) {
 			results = results[:limit]
 		}
 	}
-	return &Rows{Columns: p.names, Data: results}, nil
+	out.Data = results
+	return nil
 }
 
 // loop is the nested-loop join (SQLite's only join algorithm, §6.3.3)

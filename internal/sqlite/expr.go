@@ -20,8 +20,11 @@ type source struct {
 	skip uint64
 	// row is the decode scratch (DESIGN.md §17): every candidate of a scan
 	// is decoded over the one before, so a row kept past the next decode is
-	// copied out first.
-	row []Value
+	// copied out first. An UPDATE's source keeps each candidate's stored
+	// record in rec the same way.
+	row  []Value
+	rec  []byte
+	keep bool
 }
 
 // evalCtx carries everything an expression evaluation can reference.

@@ -158,7 +158,7 @@ func TestEvictionOrderMatchesReference(t *testing.T) {
 				default:
 					continue
 				}
-				got, want := sortedPgnos(p.cache), sortedPgnos(ref.in)
+				got, want := sortedPgnos(nil, p.cache), sortedPgnos(nil, ref.in)
 				if !slices.Equal(got, want) {
 					t.Fatalf("step %d, after %s: resident pages %v, reference policy has %v", step, op, got, want)
 				}

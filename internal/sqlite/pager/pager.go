@@ -197,12 +197,16 @@ type Pager struct {
 	groupBase   allocState
 	OnGroupSync func(members int, err error)
 
-	// WAL state.
+	// WAL state. walIndex and txFrames are made once, by attachWAL, and
+	// emptied in place: a checkpoint empties the one, every ending of a
+	// transaction the other. pgnos is the page-number scratch of a commit
+	// record and a checkpoint.
 	walFile   *simfs.File
 	walIndex  map[Pgno]int64 // pgno -> wal file page of latest committed version
 	txFrames  map[Pgno]int64 // this transaction's own frames
 	walHead   int64          // next wal file page to write
 	ckptAccum int64          // wal pages since last checkpoint
+	pgnos     []Pgno
 
 	// Stats.
 	Commits   int64
@@ -630,8 +634,6 @@ func (p *Pager) Begin() error {
 		p.jOrder = p.jOrder[:0]
 		p.jSynced = 0
 		p.stolen = make(map[Pgno]bool)
-	case WAL:
-		p.txFrames = make(map[Pgno]int64)
 	}
 	return nil
 }
@@ -919,7 +921,7 @@ func (p *Pager) attachWAL() error {
 	if err != nil {
 		return err
 	}
-	p.walIndex = make(map[Pgno]int64)
+	p.walIndex, p.txFrames = make(map[Pgno]int64), make(map[Pgno]int64)
 	p.walHead = 0
 	// Scan: commit records are identified by magic and enumerate the
 	// (pgno, framePage) pairs of their transaction. Multi-page record
@@ -1025,7 +1027,7 @@ func (p *Pager) endTx(aux int64) {
 	p.inTx = false
 	p.journaled = nil
 	p.stolen = nil
-	p.txFrames = nil
+	clear(p.txFrames)
 	if aux == 1 {
 		p.Commits++
 	} else {
@@ -1071,29 +1073,22 @@ func (p *Pager) commitWAL() error {
 	// large transaction spans several record pages, chained so that
 	// only the final page (flagged) commits the whole group — recovery
 	// discards an unterminated chain, keeping commit atomic.
-	type entry struct {
-		pgno  Pgno
-		frame int64
-	}
-	entries := make([]entry, 0, len(p.txFrames))
-	for _, pgno := range sortedPgnos(p.txFrames) {
-		entries = append(entries, entry{pgno, p.txFrames[pgno]})
-	}
+	p.pgnos = sortedPgnos(p.pgnos, p.txFrames)
 	perPage := (p.PageSize() - 8) / frameHdrSize
-	for start := 0; start < len(entries); start += perPage {
-		end := min(start+perPage, len(entries))
+	for start := 0; start < len(p.pgnos); start += perPage {
+		end := min(start+perPage, len(p.pgnos))
 		rec := p.scratchPage()
 		clear(rec)
 		binary.BigEndian.PutUint32(rec[0:], walMagic)
 		count := uint32(end - start)
-		if end == len(entries) {
+		if end == len(p.pgnos) {
 			count |= walFinalFlag
 		}
 		binary.BigEndian.PutUint32(rec[4:], count)
-		for i, e := range entries[start:end] {
+		for i, pgno := range p.pgnos[start:end] {
 			off := 8 + i*frameHdrSize
-			binary.BigEndian.PutUint32(rec[off:], uint32(e.pgno))
-			binary.BigEndian.PutUint32(rec[off+4:], uint32(e.frame))
+			binary.BigEndian.PutUint32(rec[off:], uint32(pgno))
+			binary.BigEndian.PutUint32(rec[off+4:], uint32(p.txFrames[pgno]))
 		}
 		if err := p.walFile.WritePage(p.walHead, rec); err != nil {
 			return err
@@ -1107,7 +1102,7 @@ func (p *Pager) commitWAL() error {
 		p.walIndex[pgno] = frame
 	}
 	p.ckptAccum += int64(len(p.txFrames)) + 1
-	p.txFrames = nil
+	clear(p.txFrames)
 	if p.ckptAccum >= p.cfg.CheckpointPages {
 		return p.checkpoint()
 	}
@@ -1123,10 +1118,10 @@ func (p *Pager) checkpoint() error {
 	}
 	// Copy back in log order (ascending frame), a fixed order like every
 	// other page loop; a frame belongs to exactly one page.
-	order := sortedPgnos(p.walIndex)
-	slices.SortFunc(order, func(a, b Pgno) int { return cmp.Compare(p.walIndex[a], p.walIndex[b]) })
+	p.pgnos = sortedPgnos(p.pgnos, p.walIndex)
+	slices.SortFunc(p.pgnos, func(a, b Pgno) int { return cmp.Compare(p.walIndex[a], p.walIndex[b]) })
 	buf := p.scratchPage()
-	for _, pgno := range order {
+	for _, pgno := range p.pgnos {
 		if err := p.walFile.ReadPage(p.walIndex[pgno], buf); err != nil {
 			return err
 		}
@@ -1143,7 +1138,7 @@ func (p *Pager) checkpoint() error {
 	if err := p.walFile.Fsync(); err != nil {
 		return err
 	}
-	p.walIndex = make(map[Pgno]int64)
+	clear(p.walIndex)
 	p.walHead = 0
 	p.ckptAccum = 0
 	p.Checkpoints.Add(1)
@@ -1361,7 +1356,7 @@ func (p *Pager) Rollback() error {
 	case Rollback:
 		// Playback: the original image goes back over every page the
 		// transaction already wrote into the database file.
-		for _, pgno := range sortedPgnos(p.stolen) {
+		for _, pgno := range sortedPgnos(nil, p.stolen) {
 			if err := p.file.WritePage(int64(pgno-1), p.journaled[pgno]); err != nil {
 				return err
 			}
@@ -1422,17 +1417,17 @@ func (p *Pager) scratchPage() []byte {
 	return p.scratch
 }
 
-// sortedPgnos returns m's keys in ascending order. Every loop that
+// sortedPgnos returns m's keys in ascending order, in dst's room. Every loop that
 // issues page I/O from one of the pager's maps walks this instead of the
 // map, so the same transaction stream reaches the device in the same
 // order on every run (same seed, same flash).
-func sortedPgnos[V any](m map[Pgno]V) []Pgno {
-	pgnos := make([]Pgno, 0, len(m))
+func sortedPgnos[V any](dst []Pgno, m map[Pgno]V) []Pgno {
+	dst = dst[:0]
 	for pgno := range m {
-		pgnos = append(pgnos, pgno)
+		dst = append(dst, pgno)
 	}
-	slices.Sort(pgnos)
-	return pgnos
+	slices.Sort(dst)
+	return dst
 }
 
 // recoverRollback plays back a hot journal left by a crash (§6.4).

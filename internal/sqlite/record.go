@@ -32,34 +32,105 @@ func appendRecord(dst []byte, vals []Value) []byte {
 		hdrLen += uvarintLen(st)
 		bodyLen += n
 	}
+	dst, hdr, body := recordSpace(dst, hdrLen, bodyLen)
+	for _, v := range vals {
+		st, _ := serialType(v)
+		hdr = binary.AppendUvarint(hdr, st)
+		body = appendValue(body, st, v)
+	}
+	return dst
+}
+
+// recordSpace extends dst by a record of the given header and body sizes,
+// growing it at most once, and returns the header — its length already
+// written — and the body, both empty slices into the new room.
+func recordSpace(dst []byte, hdrLen, bodyLen int) (grown, hdr, body []byte) {
 	size := uvarintLen(uint64(hdrLen)) + hdrLen + bodyLen
 	if cap(dst)-len(dst) < size {
 		dst = append(make([]byte, 0, len(dst)+size), dst...)
 	}
 	out := dst[len(dst) : len(dst)+size]
-	hdr := binary.AppendUvarint(out[:0], uint64(hdrLen))
-	body := out[len(hdr)+hdrLen:][:0]
-	for _, v := range vals {
-		st, _ := serialType(v)
-		hdr = binary.AppendUvarint(hdr, st)
-		switch {
-		case v.typ == TypeText:
-			body = append(body, v.s...)
-		case v.typ == TypeBlob:
-			body = append(body, v.b...)
-		case st == 1:
-			body = append(body, byte(v.i))
-		case st == 2:
-			body = binary.BigEndian.AppendUint16(body, uint16(v.i))
-		case st == 3:
-			body = binary.BigEndian.AppendUint32(body, uint32(v.i))
-		case st == 4:
-			body = binary.BigEndian.AppendUint64(body, uint64(v.i))
-		case st == 7:
-			body = binary.BigEndian.AppendUint64(body, math.Float64bits(v.f))
+	hdr = binary.AppendUvarint(out[:0], uint64(hdrLen))
+	return dst[:len(dst)+size], hdr, out[len(hdr)+hdrLen:][:0]
+}
+
+// appendValue appends the body bytes of v, whose serial type is st.
+func appendValue(body []byte, st uint64, v Value) []byte {
+	switch {
+	case v.typ == TypeText:
+		return append(body, v.s...)
+	case v.typ == TypeBlob:
+		return append(body, v.b...)
+	case st == 1:
+		return append(body, byte(v.i))
+	case st == 2:
+		return binary.BigEndian.AppendUint16(body, uint16(v.i))
+	case st == 3:
+		return binary.BigEndian.AppendUint32(body, uint32(v.i))
+	case st == 4:
+		return binary.BigEndian.AppendUint64(body, uint64(v.i))
+	case st == 7:
+		return binary.BigEndian.AppendUint64(body, math.Float64bits(v.f))
+	}
+	return body
+}
+
+// spliceRecord appends to dst the record old becomes when each column i
+// with set[i] takes the value vals[i] — appendRecord of old decoded into
+// len(vals) columns, the set values put in and the rowid alias column
+// nulled — without decoding the columns it keeps, as SQLite copies an
+// untouched column. vals holds at least the columns old stores, as a
+// decodeRecord of it does, and is read at the set positions alone. A set
+// column is encoded from its value; the alias column is NULL; any other
+// column old stores keeps its serial type and body bytes, and one past
+// old's end is NULL. Every stored record is appendRecord's, so a kept
+// column's bytes are what encoding its decoded value would give.
+func spliceRecord(dst, old []byte, vals []Value, set []bool, alias int) ([]byte, error) {
+	hdr, body, ok := splitRecord(old)
+	if !ok {
+		return nil, errBadRecord
+	}
+	hdrLen, bodyLen := 0, 0
+	for i := range vals {
+		st, n, _, _, err := splicedColumn(&hdr, &body, i, vals, set, alias)
+		if err != nil {
+			return nil, err
+		}
+		hdrLen += uvarintLen(st)
+		bodyLen += n
+	}
+	dst, h, b := recordSpace(dst, hdrLen, bodyLen)
+	hdr, body, _ = splitRecord(old)
+	for i := range vals {
+		st, _, kept, fresh, _ := splicedColumn(&hdr, &body, i, vals, set, alias)
+		h = binary.AppendUvarint(h, st)
+		if fresh {
+			b = appendValue(b, st, vals[i])
+		} else {
+			b = append(b, kept...)
 		}
 	}
-	return dst[:len(dst)+size]
+	return dst, nil
+}
+
+// splicedColumn takes column i of the old record off what is left of its
+// header and body, and says what spliceRecord stores there: serial type
+// st, n body bytes, and either the old bytes it keeps or, when fresh,
+// vals[i] encoded.
+func splicedColumn(hdr, body *[]byte, i int, vals []Value, set []bool, alias int) (st uint64, n int, kept []byte, fresh bool, err error) {
+	if len(*hdr) > 0 {
+		if st, kept, *hdr, *body, err = nextColumn(*hdr, *body); err != nil {
+			return 0, 0, nil, false, err
+		}
+	}
+	switch {
+	case i == alias:
+		return 0, 0, nil, false, nil
+	case i < len(set) && set[i]:
+		nst, n := serialType(vals[i])
+		return nst, n, nil, true, nil
+	}
+	return st, len(kept), kept, false, nil
 }
 
 // serialType is the serial type a value encodes as and the body bytes it
