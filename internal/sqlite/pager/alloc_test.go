@@ -4,42 +4,118 @@ package pager
 
 import "testing"
 
-// A cache miss reads into the frame of the page it evicts: at most the
-// Page header itself is allocated, never a page buffer. (Not under
-// -race: the race runtime allocates.)
-func TestGetMissAllocsAtMostOne(t *testing.T) {
+// A miss loads into a frame the cache already owns — the one makeRoom
+// just evicted, or the page's own if a rollback or an Advance dropped it —
+// so it allocates nothing, neither a Page nor a buffer. (Not under -race:
+// the race runtime allocates.)
+func TestMissAllocsNothing(t *testing.T) {
 	const cacheSize, dbPages = 8, 64
+	// populated opens a pager with a cacheSize-page cache over a committed
+	// database of dbPages pages.
+	populated := func(t *testing.T, mode JournalMode) (*env, *Pager) {
+		e := newEnv(t, mode)
+		p := openPager(t, e, mode, 100)
+		if err := p.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		grow(t, p, dbPages-1)
+		if err := p.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		_ = p.Close()
+		p = openPager(t, e, mode, cacheSize)
+		t.Cleanup(func() { _ = p.Close() })
+		return e, p
+	}
+	get := func(t *testing.T, p *Pager, pgno Pgno) *Page {
+		pg, err := p.Get(pgno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pg
+	}
+	noAllocs := func(t *testing.T, what string, f func()) {
+		for i := 0; i < 2*dbPages; i++ {
+			f()
+		}
+		if allocs := testing.AllocsPerRun(4*dbPages, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects, want 0", what, allocs)
+		}
+	}
 	for _, mode := range []JournalMode{WAL, Off} {
 		t.Run(mode.String(), func(t *testing.T) {
-			e := newEnv(t, mode)
-			p := openPager(t, e, mode, 100)
+			_, p := populated(t, mode)
+			next := Pgno(0)
+			noAllocs(t, "Get on an evicted page", func() { // cycling through 8x the cache: every Get misses
+				next = next%dbPages + 1
+				get(t, p, next).Release()
+			})
+		})
+	}
+	t.Run("allocate", func(t *testing.T) {
+		_, p := populated(t, WAL)
+		next := Pgno(1)
+		for pgno := Pgno(2); pgno < 2+cacheSize; pgno++ {
+			get(t, p, pgno).Release()
+		}
+		noAllocs(t, "Allocate on a full cache", func() {
+			next = next%(dbPages-1) + 2 // pages 2..dbPages: page 1 is the header Allocate writes
+			get(t, p, next).Release()
 			if err := p.Begin(); err != nil {
 				t.Fatal(err)
 			}
-			grow(t, p, dbPages-1)
-			if err := p.Commit(); err != nil {
+			pg, err := p.Allocate()
+			if err != nil {
 				t.Fatal(err)
 			}
-			_ = p.Close()
-			p = openPager(t, e, mode, cacheSize)
-			defer p.Close()
-			next := Pgno(0)
-			miss := func() { // cycling through 8x the cache: every Get misses
-				next = next%dbPages + 1
-				pg, err := p.Get(next)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pg.Release()
+			pg.Release()
+			if len(p.cache) != cacheSize {
+				t.Fatalf("%d pages cached after an Allocate, want a full cache of %d", len(p.cache), cacheSize)
 			}
-			for i := 0; i < 2*dbPages; i++ {
-				miss()
-			}
-			if allocs := testing.AllocsPerRun(4*dbPages, miss); allocs > 1 {
-				t.Errorf("Get on an evicted page allocates %.1f objects, want at most 1", allocs)
+			if err := p.Rollback(); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+	})
+	t.Run("rollback", func(t *testing.T) {
+		_, p := populated(t, Off)
+		noAllocs(t, "Get of a page Rollback dropped", func() {
+			if err := p.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			pg := get(t, p, 2)
+			if err := p.Write(pg); err != nil {
+				t.Fatal(err)
+			}
+			pg.Release()
+			if err := p.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			get(t, p, 2).Release()
+		})
+	})
+	t.Run("advance", func(t *testing.T) {
+		e, w := populated(t, Off)
+		snap, err := e.fs.OpenSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		r, err := OpenReader(e.fs, w.Name(), snap, Config{Mode: Off, CacheSize: cacheSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		changed := []int64{2, 3, 4, 5} // file pages: pgnos 3..6
+		noAllocs(t, "Get of a page Advance dropped", func() {
+			if _, err := r.Advance(snap, changed); err != nil {
+				t.Fatal(err)
+			}
+			for _, idx := range changed {
+				get(t, r, Pgno(idx+1)).Release()
+			}
+		})
+	})
 }
 
 // A WAL commit of one updated page reuses the pager's scratch — the frame

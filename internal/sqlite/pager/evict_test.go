@@ -11,7 +11,7 @@ import (
 // reference: a list of page numbers in load order, rebuilt in full on
 // every eviction — entries whose page is no longer cached are dropped,
 // the first unpinned cached page is the victim, everything else keeps
-// its place. The pager's queue must pick the same victims at O(1).
+// its place. The pager's frame list must pick the same victims at O(1).
 type refCache struct {
 	size   int
 	in     map[Pgno]bool
@@ -162,8 +162,16 @@ func TestEvictionOrderMatchesReference(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("step %d, after %s: resident pages %v, reference policy has %v", step, op, got, want)
 				}
-				if live := len(p.fifo) - p.head; live > 4*cacheSize+dbPages {
-					t.Fatalf("step %d: eviction queue holds %d entries for a %d-page cache", step, live, cacheSize)
+				// A frame is made only for a miss that finds none free.
+				frames := 0
+				for f := p.frames.next; f != &p.frames; f = f.next {
+					frames++
+				}
+				for f := p.free; f != nil; f = f.next {
+					frames++
+				}
+				if frames > cacheSize+dbPages {
+					t.Fatalf("step %d: %d frames for a %d-page cache", step, frames, cacheSize)
 				}
 			}
 		})

@@ -90,15 +90,15 @@ const (
 	walFinalFlag = 0x80000000
 )
 
-// Page is one pinned buffer-pool page. Callers must Release every page
-// they Get, and must call Write before mutating Data.
+// Page is one frame of the buffer pool: it owns its buffer for the
+// pager's whole life and holds one page at a time. Callers must Release
+// every page they Get, and must call Write before mutating Data.
 type Page struct {
-	pgno  Pgno
-	data  []byte
-	dirty bool
-	pins  int
-	slot  uint64 // which fifo entry is this page's (see Pager.fifo)
-	pager *Pager
+	pgno       Pgno
+	data       []byte
+	dirty      bool
+	pins       int
+	prev, next *Page // neighbours in Pager.frames; next also links Pager.free
 }
 
 // Pgno returns the page's number.
@@ -107,12 +107,6 @@ func (pg *Page) Pgno() Pgno { return pg.pgno }
 // Data returns the page payload. Mutating it without Write first is a
 // bug that the rollback path will not protect against.
 func (pg *Page) Data() []byte { return pg.data }
-
-// fifoEntry is one position in the eviction queue.
-type fifoEntry struct {
-	pgno Pgno
-	slot uint64
-}
 
 // allocState is the allocator state page 1 persists, as a transaction
 // found it.
@@ -138,18 +132,16 @@ type Pager struct {
 
 	cache map[Pgno]*Page
 
-	// fifo is the eviction queue: one entry per page load, oldest at
-	// fifo[head]. The victim is the oldest unpinned resident page (FIFO;
-	// pinned pages keep their place). An entry is live while the cache
-	// maps its pgno to a page carrying its slot number; eviction and
-	// rollback leave dead entries behind, which the hand skips. dropped
-	// remembers the slot of each page a rollback removed from the cache
-	// since the last eviction pass: reloaded before the next pass, such a
-	// page takes its old place in the queue back.
-	fifo     []fifoEntry
-	head     int
-	nextSlot uint64
-	dropped  map[Pgno]uint64
+	// frames is the sentinel of the frame list, in load order, oldest at
+	// frames.next. The victim is the oldest unpinned frame (FIFO; pinned
+	// frames keep their place). A page that a rewind or an Advance drops
+	// leaves cache for dropped but keeps its frame and its place until the
+	// next eviction pass: reloaded before the pass, it has both back. The
+	// pass moves the frames still dropped to free, and makeRoom's victims
+	// go there too. A frame is made only when a miss finds free empty.
+	frames  Page
+	dropped map[Pgno]*Page
+	free    *Page
 
 	// gen moves whenever a page leaves the cache — evicted, or dropped by a
 	// rewind or an Advance — and whenever one is freed or allocated. While
@@ -158,11 +150,8 @@ type Pager struct {
 	// a tree's hinted path rests on.
 	gen uint64
 
-	// spare is the frame buffer of the last evicted page, which the miss
-	// that caused the eviction reads into; scratch is a page for commit
-	// records and checkpoint copies (the file system copies what it is
-	// written).
-	spare   []byte
+	// scratch is a page for commit records and checkpoint copies (the file
+	// system copies what it is written).
 	scratch []byte
 
 	nPages   Pgno   // database size in pages (>= 1 once open)
@@ -240,12 +229,15 @@ func newPager(fsys *simfs.FS, name string, cfg Config) *Pager {
 	if cfg.CheckpointPages <= 0 {
 		cfg.CheckpointPages = 1000
 	}
-	return &Pager{
-		fs:    fsys,
-		name:  name,
-		cfg:   cfg,
-		cache: make(map[Pgno]*Page),
+	p := &Pager{
+		fs:      fsys,
+		name:    name,
+		cfg:     cfg,
+		cache:   make(map[Pgno]*Page),
+		dropped: make(map[Pgno]*Page),
 	}
+	p.frames.prev, p.frames.next = &p.frames, &p.frames
+	return p
 }
 
 // Open creates or opens a database file and runs crash recovery for the
@@ -307,14 +299,8 @@ func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (
 func (p *Pager) Advance(snap *simfs.Snapshot, changed []int64) (header bool, err error) {
 	p.snap = snap
 	for _, idx := range changed {
-		pgno := Pgno(idx + 1)
-		header = header || pgno == 1
-		if pg := p.cache[pgno]; pg != nil {
-			if p.spare == nil {
-				p.spare = pg.data
-			}
-			p.dropCached(pgno)
-		}
+		header = header || idx == 0
+		p.dropCached(Pgno(idx) + 1)
 	}
 	if !header {
 		return false, nil
@@ -462,11 +448,14 @@ func (p *Pager) Get(pgno Pgno) (*Page, error) {
 	if err := p.makeRoom(); err != nil {
 		return nil, err
 	}
-	buf := p.takeFrame()
+	pg := p.frame(pgno)
+	buf := pg.data
 	tr := p.tracer()
 	rdStart := tr.Now()
 	if err := p.readDBPage(pgno, buf); err != nil {
-		p.spare = buf
+		if pg.prev == nil {
+			p.toFree(pg)
+		}
 		return nil, err
 	}
 	if tr != nil {
@@ -479,7 +468,7 @@ func (p *Pager) Get(pgno Pgno) (*Page, error) {
 		// current in-memory header state.
 		p.encodeHeader(buf)
 	}
-	return p.install(pgno, buf), nil
+	return p.install(pgno, pg), nil
 }
 
 // Cached pins pgno if it is in the cache, without I/O; nil if it is not.
@@ -494,37 +483,43 @@ func (p *Pager) Cached(pgno Pgno) *Page {
 // Gen reports the cache generation (see Pager.gen).
 func (p *Pager) Gen() uint64 { return p.gen }
 
-// takeFrame returns a page buffer for a cache miss: the frame of the
-// page makeRoom just evicted when there is one. Content is unspecified.
-func (p *Pager) takeFrame() []byte {
-	if buf := p.spare; buf != nil {
-		p.spare = nil
-		return buf
+// frame returns the frame a miss on pgno loads into: pgno's own if it
+// was dropped since the last eviction pass, else a free one (the victim
+// makeRoom just evicted first), else a new one. Content is unspecified;
+// only pgno's own is linked into frames.
+func (p *Pager) frame(pgno Pgno) *Page {
+	if pg := p.dropped[pgno]; pg != nil {
+		return pg
 	}
-	return make([]byte, p.PageSize())
+	if pg := p.free; pg != nil {
+		p.free = pg.next
+		return pg
+	}
+	return &Page{data: make([]byte, p.PageSize())}
 }
 
-// install caches a freshly loaded page, pinned once, at the tail of the
-// eviction queue — or at its old place, if a rollback dropped it and no
-// eviction pass has run since.
-func (p *Pager) install(pgno Pgno, data []byte) *Page {
-	pg := &Page{pgno: pgno, data: data, pins: 1, pager: p}
-	if slot, ok := p.dropped[pgno]; ok {
-		delete(p.dropped, pgno)
-		pg.slot = slot
-	} else {
-		if p.head > len(p.fifo)/2 {
-			// More consumed than queued: slide the queue down rather
-			// than let the slice creep through memory.
-			p.fifo = p.fifo[:copy(p.fifo, p.fifo[p.head:])]
-			p.head = 0
-		}
-		p.nextSlot++
-		pg.slot = p.nextSlot
-		p.fifo = append(p.fifo, fifoEntry{pgno, pg.slot})
+// install caches pgno, freshly loaded into pg, pinned once more: at the
+// tail of the frame list, or at its old place if pg is its dropped frame.
+func (p *Pager) install(pgno Pgno, pg *Page) *Page {
+	if pg.prev == nil {
+		pg.prev, pg.next = p.frames.prev, &p.frames
+		pg.prev.next, p.frames.prev = pg, pg
 	}
+	delete(p.dropped, pgno)
+	pg.pgno, pg.dirty = pgno, false
+	pg.pins++
 	p.cache[pgno] = pg
 	return pg
+}
+
+// toFree unlinks pg from the frame list, if it is on it, and puts it on
+// the free list.
+func (p *Pager) toFree(pg *Page) {
+	if pg.prev != nil {
+		pg.prev.next, pg.next.prev = pg.next, pg.prev
+		pg.prev = nil
+	}
+	pg.next, p.free = p.free, pg
 }
 
 // Release unpins a page obtained from Get or Allocate.
@@ -541,18 +536,16 @@ func (pg *Page) Release() {
 // steps over.
 func (p *Pager) makeRoom() error {
 	for len(p.cache) >= p.cfg.CacheSize {
-		// An eviction pass forgets the queue place of every page that
-		// is not resident when it runs.
-		clear(p.dropped)
-		var victim *Page
-		at := p.head
-		for ; at < len(p.fifo); at++ {
-			if pg := p.resident(p.fifo[at]); pg != nil && pg.pins == 0 {
-				victim = pg
-				break
-			}
+		// An eviction pass forgets the place of every dropped page.
+		for _, pg := range p.dropped {
+			p.toFree(pg)
 		}
-		if victim == nil {
+		clear(p.dropped)
+		victim := p.frames.next
+		for victim != &p.frames && victim.pins > 0 {
+			victim = victim.next
+		}
+		if victim == &p.frames {
 			return ErrPinned
 		}
 		if victim.dirty {
@@ -562,26 +555,7 @@ func (p *Pager) makeRoom() error {
 		}
 		delete(p.cache, victim.pgno)
 		p.gen++
-		p.spare, victim.data = victim.data, nil
-		// Close the gap behind the hand: the pinned pages it stepped
-		// over keep their order, dead entries go.
-		w := at
-		for i := at - 1; i >= p.head; i-- {
-			if p.resident(p.fifo[i]) != nil {
-				p.fifo[w] = p.fifo[i]
-				w--
-			}
-		}
-		p.head = w + 1
-	}
-	return nil
-}
-
-// resident returns the cached page a queue entry stands for, or nil if
-// the entry is dead (its page was evicted, or dropped by a rollback).
-func (p *Pager) resident(e fifoEntry) *Page {
-	if pg := p.cache[e.pgno]; pg != nil && pg.slot == e.slot {
-		return pg
+		p.toFree(victim)
 	}
 	return nil
 }
@@ -718,18 +692,13 @@ func (p *Pager) Allocate() (*Page, error) {
 		return nil, err
 	}
 	// A fresh page never needs a disk read or an undo image.
-	if old, ok := p.cache[pgno]; ok {
-		clear(old.data)
-		old.pins++
-		if err := p.Write(old); err != nil {
-			old.Release()
-			return nil, err
-		}
-		return old, nil
+	pg, ok := p.cache[pgno]
+	if ok {
+		pg.pins++
+	} else {
+		pg = p.install(pgno, p.frame(pgno))
 	}
-	buf := p.takeFrame()
-	clear(buf)
-	pg := p.install(pgno, buf)
+	clear(pg.data)
 	if err := p.Write(pg); err != nil {
 		pg.Release()
 		return nil, err
@@ -1396,16 +1365,13 @@ func (p *Pager) Rollback() error {
 	return p.rewind()
 }
 
-// dropCached removes a page from the cache so the next Get re-reads the
-// stable version.
+// dropCached removes a page from the cache, keeping its frame in
+// dropped, so the next Get re-reads the stable version.
 func (p *Pager) dropCached(pgno Pgno) {
 	if pg, ok := p.cache[pgno]; ok {
 		delete(p.cache, pgno)
 		p.gen++
-		if p.dropped == nil {
-			p.dropped = make(map[Pgno]uint64)
-		}
-		p.dropped[pgno] = pg.slot
+		p.dropped[pgno] = pg
 	}
 }
 
