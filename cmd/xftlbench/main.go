@@ -1,36 +1,27 @@
 // Command xftlbench regenerates every table and figure of the paper's
 // evaluation section (§6). Each subcommand runs one experiment and
-// prints the corresponding table; "all" runs everything in paper order.
+// prints its tables; "all" runs everything in paper order.
 //
 // Usage:
 //
-//	xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate}
+//	xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate}
 //	xftlbench [-quick] [-seed N] -torture
 //	xftlbench [-quick] [-seed N] -chaos
 //
-// -quick shrinks workloads for a fast smoke run; the published numbers
-// in EXPERIMENTS.md come from full runs (no -quick). -faults N runs the
-// chosen experiment on faulty flash (the wear-correlated NAND fault
-// model scaled by N; 1 = realistic MLC rates). -torture skips the paper
-// experiments and runs the torture leg table (internal/torture, DESIGN.md
-// §18): device, SQL, concurrent-session, fleet 2PC and metadata-corruption
-// schedules, every recovery judged by one model of the paper's §5.4
-// contract. -chaos runs the table's error-storm leg.
+// -quick shrinks workloads for a smoke run; EXPERIMENTS.md quotes full
+// runs. -faults N runs on faulty flash: the wear-correlated NAND fault
+// model scaled by N (1 = realistic MLC rates). -seed N overrides every
+// workload generator's RNG seed (0 keeps the published defaults).
+// -torture runs the torture leg table instead (internal/torture,
+// DESIGN.md §18), every recovery judged by one model of the paper's
+// §5.4 contract; -chaos runs its error-storm leg.
 //
-// -seed N overrides every workload generator's RNG seed (0 keeps the
-// published defaults); the seed is recorded in the -json document.
-// -json PATH additionally writes every table that was printed as
-// indented JSON.
 // -trace PATH records cross-layer events in the synthetic workload's
-// measurement windows (fig5, table1, fig6) and writes a Chrome
-// trace-event JSON file that loads directly into Perfetto
-// (ui.perfetto.dev) or chrome://tracing; a per-layer flame summary is
-// printed to stderr. Tracing does not change the printed tables.
-//
-// -profile PATH writes a CPU profile of the whole invocation, viewable
-// with go tool pprof. What the simulator itself costs to run, and the
-// post-paper workloads (multi-tenant NCQ, group commit, snapshot
-// readers), are measured by the fixed perf suite in benchmark/.
+// measurement windows (fig5, table1, fig6) as Chrome trace-event JSON
+// for Perfetto or chrome://tracing, and prints a per-layer flame summary
+// to stderr; the tables do not change. -profile PATH writes a CPU
+// profile of the whole invocation. What the simulator itself costs to
+// run is measured by the perf suite in benchmark/.
 package main
 
 import (
@@ -39,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/torture"
@@ -59,11 +49,10 @@ func benchMain() int {
 	tortureMode := flag.Bool("torture", false, "run the crash/fault torture harness instead of an experiment")
 	chaosMode := flag.Bool("chaos", false, "run the degraded-mode error-storm sweep: transient faults, die hangs, command deadlines, quarantine and mid-storm power cuts")
 	seed := flag.Int64("seed", 0, "workload RNG seed override (0 = per-generator defaults)")
-	jsonPath := flag.String("json", "", "also write the printed tables as machine-readable JSON to this path")
 	tracePath := flag.String("trace", "", "record cross-layer events and write Chrome trace-event JSON (Perfetto-loadable) to this path")
 	profilePath := flag.String("profile", "", "write a CPU profile of the whole invocation to this path (go tool pprof)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-json PATH] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate}\n")
+		fmt.Fprintf(os.Stderr, "usage: xftlbench [-quick] [-quiet] [-faults N] [-seed N] [-trace PATH] [-profile PATH] {all|fig5|table1|fig6|table2|fig7|table3|table4|fig8|fig9|table5|ablate}\n")
 		fmt.Fprintf(os.Stderr, "       xftlbench [-quick] [-seed N] -torture\n")
 		fmt.Fprintf(os.Stderr, "       xftlbench [-quick] [-seed N] -chaos\n")
 		flag.PrintDefaults()
@@ -86,7 +75,6 @@ func benchMain() int {
 			fmt.Fprintf(os.Stderr, "[xftlbench] wrote CPU profile to %s\n", *profilePath)
 		}()
 	}
-	wallStart := time.Now()
 	for _, mode := range []struct {
 		on   bool
 		name string
@@ -118,20 +106,12 @@ func benchMain() int {
 		opts.Trace = trace.New()
 	}
 	what := flag.Arg(0)
-	doc := &bench.JSONDoc{Tool: "xftlbench", Quick: *quick, Seed: *seed, FaultScale: *faults}
-	if err := run(what, opts, doc); err != nil {
+	if err := run(what, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "xftlbench %s: %v\n", what, err)
 		if errors.Is(err, errUnknownExperiment) {
 			return 2
 		}
 		return 1
-	}
-	if *jsonPath != "" {
-		doc.WallSeconds = time.Since(wallStart).Seconds()
-		if err := bench.WriteJSON(*jsonPath, doc); err != nil {
-			fmt.Fprintf(os.Stderr, "xftlbench -json: %v\n", err)
-			return 1
-		}
 	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, opts.Trace); err != nil {
@@ -223,10 +203,9 @@ func experiments() []experiment {
 	}
 }
 
-// run executes the requested experiment(s), printing each table and
-// appending it to doc for -json output. "all" reproduces the paper's
-// evaluation in paper order.
-func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
+// run executes the requested experiment(s), printing each table. "all"
+// reproduces the paper's evaluation in paper order.
+func run(what string, opts bench.Options) error {
 	did := false
 	for _, e := range experiments() {
 		if what != e.name && what != "all" {
@@ -240,7 +219,6 @@ func run(what string, opts bench.Options, doc *bench.JSONDoc) error {
 		for _, t := range ts {
 			fmt.Println(t)
 		}
-		doc.Experiments = append(doc.Experiments, bench.JSONExperiment{Name: e.name, Tables: ts})
 	}
 	if !did {
 		return fmt.Errorf("%w %q", errUnknownExperiment, what)

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// `xftlbench -quick -quiet all` prints every experiment's tables in
+// `xftlbench [-quick] -quiet all` prints every experiment's tables in
 // experiments' order, each followed by a blank line. internal/bench's
 // quick tests hold each table, notes included, to a verbatim block of
-// results_quick.txt; this test holds the file's blocks to the order
-// "all" prints them in, without running the experiments.
+// results_quick.txt, and its gap ledger reads results_full.txt; this
+// test holds both files' blocks to the order "all" prints them in,
+// without running the experiments.
 func TestGoldenFollowsAllsOrder(t *testing.T) {
 	titles := map[string][]string{
 		"fig5":   {"Figure 5:"},
@@ -33,21 +34,28 @@ func TestGoldenFollowsAllsOrder(t *testing.T) {
 		}
 		want = append(want, ts...)
 	}
-	golden, err := os.ReadFile("../../results_quick.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := strings.SplitAfter(string(golden), "\n\n")
-	if last := blocks[len(blocks)-1]; last != "" {
-		t.Fatalf("results_quick.txt does not end in a blank line: %q", last)
-	}
-	blocks = blocks[:len(blocks)-1]
-	if len(blocks) != len(want) {
-		t.Fatalf("results_quick.txt has %d tables, all prints %d", len(blocks), len(want))
-	}
-	for i, b := range blocks {
-		if !strings.HasPrefix(b, "== "+want[i]) {
-			t.Errorf("table %d of results_quick.txt is %q, want %q", i+1, strings.SplitN(b, "\n", 2)[0], want[i])
+	// The full run has three Figure 5 panels where the quick one has one.
+	full := append([]string{"Figure 5:", "Figure 5:"}, want...)
+	for name, want := range map[string][]string{"results_quick.txt": want, "results_full.txt": full} {
+		golden, err := os.ReadFile("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := strings.SplitAfter(string(golden), "\n\n")
+		if last := blocks[len(blocks)-1]; last != "" {
+			t.Fatalf("%s does not end in a blank line: %q", name, last)
+		}
+		blocks = blocks[:len(blocks)-1]
+		if len(blocks) != len(want) {
+			t.Fatalf("%s has %d tables, all prints %d", name, len(blocks), len(want))
+		}
+		for i, b := range blocks {
+			lines := strings.Split(b, "\n")
+			if !strings.HasPrefix(b, "== "+want[i]) {
+				t.Errorf("table %d of %s is %q, want %q", i+1, name, lines[0], want[i])
+			} else if len(lines) < 6 || strings.Trim(lines[2], "- ") != "" {
+				t.Errorf("table %d of %s is not a title, a header, dashes and rows", i+1, name)
+			}
 		}
 	}
 }

@@ -144,7 +144,7 @@ func AblationTable(runs []AblationRun) *Table {
 	}
 	for _, r := range runs {
 		t.AddRow(r.Name, r.Mode.String(),
-			fmt.Sprintf("%.1f", seconds(r.Elapsed)),
+			fmt.Sprintf("%.1f", r.Elapsed.Seconds()),
 			fmt.Sprintf("%.1f", float64(r.FlashW)/float64(r.Txns)))
 	}
 	return t

@@ -131,12 +131,12 @@ func (f *Fig7) Table() *Table {
 	for _, name := range android.Names() {
 		runs := f.Runs[name]
 		t.AddRow(name,
-			fmt.Sprintf("%.1f", seconds(runs[RBJ].Elapsed)),
-			fmt.Sprintf("%.1f", seconds(runs[WAL].Elapsed)),
-			fmt.Sprintf("%.1f", seconds(runs[XFTL].Elapsed)),
+			fmt.Sprintf("%.1f", runs[RBJ].Elapsed.Seconds()),
+			fmt.Sprintf("%.1f", runs[WAL].Elapsed.Seconds()),
+			fmt.Sprintf("%.1f", runs[XFTL].Elapsed.Seconds()),
 			ratioStr(runs[WAL].Elapsed, runs[XFTL].Elapsed))
 	}
-	t.Notes = append(t.Notes, "paper: X-FTL 2.4x to 3.0x faster than WAL across all four traces")
+	t.Notes = paperNoteLines(t.Title)
 	return t
 }
 

@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro"
+	"repro/internal/ftl"
 	"repro/internal/nand"
 	"repro/internal/simfs"
 	"repro/internal/storage"
@@ -31,8 +31,8 @@ const (
 // AllModes lists the paper's configurations in its plotting order.
 func AllModes() []Mode { return []Mode{RBJ, WAL, XFTL} }
 
-// Quick trades fidelity for speed in every experiment (used by unit
-// tests and smoke runs); the xftlbench tool runs with Quick=false.
+// Options configure every experiment. Quick trades fidelity for speed
+// (unit tests and smoke runs); EXPERIMENTS.md quotes Quick=false runs.
 type Options struct {
 	Quick bool
 	// FaultScale, when non-zero, runs the experiment on faulty flash:
@@ -52,7 +52,7 @@ type Options struct {
 	// attaches as its own tracer generation. Set from xftlbench's -trace
 	// flag.
 	Trace *trace.Tracer
-	// Out receives progress lines; nil silences them.
+	// Progress receives progress lines; nil silences them.
 	Progress func(format string, args ...any)
 }
 
@@ -112,16 +112,15 @@ const reservePages = 8192
 // physical space utilization, so the exported capacity (which the
 // aging fill then occupies) is the knob — this reproduces the paper's
 // "controlled aging of the flash memory chips" (§6.3.1). The
-// utilization values were calibrated by measurement (see
-// CalibrateValidity).
+// utilization values are utilizationFor's, fit by measurement.
 func stackForValidity(mode Mode, validity float64, opts Options) (*xftl.Stack, error) {
 	prof := storage.OpenSSD()
-	dataPages := int64(prof.Nand.Blocks-4) * int64(prof.Nand.PagesPerBlock)
+	dataPages := int64(prof.Nand.Blocks-ftl.MetaBlocks) * int64(prof.Nand.PagesPerBlock)
 	util := utilizationFor(validity)
 	logical := int64(float64(dataPages)*util) + reservePages
 	maxLogical := int64(float64(dataPages) * 0.97)
 	spare := opts.spares(prof)
-	if hard := int64(prof.Nand.Blocks-4-3-1-spare) * int64(prof.Nand.PagesPerBlock); hard < maxLogical {
+	if hard := int64(prof.Nand.Blocks-ftl.MetaBlocks-ftl.GCLowWater-1-spare) * int64(prof.Nand.PagesPerBlock); hard < maxLogical {
 		// The spare reserve comes out of over-provisioning headroom.
 		maxLogical = hard
 	}
@@ -138,12 +137,8 @@ func stackForValidity(mode Mode, validity float64, opts Options) (*xftl.Stack, e
 // AgeDevice fills a fraction of the device's logical space with a
 // filler file and churns it with random overwrites, so that garbage
 // collection victims carry roughly the requested ratio of valid pages —
-// the paper's "controlled aging" (§6.3.1). It returns the file so the
-// space stays occupied.
-//
-// Under uniform random overwrites with greedy GC, victim validity
-// tracks space utilization, so the utilization fraction is the knob;
-// the measured validity is reported by MeasuredValidity.
+// the paper's "controlled aging" (§6.3.1); MeasuredValidity reports what
+// they carried. It returns the file so the space stays occupied.
 func AgeDevice(st *xftl.Stack, utilization float64, seed int64) (*simfs.File, error) {
 	if utilization <= 0 {
 		return nil, nil
@@ -221,9 +216,6 @@ func utilizationFor(validity float64) float64 {
 		return 0.83
 	}
 }
-
-// seconds formats a duration as fractional seconds.
-func seconds(d time.Duration) float64 { return d.Seconds() }
 
 // Table is a generic formatted result table.
 type Table struct {

@@ -153,8 +153,7 @@ func (f *Fig8) Table() *Table {
 			fmt.Sprintf("%.0f", o), fmt.Sprintf("%.0f", fu), fmt.Sprintf("%.0f", x),
 			fmt.Sprintf("%.2fx", x/o), fmt.Sprintf("%.2fx", x/fu))
 	}
-	t.Notes = append(t.Notes,
-		"paper: X-FTL beats ordered by 67-99% and full by 240-254% across all intervals")
+	t.Notes = paperNoteLines(t.Title)
 	return t
 }
 
@@ -205,7 +204,6 @@ func (f *Fig9) Table() *Table {
 			fmt.Sprintf("%.0f", p[1].IOPS),
 			fmt.Sprintf("%.0f", p[2].IOPS))
 	}
-	t.Notes = append(t.Notes,
-		"paper: X-FTL on the older OpenSSD lands between the newer S830's ordered and full modes")
+	t.Notes = paperNoteLines(t.Title)
 	return t
 }

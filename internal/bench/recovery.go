@@ -112,6 +112,6 @@ func Table5Table(runs map[Mode]RecoveryRun) *Table {
 			fmt.Sprintf("%.1f", float64(r.DeviceRestart.Microseconds())/1000),
 			fmt.Sprintf("%.1f", float64(r.DBOpen.Microseconds())/1000))
 	}
-	t.Notes = append(t.Notes, "paper: rollback 20.1 ms, write-ahead log 153.0 ms, X-FTL 3.5 ms")
+	t.Notes = paperNoteLines(t.Title)
 	return t
 }

@@ -120,16 +120,16 @@ func (f *Fig5) Tables() []*Table {
 			xf := f.Cells[v][u][XFTL].Elapsed
 			t.AddRow(
 				fmt.Sprintf("%d", u),
-				fmt.Sprintf("%.1f", seconds(rbj)),
-				fmt.Sprintf("%.1f", seconds(wal)),
-				fmt.Sprintf("%.1f", seconds(xf)),
+				fmt.Sprintf("%.1f", rbj.Seconds()),
+				fmt.Sprintf("%.1f", wal.Seconds()),
+				fmt.Sprintf("%.1f", xf.Seconds()),
 				ratioStr(wal, xf),
 				ratioStr(rbj, xf),
 			)
 		}
 		mv := f.Cells[v][f.Updates[0]][XFTL].MeasuredValidity
 		t.Notes = append(t.Notes, fmt.Sprintf("measured GC validity (X-FTL run, first point): %.0f%%", mv*100))
-		t.Notes = append(t.Notes, "paper (50%% validity): X-FTL 3.5x faster than WAL, 11.7x faster than RBJ")
+		t.Notes = append(t.Notes, paperNoteLines(t.Title)...)
 		out = append(out, t)
 	}
 	return out
@@ -188,9 +188,7 @@ func (t1 *Table1) Table() *Table {
 			fmt.Sprintf("%d", fl.BlockErases),
 		)
 	}
-	t.Notes = append(t.Notes,
-		"paper: RBJ 6230/7222/15987, 2999 fsyncs; WAL 3523/5754/3646, 1013; X-FTL 5211/0/994, 994",
-		"paper FTL-side writes: RBJ 243639, WAL 92979, X-FTL 33239")
+	t.Notes = paperNoteLines(t.Title)
 	return t
 }
 
@@ -247,6 +245,6 @@ func (f *Fig6) Tables() []*Table {
 			fmt.Sprintf("%d", f.Cells[v][WAL].Flash.GCRuns),
 			fmt.Sprintf("%d", f.Cells[v][XFTL].Flash.GCRuns))
 	}
-	wt.Notes = append(wt.Notes, "paper ordering: RBJ > WAL > X-FTL, all rising with validity")
+	wt.Notes = paperNoteLines(wt.Title)
 	return []*Table{wt, gt}
 }

@@ -139,8 +139,6 @@ func (t4 *Table4) Table() *Table {
 			fmt.Sprintf("%.0f", r[XFTL].Rate),
 			ratio)
 	}
-	t.Notes = append(t.Notes,
-		"paper (WAL vs X-FTL): write-intensive 251/582 (2.3x), read-intensive 3942/9925 (2.5x),",
-		"selection-only 281856/277586 (~1.0x), join-only 35662/35888 (~1.0x)")
+	t.Notes = paperNoteLines(t.Title)
 	return t
 }

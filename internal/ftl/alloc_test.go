@@ -129,7 +129,7 @@ func TestOverwriteWithGCNoAllocs(t *testing.T) {
 	}
 	moved := int64(0)
 	retire := func() {
-		for b := range nand.BlockNum(f.chip.Config().Blocks - f.cfg.MetaBlocks) {
+		for b := range nand.BlockNum(f.chip.Config().Blocks - MetaBlocks) {
 			if live, _ := f.chip.ValidPages(b); live > 0 && !f.bad[b] && !(f.haveCur && f.cur == b) {
 				before := f.stats.PageWrites.Load()
 				if err := f.retireDataBlock(b); err != nil {

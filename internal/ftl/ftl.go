@@ -46,18 +46,22 @@ type Hook interface {
 	Relocated(old, new nand.PPN)
 }
 
+// MetaBlocks is the number of erase blocks, at the end of the chip,
+// reserved for mapping-table and transaction-table persistence. The ring
+// keeps its next block clean of live pages so it can be erased without
+// data movement after a crash, so it needs at least two.
+const MetaBlocks = 4
+
+// GCLowWater triggers garbage collection when the number of free blocks
+// drops to or below this value.
+const GCLowWater = 3
+
 // Config tunes the FTL independent of chip geometry.
 type Config struct {
 	// LogicalPages is the exported logical capacity. It must leave
 	// enough physical headroom (overprovisioning) for GC to make
 	// progress; NewFTL validates this.
 	LogicalPages int64
-	// MetaBlocks is the number of erase blocks reserved for mapping
-	// table and transaction-table persistence.
-	MetaBlocks int
-	// GCLowWater triggers garbage collection when the number of free
-	// blocks drops to or below this value.
-	GCLowWater int
 	// BarrierMapPages is how many mapping-table pages a write barrier
 	// stores. Zero means the full table (the OpenSSD firmware behaviour
 	// the paper describes in §6.3.4: "a write barrier command stores
@@ -78,13 +82,10 @@ type Config struct {
 // which is generous but keeps GC cost stable across experiments (the
 // GC-pressure experiments control utilization explicitly).
 func DefaultConfig(chip nand.Config) Config {
-	meta := 4
 	spare := max(2, chip.Blocks/128)
-	dataBlocks := chip.Blocks - meta
+	dataBlocks := chip.Blocks - MetaBlocks
 	return Config{
 		LogicalPages: int64(dataBlocks-spare) * int64(chip.PagesPerBlock) * 3 / 4,
-		MetaBlocks:   meta,
-		GCLowWater:   3,
 		SpareBlocks:  spare,
 	}
 }
@@ -214,26 +215,14 @@ type FTL struct {
 // with the chip (they usually are) and may be nil.
 func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error) {
 	chipCfg := chip.Config()
-	if cfg.MetaBlocks < 2 {
-		// The ring keeps its next block clean of live pages so it can be
-		// erased without data movement after a crash; that invariant
-		// needs a current and a next block to be distinct.
-		return nil, errors.New("ftl: need at least two metadata blocks")
-	}
-	if chipCfg.OOBSize < oobRecSize {
-		return nil, fmt.Errorf("ftl: spare area %d bytes, need %d for the page metadata record", chipCfg.OOBSize, oobRecSize)
-	}
-	if cfg.GCLowWater < 1 {
-		return nil, errors.New("ftl: GCLowWater must be at least 1")
-	}
 	if cfg.SpareBlocks < 0 {
 		return nil, errors.New("ftl: SpareBlocks must be non-negative")
 	}
-	dataBlocks := chipCfg.Blocks - cfg.MetaBlocks
-	if dataBlocks < cfg.GCLowWater+2+cfg.SpareBlocks {
+	dataBlocks := chipCfg.Blocks - MetaBlocks
+	if dataBlocks < GCLowWater+2+cfg.SpareBlocks {
 		return nil, errors.New("ftl: too few data blocks for GC to operate")
 	}
-	maxLogical := int64(dataBlocks-cfg.GCLowWater-1-cfg.SpareBlocks) * int64(chipCfg.PagesPerBlock)
+	maxLogical := int64(dataBlocks-GCLowWater-1-cfg.SpareBlocks) * int64(chipCfg.PagesPerBlock)
 	if cfg.LogicalPages <= 0 || cfg.LogicalPages > maxLogical {
 		return nil, fmt.Errorf("ftl: LogicalPages %d outside (0, %d]", cfg.LogicalPages, maxLogical)
 	}
@@ -253,7 +242,7 @@ func New(chip *nand.Chip, cfg Config, stats *metrics.FlashCounters) (*FTL, error
 		metaSlots:  make([][]nand.PPN, 1),
 		groupSlots: make([]nand.PPN, groups),
 		bad:        make(map[nand.BlockNum]bool),
-		metaSet:    make(map[nand.BlockNum]bool, cfg.MetaBlocks),
+		metaSet:    make(map[nand.BlockNum]bool, MetaBlocks),
 		seq:        1,
 		metaData:   make([][]byte, 1),
 		slotIDs:    make(map[string]uint16),
@@ -697,7 +686,7 @@ func (f *FTL) eraseBlock(blk nand.BlockNum) error {
 // fully live) into ErrDeviceFull instead of a livelock.
 func (f *FTL) ensureFreeBlocks() error {
 	stalled := 0
-	for len(f.freeBlocks) <= f.cfg.GCLowWater {
+	for len(f.freeBlocks) <= GCLowWater {
 		before := len(f.freeBlocks)
 		if err := f.collectOnce(); err != nil {
 			return err
@@ -791,7 +780,7 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // but are reclaimed for free when the block is eventually collected.
 func (f *FTL) pickVictim() nand.BlockNum {
 	chipCfg := f.chip.Config()
-	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
+	dataBlocks := chipCfg.Blocks - MetaBlocks
 	best := nand.BlockNum(-1)
 	bestValid := chipCfg.PagesPerBlock + 1
 	for b := 0; b < dataBlocks; b++ {

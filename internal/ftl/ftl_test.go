@@ -52,10 +52,8 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"no meta blocks", Config{LogicalPages: 10, MetaBlocks: 0, GCLowWater: 2}},
-		{"zero low water", Config{LogicalPages: 10, MetaBlocks: 2, GCLowWater: 0}},
-		{"zero logical", Config{LogicalPages: 0, MetaBlocks: 2, GCLowWater: 2}},
-		{"oversubscribed", Config{LogicalPages: 1 << 20, MetaBlocks: 2, GCLowWater: 2}},
+		{"zero logical", Config{LogicalPages: 0}},
+		{"oversubscribed", Config{LogicalPages: 1 << 20}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -364,7 +362,7 @@ func TestMetaRingRecycles(t *testing.T) {
 	// Write far more meta pages than the meta region holds; the ring
 	// must recycle without error and keep the current slot alive.
 	cfg := testChipConfig()
-	total := cfg.PagesPerBlock * DefaultConfig(cfg).MetaBlocks * 3
+	total := cfg.PagesPerBlock * MetaBlocks * 3
 	for i := 0; i < total; i++ {
 		if err := f.WriteMetaSlot("xl2p", 1); err != nil {
 			t.Fatalf("meta write %d: %v", i, err)
@@ -613,7 +611,7 @@ func TestGCCopyProgramFailKeepsPagesAndRecords(t *testing.T) {
 	}
 	type version struct{ data, oob []byte }
 	read := func(lpn LPN) version {
-		v := version{make([]byte, f.PageSize()), make([]byte, f.chip.Config().OOBSize)}
+		v := version{make([]byte, f.PageSize()), make([]byte, nand.OOBSize)}
 		if st, err := f.chip.ScanRead(f.Mapping(lpn), v.data, v.oob); err != nil || st != nand.PageValid {
 			t.Fatalf("lpn %d: %v, %v", lpn, st, err)
 		}

@@ -226,7 +226,7 @@ func (f *FTL) resetHealth() {
 // pages are re-homed by the ring's own rotation.
 func (f *FTL) drainUnit(unit int) error {
 	chipCfg := f.chip.Config()
-	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
+	dataBlocks := chipCfg.Blocks - MetaBlocks
 	units := int64(chipCfg.Units())
 	defer f.chip.SetOrigin(f.chip.SetOrigin(trace.OGC))
 	defer func() { f.draining = -1 }()

@@ -37,6 +37,9 @@ import (
 	"repro/internal/nand"
 )
 
+// The page metadata record must fit the chip's spare area.
+var _ [nand.OOBSize - oobRecSize]struct{}
+
 // OOB record layout constants.
 const (
 	oobRecSize = 32

@@ -133,7 +133,7 @@ func (f *FTL) metaIntegrityErr(info *RecoveryInfo, format string, args ...any) e
 func (f *FTL) mountImage(info *RecoveryInfo) error {
 	chipCfg := f.chip.Config()
 	buf := make([]byte, chipCfg.PageSize)
-	oob := make([]byte, chipCfg.OOBSize)
+	oob := make([]byte, nand.OOBSize)
 	maxSeq := uint64(0)
 
 	readMeta := func(ppn nand.PPN) (oobRec, error) {
@@ -303,7 +303,7 @@ type scanDataPage struct {
 func (f *FTL) mountScan(info *RecoveryInfo) error {
 	chipCfg := f.chip.Config()
 	buf := make([]byte, chipCfg.PageSize)
-	oob := make([]byte, chipCfg.OOBSize)
+	oob := make([]byte, nand.OOBSize)
 
 	// The old pointers are untrusted; drop them. Whatever pages they
 	// referenced become unpointed garbage that the ring advance and the
@@ -563,7 +563,7 @@ func (f *FTL) rebuildRmap() {
 // unless the transactional hook still claims it.
 func (f *FTL) sweepOrphans() {
 	chipCfg := f.chip.Config()
-	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
+	dataBlocks := chipCfg.Blocks - MetaBlocks
 	for b := 0; b < dataBlocks; b++ {
 		blk := nand.BlockNum(b)
 		if f.isFree(blk) || f.bad[blk] || f.metaSet[blk] {
@@ -591,7 +591,7 @@ func (f *FTL) sweepOrphans() {
 func (f *FTL) PageSeq(ppn nand.PPN) (uint64, bool) {
 	chipCfg := f.chip.Config()
 	buf := make([]byte, chipCfg.PageSize)
-	oob := make([]byte, chipCfg.OOBSize)
+	oob := make([]byte, nand.OOBSize)
 	st, err := f.chip.ScanRead(ppn, buf, oob)
 	if err != nil || st == nand.PageFree {
 		return 0, false

@@ -662,7 +662,7 @@ func TestRehomeOfTheBBTAcrossItsOwnPersist(t *testing.T) {
 func checkMirrors(t *testing.T, f *FTL, when string) {
 	t.Helper()
 	ps := f.PageSize()
-	buf, oob := make([]byte, ps), make([]byte, f.chip.Config().OOBSize)
+	buf, oob := make([]byte, ps), make([]byte, nand.OOBSize)
 	check := func(ppn nand.PPN, mirror []byte, what string) {
 		t.Helper()
 		tag := f.tagOf(ppn)

@@ -23,7 +23,7 @@ func TestDiscardedPageReadsFailTyped(t *testing.T) {
 	if st, _ := c.State(2); st != PageInvalid {
 		t.Errorf("state = %v, want invalid", st)
 	}
-	buf, oobBuf := make([]byte, cfg.PageSize), make([]byte, cfg.OOBSize)
+	buf, oobBuf := make([]byte, cfg.PageSize), make([]byte, OOBSize)
 	before, reads := clk.Now(), stats.Snapshot().PageReads
 	if err := c.ReadPage(2, buf); !errors.Is(err, ErrDiscarded) {
 		t.Errorf("ReadPage = %v, want ErrDiscarded", err)
@@ -47,7 +47,7 @@ func TestDiscardedPageReadsFailTyped(t *testing.T) {
 	if !bytes.Equal(buf, make([]byte, cfg.PageSize)) {
 		t.Error("ScanRead of a discarded page did not zero the payload")
 	}
-	if want := append(append([]byte{}, oob...), make([]byte, cfg.OOBSize-len(oob))...); !bytes.Equal(oobBuf, want) {
+	if want := append(append([]byte{}, oob...), make([]byte, OOBSize-len(oob))...); !bytes.Equal(oobBuf, want) {
 		t.Errorf("ScanRead spare = %x, want %x", oobBuf, want)
 	}
 }
@@ -92,7 +92,7 @@ func TestDiscardGivesBackOnlyOwnedPayloads(t *testing.T) {
 	if err := c.Invalidate(2); err != nil {
 		t.Fatal(err)
 	}
-	buf, oobBuf := make([]byte, cfg.PageSize), make([]byte, cfg.OOBSize)
+	buf, oobBuf := make([]byte, cfg.PageSize), make([]byte, OOBSize)
 	if st, err := c.ScanRead(2, buf, oobBuf); err != nil || st != PageInvalid || !bytes.Equal(buf, pageData(cfg, 0x2C)) {
 		t.Errorf("ScanRead of an invalidated page = %v, %v, %x...; want invalid, nil, 2c...", st, err, buf[:4])
 	}
@@ -145,7 +145,7 @@ func FuzzCellLifecycle(f *testing.F) {
 		model := map[PPN]*cell{} // programmed pages; absent means free
 		var last []byte          // the last data program's bytes
 		cfg = c.Config()
-		buf, oobBuf := make([]byte, cfg.PageSize), make([]byte, cfg.OOBSize)
+		buf, oobBuf := make([]byte, cfg.PageSize), make([]byte, OOBSize)
 		total := PPN(cfg.TotalPages())
 		for i := 0; i+2 < len(ops); i += 3 {
 			kind, p, arg := ops[i]%9, PPN(ops[i+1])%total, ops[i+2]

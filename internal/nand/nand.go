@@ -71,24 +71,21 @@ var (
 	ErrNoPayload      = errors.New("nand: copy-back source holds no payload")
 )
 
-// DefaultOOBSize is the per-page spare (out-of-band) area used when
-// Config.OOBSize is zero. Real K9LCG08U1M pages carry 436 spare bytes;
-// the FTL's page metadata record needs far less.
-const DefaultOOBSize = 32
+// OOBSize is the per-page spare (out-of-band) area in bytes. The spare
+// area is programmed atomically with the page data (one program pulse
+// covers both, as on real NAND) and read back with it; a torn page loses
+// both. Real K9LCG08U1M pages carry 436 spare bytes; the FTL's page
+// metadata record needs far less.
+const OOBSize = 32
 
 // Config describes chip geometry and operation latencies.
 type Config struct {
-	Blocks        int // number of erase blocks
-	PagesPerBlock int // pages per erase block
-	PageSize      int // bytes per page
-	// OOBSize is the per-page spare-area size in bytes. The spare area
-	// is programmed atomically with the page data (one program pulse
-	// covers both, as on real NAND) and read back with it; a torn page
-	// loses both. Zero selects DefaultOOBSize.
-	OOBSize      int
-	ReadLatency  time.Duration // page read (cell array -> register)
-	ProgLatency  time.Duration // page program
-	EraseLatency time.Duration // block erase
+	Blocks        int           // number of erase blocks
+	PagesPerBlock int           // pages per erase block
+	PageSize      int           // bytes per page
+	ReadLatency   time.Duration // page read (cell array -> register)
+	ProgLatency   time.Duration // page program
+	EraseLatency  time.Duration // block erase
 	// Channels is the number of independent flash channels and Ways the
 	// number of chips (ways) sharing each channel. Physical pages stripe
 	// across the Channels*Ways units (ppn mod units), so sequential PPN
@@ -128,8 +125,6 @@ func (c Config) Validate() error {
 		return errors.New("nand: PagesPerBlock must be positive")
 	case c.PageSize <= 0:
 		return errors.New("nand: PageSize must be positive")
-	case c.OOBSize < 0:
-		return errors.New("nand: OOBSize must not be negative")
 	case c.Channels < 0:
 		return errors.New("nand: Channels must not be negative")
 	case c.Ways < 0:
@@ -267,9 +262,6 @@ func New(cfg Config, clock *simclock.Clock, stats *metrics.FlashCounters) (*Chip
 	if clock == nil {
 		clock = simclock.New()
 	}
-	if cfg.OOBSize == 0 {
-		cfg.OOBSize = DefaultOOBSize
-	}
 	c := &Chip{cfg: cfg, clock: clock, stats: stats, zero: payload{b: make([]byte, cfg.PageSize), held: 1}, units: int64(cfg.Units())}
 	c.blocks = make([]block, cfg.Blocks)
 	for i := range c.blocks {
@@ -291,11 +283,10 @@ func (c *Chip) Config() Config { return c.cfg }
 // of one block's worth when the list is empty. The buffer's content is
 // whatever its last user left.
 func (c *Chip) takeOOB() []byte {
-	size := c.cfg.OOBSize
 	if len(c.freeOOB) == 0 {
-		slab := make([]byte, c.cfg.PagesPerBlock*size)
-		for off := len(slab) - size; off >= 0; off -= size {
-			c.freeOOB = append(c.freeOOB, slab[off:off+size:off+size])
+		slab := make([]byte, c.cfg.PagesPerBlock*OOBSize)
+		for off := len(slab) - OOBSize; off >= 0; off -= OOBSize {
+			c.freeOOB = append(c.freeOOB, slab[off:off+OOBSize:off+OOBSize])
 		}
 	}
 	buf := c.freeOOB[len(c.freeOOB)-1]
@@ -487,13 +478,13 @@ func (c *Chip) ReadCopyBack(p PPN) error {
 // issued the read and found the all-ones erased pattern. A discarded
 // page returns PageInvalid, its spare area and a zeroed payload.
 func (c *Chip) ScanRead(p PPN, buf, oobBuf []byte) (PageState, error) {
-	if len(buf) < c.cfg.PageSize || len(oobBuf) < c.cfg.OOBSize {
+	if len(buf) < c.cfg.PageSize || len(oobBuf) < OOBSize {
 		return PageFree, ErrShortBuffer
 	}
 	data, oob, st, err := c.readCell(p, readScan)
 	if err == nil && st != PageFree {
 		copy(buf, data)
-		clear(oobBuf[copy(oobBuf, oob):c.cfg.OOBSize])
+		clear(oobBuf[copy(oobBuf, oob):OOBSize])
 	}
 	return st, err
 }
@@ -628,8 +619,8 @@ func (c *Chip) programPage(p PPN, data []byte, shared *payload, oob []byte, inte
 	if data != nil && len(data) != c.cfg.PageSize {
 		return fmt.Errorf("%w: got %d want %d", ErrWrongDataSize, len(data), c.cfg.PageSize)
 	}
-	if len(oob) > c.cfg.OOBSize {
-		return fmt.Errorf("%w: oob %d exceeds spare area %d", ErrWrongDataSize, len(oob), c.cfg.OOBSize)
+	if len(oob) > OOBSize {
+		return fmt.Errorf("%w: oob %d exceeds spare area %d", ErrWrongDataSize, len(oob), OOBSize)
 	}
 	b := &c.blocks[bi]
 	if b.state[pi] != PageFree {

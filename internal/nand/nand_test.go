@@ -325,7 +325,7 @@ func TestPropertyDataIntegrity(t *testing.T) {
 func TestRecycledSpareReadsBackZeroPadded(t *testing.T) {
 	c, _, _ := newTestChip(t)
 	cfg := c.Config()
-	full := bytes.Repeat([]byte{0xFF}, cfg.OOBSize)
+	full := bytes.Repeat([]byte{0xFF}, OOBSize)
 	if err := c.ProgramPageOOB(0, pageData(cfg, 1), full); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestRecycledSpareReadsBackZeroPadded(t *testing.T) {
 	if err := c.EraseBlock(0); err != nil {
 		t.Fatal(err)
 	}
-	buf, got := make([]byte, cfg.PageSize), make([]byte, cfg.OOBSize)
+	buf, got := make([]byte, cfg.PageSize), make([]byte, OOBSize)
 	for pi, oob := range [][]byte{{7, 8}, nil} {
 		p := c.PPNOf(0, pi)
 		if err := c.ProgramPageOOB(p, pageData(cfg, 2), oob); err != nil {
@@ -344,7 +344,7 @@ func TestRecycledSpareReadsBackZeroPadded(t *testing.T) {
 		if _, err := c.ScanRead(p, buf, got); err != nil {
 			t.Fatal(err)
 		}
-		want := make([]byte, cfg.OOBSize)
+		want := make([]byte, OOBSize)
 		copy(want, oob)
 		if !bytes.Equal(got, want) {
 			t.Errorf("page %d spare = %x, want %x", pi, got, want)

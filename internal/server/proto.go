@@ -125,11 +125,12 @@ func failure(id uint64, err error) *Response {
 
 // normalizeArgs undoes JSON's number erasure: a float64 that holds an
 // exact integral value becomes int64, so bind parameters compare equal
-// to INTEGER columns.
+// to INTEGER columns. The upper bound is exclusive: float64(MaxInt64)
+// rounds up to 2^63, which int64 cannot hold.
 func normalizeArgs(args []any) []any {
 	for i, a := range args {
 		if f, ok := a.(float64); ok {
-			if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			if f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
 				args[i] = int64(f)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -110,6 +111,18 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if st.Units != 4 || st.Quarantined != 0 {
 		t.Fatalf("unit gauge = %d/%d, want 0/4", st.Quarantined, st.Units)
+	}
+}
+
+// A JSON number at or beyond 2^63 has no int64: it stays a float64
+// instead of wrapping to MinInt64, where WHERE k = ? would match that row.
+func TestNormalizeArgsBounds(t *testing.T) {
+	got := normalizeArgs([]any{9223372036854775807.0, 9223372036854775808.0, -9223372036854775808.0, 42.0, 1.5})
+	want := []any{float64(1 << 63), float64(1 << 63), int64(math.MinInt64), int64(42), 1.5}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("arg %d: got %T %v, want %T %v", i, got[i], got[i], want[i], want[i])
+		}
 	}
 }
 

@@ -101,9 +101,7 @@ func (d deviceRun) run(seed int64) (*Report, error) {
 		// Half the data blocks exported: retirements eat physical blocks at
 		// scaled fault rates, and GC must keep its headroom through them.
 		FTL: ftl.Config{
-			LogicalPages: int64(prof.Nand.Blocks-4) * int64(prof.Nand.PagesPerBlock) / 2,
-			MetaBlocks:   4,
-			GCLowWater:   3,
+			LogicalPages: int64(prof.Nand.Blocks-ftl.MetaBlocks) * int64(prof.Nand.PagesPerBlock) / 2,
 			SpareBlocks:  3,
 		},
 		XFTL:  core.Config{TableEntries: 128, CommitMapPages: 0},

@@ -173,8 +173,6 @@ func deviceOptions(opts StackOptions) storage.Options {
 	var devOpts storage.Options
 	if opts.FTLLogicalPages > 0 {
 		devOpts.FTL.LogicalPages = opts.FTLLogicalPages
-		devOpts.FTL.MetaBlocks = 4
-		devOpts.FTL.GCLowWater = 3
 	}
 	devOpts.FTL.SpareBlocks = opts.FTLSpareBlocks
 	devOpts.Fault = opts.Fault
