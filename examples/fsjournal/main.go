@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.OffXFTL}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
 	if err != nil {
 		log.Fatal(err)
 	}

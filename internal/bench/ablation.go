@@ -6,7 +6,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/ftl"
 	"repro/internal/storage"
 	"repro/internal/workload/synth"
 )
@@ -27,15 +26,15 @@ func runVariant(name string, mode Mode, txns int, opts Options,
 	mut func(*storage.Options), dbTune func(*xftl.StackOptions)) (AblationRun, error) {
 	res := AblationRun{Name: name, Mode: mode, Txns: txns}
 	prof := storage.OpenSSD()
-	clockOpts := storage.Options{Transactional: mode == XFTL}
+	devOpts := opts.device(prof)
 	if mut != nil {
-		mut(&clockOpts)
+		mut(&devOpts)
 	}
 	stOpts := xftl.StackOptions{}
 	if dbTune != nil {
 		dbTune(&stOpts)
 	}
-	st, err := xftl.NewStackDevice(prof, mode, clockOpts, stOpts)
+	st, err := xftl.NewStackDevice(prof, mode, devOpts, stOpts)
 	if err != nil {
 		return res, err
 	}
@@ -108,19 +107,12 @@ func Ablations(opts Options) ([]AblationRun, error) {
 	// Baseline barrier policy under WAL.
 	for _, incremental := range []bool{false, true} {
 		name := "wal-barrier-fullmap"
-		pages := 0
 		if incremental {
 			name = "wal-barrier-incremental"
-			pages = -1
 		}
 		opts.progress("ablation: %s", name)
-		p := pages
 		if err := add(runVariant(name, WAL, txns, opts,
-			func(o *storage.Options) {
-				prof := storage.OpenSSD()
-				o.FTL = ftl.DefaultConfig(prof.Nand)
-				o.FTL.BarrierMapPages = p
-			}, nil)); err != nil {
+			func(o *storage.Options) { o.FTL.IncrementalBarrier = incremental }, nil)); err != nil {
 			return nil, err
 		}
 	}

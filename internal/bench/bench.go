@@ -71,23 +71,19 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// fault returns the experiment's NAND fault model, nil for ideal flash.
-func (o Options) fault() *nand.FaultModel {
-	if o.FaultScale <= 0 {
-		return nil
-	}
-	return nand.DefaultFaultModel(1).Scale(o.FaultScale)
-}
-
-// spares returns the bad-block reserve for the experiment: zero (the
-// derived default) on ideal flash, ~6% of the device when faults are
+// device returns the experiment's device options: the NAND fault
+// model (nil for ideal flash) and the bad-block reserve, zero (the
+// derived default) on ideal flash and ~6% of the device when faults are
 // injected, so steady retirement over a full-length run does not
 // exhaust the GC pool.
-func (o Options) spares(prof storage.Profile) int {
+func (o Options) device(prof storage.Profile) storage.Options {
 	if o.FaultScale <= 0 {
-		return 0
+		return storage.Options{}
 	}
-	return prof.Nand.Blocks / 16
+	return storage.Options{
+		Fault: nand.DefaultFaultModel(1).Scale(o.FaultScale),
+		FTL:   ftl.Config{SpareBlocks: prof.Nand.Blocks / 16},
+	}
 }
 
 // newStack builds a stack whose FTL exports enough logical space for
@@ -95,11 +91,7 @@ func (o Options) spares(prof storage.Profile) int {
 // cacheSize pages (0: the SQLite default).
 func newStack(mode Mode, opts Options, cacheSize int) (*xftl.Stack, error) {
 	prof := storage.OpenSSD()
-	return xftl.NewStackOptions(prof, mode, xftl.StackOptions{
-		Fault:          opts.fault(),
-		FTLSpareBlocks: opts.spares(prof),
-		CacheSize:      cacheSize,
-	})
+	return xftl.NewStackDevice(prof, mode, opts.device(prof), xftl.StackOptions{CacheSize: cacheSize})
 }
 
 // reservePages is the logical space the experiments keep free for
@@ -119,19 +111,13 @@ func stackForValidity(mode Mode, validity float64, opts Options) (*xftl.Stack, e
 	util := utilizationFor(validity)
 	logical := int64(float64(dataPages)*util) + reservePages
 	maxLogical := int64(float64(dataPages) * 0.97)
-	spare := opts.spares(prof)
-	if hard := int64(prof.Nand.Blocks-ftl.MetaBlocks-ftl.GCLowWater-1-spare) * int64(prof.Nand.PagesPerBlock); hard < maxLogical {
+	dev := opts.device(prof)
+	if hard := int64(prof.Nand.Blocks-ftl.MetaBlocks-ftl.GCLowWater-1-dev.FTL.SpareBlocks) * int64(prof.Nand.PagesPerBlock); hard < maxLogical {
 		// The spare reserve comes out of over-provisioning headroom.
 		maxLogical = hard
 	}
-	if logical > maxLogical {
-		logical = maxLogical
-	}
-	return xftl.NewStackOptions(prof, mode, xftl.StackOptions{
-		FTLLogicalPages: logical,
-		Fault:           opts.fault(),
-		FTLSpareBlocks:  spare,
-	})
+	dev.FTL.LogicalPages = min(logical, maxLogical)
+	return xftl.NewStackDevice(prof, mode, dev, xftl.StackOptions{})
 }
 
 // AgeDevice fills a fraction of the device's logical space with a

@@ -16,15 +16,21 @@ var quick = Options{Quick: true}
 // moves a paper table fails here, not only in a diff against the file.
 func checkGolden(t *testing.T, tbls ...*Table) {
 	t.Helper()
+	for _, tbl := range tbls {
+		if !inGolden(t, tbl) {
+			t.Errorf("table is not a block of results_quick.txt:\n%s", tbl)
+		}
+	}
+}
+
+// inGolden reports whether tbl is a verbatim block of results_quick.txt.
+func inGolden(t *testing.T, tbl *Table) bool {
+	t.Helper()
 	golden, err := os.ReadFile("../../results_quick.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tbl := range tbls {
-		if !strings.Contains("\n"+string(golden), "\n"+tbl.String()+"\n") {
-			t.Errorf("table is not a block of results_quick.txt:\n%s", tbl)
-		}
-	}
+	return strings.Contains("\n"+string(golden), "\n"+tbl.String()+"\n")
 }
 
 func TestFig5Quick(t *testing.T) {
@@ -170,5 +176,18 @@ func TestAblationsQuick(t *testing.T) {
 	// Idealized commit must be no slower than the calibrated one.
 	if byName["commit-incremental-only"].Elapsed > byName["xl2p-500-entries"].Elapsed {
 		t.Error("idealized commit slower than calibrated commit")
+	}
+}
+
+// TestAblationsUnderFaults holds every variant to -faults: on faulty
+// flash some row must leave the ideal-flash table results_quick.txt pins.
+func TestAblationsUnderFaults(t *testing.T) {
+	t.Parallel()
+	runs, err := Ablations(Options{Quick: true, FaultScale: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl := AblationTable(runs); inGolden(t, tbl) {
+		t.Errorf("the ablation at FaultScale 5 reads as on ideal flash:\n%s", tbl)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ftl"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/simfs"
@@ -37,12 +36,9 @@ func (m FSMode) String() string {
 
 // newFSStack assembles device + file system for one FIO configuration.
 func newFSStack(prof storage.Profile, mode FSMode, opts Options) (*simfs.FS, error) {
-	clock := simclock.New()
-	dev, err := storage.New(prof, clock, storage.Options{
-		Transactional: mode == FSXFTL,
-		Fault:         opts.fault(),
-		FTL:           ftl.Config{SpareBlocks: opts.spares(prof)},
-	})
+	devOpts := opts.device(prof)
+	devOpts.Transactional = mode == FSXFTL
+	dev, err := storage.New(prof, simclock.New(), devOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +49,7 @@ func newFSStack(prof storage.Profile, mode FSMode, opts Options) (*simfs.FS, err
 	case FSXFTL:
 		fsMode = simfs.OffXFTL
 	}
-	return simfs.New(dev, simfs.Config{Mode: fsMode}, &metrics.HostCounters{})
+	return simfs.New(dev, fsMode, &metrics.HostCounters{})
 }
 
 // FioPoint is one (interval, fs-mode, profile) measurement.

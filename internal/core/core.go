@@ -106,18 +106,19 @@ type Config struct {
 	// each full-map barrier of the baseline firmware. Zero keeps the
 	// exact dirty-group count (the idealized ablation).
 	CommitMapPages int
-	// CompactPinned triggers a version-list compaction pass from the
-	// commit path whenever the pinned-page count reaches this many
-	// entries, reclaiming superseded versions that fell between the open
-	// snapshots' sequences. Snapshot close always compacts; this knob
-	// bounds growth between closes. Zero disables the commit-time pass.
-	CompactPinned int
 }
+
+// compactPinned triggers a version-list compaction pass from the commit
+// path whenever the pinned-page count reaches this many entries,
+// reclaiming superseded versions that fell between the open snapshots'
+// sequences. Snapshot close always compacts; this bounds growth between
+// closes.
+const compactPinned = 256
 
 // DefaultConfig matches the paper's small-table configuration with the
 // Table-1-calibrated commit cost.
 func DefaultConfig() Config {
-	return Config{TableEntries: 500, CommitMapPages: 20, CompactPinned: 256}
+	return Config{TableEntries: 500, CommitMapPages: 20}
 }
 
 // entry is one volatile X-L2P row.
@@ -162,6 +163,8 @@ type Stats struct {
 type XFTL struct {
 	base *ftl.FTL
 	cfg  Config
+	// compactAt is compactPinned; tests lower it to reach the pass.
+	compactAt int
 
 	byLPN map[ftl.LPN]*entry
 	byPPN map[nand.PPN]*entry
@@ -225,6 +228,7 @@ func New(base *ftl.FTL, cfg Config, stats *metrics.FlashCounters) (*XFTL, error)
 	x := &XFTL{
 		base:           base,
 		cfg:            cfg,
+		compactAt:      compactPinned,
 		byLPN:          make(map[ftl.LPN]*entry),
 		byPPN:          make(map[nand.PPN]*entry),
 		byTx:           make(map[TxID][]*entry),
@@ -469,7 +473,7 @@ func (x *XFTL) Commit(tid TxID) error {
 	}
 	x.bumpSeq()
 	x.retireTx(tid, entries)
-	if x.cfg.CompactPinned > 0 && len(x.pinned) >= x.cfg.CompactPinned {
+	if len(x.pinned) >= x.compactAt {
 		x.compact()
 	}
 	flushed, err := x.base.FlushDirtyGroups()

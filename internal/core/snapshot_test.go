@@ -298,13 +298,13 @@ func TestCompactionReclaimsInteriorVersions(t *testing.T) {
 	}
 }
 
-// The commit-time compaction pass (Config.CompactPinned) bounds pin
+// The commit-time compaction pass (compactPinned) bounds pin
 // growth even when no snapshot closes between commits: snapshots that
 // close in one burst leave stranded versions that the next commit
 // reclaims once the threshold trips.
 func TestCommitTimeCompaction(t *testing.T) {
 	x, _ := newTestXFTL(t)
-	x.cfg.CompactPinned = 4
+	x.compactAt = 4
 	commitPage(t, x, 1, 0, 0xEE)
 	long, _ := x.OpenSnapshot()
 	// Accumulate stranded interior versions with compaction disabled on

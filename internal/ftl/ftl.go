@@ -62,13 +62,12 @@ type Config struct {
 	// enough physical headroom (overprovisioning) for GC to make
 	// progress; NewFTL validates this.
 	LogicalPages int64
-	// BarrierMapPages is how many mapping-table pages a write barrier
-	// stores. Zero means the full table (the OpenSSD firmware behaviour
+	// IncrementalBarrier makes a write barrier store only the dirty map
+	// groups (an idealized incremental firmware, used as an ablation).
+	// Otherwise it stores the full table, the OpenSSD firmware behaviour
 	// the paper describes in §6.3.4: "a write barrier command stores
-	// the mapping table as well as data pages persistently"); a
-	// negative value stores only the dirty map groups (an idealized
-	// incremental firmware, used as an ablation).
-	BarrierMapPages int
+	// the mapping table as well as data pages persistently".
+	IncrementalBarrier bool
 	// SpareBlocks is the bad-block replacement reserve: capacity
 	// validation keeps this many data blocks out of the exported-space
 	// budget so block retirements do not eat into the GC headroom.
@@ -918,20 +917,6 @@ func mapPages(n int64, pageSize int) int {
 // fullMapPages is how many flash pages the whole L2P table occupies.
 func (f *FTL) fullMapPages() int { return len(f.groupSlots) }
 
-// barrierPadPages is how many extra (content-free) meta pages a
-// barrier programs beyond the dirty group images, modeling firmware
-// that always stores a fixed-size table image.
-func (f *FTL) barrierPadPages(dirty int) int {
-	switch {
-	case f.cfg.BarrierMapPages > 0:
-		return max(f.cfg.BarrierMapPages-dirty, 0)
-	case f.cfg.BarrierMapPages < 0:
-		return 0 // idealized incremental firmware (ablation)
-	default:
-		return max(f.fullMapPages()-dirty, 0)
-	}
-}
-
 // syncGroup reconciles one map group's persistent image with the
 // volatile table, resolving deferred invalidations, and clears the
 // group's dirty bits. A flush usually changes a handful of a page's
@@ -975,15 +960,13 @@ func (f *FTL) Barrier() error {
 	// cut or program failure mid-barrier leaves the previous image — and
 	// its shadow — both current. Clean groups keep their existing flash
 	// images; the pad pages model the firmware's fixed-size full-table
-	// store without carrying content.
+	// store without carrying content (none under IncrementalBarrier).
 	dirty, err := f.FlushDirtyGroups()
-	if err != nil || dirty == 0 {
+	pad := f.fullMapPages() - dirty
+	if err != nil || dirty == 0 || pad <= 0 || f.cfg.IncrementalBarrier {
 		return err
 	}
-	if pad := f.barrierPadPages(dirty); pad > 0 {
-		return f.WriteMetaSlot("l2pmap-pad", pad)
-	}
-	return nil
+	return f.WriteMetaSlot("l2pmap-pad", pad)
 }
 
 // FlushDirtyGroups persists only the map groups dirtied since the last

@@ -348,7 +348,7 @@ func TestLoneWriterCommandStream(t *testing.T) {
 	}
 
 	fsys, bareTrace := traced()
-	db, err := sqlite.Open(fsys, "test.db", sqlite.Config{JournalMode: pager.Off, CacheSize: 200})
+	db, err := sqlite.Open(fsys, "test.db", sqlite.Config{Mode: pager.Off, CacheSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 	if opts.Mode == MVCC && opts.Journal != pager.Off {
 		return nil, fmt.Errorf("mvcc: MVCC mode requires journal mode Off, got %v", opts.Journal)
 	}
-	cfg := sqlite.Config{JournalMode: opts.Journal, CacheSize: opts.CacheSize}
+	cfg := sqlite.Config{Mode: opts.Journal, CacheSize: opts.CacheSize}
 	db, err := sqlite.Open(fsys, name, cfg)
 	if err != nil {
 		return nil, err

@@ -28,7 +28,7 @@ func newStack(t *testing.T, transactional bool) *simfs.FS {
 	if transactional {
 		mode = simfs.OffXFTL
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: mode}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, mode, &metrics.HostCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}

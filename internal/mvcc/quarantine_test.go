@@ -28,7 +28,7 @@ func newMultiUnitManager(t *testing.T) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.OffXFTL}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}

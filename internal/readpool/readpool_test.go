@@ -34,11 +34,11 @@ func newPoolEnv(t *testing.T) *env {
 		t.Fatal(err)
 	}
 	host := &metrics.HostCounters{}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.OffXFTL}, host)
+	fsys, err := simfs.New(dev, simfs.OffXFTL, host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sqlite.Open(fsys, "test.db", sqlite.Config{JournalMode: pager.Off, CacheSize: 100})
+	w, err := sqlite.Open(fsys, "test.db", sqlite.Config{Mode: pager.Off, CacheSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func (e *env) coldOpen(t *testing.T) *Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := sqlite.OpenReader(e.fs, "test.db", snap, sqlite.Config{JournalMode: pager.Off, CacheSize: 100})
+	db, err := sqlite.OpenReader(e.fs, "test.db", snap, sqlite.Config{Mode: pager.Off, CacheSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,11 @@
 // encoding/json is the reference: a line the codec accepts,
 // json.Unmarshal accepts too, into the same value, and what the codec
 // writes reads back under json.Unmarshal as json.Marshal's encoding
-// does. FuzzWireRequest and FuzzWireResponse check both.
+// does. FuzzWireRequest and FuzzWireResponse check both. The codec's
+// own spellings differ from json.Marshal's: a float is written in
+// strconv's shortest 'g' form (1e+21, 1e-07, 0.1), and a string escapes
+// a quote or backslash with a backslash and a control character as
+// \u00XX, nothing else.
 //
 // A line outside the grammar is answered bad_request with id 0, and
 // the connection serves on. A request line may be at most 1 MiB: a

@@ -138,7 +138,7 @@ func New(opts Options) (*Server, error) {
 		Shards:  opts.Shards,
 		Profile: prof,
 		Mode:    mode,
-		Stack: xftl.StackOptions{
+		Stack: storage.Options{
 			QueueDepth:  queueDepth,
 			CmdDeadline: cmdDeadline,
 			CmdRetries:  cmdRetries,

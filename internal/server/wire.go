@@ -234,31 +234,19 @@ func appendBytes(b, p []byte) []byte {
 	return append(base64.StdEncoding.AppendEncode(b, p), '"')
 }
 
-// appendFloat formats f as encoding/json does: the shortest 'f' form,
-// 'e' outside [1e-6, 1e21) with a one-digit exponent not zero-padded.
+// appendFloat writes f in strconv's shortest 'g' form (doc.go).
 func appendFloat(b []byte, f float64, bits int) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, fmt.Errorf("server: %v cannot be sent as JSON", f)
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 {
-		if bits == 64 && (abs < 1e-6 || abs >= 1e21) ||
-			bits == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21) {
-			format = 'e'
-		}
-	}
-	b = strconv.AppendFloat(b, f, format, -1, bits)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b, nil
+	return strconv.AppendFloat(b, f, 'g', -1, bits), nil
 }
 
-// appendString appends s quoted. Invalid UTF-8 becomes U+FFFD, as
-// encoding/json makes it; HTML characters are not escaped.
+// appendString appends s quoted, escaping a quote or backslash with a
+// backslash and a control character as \u00XX (doc.go). Invalid UTF-8
+// becomes U+FFFD, as encoding/json makes it; HTML characters are not
+// escaped.
 func appendString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -277,17 +265,10 @@ func appendString(b []byte, s string) []byte {
 			continue
 		}
 		b = append(b, s[start:i]...)
-		switch c {
-		case '"', '\\':
+		if c < 0x20 {
+			b = fmt.Appendf(b, `\u%04x`, c)
+		} else {
 			b = append(b, '\\', c)
-		case '\n':
-			b = append(b, `\n`...)
-		case '\r':
-			b = append(b, `\r`...)
-		case '\t':
-			b = append(b, `\t`...)
-		default:
-			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		}
 		i++
 		start = i

@@ -291,6 +291,23 @@ func TestWireEncodesRows(t *testing.T) {
 	}
 }
 
+// TestWireSpellings pins the spellings doc.go states the codec writes.
+func TestWireSpellings(t *testing.T) {
+	for _, c := range []struct {
+		arg  any
+		want string
+	}{
+		{0.1, "0.1"}, {1e21, "1e+21"}, {1e-7, "1e-07"}, {123456789.0, "1.23456789e+08"},
+		{float32(0.1), "0.1"}, {math.Copysign(0, -1), "-0"},
+		{"q\"\\\n\t\x01<é", `"q\"\\\u000a\u0009\u0001<é"`},
+	} {
+		got, err := appendArg(nil, c.arg)
+		if err != nil || string(got) != c.want {
+			t.Errorf("%#v written as %s (%v), want %s", c.arg, got, err, c.want)
+		}
+	}
+}
+
 // TestWireAllocs pins what the codec allocates on the data path: keys
 // and op names are matched in place, and a message is appended to a
 // warm buffer without allocating.

@@ -29,6 +29,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mvcc"
 	"repro/internal/sqlite/pager"
+	"repro/internal/storage"
 )
 
 // Errors returned by the fleet.
@@ -58,9 +59,9 @@ type Options struct {
 	// Mode is the system configuration; cross-shard transactions require
 	// ModeXFTL.
 	Mode xftl.Mode
-	// Stack tunes each member (cache, capacity, spares...). A non-nil
-	// Stack.Fault is rejected for Shards > 1.
-	Stack xftl.StackOptions
+	// Stack configures each member's device (NCQ depth, retry plane,
+	// FTL...). A non-nil Stack.Fault is rejected for Shards > 1.
+	Stack storage.Options
 	// Session configures the per-database session managers. Zero value
 	// means MVCC over journal-mode Off for ModeXFTL, Serialized over
 	// Rollback otherwise.

@@ -18,7 +18,7 @@ func TestChangesSince(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := New(dev, Config{Mode: OffXFTL}, nil)
+	fs, err := New(dev, OffXFTL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

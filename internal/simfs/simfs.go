@@ -88,16 +88,11 @@ var (
 const (
 	metaRegionPages    = 64   // synthetic inode/bitmap/directory pages
 	journalRegionPages = 1024 // circular fs journal (Ordered/Full)
-)
-
-// Config tunes the file system.
-type Config struct {
-	Mode JournalMode
-	// MaxDirtyPages bounds the write-back cache per file; exceeding it
+	// maxDirtyPages bounds the write-back cache per file; exceeding it
 	// forces early write-back (the path that exercises the device-side
-	// steal support). Zero means 2048.
-	MaxDirtyPages int
-}
+	// steal support).
+	maxDirtyPages = 2048
+)
 
 // inode is the in-memory file metadata.
 type inode struct {
@@ -142,8 +137,10 @@ type preparedTx struct {
 // read device-pinned page versions without touching mutable FS state.
 type FS struct {
 	dev  *storage.Device
-	cfg  Config
+	mode JournalMode
 	host *metrics.HostCounters
+	// maxDirty is maxDirtyPages; tests lower it to reach write-back.
+	maxDirty int
 
 	// mu makes the commit point (device commit + persisted-image update)
 	// atomic with respect to OpenSnapshot, which pairs a device snapshot
@@ -216,37 +213,37 @@ type FS struct {
 	freeBufs [][]byte
 }
 
-// New formats and mounts a file system on the device. The host counter
-// set may be shared with other layers; nil disables counting.
-func New(dev *storage.Device, cfg Config, host *metrics.HostCounters) (*FS, error) {
-	if cfg.Mode == OffXFTL && !dev.Transactional() {
+// New formats and mounts a file system in the given journal mode on the
+// device. The host counter set may be shared with other layers; nil
+// disables counting.
+func New(dev *storage.Device, mode JournalMode, host *metrics.HostCounters) (*FS, error) {
+	if mode == OffXFTL && !dev.Transactional() {
 		return nil, ErrNeedsXFTL
 	}
-	if cfg.MaxDirtyPages <= 0 {
-		cfg.MaxDirtyPages = 2048
+	const dataStart = metaRegionPages + journalRegionPages
+	capacity := dev.LogicalPages()
+	if capacity <= dataStart {
+		return nil, fmt.Errorf("simfs: device too small (%d pages)", capacity)
 	}
 	if host == nil {
 		host = &metrics.HostCounters{}
 	}
-	fs := &FS{
+	return &FS{
 		dev:       dev,
-		cfg:       cfg,
+		mode:      mode,
 		host:      host,
+		maxDirty:  maxDirtyPages,
 		files:     make(map[string]*inode),
 		persisted: make(map[string]inodeImage),
 		touched:   make(map[string]struct{}),
-		dataStart: metaRegionPages + journalRegionPages,
-		capacity:  dev.LogicalPages(),
+		dataStart: dataStart,
+		nextAlloc: dataStart,
+		capacity:  capacity,
 		dirtyMeta: make(map[int64]struct{}),
 		prepared:  make(map[uint64]*preparedTx),
 		nextTid:   1,
 		mounted:   true,
-	}
-	fs.nextAlloc = fs.dataStart
-	if fs.capacity <= fs.dataStart {
-		return nil, fmt.Errorf("simfs: device too small (%d pages)", fs.capacity)
-	}
-	return fs, nil
+	}, nil
 }
 
 // Device returns the underlying storage device.
@@ -517,7 +514,7 @@ func (fs *FS) commitPoint() {
 	for name := range fs.touched {
 		if ino, ok := fs.files[name]; ok {
 			var reuse []int64
-			if fs.cfg.Mode != OffXFTL {
+			if fs.mode != OffXFTL {
 				reuse = fs.persisted[name].pages
 			}
 			fs.persisted[name] = imageOf(ino, reuse)
@@ -741,8 +738,8 @@ func (f *File) WritePage(idx int64, data []byte) error {
 		f.dirty[idx] = buf
 	}
 	clear(buf[copy(buf, data):])
-	if len(f.dirty) > f.fs.cfg.MaxDirtyPages {
-		return f.writeBackSome(len(f.dirty) - f.fs.cfg.MaxDirtyPages)
+	if len(f.dirty) > f.fs.maxDirty {
+		return f.writeBackSome(len(f.dirty) - f.fs.maxDirty)
 	}
 	return nil
 }
@@ -790,7 +787,7 @@ func (f *File) ReadPage(idx int64, buf []byte) error {
 		return nil
 	}
 	r := ncq.Request{Op: ncq.OpRead, LPN: lpn, Buf: buf}
-	if f.fs.cfg.Mode == OffXFTL && f.tid != 0 {
+	if f.fs.mode == OffXFTL && f.tid != 0 {
 		r.Op, r.TID = ncq.OpReadTx, f.tid
 	}
 	return f.fs.read(&r, &f.fs.io, false)
@@ -829,7 +826,7 @@ func (f *File) writeData(idx int64, data []byte) error {
 		return err
 	}
 	r := ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: data}
-	if f.fs.cfg.Mode == OffXFTL {
+	if f.fs.mode == OffXFTL {
 		r.Op, r.TID = ncq.OpWriteTx, f.tidFor()
 	}
 	f.fs.noteWrite(f.writeClass(), lpn, r.TID)
@@ -865,7 +862,7 @@ func (f *File) writeBackSome(n int) error {
 // after its home write, so the journal and the home write see the same
 // bytes.
 func (f *File) flushDirty() error {
-	if f.fs.cfg.Mode == Full {
+	if f.fs.mode == Full {
 		var payloads [][]byte
 		for _, idx := range f.order {
 			if data, ok := f.dirty[idx]; ok {
@@ -916,7 +913,7 @@ func (f *File) Fsync() error {
 			tr.Record(trace.Event{
 				Layer: trace.LFS, Kind: trace.KFSync,
 				Start: start, Dur: tr.Now() - start,
-				Aux: int64(f.fs.cfg.Mode), Sess: f.fs.io.sess,
+				Aux: int64(f.fs.mode), Sess: f.fs.io.sess,
 			})
 		}()
 	}
@@ -967,7 +964,7 @@ func (f *File) flushTx() (uint64, error) {
 }
 
 func (f *File) fsync() error {
-	switch f.fs.cfg.Mode {
+	switch f.fs.mode {
 	case Ordered:
 		if err := f.flushDirty(); err != nil {
 			return err
@@ -1014,7 +1011,7 @@ func (f *File) fsync() error {
 		f.fs.commitPoint()
 		return nil
 	default:
-		return fmt.Errorf("simfs: unknown mode %v", f.fs.cfg.Mode)
+		return fmt.Errorf("simfs: unknown mode %v", f.fs.mode)
 	}
 }
 
@@ -1038,8 +1035,8 @@ func (f *File) Prepare(group ...string) (uint64, error) {
 	if err := f.check(); err != nil {
 		return 0, err
 	}
-	if f.fs.cfg.Mode != OffXFTL {
-		return 0, fmt.Errorf("simfs: Prepare requires OffXFTL mode, have %v", f.fs.cfg.Mode)
+	if f.fs.mode != OffXFTL {
+		return 0, fmt.Errorf("simfs: Prepare requires OffXFTL mode, have %v", f.fs.mode)
 	}
 	tid, err := f.flushTx()
 	if err != nil {
@@ -1196,7 +1193,7 @@ func (f *File) Abort() error {
 		f.release(idx)
 	}
 	f.order = f.order[:0]
-	if f.fs.cfg.Mode == OffXFTL && f.tid != 0 {
+	if f.fs.mode == OffXFTL && f.tid != 0 {
 		if err := f.fs.submit(ncq.Request{Op: ncq.OpAbort, TID: f.tid}); err != nil {
 			return err
 		}
@@ -1296,7 +1293,7 @@ func (fs *FS) OpenSnapshot() (*Snapshot, error) {
 	if err := fs.check(); err != nil {
 		return nil, err
 	}
-	if fs.cfg.Mode != OffXFTL {
+	if fs.mode != OffXFTL {
 		return nil, ErrSnapshotMode
 	}
 	id, seq, err := fs.dev.SnapshotOpen()

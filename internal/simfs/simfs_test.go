@@ -28,7 +28,7 @@ func newFS(t *testing.T, mode JournalMode) (*FS, *metrics.HostCounters) {
 		t.Fatal(err)
 	}
 	host := &metrics.HostCounters{}
-	fs, err := New(dev, Config{Mode: mode}, host)
+	fs, err := New(dev, mode, host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestOffModeRequiresTransactionalDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dev, Config{Mode: OffXFTL}, nil); !errors.Is(err, ErrNeedsXFTL) {
+	if _, err := New(dev, OffXFTL, nil); !errors.Is(err, ErrNeedsXFTL) {
 		t.Errorf("New = %v, want ErrNeedsXFTL", err)
 	}
 }
@@ -209,10 +209,11 @@ func TestAbortRollsBackCachedAndStolenWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tiny cache so write-back (steal) happens mid-transaction.
-	fs, err := New(dev, Config{Mode: OffXFTL, MaxDirtyPages: 2}, nil)
+	fs, err := New(dev, OffXFTL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.maxDirty = 2
 	f, _ := fs.Create("f", RoleData)
 	for i := int64(0); i < 6; i++ {
 		if err := f.WritePage(i, fsPage(fs, 7)); err != nil {
@@ -248,10 +249,11 @@ func TestAbortRollsBackCachedAndStolenWrites(t *testing.T) {
 
 func TestStolenWritesVisibleToOwnTransaction(t *testing.T) {
 	dev, _ := storage.New(smallProfile(), simclock.New(), storage.Options{Transactional: true})
-	fs, err := New(dev, Config{Mode: OffXFTL, MaxDirtyPages: 1}, nil)
+	fs, err := New(dev, OffXFTL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.maxDirty = 1
 	f, _ := fs.Create("f", RoleData)
 	for i := int64(0); i < 4; i++ {
 		if err := f.WritePage(i, fsPage(fs, byte(i+40))); err != nil {
@@ -302,10 +304,11 @@ func TestCrashBeforeFsyncLosesData(t *testing.T) {
 
 func TestOffModeCrashMidTransactionIsAtomic(t *testing.T) {
 	dev, _ := storage.New(smallProfile(), simclock.New(), storage.Options{Transactional: true})
-	fs, err := New(dev, Config{Mode: OffXFTL, MaxDirtyPages: 1}, nil)
+	fs, err := New(dev, OffXFTL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.maxDirty = 1
 	f, _ := fs.Create("f", RoleData)
 	for i := int64(0); i < 4; i++ {
 		_ = f.WritePage(i, fsPage(fs, 1))

@@ -29,7 +29,7 @@ func TestAdvancedReaderMatchesColdReader(t *testing.T) {
 func advanceStream(t *testing.T, seed int64) {
 	e := newEnv(t, pager.Off)
 	const name = "test.db"
-	w, err := Open(e.fs, name, Config{JournalMode: pager.Off, CacheSize: 16}) // small: commits steal
+	w, err := Open(e.fs, name, Config{Mode: pager.Off, CacheSize: 16}) // small: commits steal
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func advanceStream(t *testing.T, seed int64) {
 	}
 
 	open := func(snap *simfs.Snapshot) *DB {
-		db, err := OpenReader(e.fs, name, snap, Config{JournalMode: pager.Off, CacheSize: 24})
+		db, err := OpenReader(e.fs, name, snap, Config{Mode: pager.Off, CacheSize: 24})
 		if err != nil {
 			t.Fatal(err)
 		}

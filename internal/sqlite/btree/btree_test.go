@@ -27,7 +27,7 @@ func newPagerSized(t testing.TB, cacheSize int) *Pagers {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.Ordered}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, simfs.Ordered, &metrics.HostCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func runTreeScript(t testing.TB, next func(n int) int, steps int, fresh bool) (s
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.OffXFTL}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,10 @@ import (
 	"repro/internal/sqlite/sqlparse"
 )
 
-// Config selects how a database is opened.
-type Config struct {
-	// JournalMode is the atomic-commit strategy (the paper's RBJ, WAL
-	// and X-FTL/off configurations).
-	JournalMode pager.JournalMode
-	// CacheSize is the pager buffer pool in pages (default 2000).
-	CacheSize int
-	// CheckpointPages is the WAL auto-checkpoint threshold in log pages
-	// (default 1000, the SQLite default the paper cites).
-	CheckpointPages int64
-}
+// Config selects how a database is opened: its journal mode (the
+// paper's RBJ, WAL and X-FTL/off configurations), page-cache size and
+// WAL checkpoint threshold, as the pager takes them.
+type Config = pager.Config
 
 // DB is one open database connection (SQLite is serverless; the
 // connection IS the engine, §2.1). Not safe for concurrent use:
@@ -39,11 +32,7 @@ type DB struct {
 // Open creates or opens a database file on the file system and runs the
 // journal-mode-specific crash recovery.
 func Open(fsys *simfs.FS, name string, cfg Config) (*DB, error) {
-	p, err := pager.Open(fsys, name, pager.Config{
-		Mode:            cfg.JournalMode,
-		CacheSize:       cfg.CacheSize,
-		CheckpointPages: cfg.CheckpointPages,
-	})
+	p, err := pager.Open(fsys, name, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -57,10 +46,7 @@ func Open(fsys *simfs.FS, name string, cfg Config) (*DB, error) {
 // The snapshot stays owned by the caller (close it after closing the
 // DB). Any write statement fails with pager.ErrReadOnly.
 func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (*DB, error) {
-	p, err := pager.OpenReader(fsys, name, snap, pager.Config{
-		Mode:      cfg.JournalMode,
-		CacheSize: cfg.CacheSize,
-	})
+	p, err := pager.OpenReader(fsys, name, snap, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func newEnv(t *testing.T, mode pager.JournalMode) *env {
 		t.Fatal(err)
 	}
 	host := &metrics.HostCounters{}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: fsMode}, host)
+	fsys, err := simfs.New(dev, fsMode, host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func newEnv(t *testing.T, mode pager.JournalMode) *env {
 
 func (e *env) open(t *testing.T) *DB {
 	t.Helper()
-	db, err := Open(e.fs, "test.db", Config{JournalMode: e.mode, CacheSize: 300})
+	db, err := Open(e.fs, "test.db", Config{Mode: e.mode, CacheSize: 300})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -422,7 +422,7 @@ func TestExplicitTransactions(t *testing.T) {
 func TestRollbackOfStolenPages(t *testing.T) {
 	for _, mode := range allModes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			db, err := Open(newEnv(t, mode).fs, "test.db", Config{JournalMode: mode, CacheSize: 8})
+			db, err := Open(newEnv(t, mode).fs, "test.db", Config{Mode: mode, CacheSize: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -720,7 +720,7 @@ func TestThreeWayJoin(t *testing.T) {
 
 func TestWALCheckpointDuringLoad(t *testing.T) {
 	e := newEnv(t, pager.WAL)
-	db, err := Open(e.fs, "test.db", Config{JournalMode: pager.WAL, CacheSize: 300, CheckpointPages: 40})
+	db, err := Open(e.fs, "test.db", Config{Mode: pager.WAL, CacheSize: 300, CheckpointPages: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestLargeTransactionAcrossModes(t *testing.T) {
 	for _, mode := range allModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := newEnv(t, mode)
-			db, err := Open(e.fs, "big.db", Config{JournalMode: mode, CacheSize: 20})
+			db, err := Open(e.fs, "big.db", Config{Mode: mode, CacheSize: 20})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestLargeTransactionAcrossModes(t *testing.T) {
 			}
 			mustExec(t, db, `COMMIT`)
 			_ = db.Close()
-			db2, err := Open(e.fs, "big.db", Config{JournalMode: mode})
+			db2, err := Open(e.fs, "big.db", Config{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,11 +222,11 @@ func TestSustainedChurnWithGC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fsys, err := simfs.New(dev, simfs.Config{Mode: fsMode}, &metrics.HostCounters{})
+			fsys, err := simfs.New(dev, fsMode, &metrics.HostCounters{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			db, err := Open(fsys, "churn.db", Config{JournalMode: mode, CacheSize: 50})
+			db, err := Open(fsys, "churn.db", Config{Mode: mode, CacheSize: 50})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,11 +278,11 @@ func TestSustainedChurnWithGC(t *testing.T) {
 func TestCommitAtomicMultiFile(t *testing.T) {
 	e := newEnv(t, pager.Off)
 	open2 := func() (*DB, *DB) {
-		a, err := Open(e.fs, "a.db", Config{JournalMode: pager.Off})
+		a, err := Open(e.fs, "a.db", Config{Mode: pager.Off})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Open(e.fs, "b.db", Config{JournalMode: pager.Off})
+		b, err := Open(e.fs, "b.db", Config{Mode: pager.Off})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func twoFiles(t *testing.T) (e *env, a, b *DB) {
 	t.Helper()
 	e = newEnv(t, pager.Off)
 	for i, name := range []string{"a.db", "b.db"} {
-		db, err := Open(e.fs, name, Config{JournalMode: pager.Off})
+		db, err := Open(e.fs, name, Config{Mode: pager.Off})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +454,7 @@ func TestPreparedAbortRewindsTheConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"a.db", "b.db"} {
-			db, err := Open(e.fs, name, Config{JournalMode: pager.Off})
+			db, err := Open(e.fs, name, Config{Mode: pager.Off})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,19 +485,19 @@ func TestPreparedAbortRewindsTheConnection(t *testing.T) {
 // TestCommitAtomicValidation checks the API misuse guards.
 func TestCommitAtomicValidation(t *testing.T) {
 	e := newEnv(t, pager.Off)
-	a, _ := Open(e.fs, "a.db", Config{JournalMode: pager.Off})
+	a, _ := Open(e.fs, "a.db", Config{Mode: pager.Off})
 	defer a.Close()
 	if err := CommitAtomic(); err != nil {
 		t.Errorf("empty group: %v", err)
 	}
-	b, _ := Open(e.fs, "b.db", Config{JournalMode: pager.Off})
+	b, _ := Open(e.fs, "b.db", Config{Mode: pager.Off})
 	defer b.Close()
 	if err := CommitAtomic(a, b); err == nil {
 		t.Error("group commit without open transactions accepted")
 	}
 	// Mixed journal modes rejected.
 	e2 := newEnv(t, pager.WAL)
-	c, _ := Open(e2.fs, "c.db", Config{JournalMode: pager.WAL})
+	c, _ := Open(e2.fs, "c.db", Config{Mode: pager.WAL})
 	defer c.Close()
 	mustExec(t, c, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
 	_ = c.Begin()

@@ -69,6 +69,8 @@ var (
 
 // Config tunes the pager.
 type Config struct {
+	// Mode is the atomic-commit strategy: the paper's RBJ, WAL and
+	// X-FTL (journaling off) configurations.
 	Mode JournalMode
 	// CacheSize is the buffer-pool capacity in pages (default 2000,
 	// SQLite's historical default).

@@ -39,7 +39,7 @@ func newEnv(t *testing.T, mode JournalMode) *env {
 		t.Fatal(err)
 	}
 	host := &metrics.HostCounters{}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: fsMode}, host)
+	fsys, err := simfs.New(dev, fsMode, host)
 	if err != nil {
 		t.Fatal(err)
 	}

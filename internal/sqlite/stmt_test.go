@@ -360,7 +360,7 @@ func TestReaderConnectionRecompilesAfterRefusedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	r, err := OpenReader(e.fs, "test.db", snap, Config{JournalMode: pager.Off, CacheSize: 100})
+	r, err := OpenReader(e.fs, "test.db", snap, Config{Mode: pager.Off, CacheSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

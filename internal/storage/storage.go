@@ -138,10 +138,11 @@ type Options struct {
 	// Transactional selects the X-FTL firmware; otherwise the baseline
 	// page-mapping FTL runs.
 	Transactional bool
-	// FTL overrides the derived FTL configuration (zero value: derive
-	// from the profile with ftl.DefaultConfig).
+	// FTL overrides the derived FTL configuration (zero LogicalPages:
+	// derive capacity and spare reserve with ftl.DefaultConfig).
 	FTL ftl.Config
-	// XFTL overrides the X-FTL configuration when Transactional.
+	// XFTL overrides the X-FTL configuration when Transactional (zero
+	// TableEntries: core.DefaultConfig).
 	XFTL core.Config
 	// Fault installs a NAND fault model (nil: ideal flash). See
 	// nand.DefaultFaultModel for realistic MLC rates.
@@ -195,13 +196,11 @@ func New(prof Profile, clock *simclock.Clock, opts Options) (*Device, error) {
 	}
 	fcfg := opts.FTL
 	if fcfg.LogicalPages == 0 {
-		// Derive the configuration, honoring an explicit spare-reserve
+		// Derive the capacity, honoring an explicit spare-reserve
 		// request if it exceeds the derived default.
-		spare := fcfg.SpareBlocks
-		fcfg = ftl.DefaultConfig(prof.Nand)
-		if spare > fcfg.SpareBlocks {
-			fcfg.SpareBlocks = spare
-		}
+		def := ftl.DefaultConfig(prof.Nand)
+		fcfg.LogicalPages = def.LogicalPages
+		fcfg.SpareBlocks = max(fcfg.SpareBlocks, def.SpareBlocks)
 	}
 	base, err := ftl.New(chip, fcfg, flash)
 	if err != nil {
@@ -209,11 +208,7 @@ func New(prof Profile, clock *simclock.Clock, opts Options) (*Device, error) {
 	}
 	d := &Device{prof: prof, clock: clock, flash: flash, base: base}
 	if opts.Transactional {
-		xcfg := opts.XFTL
-		if xcfg.TableEntries == 0 {
-			xcfg = core.DefaultConfig()
-		}
-		x, err := core.New(base, xcfg, flash)
+		x, err := core.New(base, opts.XFTL, flash)
 		if err != nil {
 			return nil, fmt.Errorf("storage: %w", err)
 		}

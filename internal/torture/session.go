@@ -121,7 +121,7 @@ func sessionStack(opts mvcc.Options) (*storage.Device, *simfs.FS, *mvcc.Manager,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: simfs.OffXFTL}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
 	if err != nil {
 		return nil, nil, nil, err
 	}

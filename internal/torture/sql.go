@@ -74,7 +74,7 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 	if s.scale > 0 {
 		fault = nand.DefaultFaultModel(seed).Scale(s.scale)
 	}
-	st, err := xftl.NewStackOptions(sqlProfile(), s.mode, xftl.StackOptions{Fault: fault, CacheSize: 8})
+	st, err := xftl.NewStackDevice(sqlProfile(), s.mode, storage.Options{Fault: fault}, xftl.StackOptions{CacheSize: 8})
 	if err != nil {
 		return nil, err
 	}

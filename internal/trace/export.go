@@ -12,6 +12,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -99,11 +100,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			label = fmt.Sprintf("run %d", g)
 		}
 		hostPid, devPid := genPids(g)
-		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"host · %s"}}`, hostPid, jsonEscape(label)))
-		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"device · %s"}}`, devPid, jsonEscape(label)))
+		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}}`, hostPid, jsonString("host · "+label)))
+		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}}`, devPid, jsonString("device · "+label)))
 	}
 	for _, th := range order {
-		emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"%s"}}`, th.pid, th.tid, jsonEscape(seen[th])))
+		emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`, th.pid, th.tid, jsonString(seen[th])))
 	}
 
 	for i := range events {
@@ -161,9 +162,10 @@ func opName(op uint8) string {
 	return fmt.Sprintf("op%d", op)
 }
 
-func jsonEscape(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, `"`, `\"`)
+// jsonString renders s as a JSON string, quotes included.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s) // a string always marshals
+	return string(b)
 }
 
 // FlameSummary renders a text roll-up of the trace: per layer/kind

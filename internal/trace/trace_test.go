@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,41 @@ func TestChromeTraceParses(t *testing.T) {
 	}
 	if metas == 0 {
 		t.Error("no metadata events (process/thread names)")
+	}
+}
+
+// A generation label is any string: one that holds control characters
+// and quotes must still export as valid JSON and read back verbatim.
+func TestChromeTraceLabelsEscape(t *testing.T) {
+	const label = "run \"a\"\n\tb\x01\\"
+	tr := New()
+	tr.Attach(simclock.New(), label)
+	tr.Record(Event{Layer: LFS, Kind: KFSWrite, Sess: 1})
+	tr.Record(Event{Layer: LFTL, Kind: KGC})
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("output is not valid JSON:\n%s", buf.String())
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var names []any
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "process_name" {
+			names = append(names, ev.Args["name"])
+		}
+	}
+	if want := []any{"host · " + label, "device · " + label}; !reflect.DeepEqual(names, want) {
+		t.Errorf("processes named %q, want %q", names, want)
 	}
 }
 

@@ -20,7 +20,7 @@ func testFS(t *testing.T, mode simfs.JournalMode) *simfs.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: mode}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, mode, &metrics.HostCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,11 @@ func smallStack(t *testing.T, mode pager.JournalMode) (*sqlite.DB, *storage.Devi
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: fsMode}, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, fsMode, &metrics.HostCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := sqlite.Open(fsys, "synth.db", sqlite.Config{JournalMode: mode})
+	db, err := sqlite.Open(fsys, "synth.db", sqlite.Config{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

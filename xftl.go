@@ -133,28 +133,18 @@ func (s *Stack) SetTracer(t *trace.Tracer) {
 	s.FS.SetTracer(t)
 }
 
-// StackOptions tunes stack construction.
+// StackOptions tunes stack construction: the database's page cache and
+// WAL checkpoint, and the device's capacity. Every other device setting
+// travels as storage.Options (NewStackDevice, NewFleet).
 type StackOptions struct {
 	// CacheSize overrides the SQLite page-cache size (pages).
 	CacheSize int
 	// CheckpointPages overrides the WAL auto-checkpoint threshold.
 	CheckpointPages int64
-	// FTLLogicalPages overrides the exported device capacity, which is
-	// the aging/GC-pressure knob of the Figure 5/6 experiments.
+	// FTLLogicalPages, when positive, overrides the exported device
+	// capacity (storage.Options.FTL.LogicalPages), which is the
+	// aging/GC-pressure knob of the Figure 5/6 experiments.
 	FTLLogicalPages int64
-	// Fault installs a NAND fault model on the device (nil: ideal
-	// flash). See nand.DefaultFaultModel for realistic MLC rates.
-	Fault *nand.FaultModel
-	// FTLSpareBlocks widens the bad-block replacement reserve beyond
-	// the derived default — long runs on faulty flash retire blocks
-	// steadily, and without headroom retirement exhausts the GC pool.
-	FTLSpareBlocks int
-	// QueueDepth overrides the device's NCQ depth (0: profile default).
-	QueueDepth int
-	// CmdDeadline / CmdRetries configure the NCQ retry plane (0: the
-	// storage defaults). See storage.Options.
-	CmdDeadline time.Duration
-	CmdRetries  int
 }
 
 // NewStack builds the device and file system for a mode on the given
@@ -165,26 +155,12 @@ func NewStack(prof Profile, mode Mode) (*Stack, error) {
 
 // NewStackOptions is NewStack with tuning knobs.
 func NewStackOptions(prof Profile, mode Mode, opts StackOptions) (*Stack, error) {
-	return NewStackDevice(prof, mode, deviceOptions(opts), opts)
-}
-
-// deviceOptions translates the stack-level knobs into device options.
-func deviceOptions(opts StackOptions) storage.Options {
-	var devOpts storage.Options
-	if opts.FTLLogicalPages > 0 {
-		devOpts.FTL.LogicalPages = opts.FTLLogicalPages
-	}
-	devOpts.FTL.SpareBlocks = opts.FTLSpareBlocks
-	devOpts.Fault = opts.Fault
-	devOpts.QueueDepth = opts.QueueDepth
-	devOpts.CmdDeadline = opts.CmdDeadline
-	devOpts.CmdRetries = opts.CmdRetries
-	return devOpts
+	return NewStackDevice(prof, mode, storage.Options{}, opts)
 }
 
 // NewStackDevice is the fully explicit constructor: device options
-// (FTL and X-FTL configuration) are passed straight through. Used by
-// ablation studies that vary firmware policies.
+// (fault model, FTL and X-FTL configuration, NCQ) are passed straight
+// through.
 func NewStackDevice(prof Profile, mode Mode, devOpts storage.Options, opts StackOptions) (*Stack, error) {
 	return newStack(prof, mode, devOpts, opts, metrics.NewRegistry(), 0)
 }
@@ -193,6 +169,9 @@ func NewStackDevice(prof Profile, mode Mode, devOpts storage.Options, opts Stack
 func newStack(prof Profile, mode Mode, devOpts storage.Options, opts StackOptions, reg *metrics.Registry, shard int) (*Stack, error) {
 	clock := simclock.New()
 	devOpts.Transactional = mode == ModeXFTL
+	if opts.FTLLogicalPages > 0 {
+		devOpts.FTL.LogicalPages = opts.FTLLogicalPages
+	}
 	dev, err := storage.New(prof, clock, devOpts)
 	if err != nil {
 		return nil, err
@@ -202,7 +181,7 @@ func newStack(prof Profile, mode Mode, devOpts storage.Options, opts StackOption
 	if mode == ModeXFTL {
 		fsMode = simfs.OffXFTL
 	}
-	fsys, err := simfs.New(dev, simfs.Config{Mode: fsMode}, host)
+	fsys, err := simfs.New(dev, fsMode, host)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +208,7 @@ func newStack(prof Profile, mode Mode, devOpts storage.Options, opts StackOption
 		Host:   host,
 		Gauges: reg,
 		dbConfig: sqlite.Config{
-			JournalMode:     jm,
+			Mode:            jm,
 			CacheSize:       opts.CacheSize,
 			CheckpointPages: opts.CheckpointPages,
 		},
@@ -247,24 +226,20 @@ func (s *Stack) AttachTracer(t *trace.Tracer, label string) {
 	s.SetTracer(t)
 }
 
-// NewFleet builds n independent stacks — the shard substrate. Every
-// member shares one hardware profile, mode and tuning options but owns
-// its device, clock and file system, so members simulate in parallel
-// without serializing on any shared state. Construction is cheap: pure
-// struct wiring, no goroutines, no preallocation beyond each device's
-// page store.
-func NewFleet(n int, prof Profile, mode Mode, opts StackOptions) ([]*Stack, error) {
-	if n <= 0 {
-		n = 1
-	}
-	if opts.Fault != nil && n > 1 {
+// NewFleet builds n (≥ 1) independent stacks — the shard substrate.
+// Every member shares one hardware profile, mode and device options but
+// owns its device, clock and file system, so members simulate in
+// parallel without serializing on any shared state. Construction is
+// cheap: pure struct wiring, no goroutines, no preallocation beyond each
+// device's page store.
+func NewFleet(n int, prof Profile, mode Mode, devOpts storage.Options) ([]*Stack, error) {
+	if devOpts.Fault != nil && n > 1 {
 		return nil, fmt.Errorf("xftl: one fault model cannot serve %d shards: members run in parallel and would share its random state", n)
 	}
 	stacks := make([]*Stack, n)
 	reg := metrics.NewRegistry() // one exposition, members told apart by label
-	devOpts := deviceOptions(opts)
 	for i := range stacks {
-		st, err := newStack(prof, mode, devOpts, opts, reg, i)
+		st, err := newStack(prof, mode, devOpts, StackOptions{}, reg, i)
 		if err != nil {
 			// Unwind the members already built so no queue outlives the
 			// failed constructor.

@@ -3,9 +3,12 @@ package xftl_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/metrics"
 	"repro/internal/ncq"
+	"repro/internal/storage"
 )
 
 func modes() []xftl.Mode {
@@ -176,4 +179,76 @@ func TestModeIOCharacter(t *testing.T) {
 	if !(counts[xftl.ModeRollback].fsyncs > counts[xftl.ModeXFTL].fsyncs) {
 		t.Errorf("fsyncs: rbj=%d xftl=%d", counts[xftl.ModeRollback].fsyncs, counts[xftl.ModeXFTL].fsyncs)
 	}
+}
+
+// TestStackConstructorsAgree holds the constructors to one device
+// configuration. The capacity knob reaches NewStackDevice as it reaches
+// NewStackOptions, and every fleet member is the stack its
+// storage.Options build alone: the same FTL configuration, and the same
+// virtual time and flash traffic for the same burst of commands.
+func TestStackConstructorsAgree(t *testing.T) {
+	prof := xftl.OpenSSD()
+	def, err := xftl.NewStack(prof, xftl.ModeXFTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical := def.Device.LogicalPages() / 2
+	opts := xftl.StackOptions{FTLLogicalPages: logical}
+	viaOpts, err := xftl.NewStackOptions(prof, xftl.ModeXFTL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaDev, err := xftl.NewStackDevice(prof, xftl.ModeXFTL, storage.Options{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*xftl.Stack{"NewStackOptions": viaOpts, "NewStackDevice": viaDev} {
+		if got := st.Device.LogicalPages(); got != logical {
+			t.Errorf("%s exports %d pages, want %d", name, got, logical)
+		}
+	}
+
+	devOpts := storage.Options{QueueDepth: 4, CmdDeadline: 50 * time.Millisecond, CmdRetries: 2}
+	devOpts.FTL.LogicalPages = logical
+	lone, err := xftl.NewStackDevice(prof, xftl.ModeWAL, devOpts, xftl.StackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := xftl.NewFleet(2, prof, xftl.ModeWAL, devOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := burst(t, lone)
+	for i, st := range fleet {
+		if got, want := st.Device.FTL().Config(), lone.Device.FTL().Config(); got != want {
+			t.Errorf("member %d FTL config %+v, the lone stack's %+v", i, got, want)
+		}
+		if got := burst(t, st); got != want {
+			t.Errorf("member %d: a burst cost %+v, on the lone stack %+v", i, got, want)
+		}
+	}
+}
+
+// burstCost is what one burst of commands cost a device.
+type burstCost struct {
+	elapsed time.Duration
+	flash   metrics.FlashSnapshot
+}
+
+// burst queues 64 page writes and a barrier on the stack's device and
+// drains them.
+func burst(t *testing.T, st *xftl.Stack) burstCost {
+	t.Helper()
+	q := st.Device.Queue()
+	data := make([]byte, st.Device.PageSize())
+	for i := int64(0); i < 64; i++ {
+		if err := q.Submit(&ncq.Request{Op: ncq.OpWrite, LPN: i * 7, Data: data}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if err := q.SubmitWait(&ncq.Request{Op: ncq.OpBarrier}); err != nil {
+		t.Fatalf("barrier: %v", err)
+	}
+	q.Drain()
+	return burstCost{st.Elapsed(), st.FlashStats().Snapshot()}
 }
