@@ -248,19 +248,32 @@ func (m *Manager) Begin(readonly bool) (*Session, error) {
 // time would against a real busy_timeout. Unbounded queues instead, as
 // Begin does. Readers in MVCC mode never block and ignore the budget.
 func (m *Manager) BeginWith(readonly bool, budget time.Duration) (*Session, error) {
-	s := &Session{m: m, db: m.db, readonly: readonly}
+	s := new(Session)
+	if err := m.BeginInto(s, readonly, budget); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// BeginInto is BeginWith into a session the caller owns, so a caller
+// that runs one session after another allocates none: s must be new or
+// ended, and everything it held is overwritten. On error s is left
+// ended.
+func (m *Manager) BeginInto(s *Session, readonly bool, budget time.Duration) error {
+	*s = Session{m: m, db: m.db, readonly: readonly, done: true}
 	if readonly && m.opts.Mode == MVCC {
 		// A snapshot of the committed state to read beside the writer, its
 		// I/O charged to the session from the first page.
 		s.begin()
 		if err := m.openReader(s); err != nil {
-			return nil, err
+			return err
 		}
 		m.Stats.SnapsOpen.Add(1)
-		return s, nil
+		s.done = false
+		return nil
 	}
 	if err := m.lockExclusive(budget); err != nil {
-		return nil, err
+		return err
 	}
 	// Holding the exclusive lock is what makes setting the shared FS's I/O
 	// context safe: exactly one session touches the shared connection at a
@@ -271,10 +284,11 @@ func (m *Manager) BeginWith(readonly bool, budget time.Duration) (*Session, erro
 		if err := m.db.Begin(); err != nil {
 			m.fs.ClearIOContext()
 			m.unlockExclusive()
-			return nil, err
+			return err
 		}
 	}
-	return s, nil
+	s.done = false
+	return nil
 }
 
 // begin gives the session its identity and the start of its trace span.

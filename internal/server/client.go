@@ -15,8 +15,9 @@ type Client struct {
 	mu     sync.Mutex
 	nc     net.Conn
 	br     *bufio.Reader
-	out    []byte // the request line being sent
-	long   []byte // a response line longer than br's buffer
+	out    []byte            // the request line being sent
+	long   []byte            // a response line longer than br's buffer
+	texts  map[string]string // the column names the server has sent
 	nextID uint64
 }
 
@@ -26,7 +27,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}, nil
+	return &Client{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), texts: make(map[string]string)}, nil
 }
 
 // Close tears the connection down. A transaction left open server-side
@@ -55,8 +56,8 @@ func (c *Client) Do(req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{}
-	if err := decodeResponse(line, resp); err != nil {
+	resp := new(Response)
+	if err := decodeResponse(line, resp, c.texts); err != nil {
 		return nil, fmt.Errorf("server: bad response: %w", err)
 	}
 	return resp, nil

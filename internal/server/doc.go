@@ -31,8 +31,10 @@
 //     in exact case, each at most once; an unknown key is an error;
 //   - each value has its field's JSON type. null is allowed only as an
 //     element of args or of a rows row;
-//   - args and each rows row hold flat scalars: string, number (read
-//     as a float64), bool or null;
+//   - args and each rows row hold flat scalars: string, number, bool
+//     or null. A number reads as a float64, except that in args one
+//     holding an exact integral value below 2^63 reads as an int64, so
+//     it binds as an INTEGER;
 //   - strings are valid UTF-8, and a \u surrogate escape is one half
 //     of a valid pair;
 //   - deadline_ms is an integer in [0, math.MaxInt64/1e6], the most
@@ -40,13 +42,30 @@
 //   - stats and slow are nested values that encoding/json decodes.
 //
 // encoding/json is the reference: a line the codec accepts,
-// json.Unmarshal accepts too, into the same value, and what the codec
+// json.Unmarshal accepts too, into the same exported fields (its
+// float64 args made int64 by the rule above), and what the codec
 // writes reads back under json.Unmarshal as json.Marshal's encoding
 // does. FuzzWireRequest and FuzzWireResponse check both. The codec's
 // own spellings differ from json.Marshal's: a float is written in
 // strconv's shortest 'g' form (1e+21, 1e-07, 0.1), and a string escapes
 // a quote or backslash with a backslash and a control character as
 // \u00XX, nothing else.
+//
+// A served request allocates only the values it carries. The
+// connection decodes each request into one Request, reusing its args'
+// room, and interns the SQL texts and database names it has been sent
+// (at most 64 texts of at most 1 KiB, dropped together when full). It
+// answers in one Response, tracks stage timings in one track, and runs
+// every autocommit query and exec on one session; an explicit
+// transaction outlives its request, so begin opens a session of its
+// own. What is left is the bind arguments' boxed values and a query's
+// result set (sqlite.Rows and its row). The Client decodes a reply into
+// the Response it returns, which holds a row of up to two values (a
+// point read's key and value) and its column names; it interns column
+// names as the server interns texts, so what is left is the row's
+// values. TestServedRequestAllocs pins the counts: client and server together,
+// a ping allocates once (the Response), an autocommit UPDATE twice and
+// a one-row point query six times.
 //
 // A line outside the grammar is answered bad_request with id 0, and
 // the connection serves on. A request line may be at most 1 MiB: a
@@ -131,15 +150,16 @@
 // unbounded queueing and collective timeout. Slots are
 // held per request, not per transaction, so an interactive transaction
 // cannot starve the tier between statements; the mvcc layer's FIFO
-// writer lock (reached through mvcc.BeginWith with the request's
-// remaining budget) provides the transaction-level serialization.
+// writer lock (reached through shard.Fleet.BeginInto with the
+// request's remaining budget) provides the transaction-level
+// serialization.
 //
 // # Deadline propagation
 //
 // Each request carries a wall-clock budget (deadline_ms; 0 or absent
 // selects 500 ms). The budget gates the admission wait, is re-checked
 // before execution, and the remaining portion is handed to
-// mvcc.BeginWith as its busy budget — virtual time advances no
+// shard.Fleet.BeginInto as the mvcc busy budget — virtual time advances no
 // faster than device work, so the virtual budget is a conservative
 // bound. Below that, the stack's NCQ retry plane runs with per-attempt
 // command deadlines and bounded retries (see DESIGN.md §12 for the

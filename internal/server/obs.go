@@ -55,8 +55,8 @@ func opIndex(op string) int {
 // opHistNames must match opIndex's slots.
 var opHistNames = [...]string{OpQuery, OpExec, OpBegin, OpCommit, OpRollback}
 
-// reqTrack accumulates one request's identity and stage cuts. It lives
-// on the handler goroutine's stack for the request's duration.
+// reqTrack accumulates one request's identity and stage cuts. The
+// connection owns one and tracks each of its requests in it in turn.
 type reqTrack struct {
 	id      uint64
 	op      string
@@ -78,10 +78,10 @@ func (rt *reqTrack) cut(stage int) {
 	rt.mark = now
 }
 
-// track mints a request id and starts the stage clock.
-func (s *Server) track(op, db string) *reqTrack {
+// track mints a request id into rt and starts its stage clock.
+func (s *Server) track(rt *reqTrack, op, db string) {
 	now := time.Now()
-	return &reqTrack{id: s.nextReq.Add(1), op: op, db: db, start: now, mark: now}
+	*rt = reqTrack{id: s.nextReq.Add(1), op: op, db: db, start: now, mark: now}
 }
 
 // SlowEntry is one captured slow request: identity, outcome, wall

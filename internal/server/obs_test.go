@@ -806,22 +806,3 @@ func TestSlowRing(t *testing.T) {
 		t.Fatalf("sub-µs stages => wall %dµs stages %v, want 2µs %v", e.WallUS, e.Stages, want)
 	}
 }
-
-// TestSlowRingFastOfferAllocatesNothing: once the ring is full of slower
-// requests, offering a fast one builds no entry.
-func TestSlowRingFastOfferAllocatesNothing(t *testing.T) {
-	r := newSlowRing(4)
-	rt := &reqTrack{id: 1}
-	for i := range rt.touched {
-		rt.touched[i] = true
-	}
-	for i := 0; i < 4; i++ {
-		r.offer(rt, true, "", time.Second)
-	}
-	if n := testing.AllocsPerRun(100, func() { r.offer(rt, true, "", time.Millisecond) }); n != 0 {
-		t.Fatalf("a fast offer to a full ring allocates %v times, want 0", n)
-	}
-	if got := r.snapshot(); len(got) != 4 || got[3].WallUS != time.Second.Microseconds() {
-		t.Fatalf("fast offer changed the ring: %+v", got)
-	}
-}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/sqlite"
@@ -29,9 +28,9 @@ type Request struct {
 	// inside an open transaction ignore DB — they run on the session
 	// opened by begin.
 	DB string `json:"db,omitempty"`
-	// Args are the statement's bind parameters. JSON numbers arrive as
-	// float64; integral values are coerced back to int64 server-side so
-	// INTEGER keys match.
+	// Args are the statement's bind parameters. A JSON number decodes
+	// as an int64 when it holds an exact integral value, so INTEGER keys
+	// match, and as a float64 otherwise.
 	Args []any `json:"args,omitempty"`
 	// DeadlineMS is this request's end-to-end wall-clock budget in
 	// milliseconds, at most maxDeadlineMS; 0 selects the server's
@@ -70,9 +69,16 @@ type Response struct {
 	// slowest first.
 	Slow []SlowEntry `json:"slow,omitempty"`
 
-	// result is a query's result set on the server side: the codec
-	// writes it as columns and rows in place of Columns and Rows.
-	result *sqlite.Rows
+	// A query's result set on the server side: the codec writes it as
+	// columns and rows in place of Columns and Rows.
+	resultCols []string
+	resultRows [][]sqlite.Value
+	// The decoder's room, the way sqlite.Rows holds its one row: Columns
+	// when there are at most two, Rows when there is one row, and that
+	// row when it has at most two values (a point read's key and value).
+	cols [2]string
+	one  [1][]any
+	vals [2]any
 }
 
 // WireStats is the server health snapshot returned by the stats op.
@@ -121,19 +127,4 @@ func failure(id uint64, err error) *Response {
 		Retryable:    c.Retryable,
 		RetryAfterMS: int64(c.RetryAfter / time.Millisecond),
 	}
-}
-
-// normalizeArgs undoes JSON's number erasure: a float64 that holds an
-// exact integral value becomes int64, so bind parameters compare equal
-// to INTEGER columns. The upper bound is exclusive: float64(MaxInt64)
-// rounds up to 2^63, which int64 cannot hold.
-func normalizeArgs(args []any) []any {
-	for i, a := range args {
-		if f, ok := a.(float64); ok {
-			if f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
-				args[i] = int64(f)
-			}
-		}
-	}
-	return args
 }

@@ -317,6 +317,14 @@ type conn struct {
 	nc   net.Conn
 	busy atomic.Bool // a request is being handled right now
 
+	// What the handler reuses request after request: the reply, the
+	// request's stage track, and the session an autocommit query or exec
+	// runs on. An explicit transaction outlives its request, so it gets a
+	// session of its own.
+	resp Response
+	rt   reqTrack
+	auto shard.Session
+
 	mu     sync.Mutex
 	sess   *shard.Session
 	sessRO bool
@@ -370,6 +378,7 @@ func (c *conn) serve() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var long, out []byte
 	var req Request
+	texts := make(map[string]string) // the SQL and database names this connection has sent
 	for {
 		line, err := readLine(br, &long, maxLine)
 		lost := err == errLongLine // the framing is gone: answer, then close
@@ -380,9 +389,8 @@ func (c *conn) serve() {
 			continue
 		}
 		var resp *Response
-		req = Request{}
 		if !lost {
-			err = decodeRequest(line, &req)
+			err = decodeRequest(line, &req, texts)
 		}
 		if err != nil {
 			resp = failure(0, fmt.Errorf("%w: %v", ErrBadRequest, err))
@@ -396,6 +404,7 @@ func (c *conn) serve() {
 			// bug; the client still gets a typed answer.
 			out, _ = appendResponse(out[:0], failure(resp.ID, err))
 		}
+		c.resp = Response{} // written: an idle connection pins no result set
 		if _, err := c.nc.Write(out); err != nil {
 			return
 		}
@@ -419,15 +428,25 @@ func (c *conn) cleanup() {
 	c.srv.removeConn(c)
 }
 
+// ok readies the connection's reply to a request that succeeds.
+func (c *conn) ok(id uint64) *Response {
+	c.resp = Response{ID: id, OK: true}
+	return &c.resp
+}
+
 // handle executes one request end to end and returns its response.
 func (c *conn) handle(req *Request) *Response {
 	switch req.Op {
 	case OpPing:
-		return &Response{ID: req.ID, OK: true}
+		return c.ok(req.ID)
 	case OpStats:
-		return c.srv.statsResponse(req.ID)
+		resp := c.ok(req.ID)
+		resp.Stats = c.srv.WireStats()
+		return resp
 	case OpSlow:
-		return &Response{ID: req.ID, OK: true, Slow: c.srv.Slow()}
+		resp := c.ok(req.ID)
+		resp.Slow = c.srv.Slow()
+		return resp
 	case OpQuery, OpExec, OpBegin, OpCommit, OpRollback:
 	default:
 		return failure(req.ID, fmt.Errorf("%w: unknown op %q", ErrBadRequest, req.Op))
@@ -440,7 +459,8 @@ func (c *conn) handle(req *Request) *Response {
 	if open := c.sessDBName(); open != "" {
 		db = open
 	}
-	rt := c.srv.track(req.Op, db)
+	rt := &c.rt
+	c.srv.track(rt, req.Op, db)
 	rt.vt = c.srv.tracerFor(db).Now()
 	deadline := rt.start.Add(defaultDeadline)
 	if req.DeadlineMS > 0 {
@@ -525,16 +545,16 @@ func (s *Server) tracerFor(db string) *trace.Tracer {
 	return s.fleet.Stacks()[s.fleet.Route(db)].FS.Tracer()
 }
 
-// beginSession routes to db's shard and propagates the request's
+// beginSession opens sess on db's shard and propagates the request's
 // remaining wall budget to the mvcc layer as its busy budget. Virtual
 // time advances only with device work, so the wall remainder is a
 // conservative virtual bound.
-func (s *Server) beginSession(db string, readonly bool, deadline time.Time) (*shard.Session, error) {
+func (s *Server) beginSession(sess *shard.Session, db string, readonly bool, deadline time.Time) error {
 	budget := time.Until(deadline)
 	if budget <= 0 {
-		return nil, ErrDeadline
+		return ErrDeadline
 	}
-	return s.fleet.BeginTimeout(db, readonly, budget)
+	return s.fleet.BeginInto(sess, db, readonly, budget)
 }
 
 func (c *conn) beginTxn(req *Request, rt *reqTrack, deadline time.Time) *Response {
@@ -546,7 +566,8 @@ func (c *conn) beginTxn(req *Request, rt *reqTrack, deadline time.Time) *Respons
 			return failure(req.ID, err)
 		}
 	}
-	sess, err := c.srv.beginSession(rt.db, req.Readonly, deadline)
+	sess := new(shard.Session)
+	err := c.srv.beginSession(sess, rt.db, req.Readonly, deadline)
 	if err == nil {
 		// The transaction spans wire requests: this client's think time
 		// must never sit inside another client's commit.
@@ -560,7 +581,7 @@ func (c *conn) beginTxn(req *Request, rt *reqTrack, deadline time.Time) *Respons
 	}
 	sess.SetReq(rt.id)
 	c.setSess(sess, req.Readonly, rt.db)
-	return &Response{ID: req.ID, OK: true}
+	return c.ok(req.ID)
 }
 
 func (c *conn) endTxn(req *Request, rt *reqTrack, commit bool) *Response {
@@ -578,26 +599,26 @@ func (c *conn) endTxn(req *Request, rt *reqTrack, commit bool) *Response {
 	if err != nil {
 		return failure(req.ID, err)
 	}
-	return &Response{ID: req.ID, OK: true}
+	return c.ok(req.ID)
 }
 
 func (c *conn) query(req *Request, rt *reqTrack, deadline time.Time) *Response {
 	sess := c.curSess()
 	autocommit := sess == nil
 	if autocommit {
-		s, err := c.srv.beginSession(rt.db, true, deadline)
+		sess = &c.auto
+		err := c.srv.beginSession(sess, rt.db, true, deadline)
 		rt.cut(stageBegin)
 		if err != nil {
 			return failure(req.ID, err)
 		}
-		sess = s
 		defer func() {
 			_ = sess.Commit()
 			rt.cut(stageCommit)
 		}()
 	}
 	sess.SetReq(rt.id)
-	rows, err := sess.Query(req.SQL, normalizeArgs(req.Args)...)
+	rows, err := sess.Query(req.SQL, req.Args...)
 	rt.cut(stageExec)
 	if err == nil {
 		err = rowsFinite(rows)
@@ -605,30 +626,35 @@ func (c *conn) query(req *Request, rt *reqTrack, deadline time.Time) *Response {
 	if err != nil {
 		return failure(req.ID, err)
 	}
-	return &Response{ID: req.ID, OK: true, result: rows}
+	resp := c.ok(req.ID)
+	resp.resultCols, resp.resultRows = rows.Columns, rows.Data
+	return resp
 }
 
 func (c *conn) exec(req *Request, rt *reqTrack, deadline time.Time) *Response {
 	if sess := c.curSess(); sess != nil {
 		sess.SetReq(rt.id)
-		n, err := sess.Exec(req.SQL, normalizeArgs(req.Args)...)
+		n, err := sess.Exec(req.SQL, req.Args...)
 		rt.cut(stageExec)
 		if err != nil {
 			return failure(req.ID, err)
 		}
-		return &Response{ID: req.ID, OK: true, Affected: n}
+		resp := c.ok(req.ID)
+		resp.Affected = n
+		return resp
 	}
 	// Autocommit write: breaker, begin, exec, commit.
 	if err := c.srv.brkFor(rt.db).allowWrite(); err != nil {
 		return failure(req.ID, err)
 	}
-	s, err := c.srv.beginSession(rt.db, false, deadline)
+	s := &c.auto
+	err := c.srv.beginSession(s, rt.db, false, deadline)
 	rt.cut(stageBegin)
 	if err != nil {
 		return failure(req.ID, err)
 	}
 	s.SetReq(rt.id)
-	n, err := s.Exec(req.SQL, normalizeArgs(req.Args)...)
+	n, err := s.Exec(req.SQL, req.Args...)
 	rt.cut(stageExec)
 	if err != nil {
 		_ = s.Rollback()
@@ -640,11 +666,9 @@ func (c *conn) exec(req *Request, rt *reqTrack, deadline time.Time) *Response {
 	if err != nil {
 		return failure(req.ID, err)
 	}
-	return &Response{ID: req.ID, OK: true, Affected: n}
-}
-
-func (s *Server) statsResponse(id uint64) *Response {
-	return &Response{ID: id, OK: true, Stats: s.WireStats()}
+	resp := c.ok(req.ID)
+	resp.Affected = n
+	return resp
 }
 
 // WireStats samples the tier's health snapshot: tier-level counters

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/mvcc"
 	"repro/internal/ncq"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -114,14 +115,22 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// A JSON number at or beyond 2^63 has no int64: it stays a float64
-// instead of wrapping to MinInt64, where WHERE k = ? would match that row.
+// An integral JSON number in args decodes as an int64, but one at or
+// beyond 2^63 has no int64: it stays a float64 instead of wrapping to
+// MinInt64, where WHERE k = ? would match that row.
 func TestNormalizeArgsBounds(t *testing.T) {
-	got := normalizeArgs([]any{9223372036854775807.0, 9223372036854775808.0, -9223372036854775808.0, 42.0, 1.5})
-	want := []any{float64(1 << 63), float64(1 << 63), int64(math.MinInt64), int64(42), 1.5}
+	var req Request
+	line := `{"op":"query","args":[9223372036854775807,9223372036854775808,-9223372036854775808,42,42.0,4.2e1,-0,1.5]}`
+	if err := decodeRequest([]byte(line), &req, map[string]string{}); err != nil {
+		t.Fatal(err)
+	}
+	want := []any{float64(1 << 63), float64(1 << 63), int64(math.MinInt64), int64(42), int64(42), int64(42), int64(0), 1.5}
+	if len(req.Args) != len(want) {
+		t.Fatalf("decoded %d args, want %d", len(req.Args), len(want))
+	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("arg %d: got %T %v, want %T %v", i, got[i], got[i], want[i], want[i])
+		if req.Args[i] != want[i] {
+			t.Errorf("arg %d: got %T %v, want %T %v", i, req.Args[i], req.Args[i], want[i], want[i])
 		}
 	}
 }
@@ -714,4 +723,191 @@ func TestErrorTaxonomy(t *testing.T) {
 	if _, ok := RetryAfterHint(ErrDeadline); ok {
 		t.Fatalf("bare error should carry no hint")
 	}
+}
+
+// TestAutocommitSessionReuse drives one connection through explicit
+// transactions (committed, rolled back, read-only) between autocommit
+// queries and UPDATEs, which all run on the connection's one reused
+// session, while a second connection's autocommit UPDATEs and an
+// embedded writer's run beside them. Every reply must match a model of
+// the table, and an explicit transaction's session, once finished, must
+// stay finished.
+//
+// The tier's writers poll for the writer lock with a busy budget, so
+// they never queue behind each other; the embedded writer queues FIFO,
+// which lets a served autocommit session defer its commit to it and
+// wait in the manager's group — holding the connection's session until
+// the group's commit(t) acknowledges it.
+func TestAutocommitSessionReuse(t *testing.T) {
+	srv, addr := startServer(t, Options{})
+	a, b := dial(t, addr), dial(t, addr)
+	// A busy reply applied nothing: send it again.
+	do := func(run func() (*Response, error)) (*Response, error) {
+		for {
+			resp, err := run()
+			if err != nil || resp.OK || resp.Code != "busy" {
+				return resp, err
+			}
+		}
+	}
+	ok := oker(t)
+	must := func(run func() (*Response, error)) *Response { return ok(do(run)) }
+	exec := func(cl *Client, sql string, args ...any) func() (*Response, error) {
+		return func() (*Response, error) { return cl.Exec(sql, args...) }
+	}
+	// a owns keys [0, aKeys), the embedded writer fifoKey, and b the
+	// bRows keys from bFirst on, all of which each of b's UPDATEs writes:
+	// a statement long enough for the embedded writer to queue behind.
+	const aKeys, fifoKey, bFirst, bRows = 4, 4, 5, 256
+	must(exec(a, "CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)"))
+	for k := 0; k < bFirst+bRows; k++ {
+		must(exec(a, "INSERT INTO kv VALUES (?, 0)", k))
+	}
+	// valueOf reads k's v on a (autocommit outside a transaction).
+	valueOf := func(k int) int64 {
+		t.Helper()
+		resp := must(func() (*Response, error) { return a.Query("SELECT v FROM kv WHERE k = ?", k) })
+		if len(resp.Rows) != 1 || len(resp.Rows[0]) != 1 {
+			t.Fatalf("k=%d read as %+v", k, resp.Rows)
+		}
+		return int64(resp.Rows[0][0].(float64))
+	}
+
+	// b and the embedded writer only write keys a never does, so a's
+	// model is exact throughout.
+	var bAcked, fifoAcked atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w, err := srv.Fleet().Begin(srv.opts.DBName, false)
+			if err == nil {
+				_, err = w.Exec("UPDATE kv SET v = v + 1 WHERE k = ?", fifoKey)
+				if err == nil {
+					err = w.Commit()
+				} else {
+					_ = w.Rollback()
+				}
+			}
+			if err != nil {
+				t.Errorf("embedded writer: %v", err)
+				return
+			}
+			fifoAcked.Add(1)
+			// A polling writer finds the lock free only between the
+			// embedded writer's transactions: leave it room.
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := do(exec(b, "UPDATE kv SET v = v + 1 WHERE k >= ?", bFirst))
+			if err != nil || !resp.OK || resp.Affected != bRows {
+				t.Errorf("b's update: %+v %v", resp, err)
+				return
+			}
+			bAcked.Add(1)
+		}
+	}()
+
+	model := make([]int64, aKeys)
+	var finished []*shard.Session
+	for i := 0; i < 40; i++ {
+		k := i % aKeys
+		if resp := must(exec(a, "UPDATE kv SET v = v + 1 WHERE k = ?", k)); resp.Affected != 1 {
+			t.Fatalf("autocommit update of k=%d affected %d rows", k, resp.Affected)
+		}
+		model[k]++
+		if got := valueOf(k); got != model[k] {
+			t.Fatalf("round %d: k=%d reads %d after an autocommit update, model %d", i, k, got, model[k])
+		}
+
+		readonly := i%3 == 2
+		must(func() (*Response, error) { return a.Begin(readonly) })
+		sess := openSession(t, srv)
+		if !readonly {
+			must(exec(a, "UPDATE kv SET v = v + 10 WHERE k = ?", k))
+		}
+		inside := model[k]
+		if !readonly {
+			inside += 10
+		}
+		if got := valueOf(k); got != inside {
+			t.Fatalf("round %d: k=%d reads %d inside the transaction, want %d", i, k, got, inside)
+		}
+		if i%2 == 0 {
+			ok(a.Commit())
+			model[k] = inside
+		} else {
+			ok(a.Rollback())
+		}
+		finished = append(finished, sess)
+		if got := valueOf(k); got != model[k] {
+			t.Fatalf("round %d: k=%d reads %d after the transaction ended, model %d", i, k, got, model[k])
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	for k := range model {
+		if got := valueOf(k); got != model[k] {
+			t.Errorf("k=%d ends at %d, model %d", k, got, model[k])
+		}
+	}
+	resp := must(func() (*Response, error) {
+		return a.Query("SELECT SUM(v) FROM kv WHERE k >= ?", bFirst)
+	})
+	if got := int64(resp.Rows[0][0].(float64)); got != bRows*bAcked.Load() {
+		t.Errorf("b's keys sum to %d after %d acknowledged updates of %d rows", got, bAcked.Load(), bRows)
+	}
+	if got := valueOf(fifoKey); got != fifoAcked.Load() {
+		t.Errorf("the embedded writer's key is %d, its acknowledged updates %d", got, fifoAcked.Load())
+	}
+	// Every request's finish went through the slow ring's lock after its
+	// session ended: taking it orders those ends before the reads below.
+	srv.Slow()
+	st := &srv.Manager().Stats
+	t.Logf("%d and %d updates beside a's; %d group commits carried %d write transactions",
+		bAcked.Load(), fifoAcked.Load(), st.GroupCommits.Load(), st.GroupMembers.Load())
+	for i, sess := range finished {
+		for _, s := range finished[:i] {
+			if s == sess {
+				t.Fatalf("transaction %d ran on an earlier transaction's session", i)
+			}
+		}
+		if _, err := sess.Query("SELECT 1"); !errors.Is(err, mvcc.ErrSessionDone) {
+			t.Fatalf("transaction %d's session answers %v after it ended, want ErrSessionDone", i, err)
+		}
+	}
+}
+
+// openSession returns the session of the one connection with an open
+// transaction.
+func openSession(t *testing.T, srv *Server) *shard.Session {
+	t.Helper()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for c := range srv.conns {
+		if sess := c.curSess(); sess != nil {
+			if sess == &c.auto {
+				t.Fatalf("an explicit transaction runs on the connection's autocommit session")
+			}
+			return sess
+		}
+	}
+	t.Fatalf("no connection has an open transaction")
+	return nil
 }

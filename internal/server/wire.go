@@ -1,8 +1,9 @@
 // The wire codec: the grammar doc.go states, written and read by hand
 // on the data path. Encoding appends a message to a buffer its
 // connection reuses. Decoding makes one pass over a line with no
-// reflection: keys and op names are matched in place, and only what the
-// decoded value keeps (strings, the args and rows) is allocated. The
+// reflection into a message its connection reuses: keys and op names
+// are matched in place, texts the connection has seen before are
+// interned, and only the values a message carries are allocated. The
 // stats and slow payloads are not per request: encoding/json writes and
 // reads them as nested values.
 package server
@@ -109,10 +110,9 @@ func appendResponse(b []byte, r *Response) ([]byte, error) {
 		b = append(b, `,"id":`...)
 		b = strconv.AppendUint(b, r.ID, 10)
 	}
-	res := r.result
-	if res != nil && len(res.Columns) > 0 {
+	if len(r.resultCols) > 0 {
 		b = append(b, `,"columns":[`...)
-		for i, c := range res.Columns {
+		for i, c := range r.resultCols {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -120,9 +120,9 @@ func appendResponse(b []byte, r *Response) ([]byte, error) {
 		}
 		b = append(b, ']')
 	}
-	if res != nil && len(res.Data) > 0 {
+	if len(r.resultRows) > 0 {
 		b = append(b, `,"rows":[`...)
-		for i, row := range res.Data {
+		for i, row := range r.resultRows {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -304,8 +304,13 @@ var (
 	wireOps = []string{OpQuery, OpExec, OpBegin, OpCommit, OpRollback, OpPing, OpStats, OpSlow}
 )
 
-// decodeRequest decodes one request line into r, which is zero.
-func decodeRequest(line []byte, r *Request) error {
+// decodeRequest decodes one request line into r, overwriting every
+// field of the request r held before and reusing its args' room. The sql
+// and db strings are interned in texts.
+func decodeRequest(line []byte, r *Request, texts map[string]string) error {
+	args := r.Args
+	clear(args)
+	*r = Request{}
 	d := decoder{b: line}
 	for n := 0; d.next('{', '}', n); n++ {
 		switch d.field(requestFields) {
@@ -314,11 +319,11 @@ func decodeRequest(line []byte, r *Request) error {
 		case "op":
 			r.Op = d.str(wireOps)
 		case "sql":
-			r.SQL = d.str(nil)
+			r.SQL = d.intern(texts)
 		case "db":
-			r.DB = d.str(nil)
+			r.DB = d.intern(texts)
 		case "args":
-			r.Args = d.scalars()
+			r.Args = d.scalars(args[:0], true)
 		case "deadline_ms":
 			if r.DeadlineMS = d.int(); r.DeadlineMS < 0 || r.DeadlineMS > maxDeadlineMS {
 				d.fail("deadline_ms out of range")
@@ -330,8 +335,12 @@ func decodeRequest(line []byte, r *Request) error {
 	return d.end()
 }
 
-// decodeResponse decodes one response line into r, which is zero.
-func decodeResponse(line []byte, r *Response) error {
+// decodeResponse decodes one response line into r, overwriting every
+// field of the response r held before. Columns and a first row of up to
+// two values fill r's own room, and the column names are interned in
+// texts.
+func decodeResponse(line []byte, r *Response, texts map[string]string) error {
+	*r = Response{}
 	d := decoder{b: line}
 	for n := 0; d.next('{', '}', n); n++ {
 		switch d.field(responseFields) {
@@ -340,9 +349,9 @@ func decodeResponse(line []byte, r *Response) error {
 		case "ok":
 			r.OK = d.bool()
 		case "columns":
-			r.Columns = d.strs()
+			r.Columns = d.strs(r.cols[:0], texts)
 		case "rows":
-			r.Rows = d.rows()
+			r.Rows = d.rows(r)
 		case "affected":
 			r.Affected = d.int()
 		case "req_id":
@@ -587,6 +596,31 @@ func (d *decoder) str(known []string) string {
 	return string(t)
 }
 
+// A connection interns at most internCount texts of at most internLen
+// bytes each, and drops them all when the table is full, as sqlite.DB
+// drops its statement cache.
+const (
+	internCount = 64
+	internLen   = 1 << 10
+)
+
+// intern reads a string as str does, and returns the one texts holds
+// with the same spelling: a statement or name sent again is not copied.
+func (d *decoder) intern(texts map[string]string) string {
+	t := d.text()
+	if s, ok := texts[string(t)]; ok {
+		return s
+	}
+	s := string(t)
+	if len(s) <= internLen {
+		if len(texts) >= internCount {
+			clear(texts)
+		}
+		texts[s] = s
+	}
+	return s
+}
+
 func (d *decoder) bool() bool {
 	switch d.ws() {
 	case 't':
@@ -616,18 +650,25 @@ func (d *decoder) int() int64 {
 	return n
 }
 
-// scalars decodes args or a row of rows: [] is empty, not nil.
-func (d *decoder) scalars() []any {
-	a := make([]any, 0)
-	for n := 0; d.next('[', ']', n); n++ {
-		a = append(a, d.scalar())
+// scalars decodes args or a row of rows, appending to dst: [] is empty,
+// not nil.
+func (d *decoder) scalars(dst []any, ints bool) []any {
+	if dst == nil {
+		dst = []any{}
 	}
-	return a
+	for n := 0; d.next('[', ']', n); n++ {
+		dst = append(dst, d.scalar(ints))
+	}
+	return dst
 }
 
 // scalar decodes a string, number, bool or null as encoding/json
-// decodes it into an interface: a number is a float64.
-func (d *decoder) scalar() any {
+// decodes it into an interface: a number is a float64. With ints, a
+// number that holds an exact integral value is an int64 instead, so a
+// bind parameter compares equal to an INTEGER column. The upper bound is
+// exclusive: float64(MaxInt64) rounds up to 2^63, which int64 cannot
+// hold.
+func (d *decoder) scalar(ints bool) any {
 	switch c := d.ws(); {
 	case c == '"':
 		return string(d.text())
@@ -644,23 +685,30 @@ func (d *decoder) scalar() any {
 	if err != nil {
 		d.fail("number out of range")
 	}
+	if ints && f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
+		return int64(f)
+	}
 	return f
 }
 
-func (d *decoder) rows() [][]any {
-	rows := make([][]any, 0)
+// rows decodes a reply's rows, the first into r's room.
+func (d *decoder) rows(r *Response) [][]any {
+	rows := r.one[:0]
 	for n := 0; d.next('[', ']', n); n++ {
-		rows = append(rows, d.scalars())
+		var room []any
+		if n == 0 {
+			room = r.vals[:0]
+		}
+		rows = append(rows, d.scalars(room, false))
 	}
 	return rows
 }
 
-func (d *decoder) strs() []string {
-	s := make([]string, 0)
+func (d *decoder) strs(dst []string, texts map[string]string) []string {
 	for n := 0; d.next('[', ']', n); n++ {
-		s = append(s, d.str(nil))
+		dst = append(dst, d.intern(texts))
 	}
-	return s
+	return dst
 }
 
 // nested hands a member that is not per request to encoding/json, which

@@ -181,7 +181,7 @@ func (f *Fleet) Manager(db string) (*mvcc.Manager, int, error) {
 // plus the shard's commit gate (held shared for the session's lifetime
 // so a cross-shard 2PC window on the same shard excludes it).
 type Session struct {
-	*mvcc.Session
+	mvcc.Session
 	f        *Fleet
 	shard    int
 	writer   bool
@@ -192,20 +192,22 @@ type Session struct {
 // shard's commit gate shared until Commit or Rollback; readers (MVCC
 // snapshots) bypass the gate entirely.
 func (f *Fleet) Begin(db string, readonly bool) (*Session, error) {
-	return f.begin(db, readonly, 0)
+	s := new(Session)
+	if err := f.BeginInto(s, db, readonly, 0); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// BeginTimeout is Begin with a busy-wait budget forwarded to the
-// session manager (0: the manager's default). The serving tier uses it
-// to propagate request deadlines.
-func (f *Fleet) BeginTimeout(db string, readonly bool, budget time.Duration) (*Session, error) {
-	return f.begin(db, readonly, budget)
-}
-
-func (f *Fleet) begin(db string, readonly bool, budget time.Duration) (*Session, error) {
+// BeginInto is Begin into a session the caller owns (new or ended; see
+// mvcc.Manager.BeginInto), with a busy-wait budget forwarded to the
+// session manager (0: wait in the FIFO queue however long it takes). The
+// serving tier runs each connection's autocommit requests on one such
+// session and propagates request deadlines as the budget.
+func (f *Fleet) BeginInto(s *Session, db string, readonly bool, budget time.Duration) error {
 	m, shard, err := f.Manager(db)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	writer := !(readonly && f.sessOpt.Mode == mvcc.MVCC)
 	if writer {
@@ -214,14 +216,16 @@ func (f *Fleet) begin(db string, readonly bool, budget time.Duration) (*Session,
 	if budget <= 0 {
 		budget = mvcc.Unbounded
 	}
-	s, err := m.BeginWith(readonly, budget)
-	if err != nil {
+	// Released until the session is open: a failed begin holds no gate.
+	s.f, s.shard, s.writer, s.released = f, shard, writer, true
+	if err := m.BeginInto(&s.Session, readonly, budget); err != nil {
 		if writer {
 			f.gates[shard].RUnlock()
 		}
-		return nil, err
+		return err
 	}
-	return &Session{Session: s, f: f, shard: shard, writer: writer}, nil
+	s.released = false
+	return nil
 }
 
 // EachManager visits every open session manager (stable shard order,
