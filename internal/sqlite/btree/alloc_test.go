@@ -87,10 +87,8 @@ func TestPointReadAllocs(t *testing.T) {
 		if ok, err := tr.View(next(), view); err != nil || !ok {
 			t.Fatalf("View(%d): ok %v err %v", rowid, ok, err)
 		}
-		if pg := tr.hinted(rowid); pg == nil {
+		if !tr.hinted(rowid) {
 			t.Fatalf("View(%d) leaves no usable hint", rowid)
-		} else {
-			pg.Release()
 		}
 		if err := tr.Insert(rowid, payloads[rowid]); err != nil {
 			t.Fatalf("Insert(%d): %v", rowid, err)

@@ -690,45 +690,48 @@ func (t *Tree) stamp(began uint64) {
 	}
 }
 
-// hinted returns, pinned, the leaf of the last descent's path if a point
-// access for rowid may skip its descent; nil otherwise. The path must be
-// good for the current pager generation: every page on it was cached when
-// it was stamped, and since then no page has left the cache, been freed or
-// been allocated, so every page on it is still cached and it is still the
-// tree's path to that leaf — skipping the descent skips only cache hits,
-// and a hit changes nothing. And the leaf must cover rowid (see covers).
-func (t *Tree) hinted(rowid int64) *pager.Page {
+// hinted reports whether a point access for rowid may skip its descent
+// and take the last descent's path as it lies. The path must be good for
+// the current pager generation: every page on it was cached when it was
+// stamped, and since then no page has left the cache, been freed or been
+// allocated, so every page on it is still cached and it is still the
+// tree's path to that leaf. And the leaf must cover rowid (see covers).
+// The check pins nothing, so it leaves the frame list as it found it.
+func (t *Tree) hinted(rowid int64) bool {
 	if len(t.path) == 0 || t.pathGen != t.pg.Gen() {
-		return nil
+		return false
 	}
-	pg := t.pg.Cached(t.path[len(t.path)-1])
-	if pg != nil && !covers(pg.Data(), rowid) {
-		pg.Release()
-		pg = nil
-	}
-	return pg
+	leaf := t.pg.Peek(t.path[len(t.path)-1])
+	return leaf != nil && covers(leaf.Data(), rowid)
 }
 
 // rowLeaf returns, pinned, the table leaf that holds rowid or would hold
-// it, for a read: the hinted leaf, else the one leafFor reaches.
+// it, for a read: the hinted leaf, else the one leafFor reaches. A hinted
+// read pins and unpins each page above the leaf in turn, as the descent it
+// stands for would, and then pins the leaf: every step is a cache hit and
+// the frame list ends in the descent's order, so the skipped search is
+// all the hint saves, and no later eviction can tell.
 func (t *Tree) rowLeaf(rowid int64) (*pager.Page, error) {
-	if pg := t.hinted(rowid); pg != nil {
-		return pg, nil
+	if !t.hinted(rowid) {
+		return t.leafFor(rowid, nil)
 	}
-	return t.leafFor(rowid, nil)
+	leaf := len(t.path) - 1
+	for _, pgno := range t.path[:leaf] {
+		t.pg.Cached(pgno).Release()
+	}
+	return t.pg.Cached(t.path[leaf]), nil
 }
 
 // pinPath pins into t.pins the path from the root to the leaf that holds,
 // or would hold, a key, as a write holds it: every page stays pinned until
-// unpin. The hinted path is pinned as it lies; otherwise a descent gets
-// each page while holding the one above, and records the path it took.
-// The leaf is t.pins' last page.
+// unpin. The hinted path is pinned as it lies, root first, as a descent
+// pins it; otherwise a descent gets each page while holding the one above,
+// and records the path it took. The leaf is t.pins' last page.
 func (t *Tree) pinPath(rowid int64, key []byte) error {
-	if leaf := t.hinted(rowid); leaf != nil {
-		for _, pgno := range t.path[:len(t.path)-1] {
+	if t.hinted(rowid) {
+		for _, pgno := range t.path {
 			t.pins = append(t.pins, t.pg.Cached(pgno))
 		}
-		t.pins = append(t.pins, leaf)
 		return nil
 	}
 	began := t.pg.Gen()

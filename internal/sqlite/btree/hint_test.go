@@ -88,26 +88,7 @@ type scriptStats struct {
 // "session:page".
 func runTreeScript(t testing.TB, next func(n int) int, steps int, fresh bool) (scriptStats, []string) {
 	t.Helper()
-	prof := storage.OpenSSD()
-	prof.Nand.Blocks = 256
-	prof.Nand.PagesPerBlock = 32
-	prof.Nand.PageSize = 1024
-	dev, err := storage.New(prof, simclock.New(), storage.Options{Transactional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.New()
-	tr.Attach(dev.Clock(), "hint")
-	fsys.SetTracer(tr)
-	cfg := pager.Config{Mode: pager.Off, CacheSize: 8}
-	w, err := pager.Open(fsys, "hint.db", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsys, tr, w, cfg := hintStack(t)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -169,9 +150,8 @@ func runTreeScript(t testing.TB, next func(n int) int, steps int, fresh bool) (s
 	// point runs one writer point access, counting whether the hint serves it.
 	point := func(rowid int64, op func(*Tree)) {
 		st.ops++
-		if pg := long.hinted(rowid); pg != nil {
+		if long.hinted(rowid) {
 			st.hinted++
-			pg.Release()
 		}
 		op(tree())
 	}
@@ -289,11 +269,116 @@ func runTreeScript(t testing.TB, next func(n int) int, steps int, fresh bool) (s
 		must(reader.Close())
 		must(snap.Close())
 	}
+	return st, pagerMisses(tr)
+}
+
+// hintStack is the scripts' stack: an X-FTL device, its file system
+// traced, and a writer pager with an 8-page cache over hint.db.
+func hintStack(t testing.TB) (*simfs.FS, *trace.Tracer, *pager.Pager, pager.Config) {
+	t.Helper()
+	prof := storage.OpenSSD()
+	prof.Nand.Blocks = 256
+	prof.Nand.PagesPerBlock = 32
+	prof.Nand.PageSize = 1024
+	dev, err := storage.New(prof, simclock.New(), storage.Options{Transactional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New()
+	tr.Attach(dev.Clock(), "hint")
+	fsys.SetTracer(tr)
+	cfg := pager.Config{Mode: pager.Off, CacheSize: 8}
+	w, err := pager.Open(fsys, "hint.db", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fsys, tr, w, cfg
+}
+
+// pagerMisses returns the pager misses tr recorded, in order, as
+// "session:page".
+func pagerMisses(tr *trace.Tracer) []string {
 	var misses []string
 	for _, ev := range tr.Events() {
 		if ev.Layer == trace.LPager && ev.Kind == trace.KPageRead {
 			misses = append(misses, fmt.Sprintf("%d:%d", ev.Sess, ev.Addr))
 		}
 	}
-	return st, misses
+	return misses
+}
+
+// TestHintIsUnobservableBetweenTrees interleaves point reads of one table
+// with reads of a second table and of one row's overflow chain, all on
+// an 8-page cache: pages that are unpinned between a table's last descent
+// and its next, hinted, read. The hinted read must leave the frame list
+// as the descent would, each page above the leaf unpinned in turn, or
+// the table's root turns colder than the pages read between, and a
+// later eviction tells the runs apart.
+func TestHintIsUnobservableBetweenTrees(t *testing.T) {
+	run := func(fresh bool) (hinted int, misses []string) {
+		_, tr, w, _ := hintStack(t)
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(w.Begin())
+		roots := make([]pager.Pgno, 2)
+		for i := range roots {
+			root, err := CreateTable(w)
+			must(err)
+			roots[i] = root
+			tree := OpenTable(w, root)
+			for rowid := int64(1); rowid <= 60; rowid++ {
+				must(tree.Insert(rowid, bytes.Repeat([]byte{byte(rowid)}, 90)))
+			}
+		}
+		must(OpenTable(w, roots[1]).Insert(61, bytes.Repeat([]byte{'o'}, 2500)))
+		must(w.Commit())
+
+		long := OpenTable(w, roots[0])
+		rng := rand.New(rand.NewSource(1))
+		rowid := int64(1)
+		for step := 0; step < 2000; step++ {
+			table, key := 0, rowid
+			switch k := rng.Intn(10); {
+			case k < 3: // beside the last read of the first table
+				rowid = min(max(rowid+int64(rng.Intn(5))-2, 1), 60)
+				key = rowid
+			case k < 4:
+				rowid = 1 + rng.Int63n(60)
+				key = rowid
+			case k < 9:
+				table, key = 1, 1+rng.Int63n(60)
+			default: // the overflow row, three pages of chain
+				table, key = 1, 61
+			}
+			tree := OpenTable(w, roots[table])
+			if table == 0 && !fresh {
+				tree = long
+				if long.hinted(key) {
+					hinted++
+				}
+			}
+			ok, err := tree.View(key, func([]byte) error { return nil })
+			if err != nil || !ok {
+				t.Fatalf("step %d: View(%d) in table %d: ok %v err %v", step, key, table, ok, err)
+			}
+		}
+		return hinted, pagerMisses(tr)
+	}
+	hinted, hintedMisses := run(false)
+	_, freshMisses := run(true)
+	if hinted < 200 {
+		t.Fatalf("only %d reads took the hint", hinted)
+	}
+	if len(hintedMisses) == 0 || !slices.Equal(hintedMisses, freshMisses) {
+		t.Fatalf("the hint changed the pager's misses: %d with it, %d without, first difference at %d",
+			len(hintedMisses), len(freshMisses), firstDiff(hintedMisses, freshMisses))
+	}
 }

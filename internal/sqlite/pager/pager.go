@@ -101,6 +101,7 @@ type Page struct {
 	dirty      bool
 	pins       int
 	prev, next *Page // neighbours in Pager.frames; next also links Pager.free
+	frames     *Page // Pager.frames, where Release moves the frame
 }
 
 // Pgno returns the page's number.
@@ -134,13 +135,16 @@ type Pager struct {
 
 	cache map[Pgno]*Page
 
-	// frames is the sentinel of the frame list, in load order, oldest at
-	// frames.next. The victim is the oldest unpinned frame (FIFO; pinned
-	// frames keep their place). A page that a rewind or an Advance drops
-	// leaves cache for dropped but keeps its frame and its place until the
-	// next eviction pass: reloaded before the pass, it has both back. The
-	// pass moves the frames still dropped to free, and makeRoom's victims
-	// go there too. A frame is made only when a miss finds free empty.
+	// frames is the sentinel of the frame list, in unpin order, coldest at
+	// frames.next: a load joins at the hot end, and the Release that drops
+	// a frame's last pin moves it there again. The victim is the least
+	// recently unpinned frame (SQLite's pcache1 LRU; pinned frames are
+	// stepped over). A page that a rewind or an Advance drops leaves cache
+	// for dropped but keeps its frame until the next eviction pass:
+	// reloaded before the pass, it has it back, pinned, and its Release
+	// makes it the hottest like any other. The pass moves the frames still
+	// dropped to free, and makeRoom's victims go there too. A frame is made
+	// only when a miss finds free empty.
 	frames  Page
 	dropped map[Pgno]*Page
 	free    *Page
@@ -482,6 +486,11 @@ func (p *Pager) Cached(pgno Pgno) *Page {
 	return pg
 }
 
+// Peek returns pgno's page if it is in the cache, without I/O and without
+// pinning it, so its place in the frame list does not change; nil if it is
+// not cached. The page is good to read until the next Get or Allocate.
+func (p *Pager) Peek(pgno Pgno) *Page { return p.cache[pgno] }
+
 // Gen reports the cache generation (see Pager.gen).
 func (p *Pager) Gen() uint64 { return p.gen }
 
@@ -497,11 +506,12 @@ func (p *Pager) frame(pgno Pgno) *Page {
 		p.free = pg.next
 		return pg
 	}
-	return &Page{data: make([]byte, p.PageSize())}
+	return &Page{data: make([]byte, p.PageSize()), frames: &p.frames}
 }
 
 // install caches pgno, freshly loaded into pg, pinned once more: at the
-// tail of the frame list, or at its old place if pg is its dropped frame.
+// hot end of the frame list, or at its old place if pg is its dropped
+// frame (a pinned frame's place is never looked at).
 func (p *Pager) install(pgno Pgno, pg *Page) *Page {
 	if pg.prev == nil {
 		pg.prev, pg.next = p.frames.prev, &p.frames
@@ -524,18 +534,24 @@ func (p *Pager) toFree(pg *Page) {
 	pg.next, p.free = p.free, pg
 }
 
-// Release unpins a page obtained from Get or Allocate.
+// Release unpins a page obtained from Get, Cached or Allocate. The last
+// unpin makes the frame the most recently used: it moves to the hot end.
 func (pg *Page) Release() {
 	if pg.pins > 0 {
-		pg.pins--
+		if pg.pins--; pg.pins == 0 && pg.prev != nil {
+			hot := pg.frames
+			pg.prev.next, pg.next.prev = pg.next, pg.prev
+			pg.prev, pg.next = hot.prev, hot
+			hot.prev.next, hot.prev = pg, pg
+		}
 	}
 }
 
-// makeRoom evicts unpinned pages, oldest load first, until the cache is
-// under its limit. Dirty evictions are the steal policy: uncommitted
-// content reaches storage under whatever protection the journal mode
-// provides. An eviction costs O(1) amortised plus the pinned pages it
-// steps over.
+// makeRoom evicts unpinned pages, least recently unpinned first, until
+// the cache is under its limit. Dirty evictions are the steal policy:
+// uncommitted content reaches storage under whatever protection the
+// journal mode provides. An eviction costs O(1) amortised plus the
+// pinned pages it steps over.
 func (p *Pager) makeRoom() error {
 	for len(p.cache) >= p.cfg.CacheSize {
 		// An eviction pass forgets the place of every dropped page.

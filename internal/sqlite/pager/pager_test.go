@@ -24,7 +24,7 @@ type env struct {
 	host *metrics.HostCounters
 }
 
-func newEnv(t *testing.T, mode JournalMode) *env {
+func newEnv(t testing.TB, mode JournalMode) *env {
 	t.Helper()
 	var fsMode simfs.JournalMode
 	transactional := false
@@ -46,7 +46,7 @@ func newEnv(t *testing.T, mode JournalMode) *env {
 	return &env{fs: fsys, host: host}
 }
 
-func openPager(t *testing.T, e *env, mode JournalMode, cache int) *Pager {
+func openPager(t testing.TB, e *env, mode JournalMode, cache int) *Pager {
 	t.Helper()
 	p, err := Open(e.fs, "test.db", Config{Mode: mode, CacheSize: cache, CheckpointPages: 50})
 	if err != nil {
@@ -84,7 +84,7 @@ func getFill(t *testing.T, p *Pager, pgno Pgno) byte {
 }
 
 // grow allocates n pages inside an open transaction.
-func grow(t *testing.T, p *Pager, n int) []Pgno {
+func grow(t testing.TB, p *Pager, n int) []Pgno {
 	t.Helper()
 	var out []Pgno
 	for i := 0; i < n; i++ {

@@ -194,9 +194,39 @@ func (d deviceRun) run(seed int64) (*Report, error) {
 		}
 	}
 
+	// A run with a corruption target (the meta sweep's, on an aged ideal
+	// chip) laps the meta ring once after its second commit: with power
+	// cuts off, filler rewrites and barriers program a ring's worth of
+	// meta pages and a block more, erases included, and the cut comes at
+	// the next NAND op. A map group the commits dirtied is persisted at
+	// the first barrier and not again, so its pointed page is the one a
+	// lap would take if the ring lost track of it.
+	lap := d.slot != ""
+	lapRing := func() error {
+		dev.PowerCutAfter(0)
+		ring := int64(ftl.MetaBlocks * prof.Nand.PagesPerBlock)
+		filler := written[[2]int64{span, fillVersion}]
+		for i, start := int64(0), dev.NANDOps(); dev.NANDOps()-start-i < ring+int64(prof.Nand.PagesPerBlock); i++ {
+			if err := submit(&ncq.Request{Op: ncq.OpWrite, LPN: span, Data: filler}); err != nil {
+				return err
+			}
+			if err := submit(&ncq.Request{Op: ncq.OpBarrier}); err != nil {
+				return err
+			}
+		}
+		dev.PowerCutAfter(1)
+		return nil
+	}
+
 	arm()
 schedule:
 	for txn := 1; txn <= cmp.Or(d.txns, deviceTxns); txn++ {
+		if lap && rep.Committed == 2 {
+			lap = false
+			if err := lapRing(); err != nil {
+				return rep, fmt.Errorf("ring lap: %w", err)
+			}
+		}
 		if s := d.storm; s != nil && s.hangEvery > 0 && txn%s.hangEvery == 0 {
 			dev.HangUnit((txn/s.hangEvery)%prof.Nand.Units(), s.hangStall)
 		}

@@ -172,6 +172,8 @@ func TestCrashStep(t *testing.T) {
 		{name: "plain power cut", cause: nand.ErrPowerLost},
 		{name: "damage found by the scan", cause: nand.ErrPowerLost, rig: fakeRig{damaged: 3, recovery: scan}, c: corruption{slot: "map"}},
 		{name: "slot not persisted yet", cause: nand.ErrPowerLost, rig: fakeRig{recovery: ftl.RecoveryInfo{Mode: ftl.RecoveryImage}}, c: corruption{slot: "bbt"}},
+		{name: "nothing damaged yet scanned", cause: nand.ErrPowerLost, rig: fakeRig{recovery: scan}, c: corruption{slot: "bbt"}, want: "nothing of \"bbt\" damaged"},
+		{name: "scan with no target named", cause: nand.ErrPowerLost, rig: fakeRig{recovery: scan}},
 		{name: "non-power fault escaped", cause: errors.New("nand: program failed"), want: "non-power fault escaped"},
 		{name: "corruption injected but image path taken", cause: nand.ErrPowerLost,
 			rig: fakeRig{damaged: 3, recovery: ftl.RecoveryInfo{Mode: ftl.RecoveryImage}}, c: corruption{slot: "map"}, want: "yet recovery took the"},

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	xftl "repro"
@@ -26,7 +27,7 @@ import (
 // What such a transaction wrote is observed by point reads — served from
 // whatever the rollback left in the 8-page cache, the only place a page
 // it wrote could survive. A scan cannot stand in: walking a table wider
-// than a FIFO cache re-reads every page from storage, stale copy or not.
+// than an LRU cache re-reads every page from storage, stale copy or not.
 type sqlRun struct {
 	mode xftl.Mode
 	// cut arms a power cut 1..cut NAND operations ahead, re-arming after
@@ -244,6 +245,9 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 		}
 	}
 	dev.PowerCutAfter(0)
+	if err := rewriteLongRow(db, m); err != nil {
+		return rep, fmt.Errorf("long row: %w", err)
+	}
 	o, err := obs(nil)
 	if err != nil {
 		return rep, fmt.Errorf("final scan: %w", err)
@@ -271,4 +275,37 @@ func loadPartsupp(db *sqlite.DB, m *model) error {
 		m.load(int64(k), int64(k))
 	}
 	return db.Commit()
+}
+
+// rewriteLongRow gives one row an overflow chain longer than the 8-page
+// cache and commits, then rewrites the row and commits again, power on.
+// The rewrite frees the old chain page by page while the row's leaf path
+// is pinned: the chain's pages become the most recently unpinned frames,
+// so the pinned path turns coldest, and each eviction the walk causes must
+// step over it.
+func rewriteLongRow(db *sqlite.DB, m *model) error {
+	const key = 1
+	long := strings.Repeat("x", 12*int(sqlProfile().Nand.PageSize))
+	for i, stmt := range []struct {
+		sql  string
+		args []any
+	}{
+		{`UPDATE partsupp SET ps_supplycost = ?, ps_comment = ? WHERE ps_partkey = ?`, []any{long, key}},
+		{`UPDATE partsupp SET ps_supplycost = ? WHERE ps_partkey = ?`, []any{key}},
+	} {
+		tid := uint64(sqlTxns + 1 + i)
+		version := int64(tid * 1000)
+		if err := db.Begin(); err != nil {
+			return err
+		}
+		if _, err := db.Exec(stmt.sql, append([]any{float64(version)}, stmt.args...)...); err != nil {
+			return err
+		}
+		if err := db.Commit(); err != nil {
+			return err
+		}
+		m.write(tid, key, version)
+		m.commit(tid)
+	}
+	return nil
 }

@@ -158,7 +158,9 @@ func (r fsRig) Restart() error {
 // corruption names a persisted metadata structure ("map" for the
 // mapping-table pages, or a meta slot such as "bbt") whose every copy is
 // damaged after each power cut: flipped in place (CRC must catch it) or,
-// with erase, erased outright (a lost write). Zero damages nothing.
+// with erase, erased outright (a lost write). Zero damages nothing. Only
+// the meta sweep sets it, on ideal flash, where nothing but the damage
+// can fail the image path.
 type corruption struct {
 	slot  string
 	erase bool
@@ -175,7 +177,9 @@ func powerLost(err error) bool {
 // firmware. With the power off it damages the metadata c names,
 // power-cycles the rig, and holds recovery to the hierarchy: damage must
 // send it down the full-device OOB scan path, and in-place damage must
-// have been rejected by CRC, never silently accepted.
+// have been rejected by CRC, never silently accepted. Where c names a
+// target but nothing was there to damage, the image must mount: a scan
+// then means the ring lost a page a pointer still names.
 func crash(cause error, r rig, c corruption) error {
 	if !powerLost(cause) {
 		return fmt.Errorf("non-power fault escaped the stack: %w", cause)
@@ -192,10 +196,13 @@ func crash(cause error, r rig, c corruption) error {
 	if err := r.Restart(); err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
+	ri := r.LastRecovery()
 	if damaged == 0 {
+		if c.slot != "" && ri.Mode == ftl.RecoveryScan {
+			return fmt.Errorf("nothing of %q damaged, yet recovery took the scan path (reason %q)", c.slot, ri.Reason)
+		}
 		return nil
 	}
-	ri := r.LastRecovery()
 	if ri.Mode != ftl.RecoveryScan {
 		return fmt.Errorf("corrupted %d pages of %q yet recovery took the %v path (reason %q)", damaged, c.slot, ri.Mode, ri.Reason)
 	}
