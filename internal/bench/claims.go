@@ -45,7 +45,7 @@ var modeRows, walXFTL = []string{"RBJ", "WAL", "X-FTL"}, []string{"WAL", "X-FTL"
 // paperNotes is every figure the paper's evaluation states, in the order
 // its tables print.
 var paperNotes = []note{
-	{"Figure 5:", "paper (50%% validity): X-FTL {1}x faster than WAL, {1}x faster than RBJ", []Claim{
+	{"Figure 5:", "paper (50% validity): X-FTL {1}x faster than WAL, {1}x faster than RBJ", []Claim{
 		{"", "WAL/X-FTL", Ratio, 3.5, 0}, {"", "RBJ/X-FTL", Ratio, 11.7, 0}}},
 	{"Table 1:", "paper: RBJ {0}/{0}/{0}, {0} fsyncs; WAL {0}/{0}/{0}, {0}; X-FTL {0}/{0}/{0}, {0}",
 		cells(modeRows, []string{"DB", "Journal", "FSmeta", "fsyncs"},
