@@ -1151,7 +1151,7 @@ func (f *FTL) metaProgram(tag metaTag, payload []byte, src nand.PPN) (nand.PPN, 
 				crc = crc32.ChecksumIEEE(page)
 			}
 			oob := metaOOB(tag, crc)
-			err = f.chip.ProgramPageOOBInternal(ppn, page, oob[:])
+			err = f.chip.ProgramPageOOB(ppn, page, oob[:])
 		}
 		if err == nil {
 			// Stored whole, then marked live in place: marking the copy

@@ -24,9 +24,9 @@
 // were still covered by the persisted image are undone by a scan for
 // the same reason.
 //
-// All recovery reads use ScanRead: internal latency, quiet fault
-// accounting (a deliberately destroyed page must not count as an
-// escaped uncorrectable read), full page + spare in one transfer.
+// All recovery reads use ScanRead: quiet fault accounting (a
+// deliberately destroyed page must not count as an escaped
+// uncorrectable read), full page + spare in one transfer.
 package ftl
 
 import (
@@ -76,6 +76,11 @@ type RecoveryInfo struct {
 
 // LastRecovery reports how the most recent Restart recovered.
 func (f *FTL) LastRecovery() RecoveryInfo { return f.lastRecovery }
+
+// TimeRecovery sets the most recent recovery's Duration. A device
+// recovers inside one command window, where the clock stands still, and
+// reports the window's span here.
+func (f *FTL) TimeRecovery(d time.Duration) { f.lastRecovery.Duration = d }
 
 // Restart recovers the FTL after a power cut: first the fast image
 // path, then — on any integrity failure — the full-device scan. Either
@@ -586,8 +591,8 @@ func (f *FTL) sweepOrphans() {
 // spare record, for layered recovery logic that must rank two versions
 // of the same logical content (e.g. a recovered X-L2P row against the
 // mapping the scan adopted). Returns false for free, unreadable or
-// record-less pages. The read is quiet: it charges internal latency
-// but never counts as a host fault.
+// record-less pages. The read is quiet: it charges a page read but
+// never counts as a host fault.
 func (f *FTL) PageSeq(ppn nand.PPN) (uint64, bool) {
 	chipCfg := f.chip.Config()
 	buf := make([]byte, chipCfg.PageSize)

@@ -263,16 +263,16 @@ func TestFailedCommitFailsTheGroupAndFreesTheConnection(t *testing.T) {
 			mustExec(t, w2, "UPDATE kv SET v = 2 WHERE k = 2")
 			// Fill the X-L2P table under a foreign tid, leaving no row for
 			// the commit's pages.
-			x := m.fs.Device().XFTL()
-			page := make([]byte, m.fs.PageSize())
+			dev := m.fs.Device()
+			x, page := dev.XFTL(), make([]byte, m.fs.PageSize())
 			const foreign = 1 << 40
-			for lpn := ftl.LPN(m.fs.Device().LogicalPages() - 1); ; lpn-- {
-				if err := x.WriteTx(foreign, lpn, page); err != nil {
-					if !errors.Is(err, core.ErrTableFull) {
-						t.Fatal(err)
-					}
-					break
+			dev.Queue().Exclusive(func() {
+				for lpn := ftl.LPN(dev.LogicalPages() - 1); err == nil; lpn-- {
+					err = x.WriteTx(foreign, lpn, page)
 				}
+			})
+			if !errors.Is(err, core.ErrTableFull) {
+				t.Fatal(err)
 			}
 			if err := w2.Commit(); !errors.Is(err, core.ErrTableFull) {
 				t.Fatalf("commit on a full table: %v, want ErrTableFull", err)
@@ -282,7 +282,8 @@ func TestFailedCommitFailsTheGroupAndFreesTheConnection(t *testing.T) {
 					t.Fatalf("deferred member of the failed group: %v, want ErrTableFull", err)
 				}
 			}
-			if err := x.Abort(foreign); err != nil {
+			dev.Queue().Exclusive(func() { err = x.Abort(foreign) })
+			if err != nil {
 				t.Fatal(err)
 			}
 			w3, err := m.Begin(false)

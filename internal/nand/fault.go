@@ -83,9 +83,9 @@ type FaultModel struct {
 	// seeded number of consecutive attempts in [1, MaxTransientFails],
 	// then succeeds — so any retry loop with more than
 	// MaxTransientFails attempts is guaranteed to clear the fault.
-	// Transient injection is active only while a command-path Charger
-	// is attached; the offline recovery scan (charger detached) models
-	// mount-time interface retries below this layer.
+	// Transient injection is active only while a Charger is attached
+	// (a device, whose queue and firmware retry the fault); the
+	// recovery scan's quiet reads are never sampled.
 	TransientProb float64
 	// MaxTransientFails bounds the consecutive failures of one
 	// transient burst. Zero means 1 (a single failure per burst).
@@ -243,7 +243,7 @@ func (c *Chip) readFaults(p PPN, b *block, pi int, quiet bool) error {
 	if b.torn[pi] {
 		// A torn page never passes ECC no matter how many retries.
 		if c.fault != nil {
-			c.chargeRetry(p, time.Duration(c.fault.MaxReadRetries)*c.fault.ReadRetryLatency)
+			c.chargeOp(p, time.Duration(c.fault.MaxReadRetries)*c.fault.ReadRetryLatency)
 		}
 		if c.stats != nil && !quiet {
 			c.stats.UncorrectableReads.Add(1)
@@ -261,7 +261,7 @@ func (c *Chip) readFaults(p PPN, b *block, pi int, quiet bool) error {
 		return nil
 	}
 	if m.ECCBits > 0 && n > m.ECCBits {
-		c.chargeRetry(p, time.Duration(m.MaxReadRetries)*m.ReadRetryLatency)
+		c.chargeOp(p, time.Duration(m.MaxReadRetries)*m.ReadRetryLatency)
 		if c.stats != nil && !quiet {
 			c.stats.ReadRetries.Add(int64(m.MaxReadRetries))
 			c.stats.UncorrectableReads.Add(1)
@@ -272,7 +272,7 @@ func (c *Chip) readFaults(p PPN, b *block, pi int, quiet bool) error {
 		c.stats.CorrectedBits.Add(int64(n))
 	}
 	if m.RetryBits > 0 && n >= m.RetryBits {
-		c.chargeRetry(p, m.ReadRetryLatency)
+		c.chargeOp(p, m.ReadRetryLatency)
 		if c.stats != nil {
 			c.stats.ReadRetries.Add(1)
 		}
@@ -347,7 +347,7 @@ func (c *Chip) unitHangs(p PPN, b *block) {
 	if c.frng.Float64() >= c.fault.HangProb*c.fault.wearMult(b.eraseCount) {
 		return
 	}
-	c.chargeRetry(p, c.fault.HangStall)
+	c.chargeOp(p, c.fault.HangStall)
 	if c.stats != nil {
 		c.stats.UnitHangs.Add(1)
 	}

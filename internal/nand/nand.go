@@ -91,10 +91,9 @@ type Config struct {
 	// across the Channels*Ways units (ppn mod units), so sequential PPN
 	// streams — write frontiers, mapping-table flushes, GC copy-back —
 	// pipeline across units while commands to the same unit serialize.
-	// With a Charger installed (the device-level channel scheduler) each
-	// page operation occupies its unit for the full latency; without one,
-	// firmware-internal bulk operations keep the legacy behaviour of
-	// dividing their latency by the unit count. 0 of either means 1.
+	// The Charger (the device-level channel scheduler) does the
+	// pipelining: each page operation occupies its unit for the full
+	// latency. 0 of either means 1.
 	Channels int
 	Ways     int
 }
@@ -151,10 +150,11 @@ func (c Config) Units() int {
 }
 
 // Charger receives NAND latency charges instead of the chip's direct
-// clock advances. The device-level channel scheduler (internal/ncq)
-// installs one so that each page operation occupies its channel/way
-// unit for the full latency and concurrent commands to different units
-// overlap in simulated time.
+// clock advances. A device's channel scheduler (internal/ncq) is one:
+// each page operation occupies its channel/way unit for the full
+// latency inside the command being executed, so operations on
+// different units overlap in simulated time. A chip without one runs
+// its operations one after another on the clock.
 type Charger interface {
 	// ChargeUnit occupies one channel/way unit for d and returns the
 	// interval [start, end) the unit was actually busy — the exact
@@ -345,7 +345,7 @@ func (c *Chip) unhold(d *payload) bool {
 // Clock returns the simulated clock the chip advances.
 func (c *Chip) Clock() *simclock.Clock { return c.clock }
 
-// SetCharger installs (or, with nil, removes) the latency charger.
+// SetCharger installs the latency charger.
 func (c *Chip) SetCharger(ch Charger) { c.charger = ch }
 
 // SetTracer installs (or, with nil, removes) the event tracer.
@@ -393,29 +393,14 @@ func (c *Chip) note(k trace.Kind, addr int64, st, en time.Duration) {
 // Unit reports which channel/way unit a physical page lives on.
 func (c *Chip) Unit(p PPN) int { return int(int64(p) % c.units) }
 
-// chargeOp charges one page operation's latency. With a charger
-// installed the cost occupies the page's channel/way unit; otherwise
-// the clock advances directly, and firmware-internal bulk operations
-// keep the legacy behaviour of dividing by the unit count.
-func (c *Chip) chargeOp(p PPN, d time.Duration, internal bool) (start, end time.Duration) {
+// chargeOp occupies the page's channel/way unit for d: through the
+// charger when one is installed, on the clock otherwise.
+func (c *Chip) chargeOp(p PPN, d time.Duration) (start, end time.Duration) {
 	if c.charger != nil {
 		return c.charger.ChargeUnit(c.Unit(p), d)
 	}
-	if internal {
-		d /= c.internalDiv()
-	}
 	end = c.clock.Advance(d)
 	return end - d, end
-}
-
-// chargeRetry charges extra serialized time (ECC read retries) on the
-// page's unit; never divided.
-func (c *Chip) chargeRetry(p PPN, d time.Duration) {
-	if c.charger != nil {
-		c.charger.ChargeUnit(c.Unit(p), d)
-		return
-	}
-	c.clock.Advance(d)
 }
 
 // chargeErase charges a block erase. A block stripes across every
@@ -455,33 +440,33 @@ func (c *Chip) ReadPage(p PPN, buf []byte) error {
 	if len(buf) < c.cfg.PageSize {
 		return ErrShortBuffer
 	}
-	data, _, _, err := c.readCell(p, readHost)
+	data, _, _, err := c.readCell(p, false)
 	if err == nil {
 		copy(buf, data)
 	}
 	return err
 }
 
-// ReadCopyBack is the read half of a NAND copy-back: a firmware-internal
-// read, charged, counted and faulted as one, that leaves the page in the
-// chip for ProgramCopyBack to program from. Nothing is transferred.
+// ReadCopyBack is the read half of a NAND copy-back: a page read,
+// charged, counted and faulted as one, that leaves the page in the chip
+// for ProgramCopyBack to program from. Nothing is transferred.
 func (c *Chip) ReadCopyBack(p PPN) error {
-	_, _, _, err := c.readCell(p, readCopyBack)
+	_, _, _, err := c.readCell(p, false)
 	return err
 }
 
-// ScanRead is the recovery-scan read: firmware-internal latency, data
-// and spare area in one transfer, and quiet fault accounting (a torn or
-// ECC-dead page returns ErrUncorrectable without counting as an escaped
-// uncorrectable read — the scan expects to trip over such pages). A free
-// page returns (PageFree, nil) with nothing copied: the scan still
-// issued the read and found the all-ones erased pattern. A discarded
-// page returns PageInvalid, its spare area and a zeroed payload.
+// ScanRead is the recovery-scan read: data and spare area in one
+// transfer, and quiet fault accounting (a torn or ECC-dead page returns
+// ErrUncorrectable without counting as an escaped uncorrectable read —
+// the scan expects to trip over such pages). A free page returns
+// (PageFree, nil) with nothing copied: the scan still issued the read
+// and found the all-ones erased pattern. A discarded page returns
+// PageInvalid, its spare area and a zeroed payload.
 func (c *Chip) ScanRead(p PPN, buf, oobBuf []byte) (PageState, error) {
 	if len(buf) < c.cfg.PageSize || len(oobBuf) < OOBSize {
 		return PageFree, ErrShortBuffer
 	}
-	data, oob, st, err := c.readCell(p, readScan)
+	data, oob, st, err := c.readCell(p, true)
 	if err == nil && st != PageFree {
 		copy(buf, data)
 		clear(oobBuf[copy(oobBuf, oob):OOBSize])
@@ -489,34 +474,24 @@ func (c *Chip) ScanRead(p PPN, buf, oobBuf []byte) (PageState, error) {
 	return st, err
 }
 
-// readMode is what a page read is for.
-type readMode uint8
-
-const (
-	readHost     readMode = iota
-	readCopyBack          // firmware-internal latency
-	// readScan is internal and quiet: expected failures (torn pages, ECC
-	// overflow) do not bump the UncorrectableReads/ReadRetries escape
-	// counters, interface faults and hangs are not sampled, and a free
-	// page reads as erased instead of failing.
-	readScan
-)
-
 // readCell is the chip's one read path: it charges, counts and faults one
 // page read and returns the cell's own payload and spare slices (nil,
 // nil for a scanned free page; the zero page and the spare area for a
 // scanned discarded one) and the page's state. Callers copy out of them
-// or, a copy-back, ignore them. Only the scan may read a discarded page:
-// anyone else gets ErrDiscarded, after the read was charged like any
-// other.
-func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, err error) {
+// or, a copy-back, ignore them. A scan read is quiet: expected failures
+// (torn pages, ECC overflow) do not bump the UncorrectableReads/
+// ReadRetries escape counters, interface faults and hangs are not
+// sampled, and a free page reads as erased instead of failing. Only the
+// scan may read a discarded page: anyone else gets ErrDiscarded, after
+// the read was charged like any other.
+func (c *Chip) readCell(p PPN, scan bool) (data, oob []byte, st PageState, err error) {
 	bi, pi, err := c.split(p)
 	if err != nil {
 		return nil, nil, PageFree, err
 	}
 	b := &c.blocks[bi]
 	st = b.state[pi]
-	if st == PageFree && mode != readScan {
+	if st == PageFree && !scan {
 		return nil, nil, st, fmt.Errorf("%w: ppn %d", ErrReadFree, p)
 	}
 	if cut, err := c.opTick(); err != nil {
@@ -525,18 +500,17 @@ func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, e
 		// Power died mid-read: no data transferred, no cell change.
 		return nil, nil, st, ErrPowerLost
 	}
-	internal := mode != readHost
-	if mode != readScan {
+	if !scan {
 		c.unitHangs(p, b)
 		if c.transientFails(int64(p), b) {
 			// Interface fault: the read command ran (and took its time) but
 			// the transfer came back garbled. Nothing was transferred;
 			// reissuing the command succeeds once the burst clears.
-			c.chargeOp(p, c.cfg.ReadLatency, internal)
+			c.chargeOp(p, c.cfg.ReadLatency)
 			return nil, nil, st, fmt.Errorf("%w: read ppn %d", ErrTransient, p)
 		}
 	}
-	start, end := c.chargeOp(p, c.cfg.ReadLatency, internal)
+	start, end := c.chargeOp(p, c.cfg.ReadLatency)
 	if c.stats != nil {
 		c.stats.PageReads.Add(1)
 	}
@@ -544,11 +518,11 @@ func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, e
 	if st == PageFree {
 		return nil, nil, st, nil
 	}
-	err = c.readFaults(p, b, pi, mode == readScan)
+	err = c.readFaults(p, b, pi, scan)
 	// A torn page failed ECC above, so a payload missing here was
 	// discarded.
 	if err == nil && b.data[pi] == nil {
-		if mode == readScan {
+		if scan {
 			return c.zero.b, b.oob[pi], st, nil
 		}
 		err = ErrDiscarded
@@ -559,18 +533,9 @@ func (c *Chip) readCell(p PPN, mode readMode) (data, oob []byte, st PageState, e
 	return b.data[pi].b, b.oob[pi], st, nil
 }
 
-// internalDiv returns the charger-less latency divisor for
-// firmware-internal ops (legacy scalar parallelism model).
-func (c *Chip) internalDiv() time.Duration { return time.Duration(c.units) }
-
-// ProgramPageOOBInternal is ProgramPageOOB at firmware-internal latency.
-func (c *Chip) ProgramPageOOBInternal(p PPN, data, oob []byte) error {
-	return c.programPage(p, data, nil, oob, true)
-}
-
 // ProgramCopyBack is the program half of a NAND copy-back: it programs
 // dst with src's payload and spare record, checked, faulted, charged,
-// counted and traced exactly as ProgramPageOOBInternal. The copy moves
+// counted and traced exactly as ProgramPageOOB. The copy moves
 // no bytes: dst becomes one more holder of src's payload buffer (a blank
 // source's stays the zero page), and only the spare record is copied. A
 // source without a payload — free, torn, destroyed or discarded — fails
@@ -588,7 +553,7 @@ func (c *Chip) ProgramCopyBack(dst, src PPN) error {
 	if d == &c.zero {
 		d = nil
 	}
-	return c.programPage(dst, nil, d, sb.oob[pi], true)
+	return c.programPage(dst, nil, d, sb.oob[pi])
 }
 
 // ProgramPage writes data into an erased page and marks it valid. The
@@ -606,12 +571,12 @@ func (c *Chip) ProgramPage(p PPN, data []byte) error {
 // oob leaves the spare area all-zero; a torn or failed program consumes
 // data and spare alike.
 func (c *Chip) ProgramPageOOB(p PPN, data, oob []byte) error {
-	return c.programPage(p, data, nil, oob, false)
+	return c.programPage(p, data, nil, oob)
 }
 
 // programPage programs p from data, or from shared, another cell's
 // payload, when that is non-nil; with neither the page is blank.
-func (c *Chip) programPage(p PPN, data []byte, shared *payload, oob []byte, internal bool) error {
+func (c *Chip) programPage(p PPN, data []byte, shared *payload, oob []byte) error {
 	bi, pi, err := c.split(p)
 	if err != nil {
 		return err
@@ -643,7 +608,7 @@ func (c *Chip) programPage(p PPN, data []byte, shared *payload, oob []byte, inte
 		// Interface fault: the program command never reached the cells,
 		// so unlike a status fail the page is NOT consumed — the same
 		// ppn can be retried in place once the burst clears.
-		c.chargeOp(p, c.cfg.ProgLatency, internal)
+		c.chargeOp(p, c.cfg.ProgLatency)
 		return fmt.Errorf("%w: program ppn %d", ErrTransient, p)
 	}
 	if c.programFails(b) {
@@ -653,7 +618,7 @@ func (c *Chip) programPage(p PPN, data []byte, shared *payload, oob []byte, inte
 		b.state[pi] = PageInvalid
 		b.torn[pi] = true
 		b.freeCount--
-		c.chargeOp(p, c.cfg.ProgLatency, internal)
+		c.chargeOp(p, c.cfg.ProgLatency)
 		if c.stats != nil {
 			c.stats.ProgramFails.Add(1)
 		}
@@ -664,7 +629,7 @@ func (c *Chip) programPage(p PPN, data []byte, shared *payload, oob []byte, inte
 	b.freeCount--
 	// Charged, counted and traced before the payload copy, so the
 	// counter's locked add does not wait out the copy's stores.
-	st, en := c.chargeOp(p, c.cfg.ProgLatency, internal)
+	st, en := c.chargeOp(p, c.cfg.ProgLatency)
 	if c.stats != nil {
 		c.stats.PageWrites.Add(1)
 	}

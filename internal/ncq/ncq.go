@@ -332,7 +332,7 @@ func (q *Queue) submitLocked(r *Request) error {
 			}
 		}
 		if q.health != nil && unit >= 0 {
-			q.health.CommandFault(unit, r.Op, timedOut)
+			q.windowLocked(func() { q.health.CommandFault(unit, r.Op, timedOut) })
 		}
 		if attempt >= maxAttempts {
 			// Retry budget exhausted. A late success stands — the data
@@ -463,11 +463,23 @@ func (q *Queue) Close() {
 // Exclusive runs fn while holding the queue lock with no command in
 // flight executing — the control-plane path for power cuts, restarts
 // and metadata corruption, which must not interleave with commands.
-// fn must not call back into the queue.
-func (q *Queue) Exclusive(fn func()) {
+// fn runs as one command window opened now, so any NAND work it does
+// is charged to its units, and the clock advances to the window's end,
+// which Exclusive returns. fn must not call back into the queue.
+func (q *Queue) Exclusive(fn func()) time.Duration {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	return q.windowLocked(fn)
+}
+
+// windowLocked runs fn as one command window opened now and advances
+// the clock to the window's end, which it returns.
+func (q *Queue) windowLocked(fn func()) time.Duration {
+	q.sched.Begin(q.clock.Now())
 	fn()
+	end := q.sched.End()
+	q.clock.AdvanceTo(end)
+	return end
 }
 
 // Abandon discards all outstanding commands without completing them

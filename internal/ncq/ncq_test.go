@@ -181,12 +181,23 @@ func TestChargeAllOccupiesEveryUnit(t *testing.T) {
 	}
 }
 
-func TestStrayChargeAdvancesClock(t *testing.T) {
-	clk := simclock.New()
-	sched := NewScheduler(clk, 4)
-	sched.ChargeUnit(0, nandCost)
-	if clk.Now() != nandCost {
-		t.Errorf("stray charge advanced %v, want %v", clk.Now(), nandCost)
+// Every NAND charge belongs to a command window: one that lands with no
+// command open is a bug, and panics rather than pass unaccounted.
+func TestStrayChargePanics(t *testing.T) {
+	sched := NewScheduler(simclock.New(), 4)
+	for name, charge := range map[string]func(){
+		"unit":       func() { sched.ChargeUnit(0, nandCost) },
+		"all":        func() { sched.ChargeAll(nandCost) },
+		"controller": func() { sched.ChargeController(nandCost) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("stray %s charge did not panic", name)
+				}
+			}()
+			charge()
+		}()
 	}
 }
 

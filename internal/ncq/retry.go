@@ -73,9 +73,9 @@ type RetryPolicy struct {
 // HealthSink receives per-unit command outcomes from the queue. The
 // FTL's channel-health tracker implements it to count faults toward
 // quarantine thresholds and clean completions toward re-admission.
-// Calls arrive under the queue lock with no scheduler command open, so
-// the sink may run firmware work (a quarantine drain) but must not
-// call back into the queue.
+// Calls arrive under the queue lock, and the sink must not call back
+// into the queue. CommandFault runs in a command window of its own, so
+// it may do NAND work (a quarantine drain); the other two must not.
 type HealthSink interface {
 	// CommandOK reports a command whose final attempt completed
 	// cleanly on unit.

@@ -198,18 +198,20 @@ func TestLiveAbortAfterPrepareLeavesNoTrace(t *testing.T) {
 	dev := f.Stacks()[1].Device
 	x, page := dev.XFTL(), make([]byte, dev.PageSize())
 	const foreign = 1 << 40
-	for lpn := ftl.LPN(dev.LogicalPages() - 1); ; lpn-- {
-		if err := x.WriteTx(foreign, lpn, page); err != nil {
-			if !errors.Is(err, core.ErrTableFull) {
-				t.Fatal(err)
-			}
-			break
+	var err error
+	dev.Queue().Exclusive(func() {
+		for lpn := ftl.LPN(dev.LogicalPages() - 1); err == nil; lpn-- {
+			err = x.WriteTx(foreign, lpn, page)
 		}
+	})
+	if !errors.Is(err, core.ErrTableFull) {
+		t.Fatal(err)
 	}
 	if err := tx.Commit(); !errors.Is(err, core.ErrTableFull) {
 		t.Fatalf("Commit with shard 1's X-L2P table full: %v, want ErrTableFull", err)
 	}
-	if err := x.Abort(foreign); err != nil {
+	dev.Queue().Exclusive(func() { err = x.Abort(foreign) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := f.CrossAborts.Load(); n != 1 {

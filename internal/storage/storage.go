@@ -231,9 +231,9 @@ func New(prof Profile, clock *simclock.Clock, opts Options) (*Device, error) {
 }
 
 // healthSink adapts the FTL's channel-health tracker to the queue's
-// HealthSink interface. Calls arrive under the queue lock with no
-// scheduler command open, which is exactly the context the tracker's
-// quarantine drain (GC-style relocations) expects.
+// HealthSink interface. Calls arrive under the queue lock, and a fault
+// in a command window of its own: the context the tracker's quarantine
+// drain (GC-style relocations) needs.
 type healthSink struct{ f *ftl.FTL }
 
 func (h healthSink) CommandOK(unit int, _ ncq.Op) { h.f.NoteCommandOK(unit) }
@@ -610,42 +610,45 @@ func (d *Device) PowerCutAfter(n int64) {
 // the device has executed; it is the time base for PowerCutAfter.
 func (d *Device) NANDOps() int64 { return d.base.Chip().OpCount() }
 
-// Restart powers the device back on and runs firmware recovery,
-// charging its cost on the simulated clock. Recovery runs with the
-// channel scheduler detached — the device is offline, so its bulk
-// scans pipeline across idle channels like any firmware-internal
-// stream — and every channel comes back idle.
+// Restart powers the device back on and runs firmware recovery as one
+// command window: every channel comes back idle, and the recovery's
+// reads and programs are charged to their units, so its bulk scans
+// pipeline across them. The recovery's duration is the window's span.
 func (d *Device) Restart() error {
-	var err error
-	d.q.Exclusive(func() {
-		start := d.tracer.Now()
+	var (
+		err   error
+		start time.Duration
+	)
+	end := d.q.Exclusive(func() {
+		start = d.clock.Now()
 		chip := d.base.Chip()
 		prevOrigin := chip.SetOrigin(trace.ORecovery)
 		chip.Restore()
-		chip.SetCharger(nil)
+		d.sched.Reset()
 		if d.x != nil {
 			err = d.x.Restart()
 		} else {
 			err = d.base.Restart()
 		}
-		chip.SetCharger(d.sched)
-		d.sched.Reset()
 		chip.SetOrigin(prevOrigin)
-		if d.tracer != nil && err == nil {
-			info := d.base.LastRecovery()
-			d.tracer.Record(trace.Event{
-				Layer: trace.LXFTL, Kind: trace.KXRecover,
-				Start: start, Dur: d.tracer.Now() - start,
-				Aux: info.ScanPages, Origin: trace.ORecovery,
-			})
-		}
 	})
-	if err == nil {
-		// Re-open the abandoned queue only once recovery succeeded —
-		// and outside the Exclusive block (Resume takes the queue lock).
-		d.q.Resume()
+	if err != nil {
+		return err
 	}
-	return err
+	// The clock stands still inside a window, so the firmware could not
+	// time its own recovery.
+	d.base.TimeRecovery(end - start)
+	if d.tracer != nil {
+		d.tracer.Record(trace.Event{
+			Layer: trace.LXFTL, Kind: trace.KXRecover,
+			Start: start, Dur: end - start,
+			Aux: d.base.LastRecovery().ScanPages, Origin: trace.ORecovery,
+		})
+	}
+	// Re-open the abandoned queue only once recovery succeeded — and
+	// outside the Exclusive block (Resume takes the queue lock).
+	d.q.Resume()
+	return nil
 }
 
 // Health reports the device's wear state: how many blocks have been

@@ -298,6 +298,36 @@ func TestHealthReporting(t *testing.T) {
 	}
 }
 
+// A quarantine drain runs in a command window of its own: its copy-back
+// reads queue on the fenced unit while its programs spread over the
+// healthy ones, so it takes less than its operations one after another.
+func TestQuarantineDrainOverlapsUnits(t *testing.T) {
+	d, err := New(OpenSSD(), simclock.New(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lpn := int64(0); lpn < 256; lpn++ {
+		if err := do(d, ncq.Request{Op: ncq.OpWrite, LPN: lpn, Data: devPage(d, byte(lpn))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, start := d.FlashStats().Snapshot(), d.Clock().Now()
+	if err := d.QuarantineUnit(0); err != nil {
+		t.Fatal(err)
+	}
+	took, ops := d.Clock().Now()-start, d.FlashStats().Snapshot().Sub(before)
+	if ops.PageReads == 0 || ops.PageWrites == 0 {
+		t.Fatalf("the drain moved nothing: %d reads, %d programs", ops.PageReads, ops.PageWrites)
+	}
+	cfg := d.Profile().Nand
+	serial := time.Duration(ops.PageReads)*cfg.ReadLatency + time.Duration(ops.PageWrites)*cfg.ProgLatency +
+		time.Duration(ops.BlockErases)*cfg.EraseLatency
+	if took >= serial {
+		t.Errorf("drain of %d reads and %d programs took %v, want less than their serial %v",
+			ops.PageReads, ops.PageWrites, took, serial)
+	}
+}
+
 func TestRecoveryModeSurfaced(t *testing.T) {
 	d := newDev(t, true)
 	if err := do(d, ncq.Request{Op: ncq.OpWriteTx, TID: 1, LPN: 3, Data: devPage(d, 0xA1)}); err != nil {

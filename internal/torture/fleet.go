@@ -154,12 +154,15 @@ func fleetRun(seed int64, cut string, failPrepare int) (*Report, error) {
 		dev := f.Stacks()[failPrepare].Device
 		x, page := dev.XFTL(), make([]byte, dev.PageSize())
 		const foreign = 1 << 40
-		for lpn := ftl.LPN(dev.LogicalPages() - 1); x.WriteTx(foreign, lpn, page) == nil; lpn-- {
-		}
+		dev.Queue().Exclusive(func() {
+			for lpn := ftl.LPN(dev.LogicalPages() - 1); x.WriteTx(foreign, lpn, page) == nil; lpn-- {
+			}
+		})
 		if err := tx.Commit(); !errors.Is(err, core.ErrTableFull) {
 			return nil, fmt.Errorf("commit with participant %d's X-L2P table full: %v, want ErrTableFull", failPrepare, err)
 		}
-		if err := x.Abort(foreign); err != nil {
+		dev.Queue().Exclusive(func() { err = x.Abort(foreign) })
+		if err != nil {
 			return nil, err
 		}
 		m.abort(last)

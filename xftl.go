@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/nand"
 	"repro/internal/simclock"
 	"repro/internal/simfs"
 	"repro/internal/sqlite"
@@ -15,12 +14,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
-
-// FaultModel re-exports the NAND fault model for stack construction.
-type FaultModel = nand.FaultModel
-
-// DefaultFaultModel returns MLC-class fault rates for the given seed.
-func DefaultFaultModel(seed int64) *FaultModel { return nand.DefaultFaultModel(seed) }
 
 // Mode is one of the paper's three system configurations (§6.1).
 type Mode int
@@ -55,31 +48,14 @@ func (m Mode) String() string {
 type (
 	// Profile describes a storage device model.
 	Profile = storage.Profile
-	// Device is the simulated flash device with the extended commands.
-	Device = storage.Device
-	// FS is the simulated journaling file system.
-	FS = simfs.FS
-	// File is an open simulated file.
-	File = simfs.File
 	// DB is the embedded SQL database engine.
 	DB = sqlite.DB
 	// Rows is a materialized query result.
 	Rows = sqlite.Rows
-	// Value is one dynamically typed SQL value.
-	Value = sqlite.Value
-	// Clock is the simulated time base.
-	Clock = simclock.Clock
-	// HostCounters are the host-side I/O counters (Table 1, left).
-	HostCounters = metrics.HostCounters
-	// FlashCounters are the device-side counters (Table 1, right).
-	FlashCounters = metrics.FlashCounters
 )
 
 // OpenSSD returns the profile of the paper's prototype board.
 func OpenSSD() Profile { return storage.OpenSSD() }
-
-// S830 returns the profile of the newer comparison SSD (Figure 9).
-func S830() Profile { return storage.S830() }
 
 // Stack is a fully assembled system: device, file system, counters and
 // clock, configured for one of the paper's modes.
