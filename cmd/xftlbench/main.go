@@ -193,9 +193,7 @@ func experiments() []experiment {
 		{"table3", func(bench.Options) ([]*bench.Table, error) {
 			return []*bench.Table{bench.Table3()}, nil
 		}},
-		{"table4", tables(bench.RunTable4, func(t4 *bench.Table4) []*bench.Table {
-			return []*bench.Table{bench.Table3(), t4.Table()}
-		})},
+		{"table4", tables(bench.RunTable4, one((*bench.Table4).Table))},
 		{"fig8", tables(bench.RunFig8, one((*bench.Fig8).Table))},
 		{"fig9", tables(bench.RunFig9, one((*bench.Fig9).Table))},
 		{"table5", tables(bench.RunTable5, one(bench.Table5Table))},

@@ -20,7 +20,7 @@ func TestGoldenFollowsAllsOrder(t *testing.T) {
 		"fig7":   {"Figure 7:"},
 		"table2": {"Table 2:"},
 		"table3": {"Table 3:"},
-		"table4": {"Table 3:", "Table 4:"},
+		"table4": {"Table 4:"},
 		"fig8":   {"Figure 8:"},
 		"fig9":   {"Figure 9:"},
 		"table5": {"Table 5:"},
