@@ -149,3 +149,44 @@ func TestNANDWorkCarriesItsCommandsAttribution(t *testing.T) {
 		}
 	})
 }
+
+// A device recovers inside one command window, where the clock stands
+// still: the recovery's duration, in LastRecovery and in the KXRecover
+// span, is the window's span, which ends with the last NAND op it ran.
+func TestRecoveryTimedAcrossItsWindow(t *testing.T) {
+	d, tr := tracedDev(t, true)
+	data := devPage(d, 0x44)
+	for lpn := range int64(8) {
+		if err := do(d, ncq.Request{Op: ncq.OpWriteTx, TID: 1, LPN: lpn, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := do(d, ncq.Request{Op: ncq.OpCommit, TID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	d.PowerCut()
+	start, n := d.Clock().Now(), tr.Len()
+	evs := nandOps(t, tr, d.Restart)
+	took, last := d.Clock().Now()-start, start
+	for _, ev := range evs {
+		last = max(last, ev.Start+ev.Dur)
+	}
+	if took <= 0 || last != start+took {
+		t.Fatalf("recovery took %v, its last NAND op ended %v after it began", took, last-start)
+	}
+	if got := d.LastRecovery().Duration; got != took {
+		t.Errorf("LastRecovery().Duration = %v, want the window's %v", got, took)
+	}
+	spans := 0
+	for _, ev := range tr.Events()[n:] {
+		if ev.Kind == trace.KXRecover {
+			spans++
+			if ev.Start != start || ev.Dur != took {
+				t.Errorf("KXRecover span [%v, +%v), want [%v, +%v)", ev.Start, ev.Dur, start, took)
+			}
+		}
+	}
+	if spans != 1 {
+		t.Errorf("%d KXRecover spans, want 1", spans)
+	}
+}
