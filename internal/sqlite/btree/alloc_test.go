@@ -18,30 +18,14 @@ func TestPointReadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := OpenTable(ps.p, root)
-	const rows = 6000
+	const rows = 8000
 	for i := int64(1); i <= rows; i++ {
 		if err := tr.Insert(i, payloadFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ps.commit()
-	levels := 1
-	for pgno := root; ; levels++ {
-		pg, err := ps.p.Get(pgno)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaf := isLeaf(pg.Data())
-		pgno = 0
-		if !leaf {
-			pgno, err = tr.interiorChild(pg.Data(), 1, nil)
-		}
-		pg.Release()
-		if leaf || err != nil {
-			break
-		}
-	}
-	if levels < 3 {
+	if levels := depth(t, tr); levels < 3 {
 		t.Fatalf("tree of %d rows has %d levels, want 3", rows, levels)
 	}
 	rowid := int64(0)

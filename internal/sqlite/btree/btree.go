@@ -887,7 +887,7 @@ func (t *Tree) InsertKey(key []byte) error {
 }
 
 func (t *Tree) insertCell(c cell, key []byte) error {
-	split, err := t.insertInto(t.root, c, key)
+	split, err := t.insertInto(t.root, c, key, true)
 	if err != nil {
 		return err
 	}
@@ -932,8 +932,9 @@ func (t *Tree) splitRoot(s splitResult) error {
 }
 
 // insertInto descends to the leaf for the cell and inserts, splitting
-// on the way back up as needed.
-func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte) (*splitResult, error) {
+// on the way back up as needed. rightmost says pgno is its parent's
+// rightmost child, or the root.
+func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte, rightmost bool) (*splitResult, error) {
 	pg, err := t.pg.Get(pgno)
 	if err != nil {
 		return nil, err
@@ -955,7 +956,7 @@ func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte) (*splitResult, er
 		if ok, err := t.store(d, idx, old, c); ok || err != nil {
 			return nil, err
 		}
-		return t.splitLeaf(pg, idx, encodeCell(d[offType], c))
+		return t.splitLeaf(pg, idx, encodeCell(d[offType], c), rightmost)
 	}
 
 	child, err := t.interiorChild(d, c.rowid, key)
@@ -965,7 +966,7 @@ func (t *Tree) insertInto(pgno pager.Pgno, c cell, key []byte) (*splitResult, er
 	if child == 0 {
 		return nil, fmt.Errorf("%w: nil child in insert", ErrCorrupt)
 	}
-	split, err := t.insertInto(child, c, key)
+	split, err := t.insertInto(child, c, key, child == pager.Pgno(getU32(d, offRight)))
 	if err != nil || split == nil {
 		return nil, err
 	}
@@ -1104,12 +1105,20 @@ func collectRaw(d []byte) [][]byte {
 }
 
 // splitLeaf distributes a leaf's cells (plus one incoming raw cell at
-// slot idx) across the old page and a new right sibling.
-func (t *Tree) splitLeaf(pg *pager.Page, idx int, raw []byte) (*splitResult, error) {
+// slot idx) across the old page and a new right sibling, cutting at the
+// middle. A table leaf that is its parent's rightmost child (rightmost),
+// overflowing by a cell past its last, is SQLite's balance_quick case:
+// the incoming cell alone moves right and the old leaf stays full, so a
+// load in key order packs its leaves.
+func (t *Tree) splitLeaf(pg *pager.Page, idx int, raw []byte, rightmost bool) (*splitResult, error) {
 	d := pg.Data()
+	pageType := d[offType]
 	cells := collectRaw(d)
 	cells = append(cells[:idx], append([][]byte{raw}, cells[idx:]...)...)
 	mid := (len(cells) + 1) / 2
+	if rightmost && idx == len(cells)-1 && pageType == typeTableLeaf {
+		mid = idx
+	}
 
 	rightPg, err := t.pg.Allocate()
 	if err != nil {
@@ -1117,7 +1126,6 @@ func (t *Tree) splitLeaf(pg *pager.Page, idx int, raw []byte) (*splitResult, err
 	}
 	defer rightPg.Release()
 	rd := rightPg.Data()
-	pageType := d[offType]
 	nextLeaf := getU32(d, offRight)
 
 	initPage(d, pageType)
@@ -1268,6 +1276,89 @@ func (t *Tree) MaxRowid() (int64, error) {
 			d = pg.Data()
 		}
 	}
+}
+
+// Leaf is what Leaves reports of one leaf page.
+type Leaf struct {
+	Cells     int
+	Free      int  // bytes a new cell and its pointer could take
+	Rightmost bool // the page is its parent's rightmost child, or the root
+}
+
+// Leaves walks a table tree in key order and calls fn for each leaf,
+// checking what it passes: rowids ascend within and across pages, no cell
+// exceeds the divider above it, and the leaf chain links the leaves in
+// walk order. A break is ErrCorrupt.
+func (t *Tree) Leaves(fn func(Leaf) error) error {
+	if t.kind != KindTable {
+		return ErrWrongKind
+	}
+	w := leafWalk{t: t, fn: fn, prev: math.MinInt64}
+	if err := w.visit(t.root, math.MaxInt64, true); err != nil {
+		return err
+	}
+	if w.next != 0 {
+		return fmt.Errorf("%w: leaf chain runs past the last leaf", ErrCorrupt)
+	}
+	return nil
+}
+
+// leafWalk is one Leaves walk: the last rowid it passed, and the page the
+// last leaf's chain link names (seen: there was a last leaf).
+type leafWalk struct {
+	t    *Tree
+	fn   func(Leaf) error
+	prev int64
+	next pager.Pgno
+	seen bool
+}
+
+// visit walks the subtree at pgno, whose rowids are at most bound.
+func (w *leafWalk) visit(pgno pager.Pgno, bound int64, rightmost bool) error {
+	pg, err := w.t.pg.Get(pgno)
+	if err != nil {
+		return err
+	}
+	defer pg.Release()
+	d := pg.Data()
+	if isLeaf(d) {
+		if w.seen && pgno != w.next {
+			return fmt.Errorf("%w: leaf %d is not chained after the leaf before it", ErrCorrupt, pgno)
+		}
+		for i := range nCells(d) {
+			rid, err := rowidAt(d, i)
+			if err != nil {
+				return err
+			}
+			if rid <= w.prev || rid > bound {
+				return fmt.Errorf("%w: rowid %d on leaf %d out of order", ErrCorrupt, rid, pgno)
+			}
+			w.prev = rid
+		}
+		w.seen, w.next = true, pager.Pgno(getU32(d, offRight))
+		return w.fn(Leaf{Cells: nCells(d), Free: freeSpace(d), Rightmost: rightmost})
+	}
+	for i := range nCells(d) {
+		b, err := cellAt(d, i)
+		if err != nil {
+			return err
+		}
+		child, rest, err := childOf(b)
+		if err != nil {
+			return err
+		}
+		sep, _, err := rowidOf(rest)
+		if err != nil {
+			return err
+		}
+		if sep > bound {
+			return fmt.Errorf("%w: divider %d on page %d out of order", ErrCorrupt, sep, pgno)
+		}
+		if err := w.visit(child, sep, false); err != nil {
+			return err
+		}
+	}
+	return w.visit(pager.Pgno(getU32(d, offRight)), bound, true)
 }
 
 // Drop frees every page of the tree except the root, which is reset to

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/simfs"
+	"repro/internal/sqlite/btree"
 	"repro/internal/sqlite/pager"
 	"repro/internal/sqlite/sqlparse"
 )
@@ -85,6 +86,16 @@ func (db *DB) Close() error {
 
 // Pager exposes the pager for instrumentation (checkpoint counts etc.).
 func (db *DB) Pager() *pager.Pager { return db.pg }
+
+// TableLeaves walks a table's B-tree leaves in key order, checking the
+// tree as it goes (btree.Tree.Leaves).
+func (db *DB) TableLeaves(name string, fn func(btree.Leaf) error) error {
+	t, err := db.cat.table(name)
+	if err != nil {
+		return err
+	}
+	return t.tree.Leaves(fn)
+}
 
 // InTx reports whether an explicit transaction is open.
 func (db *DB) InTx() bool { return db.explicitTx }

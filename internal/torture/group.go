@@ -36,7 +36,7 @@ type groupRun struct {
 }
 
 const (
-	groupRows    = 3000 // a table of well over groupCache pages
+	groupRows    = 3800 // a table of well over groupCache pages
 	groupCache   = 8
 	groupUpdates = 3  // rows a plain member updates
 	groupWarm    = 4  // shared flushes completed before the cut is armed

@@ -37,7 +37,7 @@ type sessionRun struct {
 
 const (
 	sessionReaders = 4
-	sessionRows    = 600
+	sessionRows    = 900
 	sessionLeaves  = 4    // least leaf pages the table must span
 	sessionWarm    = 2    // generations committed before the cut is armed: recovery always has history to keep
 	sessionCut     = 1200 // under what 60 generations cost at the least: the cut always lands mid-stream

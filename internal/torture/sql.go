@@ -10,6 +10,7 @@ import (
 	xftl "repro"
 	"repro/internal/nand"
 	"repro/internal/sqlite"
+	"repro/internal/sqlite/btree"
 	"repro/internal/storage"
 )
 
@@ -18,8 +19,9 @@ import (
 // partsupp table) through SQLite, the file system and the device in one
 // journal mode. Keys are part keys, a version is the supplycost (no two
 // transactions write the same one), and observe is a table scan after the
-// database reopened and ran its own recovery. Rollback mode runs the
-// model under the rollback-journal contract (model.rbj).
+// database reopened and ran its own recovery, with the table's B-tree
+// checked (checkTree). Rollback mode runs the model under the
+// rollback-journal contract (model.rbj).
 //
 // About one transaction in sqlRollbackEvery ends in a live ROLLBACK
 // instead and is judged at once, power still on. The first of a run
@@ -43,6 +45,7 @@ type sqlRun struct {
 
 const (
 	sqlTuples        = 400
+	sqlPad           = 28 // comment bytes: the packed table spans 15 pages, wider than the cache
 	sqlTxns          = 40
 	sqlUpdates       = 4
 	sqlRollbackEvery = 5
@@ -95,7 +98,7 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 		return nil
 	}
 	// obs observes the table: the keys in first by point reads, in that
-	// order, then every other row by one scan.
+	// order, then every other row by one scan, then the tree's shape.
 	obs := func(first []int) (observe, error) {
 		got := make(map[int64]int64, sqlTuples)
 		for _, k := range first {
@@ -116,7 +119,7 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 				got[r[0].Int()] = int64(r[1].Real())
 			}
 		}
-		return lookup(got), nil
+		return lookup(got), checkTree(db)
 	}
 	if err := open(); err != nil {
 		return nil, err
@@ -248,6 +251,9 @@ func (s sqlRun) run(seed int64) (*Report, error) {
 	if err := rewriteLongRow(db, m); err != nil {
 		return rep, fmt.Errorf("long row: %w", err)
 	}
+	if err := widenRows(db, m); err != nil {
+		return rep, fmt.Errorf("widen rows: %w", err)
+	}
 	o, err := obs(nil)
 	if err != nil {
 		return rep, fmt.Errorf("final scan: %w", err)
@@ -268,7 +274,7 @@ func loadPartsupp(db *sqlite.DB, m *model) error {
 		return err
 	}
 	for k := 1; k <= sqlTuples; k++ {
-		if _, err := db.Exec(`INSERT INTO partsupp VALUES (?, ?, ?)`, k, float64(k), fmt.Sprintf("torture-%d", k)); err != nil {
+		if _, err := db.Exec(`INSERT INTO partsupp VALUES (?, ?, ?)`, k, float64(k), fmt.Sprintf("torture-%d-%s", k, strings.Repeat("c", sqlPad))); err != nil {
 			_ = db.Rollback()
 			return err
 		}
@@ -308,4 +314,43 @@ func rewriteLongRow(db *sqlite.DB, m *model) error {
 		m.commit(tid)
 	}
 	return nil
+}
+
+// widenRows widens every row in one transaction, power on, the table's end
+// first and each row by more than a leaf's slack: every full leaf then
+// overflows first past its last cell. Only a leaf that is its parent's
+// rightmost child may split by moving that one cell out; any other is cut
+// at the middle, which checkTree tells apart.
+func widenRows(db *sqlite.DB, m *model) error {
+	const tid = sqlTxns + 3 // after rewriteLongRow's two
+	if err := db.Begin(); err != nil {
+		return err
+	}
+	version := int64(tid * 1000)
+	for k := sqlTuples; k >= 1; k-- {
+		comment := fmt.Sprintf("torture-%d-%s", k, strings.Repeat("w", sqlPad+100))
+		if _, err := db.Exec(`UPDATE partsupp SET ps_supplycost = ?, ps_comment = ? WHERE ps_partkey = ?`, float64(version), comment, k); err != nil {
+			return err
+		}
+		m.write(tid, int64(k), version)
+	}
+	if err := db.Commit(); err != nil {
+		return err
+	}
+	m.commit(tid)
+	return nil
+}
+
+// checkTree walks partsupp's B-tree, which checks its key order, and
+// holds it to the split rule: no row is ever deleted, so a leaf holds a
+// single cell only where a right-edge split left it, as its parent's
+// rightmost child.
+func checkTree(db *sqlite.DB) error {
+	leaf := 0
+	return db.TableLeaves("partsupp", func(l btree.Leaf) error {
+		if leaf++; l.Cells == 1 && !l.Rightmost {
+			return fmt.Errorf("partsupp leaf %d holds one cell and is not its parent's rightmost child", leaf)
+		}
+		return nil
+	})
 }
