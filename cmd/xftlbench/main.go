@@ -13,7 +13,7 @@
 // model scaled by N (1 = realistic MLC rates). -seed N overrides every
 // workload generator's RNG seed (0 keeps the published defaults).
 // -torture runs the torture leg table instead (internal/torture,
-// DESIGN.md §18), every recovery judged by one model of the paper's
+// DESIGN.md §14), every recovery judged by one model of the paper's
 // §5.4 contract; -chaos runs its error-storm leg.
 //
 // -trace PATH records cross-layer events in the synthetic workload's
@@ -225,7 +225,7 @@ func run(what string, opts bench.Options) error {
 }
 
 // runLegs is the -torture and -chaos front end: one loop over the leg
-// table (torture.Legs; DESIGN.md §18 lists it), one summary line per leg
+// table (torture.Legs; DESIGN.md §14), one summary line per leg
 // on stdout. A non-zero faults value replaces the device sweep's fault
 // column and the SQL legs' default scale; a non-zero seed replaces every
 // leg's seed axis with that one seed, which is how a violation — whose

@@ -2,14 +2,18 @@
 //
 // Usage:
 //
-//	xftlserver [-addr HOST:PORT] [-mode xftl|rollback] [-channels N]
+//	xftlserver [-addr HOST:PORT] [-metrics-addr HOST:PORT] [-mode xftl|rollback]
+//	           [-channels N] [-shards N] [-readpool N]
 //
 // xftlserver listens on -addr (default 127.0.0.1:7890) and speaks the
 // line-delimited JSON protocol documented in internal/server: one
 // request object per line (query/exec/begin/commit/rollback/ping/
-// stats), one response object per line. SIGINT/SIGTERM triggers a
-// graceful drain: the listener closes, in-flight transactions run to
-// completion, then the stack shuts down.
+// stats/slow), one response object per line. -metrics-addr serves
+// /metrics, /debug/slow and /debug/pprof/ on a second listener; -shards
+// spreads databases over N independent stacks; -readpool sizes the warm
+// reader pool per database. SIGINT/SIGTERM triggers a graceful drain:
+// the listener closes, in-flight transactions run to completion, then
+// the stack shuts down.
 package main
 
 import (

@@ -54,8 +54,10 @@ func FuzzDecodeTidRanges(f *testing.F) {
 }
 
 // A map-group page read back at mount goes into the table as it stands,
-// so whatever loadMapGroup accepts must be the table's page over the
-// group's logical range — and nothing else may change.
+// so whatever loadMapGroup accepts, for any group number, must be the
+// table's page over the group's logical range, 0xFF past it, with no
+// entry naming a PPN at or past TotalPages — and nothing else may change.
+// A page it rejects leaves the table untouched.
 func FuzzLoadMapGroup(f *testing.F) {
 	chip, err := nand.New(testChipConfig(), simclock.New(), nil)
 	if err != nil {
@@ -141,7 +143,12 @@ func encodeChain(id uint16, base uint64, payload []byte, length int) (oobs [][oo
 // chain it accepts must re-encode identically: writing the accepted
 // payload as a chain of the accepted length, from the chain's base
 // sequence number, gives back every page that went into it, record and
-// bytes.
+// bytes. Inputs may be resealed (payload checksum and header CRC
+// recomputed), so records that pass the checksums are explored too. The
+// property holds because the scan refuses what no write makes: bits past
+// the length in a chain record's field A, bytes past the payload, two
+// different pages for one index, and a payload that does not tile the
+// pages as writeMetaSlot cuts it.
 func FuzzSlotChain(f *testing.F) {
 	units := func(sealed bool, oobs [][oobRecSize]byte, pages [][]byte) []byte {
 		var in []byte

@@ -124,11 +124,14 @@ func (m *cell) scanned(pageSize int) ([]byte, PageState) {
 // copy-backs, invalidations, discards, erases, corruptions and reads over
 // a four-block chip against a map model: a valid page, or an invalidated
 // one not discarded, reads back exactly what was programmed (and
-// corrupted) and its spare record; a discarded page fails typed. After
+// corrupted) and its spare record; a discarded page fails ErrDiscarded
+// (the scan reads it invalid, payload zeroed); a free page fails
+// ErrReadFree; a copy-back from a page without a payload fails. After
 // every operation the buffers obey the ownership invariant: every cell
 // holds its model's bytes, so cells that share a buffer hold equal bytes
 // and damage to one never reaches another; every buffer's holder count is
-// the number of cells holding it; and no buffer on the free list is held.
+// the number of cells holding it; no buffer on the free list is held; and
+// the zero page stays zero.
 func FuzzCellLifecycle(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 0, 2, 0, 0, 6, 0, 0, 6, 0, 1, 4, 0, 0, 0, 1, 2})
 	f.Add([]byte{1, 3, 0, 2, 3, 0, 0, 4, 9, 5, 4, 3, 6, 4, 2, 3, 0, 0, 0, 0, 7})

@@ -95,7 +95,8 @@
 // xftl_flash_page_writes_total, xftl_gc_runs_total,
 // xftl_host_page_writes_total{class}, xftl_tx_commits_total,
 // xftl_ncq_command_seconds{class}, xftl_readpool_hits_total{db} and the
-// rest of the catalogue in DESIGN.md §11. A scrape is safe under load.
+// rest, each with a HELP line saying what it counts (DESIGN.md §11). A
+// scrape is safe under load.
 //
 // # Error taxonomy
 //
@@ -162,7 +163,7 @@
 // shard.Fleet.BeginInto as the mvcc busy budget — virtual time advances no
 // faster than device work, so the virtual budget is a conservative
 // bound. Below that, the stack's NCQ retry plane runs with per-attempt
-// command deadlines and bounded retries (see DESIGN.md §12 for the
+// command deadlines and bounded retries (see DESIGN.md §9 for the
 // sizing rule), so a hung die costs a deadline, not a stall.
 //
 // # Graceful drain

@@ -63,7 +63,7 @@ const (
 	breakerFraction = 0.5
 	// cmdDeadline and cmdRetries configure the stack's NCQ retry plane.
 	// The per-attempt deadline must clear healthy per-unit queueing
-	// (DESIGN.md §12).
+	// (DESIGN.md §9).
 	cmdDeadline = 10 * time.Millisecond
 	cmdRetries  = 8
 	// slowCount is how many of the slowest requests the server keeps

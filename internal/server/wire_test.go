@@ -269,6 +269,14 @@ func TestWireAcceptsExamples(t *testing.T) {
 	}
 }
 
+// FuzzWireRequest holds decodeRequest to checkLine's contracts, one way:
+// what the codec accepts, json.Unmarshal accepts into a DeepEqual
+// Request, appendRequest's encoding of it reads back under json.Unmarshal
+// as json.Marshal's does, and decodeRequest reads that back the same. The
+// seeds are the protocol's examples, which must be accepted, and lines
+// the grammar refuses: folded, duplicated and unknown keys, nulls, nested
+// args, bad UTF-8 and lone surrogates, out-of-range numbers and
+// malformed lines.
 func FuzzWireRequest(f *testing.F) {
 	for _, c := range append(wireRequestCases, wireRequestExamples...) {
 		f.Add([]byte(c))
@@ -279,6 +287,12 @@ func FuzzWireRequest(f *testing.F) {
 	})
 }
 
+// FuzzWireResponse is FuzzWireRequest for decodeResponse, with the stats
+// and slow payloads handed to encoding/json. The decoded columns and rows
+// are written back as the result set appendResponse writes from; a row
+// holding a bool is never sent, since SQLite has no boolean value. The
+// seeds add stats and slow replies and duplicated columns with null
+// elements, which are refused.
 func FuzzWireResponse(f *testing.F) {
 	for _, c := range append(wireResponseCases, wireResponseExamples...) {
 		f.Add([]byte(c))

@@ -19,7 +19,9 @@ func coordPage(t testing.TB, size int, gtid uint64, parts ...participantKey) []b
 // The coordinator log is read back after a power cut, from pages a torn
 // append or later damage may have left behind. Whatever page
 // decodeCoordRecord is handed it must not panic, and a page it accepts
-// must be the one append writes for the record it read.
+// must be the one append writes for the record it read. A count that
+// overruns the page and bytes past the participants are refused, which
+// ends replay's scan.
 func FuzzCoordRecord(f *testing.F) {
 	f.Add(coordPage(f, 64, 1))
 	f.Add(coordPage(f, 64, 7, participantKey{0, 3}, participantKey{2, 1 << 40}))

@@ -39,8 +39,11 @@ func TestHintIsUnobservable(t *testing.T) {
 	}
 }
 
-// FuzzTreeOps is the same script driven by bytes: it never panics, both
-// runs always equal the model, and they miss alike.
+// FuzzTreeOps is the same script driven by bytes: lookups, inserts,
+// appends, same- and different-size overwrites, deletes, commits,
+// rollbacks, a dropped second tree and a reader advanced past commits.
+// It never panics, both runs always equal the model, and they miss
+// alike. One seed appends in key order, three levels deep.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{40, 7, 60, 3, 20, 80}, 60))

@@ -111,8 +111,9 @@ func TestInteriorSearchMatchesLinearScan(t *testing.T) {
 
 // FuzzCellAccess hands arbitrary page bytes, as each of the four page
 // types, to everything that reads a cell: parseCell and the in-place
-// search over it. Nothing may panic — a cell that runs off the page is
-// ErrCorrupt — and a cell that is accepted re-encodes to the bytes it was
+// search and interiorChild over it. Nothing may panic — a cell that runs
+// off the page is ErrCorrupt, an overflow chain's bad page number the
+// pager's error — and a cell that is accepted re-encodes to the bytes it was
 // read from (or, where a varint was padded, to a shorter cell that reads
 // back the same).
 func FuzzCellAccess(f *testing.F) {

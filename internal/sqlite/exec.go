@@ -9,7 +9,7 @@ import (
 	"repro/internal/sqlite/sqlparse"
 )
 
-// A statement compiles once per catalog generation (DESIGN.md §5): compile
+// A statement compiles once per catalog generation (DESIGN.md §7): compile
 // resolves every name, files every conjunct under its join level and picks
 // every access path; a run takes bound parameters and nothing else. The
 // compiled form owns the run's scratch — each source's decoded row, a

@@ -18,7 +18,7 @@ type source struct {
 	// skip has a bit set for each of the table's first 64 columns that no
 	// expression of the statement reads: its rows decode those as NULL.
 	skip uint64
-	// row is the decode scratch (DESIGN.md §17): every candidate of a scan
+	// row is the decode scratch (DESIGN.md §7): every candidate of a scan
 	// is decoded over the one before, so a row kept past the next decode is
 	// copied out first. An UPDATE's source keeps each candidate's stored
 	// record in rec the same way.

@@ -85,8 +85,9 @@ func TestEvictionOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzEvictionOrder is the same stream driven by bytes: the first picks
-// the journal mode. Its seeds are the test's streams, cut to their first
+// FuzzEvictionOrder is the same stream driven by bytes, WAL or Off (the
+// first byte picks): after every step the resident pages are those of
+// pcache1's rule, refCache's least recently unpinned evicted first. Its seeds are the test's streams, cut to their first
 // 60 steps, past the first evictions. Nearly every mutant finds new
 // coverage, and minimizing one can take the fuzzer's default minute, so
 // run it with -fuzzminimizetime=100x.

@@ -1174,7 +1174,7 @@ const maxGroupPages = 64
 func (p *Pager) groupFull() bool { return len(p.written) > maxGroupPages }
 
 // Every Off-mode write transaction ends in the same two steps (DESIGN.md
-// §5). stage: its dirty pages go to the file's write-back cache, beside
+// §8). stage: its dirty pages go to the file's write-back cache, beside
 // the deferred members' — a page two members wrote coalesces into one
 // write. settle: whoever issued the commit(t) that carried them says how
 // it ended, and the pending group — the deferred members plus, with self

@@ -288,7 +288,10 @@ func TestCrashPastJournalDirectoryRecoversAtomically(t *testing.T) {
 }
 
 // The journal decoder never panics, whatever the journal holds, and a
-// header and directory it accepts encode back to the same bytes.
+// header and directory it accepts encode back to the same bytes: the used
+// bytes of the header page and of each directory page past it. It refuses
+// a journal without the magic, one of an empty database (original size
+// 0), one naming more images than it has pages, and one naming page 0.
 func FuzzJournalHeader(f *testing.F) {
 	const ps = 64 // 13 entries in the header, 16 per directory page
 	enc := func(origSize Pgno, pgnos []Pgno) []byte {

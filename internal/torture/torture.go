@@ -11,7 +11,7 @@
 // LPNs, rows, generations, per-shard values. Every crash goes through
 // the one crash step and every grid through the one runner (Runner.Run);
 // Legs is the table xftlbench and the package tests both walk.
-// DESIGN.md §18 has the candidate rule, the leg and the mutant tables.
+// DESIGN.md §14 has the candidate rule and why the legs look as they do.
 package torture
 
 import (

@@ -67,10 +67,11 @@ type Stack struct {
 	Host   *metrics.HostCounters
 
 	// Gauges is the metrics registry the stack's layers publish into
-	// (DESIGN.md §11 lists the families): flash, FTL, X-FTL and NCQ
-	// counters from the device, host I/O from the file system, all
-	// labelled with the stack's shard id ("0" outside a fleet, whose
-	// members share one registry). Safe to scrape while commands run.
+	// (DESIGN.md §11; each family's HELP line says what it counts):
+	// flash, FTL, X-FTL and NCQ counters from the device, host I/O from
+	// the file system, all labelled with the stack's shard id ("0"
+	// outside a fleet, whose members share one registry). Safe to scrape
+	// while commands run.
 	Gauges *metrics.Registry
 
 	dbConfig sqlite.Config
