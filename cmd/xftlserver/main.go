@@ -2,18 +2,18 @@
 //
 // Usage:
 //
-//	xftlserver [-addr HOST:PORT] [-metrics-addr HOST:PORT] [-mode xftl|rollback]
-//	           [-channels N] [-shards N] [-readpool N]
+//	xftlserver [-addr HOST:PORT] [-metrics-addr HOST:PORT] [-channels N] [-shards N]
 //
 // xftlserver listens on -addr (default 127.0.0.1:7890) and speaks the
 // line-delimited JSON protocol documented in internal/server: one
 // request object per line (query/exec/begin/commit/rollback/ping/
-// stats/slow), one response object per line. -metrics-addr serves
-// /metrics, /debug/slow and /debug/pprof/ on a second listener; -shards
-// spreads databases over N independent stacks; -readpool sizes the warm
-// reader pool per database. SIGINT/SIGTERM triggers a graceful drain:
-// the listener closes, in-flight transactions run to completion, then
-// the stack shuts down.
+// stats/slow), one response object per line. Every database runs X-FTL
+// MVCC sessions: snapshot readers, served warm from a reader pool,
+// beside one FIFO writer. -metrics-addr serves /metrics, /debug/slow and
+// /debug/pprof/ on a second listener; -shards spreads databases over N
+// independent stacks. SIGINT/SIGTERM triggers a graceful drain: the
+// listener closes, in-flight transactions run to completion, then the
+// stack shuts down.
 package main
 
 import (
@@ -25,35 +25,21 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/mvcc"
 	"repro/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7890", "listen address")
 	metricsAddr := flag.String("metrics-addr", "", "serve observability HTTP on this address: /metrics, /debug/slow, /debug/pprof/ (empty disables)")
-	modeFlag := flag.String("mode", "xftl", "session model: xftl (MVCC snapshot readers) or rollback (serialized baseline)")
 	channels := flag.Int("channels", 8, "flash array channel count")
 	shards := flag.Int("shards", 1, "shard the tier across N independent X-FTL stacks, routing requests by database name")
-	readPool := flag.Int("readpool", 0, "warm reader connections pooled per database (0 = default 8, negative disables; xftl mode only)")
 	flag.Parse()
 
-	var mode mvcc.Mode
-	switch *modeFlag {
-	case "xftl":
-		mode = mvcc.MVCC
-	case "rollback":
-		mode = mvcc.Serialized
-	default:
-		fmt.Fprintf(os.Stderr, "xftlserver: unknown -mode %q (want xftl or rollback)\n", *modeFlag)
-		os.Exit(2)
-	}
-
-	os.Exit(serve(*addr, *metricsAddr, mode, *channels, *shards, *readPool))
+	os.Exit(serve(*addr, *metricsAddr, *channels, *shards))
 }
 
-func serve(addr, metricsAddr string, mode mvcc.Mode, channels, shards, readPool int) int {
-	srv, err := server.New(server.Options{Mode: mode, Channels: channels, Shards: shards, ReadPool: readPool})
+func serve(addr, metricsAddr string, channels, shards int) int {
+	srv, err := server.New(server.Options{Channels: channels, Shards: shards})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xftlserver: %v\n", err)
 		return 1
@@ -63,8 +49,7 @@ func serve(addr, metricsAddr string, mode mvcc.Mode, channels, shards, readPool 
 		fmt.Fprintf(os.Stderr, "xftlserver: %v\n", err)
 		return 1
 	}
-	fmt.Printf("xftlserver: serving %s on %s (protocol: one JSON request per line; see internal/server)\n",
-		mode, got)
+	fmt.Printf("xftlserver: serving on %s (protocol: one JSON request per line; see internal/server)\n", got)
 	var msrv *http.Server
 	if metricsAddr != "" {
 		msrv = &http.Server{Addr: metricsAddr, Handler: srv.MetricsMux()}

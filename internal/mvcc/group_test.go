@@ -201,7 +201,7 @@ func TestSuccessorClosesGroup(t *testing.T) {
 			m := newMVCCManager(t)
 			if tc.name == "steal" {
 				var err error
-				if m, err = NewManager(newStack(t, true), "test.db", Options{Mode: MVCC, Journal: pager.Off, CacheSize: 8}); err != nil {
+				if m, err = NewManager(newStack(t), "test.db", Options{Mode: MVCC, Journal: pager.Off, CacheSize: 8}); err != nil {
 					t.Fatal(err)
 				}
 				defer m.Close()
@@ -341,7 +341,7 @@ func TestLoneWriterCommandStream(t *testing.T) {
 		}
 	}
 	traced := func() (*simfs.FS, *trace.Tracer) {
-		fsys := newStack(t, true)
+		fsys := newStack(t)
 		tr := trace.New()
 		tr.Attach(fsys.Device().Clock(), t.Name())
 		fsys.Device().SetTracer(tr)

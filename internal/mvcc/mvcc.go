@@ -13,11 +13,6 @@
 // already holding a ticket leaves its pages with the file system, hands
 // the ticket on and waits, and the last of them commits the whole group
 // with one fsync — one commit(t) — before any member is acknowledged.
-//
-// The same API also runs in a Serialized mode that models the baseline
-// the paper compares against: a single rollback-journal connection
-// where every transaction — read or write — takes the one database
-// lock. The serving tier runs it for rollback-journal stacks.
 package mvcc
 
 import (
@@ -45,30 +40,19 @@ var (
 	ErrSessionDone = errors.New("mvcc: session already ended")
 )
 
-// Mode selects the concurrency model.
+// Mode names the concurrency model. MVCC is the only one.
 type Mode int
 
-const (
-	// MVCC runs readers on X-FTL snapshots (journal mode Off) with a
-	// FIFO-queued single writer. Requires a transactional device.
-	MVCC Mode = iota
-	// Serialized models the rollback-journal baseline: one connection,
-	// one lock, every transaction exclusive.
-	Serialized
-)
-
-func (m Mode) String() string {
-	if m == MVCC {
-		return "mvcc"
-	}
-	return "serialized"
-}
+// MVCC runs readers on X-FTL snapshots (journal mode Off) with a
+// FIFO-queued single writer. Requires a transactional device.
+const MVCC Mode = 0
 
 // Options configures a Manager.
 type Options struct {
+	// Mode must be MVCC.
 	Mode Mode
-	// Journal is the writer's journal mode. MVCC requires pager.Off;
-	// Serialized typically uses pager.Rollback.
+	// Journal is the writer's journal mode and must be pager.Off: the
+	// X-FTL device, not a journal, makes the writer's pages atomic.
 	Journal pager.JournalMode
 	// CacheSize is the pager cache per connection (0 = default).
 	CacheSize int
@@ -79,11 +63,10 @@ type Options struct {
 	// synchronous from the caller's point of view; the writer's reads
 	// always wait.
 	Pipelined bool
-	// PoolCapacity enables the warm reader pool in MVCC mode: finished
-	// read sessions park their snapshot connection (pager cache and
-	// catalog intact) for reuse by the next reader, advanced past the
-	// commits in between, up to this many idle connections. Zero disables
-	// pooling.
+	// PoolCapacity enables the warm reader pool: finished read sessions
+	// park their snapshot connection (pager cache and catalog intact) for
+	// reuse by the next reader, advanced past the commits in between, up
+	// to this many idle connections. Zero disables pooling.
 	PoolCapacity int
 }
 
@@ -106,8 +89,7 @@ type Manager struct {
 	opts Options
 	cfg  sqlite.Config
 
-	// db is the single persistent writer connection (and, in
-	// Serialized mode, the only connection).
+	// db is the single persistent writer connection.
 	db *sqlite.DB
 
 	// pool keeps warm reader connections between MVCC read sessions.
@@ -122,7 +104,7 @@ type Manager struct {
 	tail   uint64
 	closed bool
 
-	// Group commit (MVCC mode), under mu. waiters are the sessions whose
+	// Group commit, under mu. waiters are the sessions whose
 	// commit was deferred and awaits the group's fsync; groupEnd is the
 	// first ticket outside the open group — the tickets outstanding when
 	// its first member reached Commit — so a group is bounded however many
@@ -142,7 +124,10 @@ type Manager struct {
 // NewManager opens (or creates) the database and runs the journal-mode
 // recovery protocol once on the shared writer connection.
 func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
-	if opts.Mode == MVCC && opts.Journal != pager.Off {
+	if opts.Mode != MVCC {
+		return nil, fmt.Errorf("mvcc: unknown session mode %d", opts.Mode)
+	}
+	if opts.Journal != pager.Off {
 		return nil, fmt.Errorf("mvcc: MVCC mode requires journal mode Off, got %v", opts.Journal)
 	}
 	cfg := sqlite.Config{Mode: opts.Journal, CacheSize: opts.CacheSize}
@@ -152,10 +137,8 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 	}
 	m := &Manager{fs: fsys, name: name, opts: opts, cfg: cfg, db: db}
 	m.cond = sync.NewCond(&m.mu)
-	if opts.Mode == MVCC {
-		db.Pager().OnGroupSync = m.groupSynced
-	}
-	if opts.Mode == MVCC && opts.PoolCapacity > 0 {
+	db.Pager().OnGroupSync = m.groupSynced
+	if opts.PoolCapacity > 0 {
 		m.pool = readpool.New(opts.PoolCapacity)
 	}
 	return m, nil
@@ -179,22 +162,19 @@ func (m *Manager) Close() error {
 	return m.db.Close()
 }
 
-// Mode reports the configured concurrency model.
-func (m *Manager) Mode() Mode { return m.opts.Mode }
-
-// Session is one transaction-scoped handle. Read sessions in MVCC mode
-// own a private read-only connection; write sessions (and everything in
-// Serialized mode) borrow the shared connection under the lock.
+// Session is one transaction-scoped handle. Read sessions own a private
+// read-only connection; write sessions borrow the shared connection
+// under the lock.
 type Session struct {
 	m        *Manager
 	db       *sqlite.DB
 	readonly bool
 	done     bool
 
-	// A private reader connection: snap is the snapshot its page reads go
-	// through, and its I/O context (nil for a session on the shared
-	// connection, whose I/O context is the file system's writer side); pc
-	// is its pool membership, if pooled.
+	// A reader's private connection: snap is the snapshot its page reads
+	// go through, and its I/O context (nil for a writer, whose I/O context
+	// is the file system's writer side); pc is its pool membership, if
+	// pooled.
 	snap *simfs.Snapshot
 	pc   *readpool.Conn
 
@@ -219,7 +199,7 @@ func (s *Session) ID() uint64 { return s.id }
 // I/O produces, linking device work back to the server request that
 // caused it.
 func (s *Session) SetReq(req uint64) {
-	if s.snap != nil {
+	if s.readonly {
 		s.snap.SetIOReq(req)
 	} else {
 		s.m.fs.SetIOReq(req)
@@ -231,8 +211,8 @@ func (s *Session) SetReq(req uint64) {
 const Unbounded time.Duration = -1
 
 // Begin starts a session, blocking writers until the queue drains.
-// Readers in MVCC mode never block: they pin a snapshot and return
-// immediately even while a write transaction is in flight.
+// Readers never block: they pin a snapshot and return immediately even
+// while a write transaction is in flight.
 func (m *Manager) Begin(readonly bool) (*Session, error) {
 	return m.BeginWith(readonly, Unbounded)
 }
@@ -246,7 +226,7 @@ func (m *Manager) Begin(readonly bool) (*Session, error) {
 // elapsed budget is measured on the device's virtual clock, so
 // concurrent sessions' own charges count against it exactly as wall
 // time would against a real busy_timeout. Unbounded queues instead, as
-// Begin does. Readers in MVCC mode never block and ignore the budget.
+// Begin does. Readers never block and ignore the budget.
 func (m *Manager) BeginWith(readonly bool, budget time.Duration) (*Session, error) {
 	s := new(Session)
 	if err := m.BeginInto(s, readonly, budget); err != nil {
@@ -261,7 +241,7 @@ func (m *Manager) BeginWith(readonly bool, budget time.Duration) (*Session, erro
 // ended.
 func (m *Manager) BeginInto(s *Session, readonly bool, budget time.Duration) error {
 	*s = Session{m: m, db: m.db, readonly: readonly, done: true}
-	if readonly && m.opts.Mode == MVCC {
+	if readonly {
 		// A snapshot of the committed state to read beside the writer, its
 		// I/O charged to the session from the first page.
 		s.begin()
@@ -280,12 +260,10 @@ func (m *Manager) BeginInto(s *Session, readonly bool, budget time.Duration) err
 	// time.
 	s.begin()
 	m.fs.SetIOContext(s.id, m.opts.Pipelined)
-	if !readonly {
-		if err := m.db.Begin(); err != nil {
-			m.fs.ClearIOContext()
-			m.unlockExclusive()
-			return err
-		}
+	if err := m.db.Begin(); err != nil {
+		m.fs.ClearIOContext()
+		m.unlockExclusive()
+		return err
 	}
 	s.done = false
 	return nil
@@ -479,12 +457,12 @@ func (s *Session) QueryRow(sql string, args ...any) ([]sqlite.Value, bool, error
 }
 
 // Exec runs a write statement. Read sessions fail with
-// pager.ErrReadOnly (MVCC mode) before touching any state.
+// pager.ErrReadOnly before touching any state.
 func (s *Session) Exec(sql string, args ...any) (int64, error) {
 	if s.done {
 		return 0, ErrSessionDone
 	}
-	if s.snap != nil {
+	if s.readonly {
 		return 0, pager.ErrReadOnly
 	}
 	return s.db.Exec(sql, args...)
@@ -501,9 +479,9 @@ func (s *Session) Rollback() error {
 	return s.end(endRollback)
 }
 
-// endReader finishes a session that owns a private reader connection:
-// a pooled reader parks it warm for the next reader (the pool closes it
-// instead once the change log can no longer advance it); any other tears the
+// endReader finishes a read session's private connection: a pooled
+// reader parks it warm for the next reader (the pool closes it instead
+// once the change log can no longer advance it); any other tears the
 // connection down, then closes its snapshot so GC can reclaim the
 // versions it pinned.
 func (s *Session) endReader() error {
@@ -517,6 +495,8 @@ func (s *Session) endReader() error {
 		}
 	}
 	s.m.Stats.SnapsOpen.Add(-1)
+	s.m.Stats.ReadTx.Add(1)
+	s.noteSession(0)
 	return err
 }
 
@@ -528,24 +508,23 @@ const (
 	endExternal
 )
 
-// end finishes the session exactly once: a private reader connection is
-// parked or torn down; a session on the shared connection ends its
-// writer transaction as told, then gives up the I/O context and the
-// lock.
+// end finishes the session exactly once: a reader's private connection
+// is parked or torn down; a writer ends its transaction on the shared
+// connection as told, then gives up the I/O context and the lock.
 func (s *Session) end(how int) error {
 	if s.done {
 		return ErrSessionDone
 	}
 	s.done = true
+	if s.readonly {
+		return s.endReader()
+	}
 	var (
 		err      error
 		deferred bool
 	)
 	switch {
-	case s.snap != nil:
-		err = s.endReader()
-	case s.readonly:
-	case how == endCommit && s.m.opts.Mode == MVCC && !s.solo && s.m.successorInGroup():
+	case how == endCommit && !s.solo && s.m.successorInGroup():
 		// The successor's commit carries this one; a failed commit of
 		// either kind leaves the shared connection rolled back and
 		// reusable by the next queued writer.
@@ -555,21 +534,13 @@ func (s *Session) end(how int) error {
 	case how == endRollback:
 		err = s.db.Rollback()
 	}
-	if s.readonly {
-		s.m.Stats.ReadTx.Add(1)
-		s.noteSession(0)
-	} else {
-		s.m.Stats.WriteTx.Add(1)
-		s.noteSession(1)
+	s.m.Stats.WriteTx.Add(1)
+	s.noteSession(1)
+	s.m.fs.ClearIOContext()
+	if deferred {
+		return s.m.awaitGroup(s)
 	}
-	if s.snap == nil {
-		s.m.fs.ClearIOContext()
-		if deferred {
-			err = s.m.awaitGroup(s)
-		} else {
-			s.m.unlockExclusive()
-		}
-	}
+	s.m.unlockExclusive()
 	return err
 }
 
@@ -581,12 +552,12 @@ func (s *Session) end(how int) error {
 // or prepare — and the session's own Commit will not defer. If that
 // group commit fails the error is returned and this transaction, begun
 // on the group's pages, is unwound with it: roll the session back. A
-// no-op for readers and outside MVCC mode.
+// no-op for readers.
 func (s *Session) Solo() error {
 	if s.done {
 		return ErrSessionDone
 	}
-	if s.snap != nil || s.m.opts.Mode != MVCC {
+	if s.readonly {
 		return nil
 	}
 	s.solo = true
@@ -624,9 +595,8 @@ func (m *Manager) PoolStats() (st readpool.Stats, ok bool) {
 
 // Register publishes the manager's session-layer counters as metric
 // families labelled with the given shard and the manager's database:
-// writer-lock busy timeouts, group commits and their members, the reader
-// pool when pooling is on, and WAL checkpoint activity when the writer
-// journals through the log.
+// writer-lock busy timeouts, group commits and their members, and the
+// reader pool when pooling is on.
 func (m *Manager) Register(reg *metrics.Registry, shard string) {
 	kv := []string{"shard", shard, "db", m.name}
 	reg.Counter("xftl_busy_timeouts_total", "Sessions that timed out waiting for the writer lock.", m.Stats.BusyTimeouts.Load, kv...)
@@ -639,9 +609,6 @@ func (m *Manager) Register(reg *metrics.Registry, shard string) {
 		reg.Counter("xftl_readpool_evictions_total", "Pooled connections dropped for capacity.", func() int64 { return m.pool.Stats().Evictions }, kv...)
 		reg.Counter("xftl_readpool_invalidations_total", "Pooled connections closed because the change log could not advance them (power cut, file resized, or older than the log).", func() int64 { return m.pool.Stats().Invalidations }, kv...)
 		reg.Gauge("xftl_readpool_idle", "Warm connections currently pooled.", func() int64 { return int64(m.pool.Idle()) }, kv...)
-	}
-	if m.opts.Journal == pager.WAL {
-		reg.Counter("xftl_wal_checkpoints_total", "WAL checkpoints completed.", m.db.Pager().Checkpoints.Load, kv...)
 	}
 }
 

@@ -14,21 +14,17 @@ import (
 	"repro/internal/trace"
 )
 
-func newStack(t *testing.T, transactional bool) *simfs.FS {
+func newStack(t *testing.T) *simfs.FS {
 	t.Helper()
 	prof := storage.OpenSSD()
 	prof.Nand.Blocks = 512
 	prof.Nand.PagesPerBlock = 32
 	prof.Nand.PageSize = 1024
-	dev, err := storage.New(prof, simclock.New(), storage.Options{Transactional: transactional})
+	dev, err := storage.New(prof, simclock.New(), storage.Options{Transactional: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mode := simfs.Ordered
-	if transactional {
-		mode = simfs.OffXFTL
-	}
-	fsys, err := simfs.New(dev, mode, &metrics.HostCounters{})
+	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +33,7 @@ func newStack(t *testing.T, transactional bool) *simfs.FS {
 
 func newMVCCManager(t *testing.T) *Manager {
 	t.Helper()
-	m, err := NewManager(newStack(t, true), "test.db", Options{Mode: MVCC, Journal: pager.Off, CacheSize: 200})
+	m, err := NewManager(newStack(t), "test.db", Options{Mode: MVCC, Journal: pager.Off, CacheSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +81,7 @@ func readAll(t *testing.T, s *Session) []int64 {
 // reads and does not outlive it; a reader begun afterwards sees the
 // commit — all the way through the SQL layer.
 func TestReaderIsolation(t *testing.T) {
-	t.Run(MVCC.String(), func(t *testing.T) {
+	t.Run("mvcc", func(t *testing.T) {
 		m := newMVCCManager(t)
 		seed(t, m, 4, 10)
 		tr := trace.New()
@@ -276,48 +272,15 @@ func TestReaderSessionRejectsWrites(t *testing.T) {
 	}
 }
 
-// Serialized mode is the rollback-journal baseline: everything still
-// works, but every transaction takes the one lock.
-func TestSerializedMode(t *testing.T) {
-	m, err := NewManager(newStack(t, false), "test.db", Options{Mode: Serialized, Journal: pager.Rollback, CacheSize: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	seed(t, m, 2, 5)
-	r, err := m.Begin(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range readAll(t, r) {
-		if v != 5 {
-			t.Fatalf("serialized read: got %d, want 5", v)
-		}
-	}
-	// While the read session holds the lock, a writer cannot start.
-	if _, err := m.BeginWith(false, 0); !errors.Is(err, ErrBusy) {
-		t.Fatalf("serialized zero-budget begin during read: got %v, want ErrBusy", err)
-	}
-	if err := r.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	w, err := m.Begin(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Exec("UPDATE kv SET v = 6"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // MVCC mode refuses journal modes other than Off: snapshot reads only
-// make sense when atomicity is delegated to the X-FTL device.
+// make sense when atomicity is delegated to the X-FTL device. MVCC is
+// the only mode.
 func TestMVCCRequiresJournalOff(t *testing.T) {
-	if _, err := NewManager(newStack(t, true), "test.db", Options{Mode: MVCC, Journal: pager.Rollback}); err == nil {
+	if _, err := NewManager(newStack(t), "test.db", Options{Mode: MVCC, Journal: pager.Rollback}); err == nil {
 		t.Fatal("MVCC over rollback journal must be rejected")
+	}
+	if _, err := NewManager(newStack(t), "test.db", Options{Mode: MVCC + 1, Journal: pager.Off}); err == nil {
+		t.Fatal("a mode other than MVCC must be rejected")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 func newPooledManager(t *testing.T, capacity int) *Manager {
 	t.Helper()
-	m, err := NewManager(newStack(t, true), "test.db",
+	m, err := NewManager(newStack(t), "test.db",
 		Options{Mode: MVCC, Journal: pager.Off, CacheSize: 200, PoolCapacity: capacity})
 	if err != nil {
 		t.Fatal(err)
@@ -260,24 +260,4 @@ func missingGauges(reg *metrics.Registry, want ...string) []string {
 		}
 	}
 	return missing
-}
-
-// A manager whose writer journals through the WAL exports its checkpoint
-// count for the serving tier; no reader defers a checkpoint, so there is
-// no deferred-checkpoint family.
-func TestWALCheckpointGaugesExported(t *testing.T) {
-	m, err := NewManager(newStack(t, false), "test.db", Options{Mode: Serialized, Journal: pager.WAL, CacheSize: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	seed(t, m, 2, 1)
-	reg := metrics.NewRegistry()
-	m.Register(reg, "3")
-	if missing := missingGauges(reg, "xftl_wal_checkpoints_total"); len(missing) > 0 {
-		t.Errorf("gauges not registered: %v", missing)
-	}
-	if missing := missingGauges(reg, "xftl_wal_checkpoints_deferred_total"); len(missing) == 0 {
-		t.Error("xftl_wal_checkpoints_deferred_total is still exported")
-	}
 }

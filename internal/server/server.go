@@ -13,18 +13,14 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mvcc"
 	"repro/internal/shard"
-	"repro/internal/sqlite/pager"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
 // Options tunes the serving tier. The zero value selects the defaults
-// noted on each field.
+// noted on each field. Every database's sessions are the fleet's X-FTL
+// MVCC sessions, warm reader pool included (internal/shard).
 type Options struct {
-	// Mode selects the session model: mvcc.MVCC (snapshot readers over
-	// X-FTL, the default) or mvcc.Serialized (rollback-journal
-	// baseline).
-	Mode mvcc.Mode
 	// Channels is the flash array's channel count (default 8).
 	Channels int
 	// DBName is the default database served — requests that name no DB
@@ -34,19 +30,11 @@ type Options struct {
 	// and routes requests to shards by database name (default 1). Each
 	// shard gets its own device, queue and write breaker.
 	Shards int
-	// ReadPool is the warm snapshot reader-pool capacity per database
-	// manager in MVCC mode: a finished read request parks its snapshot
-	// connection (pager cache and catalog hot) for the next reader at
-	// the same committed generation, so short point-read requests skip
-	// the cold-open cost. 0 takes the default (8); negative disables
-	// pooling. Ignored outside MVCC mode.
-	ReadPool int
 }
 
 // The tier's fixed settings.
 const (
 	queueDepth = 32 // the NCQ depth
-	cacheSize  = 64 // the SQLite page cache per connection, in pages
 	// maxConcurrent bounds requests executing on the stack at once;
 	// maxQueue bounds requests waiting for an execution slot, and
 	// arrivals past it are shed with ErrOverload.
@@ -85,9 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
-	}
-	if o.ReadPool == 0 {
-		o.ReadPool = 8
 	}
 	return o
 }
@@ -130,25 +115,13 @@ func New(opts Options) (*Server, error) {
 	prof.Nand.Channels = opts.Channels
 	prof.Nand.Ways = 1
 
-	mode, journal := xftl.ModeRollback, pager.Rollback
-	if opts.Mode == mvcc.MVCC {
-		mode, journal = xftl.ModeXFTL, pager.Off
-	}
 	fleet, err := shard.New(shard.Options{
 		Shards:  opts.Shards,
 		Profile: prof,
-		Mode:    mode,
 		Stack: storage.Options{
 			QueueDepth:  queueDepth,
 			CmdDeadline: cmdDeadline,
 			CmdRetries:  cmdRetries,
-		},
-		Session: &mvcc.Options{
-			Mode:         opts.Mode,
-			Journal:      journal,
-			CacheSize:    cacheSize,
-			Pipelined:    opts.Mode == mvcc.MVCC,
-			PoolCapacity: max(opts.ReadPool, 0),
 		},
 	})
 	if err != nil {

@@ -268,10 +268,10 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestSnapshotIsolation: a readonly transaction pins its snapshot while
-// a concurrent writer commits (MVCC mode).
+// a concurrent writer commits.
 func TestSnapshotIsolation(t *testing.T) {
 	ok := oker(t)
-	_, addr := startServer(t, Options{Mode: mvcc.MVCC})
+	_, addr := startServer(t, Options{})
 	writer := dial(t, addr)
 	reader := dial(t, addr)
 

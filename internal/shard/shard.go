@@ -4,6 +4,8 @@
 // collector, quarantine state, virtual clock and tracer generation —
 // so shards simulate in parallel without serializing on any shared
 // state, which is exactly how real fleets scale: by adding devices.
+// Every database runs X-FTL MVCC sessions: snapshot readers, served warm
+// from a reader pool, beside one FIFO writer.
 //
 // A hash of the database name picks its shard. Transactions that
 // touch one shard pass straight through to the owning stack's
@@ -35,7 +37,6 @@ import (
 // Errors returned by the fleet.
 var (
 	ErrClosed     = errors.New("shard: fleet closed")
-	ErrNotXFTL    = errors.New("shard: cross-shard transactions require ModeXFTL")
 	ErrTxDone     = errors.New("shard: transaction already finished")
 	ErrUnknownDB  = errors.New("shard: database not part of this transaction")
 	ErrCrashPoint = errors.New("shard: power cut at injected crash point")
@@ -56,23 +57,22 @@ type Options struct {
 	Shards int
 	// Profile is the hardware profile every member uses.
 	Profile xftl.Profile
-	// Mode is the system configuration; cross-shard transactions require
-	// ModeXFTL.
-	Mode xftl.Mode
 	// Stack configures each member's device (NCQ depth, retry plane,
 	// FTL...). A non-nil Stack.Fault is rejected for Shards > 1.
 	Stack storage.Options
-	// Session configures the per-database session managers. Zero value
-	// means MVCC over journal-mode Off for ModeXFTL, Serialized over
-	// Rollback otherwise.
-	Session *mvcc.Options
 }
+
+// Every database's sessions are X-FTL MVCC: snapshot readers beside a
+// FIFO writer over journal mode Off, with pipelined page I/O and these
+// sizes.
+const (
+	cacheSize = 64 // the SQLite page cache per connection, in pages
+	readPool  = 8  // warm reader connections pooled per database
+)
 
 // Fleet is a set of independent X-FTL stacks with a router in front.
 type Fleet struct {
-	opts    Options
-	stacks  []*xftl.Stack
-	sessOpt mvcc.Options
+	stacks []*xftl.Stack
 
 	mu       sync.Mutex
 	mgrs     []map[string]*mvcc.Manager // per shard: db name → manager
@@ -113,34 +113,20 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	stacks, err := xftl.NewFleet(opts.Shards, opts.Profile, opts.Mode, opts.Stack)
+	stacks, err := xftl.NewFleet(opts.Shards, opts.Profile, xftl.ModeXFTL, opts.Stack)
 	if err != nil {
 		return nil, err
 	}
-	sessOpt := mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off}
-	if opts.Mode != xftl.ModeXFTL {
-		sessOpt = mvcc.Options{Mode: mvcc.Serialized, Journal: pager.Rollback}
-		if opts.Mode == xftl.ModeWAL {
-			sessOpt.Journal = pager.WAL
-		}
-	}
-	if opts.Session != nil {
-		sessOpt = *opts.Session
-	}
 	f := &Fleet{
-		opts:     opts,
 		stacks:   stacks,
-		sessOpt:  sessOpt,
 		mgrs:     make([]map[string]*mvcc.Manager, opts.Shards),
 		gates:    make([]*sync.RWMutex, opts.Shards),
 		nextGtid: 1,
+		coord:    newCoordLog(stacks[0].FS),
 	}
 	for i := range f.mgrs {
 		f.mgrs[i] = make(map[string]*mvcc.Manager)
 		f.gates[i] = &sync.RWMutex{}
-	}
-	if opts.Mode == xftl.ModeXFTL {
-		f.coord = newCoordLog(stacks[0].FS)
 	}
 	f.register(f.Metrics())
 	return f, nil
@@ -168,7 +154,9 @@ func (f *Fleet) Manager(db string) (*mvcc.Manager, int, error) {
 	if m, ok := f.mgrs[shard][db]; ok {
 		return m, shard, nil
 	}
-	m, err := mvcc.NewManager(f.stacks[shard].FS, db, f.sessOpt)
+	m, err := mvcc.NewManager(f.stacks[shard].FS, db, mvcc.Options{
+		Mode: mvcc.MVCC, Journal: pager.Off, CacheSize: cacheSize, Pipelined: true, PoolCapacity: readPool,
+	})
 	if err != nil {
 		return nil, shard, err
 	}
@@ -188,33 +176,32 @@ type Session struct {
 	released bool
 }
 
-// Begin opens a session on a database's owning shard. Writers hold the
-// shard's commit gate shared until Commit or Rollback; readers (MVCC
-// snapshots) bypass the gate entirely.
+// Begin opens a session on a database's owning shard, a writer waiting
+// in the FIFO queue however long it takes. Writers hold the shard's
+// commit gate shared until Commit or Rollback; readers (snapshots)
+// bypass the gate entirely.
 func (f *Fleet) Begin(db string, readonly bool) (*Session, error) {
 	s := new(Session)
-	if err := f.BeginInto(s, db, readonly, 0); err != nil {
+	if err := f.BeginInto(s, db, readonly, mvcc.Unbounded); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // BeginInto is Begin into a session the caller owns (new or ended; see
-// mvcc.Manager.BeginInto), with a busy-wait budget forwarded to the
-// session manager (0: wait in the FIFO queue however long it takes). The
-// serving tier runs each connection's autocommit requests on one such
-// session and propagates request deadlines as the budget.
+// mvcc.Manager.BeginInto), with a busy budget passed unchanged to the
+// session manager (mvcc.Manager.BeginWith: Unbounded queues, 0 is an
+// immediate ErrBusy). The serving tier runs each connection's autocommit
+// requests on one such session and propagates request deadlines as the
+// budget.
 func (f *Fleet) BeginInto(s *Session, db string, readonly bool, budget time.Duration) error {
 	m, shard, err := f.Manager(db)
 	if err != nil {
 		return err
 	}
-	writer := !(readonly && f.sessOpt.Mode == mvcc.MVCC)
+	writer := !readonly
 	if writer {
 		f.gates[shard].RLock()
-	}
-	if budget <= 0 {
-		budget = mvcc.Unbounded
 	}
 	// Released until the session is open: a failed begin holds no gate.
 	s.f, s.shard, s.writer, s.released = f, shard, writer, true
@@ -319,9 +306,6 @@ func (f *Fleet) Remount() error {
 		if err := st.Remount(); err != nil {
 			return fmt.Errorf("shard %d: remount: %w", i, err)
 		}
-	}
-	if f.coord == nil {
-		return nil
 	}
 	decided, maxGtid, err := f.coord.replay()
 	if err != nil {

@@ -7,10 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	xftl "repro"
 	"repro/internal/core"
 	"repro/internal/ftl"
+	"repro/internal/mvcc"
 	"repro/internal/ncq"
 )
 
@@ -19,7 +21,6 @@ func newTestFleet(t *testing.T, shards int) *Fleet {
 	f, err := New(Options{
 		Shards:  shards,
 		Profile: xftl.OpenSSD(),
-		Mode:    xftl.ModeXFTL,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -97,6 +98,60 @@ func TestSingleShardPassThrough(t *testing.T) {
 		if (i == shard) != has {
 			t.Fatalf("shard %d Exists(a.db) = %v, routed to %d", i, has, shard)
 		}
+	}
+}
+
+// A busy budget reaches the session manager unchanged: 0 is SQLite's
+// immediate SQLITE_BUSY while another writer holds the database, not a
+// wait in the FIFO queue.
+func TestZeroBudgetIsBusy(t *testing.T) {
+	f := newTestFleet(t, 1)
+	holder, err := f.Begin("a.db", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		var s Session
+		err := f.BeginInto(&s, "a.db", false, 0)
+		if err == nil {
+			_ = s.Rollback()
+		}
+		got <- err
+	}()
+	select {
+	case err = <-got:
+	case <-time.After(2 * time.Second):
+		_ = holder.Rollback()
+		t.Fatalf("a zero-budget begin waited for the holder instead of failing at once (then: %v)", <-got)
+	}
+	if !errors.Is(err, mvcc.ErrBusy) {
+		t.Fatalf("zero-budget begin while a writer holds the lock: got %v, want ErrBusy", err)
+	}
+	if err := holder.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A bare fleet runs the sessions the serving tier serves: its readers
+// come from a warm pool, so a second read session takes the connection
+// the first one parked.
+func TestFleetPoolsReaders(t *testing.T) {
+	f := newTestFleet(t, 1)
+	mustExec(t, f, "a.db", "CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)")
+	for range 2 {
+		queryInt(t, f, "a.db", "SELECT COUNT(*) FROM kv")
+	}
+	m, _, err := f.Manager("a.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := m.PoolStats()
+	if !ok {
+		t.Fatal("a fleet database's manager pools no readers")
+	}
+	if st.Hits == 0 {
+		t.Fatalf("the second read session cold-opened: %+v", st)
 	}
 }
 
@@ -377,7 +432,7 @@ func TestConcurrentSingleShardWriters(t *testing.T) {
 // drain, and stragglers fail fast with ErrQueueClosed instead of
 // touching a closed device.
 func TestConcurrentClose(t *testing.T) {
-	f, err := New(Options{Shards: 4, Profile: xftl.OpenSSD(), Mode: xftl.ModeXFTL})
+	f, err := New(Options{Shards: 4, Profile: xftl.OpenSSD()})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	xftl "repro"
 	"repro/internal/mvcc"
 	"repro/internal/sqlite"
 )
@@ -43,11 +42,8 @@ type Tx struct {
 // BeginCross opens a transaction that may span shards. The database
 // set is fixed at begin: gates and writer tickets are acquired in
 // ascending (shard, name) order, the global order that keeps concurrent
-// cross-shard transactions deadlock-free. Requires ModeXFTL.
+// cross-shard transactions deadlock-free.
 func (f *Fleet) BeginCross(dbs ...string) (*Tx, error) {
-	if f.opts.Mode != xftl.ModeXFTL {
-		return nil, ErrNotXFTL
-	}
 	if len(dbs) == 0 {
 		return nil, fmt.Errorf("shard: BeginCross needs at least one database")
 	}

@@ -176,8 +176,7 @@ type Device struct {
 
 	tracer *trace.Tracer
 
-	cmds     atomic.Int64 // host commands processed
-	barriers atomic.Int64 // barrier-class commands (flush/commit)
+	cmds atomic.Int64 // host commands processed
 }
 
 // New builds a device from a profile. The clock may be shared across
@@ -438,7 +437,6 @@ func (d *Device) run(r *ncq.Request) error {
 		// Flush-cache: the mapping table becomes durable. On OpenSSD this
 		// is the expensive operation behind every fsync (§6.3.4).
 		d.chargeCmd(0)
-		d.barriers.Add(1)
 		d.sched.ChargeController(d.prof.BarrierOverhead)
 		if d.x != nil {
 			return d.lost(d.x.Barrier())
@@ -464,7 +462,6 @@ func (d *Device) run(r *ncq.Request) error {
 		// fsync ("X-FTL invokes a commit command once as part of a fsync
 		// system call, which plays the same role as a write barrier").
 		d.chargeCmd(0)
-		d.barriers.Add(1)
 		d.sched.ChargeController(d.prof.BarrierOverhead)
 		return d.lost(d.x.Commit(core.TxID(r.TID)))
 	case ncq.OpAbort:
@@ -484,7 +481,6 @@ func (d *Device) run(r *ncq.Request) error {
 			return ErrNotTransactional
 		}
 		d.chargeCmd(0)
-		d.barriers.Add(1)
 		d.sched.ChargeController(d.prof.BarrierOverhead)
 		return d.lost(d.x.Prepare(core.TxID(r.TID)))
 	default:

@@ -57,7 +57,7 @@ func fleetCells() []Cell {
 func fleetRun(seed int64, cut string, failPrepare int) (*Report, error) {
 	rep := &Report{}
 	m := newModel(false)
-	f, err := shard.New(shard.Options{Shards: fleetShards, Profile: xftl.OpenSSD(), Mode: xftl.ModeXFTL})
+	f, err := shard.New(shard.Options{Shards: fleetShards, Profile: xftl.OpenSSD()})
 	if err != nil {
 		return nil, err
 	}

@@ -11,20 +11,66 @@ import (
 	"repro/internal/trace"
 )
 
+// traceTx is one transaction of TestTraceMatchesCounters' workload, on
+// either arm.
+type traceTx interface {
+	Exec(sql string, args ...any) (int64, error)
+	QueryRow(sql string, args ...any) ([]sqlite.Value, bool, error)
+	Commit() error
+	ID() uint64
+}
+
+// rbjTx runs the workload on a bare rollback-journal connection: a
+// writer inside BEGIN … COMMIT, a reader in autocommit. No session
+// exists, so its id is 0.
+type rbjTx struct {
+	*sqlite.DB
+	readonly bool
+}
+
+func (x rbjTx) Commit() error {
+	if x.readonly {
+		return nil
+	}
+	return x.DB.Commit()
+}
+
+func (rbjTx) ID() uint64 { return 0 }
+
 // The trace must be a complete account of the run: for every counter
 // the stack maintains there is an event kind, and over the same window
 // the event count must equal the counter delta exactly. A missed
 // instrumentation site (counter bumped, no event) or a double-recorded
-// event breaks this equality.
+// event breaks this equality. The same statements run through mvcc
+// sessions on X-FTL and on a bare connection over the rollback journal.
 func TestTraceMatchesCounters(t *testing.T) {
 	cases := []struct {
-		name    string
-		mode    xftl.Mode
-		mvcc    mvcc.Mode
-		journal pager.JournalMode
+		name string
+		mode xftl.Mode
+		// open returns how the arm begins a transaction.
+		open func(t *testing.T, st *xftl.Stack) func(readonly bool) (traceTx, error)
 	}{
-		{"xftl-mvcc", xftl.ModeXFTL, mvcc.MVCC, pager.Off},
-		{"rollback-serialized", xftl.ModeRollback, mvcc.Serialized, pager.Rollback},
+		{"xftl-mvcc", xftl.ModeXFTL, func(t *testing.T, st *xftl.Stack) func(bool) (traceTx, error) {
+			mgr, err := mvcc.NewManager(st.FS, "c.db", mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off, Pipelined: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = mgr.Close() })
+			return func(readonly bool) (traceTx, error) { return mgr.Begin(readonly) }
+		}},
+		{"rbj", xftl.ModeRollback, func(t *testing.T, st *xftl.Stack) func(bool) (traceTx, error) {
+			db, err := st.OpenDB("c.db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = db.Close() })
+			return func(readonly bool) (traceTx, error) {
+				if readonly {
+					return rbjTx{db, true}, nil
+				}
+				return rbjTx{db, false}, db.Begin()
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -32,14 +78,8 @@ func TestTraceMatchesCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mgr, err := mvcc.NewManager(st.FS, "c.db", mvcc.Options{
-				Mode: tc.mvcc, Journal: tc.journal,
-				Pipelined: tc.mvcc == mvcc.MVCC,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mgr.Close()
+			begin := tc.open(t, st)
+			sessions := tc.mode == xftl.ModeXFTL
 
 			// Attach after construction: mount-time I/O (meta page
 			// programs, recovery reads) predates the tracer, so both the
@@ -51,7 +91,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 			flash0 := st.FlashStats().Snapshot()
 			cmds0 := st.Device.Commands()
 
-			w, err := mgr.Begin(false)
+			w, err := begin(false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +103,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 			}
 			readers := map[uint64]bool{}
 			for i := 0; i < 4; i++ {
-				w, err := mgr.Begin(false)
+				w, err := begin(false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,13 +116,13 @@ func TestTraceMatchesCounters(t *testing.T) {
 				if err := w.Commit(); err != nil {
 					t.Fatal(err)
 				}
-				// A reader session between writer transactions: snapshot
-				// reads in MVCC mode, lock-serialized reads in the control.
-				r, err := mgr.Begin(true)
+				// A reader between writer transactions: snapshot reads on
+				// X-FTL, autocommit reads on the rollback journal.
+				r, err := begin(true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.ID() == 0 {
+				if sessions && r.ID() == 0 {
 					t.Error("reader session was not assigned a session id")
 				}
 				readers[r.ID()] = true
@@ -129,17 +169,10 @@ func TestTraceMatchesCounters(t *testing.T) {
 			check("device commands / KCmd", counts[trace.KCmd], cmds)
 
 			// The workload must actually have exercised the paths.
-			for _, k := range []trace.Kind{trace.KCmd, trace.KFSync, trace.KNandProg, trace.KSession, trace.KTxn} {
+			for _, k := range []trace.Kind{trace.KCmd, trace.KFSync, trace.KNandProg, trace.KTxn} {
 				if counts[k] == 0 {
 					t.Errorf("no %v events recorded", k)
 				}
-			}
-			// The reader sessions' page reads carry their session ids. Only
-			// the snapshot arm is guaranteed device reads: the serialized
-			// control shares the writer's page cache, so its SELECT may
-			// be served without touching storage.
-			if tc.mvcc == mvcc.MVCC && readerReads == 0 {
-				t.Error("no page read carries a reader session's id")
 			}
 			// Every NCQ command carries a complete lifecycle: dispatch
 			// inside the submit..complete span.
@@ -155,8 +188,18 @@ func TestTraceMatchesCounters(t *testing.T) {
 					withSess++
 				}
 			}
-			if withSess == 0 {
-				t.Error("no NCQ command carries a session id")
+			// Only mvcc sessions have a span and an id: a reader session's
+			// page reads carry its id, and so do the commands sessions issue.
+			if sessions {
+				if counts[trace.KSession] == 0 {
+					t.Errorf("no %v events recorded", trace.KSession)
+				}
+				if readerReads == 0 {
+					t.Error("no page read carries a reader session's id")
+				}
+				if withSess == 0 {
+					t.Error("no NCQ command carries a session id")
+				}
 			}
 		})
 	}
