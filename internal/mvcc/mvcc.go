@@ -54,7 +54,8 @@ type Options struct {
 	// Journal is the writer's journal mode and must be pager.Off: the
 	// X-FTL device, not a journal, makes the writer's pages atomic.
 	Journal pager.JournalMode
-	// CacheSize is the pager cache per connection (0 = default).
+	// CacheSize is the pager cache per connection (0 = the pager's
+	// default); a pooled reader may cache more (PoolCapacity).
 	CacheSize int
 	// Pipelined routes snapshot page reads through the async NCQ
 	// submission path so concurrent readers overlap in virtual time
@@ -66,7 +67,9 @@ type Options struct {
 	// PoolCapacity enables the warm reader pool: finished read sessions
 	// park their snapshot connection (pager cache and catalog intact) for
 	// reuse by the next reader, advanced past the commits in between, up
-	// to this many idle connections. Zero disables pooling.
+	// to this many idle connections. The pooled connections share
+	// PoolCapacity × CacheSize cache pages: while fewer are live, each
+	// caches more. Zero disables pooling.
 	PoolCapacity int
 }
 
@@ -139,7 +142,7 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 	m.cond = sync.NewCond(&m.mu)
 	db.Pager().OnGroupSync = m.groupSynced
 	if opts.PoolCapacity > 0 {
-		m.pool = readpool.New(opts.PoolCapacity)
+		m.pool = readpool.New(opts.PoolCapacity, opts.CacheSize)
 	}
 	return m, nil
 }
@@ -276,8 +279,9 @@ func (s *Session) begin() {
 }
 
 // openReader gives a read session its private connection: the reader
-// pool's warmest — advanced past the commits that landed since it was
-// parked, if any — or a cold one opened over a fresh snapshot.
+// pool's warmest — advanced or re-seated past the commits that landed
+// since it was parked, if any — or a cold one opened over a fresh
+// snapshot.
 func (m *Manager) openReader(s *Session) error {
 	// A reader must see every commit that has returned, so the sequence is
 	// read before the checkout. A commit landing in between leaves the
@@ -288,7 +292,7 @@ func (m *Manager) openReader(s *Session) error {
 		seq = m.fs.Device().CommitSeq()
 		s.pc = m.pool.Checkout(seq, m.fs.Epoch(), m.fs.AdvanceFloor())
 	}
-	if s.pc != nil && s.pc.Snap.Seq() >= seq {
+	if s.pc != nil && s.pc.Fresh(seq) {
 		s.db, s.snap = s.pc.DB, s.pc.Snap
 		s.snap.SetIOContext(s.id, m.opts.Pipelined)
 		return nil
@@ -313,7 +317,7 @@ func (m *Manager) openReader(s *Session) error {
 		return err
 	}
 	if m.pool != nil {
-		s.pc = readpool.NewConn(s.db, snap)
+		s.pc = m.pool.Adopt(s.db, snap)
 	}
 	return nil
 }
@@ -480,8 +484,8 @@ func (s *Session) Rollback() error {
 }
 
 // endReader finishes a read session's private connection: a pooled
-// reader parks it warm for the next reader (the pool closes it instead
-// once the change log can no longer advance it); any other tears the
+// reader parks it warm for the next reader (without its snapshot once
+// the change log can no longer advance it); any other tears the
 // connection down, then closes its snapshot so GC can reclaim the
 // versions it pinned.
 func (s *Session) endReader() error {
@@ -607,8 +611,9 @@ func (m *Manager) Register(reg *metrics.Registry, shard string) {
 		reg.Counter("xftl_readpool_misses_total", "Read sessions that had to cold-open.", func() int64 { return m.pool.Stats().Misses }, kv...)
 		reg.Counter("xftl_readpool_advances_total", "Warm connections advanced past later commits instead of cold-opened.", func() int64 { return m.pool.Stats().Advances }, kv...)
 		reg.Counter("xftl_readpool_evictions_total", "Pooled connections dropped for capacity.", func() int64 { return m.pool.Stats().Evictions }, kv...)
-		reg.Counter("xftl_readpool_invalidations_total", "Pooled connections closed because the change log could not advance them (power cut, file resized, or older than the log).", func() int64 { return m.pool.Stats().Invalidations }, kv...)
+		reg.Counter("xftl_readpool_invalidations_total", "Pooled connections the change log could not advance: re-seated over a fresh snapshot (file resized, namespace changed, or older than the log), or closed at a power cut.", func() int64 { return m.pool.Stats().Invalidations }, kv...)
 		reg.Gauge("xftl_readpool_idle", "Warm connections currently pooled.", func() int64 { return int64(m.pool.Idle()) }, kv...)
+		reg.Gauge("xftl_readpool_cache_pages", "Pages the idle pooled connections' caches hold, out of the budget all the pool's connections share.", func() int64 { return int64(m.pool.CachePages()) }, kv...)
 	}
 }
 

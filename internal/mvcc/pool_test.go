@@ -104,9 +104,9 @@ func TestPooledReaderAdvancedByCommit(t *testing.T) {
 }
 
 // A commit that grows the file is one the change log cannot advance a
-// connection past: the pooled connection is closed and the next reader
-// cold-opens, seeing every new row.
-func TestPooledReaderColdOpensAfterGrowth(t *testing.T) {
+// connection past: the next reader gets the pooled connection re-seated
+// over a fresh snapshot, not a cold open, and sees every new row.
+func TestPooledReaderReseatedAfterGrowth(t *testing.T) {
 	m := newPooledManager(t, 4)
 	seed(t, m, 4, 10)
 
@@ -128,8 +128,8 @@ func TestPooledReaderColdOpensAfterGrowth(t *testing.T) {
 	if got := readOnce(t, m); len(got) != want {
 		t.Fatalf("reader after growth saw %d rows, want %d", len(got), want)
 	}
-	if st, _ := m.PoolStats(); st.Misses != 2 || st.Invalidations != 1 || st.Advances != 0 {
-		t.Fatalf("pool stats = %+v, want the grown file cold-opened (2 misses, 1 invalidation)", st)
+	if st, _ := m.PoolStats(); st.Hits != 1 || st.Misses != 1 || st.Invalidations != 1 || st.Advances != 0 {
+		t.Fatalf("pool stats = %+v, want the second reader re-seated (1 hit, 1 invalidation) after the first's cold open", st)
 	}
 }
 
@@ -206,6 +206,9 @@ func TestPooledReadersAdvanceBesideWriter(t *testing.T) {
 	if st.Advances == 0 {
 		t.Error("no reader was advanced past a commit")
 	}
+	if live, idle := m.pool.Live(), m.pool.Idle(); live != idle {
+		t.Errorf("every session ended, but the pool counts %d live connections and %d idle", live, idle)
+	}
 }
 
 // Concurrent pooled readers each hold their own connection; the pool
@@ -237,13 +240,49 @@ func TestPooledReadersConcurrentSessions(t *testing.T) {
 	}
 }
 
+// Pooled readers share PoolCapacity × CacheSize cache pages: a lone
+// reader may cache all of them, and once PoolCapacity readers are live
+// each caches exactly CacheSize, as every reader did before the budget.
+func TestPooledReadersShareCacheBudget(t *testing.T) {
+	m := newPooledManager(t, 4)
+	seed(t, m, 4, 10)
+	caches := func(n int) []int {
+		t.Helper()
+		var got []int
+		var rs []*Session
+		for i := 0; i < n; i++ {
+			r, err := m.Begin(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, r.db.Pager().CacheSize())
+			rs = append(rs, r)
+		}
+		for _, r := range rs {
+			if err := r.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+	if got := caches(1); got[0] != 4*200 {
+		t.Fatalf("a lone reader caches %d pages, want the whole budget of %d", got[0], 4*200)
+	}
+	caches(4) // the warm one keeps its share until it is returned
+	for i, got := range caches(4) {
+		if got != 200 {
+			t.Errorf("reader %d of 4 caches %d pages, want CacheSize 200", i, got)
+		}
+	}
+}
+
 func TestManagerGaugesExported(t *testing.T) {
 	m := newPooledManager(t, 4)
 	seed(t, m, 2, 1)
 	reg := metrics.NewRegistry()
 	m.Register(reg, "3")
 	if missing := missingGauges(reg, "xftl_readpool_hits_total", "xftl_readpool_misses_total",
-		"xftl_readpool_advances_total", "xftl_readpool_evictions_total", "xftl_readpool_invalidations_total", "xftl_readpool_idle"); len(missing) > 0 {
+		"xftl_readpool_advances_total", "xftl_readpool_evictions_total", "xftl_readpool_invalidations_total", "xftl_readpool_idle", "xftl_readpool_cache_pages"); len(missing) > 0 {
 		t.Errorf("gauges not registered: %v", missing)
 	}
 }

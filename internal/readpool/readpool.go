@@ -10,17 +10,27 @@
 // differs from the old in exactly the pages the file system's change
 // log names (simfs.FS.ChangesSince), and only those leave the cache.
 //
-// A connection is closed instead when the log cannot advance it: after
-// a power cut (the epoch moved), past a commit that changed the file's
-// size or the namespace, across a sequence with no record, or once it
-// is older than the log reaches. The last rule also bounds what idle
+// One the log cannot advance — past a commit that changed the file's
+// size or the namespace, across a sequence with no record, or older
+// than the log reaches — is re-seated instead (sqlite.DB.Reseat): its
+// cache empties and its header and catalog reload over the new
+// snapshot, but its frames and compiled statements stay. An idle
+// connection older than the log's reach gives up its snapshot at once
+// and waits unseated for its next checkout, which bounds what idle
 // connections pin: no superseded version older than the log's reach.
+// A connection is closed only at a power cut (the epoch moved), for
+// capacity, or when the device fails its re-read.
+//
+// The pool's connections share one page budget, capacity × the
+// per-connection cache size: each of the L live ones, idle or checked
+// out, may cache max(cacheSize, budget/L) pages. A connection takes its
+// share at checkout and at its cold open; idle ones are cut to the new
+// share when L grows, a checked-out one at its Return.
 //
 // The shape follows the classic pinned-aware LRU buffer pool: a
 // bounded free stack, last-in-first-out so the warmest cache is reused
 // first, coldest-first eviction on capacity. Checked-out connections
-// are owned by their session and never tracked here — there is
-// nothing to pin.
+// belong to their session; the pool only counts them.
 package readpool
 
 import (
@@ -29,39 +39,49 @@ import (
 
 	"repro/internal/simfs"
 	"repro/internal/sqlite"
+	"repro/internal/sqlite/pager"
 )
 
 // Conn is one pooled reader connection: an open snapshot plus the
 // sqlite connection reading through it. While checked out it belongs
 // to exactly one session; while pooled it belongs to the pool.
 type Conn struct {
-	DB   *sqlite.DB
+	DB *sqlite.DB
+	// Snap is the snapshot DB reads through; nil while the connection is
+	// unseated, parked without one until its next checkout re-seats it.
 	Snap *simfs.Snapshot
 
 	changed []int64 // Advance's page list, kept for the next one
 }
 
-// NewConn wraps a freshly cold-opened reader for later Return.
-func NewConn(db *sqlite.DB, snap *simfs.Snapshot) *Conn {
-	return &Conn{DB: db, Snap: snap}
-}
+// Fresh reports whether c reads through a snapshot at seq or later, so
+// its reader need not Advance it.
+func (c *Conn) Fresh(seq uint64) bool { return c.Snap != nil && c.Snap.Seq() >= seq }
 
 // close releases the connection's resources: the sqlite side first,
-// then the device snapshot it reads through. Snapshot close after a
-// power cut is a no-op on the device, so draining a stale pool across
-// a crash is safe.
+// then the device snapshot it reads through, if any. Snapshot close
+// after a power cut is a no-op on the device, so draining a stale pool
+// across a crash is safe.
 func (c *Conn) close() {
 	_ = c.DB.Close()
-	_ = c.Snap.Close()
+	c.unseat()
+}
+
+// unseat closes the connection's snapshot, keeping the rest.
+func (c *Conn) unseat() {
+	if c.Snap != nil {
+		_ = c.Snap.Close()
+		c.Snap = nil
+	}
 }
 
 // Stats is a point-in-time copy of the pool counters.
 type Stats struct {
-	Hits          int64 // checkouts served from a warm connection, advanced or not
+	Hits          int64 // checkouts served from a warm connection: current, advanced or re-seated
 	Misses        int64 // checkouts the caller had to cold-open
-	Advances      int64 // hits whose connection was advanced past later commits
-	Evictions     int64 // connections dropped for capacity
-	Invalidations int64 // connections closed because the change log could not advance them
+	Advances      int64 // hits whose connection was advanced over the change log
+	Evictions     int64 // connections closed for capacity
+	Invalidations int64 // connections the change log could not advance: re-seated, or closed at a power cut
 	Idle          int   // warm connections currently pooled
 }
 
@@ -70,6 +90,9 @@ type Stats struct {
 type Pool struct {
 	mu     sync.Mutex
 	limit  int     // idle connections kept warm at most
+	cache  int     // a connection's cache size, and the least share
+	budget int     // cache pages the live connections share: limit × cache
+	live   int     // connections idle or checked out
 	epoch  uint64  // power-cut epoch every pooled connection was opened in
 	floor  uint64  // oldest snapshot sequence the change log can still advance
 	free   []*Conn // LIFO: the top entry has the warmest cache
@@ -83,20 +106,51 @@ type Pool struct {
 }
 
 // New builds a pool keeping at most capacity idle connections warm
-// (zero or negative: 8). Disable pooling by not constructing a pool.
-func New(capacity int) *Pool {
+// (zero or negative: 8), whose connections share capacity × cacheSize
+// cache pages, none getting fewer than cacheSize (zero or negative: the
+// pager's default). Disable pooling by not constructing a pool.
+func New(capacity, cacheSize int) *Pool {
 	if capacity <= 0 {
 		capacity = 8
 	}
-	return &Pool{limit: capacity, free: make([]*Conn, 0, capacity)}
+	if cacheSize <= 0 {
+		cacheSize = pager.DefaultCacheSize
+	}
+	return &Pool{limit: capacity, cache: cacheSize, budget: capacity * cacheSize,
+		free: make([]*Conn, 0, capacity)}
 }
 
-// Checkout returns the warmest pooled connection, or nil when the caller
-// must cold-open (pool empty or closed). seq is the committed sequence
-// the reader must see at least, epoch the file system's power-cut epoch
-// and floor its simfs.FS.AdvanceFloor: a connection from another epoch,
-// or older than floor, is closed first. A connection behind seq is the
-// caller's to Advance.
+// share is the cache pages each of live connections may hold:
+// max(cacheSize, budget/live).
+func (p *Pool) share(live int) int {
+	return max(p.cache, p.budget/max(live, 1))
+}
+
+// Adopt counts a reader the caller has just cold-opened over snap as one
+// of the pool's live connections and sizes its cache to its share, which
+// the idle ones are cut to as well. The caller Returns it when done.
+func (p *Pool) Adopt(db *sqlite.DB, snap *simfs.Snapshot) *Conn {
+	c := &Conn{DB: db, Snap: snap}
+	p.mu.Lock()
+	p.live++
+	share := p.share(p.live)
+	for _, idle := range p.free {
+		if idle.DB.Pager().CacheSize() > share {
+			_ = idle.DB.Pager().SetCacheSize(share)
+		}
+	}
+	p.mu.Unlock()
+	_ = db.Pager().SetCacheSize(share)
+	return c
+}
+
+// Checkout returns the warmest pooled connection, its cache sized to its
+// share, or nil when the caller must cold-open (pool empty or closed).
+// seq is the committed sequence the reader must see at least, epoch the
+// file system's power-cut epoch and floor its simfs.FS.AdvanceFloor: a
+// connection from another epoch is closed first, and an idle one older
+// than floor unseated. A connection that is unseated or behind seq is
+// the caller's to Advance.
 func (p *Pool) Checkout(seq, epoch, floor uint64) *Conn {
 	p.mu.Lock()
 	if p.closed {
@@ -111,67 +165,106 @@ func (p *Pool) Checkout(seq, epoch, floor uint64) *Conn {
 		p.epoch = epoch
 	}
 	p.floor = floor
-	p.dropBelowFloorLocked()
+	p.unseatBelowFloorLocked()
 	var c *Conn
 	if n := len(p.free); n > 0 {
 		c = p.free[n-1]
 		p.free = p.free[:n-1]
 	}
+	share := p.share(p.live)
 	p.mu.Unlock()
 	switch {
 	case c == nil:
 		p.misses.Add(1)
-	case c.Snap.Seq() >= seq:
+		return nil
+	case c.Fresh(seq):
 		p.hits.Add(1)
 	}
+	_ = c.DB.Pager().SetCacheSize(share)
 	return c
 }
 
-// Advance brings a checked-out connection that is behind up to snap, a
-// snapshot the caller has just opened at a later sequence: the pages the
-// commits in between wrote leave its cache, and it reads through snap
-// from now on (its old snapshot is closed). It reports false when the
-// change log cannot say which pages those are; the connection is then
-// closed, and the caller cold-opens over snap.
+// Advance brings a checked-out connection that is unseated or behind up
+// to snap, a snapshot the caller has just opened at a later sequence, and
+// it reads through snap from now on (its old snapshot is closed). The
+// pages the commits in between wrote leave its cache; where the change
+// log cannot say which pages those are, the connection is re-seated. It
+// reports false when neither can be done — a power cut came in between,
+// or the device failed the header or catalog read — and the connection
+// is then closed, and the caller cold-opens over snap.
 func (p *Pool) Advance(c *Conn, fs *simfs.FS, snap *simfs.Snapshot) bool {
 	old := c.Snap
-	var ok bool
-	c.changed, ok = fs.ChangesSince(c.changed[:0], c.DB.Pager().Name(), old.Seq(), snap.Seq())
-	if ok && old.Epoch() == snap.Epoch() && c.DB.Advance(snap, c.changed) == nil {
-		c.Snap = snap
-		_ = old.Close()
-		p.hits.Add(1)
-		p.advances.Add(1)
-		return true
+	var err error
+	switch {
+	case old == nil:
+		err = c.DB.Reseat(snap)
+	case old.Epoch() != snap.Epoch():
+		p.invalidations.Add(1)
+		p.discard(c)
+		return false
+	default:
+		var ok bool
+		c.changed, ok = fs.ChangesSince(c.changed[:0], c.DB.Pager().Name(), old.Seq(), snap.Seq())
+		if ok {
+			err = c.DB.Advance(snap, c.changed)
+			p.advances.Add(1)
+		} else {
+			err = c.DB.Reseat(snap)
+			p.invalidations.Add(1)
+		}
 	}
-	c.close()
-	p.invalidations.Add(1)
-	p.misses.Add(1)
-	return false
+	if err != nil {
+		p.discard(c)
+		return false
+	}
+	c.Snap = snap
+	if old != nil {
+		_ = old.Close()
+	}
+	p.hits.Add(1)
+	return true
 }
 
-// Return parks a connection for reuse, unless it is from another epoch
-// than the pool's or older than the floor the last Checkout saw: then
-// it is closed. The coldest pooled connection is evicted when the pool
-// is full. Reports whether the connection was pooled.
+// discard closes a checked-out connection Advance could not bring up to
+// date; its reader cold-opens instead.
+func (p *Pool) discard(c *Conn) {
+	c.close()
+	p.mu.Lock()
+	p.live--
+	p.mu.Unlock()
+	p.misses.Add(1)
+}
+
+// Return parks a connection for reuse, its cache cut to its share: one
+// older than the floor the last Checkout saw gives up its snapshot and
+// parks unseated. One from another epoch than the pool's is closed, and
+// the coldest pooled connection is when the pool is full. Reports
+// whether the connection was pooled.
 func (p *Pool) Return(c *Conn) bool {
 	p.mu.Lock()
-	if p.closed {
+	if p.closed || c.Snap != nil && c.Snap.Epoch() != p.epoch {
+		p.live--
+		closed := p.closed
 		p.mu.Unlock()
 		c.close()
+		if !closed {
+			p.invalidations.Add(1)
+		}
 		return false
 	}
-	if c.Snap.Epoch() != p.epoch || c.Snap.Seq() < p.floor {
-		p.mu.Unlock()
-		c.close()
+	if c.Snap != nil && c.Snap.Seq() < p.floor {
+		c.unseat()
 		p.invalidations.Add(1)
-		return false
+	}
+	if share := p.share(p.live); c.DB.Pager().CacheSize() > share {
+		_ = c.DB.Pager().SetCacheSize(share)
 	}
 	if len(p.free) >= p.limit {
 		// Evict the coldest to make room for the warmer returner.
 		p.free[0].close()
 		copy(p.free, p.free[1:])
 		p.free = p.free[:len(p.free)-1]
+		p.live--
 		p.evictions.Add(1)
 	}
 	p.free = append(p.free, c)
@@ -179,19 +272,15 @@ func (p *Pool) Return(c *Conn) bool {
 	return true
 }
 
-// dropBelowFloorLocked closes every pooled connection the change log can
-// no longer advance. Caller holds p.mu.
-func (p *Pool) dropBelowFloorLocked() {
-	kept := p.free[:0]
+// unseatBelowFloorLocked closes the snapshot of every pooled connection
+// the change log can no longer advance. Caller holds p.mu.
+func (p *Pool) unseatBelowFloorLocked() {
 	for _, c := range p.free {
-		if c.Snap.Seq() < p.floor {
-			c.close()
+		if c.Snap != nil && c.Snap.Seq() < p.floor {
+			c.unseat()
 			p.invalidations.Add(1)
-		} else {
-			kept = append(kept, c)
 		}
 	}
-	p.free = kept
 }
 
 // drainLocked closes every pooled connection. Caller holds p.mu.
@@ -199,6 +288,7 @@ func (p *Pool) drainLocked() {
 	for _, c := range p.free {
 		c.close()
 	}
+	p.live -= len(p.free)
 	p.free = p.free[:0]
 }
 
@@ -219,6 +309,24 @@ func (p *Pool) Idle() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.free)
+}
+
+// Live reports how many connections the pool counts: idle or checked out.
+func (p *Pool) Live() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.live
+}
+
+// CachePages reports how many pages the pooled connections' caches hold.
+func (p *Pool) CachePages() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, c := range p.free {
+		n += c.DB.Pager().CachedPages()
+	}
+	return n
 }
 
 // Stats copies the pool counters.

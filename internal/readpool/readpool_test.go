@@ -57,18 +57,22 @@ func (e *env) commit(t *testing.T, v int64) {
 	}
 }
 
-// coldOpen builds a reader connection the way a cache miss would.
-func (e *env) coldOpen(t *testing.T) *Conn {
+// cacheSize is the per-connection cache size the tests' pools share out.
+const cacheSize = 100
+
+// coldOpen builds a reader connection the way a cache miss would, and
+// hands it to p.
+func (e *env) coldOpen(t *testing.T, p *Pool) *Conn {
 	t.Helper()
 	snap, err := e.fs.OpenSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := sqlite.OpenReader(e.fs, "test.db", snap, sqlite.Config{Mode: pager.Off, CacheSize: 100})
+	db, err := sqlite.OpenReader(e.fs, "test.db", snap, sqlite.Config{Mode: pager.Off, CacheSize: p.cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewConn(db, snap)
+	return p.Adopt(db, snap)
 }
 
 // checkout takes the pool's warmest connection the way a read session
@@ -78,7 +82,7 @@ func (e *env) checkout(t *testing.T, p *Pool) *Conn {
 	t.Helper()
 	seq := e.fs.Device().CommitSeq()
 	c := p.Checkout(seq, e.fs.Epoch(), e.fs.AdvanceFloor())
-	if c == nil || c.Snap.Seq() >= seq {
+	if c == nil || c.Fresh(seq) {
 		return c
 	}
 	snap, err := e.fs.OpenSnapshot()
@@ -104,13 +108,13 @@ func readV(t *testing.T, c *Conn) int64 {
 
 func TestCheckoutReusesWarmConn(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4)
+	p := New(4, cacheSize)
 	defer p.Close()
 
 	if c := e.checkout(t, p); c != nil {
 		t.Fatal("checkout from empty pool returned a connection")
 	}
-	c := e.coldOpen(t)
+	c := e.coldOpen(t, p)
 	if !p.Return(c) {
 		t.Fatal("return to fresh pool rejected")
 	}
@@ -134,11 +138,11 @@ func TestCheckoutReusesWarmConn(t *testing.T) {
 // commit wrote and sees the new value. Its sibling stays pooled.
 func TestCommitAdvancesPooledConn(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4)
+	p := New(4, cacheSize)
 	defer p.Close()
 
-	p.Return(e.coldOpen(t))
-	warm := e.coldOpen(t)
+	p.Return(e.coldOpen(t, p))
+	warm := e.coldOpen(t, p)
 	if v := readV(t, warm); v != 10 {
 		t.Fatalf("cold read %d, want 10", v)
 	}
@@ -170,13 +174,13 @@ func TestCommitAdvancesPooledConn(t *testing.T) {
 // advanced when its turn comes.
 func TestPoolHoldsMixedSequences(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4)
+	p := New(4, cacheSize)
 	defer p.Close()
 
-	stale := e.coldOpen(t)
+	stale := e.coldOpen(t, p)
 	p.Return(stale)
 	e.commit(t, 30)
-	fresh := e.coldOpen(t)
+	fresh := e.coldOpen(t, p)
 	if !p.Return(fresh) {
 		t.Fatal("newer-sequence return rejected")
 	}
@@ -200,32 +204,47 @@ func TestPoolHoldsMixedSequences(t *testing.T) {
 	p.Return(stale)
 }
 
-// A commit that grows the file changes more than pages: the pooled
-// connection cannot be advanced past it, is closed, and the reader
-// cold-opens.
-func TestGrowthForcesColdOpen(t *testing.T) {
+// A commit that grows the file changes more than pages: the change log
+// cannot advance the pooled connection past it, so the next checkout
+// re-seats it — cache emptied, header and catalog reloaded — and it
+// reads the new row; nothing is cold-opened.
+func TestGrowthReseatsConn(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4)
+	p := New(4, cacheSize)
 	defer p.Close()
 
-	p.Return(e.coldOpen(t))
-	if _, err := e.w.Exec("INSERT INTO kv VALUES (2, ?)", strings.Repeat("x", 900)); err != nil {
+	c := e.coldOpen(t, p)
+	if v := readV(t, c); v != 10 {
+		t.Fatalf("cold read %d, want 10", v)
+	}
+	p.Return(c)
+	big := strings.Repeat("x", 900)
+	if _, err := e.w.Exec("INSERT INTO kv VALUES (2, ?)", big); err != nil {
 		t.Fatal(err)
 	}
-	if c := e.checkout(t, p); c != nil {
-		t.Fatal("a connection was advanced past a commit that grew the file")
+	got := e.checkout(t, p)
+	if got != c {
+		t.Fatal("the pooled connection was not re-seated past a commit that grew the file")
 	}
-	if st := p.Stats(); st.Hits != 0 || st.Misses != 1 || st.Invalidations != 1 || st.Idle != 0 {
-		t.Fatalf("stats = %+v, want 1 miss, 1 invalidation, nothing idle", st)
+	if got.DB.Pager().NPages() != e.w.Pager().NPages() {
+		t.Fatalf("re-seated conn sees %d pages, the writer committed %d", got.DB.Pager().NPages(), e.w.Pager().NPages())
 	}
+	row, ok, err := got.DB.QueryRow("SELECT v FROM kv WHERE k = 2")
+	if err != nil || !ok || row[0].Text() != big {
+		t.Fatalf("re-seated conn reads the new row as ok=%v err=%v", ok, err)
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 || st.Advances != 0 || st.Invalidations != 1 || st.Idle != 0 {
+		t.Fatalf("stats = %+v, want 1 hit, 1 invalidation, no miss, no advance", st)
+	}
+	p.Return(got)
 }
 
 func TestPowerCutEpochInvalidatesPool(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4)
+	p := New(4, cacheSize)
 	defer p.Close()
 
-	p.Return(e.coldOpen(t))
+	p.Return(e.coldOpen(t, p))
 	e.fs.PowerCut()
 	if err := e.fs.Remount(); err != nil {
 		t.Fatal(err)
@@ -240,10 +259,10 @@ func TestPowerCutEpochInvalidatesPool(t *testing.T) {
 
 func TestCapacityEvictsColdest(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(2)
+	p := New(2, cacheSize)
 	defer p.Close()
 
-	c1, c2, c3 := e.coldOpen(t), e.coldOpen(t), e.coldOpen(t)
+	c1, c2, c3 := e.coldOpen(t, p), e.coldOpen(t, p), e.coldOpen(t, p)
 	p.Return(c1)
 	p.Return(c2)
 	p.Return(c3) // evicts c1, the coldest
@@ -265,13 +284,13 @@ func TestCapacityEvictsColdest(t *testing.T) {
 
 func TestCloseDrainsAndRejects(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4)
-	p.Return(e.coldOpen(t))
+	p := New(4, cacheSize)
+	p.Return(e.coldOpen(t, p))
 	p.Close()
 	if p.Idle() != 0 {
 		t.Fatal("close left connections pooled")
 	}
-	if p.Return(e.coldOpen(t)) {
+	if p.Return(e.coldOpen(t, p)) {
 		t.Fatal("return after close pooled a connection")
 	}
 	if c := e.checkout(t, p); c != nil {
@@ -282,7 +301,8 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 
 // Idle connections pin the superseded versions of every page committed
 // since their snapshot, but no older than the change log reaches: once a
-// commit pushes the advance floor past one, the next checkout closes it.
+// commit pushes the advance floor past one, the next checkout closes its
+// snapshot and keeps it unseated.
 // Three connections sit idle under a fourth that every reader advances,
 // while each commit rewrites a row on a different one of 80 leaves.
 func TestIdlePinsBoundedByLog(t *testing.T) {
@@ -302,10 +322,10 @@ func TestIdlePinsBoundedByLog(t *testing.T) {
 	if _, err := e.w.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	p := New(4)
+	p := New(4, cacheSize)
 	defer p.Close()
 	for i := 0; i < 4; i++ {
-		p.Return(e.coldOpen(t))
+		p.Return(e.coldOpen(t, p))
 	}
 	x := e.fs.Device().XFTL()
 	peak := 0
@@ -329,8 +349,29 @@ func TestIdlePinsBoundedByLog(t *testing.T) {
 	if peak > reach+1 {
 		t.Errorf("idle connections pinned %d pages, more than the %d commits the log reaches", peak, reach)
 	}
-	if st := p.Stats(); st.Invalidations != 3 || st.Idle != 1 {
-		t.Errorf("stats = %+v, want the 3 idle connections closed", st)
+	if st := p.Stats(); st.Invalidations != 3 || st.Idle != 4 || st.Misses != 0 {
+		t.Errorf("stats = %+v, want the 3 idle connections unseated and kept", st)
+	}
+	for i := 0; i < 4; i++ {
+		c := p.free[i]
+		if unseated := c.Snap == nil; unseated != (i < 3) {
+			t.Errorf("pooled connection %d unseated: %v", i, unseated)
+		}
+		if i < 3 && c.DB.Pager().CachedPages() == 0 {
+			t.Errorf("unseated connection %d let go of its cache before its next checkout", i)
+		}
+	}
+	// An unseated connection's next checkout re-seats it over the newest
+	// snapshot.
+	for i := 0; i < 2; i++ {
+		c := e.checkout(t, p)
+		if c == nil || c.Snap == nil {
+			t.Fatalf("checkout %d: no seated connection", i)
+		}
+		if v, want := readV(t, c), int64(10); v != want {
+			t.Fatalf("checkout %d reads %d, want %d", i, v, want)
+		}
+		defer p.Return(c)
 	}
 }
 
@@ -340,10 +381,10 @@ func TestIdlePinsBoundedByLog(t *testing.T) {
 // advances past a commit costs no more than the snapshot it opens.
 func TestPooledReadHotPathNoAllocs(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4)
+	p := New(4, cacheSize)
 	defer p.Close()
 
-	c := e.coldOpen(t)
+	c := e.coldOpen(t, p)
 	// Warm the pager cache so steady state is measured.
 	pg, err := c.DB.Pager().Get(1)
 	if err != nil {

@@ -95,8 +95,12 @@
 // xftl_flash_page_writes_total, xftl_gc_runs_total,
 // xftl_host_page_writes_total{class}, xftl_tx_commits_total,
 // xftl_ncq_command_seconds{class}, xftl_readpool_hits_total{db} and the
-// rest, each with a HELP line saying what it counts (DESIGN.md §11). A
-// scrape is safe under load.
+// rest, each with a HELP line saying what it counts (DESIGN.md §11). Of
+// the reader pool's, xftl_readpool_cache_pages{db} gauges the pages its
+// idle connections cache, out of a budget of 8 × 64 shared by all of
+// them, and xftl_readpool_invalidations_total{db} counts connections the
+// change log could not advance: re-seated over a fresh snapshot, or
+// closed at a power cut. A scrape is safe under load.
 //
 // # Error taxonomy
 //

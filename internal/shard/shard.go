@@ -64,7 +64,7 @@ type Options struct {
 
 // Every database's sessions are X-FTL MVCC: snapshot readers beside a
 // FIFO writer over journal mode Off, with pipelined page I/O and these
-// sizes.
+// sizes. The pooled readers share readPool × cacheSize cache pages.
 const (
 	cacheSize = 64 // the SQLite page cache per connection, in pages
 	readPool  = 8  // warm reader connections pooled per database
@@ -113,7 +113,7 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	stacks, err := xftl.NewFleet(opts.Shards, opts.Profile, xftl.ModeXFTL, opts.Stack)
+	stacks, err := xftl.NewFleet(opts.Shards, opts.Profile, opts.Stack)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,9 @@ import (
 // schema statement: the same rows from every table, and every page its
 // cache holds the snapshot's page. Every schema statement writes page 1
 // or grows the file — the premise that lets an advance keep its catalog
-// unless page 1 changed.
+// unless page 1 changed. Where the log cannot advance it — the file grew
+// or shrank, or a burst of commits left the snapshot older than the log
+// reaches — the connection is re-seated instead, and must read the same.
 func TestAdvancedReaderMatchesColdReader(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { advanceStream(t, seed) })
@@ -59,6 +61,10 @@ func advanceStream(t *testing.T, seed int64) {
 			mustExec(t, w, fmt.Sprintf("INSERT INTO %s VALUES (?, ?)", tbl), k, text())
 		}
 	}
+	// A one-row table only the bursts below update.
+	mustExec(t, w, "CREATE TABLE burst (k INTEGER PRIMARY KEY, v TEXT)")
+	mustExec(t, w, "INSERT INTO burst VALUES (1, 'b')")
+	names = append(names, "burst")
 	pick := func(s []string) int { return rng.Intn(len(s)) }
 	nextKey := 41 // above every key a table was loaded with
 	pointOp := func() {
@@ -98,7 +104,7 @@ func advanceStream(t *testing.T, seed int64) {
 	}
 	adv := open(snap)
 	var changed []int64
-	advances, colds := 0, 0
+	advances, reseats, gaps := 0, 0, 0
 	page := make([]byte, e.fs.PageSize())
 	for step := 0; step < 150; step++ {
 		switch r := rng.Intn(20); {
@@ -128,7 +134,14 @@ func advanceStream(t *testing.T, seed int64) {
 			ddl("DROP INDEX IF EXISTS " + indexes[i])
 			indexes = slices.Delete(indexes, i, i+1)
 		}
-		if rng.Intn(3) == 0 {
+		burst := step%50 == 25
+		if burst {
+			// More one-row commits than the change log holds: the next
+			// advance finds the snapshot below the log's floor.
+			for i := 0; i < 70; i++ {
+				mustExec(t, w, "UPDATE burst SET v = ? WHERE k = 1", fmt.Sprint(i))
+			}
+		} else if rng.Intn(3) == 0 {
 			continue // let commits pile up: the next advance crosses several
 		}
 
@@ -144,9 +157,13 @@ func advanceStream(t *testing.T, seed int64) {
 			}
 			advances++
 		} else {
-			_ = adv.Close()
-			adv = open(next)
-			colds++
+			if burst {
+				gaps++
+			}
+			if err := adv.Reseat(next); err != nil {
+				t.Fatalf("step %d: reseat: %v", step, err)
+			}
+			reseats++
 		}
 		_ = snap.Close()
 		snap = next
@@ -186,9 +203,12 @@ func advanceStream(t *testing.T, seed int64) {
 	}
 	_ = adv.Close()
 	_ = snap.Close()
-	t.Logf("%d advances, %d cold opens", advances, colds)
+	t.Logf("%d advances, %d re-seats (%d past a burst longer than the log)", advances, reseats, gaps)
 	if advances < 40 {
 		t.Errorf("only %d of the stream's snapshots were advanced: the test no longer exercises Advance", advances)
+	}
+	if gaps < 2 || reseats < gaps+5 {
+		t.Errorf("%d re-seats, %d past a burst: the test no longer exercises Reseat after growth and after a gap", reseats, gaps)
 	}
 }
 

@@ -68,6 +68,19 @@ func (db *DB) Advance(snap *simfs.Snapshot, changed []int64) error {
 	return err
 }
 
+// Reseat moves a read-only connection on to snap, a later snapshot of its
+// database that the change log cannot advance it to: the file changed
+// size or the namespace changed in between, or the log no longer reaches
+// back. The pager cache empties and the header and catalog reload, as at
+// a cold open, but the cache's frames and the compiled statements stay.
+func (db *DB) Reseat(snap *simfs.Snapshot) error {
+	err := db.pg.Reseat(snap)
+	if err == nil {
+		err = db.cat.reset()
+	}
+	return err
+}
+
 // attach loads the catalog through a freshly opened pager and wraps the
 // pair in a connection.
 func attach(fsys *simfs.FS, name string, p *pager.Pager) (*DB, error) {

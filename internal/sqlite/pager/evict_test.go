@@ -45,8 +45,17 @@ func (r *refCache) unlist(pgno Pgno) {
 	r.lru = slices.DeleteFunc(r.lru, func(q Pgno) bool { return q == pgno })
 }
 
-func (r *refCache) makeRoom() {
-	for len(r.in) >= r.size {
+func (r *refCache) makeRoom() { r.evictTo(r.size - 1) }
+
+// resize is Pager.SetCacheSize: a smaller cache recycles the list's head
+// until it fits.
+func (r *refCache) resize(n int) {
+	r.size = n
+	r.evictTo(n)
+}
+
+func (r *refCache) evictTo(n int) {
+	for len(r.in) > n {
 		victim := r.lru[0]
 		r.lru = r.lru[1:]
 		if r.dirty[victim] {
@@ -73,7 +82,7 @@ func (r *refCache) rollback() {
 
 // TestEvictionOrderMatchesReference drives the pager and the reference
 // policy with the same random stream of gets, writes, long-held pins,
-// commits and rollbacks, and requires the same set of resident pages
+// commits, rollbacks and cache resizes, and requires the same set of resident pages
 // after every step — that is, the same victim at every eviction.
 // (Rollback journal mode is left out: its Write also touches page 1,
 // which would need the journal modelled; the policy code is shared.)
@@ -122,8 +131,9 @@ func FuzzEvictionOrder(f *testing.F) {
 var evictionModes = []JournalMode{WAL, Off}
 
 // evictionStream runs steps ops chosen by next (a value in [0, n)) on an
-// 8-page cache over a 40-page database, checking the pager's resident set
-// against refCache's after each.
+// 8-page cache, resized now and then to 5 to 12 pages, over a 40-page
+// database, checking the pager's resident set against refCache's after
+// each, and that a shrink let go of the frames it has no room for.
 func evictionStream(t testing.TB, mode JournalMode, next func(n int) int, steps int) {
 	t.Helper()
 	const cacheSize, dbPages = 8, 40
@@ -157,7 +167,16 @@ func evictionStream(t testing.TB, mode JournalMode, next func(n int) int, steps 
 	inTx := false
 	for step := 0; step < steps; step++ {
 		op := ""
+		shrunk := false
 		switch k := next(100); {
+		case k < 3:
+			n := 5 + next(8)
+			op = fmt.Sprintf("resize %d", n)
+			shrunk = n < p.CacheSize()
+			if err := p.SetCacheSize(n); err != nil {
+				t.Fatalf("step %d %s: %v", step, op, err)
+			}
+			ref.resize(n)
 		case k < 70:
 			pgno := Pgno(1 + next(dbPages))
 			write := inTx && next(3) == 0
@@ -221,6 +240,9 @@ func evictionStream(t testing.TB, mode JournalMode, next func(n int) int, steps 
 		}
 		if frames > cacheSize+dbPages {
 			t.Fatalf("step %d: %d frames for a %d-page cache", step, frames, cacheSize)
+		}
+		if held := len(p.cache) + len(p.dropped); shrunk && frames > max(p.CacheSize(), held) {
+			t.Fatalf("step %d, after %s: %d frames kept for %d pages held", step, op, frames, held)
 		}
 	}
 }

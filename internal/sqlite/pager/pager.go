@@ -72,13 +72,17 @@ type Config struct {
 	// Mode is the atomic-commit strategy: the paper's RBJ, WAL and
 	// X-FTL (journaling off) configurations.
 	Mode JournalMode
-	// CacheSize is the buffer-pool capacity in pages (default 2000,
-	// SQLite's historical default).
+	// CacheSize is the buffer-pool capacity in pages (default
+	// DefaultCacheSize).
 	CacheSize int
 	// CheckpointPages triggers a WAL checkpoint when the log reaches
 	// this many pages (default 1000, as in the paper §6.3.1).
 	CheckpointPages int64
 }
+
+// DefaultCacheSize is the cache capacity of a Config that sets none:
+// 2000 pages, SQLite's historical default.
+const DefaultCacheSize = 2000
 
 const (
 	headerMagic  = 0x58464442 // "XFDB"
@@ -230,7 +234,7 @@ func (p *Pager) sess() uint64 {
 // newPager fills in the configuration defaults and the empty cache.
 func newPager(fsys *simfs.FS, name string, cfg Config) *Pager {
 	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 2000
+		cfg.CacheSize = DefaultCacheSize
 	}
 	if cfg.CheckpointPages <= 0 {
 		cfg.CheckpointPages = 1000
@@ -360,7 +364,7 @@ func (p *Pager) loadHeader() error {
 		fresh = p.file.Pages() == 0
 	}
 	if fresh {
-		p.nPages = 1
+		p.nPages, p.schema, p.freelist = 1, 0, p.freelist[:0]
 		return nil
 	}
 	buf := make([]byte, p.PageSize())
@@ -547,13 +551,17 @@ func (pg *Page) Release() {
 	}
 }
 
-// makeRoom evicts unpinned pages, least recently unpinned first, until
-// the cache is under its limit. Dirty evictions are the steal policy:
+// makeRoom evicts until the cache is under its limit, so a miss can load
+// one more page.
+func (p *Pager) makeRoom() error { return p.evictTo(p.cfg.CacheSize - 1) }
+
+// evictTo evicts unpinned pages, least recently unpinned first, until
+// the cache holds at most n. Dirty evictions are the steal policy:
 // uncommitted content reaches storage under whatever protection the
 // journal mode provides. An eviction costs O(1) amortised plus the
 // pinned pages it steps over.
-func (p *Pager) makeRoom() error {
-	for len(p.cache) >= p.cfg.CacheSize {
+func (p *Pager) evictTo(n int) error {
+	for len(p.cache) > n {
 		// An eviction pass forgets the place of every dropped page.
 		for _, pg := range p.dropped {
 			p.toFree(pg)
@@ -1490,3 +1498,48 @@ func (p *Pager) Close() error {
 // File exposes the pager's underlying database file for cross-database
 // transaction coordination (the X-FTL multi-file commit of §4.3).
 func (p *Pager) File() *simfs.File { return p.file }
+
+// CacheSize reports the cache's capacity in pages.
+func (p *Pager) CacheSize() int { return p.cfg.CacheSize }
+
+// CachedPages reports how many pages the cache holds.
+func (p *Pager) CachedPages() int { return len(p.cache) }
+
+// SetCacheSize changes the cache's capacity to n ≥ 1 pages. A smaller
+// capacity evicts least recently unpinned pages at once, as a miss
+// would, and lets go of the frames it has no room for; the error is the
+// eviction's (ErrPinned if pinned pages alone exceed n).
+func (p *Pager) SetCacheSize(n int) error {
+	shrink := n < p.cfg.CacheSize
+	p.cfg.CacheSize = n
+	if !shrink {
+		return nil
+	}
+	err := p.evictTo(n)
+	keep := n - len(p.cache) - len(p.dropped)
+	link := &p.free
+	for ; *link != nil && keep > 0; keep-- {
+		link = &(*link).next
+	}
+	*link = nil
+	return err
+}
+
+// Reseat moves a read-only pager on to snap, a later snapshot of the same
+// database whatever the commits in between changed — its size, the
+// namespace, or pages the change log no longer names: every page leaves
+// the cache, its frame kept for the next miss, and the header is read
+// again. The pager must hold no page pinned.
+func (p *Pager) Reseat(snap *simfs.Snapshot) error {
+	p.snap = snap
+	for _, pg := range p.cache {
+		p.toFree(pg)
+	}
+	clear(p.cache)
+	for _, pg := range p.dropped {
+		p.toFree(pg)
+	}
+	clear(p.dropped)
+	p.gen++
+	return p.loadHeader()
+}

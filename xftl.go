@@ -203,20 +203,20 @@ func (s *Stack) AttachTracer(t *trace.Tracer, label string) {
 	s.SetTracer(t)
 }
 
-// NewFleet builds n (≥ 1) independent stacks — the shard substrate.
-// Every member shares one hardware profile, mode and device options but
-// owns its device, clock and file system, so members simulate in
+// NewFleet builds n (≥ 1) independent X-FTL stacks — the shard
+// substrate. Every member shares one hardware profile and device options
+// but owns its device, clock and file system, so members simulate in
 // parallel without serializing on any shared state. Construction is
 // cheap: pure struct wiring, no goroutines, no preallocation beyond each
 // device's page store.
-func NewFleet(n int, prof Profile, mode Mode, devOpts storage.Options) ([]*Stack, error) {
+func NewFleet(n int, prof Profile, devOpts storage.Options) ([]*Stack, error) {
 	if devOpts.Fault != nil && n > 1 {
 		return nil, fmt.Errorf("xftl: one fault model cannot serve %d shards: members run in parallel and would share its random state", n)
 	}
 	stacks := make([]*Stack, n)
 	reg := metrics.NewRegistry() // one exposition, members told apart by label
 	for i := range stacks {
-		st, err := newStack(prof, mode, devOpts, StackOptions{}, reg, i)
+		st, err := newStack(prof, ModeXFTL, devOpts, StackOptions{}, reg, i)
 		if err != nil {
 			// Unwind the members already built so no queue outlives the
 			// failed constructor.

@@ -183,7 +183,7 @@ func TestModeIOCharacter(t *testing.T) {
 
 // TestStackConstructorsAgree holds the constructors to one device
 // configuration. The capacity knob reaches NewStackDevice as it reaches
-// NewStackOptions, and every fleet member is the stack its
+// NewStackOptions, and every fleet member is the X-FTL stack its
 // storage.Options build alone: the same FTL configuration, and the same
 // virtual time and flash traffic for the same burst of commands.
 func TestStackConstructorsAgree(t *testing.T) {
@@ -210,11 +210,11 @@ func TestStackConstructorsAgree(t *testing.T) {
 
 	devOpts := storage.Options{QueueDepth: 4, CmdDeadline: 50 * time.Millisecond, CmdRetries: 2}
 	devOpts.FTL.LogicalPages = logical
-	lone, err := xftl.NewStackDevice(prof, xftl.ModeWAL, devOpts, xftl.StackOptions{})
+	lone, err := xftl.NewStackDevice(prof, xftl.ModeXFTL, devOpts, xftl.StackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := xftl.NewFleet(2, prof, xftl.ModeWAL, devOpts)
+	fleet, err := xftl.NewFleet(2, prof, devOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
