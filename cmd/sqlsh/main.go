@@ -6,20 +6,14 @@
 //
 //	sqlsh [-mode rbj|wal|xftl] [-db name]
 //
-// Example session:
-//
-//	sql> CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT);
-//	sql> INSERT INTO kv VALUES (1, 'hello');
-//	sql> SELECT * FROM kv;
-//	k  v
-//	1  hello
-//	(1 row, 3.91ms simulated I/O)
+// TestScriptedSession holds a scripted session's transcript.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -43,66 +37,72 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sqlsh: unknown mode %q\n", *modeFlag)
 		os.Exit(2)
 	}
-	st, err := xftl.NewStack(xftl.OpenSSD(), mode)
-	if err != nil {
+	if err := run(os.Stdin, os.Stdout, mode, *dbName); err != nil {
 		fmt.Fprintf(os.Stderr, "sqlsh: %v\n", err)
 		os.Exit(1)
 	}
-	db, err := st.OpenDB(*dbName)
+}
+
+// run opens the database name on a new stack in mode and executes the
+// statements read from in, writing prompts, results and each
+// statement's simulated I/O time to out.
+func run(in io.Reader, out io.Writer, mode xftl.Mode, name string) error {
+	st, err := xftl.NewStackDevice(xftl.OpenSSD(), mode, xftl.DeviceOptions{}, xftl.StackOptions{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sqlsh: %v\n", err)
-		os.Exit(1)
+		return err
+	}
+	db, err := st.OpenDB(name)
+	if err != nil {
+		return err
 	}
 	defer db.Close()
-	fmt.Printf("sqlsh: %s on %s (%s mode); end statements with ';', Ctrl-D to exit\n",
-		*dbName, st.Device.Profile().Name, mode)
+	fmt.Fprintf(out, "sqlsh: %s on %s (%s mode); end statements with ';', Ctrl-D to exit\n",
+		name, st.Device.Profile().Name, mode)
 
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	prompt := func() { fmt.Print("sql> ") }
-	prompt()
-	for in.Scan() {
-		line := in.Text()
+	fmt.Fprint(out, "sql> ")
+	for sc.Scan() {
+		line := sc.Text()
 		buf.WriteString(line)
 		buf.WriteByte('\n')
 		if !strings.Contains(line, ";") {
-			fmt.Print("...> ")
+			fmt.Fprint(out, "...> ")
 			continue
 		}
 		stmt := strings.TrimSpace(buf.String())
 		buf.Reset()
-		if stmt == ";" || stmt == "" {
-			prompt()
-			continue
+		if stmt != ";" && stmt != "" {
+			runStatement(out, st, db, stmt)
 		}
-		runStatement(st, db, stmt)
-		prompt()
+		fmt.Fprint(out, "sql> ")
 	}
+	return sc.Err()
 }
 
-func runStatement(st *xftl.Stack, db *xftl.DB, stmt string) {
+func runStatement(out io.Writer, st *xftl.Stack, db *xftl.DB, stmt string) {
 	start := st.Clock.Now()
 	upper := strings.ToUpper(strings.TrimSpace(stmt))
 	if strings.HasPrefix(upper, "SELECT") {
 		rows, err := db.Query(stmt)
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(out, "error: %v\n", err)
 			return
 		}
-		printRows(rows)
-		fmt.Printf("(%d row(s), %v simulated I/O)\n", rows.Len(), st.Clock.Now()-start)
+		printRows(out, rows)
+		fmt.Fprintf(out, "(%d row(s), %v simulated I/O)\n", rows.Len(), st.Clock.Now()-start)
 		return
 	}
 	n, err := db.Exec(stmt)
 	if err != nil {
-		fmt.Printf("error: %v\n", err)
+		fmt.Fprintf(out, "error: %v\n", err)
 		return
 	}
-	fmt.Printf("ok (%d row(s) affected, %v simulated I/O)\n", n, st.Clock.Now()-start)
+	fmt.Fprintf(out, "ok (%d row(s) affected, %v simulated I/O)\n", n, st.Clock.Now()-start)
 }
 
-func printRows(rows *xftl.Rows) {
+func printRows(out io.Writer, rows *xftl.Rows) {
 	widths := make([]int, len(rows.Columns))
 	for i, c := range rows.Columns {
 		widths[i] = len(c)
@@ -123,22 +123,22 @@ func printRows(rows *xftl.Rows) {
 	}
 	for i, c := range rows.Columns {
 		if i > 0 {
-			fmt.Print("  ")
+			fmt.Fprint(out, "  ")
 		}
-		fmt.Printf("%-*s", widths[i], c)
+		fmt.Fprintf(out, "%-*s", widths[i], c)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	for _, row := range strs {
 		for i, s := range row {
 			if i > 0 {
-				fmt.Print("  ")
+				fmt.Fprint(out, "  ")
 			}
 			w := 0
 			if i < len(widths) {
 				w = widths[i]
 			}
-			fmt.Printf("%-*s", w, s)
+			fmt.Fprintf(out, "%-*s", w, s)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 }

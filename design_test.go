@@ -31,6 +31,8 @@ var (
 	designCitation = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//|#)*§\s?(\d+[a-z]?)`)
 	testFunc       = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 	namedTest      = regexp.MustCompile(`\b((?:Test|Fuzz)[A-Z]\w*)`)
+	moduleMap      = regexp.MustCompile("(?s)\n## 5\\. [^\n]*\n\n```\n(.*?)```")
+	goRunTarget    = regexp.MustCompile(`go run (\./\S*)`)
 )
 
 // TestDesignStaysCurrent holds DESIGN.md to its size bound, every
@@ -93,6 +95,37 @@ func TestDesignStaysCurrent(t *testing.T) {
 		if len(missing) > 0 {
 			sort.Strings(missing)
 			t.Errorf("%s names tests the tree does not have: %s", path, strings.Join(missing, ", "))
+		}
+	}
+}
+
+// TestDocumentedPathsExist holds the documents' directions to the tree:
+// every path in DESIGN.md §5's module map and every `go run ./…` target
+// in README.md must exist.
+func TestDocumentedPathsExist(t *testing.T) {
+	m := moduleMap.FindStringSubmatch(readRepoFile(t, "DESIGN.md"))
+	if m == nil {
+		t.Fatal("DESIGN.md has no §5 module map")
+	}
+	var mapped []string
+	for _, line := range strings.Split(m[1], "\n") {
+		if entry, _, ok := strings.Cut(line, " -- "); ok {
+			for _, path := range strings.Split(entry, ",") {
+				mapped = append(mapped, strings.TrimSpace(path))
+			}
+		}
+	}
+	if len(mapped) == 0 {
+		t.Fatal("DESIGN.md §5's module map lists no paths")
+	}
+	for _, path := range mapped {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("DESIGN.md §5 maps %s, which the tree does not have", path)
+		}
+	}
+	for _, m := range goRunTarget.FindAllStringSubmatch(readRepoFile(t, "README.md"), -1) {
+		if _, err := os.Stat(m[1]); err != nil {
+			t.Errorf("README.md says go run %s, which the tree does not have", m[1])
 		}
 	}
 }

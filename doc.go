@@ -7,7 +7,7 @@
 // interface, an ext4-like journaling file system, and a SQLite-like
 // embedded SQL engine — into one Stack per paper configuration:
 //
-//	st, _ := xftl.NewStack(xftl.OpenSSD(), xftl.ModeXFTL)
+//	st, _ := xftl.NewStackDevice(xftl.OpenSSD(), xftl.ModeXFTL, xftl.DeviceOptions{}, xftl.StackOptions{})
 //	db, _ := st.OpenDB("app.db")
 //	db.Exec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
 //	db.Exec(`INSERT INTO kv VALUES (?, ?)`, 1, "hello")

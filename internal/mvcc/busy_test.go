@@ -14,7 +14,7 @@ import (
 // sooner than the scheduler's preemption lets the lock holder release.
 const longBudget = 365 * 24 * time.Hour
 
-// A budgeted BeginWith must poll through a writer's hold and acquire
+// A budgeted BeginInto must poll through a writer's hold and acquire
 // once the lock frees, counting its misses but not a timeout.
 func TestBusyBudgetAcquiresAfterRelease(t *testing.T) {
 	m := newMVCCManager(t)
@@ -25,7 +25,8 @@ func TestBusyBudgetAcquiresAfterRelease(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		w2, err := m.BeginWith(false, longBudget)
+		w2 := new(Session)
+		err := m.BeginInto(w2, false, longBudget)
 		if err == nil {
 			err = w2.Commit()
 		}
@@ -40,7 +41,7 @@ func TestBusyBudgetAcquiresAfterRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := <-got; err != nil {
-		t.Fatalf("BeginWith inside budget: %v", err)
+		t.Fatalf("BeginInto inside budget: %v", err)
 	}
 	if m.Stats.BusyRetries.Load() == 0 {
 		t.Error("no busy polls counted")
@@ -62,7 +63,7 @@ func TestBusyBudgetExpires(t *testing.T) {
 	clock := m.fs.Device().Clock()
 	start := clock.Now()
 	const budget = 2 * time.Millisecond
-	_, err = m.BeginWith(false, budget)
+	err = m.BeginInto(new(Session), false, budget)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("expired busy timeout: got %v, want ErrBusy", err)
 	}
@@ -86,8 +87,8 @@ func TestBusyBudgetReaderNeverBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.BeginWith(true, 0) // zero budget: would expire instantly if it polled
-	if err != nil {
+	r := new(Session)
+	if err := m.BeginInto(r, true, 0); err != nil { // zero budget: would expire instantly if it polled
 		t.Fatalf("reader blocked on the writer lock: %v", err)
 	}
 	if got := readAll(t, r)[0]; got != 7 {
@@ -120,7 +121,7 @@ func TestZeroBudgetDoesNotJumpQueue(t *testing.T) {
 	for m.Stats.WriterWaits.Load() == 0 {
 		runtime.Gosched()
 	}
-	if _, err := m.BeginWith(false, 0); !errors.Is(err, ErrBusy) {
+	if err := m.BeginInto(new(Session), false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("zero-budget begin with a queued writer: got %v, want ErrBusy", err)
 	}
 	if err := w1.Commit(); err != nil {
@@ -132,14 +133,14 @@ func TestZeroBudgetDoesNotJumpQueue(t *testing.T) {
 	}
 	// The queue is empty now; a zero-budget begin succeeds only after w2
 	// is done.
-	if _, err := m.BeginWith(false, 0); !errors.Is(err, ErrBusy) {
+	if err := m.BeginInto(new(Session), false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("zero-budget begin with active writer: got %v, want ErrBusy", err)
 	}
 	if err := w2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	w3, err := m.BeginWith(false, 0)
-	if err != nil {
+	w3 := new(Session)
+	if err := m.BeginInto(w3, false, 0); err != nil {
 		t.Fatalf("zero-budget begin on idle queue: %v", err)
 	}
 	if err := w3.Rollback(); err != nil {
@@ -156,8 +157,8 @@ func TestBusyBudgetSessionIsAttributed(t *testing.T) {
 	tr := trace.New()
 	tr.Attach(m.fs.Device().Clock(), t.Name())
 	m.fs.SetTracer(tr)
-	w, err := m.BeginWith(false, time.Second)
-	if err != nil {
+	w := new(Session)
+	if err := m.BeginInto(w, false, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if w.ID() == 0 {
@@ -193,7 +194,7 @@ func TestBusyBudgetOnClosedManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []time.Duration{0, time.Millisecond, Unbounded} {
-		if _, err := m.BeginWith(false, budget); !errors.Is(err, ErrClosed) || errors.Is(err, ErrBusy) {
+		if err := m.BeginInto(new(Session), false, budget); !errors.Is(err, ErrClosed) || errors.Is(err, ErrBusy) {
 			t.Errorf("begin(budget %v) on a closed manager: got %v, want ErrClosed", budget, err)
 		}
 	}

@@ -217,31 +217,25 @@ const Unbounded time.Duration = -1
 // Readers never block: they pin a snapshot and return immediately even
 // while a write transaction is in flight.
 func (m *Manager) Begin(readonly bool) (*Session, error) {
-	return m.BeginWith(readonly, Unbounded)
-}
-
-// BeginWith is Begin for a caller with a busy budget, the
-// sqlite3_busy_timeout analogue: a writer that finds the database locked
-// polls the lock with exponential virtual-time backoff until it either
-// acquires it or has burned the budget, and only then returns ErrBusy
-// (wrapped, so errors.Is still matches); a zero budget is SQLite's
-// immediate BUSY. A polling writer never jumps the FIFO queue. The
-// elapsed budget is measured on the device's virtual clock, so
-// concurrent sessions' own charges count against it exactly as wall
-// time would against a real busy_timeout. Unbounded queues instead, as
-// Begin does. Readers never block and ignore the budget.
-func (m *Manager) BeginWith(readonly bool, budget time.Duration) (*Session, error) {
 	s := new(Session)
-	if err := m.BeginInto(s, readonly, budget); err != nil {
+	if err := m.BeginInto(s, readonly, Unbounded); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// BeginInto is BeginWith into a session the caller owns, so a caller
-// that runs one session after another allocates none: s must be new or
-// ended, and everything it held is overwritten. On error s is left
-// ended.
+// BeginInto is Begin into a session the caller owns, so a caller that
+// runs one session after another allocates none (s must be new or ended,
+// and everything it held is overwritten; on error s is left ended), with
+// a busy budget, the sqlite3_busy_timeout analogue: a writer that finds
+// the database locked polls the lock with exponential virtual-time
+// backoff until it either acquires it or has burned the budget, and only
+// then returns ErrBusy (wrapped, so errors.Is still matches); a zero
+// budget is SQLite's immediate BUSY. A polling writer never jumps the
+// FIFO queue. The elapsed budget is measured on the device's virtual
+// clock, so concurrent sessions' own charges count against it exactly as
+// wall time would against a real busy_timeout. Unbounded queues instead,
+// as Begin does. Readers never block and ignore the budget.
 func (m *Manager) BeginInto(s *Session, readonly bool, budget time.Duration) error {
 	*s = Session{m: m, db: m.db, readonly: readonly, done: true}
 	if readonly {

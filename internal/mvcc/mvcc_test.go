@@ -198,15 +198,15 @@ func TestWriterQueueAndBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.BeginWith(false, 0); !errors.Is(err, ErrBusy) {
+	if err := m.BeginInto(new(Session), false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("zero-budget begin with active writer: got %v, want ErrBusy", err)
 	}
 	// Readers are unaffected by the writer lock.
-	if r, err := m.BeginWith(true, 0); err != nil {
+	r := new(Session)
+	if err := m.BeginInto(r, true, 0); err != nil {
 		t.Fatalf("zero-budget begin(readonly): %v", err)
-	} else {
-		_ = r.Commit()
 	}
+	_ = r.Commit()
 
 	order := make(chan int, 2)
 	var wg sync.WaitGroup
@@ -246,7 +246,7 @@ func TestWriterQueueAndBusy(t *testing.T) {
 		}
 		want++
 	}
-	r, _ := m.Begin(true)
+	r, _ = m.Begin(true)
 	if got := readAll(t, r)[0]; got != 2 {
 		t.Fatalf("both queued writers must have applied: got %d, want 2", got)
 	}

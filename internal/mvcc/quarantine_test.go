@@ -41,7 +41,7 @@ func newMultiUnitManager(t *testing.T) *Manager {
 }
 
 // TestBusyBudgetRacesQuarantine trips a unit quarantine while a
-// budgeted BeginWith poller is spinning on a held writer lock. The
+// budgeted BeginInto poller is spinning on a held writer lock. The
 // firmware's quarantine drain (relocating live pages under the queue
 // lock) must not deadlock against the poller or the writer's commit,
 // the writer lock must come out of the race released exactly once, and
@@ -57,7 +57,8 @@ func TestBusyBudgetRacesQuarantine(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		s, err := m.BeginWith(false, longBudget)
+		s := new(Session)
+		err := m.BeginInto(s, false, longBudget)
 		if err == nil {
 			if _, err = s.Exec("UPDATE kv SET v = 1 WHERE k = 0"); err == nil {
 				err = s.Commit()
@@ -126,7 +127,7 @@ func TestBusyBudgetExpiresDuringQuarantine(t *testing.T) {
 	if err := dev.QuarantineUnit(0); err != nil {
 		t.Fatalf("quarantine: %v", err)
 	}
-	_, err = m.BeginWith(false, 2*time.Millisecond)
+	err = m.BeginInto(new(Session), false, 2*time.Millisecond)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("expired acquire = %v, want ErrBusy", err)
 	}
@@ -141,8 +142,8 @@ func TestBusyBudgetExpiresDuringQuarantine(t *testing.T) {
 	if err := w1.Commit(); err != nil {
 		t.Fatalf("holder commit: %v", err)
 	}
-	w2, err := m.BeginWith(false, time.Second)
-	if err != nil {
+	w2 := new(Session)
+	if err := m.BeginInto(w2, false, time.Second); err != nil {
 		t.Fatalf("begin after expiry: %v", err)
 	}
 	if err := w2.Rollback(); err != nil {

@@ -190,7 +190,7 @@ func (f *Fleet) Begin(db string, readonly bool) (*Session, error) {
 
 // BeginInto is Begin into a session the caller owns (new or ended; see
 // mvcc.Manager.BeginInto), with a busy budget passed unchanged to the
-// session manager (mvcc.Manager.BeginWith: Unbounded queues, 0 is an
+// session manager (mvcc.Manager.BeginInto: Unbounded queues, 0 is an
 // immediate ErrBusy). The serving tier runs each connection's autocommit
 // requests on one such session and propagates request deadlines as the
 // budget.

@@ -8,9 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/metrics"
+	xftl "repro"
 	"repro/internal/mvcc"
-	"repro/internal/simclock"
 	"repro/internal/simfs"
 	"repro/internal/sqlite/pager"
 	"repro/internal/storage"
@@ -113,20 +112,15 @@ func (s sessionRun) run(seed int64) (*Report, error) {
 	return rep, rep.finish(dev)
 }
 
-// sessionStack is what the session and group legs run on: the SQL legs'
-// transactional device, an X-FTL file system and a session manager over
-// kv.db.
+// sessionStack is what the session and group legs run on: an X-FTL
+// stack on the SQL legs' device and a session manager over kv.db.
 func sessionStack(opts mvcc.Options) (*storage.Device, *simfs.FS, *mvcc.Manager, error) {
-	dev, err := storage.New(sqlProfile(), simclock.New(), storage.Options{Transactional: true, QueueDepth: 16})
+	st, err := xftl.NewStackDevice(sqlProfile(), xftl.ModeXFTL, xftl.DeviceOptions{QueueDepth: 16}, xftl.StackOptions{})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	mgr, err := mvcc.NewManager(fsys, "kv.db", opts)
-	return dev, fsys, mgr, err
+	mgr, err := mvcc.NewManager(st.FS, "kv.db", opts)
+	return st.Device, st.FS, mgr, err
 }
 
 // loadKV creates the kv table of that many rows at generation 0 and

@@ -74,7 +74,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := xftl.NewStack(xftl.OpenSSD(), tc.mode)
+			st, err := xftl.NewStackDevice(xftl.OpenSSD(), tc.mode, xftl.DeviceOptions{}, xftl.StackOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestEveryEndingIsOneTxnSpan(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := xftl.NewStack(xftl.OpenSSD(), xftl.ModeXFTL)
+			st, err := xftl.NewStackDevice(xftl.OpenSSD(), xftl.ModeXFTL, xftl.DeviceOptions{}, xftl.StackOptions{})
 			must(t, err)
 			var dbs []*sqlite.DB
 			for _, name := range []string{"a.db", "b.db"} {

@@ -1,6 +1,7 @@
 package xftl
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -48,6 +49,9 @@ func (m Mode) String() string {
 type (
 	// Profile describes a storage device model.
 	Profile = storage.Profile
+	// DeviceOptions configures the device under a stack: fault model,
+	// FTL and X-FTL configuration (capacity included) and NCQ.
+	DeviceOptions = storage.Options
 	// DB is the embedded SQL database engine.
 	DB = sqlite.DB
 	// Rows is a materialized query result.
@@ -110,45 +114,46 @@ func (s *Stack) SetTracer(t *trace.Tracer) {
 	s.FS.SetTracer(t)
 }
 
-// StackOptions tunes stack construction: the database's page cache and
-// WAL checkpoint, and the device's capacity. Every other device setting
-// travels as storage.Options (NewStackDevice, NewFleet).
+// StackOptions tunes the database a stack opens: its page cache and WAL
+// checkpoint. Every device setting, capacity included, travels as
+// DeviceOptions.
 type StackOptions struct {
 	// CacheSize overrides the SQLite page-cache size (pages).
 	CacheSize int
 	// CheckpointPages overrides the WAL auto-checkpoint threshold.
 	CheckpointPages int64
-	// FTLLogicalPages, when positive, overrides the exported device
-	// capacity (storage.Options.FTL.LogicalPages), which is the
-	// aging/GC-pressure knob of the Figure 5/6 experiments.
+	// FTLLogicalPages is the device capacity as NewStackOptions takes
+	// it; NewStackDevice refuses it. It stays only while the benchmark
+	// module's synthetic workload sets it, and goes with NewStackOptions.
 	FTLLogicalPages int64
 }
 
-// NewStack builds the device and file system for a mode on the given
-// hardware profile.
-func NewStack(prof Profile, mode Mode) (*Stack, error) {
-	return NewStackOptions(prof, mode, StackOptions{})
-}
+var errStackCapacity = errors.New("xftl: set the capacity as DeviceOptions.FTL.LogicalPages, not StackOptions.FTLLogicalPages")
 
-// NewStackOptions is NewStack with tuning knobs.
-func NewStackOptions(prof Profile, mode Mode, opts StackOptions) (*Stack, error) {
-	return NewStackDevice(prof, mode, storage.Options{}, opts)
-}
-
-// NewStackDevice is the fully explicit constructor: device options
-// (fault model, FTL and X-FTL configuration, NCQ) are passed straight
-// through.
-func NewStackDevice(prof Profile, mode Mode, devOpts storage.Options, opts StackOptions) (*Stack, error) {
+// NewStackDevice builds the device and file system for a mode on the
+// given hardware profile. Device options (fault model, FTL and X-FTL
+// configuration, capacity, NCQ) pass straight through; opts tune the
+// database.
+func NewStackDevice(prof Profile, mode Mode, devOpts DeviceOptions, opts StackOptions) (*Stack, error) {
+	if opts.FTLLogicalPages != 0 {
+		return nil, errStackCapacity
+	}
 	return newStack(prof, mode, devOpts, opts, metrics.NewRegistry(), 0)
 }
 
+// NewStackOptions is NewStackDevice with the capacity given as
+// opts.FTLLogicalPages and every other device setting at its default.
+// Only the benchmark module's synthetic workload calls it.
+func NewStackOptions(prof Profile, mode Mode, opts StackOptions) (*Stack, error) {
+	var devOpts DeviceOptions
+	devOpts.FTL.LogicalPages, opts.FTLLogicalPages = opts.FTLLogicalPages, 0
+	return NewStackDevice(prof, mode, devOpts, opts)
+}
+
 // newStack builds a stack publishing into reg as the given shard.
-func newStack(prof Profile, mode Mode, devOpts storage.Options, opts StackOptions, reg *metrics.Registry, shard int) (*Stack, error) {
+func newStack(prof Profile, mode Mode, devOpts DeviceOptions, opts StackOptions, reg *metrics.Registry, shard int) (*Stack, error) {
 	clock := simclock.New()
 	devOpts.Transactional = mode == ModeXFTL
-	if opts.FTLLogicalPages > 0 {
-		devOpts.FTL.LogicalPages = opts.FTLLogicalPages
-	}
 	dev, err := storage.New(prof, clock, devOpts)
 	if err != nil {
 		return nil, err
@@ -209,7 +214,7 @@ func (s *Stack) AttachTracer(t *trace.Tracer, label string) {
 // parallel without serializing on any shared state. Construction is
 // cheap: pure struct wiring, no goroutines, no preallocation beyond each
 // device's page store.
-func NewFleet(n int, prof Profile, devOpts storage.Options) ([]*Stack, error) {
+func NewFleet(n int, prof Profile, devOpts DeviceOptions) ([]*Stack, error) {
 	if devOpts.Fault != nil && n > 1 {
 		return nil, fmt.Errorf("xftl: one fault model cannot serve %d shards: members run in parallel and would share its random state", n)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro"
 	"repro/internal/metrics"
 	"repro/internal/ncq"
-	"repro/internal/storage"
 )
 
 func modes() []xftl.Mode {
@@ -22,7 +21,7 @@ func modes() []xftl.Mode {
 // a no-op.
 func TestStackClose(t *testing.T) {
 	before := runtime.NumGoroutine()
-	st, err := xftl.NewStack(xftl.OpenSSD(), xftl.ModeXFTL)
+	st, err := xftl.NewStackDevice(xftl.OpenSSD(), xftl.ModeXFTL, xftl.DeviceOptions{}, xftl.StackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestStackClose(t *testing.T) {
 func TestStackModes(t *testing.T) {
 	for _, mode := range modes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			st, err := xftl.NewStack(xftl.OpenSSD(), mode)
+			st, err := xftl.NewStackDevice(xftl.OpenSSD(), mode, xftl.DeviceOptions{}, xftl.StackOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +99,7 @@ func TestStackModes(t *testing.T) {
 }
 
 func TestStackCrashRecovery(t *testing.T) {
-	st, err := xftl.NewStack(xftl.OpenSSD(), xftl.ModeXFTL)
+	st, err := xftl.NewStackDevice(xftl.OpenSSD(), xftl.ModeXFTL, xftl.DeviceOptions{}, xftl.StackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestModeIOCharacter(t *testing.T) {
 		fsyncs  int64
 	}{}
 	for _, mode := range modes() {
-		st, err := xftl.NewStack(xftl.OpenSSD(), mode)
+		st, err := xftl.NewStackDevice(xftl.OpenSSD(), mode, xftl.DeviceOptions{}, xftl.StackOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,33 +181,44 @@ func TestModeIOCharacter(t *testing.T) {
 }
 
 // TestStackConstructorsAgree holds the constructors to one device
-// configuration. The capacity knob reaches NewStackDevice as it reaches
-// NewStackOptions, and every fleet member is the X-FTL stack its
-// storage.Options build alone: the same FTL configuration, and the same
-// virtual time and flash traffic for the same burst of commands.
+// configuration. Capacity has one home, DeviceOptions.FTL.LogicalPages:
+// NewStackOptions' FTLLogicalPages builds the FTL that capacity builds
+// through NewStackDevice, and NewStackDevice refuses the field. Every
+// fleet member is the X-FTL stack its DeviceOptions build alone: the
+// same FTL configuration, and the same virtual time and flash traffic
+// for the same burst of commands.
 func TestStackConstructorsAgree(t *testing.T) {
 	prof := xftl.OpenSSD()
-	def, err := xftl.NewStack(prof, xftl.ModeXFTL)
+	def, err := xftl.NewStackDevice(prof, xftl.ModeXFTL, xftl.DeviceOptions{}, xftl.StackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	logical := def.Device.LogicalPages() / 2
-	opts := xftl.StackOptions{FTLLogicalPages: logical}
-	viaOpts, err := xftl.NewStackOptions(prof, xftl.ModeXFTL, opts)
+	viaOpts, err := xftl.NewStackOptions(prof, xftl.ModeXFTL, xftl.StackOptions{FTLLogicalPages: logical})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaDev, err := xftl.NewStackDevice(prof, xftl.ModeXFTL, storage.Options{}, opts)
+	var sized xftl.DeviceOptions
+	sized.FTL.LogicalPages = logical
+	viaDev, err := xftl.NewStackDevice(prof, xftl.ModeXFTL, sized, xftl.StackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]*xftl.Stack{"NewStackOptions": viaOpts, "NewStackDevice": viaDev} {
-		if got := st.Device.LogicalPages(); got != logical {
-			t.Errorf("%s exports %d pages, want %d", name, got, logical)
-		}
+	cfg := viaDev.Device.FTL().Config()
+	if got := viaOpts.Device.FTL().Config(); got != cfg {
+		t.Errorf("NewStackOptions builds FTL %+v, NewStackDevice %+v", got, cfg)
+	}
+	// storage.New derives the bad-block reserve only for a derived
+	// capacity, so a device sized by hand has none.
+	if cfg.LogicalPages != logical || cfg.SpareBlocks != 0 {
+		t.Errorf("a device sized at %d pages has %d pages and %d spare blocks, want %d and 0",
+			logical, cfg.LogicalPages, cfg.SpareBlocks, logical)
+	}
+	if _, err := xftl.NewStackDevice(prof, xftl.ModeXFTL, xftl.DeviceOptions{}, xftl.StackOptions{FTLLogicalPages: logical}); err == nil {
+		t.Error("NewStackDevice accepted StackOptions.FTLLogicalPages")
 	}
 
-	devOpts := storage.Options{QueueDepth: 4, CmdDeadline: 50 * time.Millisecond, CmdRetries: 2}
+	devOpts := xftl.DeviceOptions{QueueDepth: 4, CmdDeadline: 50 * time.Millisecond, CmdRetries: 2}
 	devOpts.FTL.LogicalPages = logical
 	lone, err := xftl.NewStackDevice(prof, xftl.ModeXFTL, devOpts, xftl.StackOptions{})
 	if err != nil {
