@@ -115,49 +115,3 @@ type LatencySnapshot struct {
 	P99   time.Duration `json:"p99_ns"`
 	Max   time.Duration `json:"max_ns"`
 }
-
-// DepthHist counts how many commands were in flight (including the new
-// arrival) each time a command was submitted, bucketed exactly per
-// depth 1..cap.
-type DepthHist struct {
-	mu     sync.Mutex
-	counts []int64 // counts[d-1] = submissions that saw depth d
-}
-
-// NewDepthHist sizes the histogram for a queue of the given depth.
-func NewDepthHist(depth int) *DepthHist {
-	if depth < 1 {
-		depth = 1
-	}
-	return &DepthHist{counts: make([]int64, depth)}
-}
-
-// Observe records a submission that found the queue at depth d.
-func (h *DepthHist) Observe(d int) {
-	if d < 1 {
-		d = 1
-	}
-	h.mu.Lock()
-	if d > len(h.counts) {
-		grown := make([]int64, d)
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	h.counts[d-1]++
-	h.mu.Unlock()
-}
-
-// Mean reports the average observed occupancy, or 0 with no samples.
-func (h *DepthHist) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var n, sum int64
-	for i, c := range h.counts {
-		n += c
-		sum += c * int64(i+1)
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}

@@ -24,7 +24,7 @@ func (k Kind) String() string { return [...]string{"counter", "gauge", "histogra
 // Registry is the one metrics plane: typed families with real labels
 // whose series are closures over counters the layers already keep, so
 // registering costs nothing on any command path and a scrape reads
-// live state. It has two outputs, WritePrometheus and Snapshot.
+// live state. Its one output is WritePrometheus.
 type Registry struct {
 	mu         sync.Mutex // families and collectors
 	families   []*family  // registration order
@@ -43,10 +43,9 @@ type family struct {
 }
 
 type series struct {
-	labels string            // rendered `k="v",...`; the sort key
-	kv     map[string]string // the same, for Snapshot
-	value  func() int64      // counter and gauge
-	hist   *LatencyHist      // histogram
+	labels string       // rendered `k="v",...`; the sort key
+	value  func() int64 // counter and gauge
+	hist   *LatencyHist // histogram
 }
 
 // NewRegistry creates an empty registry.
@@ -90,10 +89,6 @@ func (r *Registry) add(kind Kind, name, help string, s series, kv []string) {
 	}
 	var keys, parts []string
 	for i := 0; i < len(kv); i += 2 {
-		if s.kv == nil {
-			s.kv = make(map[string]string)
-		}
-		s.kv[kv[i]] = kv[i+1]
 		keys = append(keys, kv[i])
 		parts = append(parts, kv[i]+`="`+labelEscaper.Replace(kv[i+1])+`"`)
 	}
@@ -118,10 +113,24 @@ func (r *Registry) add(kind Kind, name, help string, s series, kv []string) {
 	}
 }
 
-// gather runs one scrape: the collectors, then visit once per family
-// in registration order. No registry lock is held while collectors and
+// histMaxBucket trims histogram buckets above it from the exposition:
+// the +Inf bucket still catches outliers, and 20+ empty multi-hour
+// buckets per series carry no information.
+const histMaxBucket = 16 * time.Second
+
+// WritePrometheus renders every family in Prometheus text format
+// 0.0.4: HELP and TYPE once per family, then its series in label
+// order; a histogram series is its cumulative le buckets (the last is
+// +Inf and equals _count), _sum and _count. It returns w's error.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	_, err := w.Write(r.render())
+	return err
+}
+
+// render runs one scrape: the collectors, then every family in
+// registration order. No registry lock is held while collectors and
 // series run, so they may take their layers' locks freely.
-func (r *Registry) gather(visit func(f family)) {
+func (r *Registry) render() []byte {
 	r.scrape.Lock()
 	defer r.scrape.Unlock()
 	r.mu.Lock()
@@ -135,23 +144,8 @@ func (r *Registry) gather(visit func(f family)) {
 	for _, collect := range collectors {
 		collect()
 	}
-	for _, f := range families {
-		visit(f)
-	}
-}
-
-// histMaxBucket trims histogram buckets above it from the exposition:
-// the +Inf bucket still catches outliers, and 20+ empty multi-hour
-// buckets per series carry no information.
-const histMaxBucket = 16 * time.Second
-
-// WritePrometheus renders every family in Prometheus text format
-// 0.0.4: HELP and TYPE once per family, then its series in label
-// order; a histogram series is its cumulative le buckets (the last is
-// +Inf and equals _count), _sum and _count. It returns w's error.
-func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b bytes.Buffer
-	r.gather(func(f family) {
+	for _, f := range families {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 		for _, s := range f.series {
 			braced, le := "", ""
@@ -171,33 +165,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s_bucket{%sle=\"+Inf\"} %d\n", f.name, le, count)
 			fmt.Fprintf(&b, "%s_sum%s %g\n%s_count%s %d\n", f.name, braced, sum.Seconds(), f.name, braced, count)
 		}
-	})
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// Sample is one series' value in a Snapshot. A histogram series
-// contributes NAME_count and NAME_sum (seconds). Labels is the
-// registry's own map: read it, do not change it.
-type Sample struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
-}
-
-// Snapshot samples every series, in exposition order.
-func (r *Registry) Snapshot() []Sample {
-	var out []Sample
-	r.gather(func(f family) {
-		for _, s := range f.series {
-			if f.kind != Histogram {
-				out = append(out, Sample{f.name, s.kv, float64(s.value())})
-				continue
-			}
-			_, count, sum := s.hist.cumulative()
-			out = append(out, Sample{f.name + "_count", s.kv, float64(count)},
-				Sample{f.name + "_sum", s.kv, sum.Seconds()})
-		}
-	})
-	return out
+	}
+	return b.Bytes()
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -57,22 +58,52 @@ a_total 7
 	}
 
 	v = 5
-	snap := r.Snapshot()
-	if len(snap) != 3 || snap[0].Name != "b_gauge" || snap[2].Name != "a_total" {
-		t.Fatalf("snapshot order: %+v", snap)
+	snap := scrape(t, r)
+	if len(snap) != 3 || snap[0].name != "b_gauge" || snap[2].name != "a_total" {
+		t.Fatalf("scrape order: %+v", snap)
 	}
-	if s := snap[1]; s.Labels["shard"] != "1" || s.Value != 5 {
+	if s := snap[1]; s.labels != `shard="1"` || s.value != 5 {
 		t.Errorf("b_gauge{shard=1} = %+v; want the collector's fresh sample 5", s)
 	}
-	if snap[2].Labels != nil {
-		t.Errorf("unlabelled series carries labels %v", snap[2].Labels)
+	if snap[2].labels != "" {
+		t.Errorf("unlabelled series carries labels %v", snap[2].labels)
 	}
 
 	// The same label values again replace the series.
 	r.Counter("a_total", "First letter, second registered.", func() int64 { return 8 })
-	if snap := r.Snapshot(); len(snap) != 3 || snap[2].Value != 8 {
+	if snap := scrape(t, r); len(snap) != 3 || snap[2].value != 8 {
 		t.Errorf("after re-registration: %+v, want a_total = 8 in place", snap)
 	}
+}
+
+// sample is one line of an exposition: a series' name, its labels as
+// rendered, and its value.
+type sample struct {
+	name, labels string
+	value        float64
+}
+
+// scrape renders r and parses its sample lines, in exposition order.
+func scrape(t *testing.T, r *Registry) []sample {
+	t.Helper()
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []sample
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		at := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[at+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		name, labels, _ := strings.Cut(line[:at], "{")
+		out = append(out, sample{name, strings.TrimSuffix(labels, "}"), v})
+	}
+	return out
 }
 
 // A histogram series is cumulative, ends in +Inf equal to _count, trims
@@ -115,9 +146,16 @@ func TestRegistryHistogram(t *testing.T) {
 	if strings.Contains(out, `le="16.777216"`) {
 		t.Errorf("bucket above the %v trim bound survived:\n%s", histMaxBucket, out)
 	}
-	snap := r.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "lat_seconds_count" || snap[0].Value != 5 ||
-		snap[1].Name != "lat_seconds_sum" || snap[1].Value != sum.Seconds() || snap[1].Labels["db"] != "a\"b\\c\nd" {
-		t.Errorf("snapshot = %+v, want _count 5 and _sum %v", snap, sum.Seconds())
+	var count, total *sample
+	for _, sm := range scrape(t, r) {
+		switch sm.name {
+		case "lat_seconds_count":
+			count = &sm
+		case "lat_seconds_sum":
+			total = &sm
+		}
+	}
+	if count == nil || count.value != 5 || total == nil || total.value != sum.Seconds() || total.labels != labels {
+		t.Errorf("_count %+v, _sum %+v, want _count 5 and _sum %v under %s", count, total, sum.Seconds(), labels)
 	}
 }

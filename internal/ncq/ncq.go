@@ -163,11 +163,10 @@ type Queue struct {
 	abandoned bool
 	closed    bool // Close ran: reject all future submissions
 
-	// Per-class latency and occupancy histograms.
+	// Per-class latency histograms.
 	ReadLat    metrics.LatencyHist
 	WriteLat   metrics.LatencyHist
 	BarrierLat metrics.LatencyHist
-	Depths     *metrics.DepthHist
 }
 
 type pending struct {
@@ -181,12 +180,11 @@ func New(clock *simclock.Clock, sched *Scheduler, depth int, exec Executor) *Que
 		depth = DefaultDepth
 	}
 	return &Queue{
-		clock:  clock,
-		sched:  sched,
-		exec:   exec,
-		depth:  depth,
-		byLPN:  make(map[int64]time.Duration),
-		Depths: metrics.NewDepthHist(depth),
+		clock: clock,
+		sched: sched,
+		exec:  exec,
+		depth: depth,
+		byLPN: make(map[int64]time.Duration),
 	}
 }
 
@@ -503,5 +501,4 @@ func (q *Queue) observeLocked(r *Request) {
 	default:
 		q.WriteLat.Observe(lat)
 	}
-	q.Depths.Observe(len(q.outstanding))
 }

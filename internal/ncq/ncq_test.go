@@ -140,27 +140,28 @@ func TestPerLPNOrdering(t *testing.T) {
 // Throughput scales with units at a deep queue, and with queue depth on
 // many units: depth 1 serialises the eight units a deep queue overlaps.
 func TestThroughputScalesWithUnits(t *testing.T) {
-	run := func(units, depth int) (time.Duration, float64) {
+	run := func(units, depth int) (time.Duration, int) {
 		clk, q := newQueue(units, depth)
 		for i := 0; i < 64; i++ {
 			if err := q.Submit(&Request{Op: OpWrite, LPN: int64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		inFlight := q.InFlight() // occupancy before the drain
 		q.Drain()
-		return clk.Now(), q.Depths.Mean()
+		return clk.Now(), inFlight
 	}
 	one, _ := run(1, 32)
-	eight, deepMean := run(8, 32)
+	eight, deepIn := run(8, 32)
 	if ratio := float64(one) / float64(eight); ratio < 3 {
 		t.Errorf("8-unit speedup %.2fx, want >= 3x (1 unit: %v, 8 units: %v)", ratio, one, eight)
 	}
-	shallow, shallowMean := run(8, 1)
+	shallow, shallowIn := run(8, 1)
 	if ratio := float64(shallow) / float64(eight); ratio < 3 {
 		t.Errorf("8-unit depth-32 speedup over depth 1 %.2fx, want >= 3x (qd1: %v, qd32: %v)", ratio, shallow, eight)
 	}
-	if deepMean <= shallowMean {
-		t.Errorf("mean occupancy did not grow with depth: qd1 %.1f, qd32 %.1f", shallowMean, deepMean)
+	if deepIn <= 1 || shallowIn > 1 {
+		t.Errorf("occupancy before the drain: qd1 %d, qd32 %d; want qd32 past 1, qd1 at most 1", shallowIn, deepIn)
 	}
 }
 
@@ -235,6 +236,7 @@ func TestLatencyHistogramsPopulate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	inFlight := q.InFlight()
 	q.Drain()
 	ws := q.WriteLat.Snapshot()
 	if ws.Count != 16 {
@@ -243,7 +245,7 @@ func TestLatencyHistogramsPopulate(t *testing.T) {
 	if ws.P50 <= 0 || ws.P99 < ws.P50 || ws.Max < ws.P99 {
 		t.Errorf("implausible percentiles: %v", ws)
 	}
-	if q.Depths.Mean() <= 1 {
-		t.Errorf("depth hist mean %.1f, want > 1 at saturation", q.Depths.Mean())
+	if inFlight <= 1 {
+		t.Errorf("%d commands in flight before the drain, want > 1 at saturation", inFlight)
 	}
 }

@@ -86,24 +86,3 @@ func (c *Client) Rollback() (*Response, error) { return c.Do(Request{Op: OpRollb
 
 // Ping round-trips a no-op.
 func (c *Client) Ping() (*Response, error) { return c.Do(Request{Op: OpPing}) }
-
-// Stats fetches the server health snapshot.
-func (c *Client) Stats() (*WireStats, error) {
-	resp, err := c.Do(Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Stats == nil {
-		return nil, fmt.Errorf("server: stats response missing payload")
-	}
-	return resp.Stats, nil
-}
-
-// Slow fetches the server's slow-request capture, slowest first.
-func (c *Client) Slow() ([]SlowEntry, error) {
-	resp, err := c.Do(Request{Op: OpSlow})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Slow, nil
-}

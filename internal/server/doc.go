@@ -13,7 +13,7 @@
 //	{"id":1,"op":"query","sql":"SELECT v FROM kv WHERE k = ?","args":[7]}
 //	{"id":2,"op":"exec","sql":"UPDATE kv SET v = ? WHERE k = ?","args":[1,7],"deadline_ms":100}
 //	{"op":"begin"} {"op":"begin","readonly":true} {"op":"commit"} {"op":"rollback"}
-//	{"op":"ping"} {"op":"stats"} {"op":"slow"}
+//	{"op":"ping"}
 //	{"op":"exec","db":"b.db","sql":"INSERT INTO t VALUES (?, ?, ?)","args":["x",null,true]}
 //
 // query/exec outside an explicit transaction autocommit. Responses echo
@@ -38,8 +38,7 @@
 //   - strings are valid UTF-8, and a \u surrogate escape is one half
 //     of a valid pair;
 //   - deadline_ms is an integer in [0, math.MaxInt64/1e6], the most
-//     milliseconds a time.Duration holds;
-//   - stats and slow are nested values that encoding/json decodes.
+//     milliseconds a time.Duration holds.
 //
 // encoding/json is the reference: a line the codec accepts,
 // json.Unmarshal accepts too, into the same exported fields (its
@@ -80,12 +79,13 @@
 // in a trace export — quote it when reporting a slow query and the
 // server side can find everything that request did.
 //
-// The slow op returns the server's slow-request capture: the N slowest
-// requests seen so far (32), each with its req_id, op, database,
-// outcome and a per-stage wall-time breakdown (admission wait, session
-// begin, execution, commit, other) whose microseconds sum to the
-// request's wall_us exactly. The same capture is served as JSON at
-// /debug/slow on the metrics listener (MetricsMux).
+// The SQL port carries SQL only: an op outside the list above, stats
+// and slow included, is answered bad_request. Observability lives on
+// the metrics listener (MetricsMux). /debug/slow serves the slow-request
+// capture as JSON: the N slowest requests seen so far (32), each with
+// its req_id, op, database, outcome and a per-stage wall-time breakdown
+// (admission wait, session begin, execution, commit, other) whose
+// microseconds sum to the request's wall_us exactly.
 //
 // /metrics on the same listener is the fleet's one metrics registry in
 // Prometheus text format: the tier's own families

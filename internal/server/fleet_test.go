@@ -44,20 +44,15 @@ func TestFleetRouting(t *testing.T) {
 		t.Fatalf("txn on a.db: got %v", ra.Rows)
 	}
 
-	// Stats carry the per-shard breakdown on a multi-shard tier.
-	stats, err := cl.Stats()
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if len(stats.Shards) != 2 {
-		t.Fatalf("stats shards = %d, want 2", len(stats.Shards))
-	}
-	sum := 0
-	for _, sh := range stats.Shards {
-		sum += sh.Units
-	}
-	if sum != stats.Units || stats.Units == 0 {
-		t.Fatalf("per-shard units %d do not sum to total %d", sum, stats.Units)
+	// Each shard's unit gauge is its own device's array; that every
+	// device family carries both shard labels is TestWritePrometheus's.
+	families := scrape(t, srv)
+	for i, st := range f.Stacks() {
+		_, units := st.Device.QuarantinePressure()
+		got := sampleValue(t, families, "xftl_units", "xftl_units", map[string]string{"shard": fmt.Sprint(i)})
+		if got != float64(units) || units == 0 {
+			t.Fatalf("xftl_units{shard=%d} = %v, device has %d", i, got, units)
+		}
 	}
 }
 

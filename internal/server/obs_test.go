@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -578,11 +580,11 @@ func TestScrapeUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSlowCapture checks the slow op end to end: entries come back
+// TestSlowCapture checks /debug/slow end to end: entries come back
 // slowest-first with monotonic ids, and each breakdown sums to its wall
 // latency to the microsecond.
 func TestSlowCapture(t *testing.T) {
-	_, addr := startServer(t, Options{})
+	srv, addr := startServer(t, Options{})
 	cl := dial(t, addr)
 	ok := oker(t)
 
@@ -599,9 +601,14 @@ func TestSlowCapture(t *testing.T) {
 		t.Fatalf("ping minted a req_id: %+v", ping)
 	}
 
-	entries, err := cl.Slow()
-	if err != nil {
-		t.Fatalf("slow op: %v", err)
+	rec := httptest.NewRecorder()
+	srv.MetricsMux().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slow", nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("GET /debug/slow: %d %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	var entries []SlowEntry
+	if err := json.Unmarshal(rec.Body.Bytes(), &entries); err != nil {
+		t.Fatalf("/debug/slow: %v", err)
 	}
 	if len(entries) != slowCount {
 		t.Fatalf("slow capture has %d entries, want %d", len(entries), slowCount)

@@ -14,8 +14,6 @@ const (
 	OpCommit   = "commit"
 	OpRollback = "rollback"
 	OpPing     = "ping"
-	OpStats    = "stats"
-	OpSlow     = "slow"
 )
 
 // Request is one client command: one JSON object per line.
@@ -63,12 +61,6 @@ type Response struct {
 	Retryable    bool   `json:"retryable,omitempty"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 
-	Stats *WireStats `json:"stats,omitempty"`
-
-	// Slow is the slow-request capture returned by the slow op,
-	// slowest first.
-	Slow []SlowEntry `json:"slow,omitempty"`
-
 	// A query's result set on the server side: the codec writes it as
 	// columns and rows in place of Columns and Rows.
 	resultCols []string
@@ -81,40 +73,17 @@ type Response struct {
 	vals [2]any
 }
 
-// WireStats is the server health snapshot returned by the stats op.
+// WireStats is the tier's request counters. Every other health number
+// (breaker, quarantine, busy timeouts, command retries) is a per-shard
+// family of the /metrics exposition.
 type WireStats struct {
-	Served        int64 `json:"served"`
-	Failed        int64 `json:"failed"`
-	Admitted      int64 `json:"admitted"`
-	Shed          int64 `json:"shed"`
-	DeadlineDrops int64 `json:"deadline_drops"`
-	DegradedSheds int64 `json:"degraded_sheds"`
-	BreakerTrips  int64 `json:"breaker_trips"`
-	BreakerOpen   bool  `json:"breaker_open"`
-	InFlight      int   `json:"in_flight"`
-	OpenTxns      int64 `json:"open_txns"`
-	Quarantined   int   `json:"quarantined_units"`
-	Units         int   `json:"units"`
-	BusyTimeouts  int64 `json:"busy_timeouts"`
-	CmdRetries    int64 `json:"cmd_retries"`
-	CmdTimeouts   int64 `json:"cmd_timeouts"`
-	// Shards breaks the device-level gauges down per fleet member
-	// (present only when the tier runs more than one shard; the
-	// top-level fields hold the sums).
-	Shards []WireShard `json:"shards,omitempty"`
-}
-
-// WireShard is one fleet member's share of the health snapshot.
-type WireShard struct {
-	Shard         int   `json:"shard"`
-	Quarantined   int   `json:"quarantined_units"`
-	Units         int   `json:"units"`
-	CmdRetries    int64 `json:"cmd_retries"`
-	CmdTimeouts   int64 `json:"cmd_timeouts"`
-	BusyTimeouts  int64 `json:"busy_timeouts"`
-	DegradedSheds int64 `json:"degraded_sheds"`
-	BreakerTrips  int64 `json:"breaker_trips"`
-	BreakerOpen   bool  `json:"breaker_open"`
+	Served        int64
+	Failed        int64
+	Admitted      int64
+	Shed          int64
+	DeadlineDrops int64
+	InFlight      int
+	OpenTxns      int64
 }
 
 // failure builds the wire form of err per the taxonomy.

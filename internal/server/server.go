@@ -55,8 +55,7 @@ const (
 	cmdDeadline = 10 * time.Millisecond
 	cmdRetries  = 8
 	// slowCount is how many of the slowest requests the server keeps
-	// with their per-stage breakdowns, served by the slow op and
-	// /debug/slow.
+	// with their per-stage breakdowns, served at /debug/slow.
 	slowCount = 32
 )
 
@@ -412,14 +411,6 @@ func (c *conn) handle(req *Request) *Response {
 	switch req.Op {
 	case OpPing:
 		return c.ok(req.ID)
-	case OpStats:
-		resp := c.ok(req.ID)
-		resp.Stats = c.srv.WireStats()
-		return resp
-	case OpSlow:
-		resp := c.ok(req.ID)
-		resp.Slow = c.srv.Slow()
-		return resp
 	case OpQuery, OpExec, OpBegin, OpCommit, OpRollback:
 	default:
 		return failure(req.ID, fmt.Errorf("%w: unknown op %q", ErrBadRequest, req.Op))
@@ -644,11 +635,9 @@ func (c *conn) exec(req *Request, rt *reqTrack, deadline time.Time) *Response {
 	return resp
 }
 
-// WireStats samples the tier's health snapshot: tier-level counters
-// plus per-shard gauges, with the fleet-wide sums in the top-level
-// fields (a 1-shard tier reports exactly what it did before sharding).
+// WireStats samples the tier's request counters.
 func (s *Server) WireStats() *WireStats {
-	ws := &WireStats{
+	return &WireStats{
 		Served:        s.served.Load(),
 		Failed:        s.failed.Load(),
 		Admitted:      s.adm.stats.Admitted.Load(),
@@ -657,34 +646,4 @@ func (s *Server) WireStats() *WireStats {
 		InFlight:      s.adm.inFlight(),
 		OpenTxns:      s.openTxns.Load(),
 	}
-	busyByShard := make(map[int]int64)
-	s.fleet.EachManager(func(shard int, db string, m *mvcc.Manager) {
-		busyByShard[shard] += m.Stats.BusyTimeouts.Load()
-	})
-	for i, st := range s.fleet.Stacks() {
-		quar, units := st.Device.QuarantinePressure()
-		sh := WireShard{
-			Shard:         i,
-			Quarantined:   quar,
-			Units:         units,
-			CmdRetries:    st.Device.Queue().Retries(),
-			CmdTimeouts:   st.Device.Queue().Timeouts(),
-			BusyTimeouts:  busyByShard[i],
-			DegradedSheds: s.brks[i].writeSheds.Load(),
-			BreakerTrips:  s.brks[i].openTrips.Load(),
-			BreakerOpen:   s.brks[i].open.Load(),
-		}
-		ws.Quarantined += sh.Quarantined
-		ws.Units += sh.Units
-		ws.CmdRetries += sh.CmdRetries
-		ws.CmdTimeouts += sh.CmdTimeouts
-		ws.BusyTimeouts += sh.BusyTimeouts
-		ws.DegradedSheds += sh.DegradedSheds
-		ws.BreakerTrips += sh.BreakerTrips
-		ws.BreakerOpen = ws.BreakerOpen || sh.BreakerOpen
-		if s.opts.Shards > 1 {
-			ws.Shards = append(ws.Shards, sh)
-		}
-	}
-	return ws
 }

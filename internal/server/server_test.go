@@ -73,7 +73,7 @@ func oker(t *testing.T) func(*Response, error) *Response {
 
 func TestRoundTrip(t *testing.T) {
 	ok := oker(t)
-	_, addr := startServer(t, Options{})
+	srv, addr := startServer(t, Options{})
 	cl := dial(t, addr)
 
 	ok(cl.Ping())
@@ -103,15 +103,14 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("count after rollback = %v, want 2", got)
 	}
 
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if st.Served == 0 || st.Admitted == 0 {
+	if st := srv.WireStats(); st.Served == 0 || st.Admitted == 0 {
 		t.Fatalf("stats not counting: %+v", st)
 	}
-	if st.Units != 4 || st.Quarantined != 0 {
-		t.Fatalf("unit gauge = %d/%d, want 0/4", st.Quarantined, st.Units)
+	families := scrape(t, srv)
+	quar := sampleValue(t, families, "xftl_quarantined_units", "xftl_quarantined_units", map[string]string{"shard": "0"})
+	units := sampleValue(t, families, "xftl_units", "xftl_units", map[string]string{"shard": "0"})
+	if units != 4 || quar != 0 {
+		t.Fatalf("unit gauge = %v/%v, want 0/4", quar, units)
 	}
 }
 
@@ -137,7 +136,7 @@ func TestNormalizeArgsBounds(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	ok := oker(t)
-	_, addr := startServer(t, Options{})
+	srv, addr := startServer(t, Options{})
 	cl := dial(t, addr)
 
 	resp, err := cl.Do(Request{Op: "mystery"})
@@ -165,10 +164,7 @@ func TestBadRequests(t *testing.T) {
 	}
 	// A result JSON cannot carry (an infinite REAL) is a typed, counted
 	// failure, not a dropped connection.
-	before, err := cl.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
+	before := srv.WireStats()
 	resp, err = cl.Do(Request{ID: 77, Op: OpQuery, SQL: "SELECT 1e308*10"})
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
@@ -176,11 +172,7 @@ func TestBadRequests(t *testing.T) {
 	if resp.OK || resp.Code != "sql" || resp.ID != 77 || resp.ReqID == 0 || !strings.Contains(resp.Error, "JSON cannot carry") {
 		t.Fatalf("infinite result => %+v, want sql failure with id 77 and a req_id", resp)
 	}
-	after, err := cl.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if after.Failed != before.Failed+1 {
+	if after := srv.WireStats(); after.Failed != before.Failed+1 {
 		t.Fatalf("failed went %d -> %d, want one more", before.Failed, after.Failed)
 	}
 	// The connection survives failures.
@@ -222,9 +214,12 @@ func TestBadRequests(t *testing.T) {
 	if r := send(`{"op":"ping","id":7}` + "\n"); !r.OK || r.ID != 7 {
 		t.Fatalf("ping after a malformed line => %+v", r)
 	}
-	// Each line below breaks the grammar (doc.go) and is refused before
-	// it runs, and the connection serves on.
+	// Each line below breaks the grammar (doc.go), or names an op the
+	// SQL port does not serve (stats and slow: it carries SQL only), and
+	// is refused before it runs, and the connection serves on.
 	for _, line := range []string{
+		`{"op":"stats"}`,
+		`{"op":"slow"}`,
 		`{"OP":"ping","id":3}`,
 		`{"op":"ping","id":3,"op":"ping"}`,
 		`{"op":"query","id":3,"sql":"SELECT 1","deadlinems":5}`,
@@ -471,24 +466,21 @@ func TestBreakerDegradesWrites(t *testing.T) {
 	ok(cl.Query("SELECT v FROM t WHERE k = 1"))
 	ok(cl.Commit())
 
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
+	families := scrape(t, srv)
+	breaker := func(fam string) float64 {
+		return sampleValue(t, families, fam, fam, map[string]string{"shard": "0"})
 	}
-	if !st.BreakerOpen || st.BreakerTrips != 1 || st.DegradedSheds == 0 {
-		t.Fatalf("breaker state not reflected in stats: %+v", st)
+	open, trips, sheds := breaker("xftl_breaker_open"), breaker("xftl_breaker_trips_total"), breaker("xftl_degraded_sheds_total")
+	if open != 1 || trips != 1 || sheds == 0 {
+		t.Fatalf("breaker state not reflected in the exposition: open %v, trips %v, sheds %v", open, trips, sheds)
 	}
 
 	// Pressure clearing closes the breaker on the next admission: the
 	// health reset below re-admits every unit.
 	dev.Queue().Exclusive(func() { dev.FTL().ResetHealth() })
 	ok(cl.Exec("UPDATE t SET v = 3 WHERE k = 1"))
-	st, err = cl.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if st.BreakerOpen {
-		t.Fatalf("breaker still open after pressure cleared: %+v", st)
+	if b := srv.brks[0]; b.open.Load() {
+		t.Fatalf("breaker still open after pressure cleared: %d trips", b.openTrips.Load())
 	}
 }
 

@@ -3,16 +3,12 @@
 // connection reuses. Decoding makes one pass over a line with no
 // reflection into a message its connection reuses: keys and op names
 // are matched in place, texts the connection has seen before are
-// interned, and only the values a message carries are allocated. The
-// stats and slow payloads are not per request: encoding/json writes and
-// reads them as nested values.
+// interned, and only the values a message carries are allocated.
 package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -162,23 +158,7 @@ func appendResponse(b []byte, r *Response) ([]byte, error) {
 		b = append(b, `,"retry_after_ms":`...)
 		b = strconv.AppendInt(b, r.RetryAfterMS, 10)
 	}
-	if r.Stats != nil {
-		if b, err = appendJSON(append(b, `,"stats":`...), r.Stats); err != nil {
-			return b, err
-		}
-	}
-	if len(r.Slow) > 0 {
-		if b, err = appendJSON(append(b, `,"slow":`...), r.Slow); err != nil {
-			return b, err
-		}
-	}
 	return append(b, '}', '\n'), nil
-}
-
-// appendJSON appends a nested payload that is not per request.
-func appendJSON(b []byte, v any) ([]byte, error) {
-	p, err := json.Marshal(v)
-	return append(b, p...), err
 }
 
 // appendValue appends one result column.
@@ -299,9 +279,9 @@ func rowsFinite(rows *sqlite.Rows) error {
 var (
 	requestFields  = []string{"id", "op", "sql", "db", "args", "deadline_ms", "readonly"}
 	responseFields = []string{"id", "ok", "columns", "rows", "affected", "req_id",
-		"error", "code", "retryable", "retry_after_ms", "stats", "slow"}
+		"error", "code", "retryable", "retry_after_ms"}
 	// wireOps are the op names a request decodes to without allocating.
-	wireOps = []string{OpQuery, OpExec, OpBegin, OpCommit, OpRollback, OpPing, OpStats, OpSlow}
+	wireOps = []string{OpQuery, OpExec, OpBegin, OpCommit, OpRollback, OpPing}
 )
 
 // decodeRequest decodes one request line into r, overwriting every
@@ -364,10 +344,6 @@ func decodeResponse(line []byte, r *Response, texts map[string]string) error {
 			r.Retryable = d.bool()
 		case "retry_after_ms":
 			r.RetryAfterMS = d.int()
-		case "stats":
-			d.nested(&r.Stats)
-		case "slow":
-			d.nested(&r.Slow)
 		}
 	}
 	return d.end()
@@ -709,19 +685,4 @@ func (d *decoder) strs(dst []string, texts map[string]string) []string {
 		dst = append(dst, d.intern(texts))
 	}
 	return dst
-}
-
-// nested hands a member that is not per request to encoding/json, which
-// reads one value and reports where it ended.
-func (d *decoder) nested(dst any) {
-	if d.ws() == 'n' {
-		d.fail("null outside args and rows")
-		return
-	}
-	dec := json.NewDecoder(bytes.NewReader(d.b[d.i:]))
-	if err := dec.Decode(dst); err != nil {
-		d.fail(err.Error())
-		return
-	}
-	d.i += int(dec.InputOffset())
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sqlite"
@@ -49,7 +51,7 @@ func responseCodec() codec[Response] {
 		encode: appendDecoded,
 		norm:   func(*Response) {},
 		dirty: `{"id":9,"ok":true,"columns":["a","b","c","d","e"],"rows":[[1,"x",null,4,5],[2]],"affected":3,` +
-			`"req_id":4,"error":"e","code":"c","retryable":true,"retry_after_ms":5,"stats":{"served":1},"slow":[{"op":"q"}]}`,
+			`"req_id":4,"error":"e","code":"c","retryable":true,"retry_after_ms":5}`,
 	}
 }
 
@@ -177,7 +179,9 @@ var wireRequestCases = []string{
 	`{"id":1,"op":"query","sql":"SELECT v FROM kv WHERE k = ?","args":[7]}`,
 	`{"id":2,"op":"exec","sql":"UPDATE kv SET v = ? WHERE k = ?","args":[1,7],"deadline_ms":100}`,
 	`{"op":"begin"}`, `{"op":"begin","readonly":true}`, `{"op":"commit"}`, `{"op":"rollback"}`,
-	`{"op":"ping"}`, `{"op":"stats"}`, `{"op":"slow"}`, `{"op":"mystery","db":"other.db"}`,
+	`{"op":"ping"}`, `{"op":"mystery","db":"other.db"}`,
+	// Ops the SQL port does not serve decode; the server refuses them.
+	`{"op":"stats"}`, `{"op":"slow"}`, `{"op":"stats","id":5}`, `{"op":"slow","id":5}`,
 	// Keys in another case, even folded per rune, are unknown keys.
 	`{"op":"exec","Args":[1],"SQL":"x","Deadline_MS":3,"ReadOnly":true,"iD":4,"DB":"d"}`,
 	`{"op":"ping","ſql":"long s","ſql":"long s again"}`,
@@ -216,6 +220,16 @@ var wireRequestCases = []string{
 	`{"sql":"\ud83d\ude00 \u00e9"}`, `{"deadline_ms":9223372036854}`, `{"deadline_ms":9223372036855}`,
 }
 
+// retiredReplies carry stats or slow members. No reply has them, since
+// the SQL port carries SQL only, so each is an unknown key.
+var retiredReplies = []string{
+	`{"ok":true,"stats":{"served":3,"failed":1,"breaker_open":true,"shards":[{"shard":1,"units":4}]}}`,
+	`{"ok":true,"slow":[{"req_id":1,"op":"query","db":"serve.db","ok":true,"wall_us":5,"stages":[{"stage":"exec","us":4}]}]}`,
+	`{"ok":true,"stats":null}`, `{"stats":{"served":1},"stats":{"failed":2}}`, `{"stats":{"served":1},"stats":null}`,
+	`{"stats":5}`, `{"stats":{"served":"x"}}`, `{"slow":{}}`, `{"slow":[{"req_id":-1}]}`,
+	`{"slow":[{"op":"a","wall_us":3}],"slow":[{"wall_us":4},{"op":"b"}]}`,
+}
+
 var wireResponseCases = []string{
 	`{"id":1,"ok":true,"affected":1,"req_id":9}`,
 	`{"id":2,"ok":true,"columns":["v"],"rows":[["x"]]}`,
@@ -226,12 +240,6 @@ var wireResponseCases = []string{
 	`{"columns":["a","b"],"columns":["c",null]}`, `{"columns":["a","b"],"columns":["x"],"columns":["c",null]}`,
 	`{"columns":["a","b"],"columns":[],"columns":["c",null]}`, `{"columns":[null]}`, `{"columns":[1]}`,
 	`{"rows":[[1,2]],"rows":[[3]]}`, `{"rows":[[1]],"rows":null}`,
-	// The stats and slow replies, handed to encoding/json as nested values.
-	`{"ok":true,"stats":{"served":3,"failed":1,"breaker_open":true,"shards":[{"shard":1,"units":4}]}}`,
-	`{"ok":true,"slow":[{"req_id":1,"op":"query","db":"serve.db","ok":true,"wall_us":5,"stages":[{"stage":"exec","us":4}]}]}`,
-	`{"ok":true,"stats":null}`, `{"stats":{"served":1},"stats":{"failed":2}}`, `{"stats":{"served":1},"stats":null}`,
-	`{"stats":5}`, `{"stats":{"served":"x"}}`, `{"slow":{}}`, `{"slow":[{"req_id":-1}]}`,
-	`{"slow":[{"op":"a","wall_us":3}],"slow":[{"wall_us":4},{"op":"b"}]}`,
 	// Folded keys (Kelvin sign for k, long s for s) are unknown keys.
 	"{\"O\u212a\":true,\"REQ_ID\":4,\"\u017flow\":[],\"Retry_After_MS\":2,\"CODE\":\"busy\"}",
 	`{"o\u212a":true,"\u0063ode":"busy","c\u006fde":"sql"}`,
@@ -244,7 +252,7 @@ var wireRequestExamples = []string{
 	`{"id":1,"op":"query","sql":"SELECT v FROM kv WHERE k = ?","args":[7]}`,
 	`{"id":2,"op":"exec","sql":"UPDATE kv SET v = ? WHERE k = ?","args":[1,7],"deadline_ms":100}`,
 	`{"op":"begin"}`, `{"op":"begin","readonly":true}`, `{"op":"commit"}`, `{"op":"rollback"}`,
-	`{"op":"ping"}`, `{"op":"stats"}`, `{"op":"slow"}`,
+	`{"op":"ping"}`,
 	`{"op":"exec","db":"b.db","sql":"INSERT INTO t VALUES (?, ?, ?)","args":["x",null,true]}`,
 }
 
@@ -253,6 +261,15 @@ var wireResponseExamples = []string{
 	`{"ok":true,"id":2,"affected":1,"req_id":42}`,
 	`{"ok":false,"id":3,"req_id":43,"error":"server: overloaded","code":"overload","retryable":true,"retry_after_ms":5}`,
 	`{"ok":false,"error":"bad request: wire: unknown key \"deadlinems\" at offset 22","code":"bad_request"}`,
+}
+
+func TestWireRefusesRetiredReplies(t *testing.T) {
+	var r Response
+	for _, line := range retiredReplies {
+		if err := decodeResponse([]byte(line), &r, map[string]string{}); err == nil || !strings.Contains(err.Error(), "unknown or repeated key") {
+			t.Errorf("%s decoded (%v), want an unknown key", line, err)
+		}
+	}
 }
 
 func TestWireAcceptsExamples(t *testing.T) {
@@ -287,14 +304,13 @@ func FuzzWireRequest(f *testing.F) {
 	})
 }
 
-// FuzzWireResponse is FuzzWireRequest for decodeResponse, with the stats
-// and slow payloads handed to encoding/json. The decoded columns and rows
-// are written back as the result set appendResponse writes from; a row
-// holding a bool is never sent, since SQLite has no boolean value. The
-// seeds add stats and slow replies and duplicated columns with null
-// elements, which are refused.
+// FuzzWireResponse is FuzzWireRequest for decodeResponse. The decoded
+// columns and rows are written back as the result set appendResponse
+// writes from; a row holding a bool is never sent, since SQLite has no
+// boolean value. The seeds add the retired stats and slow replies and
+// duplicated columns with null elements, which are refused.
 func FuzzWireResponse(f *testing.F) {
-	for _, c := range append(wireResponseCases, wireResponseExamples...) {
+	for _, c := range slices.Concat(wireResponseCases, wireResponseExamples, retiredReplies) {
 		f.Add([]byte(c))
 	}
 	resp := responseCodec()

@@ -215,33 +215,6 @@ func (f *Fleet) BeginInto(s *Session, db string, readonly bool, budget time.Dura
 	return nil
 }
 
-// EachManager visits every open session manager (stable shard order,
-// database-name order within a shard) — the stats aggregation hook.
-func (f *Fleet) EachManager(fn func(shard int, db string, m *mvcc.Manager)) {
-	f.mu.Lock()
-	type ent struct {
-		shard int
-		db    string
-		m     *mvcc.Manager
-	}
-	var ents []ent
-	for i, byDB := range f.mgrs {
-		for db, m := range byDB {
-			ents = append(ents, ent{i, db, m})
-		}
-	}
-	f.mu.Unlock()
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].shard != ents[b].shard {
-			return ents[a].shard < ents[b].shard
-		}
-		return ents[a].db < ents[b].db
-	})
-	for _, e := range ents {
-		fn(e.shard, e.db, e.m)
-	}
-}
-
 func (s *Session) release() {
 	if s.writer && !s.released {
 		s.released = true

@@ -129,7 +129,6 @@ func TestConcurrentStressWithPowerCut(t *testing.T) {
 		_ = d.NANDOps()
 		_ = q.InFlight()
 		_ = q.WriteLat.Snapshot()
-		_ = q.Depths.Mean()
 		d.PowerCutAfter(400)
 		close(armed)
 	}()
