@@ -64,12 +64,12 @@ type Options struct {
 	// synchronous from the caller's point of view; the writer's reads
 	// always wait.
 	Pipelined bool
-	// PoolCapacity enables the warm reader pool: finished read sessions
-	// park their snapshot connection (pager cache and catalog intact) for
-	// reuse by the next reader, advanced past the commits in between, up
-	// to this many idle connections. The pooled connections share
-	// PoolCapacity × CacheSize cache pages: while fewer are live, each
-	// caches more. Zero disables pooling.
+	// PoolCapacity sizes the warm reader pool every read session goes
+	// through (0: 8): finished read sessions park their snapshot
+	// connection (pager cache and catalog intact) for reuse by the next
+	// reader, advanced past the commits in between, up to this many idle
+	// connections. The pooled connections share PoolCapacity × CacheSize
+	// cache pages: while fewer are live, each caches more.
 	PoolCapacity int
 }
 
@@ -95,8 +95,8 @@ type Manager struct {
 	// db is the single persistent writer connection.
 	db *sqlite.DB
 
-	// pool keeps warm reader connections between MVCC read sessions.
-	// Nil unless Options.PoolCapacity enabled it.
+	// pool keeps warm reader connections between read sessions; every
+	// reader's connection is one of its own.
 	pool *readpool.Pool
 
 	// FIFO ticket lock for the writer queue. head/tail are guarded by
@@ -138,12 +138,10 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{fs: fsys, name: name, opts: opts, cfg: cfg, db: db}
+	m := &Manager{fs: fsys, name: name, opts: opts, cfg: cfg, db: db,
+		pool: readpool.New(opts.PoolCapacity, opts.CacheSize)}
 	m.cond = sync.NewCond(&m.mu)
 	db.Pager().OnGroupSync = m.groupSynced
-	if opts.PoolCapacity > 0 {
-		m.pool = readpool.New(opts.PoolCapacity, opts.CacheSize)
-	}
 	return m, nil
 }
 
@@ -159,9 +157,7 @@ func (m *Manager) Close() error {
 	m.mu.Unlock()
 	// Drain the reader pool while the device is still serviceable:
 	// pooled connections hold open device snapshots.
-	if m.pool != nil {
-		m.pool.Close()
-	}
+	m.pool.Close()
 	return m.db.Close()
 }
 
@@ -176,8 +172,7 @@ type Session struct {
 
 	// A reader's private connection: snap is the snapshot its page reads
 	// go through, and its I/O context (nil for a writer, whose I/O context
-	// is the file system's writer side); pc is its pool membership, if
-	// pooled.
+	// is the file system's writer side); pc is its pool membership.
 	snap *simfs.Snapshot
 	pc   *readpool.Conn
 
@@ -275,17 +270,14 @@ func (s *Session) begin() {
 // openReader gives a read session its private connection: the reader
 // pool's warmest — advanced or re-seated past the commits that landed
 // since it was parked, if any — or a cold one opened over a fresh
-// snapshot.
+// snapshot, which joins the pool.
 func (m *Manager) openReader(s *Session) error {
 	// A reader must see every commit that has returned, so the sequence is
 	// read before the checkout. A commit landing in between leaves the
 	// checkout one commit behind, exactly as if the reader had come a
 	// moment earlier.
-	var seq uint64
-	if m.pool != nil {
-		seq = m.fs.Device().CommitSeq()
-		s.pc = m.pool.Checkout(seq, m.fs.Epoch(), m.fs.AdvanceFloor())
-	}
+	seq := m.fs.Device().CommitSeq()
+	s.pc = m.pool.Checkout(seq, m.fs.Epoch(), m.fs.AdvanceFloor())
 	if s.pc != nil && s.pc.Fresh(seq) {
 		s.db, s.snap = s.pc.DB, s.pc.Snap
 		s.snap.SetIOContext(s.id, m.opts.Pipelined)
@@ -304,15 +296,13 @@ func (m *Manager) openReader(s *Session) error {
 		s.db = s.pc.DB
 		return nil
 	}
-	s.pc = nil
 	// The cold open's catalog reads are the session's own I/O.
-	if s.db, err = sqlite.OpenReader(m.fs, m.name, snap, m.cfg); err != nil {
+	db, err := sqlite.OpenReader(m.fs, m.name, snap, m.cfg)
+	if err != nil {
 		_ = snap.Close()
 		return err
 	}
-	if m.pool != nil {
-		s.pc = m.pool.Adopt(s.db, snap)
-	}
+	s.db, s.pc = db, m.pool.Adopt(db, snap)
 	return nil
 }
 
@@ -477,25 +467,15 @@ func (s *Session) Rollback() error {
 	return s.end(endRollback)
 }
 
-// endReader finishes a read session's private connection: a pooled
-// reader parks it warm for the next reader (without its snapshot once
-// the change log can no longer advance it); any other tears the
-// connection down, then closes its snapshot so GC can reclaim the
-// versions it pinned.
+// endReader hands a read session's private connection back to the pool,
+// which parks it warm for the next reader (without its snapshot once the
+// change log can no longer advance it) or closes it.
 func (s *Session) endReader() error {
-	var err error
-	if s.pc != nil {
-		s.m.pool.Return(s.pc)
-	} else {
-		err = s.db.Close()
-		if cerr := s.snap.Close(); err == nil {
-			err = cerr
-		}
-	}
+	s.m.pool.Return(s.pc)
 	s.m.Stats.SnapsOpen.Add(-1)
 	s.m.Stats.ReadTx.Add(1)
 	s.noteSession(0)
-	return err
+	return nil
 }
 
 // How a session ends: its writer transaction commits, rolls back, or was
@@ -582,33 +562,28 @@ func (s *Session) FinishExternal() error {
 	return s.end(endExternal)
 }
 
-// PoolStats copies the warm reader pool's counters. ok is false when
-// pooling is disabled.
+// PoolStats copies the warm reader pool's counters. Every manager pools,
+// so ok is always true; the perf suite's counters read both results.
 func (m *Manager) PoolStats() (st readpool.Stats, ok bool) {
-	if m.pool == nil {
-		return readpool.Stats{}, false
-	}
 	return m.pool.Stats(), true
 }
 
 // Register publishes the manager's session-layer counters as metric
 // families labelled with the given shard and the manager's database:
 // writer-lock busy timeouts, group commits and their members, and the
-// reader pool when pooling is on.
+// reader pool.
 func (m *Manager) Register(reg *metrics.Registry, shard string) {
 	kv := []string{"shard", shard, "db", m.name}
 	reg.Counter("xftl_busy_timeouts_total", "Sessions that timed out waiting for the writer lock.", m.Stats.BusyTimeouts.Load, kv...)
 	reg.Counter("xftl_group_commits_total", "Writer commit(t)s issued, each carrying a group of one or more write transactions.", m.Stats.GroupCommits.Load, kv...)
 	reg.Counter("xftl_group_members_total", "Write transactions those commits carried (mean group size = members / commits).", m.Stats.GroupMembers.Load, kv...)
-	if m.pool != nil {
-		reg.Counter("xftl_readpool_hits_total", "Read sessions served from a warm pooled connection.", func() int64 { return m.pool.Stats().Hits }, kv...)
-		reg.Counter("xftl_readpool_misses_total", "Read sessions that had to cold-open.", func() int64 { return m.pool.Stats().Misses }, kv...)
-		reg.Counter("xftl_readpool_advances_total", "Warm connections advanced past later commits instead of cold-opened.", func() int64 { return m.pool.Stats().Advances }, kv...)
-		reg.Counter("xftl_readpool_evictions_total", "Pooled connections dropped for capacity.", func() int64 { return m.pool.Stats().Evictions }, kv...)
-		reg.Counter("xftl_readpool_invalidations_total", "Pooled connections the change log could not advance: re-seated over a fresh snapshot (file resized, namespace changed, or older than the log), or closed at a power cut.", func() int64 { return m.pool.Stats().Invalidations }, kv...)
-		reg.Gauge("xftl_readpool_idle", "Warm connections currently pooled.", func() int64 { return int64(m.pool.Idle()) }, kv...)
-		reg.Gauge("xftl_readpool_cache_pages", "Pages the idle pooled connections' caches hold, out of the budget all the pool's connections share.", func() int64 { return int64(m.pool.CachePages()) }, kv...)
-	}
+	reg.Counter("xftl_readpool_hits_total", "Read sessions served from a warm pooled connection.", func() int64 { return m.pool.Stats().Hits }, kv...)
+	reg.Counter("xftl_readpool_misses_total", "Read sessions that had to cold-open.", func() int64 { return m.pool.Stats().Misses }, kv...)
+	reg.Counter("xftl_readpool_advances_total", "Warm connections advanced past later commits instead of cold-opened.", func() int64 { return m.pool.Stats().Advances }, kv...)
+	reg.Counter("xftl_readpool_evictions_total", "Pooled connections dropped for capacity.", func() int64 { return m.pool.Stats().Evictions }, kv...)
+	reg.Counter("xftl_readpool_invalidations_total", "Pooled connections the change log could not advance: re-seated over a fresh snapshot (file resized, namespace changed, or older than the log), or closed at a power cut.", func() int64 { return m.pool.Stats().Invalidations }, kv...)
+	reg.Gauge("xftl_readpool_idle", "Warm connections currently pooled.", func() int64 { return int64(m.pool.Idle()) }, kv...)
+	reg.Gauge("xftl_readpool_cache_pages", "Pages the idle pooled connections' caches hold, out of the budget all the pool's connections share.", func() int64 { return int64(m.pool.CachePages()) }, kv...)
 }
 
 // Name reports the database file name this manager owns.

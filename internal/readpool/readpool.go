@@ -108,7 +108,7 @@ type Pool struct {
 // New builds a pool keeping at most capacity idle connections warm
 // (zero or negative: 8), whose connections share capacity × cacheSize
 // cache pages, none getting fewer than cacheSize (zero or negative: the
-// pager's default). Disable pooling by not constructing a pool.
+// pager's default).
 func New(capacity, cacheSize int) *Pool {
 	if capacity <= 0 {
 		capacity = 8

@@ -3,6 +3,7 @@ package torture
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -22,16 +23,15 @@ import (
 // the model's snapshot rule is "never a torn snapshot" — which takes a
 // table of several leaf pages to be observable at all.
 //
-// Two legs share it. The MVCC leg reads through X-FTL snapshots and
-// reopens the database after the cut. The pooled leg serves readers from
-// the warm connection pool and keeps the SAME manager across the
-// remount: the pool's power-cut epoch must invalidate every pre-cut
-// connection on the first post-recovery checkout, or a reader is served
-// a pre-crash cache.
+// Readers read through X-FTL snapshots served from the warm connection
+// pool, and the SAME manager rides across the remount: the pool's
+// power-cut epoch must invalidate every pre-cut connection on the first
+// post-recovery checkout, or a reader is served a pre-crash cache. The
+// database is then reopened under a new manager, which must read the
+// recovered state the first one did.
 type sessionRun struct {
-	txns   int   // generations the writer tries to commit
-	cut    int64 // one power cut 1..cut NAND operations ahead; 0 = none
-	pooled bool
+	txns int   // generations the writer tries to commit
+	cut  int64 // one power cut 1..cut NAND operations ahead; 0 = none
 }
 
 const (
@@ -43,10 +43,7 @@ const (
 )
 
 func (s sessionRun) run(seed int64) (*Report, error) {
-	opts := mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off, CacheSize: 32}
-	if s.pooled {
-		opts.PoolCapacity = sessionReaders
-	}
+	opts := mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off, CacheSize: 32, PoolCapacity: sessionReaders}
 	dev, fsys, mgr, err := sessionStack(opts)
 	if err != nil {
 		return nil, err
@@ -67,9 +64,6 @@ func (s sessionRun) run(seed int64) (*Report, error) {
 		return rep, err
 	}
 	before, _ := mgr.PoolStats()
-	if !s.pooled {
-		_ = mgr.Close()
-	}
 	if cut != nil {
 		if err := crash(cut, fsRig{dev, fsys}, corruption{}); err != nil {
 			return rep, err
@@ -77,14 +71,6 @@ func (s sessionRun) run(seed int64) (*Report, error) {
 		rep.Crashes++
 	} else {
 		dev.PowerCutAfter(0)
-	}
-	if !s.pooled {
-		// Reopening runs the journal mode's recovery.
-		reopened, err := mvcc.NewManager(fsys, "kv.db", opts)
-		if err != nil {
-			return rep, fmt.Errorf("reopen: %w", err)
-		}
-		mgr = reopened
 	}
 	got, err := readKV(mgr, nil)
 	if err != nil {
@@ -94,20 +80,31 @@ func (s sessionRun) run(seed int64) (*Report, error) {
 	if _, err := m.recover(indoubt, lookup(got)); err != nil {
 		return rep, err
 	}
-	if s.pooled {
-		// Every connection parked before the cut is a stale epoch: the first
-		// post-recovery checkout must have closed them all. And the pool must
-		// come back warm: a second read at the unchanged generation is a hit.
-		mid, _ := mgr.PoolStats()
-		if n := mid.Invalidations - before.Invalidations; cut != nil && n != int64(before.Idle) {
-			return rep, fmt.Errorf("post-cut checkout invalidated %d pooled conns, want %d", n, before.Idle)
-		}
-		if _, err := readKV(mgr, nil); err != nil {
-			return rep, fmt.Errorf("post-recovery warm read: %w", err)
-		}
-		if after, _ := mgr.PoolStats(); after.Hits <= mid.Hits {
-			return rep, fmt.Errorf("pool did not serve a warm hit after recovery: %+v", after)
-		}
+	// Every connection parked before the cut is a stale epoch: the first
+	// post-recovery checkout must have closed them all. And the pool must
+	// come back warm: a second read at the unchanged generation is a hit.
+	mid, _ := mgr.PoolStats()
+	if n := mid.Invalidations - before.Invalidations; cut != nil && n != int64(before.Idle) {
+		return rep, fmt.Errorf("post-cut checkout invalidated %d pooled conns, want %d", n, before.Idle)
+	}
+	if _, err := readKV(mgr, nil); err != nil {
+		return rep, fmt.Errorf("post-recovery warm read: %w", err)
+	}
+	if after, _ := mgr.PoolStats(); after.Hits <= mid.Hits {
+		return rep, fmt.Errorf("pool did not serve a warm hit after recovery: %+v", after)
+	}
+	// Reopening runs the journal mode's recovery on a new writer
+	// connection, and its first reader cold-opens.
+	_ = mgr.Close()
+	if mgr, err = mvcc.NewManager(fsys, "kv.db", opts); err != nil {
+		return rep, fmt.Errorf("reopen: %w", err)
+	}
+	again, err := readKV(mgr, nil)
+	if err != nil {
+		return rep, fmt.Errorf("read after reopen: %w", err)
+	}
+	if !maps.Equal(again, got) {
+		return rep, fmt.Errorf("reopened manager reads %d rows differing from the recovered %d", len(again), len(got))
 	}
 	return rep, rep.finish(dev)
 }

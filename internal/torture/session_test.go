@@ -15,17 +15,14 @@ func noCut(t *testing.T, s sessionRun) {
 	}
 }
 
-func TestMVCCTortureNoCut(t *testing.T)   { noCut(t, sessionRun{}) }
-func TestPooledTortureNoCut(t *testing.T) { noCut(t, sessionRun{pooled: true}) }
+func TestMVCCTortureNoCut(t *testing.T) { noCut(t, sessionRun{}) }
 
-// Mid-run power cuts across seeds: after recovery the database must
-// read as the last committed or the in-doubt generation, whole.
+// Mid-run power cuts across seeds, pooled readers live: the same manager
+// rides across the remount, every pre-cut pooled connection must be
+// invalidated on the first post-recovery checkout, and the database must
+// read as the last committed or the in-doubt generation, whole — through
+// that manager and through one reopened after it.
 func TestMVCCTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "mvcc sessions")) }
-
-// Power cut with pooled readers live: the same manager rides across the
-// remount and every pre-cut pooled connection must be invalidated on
-// the first post-recovery checkout.
-func TestPooledTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "mvcc pooled")) }
 
 // Writers committing in groups, rollbacks and a page-stealing writer among
 // them: without a cut every acknowledged transaction is there at the end;

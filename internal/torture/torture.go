@@ -329,16 +329,11 @@ func Legs(faults float64) []Leg {
 			Needs: []string{"crashes", "indoubt", "aborted", m.path},
 		})
 	}
-	for _, s := range []struct {
-		name   string
-		pooled bool
-	}{{"mvcc sessions", false}, {"mvcc pooled", true}} {
-		run := sessionRun{txns: 60, cut: sessionCut, pooled: s.pooled}
-		legs = append(legs, Leg{
-			Name: s.name, Seeds: six, Quick: 2, Cells: []Cell{{fmt.Sprintf("cut=%d", sessionCut), run.run}},
-			Needs: []string{"crashes", "committed", "snapold"},
-		})
-	}
+	legs = append(legs, Leg{
+		Name: "mvcc sessions", Seeds: six, Quick: 2,
+		Cells: []Cell{{fmt.Sprintf("cut=%d", sessionCut), sessionRun{txns: 60, cut: sessionCut}.run}},
+		Needs: []string{"crashes", "committed", "snapold"},
+	})
 	var groups []Cell
 	for _, writers := range []int{2, 3} {
 		groups = append(groups, Cell{fmt.Sprintf("writers=%d", writers), groupRun{writers: writers, txns: 40, cut: true}.run})
