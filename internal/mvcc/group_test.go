@@ -207,6 +207,11 @@ func TestSuccessorClosesGroup(t *testing.T) {
 				defer m.Close()
 			}
 			seed(t, m, 8, 0)
+			if tc.name == "steal" {
+				// A reader parked in the pool is live: its share leaves the
+				// writer no budget to borrow, so the writer caches 8 pages.
+				readOnce(t, m)
+			}
 			st0 := xstats(m)
 			w1done, w2 := deferredPair(t, m)
 			tc.close(t, w2)

@@ -55,7 +55,8 @@ type Options struct {
 	// X-FTL device, not a journal, makes the writer's pages atomic.
 	Journal pager.JournalMode
 	// CacheSize is the pager cache per connection (0 = the pager's
-	// default); a pooled reader may cache more (PoolCapacity).
+	// default); a reader, or the writer while no reader is live, may
+	// cache more (PoolCapacity).
 	CacheSize int
 	// Pipelined routes snapshot page reads through the async NCQ
 	// submission path so concurrent readers overlap in virtual time
@@ -69,7 +70,8 @@ type Options struct {
 	// connection (pager cache and catalog intact) for reuse by the next
 	// reader, advanced past the commits in between, up to this many idle
 	// connections. The pooled connections share PoolCapacity × CacheSize
-	// cache pages: while fewer are live, each caches more.
+	// cache pages: while fewer are live, each caches more, and the writer
+	// borrows on top of its CacheSize what they leave over.
 	PoolCapacity int
 }
 
@@ -92,8 +94,10 @@ type Manager struct {
 	opts Options
 	cfg  sqlite.Config
 
-	// db is the single persistent writer connection.
-	db *sqlite.DB
+	// db is the single persistent writer connection; wgen is the pool's
+	// share generation its cache was last sized at (see sizeWriter).
+	db   *sqlite.DB
+	wgen uint64
 
 	// pool keeps warm reader connections between read sessions; every
 	// reader's connection is one of its own.
@@ -142,6 +146,7 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 		pool: readpool.New(opts.PoolCapacity, opts.CacheSize)}
 	m.cond = sync.NewCond(&m.mu)
 	db.Pager().OnGroupSync = m.groupSynced
+	m.sizeWriter() // no reader is live yet: the writer may borrow the whole budget
 	return m, nil
 }
 
@@ -250,6 +255,7 @@ func (m *Manager) BeginInto(s *Session, readonly bool, budget time.Duration) err
 	// Holding the exclusive lock is what makes setting the shared FS's I/O
 	// context safe: exactly one session touches the shared connection at a
 	// time.
+	m.sizeWriter()
 	s.begin()
 	m.fs.SetIOContext(s.id, m.opts.Pipelined)
 	if err := m.db.Begin(); err != nil {
@@ -303,7 +309,31 @@ func (m *Manager) openReader(s *Session) error {
 		return err
 	}
 	s.db, s.pc = db, m.pool.Adopt(db, snap)
+	m.reclaim()
 	return nil
+}
+
+// sizeWriter is the writer connection's share check (readpool's
+// SizeWriter): the writer caches CacheSize plus what of the pool's budget
+// no live reader is entitled to. Its caller owns the writer connection:
+// it holds the writer lock, or holds mu while nobody does. It runs at
+// construction, at write-begin, at each of the writer's statements and
+// under mu at its end, so an idle writer never keeps more than the
+// readers left it when it ended.
+func (m *Manager) sizeWriter() {
+	m.wgen = m.pool.SizeWriter(m.db.Pager(), m.wgen)
+}
+
+// reclaim is a reader that has just gone live taking back what the idle
+// writer borrowed of the budget, under the writer lock: only while
+// nobody holds or awaits it. A write transaction that is open gives it
+// back itself at its next statement or its end.
+func (m *Manager) reclaim() {
+	m.mu.Lock()
+	if m.head == m.tail && !m.closed {
+		m.sizeWriter()
+	}
+	m.mu.Unlock()
 }
 
 // Busy-budget backoff bounds: the poll interval starts at the minimum
@@ -364,6 +394,7 @@ func (m *Manager) lockExclusive(budget time.Duration) error {
 
 func (m *Manager) unlockExclusive() {
 	m.mu.Lock()
+	m.sizeWriter()
 	m.head++
 	m.cond.Broadcast()
 	m.mu.Unlock()
@@ -400,6 +431,7 @@ func (m *Manager) successorInGroup() bool {
 func (m *Manager) awaitGroup(s *Session) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.sizeWriter()
 	m.waiters = append(m.waiters, s)
 	m.head++
 	m.cond.Broadcast()
@@ -428,12 +460,24 @@ func (m *Manager) groupSynced(members int, err error) {
 	m.mu.Unlock()
 }
 
+// stmt is the session's connection after the share check it makes
+// before each statement, on its own goroutine: a cut to the connection's
+// cache lands at the next statement, not at the session's end.
+func (s *Session) stmt() *sqlite.DB {
+	if s.readonly {
+		s.m.pool.Resize(s.pc)
+	} else {
+		s.m.sizeWriter()
+	}
+	return s.db
+}
+
 // Query runs a SELECT in the session's view of the database.
 func (s *Session) Query(sql string, args ...any) (*sqlite.Rows, error) {
 	if s.done {
 		return nil, ErrSessionDone
 	}
-	return s.db.Query(sql, args...)
+	return s.stmt().Query(sql, args...)
 }
 
 // QueryRow returns the first row of a SELECT.
@@ -441,7 +485,7 @@ func (s *Session) QueryRow(sql string, args ...any) ([]sqlite.Value, bool, error
 	if s.done {
 		return nil, false, ErrSessionDone
 	}
-	return s.db.QueryRow(sql, args...)
+	return s.stmt().QueryRow(sql, args...)
 }
 
 // Exec runs a write statement. Read sessions fail with
@@ -453,7 +497,7 @@ func (s *Session) Exec(sql string, args ...any) (int64, error) {
 	if s.readonly {
 		return 0, pager.ErrReadOnly
 	}
-	return s.db.Exec(sql, args...)
+	return s.stmt().Exec(sql, args...)
 }
 
 // Commit ends the session, making a writer's changes durable. For

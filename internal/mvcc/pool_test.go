@@ -242,36 +242,42 @@ func TestPooledReadersConcurrentSessions(t *testing.T) {
 
 // Pooled readers share PoolCapacity × CacheSize cache pages: a lone
 // reader may cache all of them, and once PoolCapacity readers are live
-// each caches exactly CacheSize, as every reader did before the budget.
+// each caches exactly CacheSize, as every reader did before the budget —
+// the warm one checked out before the others went live from its next
+// statement on.
 func TestPooledReadersShareCacheBudget(t *testing.T) {
 	m := newPooledManager(t, 4)
 	seed(t, m, 4, 10)
-	caches := func(n int) []int {
+	caches := func(n int) (begun, stmt []int) {
 		t.Helper()
-		var got []int
 		var rs []*Session
 		for i := 0; i < n; i++ {
 			r, err := m.Begin(true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, r.db.Pager().CacheSize())
+			begun = append(begun, r.db.Pager().CacheSize())
 			rs = append(rs, r)
 		}
 		for _, r := range rs {
+			readAll(t, r)
+			stmt = append(stmt, r.db.Pager().CacheSize())
 			if err := r.Commit(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return got
+		return begun, stmt
 	}
-	if got := caches(1); got[0] != 4*200 {
+	if _, got := caches(1); got[0] != 4*200 {
 		t.Fatalf("a lone reader caches %d pages, want the whole budget of %d", got[0], 4*200)
 	}
-	caches(4) // the warm one keeps its share until it is returned
-	for i, got := range caches(4) {
+	begun, stmt := caches(4)
+	if begun[0] != 4*200 {
+		t.Errorf("the warm reader was checked out with %d pages, want the lone reader's %d", begun[0], 4*200)
+	}
+	for i, got := range stmt {
 		if got != 200 {
-			t.Errorf("reader %d of 4 caches %d pages, want CacheSize 200", i, got)
+			t.Errorf("reader %d of 4 caches %d pages after a statement, want CacheSize 200", i, got)
 		}
 	}
 }

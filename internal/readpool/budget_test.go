@@ -31,10 +31,12 @@ func (e *env) fill(t *testing.T, n int) {
 	}
 }
 
-// scan reads every page of the kv table through c, filling its cache to
-// its limit.
-func scan(t *testing.T, c *Conn) {
+// scan runs one statement on c the way its owner does, after the share
+// check: it reads every page of the kv table, filling c's cache to its
+// limit.
+func scan(t *testing.T, p *Pool, c *Conn) {
 	t.Helper()
+	p.Resize(c)
 	if _, _, err := c.DB.QueryRow("SELECT count(*) FROM kv"); err != nil {
 		t.Fatal(err)
 	}
@@ -43,19 +45,31 @@ func scan(t *testing.T, c *Conn) {
 // limit is the cache size a connection was last given.
 func limit(c *Conn) int { return c.DB.Pager().CacheSize() }
 
-// checkBudget holds the pool to its page budget with out checked out:
-// every idle connection within the share of the L live ones, and all of
-// them together within max(budget, L × cacheSize) — plus, for a
-// connection checked out before L grew, what its limit exceeds the share
-// by until its Return cuts it.
-func checkBudget(t *testing.T, p *Pool, out []*Conn) {
+// writer stands in for the database's writer connection: the pool sizes
+// it at each write's begin and end, and whenever a reader goes live while
+// it is idle.
+type writer struct {
+	db  *sqlite.DB
+	gen uint64 // the share generation it was last sized at
+}
+
+func (w *writer) size(p *Pool) { w.gen = p.SizeWriter(w.db.Pager(), w.gen) }
+
+// checkBudget holds the pool and the writer w to the page budget with out
+// checked out: every idle connection within the share of the L live ones,
+// each checked-out one and the writer at their shares if sized since L
+// last moved, and all of them together within max(budget, L × cacheSize)
+// + cacheSize — plus, for a connection or writer sized before L moved,
+// what its limit exceeds its share by until its next statement. It
+// returns that lag.
+func checkBudget(t *testing.T, p *Pool, out []*Conn, w *writer) int {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.live != len(p.free)+len(out) {
 		t.Fatalf("pool counts %d live connections, %d idle and %d checked out", p.live, len(p.free), len(out))
 	}
-	share := p.share(p.live)
+	share, gen := p.share(p.live), p.gen.Load()
 	total, lag := 0, 0
 	for i, c := range p.free {
 		if pages := c.DB.Pager().CachedPages(); pages > limit(c) || limit(c) > share {
@@ -63,13 +77,25 @@ func checkBudget(t *testing.T, p *Pool, out []*Conn) {
 		}
 		total += c.DB.Pager().CachedPages()
 	}
-	for _, c := range out {
-		total += c.DB.Pager().CachedPages()
-		lag += max(0, limit(c)-share)
+	held := func(what string, pg *pager.Pager, sized uint64, share int) {
+		t.Helper()
+		if pages := pg.CachedPages(); pages > pg.CacheSize() {
+			t.Fatalf("%s holds %d pages over its limit %d", what, pages, pg.CacheSize())
+		}
+		if sized == gen && pg.CacheSize() != share {
+			t.Fatalf("%s was sized at the current generation to %d pages, its share is %d", what, pg.CacheSize(), share)
+		}
+		total += pg.CachedPages()
+		lag += max(0, pg.CacheSize()-share)
 	}
-	if bound := max(p.budget, p.live*p.cache); total > bound+lag {
-		t.Fatalf("%d live connections hold %d pages, over max(%d, %d×%d) + %d", p.live, total, p.budget, p.live, p.cache, lag)
+	for i, c := range out {
+		held(fmt.Sprintf("checked-out connection %d", i), c.DB.Pager(), c.gen, share)
 	}
+	held("the writer", w.db.Pager(), w.gen, p.writerShare())
+	if bound := max(p.budget, p.live*p.cache) + p.cache; total > bound+lag {
+		t.Fatalf("%d live connections and the writer hold %d pages, over max(%d, %d×%d) + %d + %d", p.live, total, p.budget, p.live, p.cache, p.cache, lag)
+	}
+	return lag
 }
 
 // The share rule: one live connection gets the whole budget, two half
@@ -87,25 +113,49 @@ func TestShareRule(t *testing.T) {
 // Connections take their share of the budget at cold open and checkout:
 // the first alone caches the whole budget, later ones split it, and idle
 // ones are cut as soon as another connection goes live, a checked-out
-// one at its Return. From PoolCapacity live connections on, each caches
-// exactly its CacheSize. A seeded stream of checkouts, cold opens and
-// returns then holds the pool to its budget after every step.
+// one at its next statement. From PoolCapacity live connections on, each
+// caches exactly its CacheSize. The writer caches its CacheSize plus the
+// whole budget while no connection is live, and its CacheSize beside
+// them. A seeded stream of checkouts, cold opens, returns, statements
+// and writes then holds the pool and the writer to the budget after
+// every step, and the lag to one statement.
 func TestBudgetSharedByLiveConns(t *testing.T) {
 	e := newPoolEnv(t)
 	e.fill(t, 400) // ≈100 leaves
 	const capacity, cache = 4, 8
 	p := New(capacity, cache)
 	defer p.Close()
+	w := &writer{db: e.w}
 	var out []*Conn
+	// write is one writer transaction: sized at its begin, it reads the
+	// whole table, rewrites a row, and is sized again at its end.
+	write := func(v int64) {
+		t.Helper()
+		w.size(p)
+		if _, _, err := e.w.QueryRow("SELECT count(*) FROM kv"); err != nil {
+			t.Fatal(err)
+		}
+		e.commit(t, v)
+		w.size(p)
+		checkBudget(t, p, out, w)
+	}
+	wantWriter := func(want int, what string) {
+		t.Helper()
+		if pg := e.w.Pager(); pg.CacheSize() != want || pg.CachedPages() > want {
+			t.Fatalf("%s: the writer's limit %d holding %d pages, want limit %d", what, pg.CacheSize(), pg.CachedPages(), want)
+		}
+	}
 	take := func() *Conn {
 		t.Helper()
 		c := e.checkout(t, p)
 		if c == nil {
 			c = e.coldOpen(t, p)
+			w.size(p) // the writer is idle: the reader gone live takes back what it borrowed
 		}
-		scan(t, c)
 		out = append(out, c)
-		checkBudget(t, p, out)
+		checkBudget(t, p, out, w)
+		scan(t, p, c)
+		checkBudget(t, p, out, w)
 		return c
 	}
 	give := func(c *Conn) {
@@ -117,7 +167,7 @@ func TestBudgetSharedByLiveConns(t *testing.T) {
 			}
 		}
 		p.Return(c)
-		checkBudget(t, p, out)
+		checkBudget(t, p, out, w)
 	}
 	wantLimit := func(c *Conn, want int, what string) {
 		t.Helper()
@@ -126,7 +176,13 @@ func TestBudgetSharedByLiveConns(t *testing.T) {
 		}
 	}
 
+	write(1)
+	wantWriter(cache+capacity*cache, "no connection live")
+	if e.w.Pager().CachedPages() != cache+capacity*cache {
+		t.Fatalf("a scan left %d pages in the writer's cache, want all %d it may borrow", e.w.Pager().CachedPages(), cache+capacity*cache)
+	}
 	c1 := take()
+	wantWriter(cache, "a connection gone live")
 	wantLimit(c1, 32, "alone")
 	if c1.DB.Pager().CachedPages() != 32 {
 		t.Fatalf("a scan left %d pages cached, want the whole 32-page share", c1.DB.Pager().CachedPages())
@@ -134,6 +190,11 @@ func TestBudgetSharedByLiveConns(t *testing.T) {
 	c2 := take()
 	wantLimit(c2, 16, "second of two")
 	wantLimit(c1, 32, "checked out before the second went live")
+	scan(t, p, c1)
+	wantLimit(c1, 16, "at its next statement")
+	if lag := checkBudget(t, p, out, w); lag != 0 {
+		t.Fatalf("every connection has run a statement since L last moved, yet %d pages lag", lag)
+	}
 	give(c1)
 	wantLimit(c1, 16, "returned one of two")
 	give(c2)
@@ -165,7 +226,18 @@ func TestBudgetSharedByLiveConns(t *testing.T) {
 			give(out[rng.Intn(len(out))])
 		}
 		if rng.Intn(10) == 0 {
-			e.commit(t, int64(step))
+			write(int64(step))
+		}
+		if rng.Intn(5) == 0 {
+			// One statement on every checked-out connection, and a write,
+			// leave nothing lagging.
+			for _, c := range out {
+				scan(t, p, c)
+			}
+			write(int64(step))
+			if lag := checkBudget(t, p, out, w); lag != 0 {
+				t.Fatalf("step %d: every connection has run a statement since L last moved, yet %d pages lag", step, lag)
+			}
 		}
 	}
 	for len(out) > 0 {
@@ -256,7 +328,9 @@ func TestConcurrentCheckoutReturn(t *testing.T) {
 	if st.Hits == 0 || st.Advances == 0 {
 		t.Error("no checkout was served warm and advanced")
 	}
-	checkBudget(t, p, nil)
+	w := &writer{db: e.w}
+	w.size(p)
+	checkBudget(t, p, nil, w)
 }
 
 // acquire is a read session's connection: the pool's warmest, brought up

@@ -23,9 +23,14 @@
 //
 // The pool's connections share one page budget, capacity × the
 // per-connection cache size: each of the L live ones, idle or checked
-// out, may cache max(cacheSize, budget/L) pages. A connection takes its
-// share at checkout and at its cold open; idle ones are cut to the new
-// share when L grows, a checked-out one at its Return.
+// out, may cache max(cacheSize, budget/L) pages. The database's writer
+// connection may cache its own cacheSize plus whatever part of the
+// budget the live connections are not entitled to: all of it while none
+// is live. A connection takes its share at checkout and at its cold
+// open, idle ones are cut to the new share when L grows, and every L
+// change moves the share generation: a checked-out connection and the
+// writer check it at each statement (Resize, SizeWriter), so a cut lands
+// at the owner's next statement.
 //
 // The shape follows the classic pinned-aware LRU buffer pool: a
 // bounded free stack, last-in-first-out so the warmest cache is reused
@@ -52,6 +57,7 @@ type Conn struct {
 	Snap *simfs.Snapshot
 
 	changed []int64 // Advance's page list, kept for the next one
+	gen     uint64  // the share generation its cache was last sized at
 }
 
 // Fresh reports whether c reads through a snapshot at seq or later, so
@@ -92,11 +98,15 @@ type Pool struct {
 	limit  int     // idle connections kept warm at most
 	cache  int     // a connection's cache size, and the least share
 	budget int     // cache pages the live connections share: limit × cache
-	live   int     // connections idle or checked out
+	live   int     // connections idle or checked out; set through setLive
 	epoch  uint64  // power-cut epoch every pooled connection was opened in
 	floor  uint64  // oldest snapshot sequence the change log can still advance
 	free   []*Conn // LIFO: the top entry has the warmest cache
 	closed bool
+
+	// gen is the share generation: it moves with live, and so with every
+	// share. Written under mu, read without it by the owners' checks.
+	gen atomic.Uint64
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -116,8 +126,10 @@ func New(capacity, cacheSize int) *Pool {
 	if cacheSize <= 0 {
 		cacheSize = pager.DefaultCacheSize
 	}
-	return &Pool{limit: capacity, cache: cacheSize, budget: capacity * cacheSize,
+	p := &Pool{limit: capacity, cache: cacheSize, budget: capacity * cacheSize,
 		free: make([]*Conn, 0, capacity)}
+	p.gen.Store(1) // a writer's zero generation is one never sized
+	return p
 }
 
 // share is the cache pages each of live connections may hold:
@@ -126,13 +138,60 @@ func (p *Pool) share(live int) int {
 	return max(p.cache, p.budget/max(live, 1))
 }
 
+// writerShare is the cache pages the writer connection may hold beside
+// the live connections: cacheSize plus the part of the budget their
+// shares leave over. Caller holds p.mu.
+func (p *Pool) writerShare() int {
+	return p.cache + p.budget - min(p.budget, p.live*p.share(p.live))
+}
+
+// setLive changes the live count, and with it the share generation.
+// Caller holds p.mu.
+func (p *Pool) setLive(n int) {
+	p.live = n
+	p.gen.Add(1)
+}
+
+// Resize is a checked-out connection's share check, made by its owner at
+// each statement: if the share moved since c was last sized, c's cache
+// is set to the current one.
+func (p *Pool) Resize(c *Conn) {
+	if c.gen == p.gen.Load() {
+		return
+	}
+	p.mu.Lock()
+	share, gen := p.share(p.live), p.gen.Load()
+	p.mu.Unlock()
+	c.gen = gen
+	_ = c.DB.Pager().SetCacheSize(share)
+}
+
+// SizeWriter is the writer connection's share check: if the share moved
+// since generation gen, pg's cache is set to the writer's share (all of
+// the budget on top of cacheSize while no connection is live). It
+// returns the generation pg is now sized at; zero is one never sized.
+// The caller owns pg: it holds the database's writer lock, or knows no
+// one does.
+func (p *Pool) SizeWriter(pg *pager.Pager, gen uint64) uint64 {
+	if gen == p.gen.Load() {
+		return gen
+	}
+	p.mu.Lock()
+	pages := p.writerShare()
+	gen = p.gen.Load()
+	p.mu.Unlock()
+	_ = pg.SetCacheSize(pages)
+	return gen
+}
+
 // Adopt counts a reader the caller has just cold-opened over snap as one
 // of the pool's live connections and sizes its cache to its share, which
 // the idle ones are cut to as well. The caller Returns it when done.
 func (p *Pool) Adopt(db *sqlite.DB, snap *simfs.Snapshot) *Conn {
 	c := &Conn{DB: db, Snap: snap}
 	p.mu.Lock()
-	p.live++
+	p.setLive(p.live + 1)
+	c.gen = p.gen.Load()
 	share := p.share(p.live)
 	for _, idle := range p.free {
 		if idle.DB.Pager().CacheSize() > share {
@@ -170,6 +229,7 @@ func (p *Pool) Checkout(seq, epoch, floor uint64) *Conn {
 	if n := len(p.free); n > 0 {
 		c = p.free[n-1]
 		p.free = p.free[:n-1]
+		c.gen = p.gen.Load()
 	}
 	share := p.share(p.live)
 	p.mu.Unlock()
@@ -230,7 +290,7 @@ func (p *Pool) Advance(c *Conn, fs *simfs.FS, snap *simfs.Snapshot) bool {
 func (p *Pool) discard(c *Conn) {
 	c.close()
 	p.mu.Lock()
-	p.live--
+	p.setLive(p.live - 1)
 	p.mu.Unlock()
 	p.misses.Add(1)
 }
@@ -243,7 +303,7 @@ func (p *Pool) discard(c *Conn) {
 func (p *Pool) Return(c *Conn) bool {
 	p.mu.Lock()
 	if p.closed || c.Snap != nil && c.Snap.Epoch() != p.epoch {
-		p.live--
+		p.setLive(p.live - 1)
 		closed := p.closed
 		p.mu.Unlock()
 		c.close()
@@ -264,7 +324,7 @@ func (p *Pool) Return(c *Conn) bool {
 		p.free[0].close()
 		copy(p.free, p.free[1:])
 		p.free = p.free[:len(p.free)-1]
-		p.live--
+		p.setLive(p.live - 1)
 		p.evictions.Add(1)
 	}
 	p.free = append(p.free, c)
@@ -288,7 +348,7 @@ func (p *Pool) drainLocked() {
 	for _, c := range p.free {
 		c.close()
 	}
-	p.live -= len(p.free)
+	p.setLive(p.live - len(p.free))
 	p.free = p.free[:0]
 }
 
