@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -32,6 +33,7 @@ import (
 type sessionRun struct {
 	txns int   // generations the writer tries to commit
 	cut  int64 // one power cut 1..cut NAND operations ahead; 0 = none
+	pool int   // reader pool capacity; 0 = one per reader
 }
 
 const (
@@ -43,7 +45,7 @@ const (
 )
 
 func (s sessionRun) run(seed int64) (*Report, error) {
-	opts := mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off, CacheSize: 32, PoolCapacity: sessionReaders}
+	opts := mvcc.Options{Mode: mvcc.MVCC, Journal: pager.Off, CacheSize: 32, PoolCapacity: cmp.Or(s.pool, sessionReaders)}
 	dev, fsys, mgr, err := sessionStack(opts)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,9 @@
 package torture
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // noCut runs a session schedule as a pure concurrency shakeout — no
 // power cut, 20 generations, one seed — and requires every generation
@@ -23,6 +26,22 @@ func TestMVCCTortureNoCut(t *testing.T) { noCut(t, sessionRun{}) }
 // read as the last committed or the in-doubt generation, whole — through
 // that manager and through one reopened after it.
 func TestMVCCTortureWithCuts(t *testing.T) { runLeg(t, tableLeg(t, "mvcc sessions")) }
+
+// The same schedules with a reader pool half the reader count: readers
+// overflow it, so returns may evict for capacity while the writer
+// streams, and the cut must still invalidate exactly the connections
+// parked in it.
+const overflowPool = sessionReaders / 2
+
+func TestPooledTortureNoCut(t *testing.T) { noCut(t, sessionRun{pool: overflowPool}) }
+
+func TestPooledTortureWithCuts(t *testing.T) {
+	l := tableLeg(t, "mvcc sessions")
+	l.Name += ", overflowing pool"
+	l.Cells = []Cell{{fmt.Sprintf("cut=%d,pool=%d", sessionCut, overflowPool),
+		sessionRun{txns: 60, cut: sessionCut, pool: overflowPool}.run}}
+	runLeg(t, l)
+}
 
 // Writers committing in groups, rollbacks and a page-stealing writer among
 // them: without a cut every acknowledged transaction is there at the end;
