@@ -1,11 +1,13 @@
 package mvcc
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/nand"
 	"repro/internal/sqlite/pager"
 )
 
@@ -53,7 +55,8 @@ func mustScan(t *testing.T, s *Session) {
 // budget the readers share. Once a reader is live the writer is back to
 // its CacheSize: at once if no write transaction is open (the reader
 // takes the pages back), else at the writer's next statement or its end,
-// and at every begin after that.
+// and at every begin after that. A cut at a statement that steals a dirty
+// page, and fails to, fails the statement.
 func TestWriterBorrowsIdleBudget(t *testing.T) {
 	wantWriter := func(t *testing.T, m *Manager, limit int, full bool, what string) {
 		t.Helper()
@@ -117,6 +120,39 @@ func TestWriterBorrowsIdleBudget(t *testing.T) {
 		w = begin(t, m, false)
 		wantWriter(t, m, budgetCache, false, "at its next begin")
 		commit(t, w)
+	})
+	t.Run("failed steal", func(t *testing.T) {
+		// A deferred predecessor, and a successor whose dirty pages fit
+		// only its borrowed cache: the cut steals, and in journal mode off
+		// a steal first commits the pending group — into a power cut,
+		// which rewinds the successor's transaction. Its statement reads
+		// only a page still cached, so it would succeed, outside any
+		// transaction, had the cut's failure been dropped.
+		m := newBudgetManager(t, budgetCapacity)
+		seed(t, m, 8, 0)
+		w1done, w2 := deferredPair(t, m)
+		mustExec(t, w2, "UPDATE big SET v = 'y' WHERE k < 80")
+		if pages := m.db.Pager().CachedPages(); pages <= budgetCache {
+			t.Fatalf("the update left %d pages cached, want more than the %d the cut keeps", pages, budgetCache)
+		}
+		select {
+		case err := <-w1done:
+			t.Fatalf("the group closed (%v) before the cut: the update stole", err)
+		default:
+		}
+		const q = "SELECT v FROM big WHERE k = 399" // a page the group did not write
+		if _, _, err := w2.QueryRow(q); err != nil {
+			t.Fatal(err)
+		}
+		r := begin(t, m, true)
+		m.fs.Device().PowerCutAfter(1)
+		if _, _, err := w2.QueryRow(q); !errors.Is(err, nand.ErrPowerLost) {
+			t.Fatalf("a statement whose cut failed to steal: %v, want the power cut", err)
+		}
+		if err := <-w1done; !errors.Is(err, nand.ErrPowerLost) {
+			t.Fatalf("the deferred member of the group the steal closed: %v, want the power cut", err)
+		}
+		_, _ = w2.Rollback(), r.Commit()
 	})
 }
 

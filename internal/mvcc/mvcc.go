@@ -94,10 +94,8 @@ type Manager struct {
 	opts Options
 	cfg  sqlite.Config
 
-	// db is the single persistent writer connection; wgen is the pool's
-	// share generation its cache was last sized at (see sizeWriter).
-	db   *sqlite.DB
-	wgen uint64
+	// db is the single persistent writer connection.
+	db *sqlite.DB
 
 	// pool keeps warm reader connections between read sessions; every
 	// reader's connection is one of its own.
@@ -146,7 +144,7 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 		pool: readpool.New(opts.PoolCapacity, opts.CacheSize)}
 	m.cond = sync.NewCond(&m.mu)
 	db.Pager().OnGroupSync = m.groupSynced
-	m.sizeWriter() // no reader is live yet: the writer may borrow the whole budget
+	_ = m.sizeWriter() // no reader is live yet: the writer may borrow the whole budget
 	return m, nil
 }
 
@@ -255,10 +253,13 @@ func (m *Manager) BeginInto(s *Session, readonly bool, budget time.Duration) err
 	// Holding the exclusive lock is what makes setting the shared FS's I/O
 	// context safe: exactly one session touches the shared connection at a
 	// time.
-	m.sizeWriter()
 	s.begin()
 	m.fs.SetIOContext(s.id, m.opts.Pipelined)
-	if err := m.db.Begin(); err != nil {
+	err := m.sizeWriter()
+	if err == nil {
+		err = m.db.Begin()
+	}
+	if err != nil {
 		m.fs.ClearIOContext()
 		m.unlockExclusive()
 		return err
@@ -319,9 +320,11 @@ func (m *Manager) openReader(s *Session) error {
 // it holds the writer lock, or holds mu while nobody does. It runs at
 // construction, at write-begin, at each of the writer's statements and
 // under mu at its end, so an idle writer never keeps more than the
-// readers left it when it ended.
-func (m *Manager) sizeWriter() {
-	m.wgen = m.pool.SizeWriter(m.db.Pager(), m.wgen)
+// readers left it when it ended. Outside a write transaction the cache
+// holds no dirty page and none pinned, so a shrink only drops pages; inside
+// one it may steal, and a failed steal is the statement's error.
+func (m *Manager) sizeWriter() error {
+	return m.pool.SizeWriter(m.db.Pager())
 }
 
 // reclaim is a reader that has just gone live taking back what the idle
@@ -331,7 +334,7 @@ func (m *Manager) sizeWriter() {
 func (m *Manager) reclaim() {
 	m.mu.Lock()
 	if m.head == m.tail && !m.closed {
-		m.sizeWriter()
+		_ = m.sizeWriter() // no transaction open: cannot fail
 	}
 	m.mu.Unlock()
 }
@@ -394,7 +397,7 @@ func (m *Manager) lockExclusive(budget time.Duration) error {
 
 func (m *Manager) unlockExclusive() {
 	m.mu.Lock()
-	m.sizeWriter()
+	_ = m.sizeWriter() // the transaction has ended: cannot fail
 	m.head++
 	m.cond.Broadcast()
 	m.mu.Unlock()
@@ -431,7 +434,7 @@ func (m *Manager) successorInGroup() bool {
 func (m *Manager) awaitGroup(s *Session) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sizeWriter()
+	_ = m.sizeWriter() // the transaction is staged: cannot fail
 	m.waiters = append(m.waiters, s)
 	m.head++
 	m.cond.Broadcast()
@@ -460,16 +463,16 @@ func (m *Manager) groupSynced(members int, err error) {
 	m.mu.Unlock()
 }
 
-// stmt is the session's connection after the share check it makes
-// before each statement, on its own goroutine: a cut to the connection's
-// cache lands at the next statement, not at the session's end.
-func (s *Session) stmt() *sqlite.DB {
+// stmt is the share check the session makes before each statement, on
+// its own goroutine: a cut to the connection's cache lands at the next
+// statement, not at the session's end. A writer's cut may steal dirty
+// pages; if that fails, the statement fails with it, as it would had a
+// miss made the steal.
+func (s *Session) stmt() error {
 	if s.readonly {
-		s.m.pool.Resize(s.pc)
-	} else {
-		s.m.sizeWriter()
+		return s.m.pool.Resize(s.pc)
 	}
-	return s.db
+	return s.m.sizeWriter()
 }
 
 // Query runs a SELECT in the session's view of the database.
@@ -477,7 +480,10 @@ func (s *Session) Query(sql string, args ...any) (*sqlite.Rows, error) {
 	if s.done {
 		return nil, ErrSessionDone
 	}
-	return s.stmt().Query(sql, args...)
+	if err := s.stmt(); err != nil {
+		return nil, err
+	}
+	return s.db.Query(sql, args...)
 }
 
 // QueryRow returns the first row of a SELECT.
@@ -485,7 +491,10 @@ func (s *Session) QueryRow(sql string, args ...any) ([]sqlite.Value, bool, error
 	if s.done {
 		return nil, false, ErrSessionDone
 	}
-	return s.stmt().QueryRow(sql, args...)
+	if err := s.stmt(); err != nil {
+		return nil, false, err
+	}
+	return s.db.QueryRow(sql, args...)
 }
 
 // Exec runs a write statement. Read sessions fail with
@@ -497,7 +506,10 @@ func (s *Session) Exec(sql string, args ...any) (int64, error) {
 	if s.readonly {
 		return 0, pager.ErrReadOnly
 	}
-	return s.stmt().Exec(sql, args...)
+	if err := s.stmt(); err != nil {
+		return 0, err
+	}
+	return s.db.Exec(sql, args...)
 }
 
 // Commit ends the session, making a writer's changes durable. For

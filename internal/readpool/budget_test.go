@@ -32,11 +32,16 @@ func (e *env) fill(t *testing.T, n int) {
 }
 
 // scan runs one statement on c the way its owner does, after the share
-// check: it reads every page of the kv table, filling c's cache to its
-// limit.
+// check, which must leave c at the share of the connections live: it reads
+// every page of the kv table, filling c's cache to its limit.
 func scan(t *testing.T, p *Pool, c *Conn) {
 	t.Helper()
-	p.Resize(c)
+	if err := p.Resize(c); err != nil {
+		t.Fatal(err)
+	}
+	if share := p.share(p.Live()); limit(c) != share {
+		t.Fatalf("a checked-out connection sized to %d pages, its share of %d live is %d", limit(c), p.Live(), share)
+	}
 	if _, _, err := c.DB.QueryRow("SELECT count(*) FROM kv"); err != nil {
 		t.Fatal(err)
 	}
@@ -45,55 +50,56 @@ func scan(t *testing.T, p *Pool, c *Conn) {
 // limit is the cache size a connection was last given.
 func limit(c *Conn) int { return c.DB.Pager().CacheSize() }
 
-// writer stands in for the database's writer connection: the pool sizes
-// it at each write's begin and end, and whenever a reader goes live while
-// it is idle.
-type writer struct {
-	db  *sqlite.DB
-	gen uint64 // the share generation it was last sized at
+// sizeWriter stands in for the database's writer connection's share
+// check, which must leave db at the writer's share: the pool sizes it at
+// each write's begin and end, and whenever a reader goes live while it is
+// idle.
+func sizeWriter(t *testing.T, p *Pool, db *sqlite.DB) {
+	t.Helper()
+	if err := p.SizeWriter(db.Pager()); err != nil {
+		t.Fatal(err)
+	}
+	if share := p.writerShare(p.Live()); db.Pager().CacheSize() != share {
+		t.Fatalf("the writer sized to %d pages, its share beside %d live is %d", db.Pager().CacheSize(), p.Live(), share)
+	}
 }
-
-func (w *writer) size(p *Pool) { w.gen = p.SizeWriter(w.db.Pager(), w.gen) }
 
 // checkBudget holds the pool and the writer w to the page budget with out
 // checked out: every idle connection within the share of the L live ones,
-// each checked-out one and the writer at their shares if sized since L
-// last moved, and all of them together within max(budget, L × cacheSize)
-// + cacheSize — plus, for a connection or writer sized before L moved,
-// what its limit exceeds its share by until its next statement. It
-// returns that lag.
-func checkBudget(t *testing.T, p *Pool, out []*Conn, w *writer) int {
+// and all of them together within max(budget, L × cacheSize) + cacheSize
+// — plus what the checked-out connections' and the writer's limits
+// exceed their shares by, as they may until their next statement, when
+// scan and sizeWriter hold them to their shares. It returns that lag.
+func checkBudget(t *testing.T, p *Pool, out []*Conn, w *sqlite.DB) int {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.live != len(p.free)+len(out) {
-		t.Fatalf("pool counts %d live connections, %d idle and %d checked out", p.live, len(p.free), len(out))
+	live := p.Live()
+	if live != len(p.free)+len(out) {
+		t.Fatalf("pool counts %d live connections, %d idle and %d checked out", live, len(p.free), len(out))
 	}
-	share, gen := p.share(p.live), p.gen.Load()
+	share := p.share(live)
 	total, lag := 0, 0
 	for i, c := range p.free {
 		if pages := c.DB.Pager().CachedPages(); pages > limit(c) || limit(c) > share {
-			t.Fatalf("idle connection %d holds %d pages, limit %d, share of %d live %d", i, pages, limit(c), p.live, share)
+			t.Fatalf("idle connection %d holds %d pages, limit %d, share of %d live %d", i, pages, limit(c), live, share)
 		}
 		total += c.DB.Pager().CachedPages()
 	}
-	held := func(what string, pg *pager.Pager, sized uint64, share int) {
+	held := func(what string, pg *pager.Pager, share int) {
 		t.Helper()
 		if pages := pg.CachedPages(); pages > pg.CacheSize() {
 			t.Fatalf("%s holds %d pages over its limit %d", what, pages, pg.CacheSize())
-		}
-		if sized == gen && pg.CacheSize() != share {
-			t.Fatalf("%s was sized at the current generation to %d pages, its share is %d", what, pg.CacheSize(), share)
 		}
 		total += pg.CachedPages()
 		lag += max(0, pg.CacheSize()-share)
 	}
 	for i, c := range out {
-		held(fmt.Sprintf("checked-out connection %d", i), c.DB.Pager(), c.gen, share)
+		held(fmt.Sprintf("checked-out connection %d", i), c.DB.Pager(), share)
 	}
-	held("the writer", w.db.Pager(), w.gen, p.writerShare())
-	if bound := max(p.budget, p.live*p.cache) + p.cache; total > bound+lag {
-		t.Fatalf("%d live connections and the writer hold %d pages, over max(%d, %d×%d) + %d + %d", p.live, total, p.budget, p.live, p.cache, p.cache, lag)
+	held("the writer", w.Pager(), p.writerShare(live))
+	if bound := max(p.budget, live*p.cache) + p.cache; total > bound+lag {
+		t.Fatalf("%d live connections and the writer hold %d pages, over max(%d, %d×%d) + %d + %d", live, total, p.budget, live, p.cache, p.cache, lag)
 	}
 	return lag
 }
@@ -125,18 +131,18 @@ func TestBudgetSharedByLiveConns(t *testing.T) {
 	const capacity, cache = 4, 8
 	p := New(capacity, cache)
 	defer p.Close()
-	w := &writer{db: e.w}
+	w := e.w
 	var out []*Conn
 	// write is one writer transaction: sized at its begin, it reads the
 	// whole table, rewrites a row, and is sized again at its end.
 	write := func(v int64) {
 		t.Helper()
-		w.size(p)
+		sizeWriter(t, p, w)
 		if _, _, err := e.w.QueryRow("SELECT count(*) FROM kv"); err != nil {
 			t.Fatal(err)
 		}
 		e.commit(t, v)
-		w.size(p)
+		sizeWriter(t, p, w)
 		checkBudget(t, p, out, w)
 	}
 	wantWriter := func(want int, what string) {
@@ -150,7 +156,7 @@ func TestBudgetSharedByLiveConns(t *testing.T) {
 		c := e.checkout(t, p)
 		if c == nil {
 			c = e.coldOpen(t, p)
-			w.size(p) // the writer is idle: the reader gone live takes back what it borrowed
+			sizeWriter(t, p, w) // the writer is idle: the reader gone live takes back what it borrowed
 		}
 		out = append(out, c)
 		checkBudget(t, p, out, w)
@@ -328,9 +334,8 @@ func TestConcurrentCheckoutReturn(t *testing.T) {
 	if st.Hits == 0 || st.Advances == 0 {
 		t.Error("no checkout was served warm and advanced")
 	}
-	w := &writer{db: e.w}
-	w.size(p)
-	checkBudget(t, p, nil, w)
+	sizeWriter(t, p, e.w)
+	checkBudget(t, p, nil, e.w)
 }
 
 // acquire is a read session's connection: the pool's warmest, brought up

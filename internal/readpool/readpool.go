@@ -27,10 +27,10 @@
 // connection may cache its own cacheSize plus whatever part of the
 // budget the live connections are not entitled to: all of it while none
 // is live. A connection takes its share at checkout and at its cold
-// open, idle ones are cut to the new share when L grows, and every L
-// change moves the share generation: a checked-out connection and the
-// writer check it at each statement (Resize, SizeWriter), so a cut lands
-// at the owner's next statement.
+// open, and idle ones are cut to the new share when L grows. Both shares
+// are functions of L alone, so a checked-out connection and the writer
+// compare their limit with the share of the current L at each statement
+// (Resize, SizeWriter): a cut lands at the owner's next statement.
 //
 // The shape follows the classic pinned-aware LRU buffer pool: a
 // bounded free stack, last-in-first-out so the warmest cache is reused
@@ -57,7 +57,6 @@ type Conn struct {
 	Snap *simfs.Snapshot
 
 	changed []int64 // Advance's page list, kept for the next one
-	gen     uint64  // the share generation its cache was last sized at
 }
 
 // Fresh reports whether c reads through a snapshot at seq or later, so
@@ -98,15 +97,14 @@ type Pool struct {
 	limit  int     // idle connections kept warm at most
 	cache  int     // a connection's cache size, and the least share
 	budget int     // cache pages the live connections share: limit × cache
-	live   int     // connections idle or checked out; set through setLive
 	epoch  uint64  // power-cut epoch every pooled connection was opened in
 	floor  uint64  // oldest snapshot sequence the change log can still advance
 	free   []*Conn // LIFO: the top entry has the warmest cache
 	closed bool
 
-	// gen is the share generation: it moves with live, and so with every
-	// share. Written under mu, read without it by the owners' checks.
-	gen atomic.Uint64
+	// live counts the connections idle or checked out. Written under mu,
+	// read without it by the owners' share checks.
+	live atomic.Int64
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -126,10 +124,8 @@ func New(capacity, cacheSize int) *Pool {
 	if cacheSize <= 0 {
 		cacheSize = pager.DefaultCacheSize
 	}
-	p := &Pool{limit: capacity, cache: cacheSize, budget: capacity * cacheSize,
+	return &Pool{limit: capacity, cache: cacheSize, budget: capacity * cacheSize,
 		free: make([]*Conn, 0, capacity)}
-	p.gen.Store(1) // a writer's zero generation is one never sized
-	return p
 }
 
 // share is the cache pages each of live connections may hold:
@@ -139,49 +135,36 @@ func (p *Pool) share(live int) int {
 }
 
 // writerShare is the cache pages the writer connection may hold beside
-// the live connections: cacheSize plus the part of the budget their
-// shares leave over. Caller holds p.mu.
-func (p *Pool) writerShare() int {
-	return p.cache + p.budget - min(p.budget, p.live*p.share(p.live))
-}
-
-// setLive changes the live count, and with it the share generation.
-// Caller holds p.mu.
-func (p *Pool) setLive(n int) {
-	p.live = n
-	p.gen.Add(1)
+// live connections: cacheSize plus the part of the budget their shares
+// leave over.
+func (p *Pool) writerShare(live int) int {
+	return p.cache + p.budget - min(p.budget, live*p.share(live))
 }
 
 // Resize is a checked-out connection's share check, made by its owner at
-// each statement: if the share moved since c was last sized, c's cache
-// is set to the current one.
-func (p *Pool) Resize(c *Conn) {
-	if c.gen == p.gen.Load() {
-		return
-	}
-	p.mu.Lock()
-	share, gen := p.share(p.live), p.gen.Load()
-	p.mu.Unlock()
-	c.gen = gen
-	_ = c.DB.Pager().SetCacheSize(share)
+// each statement: c's cache is set to the share of the connections live
+// now, if it is not there already. The error is the pager's
+// (SetCacheSize).
+func (p *Pool) Resize(c *Conn) error {
+	return resize(c.DB.Pager(), p.share(int(p.live.Load())))
 }
 
-// SizeWriter is the writer connection's share check: if the share moved
-// since generation gen, pg's cache is set to the writer's share (all of
-// the budget on top of cacheSize while no connection is live). It
-// returns the generation pg is now sized at; zero is one never sized.
-// The caller owns pg: it holds the database's writer lock, or knows no
-// one does.
-func (p *Pool) SizeWriter(pg *pager.Pager, gen uint64) uint64 {
-	if gen == p.gen.Load() {
-		return gen
+// SizeWriter is the writer connection's share check: pg's cache is set to
+// the writer's share of the connections live now (all of the budget on
+// top of cacheSize while none is), if it is not there already. The caller
+// owns pg: it holds the database's writer lock, or knows no one does. The
+// error is the pager's: a shrink inside a write transaction may steal a
+// dirty page, and that write may fail.
+func (p *Pool) SizeWriter(pg *pager.Pager) error {
+	return resize(pg, p.writerShare(int(p.live.Load())))
+}
+
+// resize sets pg's cache to pages if it is not there already.
+func resize(pg *pager.Pager, pages int) error {
+	if pg.CacheSize() == pages {
+		return nil
 	}
-	p.mu.Lock()
-	pages := p.writerShare()
-	gen = p.gen.Load()
-	p.mu.Unlock()
-	_ = pg.SetCacheSize(pages)
-	return gen
+	return pg.SetCacheSize(pages)
 }
 
 // Adopt counts a reader the caller has just cold-opened over snap as one
@@ -190,9 +173,7 @@ func (p *Pool) SizeWriter(pg *pager.Pager, gen uint64) uint64 {
 func (p *Pool) Adopt(db *sqlite.DB, snap *simfs.Snapshot) *Conn {
 	c := &Conn{DB: db, Snap: snap}
 	p.mu.Lock()
-	p.setLive(p.live + 1)
-	c.gen = p.gen.Load()
-	share := p.share(p.live)
+	share := p.share(int(p.live.Add(1)))
 	for _, idle := range p.free {
 		if idle.DB.Pager().CacheSize() > share {
 			_ = idle.DB.Pager().SetCacheSize(share)
@@ -229,9 +210,8 @@ func (p *Pool) Checkout(seq, epoch, floor uint64) *Conn {
 	if n := len(p.free); n > 0 {
 		c = p.free[n-1]
 		p.free = p.free[:n-1]
-		c.gen = p.gen.Load()
 	}
-	share := p.share(p.live)
+	share := p.share(int(p.live.Load()))
 	p.mu.Unlock()
 	switch {
 	case c == nil:
@@ -290,7 +270,7 @@ func (p *Pool) Advance(c *Conn, fs *simfs.FS, snap *simfs.Snapshot) bool {
 func (p *Pool) discard(c *Conn) {
 	c.close()
 	p.mu.Lock()
-	p.setLive(p.live - 1)
+	p.live.Add(-1)
 	p.mu.Unlock()
 	p.misses.Add(1)
 }
@@ -303,7 +283,7 @@ func (p *Pool) discard(c *Conn) {
 func (p *Pool) Return(c *Conn) bool {
 	p.mu.Lock()
 	if p.closed || c.Snap != nil && c.Snap.Epoch() != p.epoch {
-		p.setLive(p.live - 1)
+		p.live.Add(-1)
 		closed := p.closed
 		p.mu.Unlock()
 		c.close()
@@ -316,7 +296,7 @@ func (p *Pool) Return(c *Conn) bool {
 		c.unseat()
 		p.invalidations.Add(1)
 	}
-	if share := p.share(p.live); c.DB.Pager().CacheSize() > share {
+	if share := p.share(int(p.live.Load())); c.DB.Pager().CacheSize() > share {
 		_ = c.DB.Pager().SetCacheSize(share)
 	}
 	if len(p.free) >= p.limit {
@@ -324,7 +304,7 @@ func (p *Pool) Return(c *Conn) bool {
 		p.free[0].close()
 		copy(p.free, p.free[1:])
 		p.free = p.free[:len(p.free)-1]
-		p.setLive(p.live - 1)
+		p.live.Add(-1)
 		p.evictions.Add(1)
 	}
 	p.free = append(p.free, c)
@@ -348,7 +328,7 @@ func (p *Pool) drainLocked() {
 	for _, c := range p.free {
 		c.close()
 	}
-	p.setLive(p.live - len(p.free))
+	p.live.Add(-int64(len(p.free)))
 	p.free = p.free[:0]
 }
 
@@ -372,11 +352,7 @@ func (p *Pool) Idle() int {
 }
 
 // Live reports how many connections the pool counts: idle or checked out.
-func (p *Pool) Live() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.live
-}
+func (p *Pool) Live() int { return int(p.live.Load()) }
 
 // CachePages reports how many pages the pooled connections' caches hold.
 func (p *Pool) CachePages() int {

@@ -15,7 +15,8 @@ import (
 // groupRun generates the group-commit schedule: a few writers committing
 // through one mvcc.Manager at once, so that their transactions ride
 // shared commit(t)s, with member rollbacks and one page-stealing writer
-// mixed in, and one power cut aimed into a shared flush: armed where a
+// mixed in — a steal commits the deferred predecessors first, closing
+// their group early — and one power cut aimed into a shared flush: armed where a
 // writer with deferred predecessors and nobody queued behind it enters
 // Commit, 1..n NAND operations ahead, n being what the last such flush
 // cost. Keys are rows; a version is the transaction's place in lock order.
@@ -54,6 +55,11 @@ func (g groupRun) run(seed int64) (*Report, error) {
 	rep := &Report{}
 	m := newModel(false)
 	if err := loadKV(mgr, m, groupRows, 2*groupCache); err != nil {
+		return nil, err
+	}
+	// A reader parked in the pool is live: its share leaves the writer no
+	// budget to borrow, so the writer caches groupCache pages and steals.
+	if _, err := readKV(mgr, nil); err != nil {
 		return nil, err
 	}
 
@@ -107,7 +113,15 @@ func (g groupRun) run(seed int64) (*Report, error) {
 					for k := 0; k < groupRows; k++ {
 						keys = append(keys, k)
 					}
+					groups := mgr.Stats.GroupCommits.Load()
 					_, err = s.Exec("UPDATE kv SET v = ?", version)
+					// Only the lock holder settles a group: one settled
+					// during the update is the pending one, closed by a steal.
+					if mgr.Stats.GroupCommits.Load() != groups {
+						mu.Lock()
+						rep.Steals++
+						mu.Unlock()
+					}
 				} else {
 					for _, k := range keys {
 						if _, err = s.Exec("UPDATE kv SET v = ? WHERE k = ?", version, int64(k)); err != nil {

@@ -49,7 +49,7 @@ func TestPooledTortureWithCuts(t *testing.T) {
 // or absent and every acknowledged member whole.
 func TestGroupCommitTortureNoCut(t *testing.T) {
 	rep := runLeg(t, Leg{Name: "group commit, no cut", Seeds: []int64{1},
-		Cells: []Cell{{"writers=3", groupRun{writers: 3, txns: 20}.run}}, Needs: []string{"committed", "groups"}})
+		Cells: []Cell{{"writers=3", groupRun{writers: 3, txns: 20}.run}}, Needs: []string{"committed", "groups", "steals"}})
 	if rep.Crashes != 0 || rep.Committed != rep.Transactions {
 		t.Fatalf("unexpected report: %s", rep)
 	}

@@ -38,6 +38,7 @@ type Report struct {
 	Crashes      int // injected power cuts that tripped
 	Groups       int // commit(t)s that carried two or more transactions
 	GroupCuts    int // power cuts that landed inside such a shared flush
+	Steals       int // write transactions whose stolen pages closed the pending group
 	Runs         int // grid cells executed (set by Runner.Run)
 	WornOut      int // runs stopped early because the spare reserve ran out
 
@@ -68,7 +69,7 @@ func (r *Report) String() string {
 		s += fmt.Sprintf(" seeds=%v", r.Seeds)
 	}
 	if r.Groups > 0 {
-		s += fmt.Sprintf(" groups=%d groupcuts=%d", r.Groups, r.GroupCuts)
+		s += fmt.Sprintf(" groups=%d groupcuts=%d steals=%d", r.Groups, r.GroupCuts, r.Steals)
 	}
 	if r.Retries+r.Timeouts+r.QuarantineTrips > 0 {
 		s += fmt.Sprintf(" retries=%d timeouts=%d quarantines=%d readmits=%d",
@@ -84,7 +85,7 @@ func (r *Report) counts() map[string]int64 {
 	return map[string]int64{
 		"committed": int64(r.Committed), "aborted": int64(r.Aborted), "crashes": int64(r.Crashes),
 		"indoubt": int64(r.InDoubt), "revoked": int64(r.Revoked),
-		"groups": int64(r.Groups), "groupcuts": int64(r.GroupCuts),
+		"groups": int64(r.Groups), "groupcuts": int64(r.GroupCuts), "steals": int64(r.Steals),
 		"journal": r.JournalPlaybacks, "wal": r.WALReplays, "resolved": r.Resolved, "snapold": r.SnapOldHits,
 		"image": r.Flash.ImageRecoveries, "scan": r.Flash.ScanRecoveries, "metacrc": r.Flash.MetaCRCFailures,
 		"gc": r.Flash.GCRuns, "retired": r.Flash.RetiredBlocks, "transient": r.Flash.TransientFaults,
@@ -103,6 +104,7 @@ func (r *Report) add(o *Report) {
 	r.Crashes += o.Crashes
 	r.Groups += o.Groups
 	r.GroupCuts += o.GroupCuts
+	r.Steals += o.Steals
 	r.WornOut += o.WornOut
 	r.JournalPlaybacks += o.JournalPlaybacks
 	r.WALReplays += o.WALReplays
@@ -340,7 +342,7 @@ func Legs(faults float64) []Leg {
 	}
 	legs = append(legs, Leg{
 		Name: "group commit", Seeds: six, Quick: 2, Cells: groups,
-		Needs: []string{"crashes", "committed", "groups", "groupcuts"},
+		Needs: []string{"crashes", "committed", "groups", "groupcuts", "steals"},
 	})
 	legs = append(legs, Leg{
 		Name: "fleet 2pc", Seeds: []int64{1, 2, 3, 4}, Quick: 1, Cells: fleetCells(),
