@@ -656,3 +656,20 @@ func (s *Session) noteSession(aux int64) {
 		Start: s.trStart, Dur: tr.Now() - s.trStart,
 		Aux: aux, Sess: s.id})
 }
+
+// Run runs a statement with typed parameters in the session's view of
+// the database (sqlite.Stmt.Run): a SELECT into res, which the caller
+// owns, or with nil res a write statement, which read sessions refuse as
+// Exec does.
+func (s *Session) Run(res *sqlite.Result, sql string, params []sqlite.Value) (int64, error) {
+	if s.done {
+		return 0, ErrSessionDone
+	}
+	if res == nil && s.readonly {
+		return 0, pager.ErrReadOnly
+	}
+	if err := s.stmt(); err != nil {
+		return 0, err
+	}
+	return s.db.Run(res, sql, params)
+}

@@ -11,11 +11,11 @@ import (
 
 // TestServedRequestAllocs pins what a served request allocates, client
 // and server together, over a warm loopback connection. The connection
-// reuses its request, reply, stage track and autocommit session, and
-// both ends intern the texts they have seen, so what is left is what a
-// request carries: the Response the client returns (a ping's one), the
-// server's boxed key, and for the point query the engine's result set
-// (sqlite.Rows and its row) and the client's two boxed values.
+// reuses its request and the typed args in it, its reply, query result,
+// stage track and autocommit session, and both ends intern the texts
+// they have seen, so the server allocates nothing: what is left is the
+// Response the client returns (a ping's and an UPDATE's one) and for the
+// point query the client's two boxed values.
 func TestServedRequestAllocs(t *testing.T) {
 	ok := oker(t)
 	_, addr := startServer(t, Options{})
@@ -31,8 +31,8 @@ func TestServedRequestAllocs(t *testing.T) {
 		run  func() (*Response, error)
 	}{
 		{"ping", 1, cl.Ping},
-		{"point query", 6, func() (*Response, error) { return cl.Query("SELECT k, v FROM kv WHERE k = ?", key) }},
-		{"update", 2, func() (*Response, error) { return cl.Exec("UPDATE kv SET v = v + 1 WHERE k = ?", key) }},
+		{"point query", 3, func() (*Response, error) { return cl.Query("SELECT k, v FROM kv WHERE k = ?", key) }},
+		{"update", 1, func() (*Response, error) { return cl.Exec("UPDATE kv SET v = v + 1 WHERE k = ?", key) }},
 	} {
 		ok(c.run()) // warm: the statement cache, the intern tables, the args' room
 		n := testing.AllocsPerRun(200, func() { ok(c.run()) })
@@ -54,11 +54,12 @@ func TestWireAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = decodeRequest(ping, &req, texts) }); n != 0 {
 		t.Errorf("decoding a ping allocates %v times, want 0", n)
 	}
-	// Into a warm request, with the SQL text interned: the boxed number.
-	if n := testing.AllocsPerRun(100, func() { _ = decodeRequest(query, &req, texts) }); n > 1 {
-		t.Errorf("decoding a query allocates %v times, want at most 1", n)
+	// Into a warm request, with the SQL text interned and the number
+	// decoded into the params' room: nothing.
+	if n := testing.AllocsPerRun(100, func() { _ = decodeRequest(query, &req, texts) }); n != 0 {
+		t.Errorf("decoding a query allocates %v times, want 0", n)
 	}
-	if req.SQL != "SELECT k, v FROM kv WHERE k = ?" || len(req.Args) != 1 || req.Args[0] != int64(4242) {
+	if req.SQL != "SELECT k, v FROM kv WHERE k = ?" || req.Args != nil || len(req.params) != 1 || req.params[0].Type() != sqlite.TypeInt || req.params[0].Int() != 4242 {
 		t.Fatalf("decoded %q as %+v", query, req)
 	}
 	resp := &Response{ID: 13, OK: true, ReqID: 99,

@@ -34,37 +34,45 @@
 //   - args and each rows row hold flat scalars: string, number, bool
 //     or null. A number reads as a float64, except that in args one
 //     holding an exact integral value below 2^63 reads as an int64, so
-//     it binds as an INTEGER;
+//     it binds as an INTEGER; the server reads args as the values they
+//     bind (sqlite.FromGo), a bool as INTEGER 1 or 0;
 //   - strings are valid UTF-8, and a \u surrogate escape is one half
 //     of a valid pair;
 //   - deadline_ms is an integer in [0, math.MaxInt64/1e6], the most
 //     milliseconds a time.Duration holds.
 //
 // encoding/json is the reference: a line the codec accepts,
-// json.Unmarshal accepts too, into the same exported fields (its
-// float64 args made int64 by the rule above), and what the codec
-// writes reads back under json.Unmarshal as json.Marshal's encoding
-// does. FuzzWireRequest and FuzzWireResponse check both. The codec's
-// own spellings differ from json.Marshal's: a float is written in
-// strconv's shortest 'g' form (1e+21, 1e-07, 0.1), and a string escapes
-// a quote or backslash with a backslash and a control character as
-// \u00XX, nothing else.
+// json.Unmarshal accepts too, into the same exported fields, args aside:
+// the server decodes those into typed values, each what sqlite.FromGo
+// binds of json.Unmarshal's arg, its float64 made int64 by the rule
+// above. What the codec writes reads back under json.Unmarshal as
+// json.Marshal's encoding does. FuzzWireRequest and FuzzWireResponse
+// check both. The codec's own spellings differ from json.Marshal's: a
+// float is written in strconv's shortest 'g' form (1e+21, 1e-07, 0.1),
+// and a string escapes a quote or backslash with a backslash and a
+// control character as \u00XX, nothing else.
 //
-// A served request allocates only the values it carries. The
-// connection decodes each request into one Request, reusing its args'
-// room, and interns the SQL texts and database names it has been sent
-// (at most 64 texts of at most 1 KiB, dropped together when full). It
-// answers in one Response, tracks stage timings in one track, and runs
-// every autocommit query and exec on one session; an explicit
-// transaction outlives its request, so begin opens a session of its
-// own. What is left is the bind arguments' boxed values and a query's
-// result set (sqlite.Rows and its row). The Client decodes a reply into
-// the Response it returns, which holds a row of up to two values (a
-// point read's key and value) and its column names; it interns column
-// names as the server interns texts, so what is left is the row's
-// values. TestServedRequestAllocs pins the counts: client and server together,
-// a ping allocates once (the Response), an autocommit UPDATE twice and
-// a one-row point query six times.
+// A served point query or UPDATE allocates nothing on the server. The
+// connection decodes each request into one Request, its args straight
+// into the typed values the statement binds (sqlite.Value, in room the
+// request reuses), and interns the SQL texts and database names it has
+// been sent (at most 64 texts of at most 1 KiB, dropped together when
+// full). It runs every autocommit query and exec on one session, through
+// the engine's typed entry (sqlite.Stmt.Run), and fills a query's result
+// into one sqlite.Result: its rows are carved from the result's value
+// room, and the reply is encoded from it, never from the pooled reader
+// connection, which the session hands back before the reply is written.
+// It answers in one Response and tracks stage timings in one track; an
+// explicit transaction outlives its request, so begin opens a session of
+// its own. Once a reply is written the connection keeps no rows, and a
+// room of more than 4,096 values goes too. What is left is a result's
+// TEXT and BLOB values. The Client decodes a reply into the Response it
+// returns, which holds a row of up to two values (a point read's key and
+// value) and its column names; it interns column names as the server
+// interns texts, so what is left is the row's boxed values.
+// TestServedRequestAllocs pins the counts: client and server together, a
+// ping and an autocommit UPDATE allocate once (the Response), and a
+// one-row point query three times (the Response and its two values).
 //
 // A line outside the grammar is answered bad_request with id 0, and
 // the connection serves on. A request line may be at most 1 MiB: a

@@ -26,9 +26,9 @@ type Request struct {
 	// inside an open transaction ignore DB — they run on the session
 	// opened by begin.
 	DB string `json:"db,omitempty"`
-	// Args are the statement's bind parameters. A JSON number decodes
-	// as an int64 when it holds an exact integral value, so INTEGER keys
-	// match, and as a float64 otherwise.
+	// Args are the statement's bind parameters as the client encodes
+	// them: scalars of the Go types sqlite.FromGo binds. The server does
+	// not read them back: it decodes args into params.
 	Args []any `json:"args,omitempty"`
 	// DeadlineMS is this request's end-to-end wall-clock budget in
 	// milliseconds, at most maxDeadlineMS; 0 selects the server's
@@ -38,6 +38,12 @@ type Request struct {
 	// Readonly marks a begin as a snapshot-read transaction (MVCC mode:
 	// never blocks, never sheds on the write breaker).
 	Readonly bool `json:"readonly,omitempty"`
+
+	// params is the server's decoding of args, the typed values the
+	// statement binds, in room the connection reuses request after
+	// request. A JSON number is an INTEGER when it holds an exact
+	// integral value, so INTEGER keys match, and a REAL otherwise.
+	params []sqlite.Value
 }
 
 // Response is one reply: one JSON object per line, id echoed.

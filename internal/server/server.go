@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mvcc"
 	"repro/internal/shard"
+	"repro/internal/sqlite"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -289,11 +290,14 @@ type conn struct {
 	nc   net.Conn
 	busy atomic.Bool // a request is being handled right now
 
-	// What the handler reuses request after request: the reply, the
-	// request's stage track, and the session an autocommit query or exec
-	// runs on. An explicit transaction outlives its request, so it gets a
-	// session of its own.
+	// What the handler reuses request after request: the request, the
+	// reply and the query result it is written from, the request's stage
+	// track, and the session an autocommit query or exec runs on. An
+	// explicit transaction outlives its request, so it gets a session of
+	// its own.
+	req  Request
 	resp Response
+	res  sqlite.Result
 	rt   reqTrack
 	auto shard.Session
 
@@ -349,7 +353,6 @@ func (c *conn) serve() {
 	defer c.cleanup()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var long, out []byte
-	var req Request
 	texts := make(map[string]string) // the SQL and database names this connection has sent
 	for {
 		line, err := readLine(br, &long, maxLine)
@@ -362,13 +365,13 @@ func (c *conn) serve() {
 		}
 		var resp *Response
 		if !lost {
-			err = decodeRequest(line, &req, texts)
+			err = decodeRequest(line, &c.req, texts)
 		}
 		if err != nil {
 			resp = failure(0, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		} else {
 			c.busy.Store(true)
-			resp = c.handle(&req)
+			resp = c.handle(&c.req)
 			c.busy.Store(false)
 		}
 		if out, err = appendResponse(out[:0], resp); err != nil {
@@ -376,7 +379,14 @@ func (c *conn) serve() {
 			// bug; the client still gets a typed answer.
 			out, _ = appendResponse(out[:0], failure(resp.ID, err))
 		}
-		c.resp = Response{} // written: an idle connection pins no result set
+		// Written: an idle connection pins no result set, and one huge
+		// result or list of args does not pin its room for the
+		// connection's life.
+		c.resp = Response{}
+		c.res.Clear(maxRoom)
+		if cap(c.req.params) > maxRoom {
+			c.req = Request{}
+		}
 		if _, err := c.nc.Write(out); err != nil {
 			return
 		}
@@ -582,23 +592,25 @@ func (c *conn) query(req *Request, rt *reqTrack, deadline time.Time) *Response {
 		}()
 	}
 	sess.SetReq(rt.id)
-	rows, err := sess.Query(req.SQL, req.Args...)
+	// Into the connection's own result: the autocommit session hands
+	// its pooled connection back before the reply is written.
+	_, err := sess.Run(&c.res, req.SQL, req.params)
 	rt.cut(stageExec)
 	if err == nil {
-		err = rowsFinite(rows)
+		err = rowsFinite(&c.res.Rows)
 	}
 	if err != nil {
 		return failure(req.ID, err)
 	}
 	resp := c.ok(req.ID)
-	resp.resultCols, resp.resultRows = rows.Columns, rows.Data
+	resp.resultCols, resp.resultRows = c.res.Columns, c.res.Data
 	return resp
 }
 
 func (c *conn) exec(req *Request, rt *reqTrack, deadline time.Time) *Response {
 	if sess := c.curSess(); sess != nil {
 		sess.SetReq(rt.id)
-		n, err := sess.Exec(req.SQL, req.Args...)
+		n, err := sess.Run(nil, req.SQL, req.params)
 		rt.cut(stageExec)
 		if err != nil {
 			return failure(req.ID, err)
@@ -618,7 +630,7 @@ func (c *conn) exec(req *Request, rt *reqTrack, deadline time.Time) *Response {
 		return failure(req.ID, err)
 	}
 	s.SetReq(rt.id)
-	n, err := s.Exec(req.SQL, req.Args...)
+	n, err := s.Run(nil, req.SQL, req.params)
 	rt.cut(stageExec)
 	if err != nil {
 		_ = s.Rollback()

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/mvcc"
 	"repro/internal/ncq"
 	"repro/internal/shard"
+	"repro/internal/sqlite"
 	"repro/internal/storage"
 )
 
@@ -114,22 +116,32 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// An integral JSON number in args decodes as an int64, but one at or
-// beyond 2^63 has no int64: it stays a float64 instead of wrapping to
-// MinInt64, where WHERE k = ? would match that row.
+// An integral JSON number in args binds as an INTEGER, but one at or
+// beyond 2^63 has no int64: it stays a REAL instead of wrapping to
+// MinInt64, where WHERE k = ? would match that row. Every arg is what
+// encoding/json reads, made int64 by that rule and bound by
+// sqlite.FromGo; a bool binds as 1 or 0.
 func TestNormalizeArgsBounds(t *testing.T) {
 	var req Request
-	line := `{"op":"query","args":[9223372036854775807,9223372036854775808,-9223372036854775808,42,42.0,4.2e1,-0,1.5]}`
+	line := `{"op":"query","args":[9223372036854775807,9223372036854775808,-9223372036854775808,42,42.0,4.2e1,-0,1.5,null,true,false,"42"]}`
 	if err := decodeRequest([]byte(line), &req, map[string]string{}); err != nil {
 		t.Fatal(err)
 	}
-	want := []any{float64(1 << 63), float64(1 << 63), int64(math.MinInt64), int64(42), int64(42), int64(42), int64(0), 1.5}
-	if len(req.Args) != len(want) {
-		t.Fatalf("decoded %d args, want %d", len(req.Args), len(want))
+	var ref Request
+	if err := json.Unmarshal([]byte(line), &ref); err != nil {
+		t.Fatal(err)
+	}
+	if !sameRequest(&req, &ref) {
+		t.Fatalf("decoded %+v, encoding/json read %+v", req, ref)
+	}
+	want := []sqlite.Value{sqlite.Real(1 << 63), sqlite.Real(1 << 63), sqlite.Int(math.MinInt64), sqlite.Int(42), sqlite.Int(42),
+		sqlite.Int(42), sqlite.Int(0), sqlite.Real(1.5), sqlite.Null, sqlite.Int(1), sqlite.Int(0), sqlite.Text("42")}
+	if len(req.params) != len(want) {
+		t.Fatalf("decoded %d args, want %d", len(req.params), len(want))
 	}
 	for i := range want {
-		if req.Args[i] != want[i] {
-			t.Errorf("arg %d: got %T %v, want %T %v", i, req.Args[i], req.Args[i], want[i], want[i])
+		if !reflect.DeepEqual(req.params[i], want[i]) {
+			t.Errorf("arg %d: got %v %v, want %v %v", i, req.params[i].Type(), req.params[i], want[i].Type(), want[i])
 		}
 	}
 }
@@ -882,6 +894,156 @@ func TestAutocommitSessionReuse(t *testing.T) {
 		}
 		if _, err := sess.Query("SELECT 1"); !errors.Is(err, mvcc.ErrSessionDone) {
 			t.Fatalf("transaction %d's session answers %v after it ended, want ErrSessionDone", i, err)
+		}
+	}
+}
+
+// TestQueryResultsStayApart: every connection answers a query from a
+// result it owns, never from the pooled reader connection that ran it,
+// which its autocommit session hands back before the reply is written.
+// More connections than the reader pool keeps send the same point-SELECT
+// text, so pooled connections and their compiled statements pass between
+// them, beside a writer whose commits move every reader on; each reply
+// must hold its own key's row. Run with -race.
+func TestQueryResultsStayApart(t *testing.T) {
+	const conns, keys, rounds = 12, 32, 150 // the pool keeps 8 (shard.readPool)
+	srv, addr := startServer(t, Options{})
+	ok := oker(t)
+	w := dial(t, addr)
+	ok(w.Exec("CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER, name TEXT)"))
+	for k := 0; k < keys; k++ {
+		ok(w.Exec("INSERT INTO kv VALUES (?, ?, ?)", k, k, fmt.Sprint("key-", k)))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // v stays k modulo 1000
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if resp, err := w.Exec("UPDATE kv SET v = v + 1000 WHERE k = ?", i%keys); err != nil || !resp.OK && resp.Code != "busy" {
+				t.Errorf("writer: %+v (%v)", resp, err)
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		cl := dial(t, addr)
+		readers.Add(1)
+		go func(c int) {
+			defer readers.Done()
+			for i := 0; i < rounds; i++ {
+				k := (c*7 + i) % keys
+				resp, err := cl.Query("SELECT k, v, name FROM kv WHERE k = ?", k)
+				if err != nil || !resp.OK {
+					t.Errorf("connection %d, key %d: %+v (%v)", c, k, resp, err)
+					return
+				}
+				if len(resp.Rows) != 1 || len(resp.Rows[0]) != 3 {
+					t.Errorf("connection %d, key %d: rows %v", c, k, resp.Rows)
+					return
+				}
+				row := resp.Rows[0]
+				if row[0] != float64(k) || int64(row[1].(float64))%1000 != int64(k) || row[2] != fmt.Sprint("key-", k) {
+					t.Errorf("connection %d asked for key %d and got %v", c, k, row)
+					return
+				}
+			}
+		}(c)
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+	st, _ := srv.Manager().PoolStats()
+	t.Logf("reader pool: %+v", st)
+	if st.Hits == 0 {
+		t.Fatalf("no pooled reader passed between connections: %+v", st)
+	}
+}
+
+// TestIdleConnectionPinsNoResult: once a reply is written, the connection
+// keeps no rows of it, and after a result too large for its value room
+// (10,000 rows of two values) it keeps no room either; nor does it keep
+// the room of a request with more args than that.
+func TestIdleConnectionPinsNoResult(t *testing.T) {
+	srv, addr := startServer(t, Options{})
+	ok := oker(t)
+	setup := dial(t, addr)
+	ok(setup.Exec("CREATE TABLE big (k INTEGER PRIMARY KEY, v INTEGER)"))
+	const rows = 10000
+	w, err := srv.Fleet().Begin(srv.opts.DBName, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < rows; k++ {
+		if _, err := w.Exec("INSERT INTO big VALUES (?, ?)", k, -k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	setup.Close()
+	surplus := make([]any, rows) // one bound, the rest ignored
+	for i := range surplus {
+		surplus[i] = i
+	}
+
+	for _, c := range []struct {
+		sql            string
+		args           []any
+		rows           int
+		keepRoom, keep bool // the result's room, the args'
+	}{
+		{"SELECT k, v FROM big WHERE k = ?", []any{4242}, 1, true, true},
+		{"SELECT k, v FROM big", nil, rows, false, false},
+		{"SELECT k, v FROM big WHERE k = ?", surplus, 1, true, false},
+	} {
+		waitConns(t, srv, 0)
+		cl := dial(t, addr)
+		resp := ok(cl.Query(c.sql, c.args...))
+		if last := resp.Rows[len(resp.Rows)-1]; len(resp.Rows) != c.rows || last[1] != -last[0].(float64) {
+			t.Fatalf("%s: %d rows, want %d", c.sql, len(resp.Rows), c.rows)
+		}
+		// The handler's exit orders its last write to the connection
+		// before the reads below.
+		conn := waitConns(t, srv, 1)
+		cl.Close()
+		waitConns(t, srv, 0)
+		if !reflect.ValueOf(conn.resp).IsZero() || !reflect.ValueOf(conn.res.Rows).IsZero() {
+			t.Errorf("%s: the idle connection holds its reply %+v or rows %v", c.sql, conn.resp, conn.res.Data)
+		}
+		if kept := !reflect.ValueOf(conn.res).IsZero(); kept != c.keepRoom {
+			t.Errorf("%s: the idle connection keeps its value room: %v, want %v", c.sql, kept, c.keepRoom)
+		}
+		if kept := cap(conn.req.params) > 0; kept != c.keep {
+			t.Errorf("%s with %d args: the idle connection keeps their room: %v, want %v", c.sql, len(c.args), kept, c.keep)
+		}
+	}
+}
+
+// waitConns waits until the server holds n connections and returns one
+// of them (nil for none).
+func waitConns(t *testing.T, srv *Server, n int) *conn {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		var one *conn
+		for c := range srv.conns {
+			one = c
+		}
+		have := len(srv.conns)
+		srv.mu.Unlock()
+		if have == n {
+			return one
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the server holds %d connections, want %d", have, n)
 		}
 	}
 }

@@ -3,7 +3,9 @@
 // connection reuses. Decoding makes one pass over a line with no
 // reflection into a message its connection reuses: keys and op names
 // are matched in place, texts the connection has seen before are
-// interned, and only the values a message carries are allocated.
+// interned, a request's args decode into typed values in the request's
+// room, and only the values a message carries are allocated: a text
+// arg's bytes, and a reply's boxed values.
 package server
 
 import (
@@ -28,6 +30,12 @@ import (
 const maxLine = 1 << 20
 
 var errLongLine = errors.New("request line longer than 1 MiB")
+
+// maxRoom caps the values a connection keeps room for between requests,
+// in its query result and in its request's args (256 KiB of each): a
+// point read needs a handful, and one huge result or list of args does
+// not pin its room for the connection's life.
+const maxRoom = 1 << 12
 
 // maxDeadlineMS is the largest deadline_ms a request may carry: the
 // most milliseconds a time.Duration holds.
@@ -285,12 +293,13 @@ var (
 )
 
 // decodeRequest decodes one request line into r, overwriting every
-// field of the request r held before and reusing its args' room. The sql
-// and db strings are interned in texts.
+// field of the request r held before and reusing its params' room. The
+// args decode into params, not Args, and the sql and db strings are
+// interned in texts.
 func decodeRequest(line []byte, r *Request, texts map[string]string) error {
-	args := r.Args
-	clear(args)
-	*r = Request{}
+	params := r.params
+	clear(params)
+	*r = Request{params: params[:0]}
 	d := decoder{b: line}
 	for n := 0; d.next('{', '}', n); n++ {
 		switch d.field(requestFields) {
@@ -303,7 +312,9 @@ func decodeRequest(line []byte, r *Request, texts map[string]string) error {
 		case "db":
 			r.DB = d.intern(texts)
 		case "args":
-			r.Args = d.scalars(args[:0], true)
+			for n := 0; d.next('[', ']', n); n++ {
+				r.params = append(r.params, d.value(true))
+			}
 		case "deadline_ms":
 			if r.DeadlineMS = d.int(); r.DeadlineMS < 0 || r.DeadlineMS > maxDeadlineMS {
 				d.fail("deadline_ms out of range")
@@ -626,45 +637,61 @@ func (d *decoder) int() int64 {
 	return n
 }
 
-// scalars decodes args or a row of rows, appending to dst: [] is empty,
-// not nil.
-func (d *decoder) scalars(dst []any, ints bool) []any {
+// scalars decodes a row of rows, appending to dst: [] is empty, not
+// nil.
+func (d *decoder) scalars(dst []any) []any {
 	if dst == nil {
 		dst = []any{}
 	}
 	for n := 0; d.next('[', ']', n); n++ {
-		dst = append(dst, d.scalar(ints))
+		dst = append(dst, d.scalar())
 	}
 	return dst
 }
 
 // scalar decodes a string, number, bool or null as encoding/json
-// decodes it into an interface: a number is a float64. With ints, a
-// number that holds an exact integral value is an int64 instead, so a
+// decodes it into an interface: a number is a float64.
+func (d *decoder) scalar() any {
+	if c := d.ws(); c == 't' || c == 'f' {
+		return d.bool()
+	}
+	switch v := d.value(false); v.Type() {
+	case sqlite.TypeNull:
+		return nil
+	case sqlite.TypeReal:
+		return v.Real()
+	default:
+		return v.Text()
+	}
+}
+
+// value decodes a string, number, bool or null as the SQL value it
+// binds: TEXT, REAL, INTEGER 1 or 0 (sqlite.Bool) or NULL. With ints, a
+// number that holds an exact integral value is an INTEGER instead, so a
 // bind parameter compares equal to an INTEGER column. The upper bound is
 // exclusive: float64(MaxInt64) rounds up to 2^63, which int64 cannot
 // hold.
-func (d *decoder) scalar(ints bool) any {
+func (d *decoder) value(ints bool) sqlite.Value {
 	switch c := d.ws(); {
 	case c == '"':
-		return string(d.text())
+		return sqlite.Text(string(d.text()))
 	case c == 't' || c == 'f':
-		return d.bool()
+		return sqlite.Bool(d.bool())
 	case c == 'n':
 		d.literal("null")
-		return nil
+		return sqlite.Null
 	case c != '-' && (c < '0' || c > '9'):
 		d.fail("expected a string, number, bool or null")
-		return nil
+		return sqlite.Null
 	}
 	f, err := strconv.ParseFloat(string(d.number()), 64)
 	if err != nil {
 		d.fail("number out of range")
 	}
 	if ints && f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
-		return int64(f)
+		return sqlite.Int(int64(f))
 	}
-	return f
+	return sqlite.Real(f)
 }
 
 // rows decodes a reply's rows, the first into r's room.
@@ -675,7 +702,7 @@ func (d *decoder) rows(r *Response) [][]any {
 		if n == 0 {
 			room = r.vals[:0]
 		}
-		rows = append(rows, d.scalars(room, false))
+		rows = append(rows, d.scalars(room))
 	}
 	return rows
 }

@@ -17,30 +17,68 @@ import (
 type codec[T any] struct {
 	decode func([]byte, *T) error
 	encode func([]byte, *T) ([]byte, error)
-	// norm turns encoding/json's reading of a line into the codec's: a
-	// request's integral args are int64.
-	norm func(*T)
+	// same reports whether got, the codec's reading of a line, holds
+	// what want, encoding/json's reading of it, does.
+	same func(got, want *T) bool
 	// dirty is a line the codec accepts. Each checked line is also
 	// decoded into the value this one left, which must not show through.
 	dirty string
 }
 
 // requestCodec and responseCodec intern into their own tables, as a
-// connection and a Client do.
+// connection and a Client do. A decoded request is encoded as a client
+// sends one: encode fills its Args with the Go scalars its typed args
+// bind from.
 func requestCodec() codec[Request] {
 	texts := map[string]string{}
 	return codec[Request]{
 		decode: func(b []byte, r *Request) error { return decodeRequest(b, r, texts) },
-		encode: appendRequest,
-		norm: func(r *Request) {
-			for i, a := range r.Args {
-				if f, ok := a.(float64); ok && f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
-					r.Args[i] = int64(f)
-				}
+		encode: func(b []byte, r *Request) ([]byte, error) {
+			for _, v := range r.params {
+				r.Args = append(r.Args, goValue(v))
 			}
+			return appendRequest(b, r)
 		},
+		same: sameRequest,
 		dirty: `{"id":9,"op":"exec","sql":"UPDATE t SET a = ?","db":"d.db","args":[1,"x",null,true,2.5,6],` +
 			`"deadline_ms":7,"readonly":true}`,
+	}
+}
+
+// sameRequest holds a decoded request to encoding/json's reading of its
+// line. Args is the client's: the codec decodes args into params, which
+// must hold each of encoding/json's args made int64 by the rule (an
+// integral float64 inside int64's range) and bound by sqlite.FromGo.
+func sameRequest(got, want *Request) bool {
+	w := *want
+	w.Args = nil
+	if !reflect.DeepEqual(exported(got), w) || len(got.params) != len(want.Args) {
+		return false
+	}
+	for i, a := range want.Args {
+		if f, ok := a.(float64); ok && f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
+			a = int64(f)
+		}
+		v, err := sqlite.FromGo(a)
+		if err != nil || !reflect.DeepEqual(got.params[i], v) {
+			return false
+		}
+	}
+	return true
+}
+
+// goValue is the Go scalar a client binds v from (the decoder makes no
+// BLOB).
+func goValue(v sqlite.Value) any {
+	switch v.Type() {
+	case sqlite.TypeNull:
+		return nil
+	case sqlite.TypeInt:
+		return v.Int()
+	case sqlite.TypeReal:
+		return v.Real()
+	default:
+		return v.Text()
 	}
 }
 
@@ -49,7 +87,7 @@ func responseCodec() codec[Response] {
 	return codec[Response]{
 		decode: func(b []byte, r *Response) error { return decodeResponse(b, r, texts) },
 		encode: appendDecoded,
-		norm:   func(*Response) {},
+		same:   func(got, want *Response) bool { return reflect.DeepEqual(exported(got), *want) },
 		dirty: `{"id":9,"ok":true,"columns":["a","b","c","d","e"],"rows":[[1,"x",null,4,5],[2]],"affected":3,` +
 			`"req_id":4,"error":"e","code":"c","retryable":true,"retry_after_ms":5}`,
 	}
@@ -58,10 +96,11 @@ func responseCodec() codec[Response] {
 // checkLine holds one line to the codec's contracts, with encoding/json
 // as the reference, and reports whether the codec accepted it. Decode:
 // a line the codec accepts, json.Unmarshal accepts too, into a value
-// whose exported fields are DeepEqual (a Response also holds the
-// decoder's room), and decoding it into a value an earlier line left
-// gives the same. Encode: what encode writes for that value reads as
-// json.Marshal's encoding of it does, and the codec reads it back the
+// the codec's reading is the same as (a Response's exported fields are
+// DeepEqual, since it also holds the decoder's room; a request's typed
+// args are its bound args), and decoding it into a value an earlier line
+// left gives the same. Encode: what encode writes for that value reads
+// as json.Marshal's encoding of it does, and the codec reads it back the
 // same.
 func checkLine[T any](t *testing.T, line []byte, c codec[T]) bool {
 	t.Helper()
@@ -79,12 +118,11 @@ func checkLine[T any](t *testing.T, line []byte, c codec[T]) bool {
 	if err := json.Unmarshal(line, &want); err != nil {
 		t.Fatalf("%q: the codec accepts it, encoding/json says %v", line, err)
 	}
-	c.norm(&want)
-	if !reflect.DeepEqual(exported(&got), want) {
-		t.Fatalf("%q: decoded\n%#v\nencoding/json\n%#v", line, exported(&got), want)
+	if !c.same(&got, &want) {
+		t.Fatalf("%q: decoded\n%+v\nencoding/json\n%+v", line, got, want)
 	}
-	if !reflect.DeepEqual(exported(&dirty), want) {
-		t.Fatalf("%q: decoded over %s as\n%#v\nencoding/json\n%#v", line, c.dirty, exported(&dirty), want)
+	if !c.same(&dirty, &want) {
+		t.Fatalf("%q: decoded over %s as\n%+v\nencoding/json\n%+v", line, c.dirty, dirty, want)
 	}
 
 	out, err := c.encode(nil, &got)
@@ -95,10 +133,9 @@ func checkLine[T any](t *testing.T, line []byte, c codec[T]) bool {
 		t.Fatalf("%q: encode %#v: %v", line, got, err)
 	}
 	viaJSON := readsAsMarshal(t, out, &got)
-	c.norm(&viaJSON)
 	var back T
-	if err := c.decode(out, &back); err != nil || !reflect.DeepEqual(exported(&back), viaJSON) {
-		t.Fatalf("%q: the codec reads its own %q as %#v (%v)", line, out, exported(&back), err)
+	if err := c.decode(out, &back); err != nil || !c.same(&back, &viaJSON) {
+		t.Fatalf("%q: the codec reads its own %q as %+v (%v)", line, out, back, err)
 	}
 	return true
 }

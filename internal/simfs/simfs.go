@@ -172,8 +172,13 @@ type FS struct {
 	// namespace and inodes as of the last metadata commit point. It is
 	// maintained incrementally: touched names the files whose live inode
 	// (or absence) may differ from persisted, and a commit point re-images
-	// exactly those — every other file's image is already current.
+	// exactly those — every other file's image is already current. A
+	// snapshot holds the map it opened on, so a shared map is never
+	// written again: commitPoint, Remount and resolveInDoubt write a copy,
+	// under mu, and a commit that only overwrites pages keeps sharing it.
+	// (The journal modes open no snapshot, so nothing shares theirs.)
 	persisted map[string]inodeImage
+	shared    bool // under mu: a snapshot holds persisted
 	touched   map[string]struct{}
 
 	// Data-page allocator over [dataStart, capacity).
@@ -511,6 +516,9 @@ func (fs *FS) touch(name string) { fs.touched[name] = struct{}{} }
 // commit point, so its cost does not grow with the file system — and
 // clears the dirty-metadata set.
 func (fs *FS) commitPoint() {
+	if len(fs.touched) > 0 && fs.shared {
+		fs.persisted, fs.shared = maps.Clone(fs.persisted), false
+	}
 	for name := range fs.touched {
 		if ino, ok := fs.files[name]; ok {
 			var reuse []int64
@@ -611,9 +619,12 @@ func (fs *FS) Remount() error {
 			continue
 		}
 		if fs.dev.FTL().TxCommitted(tid) {
-			for name, img := range prep.images {
-				fs.persisted[name] = img
+			fs.mu.Lock()
+			if fs.shared {
+				fs.persisted, fs.shared = maps.Clone(fs.persisted), false
 			}
+			maps.Copy(fs.persisted, prep.images)
+			fs.mu.Unlock()
 		}
 		delete(fs.prepared, tid)
 	}
@@ -1116,6 +1127,9 @@ func (fs *FS) resolveInDoubt(tid uint64, commit bool) error {
 	}
 	delete(fs.prepared, tid)
 	fs.takeTxWrites(tid, false) // a resolution logs no record
+	if commit && fs.shared {
+		fs.persisted, fs.shared = maps.Clone(fs.persisted), false
+	}
 	// Reconcile exactly the prepared group's files; every other file on
 	// this file system keeps whatever state its own commits established.
 	for name, img := range prep.images {
@@ -1271,14 +1285,14 @@ func (f *File) FlushAll() error {
 // content served from the device versions pinned at open. A Snapshot
 // never blocks on — and is never changed by — the concurrent writer:
 // reads touch only the handle's own I/O context, immutable inode images
-// and the device queue; never a live inode, nor wmu. One goroutine at a
-// time may use a handle.
+// and their name table, and the device queue; never a live inode, nor
+// wmu. One goroutine at a time may use a handle.
 type Snapshot struct {
 	fs     *FS
-	id     core.SnapID // the device's snapshot id, for OpSnapRead
-	seq    uint64      // commit sequence the snapshot observed at open
-	epoch  uint64      // power-cut epoch at open
-	inodes map[string]inodeImage
+	id     core.SnapID           // the device's snapshot id, for OpSnapRead
+	seq    uint64                // commit sequence the snapshot observed at open
+	epoch  uint64                // power-cut epoch at open
+	inodes map[string]inodeImage // the persisted map at open, never written once shared
 	io     ioCtx
 	closed bool
 }
@@ -1303,10 +1317,10 @@ func (fs *FS) OpenSnapshot() (*Snapshot, error) {
 	// The persisted (committed) namespace, not the live one: the live
 	// inodes may carry uncommitted growth or truncation from the writer's
 	// open transaction, which the pinned device versions do not reflect.
-	// Only the name table is copied; the images are immutable and shared.
-	return &Snapshot{
-		fs: fs, id: id, seq: seq, epoch: fs.epoch.Load(), inodes: maps.Clone(fs.persisted),
-	}, nil
+	// Nothing is copied: the images are immutable, and the name table is
+	// copied before its next write.
+	fs.shared = true
+	return &Snapshot{fs: fs, id: id, seq: seq, epoch: fs.epoch.Load(), inodes: fs.persisted}, nil
 }
 
 // SetIOContext hands the snapshot's I/O to a session: its reads are

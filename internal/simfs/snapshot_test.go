@@ -3,6 +3,7 @@ package simfs
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -170,4 +171,87 @@ func readSnapshot(s *Snapshot, want committedFS, buf []byte) error {
 		}
 	}
 	return nil
+}
+
+// TestSnapshotKeepsItsNamespace: a snapshot shares the committed name
+// table instead of copying it, so a commit point that creates, truncates
+// or removes a file must write a copy of the table, never the one an
+// open snapshot reads. Each snapshot here is opened before one such
+// commit point and must read the namespace of its open after it; a
+// commit that only overwrites pages leaves the table shared.
+func TestSnapshotKeepsItsNamespace(t *testing.T) {
+	fs, _ := newFS(t, OffXFTL)
+	buf := make([]byte, fs.PageSize())
+	a, err := fs.Create("a", RoleData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, fill := range []byte{1, 2, 3} {
+		if err := a.WritePage(int64(idx), fsPage(fs, fill)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Snapshot {
+		t.Helper()
+		s, err := fs.OpenSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	check := func(what string, s *Snapshot, want committedFS) {
+		t.Helper()
+		if err := readSnapshot(s, want, buf); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	table := func(s *Snapshot) uintptr { return reflect.ValueOf(s.inodes).Pointer() }
+
+	beforeOverwrite := open()
+	if err := a.WritePage(0, fsPage(fs, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	beforeCreate := open()
+	if table(beforeCreate) != table(beforeOverwrite) {
+		t.Errorf("an overwrite-only commit copied the name table")
+	}
+	check("opened before the overwrite", beforeOverwrite, committedFS{"a": {1, 2, 3}})
+
+	b, err := fs.Create("b", RoleData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WritePage(0, fsPage(fs, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	beforeTruncate := open()
+	check("opened before the create", beforeCreate, committedFS{"a": {9, 2, 3}})
+
+	if err := a.Truncate(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	beforeRemove := open()
+	check("opened before the truncate", beforeTruncate, committedFS{"a": {9, 2, 3}, "b": {4}})
+
+	if err := fs.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Fsync(); err != nil { // the removal commits with b's
+		t.Fatal(err)
+	}
+	check("opened before the remove", beforeRemove, committedFS{"a": {9}, "b": {4}})
+	check("opened after the remove", open(), committedFS{"b": {4}})
 }

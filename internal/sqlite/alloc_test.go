@@ -5,6 +5,7 @@ package sqlite
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sqlite/pager"
 )
@@ -24,16 +25,7 @@ import (
 // the SELECT's row list was apart and the UPDATE decoded the comment to
 // encode it again. Not under -race: the race runtime allocates.)
 func TestPointStatementAllocs(t *testing.T) {
-	db := newEnv(t, pager.Off).open(t)
-	defer db.Close()
-	mustExec(t, db, `CREATE TABLE partsupp (ps_partkey INTEGER PRIMARY KEY, ps_suppkey INTEGER,
-		ps_availqty INTEGER, ps_supplycost REAL, ps_comment TEXT)`)
-	const rows = 600 // a three-level tree on 1 KB pages, inside the 300-page cache
-	for k := 1; k <= rows; k++ {
-		mustExec(t, db, `INSERT INTO partsupp VALUES (?, ?, ?, ?, ?)`, k, k%97, k%89, float64(k)/100, strings.Repeat("c", 199))
-	}
-	const selText = `SELECT ps_supplycost FROM partsupp WHERE ps_partkey = ?`
-	const updText = `UPDATE partsupp SET ps_supplycost = ? WHERE ps_partkey = ?`
+	db := partsuppDB(t)
 	sel, err := db.Prepare(selText)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +37,7 @@ func TestPointStatementAllocs(t *testing.T) {
 	mustExec(t, db, `BEGIN`)
 	defer mustExec(t, db, `ROLLBACK`)
 	key := 0
-	next := func() int { key = key%rows + 1; return key }
+	next := func() int { key = key%partsuppRows + 1; return key }
 	check := func(what string, r *Rows, n int64, err error) {
 		if err != nil || (r != nil && r.Len() != 1) || (r == nil && n != 1) {
 			t.Fatalf("%s %d: %v", what, key, err)
@@ -61,11 +53,87 @@ func TestPointStatementAllocs(t *testing.T) {
 		{"point SELECT by text", func() { r, err := db.Query(selText, next()); check("SELECT", r, 0, err) }, 2},
 		{"point UPDATE by text", func() { n, err := db.Exec(updText, 0.5, next()); check("UPDATE", nil, n, err) }, 0},
 	} {
-		for i := 0; i < rows; i++ { // every page cached, and journalled by the open transaction
+		for i := 0; i < partsuppRows; i++ { // every page cached, and journalled by the open transaction
 			c.run()
 		}
-		if allocs := testing.AllocsPerRun(rows, c.run); allocs > c.max {
+		if allocs := testing.AllocsPerRun(partsuppRows, c.run); allocs > c.max {
 			t.Errorf("%s allocates %.1f objects, want at most %.0f", c.what, allocs, c.max)
+		}
+	}
+}
+
+// The synthetic workload's table and its two point statements.
+const (
+	partsuppRows = 600 // a three-level tree on 1 KB pages, inside the 300-page cache
+	selText      = `SELECT ps_supplycost FROM partsupp WHERE ps_partkey = ?`
+	updText      = `UPDATE partsupp SET ps_supplycost = ? WHERE ps_partkey = ?`
+)
+
+func partsuppDB(t *testing.T) *DB {
+	db := newEnv(t, pager.Off).open(t)
+	t.Cleanup(func() { db.Close() })
+	mustExec(t, db, `CREATE TABLE partsupp (ps_partkey INTEGER PRIMARY KEY, ps_suppkey INTEGER,
+		ps_availqty INTEGER, ps_supplycost REAL, ps_comment TEXT)`)
+	for k := 1; k <= partsuppRows; k++ {
+		mustExec(t, db, `INSERT INTO partsupp VALUES (?, ?, ?, ?, ?)`, k, k%97, k%89, float64(k)/100, strings.Repeat("c", 199))
+	}
+	return db
+}
+
+// Run with typed parameters allocates nothing a caller-owned result
+// cannot hold: a point SELECT refills the Result's Rows and carves its row
+// from the Result's room, and an UPDATE is nothing, as it is by Exec.
+// Stmt.Query, which wraps the same entry, still returns a fresh result:
+// its Rows and its row, exactly, and the Rows stays 72 bytes, in the
+// 80-byte size class (the room lives in Result, not Rows: a slice more
+// moves every Query's Rows to the 96-byte class).
+func TestRunAllocs(t *testing.T) {
+	if n := unsafe.Sizeof(Rows{}); n != 72 {
+		t.Errorf("Rows is %d bytes, want 72", n)
+	}
+	db := partsuppDB(t)
+	sel, err := db.Prepare(selText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `BEGIN`)
+	defer mustExec(t, db, `ROLLBACK`)
+	var res Result
+	params := make([]Value, 2)
+	boxed := make([]any, partsuppRows+1) // Query's keys, boxed ahead of the count
+	for k := range boxed {
+		boxed[k] = int64(k)
+	}
+	key := int64(0)
+	next := func() Value { key = key%partsuppRows + 1; return Int(key) }
+	for _, c := range []struct {
+		what string
+		run  func()
+		want float64
+	}{
+		{"refilled point SELECT", func() {
+			params[0] = next()
+			if _, err := db.Run(&res, selText, params[:1]); err != nil || res.Len() != 1 || res.Data[0][0].Real() != float64(key)/100 {
+				t.Fatalf("SELECT %d: %v (%v)", key, res.Data, err)
+			}
+		}, 0},
+		{"typed point UPDATE", func() {
+			params[0], params[1] = Real(float64(key)/100), next()
+			if n, err := db.Run(nil, updText, params); err != nil || n != 1 {
+				t.Fatalf("UPDATE %d: %d rows (%v)", key, n, err)
+			}
+		}, 0},
+		{"prepared point SELECT", func() {
+			if r, err := sel.Query(boxed[next().Int()]); err != nil || r.Len() != 1 {
+				t.Fatalf("SELECT %d: %v", key, err)
+			}
+		}, 2},
+	} {
+		for i := 0; i < partsuppRows; i++ { // every page cached, and journalled by the open transaction
+			c.run()
+		}
+		if allocs := testing.AllocsPerRun(partsuppRows, c.run); allocs != c.want {
+			t.Errorf("%s allocates %.1f objects, want %.0f", c.what, allocs, c.want)
 		}
 	}
 }

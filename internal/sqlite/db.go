@@ -223,6 +223,15 @@ func (db *DB) Exec(sql string, args ...any) (int64, error) {
 	return st.Exec(args...)
 }
 
+// Run is Stmt.Run on the connection's prepared statement for a text.
+func (db *DB) Run(res *Result, sql string, params []Value) (int64, error) {
+	st, err := db.cached(sql)
+	if err != nil {
+		return 0, err
+	}
+	return st.Run(res, params)
+}
+
 // ExecScript runs a semicolon-separated list of statements.
 func (db *DB) ExecScript(sql string) error {
 	stmts, err := sqlparse.ParseAll(sql)
@@ -326,14 +335,32 @@ func (s *Stmt) compile() error {
 	return err
 }
 
+// Run runs the prepared statement with typed parameters: the one entry,
+// which Exec binds its arguments for, as Query does for its SELECT half.
+// With res, the statement must be a SELECT, and res is refilled with its
+// result, the rows carved from res's value room: a result that fits the
+// room allocates nothing but its TEXT and BLOB values. It stays valid
+// until res is run into again. With nil res the statement runs as Exec
+// runs it, and Run returns the number of rows affected.
+func (s *Stmt) Run(res *Result, params []Value) (int64, error) {
+	if res == nil {
+		return s.exec(params)
+	}
+	return 0, s.query(params, &res.Rows, &res.room)
+}
+
 // Exec runs the prepared statement with the given parameters, wrapping it
 // in an automatic transaction when no explicit one is open (SQLite
 // autocommit).
 func (s *Stmt) Exec(args ...any) (int64, error) {
-	db := s.db
 	if err := s.bind(args); err != nil {
 		return 0, err
 	}
+	return s.Run(nil, s.params)
+}
+
+func (s *Stmt) exec(params []Value) (int64, error) {
+	db := s.db
 	switch x := s.ast.(type) {
 	case *sqlparse.Begin:
 		return 0, db.Begin()
@@ -345,8 +372,7 @@ func (s *Stmt) Exec(args ...any) (int64, error) {
 		return 0, db.execPragma(x)
 	case *sqlparse.Select:
 		// Exec on a SELECT: run it for side-effect-free parity.
-		_, err := s.query()
-		return 0, err
+		return 0, s.query(params, new(Rows), nil)
 	}
 
 	auto := !db.explicitTx
@@ -355,7 +381,7 @@ func (s *Stmt) Exec(args ...any) (int64, error) {
 			return 0, err
 		}
 	}
-	n, err := s.write()
+	n, err := s.write(params)
 	if err != nil {
 		if auto {
 			_ = db.failedCommit(err)
@@ -370,27 +396,34 @@ func (s *Stmt) Exec(args ...any) (int64, error) {
 	return n, nil
 }
 
-// Query runs the prepared SELECT with the given parameters.
+// Query runs the prepared SELECT with the given parameters. Each call
+// returns a fresh result.
 func (s *Stmt) Query(args ...any) (*Rows, error) {
-	if _, ok := s.ast.(*sqlparse.Select); !ok {
-		return nil, fmt.Errorf("%w: Query requires SELECT", ErrMisuse)
-	}
 	if err := s.bind(args); err != nil {
 		return nil, err
 	}
-	return s.query()
-}
-
-func (s *Stmt) query() (*Rows, error) {
-	if err := s.compile(); err != nil {
+	out := new(Rows)
+	if err := s.query(s.params, out, nil); err != nil {
 		return nil, err
 	}
-	return s.sel.run(s.params)
+	return out, nil
+}
+
+// query compiles and runs a SELECT into out, its rows carved from room
+// (nil: each row allocated apart).
+func (s *Stmt) query(params []Value, out *Rows, room *[]Value) error {
+	if _, ok := s.ast.(*sqlparse.Select); !ok {
+		return fmt.Errorf("%w: Query requires SELECT", ErrMisuse)
+	}
+	if err := s.compile(); err != nil {
+		return err
+	}
+	return s.sel.run(params, out, room)
 }
 
 // write runs a schema change, or compiles and runs an INSERT, UPDATE or
 // DELETE, inside the transaction Exec opened or found open.
-func (s *Stmt) write() (int64, error) {
+func (s *Stmt) write(params []Value) (int64, error) {
 	cat := s.db.cat
 	switch x := s.ast.(type) {
 	case *sqlparse.CreateTable, *sqlparse.CreateIndex, *sqlparse.DropTable, *sqlparse.DropIndex:
@@ -402,8 +435,10 @@ func (s *Stmt) write() (int64, error) {
 	if err := s.compile(); err != nil {
 		return 0, err
 	}
-	s.wr.ctx.params = s.params
-	return s.wr.run()
+	s.wr.ctx.params = params
+	n, err := s.wr.run()
+	s.wr.ctx.params = nil
+	return n, err
 }
 
 // Rows is a fully materialized result set. Columns is shared by every
@@ -416,6 +451,24 @@ type Rows struct {
 
 // Len reports the number of result rows.
 func (r *Rows) Len() int { return len(r.Data) }
+
+// Result is a result set its caller owns and refills run after run
+// (Stmt.Run): the Rows, and the room their values are carved from.
+type Result struct {
+	Rows
+	room []Value
+}
+
+// Clear empties the result and zeroes its room, so a result waiting for
+// its next run pins no value; a room of more than keep values is dropped.
+func (r *Result) Clear(keep int) {
+	room := r.room[:cap(r.room)]
+	if len(room) > keep {
+		room = nil
+	}
+	clear(room)
+	*r = Result{room: room[:0]}
+}
 
 func (db *DB) execPragma(x *sqlparse.Pragma) error {
 	switch x.Name {

@@ -14,8 +14,8 @@ import (
 // every access path; a run takes bound parameters and nothing else. The
 // compiled form owns the run's scratch — each source's decoded row, a
 // written row and its record, an updated row's stored record — so what a
-// run returns (Rows, its row slices, TEXT and BLOB values) is allocated
-// fresh and never aliases it.
+// run returns (Rows, its row slices, TEXT and BLOB values) never aliases
+// it: it is allocated fresh, or carved from a Result its caller owns.
 
 // newSource binds a catalogued table under an alias (its own name without
 // one).
@@ -741,8 +741,10 @@ type selectPlan struct {
 	limit    sqlparse.Expr // nil = none
 	offset   sqlparse.Expr
 
-	// Live during a run only: result rows — each with its sort keys behind
-	// its output values until the ordering is done — and the groups.
+	// Live during a run only: the caller's value room (nil: none), result
+	// rows — each with its sort keys behind its output values until the
+	// ordering is done — and the groups.
+	room       *[]Value
 	rows       [][]Value
 	groups     map[string]*group
 	groupOrder []string
@@ -952,19 +954,38 @@ func unskip(srcs []*source, e sqlparse.Expr) {
 	})
 }
 
-// run executes the plan with the given parameters. The result rows are
-// gathered in the Rows they are returned in, a one-row result in the row
-// list the Rows carries inline.
-func (p *selectPlan) run(params []Value) (*Rows, error) {
-	p.ctx.params = params
-	out := &Rows{Columns: p.names}
+// run executes the plan with the given parameters into out. The result
+// rows are gathered in out, a one-row result in the row list out carries
+// inline, and carved from room when the caller has one (newRow).
+func (p *selectPlan) run(params []Value, out *Rows, room *[]Value) error {
+	p.ctx.params, p.room = params, room
+	if room != nil {
+		*room = (*room)[:0]
+	}
+	*out = Rows{Columns: p.names}
 	p.rows = out.one[:0]
 	err := p.collect(out)
-	p.rows, p.groups, p.groupOrder = nil, nil, nil
+	p.ctx.params, p.room, p.rows, p.groups, p.groupOrder = nil, nil, nil, nil, nil
 	if err != nil {
-		return nil, err
+		out.Data = nil
 	}
-	return out, nil
+	return err
+}
+
+// newRow returns a result row of n values with room behind them for c-n
+// sort keys: carved from the run's room when it has one — a room too small
+// is replaced by one twice its size, and the rows carved so far keep the
+// old one — and allocated apart otherwise.
+func (p *selectPlan) newRow(n, c int) []Value {
+	if p.room == nil {
+		return make([]Value, n, c)
+	}
+	r := *p.room
+	if cap(r)-len(r) < c {
+		r = make([]Value, 0, max(2*cap(r), c))
+	}
+	*p.room = r[:len(r)+c]
+	return r[len(r) : len(r)+n : len(r)+c]
 }
 
 func (p *selectPlan) collect(out *Rows) error {
@@ -1081,7 +1102,7 @@ func (p *selectPlan) loop(level int) error {
 // evalRow computes one result row in ctx's scope: the output values, then
 // the sort keys in the same allocation.
 func (p *selectPlan) evalRow(ctx *evalCtx) ([]Value, error) {
-	row := make([]Value, len(p.outs), len(p.outs)+len(p.order))
+	row := p.newRow(len(p.outs), len(p.outs)+len(p.order))
 	for i, e := range p.outs {
 		v, err := ctx.eval(e)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/sqlite/pager"
@@ -523,5 +524,86 @@ func TestStatementCacheIsBounded(t *testing.T) {
 	}
 	if err := db.ExecScript(`INSERT INTO t VALUES (100000, 1); DELETE FROM t WHERE id = 100000`); err != nil || len(db.stmts) != before {
 		t.Fatalf("ExecScript: %v, %d statements cached where %d were", err, len(db.stmts), before)
+	}
+}
+
+// TestResultRefill: a Result run into again and again holds what a fresh
+// Query returns for the same parameters, whatever shape the statement's
+// result takes — a point read, an ordered range that outgrows the value
+// room, groups, DISTINCT, no FROM — and Clear leaves it holding no value,
+// its room kept up to the bound and dropped past it.
+func TestResultRefill(t *testing.T) {
+	db := newEnv(t, pager.Off).open(t)
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)`)
+	const rows = 400
+	for i := 1; i <= rows; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, ?, ?)`, i, i%10, fmt.Sprint("value-", i))
+	}
+	var res Result
+	for _, c := range []struct {
+		sql  string
+		args [][]any
+	}{
+		{`SELECT id, v FROM t WHERE id = ?`, [][]any{{7}, {400}, {401}, {1}}},
+		{`SELECT id, v, k FROM t WHERE id >= ? ORDER BY k DESC, id LIMIT ?`, [][]any{{1, rows}, {390, 5}, {200, 150}, {1, 0}}},
+		{`SELECT k, COUNT(*), MAX(v) FROM t WHERE id <= ? GROUP BY k HAVING COUNT(*) > ?`, [][]any{{rows, 0}, {25, 2}, {3, 5}}},
+		{`SELECT DISTINCT k FROM t WHERE id > ? ORDER BY 1`, [][]any{{0}, {395}}},
+		{`SELECT ?, ? + 1`, [][]any{{"x", 41}, {nil, 1.5}}},
+	} {
+		st, err := db.Prepare(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range c.args {
+			params := make([]Value, len(args))
+			for i, a := range args {
+				params[i], _ = FromGo(a)
+			}
+			if _, err := st.Run(&res, params); err != nil {
+				t.Fatalf("%s %v: %v", c.sql, args, err)
+			}
+			want, err := st.Query(args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(&res.Rows, want) {
+				t.Fatalf("%s %v refilled\n%v\nQuery returns\n%v", c.sql, args, res.Data, want.Data)
+			}
+		}
+	}
+
+	// Only a SELECT fills a result; with none, a SELECT runs as Exec.
+	if _, err := db.Run(&res, `UPDATE t SET k = 0`, nil); !errors.Is(err, ErrMisuse) {
+		t.Fatalf("an UPDATE run into a result: %v", err)
+	}
+	if n, err := db.Run(nil, `SELECT id FROM t`, nil); err != nil || n != 0 {
+		t.Fatalf("a SELECT run without a result: %d (%v)", n, err)
+	}
+	if n, err := db.Run(nil, `UPDATE t SET k = ? WHERE id = ?`, []Value{Int(99), Int(5)}); err != nil || n != 1 {
+		t.Fatalf("a typed UPDATE: %d (%v)", n, err)
+	}
+	if _, err := db.Run(&res, `SELECT id FROM t WHERE id = ?`, nil); !errors.Is(err, ErrParamMismatch) || res.Data != nil {
+		t.Fatalf("a run that fails leaves %v (%v)", res.Data, err)
+	}
+
+	// The whole table outgrows every room before it; Clear then drops
+	// the room, and keeps a point read's, holding nothing.
+	if _, err := db.Run(&res, `SELECT id, v FROM t`, nil); err != nil || res.Len() != rows {
+		t.Fatalf("the whole table: %d rows (%v)", res.Len(), err)
+	}
+	if res.Clear(rows); !reflect.ValueOf(res).IsZero() {
+		t.Fatalf("a room of %d values outlives Clear(%d)", cap(res.room), rows)
+	}
+	if _, err := db.Run(&res, `SELECT id, v FROM t WHERE id = 9`, nil); err != nil || res.Data[0][1].Text() != "value-9" {
+		t.Fatalf("a point read after Clear: %v (%v)", res.Data, err)
+	}
+	if res.Clear(rows); cap(res.room) == 0 || !reflect.ValueOf(res.Rows).IsZero() {
+		t.Fatalf("Clear(%d) dropped a point read's room or kept its rows: %+v", rows, res)
+	}
+	for i, v := range res.room[:cap(res.room)] {
+		if !reflect.ValueOf(v).IsZero() {
+			t.Fatalf("room value %d still holds %v after Clear", i, v)
+		}
 	}
 }
