@@ -16,7 +16,9 @@ import (
 // codec is one message type as checkLine holds it to encoding/json.
 type codec[T any] struct {
 	decode func([]byte, *T) error
-	encode func([]byte, *T) ([]byte, error)
+	// encode writes got, the codec's reading of a line, as its sender
+	// would; want is encoding/json's reading of the same line.
+	encode func(b []byte, got, want *T) ([]byte, error)
 	// same reports whether got, the codec's reading of a line, holds
 	// what want, encoding/json's reading of it, does.
 	same func(got, want *T) bool
@@ -27,15 +29,15 @@ type codec[T any] struct {
 
 // requestCodec and responseCodec intern into their own tables, as a
 // connection and a Client do. A decoded request is encoded as a client
-// sends one: encode fills its Args with the Go scalars its typed args
-// bind from.
+// sends one: encode fills its Args with encoding/json's args under the
+// int64 rule, so bools, int64s, float64s, text and nulls are all sent.
 func requestCodec() codec[Request] {
 	texts := map[string]string{}
 	return codec[Request]{
 		decode: func(b []byte, r *Request) error { return decodeRequest(b, r, texts) },
-		encode: func(b []byte, r *Request) ([]byte, error) {
-			for _, v := range r.params {
-				r.Args = append(r.Args, goValue(v))
+		encode: func(b []byte, r, want *Request) ([]byte, error) {
+			for _, a := range want.Args {
+				r.Args = append(r.Args, clientArg(a))
 			}
 			return appendRequest(b, r)
 		},
@@ -56,10 +58,7 @@ func sameRequest(got, want *Request) bool {
 		return false
 	}
 	for i, a := range want.Args {
-		if f, ok := a.(float64); ok && f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
-			a = int64(f)
-		}
-		v, err := sqlite.FromGo(a)
+		v, err := sqlite.FromGo(clientArg(a))
 		if err != nil || !reflect.DeepEqual(got.params[i], v) {
 			return false
 		}
@@ -67,26 +66,20 @@ func sameRequest(got, want *Request) bool {
 	return true
 }
 
-// goValue is the Go scalar a client binds v from (the decoder makes no
-// BLOB).
-func goValue(v sqlite.Value) any {
-	switch v.Type() {
-	case sqlite.TypeNull:
-		return nil
-	case sqlite.TypeInt:
-		return v.Int()
-	case sqlite.TypeReal:
-		return v.Real()
-	default:
-		return v.Text()
+// clientArg is encoding/json's reading of an arg under the int64 rule:
+// an integral float64 inside int64's range is an int64.
+func clientArg(a any) any {
+	if f, ok := a.(float64); ok && f == math.Trunc(f) && f >= math.MinInt64 && f < 1<<63 {
+		return int64(f)
 	}
+	return a
 }
 
 func responseCodec() codec[Response] {
 	texts := map[string]string{}
 	return codec[Response]{
 		decode: func(b []byte, r *Response) error { return decodeResponse(b, r, texts) },
-		encode: appendDecoded,
+		encode: func(b []byte, r, _ *Response) ([]byte, error) { return appendDecoded(b, r) },
 		same:   func(got, want *Response) bool { return reflect.DeepEqual(exported(got), *want) },
 		dirty: `{"id":9,"ok":true,"columns":["a","b","c","d","e"],"rows":[[1,"x",null,4,5],[2]],"affected":3,` +
 			`"req_id":4,"error":"e","code":"c","retryable":true,"retry_after_ms":5}`,
@@ -99,9 +92,9 @@ func responseCodec() codec[Response] {
 // the codec's reading is the same as (a Response's exported fields are
 // DeepEqual, since it also holds the decoder's room; a request's typed
 // args are its bound args), and decoding it into a value an earlier line
-// left gives the same. Encode: what encode writes for that value reads
-// as json.Marshal's encoding of it does, and the codec reads it back the
-// same.
+// left gives the same. Encode: what encode writes for that value (a
+// request with the args a client sends) reads as json.Marshal's encoding
+// of it does, and the codec reads it back the same.
 func checkLine[T any](t *testing.T, line []byte, c codec[T]) bool {
 	t.Helper()
 	var got, want, dirty T
@@ -125,7 +118,7 @@ func checkLine[T any](t *testing.T, line []byte, c codec[T]) bool {
 		t.Fatalf("%q: decoded over %s as\n%+v\nencoding/json\n%+v", line, c.dirty, dirty, want)
 	}
 
-	out, err := c.encode(nil, &got)
+	out, err := c.encode(nil, &got, &want)
 	if errors.Is(err, errNeverSent) {
 		return true
 	}
@@ -438,7 +431,7 @@ func TestWireSpellings(t *testing.T) {
 		want string
 	}{
 		{0.1, "0.1"}, {1e21, "1e+21"}, {1e-7, "1e-07"}, {123456789.0, "1.23456789e+08"},
-		{float32(0.1), "0.1"}, {math.Copysign(0, -1), "-0"},
+		{float32(0.1), "0.1"}, {math.Copysign(0, -1), "-0"}, {true, "true"}, {false, "false"},
 		{"q\"\\\n\t\x01<é", `"q\"\\\u000a\u0009\u0001<é"`},
 	} {
 		got, err := appendArg(nil, c.arg)

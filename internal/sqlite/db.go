@@ -453,7 +453,7 @@ type Rows struct {
 func (r *Rows) Len() int { return len(r.Data) }
 
 // Result is a result set its caller owns and refills run after run
-// (Stmt.Run): the Rows, and the room their values are carved from.
+// (Stmt.Run): the Rows, and the one room all their values are carved from.
 type Result struct {
 	Rows
 	room []Value

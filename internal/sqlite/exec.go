@@ -973,19 +973,32 @@ func (p *selectPlan) run(params []Value, out *Rows, room *[]Value) error {
 }
 
 // newRow returns a result row of n values with room behind them for c-n
-// sort keys: carved from the run's room when it has one — a room too small
-// is replaced by one twice its size, and the rows carved so far keep the
-// old one — and allocated apart otherwise.
+// sort keys: carved from the run's room when it has one (growing a room
+// too small), and allocated apart otherwise.
 func (p *selectPlan) newRow(n, c int) []Value {
 	if p.room == nil {
 		return make([]Value, n, c)
 	}
 	r := *p.room
 	if cap(r)-len(r) < c {
-		r = make([]Value, 0, max(2*cap(r), c))
+		r = p.grow(r, c)
 	}
 	*p.room = r[:len(r)+c]
 	return r[len(r) : len(r)+n : len(r)+c]
+}
+
+// grow replaces room r, too small for a row of c values, by one twice the
+// size of what it must hold, and moves the rows carved so far into it, so
+// the room a run ends with holds the whole result and a refill of its
+// size fits. Row i was carved at i*c, and has its sort keys: rows are
+// carved and gathered in step.
+func (p *selectPlan) grow(r []Value, c int) []Value {
+	grown := make([]Value, len(r), 2*(len(r)+c))
+	copy(grown, r)
+	for i := range p.rows {
+		p.rows[i] = grown[i*c : (i+1)*c : (i+1)*c]
+	}
+	return grown
 }
 
 func (p *selectPlan) collect(out *Rows) error {

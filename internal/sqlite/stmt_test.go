@@ -587,10 +587,24 @@ func TestResultRefill(t *testing.T) {
 		t.Fatalf("a run that fails leaves %v (%v)", res.Data, err)
 	}
 
-	// The whole table outgrows every room before it; Clear then drops
-	// the room, and keeps a point read's, holding nothing.
-	if _, err := db.Run(&res, `SELECT id, v FROM t`, nil); err != nil || res.Len() != rows {
-		t.Fatalf("the whole table: %d rows (%v)", res.Len(), err)
+	// The whole table, run into a new result, outgrows every room before
+	// it, and the room it ends with holds it all: a refill of the same
+	// size keeps that room. Clear then drops the room, and keeps a point
+	// read's, holding nothing.
+	whole := func() *Value {
+		if _, err := db.Run(&res, `SELECT id, v FROM t`, nil); err != nil || res.Len() != rows {
+			t.Fatalf("the whole table: %d rows (%v)", res.Len(), err)
+		}
+		for i, row := range res.Data {
+			if &row[0] != &res.room[2*i] {
+				t.Fatalf("row %d lies outside the result's room", i)
+			}
+		}
+		return &res.room[0]
+	}
+	res = Result{}
+	if first := whole(); whole() != first {
+		t.Fatalf("refilling the whole table outgrew the %d-value room its first run left", cap(res.room))
 	}
 	if res.Clear(rows); !reflect.ValueOf(res).IsZero() {
 		t.Fatalf("a room of %d values outlives Clear(%d)", cap(res.room), rows)
