@@ -7,13 +7,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/nand"
 	"repro/internal/sqlite/pager"
 )
 
-// The budget tests' manager: 8-page connections whose pool of 4 shares a
-// 32-page budget, over a table of about 100 one-KB leaves, so any scan
-// fills whatever cache it runs in.
+// The budget tests' manager: an 8-page writer cache and a pool of 4
+// sharing a 32-frame table, over a table of about 100 one-KB leaves, so
+// any scan fills whatever cache it runs in.
 const (
 	budgetCache    = 8
 	budgetCapacity = 4
@@ -21,9 +22,10 @@ const (
 	budgetScan     = "SELECT count(*) FROM big"
 )
 
-func newBudgetManager(t *testing.T, capacity int) *Manager {
+func newBudgetManager(t *testing.T, capacity int) (*Manager, *metrics.HostCounters) {
 	t.Helper()
-	m, err := NewManager(newStack(t), "test.db",
+	fsys, host := newCountedStack(t)
+	m, err := NewManager(fsys, "test.db",
 		Options{Mode: MVCC, Journal: pager.Off, CacheSize: budgetCache, PoolCapacity: capacity})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +42,7 @@ func newBudgetManager(t *testing.T, capacity int) *Manager {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, host
 }
 
 // mustScan reads every page of the big table through s.
@@ -51,20 +53,14 @@ func mustScan(t *testing.T, s *Session) {
 	}
 }
 
-// With no reader live the writer caches its CacheSize plus the whole
-// budget the readers share. Once a reader is live the writer is back to
-// its CacheSize: at once if no write transaction is open (the reader
-// takes the pages back), else at the writer's next statement or its end,
-// and at every begin after that. A cut at a statement that steals a dirty
-// page, and fails to, fails the statement.
+// The writer caches its CacheSize and keeps what it has no room for in the
+// table while no reader needs the frames: with no reader at work, a
+// working set of CacheSize + PoolCapacity × CacheSize pages is read from
+// flash once. A reader gone live reads what the writer left there, and a
+// commit's pages, published, are read from the table too. The writer's
+// cache never grows past its CacheSize, so a large update steals, and a
+// steal that fails fails its statement.
 func TestWriterBorrowsIdleBudget(t *testing.T) {
-	wantWriter := func(t *testing.T, m *Manager, limit int, full bool, what string) {
-		t.Helper()
-		pg := m.db.Pager()
-		if pg.CacheSize() != limit || pg.CachedPages() > limit || full && pg.CachedPages() != limit {
-			t.Fatalf("%s: writer's limit %d holding %d pages, want limit %d", what, pg.CacheSize(), pg.CachedPages(), limit)
-		}
-	}
 	begin := func(t *testing.T, m *Manager, readonly bool) *Session {
 		t.Helper()
 		s, err := m.Begin(readonly)
@@ -79,152 +75,138 @@ func TestWriterBorrowsIdleBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	const point = "SELECT v FROM big WHERE k = ?"
+	const leaves = budgetCache + budgetPages - 4 // room for page 1, the roots and the catalog
+	// visit has s read one row on each of the first leaves, newest last or
+	// first.
+	visit := func(t *testing.T, s *Session, backwards bool) {
+		t.Helper()
+		for i := range leaves {
+			if backwards {
+				i = leaves - 1 - i
+			}
+			if _, _, err := s.QueryRow(point, int64(4*i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wantWriter := func(t *testing.T, m *Manager, what string) {
+		t.Helper()
+		if pg := m.db.Pager(); pg.CachedPages() > budgetCache {
+			t.Fatalf("%s: the writer caches %d pages, over its %d", what, pg.CachedPages(), budgetCache)
+		}
+	}
 
 	t.Run("idle", func(t *testing.T) {
-		m := newBudgetManager(t, budgetCapacity)
+		m, host := newBudgetManager(t, budgetCapacity)
 		w := begin(t, m, false)
-		mustScan(t, w)
-		wantWriter(t, m, budgetCache+budgetPages, true, "no reader live")
-		commit(t, w)
-		wantWriter(t, m, budgetCache+budgetPages, true, "ended with no reader live")
-		r := begin(t, m, true)
-		wantWriter(t, m, budgetCache, false, "idle when a reader went live")
-		if got := r.db.Pager().CacheSize(); got != budgetPages {
-			t.Fatalf("the lone reader's limit is %d, want the whole budget of %d", got, budgetPages)
+		visit(t, w, false)
+		wantWriter(t, m, "a visit")
+		reads := host.Reads.Load()
+		visit(t, w, true)
+		if n := host.Reads.Load() - reads; n != 0 {
+			t.Fatalf("the writer's second visit read %d pages from flash, want none", n)
 		}
-		commit(t, r) // parked: still live
-		w = begin(t, m, false)
-		mustScan(t, w)
-		wantWriter(t, m, budgetCache, true, "begun beside a parked reader")
 		commit(t, w)
+		r := begin(t, m, true)
+		reads = host.Reads.Load()
+		visit(t, r, true)
+		if n := host.Reads.Load() - reads; n > budgetCache {
+			t.Fatalf("a reader gone live read %d pages from flash, more than the %d the writer's own cache keeps", n, budgetCache)
+		}
+		commit(t, r)
 	})
 	t.Run("statement", func(t *testing.T) {
-		m := newBudgetManager(t, budgetCapacity)
+		// A reader scanning beside an open write transaction takes the
+		// table's frames; the writer's next statement reads what it lost
+		// from flash, within its own cache.
+		m, _ := newBudgetManager(t, budgetCapacity)
 		w := begin(t, m, false)
 		mustScan(t, w)
 		r := begin(t, m, true)
-		wantWriter(t, m, budgetCache+budgetPages, true, "in a transaction when a reader went live")
+		mustScan(t, r)
+		if n := m.frames.Resident(); n != budgetPages {
+			t.Fatalf("a reader's scan left %d pages in the table, want all %d frames", n, budgetPages)
+		}
 		mustScan(t, w)
-		wantWriter(t, m, budgetCache, true, "at its next statement")
+		wantWriter(t, m, "a scan beside a reader")
 		commit(t, w)
 		commit(t, r)
 	})
 	t.Run("end", func(t *testing.T) {
-		m := newBudgetManager(t, budgetCapacity)
+		// A commit publishes the pages it wrote: a reader begun after it
+		// reads them from the table, not from flash. Only the root, which
+		// the update read into the writer's own cache, is read again.
+		m, host := newBudgetManager(t, budgetCapacity)
 		w := begin(t, m, false)
-		mustScan(t, w)
+		mustExec(t, w, "UPDATE big SET v = 'x' WHERE k >= 1 AND k <= 12") // three leaves
+		commit(t, w)
+		wantWriter(t, m, "a commit")
 		r := begin(t, m, true)
-		commit(t, w)
-		wantWriter(t, m, budgetCache, false, "at the end of the transaction a reader went live in")
+		reads := host.Reads.Load()
+		rows, err := r.Query("SELECT v FROM big WHERE k >= 1 AND k <= 12")
+		if err != nil || rows.Len() != 12 || rows.Data[0][0].Text() != "x" {
+			t.Fatalf("a reader after the commit: %v %v", rows, err)
+		}
+		if n := host.Reads.Load() - reads; n > 1 {
+			t.Fatalf("a reader read %d pages from flash, want only the root", n)
+		}
 		commit(t, r)
-		w = begin(t, m, false)
-		wantWriter(t, m, budgetCache, false, "at its next begin")
-		commit(t, w)
 	})
 	t.Run("failed steal", func(t *testing.T) {
-		// A deferred predecessor, and a successor whose dirty pages fit
-		// only its borrowed cache: the cut steals, and in journal mode off
-		// a steal first commits the pending group — into a power cut,
-		// which rewinds the successor's transaction. Its statement reads
-		// only a page still cached, so it would succeed, outside any
-		// transaction, had the cut's failure been dropped.
-		m := newBudgetManager(t, budgetCapacity)
+		// A deferred predecessor, and a successor whose dirty pages do not
+		// fit the writer's cache: the update steals, and in journal mode
+		// off a steal first commits the pending group — into a power cut,
+		// which fails the statement and rewinds the successor. The pages
+		// it updates were read first, into its cache and the table, so the
+		// steal is the first thing the update asks of flash.
+		m, _ := newBudgetManager(t, budgetCapacity)
 		seed(t, m, 8, 0)
 		w1done, w2 := deferredPair(t, m)
-		mustExec(t, w2, "UPDATE big SET v = 'y' WHERE k < 80")
-		if pages := m.db.Pager().CachedPages(); pages <= budgetCache {
-			t.Fatalf("the update left %d pages cached, want more than the %d the cut keeps", pages, budgetCache)
-		}
-		select {
-		case err := <-w1done:
-			t.Fatalf("the group closed (%v) before the cut: the update stole", err)
-		default:
-		}
-		const q = "SELECT v FROM big WHERE k = 399" // a page the group did not write
-		if _, _, err := w2.QueryRow(q); err != nil {
+		const rows = "k < 80" // 20 leaves
+		if _, _, err := w2.QueryRow("SELECT count(*) FROM big WHERE " + rows); err != nil {
 			t.Fatal(err)
 		}
-		r := begin(t, m, true)
 		m.fs.Device().PowerCutAfter(1)
-		if _, _, err := w2.QueryRow(q); !errors.Is(err, nand.ErrPowerLost) {
-			t.Fatalf("a statement whose cut failed to steal: %v, want the power cut", err)
+		if _, err := w2.Exec("UPDATE big SET v = 'y' WHERE " + rows); !errors.Is(err, nand.ErrPowerLost) {
+			t.Fatalf("an update whose steal met the cut: %v, want the power cut", err)
 		}
 		if err := <-w1done; !errors.Is(err, nand.ErrPowerLost) {
 			t.Fatalf("the deferred member of the group the steal closed: %v, want the power cut", err)
 		}
-		_, _ = w2.Rollback(), r.Commit()
+		_ = w2.Rollback()
 	})
 }
 
-// One writer and four readers resize against each other. The writer
-// borrows the whole budget in a first transaction of its own and must
-// give it back when the first reader goes live; with a pool of two the
-// readers' returns evict and their cold opens adopt, so the live count
-// and every share keep moving. After every begin, statement and end — the
-// readers' checkouts and returns among them — the others are held still
-// and the database must cache at most max(budget, L × CacheSize) +
-// CacheSize pages, plus what connections last sized before the share
-// moved still hold above it. A connection sized since then must be at its
-// share, and a writer with no transaction open at most at its share.
-// Fresh managers repeat the opening race. Run it under -race.
+// One writer and four readers at work beside each other, with a pool of
+// two so the readers' returns evict and their cold opens go on: after
+// every begin, statement and end, with the others held still, the table
+// holds at most its frames and the writer's cache at most its CacheSize —
+// (PoolCapacity + 1) × CacheSize pages for the database — and every scan
+// counts every row. Fresh managers repeat the opening race.
+// Run it under -race.
 func TestWriterAndReadersShareOneBudget(t *testing.T) {
 	const capacity, readers, managers, rounds = 2, 4, 4, 12
-	const budget = capacity * budgetCache
+	const frames = capacity * budgetCache
 	for range managers {
-		m := newBudgetManager(t, capacity)
-		var (
-			gate  sync.RWMutex
-			open  [readers + 1]*Session // each client's open session, the writer's last
-			seen  [readers + 1]int      // the checks made when each client's last operation began
-			moved int                   // the check that last saw the live count move
-			prev  [4]int64              // what that check saw: live, misses, evictions, invalidations
-			made  int                   // checks made
-		)
+		m, _ := newBudgetManager(t, capacity)
+		var gate sync.RWMutex
 		check := func(who string) {
-			made++
-			live, st := m.pool.Live(), m.pool.Stats()
-			if now := [4]int64{int64(live), st.Misses, st.Evictions, st.Invalidations}; now != prev {
-				prev, moved = now, made
+			if n := m.frames.Resident(); n > frames {
+				t.Errorf("after %s: the table holds %d pages, over its %d frames", who, n, frames)
 			}
-			share := max(budgetCache, budget/max(live, 1))
-			wshare := budgetCache + budget - min(budget, live*share)
-			total, lag := m.pool.CachePages(), 0
-			for i, s := range open {
-				want, pg := share, m.db.Pager()
-				switch {
-				case i == readers && s == nil:
-					if pg.CacheSize() > wshare {
-						t.Errorf("after %s: the idle writer's limit is %d, its share of %d live %d", who, pg.CacheSize(), live, wshare)
-					}
-				case s == nil:
-					continue
-				case i == readers:
-					want = wshare
-				default:
-					pg = s.db.Pager()
-				}
-				total += pg.CachedPages()
-				if limit := pg.CacheSize(); limit != want && s != nil {
-					if seen[i] >= moved {
-						t.Errorf("after %s: client %d, sized since the share moved, has limit %d, its share of %d live %d", who, i, limit, live, want)
-					}
-					lag += max(0, limit-want)
-				}
-			}
-			if bound := max(budget, live*budgetCache) + budgetCache; total > bound+lag {
-				t.Errorf("after %s: %d live readers and the writer cache %d pages, over %d + %d lagging", who, live, total, bound, lag)
+			if n := m.db.Pager().CachedPages(); n > budgetCache {
+				t.Errorf("after %s: the writer caches %d pages, over its %d", who, n, budgetCache)
 			}
 		}
-		// step runs one operation of client i beside the others', then
+		// step runs one operation of a client beside the others', then
 		// checks the budget with every client stopped.
 		step := func(i int, who string, op func() error) bool {
 			gate.RLock()
-			began := made
 			err := op()
 			gate.RUnlock()
 			gate.Lock()
 			defer gate.Unlock()
-			seen[i] = began
 			if err != nil {
 				t.Errorf("client %d %s: %v", i, who, err)
 				return false
@@ -239,38 +221,30 @@ func TestWriterAndReadersShareOneBudget(t *testing.T) {
 			var s *Session
 			ok := step(i, "begin", func() (err error) {
 				s, err = m.Begin(!writer)
-				open[i] = s
 				return err
-			}) && step(i, "scan", func() error { _, _, err := s.QueryRow(budgetScan); return err })
+			}) && step(i, "scan", func() error {
+				row, _, err := s.QueryRow(budgetScan)
+				if err == nil && row[0].Int() != 400 {
+					err = fmt.Errorf("a scan counted %d rows of 400", row[0].Int())
+				}
+				return err
+			})
 			if ok && writer {
 				ok = step(i, "update", func() error {
 					_, err := s.Exec("UPDATE big SET v = 'x' WHERE k = ?", int64(n*37%400))
 					return err
 				})
 			}
-			return ok && step(i, "end", func() error { open[i] = nil; return s.Commit() })
+			return ok && step(i, "end", s.Commit)
 		}
-		if !client(readers, 0) {
-			return
-		}
-		var (
-			wg       sync.WaitGroup
-			first    sync.Once
-			readerIn = make(chan struct{})
-		)
-		for i := range open {
+		var wg sync.WaitGroup
+		for i := range readers + 1 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for n := 1; n <= rounds; n++ {
-					if i == readers && n == 1 {
-						<-readerIn // the writer idles with the budget until a reader is live
-					}
 					if !client(i, n) {
 						return
-					}
-					if i < readers {
-						first.Do(func() { close(readerIn) })
 					}
 					runtime.Gosched() // on one processor the others must get their turn
 				}

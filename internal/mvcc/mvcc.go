@@ -6,6 +6,13 @@
 // a writer's copy-on-write pages land next to them. Readers therefore
 // never block on the writer and never see a partially committed state.
 //
+// The database's connections share one page cache, a pager.Table of
+// PoolCapacity × CacheSize frames, each one committed page version valid
+// over a range of commit sequences: readers read it at their snapshot's
+// sequence and have no cache of their own, and the writer keeps a
+// private CacheSize-page cache that trades clean committed pages with it
+// and publishes what each commit wrote.
+//
 // Writers keep SQLite's locking model: at most one write transaction at
 // a time, queued FIFO, or — for SQLITE_BUSY-style abort-on-conflict
 // callers — polled within a busy budget that ends in ErrBusy. Queued
@@ -16,6 +23,7 @@
 package mvcc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -54,9 +62,9 @@ type Options struct {
 	// Journal is the writer's journal mode and must be pager.Off: the
 	// X-FTL device, not a journal, makes the writer's pages atomic.
 	Journal pager.JournalMode
-	// CacheSize is the pager cache per connection (0 = the pager's
-	// default); a reader, or the writer while no reader is live, may
-	// cache more (PoolCapacity).
+	// CacheSize is the writer's private page cache (0 = the pager's
+	// default), and PoolCapacity × CacheSize the database's shared one,
+	// which every reader reads through and the writer trades with.
 	CacheSize int
 	// Pipelined routes snapshot page reads through the async NCQ
 	// submission path so concurrent readers overlap in virtual time
@@ -67,11 +75,10 @@ type Options struct {
 	Pipelined bool
 	// PoolCapacity sizes the warm reader pool every read session goes
 	// through (0: 8): finished read sessions park their snapshot
-	// connection (pager cache and catalog intact) for reuse by the next
-	// reader, advanced past the commits in between, up to this many idle
-	// connections. The pooled connections share PoolCapacity × CacheSize
-	// cache pages: while fewer are live, each caches more, and the writer
-	// borrows on top of its CacheSize what they leave over.
+	// connection (catalog and compiled statements intact) for reuse by
+	// the next reader, re-seated past the commits in between, up to this
+	// many idle connections. It also sizes the shared page cache:
+	// PoolCapacity × CacheSize frames.
 	PoolCapacity int
 }
 
@@ -92,14 +99,15 @@ type Manager struct {
 	fs   *simfs.FS
 	name string
 	opts Options
-	cfg  sqlite.Config
 
 	// db is the single persistent writer connection.
 	db *sqlite.DB
 
 	// pool keeps warm reader connections between read sessions; every
-	// reader's connection is one of its own.
-	pool *readpool.Pool
+	// reader's connection is one of its own. frames is the page cache they
+	// read through and the writer trades with.
+	pool   *readpool.Pool
+	frames *pager.Table
 
 	// FIFO ticket lock for the writer queue. head/tail are guarded by
 	// mu; a writer holds the lock while head != its ticket.
@@ -135,16 +143,16 @@ func NewManager(fsys *simfs.FS, name string, opts Options) (*Manager, error) {
 	if opts.Journal != pager.Off {
 		return nil, fmt.Errorf("mvcc: MVCC mode requires journal mode Off, got %v", opts.Journal)
 	}
-	cfg := sqlite.Config{Mode: opts.Journal, CacheSize: opts.CacheSize}
-	db, err := sqlite.Open(fsys, name, cfg)
+	db, err := sqlite.Open(fsys, name, sqlite.Config{Mode: opts.Journal, CacheSize: opts.CacheSize})
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{fs: fsys, name: name, opts: opts, cfg: cfg, db: db,
-		pool: readpool.New(opts.PoolCapacity, opts.CacheSize)}
+	capacity := cmp.Or(max(opts.PoolCapacity, 0), 8)
+	m := &Manager{fs: fsys, name: name, opts: opts, db: db,
+		pool: readpool.New(capacity), frames: pager.NewTable(fsys, capacity*db.Pager().CacheSize())}
 	m.cond = sync.NewCond(&m.mu)
 	db.Pager().OnGroupSync = m.groupSynced
-	_ = m.sizeWriter() // no reader is live yet: the writer may borrow the whole budget
+	db.Pager().Share(m.frames)
 	return m, nil
 }
 
@@ -255,11 +263,7 @@ func (m *Manager) BeginInto(s *Session, readonly bool, budget time.Duration) err
 	// time.
 	s.begin()
 	m.fs.SetIOContext(s.id, m.opts.Pipelined)
-	err := m.sizeWriter()
-	if err == nil {
-		err = m.db.Begin()
-	}
-	if err != nil {
+	if err := m.db.Begin(); err != nil {
 		m.fs.ClearIOContext()
 		m.unlockExclusive()
 		return err
@@ -275,17 +279,17 @@ func (s *Session) begin() {
 }
 
 // openReader gives a read session its private connection: the reader
-// pool's warmest — advanced or re-seated past the commits that landed
-// since it was parked, if any — or a cold one opened over a fresh
-// snapshot, which joins the pool.
+// pool's warmest — re-seated over a fresh snapshot if a commit has landed
+// since it was parked — or a cold one opened over a fresh snapshot, which
+// joins the pool when the session ends.
 func (m *Manager) openReader(s *Session) error {
 	// A reader must see every commit that has returned, so the sequence is
 	// read before the checkout. A commit landing in between leaves the
 	// checkout one commit behind, exactly as if the reader had come a
 	// moment earlier.
 	seq := m.fs.Device().CommitSeq()
-	s.pc = m.pool.Checkout(seq, m.fs.Epoch(), m.fs.AdvanceFloor())
-	if s.pc != nil && s.pc.Fresh(seq) {
+	s.pc = m.pool.Checkout(seq, m.fs.Epoch())
+	if s.pc != nil && s.pc.Snap != nil {
 		s.db, s.snap = s.pc.DB, s.pc.Snap
 		s.snap.SetIOContext(s.id, m.opts.Pipelined)
 		return nil
@@ -293,50 +297,24 @@ func (m *Manager) openReader(s *Session) error {
 	snap, err := m.fs.OpenSnapshot()
 	if err != nil {
 		if s.pc != nil {
-			m.pool.Return(s.pc)
+			m.pool.Return(s.pc, seq)
 		}
 		return err
 	}
 	snap.SetIOContext(s.id, m.opts.Pipelined)
 	s.snap = snap
-	if s.pc != nil && m.pool.Advance(s.pc, m.fs, snap) {
+	if s.pc != nil && m.pool.Reseat(s.pc, snap) {
 		s.db = s.pc.DB
 		return nil
 	}
 	// The cold open's catalog reads are the session's own I/O.
-	db, err := sqlite.OpenReader(m.fs, m.name, snap, m.cfg)
+	db, err := sqlite.OpenReader(m.fs, m.name, snap, m.frames)
 	if err != nil {
 		_ = snap.Close()
 		return err
 	}
-	s.db, s.pc = db, m.pool.Adopt(db, snap)
-	m.reclaim()
+	s.db, s.pc = db, &readpool.Conn{DB: db, Snap: snap}
 	return nil
-}
-
-// sizeWriter is the writer connection's share check (readpool's
-// SizeWriter): the writer caches CacheSize plus what of the pool's budget
-// no live reader is entitled to. Its caller owns the writer connection:
-// it holds the writer lock, or holds mu while nobody does. It runs at
-// construction, at write-begin, at each of the writer's statements and
-// under mu at its end, so an idle writer never keeps more than the
-// readers left it when it ended. Outside a write transaction the cache
-// holds no dirty page and none pinned, so a shrink only drops pages; inside
-// one it may steal, and a failed steal is the statement's error.
-func (m *Manager) sizeWriter() error {
-	return m.pool.SizeWriter(m.db.Pager())
-}
-
-// reclaim is a reader that has just gone live taking back what the idle
-// writer borrowed of the budget, under the writer lock: only while
-// nobody holds or awaits it. A write transaction that is open gives it
-// back itself at its next statement or its end.
-func (m *Manager) reclaim() {
-	m.mu.Lock()
-	if m.head == m.tail && !m.closed {
-		_ = m.sizeWriter() // no transaction open: cannot fail
-	}
-	m.mu.Unlock()
 }
 
 // Busy-budget backoff bounds: the poll interval starts at the minimum
@@ -397,7 +375,6 @@ func (m *Manager) lockExclusive(budget time.Duration) error {
 
 func (m *Manager) unlockExclusive() {
 	m.mu.Lock()
-	_ = m.sizeWriter() // the transaction has ended: cannot fail
 	m.head++
 	m.cond.Broadcast()
 	m.mu.Unlock()
@@ -434,7 +411,6 @@ func (m *Manager) successorInGroup() bool {
 func (m *Manager) awaitGroup(s *Session) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_ = m.sizeWriter() // the transaction is staged: cannot fail
 	m.waiters = append(m.waiters, s)
 	m.head++
 	m.cond.Broadcast()
@@ -463,25 +439,10 @@ func (m *Manager) groupSynced(members int, err error) {
 	m.mu.Unlock()
 }
 
-// stmt is the share check the session makes before each statement, on
-// its own goroutine: a cut to the connection's cache lands at the next
-// statement, not at the session's end. A writer's cut may steal dirty
-// pages; if that fails, the statement fails with it, as it would had a
-// miss made the steal.
-func (s *Session) stmt() error {
-	if s.readonly {
-		return s.m.pool.Resize(s.pc)
-	}
-	return s.m.sizeWriter()
-}
-
 // Query runs a SELECT in the session's view of the database.
 func (s *Session) Query(sql string, args ...any) (*sqlite.Rows, error) {
 	if s.done {
 		return nil, ErrSessionDone
-	}
-	if err := s.stmt(); err != nil {
-		return nil, err
 	}
 	return s.db.Query(sql, args...)
 }
@@ -490,9 +451,6 @@ func (s *Session) Query(sql string, args ...any) (*sqlite.Rows, error) {
 func (s *Session) QueryRow(sql string, args ...any) ([]sqlite.Value, bool, error) {
 	if s.done {
 		return nil, false, ErrSessionDone
-	}
-	if err := s.stmt(); err != nil {
-		return nil, false, err
 	}
 	return s.db.QueryRow(sql, args...)
 }
@@ -505,9 +463,6 @@ func (s *Session) Exec(sql string, args ...any) (int64, error) {
 	}
 	if s.readonly {
 		return 0, pager.ErrReadOnly
-	}
-	if err := s.stmt(); err != nil {
-		return 0, err
 	}
 	return s.db.Exec(sql, args...)
 }
@@ -524,10 +479,10 @@ func (s *Session) Rollback() error {
 }
 
 // endReader hands a read session's private connection back to the pool,
-// which parks it warm for the next reader (without its snapshot once the
-// change log can no longer advance it) or closes it.
+// which parks it warm for the next reader (without its snapshot once a
+// commit has overtaken it) or closes it.
 func (s *Session) endReader() error {
-	s.m.pool.Return(s.pc)
+	s.m.pool.Return(s.pc, s.m.fs.Device().CommitSeq())
 	s.m.Stats.SnapsOpen.Add(-1)
 	s.m.Stats.ReadTx.Add(1)
 	s.noteSession(0)
@@ -633,13 +588,12 @@ func (m *Manager) Register(reg *metrics.Registry, shard string) {
 	reg.Counter("xftl_busy_timeouts_total", "Sessions that timed out waiting for the writer lock.", m.Stats.BusyTimeouts.Load, kv...)
 	reg.Counter("xftl_group_commits_total", "Writer commit(t)s issued, each carrying a group of one or more write transactions.", m.Stats.GroupCommits.Load, kv...)
 	reg.Counter("xftl_group_members_total", "Write transactions those commits carried (mean group size = members / commits).", m.Stats.GroupMembers.Load, kv...)
-	reg.Counter("xftl_readpool_hits_total", "Read sessions served from a warm pooled connection.", func() int64 { return m.pool.Stats().Hits }, kv...)
+	reg.Counter("xftl_readpool_hits_total", "Read sessions served by a warm pooled connection, re-seated or not.", func() int64 { return m.pool.Stats().Hits }, kv...)
 	reg.Counter("xftl_readpool_misses_total", "Read sessions that had to cold-open.", func() int64 { return m.pool.Stats().Misses }, kv...)
-	reg.Counter("xftl_readpool_advances_total", "Warm connections advanced past later commits instead of cold-opened.", func() int64 { return m.pool.Stats().Advances }, kv...)
 	reg.Counter("xftl_readpool_evictions_total", "Pooled connections dropped for capacity.", func() int64 { return m.pool.Stats().Evictions }, kv...)
-	reg.Counter("xftl_readpool_invalidations_total", "Pooled connections the change log could not advance: re-seated over a fresh snapshot (file resized, namespace changed, or older than the log), or closed at a power cut.", func() int64 { return m.pool.Stats().Invalidations }, kv...)
+	reg.Counter("xftl_readpool_invalidations_total", "Pooled connections closed unable to serve: from before a power cut, or failed at re-seat.", func() int64 { return m.pool.Stats().Invalidations }, kv...)
 	reg.Gauge("xftl_readpool_idle", "Warm connections currently pooled.", func() int64 { return int64(m.pool.Idle()) }, kv...)
-	reg.Gauge("xftl_readpool_cache_pages", "Pages the idle pooled connections' caches hold, out of the budget all the pool's connections share.", func() int64 { return int64(m.pool.CachePages()) }, kv...)
+	reg.Gauge("xftl_readpool_cache_pages", "Page versions resident in the database's shared page cache, out of PoolCapacity × CacheSize frames.", func() int64 { return int64(m.frames.Resident()) }, kv...)
 }
 
 // Name reports the database file name this manager owns.
@@ -667,9 +621,6 @@ func (s *Session) Run(res *sqlite.Result, sql string, params []sqlite.Value) (in
 	}
 	if res == nil && s.readonly {
 		return 0, pager.ErrReadOnly
-	}
-	if err := s.stmt(); err != nil {
-		return 0, err
 	}
 	return s.db.Run(res, sql, params)
 }

@@ -16,6 +16,13 @@ import (
 
 func newStack(t *testing.T) *simfs.FS {
 	t.Helper()
+	fsys, _ := newCountedStack(t)
+	return fsys
+}
+
+// newCountedStack is newStack with the file system's host I/O counters.
+func newCountedStack(t *testing.T) (*simfs.FS, *metrics.HostCounters) {
+	t.Helper()
 	prof := storage.OpenSSD()
 	prof.Nand.Blocks = 512
 	prof.Nand.PagesPerBlock = 32
@@ -24,11 +31,12 @@ func newStack(t *testing.T) *simfs.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := simfs.New(dev, simfs.OffXFTL, &metrics.HostCounters{})
+	host := &metrics.HostCounters{}
+	fsys, err := simfs.New(dev, simfs.OffXFTL, host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fsys
+	return fsys, host
 }
 
 func newMVCCManager(t *testing.T) *Manager {

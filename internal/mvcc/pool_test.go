@@ -85,8 +85,8 @@ func write(t *testing.T, m *Manager, sql string, args ...any) {
 }
 
 // A commit between reads does not cost the pooled connection: the next
-// reader gets it advanced past the commit and sees the new state — a warm
-// hit must never serve a stale generation.
+// reader gets it re-seated past the commit and sees the new state — a
+// warm hit must never serve a stale generation.
 func TestPooledReaderAdvancedByCommit(t *testing.T) {
 	m := newPooledManager(t, 4)
 	seed(t, m, 4, 10)
@@ -98,14 +98,14 @@ func TestPooledReaderAdvancedByCommit(t *testing.T) {
 			t.Fatalf("post-commit pooled reader: got %d, want 20", v)
 		}
 	}
-	if st, _ := m.PoolStats(); st.Hits != 1 || st.Misses != 1 || st.Advances != 1 || st.Invalidations != 0 {
-		t.Fatalf("pool stats = %+v, want the second reader advanced (1 hit, 1 advance), nothing closed", st)
+	if st, _ := m.PoolStats(); st.Hits != 1 || st.Misses != 1 || st.Invalidations != 0 {
+		t.Fatalf("pool stats = %+v, want the second reader re-seated (1 hit), nothing closed", st)
 	}
 }
 
-// A commit that grows the file is one the change log cannot advance a
-// connection past: the next reader gets the pooled connection re-seated
-// over a fresh snapshot, not a cold open, and sees every new row.
+// A commit that grows the file writes page 1: the next reader gets the
+// pooled connection re-seated over a fresh snapshot with its header and
+// catalog reloaded, not a cold open, and sees every new row.
 func TestPooledReaderReseatedAfterGrowth(t *testing.T) {
 	m := newPooledManager(t, 4)
 	seed(t, m, 4, 10)
@@ -128,15 +128,15 @@ func TestPooledReaderReseatedAfterGrowth(t *testing.T) {
 	if got := readOnce(t, m); len(got) != want {
 		t.Fatalf("reader after growth saw %d rows, want %d", len(got), want)
 	}
-	if st, _ := m.PoolStats(); st.Hits != 1 || st.Misses != 1 || st.Invalidations != 1 || st.Advances != 0 {
-		t.Fatalf("pool stats = %+v, want the second reader re-seated (1 hit, 1 invalidation) after the first's cold open", st)
+	if st, _ := m.PoolStats(); st.Hits != 1 || st.Misses != 1 || st.Invalidations != 0 {
+		t.Fatalf("pool stats = %+v, want the second reader re-seated (1 hit) after the first's cold open", st)
 	}
 }
 
-// Readers advancing pooled connections while a writer commits beside
+// Readers re-seating pooled connections while a writer commits beside
 // them: no reader sees a torn table or one older than the last commit
-// that returned before it began. Run it under -race: the change log is
-// written at the writer's commit point and read by every advance.
+// that returned before it began. Run it under -race: every reader reads
+// through the table the writer's commits publish to.
 func TestPooledReadersAdvanceBesideWriter(t *testing.T) {
 	m := newPooledManager(t, 4)
 	const rows, gens, readers = 200, 60, 4 // a few leaves of 1 KB
@@ -203,11 +203,91 @@ func TestPooledReadersAdvanceBesideWriter(t *testing.T) {
 	wg.Wait()
 	st, _ := m.PoolStats()
 	t.Logf("pool stats %+v", st)
-	if st.Advances == 0 {
-		t.Error("no reader was advanced past a commit")
+	if st.Hits == 0 {
+		t.Error("no reader was served a pooled connection")
 	}
-	if live, idle := m.pool.Live(), m.pool.Idle(); live != idle {
-		t.Errorf("every session ended, but the pool counts %d live connections and %d idle", live, idle)
+}
+
+// Four readers at mixed sequences beside a committing writer, sharing
+// one small table: reader i holds each session for i+1 reads while the
+// writer commits between them, so the table holds several versions of a
+// page at once and readers insert versions as commits race them. Every
+// read of a session sees one generation on every row, the same one each
+// time, no older than the last commit that returned before the session
+// began. Run it under -race, on one processor and on two.
+func TestReadersAtMixedSequencesBesideWriter(t *testing.T) {
+	m, err := NewManager(newStack(t), "test.db", Options{Mode: MVCC, Journal: pager.Off, CacheSize: 4, PoolCapacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	const rows, gens, readers = 400, 80, 4 // ≈ 5 leaves beside a 16-frame table
+	seed(t, m, rows, 0)
+	var committed atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for g := int64(1); g <= gens; g++ {
+			w, err := m.Begin(false)
+			if err == nil {
+				_, err = w.Exec("UPDATE kv SET v = ?", g)
+				if err == nil {
+					err = w.Commit()
+				} else {
+					_ = w.Rollback()
+				}
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			committed.Store(g)
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for committed.Load() < gens {
+				floor := committed.Load()
+				r, err := m.Begin(true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := int64(-1)
+				for n := 0; n <= i; n++ {
+					vs := readAll(t, r)
+					if len(vs) != rows {
+						t.Errorf("reader %d saw %d rows, want %d", i, len(vs), rows)
+						break
+					}
+					for _, v := range vs {
+						if v != vs[0] {
+							t.Errorf("reader %d: torn read, generations %d and %d in one snapshot", i, vs[0], v)
+							break
+						}
+					}
+					if seen >= 0 && vs[0] != seen {
+						t.Errorf("reader %d: its snapshot moved from generation %d to %d", i, seen, vs[0])
+					}
+					if seen = vs[0]; seen < floor {
+						t.Errorf("reader %d saw generation %d after %d had committed", i, seen, floor)
+					}
+					runtime.Gosched() // let the writer commit between reads
+				}
+				_ = r.Commit()
+				if t.Failed() {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := m.frames.Resident(); n > 16 {
+		t.Errorf("the table holds %d pages, over its 16 frames", n)
 	}
 }
 
@@ -240,44 +320,45 @@ func TestPooledReadersConcurrentSessions(t *testing.T) {
 	}
 }
 
-// Pooled readers share PoolCapacity × CacheSize cache pages: a lone
-// reader may cache all of them, and once PoolCapacity readers are live
-// each caches exactly CacheSize, as every reader did before the budget —
-// the warm one checked out before the others went live from its next
-// statement on.
+// Pooled readers share one table of PoolCapacity × CacheSize frames: a
+// reader alone may fill all of them, and readers live together read each
+// other's pages — one that reads what another already read reads nothing
+// from flash — with the table never over its frames.
 func TestPooledReadersShareCacheBudget(t *testing.T) {
-	m := newPooledManager(t, 4)
-	seed(t, m, 4, 10)
-	caches := func(n int) (begun, stmt []int) {
-		t.Helper()
-		var rs []*Session
-		for i := 0; i < n; i++ {
-			r, err := m.Begin(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			begun = append(begun, r.db.Pager().CacheSize())
-			rs = append(rs, r)
+	m, host := newBudgetManager(t, budgetCapacity) // ≈ 100 leaves: more than the frames
+	var rs []*Session
+	for i := 0; i < 4; i++ {
+		r, err := m.Begin(true)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range rs {
-			readAll(t, r)
-			stmt = append(stmt, r.db.Pager().CacheSize())
-			if err := r.Commit(); err != nil {
-				t.Fatal(err)
+		rs = append(rs, r)
+	}
+	mustScan(t, rs[0])
+	if n := m.frames.Resident(); n != budgetPages {
+		t.Fatalf("a lone reader's scan left %d pages in the table, want all %d frames", n, budgetPages)
+	}
+	const point = "SELECT v FROM big WHERE k = ?"
+	for k := int64(0); k < 400; k += 13 {
+		if _, _, err := rs[0].QueryRow(point, k); err != nil {
+			t.Fatal(err)
+		}
+		reads := host.Reads.Load()
+		for _, r := range rs[1:] {
+			if _, ok, err := r.QueryRow(point, k); err != nil || !ok {
+				t.Fatalf("key %d: %v %v", k, ok, err)
 			}
 		}
-		return begun, stmt
+		if n := host.Reads.Load() - reads; n != 0 {
+			t.Fatalf("key %d: three readers at the first's sequence read %d pages it had read", k, n)
+		}
+		if n := m.frames.Resident(); n > budgetPages {
+			t.Fatalf("the table holds %d pages, over its %d frames", n, budgetPages)
+		}
 	}
-	if _, got := caches(1); got[0] != 4*200 {
-		t.Fatalf("a lone reader caches %d pages, want the whole budget of %d", got[0], 4*200)
-	}
-	begun, stmt := caches(4)
-	if begun[0] != 4*200 {
-		t.Errorf("the warm reader was checked out with %d pages, want the lone reader's %d", begun[0], 4*200)
-	}
-	for i, got := range stmt {
-		if got != 200 {
-			t.Errorf("reader %d of 4 caches %d pages after a statement, want CacheSize 200", i, got)
+	for _, r := range rs {
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -288,7 +369,7 @@ func TestManagerGaugesExported(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m.Register(reg, "3")
 	if missing := missingGauges(reg, "xftl_readpool_hits_total", "xftl_readpool_misses_total",
-		"xftl_readpool_advances_total", "xftl_readpool_evictions_total", "xftl_readpool_invalidations_total", "xftl_readpool_idle", "xftl_readpool_cache_pages"); len(missing) > 0 {
+		"xftl_readpool_evictions_total", "xftl_readpool_invalidations_total", "xftl_readpool_idle", "xftl_readpool_cache_pages"); len(missing) > 0 {
 		t.Errorf("gauges not registered: %v", missing)
 	}
 }

@@ -21,9 +21,14 @@ type env struct {
 	fs   *simfs.FS
 	host *metrics.HostCounters // fs's host-side I/O counters
 	w    *sqlite.DB            // shared writer connection
+	tbl  *pager.Table          // the page cache w shares with the readers
 }
 
-func newPoolEnv(t *testing.T) *env {
+func newPoolEnv(t *testing.T) *env { return newSizedEnv(t, cacheSize, 4*cacheSize) }
+
+// newSizedEnv is newPoolEnv with a writer cache of cache pages and a
+// table of frames.
+func newSizedEnv(t *testing.T, cache, frames int) *env {
 	t.Helper()
 	prof := storage.OpenSSD()
 	prof.Nand.Blocks = 512
@@ -38,14 +43,16 @@ func newPoolEnv(t *testing.T) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sqlite.Open(fsys, "test.db", sqlite.Config{Mode: pager.Off, CacheSize: 100})
+	w, err := sqlite.Open(fsys, "test.db", sqlite.Config{Mode: pager.Off, CacheSize: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.ExecScript("CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER); INSERT INTO kv VALUES (1, 10);"); err != nil {
 		t.Fatal(err)
 	}
-	return &env{fs: fsys, host: host, w: w}
+	tbl := pager.NewTable(fsys, frames)
+	w.Pager().Share(tbl)
+	return &env{fs: fsys, host: host, w: w, tbl: tbl}
 }
 
 // commit moves the committed state on with one writer transaction that
@@ -57,44 +64,46 @@ func (e *env) commit(t *testing.T, v int64) {
 	}
 }
 
-// cacheSize is the per-connection cache size the tests' pools share out.
+// cacheSize is the writer's cache size; the readers' table holds four
+// times as many pages.
 const cacheSize = 100
 
-// coldOpen builds a reader connection the way a cache miss would, and
-// hands it to p.
-func (e *env) coldOpen(t *testing.T, p *Pool) *Conn {
+// coldOpen builds a reader connection the way a cache miss would.
+func (e *env) coldOpen(t *testing.T) *Conn {
 	t.Helper()
 	snap, err := e.fs.OpenSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := sqlite.OpenReader(e.fs, "test.db", snap, sqlite.Config{Mode: pager.Off, CacheSize: p.cache})
+	db, err := sqlite.OpenReader(e.fs, "test.db", snap, e.tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.Adopt(db, snap)
+	return &Conn{DB: db, Snap: snap}
 }
 
 // checkout takes the pool's warmest connection the way a read session
-// does: at the current sequence, epoch and advance floor, advancing it
-// over a fresh snapshot if it is behind. nil is a miss.
+// does: at the current sequence and epoch, re-seating it over a fresh
+// snapshot if a commit has overtaken it. nil is a miss.
 func (e *env) checkout(t *testing.T, p *Pool) *Conn {
 	t.Helper()
-	seq := e.fs.Device().CommitSeq()
-	c := p.Checkout(seq, e.fs.Epoch(), e.fs.AdvanceFloor())
-	if c == nil || c.Fresh(seq) {
+	c := p.Checkout(e.fs.Device().CommitSeq(), e.fs.Epoch())
+	if c == nil || c.Snap != nil {
 		return c
 	}
 	snap, err := e.fs.OpenSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Advance(c, e.fs, snap) {
+	if !p.Reseat(c, snap) {
 		_ = snap.Close()
 		return nil
 	}
 	return c
 }
+
+// give returns c to p the way a read session's end does.
+func (e *env) give(p *Pool, c *Conn) bool { return p.Return(c, e.fs.Device().CommitSeq()) }
 
 // readV is the kv row's value as a connection reads it.
 func readV(t *testing.T, c *Conn) int64 {
@@ -108,14 +117,14 @@ func readV(t *testing.T, c *Conn) int64 {
 
 func TestCheckoutReusesWarmConn(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4, cacheSize)
+	p := New(4)
 	defer p.Close()
 
 	if c := e.checkout(t, p); c != nil {
 		t.Fatal("checkout from empty pool returned a connection")
 	}
-	c := e.coldOpen(t, p)
-	if !p.Return(c) {
+	c := e.coldOpen(t)
+	if !e.give(p, c) {
 		t.Fatal("return to fresh pool rejected")
 	}
 	got := e.checkout(t, p)
@@ -127,26 +136,27 @@ func TestCheckoutReusesWarmConn(t *testing.T) {
 		t.Fatalf("pooled conn read %d, want 10", v)
 	}
 	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Advances != 0 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss / no advance", st)
+	if st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	p.Return(got)
+	e.give(p, got)
 }
 
 // A commit does not cost the pool its connections: the next checkout
-// advances the warmest past it, which then re-reads only the page the
-// commit wrote and sees the new value. Its sibling stays pooled.
+// re-seats the warmest past it, which finds the page the commit wrote in
+// the table, published by the writer, and reads nothing from flash. Its
+// sibling stays pooled.
 func TestCommitAdvancesPooledConn(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4, cacheSize)
+	p := New(4)
 	defer p.Close()
 
-	p.Return(e.coldOpen(t, p))
-	warm := e.coldOpen(t, p)
+	e.give(p, e.coldOpen(t))
+	warm := e.coldOpen(t)
 	if v := readV(t, warm); v != 10 {
 		t.Fatalf("cold read %d, want 10", v)
 	}
-	p.Return(warm)
+	e.give(p, warm)
 	e.commit(t, 20)
 
 	reads := e.host.Reads.Load()
@@ -155,33 +165,33 @@ func TestCommitAdvancesPooledConn(t *testing.T) {
 		t.Fatal("checkout after a commit did not hand back the warmest connection")
 	}
 	if got.Snap.Seq() != e.fs.Device().CommitSeq() {
-		t.Fatalf("advanced conn reads sequence %d, want %d", got.Snap.Seq(), e.fs.Device().CommitSeq())
+		t.Fatalf("re-seated conn reads sequence %d, want %d", got.Snap.Seq(), e.fs.Device().CommitSeq())
 	}
 	if v := readV(t, got); v != 20 {
-		t.Fatalf("advanced read %d, want 20", v)
+		t.Fatalf("re-seated read %d, want 20", v)
 	}
-	if n := e.host.Reads.Load() - reads; n != 1 {
-		t.Errorf("advance and point read cost %d page reads, want 1: the leaf the commit rewrote", n)
+	if n := e.host.Reads.Load() - reads; n != 0 {
+		t.Errorf("re-seat and point read cost %d page reads, want none: the writer published the leaf it rewrote", n)
 	}
-	if st := p.Stats(); st.Hits != 1 || st.Advances != 1 || st.Invalidations != 0 || st.Idle != 1 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 advance, no invalidation, 1 idle", st)
+	if st := p.Stats(); st.Hits != 1 || st.Invalidations != 0 || st.Idle != 1 {
+		t.Fatalf("stats = %+v, want 1 hit, no invalidation, 1 idle", st)
 	}
-	p.Return(got)
+	e.give(p, got)
 }
 
 // Connections at different sequences share the pool: a newer return
-// flushes nothing, checkouts take the warmest first, and an older one is
-// advanced when its turn comes.
+// closes nothing, checkouts take the warmest first, and an older one is
+// re-seated when its turn comes.
 func TestPoolHoldsMixedSequences(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4, cacheSize)
+	p := New(4)
 	defer p.Close()
 
-	stale := e.coldOpen(t, p)
-	p.Return(stale)
+	stale := e.coldOpen(t)
+	e.give(p, stale)
 	e.commit(t, 30)
-	fresh := e.coldOpen(t, p)
-	if !p.Return(fresh) {
+	fresh := e.coldOpen(t)
+	if !e.give(p, fresh) {
 		t.Fatal("newer-sequence return rejected")
 	}
 	if p.Idle() != 2 {
@@ -195,29 +205,28 @@ func TestPoolHoldsMixedSequences(t *testing.T) {
 		t.Fatal("second checkout did not return the older connection")
 	}
 	if v := readV(t, got); v != 30 {
-		t.Fatalf("older conn read %d after its advance, want 30", v)
+		t.Fatalf("older conn read %d after its re-seat, want 30", v)
 	}
-	if st := p.Stats(); st.Hits != 2 || st.Advances != 1 || st.Invalidations != 0 {
-		t.Fatalf("stats = %+v, want 2 hits, 1 advance, no invalidation", st)
+	if st := p.Stats(); st.Hits != 2 || st.Invalidations != 0 {
+		t.Fatalf("stats = %+v, want 2 hits, no invalidation", st)
 	}
-	p.Return(fresh)
-	p.Return(stale)
+	e.give(p, fresh)
+	e.give(p, stale)
 }
 
-// A commit that grows the file changes more than pages: the change log
-// cannot advance the pooled connection past it, so the next checkout
-// re-seats it — cache emptied, header and catalog reloaded — and it
+// A commit that grows the file writes page 1: the next checkout re-seats
+// the pooled connection with its header and catalog reloaded, and it
 // reads the new row; nothing is cold-opened.
 func TestGrowthReseatsConn(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4, cacheSize)
+	p := New(4)
 	defer p.Close()
 
-	c := e.coldOpen(t, p)
+	c := e.coldOpen(t)
 	if v := readV(t, c); v != 10 {
 		t.Fatalf("cold read %d, want 10", v)
 	}
-	p.Return(c)
+	e.give(p, c)
 	big := strings.Repeat("x", 900)
 	if _, err := e.w.Exec("INSERT INTO kv VALUES (2, ?)", big); err != nil {
 		t.Fatal(err)
@@ -233,18 +242,18 @@ func TestGrowthReseatsConn(t *testing.T) {
 	if err != nil || !ok || row[0].Text() != big {
 		t.Fatalf("re-seated conn reads the new row as ok=%v err=%v", ok, err)
 	}
-	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 || st.Advances != 0 || st.Invalidations != 1 || st.Idle != 0 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 invalidation, no miss, no advance", st)
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 || st.Invalidations != 0 || st.Idle != 0 {
+		t.Fatalf("stats = %+v, want 1 hit, no invalidation, no miss", st)
 	}
-	p.Return(got)
+	e.give(p, got)
 }
 
 func TestPowerCutEpochInvalidatesPool(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4, cacheSize)
+	p := New(4)
 	defer p.Close()
 
-	p.Return(e.coldOpen(t, p))
+	e.give(p, e.coldOpen(t))
 	e.fs.PowerCut()
 	if err := e.fs.Remount(); err != nil {
 		t.Fatal(err)
@@ -259,13 +268,13 @@ func TestPowerCutEpochInvalidatesPool(t *testing.T) {
 
 func TestCapacityEvictsColdest(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(2, cacheSize)
+	p := New(2)
 	defer p.Close()
 
-	c1, c2, c3 := e.coldOpen(t, p), e.coldOpen(t, p), e.coldOpen(t, p)
-	p.Return(c1)
-	p.Return(c2)
-	p.Return(c3) // evicts c1, the coldest
+	c1, c2, c3 := e.coldOpen(t), e.coldOpen(t), e.coldOpen(t)
+	e.give(p, c1)
+	e.give(p, c2)
+	e.give(p, c3) // evicts c1, the coldest
 	if st := p.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
@@ -278,19 +287,19 @@ func TestCapacityEvictsColdest(t *testing.T) {
 	if p.Idle() != 0 {
 		t.Fatalf("idle = %d, want 0", p.Idle())
 	}
-	p.Return(c2)
-	p.Return(c3)
+	e.give(p, c2)
+	e.give(p, c3)
 }
 
 func TestCloseDrainsAndRejects(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4, cacheSize)
-	p.Return(e.coldOpen(t, p))
+	p := New(4)
+	e.give(p, e.coldOpen(t))
 	p.Close()
 	if p.Idle() != 0 {
 		t.Fatal("close left connections pooled")
 	}
-	if p.Return(e.coldOpen(t, p)) {
+	if e.give(p, e.coldOpen(t)) {
 		t.Fatal("return after close pooled a connection")
 	}
 	if c := e.checkout(t, p); c != nil {
@@ -299,12 +308,13 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	p.Close() // idempotent
 }
 
-// Idle connections pin the superseded versions of every page committed
-// since their snapshot, but no older than the change log reaches: once a
-// commit pushes the advance floor past one, the next checkout closes its
-// snapshot and keeps it unseated.
-// Three connections sit idle under a fourth that every reader advances,
-// while each commit rewrites a row on a different one of 80 leaves.
+// An idle connection keeps no snapshot older than the newest commit its
+// pool's last checkout or return saw, so idle connections pin at most
+// the versions one commit superseded: the checkout after each commit
+// closes the snapshots of the idle connections it overtook, which park
+// without one, and re-seats the one it hands out. Three connections sit
+// idle under a fourth that every reader takes, while each commit rewrites
+// a row on a different one of 80 leaves.
 func TestIdlePinsBoundedByLog(t *testing.T) {
 	e := newPoolEnv(t)
 	// Rows stay inline, four to a 1 KB leaf; keys 8 apart are on
@@ -322,10 +332,10 @@ func TestIdlePinsBoundedByLog(t *testing.T) {
 	if _, err := e.w.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	p := New(4, cacheSize)
+	p := New(4)
 	defer p.Close()
 	for i := 0; i < 4; i++ {
-		p.Return(e.coldOpen(t, p))
+		e.give(p, e.coldOpen(t))
 	}
 	x := e.fs.Device().XFTL()
 	peak := 0
@@ -334,31 +344,30 @@ func TestIdlePinsBoundedByLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		peak = max(peak, x.PinnedPages())
+		seen := e.fs.Device().CommitSeq()
 		c := e.checkout(t, p)
 		if c == nil {
-			t.Fatalf("commit %d: the warm connection was not advanced", i)
+			t.Fatalf("commit %d: the warm connection was not re-seated", i)
 		}
-		p.Return(c)
+		e.give(p, c)
+		for j, idle := range p.free {
+			if idle.Snap != nil && idle.Snap.Seq() < seen {
+				t.Fatalf("commit %d: idle connection %d keeps a snapshot at %d, older than the %d its pool saw", i, j, idle.Snap.Seq(), seen)
+			}
+		}
 	}
-	reach := int(e.fs.Device().CommitSeq() - e.fs.AdvanceFloor())
-	t.Logf("log reach %d commits; peak pinned %d pages; %+v", reach, peak, p.Stats())
-	if reach >= leaves {
-		t.Fatalf("the log reaches %d commits back: raise leaves so the bound is tested", reach)
+	t.Logf("peak pinned %d pages; %+v", peak, p.Stats())
+	// One leaf per commit, pinned by the one connection at the sequence
+	// before it.
+	if peak > 1 {
+		t.Errorf("idle connections pinned %d pages, more than the one leaf a commit rewrites", peak)
 	}
-	// One leaf per commit; the advanced connection pins at most the last one.
-	if peak > reach+1 {
-		t.Errorf("idle connections pinned %d pages, more than the %d commits the log reaches", peak, reach)
-	}
-	if st := p.Stats(); st.Invalidations != 3 || st.Idle != 4 || st.Misses != 0 {
-		t.Errorf("stats = %+v, want the 3 idle connections unseated and kept", st)
+	if st := p.Stats(); st.Invalidations != 0 || st.Idle != 4 || st.Misses != 0 {
+		t.Errorf("stats = %+v, want the 4 connections kept", st)
 	}
 	for i := 0; i < 4; i++ {
-		c := p.free[i]
-		if unseated := c.Snap == nil; unseated != (i < 3) {
+		if unseated := p.free[i].Snap == nil; unseated != (i < 3) {
 			t.Errorf("pooled connection %d unseated: %v", i, unseated)
-		}
-		if i < 3 && c.DB.Pager().CachedPages() == 0 {
-			t.Errorf("unseated connection %d let go of its cache before its next checkout", i)
 		}
 	}
 	// An unseated connection's next checkout re-seats it over the newest
@@ -371,27 +380,27 @@ func TestIdlePinsBoundedByLog(t *testing.T) {
 		if v, want := readV(t, c), int64(10); v != want {
 			t.Fatalf("checkout %d reads %d, want %d", i, v, want)
 		}
-		defer p.Return(c)
+		defer e.give(p, c)
 	}
 }
 
 // The pooled snapshot-read hot path — checkout, one warm point read at
 // the pager layer, release, return — must not allocate, extending the
 // queue-layer zero-alloc guard up through the pool. A checkout that
-// advances past a commit costs no more than the snapshot it opens.
+// re-seats past a commit costs no more than the snapshot it opens.
 func TestPooledReadHotPathNoAllocs(t *testing.T) {
 	e := newPoolEnv(t)
-	p := New(4, cacheSize)
+	p := New(4)
 	defer p.Close()
 
-	c := e.coldOpen(t, p)
-	// Warm the pager cache so steady state is measured.
+	c := e.coldOpen(t)
+	// Warm the table so steady state is measured.
 	pg, err := c.DB.Pager().Get(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg.Release()
-	p.Return(c)
+	e.give(p, c)
 
 	read := func() {
 		conn := e.checkout(t, p)
@@ -403,7 +412,7 @@ func TestPooledReadHotPathNoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		pg.Release()
-		if !p.Return(conn) {
+		if !e.give(p, conn) {
 			t.Fatal("warm return rejected")
 		}
 	}
@@ -411,7 +420,7 @@ func TestPooledReadHotPathNoAllocs(t *testing.T) {
 		t.Errorf("pooled read hot path allocates %.1f objects/op, want 0", allocs)
 	}
 
-	// Past a commit that rewrote the kv leaf (page 1 stays cached), against
+	// Past a commit that rewrote the kv leaf (page 1 unchanged), against
 	// what moving a bare snapshot past the same commit costs: the new
 	// one's open, the old one's close.
 	const runs = 100
@@ -423,15 +432,16 @@ func TestPooledReadHotPathNoAllocs(t *testing.T) {
 			runtime.ReadMemStats(&m0)
 			step()
 			runtime.ReadMemStats(&m1)
-			if i >= runs { // the first runs grew the log's and the pager's reusable storage
+			if i >= runs { // the first runs grew the table's and the pager's reusable storage
 				total += m1.Mallocs - m0.Mallocs
 			}
 		}
 		return float64(total) / runs
 	}
-	advancing := afterCommits(read)
-	if st := p.Stats(); st.Advances != 2*runs {
-		t.Fatalf("stats = %+v, want every checkout advanced", st)
+	hits := p.Stats().Hits
+	reseating := afterCommits(read)
+	if st := p.Stats(); st.Hits != hits+2*runs || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want every checkout re-seated", st)
 	}
 	p.Close() // the bare snapshot is the only one open, as the pooled one was
 	snap, err := e.fs.OpenSnapshot()
@@ -447,9 +457,9 @@ func TestPooledReadHotPathNoAllocs(t *testing.T) {
 		snap = next
 	})
 	_ = snap.Close()
-	t.Logf("advancing checkout: %.2f allocs; snapshot moved past a commit: %.2f", advancing, bare)
+	t.Logf("re-seating checkout: %.2f allocs; snapshot moved past a commit: %.2f", reseating, bare)
 	// Rounded: a runtime-internal allocation may land inside a bracket.
-	if math.Round(advancing) > math.Round(bare) {
-		t.Errorf("an advancing checkout allocates %.1f objects, its snapshot's open and close %.1f", advancing, bare)
+	if math.Round(reseating) > math.Round(bare) {
+		t.Errorf("a re-seating checkout allocates %.1f objects, its snapshot's open and close %.1f", reseating, bare)
 	}
 }

@@ -64,11 +64,11 @@ type Options struct {
 
 // Every database's sessions are X-FTL MVCC: snapshot readers beside a
 // FIFO writer over journal mode Off, with pipelined page I/O and these
-// sizes. The pooled readers share readPool × cacheSize cache pages; the
-// writer caches cacheSize beside them, plus that whole budget while no
-// reader is live.
+// sizes. The pooled readers read through one shared page cache of
+// readPool × cacheSize frames, which the writer's own cacheSize-page cache
+// trades with.
 const (
-	cacheSize = 64 // the SQLite page cache per connection, in pages
+	cacheSize = 64 // the writer's SQLite page cache, in pages
 	readPool  = 8  // warm reader connections pooled per database
 )
 

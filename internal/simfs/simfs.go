@@ -202,9 +202,6 @@ type FS struct {
 	nextTid uint64
 	mounted bool
 
-	// log names the file pages each OffXFTL commit wrote (changelog.go).
-	log changeLog
-
 	// Writer-path I/O attribution, under wmu. One mutating session at a
 	// time (serialized by mvcc.Manager or the caller) sets it for its
 	// turn; readers carry their own context on their Snapshot.
@@ -582,7 +579,6 @@ func (fs *FS) PowerCut() {
 	defer fs.wmu.Unlock()
 	fs.epoch.Add(1)
 	fs.mounted = false
-	fs.clearLog()
 	fs.dev.PowerCut()
 }
 
@@ -841,11 +837,7 @@ func (f *File) writeData(idx int64, data []byte) error {
 		r.Op, r.TID = ncq.OpWriteTx, f.tidFor()
 	}
 	f.fs.noteWrite(f.writeClass(), lpn, r.TID)
-	err = f.fs.submit(r)
-	if err == nil && r.TID != 0 {
-		f.fs.noteTxWrite(r.TID, f.ino.name, idx)
-	}
-	return err
+	return f.fs.submit(r)
 }
 
 // writeBackSome evicts the oldest n dirty pages (cache pressure). In
@@ -1007,18 +999,15 @@ func (f *File) fsync() error {
 			// suffices for durability.
 			return f.fs.barrier()
 		}
-		// The device commit, its change record and the persisted-image
-		// update form the commit point; fs.mu keeps a concurrent
-		// OpenSnapshot from pairing the new device state with the old
-		// namespace image, or ChangesSince from missing the record.
+		// The device commit and the persisted-image update form the
+		// commit point; fs.mu keeps a concurrent OpenSnapshot from pairing
+		// the new device state with the old namespace image.
 		f.fs.mu.Lock()
 		defer f.fs.mu.Unlock()
-		before := f.fs.dev.CommitSeq()
 		if err := f.fs.submit(ncq.Request{Op: ncq.OpCommit, TID: tid}); err != nil {
 			return err
 		}
 		f.tid = 0
-		f.fs.logCommit(tid, before)
 		f.fs.commitPoint()
 		return nil
 	default:
@@ -1126,7 +1115,6 @@ func (fs *FS) resolveInDoubt(tid uint64, commit bool) error {
 		return err
 	}
 	delete(fs.prepared, tid)
-	fs.takeTxWrites(tid, false) // a resolution logs no record
 	if commit && fs.shared {
 		fs.persisted, fs.shared = maps.Clone(fs.persisted), false
 	}
@@ -1211,7 +1199,6 @@ func (f *File) Abort() error {
 		if err := f.fs.submit(ncq.Request{Op: ncq.OpAbort, TID: f.tid}); err != nil {
 			return err
 		}
-		f.fs.takeTxWrites(f.tid, false)
 		f.tid = 0
 	}
 	// Revert inode growth performed by the aborted window.

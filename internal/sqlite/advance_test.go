@@ -13,15 +13,13 @@ import (
 	"repro/internal/sqlite/pager"
 )
 
-// A reader connection advanced from snapshot to snapshot over the change
-// log reads what a connection cold-opened at the same snapshot reads,
-// through seeded streams of UPDATE, INSERT, DELETE, ROLLBACK and every
-// schema statement: the same rows from every table, and every page its
-// cache holds the snapshot's page. Every schema statement writes page 1
-// or grows the file — the premise that lets an advance keep its catalog
-// unless page 1 changed. Where the log cannot advance it — the file grew
-// or shrank, or a burst of commits left the snapshot older than the log
-// reaches — the connection is re-seated instead, and must read the same.
+// A reader connection re-seated from snapshot to snapshot, reading
+// through the page cache its writer shares, reads what a connection
+// cold-opened at the same snapshot reads, through seeded streams of
+// UPDATE, INSERT, DELETE, ROLLBACK, every schema statement and bursts of
+// commits between re-seats: the same rows from every table, and every
+// page the snapshot's page. Every schema statement changes page 1 — the
+// premise that lets a re-seat keep its catalog unless page 1 changed.
 func TestAdvancedReaderMatchesColdReader(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { advanceStream(t, seed) })
@@ -36,6 +34,8 @@ func advanceStream(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	tbl := pager.NewTable(e.fs, 24)
+	w.Pager().Share(tbl)
 	rng := rand.New(rand.NewSource(seed))
 	text := func() string {
 		if rng.Intn(6) == 0 {
@@ -79,20 +79,39 @@ func advanceStream(t *testing.T, seed int64) {
 			mustExec(t, w, fmt.Sprintf("DELETE FROM %s WHERE k = ?", tbl), k)
 		}
 	}
-	// One schema statement in its own commit; it must write page 1 or
-	// grow the file.
+	page := make([]byte, e.fs.PageSize())
+	// snapPage reads pgno as snap has it: zeros past the end.
+	snapPage := func(snap *simfs.Snapshot, pgno pager.Pgno) []byte {
+		clear(page)
+		if idx := int64(pgno - 1); idx < snap.Pages(name) {
+			if err := snap.ReadPage(name, idx, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return page
+	}
+	// One schema statement in its own commit; it must change page 1.
 	ddl := func(sql string) {
 		t.Helper()
-		before, size := e.fs.Device().CommitSeq(), w.Pager().NPages()
+		before, err := e.fs.OpenSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer before.Close()
+		header := bytes.Clone(snapPage(before, 1))
 		mustExec(t, w, sql)
-		changed, ok := e.fs.ChangesSince(nil, name, before, e.fs.Device().CommitSeq())
-		if w.Pager().NPages() == size && !(ok && slices.Contains(changed, 0)) {
-			t.Fatalf("%s left page 1 and the file size alone (changed %v, ok %v)", sql, changed, ok)
+		after, err := e.fs.OpenSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer after.Close()
+		if bytes.Equal(header, snapPage(after, 1)) {
+			t.Fatalf("%s left page 1 alone", sql)
 		}
 	}
 
-	open := func(snap *simfs.Snapshot) *DB {
-		db, err := OpenReader(e.fs, name, snap, Config{Mode: pager.Off, CacheSize: 24})
+	open := func(snap *simfs.Snapshot, frames *pager.Table) *DB {
+		db, err := OpenReader(e.fs, name, snap, frames)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,10 +121,8 @@ func advanceStream(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := open(snap)
-	var changed []int64
-	advances, reseats, gaps := 0, 0, 0
-	page := make([]byte, e.fs.PageSize())
+	adv := open(snap, tbl)
+	reseats, bursts := 0, 0
 	for step := 0; step < 150; step++ {
 		switch r := rng.Intn(20); {
 		case r < 13:
@@ -134,81 +151,59 @@ func advanceStream(t *testing.T, seed int64) {
 			ddl("DROP INDEX IF EXISTS " + indexes[i])
 			indexes = slices.Delete(indexes, i, i+1)
 		}
-		burst := step%50 == 25
-		if burst {
-			// More one-row commits than the change log holds: the next
-			// advance finds the snapshot below the log's floor.
+		if step%50 == 25 {
+			// A burst of one-row commits between two re-seats.
 			for i := 0; i < 70; i++ {
 				mustExec(t, w, "UPDATE burst SET v = ? WHERE k = 1", fmt.Sprint(i))
 			}
+			bursts++
 		} else if rng.Intn(3) == 0 {
-			continue // let commits pile up: the next advance crosses several
+			continue // let commits pile up: the next re-seat crosses several
 		}
 
 		next, err := e.fs.OpenSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ok bool
-		changed, ok = e.fs.ChangesSince(changed[:0], name, snap.Seq(), next.Seq())
-		if ok {
-			if err := adv.Advance(next, changed); err != nil {
-				t.Fatalf("step %d: advance: %v", step, err)
-			}
-			advances++
-		} else {
-			if burst {
-				gaps++
-			}
-			if err := adv.Reseat(next); err != nil {
-				t.Fatalf("step %d: reseat: %v", step, err)
-			}
-			reseats++
+		if err := adv.Reseat(next); err != nil {
+			t.Fatalf("step %d: reseat: %v", step, err)
 		}
+		reseats++
 		_ = snap.Close()
 		snap = next
 
-		cold := open(snap)
+		cold := open(snap, pager.NewTable(e.fs, 24)) // its own table: nothing shared with the writer
 		if adv.Pager().NPages() != cold.Pager().NPages() {
-			t.Fatalf("step %d: advanced reader sees %d pages, cold %d", step, adv.Pager().NPages(), cold.Pager().NPages())
+			t.Fatalf("step %d: re-seated reader sees %d pages, cold %d", step, adv.Pager().NPages(), cold.Pager().NPages())
 		}
 		for _, tbl := range names {
 			for _, q := range []string{"SELECT * FROM " + tbl, "SELECT k FROM " + tbl + " WHERE v > 'j'"} {
 				a, aerr := adv.Query(q)
 				c, cerr := cold.Query(q)
 				if (aerr == nil) != (cerr == nil) || aerr == nil && !reflect.DeepEqual(a.Data, c.Data) {
-					t.Fatalf("step %d: %s: advanced reader %d rows (%v), cold %d rows (%v)", step, q, rowCount(a), aerr, rowCount(c), cerr)
+					t.Fatalf("step %d: %s: re-seated reader %d rows (%v), cold %d rows (%v)", step, q, rowCount(a), aerr, rowCount(c), cerr)
 				}
 			}
 		}
 		_ = cold.Close()
-		// Every page, cached or not, reads as the snapshot has it.
+		// Every page, in the table or not, reads as the snapshot has it.
 		for pgno := pager.Pgno(1); pgno <= adv.Pager().NPages(); pgno++ {
 			pg, err := adv.Pager().Get(pgno)
 			if err != nil {
 				t.Fatal(err)
 			}
-			clear(page)
-			if idx := int64(pgno - 1); idx < snap.Pages(name) {
-				if err := snap.ReadPage(name, idx, page); err != nil {
-					t.Fatal(err)
-				}
-			}
-			same := bytes.Equal(pg.Data(), page)
+			same := bytes.Equal(pg.Data(), snapPage(snap, pgno))
 			pg.Release()
 			if !same {
-				t.Fatalf("step %d: cached page %d differs from the snapshot's", step, pgno)
+				t.Fatalf("step %d: page %d differs from the snapshot's", step, pgno)
 			}
 		}
 	}
 	_ = adv.Close()
 	_ = snap.Close()
-	t.Logf("%d advances, %d re-seats (%d past a burst longer than the log)", advances, reseats, gaps)
-	if advances < 40 {
-		t.Errorf("only %d of the stream's snapshots were advanced: the test no longer exercises Advance", advances)
-	}
-	if gaps < 2 || reseats < gaps+5 {
-		t.Errorf("%d re-seats, %d past a burst: the test no longer exercises Reseat after growth and after a gap", reseats, gaps)
+	t.Logf("%d re-seats, %d past a burst; %d page versions resident", reseats, bursts, tbl.Resident())
+	if reseats < 60 || bursts < 2 {
+		t.Errorf("%d re-seats, %d past a burst: the stream no longer exercises Reseat", reseats, bursts)
 	}
 }
 

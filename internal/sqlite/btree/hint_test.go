@@ -22,7 +22,8 @@ import (
 // model, and must make the pagers miss on the same pages in the same
 // order. The script splits the root, drops a second tree whose pages the
 // first reuses, rolls back, advances a reader past commits, and runs on
-// 8-page caches, so pages are evicted all along.
+// an 8-page writer cache sharing an 8-frame table with the reader, so
+// pages are evicted all along.
 func TestHintIsUnobservable(t *testing.T) {
 	const steps = 4000
 	hinted, hintedMisses := runTreeScript(t, rand.New(rand.NewSource(1)).Intn, steps, false)
@@ -91,7 +92,7 @@ type scriptStats struct {
 // "session:page".
 func runTreeScript(t testing.TB, next func(n int) int, steps int, fresh bool) (scriptStats, []string) {
 	t.Helper()
-	fsys, tr, w, cfg := hintStack(t)
+	fsys, tr, w, tbl := hintStack(t)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -162,7 +163,7 @@ func runTreeScript(t testing.TB, next func(n int) int, steps int, fresh bool) (s
 		var err error
 		snap, err = fsys.OpenSnapshot()
 		must(err)
-		reader, err = pager.OpenReader(fsys, "hint.db", snap, cfg)
+		reader, err = pager.OpenReader(fsys, "hint.db", snap, tbl)
 		must(err)
 		rlong, rmodel = OpenTable(reader, root), maps.Clone(committed)
 	}
@@ -237,19 +238,11 @@ func runTreeScript(t testing.TB, next func(n int) int, steps int, fresh bool) (s
 			committed = maps.Clone(model)
 			later, err := fsys.OpenSnapshot()
 			must(err)
-			changed, ok := fsys.ChangesSince(nil, "hint.db", snap.Seq(), later.Seq())
-			if ok && later.Pages("hint.db") == snap.Pages("hint.db") {
-				_, err := reader.Advance(later, changed)
-				must(err)
-				must(snap.Close())
-				snap, rmodel = later, maps.Clone(committed)
-				st.advances++
-			} else {
-				must(later.Close())
-				must(reader.Close())
-				must(snap.Close())
-				openReader()
-			}
+			_, err = reader.Reseat(later)
+			must(err)
+			must(snap.Close())
+			snap, rmodel = later, maps.Clone(committed)
+			st.advances++
 		}
 	}
 	if w.InTx() {
@@ -276,8 +269,9 @@ func runTreeScript(t testing.TB, next func(n int) int, steps int, fresh bool) (s
 }
 
 // hintStack is the scripts' stack: an X-FTL device, its file system
-// traced, and a writer pager with an 8-page cache over hint.db.
-func hintStack(t testing.TB) (*simfs.FS, *trace.Tracer, *pager.Pager, pager.Config) {
+// traced, and a writer pager with an 8-page cache over hint.db, sharing
+// the 8-frame table its readers read through.
+func hintStack(t testing.TB) (*simfs.FS, *trace.Tracer, *pager.Pager, *pager.Table) {
 	t.Helper()
 	prof := storage.OpenSSD()
 	prof.Nand.Blocks = 256
@@ -294,12 +288,13 @@ func hintStack(t testing.TB) (*simfs.FS, *trace.Tracer, *pager.Pager, pager.Conf
 	tr := trace.New()
 	tr.Attach(dev.Clock(), "hint")
 	fsys.SetTracer(tr)
-	cfg := pager.Config{Mode: pager.Off, CacheSize: 8}
-	w, err := pager.Open(fsys, "hint.db", cfg)
+	w, err := pager.Open(fsys, "hint.db", pager.Config{Mode: pager.Off, CacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fsys, tr, w, cfg
+	tbl := pager.NewTable(fsys, 8)
+	w.Share(tbl)
+	return fsys, tr, w, tbl
 }
 
 // pagerMisses returns the pager misses tr recorded, in order, as

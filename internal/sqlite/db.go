@@ -44,38 +44,25 @@ func Open(fsys *simfs.FS, name string, cfg Config) (*DB, error) {
 // the database a file-system snapshot pinned — page reads resolve
 // through the X-FTL version set pinned at its open — so the connection
 // sees that state no matter what a concurrent writer commits afterwards.
-// The snapshot stays owned by the caller (close it after closing the
-// DB). Any write statement fails with pager.ErrReadOnly.
-func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (*DB, error) {
-	p, err := pager.OpenReader(fsys, name, snap, cfg)
+// Its pages are t's frames, the database's shared page cache. The
+// snapshot stays owned by the caller (close it after closing the DB).
+// Any write statement fails with pager.ErrReadOnly.
+func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, t *pager.Table) (*DB, error) {
+	p, err := pager.OpenReader(fsys, name, snap, t)
 	if err != nil {
 		return nil, err
 	}
 	return attach(fsys, name, p)
 }
 
-// Advance moves a read-only connection on to snap, a later snapshot of its
-// database at the same size, keeping what the commits in between did not
-// change: changed lists the file pages they wrote (simfs.FS.ChangesSince),
-// and only those leave the pager cache. Every schema statement writes page
-// 1, so only when page 1 is among them does the catalog reload and every
-// statement compile again.
-func (db *DB) Advance(snap *simfs.Snapshot, changed []int64) error {
-	header, err := db.pg.Advance(snap, changed)
-	if header && err == nil {
-		err = db.cat.reset()
-	}
-	return err
-}
-
 // Reseat moves a read-only connection on to snap, a later snapshot of its
-// database that the change log cannot advance it to: the file changed
-// size or the namespace changed in between, or the log no longer reaches
-// back. The pager cache empties and the header and catalog reload, as at
-// a cold open, but the cache's frames and the compiled statements stay.
+// database in the same power-cut epoch, keeping its compiled statements.
+// Every schema statement writes page 1, so only when page 1 may have
+// changed in between does the catalog reload and every statement compile
+// again.
 func (db *DB) Reseat(snap *simfs.Snapshot) error {
-	err := db.pg.Reseat(snap)
-	if err == nil {
+	header, err := db.pg.Reseat(snap)
+	if header && err == nil {
 		err = db.cat.reset()
 	}
 	return err

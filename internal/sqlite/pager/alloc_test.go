@@ -2,10 +2,14 @@
 
 package pager
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+)
 
 // A miss loads into a frame the cache already owns — the one makeRoom
-// just evicted, or the page's own if a rollback or an Advance dropped it —
+// just evicted, or the page's own if a rollback dropped it —
 // so it allocates nothing, neither a Page nor a buffer. (Not under -race:
 // the race runtime allocates.)
 func TestMissAllocsNothing(t *testing.T) {
@@ -95,26 +99,71 @@ func TestMissAllocsNothing(t *testing.T) {
 		})
 	})
 	t.Run("advance", func(t *testing.T) {
+		// A reader advanced past a commit finds the pages it wrote in the
+		// table, and its misses through a full table reuse evicted frames;
+		// the writer's misses take pages back from the table, and its
+		// commits hand them over: none of it allocates — the commit itself
+		// and the snapshots aside.
 		e, w := populated(t, Off)
+		tbl := NewTable(e.fs, cacheSize)
+		w.Share(tbl)
 		snap, err := e.fs.OpenSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer snap.Close()
-		r, err := OpenReader(e.fs, w.Name(), snap, Config{Mode: Off, CacheSize: cacheSize})
+		r, err := OpenReader(e.fs, w.Name(), snap, tbl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		changed := []int64{2, 3, 4, 5} // file pages: pgnos 3..6
-		noAllocs(t, "Get of a page Advance dropped", func() {
-			if _, err := r.Advance(snap, changed); err != nil {
+		var m0, m1 runtime.MemStats
+		var allocs uint64
+		measure := func(f func()) uint64 {
+			runtime.ReadMemStats(&m0)
+			f()
+			runtime.ReadMemStats(&m1)
+			return m1.Mallocs - m0.Mallocs
+		}
+		const rounds = 4 * dbPages
+		for i := 0; i < 2*rounds; i++ {
+			pgno := Pgno(2 + i%(dbPages-1))
+			if err := w.Begin(); err != nil {
 				t.Fatal(err)
 			}
-			for _, idx := range changed {
-				get(t, r, Pgno(idx+1)).Release()
+			n := measure(func() {
+				pg := get(t, w, pgno)
+				if err := w.Write(pg); err != nil {
+					t.Fatal(err)
+				}
+				pg.Data()[100]++
+				pg.Release()
+			})
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
 			}
-		})
+			next, err := e.fs.OpenSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += measure(func() {
+				if _, err := r.Reseat(next); err != nil {
+					t.Fatal(err)
+				}
+				get(t, r, pgno).Release()
+				get(t, r, Pgno(2+(i*7)%(dbPages-1))).Release()
+			})
+			_ = snap.Close()
+			snap = next
+			if i >= rounds { // the first rounds filled the table and the writer's cache
+				allocs += n
+			}
+		}
+		_ = snap.Close()
+		// Per round, rounded: a runtime-internal allocation may land inside
+		// a bracket.
+		if perRound := float64(allocs) / rounds; math.Round(perRound) != 0 {
+			t.Errorf("a round of writer misses, a re-seat and table reads allocates %.2f objects, want 0", perRound)
+		}
 	})
 }
 

@@ -13,9 +13,7 @@ import (
 // a full cache recycles the list's head, the least recently unpinned page.
 // A page a rollback drops leaves the cache and the list; read again, it is
 // a miss like any other and joins the list's tail at its next last unpin.
-// (The pager keeps a dropped frame's old place until its next eviction
-// pass, but a reloaded frame is pinned, and a pinned frame's place is
-// never looked at.) The pager's frame list must pick the same victims.
+// The pager's frame list must pick the same victims.
 type refCache struct {
 	size   int
 	in     map[Pgno]bool
@@ -47,13 +45,6 @@ func (r *refCache) unlist(pgno Pgno) {
 
 func (r *refCache) makeRoom() { r.evictTo(r.size - 1) }
 
-// resize is Pager.SetCacheSize: a smaller cache recycles the list's head
-// until it fits.
-func (r *refCache) resize(n int) {
-	r.size = n
-	r.evictTo(n)
-}
-
 func (r *refCache) evictTo(n int) {
 	for len(r.in) > n {
 		victim := r.lru[0]
@@ -82,7 +73,7 @@ func (r *refCache) rollback() {
 
 // TestEvictionOrderMatchesReference drives the pager and the reference
 // policy with the same random stream of gets, writes, long-held pins,
-// commits, rollbacks and cache resizes, and requires the same set of resident pages
+// commits and rollbacks, and requires the same set of resident pages
 // after every step — that is, the same victim at every eviction.
 // (Rollback journal mode is left out: its Write also touches page 1,
 // which would need the journal modelled; the policy code is shared.)
@@ -131,9 +122,8 @@ func FuzzEvictionOrder(f *testing.F) {
 var evictionModes = []JournalMode{WAL, Off}
 
 // evictionStream runs steps ops chosen by next (a value in [0, n)) on an
-// 8-page cache, resized now and then to 5 to 12 pages, over a 40-page
-// database, checking the pager's resident set against refCache's after
-// each, and that a shrink let go of the frames it has no room for.
+// 8-page cache over a 40-page database, checking the pager's resident set
+// against refCache's after each.
 func evictionStream(t testing.TB, mode JournalMode, next func(n int) int, steps int) {
 	t.Helper()
 	const cacheSize, dbPages = 8, 40
@@ -167,16 +157,7 @@ func evictionStream(t testing.TB, mode JournalMode, next func(n int) int, steps 
 	inTx := false
 	for step := 0; step < steps; step++ {
 		op := ""
-		shrunk := false
 		switch k := next(100); {
-		case k < 3:
-			n := 5 + next(8)
-			op = fmt.Sprintf("resize %d", n)
-			shrunk = n < p.CacheSize()
-			if err := p.SetCacheSize(n); err != nil {
-				t.Fatalf("step %d %s: %v", step, op, err)
-			}
-			ref.resize(n)
 		case k < 70:
 			pgno := Pgno(1 + next(dbPages))
 			write := inTx && next(3) == 0
@@ -240,9 +221,6 @@ func evictionStream(t testing.TB, mode JournalMode, next func(n int) int, steps 
 		}
 		if frames > cacheSize+dbPages {
 			t.Fatalf("step %d: %d frames for a %d-page cache", step, frames, cacheSize)
-		}
-		if held := len(p.cache) + len(p.dropped); shrunk && frames > max(p.CacheSize(), held) {
-			t.Fatalf("step %d, after %s: %d frames kept for %d pages held", step, op, frames, held)
 		}
 	}
 }

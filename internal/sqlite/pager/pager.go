@@ -96,16 +96,24 @@ const (
 	walFinalFlag = 0x80000000
 )
 
-// Page is one frame of the buffer pool: it owns its buffer for the
-// pager's whole life and holds one page at a time. Callers must Release
-// every page they Get, and must call Write before mutating Data.
+// Page is one frame of a buffer pool: it holds one page at a time, in a
+// writer's cache or in a Table. Callers must Release every page they Get,
+// and must call Write before mutating Data.
 type Page struct {
 	pgno       Pgno
 	data       []byte
 	dirty      bool
 	pins       int
-	prev, next *Page // neighbours in Pager.frames; next also links Pager.free
-	frames     *Page // Pager.frames, where Release moves the frame
+	prev, next *Page // neighbours in Pager.frames or Table.lru; next also links a free list
+	frames     *Page // Pager.frames, where Release moves a writer's frame
+
+	// A Table's frame: table is set while the table owns it, and the frame
+	// holds the committed versions of its page over [from, to); older
+	// links the page's other resident versions.
+	table    *Table
+	from, to uint64
+	older    *Page
+	resident bool
 }
 
 // Pgno returns the page's number.
@@ -134,8 +142,14 @@ type Pager struct {
 
 	// snap, when set, serves every stable-storage read from the committed
 	// state a file-system snapshot pinned; the pager is then read-only
-	// (Write, Allocate and Free fail with ErrReadOnly) and file is nil.
+	// (Write, Allocate and Free fail with ErrReadOnly), file is nil, and
+	// its pages are table's frames: it has no cache of its own.
 	snap *simfs.Snapshot
+
+	// table, when set, is the database's shared page cache (Table): a
+	// read-only pager's only one, and the one a writer trades its clean
+	// committed pages with.
+	table *Table
 
 	cache map[Pgno]*Page
 
@@ -143,21 +157,16 @@ type Pager struct {
 	// frames.next: a load joins at the hot end, and the Release that drops
 	// a frame's last pin moves it there again. The victim is the least
 	// recently unpinned frame (SQLite's pcache1 LRU; pinned frames are
-	// stepped over). A page that a rewind or an Advance drops leaves cache
-	// for dropped but keeps its frame until the next eviction pass:
-	// reloaded before the pass, it has it back, pinned, and its Release
-	// makes it the hottest like any other. The pass moves the frames still
-	// dropped to free, and makeRoom's victims go there too. A frame is made
-	// only when a miss finds free empty.
-	frames  Page
-	dropped map[Pgno]*Page
-	free    *Page
+	// stepped over). Victims, and the frames of pages a rewind drops, go to
+	// free. A frame is made only when a miss finds free empty.
+	frames Page
+	free   *Page
 
-	// gen moves whenever a page leaves the cache — evicted, or dropped by a
-	// rewind or an Advance — and whenever one is freed or allocated. While
-	// it stands still, every page loaded since a reading of it is still
-	// cached, and no page has changed owner or been added to a B-tree: what
-	// a tree's hinted path rests on.
+	// gen moves whenever a page leaves the cache — evicted, dropped by a
+	// rewind or handed to the table — and whenever one is freed or
+	// allocated. While it stands still, every page loaded since a reading
+	// of it is still cached, and no page has changed owner or been added to
+	// a B-tree: what a tree's hinted path rests on.
 	gen uint64
 
 	// scratch is a page for commit records and checkpoint copies (the file
@@ -240,11 +249,10 @@ func newPager(fsys *simfs.FS, name string, cfg Config) *Pager {
 		cfg.CheckpointPages = 1000
 	}
 	p := &Pager{
-		fs:      fsys,
-		name:    name,
-		cfg:     cfg,
-		cache:   make(map[Pgno]*Page),
-		dropped: make(map[Pgno]*Page),
+		fs:    fsys,
+		name:  name,
+		cfg:   cfg,
+		cache: make(map[Pgno]*Page),
 	}
 	p.frames.prev, p.frames.next = &p.frames, &p.frames
 	return p
@@ -286,33 +294,28 @@ func Open(fsys *simfs.FS, name string, cfg Config) (*Pager, error) {
 // OpenReader opens a read-only pager whose every stable-storage read is
 // served from snap: the database exactly as of the snapshot's commit
 // point — every page resolves through the X-FTL version set pinned at
-// its open — unaffected by any concurrent writer, with the cache warming
-// against immutable state. No recovery runs — a snapshot is committed
-// state by construction — and nothing is ever journaled; cfg.Mode only
-// labels the connection. The snapshot's lifetime is owned by the caller;
-// Close does not release it.
-func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, cfg Config) (*Pager, error) {
-	p := newPager(fsys, name, cfg)
-	p.snap = snap
+// its open — unaffected by any concurrent writer. Its pages are t's
+// frames, shared with the database's other connections. No recovery
+// runs — a snapshot is committed state by construction — and nothing is
+// ever journaled. The snapshot's lifetime is owned by the caller; Close
+// does not release it.
+func OpenReader(fsys *simfs.FS, name string, snap *simfs.Snapshot, t *Table) (*Pager, error) {
+	p := newPager(fsys, name, Config{Mode: Off})
+	p.snap, p.table = snap, t
 	if err := p.loadHeader(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Advance moves a read-only pager on to snap, a later snapshot of the same
-// database at the same size, keeping its cache: changed lists the file
-// pages (0-based, as simfs.FS.ChangesSince names them) the commits in
-// between wrote, and only those leave the cache — every other page reads
-// the same in both snapshots. If page 1 is among them the header is read
-// again, and header reports it. The pager must hold no page pinned.
-func (p *Pager) Advance(snap *simfs.Snapshot, changed []int64) (header bool, err error) {
+// Reseat moves a read-only pager on to snap, a later snapshot of the same
+// database in the same power-cut epoch. Nothing is dropped: its pages are
+// looked up at the new sequence. If page 1 may have changed in between,
+// the header is read again, and header reports it.
+func (p *Pager) Reseat(snap *simfs.Snapshot) (header bool, err error) {
+	since := p.snap.Seq()
 	p.snap = snap
-	for _, idx := range changed {
-		header = header || idx == 0
-		p.dropCached(Pgno(idx) + 1)
-	}
-	if !header {
+	if !p.table.changed(1, since, snap) {
 		return false, nil
 	}
 	pg, err := p.Get(1)
@@ -322,6 +325,11 @@ func (p *Pager) Advance(snap *simfs.Snapshot, changed []int64) (header bool, err
 	}
 	return true, err
 }
+
+// Share makes t the table a writer trades its clean committed pages with:
+// its evictions hand them over, its misses look there before the file,
+// and its commits publish what they wrote. Journal mode Off only.
+func (p *Pager) Share(t *Table) { p.table = t }
 
 // Name returns the database file name.
 func (p *Pager) Name() string { return p.name }
@@ -451,6 +459,9 @@ func (p *Pager) Get(pgno Pgno) (*Page, error) {
 	if pgno < 1 || pgno > p.nPages {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadPgno, pgno, p.nPages)
 	}
+	if p.snap != nil {
+		return p.table.get(p, pgno)
+	}
 	if pg, ok := p.cache[pgno]; ok {
 		pg.pins++
 		return pg, nil
@@ -458,15 +469,39 @@ func (p *Pager) Get(pgno Pgno) (*Page, error) {
 	if err := p.makeRoom(); err != nil {
 		return nil, err
 	}
-	pg := p.frame(pgno)
-	buf := pg.data
+	if p.table != nil {
+		if pg := p.take(pgno); pg != nil {
+			return p.install(pgno, pg), nil
+		}
+	}
+	pg := p.frame()
+	if err := p.read(pgno, pg.data); err != nil {
+		pg.next, p.free = p.free, pg
+		return nil, err
+	}
+	return p.install(pgno, pg), nil
+}
+
+// take looks for a writer's miss on pgno in the table (Table.take): the
+// frame of the page's current committed version, handed over, or a copy
+// of it while a reader pins it; nil if the table has none.
+func (p *Pager) take(pgno Pgno) *Page {
+	src, shared := p.table.take(pgno, &p.free)
+	if !shared {
+		return src
+	}
+	pg := p.frame()
+	copy(pg.data, src.data)
+	src.Release()
+	return pg
+}
+
+// read loads pgno's stable image into buf, traced as one page read.
+func (p *Pager) read(pgno Pgno, buf []byte) error {
 	tr := p.tracer()
 	rdStart := tr.Now()
 	if err := p.readDBPage(pgno, buf); err != nil {
-		if pg.prev == nil {
-			p.toFree(pg)
-		}
-		return nil, err
+		return err
 	}
 	if tr != nil {
 		tr.Record(trace.Event{Layer: trace.LPager, Kind: trace.KPageRead,
@@ -478,10 +513,12 @@ func (p *Pager) Get(pgno Pgno) (*Page, error) {
 		// current in-memory header state.
 		p.encodeHeader(buf)
 	}
-	return p.install(pgno, pg), nil
+	return nil
 }
 
 // Cached pins pgno if it is in the cache, without I/O; nil if it is not.
+// A read-only pager caches nothing of its own, so it always gets nil, and
+// its B-trees descend for every access instead of taking a hinted path.
 func (p *Pager) Cached(pgno Pgno) *Page {
 	pg := p.cache[pgno]
 	if pg != nil {
@@ -498,49 +535,41 @@ func (p *Pager) Peek(pgno Pgno) *Page { return p.cache[pgno] }
 // Gen reports the cache generation (see Pager.gen).
 func (p *Pager) Gen() uint64 { return p.gen }
 
-// frame returns the frame a miss on pgno loads into: pgno's own if it
-// was dropped since the last eviction pass, else a free one (the victim
-// makeRoom just evicted first), else a new one. Content is unspecified;
-// only pgno's own is linked into frames.
-func (p *Pager) frame(pgno Pgno) *Page {
-	if pg := p.dropped[pgno]; pg != nil {
-		return pg
-	}
+// frame returns the frame a miss loads into: a free one (the victim
+// makeRoom just evicted first), else a new one. Content is unspecified.
+func (p *Pager) frame() *Page {
 	if pg := p.free; pg != nil {
 		p.free = pg.next
 		return pg
 	}
-	return &Page{data: make([]byte, p.PageSize()), frames: &p.frames}
+	return &Page{data: make([]byte, p.PageSize())}
 }
 
-// install caches pgno, freshly loaded into pg, pinned once more: at the
-// hot end of the frame list, or at its old place if pg is its dropped
-// frame (a pinned frame's place is never looked at).
+// install caches pgno, freshly loaded into pg, pinned once more, at the
+// hot end of the frame list (a pinned frame's place is never looked at).
 func (p *Pager) install(pgno Pgno, pg *Page) *Page {
-	if pg.prev == nil {
-		pg.prev, pg.next = p.frames.prev, &p.frames
-		pg.prev.next, p.frames.prev = pg, pg
-	}
-	delete(p.dropped, pgno)
-	pg.pgno, pg.dirty = pgno, false
+	pg.prev, pg.next = p.frames.prev, &p.frames
+	pg.prev.next, p.frames.prev = pg, pg
+	pg.pgno, pg.dirty, pg.frames = pgno, false, &p.frames
 	pg.pins++
 	p.cache[pgno] = pg
 	return pg
 }
 
-// toFree unlinks pg from the frame list, if it is on it, and puts it on
-// the free list.
-func (p *Pager) toFree(pg *Page) {
-	if pg.prev != nil {
-		pg.prev.next, pg.next.prev = pg.next, pg.prev
-		pg.prev = nil
-	}
-	pg.next, p.free = p.free, pg
+// uncache takes a page out of the writer's cache, its frame with it.
+func (p *Pager) uncache(pg *Page) {
+	delete(p.cache, pg.pgno)
+	p.gen++
+	unlinkLRU(pg)
 }
 
 // Release unpins a page obtained from Get, Cached or Allocate. The last
 // unpin makes the frame the most recently used: it moves to the hot end.
 func (pg *Page) Release() {
+	if pg.table != nil {
+		pg.table.release(pg)
+		return
+	}
 	if pg.pins > 0 {
 		if pg.pins--; pg.pins == 0 && pg.prev != nil {
 			hot := pg.frames
@@ -551,22 +580,13 @@ func (pg *Page) Release() {
 	}
 }
 
-// makeRoom evicts until the cache is under its limit, so a miss can load
-// one more page.
-func (p *Pager) makeRoom() error { return p.evictTo(p.cfg.CacheSize - 1) }
-
-// evictTo evicts unpinned pages, least recently unpinned first, until
-// the cache holds at most n. Dirty evictions are the steal policy:
-// uncommitted content reaches storage under whatever protection the
-// journal mode provides. An eviction costs O(1) amortised plus the
-// pinned pages it steps over.
-func (p *Pager) evictTo(n int) error {
-	for len(p.cache) > n {
-		// An eviction pass forgets the place of every dropped page.
-		for _, pg := range p.dropped {
-			p.toFree(pg)
-		}
-		clear(p.dropped)
+// makeRoom evicts unpinned pages, least recently unpinned first, until
+// the cache is under its limit, so a miss can load one more page. Dirty
+// evictions are the steal policy: uncommitted content reaches storage
+// under whatever protection the journal mode provides. An eviction costs
+// O(1) amortised plus the pinned pages it steps over.
+func (p *Pager) makeRoom() error {
+	for len(p.cache) >= p.cfg.CacheSize {
 		victim := p.frames.next
 		for victim != &p.frames && victim.pins > 0 {
 			victim = victim.next
@@ -579,9 +599,13 @@ func (p *Pager) evictTo(n int) error {
 				return err
 			}
 		}
-		delete(p.cache, victim.pgno)
-		p.gen++
-		p.toFree(victim)
+		p.uncache(victim)
+		if p.table != nil {
+			victim = p.table.give(victim)
+		}
+		if victim != nil {
+			victim.next, p.free = p.free, victim
+		}
 	}
 	return nil
 }
@@ -608,6 +632,9 @@ func (p *Pager) stealOut(pg *Page) error {
 		// sharing the file's tid are committed before it joins one.
 		if err := p.SyncDeferred(); err != nil {
 			return err
+		}
+		if p.table != nil {
+			p.table.pend(pg.pgno)
 		}
 		// The file system forwards this as write(t,p); the device keeps
 		// it invisible and revocable.
@@ -722,7 +749,7 @@ func (p *Pager) Allocate() (*Page, error) {
 	if ok {
 		pg.pins++
 	} else {
-		pg = p.install(pgno, p.frame(pgno))
+		pg = p.install(pgno, p.frame())
 	}
 	clear(pg.data)
 	if err := p.Write(pg); err != nil {
@@ -1189,6 +1216,9 @@ func (p *Pager) groupFull() bool { return len(p.written) > maxGroupPages }
 // 1, the open transaction — finishes or rewinds as one. A failed stage
 // settles at once: nothing of the group is durable.
 func (p *Pager) stage() error {
+	if p.table != nil {
+		p.table.pend(p.written[p.txFirst:]...)
+	}
 	if err := p.force(); err != nil {
 		return p.settle(1, err)
 	}
@@ -1204,10 +1234,12 @@ func (p *Pager) settle(self int, err error) error {
 		p.Commits -= int64(p.deferred)
 		p.rewind()
 	case self == 1:
+		p.publish(p.written)
 		p.written = p.written[:0]
 		p.endTx(1)
 	default:
 		// What is left of the write set is the open transaction's.
+		p.publish(p.written[:p.txFirst])
 		p.written = p.written[:copy(p.written, p.written[p.txFirst:])]
 		p.txFirst = 0
 	}
@@ -1231,6 +1263,9 @@ func (p *Pager) rewind() error {
 	if p.cfg.Mode == Off && p.file != nil && p.file.Pending() {
 		err = p.file.Abort()
 	}
+	if p.table != nil && len(p.written) > 0 {
+		p.table.publish(p, p.written, false)
+	}
 	for _, pgno := range p.written {
 		p.dropCached(pgno)
 	}
@@ -1242,6 +1277,13 @@ func (p *Pager) rewind() error {
 	p.nPages, p.freelist, p.schema = base.nPages, base.freelist, base.schema
 	p.endTx(0)
 	return err
+}
+
+// publish hands the table the pages a commit carried (Table.publish).
+func (p *Pager) publish(pgnos []Pgno) {
+	if p.table != nil {
+		p.table.publish(p, pgnos, true)
+	}
 }
 
 // Stage is the first half of an ending whose commit(t) is issued
@@ -1391,13 +1433,12 @@ func (p *Pager) Rollback() error {
 	return p.rewind()
 }
 
-// dropCached removes a page from the cache, keeping its frame in
-// dropped, so the next Get re-reads the stable version.
+// dropCached removes a page from the cache, its frame to free, so the
+// next Get re-reads the stable version.
 func (p *Pager) dropCached(pgno Pgno) {
 	if pg, ok := p.cache[pgno]; ok {
-		delete(p.cache, pgno)
-		p.gen++
-		p.dropped[pgno] = pg
+		p.uncache(pg)
+		pg.next, p.free = p.free, pg
 	}
 }
 
@@ -1504,42 +1545,3 @@ func (p *Pager) CacheSize() int { return p.cfg.CacheSize }
 
 // CachedPages reports how many pages the cache holds.
 func (p *Pager) CachedPages() int { return len(p.cache) }
-
-// SetCacheSize changes the cache's capacity to n ≥ 1 pages. A smaller
-// capacity evicts least recently unpinned pages at once, as a miss
-// would, and lets go of the frames it has no room for; the error is the
-// eviction's (ErrPinned if pinned pages alone exceed n).
-func (p *Pager) SetCacheSize(n int) error {
-	shrink := n < p.cfg.CacheSize
-	p.cfg.CacheSize = n
-	if !shrink {
-		return nil
-	}
-	err := p.evictTo(n)
-	keep := n - len(p.cache) - len(p.dropped)
-	link := &p.free
-	for ; *link != nil && keep > 0; keep-- {
-		link = &(*link).next
-	}
-	*link = nil
-	return err
-}
-
-// Reseat moves a read-only pager on to snap, a later snapshot of the same
-// database whatever the commits in between changed — its size, the
-// namespace, or pages the change log no longer names: every page leaves
-// the cache, its frame kept for the next miss, and the header is read
-// again. The pager must hold no page pinned.
-func (p *Pager) Reseat(snap *simfs.Snapshot) error {
-	p.snap = snap
-	for _, pg := range p.cache {
-		p.toFree(pg)
-	}
-	clear(p.cache)
-	for _, pg := range p.dropped {
-		p.toFree(pg)
-	}
-	clear(p.dropped)
-	p.gen++
-	return p.loadHeader()
-}

@@ -47,7 +47,7 @@ func TestReaderConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer snap.Close()
-		r, err := OpenReader(e.fs, w.Name(), snap, Config{Mode: Off, CacheSize: 100})
+		r, err := OpenReader(e.fs, w.Name(), snap, NewTable(e.fs, 100))
 		if err != nil {
 			t.Fatalf("OpenReader: %v", err)
 		}

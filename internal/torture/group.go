@@ -57,11 +57,6 @@ func (g groupRun) run(seed int64) (*Report, error) {
 	if err := loadKV(mgr, m, groupRows, 2*groupCache); err != nil {
 		return nil, err
 	}
-	// A reader parked in the pool is live: its share leaves the writer no
-	// budget to borrow, so the writer caches groupCache pages and steals.
-	if _, err := readKV(mgr, nil); err != nil {
-		return nil, err
-	}
 
 	var (
 		mu       sync.Mutex          // everything below
@@ -105,8 +100,11 @@ func (g groupRun) run(seed int64) (*Report, error) {
 				seq++
 				version := seq
 				keys := rng.Perm(groupRows)[:groupUpdates]
+				// Writer 0 steals every groupEvery-th transaction, and every
+				// one until a steal has closed a pending group: whether its
+				// predecessor deferred to it is the scheduler's to decide.
+				steals := w == 0 && (n%groupEvery == 1 || rep.Steals == 0)
 				mu.Unlock()
-				steals := w == 0 && n%groupEvery == 1
 				if steals {
 					// Every leaf page dirty, in a cache that holds a few.
 					keys = keys[:0]
